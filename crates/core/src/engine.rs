@@ -72,6 +72,75 @@ impl Op {
             Op::ReverseScalar => "rev-scalar",
         }
     }
+
+    /// Which way this op's payloads flow along a halo edge. `true`: root →
+    /// leaf, out along `send` edges into the peer's ghost-side buffers
+    /// (border and the forward family). `false`: leaf → root, out along
+    /// `recv` edges into the peer's owner-side buffers — the reverse
+    /// family, and migration, which hands atoms to their new owners.
+    #[must_use]
+    pub fn toward_ghosts(self) -> bool {
+        matches!(self, Op::Border | Op::Forward | Op::ForwardScalar)
+    }
+
+    /// Split the ops by how their payload comes to be: Border and Exchange
+    /// discover it while packing, the four repeated ops are one typed
+    /// gather/scatter over the ghost layout.
+    #[must_use]
+    pub fn kind(self) -> OpKind {
+        match self {
+            Op::Border => OpKind::Border,
+            Op::Exchange => OpKind::Exchange,
+            Op::Forward => OpKind::Ghost(GhostOp::Forward),
+            Op::Reverse => OpKind::Ghost(GhostOp::Reverse),
+            Op::ForwardScalar => OpKind::Ghost(GhostOp::ForwardScalar),
+            Op::ReverseScalar => OpKind::Ghost(GhostOp::ReverseScalar),
+        }
+    }
+}
+
+/// [`Op`] grouped the way every engine dispatches it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpKind {
+    /// Build the send lists and establish ghosts.
+    Border,
+    /// Migrate atoms between owners.
+    Exchange,
+    /// One of the four repeated ghost ops.
+    Ghost(GhostOp),
+}
+
+/// The repeated ghost operations as `unit × direction` over the
+/// [`crate::ghost::GhostLayout`]: a bcast (owner → ghost, overwrite) or a
+/// reduce (ghost → owner, `+=`) of 3-vectors or scalars — PetscSF's
+/// `Bcast`/`Reduce(unit, op)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GhostOp {
+    /// Bcast positions (`+shift` across periodic boundaries).
+    Forward,
+    /// Reduce forces.
+    Reverse,
+    /// Bcast the EAM scalar (F').
+    ForwardScalar,
+    /// Reduce the EAM scalar (rho).
+    ReverseScalar,
+}
+
+impl GhostOp {
+    /// Values per atom: 3 for the vector ops, 1 for the scalar ops.
+    #[must_use]
+    pub fn unit(self) -> usize {
+        match self {
+            GhostOp::Forward | GhostOp::Reverse => 3,
+            GhostOp::ForwardScalar | GhostOp::ReverseScalar => 1,
+        }
+    }
+
+    /// True for the bcasts (see [`Op::toward_ghosts`]).
+    #[must_use]
+    pub fn toward_ghosts(self) -> bool {
+        matches!(self, GhostOp::Forward | GhostOp::ForwardScalar)
+    }
 }
 
 /// Live communication counters (the in-vivo counterpart of Table 1's

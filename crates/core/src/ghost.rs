@@ -1,0 +1,677 @@
+//! The ghost layout: the transport-independent half of every engine.
+//!
+//! In star-forest terms (DESIGN.md §13) each halo edge owns a *root* index
+//! list — my atoms the peer mirrors (`send`) — the periodic shift they
+//! travel with, and a *leaf* segment — the contiguous run of ghosts I hold
+//! for the peer. The four repeated ghost ops are one typed gather/scatter
+//! over those lists ([`GhostOp`]: `unit ∈ {3, 1}` × bcast | reduce); how
+//! the packed bytes travel is the engines' business.
+//!
+//! Both communication patterns of §3.1 fill the same layout and differ
+//! only in how Border builds the send lists:
+//!
+//! * **p2p** (Fig. 5): edge id = graph edge index `k`; `send[k]` mirrors
+//!   `recv[k]` and messages are tagged with the receiver's edge index
+//!   (`peer_index`), which disambiguates small periodic grids and
+//!   irregular graphs where one rank is a neighbor along several edges.
+//!   Send lists come from the graph's [`SendSelector`].
+//! * **3-stage** (Fig. 4): edge id = `(dim * swaps + swap) * 2 + dir`.
+//!   LAMMPS's 6-way swap sweeps x, then y, then z, sending the atoms
+//!   (locals *and already-received ghosts*) within the ghost cutoff of
+//!   each face to the two face neighbors. The carry-forward makes edge and
+//!   corner ghosts travel in up to three legs — which is why each stage
+//!   must complete before the next starts, the serialization the p2p
+//!   pattern removes. When the cutoff exceeds the sub-box edge (Fig. 15's
+//!   62/124-neighbor regime) each dimension performs `swaps` successive
+//!   swaps: swap 0 ships the local band, swap `s` *relays* the ghosts that
+//!   arrived from the opposite face in swap `s - 1`. Reduce ops run the
+//!   sweeps backwards.
+
+use crate::engine::{GhostOp, Op, RankState};
+use crate::plan::NeighborLink;
+use crate::sf::SendSelector;
+use crate::topo_map::RankMap;
+use crate::wire::{self, F64Sink};
+use tofumd_md::atom::Atoms;
+use tofumd_md::domain::NeighborOffset;
+use tofumd_md::region::Box3;
+
+/// The six face links of a rank: `links[dim][0]` is the -dim neighbor,
+/// `links[dim][1]` the +dim neighbor.
+#[must_use]
+pub fn staged_links(map: &RankMap, rank: usize, global: &Box3) -> [[NeighborLink; 2]; 3] {
+    let c = map.rank_coord(rank);
+    let rg = map.rank_grid;
+    let l = global.lengths();
+    let mk = |dim: usize, dir: i64| -> NeighborLink {
+        let mut target = [i64::from(c[0]), i64::from(c[1]), i64::from(c[2])];
+        target[dim] += dir;
+        let nb = map.rank_at(target);
+        let mut shift = [0.0; 3];
+        let wrapped = target[dim].div_euclid(i64::from(rg[dim]));
+        shift[dim] = -(wrapped as f64) * l[dim];
+        let mut d = [0i8; 3];
+        d[dim] = dir as i8;
+        NeighborLink {
+            offset: NeighborOffset { d },
+            rank: nb,
+            node: map.node_of(nb),
+            hops: map.hops(rank, nb),
+            shift,
+        }
+    };
+    [
+        [mk(0, -1), mk(0, 1)],
+        [mk(1, -1), mk(1, 1)],
+        [mk(2, -1), mk(2, 1)],
+    ]
+}
+
+/// Periodic shifts of the staged layout's `6 * swaps` edges, in edge-id
+/// order `(dim * swaps + swap) * 2 + dir`.
+pub fn staged_shifts(
+    links: &[[NeighborLink; 2]; 3],
+    swaps: usize,
+) -> impl Iterator<Item = [f64; 3]> + '_ {
+    (0..6 * swaps).map(move |e| links[e / 2 / swaps][e % 2].shift)
+}
+
+/// The `(sweep, dim)` a staged engine drives in `round` of `op`, with
+/// `swaps` swaps per dimension; the sweep's two layout edges are
+/// `sweep * 2 + dir`. Ops flowing toward the ghosts walk the sweeps in
+/// order, reduce ops walk them backwards (z..x, last swap first), and
+/// migration is one swap per dimension (atoms move less than a sub-box
+/// between rebuilds).
+#[must_use]
+pub fn staged_sweep(op: Op, round: usize, swaps: usize) -> (usize, usize) {
+    if op == Op::Exchange {
+        return (round, round);
+    }
+    let sweep = if op.toward_ghosts() {
+        round
+    } else {
+        3 * swaps - 1 - round
+    };
+    (sweep, sweep / swaps)
+}
+
+#[derive(Debug, Clone, Default)]
+struct Edge {
+    /// Indices of the atoms (locals, or earlier ghosts under the staged
+    /// carry-forward) the peer mirrors.
+    send: Vec<u32>,
+    /// Periodic shift added to positions travelling along this edge.
+    shift: [f64; 3],
+    /// (first ghost index, count) of the ghosts held for the peer.
+    ghosts: (usize, usize),
+}
+
+/// Send lists and ghost segments of one rank, keyed by a flat edge id.
+#[derive(Debug, Clone, Default)]
+pub struct GhostLayout {
+    edges: Vec<Edge>,
+}
+
+impl GhostLayout {
+    /// Start a new border pass: drop the rank's ghosts and every list, and
+    /// lay out one empty edge per entry of `shifts`.
+    pub fn reset(&mut self, atoms: &mut Atoms, shifts: impl IntoIterator<Item = [f64; 3]>) {
+        atoms.clear_ghosts();
+        self.edges.clear();
+        self.edges.extend(shifts.into_iter().map(|shift| Edge {
+            shift,
+            ..Edge::default()
+        }));
+    }
+
+    /// Put atom `i` on edge `e`'s send list and append its border record
+    /// (tag + shifted position) to `out`.
+    fn push_border(&mut self, st: &RankState, e: usize, i: usize, out: &mut Vec<f64>) {
+        let edge = &mut self.edges[e];
+        edge.send.push(i as u32);
+        let (x, s) = (st.atoms.x[i], edge.shift);
+        wire::push_border_record(
+            out,
+            st.atoms.tag[i],
+            st.atoms.typ[i],
+            [x[0] + s[0], x[1] + s[1], x[2] + s[2]],
+        );
+    }
+
+    /// The p2p Border builder: route every local atom through the graph's
+    /// selector. Returns the border payloads, one per edge.
+    pub fn select_border(&mut self, st: &RankState, sel: &SendSelector) -> Vec<Vec<f64>> {
+        let mut payloads = vec![Vec::new(); self.edges.len()];
+        for i in 0..st.atoms.nlocal {
+            sel.for_each_target(&st.atoms.x[i], |k| {
+                self.push_border(st, usize::from(k), i, &mut payloads[usize::from(k)]);
+            });
+        }
+        payloads
+    }
+
+    /// The staged Border builder for one sweep: returns the payloads
+    /// `[toward -dim, toward +dim]`.
+    ///
+    /// Swap 0 scans everything present (locals plus all earlier-dimension
+    /// ghosts); swap `s > 0` relays only the ghosts that arrived from the
+    /// *opposite* face in swap `s - 1`. The band test (within `r_ghost` of
+    /// the face) is the same in both cases.
+    pub fn sweep_border(&mut self, st: &RankState, sweep: usize, swaps: usize) -> [Vec<f64>; 2] {
+        let (dim, swap) = (sweep / swaps, sweep % swaps);
+        let r = st.graph.r_ghost;
+        let (lo, hi) = (st.graph.sub.lo[dim], st.graph.sub.hi[dim]);
+        let mut payloads = [Vec::new(), Vec::new()];
+        for dir in 0..2 {
+            let candidates = if swap == 0 {
+                0..st.atoms.ntotal()
+            } else {
+                let (start, count) = self.edges[(sweep - 1) * 2 + 1 - dir].ghosts;
+                start..start + count
+            };
+            for i in candidates {
+                let x = st.atoms.x[i][dim];
+                if (dir == 0 && x < lo + r) || (dir == 1 && x >= hi - r) {
+                    self.push_border(st, sweep * 2 + dir, i, &mut payloads[dir]);
+                }
+            }
+        }
+        payloads
+    }
+
+    /// Append the border records received along edge `e` as its ghost
+    /// segment. Engines call this in edge order, so the ghost layout is
+    /// deterministic across runs.
+    pub fn append_ghosts(&mut self, st: &mut RankState, e: usize, payload: &[f64]) {
+        let start = st.atoms.ntotal();
+        let records = wire::parse_border_records(payload);
+        for (tag, typ, x) in &records {
+            st.atoms.push_ghost(*x, *typ, *tag);
+        }
+        self.edges[e].ghosts = (start, records.len());
+    }
+
+    /// `(first ghost index, count)` of edge `e`'s ghost segment.
+    #[must_use]
+    pub fn segment(&self, e: usize) -> (usize, usize) {
+        self.edges[e].ghosts
+    }
+
+    /// Atoms `op` gathers on edge `e` when `packing`, or scatters to when
+    /// not: a bcast packs the send list and unpacks the ghost segment, a
+    /// reduce the other way round.
+    fn atoms(&self, op: GhostOp, e: usize, packing: bool) -> usize {
+        if op.toward_ghosts() == packing {
+            self.edges[e].send.len()
+        } else {
+            self.edges[e].ghosts.1
+        }
+    }
+
+    /// Payload size (f64s) [`GhostLayout::pack`] produces for `(op, e)` —
+    /// known from the layout before any packing.
+    #[must_use]
+    pub fn len(&self, op: GhostOp, e: usize) -> usize {
+        op.unit() * self.atoms(op, e, true)
+    }
+
+    /// Stream the payload of `(op, e)` into any [`F64Sink`]: a bcast
+    /// gathers the send list (positions travel `+shift`), a reduce the
+    /// ghost segment. Same values, same order, whatever the sink.
+    pub fn pack(&self, op: GhostOp, e: usize, st: &RankState, out: &mut impl F64Sink) {
+        let edge = &self.edges[e];
+        let (start, count) = edge.ghosts;
+        match op {
+            GhostOp::Forward => {
+                let s = edge.shift;
+                for &i in &edge.send {
+                    let x = st.atoms.x[i as usize];
+                    out.put_f64(x[0] + s[0]);
+                    out.put_f64(x[1] + s[1]);
+                    out.put_f64(x[2] + s[2]);
+                }
+            }
+            GhostOp::ForwardScalar => {
+                for &i in &edge.send {
+                    out.put_f64(st.scalar[i as usize]);
+                }
+            }
+            GhostOp::Reverse => {
+                for f in &st.atoms.f[start..start + count] {
+                    out.put_f64s(f);
+                }
+            }
+            GhostOp::ReverseScalar => out.put_f64s(&st.scalar[start..start + count]),
+        }
+    }
+
+    /// Apply the payload received for `(op, e)`: a bcast overwrites the
+    /// ghost segment, a reduce accumulates into the send-list atoms —
+    /// which under the staged carry-forward may themselves be ghosts whose
+    /// sum continues homeward in a later reduce round.
+    pub fn unpack(&self, op: GhostOp, e: usize, st: &mut RankState, values: &[f64]) {
+        let edge = &self.edges[e];
+        let (start, count) = edge.ghosts;
+        assert_eq!(
+            values.len(),
+            op.unit() * self.atoms(op, e, false),
+            "{op:?} payload size mismatch on edge {e}"
+        );
+        match op {
+            GhostOp::Forward => {
+                for (x, v) in st.atoms.x[start..start + count]
+                    .iter_mut()
+                    .zip(values.chunks_exact(3))
+                {
+                    *x = [v[0], v[1], v[2]];
+                }
+            }
+            GhostOp::ForwardScalar => st.scalar[start..start + count].copy_from_slice(values),
+            GhostOp::Reverse => {
+                for (&i, v) in edge.send.iter().zip(values.chunks_exact(3)) {
+                    let f = &mut st.atoms.f[i as usize];
+                    f[0] += v[0];
+                    f[1] += v[1];
+                    f[2] += v[2];
+                }
+            }
+            GhostOp::ReverseScalar => {
+                for (&i, v) in edge.send.iter().zip(values) {
+                    st.scalar[i as usize] += v;
+                }
+            }
+        }
+    }
+}
+
+/// Where one outgoing message's payload comes from — decided by the op,
+/// never by an option.
+#[derive(Debug, Clone, Copy)]
+pub enum Payload<'a> {
+    /// Discovered while packing (Border, Exchange): a pre-packed slice the
+    /// transport copies into its own buffer, charged as a staging copy.
+    Packed(&'a [f64]),
+    /// A ghost op over one layout edge: sized up front and streamed
+    /// straight into the transport's buffer.
+    Ghost(GhostOp, usize),
+}
+
+impl Payload<'_> {
+    /// Payload size in f64s.
+    #[must_use]
+    pub fn len(&self, layout: &GhostLayout) -> usize {
+        match *self {
+            Payload::Packed(v) => v.len(),
+            Payload::Ghost(op, e) => layout.len(op, e),
+        }
+    }
+
+    /// Stream the values into `out`.
+    pub fn write(&self, layout: &GhostLayout, st: &RankState, out: &mut impl F64Sink) {
+        match *self {
+            Payload::Packed(v) => out.put_f64s(v),
+            Payload::Ghost(op, e) => layout.pack(op, e, st, out),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{CommPlan, PlanConfig};
+    use crate::sf::CommGraph;
+    use crate::topo_map::Placement;
+    use proptest::prelude::*;
+    use tofumd_tofu::CellGrid;
+
+    const OPS: [GhostOp; 4] = [
+        GhostOp::Forward,
+        GhostOp::Reverse,
+        GhostOp::ForwardScalar,
+        GhostOp::ReverseScalar,
+    ];
+
+    /// Rank 0 of the 768-node machine with a 10^3 sub-box at the grid
+    /// origin, its face links, and the graph's selector.
+    fn setup(pos: Vec<[f64; 3]>) -> (RankState, [[NeighborLink; 2]; 3], SendSelector) {
+        let grid = CellGrid::from_node_mesh([8, 12, 8]).unwrap();
+        let map = RankMap::new(grid, Placement::TopoAware);
+        let rg = map.rank_grid;
+        let global = Box3::from_lengths([
+            10.0 * f64::from(rg[0]),
+            10.0 * f64::from(rg[1]),
+            10.0 * f64::from(rg[2]),
+        ]);
+        let links = staged_links(&map, 0, &global);
+        let plan = CommPlan::build(0, &map, &global, 2.0, PlanConfig::NEWTON);
+        let graph = CommGraph::from_grid(plan);
+        let sel = graph.selector();
+        (
+            RankState::new(Atoms::from_positions(pos, 1), graph),
+            links,
+            sel,
+        )
+    }
+
+    fn p2p_layout(st: &mut RankState) -> GhostLayout {
+        let mut g = GhostLayout::default();
+        g.reset(&mut st.atoms, st.graph.send.iter().map(|e| e.shift));
+        g
+    }
+
+    fn staged_layout(
+        st: &mut RankState,
+        links: &[[NeighborLink; 2]; 3],
+        swaps: usize,
+    ) -> GhostLayout {
+        let mut g = GhostLayout::default();
+        g.reset(&mut st.atoms, staged_shifts(links, swaps));
+        g
+    }
+
+    fn total_send_atoms(g: &GhostLayout) -> usize {
+        g.edges.iter().map(|e| e.send.len()).sum()
+    }
+
+    #[test]
+    fn face_links_point_at_grid_neighbors() {
+        let (_, links, _) = setup(vec![[5.0; 3]]);
+        assert_eq!(links[0][1].offset.d, [1, 0, 0]);
+        assert_eq!(links[2][0].offset.d, [0, 0, -1]);
+        assert!(links[0][0].shift[0] > 0.0, "wrap at the origin");
+        assert_eq!(links[0][1].shift, [0.0; 3]);
+    }
+
+    #[test]
+    fn staged_sweeps_cover_every_edge_once_and_reduce_backwards() {
+        for swaps in 1..=2 {
+            let rounds = 3 * swaps;
+            let fwd: Vec<_> = (0..rounds)
+                .map(|r| staged_sweep(Op::Forward, r, swaps))
+                .collect();
+            let rev: Vec<_> = (0..rounds)
+                .map(|r| staged_sweep(Op::ReverseScalar, r, swaps))
+                .collect();
+            for (round, &(sweep, dim)) in fwd.iter().enumerate() {
+                assert_eq!((sweep, dim), (round, round / swaps));
+                assert_eq!(staged_sweep(Op::Border, round, swaps), (sweep, dim));
+                assert_eq!(rev[rounds - 1 - round], (sweep, dim));
+            }
+        }
+        assert_eq!(staged_sweep(Op::Exchange, 2, 2), (2, 2));
+    }
+
+    #[test]
+    fn interior_atoms_are_not_selected() {
+        let (mut st, _, sel) = setup(vec![[5.0, 5.0, 5.0]]);
+        let mut g = p2p_layout(&mut st);
+        let payloads = g.select_border(&st, &sel);
+        assert!(payloads.iter().all(Vec::is_empty));
+        assert_eq!(total_send_atoms(&g), 0);
+    }
+
+    #[test]
+    fn corner_atom_selected_toward_matching_edges() {
+        // Atom near the low-x low-y low-z corner: goes to every send edge
+        // whose offset has non-positive components matching those faces.
+        let (mut st, _, sel) = setup(vec![[0.5, 0.5, 0.5]]);
+        let mut g = p2p_layout(&mut st);
+        let payloads = g.select_border(&st, &sel);
+        // send edges = lower-half offsets; the --- corner matches 7 of 13.
+        assert_eq!(payloads.iter().filter(|p| !p.is_empty()).count(), 7);
+        for (k, p) in payloads.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
+            assert_eq!(p.len(), wire::BORDER_RECORD_F64S);
+            // The record carries the tag and the edge's shifted position.
+            let (tag, _, x) = wire::parse_border_records(p)[0];
+            let s = st.graph.send[k].shift;
+            assert_eq!((tag, x), (1, [0.5 + s[0], 0.5 + s[1], 0.5 + s[2]]));
+        }
+    }
+
+    #[test]
+    fn ghost_segments_follow_edge_order() {
+        let (mut st, _, _) = setup(vec![[5.0; 3]]);
+        let mut g = p2p_layout(&mut st);
+        let mut per_edge = vec![Vec::new(); st.graph.recv.len()];
+        wire::push_border_record(&mut per_edge[0], 11, 1, [1.0; 3]);
+        wire::push_border_record(&mut per_edge[0], 12, 1, [2.0; 3]);
+        wire::push_border_record(&mut per_edge[2], 13, 1, [3.0; 3]);
+        for (k, p) in per_edge.iter().enumerate() {
+            g.append_ghosts(&mut st, k, p);
+        }
+        assert_eq!(g.segment(0), (1, 2));
+        assert_eq!(g.segment(1), (3, 0));
+        assert_eq!(g.segment(2), (3, 1));
+        assert_eq!(st.atoms.nghost(), 3);
+        assert_eq!(st.atoms.tag[1..], [11, 12, 13]);
+        // A new border pass starts from a clean slate.
+        g.reset(&mut st.atoms, [[0.0; 3]]);
+        assert_eq!((st.atoms.nghost(), g.segment(0)), (0, (0, 0)));
+    }
+
+    #[test]
+    fn sweep_selects_slabs_only() {
+        let (mut st, links, _) = setup(vec![[0.5, 5.0, 5.0], [5.0, 5.0, 5.0], [9.5, 5.0, 5.0]]);
+        let mut g = staged_layout(&mut st, &links, 1);
+        let p = g.sweep_border(&st, 0, 1);
+        assert_eq!(p[0].len(), wire::BORDER_RECORD_F64S);
+        assert_eq!(p[1].len(), wire::BORDER_RECORD_F64S);
+        assert_eq!(g.edges[0].send, vec![0]);
+        assert_eq!(g.edges[1].send, vec![2]);
+        // The -x face wraps the global boundary: the shift rides along.
+        assert!(wire::parse_border_records(&p[0])[0].2[0] > 10.0);
+    }
+
+    #[test]
+    fn carry_forward_ships_prior_dim_ghosts() {
+        let (mut st, links, _) = setup(vec![[5.0, 5.0, 5.0]]);
+        let mut g = staged_layout(&mut st, &links, 1);
+        let mut ghost_payload = Vec::new();
+        wire::push_border_record(&mut ghost_payload, 99, 1, [-0.5, 0.3, 5.0]);
+        g.append_ghosts(&mut st, 0, &ghost_payload);
+        g.append_ghosts(&mut st, 1, &[]);
+        assert_eq!(st.atoms.nghost(), 1);
+        let p = g.sweep_border(&st, 1, 1);
+        assert_eq!(g.edges[2].send, vec![st.atoms.nlocal as u32]);
+        let recs = wire::parse_border_records(&p[0]);
+        assert_eq!(recs[0].0, 99, "carried ghost keeps its original tag");
+    }
+
+    #[test]
+    fn multi_swap_relays_opposite_face_ghosts() {
+        // Two swaps: a ghost received from the -x side in swap 0 that sits
+        // in MY +x band (r = 2.0, so x in [hi - r, ..)) must be relayed
+        // toward +x in swap 1, and only there.
+        let (mut st, links, _) = setup(vec![[5.0, 5.0, 5.0]]);
+        let mut g = staged_layout(&mut st, &links, 2);
+        let mut from_minus = Vec::new();
+        wire::push_border_record(&mut from_minus, 77, 1, [8.5, 5.0, 5.0]);
+        g.append_ghosts(&mut st, 0, &from_minus);
+        g.append_ghosts(&mut st, 1, &[]);
+        let p = g.sweep_border(&st, 1, 2);
+        assert_eq!(g.edges[3].send, vec![st.atoms.nlocal as u32]);
+        assert!(g.edges[2].send.is_empty());
+        assert_eq!(wire::parse_border_records(&p[1])[0].0, 77);
+        // Locals are NOT rescanned in swap 1 (they shipped in swap 0).
+        assert_eq!(p[1].len(), wire::BORDER_RECORD_F64S);
+    }
+
+    #[test]
+    fn full_shell_volume_matches_the_slab_estimate() {
+        let n = 20;
+        let pos: Vec<[f64; 3]> = (0..n * n * n)
+            .map(|i| {
+                let c = |v: usize| (v as f64 + 0.5) * 0.5;
+                [c(i % n), c(i / n % n), c(i / n / n)]
+            })
+            .collect();
+        let natoms = pos.len() as f64;
+        let (mut st, links, _) = setup(pos);
+        let mut g = staged_layout(&mut st, &links, 1);
+        for sweep in 0..3 {
+            let p = g.sweep_border(&st, sweep, 1);
+            for dir in 0..2 {
+                g.append_ghosts(&mut st, sweep * 2 + dir, &p[dir]);
+            }
+        }
+        let (a, r) = (10.0f64, 2.0f64);
+        let density = natoms / a.powi(3);
+        let expect = density * (6.0 * a * a * r + 12.0 * a * r * r + 8.0 * r * r * r);
+        let got = total_send_atoms(&g) as f64;
+        let rel = (got - expect).abs() / expect;
+        assert!(rel < 0.15, "staged volume {got} vs estimate {expect}");
+    }
+
+    /// One random edge: send-list picks (reduced modulo the atoms the
+    /// pattern may index), shift, ghost-segment length.
+    type EdgeSpec = (Vec<u32>, [f64; 3], usize);
+
+    /// Lay `specs` out as a layout over `nlocal` locals followed by the
+    /// ghost segments in edge order. `carry` lets send lists index ghosts
+    /// too (the staged carry-forward); duplicates are always allowed.
+    fn random_state(nlocal: usize, specs: &[EdgeSpec], carry: bool) -> (GhostLayout, RankState) {
+        let nghost: usize = specs.iter().map(|s| s.2).sum();
+        let ntotal = nlocal + nghost;
+        let mut start = nlocal;
+        let edges = specs
+            .iter()
+            .map(|(picks, shift, count)| {
+                let modulus = if carry { ntotal } else { nlocal } as u32;
+                let e = Edge {
+                    send: picks.iter().map(|p| p % modulus).collect(),
+                    shift: *shift,
+                    ghosts: (start, *count),
+                };
+                start += count;
+                e
+            })
+            .collect();
+        let val = |i: usize, salt: f64| (i as f64 + 1.0) * salt;
+        let (mut st, _, _) = setup((0..nlocal).map(|i| [val(i, 0.37); 3]).collect());
+        for g in nlocal..ntotal {
+            st.atoms.push_ghost([val(g, -0.11); 3], 1, g as u64 + 1);
+        }
+        for i in 0..ntotal {
+            st.atoms.f[i] = [val(i, 1.5), val(i, -2.5), val(i, 0.25)];
+        }
+        st.scalar = (0..ntotal).map(|i| val(i, 7.0)).collect();
+        (GhostLayout { edges }, st)
+    }
+
+    /// Every property the engines rely on, for all four ops on every edge.
+    fn check_all_ops(g: &GhostLayout, st: &RankState, slack: usize) {
+        for (e, edge) in g.edges.iter().enumerate() {
+            let (start, count) = edge.ghosts;
+            for op in OPS {
+                // pack: same values through every sink, `len` as promised.
+                let mut vals: Vec<f64> = Vec::new();
+                g.pack(op, e, st, &mut vals);
+                assert_eq!(vals.len(), g.len(op, e));
+                assert_eq!(Payload::Ghost(op, e).len(g), vals.len());
+                let mut region = vec![0xAAu8; wire::combined_size(vals.len()) + slack * 8];
+                let mut w = wire::CombinedWriter::new(&mut region);
+                Payload::Ghost(op, e).write(g, st, &mut w);
+                let framed = w.finish();
+                assert_eq!(&region[..framed], wire::frame_combined(&vals).as_ref());
+                let mut bytes: Vec<u8> = Vec::new();
+                g.pack(op, e, st, &mut bytes);
+                assert_eq!(&bytes[..], wire::encode_f64s(&vals).as_ref());
+                let expect: Vec<f64> = match op {
+                    GhostOp::Forward => edge
+                        .send
+                        .iter()
+                        .flat_map(|&i| (0..3).map(move |d| (i as usize, d)))
+                        .map(|(i, d)| st.atoms.x[i][d] + edge.shift[d])
+                        .collect(),
+                    GhostOp::ForwardScalar => {
+                        edge.send.iter().map(|&i| st.scalar[i as usize]).collect()
+                    }
+                    GhostOp::Reverse => st.atoms.f[start..start + count].concat(),
+                    GhostOp::ReverseScalar => st.scalar[start..start + count].to_vec(),
+                };
+                assert_eq!(&vals, &expect);
+
+                // unpack: feed the mirror-sized payload a peer would send.
+                let n_in = op.unit() * g.atoms(op, e, false);
+                let incoming: Vec<f64> = (0..n_in).map(|j| 100.0 + j as f64 * 0.5).collect();
+                let mut after = RankState::new(st.atoms.clone(), st.graph.clone());
+                after.scalar = st.scalar.clone();
+                g.unpack(op, e, &mut after, &incoming);
+                let mut x = st.atoms.x.clone();
+                let mut f = st.atoms.f.clone();
+                let mut scalar = st.scalar.clone();
+                match op {
+                    // A bcast overwrites exactly the ghost segment.
+                    GhostOp::Forward => {
+                        for (j, v) in incoming.chunks_exact(3).enumerate() {
+                            x[start + j] = [v[0], v[1], v[2]];
+                        }
+                    }
+                    GhostOp::ForwardScalar => {
+                        scalar[start..start + count].copy_from_slice(&incoming);
+                    }
+                    // A reduce accumulates, duplicate indices included.
+                    GhostOp::Reverse => {
+                        for (&i, v) in edge.send.iter().zip(incoming.chunks_exact(3)) {
+                            for d in 0..3 {
+                                f[i as usize][d] += v[d];
+                            }
+                        }
+                    }
+                    GhostOp::ReverseScalar => {
+                        for (&i, v) in edge.send.iter().zip(&incoming) {
+                            scalar[i as usize] += v;
+                        }
+                    }
+                }
+                assert_eq!(&after.atoms.x, &x);
+                assert_eq!(&after.atoms.f, &f);
+                assert_eq!(&after.scalar, &scalar);
+            }
+        }
+    }
+
+    fn edge_spec() -> impl Strategy<Value = EdgeSpec> {
+        (
+            prop::collection::vec(0u32..1000, 0..12),
+            prop::array::uniform3(-30.0f64..30.0),
+            0usize..5,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The typed ghost op on a p2p-indexed layout (edge id = `k`,
+        /// send lists index locals) and on a staged-indexed one (edge id =
+        /// `(dim * swaps + swap) * 2 + dir`, send lists may carry ghosts).
+        #[test]
+        fn ghost_ops_gather_and_scatter_exactly(
+            nlocal in 1usize..12,
+            p2p in prop::collection::vec(edge_spec(), 1..8),
+            staged in prop::collection::vec(edge_spec(), 12..13),
+            swaps in 1usize..3,
+            slack in 0usize..8,
+        ) {
+            let (g, st) = random_state(nlocal, &p2p, false);
+            check_all_ops(&g, &st, slack);
+            let (g, st) = random_state(nlocal, &staged[..6 * swaps], true);
+            check_all_ops(&g, &st, slack);
+            // The staged engines reach every edge exactly once per op.
+            let mut seen = vec![0; 6 * swaps];
+            for round in 0..3 * swaps {
+                for dir in 0..2 {
+                    seen[staged_sweep(Op::Forward, round, swaps).0 * 2 + dir] += 1;
+                }
+            }
+            prop_assert!(seen.iter().all(|&n| n == 1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "payload size mismatch")]
+    fn wrong_sized_payload_is_rejected() {
+        let (g, mut st) = random_state(2, &[(vec![0, 1], [0.0; 3], 1)], false);
+        g.unpack(GhostOp::Reverse, 0, &mut st, &[1.0; 3]);
+    }
+}

@@ -4,10 +4,14 @@
 //! LAMMPS on Fugaku"* (SC '23) over the simulated TofuD fabric:
 //!
 //! * the baseline **3-stage** exchange with carry-forward and its uTofu
-//!   port ([`three_stage`], [`MpiThreeStage`], [`UtofuThreeStage`]),
+//!   port ([`MpiThreeStage`], [`UtofuThreeStage`]),
 //! * the **peer-to-peer** pattern with Newton-halved 13-neighbor exchange
-//!   and its 26/62/124-neighbor generalizations ([`p2p`], [`MpiP2p`],
-//!   [`UtofuP2p`]),
+//!   and its 26/62/124-neighbor generalizations ([`MpiP2p`], [`UtofuP2p`]),
+//! * one **ghost layout** behind both patterns ([`ghost`]): send list +
+//!   periodic shift + ghost segment per halo edge, filled by the pattern's
+//!   Border builder, and one typed gather/scatter ([`GhostOp`]: 3-vector or
+//!   scalar × bcast or reduce) for the four repeated ghost ops — the
+//!   engines only decide how the packed bytes travel,
 //! * **coarse-grained** (4 ranks x 4 TNIs) and **fine-grained** (6 comm
 //!   threads x 6 TNIs, LPT load balancing) parallel communication
 //!   ([`UtofuConfig`], [`fine`]),
@@ -55,17 +59,16 @@
 pub mod border_bin;
 pub mod engine;
 pub mod fine;
+pub mod ghost;
 pub mod mpi_engine;
-pub mod p2p;
 pub mod plan;
 pub mod sf;
-pub mod three_stage;
 pub mod topo_map;
 pub mod utofu_engine;
 pub mod wire;
 
 pub use border_bin::BorderBins;
-pub use engine::{CommStats, GhostEngine, Op, RankState};
+pub use engine::{CommStats, GhostEngine, GhostOp, Op, RankState};
 pub use mpi_engine::{MpiP2p, MpiThreeStage};
 pub use plan::{CommPlan, NeighborLink, PlanConfig};
 pub use sf::{CommGraph, GraphEdge, MigratePeer, SendSelector};

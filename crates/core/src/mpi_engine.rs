@@ -2,11 +2,10 @@
 //! pattern ("ref") and the naive MPI p2p pattern that §3.2 shows is
 //! *slower* than the baseline because of MPI's per-message software cost.
 
-use crate::engine::{GhostEngine, Op, OpStats, RankState};
-use crate::p2p::P2pGhosts;
+use crate::engine::{GhostEngine, Op, OpKind, OpStats, RankState};
+use crate::ghost::{staged_links, staged_shifts, staged_sweep, GhostLayout, Payload};
 use crate::plan::NeighborLink;
-use crate::sf::SendSelector;
-use crate::three_stage::{round_to_sweep, staged_links, StagedGhosts};
+use crate::sf::{GraphEdge, SendSelector};
 use crate::topo_map::RankMap;
 use crate::wire;
 use std::sync::Arc;
@@ -36,13 +35,82 @@ fn p2p_tag(op: Op, link: usize) -> u32 {
     op_base(op) * 1024 + link as u32
 }
 
-/// The LAMMPS default: 6-message staged exchange over MPI.
-pub struct MpiThreeStage {
+/// One outgoing message: destination rank, tag, payload.
+type Msg<'a> = (usize, u32, Payload<'a>);
+
+/// What both MPI engines share: the rank's endpoint, its ghost layout and
+/// its counters, with the one send loop and the one receive loop every
+/// `(op, round)` goes through.
+struct MpiLane {
     comm: Arc<Communicator>,
     me: usize,
-    links: [[NeighborLink; 2]; 3],
-    ghosts: StagedGhosts,
+    ghosts: GhostLayout,
     stats: OpStats,
+}
+
+impl MpiLane {
+    fn new(comm: Arc<Communicator>, me: usize) -> Self {
+        MpiLane {
+            comm,
+            me,
+            ghosts: GhostLayout::default(),
+            stats: OpStats::default(),
+        }
+    }
+
+    /// Send one round's messages `(destination rank, tag, payload)`. MPI
+    /// copies every payload into its send buffer: the pack cost of the
+    /// whole round is charged up front and every byte counts as staged.
+    /// The values stream through the [`wire::F64Sink`] straight into the
+    /// bytes handed to [`Communicator::send`].
+    fn send(&mut self, st: &mut RankState, op: Op, round: usize, msgs: &[Msg<'_>]) {
+        let p = *self.comm.net().params();
+        let f64s: usize = msgs.iter().map(|m| m.2.len(&self.ghosts)).sum();
+        let mut now = st.clock + p.pack_cost(f64s * 8);
+        let mut bytes: Vec<u8> = Vec::with_capacity(f64s * 8);
+        for &(dst, tag, payload) in msgs {
+            bytes.clear();
+            payload.write(&self.ghosts, st, &mut bytes);
+            self.stats.count(op, round, bytes.len());
+            self.stats.copied(op, round, bytes.len());
+            self.comm.send(self.me, dst, tag, &bytes, &mut now);
+        }
+        st.charge(now - st.clock, op);
+    }
+
+    /// Receive one round's messages `(source rank, tag)` in order and
+    /// return their payloads. A shortfall (dead peer / protocol bug)
+    /// surfaces as the typed error; the clock is still charged for the
+    /// messages that did arrive.
+    fn recv(
+        &self,
+        st: &mut RankState,
+        op: Op,
+        from: impl IntoIterator<Item = (usize, u32)>,
+    ) -> Result<Vec<Vec<f64>>, TofuError> {
+        let mut out = Vec::new();
+        let mut now = st.clock;
+        for (src, tag) in from {
+            let m = match self.comm.try_recv(self.me, src, tag, now) {
+                Ok(m) => m,
+                Err(e) => {
+                    st.charge(now - st.clock, op);
+                    return Err(e);
+                }
+            };
+            now = m.now;
+            st.arrival_horizon = st.arrival_horizon.max(m.arrival);
+            out.push(wire::decode_f64s(&m.data));
+        }
+        st.charge(now - st.clock, op);
+        Ok(out)
+    }
+}
+
+/// The LAMMPS default: 6-message staged exchange over MPI.
+pub struct MpiThreeStage {
+    lane: MpiLane,
+    links: [[NeighborLink; 2]; 3],
     /// Swaps per dimension (the plan's shell count; 1 in the common case).
     shells: usize,
 }
@@ -61,74 +129,10 @@ impl MpiThreeStage {
     ) -> Self {
         assert!(shells >= 1);
         MpiThreeStage {
-            comm,
-            me: rank,
+            lane: MpiLane::new(comm, rank),
             links: staged_links(map, rank, global),
-            ghosts: StagedGhosts::default(),
-            stats: OpStats::default(),
             shells,
         }
-    }
-
-    fn send_both(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        round: usize,
-        dim: usize,
-        payloads: &[Vec<f64>; 2],
-    ) {
-        let p = *self.comm.net().params();
-        let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
-        let mut now = st.clock;
-        now += p.pack_cost(bytes);
-        for (dir, payload) in payloads.iter().enumerate() {
-            self.stats.count(op, round, payload.len() * 8);
-            self.stats.copied(op, round, payload.len() * 8);
-            self.comm.send(
-                self.me,
-                self.links[dim][dir].rank,
-                staged_tag(op, dim, dir),
-                &wire::encode_f64s(payload),
-                &mut now,
-            );
-        }
-        let dt = now - st.clock;
-        st.charge(dt, op);
-    }
-
-    /// Receive the two sweep-`dim` messages: from `links[dim][dir]`, tagged
-    /// by the sender with direction `1 - dir`. A shortfall (dead peer /
-    /// protocol bug) surfaces as the typed error; the clock is still
-    /// charged for the messages that did arrive.
-    fn recv_both(
-        &self,
-        st: &mut RankState,
-        op: Op,
-        dim: usize,
-    ) -> Result<[Vec<f64>; 2], TofuError> {
-        let mut out = [Vec::new(), Vec::new()];
-        let mut now = st.clock;
-        for dir in 0..2 {
-            let r = self.comm.try_recv(
-                self.me,
-                self.links[dim][dir].rank,
-                staged_tag(op, dim, 1 - dir),
-                now,
-            );
-            let m = match r {
-                Ok(m) => m,
-                Err(e) => {
-                    st.charge(now - st.clock, op);
-                    return Err(e);
-                }
-            };
-            now = m.now;
-            out[dir] = wire::decode_f64s(&m.data);
-        }
-        let dt = now - st.clock;
-        st.charge(dt, op);
-        Ok(out)
     }
 }
 
@@ -154,111 +158,51 @@ impl GhostEngine for MpiThreeStage {
     }
 
     fn op_stats(&self) -> OpStats {
-        self.stats.clone()
+        self.lane.stats.clone()
     }
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Border => {
+        let (sweep, dim) = staged_sweep(op, round, self.shells);
+        let ghosts = &mut self.lane.ghosts;
+        let packed;
+        let payloads = match op.kind() {
+            OpKind::Ghost(g) => [0, 1].map(|dir| Payload::Ghost(g, sweep * 2 + dir)),
+            OpKind::Border => {
                 if round == 0 {
-                    self.ghosts.reset(st, self.shells);
+                    ghosts.reset(&mut st.atoms, staged_shifts(&self.links, self.shells));
                 }
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.ghosts.pack_border(st, &self.links, dim, swap);
-                self.send_both(st, op, round, dim, &payloads);
+                packed = ghosts.sweep_border(st, sweep, self.shells);
+                [Payload::Packed(&packed[0]), Payload::Packed(&packed[1])]
             }
-            Op::Forward => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = [
-                    self.ghosts.pack_forward(st, &self.links, dim, swap, 0),
-                    self.ghosts.pack_forward(st, &self.links, dim, swap, 1),
-                ];
-                self.send_both(st, op, round, dim, &payloads);
+            OpKind::Exchange => {
+                packed = st.pack_exchange(dim);
+                [Payload::Packed(&packed[0]), Payload::Packed(&packed[1])]
             }
-            Op::ForwardScalar => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = [
-                    self.ghosts.pack_forward_scalar(st, dim, swap, 0),
-                    self.ghosts.pack_forward_scalar(st, dim, swap, 1),
-                ];
-                self.send_both(st, op, round, dim, &payloads);
-            }
-            Op::Reverse => {
-                // Reverse runs the sweeps backwards (z..x, last swap first).
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = [
-                    self.ghosts.pack_reverse(st, dim, swap, 0),
-                    self.ghosts.pack_reverse(st, dim, swap, 1),
-                ];
-                self.send_both(st, op, round, dim, &payloads);
-            }
-            Op::ReverseScalar => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = [
-                    self.ghosts.pack_reverse_scalar(st, dim, swap, 0),
-                    self.ghosts.pack_reverse_scalar(st, dim, swap, 1),
-                ];
-                self.send_both(st, op, round, dim, &payloads);
-            }
-            Op::Exchange => {
-                let payloads = st.pack_exchange(round);
-                self.send_both(st, op, round, round, &payloads);
-            }
-        }
+        };
+        let msgs = [0, 1].map(|dir| {
+            let dst = self.links[dim][dir].rank;
+            (dst, staged_tag(op, dim, dir), payloads[dir])
+        });
+        self.lane.send(st, op, round, &msgs);
         Ok(())
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Border => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_both(st, op, dim)?;
-                self.ghosts.unpack_border(st, dim, swap, &payloads);
-                // EAM scalar buffers must track the growing ghost tail.
-                st.scalar.resize(st.atoms.ntotal(), 0.0);
+        let (sweep, dim) = staged_sweep(op, round, self.shells);
+        // The message from `links[dim][dir]` was tagged by its sender with
+        // the direction it travelled, `1 - dir`.
+        let from = [0, 1].map(|dir| (self.links[dim][dir].rank, staged_tag(op, dim, 1 - dir)));
+        let payloads = self.lane.recv(st, op, from)?;
+        for (dir, values) in payloads.iter().enumerate() {
+            match op.kind() {
+                OpKind::Border => self.lane.ghosts.append_ghosts(st, sweep * 2 + dir, values),
+                OpKind::Exchange => st.unpack_exchange(values),
+                OpKind::Ghost(g) => self.lane.ghosts.unpack(g, sweep * 2 + dir, st, values),
             }
-            Op::Exchange => {
-                let payloads = self.recv_both(st, op, round)?;
-                for p in &payloads {
-                    st.unpack_exchange(p);
-                }
-            }
-            Op::Forward => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_both(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_forward(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::ForwardScalar => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_both(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_forward_scalar(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::Reverse => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = self.recv_both(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_reverse(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::ReverseScalar => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = self.recv_both(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_reverse_scalar(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
+        }
+        // EAM scalar buffers must track the growing ghost tail.
+        if op == Op::Border {
+            st.scalar.resize(st.atoms.ntotal(), 0.0);
         }
         Ok(())
     }
@@ -269,11 +213,8 @@ impl GhostEngine for MpiThreeStage {
 /// walk the edge lists either way, and migration switches from the three
 /// staged face sweeps to one owner-directed round.
 pub struct MpiP2p {
-    comm: Arc<Communicator>,
-    me: usize,
+    lane: MpiLane,
     sel: Option<SendSelector>,
-    ghosts: P2pGhosts,
-    stats: OpStats,
     migrate_rounds: usize,
 }
 
@@ -283,11 +224,8 @@ impl MpiP2p {
     #[must_use]
     pub fn new(comm: Arc<Communicator>, rank: usize) -> Self {
         MpiP2p {
-            comm,
-            me: rank,
+            lane: MpiLane::new(comm, rank),
             sel: None,
-            ghosts: P2pGhosts::default(),
-            stats: OpStats::default(),
             migrate_rounds: 3,
         }
     }
@@ -300,70 +238,6 @@ impl MpiP2p {
             migrate_rounds: 1,
             ..Self::new(comm, rank)
         }
-    }
-
-    fn sel<'a>(sel: &'a mut Option<SendSelector>, st: &RankState) -> &'a SendSelector {
-        sel.get_or_insert_with(|| st.graph.selector())
-    }
-
-    fn send_all(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        round: usize,
-        payloads: &[Vec<f64>],
-        to_recv_side: bool,
-    ) {
-        let p = *self.comm.net().params();
-        let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
-        let mut now = st.clock + p.pack_cost(bytes);
-        for (k, payload) in payloads.iter().enumerate() {
-            self.stats.count(op, round, payload.len() * 8);
-            self.stats.copied(op, round, payload.len() * 8);
-            let edge = if to_recv_side {
-                &st.graph.recv[k]
-            } else {
-                &st.graph.send[k]
-            };
-            self.comm.send(
-                self.me,
-                edge.rank,
-                p2p_tag(op, edge.peer_index),
-                &wire::encode_f64s(payload),
-                &mut now,
-            );
-        }
-        st.charge(now - st.clock, op);
-    }
-
-    fn recv_all(
-        &self,
-        st: &mut RankState,
-        op: Op,
-        from_recv_side: bool,
-    ) -> Result<Vec<Vec<f64>>, TofuError> {
-        let n = st.graph.recv.len();
-        let mut out = Vec::with_capacity(n);
-        let mut now = st.clock;
-        for k in 0..n {
-            let edge = if from_recv_side {
-                &st.graph.recv[k]
-            } else {
-                &st.graph.send[k]
-            };
-            let m = match self.comm.try_recv(self.me, edge.rank, p2p_tag(op, k), now) {
-                Ok(m) => m,
-                Err(e) => {
-                    st.charge(now - st.clock, op);
-                    return Err(e);
-                }
-            };
-            now = m.now;
-            st.arrival_horizon = st.arrival_horizon.max(m.arrival);
-            out.push(wire::decode_f64s(&m.data));
-        }
-        st.charge(now - st.clock, op);
-        Ok(out)
     }
 }
 
@@ -383,163 +257,87 @@ impl GhostEngine for MpiP2p {
     }
 
     fn op_stats(&self) -> OpStats {
-        self.stats.clone()
+        self.lane.stats.clone()
     }
 
     fn rebind_graph(&mut self, _st: &RankState) {
         // The send selector is derived from the graph's send regions;
-        // rebuild it lazily against the swapped graph. Ghost send lists
-        // and segment tables are refreshed by the next Border, which the
-        // rebalance always schedules.
+        // rebuild it lazily against the swapped graph. The ghost layout is
+        // refreshed by the next Border, which the rebalance always
+        // schedules.
         self.sel = None;
     }
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Border => {
-                let sel = Self::sel(&mut self.sel, st);
-                let payloads = self.ghosts.pack_border(st, sel);
-                self.send_all(st, op, round, &payloads, false);
+        let ghosts = &mut self.lane.ghosts;
+        let packed: Vec<Vec<f64>>;
+        // Edge messages are tagged with the edge's index in the
+        // *receiver's* list.
+        let along = |e: &GraphEdge, payload| (e.rank, p2p_tag(op, e.peer_index), payload);
+        let msgs: Vec<Msg<'_>> = match op.kind() {
+            OpKind::Ghost(g) => {
+                let edges = st.graph.out_edges(op).iter().enumerate();
+                edges.map(|(k, e)| along(e, Payload::Ghost(g, k))).collect()
             }
-            Op::Forward => {
-                let payloads: Vec<_> = (0..st.graph.send.len())
-                    .map(|k| self.ghosts.pack_forward(st, k))
-                    .collect();
-                self.send_all(st, op, round, &payloads, false);
+            OpKind::Border => {
+                ghosts.reset(&mut st.atoms, st.graph.send.iter().map(|e| e.shift));
+                let sel = self.sel.get_or_insert_with(|| st.graph.selector());
+                packed = ghosts.select_border(st, sel);
+                let edges = st.graph.send.iter().zip(&packed);
+                edges.map(|(e, v)| along(e, Payload::Packed(v))).collect()
             }
-            Op::ForwardScalar => {
-                let payloads: Vec<_> = (0..st.graph.send.len())
-                    .map(|k| self.ghosts.pack_forward_scalar(st, k))
-                    .collect();
-                self.send_all(st, op, round, &payloads, false);
+            OpKind::Exchange if st.graph.is_grid() => {
+                packed = st.pack_exchange(round).into();
+                let faces = packed.iter().enumerate();
+                faces
+                    .map(|(dir, v)| {
+                        let dst = st.graph.face_link(round, dir).rank;
+                        (dst, staged_tag(op, round, dir), Payload::Packed(v))
+                    })
+                    .collect()
             }
-            Op::Reverse => {
-                let payloads: Vec<_> = (0..st.graph.recv.len())
-                    .map(|k| self.ghosts.pack_reverse(st, k))
-                    .collect();
-                self.send_all(st, op, round, &payloads, true);
-            }
-            Op::ReverseScalar => {
-                let payloads: Vec<_> = (0..st.graph.recv.len())
-                    .map(|k| self.ghosts.pack_reverse_scalar(st, k))
-                    .collect();
-                self.send_all(st, op, round, &payloads, true);
-            }
-            Op::Exchange if st.graph.is_grid() => {
-                let dim = round;
-                let payloads = st.pack_exchange(dim);
-                let p = *self.comm.net().params();
-                let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
-                let mut now = st.clock + p.pack_cost(bytes);
-                for (dir, payload) in payloads.iter().enumerate() {
-                    self.stats.count(op, round, payload.len() * 8);
-                    self.stats.copied(op, round, payload.len() * 8);
-                    let link = *st.graph.face_link(dim, dir);
-                    self.comm.send(
-                        self.me,
-                        link.rank,
-                        staged_tag(op, dim, dir),
-                        &wire::encode_f64s(payload),
-                        &mut now,
-                    );
-                }
-                st.charge(now - st.clock, op);
-            }
-            Op::Exchange => {
+            OpKind::Exchange => {
                 // Irregular single round: every out-of-box atom goes
                 // straight to its new owner, tagged with my slot in the
                 // owner's migrate list.
-                let payloads = st.pack_exchange_graph();
-                let peers = st.graph.migrate_peers().to_vec();
-                let p = *self.comm.net().params();
-                let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
-                let mut now = st.clock + p.pack_cost(bytes);
-                for (peer, payload) in peers.iter().zip(&payloads) {
-                    self.stats.count(op, round, payload.len() * 8);
-                    self.stats.copied(op, round, payload.len() * 8);
-                    self.comm.send(
-                        self.me,
-                        peer.rank,
-                        p2p_tag(op, peer.tag_index),
-                        &wire::encode_f64s(payload),
-                        &mut now,
-                    );
-                }
-                st.charge(now - st.clock, op);
+                packed = st.pack_exchange_graph();
+                let peers = st.graph.migrate_peers().iter().zip(&packed);
+                peers
+                    .map(|(p, v)| (p.rank, p2p_tag(op, p.tag_index), Payload::Packed(v)))
+                    .collect()
             }
-        }
+        };
+        self.lane.send(st, op, round, &msgs);
         Ok(())
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Border => {
-                let payloads = self.recv_all(st, op, true)?;
-                self.ghosts.unpack_border(st, &payloads);
-                st.scalar.resize(st.atoms.ntotal(), 0.0);
-            }
-            Op::Exchange if st.graph.is_grid() => {
-                let dim = round;
-                let mut now = st.clock;
-                for dir in 0..2 {
-                    let link = *st.graph.face_link(dim, dir);
-                    let m = match self.comm.try_recv(
-                        self.me,
-                        link.rank,
-                        staged_tag(op, dim, 1 - dir),
-                        now,
-                    ) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            st.charge(now - st.clock, op);
-                            return Err(e);
-                        }
-                    };
-                    now = m.now;
-                    st.unpack_exchange(&wire::decode_f64s(&m.data));
-                }
-                st.charge(now - st.clock, op);
-            }
+        let from: Vec<(usize, u32)> = match op {
+            Op::Exchange if st.graph.is_grid() => (0..2)
+                .map(|dir| {
+                    let src = st.graph.face_link(round, dir).rank;
+                    (src, staged_tag(op, round, 1 - dir))
+                })
+                .collect(),
             Op::Exchange => {
-                let peers = st.graph.migrate_peers().to_vec();
-                let mut now = st.clock;
-                for (k, peer) in peers.iter().enumerate() {
-                    let m = match self.comm.try_recv(self.me, peer.rank, p2p_tag(op, k), now) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            st.charge(now - st.clock, op);
-                            return Err(e);
-                        }
-                    };
-                    now = m.now;
-                    st.unpack_exchange(&wire::decode_f64s(&m.data));
-                }
-                st.charge(now - st.clock, op);
+                let peers = st.graph.migrate_peers().iter().enumerate();
+                peers.map(|(k, p)| (p.rank, p2p_tag(op, k))).collect()
             }
-            Op::Forward => {
-                let payloads = self.recv_all(st, op, true)?;
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_forward(st, k, v);
-                }
+            _ => {
+                let edges = st.graph.in_edges(op).iter().enumerate();
+                edges.map(|(k, e)| (e.rank, p2p_tag(op, k))).collect()
             }
-            Op::ForwardScalar => {
-                let payloads = self.recv_all(st, op, true)?;
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_forward_scalar(st, k, v);
-                }
+        };
+        let payloads = self.lane.recv(st, op, from)?;
+        for (k, values) in payloads.iter().enumerate() {
+            match op.kind() {
+                OpKind::Border => self.lane.ghosts.append_ghosts(st, k, values),
+                OpKind::Exchange => st.unpack_exchange(values),
+                OpKind::Ghost(g) => self.lane.ghosts.unpack(g, k, st, values),
             }
-            Op::Reverse => {
-                let payloads = self.recv_all(st, op, false)?;
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_reverse(st, k, v);
-                }
-            }
-            Op::ReverseScalar => {
-                let payloads = self.recv_all(st, op, false)?;
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_reverse_scalar(st, k, v);
-                }
-            }
+        }
+        if op == Op::Border {
+            st.scalar.resize(st.atoms.ntotal(), 0.0);
         }
         Ok(())
     }

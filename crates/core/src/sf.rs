@@ -26,6 +26,7 @@
 //! thread scheduling.
 
 use crate::border_bin::BorderBins;
+use crate::engine::Op;
 use crate::plan::{CommPlan, NeighborLink, PlanConfig};
 use crate::topo_map::RankMap;
 use std::sync::Arc;
@@ -447,6 +448,29 @@ impl CommGraph {
     #[must_use]
     pub fn neighbor_count(&self) -> usize {
         self.recv.len()
+    }
+
+    /// The edges `op`'s payloads leave along: `send` edges toward the
+    /// ghosts, `recv` edges back toward the owners. A message on edge `e`
+    /// lands in the peer's [`CommGraph::in_edges`] slot `e.peer_index`.
+    #[must_use]
+    pub fn out_edges(&self, op: Op) -> &[GraphEdge] {
+        if op.toward_ghosts() {
+            &self.send
+        } else {
+            &self.recv
+        }
+    }
+
+    /// The edges `op`'s payloads arrive along (the mirror of
+    /// [`CommGraph::out_edges`]).
+    #[must_use]
+    pub fn in_edges(&self, op: Op) -> &[GraphEdge] {
+        if op.toward_ghosts() {
+            &self.recv
+        } else {
+            &self.send
+        }
     }
 
     /// The grid face neighbor toward `dim`/`dir` (staged migration only

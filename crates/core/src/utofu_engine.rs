@@ -16,13 +16,20 @@
 //! The setup-stage address exchange (§3.4, Fig. 10: "all the registered
 //! addresses of receive buffers and atom position arrays are sent to
 //! neighbors") is modeled by a shared [`AddressBook`].
+//!
+//! Each engine has one send routine. What differs per message is only
+//! where the payload comes from ([`Payload`]): a ghost op is serialized
+//! *in place* into one of this rank's registered send regions and put
+//! straight from there — no staging copy, no pack cost, `bytes_copied`
+//! stays 0 — while Border and Exchange, which discover their payload
+//! while packing, are framed through a staging copy that is charged and
+//! counted.
 
-use crate::engine::{GhostEngine, Op, OpStats, RankState};
+use crate::engine::{GhostEngine, GhostOp, Op, OpKind, OpStats, RankState};
 use crate::fine;
-use crate::p2p::P2pGhosts;
+use crate::ghost::{staged_links, staged_shifts, staged_sweep, GhostLayout, Payload};
 use crate::plan::NeighborLink;
 use crate::sf::{CommGraph, GraphEdge, SendSelector};
-use crate::three_stage::{round_to_sweep, staged_links, StagedGhosts};
 use crate::topo_map::RankMap;
 use crate::wire;
 use parking_lot::RwLock;
@@ -55,8 +62,16 @@ impl BufKind {
             BufKind::XRegion => "x-region",
         }
     }
-}
 
+    /// The peer-side buffer kind `op`'s payloads land in.
+    fn inflow(op: Op) -> Self {
+        if op.toward_ghosts() {
+            BufKind::GhostIn
+        } else {
+            BufKind::OwnerIn
+        }
+    }
+}
 /// Key of one published buffer: (rank, kind, the *owner's* edge index,
 /// slot) — senders address a peer's buffer through their edge's
 /// `peer_index`, which is that index by construction.
@@ -179,12 +194,6 @@ const BASELINE_UNDERSIZE: usize = 4;
 /// Largest record width any op stores per atom (exchange: tag + x + v).
 const MAX_RECORD_F64S: usize = wire::EXCHANGE_RECORD_F64S;
 
-struct LinkBuffers {
-    /// `[link][slot]` receive buffers. (Capacities live in the address
-    /// book, which senders consult before writing.)
-    bufs: Vec<Vec<Stadd>>,
-}
-
 /// Take all arrivals matching `pred`, canonicalize them with
 /// [`dedupe_arrivals`] (deterministic order; duplicate and overwritten
 /// deliveries collapsed), and require at least `count` *distinct*
@@ -205,6 +214,43 @@ fn wait_deduped(
     Ok((arrivals, t, anomalies))
 }
 
+/// Where a put's bytes come from.
+#[derive(Clone, Copy)]
+enum PutSrc<'a> {
+    /// A frame staged in ordinary memory (Border, Exchange), or nothing at
+    /// all (descriptor-only piggybacks).
+    Bytes(&'a [u8]),
+    /// `len` bytes at `offset` of one of this rank's own registered
+    /// regions, serialized there in place — the NIC reads the region
+    /// directly, so there is no staging buffer.
+    Region {
+        stadd: Stadd,
+        offset: usize,
+        len: usize,
+    },
+}
+
+impl PutSrc<'_> {
+    fn len(&self) -> usize {
+        match *self {
+            PutSrc::Bytes(data) => data.len(),
+            PutSrc::Region { len, .. } => len,
+        }
+    }
+}
+
+/// One logical message: the descriptor fields of a put.
+struct Put<'a> {
+    dst_node: usize,
+    dst_stadd: Stadd,
+    dst_offset: usize,
+    src: PutSrc<'a>,
+    piggyback: u64,
+    /// Sequence stamp; retransmissions reuse it.
+    seq: u64,
+    cache_injection: bool,
+}
+
 /// Post one logical message on the faultable path, retrying with
 /// exponential backoff (charged to the virtual clock) up to `budget`
 /// resends. Retransmissions reuse `seq` so the receiver's duplicate
@@ -221,28 +267,38 @@ fn put_with_retry(
     round: usize,
     fallback_wanted: &mut bool,
     now: &mut f64,
-    dst_node: usize,
-    dst_stadd: Stadd,
-    dst_offset: usize,
-    data: &[u8],
-    piggyback: u64,
-    seq: u64,
-    cache_injection: bool,
+    put: Put<'_>,
 ) -> PutResult {
     let p = *vcq.net().params();
     let mut attempt = 0u32;
     loop {
-        match vcq.try_put(
-            now,
-            dst_node,
-            dst_stadd,
-            dst_offset,
-            data,
-            piggyback,
-            seq,
-            attempt,
-            cache_injection,
-        ) {
+        let tried = match put.src {
+            PutSrc::Bytes(data) => vcq.try_put(
+                now,
+                put.dst_node,
+                put.dst_stadd,
+                put.dst_offset,
+                data,
+                put.piggyback,
+                put.seq,
+                attempt,
+                put.cache_injection,
+            ),
+            PutSrc::Region { stadd, offset, len } => vcq.try_put_from_region(
+                now,
+                put.dst_node,
+                put.dst_stadd,
+                put.dst_offset,
+                stadd,
+                offset,
+                len,
+                put.piggyback,
+                put.seq,
+                attempt,
+                put.cache_injection,
+            ),
+        };
+        match tried {
             Ok(r) => return r,
             Err(_) if attempt < budget => {
                 stats.retry(op, round);
@@ -253,85 +309,59 @@ fn put_with_retry(
                 stats.fallback(op, round);
                 *fallback_wanted = true;
                 *now += p.fallback_penalty + p.cpu_per_put_mpi;
-                return vcq.put_reliable(
-                    now,
-                    dst_node,
-                    dst_stadd,
-                    dst_offset,
-                    data,
-                    piggyback,
-                    seq,
-                    cache_injection,
-                );
+                return match put.src {
+                    PutSrc::Bytes(data) => vcq.put_reliable(
+                        now,
+                        put.dst_node,
+                        put.dst_stadd,
+                        put.dst_offset,
+                        data,
+                        put.piggyback,
+                        put.seq,
+                        put.cache_injection,
+                    ),
+                    PutSrc::Region { stadd, offset, len } => vcq.put_reliable_from_region(
+                        now,
+                        put.dst_node,
+                        put.dst_stadd,
+                        put.dst_offset,
+                        stadd,
+                        offset,
+                        len,
+                        put.piggyback,
+                        put.seq,
+                        put.cache_injection,
+                    ),
+                };
             }
         }
     }
 }
 
-/// [`put_with_retry`] for the zero-copy path: the payload was serialized
-/// in place into a local registered region (`src_stadd`/`src_offset`), so
-/// there is no staging buffer — the NIC reads the region directly. Same
-/// backoff/fallback protocol.
-#[allow(clippy::too_many_arguments)]
-fn put_region_with_retry(
-    vcq: &mut Vcq,
-    budget: u32,
-    stats: &mut OpStats,
-    op: Op,
-    round: usize,
-    fallback_wanted: &mut bool,
-    now: &mut f64,
-    dst_node: usize,
-    dst_stadd: Stadd,
-    dst_offset: usize,
-    src_stadd: Stadd,
-    src_offset: usize,
-    len: usize,
-    piggyback: u64,
-    seq: u64,
-    cache_injection: bool,
-) -> PutResult {
-    let p = *vcq.net().params();
-    let mut attempt = 0u32;
-    loop {
-        match vcq.try_put_from_region(
-            now,
-            dst_node,
-            dst_stadd,
-            dst_offset,
-            src_stadd,
-            src_offset,
-            len,
-            piggyback,
-            seq,
-            attempt,
-            cache_injection,
-        ) {
-            Ok(r) => return r,
-            Err(_) if attempt < budget => {
-                stats.retry(op, round);
-                *now += p.retry_backoff * f64::from(1u32 << attempt.min(16));
-                attempt += 1;
-            }
-            Err(_) => {
-                stats.fallback(op, round);
-                *fallback_wanted = true;
-                *now += p.fallback_penalty + p.cpu_per_put_mpi;
-                return vcq.put_reliable_from_region(
-                    now,
-                    dst_node,
-                    dst_stadd,
-                    dst_offset,
-                    src_stadd,
-                    src_offset,
-                    len,
-                    piggyback,
-                    seq,
-                    cache_injection,
-                );
-            }
-        }
+/// Serialize `payload` as a combined frame *in place* at the head of the
+/// local registered send region `out = (stadd, size)`, growing it first
+/// when undersized (a local re-registration, not a remote handshake).
+/// Returns the framed length in bytes and the growth cost (0 when none).
+fn frame_in_place(
+    net: &TofuNet,
+    node: usize,
+    out: &mut (Stadd, usize),
+    ghosts: &GhostLayout,
+    st: &RankState,
+    payload: Payload<'_>,
+) -> (usize, f64) {
+    let need = wire::combined_size(payload.len(ghosts));
+    let mut cost = 0.0;
+    if need > out.1 {
+        out.1 = need.next_power_of_two();
+        cost = net.grow_mem(node, out.0, out.1);
     }
+    let framed = net.write_local_with(node, out.0, 0, need, |buf| {
+        let mut w = wire::CombinedWriter::new(buf);
+        payload.write(ghosts, st, &mut w);
+        w.finish()
+    });
+    (framed, cost)
 }
 
 /// Register memory through the faultable path, absorbing transient
@@ -409,15 +439,15 @@ pub struct UtofuP2p {
     cfg: UtofuConfig,
     vcqs: Vec<Vcq>,
     sel: Option<SendSelector>,
-    ghosts: P2pGhosts,
-    ghost_in: LinkBuffers,
-    owner_in: LinkBuffers,
-    /// Per edge index: *local* registered send region the ghost-op frames
-    /// are serialized into in place (zero-copy wire path). Never published
-    /// — only this rank's NIC reads them.
-    send_out: Vec<Stadd>,
-    /// Current byte size of each `send_out` region.
-    send_out_size: Vec<usize>,
+    ghosts: GhostLayout,
+    /// `[edge][slot]` receive buffers per inflow direction. (Capacities
+    /// live in the address book, which senders consult before writing.)
+    ghost_in: Vec<Vec<Stadd>>,
+    owner_in: Vec<Vec<Stadd>>,
+    /// Per edge index: *local* registered send region `(stadd, bytes)` the
+    /// ghost-op frames are serialized into in place. Never published —
+    /// only this rank's NIC reads them.
+    send_out: Vec<(Stadd, usize)>,
     x_region: Option<Stadd>,
     /// Per send link: byte offset in the neighbor's x-region where our
     /// forwarded positions land (learned via piggyback at border time).
@@ -488,7 +518,7 @@ impl UtofuP2p {
             vcqs.push(v);
         }
         let n = graph.recv.len();
-        let mut mk_bufs = |links: &[GraphEdge], kind: BufKind| -> LinkBuffers {
+        let mut mk_bufs = |links: &[GraphEdge], kind: BufKind| -> Vec<Vec<Stadd>> {
             let mut bufs = Vec::with_capacity(n);
             for (k, link) in links.iter().enumerate() {
                 let est_atoms = graph.max_atoms_estimate(link.offset, density);
@@ -507,7 +537,7 @@ impl UtofuP2p {
                 }
                 bufs.push(per_slot);
             }
-            LinkBuffers { bufs }
+            bufs
         };
         // Ghost-side inflow arrives along recv edges; its max size mirrors
         // my own outgoing slab toward the opposite side — symmetric volumes.
@@ -518,13 +548,11 @@ impl UtofuP2p {
         // buffers). Forward ops pack here per send edge, reverse ops per
         // recv edge; volumes are symmetric, so one set serves both.
         let mut send_out = Vec::with_capacity(n);
-        let mut send_out_size = Vec::with_capacity(n);
         for link in &graph.send {
             let est_atoms = graph.max_atoms_estimate(link.offset, density);
             let size = wire::combined_size(est_atoms * MAX_RECORD_F64S);
             let stadd = register_with_retry(&net, node, size, cfg.retry_budget, &mut setup_cost);
-            send_out.push(stadd);
-            send_out_size.push(size);
+            send_out.push((stadd, size));
         }
         let x_region = if cfg.prereg {
             // Position array registered once at its theoretical maximum:
@@ -545,11 +573,10 @@ impl UtofuP2p {
             cfg,
             vcqs,
             sel: None,
-            ghosts: P2pGhosts::default(),
+            ghosts: GhostLayout::default(),
             ghost_in,
             owner_in,
             send_out,
-            send_out_size,
             x_region,
             remote_ghost_off: vec![None; n],
             seq: 0,
@@ -569,71 +596,46 @@ impl UtofuP2p {
         self.cq_fallback
     }
 
-    fn sel<'a>(sel: &'a mut Option<SendSelector>, st: &RankState) -> &'a SendSelector {
-        sel.get_or_insert_with(|| st.graph.selector())
-    }
-
-    /// Destination buffer for a payload to link `k` of `op`.
-    fn dst_of(
-        &self,
-        st: &RankState,
-        op: Op,
-        k: usize,
-        slot: u8,
-    ) -> Result<(usize, Stadd, usize), TofuError> {
-        let (link, kind) = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => (&st.graph.send[k], BufKind::GhostIn),
-            Op::Reverse | Op::ReverseScalar => (&st.graph.recv[k], BufKind::OwnerIn),
-            Op::Exchange => unreachable!("exchange uses its own buffer path"),
-        };
-        let (stadd, size) =
-            self.book
-                .lookup(link.rank as u32, kind, link.peer_index as u16, slot)?;
-        Ok((link.node, stadd, size))
-    }
-
-    /// Grow an undersized remote buffer: handshake + re-registration (the
-    /// dynamic-expansion overhead pre-registration eliminates).
-    #[allow(clippy::too_many_arguments)]
-    fn grow_remote(
+    /// Make sure the peer buffer `op`'s payload on out-edge `k` lands in
+    /// holds `need` bytes, and return it. Growing an undersized buffer is
+    /// a handshake + re-registration — the dynamic-expansion overhead
+    /// pre-registration eliminates.
+    fn reserve_dst(
         &mut self,
         st: &mut RankState,
         op: Op,
         k: usize,
         slot: u8,
-        dst_node: usize,
-        stadd: Stadd,
         need: usize,
-    ) {
-        let p = *self.net.params();
-        let (link, kind) = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => (st.graph.send[k], BufKind::GhostIn),
-            Op::Reverse | Op::ReverseScalar => (st.graph.recv[k], BufKind::OwnerIn),
-            Op::Exchange => unreachable!("exchange uses its own buffer path"),
-        };
-        let new_size = need.next_power_of_two();
-        let cost = self.net.grow_mem(dst_node, stadd, new_size);
-        // Handshake round-trip + the remote registration stall.
-        let dt = 2.0 * p.wire_time(0, link.hops) + cost;
-        st.charge(dt, op);
-        self.book.update_size(
+    ) -> Result<Stadd, TofuError> {
+        let link = st.graph.out_edges(op)[k];
+        let (rank, kind, idx) = (
             link.rank as u32,
-            kind,
+            BufKind::inflow(op),
             link.peer_index as u16,
-            slot,
-            new_size,
         );
-        self.growth_events += 1;
-        self.stats.growth(op, 0);
+        let (stadd, size) = self.book.lookup(rank, kind, idx, slot)?;
+        if need > size {
+            let new_size = need.next_power_of_two();
+            let cost = self.net.grow_mem(link.node, stadd, new_size);
+            // Handshake round-trip + the remote registration stall.
+            let dt = 2.0 * self.net.params().wire_time(0, link.hops) + cost;
+            st.charge(dt, op);
+            self.book.update_size(rank, kind, idx, slot, new_size);
+            self.growth_events += 1;
+            self.stats.growth(op, 0);
+        }
+        Ok(stadd)
     }
 
-    /// Post the payloads of one op across the configured threads/VCQs.
-    /// Returns the post-phase completion time charged to the clock.
-    fn post_payloads(
+    /// Post one message per out-edge of `op` (`payloads[k]` travels along
+    /// edge `k`) across the configured threads/VCQs, and charge the
+    /// post-phase completion time to the clock.
+    fn send_edges(
         &mut self,
         st: &mut RankState,
         op: Op,
-        payloads: &[Vec<f64>],
+        payloads: &[Payload<'_>],
     ) -> Result<(), TofuError> {
         let p = *self.net.params();
         let slot = (self.seq % self.cfg.slots) as u8;
@@ -643,32 +645,32 @@ impl UtofuP2p {
         // so the numbering is independent of the thread assignment below.
         let seq_base = self.send_seq;
         self.send_seq += n as u64;
+        let f64s: Vec<usize> = payloads.iter().map(|pl| pl.len(&self.ghosts)).collect();
         // Pre-resolve destinations, growing undersized buffers first.
         let mut dsts = Vec::with_capacity(n);
-        for (k, payload) in payloads.iter().enumerate() {
-            let need = wire::combined_size(payload.len());
-            let (node, stadd, size) = self.dst_of(st, op, k, slot)?;
-            if need > size {
-                self.grow_remote(st, op, k, slot, node, stadd, need);
-            }
-            let (node, stadd, _) = self.dst_of(st, op, k, slot)?;
-            dsts.push((node, stadd));
+        for (k, &len) in f64s.iter().enumerate() {
+            dsts.push(self.reserve_dst(st, op, k, slot, wire::combined_size(len))?);
         }
-        // Forward under prereg writes straight into the remote x-region.
+        // Serialize the ghost-op frames in place. Local regions are sized
+        // to the theoretical maximum at build; growth here is charged.
+        let mut framed = vec![0; n];
+        for (k, &payload) in payloads.iter().enumerate() {
+            if let Payload::Ghost(..) = payload {
+                let out = &mut self.send_out[k];
+                let (bytes, cost) =
+                    frame_in_place(&self.net, self.node, out, &self.ghosts, st, payload);
+                st.charge(cost, op);
+                framed[k] = bytes;
+            }
+        }
+        // Forward under prereg writes straight into the remote x-region:
+        // the raw values start right after the frame header, so the same
+        // in-place serialization serves both put shapes.
         let direct_x = self.cfg.prereg && op == Op::Forward;
+        let edges = st.graph.out_edges(op);
         let start = st.clock;
-        let mut stats_counter: Vec<(usize, usize, usize)> = Vec::new();
-        let mut thread_ends = Vec::new();
-        let costs: Vec<f64> = payloads
-            .iter()
-            .enumerate()
-            .map(|(k, pl)| {
-                let link = match op {
-                    Op::Border | Op::Forward | Op::ForwardScalar => &st.graph.send[k],
-                    _ => &st.graph.recv[k],
-                };
-                fine::link_cost(pl.len() * 8, link.hops, &p)
-            })
+        let costs: Vec<f64> = (0..n)
+            .map(|k| fine::link_cost(f64s[k] * 8, edges[k].hops, &p))
             .collect();
         let assignment = if self.cfg.comm_threads > 1 {
             fine::balance_lpt(&costs, self.cfg.comm_threads)
@@ -682,197 +684,16 @@ impl UtofuP2p {
             // (§4.2's explanation for 6TNI-single-thread).
             p.vcq_drive_overhead * self.cfg.vcqs as f64
         };
+        let mut end = start;
         for (t, links) in assignment.iter().enumerate() {
             let mut now = start + region_overhead;
             for &k in links {
-                let payload = &payloads[k];
-                let bytes = wire::frame_combined(payload);
-                stats_counter.push((k, payload.len() * 8, bytes.len()));
-                now += p.pack_cost(bytes.len());
-                let (dst_node, dst_stadd) = dsts[k];
-                // The receiver indexes payloads by *its own* edge list.
-                let peer_k = match op {
-                    Op::Border | Op::Forward | Op::ForwardScalar => st.graph.send[k].peer_index,
-                    _ => st.graph.recv[k].peer_index,
-                };
-                let vcq = &mut self.vcqs[t % self.cfg.vcqs.max(1)];
-                if direct_x {
+                let edge = edges[k];
+                let staged;
+                let (dst_stadd, dst_offset, src) = if direct_x {
                     // An empty forward (no atoms cross this link) sends
                     // nothing; the receiver expects arrivals only for its
                     // non-empty ghost segments.
-                    if payload.is_empty() {
-                        continue;
-                    }
-                    let off = self.remote_ghost_off[k].ok_or(TofuError::PhaseOrder {
-                        node: self.node,
-                        phase: "forward",
-                        missing: "ghost offsets from border",
-                    })?;
-                    let raw = wire::encode_f64s(payload);
-                    let (xs, _) =
-                        self.book
-                            .lookup(st.graph.send[k].rank as u32, BufKind::XRegion, 0, 0)?;
-                    put_with_retry(
-                        vcq,
-                        self.cfg.retry_budget,
-                        &mut self.stats,
-                        op,
-                        0,
-                        &mut self.fallback_wanted,
-                        &mut now,
-                        dst_node,
-                        xs,
-                        off,
-                        &raw,
-                        peer_k as u64,
-                        seq_base + 1 + k as u64,
-                        true,
-                    );
-                    continue;
-                }
-                put_with_retry(
-                    vcq,
-                    self.cfg.retry_budget,
-                    &mut self.stats,
-                    op,
-                    0,
-                    &mut self.fallback_wanted,
-                    &mut now,
-                    dst_node,
-                    dst_stadd,
-                    0,
-                    &bytes,
-                    peer_k as u64,
-                    seq_base + 1 + k as u64,
-                    true,
-                );
-            }
-            thread_ends.push(now);
-        }
-        let end = thread_ends.into_iter().fold(start, f64::max);
-        // Count payload messages (raw bytes for direct x-writes, framed
-        // otherwise; skipped empties under direct_x are not counted).
-        // Framed messages passed through `frame_combined`'s staging copy;
-        // direct x-writes staged through `encode_f64s`.
-        for (k, raw, framed) in stats_counter {
-            if direct_x {
-                if !payloads[k].is_empty() {
-                    self.stats.count(op, 0, raw);
-                    self.stats.copied(op, 0, raw);
-                }
-            } else {
-                self.stats.count(op, 0, framed);
-                self.stats.copied(op, 0, framed);
-            }
-        }
-        st.charge(end - start, op);
-        Ok(())
-    }
-
-    /// Zero-copy post for the repeated ghost ops (forward/reverse and the
-    /// EAM scalars): the payload sizes are known from the ghost layout, so
-    /// each frame is serialized *in place* into this rank's registered
-    /// `send_out` region and put straight from there — no intermediate
-    /// `Vec`, no staging `frame_combined` copy, no pack cost charged, and
-    /// `bytes_copied` stays at zero for these ops. Border and exchange
-    /// (which discover their payloads while packing) stay on the staged
-    /// [`UtofuP2p::post_payloads`] path, measured for comparison.
-    fn post_direct(&mut self, st: &mut RankState, op: Op) -> Result<(), TofuError> {
-        let p = *self.net.params();
-        let slot = (self.seq % self.cfg.slots) as u8;
-        self.seq += 1;
-        let n = match op {
-            Op::Forward | Op::ForwardScalar => st.graph.send.len(),
-            _ => st.graph.recv.len(),
-        };
-        let seq_base = self.send_seq;
-        self.send_seq += n as u64;
-        // Payload sizes fall out of the ghost layout before any packing.
-        let f64s: Vec<usize> = (0..n)
-            .map(|k| match op {
-                Op::Forward => self.ghosts.forward_f64s(k),
-                Op::Reverse => self.ghosts.reverse_f64s(k),
-                Op::ForwardScalar => self.ghosts.scalar_f64s(k, false),
-                Op::ReverseScalar => self.ghosts.scalar_f64s(k, true),
-                _ => unreachable!("post_direct handles only the ghost ops"),
-            })
-            .collect();
-        // Pre-resolve destinations, growing undersized remote buffers.
-        let mut dsts = Vec::with_capacity(n);
-        for (k, &len) in f64s.iter().enumerate() {
-            let need = wire::combined_size(len);
-            let (node, stadd, size) = self.dst_of(st, op, k, slot)?;
-            if need > size {
-                self.grow_remote(st, op, k, slot, node, stadd, need);
-            }
-            let (node, stadd, _) = self.dst_of(st, op, k, slot)?;
-            dsts.push((node, stadd));
-        }
-        // Serialize every frame in place. Local regions are sized to the
-        // theoretical maximum at build; growth here is a local
-        // re-registration, charged but not a remote handshake.
-        let mut framed = Vec::with_capacity(n);
-        for (k, &len) in f64s.iter().enumerate() {
-            let need = wire::combined_size(len);
-            if need > self.send_out_size[k] {
-                let new_size = need.next_power_of_two();
-                let cost = self.net.grow_mem(self.node, self.send_out[k], new_size);
-                self.send_out_size[k] = new_size;
-                st.charge(cost, op);
-            }
-            let ghosts = &self.ghosts;
-            let bytes = self
-                .net
-                .write_local_with(self.node, self.send_out[k], 0, need, |buf| {
-                    let mut w = wire::CombinedWriter::new(buf);
-                    match op {
-                        Op::Forward => ghosts.pack_forward_into(st, k, &mut w),
-                        Op::Reverse => ghosts.pack_reverse_into(st, k, &mut w),
-                        Op::ForwardScalar => ghosts.pack_forward_scalar_into(st, k, &mut w),
-                        Op::ReverseScalar => ghosts.pack_reverse_scalar_into(st, k, &mut w),
-                        _ => unreachable!("post_direct handles only the ghost ops"),
-                    }
-                    w.finish()
-                });
-            framed.push(bytes);
-        }
-        // Forward under prereg writes straight into the remote x-region:
-        // the raw values start right after the frame header, so the same
-        // in-place serialization serves both put shapes.
-        let direct_x = self.cfg.prereg && op == Op::Forward;
-        let start = st.clock;
-        let costs: Vec<f64> = f64s
-            .iter()
-            .enumerate()
-            .map(|(k, &len)| {
-                let link = match op {
-                    Op::Forward | Op::ForwardScalar => &st.graph.send[k],
-                    _ => &st.graph.recv[k],
-                };
-                fine::link_cost(len * 8, link.hops, &p)
-            })
-            .collect();
-        let assignment = if self.cfg.comm_threads > 1 {
-            fine::balance_lpt(&costs, self.cfg.comm_threads)
-        } else {
-            vec![(0..n).collect::<Vec<_>>()]
-        };
-        let region_overhead = if self.cfg.comm_threads > 1 {
-            p.pool_region_overhead
-        } else {
-            p.vcq_drive_overhead * self.cfg.vcqs as f64
-        };
-        let mut thread_ends = Vec::new();
-        for (t, links) in assignment.iter().enumerate() {
-            let mut now = start + region_overhead;
-            for &k in links {
-                let (dst_node, dst_stadd) = dsts[k];
-                let peer_k = match op {
-                    Op::Forward | Op::ForwardScalar => st.graph.send[k].peer_index,
-                    _ => st.graph.recv[k].peer_index,
-                };
-                let vcq = &mut self.vcqs[t % self.cfg.vcqs.max(1)];
-                if direct_x {
                     if f64s[k] == 0 {
                         continue;
                     }
@@ -881,60 +702,52 @@ impl UtofuP2p {
                         phase: "forward",
                         missing: "ghost offsets from border",
                     })?;
-                    let (xs, _) =
-                        self.book
-                            .lookup(st.graph.send[k].rank as u32, BufKind::XRegion, 0, 0)?;
-                    put_region_with_retry(
-                        vcq,
-                        self.cfg.retry_budget,
-                        &mut self.stats,
-                        op,
-                        0,
-                        &mut self.fallback_wanted,
-                        &mut now,
-                        dst_node,
-                        xs,
-                        off,
-                        self.send_out[k],
-                        wire::COMBINED_HEADER_BYTES,
-                        f64s[k] * 8,
-                        peer_k as u64,
-                        seq_base + 1 + k as u64,
-                        true,
-                    );
-                    continue;
-                }
-                put_region_with_retry(
-                    vcq,
+                    let (xs, _) = self.book.lookup(edge.rank as u32, BufKind::XRegion, 0, 0)?;
+                    let src = PutSrc::Region {
+                        stadd: self.send_out[k].0,
+                        offset: wire::COMBINED_HEADER_BYTES,
+                        len: f64s[k] * 8,
+                    };
+                    (xs, off, src)
+                } else {
+                    let src = match payloads[k] {
+                        Payload::Packed(values) => {
+                            staged = wire::frame_combined(values);
+                            now += p.pack_cost(staged.len());
+                            self.stats.copied(op, 0, staged.len());
+                            PutSrc::Bytes(&staged)
+                        }
+                        Payload::Ghost(..) => PutSrc::Region {
+                            stadd: self.send_out[k].0,
+                            offset: 0,
+                            len: framed[k],
+                        },
+                    };
+                    (dsts[k], 0, src)
+                };
+                self.stats.count(op, 0, src.len());
+                put_with_retry(
+                    &mut self.vcqs[t % self.cfg.vcqs.max(1)],
                     self.cfg.retry_budget,
                     &mut self.stats,
                     op,
                     0,
                     &mut self.fallback_wanted,
                     &mut now,
-                    dst_node,
-                    dst_stadd,
-                    0,
-                    self.send_out[k],
-                    0,
-                    framed[k],
-                    peer_k as u64,
-                    seq_base + 1 + k as u64,
-                    true,
+                    Put {
+                        dst_node: edge.node,
+                        dst_stadd,
+                        dst_offset,
+                        src,
+                        // The receiver indexes payloads by *its own* edge
+                        // list.
+                        piggyback: edge.peer_index as u64,
+                        seq: seq_base + 1 + k as u64,
+                        cache_injection: true,
+                    },
                 );
             }
-            thread_ends.push(now);
-        }
-        let end = thread_ends.into_iter().fold(start, f64::max);
-        // Count messages; nothing staged, so `bytes_copied` stays 0.
-        for (k, &len) in f64s.iter().enumerate() {
-            if direct_x {
-                if len > 0 {
-                    self.stats.count(op, 0, len * 8);
-                }
-            } else {
-                self.stats.count(op, 0, framed[k]);
-            }
+            end = end.max(now);
         }
         st.charge(end - start, op);
         Ok(())
@@ -944,16 +757,13 @@ impl UtofuP2p {
     fn wait_payloads(&mut self, st: &mut RankState, op: Op) -> Result<Vec<Vec<f64>>, TofuError> {
         let p = *self.net.params();
         let n = st.graph.recv.len();
-        // Identify which stadds we expect for this op.
-        let expected: Vec<Stadd> = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => {
-                self.ghost_in.bufs.iter().flatten().copied().collect()
-            }
-            Op::Reverse | Op::ReverseScalar => {
-                self.owner_in.bufs.iter().flatten().copied().collect()
-            }
-            Op::Exchange => unreachable!("exchange has a dedicated receive path"),
+        // The stadds this op's messages land in.
+        let bufs = if op.toward_ghosts() {
+            &self.ghost_in
+        } else {
+            &self.owner_in
         };
+        let expected: Vec<Stadd> = bufs.iter().flatten().copied().collect();
         let direct_x = self.cfg.prereg && op == Op::Forward;
         let (arrivals, t, anomalies) = if direct_x {
             let xs = self.x_region.ok_or(TofuError::PhaseOrder {
@@ -962,12 +772,7 @@ impl UtofuP2p {
                 missing: "preregistered x region",
             })?;
             // Empty segments produce no message (§3.4 direct writes).
-            let expected_n = self
-                .ghosts
-                .ghost_seg
-                .iter()
-                .filter(|&&(_, count)| count > 0)
-                .count();
+            let expected_n = (0..n).filter(|&k| self.ghosts.segment(k).1 > 0).count();
             wait_deduped(&self.net, self.node, st.clock, expected_n, |a| {
                 a.stadd == xs && a.len > 0
             })?
@@ -983,40 +788,31 @@ impl UtofuP2p {
         let mut unpack_bytes = 0usize;
         for a in &arrivals {
             st.arrival_horizon = st.arrival_horizon.max(a.time);
-            let k = if direct_x {
-                // Offset identifies the ghost segment, hence the link.
-                self.ghosts
-                    .ghost_seg
-                    .iter()
-                    .position(|&(start, count)| count > 0 && start * 24 == a.offset)
+            let raw = self.net.read_local(self.node, a.stadd, a.offset, a.len);
+            if direct_x {
+                // The landing offset identifies the ghost segment, hence
+                // the link; direct writes need no unpack copy (§3.4).
+                let k = (0..n)
+                    .find(|&k| {
+                        let (start, count) = self.ghosts.segment(k);
+                        count > 0 && start * 24 == a.offset
+                    })
                     .ok_or(TofuError::PhaseOrder {
                         node: self.node,
                         phase: "forward",
                         missing: "ghost segment matching arrival offset",
-                    })?
+                    })?;
+                payloads[k] = wire::decode_f64s(&raw);
             } else {
-                a.piggyback as usize
-            };
-            let raw = self.net.read_local(self.node, a.stadd, a.offset, a.len);
-            payloads[k] = if direct_x {
-                wire::decode_f64s(&raw)
-            } else {
-                wire::parse_combined(&raw)
-            };
-            if !direct_x {
+                payloads[a.piggyback as usize] = wire::parse_combined(&raw);
                 unpack_bytes += a.len;
             }
-            // Direct x-region writes need no unpack copy (§3.4).
         }
         // Receiver-side CPU: one MRQ poll/dequeue per message plus the
         // linear-scan match against the posted buffer set (the O(N^2)
         // term of Fig. 15), plus the unpack copy (skipped for direct
         // x-region writes).
-        let n_bufs = if direct_x {
-            self.ghosts.ghost_seg.len()
-        } else {
-            expected.len()
-        };
+        let n_bufs = if direct_x { n } else { expected.len() };
         let poll =
             arrivals.len() as f64 * (p.cpu_per_put_utofu + n_bufs as f64 * p.mrq_match_per_buffer);
         let dt = if self.cfg.comm_threads > 1 {
@@ -1030,7 +826,6 @@ impl UtofuP2p {
         st.charge(dt, op);
         Ok(payloads)
     }
-
     /// After border unpack, send each ghost provider the offset where its
     /// atoms landed (8-byte piggyback, §3.4).
     fn send_ghost_offsets(&mut self, st: &mut RankState) -> Result<(), TofuError> {
@@ -1039,7 +834,7 @@ impl UtofuP2p {
         let seq_base = self.send_seq;
         self.send_seq += n as u64;
         for k in 0..n {
-            let (start, _count) = self.ghosts.ghost_seg[k];
+            let (start, _count) = self.ghosts.segment(k);
             let link = &st.graph.recv[k];
             // Target the provider's OwnerIn buffer (same inflow direction
             // as a reverse message); zero-length write, descriptor-only.
@@ -1057,13 +852,15 @@ impl UtofuP2p {
                 0,
                 &mut self.fallback_wanted,
                 &mut now,
-                link.node,
-                stadd,
-                0,
-                &[],
-                (link.peer_index as u64) << 48 | (start * 24) as u64,
-                seq_base + 1 + k as u64,
-                false,
+                Put {
+                    dst_node: link.node,
+                    dst_stadd: stadd,
+                    dst_offset: 0,
+                    src: PutSrc::Bytes(&[]),
+                    piggyback: (link.peer_index as u64) << 48 | (start * 24) as u64,
+                    seq: seq_base + 1 + k as u64,
+                    cache_injection: false,
+                },
             );
         }
         st.charge(now - st.clock, Op::Border);
@@ -1076,7 +873,7 @@ impl UtofuP2p {
     /// keeps a rank from stealing its node-mates' descriptors.
     fn recv_ghost_offsets(&mut self, st: &mut RankState) -> Result<(), TofuError> {
         let n = st.graph.send.len();
-        let mine: Vec<Stadd> = self.owner_in.bufs.iter().map(|slots| slots[0]).collect();
+        let mine: Vec<Stadd> = self.owner_in.iter().map(|slots| slots[0]).collect();
         let (arrivals, t, anomalies) = wait_deduped(&self.net, self.node, st.clock, n, |a| {
             a.len == 0 && mine.contains(&a.stadd)
         })?;
@@ -1092,9 +889,7 @@ impl UtofuP2p {
         st.charge(t - st.clock, Op::Border);
         Ok(())
     }
-}
 
-impl UtofuP2p {
     /// Indices of the pure-face links for sweep `dim`: the -face in
     /// `send`, the +face in `recv` (present for every grid graph; their
     /// absence is a malformed graph, reported rather than panicking).
@@ -1167,13 +962,15 @@ impl UtofuP2p {
                 dim,
                 &mut self.fallback_wanted,
                 &mut now,
-                link.node,
-                stadd,
-                0,
-                &bytes,
-                k as u64,
-                seq_base + 1 + dir as u64,
-                true,
+                Put {
+                    dst_node: link.node,
+                    dst_stadd: stadd,
+                    dst_offset: 0,
+                    src: PutSrc::Bytes(&bytes),
+                    piggyback: k as u64,
+                    seq: seq_base + 1 + dir as u64,
+                    cache_injection: true,
+                },
             );
         }
         st.charge(now - st.clock, Op::Exchange);
@@ -1185,9 +982,9 @@ impl UtofuP2p {
     fn complete_exchange(&mut self, st: &mut RankState, dim: usize) -> Result<(), TofuError> {
         let p = *self.net.params();
         let (k_minus, k_plus) = Self::face_indices(st, dim)?;
-        let expect: Vec<Stadd> = self.ghost_in.bufs[k_plus]
+        let expect: Vec<Stadd> = self.ghost_in[k_plus]
             .iter()
-            .chain(&self.owner_in.bufs[k_minus])
+            .chain(&self.owner_in[k_minus])
             .copied()
             .collect();
         let (arrivals, t, anomalies) = wait_deduped(&self.net, self.node, st.clock, 2, |a| {
@@ -1228,60 +1025,53 @@ impl GhostEngine for UtofuP2p {
     }
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Exchange => self.post_exchange(st, round),
-            Op::Border => {
-                let sel = Self::sel(&mut self.sel, st);
-                let payloads = self.ghosts.pack_border(st, sel);
-                self.post_payloads(st, op, &payloads)
+        match op.kind() {
+            OpKind::Exchange => self.post_exchange(st, round),
+            OpKind::Border => {
+                let shifts = st.graph.send.iter().map(|e| e.shift);
+                self.ghosts.reset(&mut st.atoms, shifts);
+                let sel = self.sel.get_or_insert_with(|| st.graph.selector());
+                let packed = self.ghosts.select_border(st, sel);
+                let payloads: Vec<_> = packed.iter().map(|v| Payload::Packed(v)).collect();
+                self.send_edges(st, op, &payloads)
             }
-            Op::Forward => {
-                if self.cfg.prereg && self.remote_ghost_off.iter().any(Option::is_none) {
+            OpKind::Ghost(g) => {
+                if g == GhostOp::Forward
+                    && self.cfg.prereg
+                    && self.remote_ghost_off.iter().any(Option::is_none)
+                {
                     self.recv_ghost_offsets(st)?;
                 }
-                self.post_direct(st, op)
+                let n = st.graph.out_edges(op).len();
+                let payloads: Vec<_> = (0..n).map(|k| Payload::Ghost(g, k)).collect();
+                self.send_edges(st, op, &payloads)
             }
-            Op::ForwardScalar | Op::Reverse | Op::ReverseScalar => self.post_direct(st, op),
         }
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        if op == Op::Exchange {
-            return self.complete_exchange(st, round);
-        }
-        let payloads = self.wait_payloads(st, op)?;
-        match op {
-            Op::Border => {
-                self.ghosts.unpack_border(st, &payloads);
+        match op.kind() {
+            OpKind::Exchange => self.complete_exchange(st, round),
+            OpKind::Border => {
+                let payloads = self.wait_payloads(st, op)?;
+                for (k, values) in payloads.iter().enumerate() {
+                    self.ghosts.append_ghosts(st, k, values);
+                }
                 st.scalar.resize(st.atoms.ntotal(), 0.0);
                 if self.cfg.prereg {
                     self.remote_ghost_off.fill(None);
                     self.send_ghost_offsets(st)?;
                 }
+                Ok(())
             }
-            Op::Forward => {
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_forward(st, k, v);
+            OpKind::Ghost(g) => {
+                let payloads = self.wait_payloads(st, op)?;
+                for (k, values) in payloads.iter().enumerate() {
+                    self.ghosts.unpack(g, k, st, values);
                 }
+                Ok(())
             }
-            Op::ForwardScalar => {
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_forward_scalar(st, k, v);
-                }
-            }
-            Op::Reverse => {
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_reverse(st, k, v);
-                }
-            }
-            Op::ReverseScalar => {
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_reverse_scalar(st, k, v);
-                }
-            }
-            Op::Exchange => unreachable!("handled by the early return above"),
         }
-        Ok(())
     }
 
     fn setup_cost(&self) -> f64 {
@@ -1303,16 +1093,16 @@ pub struct UtofuThreeStage {
     book: Arc<AddressBook>,
     node: usize,
     links: [[NeighborLink; 2]; 3],
-    ghosts: StagedGhosts,
+    ghosts: GhostLayout,
     /// Swaps per dimension (the plan's shell count).
     shells: usize,
-    /// `[dim*2+dir][0]` inflow buffers (single slot).
+    /// `[dim*2+dir]` inflow buffers (single slot).
     ghost_in: Vec<Stadd>,
     owner_in: Vec<Stadd>,
-    /// Local registered send regions `[dim*2+dir]` — never published;
-    /// ghost-op frames are serialized in place and put straight from here.
-    send_out: Vec<Stadd>,
-    send_out_size: Vec<usize>,
+    /// Local registered send regions `[dim*2+dir]` as `(stadd, bytes)` —
+    /// never published; ghost-op frames are serialized in place and put
+    /// straight from here.
+    send_out: Vec<(Stadd, usize)>,
     vcq: Vcq,
     /// Sequence stamp for the next logical message (see [`UtofuP2p`]).
     send_seq: u64,
@@ -1368,25 +1158,19 @@ impl UtofuThreeStage {
             book.publish(me as u32, BufKind::OwnerIn, idx, 0, s2, size);
             ghost_in.push(s1);
             owner_in.push(s2);
-            send_out.push(register_with_retry(
-                &net,
-                node,
-                full,
-                budget,
-                &mut setup_cost,
-            ));
+            let s3 = register_with_retry(&net, node, full, budget, &mut setup_cost);
+            send_out.push((s3, full));
         }
         UtofuThreeStage {
             net,
             book,
             node,
             links,
-            ghosts: StagedGhosts::default(),
+            ghosts: GhostLayout::default(),
             shells,
             ghost_in,
             owner_in,
             send_out,
-            send_out_size: vec![full; 6],
             vcq,
             send_seq: 0,
             fallback_wanted: false,
@@ -1396,98 +1180,26 @@ impl UtofuThreeStage {
         }
     }
 
-    /// Send the two payloads of sweep `dim`: ghost-side ops flow toward
-    /// `links[dim][dir]`'s GhostIn, reverse ops toward OwnerIn. The
-    /// receiver's buffer index encodes the *receiver-side* direction
-    /// `1 - dir`.
+    /// Send the two payloads of sweep `dim` toward `links[dim][dir]`'s
+    /// inflow buffers. The receiver's buffer index encodes the
+    /// *receiver-side* direction `1 - dir`.
     fn send_pair(
         &mut self,
         st: &mut RankState,
         op: Op,
         round: usize,
         dim: usize,
-        payloads: &[Vec<f64>; 2],
+        payloads: [Payload<'_>; 2],
     ) -> Result<(), TofuError> {
         let p = *self.net.params();
-        let kind = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => BufKind::GhostIn,
-            _ => BufKind::OwnerIn,
-        };
+        let kind = BufKind::inflow(op);
         let seq_base = self.send_seq;
         self.send_seq += 2;
         let mut now = st.clock;
-        for (dir, payload) in payloads.iter().enumerate() {
+        for (dir, payload) in payloads.into_iter().enumerate() {
             let link = self.links[dim][dir];
             let rx_idx = (dim * 2 + (1 - dir)) as u16;
-            let (stadd, size) = self.book.lookup(link.rank as u32, kind, rx_idx, 0)?;
-            let bytes = wire::frame_combined(payload);
-            if bytes.len() > size {
-                let new_size = bytes.len().next_power_of_two();
-                let cost = self.net.grow_mem(link.node, stadd, new_size);
-                now += 2.0 * p.wire_time(0, link.hops) + cost;
-                self.book
-                    .update_size(link.rank as u32, kind, rx_idx, 0, new_size);
-                self.growth_events += 1;
-                self.stats.growth(op, round);
-            }
-            now += p.pack_cost(bytes.len());
-            self.stats.count(op, round, bytes.len());
-            self.stats.copied(op, round, bytes.len());
-            put_with_retry(
-                &mut self.vcq,
-                UtofuConfig::DEFAULT_RETRY_BUDGET,
-                &mut self.stats,
-                op,
-                round,
-                &mut self.fallback_wanted,
-                &mut now,
-                link.node,
-                stadd,
-                0,
-                &bytes,
-                rx_idx as u64,
-                seq_base + 1 + dir as u64,
-                true,
-            );
-        }
-        st.charge(now - st.clock, op);
-        Ok(())
-    }
-
-    /// Zero-copy variant of [`UtofuThreeStage::send_pair`] for the
-    /// repeated ghost ops: payload sizes follow from the staged ghost
-    /// layout, so each frame is serialized in place into this rank's
-    /// registered `send_out` region and put straight from there — no
-    /// staging copy, no pack cost, and `bytes_copied` stays 0. Border
-    /// and exchange (which discover their payloads while packing) stay
-    /// on the staged [`UtofuThreeStage::send_pair`] path, measured.
-    fn send_pair_direct(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        round: usize,
-        dim: usize,
-        swap: usize,
-    ) -> Result<(), TofuError> {
-        let p = *self.net.params();
-        let kind = match op {
-            Op::Forward | Op::ForwardScalar => BufKind::GhostIn,
-            _ => BufKind::OwnerIn,
-        };
-        let seq_base = self.send_seq;
-        self.send_seq += 2;
-        let mut now = st.clock;
-        for dir in 0..2 {
-            let link = self.links[dim][dir];
-            let rx_idx = (dim * 2 + (1 - dir)) as u16;
-            let f64s = match op {
-                Op::Forward => self.ghosts.forward_f64s(dim, swap, dir),
-                Op::Reverse => self.ghosts.reverse_f64s(dim, swap, dir),
-                Op::ForwardScalar => self.ghosts.scalar_f64s(dim, swap, dir, false),
-                Op::ReverseScalar => self.ghosts.scalar_f64s(dim, swap, dir, true),
-                _ => unreachable!("send_pair_direct handles only the ghost ops"),
-            };
-            let need = wire::combined_size(f64s);
+            let need = wire::combined_size(payload.len(&self.ghosts));
             let (stadd, size) = self.book.lookup(link.rank as u32, kind, rx_idx, 0)?;
             if need > size {
                 let new_size = need.next_power_of_two();
@@ -1498,35 +1210,28 @@ impl UtofuThreeStage {
                 self.growth_events += 1;
                 self.stats.growth(op, round);
             }
-            let out = dim * 2 + dir;
-            if need > self.send_out_size[out] {
-                let new_size = need.next_power_of_two();
-                now += self.net.grow_mem(self.node, self.send_out[out], new_size);
-                self.send_out_size[out] = new_size;
-            }
-            let ghosts = &self.ghosts;
-            let links = &self.links;
-            let framed = self
-                .net
-                .write_local_with(self.node, self.send_out[out], 0, need, |buf| {
-                    let mut w = wire::CombinedWriter::new(buf);
-                    match op {
-                        Op::Forward => {
-                            ghosts.pack_forward_into(st, links, dim, swap, dir, &mut w);
-                        }
-                        Op::Reverse => ghosts.pack_reverse_into(st, dim, swap, dir, &mut w),
-                        Op::ForwardScalar => {
-                            ghosts.pack_forward_scalar_into(st, dim, swap, dir, &mut w);
-                        }
-                        Op::ReverseScalar => {
-                            ghosts.pack_reverse_scalar_into(st, dim, swap, dir, &mut w);
-                        }
-                        _ => unreachable!("send_pair_direct handles only the ghost ops"),
+            let staged;
+            let src = match payload {
+                Payload::Packed(values) => {
+                    staged = wire::frame_combined(values);
+                    now += p.pack_cost(staged.len());
+                    self.stats.copied(op, round, staged.len());
+                    PutSrc::Bytes(&staged)
+                }
+                Payload::Ghost(..) => {
+                    let out = &mut self.send_out[dim * 2 + dir];
+                    let (len, cost) =
+                        frame_in_place(&self.net, self.node, out, &self.ghosts, st, payload);
+                    now += cost;
+                    PutSrc::Region {
+                        stadd: out.0,
+                        offset: 0,
+                        len,
                     }
-                    w.finish()
-                });
-            self.stats.count(op, round, framed);
-            put_region_with_retry(
+                }
+            };
+            self.stats.count(op, round, src.len());
+            put_with_retry(
                 &mut self.vcq,
                 UtofuConfig::DEFAULT_RETRY_BUDGET,
                 &mut self.stats,
@@ -1534,15 +1239,15 @@ impl UtofuThreeStage {
                 round,
                 &mut self.fallback_wanted,
                 &mut now,
-                link.node,
-                stadd,
-                0,
-                self.send_out[out],
-                0,
-                framed,
-                rx_idx as u64,
-                seq_base + 1 + dir as u64,
-                true,
+                Put {
+                    dst_node: link.node,
+                    dst_stadd: stadd,
+                    dst_offset: 0,
+                    src,
+                    piggyback: u64::from(rx_idx),
+                    seq: seq_base + 1 + dir as u64,
+                    cache_injection: true,
+                },
             );
         }
         st.charge(now - st.clock, op);
@@ -1558,9 +1263,10 @@ impl UtofuThreeStage {
         dim: usize,
     ) -> Result<[Vec<f64>; 2], TofuError> {
         let p = *self.net.params();
-        let bufs = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => &self.ghost_in,
-            _ => &self.owner_in,
+        let bufs = if op.toward_ghosts() {
+            &self.ghost_in
+        } else {
+            &self.owner_in
         };
         let want = [bufs[dim * 2], bufs[dim * 2 + 1]];
         let (arrivals, t, anomalies) = wait_deduped(&self.net, self.node, st.clock, 2, |a| {
@@ -1596,79 +1302,39 @@ impl GhostEngine for UtofuThreeStage {
     }
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Border => {
+        let (sweep, dim) = staged_sweep(op, round, self.shells);
+        let packed;
+        let payloads = match op.kind() {
+            OpKind::Ghost(g) => [0, 1].map(|dir| Payload::Ghost(g, sweep * 2 + dir)),
+            OpKind::Border => {
                 if round == 0 {
-                    self.ghosts.reset(st, self.shells);
+                    let shifts = staged_shifts(&self.links, self.shells);
+                    self.ghosts.reset(&mut st.atoms, shifts);
                 }
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.ghosts.pack_border(st, &self.links, dim, swap);
-                self.send_pair(st, op, round, dim, &payloads)
+                packed = self.ghosts.sweep_border(st, sweep, self.shells);
+                [Payload::Packed(&packed[0]), Payload::Packed(&packed[1])]
             }
-            Op::Forward | Op::ForwardScalar => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                self.send_pair_direct(st, op, round, dim, swap)
+            OpKind::Exchange => {
+                packed = st.pack_exchange(dim);
+                [Payload::Packed(&packed[0]), Payload::Packed(&packed[1])]
             }
-            Op::Reverse | Op::ReverseScalar => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                self.send_pair_direct(st, op, round, dim, swap)
-            }
-            Op::Exchange => {
-                let payloads = st.pack_exchange(round);
-                self.send_pair(st, op, round, round, &payloads)
-            }
-        }
+        };
+        self.send_pair(st, op, round, dim, payloads)
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Border => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_pair(st, op, dim)?;
-                self.ghosts.unpack_border(st, dim, swap, &payloads);
-                st.scalar.resize(st.atoms.ntotal(), 0.0);
+        let (sweep, dim) = staged_sweep(op, round, self.shells);
+        let payloads = self.recv_pair(st, op, dim)?;
+        for (dir, values) in payloads.iter().enumerate() {
+            match op.kind() {
+                OpKind::Border => self.ghosts.append_ghosts(st, sweep * 2 + dir, values),
+                OpKind::Exchange => st.unpack_exchange(values),
+                OpKind::Ghost(g) => self.ghosts.unpack(g, sweep * 2 + dir, st, values),
             }
-            Op::Exchange => {
-                let payloads = self.recv_pair(st, op, round)?;
-                for p in &payloads {
-                    st.unpack_exchange(p);
-                }
-            }
-            Op::Forward => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_pair(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_forward(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::ForwardScalar => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_pair(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_forward_scalar(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::Reverse => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = self.recv_pair(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_reverse(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::ReverseScalar => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = self.recv_pair(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_reverse_scalar(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
+        }
+        // EAM scalar buffers must track the growing ghost tail.
+        if op == Op::Border {
+            st.scalar.resize(st.atoms.ntotal(), 0.0);
         }
         Ok(())
     }
@@ -1830,9 +1496,18 @@ mod tests {
         // The repeated ghost ops serialize frames in place inside the
         // registered send regions: wire bytes move, but `bytes_copied`
         // stays at zero on both the direct-x (pool6) and framed (coarse4)
-        // variants. Border stays on the staged path and is measured.
+        // variants. Border and Exchange discover their payload while
+        // packing, pass through a staging copy, and are measured.
         for cfg in [UtofuConfig::pool6(), UtofuConfig::coarse4()] {
             let mut f = fixture(cfg);
+            for round in 0..3 {
+                for (e, st) in f.engines.iter_mut().zip(f.states.iter_mut()) {
+                    e.post(Op::Exchange, round, st).unwrap();
+                }
+                for (e, st) in f.engines.iter_mut().zip(f.states.iter_mut()) {
+                    e.complete(Op::Exchange, round, st).unwrap();
+                }
+            }
             drive(&mut f, Op::Border);
             for st in f.states.iter_mut() {
                 let n = st.atoms.ntotal();
@@ -1847,8 +1522,11 @@ mod tests {
             for e in &f.engines {
                 total.merge(&e.op_stats());
             }
-            let border = total.op_total(Op::Border);
-            assert!(border.bytes_copied > 0, "staged border must count copies");
+            for op in [Op::Border, Op::Exchange] {
+                let t = total.op_total(op);
+                assert!(t.bytes_copied > 0, "staged {op:?} must count copies");
+                assert_eq!(t.bytes_copied, t.bytes, "{op:?} stages every byte");
+            }
             for op in [
                 Op::Forward,
                 Op::ForwardScalar,
@@ -2012,13 +1690,7 @@ mod tests {
             // two queued per link it reads whatever bytes sit in the
             // buffers the arrivals point to.)
             let n = f.states[0].graph.recv.len();
-            let expected: Vec<Stadd> = f.engines[0]
-                .ghost_in
-                .bufs
-                .iter()
-                .flatten()
-                .copied()
-                .collect();
+            let expected: Vec<Stadd> = f.engines[0].ghost_in.iter().flatten().copied().collect();
             let (arrivals, _) = wait_arrivals(&f.net, f.engines[0].node, 0.0, n, |a| {
                 a.len > 0 && expected.contains(&a.stadd)
             });

@@ -69,11 +69,10 @@ pub fn combined_size(n: usize) -> usize {
 /// Bytes of the combined frame's count header.
 pub const COMBINED_HEADER_BYTES: usize = 8;
 
-/// Destination for streamed `f64` payloads. The pack routines are written
-/// once against this trait and run unchanged over either a staging `Vec`
-/// (classic path, later copied by [`frame_combined`]) or a
-/// [`CombinedWriter`] over a registered region (zero-copy path, no staging
-/// copy at all).
+/// Destination for streamed `f64` payloads. The ghost-op pack is written
+/// once against this trait and runs unchanged over a `Vec<f64>` (tests),
+/// the `Vec<u8>` handed to the MPI transport, or a [`CombinedWriter`] over
+/// a registered region (uTofu: no staging copy at all).
 pub trait F64Sink {
     /// Append one value.
     fn put_f64(&mut self, v: f64);
@@ -93,6 +92,14 @@ impl F64Sink for Vec<f64> {
 
     fn put_f64s(&mut self, vs: &[f64]) {
         self.extend_from_slice(vs);
+    }
+}
+
+/// Little-endian bytes appended in place — the same bytes as
+/// [`encode_f64s`], without the intermediate `Vec<f64>`.
+impl F64Sink for Vec<u8> {
+    fn put_f64(&mut self, v: f64) {
+        self.extend_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -291,6 +298,15 @@ mod tests {
         v.put_f64(1.0);
         v.put_f64s(&[2.0, 3.0]);
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn byte_sink_matches_encode_f64s() {
+        let vals = [1.0, -2.5, 3.25e10, -0.0];
+        let mut b: Vec<u8> = Vec::new();
+        b.put_f64(vals[0]);
+        b.put_f64s(&vals[1..]);
+        assert_eq!(b, encode_f64s(&vals).as_ref());
     }
 
     #[test]

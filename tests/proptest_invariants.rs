@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use tofumd::comm::border_bin::BorderBins;
-use tofumd::comm::engine::RankState;
-use tofumd::comm::p2p::P2pGhosts;
+use tofumd::comm::engine::{GhostOp, RankState};
+use tofumd::comm::ghost::GhostLayout;
 use tofumd::comm::plan::{CommPlan, PlanConfig};
 use tofumd::comm::sf::CommGraph;
 use tofumd::comm::topo_map::{Placement, RankMap};
@@ -116,8 +116,9 @@ proptest! {
         }
     }
 
-    /// Pack/unpack round-trip through the p2p ghost bookkeeping: forward
-    /// payloads reproduce positions exactly on the ghost side.
+    /// Border selection through the ghost layout: every record carries
+    /// the tag and the edge-shifted position, and the forward op then packs
+    /// exactly the atoms Border selected.
     #[test]
     fn p2p_forward_roundtrip(
         atoms in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0), 1..60),
@@ -135,8 +136,9 @@ proptest! {
         let pos: Vec<[f64; 3]> = atoms.iter().map(|&(x, y, z)| [x, y, z]).collect();
         let mut st = RankState::new(Atoms::from_positions(pos, 1), graph);
         let sel = st.graph.selector();
-        let mut g = P2pGhosts::default();
-        let payloads = g.pack_border(&st, &sel);
+        let mut g = GhostLayout::default();
+        g.reset(&mut st.atoms, st.graph.send.iter().map(|e| e.shift));
+        let payloads = g.select_border(&st, &sel);
         // Feed the payloads back as if we were our own neighbor: parse and
         // confirm every record preserves the tag and the shifted position.
         for (k, payload) in payloads.iter().enumerate() {
@@ -148,12 +150,17 @@ proptest! {
                 }
             }
         }
-        // Forward payload lengths always match send-list lengths.
-        for k in 0..st.graph.send.len() {
-            let fwd = g.pack_forward(&st, k);
-            prop_assert_eq!(fwd.len(), g.send_lists[k].len() * 3);
+        // The forward op packs the positions of exactly those atoms.
+        for (k, payload) in payloads.iter().enumerate() {
+            let mut fwd: Vec<f64> = Vec::new();
+            g.pack(GhostOp::Forward, k, &st, &mut fwd);
+            prop_assert_eq!(fwd.len(), g.len(GhostOp::Forward, k));
+            let border_x: Vec<f64> = wire::parse_border_records(payload)
+                .iter()
+                .flat_map(|r| r.2)
+                .collect();
+            prop_assert_eq!(fwd, border_x);
         }
-        let _ = &mut st;
     }
 
     /// Every neighbor-offset set splits face/edge/corner counts correctly
