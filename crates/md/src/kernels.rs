@@ -33,9 +33,11 @@ pub const CHUNK_ROWS: usize = 256;
 /// vector (the paper's A64FX target). Blocks are full-width only — the
 /// `len % LANE_WIDTH` remainder always runs the scalar tail — so the lane
 /// loops have constant trip counts the compiler can keep branch-free.
+/// (The neighbor build has no tail: its stream is padded by one block.)
 pub const LANE_WIDTH: usize = 8;
 
-/// Which inner-loop implementation the force/density/neighbor kernels run.
+/// Which inner-loop implementation the force/density kernels run (the
+/// neighbor build has a single row scan and no mode).
 ///
 /// Both modes are bit-identical at any `--threads`: the blocked path
 /// batches only the *per-pair* arithmetic (each lane performs the same

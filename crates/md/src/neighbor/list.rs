@@ -1,9 +1,11 @@
 //! Verlet neighbor lists (half/Newton and full variants) with skin and
 //! the two rebuild policies of Table 2 (`check no` / `check yes`).
 
-use super::bins::CellBins;
+use super::bins::{BinStream, CellBins};
 use crate::atom::Atoms;
-use crate::kernels::{self, KernelMode, CHUNK_ROWS, LANE_WIDTH};
+use crate::kernels::{KernelMode, CHUNK_ROWS, LANE_WIDTH};
+use std::cmp::Ordering;
+use std::ops::Range;
 use tofumd_threadpool::ChunkExec;
 
 /// Which pairs a list stores.
@@ -56,141 +58,242 @@ pub fn ghost_pair_belongs_to_i(xi: &[f64; 3], xj: &[f64; 3]) -> bool {
     xj[0] > xi[0]
 }
 
-/// The non-geometric half of the candidate filter: does the pair (i, j)
-/// belong in row `i` under this list kind? (Pure control flow — no
-/// floating-point accumulation, so factoring it out of the scan cannot
-/// change any bits.)
-#[inline]
-fn kind_accepts(
-    kind: ListKind,
-    nlocal: usize,
-    i: usize,
-    j: usize,
-    xi: &[f64; 3],
-    xj: &[f64; 3],
-) -> bool {
-    match kind {
-        ListKind::Full => true,
-        ListKind::HalfNewton => {
-            if j < nlocal {
-                // local-local: store once under the lower index
-                j >= i
-            } else {
-                ghost_pair_belongs_to_i(xi, xj)
+// The lane table and the byte-gathering multiply are written for 8 lanes.
+const _: () = assert!(LANE_WIDTH == 8);
+
+/// Lane table of the left-pack: `PACK[m]` lists the set bits of the 8-bit
+/// acceptance mask `m` in ascending order (unused tail entries 0).
+const PACK: [[u8; LANE_WIDTH]; 256] = {
+    let mut table = [[0u8; LANE_WIDTH]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let (mut n, mut k) = (0, 0);
+        while k < LANE_WIDTH {
+            if (m >> k) & 1 == 1 {
+                table[m][n] = k as u8;
+                n += 1;
             }
+            k += 1;
         }
-        // Ghost pairs always belong to the local side; the half ghost
-        // shell guarantees uniqueness.
-        ListKind::HalfOneSided => j >= nlocal || j >= i,
+        m += 1;
+    }
+    table
+};
+
+/// Most stream ranges one row scans: nine stencil lines, or — with the
+/// lower-half skip — twelve ghost segments below the center line, one
+/// ghost segment and one range on it, four ranges above.
+const MAX_SPANS: usize = 18;
+
+/// Neighbor rows under construction. Every block of the compaction
+/// stores all [`LANE_WIDTH`] left-packed lanes and then advances by the
+/// number accepted, so `buf` runs ahead of `len` by whatever the row
+/// reserved; `lens` records each finished row; `flags` is the distance
+/// pass's per-candidate verdict, reused from range to range.
+#[derive(Default)]
+struct RowChunk {
+    buf: Vec<u32>,
+    len: usize,
+    lens: Vec<u32>,
+    flags: Vec<u8>,
+}
+
+impl RowChunk {
+    /// The window past `len` that `blocks` full-width stores can touch,
+    /// and `widest` verdict bytes.
+    #[inline]
+    fn scratch(&mut self, blocks: usize, widest: usize) -> (&mut [u32], &mut [u8]) {
+        let need = self.len + blocks * LANE_WIDTH;
+        if self.buf.len() < need {
+            self.buf.resize(need.max(2 * self.buf.len()), 0);
+        }
+        if self.flags.len() < widest {
+            self.flags.resize(widest, 0);
+        }
+        (&mut self.buf[self.len..need], &mut self.flags[..widest])
+    }
+
+    /// The stored neighbors (rows back to back).
+    fn neigh(&self) -> &[u32] {
+        &self.buf[..self.len]
     }
 }
 
-/// Append row `i`'s accepted neighbors to `out`, in exactly the order the
-/// 27-bin stencil scan produces (bins in ascending `(dz, dy, dx)` order,
-/// atoms in ascending index order within each bin).
-///
-/// When `skip_lower_locals` is set (local atoms sorted by flat bin index,
-/// half-list build), the *local* segments of the 13 lexicographically lower
-/// stencil cells are skipped: a lex-lower in-range cell always has a
-/// strictly lower flat index, so with bin-sorted locals every local atom
-/// there has `j < i` and would be rejected by the half-list predicate
-/// anyway. Ghost segments are still scanned — the HalfNewton coordinate
-/// rule can assign a pair to `i` even when the ghost sits in a lower bin —
-/// so the accepted-neighbor sequence is *identical* to the full scan, and
-/// the resulting forces are bit-for-bit the same.
-///
-/// With `mode == KernelMode::Blocked` each candidate segment's distance
-/// checks run in [`LANE_WIDTH`]-wide blocks (the r² arithmetic per lane is
-/// the scalar check's exact IEEE op sequence; acceptance still walks lanes
-/// in candidate order), with the segment remainder on the scalar tail —
-/// the accepted stream is bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn append_row_neighbors(
-    bins: &CellBins,
-    x: &[[f64; 3]],
-    nlocal: usize,
-    kind: ListKind,
+/// What one row scan needs to know about its row.
+#[derive(Clone, Copy)]
+struct Row {
+    i: u32,
+    xi: [f64; 3],
+    nlocal: u32,
     cutsq: f64,
-    skip_lower_locals: bool,
-    mode: KernelMode,
-    i: usize,
-    out: &mut Vec<u32>,
-) {
-    let xi = x[i];
-    let c = bins.coord_of(&xi);
-    let c = [c[0] as i64, c[1] as i64, c[2] as i64];
-    let nb = bins.nbin();
-    let mut dxs = [[0.0f64; 3]; LANE_WIDTH];
-    let mut r2s = [0.0f64; LANE_WIDTH];
-    for dz in -1..=1i64 {
-        let z = c[2] + dz;
-        if z < 0 || z >= nb[2] as i64 {
+}
+
+/// Scan one contiguous stream range for row `row`, appending the *stream
+/// positions* of the accepted candidates to `dst[n..]`; returns the new
+/// `n`. Two passes, neither with a branch that depends on a candidate:
+///
+/// 1. the distance pass writes one verdict byte per candidate — `r²` with
+///    the op sequence `d0*d0 + d1*d1 + d2*d2` (left to right), `r² <
+///    cutsq`, and the list-kind rule — a flat loop over four parallel
+///    arrays, which is what the vectorizer wants;
+/// 2. the compaction gathers each block's eight verdicts into an 8-bit
+///    mask and left-packs the block's positions through [`PACK`].
+///
+/// `NEWTON` selects the ghost rule: the `(z, y, x)` coordinate rule of
+/// [`ghost_pair_belongs_to_i`] when set, "always" when clear. `HALF`
+/// selects the local rule: `j > i` when set, `j != i` when clear. (A
+/// ghost's index is above every local's, so HalfOneSided is `HALF` alone.)
+#[inline(always)]
+fn scan_span<const HALF: bool, const NEWTON: bool>(
+    s: &BinStream<'_>,
+    span: Range<usize>,
+    row: &Row,
+    flags: &mut [u8],
+    dst: &mut [u32],
+    mut n: usize,
+) -> usize {
+    let len = span.len();
+    // The stream's pad makes the rounded-up range readable.
+    let padded = span.start..span.start + len.next_multiple_of(LANE_WIDTH);
+    let flags = &mut flags[..padded.len()];
+    let [xi0, xi1, xi2] = row.xi;
+    let candidates = s.xs[padded.clone()]
+        .iter()
+        .zip(&s.ys[padded.clone()])
+        .zip(&s.zs[padded.clone()])
+        .zip(&s.idx[padded]);
+    for ((((&xj, &yj), &zj), &j), keep) in candidates.zip(flags.iter_mut()) {
+        let d0 = xi0 - xj;
+        let d1 = xi1 - yj;
+        let d2 = xi2 - zj;
+        let r2 = d0 * d0 + d1 * d1 + d2 * d2;
+        let local_rule = if HALF { j > row.i } else { j != row.i };
+        let rule = if NEWTON {
+            let above = (zj > xi2) | ((zj == xi2) & ((yj > xi1) | ((yj == xi1) & (xj > xi0))));
+            let ghost = j >= row.nlocal;
+            (ghost & above) | (!ghost & local_rule)
+        } else {
+            local_rule
+        };
+        *keep = u8::from((r2 < row.cutsq) & rule);
+    }
+    // Lanes past the range end belong to the next bin.
+    flags[len..].fill(0);
+    let (blocks, _) = flags.as_chunks::<LANE_WIDTH>();
+    for (q, keep) in blocks.iter().enumerate() {
+        // Gather the eight 0/1 bytes into one 8-bit mask: the multiplier
+        // moves byte k's bit 0 to bit 56 + k, and no two partial products
+        // collide, so nothing carries.
+        let mask = u64::from_le_bytes(*keep).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        let base = (span.start + q * LANE_WIDTH) as u32;
+        let lanes = &PACK[mask as usize];
+        for (d, &lane) in dst[n..n + LANE_WIDTH].iter_mut().zip(lanes) {
+            *d = base + u32::from(lane);
+        }
+        n += mask.count_ones() as usize;
+    }
+    n
+}
+
+/// The stream ranges row `row` scans, in stencil order — bins in
+/// ascending `(dz, dy, dx)`, which with atoms in ascending index order
+/// inside each bin (locals, then ghosts) is the row's neighbor order.
+/// Returns how many entries of `spans` were written; none is empty.
+///
+/// The three x-adjacent bins of a `(dz, dy)` stencil line are adjacent in
+/// flat order, hence one range, scanned left to right — the same order as
+/// bin by bin. A line, or an end bin of a line, is dropped when a lower
+/// bound on its distance from `xi` ([`BinGrid::gaps`]) already exceeds
+/// the cutoff: it holds no accepted neighbor, so dropping it removes
+/// nothing from the row and reorders nothing.
+///
+/// When `skip_lower` is set (local atoms sorted by flat bin index, half
+/// list), the *local* segments of the 13 lexicographically lower stencil
+/// bins are skipped: a lex-lower in-range bin has a strictly lower flat
+/// index, so with bin-sorted locals every local atom there has `j < i`
+/// and the half-list rule would reject it. Their ghost segments are still
+/// scanned, bin by bin — the HalfNewton coordinate rule can assign a pair
+/// to `i` even when the ghost sits in a lower bin.
+fn row_spans(
+    bins: &CellBins,
+    xi: &[f64; 3],
+    cutsq_prune: f64,
+    skip_lower: bool,
+    spans: &mut [Range<usize>; MAX_SPANS],
+) -> usize {
+    let grid = bins.grid();
+    let c = grid.coord_of(xi);
+    let nb = grid.nbin();
+    // Squared gap to the cells below / in / above `c`, per dimension.
+    let gap2 = |d: usize| {
+        let [below, above] = grid.gaps(d, c[d], xi[d]);
+        [below * below, 0.0, above * above]
+    };
+    let (gx2, gy2, gz2) = (gap2(0), gap2(1), gap2(2));
+    // Stencil offsets run 0..3 for -1..=1; an offset is in the grid when
+    // `c + o` lies in 1..=nbin.
+    let in_grid = |d: usize, o: usize| (1..=nb[d]).contains(&(c[d] + o));
+    let mut count = 0;
+    let mut push = |span: Range<usize>| {
+        if !span.is_empty() {
+            spans[count] = span;
+            count += 1;
+        }
+    };
+    for oz in 0..3 {
+        if !in_grid(2, oz) {
             continue;
         }
-        for dy in -1..=1i64 {
-            let y = c[1] + dy;
-            if y < 0 || y >= nb[1] as i64 {
+        for oy in 0..3 {
+            let line2 = gz2[oz] + gy2[oy];
+            if !in_grid(1, oy) || line2 > cutsq_prune {
                 continue;
             }
-            for dx in -1..=1i64 {
-                let xx = c[0] + dx;
-                if xx < 0 || xx >= nb[0] as i64 {
-                    continue;
-                }
-                let b = bins.flat([xx as usize, y as usize, z as usize]);
-                let cand = if skip_lower_locals && (dz, dy, dx) < (0, 0, 0) {
-                    bins.ghosts(b)
-                } else {
-                    bins.bin(b)
-                };
-                let scalar_from = if mode == KernelMode::Blocked {
-                    let full = cand.len() - cand.len() % LANE_WIDTH;
-                    for blk in cand[..full].chunks_exact(LANE_WIDTH) {
-                        kernels::gather_dx_r2(xi, x, blk, &mut dxs, &mut r2s);
-                        for k in 0..LANE_WIDTH {
-                            let ju = blk[k];
-                            let j = ju as usize;
-                            if j != i
-                                && r2s[k] < cutsq
-                                && kind_accepts(kind, nlocal, i, j, &xi, &x[j])
-                            {
-                                out.push(ju);
-                            }
-                        }
-                    }
-                    full
-                } else {
-                    0
-                };
-                for &ju in &cand[scalar_from..] {
-                    let j = ju as usize;
-                    if j == i {
-                        continue;
-                    }
-                    let xj = x[j];
-                    if !kind_accepts(kind, nlocal, i, j, &xi, &xj) {
-                        continue;
-                    }
-                    let dd0 = xi[0] - xj[0];
-                    let dd1 = xi[1] - xj[1];
-                    let dd2 = xi[2] - xj[2];
-                    let r2 = dd0 * dd0 + dd1 * dd1 + dd2 * dd2;
-                    if r2 < cutsq {
-                        out.push(ju);
-                    }
-                }
+            let x_lo = c[0] - usize::from(in_grid(0, 0) && line2 + gx2[0] <= cutsq_prune);
+            let x_hi = c[0] + usize::from(in_grid(0, 2) && line2 + gx2[2] <= cutsq_prune);
+            let base = grid.flat([0, c[1] + oy - 1, c[2] + oz - 1]);
+            // First bin of the line whose locals are scanned.
+            let first_full = match (skip_lower, (oz, oy).cmp(&(1, 1))) {
+                (false, _) | (true, Ordering::Greater) => x_lo,
+                (true, Ordering::Equal) => c[0],
+                (true, Ordering::Less) => x_hi + 1,
+            };
+            for x in x_lo..first_full {
+                push(bins.ghost_span(base + x));
+            }
+            if first_full <= x_hi {
+                push(bins.span(base + first_full, base + x_hi));
             }
         }
     }
+    count
 }
 
-/// Per-chunk output of the parallel neighbor build: the chunk's flattened
-/// neighbor indices plus per-row lengths, stitched into the CSR arrays in
-/// chunk order afterwards.
-struct RowChunk {
-    neigh: Vec<u32>,
-    lens: Vec<u32>,
+/// Append row `row`'s accepted neighbors to `out`: scan the row's stream
+/// ranges in order, then turn the packed stream positions into atom
+/// indices.
+fn append_row_neighbors<const HALF: bool, const NEWTON: bool>(
+    bins: &CellBins,
+    row: &Row,
+    cutsq_prune: f64,
+    skip_lower: bool,
+    out: &mut RowChunk,
+) {
+    let mut spans = [const { 0..0 }; MAX_SPANS];
+    let count = row_spans(bins, &row.xi, cutsq_prune, skip_lower, &mut spans);
+    let spans = &spans[..count];
+    let blocks = spans.iter().map(|s| s.len().div_ceil(LANE_WIDTH)).sum();
+    let widest = spans.iter().map(Range::len).max().unwrap_or(0);
+    let s = bins.stream();
+    let (dst, flags) = out.scratch(blocks, widest.next_multiple_of(LANE_WIDTH));
+    let mut n = 0;
+    for span in spans {
+        n = scan_span::<HALF, NEWTON>(&s, span.clone(), row, flags, dst, n);
+    }
+    for e in &mut dst[..n] {
+        *e = s.idx[*e as usize];
+    }
+    out.len += n;
 }
 
 impl NeighborList {
@@ -208,6 +311,58 @@ impl NeighborList {
         }
     }
 
+    /// Bin `atoms` over `[lo, hi]` and scan the rows `want` selects, in
+    /// [`CHUNK_ROWS`]-row chunks fanned out over `exec`. Unselected rows
+    /// are present but empty.
+    fn build_rows(
+        atoms: &Atoms,
+        lo: [f64; 3],
+        hi: [f64; 3],
+        kind: ListKind,
+        cutoff_list: f64,
+        exec: &ChunkExec<'_>,
+        want: &(dyn Fn(usize) -> bool + Sync),
+    ) -> Vec<RowChunk> {
+        let cutsq = cutoff_list * cutoff_list;
+        // A pruned bin's lower-bound distance must exceed every distance
+        // the `r² < cutsq` test can accept; the factor covers the rounding
+        // of both sums.
+        let cutsq_prune = cutsq * (1.0 + 16.0 * f64::EPSILON);
+        let mut bins = CellBins::new(lo, hi, cutoff_list);
+        bins.fill(&atoms.x, atoms.nlocal);
+        let skip_lower = bins.sorted_locals() && !matches!(kind, ListKind::Full);
+
+        let nlocal = atoms.nlocal;
+        let mut chunks: Vec<RowChunk> = Vec::new();
+        chunks.resize_with(nlocal.div_ceil(CHUNK_ROWS), RowChunk::default);
+        let append = match kind {
+            ListKind::HalfNewton => append_row_neighbors::<true, true>,
+            ListKind::HalfOneSided => append_row_neighbors::<true, false>,
+            ListKind::Full => append_row_neighbors::<false, false>,
+        };
+        let bins = &bins;
+        let x = &atoms.x;
+        let exec = &exec.floored(nlocal);
+        exec.for_each_mut(&mut chunks, &|c, chunk| {
+            let row_lo = c * CHUNK_ROWS;
+            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
+            for i in row_lo..row_hi {
+                let before = chunk.len;
+                if want(i) {
+                    let row = Row {
+                        i: i as u32,
+                        xi: x[i],
+                        nlocal: nlocal as u32,
+                        cutsq,
+                    };
+                    append(bins, &row, cutsq_prune, skip_lower, chunk);
+                }
+                chunk.lens.push((chunk.len - before) as u32);
+            }
+        });
+        chunks
+    }
+
     /// Build a list for the local atoms of `atoms`, binning local + ghost
     /// positions over the extended bounds `[lo, hi]`.
     ///
@@ -222,46 +377,7 @@ impl NeighborList {
         cutoff_force: f64,
         skin: f64,
     ) -> Self {
-        Self::build_with_mode(atoms, lo, hi, kind, cutoff_force, skin, KernelMode::Scalar)
-    }
-
-    /// [`NeighborList::build`] with an explicit inner-loop mode (the list
-    /// is bit-identical either way).
-    #[must_use]
-    pub fn build_with_mode(
-        atoms: &Atoms,
-        lo: [f64; 3],
-        hi: [f64; 3],
-        kind: ListKind,
-        cutoff_force: f64,
-        skin: f64,
-        mode: KernelMode,
-    ) -> Self {
-        let cutoff_list = cutoff_force + skin;
-        let cutsq = cutoff_list * cutoff_list;
-        let mut bins = CellBins::new(lo, hi, cutoff_list);
-        bins.fill(&atoms.x, atoms.nlocal);
-        let skip_lower = bins.sorted_locals() && !matches!(kind, ListKind::Full);
-
-        let nlocal = atoms.nlocal;
-        let mut offsets = Vec::with_capacity(nlocal + 1);
-        let mut neigh = Vec::new();
-        offsets.push(0u32);
-
-        for i in 0..nlocal {
-            append_row_neighbors(
-                &bins, &atoms.x, nlocal, kind, cutsq, skip_lower, mode, i, &mut neigh,
-            );
-            offsets.push(neigh.len() as u32);
-        }
-
-        NeighborList {
-            kind,
-            offsets,
-            neigh,
-            cutoff_list,
-            x_at_build: atoms.x[..nlocal].to_vec(),
-        }
+        Self::build_chunked(atoms, lo, hi, kind, cutoff_force, skin, &ChunkExec::Serial)
     }
 
     /// Chunk-parallel [`NeighborList::build`]: rows are split into
@@ -278,20 +394,14 @@ impl NeighborList {
         skin: f64,
         exec: &ChunkExec<'_>,
     ) -> Self {
-        Self::build_chunked_mode(
-            atoms,
-            lo,
-            hi,
-            kind,
-            cutoff_force,
-            skin,
-            exec,
-            KernelMode::Scalar,
-        )
+        let cutoff_list = cutoff_force + skin;
+        let chunks = Self::build_rows(atoms, lo, hi, kind, cutoff_list, exec, &|_| true);
+        Self::stitch(&chunks, kind, cutoff_list, atoms)
     }
 
-    /// [`NeighborList::build_chunked`] with an explicit inner-loop mode
-    /// (the list is bit-identical either way).
+    /// Alias of [`NeighborList::build_chunked`]: the list does not depend
+    /// on the kernel mode (there is one row scan), and `_mode` is ignored.
+    /// Kept because the benchmark package calls it by this name.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn build_chunked_mode(
@@ -302,46 +412,9 @@ impl NeighborList {
         cutoff_force: f64,
         skin: f64,
         exec: &ChunkExec<'_>,
-        mode: KernelMode,
+        _mode: KernelMode,
     ) -> Self {
-        let cutoff_list = cutoff_force + skin;
-        let cutsq = cutoff_list * cutoff_list;
-        let mut bins = CellBins::new(lo, hi, cutoff_list);
-        bins.fill(&atoms.x, atoms.nlocal);
-        let skip_lower = bins.sorted_locals() && !matches!(kind, ListKind::Full);
-
-        let nlocal = atoms.nlocal;
-        let nchunks = nlocal.div_ceil(CHUNK_ROWS);
-        let mut chunks: Vec<RowChunk> = (0..nchunks)
-            .map(|_| RowChunk {
-                neigh: Vec::new(),
-                lens: Vec::new(),
-            })
-            .collect();
-        let bins_ref = &bins;
-        let x = &atoms.x;
-        let exec = &exec.floored(nlocal);
-        exec.for_each_mut(&mut chunks, &|c, chunk| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
-            for i in row_lo..row_hi {
-                let before = chunk.neigh.len();
-                append_row_neighbors(
-                    bins_ref,
-                    x,
-                    nlocal,
-                    kind,
-                    cutsq,
-                    skip_lower,
-                    mode,
-                    i,
-                    &mut chunk.neigh,
-                );
-                chunk.lens.push((chunk.neigh.len() - before) as u32);
-            }
-        });
-
-        Self::stitch(&chunks, nlocal, kind, cutoff_list, &atoms.x)
+        Self::build_chunked(atoms, lo, hi, kind, cutoff_force, skin, exec)
     }
 
     /// Build only the *interior* rows of a split rebuild: rows flagged
@@ -371,75 +444,10 @@ impl NeighborList {
         interior: &[bool],
         exec: &ChunkExec<'_>,
     ) -> Self {
-        Self::build_interior_mode(
-            atoms,
-            lo,
-            hi,
-            kind,
-            cutoff_force,
-            skin,
-            interior,
-            exec,
-            KernelMode::Scalar,
-        )
-    }
-
-    /// [`NeighborList::build_interior`] with an explicit inner-loop mode
-    /// (the list is bit-identical either way).
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_interior_mode(
-        atoms: &Atoms,
-        lo: [f64; 3],
-        hi: [f64; 3],
-        kind: ListKind,
-        cutoff_force: f64,
-        skin: f64,
-        interior: &[bool],
-        exec: &ChunkExec<'_>,
-        mode: KernelMode,
-    ) -> Self {
         debug_assert_eq!(atoms.nghost(), 0, "interior build runs pre-ghost");
         let cutoff_list = cutoff_force + skin;
-        let cutsq = cutoff_list * cutoff_list;
-        let mut bins = CellBins::new(lo, hi, cutoff_list);
-        bins.fill(&atoms.x, atoms.nlocal);
-        let skip_lower = bins.sorted_locals() && !matches!(kind, ListKind::Full);
-
-        let nlocal = atoms.nlocal;
-        let nchunks = nlocal.div_ceil(CHUNK_ROWS);
-        let mut chunks: Vec<RowChunk> = (0..nchunks)
-            .map(|_| RowChunk {
-                neigh: Vec::new(),
-                lens: Vec::new(),
-            })
-            .collect();
-        let bins_ref = &bins;
-        let x = &atoms.x;
-        let exec = &exec.floored(nlocal);
-        exec.for_each_mut(&mut chunks, &|c, chunk| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
-            for i in row_lo..row_hi {
-                let before = chunk.neigh.len();
-                if interior[i] {
-                    append_row_neighbors(
-                        bins_ref,
-                        x,
-                        nlocal,
-                        kind,
-                        cutsq,
-                        skip_lower,
-                        mode,
-                        i,
-                        &mut chunk.neigh,
-                    );
-                }
-                chunk.lens.push((chunk.neigh.len() - before) as u32);
-            }
-        });
-
-        Self::stitch(&chunks, nlocal, kind, cutoff_list, &atoms.x)
+        let chunks = Self::build_rows(atoms, lo, hi, kind, cutoff_list, exec, &|i| interior[i]);
+        Self::stitch(&chunks, kind, cutoff_list, atoms)
     }
 
     /// Complete a split rebuild: build the rows flagged `false` in
@@ -459,76 +467,17 @@ impl NeighborList {
         interior: &[bool],
         exec: &ChunkExec<'_>,
     ) -> Self {
-        Self::build_boundary_mode(
-            atoms,
-            lo,
-            hi,
-            interior_list,
-            interior,
-            exec,
-            KernelMode::Scalar,
-        )
-    }
-
-    /// [`NeighborList::build_boundary`] with an explicit inner-loop mode
-    /// (the list is bit-identical either way).
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_boundary_mode(
-        atoms: &Atoms,
-        lo: [f64; 3],
-        hi: [f64; 3],
-        interior_list: &NeighborList,
-        interior: &[bool],
-        exec: &ChunkExec<'_>,
-        mode: KernelMode,
-    ) -> Self {
         let kind = interior_list.kind;
         let cutoff_list = interior_list.cutoff_list;
-        let cutsq = cutoff_list * cutoff_list;
-        let mut bins = CellBins::new(lo, hi, cutoff_list);
-        bins.fill(&atoms.x, atoms.nlocal);
-        let skip_lower = bins.sorted_locals() && !matches!(kind, ListKind::Full);
-
-        let nlocal = atoms.nlocal;
-        let nchunks = nlocal.div_ceil(CHUNK_ROWS);
-        let mut chunks: Vec<RowChunk> = (0..nchunks)
-            .map(|_| RowChunk {
-                neigh: Vec::new(),
-                lens: Vec::new(),
-            })
-            .collect();
-        let bins_ref = &bins;
-        let x = &atoms.x;
-        let exec = &exec.floored(nlocal);
-        exec.for_each_mut(&mut chunks, &|c, chunk| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
-            for i in row_lo..row_hi {
-                let before = chunk.neigh.len();
-                if !interior[i] {
-                    append_row_neighbors(
-                        bins_ref,
-                        x,
-                        nlocal,
-                        kind,
-                        cutsq,
-                        skip_lower,
-                        mode,
-                        i,
-                        &mut chunk.neigh,
-                    );
-                }
-                chunk.lens.push((chunk.neigh.len() - before) as u32);
-            }
-        });
+        let chunks = Self::build_rows(atoms, lo, hi, kind, cutoff_list, exec, &|i| !interior[i]);
 
         // Merge row-by-row: interior rows from the pre-ghost half,
         // boundary rows from this pass.
+        let nlocal = atoms.nlocal;
         let mut offsets = Vec::with_capacity(nlocal + 1);
         offsets.push(0u32);
         let mut neigh = Vec::new();
-        let mut cursors = vec![0usize; nchunks];
+        let mut cursors = vec![0usize; chunks.len()];
         for i in 0..nlocal {
             let c = i / CHUNK_ROWS;
             let len = chunks[c].lens[i - c * CHUNK_ROWS] as usize;
@@ -537,7 +486,7 @@ impl NeighborList {
                 neigh.extend_from_slice(interior_list.neighbors(i));
             } else {
                 let at = cursors[c];
-                neigh.extend_from_slice(&chunks[c].neigh[at..at + len]);
+                neigh.extend_from_slice(&chunks[c].neigh()[at..at + len]);
             }
             cursors[c] += len;
             offsets.push(neigh.len() as u32);
@@ -553,13 +502,8 @@ impl NeighborList {
     }
 
     /// Stitch per-chunk rows into a CSR list (chunk order = row order).
-    fn stitch(
-        chunks: &[RowChunk],
-        nlocal: usize,
-        kind: ListKind,
-        cutoff_list: f64,
-        x: &[[f64; 3]],
-    ) -> Self {
+    fn stitch(chunks: &[RowChunk], kind: ListKind, cutoff_list: f64, atoms: &Atoms) -> Self {
+        let nlocal = atoms.nlocal;
         let mut offsets = Vec::with_capacity(nlocal + 1);
         offsets.push(0u32);
         let mut total = 0u32;
@@ -571,14 +515,14 @@ impl NeighborList {
         }
         let mut neigh = Vec::with_capacity(total as usize);
         for chunk in chunks {
-            neigh.extend_from_slice(&chunk.neigh);
+            neigh.extend_from_slice(chunk.neigh());
         }
         NeighborList {
             kind,
             offsets,
             neigh,
             cutoff_list,
-            x_at_build: x[..nlocal].to_vec(),
+            x_at_build: atoms.x[..nlocal].to_vec(),
         }
     }
 
@@ -857,80 +801,55 @@ mod tests {
         }
     }
 
-    /// Blocked-mode builds (one-pass, chunked, and split interior/boundary)
-    /// must produce exactly the scalar build's rows — same neighbors, same
-    /// order — for every list kind, sorted or not.
+    /// The prune never drops a bin holding an in-range atom: on grids
+    /// whose cells are exactly one cutoff wide and sit at an offset where
+    /// face rounding matters, with atoms within ulps of the faces (so a
+    /// neighbor cell's atom can be exactly one cutoff away, give or take
+    /// an ulp), every full-list row is the brute-force in-range set.
     #[test]
-    fn blocked_build_matches_scalar_build() {
-        use crate::neighbor::sort_locals_by_bin;
-        let (cut, skin) = (1.1, 0.3);
-        let r = cut + skin;
-        let lo = [-r; 3];
-        let hi = [6.0 + r; 3];
-        let mut pos = Vec::new();
-        let mut s = 0x1f83_d9ab_fb41_bd6bu64;
-        let mut rnd = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for gz in 0..7 {
-            for gy in 0..7 {
-                for gx in 0..7 {
-                    pos.push([
-                        0.3 + 0.8 * f64::from(gx) + 0.2 * rnd(),
-                        0.3 + 0.8 * f64::from(gy) + 0.2 * rnd(),
-                        0.3 + 0.8 * f64::from(gz) + 0.2 * rnd(),
-                    ]);
+    fn prune_keeps_every_in_range_atom() {
+        let cutoff = 1.1 + 0.3;
+        let cutsq = cutoff * cutoff;
+        for origin in [0.0, -4.2, 1.0e6 + 0.3, -3.0e9] {
+            let lo = [origin; 3];
+            let hi = [origin + 4.0 * cutoff; 3];
+            let near = |face: f64| {
+                let mut p = face;
+                for _ in 0..3 {
+                    p = p.next_down();
+                }
+                (0..7).map(move |_| {
+                    let q = p;
+                    p = p.next_up();
+                    q
+                })
+            };
+            let mut pos = Vec::new();
+            for k in 0..=4 {
+                let face = origin + f64::from(k) * cutoff;
+                for (n, a) in near(face).enumerate() {
+                    // Face-on, edge-on and corner-on approaches.
+                    let mid = origin + (1.5 + 0.1 * n as f64) * cutoff;
+                    pos.push([a, mid, mid]);
+                    pos.push([mid, a, a]);
+                    pos.push([a, a, a]);
                 }
             }
-        }
-        for sorted in [false, true] {
-            for kind in [ListKind::HalfNewton, ListKind::HalfOneSided, ListKind::Full] {
-                let mut a = Atoms::from_positions(pos.clone(), 1);
-                if sorted {
-                    sort_locals_by_bin(&mut a, lo, hi, r);
-                }
-                for tag in 20_000usize..20_120 {
-                    let face = tag % 6;
-                    let off = 0.2 + 1.0 * rnd();
-                    let mut g = [1.0 + 4.0 * rnd(), 1.0 + 4.0 * rnd(), 1.0 + 4.0 * rnd()];
-                    if face < 3 {
-                        g[face] = -off;
-                    } else {
-                        g[face - 3] = 6.0 + off;
-                    }
-                    a.push_ghost(g, 1, tag as u64);
-                }
-                let scalar = NeighborList::build(&a, lo, hi, kind, cut, skin);
-                let blocked =
-                    NeighborList::build_with_mode(&a, lo, hi, kind, cut, skin, KernelMode::Blocked);
-                assert_eq!(
-                    blocked.npairs(),
-                    scalar.npairs(),
-                    "{kind:?} sorted={sorted}"
-                );
-                for i in 0..scalar.nlocal() {
-                    assert_eq!(
-                        blocked.neighbors(i),
-                        scalar.neighbors(i),
-                        "row {i} {kind:?} sorted={sorted}"
-                    );
-                }
-                let chunked = NeighborList::build_chunked_mode(
-                    &a,
-                    lo,
-                    hi,
-                    kind,
-                    cut,
-                    skin,
-                    &ChunkExec::Serial,
-                    KernelMode::Blocked,
-                );
-                for i in 0..scalar.nlocal() {
-                    assert_eq!(chunked.neighbors(i), scalar.neighbors(i));
-                }
+            let atoms = Atoms::from_positions(pos, 1);
+            let list = NeighborList::build(&atoms, lo, hi, ListKind::Full, 1.1, 0.3);
+            for i in 0..atoms.nlocal {
+                let xi = atoms.x[i];
+                let want: Vec<u32> = (0..atoms.nlocal)
+                    .filter(|&j| {
+                        let xj = atoms.x[j];
+                        let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                        j != i && d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < cutsq
+                    })
+                    .map(|j| j as u32)
+                    .collect();
+                let mut got = list.neighbors(i).to_vec();
+                got.sort_unstable();
+                assert_eq!(got, want, "row {i} origin {origin:e}");
             }
         }
     }

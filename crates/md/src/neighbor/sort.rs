@@ -5,11 +5,11 @@
 //! cache-friendly during force passes, and it establishes the
 //! precondition for the half-stencil neighbor traversal — every local
 //! atom in a strictly lower bin has a strictly lower index, detected by
-//! [`CellBins::sorted_locals`] on the next fill. The sort is stable, so
+//! [`super::CellBins::sorted_locals`] on the next fill. The sort is stable, so
 //! atoms sharing a bin keep their relative order and repeating the sort
 //! is a no-op.
 
-use super::bins::CellBins;
+use super::bins::BinGrid;
 use crate::atom::Atoms;
 
 /// Stable-sort the local atoms of `atoms` by flat bin index on the grid
@@ -18,21 +18,33 @@ use crate::atom::Atoms;
 /// the sorted-order detection will not engage. Returns `true` if the
 /// order changed. Must run while no ghosts are present.
 pub fn sort_locals_by_bin(atoms: &mut Atoms, lo: [f64; 3], hi: [f64; 3], min_cell: f64) -> bool {
-    let grid = CellBins::new(lo, hi, min_cell);
+    let grid = BinGrid::new(lo, hi, min_cell);
     let n = atoms.nlocal;
-    let keys: Vec<usize> = atoms.x[..n].iter().map(|x| grid.bin_of(x)).collect();
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.sort_by_key(|&i| keys[i as usize]);
-    let identity = perm.iter().enumerate().all(|(k, &p)| k as u32 == p);
-    if !identity {
-        atoms.reorder_locals(&perm);
+    // Counting sort, as `CellBins::fill` bins: count per bin, prefix-sum
+    // the counts into start slots, scatter in index order — atoms sharing
+    // a bin keep their relative order.
+    let mut slot = vec![0u32; grid.nbins() + 1];
+    let mut keys = Vec::with_capacity(n);
+    if grid.count(&atoms.x[..n], &mut slot, &mut keys) {
+        return false;
     }
-    !identity
+    for b in 1..slot.len() {
+        slot[b] += slot[b - 1];
+    }
+    let mut perm = vec![0u32; n];
+    for (i, &b) in keys.iter().enumerate() {
+        let at = &mut slot[b as usize];
+        perm[*at as usize] = i as u32;
+        *at += 1;
+    }
+    atoms.reorder_locals(&perm);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neighbor::CellBins;
 
     #[test]
     fn sort_engages_the_bins_fast_path() {
@@ -67,5 +79,26 @@ mod tests {
         assert_eq!(atoms.v[slot], [7.0; 3]);
         // Sorted ascending by bin along the diagonal.
         assert_eq!(atoms.tag, vec![11, 12, 10]);
+    }
+
+    #[test]
+    fn counting_sort_is_the_stable_comparison_sort() {
+        let (lo, hi, cell) = ([-1.0, 0.5, -2.0], [9.0, 7.5, 4.0], 1.3);
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut rnd = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let pos: Vec<[f64; 3]> = (0..500)
+            .map(|_| std::array::from_fn(|d| lo[d] + (hi[d] - lo[d]) * rnd()))
+            .collect();
+        let grid = CellBins::new(lo, hi, cell);
+        let mut want: Vec<u64> = (0..500).collect();
+        want.sort_by_key(|&t| grid.bin_of(&pos[t as usize]));
+        let mut atoms = Atoms::from_positions(pos, 0);
+        assert!(sort_locals_by_bin(&mut atoms, lo, hi, cell));
+        assert_eq!(atoms.tag, want);
     }
 }

@@ -4,11 +4,14 @@
 //! LJ/EAM passes are **bit-identical** to the serial seed kernels — same
 //! force bits, same energy/virial bits — at any thread count, with or
 //! without spatial sorting; and spatial sorting permutes atoms without
-//! changing which pairs exist.
+//! changing which pairs exist. The neighbor build itself is held, row for
+//! row, to the per-candidate reference scan kept here as [`oracle_rows`].
 
 use proptest::prelude::*;
 use tofumd_md::kernels::{KernelMode, PairScratch};
-use tofumd_md::neighbor::{sort_locals_by_bin, ListKind, NeighborList};
+use tofumd_md::neighbor::{
+    ghost_pair_belongs_to_i, sort_locals_by_bin, CellBins, ListKind, NeighborList,
+};
 use tofumd_md::potential::{EamCu, LjCut, ManyBodyPotential, PairPotential};
 use tofumd_md::Atoms;
 use tofumd_threadpool::{ChunkExec, SpinPool};
@@ -288,49 +291,275 @@ proptest! {
     }
 }
 
-/// Small-N thread scaling: with the work floor in [`ChunkExec`], an
-/// 8-thread pool must not be meaningfully slower than serial at 2048
-/// atoms (the floor routes tiny systems to the serial loop, so the pool
-/// dispatch overhead never dominates). Order-of-magnitude pin only —
-/// wall-clock, so the bound is deliberately loose.
-#[test]
-fn small_system_pool_not_slower_than_serial() {
-    let mut locals = Vec::new();
-    for ix in 0..16 {
-        for iy in 0..16 {
-            for iz in 0..8 {
-                locals.push([
-                    0.05 + 0.6 * f64::from(ix),
-                    0.05 + 0.6 * f64::from(iy),
-                    0.05 + 1.2 * f64::from(iz),
-                ]);
+/// Does the pair (i, j) belong in row `i` under this list kind?
+fn kind_accepts(
+    kind: ListKind,
+    nlocal: usize,
+    i: usize,
+    j: usize,
+    xi: &[f64; 3],
+    xj: &[f64; 3],
+) -> bool {
+    match kind {
+        ListKind::Full => true,
+        ListKind::HalfNewton => {
+            if j < nlocal {
+                // local-local: store once under the lower index
+                j >= i
+            } else {
+                ghost_pair_belongs_to_i(xi, xj)
+            }
+        }
+        // Ghost pairs always belong to the local side; the half ghost
+        // shell guarantees uniqueness.
+        ListKind::HalfOneSided => j >= nlocal || j >= i,
+    }
+}
+
+/// The reference neighbor build: every row walks all 27 stencil bins in
+/// ascending `(dz, dy, dx)` order and every candidate in bin order
+/// (`CellBins::for_each_candidate`), one candidate and one branch at a time — the scan `NeighborList` shipped
+/// before the branch-free stream scan, without the half-stencil skip.
+fn oracle_rows(
+    atoms: &Atoms,
+    lo: [f64; 3],
+    hi: [f64; 3],
+    kind: ListKind,
+    cutoff_list: f64,
+) -> Vec<Vec<u32>> {
+    let cutsq = cutoff_list * cutoff_list;
+    let mut bins = CellBins::new(lo, hi, cutoff_list);
+    bins.fill(&atoms.x, atoms.nlocal);
+    let x = &atoms.x;
+    (0..atoms.nlocal)
+        .map(|i| {
+            let xi = x[i];
+            let mut row = Vec::new();
+            bins.for_each_candidate(&xi, |ju| {
+                let j = ju as usize;
+                if j == i {
+                    return;
+                }
+                let xj = x[j];
+                if !kind_accepts(kind, atoms.nlocal, i, j, &xi, &xj) {
+                    return;
+                }
+                let dd0 = xi[0] - xj[0];
+                let dd1 = xi[1] - xj[1];
+                let dd2 = xi[2] - xj[2];
+                let r2 = dd0 * dd0 + dd1 * dd1 + dd2 * dd2;
+                if r2 < cutsq {
+                    row.push(ju);
+                }
+            });
+            row
+        })
+        .collect()
+}
+
+const KINDS: [ListKind; 3] = [ListKind::HalfNewton, ListKind::HalfOneSided, ListKind::Full];
+
+/// Oracle cutoff and skin: neither is exact in binary.
+const OCUT: f64 = 1.1;
+const OSKIN: f64 = 0.3;
+
+/// Grid shapes (bins per dimension) and local counts of the oracle
+/// clouds: 1-bin-wide grids in every dimension, a sparse grid (empty and
+/// 1-7-atom bins), a dense one (block tails past 8 and enough rows for a
+/// 2-thread pool to engage) and one large enough for 8 threads.
+const SHAPES: [([usize; 3], usize); 7] = [
+    ([1, 1, 1], 40),
+    ([1, 4, 6], 150),
+    ([7, 1, 3], 120),
+    ([3, 6, 1], 100),
+    ([5, 5, 5], 300),
+    ([4, 3, 2], 2100),
+    ([10, 9, 8], 8300),
+];
+
+struct Lcg(u64);
+
+impl Lcg {
+    fn unit(&mut self) -> f64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        ((self.unit() * n as f64) as usize).min(n - 1)
+    }
+
+    fn point(&mut self, lo: [f64; 3], hi: [f64; 3]) -> [f64; 3] {
+        std::array::from_fn(|d| lo[d] + (hi[d] - lo[d]) * self.unit())
+    }
+}
+
+/// The two coordinates either side of the acceptance edge along dimension
+/// `d` from `p` in direction `sign`: the last one whose `r²` (computed as
+/// the build computes it) is below `cutsq`, and its neighbor one ulp out.
+fn straddle(p: [f64; 3], d: usize, sign: f64, cutoff_list: f64) -> [[f64; 3]; 2] {
+    let cutsq = cutoff_list * cutoff_list;
+    let r2 = |q: f64| {
+        let dd = p[d] - q;
+        dd * dd + 0.0 * 0.0 + 0.0 * 0.0
+    };
+    let out = |q: f64| {
+        if sign > 0.0 {
+            q.next_up()
+        } else {
+            q.next_down()
+        }
+    };
+    let back = |q: f64| {
+        if sign > 0.0 {
+            q.next_down()
+        } else {
+            q.next_up()
+        }
+    };
+    let mut q = p[d] + sign * cutoff_list;
+    while r2(q) < cutsq {
+        q = out(q);
+    }
+    while r2(q) >= cutsq {
+        q = back(q);
+    }
+    let mut inside = p;
+    inside[d] = q;
+    let mut outside = p;
+    outside[d] = out(q);
+    [inside, outside]
+}
+
+/// An adversarial cloud on an off-origin region of `shape` bins: uniform
+/// filler, one crowded bin, atoms exactly on every bin face and on `hi`,
+/// pairs straddling the cutoff to the ulp, coincident and tie-breaking
+/// coordinates, and ghosts that reach outside `[lo, hi]`.
+#[allow(clippy::type_complexity)]
+fn edge_cloud(
+    shape: [usize; 3],
+    nfill: usize,
+    seed: u64,
+) -> ([f64; 3], [f64; 3], Vec<[f64; 3]>, Vec<[f64; 3]>) {
+    let cl = OCUT + OSKIN;
+    let mut rng = Lcg(seed | 1);
+    let lo = [-1.7, 0.3, -2.9];
+    let hi: [f64; 3] = std::array::from_fn(|d| lo[d] + shape[d] as f64 * cl * 1.07);
+    let size: [f64; 3] = std::array::from_fn(|d| (hi[d] - lo[d]) / shape[d] as f64);
+    let mut locals: Vec<[f64; 3]> = (0..nfill).map(|_| rng.point(lo, hi)).collect();
+    let mut ghosts: Vec<[f64; 3]> = Vec::new();
+    // Ghost shell reaching 0.6 cells outside the region (clamped bins).
+    let (glo, ghi): ([f64; 3], [f64; 3]) = (
+        std::array::from_fn(|d| lo[d] - 0.6 * cl),
+        std::array::from_fn(|d| hi[d] + 0.6 * cl),
+    );
+    for _ in 0..nfill / 2 {
+        ghosts.push(rng.point(glo, ghi));
+    }
+    // One crowded bin: 13 locals and 11 ghosts in the same cell.
+    let cell: [usize; 3] = std::array::from_fn(|d| rng.below(shape[d]));
+    let clo: [f64; 3] = std::array::from_fn(|d| lo[d] + cell[d] as f64 * size[d]);
+    let chi: [f64; 3] = std::array::from_fn(|d| clo[d] + 0.99 * size[d]);
+    for k in 0..24 {
+        let p = rng.point(clo, chi);
+        if k < 13 {
+            locals.push(p);
+        } else {
+            ghosts.push(p);
+        }
+    }
+    // Atoms exactly on bin faces (as the grid computes them) and on `hi`.
+    for d in 0..3 {
+        for k in 0..=shape[d] {
+            let mut p = rng.point(lo, hi);
+            p[d] = if k == shape[d] {
+                hi[d]
+            } else {
+                lo[d] + k as f64 * size[d]
+            };
+            if k % 2 == 0 {
+                locals.push(p);
+            } else {
+                ghosts.push(p);
             }
         }
     }
-    assert_eq!(locals.len(), 2048);
-    let atoms0 = Atoms::from_positions(locals, 1);
-    let lj = LjCut::lammps_bench();
-    let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 2.5, 0.3);
-    let pool = SpinPool::new(8);
-
-    let time_with = |exec: &ChunkExec<'_>| {
-        let mut atoms = atoms0.clone();
-        let mut scratch = PairScratch::default();
-        // Warm-up fills the scratch allocations.
-        atoms.zero_forces();
-        lj.compute_chunked(&mut atoms, &list, exec, &mut scratch);
-        let reps = 10;
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            atoms.zero_forces();
-            lj.compute_chunked(&mut atoms, &list, exec, &mut scratch);
+    // Cutoff straddles and coordinate ties around a few filler atoms.
+    for t in 0..12 {
+        let p = locals[rng.below(nfill)];
+        let d = t % 3;
+        let sign = if t % 2 == 0 { 1.0 } else { -1.0 };
+        let pair = straddle(p, d, sign, cl);
+        if t < 6 {
+            locals.extend(pair);
+        } else {
+            ghosts.extend(pair);
         }
-        start.elapsed().as_secs_f64() / f64::from(reps)
-    };
-    let t1 = time_with(&ChunkExec::Serial);
-    let t8 = time_with(&ChunkExec::Pool(&pool));
-    assert!(
-        t8 <= t1 * 10.0,
-        "8-thread pool at 2048 atoms is >10x slower than serial: t8={t8:.3e}s t1={t1:.3e}s"
-    );
+        // Coincident local and ghost; ghosts tying on z, and on z and y.
+        locals.push(p);
+        ghosts.push(p);
+        ghosts.push([p[0] + sign * 0.05, p[1], p[2]]);
+        ghosts.push([p[0] - sign * 0.07, p[1] + sign * 0.05, p[2]]);
+    }
+    (lo, hi, locals, ghosts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every row the build emits equals the oracle's row — same neighbors,
+    /// same order — for each list kind, sorted and unsorted locals, 1, 2
+    /// and 8 threads, in one pass and split into interior and boundary
+    /// halves.
+    #[test]
+    fn build_matches_oracle(seed in any::<u64>()) {
+        let cl = OCUT + OSKIN;
+        let pool2 = SpinPool::new(2);
+        let pool8 = SpinPool::new(8);
+        let execs = [ChunkExec::Serial, ChunkExec::Pool(&pool2), ChunkExec::Pool(&pool8)];
+        for (shape, nfill) in SHAPES {
+            let (lo, hi, locals, ghosts) = edge_cloud(shape, nfill, seed);
+            for sorted in [false, true] {
+                let mut bare = Atoms::from_positions(locals.clone(), 1);
+                if sorted {
+                    sort_locals_by_bin(&mut bare, lo, hi, cl);
+                }
+                let mut atoms = bare.clone();
+                for (k, g) in ghosts.iter().enumerate() {
+                    atoms.push_ghost(*g, 1, 1_000_000 + k as u64);
+                }
+                // Sound interior flags: no ghost in range (thinned, since
+                // any subset of a sound interior set is sound).
+                let full = oracle_rows(&atoms, lo, hi, ListKind::Full, cl);
+                let interior: Vec<bool> = full
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| i % 5 != 0 && row.iter().all(|&j| (j as usize) < atoms.nlocal))
+                    .collect();
+                for kind in KINDS {
+                    let want = oracle_rows(&atoms, lo, hi, kind, cl);
+                    for exec in &execs {
+                        let label = format!(
+                            "{kind:?} shape {shape:?} sorted {sorted} threads {}",
+                            exec.threads()
+                        );
+                        let one =
+                            NeighborList::build_chunked(&atoms, lo, hi, kind, OCUT, OSKIN, exec);
+                        let int = NeighborList::build_interior(
+                            &bare, lo, hi, kind, OCUT, OSKIN, &interior, exec,
+                        );
+                        let split =
+                            NeighborList::build_boundary(&atoms, lo, hi, &int, &interior, exec);
+                        for (i, row) in want.iter().enumerate() {
+                            prop_assert_eq!(one.neighbors(i), &row[..], "one-pass row {} {}", i, label);
+                            prop_assert_eq!(split.neighbors(i), &row[..], "split row {} {}", i, label);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -323,7 +323,6 @@ impl Cluster {
                 k => k,
             },
             eam: cfg.is_eam(),
-            kernel_mode: cfg.kernel,
         }
     }
 

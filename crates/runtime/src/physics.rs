@@ -12,7 +12,7 @@ use crate::driver::{Lane, Partition, Team};
 use tofumd_core::border_bin;
 use tofumd_core::engine::RankState;
 use tofumd_md::integrate::NveIntegrator;
-use tofumd_md::kernels::{self, KernelMode};
+use tofumd_md::kernels;
 use tofumd_md::neighbor::{sort_locals_by_bin, ListKind, NeighborList};
 use tofumd_md::potential::{PairEnergyVirial, Potential};
 use tofumd_model::{RankWork, StageCosts, Threading};
@@ -51,9 +51,6 @@ pub struct Ctx<'a> {
     pub list_kind: ListKind,
     /// EAM workload flag for the cost model.
     pub eam: bool,
-    /// Inner-loop implementation of the neighbor-build distance checks
-    /// (the force kernels carry their own mode inside the potential).
-    pub kernel_mode: KernelMode,
 }
 
 /// The cost-model workload descriptor of one rank; `None` when the rank's
@@ -93,7 +90,7 @@ pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [R
         let rg = st.graph.r_ghost;
         let lo = [sub.lo[0] - rg, sub.lo[1] - rg, sub.lo[2] - rg];
         let hi = [sub.hi[0] + rg, sub.hi[1] + rg, sub.hi[2] + rg];
-        let list = NeighborList::build_chunked_mode(
+        let list = NeighborList::build_chunked(
             &st.atoms,
             lo,
             hi,
@@ -101,7 +98,6 @@ pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [R
             ctx.cutoff,
             ctx.skin,
             exec,
-            ctx.kernel_mode,
         );
         let work = RankWork {
             n_local: st.atoms.nlocal as f64,
@@ -308,7 +304,7 @@ pub fn build_interior_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: 
         let hi = [sub.hi[0] + rg, sub.hi[1] + rg, sub.hi[2] + rg];
         let geo =
             border_bin::interior_flags(&st.atoms.x, st.atoms.nlocal, &sub, classify_radius(ctx));
-        let ilist = NeighborList::build_interior_mode(
+        let ilist = NeighborList::build_interior(
             &st.atoms,
             lo,
             hi,
@@ -317,7 +313,6 @@ pub fn build_interior_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: 
             ctx.skin,
             &geo,
             exec,
-            ctx.kernel_mode,
         );
         let n_geo = geo.iter().filter(|&&b| b).count();
         let geo_pairs = ilist.npairs();
@@ -356,15 +351,7 @@ pub fn build_boundary_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: 
         let rg = st.graph.r_ghost;
         let lo = [sub.lo[0] - rg, sub.lo[1] - rg, sub.lo[2] - rg];
         let hi = [sub.hi[0] + rg, sub.hi[1] + rg, sub.hi[2] + rg];
-        let full = NeighborList::build_boundary_mode(
-            &st.atoms,
-            lo,
-            hi,
-            &ilist,
-            &part.geo,
-            exec,
-            ctx.kernel_mode,
-        );
+        let full = NeighborList::build_boundary(&st.atoms, lo, hi, &ilist, &part.geo, exec);
         part.pair = full.local_only_rows();
         part.n_pair = part.pair.iter().filter(|&&b| b).count();
         part.pair_pairs = full.pairs_in(&part.pair, true);
