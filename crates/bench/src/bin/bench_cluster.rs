@@ -9,15 +9,14 @@
 //! committed baseline with a -10% tolerance band; the modeled comm time
 //! is deterministic and compared exactly.
 //!
-//! Usage: `bench_cluster [--steps N] [--out PATH] [--kernel scalar|blocked]`
-//! (default 15 steps, `BENCH_cluster.json` in the working directory,
-//! scalar kernels — the committed baseline is generated with defaults).
+//! Usage: `bench_cluster [--steps N] [--out PATH]` (default 15 steps,
+//! `BENCH_cluster.json` in the working directory — the committed baseline
+//! is generated with defaults).
 
 // The bins share the library crate's no-unwrap contract.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::time::Instant;
-use tofumd_md::kernels::KernelMode;
 use tofumd_md::{Atoms, SerialSim};
 use tofumd_runtime::{Cluster, CommVariant, RunConfig};
 
@@ -68,16 +67,6 @@ fn main() {
     let arg = |flag: &str| std::env::args().skip_while(|a| a != flag).nth(1);
     let steps: u64 = arg("--steps").and_then(|v| v.parse().ok()).unwrap_or(15);
     let out = arg("--out").unwrap_or_else(|| "BENCH_cluster.json".into());
-    let kernel = match arg("--kernel") {
-        None => KernelMode::default(),
-        Some(v) => match KernelMode::parse(&v) {
-            Some(m) => m,
-            None => {
-                eprintln!("unknown --kernel {v:?} (expected \"scalar\" or \"blocked\")");
-                std::process::exit(2);
-            }
-        },
-    };
 
     let variants = [
         CommVariant::Ref,
@@ -92,13 +81,6 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for (pot, mk) in potentials {
-        // Row names stay kernel-agnostic: the committed baseline is scalar,
-        // and a blocked run is an apples-to-apples overlay of the same rows.
-        let mk = |n: usize| {
-            let mut cfg = mk(n);
-            cfg.kernel = kernel;
-            cfg
-        };
         let e_serial = serial_twin_energy(mk(6_000), steps + 2);
         for variant in variants {
             for threads in [1usize, 8] {

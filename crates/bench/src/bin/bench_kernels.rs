@@ -12,7 +12,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::time::Instant;
-use tofumd_md::kernels::{KernelMode, PairScratch};
+use tofumd_md::kernels::PairScratch;
 use tofumd_md::lattice::FccLattice;
 use tofumd_md::neighbor::{sort_locals_by_bin, CellBins, ListKind, NeighborList};
 use tofumd_md::potential::{EamCu, LjCut, ManyBodyPotential, PairPotential};
@@ -198,16 +198,14 @@ fn main() {
         );
     }
 
-    // Scaling curves: scalar vs lane-blocked chunked kernels at three
-    // system sizes. The curves compare kernel implementations, not pool
-    // scaling, so they run on the serial chunk executor — on a machine
-    // with fewer cores than the pool has workers, pool scheduling noise
-    // would swamp the kernel-level signal. The curve shape (not just one
-    // point) is the perf-regression baseline: CI bands every row by
-    // name, so each curve point is held to the -10% band independently.
+    // Scaling curves: the blocked row kernels at three system sizes. The
+    // curves follow the kernel, not pool scaling, so they run on the
+    // serial chunk executor — on a machine with fewer cores than the pool
+    // has workers, pool scheduling noise would swamp the kernel-level
+    // signal. The curve shape (not just one point) is the perf-regression
+    // baseline: CI bands every row by name, so each curve point is held to
+    // the -10% band independently.
     {
-        let lj_blocked = LjCut::lammps_bench().with_kernel_mode(KernelMode::Blocked);
-        let eam_blocked = EamCu::lammps_bench().with_kernel_mode(KernelMode::Blocked);
         let exec = ChunkExec::Serial;
         for (nx, ny, nz) in [(8usize, 8usize, 8usize), (16, 16, 16), (32, 32, 16)] {
             let natoms = 4 * nx * ny * nz;
@@ -222,16 +220,14 @@ fn main() {
             sort_locals_by_bin(&mut atoms, [0.0; 3], l, 2.5 + 0.3);
             let list = NeighborList::build(&atoms, [0.0; 3], l, ListKind::HalfNewton, 2.5, 0.3);
             let mut scratch = PairScratch::new();
-            for (tag, pot) in [("scalar", &lj), ("blocked", &lj_blocked)] {
-                push(
-                    &format!("lj_{tag}_n{natoms}"),
-                    natoms,
-                    time_median(curve_iters, || {
-                        atoms.zero_forces();
-                        pot.compute_chunked(&mut atoms, &list, &exec, &mut scratch);
-                    }),
-                );
-            }
+            push(
+                &format!("lj_blocked_n{natoms}"),
+                natoms,
+                time_median(curve_iters, || {
+                    atoms.zero_forces();
+                    lj.compute_chunked(&mut atoms, &list, &exec, &mut scratch);
+                }),
+            );
 
             let (cbx, cpos) = cu.build(nx, ny, nz);
             let cl = cbx.lengths();
@@ -241,30 +237,16 @@ fn main() {
                 NeighborList::build(&eam_atoms, [0.0; 3], cl, ListKind::HalfNewton, 4.95, 1.0);
             let mut rho = Vec::new();
             let mut fp = Vec::new();
-            for (tag, pot) in [("scalar", &eam), ("blocked", &eam_blocked)] {
-                push(
-                    &format!("eam_{tag}_n{natoms}"),
-                    natoms,
-                    time_median(curve_iters, || {
-                        eam_atoms.zero_forces();
-                        pot.compute_rho_chunked(
-                            &eam_atoms,
-                            &eam_list,
-                            &mut rho,
-                            &exec,
-                            &mut scratch,
-                        );
-                        pot.compute_embedding_chunked(&eam_atoms, &rho, &mut fp, &exec);
-                        pot.compute_force_chunked(
-                            &mut eam_atoms,
-                            &eam_list,
-                            &fp,
-                            &exec,
-                            &mut scratch,
-                        );
-                    }),
-                );
-            }
+            push(
+                &format!("eam_blocked_n{natoms}"),
+                natoms,
+                time_median(curve_iters, || {
+                    eam_atoms.zero_forces();
+                    eam.compute_rho_chunked(&eam_atoms, &eam_list, &mut rho, &exec, &mut scratch);
+                    eam.compute_embedding_chunked(&eam_atoms, &rho, &mut fp, &exec);
+                    eam.compute_force_chunked(&mut eam_atoms, &eam_list, &fp, &exec, &mut scratch);
+                }),
+            );
         }
     }
 

@@ -16,7 +16,15 @@
 //!   kernel's. Since IEEE-754 addition is deterministic (just not
 //!   associative), same sequence ⇒ same bits.
 //! * **Energy/virial** contributions are logged per pair and folded on one
-//!   thread in chunk/pair order — again the serial addition sequence.
+//!   thread in chunk/row/pair order — again the serial addition sequence.
+//!
+//! Every logged update carries its source row, so a pass may be logged in
+//! two sittings — the *interior* rows while halo messages are in flight,
+//! the *boundary* rows once they have arrived — and still replay in the
+//! serial order: a row lives wholly on one side, each side's stream is
+//! row-ascending, so a two-pointer merge by row restores the serial
+//! interleaving. A pass logged in one sitting simply leaves the boundary
+//! side empty.
 //!
 //! No atomics anywhere: atomic float accumulation would make results
 //! depend on thread interleaving, which is exactly the nondeterminism this
@@ -36,45 +44,12 @@ pub const CHUNK_ROWS: usize = 256;
 /// (The neighbor build has no tail: its stream is padded by one block.)
 pub const LANE_WIDTH: usize = 8;
 
-/// Which inner-loop implementation the force/density kernels run (the
-/// neighbor build has a single row scan and no mode).
-///
-/// Both modes are bit-identical at any `--threads`: the blocked path
-/// batches only the *per-pair* arithmetic (each lane performs the same
-/// IEEE-754 op sequence on its own pair's data as the scalar path), while
-/// every accumulation into `f`/`rho`, every log push, and every
-/// energy/virial fold still happens one pair at a time in neighbor order.
-/// `Scalar` stays the lockstep anchor; `Blocked` is the perf path.
+/// Selects nothing: the force and density passes have one blocked row
+/// kernel each. Kept only because the benchmark package passes
+/// `RunConfig::kernel` to [`crate::neighbor::NeighborList::build_chunked_mode`];
+/// delete with the next benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum KernelMode {
-    /// One pair at a time — the original reference inner loops.
-    #[default]
-    Scalar,
-    /// Fixed-width lane blocks (distance + cutoff mask per
-    /// [`LANE_WIDTH`]-wide group, deterministic scalar tail).
-    Blocked,
-}
-
-impl KernelMode {
-    /// Parse a `--kernel` flag value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<KernelMode> {
-        match s {
-            "scalar" => Some(KernelMode::Scalar),
-            "blocked" => Some(KernelMode::Blocked),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name (bench row labels, report lines).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Blocked => "blocked",
-        }
-    }
-}
+pub struct KernelMode;
 
 /// Gather one [`LANE_WIDTH`]-wide block of candidate pairs: for each lane
 /// `k`, the displacement `xi - x[idx[k]]` and its squared norm, computed
@@ -113,20 +88,50 @@ pub fn bucket_size(ntotal: usize) -> usize {
     ntotal.div_ceil(SCATTER_BUCKETS).max(1).next_power_of_two()
 }
 
-/// One chunk's logged updates: scatter entries bucketed by target range,
-/// plus the chunk's per-pair energy/virial stream.
-#[derive(Debug, Default)]
-pub struct ChunkLog {
-    vec_buckets: Vec<Vec<(u32, [f64; 3])>>,
-    scalar_buckets: Vec<Vec<(u32, f64)>>,
-    ev: Vec<(f64, f64)>,
+/// The rows one logging call covers, and with them the side of the
+/// [`PairScratch`] they are logged to.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows<'a> {
+    /// Every row, in one sitting (the boundary side stays empty).
+    All,
+    /// The rows with `flags[i] == interior`, to that side.
+    Side {
+        /// Interior flag per local row.
+        flags: &'a [bool],
+        /// Which side this call logs.
+        interior: bool,
+    },
 }
 
-impl ChunkLog {
-    /// Clear all logs, keeping their capacity for the next step.
-    fn reset(&mut self) {
-        self.vec_buckets.resize_with(SCATTER_BUCKETS, Vec::new);
-        self.scalar_buckets.resize_with(SCATTER_BUCKETS, Vec::new);
+impl Rows<'_> {
+    /// Does this call log row `i`?
+    #[inline]
+    #[must_use]
+    pub fn covers(self, i: usize) -> bool {
+        match self {
+            Rows::All => true,
+            Rows::Side { flags, interior } => flags[i] == interior,
+        }
+    }
+}
+
+/// One chunk's logged updates for one side of a pass: scatter entries
+/// `(row, target, delta)` bucketed by target range, plus the per-pair
+/// energy/virial stream with one `(row, start)` run per logged row.
+#[derive(Debug, Default)]
+pub struct RowLog {
+    shift: u32,
+    row: u32,
+    vec_buckets: Vec<Vec<(u32, u32, [f64; 3])>>,
+    scalar_buckets: Vec<Vec<(u32, u32, f64)>>,
+    ev: Vec<(f64, f64)>,
+    ev_rows: Vec<(u32, usize)>,
+}
+
+impl RowLog {
+    /// Clear all logs, keeping their capacity for the next pass.
+    fn reset(&mut self, shift: u32) {
+        self.shift = shift;
         for b in &mut self.vec_buckets {
             b.clear();
         }
@@ -134,21 +139,38 @@ impl ChunkLog {
             b.clear();
         }
         self.ev.clear();
+        self.ev_rows.clear();
     }
 
-    /// Log `out[target] += delta` for a `[f64; 3]` output array whose
-    /// bucket width is `bs` (from [`bucket_size`] of the array length).
+    /// Start logging neighbor row `row`; rows must arrive ascending.
     #[inline]
-    pub fn push_force(&mut self, bs: usize, target: u32, delta: [f64; 3]) {
-        debug_assert!(bs.is_power_of_two());
-        self.vec_buckets[target as usize >> bs.trailing_zeros()].push((target, delta));
+    pub fn begin_row(&mut self, row: u32) {
+        self.row = row;
+        self.ev_rows.push((row, self.ev.len()));
+    }
+
+    /// Bucket of `target`, growing the bucket list on demand: the width is
+    /// fixed when the pass is prepared, but the boundary rows of a pass
+    /// prepared before the ghost shell existed scatter to targets past it.
+    #[inline]
+    fn bucket<T>(buckets: &mut Vec<Vec<T>>, shift: u32, target: u32) -> &mut Vec<T> {
+        let idx = (target >> shift) as usize;
+        if buckets.len() <= idx {
+            buckets.resize_with(idx + 1, Vec::new);
+        }
+        &mut buckets[idx]
+    }
+
+    /// Log `out[target] += delta` for a `[f64; 3]` output array.
+    #[inline]
+    pub fn push_force(&mut self, target: u32, delta: [f64; 3]) {
+        Self::bucket(&mut self.vec_buckets, self.shift, target).push((self.row, target, delta));
     }
 
     /// Log `out[target] += delta` for a scalar output array.
     #[inline]
-    pub fn push_scalar(&mut self, bs: usize, target: u32, delta: f64) {
-        debug_assert!(bs.is_power_of_two());
-        self.scalar_buckets[target as usize >> bs.trailing_zeros()].push((target, delta));
+    pub fn push_scalar(&mut self, target: u32, delta: f64) {
+        Self::bucket(&mut self.scalar_buckets, self.shift, target).push((self.row, target, delta));
     }
 
     /// Log one pair's energy and virial contribution.
@@ -159,18 +181,29 @@ impl ChunkLog {
 
     /// Log a batch of pair energy/virial contributions in iteration order.
     /// One reservation for the whole batch instead of a capacity check per
-    /// pair — the blocked kernels feed a slab at a time through this.
+    /// pair — the LJ kernel feeds a slab at a time through this.
     #[inline]
     pub fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I) {
         self.ev.extend(evs);
     }
+
+    /// The energy/virial entries of the `k`-th logged row.
+    fn ev_run(&self, k: usize) -> &[(f64, f64)] {
+        let end = self.ev_rows.get(k + 1).map_or(self.ev.len(), |r| r.1);
+        &self.ev[self.ev_rows[k].1..end]
+    }
 }
 
-/// Reusable per-rank scratch for the chunked kernels: one [`ChunkLog`] per
-/// row chunk, retained across steps so steady-state runs don't allocate.
+/// Reusable per-rank scratch of the logging kernels: one interior and one
+/// boundary [`RowLog`] per row chunk, retained across steps so
+/// steady-state runs don't allocate.
 #[derive(Debug, Default)]
 pub struct PairScratch {
-    chunks: Vec<ChunkLog>,
+    nlocal: usize,
+    bs: usize,
+    nchunks: usize,
+    interior: Vec<RowLog>,
+    boundary: Vec<RowLog>,
 }
 
 impl PairScratch {
@@ -180,29 +213,63 @@ impl PairScratch {
         PairScratch::default()
     }
 
-    /// Hand out `nchunks` cleared logs (capacity retained from prior steps).
-    pub fn prepare(&mut self, nchunks: usize) -> &mut [ChunkLog] {
-        if self.chunks.len() < nchunks {
-            self.chunks.resize_with(nchunks, ChunkLog::default);
+    /// Reset for a pass over `nlocal` rows scattering into `ntotal`
+    /// targets (both sides cleared, capacity retained). Call once per
+    /// pass, before logging either side. A pass whose interior side is
+    /// logged before the ghost shell exists passes the ghost-free count:
+    /// ghost targets then land in buckets grown on demand. The bucket
+    /// width only ever grows, so such a pass keeps the width the previous
+    /// shell's targets fitted — one bucketing per scratch, which is what
+    /// lets every bucket reuse its capacity from pass to pass.
+    pub fn prepare(&mut self, nlocal: usize, ntotal: usize) {
+        self.nlocal = nlocal;
+        self.bs = self.bs.max(bucket_size(ntotal));
+        self.nchunks = nlocal.div_ceil(CHUNK_ROWS);
+        if self.interior.len() < self.nchunks {
+            self.interior.resize_with(self.nchunks, RowLog::default);
+            self.boundary.resize_with(self.nchunks, RowLog::default);
         }
-        let slice = &mut self.chunks[..nchunks];
-        for log in slice.iter_mut() {
-            log.reset();
+        let shift = self.bs.trailing_zeros();
+        for log in self.interior[..self.nchunks]
+            .iter_mut()
+            .chain(&mut self.boundary[..self.nchunks])
+        {
+            log.reset(shift);
         }
-        slice
+    }
+
+    /// Chunk-parallel driver of a logging kernel: `chunk(log, range)` runs
+    /// once per row chunk with the chunk's log on the side `rows` names
+    /// and the chunk's row range; it logs the rows `rows` covers, in
+    /// ascending order, each opened with [`RowLog::begin_row`].
+    pub fn log_chunks(
+        &mut self,
+        rows: Rows<'_>,
+        exec: &ChunkExec<'_>,
+        chunk: &(dyn Fn(&mut RowLog, std::ops::Range<usize>) + Sync),
+    ) {
+        let nlocal = self.nlocal;
+        let side = match rows {
+            Rows::All | Rows::Side { interior: true, .. } => &mut self.interior,
+            Rows::Side { .. } => &mut self.boundary,
+        };
+        exec.floored(nlocal)
+            .for_each_mut(&mut side[..self.nchunks], &|c, log| {
+                chunk(log, c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(nlocal));
+            });
+    }
+
+    /// The two sides of every chunk, in chunk order.
+    fn chunks(&self) -> impl Iterator<Item = (&RowLog, &RowLog)> {
+        self.interior[..self.nchunks]
+            .iter()
+            .zip(&self.boundary[..self.nchunks])
     }
 }
 
 /// Split `out` into its scatter-bucket ranges: `(base, slice)` pairs of
-/// disjoint sub-slices, each `bucket_size(out.len())` wide (last one
-/// shorter).
-fn bucket_slices<T>(out: &mut [T]) -> Vec<(usize, &mut [T])> {
-    bucket_slices_with(out, bucket_size(out.len()))
-}
-
-/// [`bucket_slices`] with an explicit bucket width `bs` (the split logs
-/// fix their width from `nlocal` before the ghost count is known).
-fn bucket_slices_with<T>(out: &mut [T], bs: usize) -> Vec<(usize, &mut [T])> {
+/// disjoint sub-slices, each `bs` wide (last one shorter).
+fn bucket_slices<T>(out: &mut [T], bs: usize) -> Vec<(usize, &mut [T])> {
     let n = out.len();
     let mut slices = Vec::with_capacity(n.div_ceil(bs.max(1)));
     let mut rest = out;
@@ -215,183 +282,6 @@ fn bucket_slices_with<T>(out: &mut [T], bs: usize) -> Vec<(usize, &mut [T])> {
         start += len;
     }
     slices
-}
-
-/// Replay every chunk's `[f64; 3]` scatter log into `out`. Buckets run in
-/// parallel (disjoint target ranges); within each bucket, chunks replay in
-/// ascending order, so each element receives its updates in exactly the
-/// serial kernel's sequence.
-pub fn replay_forces(chunks: &[ChunkLog], out: &mut [[f64; 3]], exec: &ChunkExec<'_>) {
-    let exec = &exec.floored(out.len());
-    let mut slices = bucket_slices(out);
-    exec.for_each_mut(&mut slices, &|b, (base, slice)| {
-        for log in chunks {
-            for &(t, d) in &log.vec_buckets[b] {
-                let k = t as usize - *base;
-                slice[k][0] += d[0];
-                slice[k][1] += d[1];
-                slice[k][2] += d[2];
-            }
-        }
-    });
-}
-
-/// Scalar-array variant of [`replay_forces`] (EAM electron density).
-pub fn replay_scalars(chunks: &[ChunkLog], out: &mut [f64], exec: &ChunkExec<'_>) {
-    let exec = &exec.floored(out.len());
-    let mut slices = bucket_slices(out);
-    exec.for_each_mut(&mut slices, &|b, (base, slice)| {
-        for log in chunks {
-            for &(t, d) in &log.scalar_buckets[b] {
-                slice[t as usize - *base] += d;
-            }
-        }
-    });
-}
-
-/// Fold the per-pair energy/virial streams on one thread, in chunk then
-/// pair order — the serial kernel's exact addition sequence.
-#[must_use]
-pub fn fold_ev(chunks: &[ChunkLog]) -> (f64, f64) {
-    let mut energy = 0.0;
-    let mut virial = 0.0;
-    for log in chunks {
-        for &(de, dv) in &log.ev {
-            energy += de;
-            virial += dv;
-        }
-    }
-    (energy, virial)
-}
-
-/// One chunk's updates for *one side* (interior or boundary) of a
-/// row-partitioned pass, with every entry tagged by its source row.
-///
-/// The interior side of a pass is logged while halo messages are still in
-/// flight and the boundary side only after they arrive, so the two sides
-/// of a chunk are filled at different times — but the serial kernel
-/// interleaves their rows. The row tags let the replay re-create that
-/// interleaving exactly: a row lives wholly on one side, each side's
-/// stream is row-ascending, so a two-pointer merge by row id restores the
-/// serial per-target update sequence (and the serial energy/virial fold
-/// order) bit-for-bit.
-#[derive(Debug, Default)]
-pub struct SplitLog {
-    vec_buckets: Vec<Vec<(u32, u32, [f64; 3])>>,
-    scalar_buckets: Vec<Vec<(u32, u32, f64)>>,
-    ev: Vec<(u32, f64, f64)>,
-}
-
-impl SplitLog {
-    fn reset(&mut self) {
-        for b in &mut self.vec_buckets {
-            b.clear();
-        }
-        for b in &mut self.scalar_buckets {
-            b.clear();
-        }
-        self.ev.clear();
-    }
-
-    /// Bucket `idx`, growing the bucket list on demand: the width is fixed
-    /// from `nlocal`, but boundary rows scatter to ghost targets past it.
-    #[inline]
-    fn bucket<T>(buckets: &mut Vec<Vec<T>>, idx: usize) -> &mut Vec<T> {
-        if buckets.len() <= idx {
-            buckets.resize_with(idx + 1, Vec::new);
-        }
-        &mut buckets[idx]
-    }
-
-    /// Log `out[target] += delta` from neighbor row `row`.
-    #[inline]
-    pub fn push_force(&mut self, bs: usize, row: u32, target: u32, delta: [f64; 3]) {
-        debug_assert!(bs.is_power_of_two());
-        Self::bucket(
-            &mut self.vec_buckets,
-            target as usize >> bs.trailing_zeros(),
-        )
-        .push((row, target, delta));
-    }
-
-    /// Scalar-array variant of [`SplitLog::push_force`].
-    #[inline]
-    pub fn push_scalar(&mut self, bs: usize, row: u32, target: u32, delta: f64) {
-        debug_assert!(bs.is_power_of_two());
-        Self::bucket(
-            &mut self.scalar_buckets,
-            target as usize >> bs.trailing_zeros(),
-        )
-        .push((row, target, delta));
-    }
-
-    /// Log one pair's energy/virial contribution from row `row`.
-    #[inline]
-    pub fn push_ev(&mut self, row: u32, energy: f64, virial: f64) {
-        self.ev.push((row, energy, virial));
-    }
-
-    /// Batch variant of [`SplitLog::push_ev`]: log a slab of energy/virial
-    /// contributions from one row, in iteration order.
-    #[inline]
-    pub fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, row: u32, evs: I) {
-        self.ev.extend(evs.into_iter().map(|(e, v)| (row, e, v)));
-    }
-}
-
-/// Reusable per-rank scratch for a row-partitioned pass: one interior and
-/// one boundary [`SplitLog`] per row chunk.
-///
-/// The bucket width is derived from `nlocal` alone (not `ntotal`) so the
-/// interior side can be logged before the ghost shell — and therefore the
-/// final array length — is known; ghost targets land in buckets grown on
-/// demand past the local range.
-#[derive(Debug, Default)]
-pub struct SplitScratch {
-    bs: usize,
-    nchunks: usize,
-    interior: Vec<SplitLog>,
-    boundary: Vec<SplitLog>,
-}
-
-impl SplitScratch {
-    /// Empty scratch; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        SplitScratch::default()
-    }
-
-    /// Reset for a pass over `nlocal` rows (both sides cleared, capacity
-    /// retained). Call once per pass, before logging either side.
-    pub fn prepare(&mut self, nlocal: usize) {
-        self.bs = bucket_size(nlocal);
-        self.nchunks = nlocal.div_ceil(CHUNK_ROWS);
-        if self.interior.len() < self.nchunks {
-            self.interior.resize_with(self.nchunks, SplitLog::default);
-            self.boundary.resize_with(self.nchunks, SplitLog::default);
-        }
-        for log in &mut self.interior[..self.nchunks] {
-            log.reset();
-        }
-        for log in &mut self.boundary[..self.nchunks] {
-            log.reset();
-        }
-    }
-
-    /// Bucket width fixed by the last [`SplitScratch::prepare`].
-    #[must_use]
-    pub fn bs(&self) -> usize {
-        self.bs
-    }
-
-    /// The per-chunk logs of one side (`true` = interior).
-    pub fn side_mut(&mut self, interior: bool) -> &mut [SplitLog] {
-        if interior {
-            &mut self.interior[..self.nchunks]
-        } else {
-            &mut self.boundary[..self.nchunks]
-        }
-    }
 }
 
 /// Merge one chunk's interior and boundary streams by ascending row tag
@@ -417,81 +307,79 @@ fn merge_rows<T: Copy>(ia: &[(u32, u32, T)], ba: &[(u32, u32, T)], mut f: impl F
     }
 }
 
-/// Replay a split pass's `[f64; 3]` scatter logs into `out`. Buckets run
-/// in parallel; within each bucket the chunks replay in ascending order
-/// with the two sides of each chunk merged by row, so every element's
-/// update sequence is exactly the unpartitioned serial kernel's.
-pub fn replay_forces_split(scratch: &SplitScratch, out: &mut [[f64; 3]], exec: &ChunkExec<'_>) {
+/// Replay one scatter stream (`buckets` picks it out of a log) into `out`.
+/// Buckets run in parallel (disjoint target ranges); within each bucket
+/// the chunks replay in ascending order with the two sides of each chunk
+/// merged by row, so every element receives its updates in exactly the
+/// serial kernel's sequence.
+fn replay<T: Copy + Sync, O: Send>(
+    scratch: &PairScratch,
+    out: &mut [O],
+    exec: &ChunkExec<'_>,
+    buckets: impl Fn(&RowLog) -> &Vec<Vec<(u32, u32, T)>> + Sync,
+    add: impl Fn(&mut O, T) + Sync,
+) {
     let exec = &exec.floored(out.len());
-    let mut slices = bucket_slices_with(out, scratch.bs);
+    let mut slices = bucket_slices(out, scratch.bs);
     exec.for_each_mut(&mut slices, &|b, (base, slice)| {
-        for c in 0..scratch.nchunks {
-            let ia = scratch.interior[c]
-                .vec_buckets
-                .get(b)
-                .map_or(&[][..], |v| v);
-            let ba = scratch.boundary[c]
-                .vec_buckets
-                .get(b)
-                .map_or(&[][..], |v| v);
-            merge_rows(ia, ba, |t, d: [f64; 3]| {
-                let k = t as usize - *base;
-                slice[k][0] += d[0];
-                slice[k][1] += d[1];
-                slice[k][2] += d[2];
+        let side = |log| buckets(log).get(b).map_or(&[][..], |v| v);
+        for (interior, boundary) in scratch.chunks() {
+            merge_rows(side(interior), side(boundary), |t, d| {
+                add(&mut slice[t as usize - *base], d);
             });
         }
     });
 }
 
-/// Scalar-array variant of [`replay_forces_split`] (EAM electron density).
-pub fn replay_scalars_split(scratch: &SplitScratch, out: &mut [f64], exec: &ChunkExec<'_>) {
-    let exec = &exec.floored(out.len());
-    let mut slices = bucket_slices_with(out, scratch.bs);
-    exec.for_each_mut(&mut slices, &|b, (base, slice)| {
-        for c in 0..scratch.nchunks {
-            let ia = scratch.interior[c]
-                .scalar_buckets
-                .get(b)
-                .map_or(&[][..], |v| v);
-            let ba = scratch.boundary[c]
-                .scalar_buckets
-                .get(b)
-                .map_or(&[][..], |v| v);
-            merge_rows(ia, ba, |t, d: f64| slice[t as usize - *base] += d);
-        }
-    });
+/// Replay a pass's `[f64; 3]` scatter log into `out` (see [`replay`]).
+pub fn replay_forces(scratch: &PairScratch, out: &mut [[f64; 3]], exec: &ChunkExec<'_>) {
+    replay(
+        scratch,
+        out,
+        exec,
+        |log| &log.vec_buckets,
+        |o, d: [f64; 3]| {
+            o[0] += d[0];
+            o[1] += d[1];
+            o[2] += d[2];
+        },
+    );
 }
 
-/// Fold a split pass's energy/virial streams on one thread: chunks in
-/// ascending order, each chunk's two sides merged by row — the serial
-/// kernel's exact addition sequence.
+/// Scalar-array variant of [`replay_forces`] (EAM electron density).
+pub fn replay_scalars(scratch: &PairScratch, out: &mut [f64], exec: &ChunkExec<'_>) {
+    replay(
+        scratch,
+        out,
+        exec,
+        |log| &log.scalar_buckets,
+        |o, d: f64| *o += d,
+    );
+}
+
+/// Fold a pass's energy/virial streams on one thread: chunks in ascending
+/// order, each chunk's rows merged across its two sides by row — the
+/// serial kernel's exact addition sequence.
 #[must_use]
-pub fn fold_ev_split(scratch: &SplitScratch) -> (f64, f64) {
+pub fn fold_ev(scratch: &PairScratch) -> (f64, f64) {
     let mut energy = 0.0;
     let mut virial = 0.0;
-    for c in 0..scratch.nchunks {
-        let ia = &scratch.interior[c].ev;
-        let ba = &scratch.boundary[c].ev;
+    for (ia, ba) in scratch.chunks() {
         let (mut p, mut q) = (0, 0);
-        let mut fold = |e: f64, v: f64| {
-            energy += e;
-            virial += v;
-        };
-        while p < ia.len() && q < ba.len() {
-            if ia[p].0 <= ba[q].0 {
-                fold(ia[p].1, ia[p].2);
+        while p < ia.ev_rows.len() || q < ba.ev_rows.len() {
+            let interior = q == ba.ev_rows.len()
+                || (p < ia.ev_rows.len() && ia.ev_rows[p].0 <= ba.ev_rows[q].0);
+            let run = if interior {
                 p += 1;
+                ia.ev_run(p - 1)
             } else {
-                fold(ba[q].1, ba[q].2);
                 q += 1;
+                ba.ev_run(q - 1)
+            };
+            for &(de, dv) in run {
+                energy += de;
+                virial += dv;
             }
-        }
-        for &(_, e, v) in &ia[p..] {
-            fold(e, v);
-        }
-        for &(_, e, v) in &ba[q..] {
-            fold(e, v);
         }
     }
     (energy, virial)
@@ -502,105 +390,18 @@ mod tests {
     use super::*;
     use tofumd_threadpool::SpinPool;
 
-    /// A synthetic update stream applied three ways: directly (serial
-    /// reference), via serial replay, via pooled replay.
-    fn updates(n: usize) -> Vec<(u32, [f64; 3])> {
-        // Deterministic pseudo-random targets with awkward magnitudes so
-        // any reordering of a target's updates changes the bits.
-        let mut out = Vec::new();
-        let mut s = 0x9e3779b97f4a7c15u64;
-        for k in 0..4 * n {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let t = (s >> 33) as usize % n;
-            let v = (k as f64).sin() * 1e3 + 1e-7 * k as f64;
-            out.push((t as u32, [v, -v * 0.5, v * 1e-6]));
-        }
-        out
-    }
+    /// Updates per synthetic row.
+    const PER_ROW: usize = 3;
 
-    #[test]
-    fn replay_matches_direct_application_bitwise() {
-        let n = 103;
-        let ups = updates(n);
-        let mut direct = vec![[0.0f64; 3]; n];
-        for &(t, d) in &ups {
-            for dim in 0..3 {
-                direct[t as usize][dim] += d[dim];
-            }
-        }
+    /// One logged update: target, force delta, energy, virial.
+    type Update = (u32, [f64; 3], f64, f64);
 
-        // Log across 4 chunks in stream order, then replay.
-        let bs = bucket_size(n);
-        let mut scratch = PairScratch::new();
-        let chunks = scratch.prepare(4);
-        for (k, &(t, d)) in ups.iter().enumerate() {
-            chunks[k * 4 / ups.len()].push_force(bs, t, d);
-        }
-        let mut serial = vec![[0.0f64; 3]; n];
-        replay_forces(chunks, &mut serial, &ChunkExec::Serial);
-        assert_eq!(serial, direct);
-
-        let pool = SpinPool::new(4);
-        let mut pooled = vec![[0.0f64; 3]; n];
-        replay_forces(chunks, &mut pooled, &ChunkExec::Pool(&pool));
-        assert_eq!(pooled, direct);
-    }
-
-    #[test]
-    fn scalar_replay_and_ev_fold_match_serial() {
-        let n = 57;
-        let ups = updates(n);
-        let mut direct = vec![0.0f64; n];
-        let mut e_ref = 0.0;
-        let mut v_ref = 0.0;
-        for &(t, d) in &ups {
-            direct[t as usize] += d[0];
-            e_ref += d[1];
-            v_ref += d[2];
-        }
-        let bs = bucket_size(n);
-        let mut scratch = PairScratch::new();
-        let chunks = scratch.prepare(3);
-        for (k, &(t, d)) in ups.iter().enumerate() {
-            let c = &mut chunks[k * 3 / ups.len()];
-            c.push_scalar(bs, t, d[0]);
-            c.push_ev(d[1], d[2]);
-        }
-        let pool = SpinPool::new(2);
-        let mut replayed = vec![0.0f64; n];
-        replay_scalars(chunks, &mut replayed, &ChunkExec::Pool(&pool));
-        assert_eq!(replayed, direct);
-        let (e, v) = fold_ev(chunks);
-        assert_eq!(e.to_bits(), e_ref.to_bits());
-        assert_eq!(v.to_bits(), v_ref.to_bits());
-    }
-
-    #[test]
-    fn prepare_clears_previous_step() {
-        let mut scratch = PairScratch::new();
-        let chunks = scratch.prepare(2);
-        chunks[0].push_ev(1.0, 2.0);
-        chunks[1].push_force(bucket_size(8), 3, [1.0; 3]);
-        let chunks = scratch.prepare(2);
-        assert_eq!(fold_ev(chunks), (0.0, 0.0));
-        let mut out = vec![[0.0f64; 3]; 8];
-        replay_forces(chunks, &mut out, &ChunkExec::Serial);
-        assert!(out.iter().all(|v| *v == [0.0; 3]));
-    }
-
-    /// Drive the same row-ordered update stream through (a) direct serial
-    /// application and (b) a split log whose rows are partitioned by a
-    /// pseudo-random interior mask and logged side-by-side, then merged.
-    #[test]
-    fn split_replay_matches_direct_application_bitwise() {
-        let nrows = 700; // > 2 chunks of 256
-        let ntotal = 900; // targets include a "ghost" range past nlocal
-        let interior: Vec<bool> = (0..nrows)
-            .map(|i| !(i * 2654435761usize).is_multiple_of(3))
-            .collect();
-        // Per row: a few scatter updates + one ev entry, serial row order.
+    /// A row-ordered synthetic update stream, [`PER_ROW`] updates per row,
+    /// with awkward magnitudes so any reordering of a target's updates
+    /// changes the bits. Interior rows only hit local targets; boundary
+    /// rows may scatter into the "ghost" range `nrows..ntotal` (mirrors
+    /// the pair kernels).
+    fn stream(interior: &[bool], ntotal: usize) -> Vec<Update> {
         let mut s = 0x243f6a8885a308d3u64;
         let mut rnd = move || {
             s = s
@@ -608,92 +409,128 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             s >> 33
         };
-        let mut stream: Vec<(u32, u32, [f64; 3], f64, f64)> = Vec::new();
-        for i in 0..nrows {
-            for _ in 0..3 {
-                // Interior rows only hit local targets; boundary rows may
-                // scatter into the ghost range (mirrors the pair kernels).
-                let range = if interior[i] { nrows } else { ntotal };
+        let mut out = Vec::new();
+        for (i, &int) in interior.iter().enumerate() {
+            for _ in 0..PER_ROW {
+                let range = if int { interior.len() } else { ntotal };
                 let t = (rnd() as usize % range) as u32;
                 let v = (rnd() as f64).sin() * 1e3 + 1e-7 * i as f64;
-                stream.push((i as u32, t, [v, -0.5 * v, 1e-6 * v], v * 0.25, -v));
+                out.push((t, [v, -0.5 * v, 1e-6 * v], v * 0.25, -v));
             }
         }
+        out
+    }
 
-        let mut direct = vec![[0.0f64; 3]; ntotal];
-        let mut dscalar = vec![0.0f64; ntotal];
-        let (mut e_ref, mut v_ref) = (0.0, 0.0);
-        for &(_, t, d, e, v) in &stream {
-            for dim in 0..3 {
-                direct[t as usize][dim] += d[dim];
-            }
-            dscalar[t as usize] += d[0];
-            e_ref += e;
-            v_ref += v;
-        }
-
-        let mut scratch = SplitScratch::new();
-        scratch.prepare(nrows);
-        let bs = scratch.bs();
-        // Log the two sides separately (as the partitioned passes do):
-        // first every interior row in order, then every boundary row.
-        for select in [true, false] {
-            let logs = scratch.side_mut(select);
-            for &(row, t, d, e, v) in &stream {
-                if interior[row as usize] != select {
-                    continue;
+    /// Log the rows `rows` covers, as a logging kernel would.
+    fn log(scratch: &mut PairScratch, stream: &[Update], rows: Rows<'_>, exec: &ChunkExec<'_>) {
+        scratch.log_chunks(rows, exec, &|log, range| {
+            for i in range.filter(|&i| rows.covers(i)) {
+                log.begin_row(i as u32);
+                for &(t, d, e, v) in &stream[PER_ROW * i..PER_ROW * (i + 1)] {
+                    log.push_force(t, d);
+                    log.push_scalar(t, d[0]);
+                    log.push_ev(e, v);
                 }
-                let log = &mut logs[row as usize / CHUNK_ROWS];
-                log.push_force(bs, row, t, d);
-                log.push_scalar(bs, row, t, d[0]);
-                log.push_ev(row, e, v);
+            }
+        });
+    }
+
+    /// Drive the same row-ordered update stream through (a) direct serial
+    /// application and (b) the log — in one sitting, and with the rows
+    /// partitioned by a pseudo-random interior mask, the all-interior and
+    /// all-boundary masks and alternating rows, the boundary side prepared
+    /// before its "ghost" targets are known — then replay and fold.
+    #[test]
+    fn replay_matches_direct_application_bitwise() {
+        let nrows = 700; // > 2 chunks of 256
+        let ntotal = 900; // targets include a "ghost" range past nlocal
+        let masks: [Vec<bool>; 4] = [
+            (0..nrows)
+                .map(|i| !(i * 2654435761usize).is_multiple_of(3))
+                .collect(),
+            vec![true; nrows],
+            vec![false; nrows],
+            (0..nrows).map(|i| i % 2 == 0).collect(),
+        ];
+        let pool = SpinPool::new(4);
+        for flags in &masks {
+            let stream = stream(flags, ntotal);
+            let mut direct = vec![[0.0f64; 3]; ntotal];
+            let mut dscalar = vec![0.0f64; ntotal];
+            let (mut e_ref, mut v_ref) = (0.0, 0.0);
+            for &(t, d, e, v) in &stream {
+                for dim in 0..3 {
+                    direct[t as usize][dim] += d[dim];
+                }
+                dscalar[t as usize] += d[0];
+                e_ref += e;
+                v_ref += v;
+            }
+            for exec in [ChunkExec::Serial, ChunkExec::Pool(&pool)] {
+                for split in [false, true] {
+                    let mut scratch = PairScratch::new();
+                    if split {
+                        scratch.prepare(nrows, nrows);
+                        for interior in [true, false] {
+                            log(&mut scratch, &stream, Rows::Side { flags, interior }, &exec);
+                        }
+                    } else {
+                        scratch.prepare(nrows, ntotal);
+                        log(&mut scratch, &stream, Rows::All, &exec);
+                    }
+                    let mut f = vec![[0.0f64; 3]; ntotal];
+                    replay_forces(&scratch, &mut f, &exec);
+                    assert_eq!(f, direct);
+                    let mut sc = vec![0.0f64; ntotal];
+                    replay_scalars(&scratch, &mut sc, &exec);
+                    assert_eq!(sc, dscalar);
+                    let (e, v) = fold_ev(&scratch);
+                    assert_eq!(e.to_bits(), e_ref.to_bits());
+                    assert_eq!(v.to_bits(), v_ref.to_bits());
+                }
             }
         }
-        // Each row pushed one ev entry per update; dedupe not needed —
-        // the fold just replays the merged stream.
-        for exec in [ChunkExec::Serial, ChunkExec::Pool(&SpinPool::new(4))] {
-            let mut f = vec![[0.0f64; 3]; ntotal];
-            replay_forces_split(&scratch, &mut f, &exec);
-            assert_eq!(f, direct);
-            let mut sc = vec![0.0f64; ntotal];
-            replay_scalars_split(&scratch, &mut sc, &exec);
-            assert_eq!(sc, dscalar);
-        }
-        let (e, v) = fold_ev_split(&scratch);
-        assert_eq!(e.to_bits(), e_ref.to_bits());
-        assert_eq!(v.to_bits(), v_ref.to_bits());
     }
 
     /// `prepare` must clear both sides, and an empty scratch replays as a
     /// no-op even over a non-empty output array.
     #[test]
-    fn split_prepare_clears_both_sides() {
-        let mut scratch = SplitScratch::new();
-        scratch.prepare(300);
-        let bs = scratch.bs();
-        scratch.side_mut(true)[0].push_force(bs, 0, 1, [1.0; 3]);
-        scratch.side_mut(false)[1].push_ev(256, 2.0, 3.0);
-        scratch.prepare(300);
+    fn prepare_clears_both_sides() {
+        let flags = vec![true; 300];
+        let stream = stream(&flags, 300);
+        let mut scratch = PairScratch::new();
+        scratch.prepare(300, 300);
+        for interior in [true, false] {
+            let all = vec![interior; 300];
+            let rows = Rows::Side {
+                flags: &all,
+                interior,
+            };
+            log(&mut scratch, &stream, rows, &ChunkExec::Serial);
+        }
+        scratch.prepare(300, 300);
         let mut out = vec![[0.0f64; 3]; 300];
-        replay_forces_split(&scratch, &mut out, &ChunkExec::Serial);
+        replay_forces(&scratch, &mut out, &ChunkExec::Serial);
         assert!(out.iter().all(|v| *v == [0.0; 3]));
-        assert_eq!(fold_ev_split(&scratch), (0.0, 0.0));
+        assert_eq!(fold_ev(&scratch), (0.0, 0.0));
     }
 
     #[test]
     fn tiny_output_arrays_bucket_safely() {
         // ntotal < SCATTER_BUCKETS: bucket width clamps to 1.
         let mut scratch = PairScratch::new();
-        let chunks = scratch.prepare(1);
-        let bs = bucket_size(3);
-        chunks[0].push_force(bs, 2, [1.0, 0.0, 0.0]);
-        chunks[0].push_force(bs, 0, [0.5, 0.0, 0.0]);
+        scratch.prepare(1, 3);
+        scratch.log_chunks(Rows::All, &ChunkExec::Serial, &|log, _| {
+            log.begin_row(0);
+            log.push_force(2, [1.0, 0.0, 0.0]);
+            log.push_force(0, [0.5, 0.0, 0.0]);
+        });
         let mut out = vec![[0.0f64; 3]; 3];
-        replay_forces(chunks, &mut out, &ChunkExec::Serial);
+        replay_forces(&scratch, &mut out, &ChunkExec::Serial);
         assert_eq!(out[2][0], 1.0);
         assert_eq!(out[0][0], 0.5);
         // Zero-length output: nothing logged, replay is a no-op.
-        let chunks = scratch.prepare(1);
-        replay_forces(chunks, &mut [], &ChunkExec::Serial);
+        scratch.prepare(0, 0);
+        replay_forces(&scratch, &mut [], &ChunkExec::Serial);
     }
 }

@@ -11,9 +11,9 @@
 //! optimizes — while using only self-contained data.
 
 use super::spline::Spline;
-use super::{ManyBodyPotential, PairEnergyVirial, SplitManyBodyKernel};
+use super::{ManyBodyPotential, ManyBodyRowKernel, PairEnergyVirial};
 use crate::atom::Atoms;
-use crate::kernels::{self, KernelMode, PairScratch, SplitScratch, CHUNK_ROWS, LANE_WIDTH};
+use crate::kernels::{self, PairScratch, Rows, CHUNK_ROWS, LANE_WIDTH};
 use crate::neighbor::{ListKind, NeighborList};
 use tofumd_threadpool::ChunkExec;
 
@@ -30,8 +30,6 @@ pub struct EamCu {
     rho_r: Spline,
     phi_r: Spline,
     f_rho: Spline,
-    /// Inner-loop implementation (bit-identical either way).
-    mode: KernelMode,
 }
 
 /// Analytic generating forms for the tables.
@@ -130,22 +128,7 @@ impl EamCu {
             rho_r,
             phi_r,
             f_rho,
-            mode: KernelMode::Scalar,
         }
-    }
-
-    /// Select the inner-loop implementation ([`KernelMode::Blocked`] for
-    /// the lane-structured path; results are bit-identical either way).
-    #[must_use]
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The active inner-loop implementation.
-    #[must_use]
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Blocked inner loop of one neighbor row: gather, displacement, r²,
@@ -223,18 +206,6 @@ impl ManyBodyPotential for EamCu {
         assert!(!matches!(list.kind, ListKind::Full), "EAM uses a half list");
         rho.clear();
         rho.resize(atoms.ntotal(), 0.0);
-        if self.mode == KernelMode::Blocked {
-            let mut hits: Vec<EamHit> = Vec::new();
-            for i in 0..atoms.nlocal {
-                self.blocked_row_hits(atoms.x[i], &atoms.x, list.neighbors(i), &mut hits);
-                for &(j, _, _, r) in &hits {
-                    let contrib = self.rho_r.eval(r);
-                    rho[i] += contrib;
-                    rho[j as usize] += contrib;
-                }
-            }
-            return;
-        }
         for i in 0..atoms.nlocal {
             let xi = atoms.x[i];
             for &j in list.neighbors(i) {
@@ -275,32 +246,6 @@ impl ManyBodyPotential for EamCu {
         assert!(fp.len() >= atoms.ntotal(), "fp must cover ghosts");
         let mut energy = 0.0;
         let mut virial = 0.0;
-        if self.mode == KernelMode::Blocked {
-            let mut hits: Vec<EamHit> = Vec::new();
-            for i in 0..atoms.nlocal {
-                self.blocked_row_hits(atoms.x[i], &atoms.x, list.neighbors(i), &mut hits);
-                let mut fi = [0.0f64; 3];
-                for &(j, dx, r2, r) in &hits {
-                    let j = j as usize;
-                    let phip = self.phi_r.eval_deriv(r);
-                    let rhop = self.rho_r.eval_deriv(r);
-                    let dudr = phip + (fp[i] + fp[j]) * rhop;
-                    let fpair = -dudr / r;
-                    fi[0] += dx[0] * fpair;
-                    fi[1] += dx[1] * fpair;
-                    fi[2] += dx[2] * fpair;
-                    atoms.f[j][0] -= dx[0] * fpair;
-                    atoms.f[j][1] -= dx[1] * fpair;
-                    atoms.f[j][2] -= dx[2] * fpair;
-                    energy += self.phi_r.eval(r);
-                    virial += r2 * fpair;
-                }
-                for d in 0..3 {
-                    atoms.f[i][d] += fi[d];
-                }
-            }
-            return PairEnergyVirial { energy, virial };
-        }
         for i in 0..atoms.nlocal {
             let xi = atoms.x[i];
             let mut fi = [0.0f64; 3];
@@ -332,62 +277,6 @@ impl ManyBodyPotential for EamCu {
             }
         }
         PairEnergyVirial { energy, virial }
-    }
-
-    fn compute_rho_chunked(
-        &self,
-        atoms: &Atoms,
-        list: &NeighborList,
-        rho: &mut Vec<f64>,
-        exec: &ChunkExec<'_>,
-        scratch: &mut PairScratch,
-    ) {
-        assert!(!matches!(list.kind, ListKind::Full), "EAM uses a half list");
-        let nlocal = atoms.nlocal;
-        let ntotal = atoms.ntotal();
-        rho.clear();
-        rho.resize(ntotal, 0.0);
-        let bs = kernels::bucket_size(ntotal);
-        let cutsq = self.cutsq;
-        let chunks = scratch.prepare(nlocal.div_ceil(CHUNK_ROWS));
-        let x = &atoms.x;
-        let blocked = self.mode == KernelMode::Blocked;
-        let exec = &exec.floored(nlocal);
-        exec.for_each_mut(chunks, &|c, log| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
-            let mut hits: Vec<EamHit> = Vec::new();
-            for i in row_lo..row_hi {
-                let xi = x[i];
-                if blocked {
-                    self.blocked_row_hits(xi, x, list.neighbors(i), &mut hits);
-                    for &(j, _, _, r) in &hits {
-                        let contrib = self.rho_r.eval(r);
-                        // Serial order: rho[i] first, then rho[j].
-                        log.push_scalar(bs, i as u32, contrib);
-                        log.push_scalar(bs, j, contrib);
-                    }
-                    continue;
-                }
-                for &j in list.neighbors(i) {
-                    let j = j as usize;
-                    let xj = x[j];
-                    let mut r2 = 0.0;
-                    for d in 0..3 {
-                        let dd = xi[d] - xj[d];
-                        r2 += dd * dd;
-                    }
-                    if r2 >= cutsq {
-                        continue;
-                    }
-                    let contrib = self.rho_r.eval(r2.sqrt());
-                    // Serial order: rho[i] first, then rho[j].
-                    log.push_scalar(bs, i as u32, contrib);
-                    log.push_scalar(bs, j as u32, contrib);
-                }
-            }
-        });
-        kernels::replay_scalars(chunks, rho, exec);
     }
 
     fn compute_embedding_chunked(
@@ -425,139 +314,32 @@ impl ManyBodyPotential for EamCu {
         energy
     }
 
-    fn compute_force_chunked(
-        &self,
-        atoms: &mut Atoms,
-        list: &NeighborList,
-        fp: &[f64],
-        exec: &ChunkExec<'_>,
-        scratch: &mut PairScratch,
-    ) -> PairEnergyVirial {
-        assert!(fp.len() >= atoms.ntotal(), "fp must cover ghosts");
-        let nlocal = atoms.nlocal;
-        let ntotal = atoms.ntotal();
-        let bs = kernels::bucket_size(ntotal);
-        let cutsq = self.cutsq;
-        let chunks = scratch.prepare(nlocal.div_ceil(CHUNK_ROWS));
-        let x = &atoms.x;
-        let blocked = self.mode == KernelMode::Blocked;
-        let exec = &exec.floored(nlocal);
-        exec.for_each_mut(chunks, &|c, log| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
-            let mut hits: Vec<EamHit> = Vec::new();
-            for i in row_lo..row_hi {
-                let xi = x[i];
-                let mut fi = [0.0f64; 3];
-                if blocked {
-                    self.blocked_row_hits(xi, x, list.neighbors(i), &mut hits);
-                    for &(j, dx, r2, r) in &hits {
-                        let phip = self.phi_r.eval_deriv(r);
-                        let rhop = self.rho_r.eval_deriv(r);
-                        let dudr = phip + (fp[i] + fp[j as usize]) * rhop;
-                        let fpair = -dudr / r;
-                        fi[0] += dx[0] * fpair;
-                        fi[1] += dx[1] * fpair;
-                        fi[2] += dx[2] * fpair;
-                        log.push_force(
-                            bs,
-                            j,
-                            [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
-                        );
-                        log.push_ev(self.phi_r.eval(r), r2 * fpair);
-                    }
-                    log.push_force(bs, i as u32, fi);
-                    continue;
-                }
-                for &j in list.neighbors(i) {
-                    let j = j as usize;
-                    let xj = x[j];
-                    let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                    let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2];
-                    if r2 >= cutsq {
-                        continue;
-                    }
-                    let r = r2.sqrt();
-                    let phip = self.phi_r.eval_deriv(r);
-                    let rhop = self.rho_r.eval_deriv(r);
-                    let dudr = phip + (fp[i] + fp[j]) * rhop;
-                    let fpair = -dudr / r;
-                    fi[0] += dx[0] * fpair;
-                    fi[1] += dx[1] * fpair;
-                    fi[2] += dx[2] * fpair;
-                    log.push_force(
-                        bs,
-                        j as u32,
-                        [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
-                    );
-                    log.push_ev(self.phi_r.eval(r), r2 * fpair);
-                }
-                log.push_force(bs, i as u32, fi);
-            }
-        });
-        kernels::replay_forces(chunks, &mut atoms.f, exec);
-        let (energy, virial) = kernels::fold_ev(chunks);
-        PairEnergyVirial { energy, virial }
-    }
-
-    fn as_split(&self) -> Option<&dyn SplitManyBodyKernel> {
+    fn row_kernel(&self) -> Option<&dyn ManyBodyRowKernel> {
         Some(self)
     }
 }
 
-impl SplitManyBodyKernel for EamCu {
+impl ManyBodyRowKernel for EamCu {
     fn log_rho_rows(
         &self,
         atoms: &Atoms,
         list: &NeighborList,
-        flags: &[bool],
-        select: bool,
+        rows: Rows<'_>,
         exec: &ChunkExec<'_>,
-        scratch: &mut SplitScratch,
+        scratch: &mut PairScratch,
     ) {
         assert!(!matches!(list.kind, ListKind::Full), "EAM uses a half list");
-        let nlocal = atoms.nlocal;
-        let cutsq = self.cutsq;
-        let bs = scratch.bs();
         let x = &atoms.x;
-        let blocked = self.mode == KernelMode::Blocked;
-        let exec = &exec.floored(nlocal);
-        let logs = scratch.side_mut(select);
-        exec.for_each_mut(logs, &|c, log| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
+        scratch.log_chunks(rows, exec, &|log, chunk| {
             let mut hits: Vec<EamHit> = Vec::new();
-            for i in row_lo..row_hi {
-                if flags[i] != select {
-                    continue;
-                }
-                let row = i as u32;
-                let xi = x[i];
-                if blocked {
-                    self.blocked_row_hits(xi, x, list.neighbors(i), &mut hits);
-                    for &(j, _, _, r) in &hits {
-                        let contrib = self.rho_r.eval(r);
-                        // Serial order: rho[i] first, then rho[j].
-                        log.push_scalar(bs, row, row, contrib);
-                        log.push_scalar(bs, row, j, contrib);
-                    }
-                    continue;
-                }
-                for &j in list.neighbors(i) {
-                    let j = j as usize;
-                    let xj = x[j];
-                    let mut r2 = 0.0;
-                    for d in 0..3 {
-                        let dd = xi[d] - xj[d];
-                        r2 += dd * dd;
-                    }
-                    if r2 >= cutsq {
-                        continue;
-                    }
-                    let contrib = self.rho_r.eval(r2.sqrt());
+            for i in chunk.filter(|&i| rows.covers(i)) {
+                log.begin_row(i as u32);
+                self.blocked_row_hits(x[i], x, list.neighbors(i), &mut hits);
+                for &(j, _, _, r) in &hits {
+                    let contrib = self.rho_r.eval(r);
                     // Serial order: rho[i] first, then rho[j].
-                    log.push_scalar(bs, row, row, contrib);
-                    log.push_scalar(bs, row, j as u32, contrib);
+                    log.push_scalar(i as u32, contrib);
+                    log.push_scalar(j, contrib);
                 }
             }
         });
@@ -568,75 +350,30 @@ impl SplitManyBodyKernel for EamCu {
         atoms: &Atoms,
         list: &NeighborList,
         fp: &[f64],
-        flags: &[bool],
-        select: bool,
+        rows: Rows<'_>,
         exec: &ChunkExec<'_>,
-        scratch: &mut SplitScratch,
+        scratch: &mut PairScratch,
     ) {
-        let nlocal = atoms.nlocal;
-        let cutsq = self.cutsq;
-        let bs = scratch.bs();
+        assert!(fp.len() >= atoms.ntotal(), "fp must cover ghosts");
         let x = &atoms.x;
-        let blocked = self.mode == KernelMode::Blocked;
-        let exec = &exec.floored(nlocal);
-        let logs = scratch.side_mut(select);
-        exec.for_each_mut(logs, &|c, log| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
+        scratch.log_chunks(rows, exec, &|log, chunk| {
             let mut hits: Vec<EamHit> = Vec::new();
-            for i in row_lo..row_hi {
-                if flags[i] != select {
-                    continue;
-                }
-                let row = i as u32;
-                let xi = x[i];
+            for i in chunk.filter(|&i| rows.covers(i)) {
+                log.begin_row(i as u32);
+                self.blocked_row_hits(x[i], x, list.neighbors(i), &mut hits);
                 let mut fi = [0.0f64; 3];
-                if blocked {
-                    self.blocked_row_hits(xi, x, list.neighbors(i), &mut hits);
-                    for &(j, dx, r2, r) in &hits {
-                        let phip = self.phi_r.eval_deriv(r);
-                        let rhop = self.rho_r.eval_deriv(r);
-                        let dudr = phip + (fp[i] + fp[j as usize]) * rhop;
-                        let fpair = -dudr / r;
-                        fi[0] += dx[0] * fpair;
-                        fi[1] += dx[1] * fpair;
-                        fi[2] += dx[2] * fpair;
-                        log.push_force(
-                            bs,
-                            row,
-                            j,
-                            [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
-                        );
-                        log.push_ev(row, self.phi_r.eval(r), r2 * fpair);
-                    }
-                    log.push_force(bs, row, row, fi);
-                    continue;
-                }
-                for &j in list.neighbors(i) {
-                    let j = j as usize;
-                    let xj = x[j];
-                    let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                    let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2];
-                    if r2 >= cutsq {
-                        continue;
-                    }
-                    let r = r2.sqrt();
+                for &(j, dx, r2, r) in &hits {
                     let phip = self.phi_r.eval_deriv(r);
                     let rhop = self.rho_r.eval_deriv(r);
-                    let dudr = phip + (fp[i] + fp[j]) * rhop;
+                    let dudr = phip + (fp[i] + fp[j as usize]) * rhop;
                     let fpair = -dudr / r;
                     fi[0] += dx[0] * fpair;
                     fi[1] += dx[1] * fpair;
                     fi[2] += dx[2] * fpair;
-                    log.push_force(
-                        bs,
-                        row,
-                        j as u32,
-                        [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
-                    );
-                    log.push_ev(row, self.phi_r.eval(r), r2 * fpair);
+                    log.push_force(j, [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)]);
+                    log.push_ev(self.phi_r.eval(r), r2 * fpair);
                 }
-                log.push_force(bs, row, row, fi);
+                log.push_force(i as u32, fi);
             }
         });
     }
@@ -744,193 +481,6 @@ mod tests {
             (rho[0] - rho[1]).abs() < 1e-12,
             "dimer densities must match"
         );
-    }
-
-    /// Split rho and force logging must reproduce the chunked passes bit
-    /// for bit once both sides are replayed in merged row order.
-    #[test]
-    fn split_rho_and_force_match_chunked_bitwise() {
-        use crate::kernels::{self, PairScratch, SplitScratch};
-        use tofumd_threadpool::{ChunkExec, SpinPool};
-        let mut s = 0x2545_f491_4f6c_dd1du64;
-        let mut rnd = move || {
-            s = s
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (s >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let mut pos = Vec::new();
-        for ix in 0..5 {
-            for iy in 0..5 {
-                for iz in 0..5 {
-                    pos.push([
-                        ix as f64 * 2.4 + 0.3 * rnd(),
-                        iy as f64 * 2.4 + 0.3 * rnd(),
-                        iz as f64 * 2.4 + 0.3 * rnd(),
-                    ]);
-                }
-            }
-        }
-        let mut base = Atoms::from_positions(pos, 1);
-        let nlocal = base.nlocal;
-        for k in 0..40 {
-            base.push_ghost(
-                [12.2 + 2.0 * rnd(), 12.5 * rnd(), 12.5 * rnd()],
-                1,
-                9000 + k,
-            );
-        }
-        let eam = EamCu::lammps_bench();
-        let list = NeighborList::build(
-            &base,
-            [-1.0; 3],
-            [16.0; 3],
-            ListKind::HalfNewton,
-            eam.cutoff,
-            0.3,
-        );
-        let flags: Vec<bool> = (0..nlocal).map(|i| (i * 2_654_435_761) % 3 != 0).collect();
-        let ntotal = base.ntotal();
-        // Reference chunked passes.
-        let mut scratch = PairScratch::new();
-        let mut rho_ref = Vec::new();
-        eam.compute_rho_chunked(&base, &list, &mut rho_ref, &ChunkExec::Serial, &mut scratch);
-        let mut fp = Vec::new();
-        eam.compute_embedding(&base, &rho_ref, &mut fp);
-        for i in nlocal..ntotal {
-            fp[i] = 0.01 * (i as f64); // stand-in for forward-communicated fp
-        }
-        let mut a_ref = base.clone();
-        let ev_ref =
-            eam.compute_force_chunked(&mut a_ref, &list, &fp, &ChunkExec::Serial, &mut scratch);
-        let pool = SpinPool::new(4);
-        for exec in [ChunkExec::Serial, ChunkExec::Pool(&pool)] {
-            let mut split = SplitScratch::new();
-            split.prepare(nlocal);
-            eam.log_rho_rows(&base, &list, &flags, true, &exec, &mut split);
-            eam.log_rho_rows(&base, &list, &flags, false, &exec, &mut split);
-            let mut rho = vec![0.0; ntotal];
-            kernels::replay_scalars_split(&split, &mut rho, &exec);
-            for i in 0..ntotal {
-                assert_eq!(rho[i].to_bits(), rho_ref[i].to_bits(), "rho [{i}]");
-            }
-            let mut a = base.clone();
-            split.prepare(nlocal);
-            eam.log_force_rows(&a, &list, &fp, &flags, true, &exec, &mut split);
-            eam.log_force_rows(&a, &list, &fp, &flags, false, &exec, &mut split);
-            kernels::replay_forces_split(&split, &mut a.f, &exec);
-            let (energy, virial) = kernels::fold_ev_split(&split);
-            assert_eq!(energy.to_bits(), ev_ref.energy.to_bits());
-            assert_eq!(virial.to_bits(), ev_ref.virial.to_bits());
-            for i in 0..ntotal {
-                for d in 0..3 {
-                    assert_eq!(a.f[i][d].to_bits(), a_ref.f[i][d].to_bits(), "f [{i}][{d}]");
-                }
-            }
-        }
-    }
-
-    /// The blocked EAM inner loops must reproduce the scalar passes bit
-    /// for bit across serial, chunked, and split entry points.
-    #[test]
-    fn blocked_mode_matches_scalar_bitwise() {
-        use crate::kernels::{self, KernelMode, PairScratch, SplitScratch};
-        use tofumd_threadpool::{ChunkExec, SpinPool};
-        let mut s = 0x853c_49e6_748f_ea9bu64;
-        let mut rnd = move || {
-            s = s
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (s >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let mut pos = Vec::new();
-        for ix in 0..5 {
-            for iy in 0..5 {
-                for iz in 0..5 {
-                    pos.push([
-                        ix as f64 * 2.4 + 0.3 * rnd(),
-                        iy as f64 * 2.4 + 0.3 * rnd(),
-                        iz as f64 * 2.4 + 0.3 * rnd(),
-                    ]);
-                }
-            }
-        }
-        let mut base = Atoms::from_positions(pos, 1);
-        let nlocal = base.nlocal;
-        for k in 0..30 {
-            base.push_ghost(
-                [12.2 + 2.0 * rnd(), 12.5 * rnd(), 12.5 * rnd()],
-                1,
-                9100 + k,
-            );
-        }
-        let scalar = EamCu::lammps_bench();
-        let blocked = EamCu::lammps_bench().with_kernel_mode(KernelMode::Blocked);
-        let list = NeighborList::build(
-            &base,
-            [-1.0; 3],
-            [16.0; 3],
-            ListKind::HalfNewton,
-            scalar.cutoff,
-            0.3,
-        );
-        let ntotal = base.ntotal();
-        let flags: Vec<bool> = (0..nlocal).map(|i| (i * 2_654_435_761) % 4 != 0).collect();
-        // Scalar references: serial rho + force.
-        let mut rho_ref = Vec::new();
-        scalar.compute_rho(&base, &list, &mut rho_ref);
-        let mut fp = Vec::new();
-        scalar.compute_embedding(&base, &rho_ref, &mut fp);
-        for i in nlocal..ntotal {
-            fp[i] = 0.01 * (i as f64);
-        }
-        let mut a_ref = base.clone();
-        let ev_ref = scalar.compute_force(&mut a_ref, &list, &fp);
-        // Blocked serial passes.
-        let mut rho_blk = Vec::new();
-        blocked.compute_rho(&base, &list, &mut rho_blk);
-        assert_eq!(rho_blk.len(), rho_ref.len());
-        for i in 0..ntotal {
-            assert_eq!(rho_blk[i].to_bits(), rho_ref[i].to_bits(), "rho [{i}]");
-        }
-        let mut a_blk = base.clone();
-        let ev_blk = blocked.compute_force(&mut a_blk, &list, &fp);
-        assert_eq!(ev_blk.energy.to_bits(), ev_ref.energy.to_bits());
-        assert_eq!(ev_blk.virial.to_bits(), ev_ref.virial.to_bits());
-        assert_eq!(a_blk.f, a_ref.f);
-        let pool = SpinPool::new(4);
-        for exec in [ChunkExec::Serial, ChunkExec::Pool(&pool)] {
-            let mut scratch = PairScratch::new();
-            let mut rho = Vec::new();
-            blocked.compute_rho_chunked(&base, &list, &mut rho, &exec, &mut scratch);
-            for i in 0..ntotal {
-                assert_eq!(rho[i].to_bits(), rho_ref[i].to_bits(), "chunked rho [{i}]");
-            }
-            let mut a = base.clone();
-            let ev = blocked.compute_force_chunked(&mut a, &list, &fp, &exec, &mut scratch);
-            assert_eq!(ev.energy.to_bits(), ev_ref.energy.to_bits());
-            assert_eq!(ev.virial.to_bits(), ev_ref.virial.to_bits());
-            assert_eq!(a.f, a_ref.f);
-            // Split logging with the blocked inner loop.
-            let mut split = SplitScratch::new();
-            split.prepare(nlocal);
-            blocked.log_rho_rows(&base, &list, &flags, true, &exec, &mut split);
-            blocked.log_rho_rows(&base, &list, &flags, false, &exec, &mut split);
-            let mut rho_s = vec![0.0; ntotal];
-            kernels::replay_scalars_split(&split, &mut rho_s, &exec);
-            for i in 0..ntotal {
-                assert_eq!(rho_s[i].to_bits(), rho_ref[i].to_bits(), "split rho [{i}]");
-            }
-            let mut a = base.clone();
-            split.prepare(nlocal);
-            blocked.log_force_rows(&a, &list, &fp, &flags, true, &exec, &mut split);
-            blocked.log_force_rows(&a, &list, &fp, &flags, false, &exec, &mut split);
-            kernels::replay_forces_split(&split, &mut a.f, &exec);
-            let (e, v) = kernels::fold_ev_split(&split);
-            assert_eq!(e.to_bits(), ev_ref.energy.to_bits());
-            assert_eq!(v.to_bits(), ev_ref.virial.to_bits());
-            assert_eq!(a.f, a_ref.f);
-        }
     }
 
     #[test]

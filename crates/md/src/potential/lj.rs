@@ -1,17 +1,17 @@
 //! Lennard-Jones 12-6 potential with cutoff (Eq. 1 of the paper).
 
-use super::{PairEnergyVirial, PairPotential, SplitPairKernel};
+use super::{PairEnergyVirial, PairPotential, PairRowKernel};
 use crate::atom::Atoms;
-use crate::kernels::{self, KernelMode, PairScratch, SplitScratch, CHUNK_ROWS};
+use crate::kernels::{PairScratch, Rows};
 use crate::neighbor::{ListKind, NeighborList};
 use tofumd_threadpool::ChunkExec;
 
-/// Slab width of the blocked row loops: long enough that the vectorized
+/// Slab width of the blocked row loop: long enough that the vectorized
 /// lane loops dominate their setup and LLVM's own epilogue handles short
 /// remainders, small enough that the slab buffers stay in L1.
 const ROW_BLOCK: usize = 64;
 
-/// Slab buffers of the blocked row loops, hoisted out of the per-row call
+/// Slab buffers of the blocked row loop, hoisted out of the per-row call
 /// so they are initialized once per chunk, not zeroed once per row.
 struct BlockedScratch {
     jc: [u32; ROW_BLOCK],
@@ -56,8 +56,6 @@ pub struct LjCut {
     /// Energy shift making U(r_cut) = 0 (LAMMPS `pair_modify shift yes`).
     /// Zero when unshifted (the benchmark default).
     eshift: f64,
-    /// Inner-loop implementation (bit-identical either way).
-    mode: KernelMode,
 }
 
 impl LjCut {
@@ -78,22 +76,7 @@ impl LjCut {
             lj4: 4.0 * epsilon * s6,
             cutsq: cutoff * cutoff,
             eshift: 0.0,
-            mode: KernelMode::Scalar,
         }
-    }
-
-    /// Select the inner-loop implementation ([`KernelMode::Blocked`] for
-    /// the lane-structured path; results are bit-identical either way).
-    #[must_use]
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The active inner-loop implementation.
-    #[must_use]
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Enable the energy shift so the pair energy is continuous at the
@@ -157,8 +140,8 @@ impl LjCut {
     /// path runs on that pair — a short final slab just runs the same
     /// loops with a shorter trip count — and rejected lanes' values are
     /// never read, so the visited stream is the scalar kernel's accept
-    /// stream bit-for-bit. The visitor is inlined at each consumer and
-    /// sees whole slabs, so consumers can batch their per-pair logging.
+    /// stream bit-for-bit. The visitor sees whole slabs, so it can batch
+    /// its per-pair logging.
     #[inline]
     fn blocked_row(
         &self,
@@ -210,45 +193,6 @@ impl LjCut {
             slab(&jc[..na], r2a, fp, en);
         }
     }
-
-    /// Blocked twin of the serial [`PairPotential::compute`] pass.
-    fn compute_blocked(&self, atoms: &mut Atoms, list: &NeighborList) -> PairEnergyVirial {
-        let mut energy = 0.0;
-        let mut virial = 0.0;
-        let half = !matches!(list.kind, ListKind::Full);
-        let nlocal = atoms.nlocal;
-        let (x, f) = (&atoms.x, &mut atoms.f);
-        let mut bscr = BlockedScratch::default();
-        for i in 0..nlocal {
-            let xi = x[i];
-            let mut fi = [0.0f64; 3];
-            self.blocked_row(xi, x, list.neighbors(i), &mut bscr, |jc, r2, fp, en| {
-                for k in 0..jc.len() {
-                    let j = jc[k] as usize;
-                    let xj = x[j];
-                    let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                    let fpair = fp[k];
-                    fi[0] += dx[0] * fpair;
-                    fi[1] += dx[1] * fpair;
-                    fi[2] += dx[2] * fpair;
-                    if half {
-                        f[j][0] -= dx[0] * fpair;
-                        f[j][1] -= dx[1] * fpair;
-                        f[j][2] -= dx[2] * fpair;
-                        energy += en[k];
-                        virial += r2[k] * fpair;
-                    } else {
-                        energy += 0.5 * en[k];
-                        virial += 0.5 * r2[k] * fpair;
-                    }
-                }
-            });
-            for d in 0..3 {
-                f[i][d] += fi[d];
-            }
-        }
-        PairEnergyVirial { energy, virial }
-    }
 }
 
 impl PairPotential for LjCut {
@@ -261,9 +205,6 @@ impl PairPotential for LjCut {
     }
 
     fn compute(&self, atoms: &mut Atoms, list: &NeighborList) -> PairEnergyVirial {
-        if self.mode == KernelMode::Blocked {
-            return self.compute_blocked(atoms, list);
-        }
         let mut energy = 0.0;
         let mut virial = 0.0;
         let half = !matches!(list.kind, ListKind::Full);
@@ -305,202 +246,54 @@ impl PairPotential for LjCut {
         PairEnergyVirial { energy, virial }
     }
 
-    fn compute_chunked(
-        &self,
-        atoms: &mut Atoms,
-        list: &NeighborList,
-        exec: &ChunkExec<'_>,
-        scratch: &mut PairScratch,
-    ) -> PairEnergyVirial {
-        let half = !matches!(list.kind, ListKind::Full);
-        let nlocal = atoms.nlocal;
-        let ntotal = atoms.ntotal();
-        let bs = kernels::bucket_size(ntotal);
-        let cutsq = self.cutsq;
-        let exec = &exec.floored(nlocal);
-        let chunks = scratch.prepare(nlocal.div_ceil(CHUNK_ROWS));
-        let x = &atoms.x;
-        // Phase 1: each chunk logs the updates its rows would perform, in
-        // the serial kernel's order — no shared mutation.
-        let blocked = self.mode == KernelMode::Blocked;
-        exec.for_each_mut(chunks, &|c, log| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
-            let mut bscr = BlockedScratch::default();
-            for i in row_lo..row_hi {
-                let xi = x[i];
-                let mut fi = [0.0f64; 3];
-                if blocked {
-                    self.blocked_row(xi, x, list.neighbors(i), &mut bscr, |jc, r2, fp, en| {
-                        // One reservation per slab for the ev stream; the
-                        // products match the scalar push sites' op order.
-                        if half {
-                            log.extend_ev(
-                                en.iter()
-                                    .zip(r2)
-                                    .zip(fp)
-                                    .map(|((&e, &rr), &fpk)| (e, rr * fpk)),
-                            );
-                        } else {
-                            log.extend_ev(
-                                en.iter()
-                                    .zip(r2)
-                                    .zip(fp)
-                                    .map(|((&e, &rr), &fpk)| (0.5 * e, 0.5 * rr * fpk)),
-                            );
-                        }
-                        for k in 0..jc.len() {
-                            let j = jc[k];
-                            let xj = x[j as usize];
-                            let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                            let fpair = fp[k];
-                            fi[0] += dx[0] * fpair;
-                            fi[1] += dx[1] * fpair;
-                            fi[2] += dx[2] * fpair;
-                            if half {
-                                log.push_force(
-                                    bs,
-                                    j,
-                                    [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
-                                );
-                            }
-                        }
-                    });
-                    log.push_force(bs, i as u32, fi);
-                    continue;
-                }
-                for &j in list.neighbors(i) {
-                    let j = j as usize;
-                    let xj = x[j];
-                    let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                    let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2];
-                    if r2 >= cutsq {
-                        continue;
-                    }
-                    let fpair = self.fpair(r2);
-                    fi[0] += dx[0] * fpair;
-                    fi[1] += dx[1] * fpair;
-                    fi[2] += dx[2] * fpair;
-                    if half {
-                        log.push_force(
-                            bs,
-                            j as u32,
-                            [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
-                        );
-                        log.push_ev(self.pair_energy_r2(r2), r2 * fpair);
-                    } else {
-                        log.push_ev(0.5 * self.pair_energy_r2(r2), 0.5 * r2 * fpair);
-                    }
-                }
-                log.push_force(bs, i as u32, fi);
-            }
-        });
-        // Phase 2: replay scatters (parallel over disjoint target ranges)
-        // and fold energy/virial in the serial addition order.
-        kernels::replay_forces(chunks, &mut atoms.f, exec);
-        let (energy, virial) = kernels::fold_ev(chunks);
-        PairEnergyVirial { energy, virial }
-    }
-
-    fn as_split(&self) -> Option<&dyn SplitPairKernel> {
+    fn row_kernel(&self) -> Option<&dyn PairRowKernel> {
         Some(self)
     }
 }
 
-impl SplitPairKernel for LjCut {
+impl PairRowKernel for LjCut {
     fn log_rows(
         &self,
         atoms: &Atoms,
         list: &NeighborList,
-        flags: &[bool],
-        select: bool,
+        rows: Rows<'_>,
         exec: &ChunkExec<'_>,
-        scratch: &mut SplitScratch,
+        scratch: &mut PairScratch,
     ) {
         let half = !matches!(list.kind, ListKind::Full);
-        let nlocal = atoms.nlocal;
-        let cutsq = self.cutsq;
-        let bs = scratch.bs();
         let x = &atoms.x;
-        let blocked = self.mode == KernelMode::Blocked;
-        let exec = &exec.floored(nlocal);
-        let logs = scratch.side_mut(select);
-        exec.for_each_mut(logs, &|c, log| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
+        scratch.log_chunks(rows, exec, &|log, chunk| {
             let mut bscr = BlockedScratch::default();
-            for i in row_lo..row_hi {
-                if flags[i] != select {
-                    continue;
-                }
-                let row = i as u32;
+            for i in chunk.filter(|&i| rows.covers(i)) {
+                log.begin_row(i as u32);
                 let xi = x[i];
                 let mut fi = [0.0f64; 3];
-                if blocked {
-                    self.blocked_row(xi, x, list.neighbors(i), &mut bscr, |jc, r2, fp, en| {
-                        if half {
-                            log.extend_ev(
-                                row,
-                                en.iter()
-                                    .zip(r2)
-                                    .zip(fp)
-                                    .map(|((&e, &rr), &fpk)| (e, rr * fpk)),
-                            );
-                        } else {
-                            log.extend_ev(
-                                row,
-                                en.iter()
-                                    .zip(r2)
-                                    .zip(fp)
-                                    .map(|((&e, &rr), &fpk)| (0.5 * e, 0.5 * rr * fpk)),
-                            );
-                        }
-                        for k in 0..jc.len() {
-                            let j = jc[k];
-                            let xj = x[j as usize];
-                            let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                            let fpair = fp[k];
-                            fi[0] += dx[0] * fpair;
-                            fi[1] += dx[1] * fpair;
-                            fi[2] += dx[2] * fpair;
-                            if half {
-                                log.push_force(
-                                    bs,
-                                    row,
-                                    j,
-                                    [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
-                                );
-                            }
-                        }
-                    });
-                    log.push_force(bs, row, row, fi);
-                    continue;
-                }
-                for &j in list.neighbors(i) {
-                    let j = j as usize;
-                    let xj = x[j];
-                    let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                    let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2];
-                    if r2 >= cutsq {
-                        continue;
-                    }
-                    let fpair = self.fpair(r2);
-                    fi[0] += dx[0] * fpair;
-                    fi[1] += dx[1] * fpair;
-                    fi[2] += dx[2] * fpair;
+                self.blocked_row(xi, x, list.neighbors(i), &mut bscr, |jc, r2, fp, en| {
+                    // One reservation per slab for the ev stream; the
+                    // products match the serial pass's op order.
+                    let ev = en.iter().zip(r2).zip(fp);
                     if half {
-                        log.push_force(
-                            bs,
-                            row,
-                            j as u32,
-                            [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
-                        );
-                        log.push_ev(row, self.pair_energy_r2(r2), r2 * fpair);
+                        log.extend_ev(ev.map(|((&e, &rr), &fpk)| (e, rr * fpk)));
                     } else {
-                        log.push_ev(row, 0.5 * self.pair_energy_r2(r2), 0.5 * r2 * fpair);
+                        log.extend_ev(ev.map(|((&e, &rr), &fpk)| (0.5 * e, 0.5 * rr * fpk)));
                     }
-                }
-                log.push_force(bs, row, row, fi);
+                    for k in 0..jc.len() {
+                        let j = jc[k];
+                        let xj = x[j as usize];
+                        let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                        let fpair = fp[k];
+                        fi[0] += dx[0] * fpair;
+                        fi[1] += dx[1] * fpair;
+                        fi[2] += dx[2] * fpair;
+                        if half {
+                            log.push_force(
+                                j,
+                                [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
+                            );
+                        }
+                    }
+                });
+                log.push_force(i as u32, fi);
             }
         });
     }
@@ -582,130 +375,6 @@ mod tests {
         assert!(lj.pair_energy(rmin) > unshifted.pair_energy(rmin));
         // Forces unchanged by the shift.
         assert_eq!(lj.fpair(1.44), unshifted.fpair(1.44));
-    }
-
-    /// Split logging (interior rows, then boundary rows, then merged
-    /// replay) must reproduce `compute_chunked` — and hence the serial
-    /// kernel — bit for bit, for half and full lists, serial and pooled.
-    #[test]
-    fn split_log_rows_matches_chunked_bitwise() {
-        use crate::kernels::{self, PairScratch, SplitScratch};
-        use tofumd_threadpool::SpinPool;
-        let mut s = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rnd = move || {
-            s = s
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (s >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let mut pos = Vec::new();
-        for ix in 0..6 {
-            for iy in 0..6 {
-                for iz in 0..6 {
-                    pos.push([
-                        ix as f64 * 1.1 + 0.2 * rnd(),
-                        iy as f64 * 1.1 + 0.2 * rnd(),
-                        iz as f64 * 1.1 + 0.2 * rnd(),
-                    ]);
-                }
-            }
-        }
-        let mut base = Atoms::from_positions(pos, 1);
-        let nlocal = base.nlocal;
-        for k in 0..50 {
-            base.push_ghost([6.0 + 0.8 * rnd(), 6.2 * rnd(), 6.2 * rnd()], 1, 5000 + k);
-        }
-        let flags: Vec<bool> = (0..nlocal).map(|i| (i * 2_654_435_761) % 3 != 0).collect();
-        let pool = SpinPool::new(4);
-        for kind in [ListKind::HalfNewton, ListKind::Full] {
-            let lj = LjCut::new(1.0, 1.0, 2.5, kind);
-            let list = NeighborList::build(&base, [-1.0; 3], [8.0; 3], kind, 2.5, 0.3);
-            let mut a_ref = base.clone();
-            let mut scratch = PairScratch::new();
-            let ev_ref = lj.compute_chunked(&mut a_ref, &list, &ChunkExec::Serial, &mut scratch);
-            for exec in [ChunkExec::Serial, ChunkExec::Pool(&pool)] {
-                let mut a = base.clone();
-                let mut split = SplitScratch::new();
-                split.prepare(nlocal);
-                lj.log_rows(&a, &list, &flags, true, &exec, &mut split);
-                lj.log_rows(&a, &list, &flags, false, &exec, &mut split);
-                kernels::replay_forces_split(&split, &mut a.f, &exec);
-                let (energy, virial) = kernels::fold_ev_split(&split);
-                assert_eq!(energy.to_bits(), ev_ref.energy.to_bits(), "{kind:?}");
-                assert_eq!(virial.to_bits(), ev_ref.virial.to_bits(), "{kind:?}");
-                for i in 0..a.ntotal() {
-                    for d in 0..3 {
-                        assert_eq!(
-                            a.f[i][d].to_bits(),
-                            a_ref.f[i][d].to_bits(),
-                            "{kind:?} force [{i}][{d}]"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The blocked inner loop must reproduce the scalar kernel bit for
-    /// bit across serial, chunked, and split entry points, including rows
-    /// whose neighbor count is not a multiple of the lane width.
-    #[test]
-    fn blocked_mode_matches_scalar_bitwise() {
-        use crate::kernels::{self, KernelMode, PairScratch, SplitScratch};
-        use tofumd_threadpool::SpinPool;
-        let mut s = 0x0123_4567_89ab_cdefu64;
-        let mut rnd = move || {
-            s = s
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (s >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let mut pos = Vec::new();
-        for ix in 0..5 {
-            for iy in 0..5 {
-                for iz in 0..5 {
-                    pos.push([
-                        ix as f64 * 1.05 + 0.3 * rnd(),
-                        iy as f64 * 1.05 + 0.3 * rnd(),
-                        iz as f64 * 1.05 + 0.3 * rnd(),
-                    ]);
-                }
-            }
-        }
-        let base = Atoms::from_positions(pos, 1);
-        let nlocal = base.nlocal;
-        let flags: Vec<bool> = (0..nlocal).map(|i| (i * 2_654_435_761) % 4 != 0).collect();
-        let pool = SpinPool::new(4);
-        for kind in [ListKind::HalfNewton, ListKind::Full] {
-            let scalar = LjCut::new(1.0, 1.0, 2.5, kind);
-            let blocked = scalar.with_kernel_mode(KernelMode::Blocked);
-            let list = NeighborList::build(&base, [-1.0; 3], [7.0; 3], kind, 2.5, 0.3);
-            let mut a_ref = base.clone();
-            let ev_ref = scalar.compute(&mut a_ref, &list);
-            let mut a_blk = base.clone();
-            let ev_blk = blocked.compute(&mut a_blk, &list);
-            assert_eq!(ev_blk.energy.to_bits(), ev_ref.energy.to_bits(), "{kind:?}");
-            assert_eq!(ev_blk.virial.to_bits(), ev_ref.virial.to_bits(), "{kind:?}");
-            assert_eq!(a_blk.f, a_ref.f, "{kind:?} serial forces");
-            for exec in [ChunkExec::Serial, ChunkExec::Pool(&pool)] {
-                let mut a = base.clone();
-                let mut scratch = PairScratch::new();
-                let ev = blocked.compute_chunked(&mut a, &list, &exec, &mut scratch);
-                assert_eq!(ev.energy.to_bits(), ev_ref.energy.to_bits(), "{kind:?}");
-                assert_eq!(ev.virial.to_bits(), ev_ref.virial.to_bits(), "{kind:?}");
-                assert_eq!(a.f, a_ref.f, "{kind:?} chunked forces");
-                let mut a = base.clone();
-                let mut split = SplitScratch::new();
-                split.prepare(nlocal);
-                blocked.log_rows(&a, &list, &flags, true, &exec, &mut split);
-                blocked.log_rows(&a, &list, &flags, false, &exec, &mut split);
-                kernels::replay_forces_split(&split, &mut a.f, &exec);
-                let (e, v) = kernels::fold_ev_split(&split);
-                assert_eq!(e.to_bits(), ev_ref.energy.to_bits(), "{kind:?}");
-                assert_eq!(v.to_bits(), ev_ref.virial.to_bits(), "{kind:?}");
-                assert_eq!(a.f, a_ref.f, "{kind:?} split forces");
-            }
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod spline;
 pub mod sw;
 
 use crate::atom::Atoms;
-use crate::kernels::{PairScratch, SplitScratch};
+use crate::kernels::{self, PairScratch, Rows};
 use crate::neighbor::{ListKind, NeighborList};
 use tofumd_threadpool::ChunkExec;
 
@@ -45,6 +45,18 @@ impl PairEnergyVirial {
     }
 }
 
+/// Finish a force-scattering pass logged into `scratch`: replay the
+/// scatters into `f` and fold the energy/virial stream.
+pub fn replay_pass(
+    scratch: &PairScratch,
+    f: &mut [[f64; 3]],
+    exec: &ChunkExec<'_>,
+) -> PairEnergyVirial {
+    kernels::replay_forces(scratch, f, exec);
+    let (energy, virial) = kernels::fold_ev(scratch);
+    PairEnergyVirial { energy, virial }
+}
+
 /// A single-pass pairwise potential.
 pub trait PairPotential: Send + Sync {
     /// Force cutoff distance.
@@ -54,14 +66,15 @@ pub trait PairPotential: Send + Sync {
     fn list_kind(&self) -> ListKind;
 
     /// Compute forces into `atoms.f` (ghost entries included when the list
-    /// is half/Newton) and return energy/virial contributions of this rank.
+    /// is half/Newton) and return energy/virial contributions of this
+    /// rank. One pair at a time on one thread: the reference every other
+    /// formulation is held to, and what [`crate::SerialSim`] runs.
     fn compute(&self, atoms: &mut Atoms, list: &NeighborList) -> PairEnergyVirial;
 
-    /// Chunk-parallel [`PairPotential::compute`]: must produce bit-identical
-    /// forces, energy, and virial at any thread count (see
-    /// [`crate::kernels`]). The default falls back to the serial pass, so
-    /// potentials without a chunked implementation stay correct — just not
-    /// parallel.
+    /// Chunk-parallel [`PairPotential::compute`], bit-identical to it at
+    /// any thread count (see [`crate::kernels`]): the row kernel over all
+    /// rows. Potentials without a row kernel run the serial pass — correct,
+    /// just not parallel.
     fn compute_chunked(
         &self,
         atoms: &mut Atoms,
@@ -69,8 +82,12 @@ pub trait PairPotential: Send + Sync {
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
     ) -> PairEnergyVirial {
-        let _ = (exec, scratch);
-        self.compute(atoms, list)
+        let Some(kernel) = self.row_kernel() else {
+            return self.compute(atoms, list);
+        };
+        scratch.prepare(atoms.nlocal, atoms.ntotal());
+        kernel.log_rows(atoms, list, Rows::All, exec, scratch);
+        replay_pass(scratch, &mut atoms.f, exec)
     }
 
     /// Does the compute pass accumulate forces on ghost atoms (requiring a
@@ -80,66 +97,60 @@ pub trait PairPotential: Send + Sync {
         !matches!(self.list_kind(), ListKind::Full)
     }
 
-    /// Row-partitioned logging kernel for comm/compute overlap, or `None`
-    /// when the potential has no split implementation (the DAG executor
-    /// then falls back to the barrier-equivalent whole-pass nodes).
-    fn as_split(&self) -> Option<&dyn SplitPairKernel> {
+    /// The potential's logging row kernel, or `None` when it has none (the
+    /// step executor then never splits its pair pass across a halo
+    /// window).
+    fn row_kernel(&self) -> Option<&dyn PairRowKernel> {
         None
     }
 }
 
-/// Row-partitioned half of a chunk-parallel pair pass. The caller logs the
-/// interior rows (`select = true`) while halo puts are in flight, the
-/// boundary rows (`select = false`) once ghosts have arrived, and then
-/// replays both sides with [`crate::kernels::replay_forces_split`] /
-/// [`crate::kernels::fold_ev_split`] — the merged replay is bit-identical
-/// to `compute_chunked` over all rows because every row logs exactly the
-/// updates the serial kernel would perform, in the same per-pair order, and
-/// the merge re-interleaves rows ascending within each chunk.
-pub trait SplitPairKernel: Send + Sync {
-    /// Log the updates of rows with `flags[i] == select` into the matching
-    /// side of `scratch` (which must have been `prepare`d for this
-    /// `atoms.nlocal`). Rows with `flags[i] != select` contribute nothing.
+/// The logging form of a pair pass. A pass is `prepare`d once on its
+/// [`PairScratch`], logged in one sitting ([`Rows::All`]) or in two — the
+/// interior rows while halo puts are in flight, the boundary rows once
+/// ghosts have arrived — and then replayed with [`replay_pass`]. The
+/// replay is bit-identical to the serial pass because every row logs
+/// exactly the updates the serial kernel would perform, in the same
+/// per-pair order, and the replay re-interleaves rows ascending.
+pub trait PairRowKernel: Send + Sync {
+    /// Log the updates of the rows `rows` covers; other rows contribute
+    /// nothing.
     fn log_rows(
         &self,
         atoms: &Atoms,
         list: &NeighborList,
-        flags: &[bool],
-        select: bool,
+        rows: Rows<'_>,
         exec: &ChunkExec<'_>,
-        scratch: &mut SplitScratch,
+        scratch: &mut PairScratch,
     );
 }
 
-/// Row-partitioned halves of the EAM two-pass computation (density pass and
-/// force pass); same contract as [`SplitPairKernel`]. The embedding pass is
-/// local-only and needs no split.
-pub trait SplitManyBodyKernel: Send + Sync {
-    /// Log the density contributions of rows with `flags[i] == select`
-    /// (scalar scatter, both pair endpoints). Replay with
-    /// [`crate::kernels::replay_scalars_split`] onto a zeroed `rho`.
+/// The logging forms of the EAM density and force passes; same contract
+/// as [`PairRowKernel`]. The embedding pass is local-only and logs
+/// nothing.
+pub trait ManyBodyRowKernel: Send + Sync {
+    /// Log the density contributions of the rows `rows` covers (scalar
+    /// scatter, both pair endpoints). Replay with
+    /// [`crate::kernels::replay_scalars`] onto a zeroed `rho`.
     fn log_rho_rows(
         &self,
         atoms: &Atoms,
         list: &NeighborList,
-        flags: &[bool],
-        select: bool,
+        rows: Rows<'_>,
         exec: &ChunkExec<'_>,
-        scratch: &mut SplitScratch,
+        scratch: &mut PairScratch,
     );
 
-    /// Log the force/energy updates of rows with `flags[i] == select`;
-    /// `fp` must be valid for every neighbor those rows touch.
-    #[allow(clippy::too_many_arguments)]
+    /// Log the force/energy updates of the rows `rows` covers; `fp` must
+    /// be valid for every neighbor those rows touch.
     fn log_force_rows(
         &self,
         atoms: &Atoms,
         list: &NeighborList,
         fp: &[f64],
-        flags: &[bool],
-        select: bool,
+        rows: Rows<'_>,
         exec: &ChunkExec<'_>,
-        scratch: &mut SplitScratch,
+        scratch: &mut PairScratch,
     );
 }
 
@@ -160,7 +171,7 @@ pub trait ManyBodyPotential: Send + Sync {
     fn compute_rho(&self, atoms: &Atoms, list: &NeighborList, rho: &mut Vec<f64>);
 
     /// Chunk-parallel [`ManyBodyPotential::compute_rho`], bit-identical to
-    /// it at any thread count. Defaults to the serial pass.
+    /// it at any thread count. Serial without a row kernel.
     fn compute_rho_chunked(
         &self,
         atoms: &Atoms,
@@ -169,8 +180,14 @@ pub trait ManyBodyPotential: Send + Sync {
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
     ) {
-        let _ = (exec, scratch);
-        self.compute_rho(atoms, list, rho);
+        let Some(kernel) = self.row_kernel() else {
+            return self.compute_rho(atoms, list, rho);
+        };
+        scratch.prepare(atoms.nlocal, atoms.ntotal());
+        kernel.log_rho_rows(atoms, list, Rows::All, exec, scratch);
+        rho.clear();
+        rho.resize(atoms.ntotal(), 0.0);
+        kernels::replay_scalars(scratch, rho, exec);
     }
 
     /// Compute the embedding energy for local atoms from the fully-reduced
@@ -197,7 +214,7 @@ pub trait ManyBodyPotential: Send + Sync {
         -> PairEnergyVirial;
 
     /// Chunk-parallel [`ManyBodyPotential::compute_force`], bit-identical
-    /// to it at any thread count. Defaults to the serial pass.
+    /// to it at any thread count. Serial without a row kernel.
     fn compute_force_chunked(
         &self,
         atoms: &mut Atoms,
@@ -206,13 +223,16 @@ pub trait ManyBodyPotential: Send + Sync {
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
     ) -> PairEnergyVirial {
-        let _ = (exec, scratch);
-        self.compute_force(atoms, list, fp)
+        let Some(kernel) = self.row_kernel() else {
+            return self.compute_force(atoms, list, fp);
+        };
+        scratch.prepare(atoms.nlocal, atoms.ntotal());
+        kernel.log_force_rows(atoms, list, fp, Rows::All, exec, scratch);
+        replay_pass(scratch, &mut atoms.f, exec)
     }
 
-    /// Row-partitioned logging kernels for comm/compute overlap, or `None`
-    /// when the potential has no split implementation.
-    fn as_split(&self) -> Option<&dyn SplitManyBodyKernel> {
+    /// The potential's logging row kernels, or `None` when it has none.
+    fn row_kernel(&self) -> Option<&dyn ManyBodyRowKernel> {
         None
     }
 }

@@ -1,14 +1,16 @@
 //! Property tests for the deterministic chunk-parallel kernels.
 //!
-//! The contract under test: the chunked neighbor build and the chunked
-//! LJ/EAM passes are **bit-identical** to the serial seed kernels — same
-//! force bits, same energy/virial bits — at any thread count, with or
-//! without spatial sorting; and spatial sorting permutes atoms without
-//! changing which pairs exist. The neighbor build itself is held, row for
-//! row, to the per-candidate reference scan kept here as [`oracle_rows`].
+//! The contract under test: the chunked neighbor build and the logging row
+//! kernels of the LJ/EAM passes are **bit-identical** to the serial scalar
+//! kernels — same force bits, same energy/virial bits — at any thread
+//! count, logged in one sitting or split into interior and boundary rows,
+//! with or without spatial sorting; and spatial sorting permutes atoms
+//! without changing which pairs exist. The neighbor build itself is held,
+//! row for row, to the per-candidate reference scan kept here as
+//! [`oracle_rows`].
 
 use proptest::prelude::*;
-use tofumd_md::kernels::{KernelMode, PairScratch};
+use tofumd_md::kernels::{self, PairScratch, Rows, LANE_WIDTH};
 use tofumd_md::neighbor::{
     ghost_pair_belongs_to_i, sort_locals_by_bin, CellBins, ListKind, NeighborList,
 };
@@ -27,18 +29,6 @@ fn cloud(nlocal: usize, nghost: usize) -> impl Strategy<Value = (Vec<[f64; 3]>, 
     (local, ghost)
 }
 
-/// A cloud whose local count sweeps every residue mod the lane width, so
-/// the blocked kernels exercise every scalar-tail length 0..=7 (and the
-/// random densities scatter per-row neighbor counts across all residues
-/// as well).
-fn lane_cloud(base: usize) -> impl Strategy<Value = (Vec<[f64; 3]>, Vec<[f64; 3]>)> {
-    (cloud(base + 7, 71), 0usize..8).prop_map(move |((mut l, mut g), res)| {
-        l.truncate(base + res);
-        g.truncate(64 + res);
-        (l, g)
-    })
-}
-
 fn make_atoms(locals: &[[f64; 3]], ghosts: &[[f64; 3]], sorted: bool, cell: f64) -> Atoms {
     let mut atoms = Atoms::from_positions(locals.to_vec(), 1);
     if sorted {
@@ -50,218 +40,207 @@ fn make_atoms(locals: &[[f64; 3]], ghosts: &[[f64; 3]], sorted: bool, cell: f64)
     atoms
 }
 
-fn assert_forces_bitwise(a: &Atoms, b: &Atoms, label: &str) {
-    assert_eq!(a.f.len(), b.f.len());
-    for (i, (fa, fb)) in a.f.iter().zip(&b.f).enumerate() {
-        for d in 0..3 {
-            assert_eq!(
-                fa[d].to_bits(),
-                fb[d].to_bits(),
-                "{label}: force mismatch atom {i} dim {d}: {} vs {}",
-                fa[d],
-                fb[d]
-            );
+/// First index at which two arrays differ in any bit, if any.
+fn first_bit_mismatch(a: &[f64], b: &[f64]) -> Option<usize> {
+    assert_eq!(a.len(), b.len());
+    (0..a.len()).find(|&i| a[i].to_bits() != b[i].to_bits())
+}
+
+/// Slab width of the LJ row kernel (`potential::lj::ROW_BLOCK`).
+const ROW_BLOCK: usize = 64;
+
+/// Local rows of a kernel cloud: enough that an 8-thread pool clears
+/// `ChunkExec::MIN_WORK_PER_THREAD` and really fans the chunks out.
+const KERNEL_ROWS: usize = 8 * ChunkExec::MIN_WORK_PER_THREAD + 40;
+
+/// A cloud for the row kernels, scaled to the list cutoff: uniform filler
+/// at ~35 half-list pairs per row, one crowded cell whose rows run well
+/// past [`ROW_BLOCK`], pairs straddling the *force* cutoff to the ulp, and
+/// a ghost shell (so boundary rows scatter to targets past `nlocal`).
+/// Odd seeds sort the locals into bin order.
+fn kernel_cloud(seed: u64, cutoff: f64, skin: f64) -> ([f64; 3], [f64; 3], Atoms) {
+    let cl = cutoff + skin;
+    let mut rng = Lcg(seed | 1);
+    let side = 7.9 * cl;
+    let (lo, hi) = ([-cl; 3], [side + cl; 3]);
+    let mut locals: Vec<[f64; 3]> = (0..KERNEL_ROWS - 160 - 12)
+        .map(|_| rng.point([0.0; 3], [side; 3]))
+        .collect();
+    let mut ghosts: Vec<[f64; 3]> = Vec::new();
+    while ghosts.len() < 3000 {
+        let g = rng.point(lo, hi);
+        if g.iter().any(|&c| c < 0.0 || c > side) {
+            ghosts.push(g);
+        }
+    }
+    let clo: [f64; 3] = std::array::from_fn(|_| rng.unit() * (side - cl));
+    let chi = clo.map(|c| c + 0.9 * cl);
+    for t in 0..6 {
+        let p = locals[rng.below(locals.len())];
+        let sign = if t % 2 == 0 { 1.0 } else { -1.0 };
+        locals.extend(straddle(p, t % 3, sign, cutoff));
+        ghosts.extend(straddle(p, (t + 1) % 3, -sign, cutoff));
+    }
+    for k in 0..200 {
+        let p = rng.point(clo, chi);
+        if k < 160 {
+            locals.push(p);
+        } else {
+            ghosts.push(p);
+        }
+    }
+    let mut atoms = Atoms::from_positions(locals, 1);
+    if seed % 2 == 1 {
+        sort_locals_by_bin(&mut atoms, lo, hi, cl);
+    }
+    for (k, g) in ghosts.iter().enumerate() {
+        atoms.push_ghost(*g, 1, 1_000_000 + k as u64);
+    }
+    (lo, hi, atoms)
+}
+
+/// The interior masks every pass is split under (besides the one-sitting
+/// pass of the `*_chunked` wrappers): a random mask, all-interior,
+/// all-boundary and alternating rows.
+fn partitions(nlocal: usize, seed: u64) -> [Vec<bool>; 4] {
+    let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
+    [
+        (0..nlocal).map(|_| rng.unit() < 0.6).collect(),
+        vec![true; nlocal],
+        vec![false; nlocal],
+        (0..nlocal).map(|i| i % 2 == 0).collect(),
+    ]
+}
+
+/// Log one pass in two sittings on a fresh scratch, prepared as the step
+/// executor prepares a first rebuild step's — before any ghost shell
+/// existed — so the boundary rows' ghost targets land in buckets grown on
+/// demand.
+fn log_split(
+    nlocal: usize,
+    flags: &[bool],
+    log: impl Fn(Rows<'_>, &mut PairScratch),
+) -> PairScratch {
+    let mut scratch = PairScratch::new();
+    scratch.prepare(nlocal, nlocal);
+    for interior in [true, false] {
+        log(Rows::Side { flags, interior }, &mut scratch);
+    }
+    scratch
+}
+
+/// The cloud must exercise what the family claims: a row past the LJ slab
+/// width and every block-tail length of the EAM lane loop.
+fn assert_row_coverage(list: &NeighborList, nlocal: usize) {
+    let lens: Vec<usize> = (0..nlocal).map(|i| list.neighbors(i).len()).collect();
+    assert!(lens.iter().any(|&n| n > ROW_BLOCK), "no row past one slab");
+    for res in 0..LANE_WIDTH {
+        assert!(
+            lens.iter().any(|&n| n % LANE_WIDTH == res),
+            "no row of length ≡ {res} (mod {LANE_WIDTH})"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The LJ row kernel — through `compute_chunked` and logged side by
+    /// side under every partition — reproduces the serial scalar pass bit
+    /// for bit (forces, energy, virial) for half and full lists at 1, 2
+    /// and 8 threads.
+    #[test]
+    fn lj_row_kernel_is_bitwise_serial(seed in any::<u64>()) {
+        let (lo, hi, atoms0) = kernel_cloud(seed, 2.5, 0.3);
+        let pools = [SpinPool::new(2), SpinPool::new(8)];
+        let execs = [ChunkExec::Serial, ChunkExec::Pool(&pools[0]), ChunkExec::Pool(&pools[1])];
+        for kind in [ListKind::HalfNewton, ListKind::Full] {
+            let lj = LjCut::new(1.0, 1.0, 2.5, kind);
+            let Some(kernel) = lj.row_kernel() else { panic!("LJ has a row kernel") };
+            let list = NeighborList::build(&atoms0, lo, hi, kind, 2.5, 0.3);
+            assert_row_coverage(&list, atoms0.nlocal);
+            let mut want = atoms0.clone();
+            let want_ev = lj.compute(&mut want, &list);
+            let mut scratch = PairScratch::new();
+            for exec in &execs {
+                let mut atoms = atoms0.clone();
+                let ev = lj.compute_chunked(&mut atoms, &list, exec, &mut scratch);
+                prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
+                prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
+                prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "{:?} chunked t{}", kind, exec.threads());
+                for flags in &partitions(atoms0.nlocal, seed) {
+                    let mut atoms = atoms0.clone();
+                    let split = log_split(atoms.nlocal, flags, |rows, scratch| {
+                        kernel.log_rows(&atoms, &list, rows, exec, scratch);
+                    });
+                    kernels::replay_forces(&split, &mut atoms.f, exec);
+                    let (energy, virial) = kernels::fold_ev(&split);
+                    prop_assert_eq!(energy.to_bits(), want_ev.energy.to_bits());
+                    prop_assert_eq!(virial.to_bits(), want_ev.virial.to_bits());
+                    prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "{:?} split t{}", kind, exec.threads());
+                }
+            }
+        }
+    }
+
+    /// The EAM density and force row kernels — through the `*_chunked`
+    /// wrappers and logged side by side under every partition — and the
+    /// chunked embedding reproduce the serial scalar passes bit for bit at
+    /// 1, 2 and 8 threads.
+    #[test]
+    fn eam_row_kernels_are_bitwise_serial(seed in any::<u64>()) {
+        let eam = EamCu::lammps_bench();
+        let Some(kernel) = eam.row_kernel() else { panic!("EAM has row kernels") };
+        let (lo, hi, atoms0) = kernel_cloud(seed, 4.95, 1.0);
+        let pools = [SpinPool::new(2), SpinPool::new(8)];
+        let execs = [ChunkExec::Serial, ChunkExec::Pool(&pools[0]), ChunkExec::Pool(&pools[1])];
+        let list = NeighborList::build(&atoms0, lo, hi, ListKind::HalfNewton, 4.95, 1.0);
+        assert_row_coverage(&list, atoms0.nlocal);
+        let (mut want_rho, mut want_fp) = (Vec::new(), Vec::new());
+        eam.compute_rho(&atoms0, &list, &mut want_rho);
+        let want_embed = eam.compute_embedding(&atoms0, &want_rho, &mut want_fp);
+        // Stand-in for the forward-communicated ghost F'.
+        for (i, fp) in want_fp.iter_mut().enumerate().skip(atoms0.nlocal) {
+            *fp = 1e-3 * (i as f64).sin();
+        }
+        let mut want = atoms0.clone();
+        let want_ev = eam.compute_force(&mut want, &list, &want_fp);
+        let mut scratch = PairScratch::new();
+        for exec in &execs {
+            let (mut rho, mut fp) = (Vec::new(), Vec::new());
+            eam.compute_rho_chunked(&atoms0, &list, &mut rho, exec, &mut scratch);
+            prop_assert_eq!(first_bit_mismatch(&rho, &want_rho), None, "rho chunked t{}", exec.threads());
+            let embed = eam.compute_embedding_chunked(&atoms0, &rho, &mut fp, exec);
+            prop_assert_eq!(embed.to_bits(), want_embed.to_bits());
+            prop_assert_eq!(first_bit_mismatch(&fp[..atoms0.nlocal], &want_fp[..atoms0.nlocal]), None);
+            let mut atoms = atoms0.clone();
+            let ev = eam.compute_force_chunked(&mut atoms, &list, &want_fp, exec, &mut scratch);
+            prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
+            prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
+            prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "force chunked t{}", exec.threads());
+            for flags in &partitions(atoms0.nlocal, seed) {
+                let split = log_split(atoms0.nlocal, flags, |rows, scratch| {
+                    kernel.log_rho_rows(&atoms0, &list, rows, exec, scratch);
+                });
+                let mut rho = vec![0.0; atoms0.ntotal()];
+                kernels::replay_scalars(&split, &mut rho, exec);
+                prop_assert_eq!(first_bit_mismatch(&rho, &want_rho), None, "rho split t{}", exec.threads());
+                let mut atoms = atoms0.clone();
+                let split = log_split(atoms.nlocal, flags, |rows, scratch| {
+                    kernel.log_force_rows(&atoms, &list, &want_fp, rows, exec, scratch);
+                });
+                kernels::replay_forces(&split, &mut atoms.f, exec);
+                let (energy, virial) = kernels::fold_ev(&split);
+                prop_assert_eq!(energy.to_bits(), want_ev.energy.to_bits());
+                prop_assert_eq!(virial.to_bits(), want_ev.virial.to_bits());
+                prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "force split t{}", exec.threads());
+            }
         }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Chunked LJ forces/energy/virial are bitwise equal to the serial
-    /// kernel at 1, 2 and 8 threads, on sorted and unsorted input, and the
-    /// chunked list build reproduces the serial build exactly.
-    #[test]
-    fn lj_chunked_is_bitwise_serial(atoms_in in cloud(180, 90), sorted in any::<bool>()) {
-        let (locals, ghosts) = atoms_in;
-        let lj = LjCut::lammps_bench();
-        let cell = 2.5 + 0.3;
-        let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
-        let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 2.5, 0.3);
-
-        let mut ref_atoms = atoms0.clone();
-        ref_atoms.zero_forces();
-        let ref_ev = lj.compute(&mut ref_atoms, &list);
-
-        for threads in [1usize, 2, 8] {
-            let pool;
-            let exec = if threads == 1 {
-                ChunkExec::Serial
-            } else {
-                pool = SpinPool::new(threads);
-                ChunkExec::Pool(&pool)
-            };
-            // The chunked build must reproduce the serial list verbatim.
-            let clist =
-                NeighborList::build_chunked(&atoms0, LO, HI, ListKind::HalfNewton, 2.5, 0.3, &exec);
-            prop_assert_eq!(clist.npairs(), list.npairs());
-            for i in 0..atoms0.nlocal {
-                prop_assert_eq!(clist.neighbors(i), list.neighbors(i), "row {} threads {}", i, threads);
-            }
-
-            let mut atoms = atoms0.clone();
-            atoms.zero_forces();
-            let mut scratch = PairScratch::new();
-            let ev = lj.compute_chunked(&mut atoms, &list, &exec, &mut scratch);
-            prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
-            prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
-            assert_forces_bitwise(&atoms, &ref_atoms, &format!("lj threads {threads} sorted {sorted}"));
-        }
-    }
-
-    /// The three chunked EAM passes are bitwise equal to the serial ones
-    /// at 1, 2 and 8 threads.
-    #[test]
-    fn eam_chunked_is_bitwise_serial(atoms_in in cloud(140, 70), sorted in any::<bool>()) {
-        let (locals, ghosts) = atoms_in;
-        let eam = EamCu::lammps_bench();
-        let cell = 4.95 + 1.0;
-        let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
-        let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 4.95, 1.0);
-
-        let mut ref_atoms = atoms0.clone();
-        ref_atoms.zero_forces();
-        let mut ref_rho = Vec::new();
-        let mut ref_fp = Vec::new();
-        eam.compute_rho(&ref_atoms, &list, &mut ref_rho);
-        let ref_embed = eam.compute_embedding(&ref_atoms, &ref_rho, &mut ref_fp);
-        let ref_ev = eam.compute_force(&mut ref_atoms, &list, &ref_fp);
-
-        for threads in [1usize, 2, 8] {
-            let pool;
-            let exec = if threads == 1 {
-                ChunkExec::Serial
-            } else {
-                pool = SpinPool::new(threads);
-                ChunkExec::Pool(&pool)
-            };
-            let mut atoms = atoms0.clone();
-            atoms.zero_forces();
-            let mut scratch = PairScratch::new();
-            let mut rho = Vec::new();
-            let mut fp = Vec::new();
-            eam.compute_rho_chunked(&atoms, &list, &mut rho, &exec, &mut scratch);
-            prop_assert_eq!(rho.len(), ref_rho.len());
-            for (i, (a, b)) in rho.iter().zip(&ref_rho).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "rho atom {} threads {}", i, threads);
-            }
-            let embed = eam.compute_embedding_chunked(&atoms, &rho, &mut fp, &exec);
-            prop_assert_eq!(embed.to_bits(), ref_embed.to_bits(), "threads {}", threads);
-            for (i, (a, b)) in fp.iter().zip(&ref_fp).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "fp atom {} threads {}", i, threads);
-            }
-            let ev = eam.compute_force_chunked(&mut atoms, &list, &fp, &exec, &mut scratch);
-            prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
-            prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
-            assert_forces_bitwise(&atoms, &ref_atoms, &format!("eam threads {threads} sorted {sorted}"));
-        }
-    }
-
-    /// The lane-blocked LJ kernel is bitwise equal to the scalar one —
-    /// energy, virial, and every force component — in the serial path and
-    /// under the chunked executor at 1, 2 and 8 threads, across every
-    /// scalar-tail residue.
-    #[test]
-    fn lj_blocked_is_bitwise_scalar(atoms_in in lane_cloud(152), sorted in any::<bool>()) {
-        let (locals, ghosts) = atoms_in;
-        let scalar = LjCut::lammps_bench();
-        let blocked = LjCut::lammps_bench().with_kernel_mode(KernelMode::Blocked);
-        let cell = 2.5 + 0.3;
-        let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
-        let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 2.5, 0.3);
-
-        let mut ref_atoms = atoms0.clone();
-        ref_atoms.zero_forces();
-        let ref_ev = scalar.compute(&mut ref_atoms, &list);
-
-        let mut serial = atoms0.clone();
-        serial.zero_forces();
-        let ev = blocked.compute(&mut serial, &list);
-        prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits());
-        prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits());
-        assert_forces_bitwise(&serial, &ref_atoms, "lj blocked serial");
-
-        for threads in [1usize, 2, 8] {
-            let pool;
-            let exec = if threads == 1 {
-                ChunkExec::Serial
-            } else {
-                pool = SpinPool::new(threads);
-                ChunkExec::Pool(&pool)
-            };
-            let mut atoms = atoms0.clone();
-            atoms.zero_forces();
-            let mut scratch = PairScratch::new();
-            let ev = blocked.compute_chunked(&mut atoms, &list, &exec, &mut scratch);
-            prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
-            prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
-            assert_forces_bitwise(&atoms, &ref_atoms, &format!("lj blocked threads {threads}"));
-        }
-    }
-
-    /// All three lane-blocked EAM passes (rho, embedding, force) are
-    /// bitwise equal to the scalar ones, serial and chunked at 1, 2 and 8
-    /// threads, across every scalar-tail residue.
-    #[test]
-    fn eam_blocked_is_bitwise_scalar(atoms_in in lane_cloud(120), sorted in any::<bool>()) {
-        let (locals, ghosts) = atoms_in;
-        let scalar = EamCu::lammps_bench();
-        let blocked = EamCu::lammps_bench().with_kernel_mode(KernelMode::Blocked);
-        let cell = 4.95 + 1.0;
-        let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
-        let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 4.95, 1.0);
-
-        let mut ref_atoms = atoms0.clone();
-        ref_atoms.zero_forces();
-        let mut ref_rho = Vec::new();
-        let mut ref_fp = Vec::new();
-        scalar.compute_rho(&ref_atoms, &list, &mut ref_rho);
-        let ref_embed = scalar.compute_embedding(&ref_atoms, &ref_rho, &mut ref_fp);
-        let ref_ev = scalar.compute_force(&mut ref_atoms, &list, &ref_fp);
-
-        let mut serial = atoms0.clone();
-        serial.zero_forces();
-        let mut rho_s = Vec::new();
-        let mut fp_s = Vec::new();
-        blocked.compute_rho(&serial, &list, &mut rho_s);
-        for (i, (a, b)) in rho_s.iter().zip(&ref_rho).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "serial rho atom {}", i);
-        }
-        let embed_s = blocked.compute_embedding(&serial, &rho_s, &mut fp_s);
-        prop_assert_eq!(embed_s.to_bits(), ref_embed.to_bits());
-        let ev_s = blocked.compute_force(&mut serial, &list, &fp_s);
-        prop_assert_eq!(ev_s.energy.to_bits(), ref_ev.energy.to_bits());
-        prop_assert_eq!(ev_s.virial.to_bits(), ref_ev.virial.to_bits());
-        assert_forces_bitwise(&serial, &ref_atoms, "eam blocked serial");
-
-        for threads in [1usize, 2, 8] {
-            let pool;
-            let exec = if threads == 1 {
-                ChunkExec::Serial
-            } else {
-                pool = SpinPool::new(threads);
-                ChunkExec::Pool(&pool)
-            };
-            let mut atoms = atoms0.clone();
-            atoms.zero_forces();
-            let mut scratch = PairScratch::new();
-            let mut rho = Vec::new();
-            let mut fp = Vec::new();
-            blocked.compute_rho_chunked(&atoms, &list, &mut rho, &exec, &mut scratch);
-            for (i, (a, b)) in rho.iter().zip(&ref_rho).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "rho atom {} threads {}", i, threads);
-            }
-            let embed = blocked.compute_embedding_chunked(&atoms, &rho, &mut fp, &exec);
-            prop_assert_eq!(embed.to_bits(), ref_embed.to_bits(), "threads {}", threads);
-            for (i, (a, b)) in fp.iter().zip(&ref_fp).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "fp atom {} threads {}", i, threads);
-            }
-            let ev = blocked.compute_force_chunked(&mut atoms, &list, &fp, &exec, &mut scratch);
-            prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
-            prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
-            assert_forces_bitwise(&atoms, &ref_atoms, &format!("eam blocked threads {threads}"));
-        }
-    }
 
     /// Spatial sorting permutes atoms but never changes which pairs the
     /// half-one-sided list contains: same pair count, same (tag, tag)

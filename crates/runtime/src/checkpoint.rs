@@ -40,8 +40,9 @@ use tofumd_md::wirefmt::{self, WireError, WireReader};
 /// File magic: identifies a tofumd checkpoint container.
 pub const MAGIC: [u8; 8] = *b"TMDCKPT\0";
 
-/// Current container format version.
-pub const VERSION: u32 = 1;
+/// Current container format version. Version 1 also carried a kernel
+/// tag in the run configuration.
+pub const VERSION: u32 = 2;
 
 /// Container overhead: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8;
@@ -52,7 +53,7 @@ const FOOTER_LEN: usize = 8;
 pub enum CheckpointError {
     /// The file does not start with the checkpoint magic.
     BadMagic,
-    /// The container version is newer than this build understands.
+    /// The container version is not the one this build reads.
     UnsupportedVersion(u32),
     /// The file ends before the declared payload and checksum.
     Truncated {
@@ -294,13 +295,6 @@ fn put_cfg(out: &mut Vec<u8>, cfg: &RunConfig) {
     wirefmt::put_f64(out, cfg.temperature);
     wirefmt::put_u64(out, cfg.seed);
     put_comm(out, &cfg.comm);
-    wirefmt::put_u8(
-        out,
-        match cfg.kernel {
-            KernelMode::Scalar => 0,
-            KernelMode::Blocked => 1,
-        },
-    );
 }
 
 fn get_cfg(r: &mut WireReader<'_>) -> Result<RunConfig, CheckpointError> {
@@ -310,11 +304,7 @@ fn get_cfg(r: &mut WireReader<'_>) -> Result<RunConfig, CheckpointError> {
         temperature: r.f64_()?,
         seed: r.u64_()?,
         comm: get_comm(r)?,
-        kernel: match r.u8_()? {
-            0 => KernelMode::Scalar,
-            1 => KernelMode::Blocked,
-            t => return Err(CheckpointError::Decode(format!("unknown kernel tag {t}"))),
-        },
+        kernel: KernelMode,
     })
 }
 
@@ -754,15 +744,18 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        let mut bytes = sample().to_container();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        // Re-seal so the version check (not the checksum) is what fires.
-        let end = bytes.len() - FOOTER_LEN;
-        let sum = fnv1a64(&bytes[MAGIC.len()..end]);
-        bytes[end..].copy_from_slice(&sum.to_le_bytes());
-        match CheckpointData::from_container(&bytes) {
-            Err(CheckpointError::UnsupportedVersion(99)) => {}
-            other => panic!("expected version skew, got {other:?}"),
+        // A newer container, and the version-1 one this format replaced.
+        for skewed in [99u32, 1] {
+            let mut bytes = sample().to_container();
+            bytes[8..12].copy_from_slice(&skewed.to_le_bytes());
+            // Re-seal so the version check (not the checksum) is what fires.
+            let end = bytes.len() - FOOTER_LEN;
+            let sum = fnv1a64(&bytes[MAGIC.len()..end]);
+            bytes[end..].copy_from_slice(&sum.to_le_bytes());
+            match CheckpointData::from_container(&bytes) {
+                Err(CheckpointError::UnsupportedVersion(v)) => assert_eq!(v, skewed),
+                other => panic!("expected version skew, got {other:?}"),
+            }
         }
     }
 

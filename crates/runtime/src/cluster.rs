@@ -7,8 +7,8 @@
 //! workload. The per-stage accounting mirrors LAMMPS's timing breakdown
 //! (Table 3): Pair, Neigh, Comm, Modify, Other.
 //!
-//! `Cluster` is a thin façade: each timestep executes the ordered
-//! [`Phase`](crate::driver::Phase) plan of [`crate::driver`], per-rank
+//! `Cluster` is a thin façade: each timestep executes the
+//! [`Phase`](crate::driver::Phase)s of [`crate::driver`]'s step DAG, per-rank
 //! compute lives in [`crate::physics`], and virtual-time bookkeeping in
 //! [`crate::accounting`]. Host parallelism comes from the driver's
 //! node-aligned [`Team`] on the spin pool — bit-identical results at any
@@ -20,7 +20,7 @@
 
 use crate::accounting::{self, SyncBucket};
 use crate::config::RunConfig;
-use crate::driver::{DagPhase, Lane, Phase, PlanMode, StepDag, Team};
+use crate::driver::{Lane, Phase, PlanMode, StepDag, Team};
 use crate::physics;
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
@@ -104,7 +104,7 @@ pub struct Cluster {
     pub(crate) rebalance_now: bool,
     /// Mid-run rebalances performed since construction.
     pub(crate) rebalance_count: u64,
-    /// How timesteps are sequenced (barrier plan or overlap DAG).
+    /// Whether the step DAG may overlap halo ops with interior compute.
     plan_mode: PlanMode,
     /// The proxy mesh this cluster was built on (needed to restore: the
     /// [`RankMap`] does not expose its cell grid).
@@ -285,8 +285,9 @@ impl Cluster {
     }
 
     /// Select how timesteps are sequenced. [`PlanMode::Dag`] (the
-    /// default) overlaps halo exchange with interior compute; physics is
-    /// bit-identical to [`PlanMode::Barrier`] either way.
+    /// default) overlaps halo exchange with interior compute;
+    /// [`PlanMode::Barrier`] pins the step DAG to its non-overlapping
+    /// shape. Physics is bit-identical either way.
     pub fn set_plan_mode(&mut self, mode: PlanMode) {
         self.plan_mode = mode;
     }
@@ -366,10 +367,10 @@ impl Cluster {
 
     /// Raise the first typed failure a physics phase recorded (a phase
     /// sequencing violation, e.g. a force pass before any list build).
-    fn raise_physics_failures(&mut self, stage: &str) {
+    fn raise_physics_failures(&mut self, phase: Phase) {
         for (rank, lane) in self.lanes.iter_mut().enumerate() {
             if let Some(e) = lane.failed.take() {
-                panic!("rank {rank}: {stage} failed: {e}");
+                panic!("rank {rank}: {phase:?} failed: {e}");
             }
         }
     }
@@ -438,13 +439,13 @@ impl Cluster {
         self.mpi.reset_mailboxes();
     }
 
-    /// Can this step's halo ops overlap with interior compute? Requires a
-    /// p2p variant whose Border/Forward ops are single-round without a
-    /// stage barrier, and a potential that implements the split kernels.
-    /// Re-evaluated every step, so a mid-run demotion (to the 3-stage
-    /// reference) degrades the DAG to its barrier-mirroring shape.
+    /// Can this step's halo ops overlap with interior compute? Requires
+    /// [`PlanMode::Dag`], a p2p variant whose Border/Forward ops are
+    /// single-round without a stage barrier, and a potential with row
+    /// kernels. Re-evaluated every step, so a mid-run demotion (to the
+    /// 3-stage reference) degrades the DAG to its non-overlapping shape.
     fn overlap_eligible(&self) -> bool {
-        if !self.variant.is_p2p() {
+        if self.plan_mode == PlanMode::Barrier || !self.variant.is_p2p() {
             return false;
         }
         let engine = &self.lanes[0].engine;
@@ -455,8 +456,8 @@ impl Cluster {
             return false;
         }
         match &*self.potential {
-            Potential::Pair(p) => p.as_split().is_some(),
-            Potential::ManyBody(p) => p.as_split().is_some(),
+            Potential::Pair(p) => p.row_kernel().is_some(),
+            Potential::ManyBody(p) => p.row_kernel().is_some(),
         }
     }
 
@@ -512,137 +513,6 @@ impl Cluster {
             self.op_observer = Some(obs);
         }
         self.mpi.reset_mailboxes();
-    }
-
-    /// Execute one node of the step DAG.
-    fn run_dag_phase(&mut self, phase: DagPhase) {
-        let ctx = Self::physics_ctx(
-            &self.potential,
-            self.variant,
-            &self.cfg,
-            &self.costs,
-            *self.net.params(),
-        );
-        let potential = self.potential.clone();
-        match phase {
-            DagPhase::Rebalance => self.run_phase(Phase::Rebalance),
-            DagPhase::Exchange => self.run_phase(Phase::Exchange),
-            DagPhase::SpatialSort => self.run_phase(Phase::SpatialSort),
-            DagPhase::BorderPost => self.window_post(Op::Border),
-            DagPhase::BorderComplete => self.window_complete(Op::Border),
-            DagPhase::ForwardPost => self.window_post(Op::Forward),
-            DagPhase::ForwardComplete => self.window_complete(Op::Forward),
-            DagPhase::FwdScalarPost => self.window_post(Op::ForwardScalar),
-            DagPhase::FwdScalarComplete => self.window_complete(Op::ForwardScalar),
-            DagPhase::InteriorBuild => {
-                physics::build_interior_lists(&self.team, &ctx, &mut self.lanes, &mut self.states);
-                self.raise_physics_failures("interior_build");
-            }
-            DagPhase::BoundaryBuild => {
-                physics::build_boundary_lists(&self.team, &ctx, &mut self.lanes, &mut self.states);
-                self.raise_physics_failures("boundary_build");
-                self.rebuild_count += 1;
-            }
-            DagPhase::InteriorPair => {
-                physics::pair_interior_log(
-                    &self.team,
-                    &ctx,
-                    &potential,
-                    self.rebuild,
-                    &mut self.lanes,
-                    &mut self.states,
-                );
-                self.raise_physics_failures("interior_pair");
-            }
-            DagPhase::BoundaryPair => {
-                physics::pair_boundary_finish(
-                    &self.team,
-                    &ctx,
-                    &potential,
-                    self.rebuild,
-                    &mut self.lanes,
-                    &mut self.states,
-                );
-                self.raise_physics_failures("boundary_pair");
-            }
-            DagPhase::InteriorRho => {
-                physics::rho_interior_log(
-                    &self.team,
-                    &ctx,
-                    &potential,
-                    self.rebuild,
-                    &mut self.lanes,
-                    &mut self.states,
-                );
-                self.raise_physics_failures("interior_rho");
-            }
-            DagPhase::BoundaryRho => {
-                physics::rho_boundary_finish(
-                    &self.team,
-                    &ctx,
-                    &potential,
-                    self.rebuild,
-                    &mut self.lanes,
-                    &mut self.states,
-                );
-                self.raise_physics_failures("boundary_rho");
-            }
-            DagPhase::RhoReduce => self.run_op(Op::ReverseScalar),
-            DagPhase::Embed => {
-                physics::eam_embed(&self.team, &potential, &mut self.lanes, &mut self.states);
-            }
-            DagPhase::InteriorForce => {
-                physics::force_interior_log(
-                    &self.team,
-                    &ctx,
-                    &potential,
-                    &mut self.lanes,
-                    &mut self.states,
-                );
-                self.raise_physics_failures("interior_force");
-            }
-            DagPhase::BoundaryForce => {
-                physics::force_boundary_finish(
-                    &self.team,
-                    &ctx,
-                    &potential,
-                    &mut self.lanes,
-                    &mut self.states,
-                );
-                self.raise_physics_failures("boundary_force");
-            }
-            DagPhase::Reverse => self.run_phase(Phase::Reverse),
-            DagPhase::FinalIntegrate => self.run_phase(Phase::FinalIntegrate),
-            DagPhase::Accounting => self.run_phase(Phase::Accounting),
-            DagPhase::BorderOp => self.run_phase(Phase::Border),
-            DagPhase::RebuildLists => self.run_phase(Phase::RebuildLists),
-            DagPhase::ForwardOp => self.run_phase(Phase::Forward),
-            DagPhase::PairCompute => self.compute_pair(),
-        }
-    }
-
-    /// DAG plan of one timestep: the integrate + reneighbor-check prefix
-    /// is shared with the barrier plan (the verdict shapes the DAG), then
-    /// the step DAG executes in its deterministic lowest-id-ready order.
-    fn run_step_dag(&mut self) {
-        self.run_phase(Phase::InitialIntegrate);
-        self.run_phase(Phase::ReneighborCheck);
-        // A rebuild step creates its own partition; a forward step can
-        // only split rows if a DAG rebuild already classified them for
-        // the current list epoch (barrier rebuilds invalidate it).
-        let partitioned = self.rebuild || self.lanes.iter().all(|l| l.part.is_some());
-        let dag = StepDag::build(
-            self.rebuild,
-            self.cfg.is_eam(),
-            self.reverse_needed,
-            self.overlap_eligible() && partitioned,
-        );
-        for phase in dag.execution_order() {
-            if self.pending_peer_death.is_some() {
-                break;
-            }
-            self.run_dag_phase(phase);
-        }
     }
 
     /// Install an [`OpObserver`] called after every completed round of
@@ -728,7 +598,6 @@ impl Cluster {
             &mut self.lanes,
             &mut self.states,
         );
-        self.raise_physics_failures("check_displacements");
         self.rebuild = self.lanes.iter().any(|l| l.moved);
         let cost = accounting::allreduce_cost_target(
             self.net.params(),
@@ -748,26 +617,20 @@ impl Cluster {
     /// mid-stage scalar exchanges.
     fn compute_pair(&mut self) {
         let potential = self.potential.clone();
-        match &*potential {
-            Potential::Pair(_) => {
-                physics::pair_single(&self.team, &potential, &mut self.lanes, &mut self.states);
-                self.raise_physics_failures("pair");
+        if potential.needs_midstage_comm() {
+            physics::eam_rho(&self.team, &potential, &mut self.lanes, &mut self.states);
+            self.run_op(Op::ReverseScalar);
+            if self.pending_peer_death.is_some() {
+                return;
             }
-            Potential::ManyBody(_) => {
-                physics::eam_rho(&self.team, &potential, &mut self.lanes, &mut self.states);
-                self.raise_physics_failures("eam_rho");
-                self.run_op(Op::ReverseScalar);
-                if self.pending_peer_death.is_some() {
-                    return;
-                }
-                physics::eam_embed(&self.team, &potential, &mut self.lanes, &mut self.states);
-                self.run_op(Op::ForwardScalar);
-                if self.pending_peer_death.is_some() {
-                    return;
-                }
-                physics::eam_force(&self.team, &potential, &mut self.lanes, &mut self.states);
-                self.raise_physics_failures("eam_force");
+            physics::eam_embed(&self.team, &potential, &mut self.lanes, &mut self.states);
+            self.run_op(Op::ForwardScalar);
+            if self.pending_peer_death.is_some() {
+                return;
             }
+            physics::eam_force(&self.team, &potential, &mut self.lanes, &mut self.states);
+        } else {
+            physics::pair_single(&self.team, &potential, &mut self.lanes, &mut self.states);
         }
         let ctx = Self::physics_ctx(
             &self.potential,
@@ -777,7 +640,6 @@ impl Cluster {
             *self.net.params(),
         );
         physics::charge_pair(&self.team, &ctx, &mut self.lanes, &mut self.states);
-        self.raise_physics_failures("charge_pair");
     }
 
     /// Per-step Other floor plus the optional LAMMPS `thermo N`
@@ -809,15 +671,21 @@ impl Cluster {
         }
     }
 
-    /// Execute one phase of the step plan.
+    /// Execute one phase of a timestep.
     fn run_phase(&mut self, phase: Phase) {
+        let ctx = Self::physics_ctx(
+            &self.potential,
+            self.variant,
+            &self.cfg,
+            &self.costs,
+            *self.net.params(),
+        );
+        let potential = self.potential.clone();
+        let (team, lanes, states) = (&self.team, &mut self.lanes, &mut self.states);
         match phase {
-            Phase::InitialIntegrate => physics::integrate_initial(
-                &self.team,
-                &self.integrator,
-                &mut self.lanes,
-                &mut self.states,
-            ),
+            Phase::InitialIntegrate => {
+                physics::integrate_initial(team, &self.integrator, lanes, states);
+            }
             Phase::ReneighborCheck => self.reneighbor_check(),
             Phase::Rebalance => self.run_rebalance(),
             Phase::Exchange => {
@@ -825,78 +693,68 @@ impl Cluster {
                 // box first: the face link's periodic shift re-wraps a
                 // boundary-crossing atom while sending it one hop; a global
                 // wrap would route it the long way around the torus.
-                for st in &mut self.states {
+                for st in states {
                     st.atoms.clear_ghosts();
                 }
                 self.run_op(Op::Exchange);
             }
-            Phase::SpatialSort => {
-                let ctx = Self::physics_ctx(
-                    &self.potential,
-                    self.variant,
-                    &self.cfg,
-                    &self.costs,
-                    *self.net.params(),
-                );
-                physics::spatial_sort(&self.team, &ctx, &mut self.lanes, &mut self.states);
-            }
-            Phase::Border => self.run_op(Op::Border),
+            Phase::SpatialSort => physics::spatial_sort(team, &ctx, lanes, states),
+            Phase::Comm(op) => self.run_op(op),
+            Phase::Post(op) => self.window_post(op),
+            Phase::Complete(op) => self.window_complete(op),
             Phase::RebuildLists => {
-                let ctx = Self::physics_ctx(
-                    &self.potential,
-                    self.variant,
-                    &self.cfg,
-                    &self.costs,
-                    *self.net.params(),
-                );
-                physics::rebuild_lists(&self.team, &ctx, &mut self.lanes, &mut self.states);
+                physics::rebuild_lists(team, &ctx, lanes, states);
                 self.rebuild_count += 1;
             }
-            Phase::Forward => self.run_op(Op::Forward),
+            Phase::InteriorBuild => physics::build_interior_lists(team, &ctx, lanes, states),
+            Phase::BoundaryBuild => {
+                physics::build_boundary_lists(team, &ctx, lanes, states);
+                self.rebuild_count += 1;
+            }
             Phase::Pair => self.compute_pair(),
-            Phase::Reverse => self.run_op(Op::Reverse),
+            Phase::Interior(pass) => {
+                physics::log_interior(team, &ctx, &potential, pass, self.rebuild, lanes, states);
+            }
+            Phase::Boundary(pass) => {
+                physics::finish_boundary(team, &ctx, &potential, pass, self.rebuild, lanes, states);
+            }
+            Phase::Embed => physics::eam_embed(team, &potential, lanes, states),
             Phase::FinalIntegrate => {
-                let ctx = Self::physics_ctx(
-                    &self.potential,
-                    self.variant,
-                    &self.cfg,
-                    &self.costs,
-                    *self.net.params(),
-                );
-                physics::integrate_final(
-                    &self.team,
-                    &ctx,
-                    &self.integrator,
-                    &mut self.lanes,
-                    &mut self.states,
-                );
-                self.raise_physics_failures("integrate_final");
+                physics::integrate_final(team, &ctx, &self.integrator, lanes, states);
             }
             Phase::Accounting => self.accounting_phase(),
         }
+        self.raise_physics_failures(phase);
     }
 
-    /// Advance one timestep under the selected [`PlanMode`]: the barrier
-    /// plan walks the static phase list; the DAG plan executes the
-    /// per-rank dependency DAG with halo/compute overlap. Physics is
-    /// bit-identical between the two. If any engine exhausted its put
-    /// retry budget during the step, the whole cluster demotes to the MPI
+    /// Advance one timestep: the integrate + reneighbor-check prefix,
+    /// then — the verdict shapes it — the step DAG in its deterministic
+    /// lowest-id-ready order, overlapping halo ops with interior compute
+    /// where [`Cluster::overlap_eligible`] allows. Physics is bit-identical
+    /// between the DAG's two shapes. If any engine exhausted its put retry
+    /// budget during the step, the whole cluster demotes to the MPI
     /// 3-stage reference before the next step.
     pub fn run_step(&mut self) {
         self.step += 1;
         self.at_rebuild_boundary = false;
-        match self.plan_mode {
-            PlanMode::Barrier => {
-                for planned in Phase::step_plan(self.reverse_needed) {
-                    if self.pending_peer_death.is_some() {
-                        break;
-                    }
-                    if planned.cond.applies(self.rebuild) {
-                        self.run_phase(planned.phase);
-                    }
-                }
+        self.run_phase(Phase::InitialIntegrate);
+        self.run_phase(Phase::ReneighborCheck);
+        // A rebuild step creates its own partition; a forward step can
+        // only split rows if an overlapped rebuild already classified
+        // them for the current list epoch (one-pass rebuilds invalidate
+        // it).
+        let partitioned = self.rebuild || self.lanes.iter().all(|l| l.part.is_some());
+        let dag = StepDag::build(
+            self.rebuild,
+            self.cfg.is_eam(),
+            self.reverse_needed,
+            self.overlap_eligible() && partitioned,
+        );
+        for phase in dag.execution_order() {
+            if self.pending_peer_death.is_some() {
+                break;
             }
-            PlanMode::Dag => self.run_step_dag(),
+            self.run_phase(phase);
         }
         // A peer died mid-step: abandon the partial step and roll every
         // survivor back to the last checkpoint on a shrunken star forest.

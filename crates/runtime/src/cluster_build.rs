@@ -288,7 +288,7 @@ impl Cluster {
         cluster.run_phase(Phase::SpatialSort);
         cluster.run_op(Op::Border);
         cluster.run_phase(Phase::RebuildLists);
-        cluster.compute_pair();
+        cluster.run_phase(Phase::Pair);
         if cluster.reverse_needed {
             cluster.run_op(Op::Reverse);
         }

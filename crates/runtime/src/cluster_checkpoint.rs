@@ -265,7 +265,7 @@ impl Cluster {
         // bit.
         c.run_op(Op::Border);
         c.run_phase(Phase::RebuildLists);
-        c.compute_pair();
+        c.run_phase(Phase::Pair);
         if c.reverse_needed {
             c.run_op(Op::Reverse);
         }
@@ -416,7 +416,7 @@ impl Cluster {
         self.pending_peer_death = None;
         self.run_op(Op::Border);
         self.run_phase(Phase::RebuildLists);
-        self.compute_pair();
+        self.run_phase(Phase::Pair);
         if self.reverse_needed {
             self.run_op(Op::Reverse);
         }

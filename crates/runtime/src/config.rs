@@ -144,7 +144,8 @@ pub struct RunConfig {
     /// Communication tuning (decomposition, halo depth, density ramp).
     #[serde(default)]
     pub comm: CommTuning,
-    /// Inner-loop implementation for the force/neighbor kernels.
+    /// Selects nothing (see [`KernelMode`]); kept because the benchmark
+    /// package reads it. Delete with the next benchmark PR.
     #[serde(default)]
     pub kernel: KernelMode,
 }
@@ -160,7 +161,7 @@ impl RunConfig {
             temperature: 1.44,
             seed: 20230612,
             comm: CommTuning::default(),
-            kernel: KernelMode::default(),
+            kernel: KernelMode,
         }
     }
 
@@ -174,7 +175,7 @@ impl RunConfig {
             temperature: 1600.0,
             seed: 20230612,
             comm: CommTuning::default(),
-            kernel: KernelMode::default(),
+            kernel: KernelMode,
         }
     }
 
@@ -187,7 +188,7 @@ impl RunConfig {
             temperature: 1000.0,
             seed: 20230612,
             comm: CommTuning::default(),
-            kernel: KernelMode::default(),
+            kernel: KernelMode,
         }
     }
 
@@ -277,24 +278,18 @@ impl RunConfig {
     #[must_use]
     pub fn build_potential(&self) -> Potential {
         match self.kind {
-            PotentialKind::Lj => Potential::Pair(Box::new(
-                LjCut::lammps_bench().with_kernel_mode(self.kernel),
-            )),
-            PotentialKind::Eam => Potential::ManyBody(Box::new(
-                EamCu::lammps_bench().with_kernel_mode(self.kernel),
-            )),
-            PotentialKind::LjFull => Potential::Pair(Box::new(
-                LjCut::new(1.0, 1.0, 2.5, ListKind::Full).with_kernel_mode(self.kernel),
-            )),
+            PotentialKind::Lj => Potential::Pair(Box::new(LjCut::lammps_bench())),
+            PotentialKind::Eam => Potential::ManyBody(Box::new(EamCu::lammps_bench())),
+            PotentialKind::LjFull => {
+                Potential::Pair(Box::new(LjCut::new(1.0, 1.0, 2.5, ListKind::Full)))
+            }
             PotentialKind::LjLongCutoff { cutoff, full } => {
                 let kind = if full {
                     ListKind::Full
                 } else {
                     ListKind::HalfNewton
                 };
-                Potential::Pair(Box::new(
-                    LjCut::new(1.0, 1.0, cutoff, kind).with_kernel_mode(self.kernel),
-                ))
+                Potential::Pair(Box::new(LjCut::new(1.0, 1.0, cutoff, kind)))
             }
             PotentialKind::Sw => Potential::Pair(Box::new(StillingerWeber::silicon())),
             PotentialKind::LjBinary => Potential::Pair(Box::new(LjCutMulti::from_types(

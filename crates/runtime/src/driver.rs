@@ -1,10 +1,11 @@
 //! The deterministic host-parallel phase executor.
 //!
 //! A timestep is an ordered list of [`Phase`]s — per-rank work items
-//! (integrate, reneighbor-check, ghost ops, pair passes, accounting)
-//! executed over all simulated ranks by a persistent [`Team`] of host
-//! threads built on `tofumd-threadpool`'s spin pool (the paper's §3.3
-//! design, dogfooded as our own step driver).
+//! (integrate, reneighbor-check, ghost ops, pair passes, accounting) —
+//! whose middle section is a [`StepDag`] built once the reneighbor
+//! verdict is known, executed over all simulated ranks by a persistent
+//! [`Team`] of host threads built on `tofumd-threadpool`'s spin pool (the
+//! paper's §3.3 design, dogfooded as our own step driver).
 //!
 //! # Determinism contract (DESIGN.md §9)
 //!
@@ -28,9 +29,9 @@
 //! rather than rank ranges.
 
 use crate::accounting::StageAcc;
-use tofumd_core::engine::GhostEngine;
+use tofumd_core::engine::{GhostEngine, Op};
 use tofumd_core::topo_map::RankMap;
-use tofumd_md::kernels::{PairScratch, SplitScratch};
+use tofumd_md::kernels::PairScratch;
 use tofumd_md::neighbor::NeighborList;
 use tofumd_md::potential::PairEnergyVirial;
 use tofumd_threadpool::{ChunkExec, SpinPool};
@@ -88,12 +89,11 @@ pub struct Lane {
     /// pool's closures cannot propagate `Result`s); the step driver
     /// inspects and raises it after the region joins.
     pub failed: Option<TofuError>,
-    /// Chunk-log scratch for the deterministic parallel force kernels
-    /// (retained across steps so the hot path does not allocate).
+    /// Row-tagged scatter logs of the current force/density pass (when a
+    /// pass is split, the interior side is filled while halo messages are
+    /// in flight, the boundary side after). Retained across steps so the
+    /// hot path does not allocate.
     pub scratch: PairScratch,
-    /// Row-tagged scatter logs of the current split pass (interior side
-    /// filled while halo messages are in flight, boundary side after).
-    pub split: SplitScratch,
     /// Interior/boundary row partition of the current neighbor epoch.
     pub part: Option<Partition>,
     /// Interior-only list built pre-ghost on rebuild steps, consumed by
@@ -118,7 +118,6 @@ impl Lane {
             acc: StageAcc::default(),
             failed: None,
             scratch: PairScratch::new(),
-            split: SplitScratch::new(),
             part: None,
             interior_list: None,
             overlap_c0: 0.0,
@@ -126,9 +125,22 @@ impl Lane {
     }
 }
 
-/// One work item of a timestep, in execution order. The comm phases run
-/// the engine's post/complete rounds; the compute phases fan per-rank
-/// closures out over the [`Team`].
+/// One scatter pass of the pair stage — the unit the step DAG splits
+/// across a halo window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pass {
+    /// The single pass of a pairwise potential.
+    Pair,
+    /// EAM electron density.
+    Rho,
+    /// EAM forces from the exchanged F' values.
+    Force,
+}
+
+/// One work item of a timestep. The comm phases run the engine's
+/// post/complete rounds; the compute phases fan per-rank closures out
+/// over the [`Team`]. Every step starts with `InitialIntegrate` and
+/// `ReneighborCheck`; the rest is the step's [`StepDag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// First velocity-Verlet half-kick + drift.
@@ -142,209 +154,64 @@ pub enum Phase {
     /// their new owners. A global barrier point — every rank swaps before
     /// any rank exchanges.
     Rebalance,
-    /// Staged atom migration (reneighbor steps only).
+    /// Staged atom migration (reneighbor steps only; 3 rounds, never
+    /// split).
     Exchange,
     /// Spatial sort of local atoms into bin order (reneighbor steps only,
     /// after Exchange while no ghosts exist and before Border rebuilds the
     /// send lists against the new order).
     SpatialSort,
-    /// Ghost-region rebuild (reneighbor steps only).
-    Border,
-    /// Verlet-list rebuild (reneighbor steps only).
+    /// A whole ghost op, every round posted and completed back-to-back.
+    Comm(Op),
+    /// Post the puts of a single-round halo op, opening its overlap
+    /// window.
+    Post(Op),
+    /// Wait on the halo op posted earlier in the step.
+    Complete(Op),
+    /// Verlet-list rebuild in one pass.
     RebuildLists,
-    /// Ghost position update (non-reneighbor steps).
-    Forward,
-    /// Pair force evaluation (single pass, or the EAM rho/embed/force
-    /// pipeline with its mid-stage scalar exchanges).
+    /// Classify rows geometrically and build the interior-only Verlet
+    /// list while Border messages are in flight.
+    InteriorBuild,
+    /// Build the boundary rows against the arrived ghosts and merge into
+    /// the full list; derive the list-content partition.
+    BoundaryBuild,
+    /// The whole pair stage unsplit (single pass, or the EAM
+    /// rho/embed/force pipeline with its mid-stage scalar exchanges) and
+    /// its Pair charge.
     Pair,
-    /// Ghost force fold-back (Newton-half runs).
-    Reverse,
+    /// Log the interior rows of a pass while a halo is in flight.
+    Interior(Pass),
+    /// Log the boundary rows of a pass against the arrived halo, then
+    /// replay both sides in serial row order.
+    Boundary(Pass),
+    /// EAM embedding energy + F' for locals.
+    Embed,
     /// Second velocity-Verlet half-kick + Modify charge.
     FinalIntegrate,
     /// Per-step Other floor + the optional thermo reduction.
     Accounting,
 }
 
-/// When a planned phase actually runs, given the step's reneighbor
-/// verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cond {
-    /// Every step.
-    Always,
-    /// Only on reneighbor steps.
-    IfRebuild,
-    /// Only on non-reneighbor steps.
-    IfNoRebuild,
-}
-
-/// A phase plus its execution condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedPhase {
-    /// The work item.
-    pub phase: Phase,
-    /// When it runs.
-    pub cond: Cond,
-}
-
-impl Phase {
-    /// The ordered phase list of one timestep. The reneighbor decision is
-    /// made *during* the `ReneighborCheck` phase, so the branch between
-    /// the exchange path and the forward path is expressed as conditions
-    /// evaluated by the executor, keeping the plan itself static.
-    #[must_use]
-    pub fn step_plan(reverse_needed: bool) -> Vec<PlannedPhase> {
-        let mut plan = vec![
-            PlannedPhase {
-                phase: Phase::InitialIntegrate,
-                cond: Cond::Always,
-            },
-            PlannedPhase {
-                phase: Phase::ReneighborCheck,
-                cond: Cond::Always,
-            },
-            PlannedPhase {
-                phase: Phase::Rebalance,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::Exchange,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::SpatialSort,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::Border,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::RebuildLists,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::Forward,
-                cond: Cond::IfNoRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::Pair,
-                cond: Cond::Always,
-            },
-        ];
-        if reverse_needed {
-            plan.push(PlannedPhase {
-                phase: Phase::Reverse,
-                cond: Cond::Always,
-            });
-        }
-        plan.push(PlannedPhase {
-            phase: Phase::FinalIntegrate,
-            cond: Cond::Always,
-        });
-        plan.push(PlannedPhase {
-            phase: Phase::Accounting,
-            cond: Cond::Always,
-        });
-        plan
-    }
-}
-
-impl Cond {
-    /// Does the phase run on a step with this reneighbor verdict?
-    #[must_use]
-    pub fn applies(self, rebuild: bool) -> bool {
-        match self {
-            Cond::Always => true,
-            Cond::IfRebuild => rebuild,
-            Cond::IfNoRebuild => !rebuild,
-        }
-    }
-}
-
 /// How the cluster sequences a timestep's work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanMode {
-    /// The static barrier plan: every comm op posts and completes
-    /// back-to-back, compute strictly between ops.
+    /// Never overlap: every step runs the [`StepDag`]'s non-overlapping
+    /// shape — every comm op posts and completes back-to-back, compute
+    /// strictly between ops. The reference side of the DAG-equivalence
+    /// suites.
     Barrier,
-    /// The per-rank dependency DAG: halo posts overlap with interior
-    /// compute, completes are reordered behind it (the default).
+    /// Overlap halo posts with interior compute wherever the variant and
+    /// potential allow it (the default).
     #[default]
     Dag,
-}
-
-/// One node of the per-rank step DAG. The overlap nodes split each halo
-/// op into a post half and a complete half with interior compute between
-/// them; the `*Op` nodes are degenerate single-node stand-ins that run
-/// the corresponding barrier phase unchanged (used when the variant or
-/// potential cannot overlap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DagPhase {
-    /// Mid-run domain rebalance (no-op unless armed); the Exchange node
-    /// depends on it, making it a barrier point of every rebuild shape.
-    Rebalance,
-    /// Staged atom migration (3 rounds, never split).
-    Exchange,
-    /// Bin-order sort of locals between Exchange and Border.
-    SpatialSort,
-    /// Post the ghost-region halo (Border) puts.
-    BorderPost,
-    /// Classify rows geometrically and build the interior-only Verlet
-    /// list while Border messages are in flight.
-    InteriorBuild,
-    /// Log the interior rows of the pair pass (single-pass potentials).
-    InteriorPair,
-    /// Log the interior rows of the EAM density pass.
-    InteriorRho,
-    /// Wait on the Border halo.
-    BorderComplete,
-    /// Build the boundary rows against the arrived ghosts and merge into
-    /// the full list; derive the list-content partition.
-    BoundaryBuild,
-    /// Log the boundary pair rows, then replay both sides in serial row
-    /// order (single-pass potentials).
-    BoundaryPair,
-    /// Boundary half of the EAM density pass + merged replay.
-    BoundaryRho,
-    /// Post the ghost position update (Forward).
-    ForwardPost,
-    /// Wait on the Forward halo.
-    ForwardComplete,
-    /// Fold ghost densities back to their owners (ReverseScalar op).
-    RhoReduce,
-    /// EAM embedding energy + F' for locals.
-    Embed,
-    /// Post the F' forward exchange (ForwardScalar).
-    FwdScalarPost,
-    /// Log the interior rows of the EAM force pass while F' ghosts are in
-    /// flight.
-    InteriorForce,
-    /// Wait on the F' halo.
-    FwdScalarComplete,
-    /// Boundary half of the EAM force pass + merged replay.
-    BoundaryForce,
-    /// Ghost force fold-back (Reverse op).
-    Reverse,
-    /// Second velocity-Verlet half + Modify charge.
-    FinalIntegrate,
-    /// Per-step Other floor + optional thermo reduction.
-    Accounting,
-    /// Degenerate node: the whole Border op, post+complete back-to-back.
-    BorderOp,
-    /// Degenerate node: the barrier-plan full list rebuild.
-    RebuildLists,
-    /// Degenerate node: the whole Forward op.
-    ForwardOp,
-    /// Degenerate node: the barrier-plan pair phase (including the EAM
-    /// pipeline and the Pair charge).
-    PairCompute,
 }
 
 /// A DAG node: its phase and the ids of the nodes it depends on.
 #[derive(Debug, Clone)]
 pub struct DagNode {
     /// The work item.
-    pub phase: DagPhase,
+    pub phase: Phase,
     /// Ids of nodes that must execute first (always smaller than this
     /// node's own id, so id order is a topological order).
     pub deps: Vec<usize>,
@@ -362,83 +229,59 @@ pub struct StepDag {
 }
 
 impl StepDag {
-    /// Build the step DAG. `overlap` selects the split (overlapping)
-    /// shape; without it every node is a degenerate stand-in for the
-    /// matching barrier phase, in the barrier plan's exact order.
+    /// Build the step DAG. `overlap` selects the shape that splits each
+    /// halo op into a post and a complete with interior compute between
+    /// them; without it the ops and the pair stage run whole, one after
+    /// another.
     #[must_use]
     pub fn build(rebuild: bool, eam: bool, reverse_needed: bool, overlap: bool) -> Self {
         let mut nodes: Vec<DagNode> = Vec::new();
-        let mut push = |nodes: &mut Vec<DagNode>, phase: DagPhase, deps: Vec<usize>| -> usize {
+        let mut push = |phase: Phase, deps: Vec<usize>| -> usize {
             nodes.push(DagNode { phase, deps });
             nodes.len() - 1
         };
-        let pair_done = if !overlap {
-            let prev = if rebuild {
-                let rb = push(&mut nodes, DagPhase::Rebalance, vec![]);
-                let ex = push(&mut nodes, DagPhase::Exchange, vec![rb]);
-                let sort = push(&mut nodes, DagPhase::SpatialSort, vec![ex]);
-                let border = push(&mut nodes, DagPhase::BorderOp, vec![sort]);
-                push(&mut nodes, DagPhase::RebuildLists, vec![border])
+        let first = if eam { Pass::Rho } else { Pass::Pair };
+        let mut prev = if rebuild {
+            let rb = push(Phase::Rebalance, vec![]);
+            let ex = push(Phase::Exchange, vec![rb]);
+            let sort = push(Phase::SpatialSort, vec![ex]);
+            if overlap {
+                let bpost = push(Phase::Post(Op::Border), vec![sort]);
+                let ibuild = push(Phase::InteriorBuild, vec![sort]);
+                let ilog = push(Phase::Interior(first), vec![ibuild]);
+                let bdone = push(Phase::Complete(Op::Border), vec![bpost]);
+                let bbuild = push(Phase::BoundaryBuild, vec![ibuild, bdone]);
+                push(Phase::Boundary(first), vec![ilog, bbuild])
             } else {
-                push(&mut nodes, DagPhase::ForwardOp, vec![])
-            };
-            push(&mut nodes, DagPhase::PairCompute, vec![prev])
-        } else if rebuild {
-            let rb = push(&mut nodes, DagPhase::Rebalance, vec![]);
-            let ex = push(&mut nodes, DagPhase::Exchange, vec![rb]);
-            let sort = push(&mut nodes, DagPhase::SpatialSort, vec![ex]);
-            let bpost = push(&mut nodes, DagPhase::BorderPost, vec![sort]);
-            let ibuild = push(&mut nodes, DagPhase::InteriorBuild, vec![sort]);
-            let ilog = if eam {
-                push(&mut nodes, DagPhase::InteriorRho, vec![ibuild])
-            } else {
-                push(&mut nodes, DagPhase::InteriorPair, vec![ibuild])
-            };
-            let bdone = push(&mut nodes, DagPhase::BorderComplete, vec![bpost]);
-            let bbuild = push(&mut nodes, DagPhase::BoundaryBuild, vec![ibuild, bdone]);
-            if eam {
-                let brho = push(&mut nodes, DagPhase::BoundaryRho, vec![ilog, bbuild]);
-                Self::push_eam_tail(&mut nodes, &mut push, brho)
-            } else {
-                push(&mut nodes, DagPhase::BoundaryPair, vec![ilog, bbuild])
+                let border = push(Phase::Comm(Op::Border), vec![sort]);
+                let lists = push(Phase::RebuildLists, vec![border]);
+                push(Phase::Pair, vec![lists])
             }
+        } else if overlap {
+            let fpost = push(Phase::Post(Op::Forward), vec![]);
+            let ilog = push(Phase::Interior(first), vec![]);
+            let fdone = push(Phase::Complete(Op::Forward), vec![fpost]);
+            push(Phase::Boundary(first), vec![ilog, fdone])
         } else {
-            let fpost = push(&mut nodes, DagPhase::ForwardPost, vec![]);
-            let ilog = if eam {
-                push(&mut nodes, DagPhase::InteriorRho, vec![])
-            } else {
-                push(&mut nodes, DagPhase::InteriorPair, vec![])
-            };
-            let fdone = push(&mut nodes, DagPhase::ForwardComplete, vec![fpost]);
-            if eam {
-                let brho = push(&mut nodes, DagPhase::BoundaryRho, vec![ilog, fdone]);
-                Self::push_eam_tail(&mut nodes, &mut push, brho)
-            } else {
-                push(&mut nodes, DagPhase::BoundaryPair, vec![ilog, fdone])
-            }
+            let fwd = push(Phase::Comm(Op::Forward), vec![]);
+            push(Phase::Pair, vec![fwd])
         };
-        let mut prev = pair_done;
-        if reverse_needed {
-            prev = push(&mut nodes, DagPhase::Reverse, vec![prev]);
+        if eam && overlap {
+            // After the density replay: fold ghost rho back, embed, then
+            // overlap the F' forward with the interior force rows.
+            let reduce = push(Phase::Comm(Op::ReverseScalar), vec![prev]);
+            let embed = push(Phase::Embed, vec![reduce]);
+            let fpost = push(Phase::Post(Op::ForwardScalar), vec![embed]);
+            let iforce = push(Phase::Interior(Pass::Force), vec![embed]);
+            let fdone = push(Phase::Complete(Op::ForwardScalar), vec![fpost]);
+            prev = push(Phase::Boundary(Pass::Force), vec![iforce, fdone]);
         }
-        let fin = push(&mut nodes, DagPhase::FinalIntegrate, vec![prev]);
-        push(&mut nodes, DagPhase::Accounting, vec![fin]);
+        if reverse_needed {
+            prev = push(Phase::Comm(Op::Reverse), vec![prev]);
+        }
+        let fin = push(Phase::FinalIntegrate, vec![prev]);
+        push(Phase::Accounting, vec![fin]);
         StepDag { nodes }
-    }
-
-    /// The shared EAM tail after the density replay: fold ghost rho back,
-    /// embed, then overlap the F' forward with the interior force rows.
-    fn push_eam_tail(
-        nodes: &mut Vec<DagNode>,
-        push: &mut impl FnMut(&mut Vec<DagNode>, DagPhase, Vec<usize>) -> usize,
-        rho_done: usize,
-    ) -> usize {
-        let reduce = push(nodes, DagPhase::RhoReduce, vec![rho_done]);
-        let embed = push(nodes, DagPhase::Embed, vec![reduce]);
-        let fpost = push(nodes, DagPhase::FwdScalarPost, vec![embed]);
-        let iforce = push(nodes, DagPhase::InteriorForce, vec![embed]);
-        let fdone = push(nodes, DagPhase::FwdScalarComplete, vec![fpost]);
-        push(nodes, DagPhase::BoundaryForce, vec![iforce, fdone])
     }
 
     /// Execute order: repeatedly dispatch the lowest-id node whose deps
@@ -446,7 +289,7 @@ impl StepDag {
     /// plain id order, but computing it through the ready set keeps the
     /// scheduling rule explicit (and lets tests validate the dep edges).
     #[must_use]
-    pub fn execution_order(&self) -> Vec<DagPhase> {
+    pub fn execution_order(&self) -> Vec<Phase> {
         let n = self.nodes.len();
         let mut done = vec![false; n];
         let mut order = Vec::with_capacity(n);
@@ -676,46 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn step_plan_orders_phases() {
-        let plan = Phase::step_plan(true);
-        let phases: Vec<Phase> = plan.iter().map(|p| p.phase).collect();
-        assert_eq!(phases[0], Phase::InitialIntegrate);
-        assert_eq!(phases[1], Phase::ReneighborCheck);
-        assert!(phases.contains(&Phase::Reverse));
-        assert_eq!(*phases.last().unwrap(), Phase::Accounting);
-        let no_rev = Phase::step_plan(false);
-        assert!(no_rev.iter().all(|p| p.phase != Phase::Reverse));
-        // The rebuild and forward paths are mutually exclusive.
-        // The rebalance barrier point sits between the verdict and the
-        // migration it may redirect.
-        let reb = phases.iter().position(|&p| p == Phase::Rebalance).unwrap();
-        let ex = phases.iter().position(|&p| p == Phase::Exchange).unwrap();
-        assert!(reb < ex && reb > 1);
-        for p in &plan {
-            match p.phase {
-                Phase::Rebalance
-                | Phase::Exchange
-                | Phase::SpatialSort
-                | Phase::Border
-                | Phase::RebuildLists => {
-                    assert_eq!(p.cond, Cond::IfRebuild);
-                }
-                Phase::Forward => assert_eq!(p.cond, Cond::IfNoRebuild),
-                _ => assert_eq!(p.cond, Cond::Always),
-            }
-        }
-        assert!(Cond::IfRebuild.applies(true) && !Cond::IfRebuild.applies(false));
-        assert!(!Cond::IfNoRebuild.applies(true) && Cond::IfNoRebuild.applies(false));
-    }
-
-    fn pos(order: &[DagPhase], p: DagPhase) -> usize {
-        order
-            .iter()
-            .position(|&q| q == p)
-            .unwrap_or_else(|| panic!("{p:?} missing from {order:?}"))
-    }
-
-    #[test]
     fn dag_ids_are_topological_and_execution_is_id_order() {
         for rebuild in [false, true] {
             for eam in [false, true] {
@@ -725,77 +528,87 @@ mod tests {
                         assert!(n.deps.iter().all(|&d| d < i), "dep edge forward at {i}");
                     }
                     let order = dag.execution_order();
-                    let by_id: Vec<DagPhase> = dag.nodes.iter().map(|n| n.phase).collect();
+                    let by_id: Vec<Phase> = dag.nodes.iter().map(|n| n.phase).collect();
                     assert_eq!(order, by_id);
                 }
             }
         }
     }
 
+    /// The non-overlapping shape (all of `PlanMode::Barrier`, and what
+    /// `PlanMode::Dag` degrades to) is the barrier step sequence: whole
+    /// ops and the whole pair stage in program order, the rebuild and
+    /// forward paths mutually exclusive, the rebalance barrier point ahead
+    /// of the migration it may redirect, Reverse only when asked for.
     #[test]
-    fn degenerate_dag_mirrors_barrier_plan() {
-        let order = StepDag::build(true, false, true, false).execution_order();
-        assert_eq!(
-            order,
-            vec![
-                DagPhase::Rebalance,
-                DagPhase::Exchange,
-                DagPhase::SpatialSort,
-                DagPhase::BorderOp,
-                DagPhase::RebuildLists,
-                DagPhase::PairCompute,
-                DagPhase::Reverse,
-                DagPhase::FinalIntegrate,
-                DagPhase::Accounting,
-            ]
-        );
-        let fwd = StepDag::build(false, true, false, false).execution_order();
-        assert_eq!(
-            fwd,
-            vec![
-                DagPhase::ForwardOp,
-                DagPhase::PairCompute,
-                DagPhase::FinalIntegrate,
-                DagPhase::Accounting,
-            ]
-        );
+    fn non_overlap_dag_is_the_barrier_sequence() {
+        use Phase::*;
+        let rebuild = [
+            Rebalance,
+            Exchange,
+            SpatialSort,
+            Comm(Op::Border),
+            RebuildLists,
+            Pair,
+        ];
+        let forward = [Comm(Op::Forward), Pair];
+        for eam in [false, true] {
+            for reverse in [false, true] {
+                let tail: &[Phase] = if reverse {
+                    &[Comm(Op::Reverse), FinalIntegrate, Accounting]
+                } else {
+                    &[FinalIntegrate, Accounting]
+                };
+                let order = |rb| StepDag::build(rb, eam, reverse, false).execution_order();
+                assert_eq!(order(true), [&rebuild[..], tail].concat());
+                assert_eq!(order(false), [&forward[..], tail].concat());
+            }
+        }
     }
 
     #[test]
     fn overlap_dag_interleaves_interior_compute_inside_halo_windows() {
-        // LJ rebuild: interior build + pair logging run between the Border
-        // post and its complete.
-        let o = StepDag::build(true, false, true, true).execution_order();
-        let (bp, bc) = (
-            pos(&o, DagPhase::BorderPost),
-            pos(&o, DagPhase::BorderComplete),
-        );
-        assert!(bp < pos(&o, DagPhase::InteriorBuild) || pos(&o, DagPhase::InteriorBuild) < bc);
-        assert!(pos(&o, DagPhase::InteriorBuild) < bc && bp < bc);
-        assert!(pos(&o, DagPhase::InteriorPair) < bc);
-        assert!(pos(&o, DagPhase::BoundaryBuild) > bc);
-        assert!(pos(&o, DagPhase::BoundaryPair) > pos(&o, DagPhase::BoundaryBuild));
-        // LJ forward: interior pair logging inside the Forward window.
-        let f = StepDag::build(false, false, true, true).execution_order();
-        let (fp, fc) = (
-            pos(&f, DagPhase::ForwardPost),
-            pos(&f, DagPhase::ForwardComplete),
-        );
-        assert!(fp < pos(&f, DagPhase::InteriorPair) && pos(&f, DagPhase::InteriorPair) < fc);
-        // EAM forward: interior force rows inside the F' window.
-        let e = StepDag::build(false, true, true, true).execution_order();
-        let (sp, sc) = (
-            pos(&e, DagPhase::FwdScalarPost),
-            pos(&e, DagPhase::FwdScalarComplete),
-        );
-        assert!(sp < pos(&e, DagPhase::InteriorForce) && pos(&e, DagPhase::InteriorForce) < sc);
-        assert!(pos(&e, DagPhase::InteriorRho) < pos(&e, DagPhase::ForwardComplete));
-        assert!(pos(&e, DagPhase::RhoReduce) > pos(&e, DagPhase::BoundaryRho));
-        // Tail order is fixed in every shape.
-        for order in [&o, &f, &e] {
-            let rev = pos(order, DagPhase::Reverse);
-            assert!(rev < pos(order, DagPhase::FinalIntegrate));
-            assert_eq!(*order.last().unwrap(), DagPhase::Accounting);
+        use Phase::*;
+        let tail = [Comm(Op::Reverse), FinalIntegrate, Accounting];
+        let eam_tail = [
+            Comm(Op::ReverseScalar),
+            Embed,
+            Post(Op::ForwardScalar),
+            Interior(Pass::Force),
+            Complete(Op::ForwardScalar),
+            Boundary(Pass::Force),
+        ];
+        for (eam, first) in [(false, Pass::Pair), (true, Pass::Rho)] {
+            let mid: &[Phase] = if eam { &eam_tail } else { &[] };
+            // Rebuild: interior build + first-pass logging run between the
+            // Border post and its complete.
+            let rebuild = [
+                Rebalance,
+                Exchange,
+                SpatialSort,
+                Post(Op::Border),
+                InteriorBuild,
+                Interior(first),
+                Complete(Op::Border),
+                BoundaryBuild,
+                Boundary(first),
+            ];
+            assert_eq!(
+                StepDag::build(true, eam, true, true).execution_order(),
+                [&rebuild[..], mid, &tail[..]].concat()
+            );
+            // Forward: first-pass interior logging inside the Forward
+            // window (and, for EAM, interior force rows inside the F' one).
+            let forward = [
+                Post(Op::Forward),
+                Interior(first),
+                Complete(Op::Forward),
+                Boundary(first),
+            ];
+            assert_eq!(
+                StepDag::build(false, eam, false, true).execution_order(),
+                [&forward[..], mid, &tail[1..]].concat()
+            );
         }
     }
 }

@@ -8,14 +8,15 @@
 //! can run them at any thread count with bit-identical results (the
 //! virtual-time charges depend only on the rank's own workload).
 
-use crate::driver::{Lane, Partition, Team};
+use crate::driver::{Lane, Partition, Pass, Team};
 use tofumd_core::border_bin;
 use tofumd_core::engine::RankState;
 use tofumd_md::integrate::NveIntegrator;
-use tofumd_md::kernels;
+use tofumd_md::kernels::{self, PairScratch, Rows};
 use tofumd_md::neighbor::{sort_locals_by_bin, ListKind, NeighborList};
-use tofumd_md::potential::{PairEnergyVirial, Potential};
+use tofumd_md::potential::{replay_pass, Potential};
 use tofumd_model::{RankWork, StageCosts, Threading};
+use tofumd_threadpool::ChunkExec;
 use tofumd_tofu::{NetParams, TofuError};
 
 /// Record a phase-order violation (state consumed before it was built) on
@@ -53,18 +54,41 @@ pub struct Ctx<'a> {
     pub eam: bool,
 }
 
+impl Ctx<'_> {
+    /// Neigh-stage time of a workload.
+    fn neigh_time(&self, work: &RankWork) -> f64 {
+        self.costs.neigh_time(work, self.threading, &self.params)
+    }
+
+    /// Pair-stage time of a workload.
+    fn pair_time(&self, work: &RankWork) -> f64 {
+        self.costs.pair_time(work, self.threading, &self.params)
+    }
+}
+
+/// The cost-model workload of a rank's whole row set under `list`.
+fn full_work(st: &RankState, list: &NeighborList, eam: bool) -> RankWork {
+    RankWork {
+        n_local: st.atoms.nlocal as f64,
+        n_ghost: st.atoms.nghost() as f64,
+        interactions: list.npairs() as f64,
+        eam,
+    }
+}
+
 /// The cost-model workload descriptor of one rank; `None` when the rank's
 /// neighbor list has not been built yet (a phase-ordering bug the caller
 /// reports through the lane's typed-error path).
 #[must_use]
 pub fn rank_work(lane: &Lane, st: &RankState, eam: bool) -> Option<RankWork> {
-    let list = lane.list.as_ref()?;
-    Some(RankWork {
-        n_local: st.atoms.nlocal as f64,
-        n_ghost: st.atoms.nghost() as f64,
-        interactions: list.npairs() as f64,
-        eam,
-    })
+    Some(full_work(st, lane.list.as_ref()?, eam))
+}
+
+/// The rank's sub-box grown by its ghost cutoff: the region the neighbor
+/// grid bins over.
+fn ghost_box(st: &RankState) -> ([f64; 3], [f64; 3]) {
+    let (sub, rg) = (st.graph.sub, st.graph.r_ghost);
+    (sub.lo.map(|c| c - rg), sub.hi.map(|c| c + rg))
 }
 
 /// Sort every rank's local atoms into row-major bin order on the *same*
@@ -74,10 +98,7 @@ pub fn rank_work(lane: &Lane, st: &RankState, eam: bool) -> Option<RankWork> {
 /// A host-side layout optimization only — no virtual time is charged.
 pub fn spatial_sort(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
     team.for_each(lanes, states, &|_, _lane, st| {
-        let sub = st.graph.sub;
-        let rg = st.graph.r_ghost;
-        let lo = [sub.lo[0] - rg, sub.lo[1] - rg, sub.lo[2] - rg];
-        let hi = [sub.hi[0] + rg, sub.hi[1] + rg, sub.hi[2] + rg];
+        let (lo, hi) = ghost_box(st);
         sort_locals_by_bin(&mut st.atoms, lo, hi, ctx.cutoff + ctx.skin);
     });
 }
@@ -86,10 +107,7 @@ pub fn spatial_sort(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [Ra
 /// serial build) and charge Neigh time.
 pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
     team.for_each_chunk(lanes, states, &|_, lane, st, exec| {
-        let sub = st.graph.sub;
-        let rg = st.graph.r_ghost;
-        let lo = [sub.lo[0] - rg, sub.lo[1] - rg, sub.lo[2] - rg];
-        let hi = [sub.hi[0] + rg, sub.hi[1] + rg, sub.hi[2] + rg];
+        let (lo, hi) = ghost_box(st);
         let list = NeighborList::build_chunked(
             &st.atoms,
             lo,
@@ -99,13 +117,7 @@ pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [R
             ctx.skin,
             exec,
         );
-        let work = RankWork {
-            n_local: st.atoms.nlocal as f64,
-            n_ghost: st.atoms.nghost() as f64,
-            interactions: list.npairs() as f64,
-            eam: ctx.eam,
-        };
-        let dt = ctx.costs.neigh_time(&work, ctx.threading, &ctx.params);
+        let dt = ctx.neigh_time(&full_work(st, &list, ctx.eam));
         st.clock += dt;
         lane.acc.neigh += dt;
         lane.list = Some(list);
@@ -117,20 +129,18 @@ pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [R
 }
 
 /// Single-pass pair potential: zero forces, compute, store energy/virial.
-///
-/// # Panics
-/// If `potential` is not a single-pass pair style.
 pub fn pair_single(
     team: &Team,
     potential: &Potential,
     lanes: &mut [Lane],
     states: &mut [RankState],
 ) {
-    let Potential::Pair(pot) = potential else {
-        panic!("pair_single requires a single-pass potential");
-    };
     team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
         st.atoms.zero_forces();
+        let Potential::Pair(pot) = potential else {
+            fail_missing(lane, r, "pair", "single-pass potential");
+            return;
+        };
         let Some(list) = lane.list.as_ref() else {
             fail_missing_list(lane, r, "pair");
             return;
@@ -142,15 +152,13 @@ pub fn pair_single(
 
 /// EAM pass 1: electron densities into `st.scalar` (ghost contributions
 /// are reverse-folded by the scalar op the caller runs next).
-///
-/// # Panics
-/// If `potential` is not many-body.
 pub fn eam_rho(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &mut [RankState]) {
-    let Potential::ManyBody(pot) = potential else {
-        panic!("eam_rho requires a many-body potential");
-    };
     team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
         st.atoms.zero_forces();
+        let Potential::ManyBody(pot) = potential else {
+            fail_missing(lane, r, "eam_rho", "many-body potential");
+            return;
+        };
         let Some(list) = lane.list.as_ref() else {
             fail_missing_list(lane, r, "eam_rho");
             return;
@@ -161,28 +169,24 @@ pub fn eam_rho(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &
 
 /// EAM mid-stage: embedding energy + F' for locals; leaves F' in
 /// `st.scalar` for the forward-scalar op.
-///
-/// # Panics
-/// If `potential` is not many-body.
 pub fn eam_embed(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &mut [RankState]) {
-    let Potential::ManyBody(pot) = potential else {
-        panic!("eam_embed requires a many-body potential");
-    };
-    team.for_each_chunk(lanes, states, &|_, lane, st, exec| {
+    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
+        let Potential::ManyBody(pot) = potential else {
+            fail_missing(lane, r, "eam_embed", "many-body potential");
+            return;
+        };
         lane.embed = pot.compute_embedding_chunked(&st.atoms, &st.scalar, &mut lane.fp_buf, exec);
         std::mem::swap(&mut st.scalar, &mut lane.fp_buf);
     });
 }
 
 /// EAM pass 2: forces from the exchanged F' values.
-///
-/// # Panics
-/// If `potential` is not many-body.
 pub fn eam_force(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &mut [RankState]) {
-    let Potential::ManyBody(pot) = potential else {
-        panic!("eam_force requires a many-body potential");
-    };
     team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
+        let Potential::ManyBody(pot) = potential else {
+            fail_missing(lane, r, "eam_force", "many-body potential");
+            return;
+        };
         let Some(list) = lane.list.as_ref() else {
             fail_missing_list(lane, r, "eam_force");
             return;
@@ -199,7 +203,7 @@ pub fn charge_pair(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [Ran
             fail_missing_list(lane, r, "charge_pair");
             return;
         };
-        let dt = ctx.costs.pair_time(&work, ctx.threading, &ctx.params);
+        let dt = ctx.pair_time(&work);
         st.clock += dt;
         lane.acc.pair += dt;
     });
@@ -282,14 +286,31 @@ fn interior_work(n_rows: usize, pairs: usize, eam: bool) -> RankWork {
     }
 }
 
-/// The flag set and its workload counts for one split pass: geometric on
-/// rebuild steps (the list is being rebuilt pre-ghost), list-content on
-/// forward steps (the list is fixed, only ghost positions are stale).
-fn split_sel(part: &Partition, rebuild: bool) -> (&[bool], usize, usize) {
-    if rebuild {
-        (&part.geo, part.n_geo, part.geo_pairs)
+/// Virtual time of one side of a split stage under the stage's cost
+/// function `time`: the `interior` rows' own cost, or — given the `full`
+/// workload — what the whole stage costs beyond it, so the two sides add
+/// up to the one-pass charge.
+fn split_time(
+    time: impl Fn(&RankWork) -> f64,
+    interior: &RankWork,
+    full: Option<&RankWork>,
+) -> f64 {
+    let t_int = time(interior);
+    match full {
+        None => t_int,
+        Some(work) => (time(work) - t_int).max(0.0),
+    }
+}
+
+/// The interior flag set of one split pass and its workload: geometric
+/// when the pass starts before the ghost shell exists (the first pass of a
+/// rebuild step), list-content otherwise (the list is fixed, only ghost
+/// values are in flight).
+fn split_sel(part: &Partition, pre_ghost: bool, eam: bool) -> (&[bool], RankWork) {
+    if pre_ghost {
+        (&part.geo, interior_work(part.n_geo, part.geo_pairs, eam))
     } else {
-        (&part.pair, part.n_pair, part.pair_pairs)
+        (&part.pair, interior_work(part.n_pair, part.pair_pairs, eam))
     }
 }
 
@@ -298,12 +319,13 @@ fn split_sel(part: &Partition, rebuild: bool) -> (&[bool], usize, usize) {
 /// flight. Charges the interior share of Neigh.
 pub fn build_interior_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
     team.for_each_chunk(lanes, states, &|_, lane, st, exec| {
-        let sub = st.graph.sub;
-        let rg = st.graph.r_ghost;
-        let lo = [sub.lo[0] - rg, sub.lo[1] - rg, sub.lo[2] - rg];
-        let hi = [sub.hi[0] + rg, sub.hi[1] + rg, sub.hi[2] + rg];
-        let geo =
-            border_bin::interior_flags(&st.atoms.x, st.atoms.nlocal, &sub, classify_radius(ctx));
+        let (lo, hi) = ghost_box(st);
+        let geo = border_bin::interior_flags(
+            &st.atoms.x,
+            st.atoms.nlocal,
+            &st.graph.sub,
+            classify_radius(ctx),
+        );
         let ilist = NeighborList::build_interior(
             &st.atoms,
             lo,
@@ -316,11 +338,8 @@ pub fn build_interior_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: 
         );
         let n_geo = geo.iter().filter(|&&b| b).count();
         let geo_pairs = ilist.npairs();
-        let dt = ctx.costs.neigh_time(
-            &interior_work(n_geo, geo_pairs, ctx.eam),
-            ctx.threading,
-            &ctx.params,
-        );
+        let interior = interior_work(n_geo, geo_pairs, ctx.eam);
+        let dt = split_time(|w| ctx.neigh_time(w), &interior, None);
         st.clock += dt;
         lane.acc.neigh += dt;
         lane.interior_list = Some(ilist);
@@ -347,336 +366,160 @@ pub fn build_boundary_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: 
             fail_missing(lane, r, "boundary_build", "row partition");
             return;
         };
-        let sub = st.graph.sub;
-        let rg = st.graph.r_ghost;
-        let lo = [sub.lo[0] - rg, sub.lo[1] - rg, sub.lo[2] - rg];
-        let hi = [sub.hi[0] + rg, sub.hi[1] + rg, sub.hi[2] + rg];
+        let (lo, hi) = ghost_box(st);
         let full = NeighborList::build_boundary(&st.atoms, lo, hi, &ilist, &part.geo, exec);
         part.pair = full.local_only_rows();
         part.n_pair = part.pair.iter().filter(|&&b| b).count();
         part.pair_pairs = full.pairs_in(&part.pair, true);
-        let w_full = RankWork {
-            n_local: st.atoms.nlocal as f64,
-            n_ghost: st.atoms.nghost() as f64,
-            interactions: full.npairs() as f64,
-            eam: ctx.eam,
-        };
-        let t_full = ctx.costs.neigh_time(&w_full, ctx.threading, &ctx.params);
-        let t_int = ctx.costs.neigh_time(
-            &interior_work(part.n_geo, part.geo_pairs, ctx.eam),
-            ctx.threading,
-            &ctx.params,
-        );
-        let dt = (t_full - t_int).max(0.0);
+        let interior = interior_work(part.n_geo, part.geo_pairs, ctx.eam);
+        let work = full_work(st, &full, ctx.eam);
+        let dt = split_time(|w| ctx.neigh_time(w), &interior, Some(&work));
         st.clock += dt;
         lane.acc.neigh += dt;
         lane.list = Some(full);
     });
 }
 
-/// Log the interior rows of a single-pass pair potential into the split
-/// scratch (no force array is touched — the halo may still be in
-/// flight). Charges the interior share of Pair.
-///
-/// # Panics
-/// If `potential` is not a split-capable single-pass style.
-pub fn pair_interior_log(
+impl Pass {
+    /// Phase name of the pass in [`TofuError::PhaseOrder`] reports.
+    fn name(self) -> &'static str {
+        match self {
+            Pass::Pair => "pair",
+            Pass::Rho => "eam_rho",
+            Pass::Force => "eam_force",
+        }
+    }
+
+    /// Share of the Pair-stage time the pass carries: EAM's density and
+    /// force passes halve it.
+    fn pair_share(self) -> f64 {
+        match self {
+            Pass::Pair => 1.0,
+            Pass::Rho | Pass::Force => 0.5,
+        }
+    }
+}
+
+/// Log the rows `rows` covers of `pass` through the potential's row
+/// kernel (the force pass reads F' from `st.scalar`). `Err` names what the
+/// potential lacks for the pass.
+fn log_rows(
+    potential: &Potential,
+    pass: Pass,
+    st: &RankState,
+    list: &NeighborList,
+    rows: Rows<'_>,
+    exec: &ChunkExec<'_>,
+    scratch: &mut PairScratch,
+) -> Result<(), &'static str> {
+    const NO_KERNEL: &str = "row kernel";
+    match (potential, pass) {
+        (Potential::Pair(pot), Pass::Pair) => {
+            let kernel = pot.row_kernel().ok_or(NO_KERNEL)?;
+            kernel.log_rows(&st.atoms, list, rows, exec, scratch);
+        }
+        (Potential::ManyBody(pot), Pass::Rho) => {
+            let kernel = pot.row_kernel().ok_or(NO_KERNEL)?;
+            kernel.log_rho_rows(&st.atoms, list, rows, exec, scratch);
+        }
+        (Potential::ManyBody(pot), Pass::Force) => {
+            let kernel = pot.row_kernel().ok_or(NO_KERNEL)?;
+            kernel.log_force_rows(&st.atoms, list, &st.scalar, rows, exec, scratch);
+        }
+        _ => return Err("potential of the pass's kind"),
+    }
+    Ok(())
+}
+
+/// Log the interior rows of `pass` into the lane's scratch while a halo
+/// is in flight — no output array is touched. On a rebuild step the
+/// single pair pass and the density pass run before the ghost shell
+/// exists, over the interior-only list and the geometric partition; the
+/// force pass always runs on the full list. Charges the interior share of
+/// the pass's Pair time.
+pub fn log_interior(
     team: &Team,
     ctx: &Ctx,
     potential: &Potential,
+    pass: Pass,
     rebuild: bool,
     lanes: &mut [Lane],
     states: &mut [RankState],
 ) {
-    let Potential::Pair(pot) = potential else {
-        panic!("pair_interior_log requires a single-pass potential");
-    };
-    let Some(split) = pot.as_split() else {
-        panic!("pair_interior_log requires a split-capable potential");
-    };
+    let pre_ghost = rebuild && pass != Pass::Force;
     team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
         let Some(part) = lane.part.as_ref() else {
-            fail_missing(lane, r, "interior_pair", "row partition");
+            fail_missing(lane, r, pass.name(), "row partition");
             return;
         };
-        let (flags, n_int, int_pairs) = split_sel(part, rebuild);
-        let list = if rebuild {
+        let (flags, interior) = split_sel(part, pre_ghost, ctx.eam);
+        let list = if pre_ghost {
             lane.interior_list.as_ref()
         } else {
             lane.list.as_ref()
         };
         let Some(list) = list else {
-            fail_missing_list(lane, r, "interior_pair");
+            fail_missing_list(lane, r, pass.name());
             return;
         };
-        lane.split.prepare(st.atoms.nlocal);
-        split.log_rows(&st.atoms, list, flags, true, exec, &mut lane.split);
-        let dt = ctx.costs.pair_time(
-            &interior_work(n_int, int_pairs, ctx.eam),
-            ctx.threading,
-            &ctx.params,
-        );
+        lane.scratch.prepare(st.atoms.nlocal, st.atoms.ntotal());
+        let rows = Rows::Side {
+            flags,
+            interior: true,
+        };
+        if let Err(missing) = log_rows(potential, pass, st, list, rows, exec, &mut lane.scratch) {
+            fail_missing(lane, r, pass.name(), missing);
+            return;
+        }
+        let dt = pass.pair_share() * split_time(|w| ctx.pair_time(w), &interior, None);
         st.clock += dt;
         lane.acc.pair += dt;
     });
 }
 
-/// Log the boundary rows of a single-pass pair potential against the
-/// arrived ghosts, then replay both sides in exact serial row order into
-/// freshly zeroed forces. Charges the remainder of the full Pair time.
-///
-/// # Panics
-/// If `potential` is not a split-capable single-pass style.
-pub fn pair_boundary_finish(
+/// Log the boundary rows of `pass` against the arrived halo, then replay
+/// both sides in exact serial row order: densities into a zeroed
+/// `st.scalar`, forces into zeroed forces with the energy/virial fold —
+/// bit-identical to the one-pass forms. Charges the remainder of the
+/// pass's Pair time.
+pub fn finish_boundary(
     team: &Team,
     ctx: &Ctx,
     potential: &Potential,
+    pass: Pass,
     rebuild: bool,
     lanes: &mut [Lane],
     states: &mut [RankState],
 ) {
-    let Potential::Pair(pot) = potential else {
-        panic!("pair_boundary_finish requires a single-pass potential");
-    };
-    let Some(split) = pot.as_split() else {
-        panic!("pair_boundary_finish requires a split-capable potential");
-    };
+    let pre_ghost = rebuild && pass != Pass::Force;
     team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
         let Some(part) = lane.part.as_ref() else {
-            fail_missing(lane, r, "boundary_pair", "row partition");
+            fail_missing(lane, r, pass.name(), "row partition");
             return;
         };
-        let (flags, n_int, int_pairs) = split_sel(part, rebuild);
+        let (flags, interior) = split_sel(part, pre_ghost, ctx.eam);
         let Some(list) = lane.list.as_ref() else {
-            fail_missing_list(lane, r, "boundary_pair");
+            fail_missing_list(lane, r, pass.name());
             return;
         };
-        split.log_rows(&st.atoms, list, flags, false, exec, &mut lane.split);
-        st.atoms.zero_forces();
-        kernels::replay_forces_split(&lane.split, &mut st.atoms.f, exec);
-        let (energy, virial) = kernels::fold_ev_split(&lane.split);
-        lane.energy = PairEnergyVirial { energy, virial };
-        lane.embed = 0.0;
-        let w_full = RankWork {
-            n_local: st.atoms.nlocal as f64,
-            n_ghost: st.atoms.nghost() as f64,
-            interactions: list.npairs() as f64,
-            eam: ctx.eam,
+        let rows = Rows::Side {
+            flags,
+            interior: false,
         };
-        let t_full = ctx.costs.pair_time(&w_full, ctx.threading, &ctx.params);
-        let t_int = ctx.costs.pair_time(
-            &interior_work(n_int, int_pairs, ctx.eam),
-            ctx.threading,
-            &ctx.params,
-        );
-        let dt = (t_full - t_int).max(0.0);
-        st.clock += dt;
-        lane.acc.pair += dt;
-    });
-}
-
-/// Log the interior rows of the EAM density pass. Charges half the
-/// interior Pair share (the other half belongs to the force pass).
-///
-/// # Panics
-/// If `potential` is not a split-capable many-body style.
-pub fn rho_interior_log(
-    team: &Team,
-    ctx: &Ctx,
-    potential: &Potential,
-    rebuild: bool,
-    lanes: &mut [Lane],
-    states: &mut [RankState],
-) {
-    let Potential::ManyBody(pot) = potential else {
-        panic!("rho_interior_log requires a many-body potential");
-    };
-    let Some(split) = pot.as_split() else {
-        panic!("rho_interior_log requires a split-capable potential");
-    };
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
-        let Some(part) = lane.part.as_ref() else {
-            fail_missing(lane, r, "interior_rho", "row partition");
+        if let Err(missing) = log_rows(potential, pass, st, list, rows, exec, &mut lane.scratch) {
+            fail_missing(lane, r, pass.name(), missing);
             return;
-        };
-        let (flags, n_int, int_pairs) = split_sel(part, rebuild);
-        let list = if rebuild {
-            lane.interior_list.as_ref()
+        }
+        if pass == Pass::Rho {
+            st.scalar.clear();
+            st.scalar.resize(st.atoms.ntotal(), 0.0);
+            kernels::replay_scalars(&lane.scratch, &mut st.scalar, exec);
         } else {
-            lane.list.as_ref()
-        };
-        let Some(list) = list else {
-            fail_missing_list(lane, r, "interior_rho");
-            return;
-        };
-        lane.split.prepare(st.atoms.nlocal);
-        split.log_rho_rows(&st.atoms, list, flags, true, exec, &mut lane.split);
-        let dt = 0.5
-            * ctx.costs.pair_time(
-                &interior_work(n_int, int_pairs, ctx.eam),
-                ctx.threading,
-                &ctx.params,
-            );
-        st.clock += dt;
-        lane.acc.pair += dt;
-    });
-}
-
-/// Log the boundary rows of the EAM density pass and replay both sides
-/// into a zeroed `st.scalar` — bit-identical to the one-pass density.
-/// Charges the density pass's remaining Pair share.
-///
-/// # Panics
-/// If `potential` is not a split-capable many-body style.
-pub fn rho_boundary_finish(
-    team: &Team,
-    ctx: &Ctx,
-    potential: &Potential,
-    rebuild: bool,
-    lanes: &mut [Lane],
-    states: &mut [RankState],
-) {
-    let Potential::ManyBody(pot) = potential else {
-        panic!("rho_boundary_finish requires a many-body potential");
-    };
-    let Some(split) = pot.as_split() else {
-        panic!("rho_boundary_finish requires a split-capable potential");
-    };
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
-        let Some(part) = lane.part.as_ref() else {
-            fail_missing(lane, r, "boundary_rho", "row partition");
-            return;
-        };
-        let (flags, n_int, int_pairs) = split_sel(part, rebuild);
-        let Some(list) = lane.list.as_ref() else {
-            fail_missing_list(lane, r, "boundary_rho");
-            return;
-        };
-        split.log_rho_rows(&st.atoms, list, flags, false, exec, &mut lane.split);
-        st.scalar.clear();
-        st.scalar.resize(st.atoms.ntotal(), 0.0);
-        kernels::replay_scalars_split(&lane.split, &mut st.scalar, exec);
-        let w_full = RankWork {
-            n_local: st.atoms.nlocal as f64,
-            n_ghost: st.atoms.nghost() as f64,
-            interactions: list.npairs() as f64,
-            eam: ctx.eam,
-        };
-        let t_full = ctx.costs.pair_time(&w_full, ctx.threading, &ctx.params);
-        let t_int = ctx.costs.pair_time(
-            &interior_work(n_int, int_pairs, ctx.eam),
-            ctx.threading,
-            &ctx.params,
-        );
-        let dt = 0.5 * (t_full - t_int).max(0.0);
-        st.clock += dt;
-        lane.acc.pair += dt;
-    });
-}
-
-/// Log the interior rows of the EAM force pass — rows whose stored
-/// neighbors are all local, so every F' they read is already valid while
-/// the F' forward is still in flight. Charges half the interior share.
-///
-/// # Panics
-/// If `potential` is not a split-capable many-body style.
-pub fn force_interior_log(
-    team: &Team,
-    ctx: &Ctx,
-    potential: &Potential,
-    lanes: &mut [Lane],
-    states: &mut [RankState],
-) {
-    let Potential::ManyBody(pot) = potential else {
-        panic!("force_interior_log requires a many-body potential");
-    };
-    let Some(split) = pot.as_split() else {
-        panic!("force_interior_log requires a split-capable potential");
-    };
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
-        let Some(part) = lane.part.as_ref() else {
-            fail_missing(lane, r, "interior_force", "row partition");
-            return;
-        };
-        let Some(list) = lane.list.as_ref() else {
-            fail_missing_list(lane, r, "interior_force");
-            return;
-        };
-        lane.split.prepare(st.atoms.nlocal);
-        split.log_force_rows(
-            &st.atoms,
-            list,
-            &st.scalar,
-            &part.pair,
-            true,
-            exec,
-            &mut lane.split,
-        );
-        let dt = 0.5
-            * ctx.costs.pair_time(
-                &interior_work(part.n_pair, part.pair_pairs, ctx.eam),
-                ctx.threading,
-                &ctx.params,
-            );
-        st.clock += dt;
-        lane.acc.pair += dt;
-    });
-}
-
-/// Log the boundary rows of the EAM force pass with the arrived ghost F'
-/// values, then replay both sides into zeroed forces. Charges the force
-/// pass's remaining Pair share.
-///
-/// # Panics
-/// If `potential` is not a split-capable many-body style.
-pub fn force_boundary_finish(
-    team: &Team,
-    ctx: &Ctx,
-    potential: &Potential,
-    lanes: &mut [Lane],
-    states: &mut [RankState],
-) {
-    let Potential::ManyBody(pot) = potential else {
-        panic!("force_boundary_finish requires a many-body potential");
-    };
-    let Some(split) = pot.as_split() else {
-        panic!("force_boundary_finish requires a split-capable potential");
-    };
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
-        let Some(part) = lane.part.as_ref() else {
-            fail_missing(lane, r, "boundary_force", "row partition");
-            return;
-        };
-        let Some(list) = lane.list.as_ref() else {
-            fail_missing_list(lane, r, "boundary_force");
-            return;
-        };
-        split.log_force_rows(
-            &st.atoms,
-            list,
-            &st.scalar,
-            &part.pair,
-            false,
-            exec,
-            &mut lane.split,
-        );
-        st.atoms.zero_forces();
-        kernels::replay_forces_split(&lane.split, &mut st.atoms.f, exec);
-        let (energy, virial) = kernels::fold_ev_split(&lane.split);
-        lane.energy = PairEnergyVirial { energy, virial };
-        let w_full = RankWork {
-            n_local: st.atoms.nlocal as f64,
-            n_ghost: st.atoms.nghost() as f64,
-            interactions: list.npairs() as f64,
-            eam: ctx.eam,
-        };
-        let t_full = ctx.costs.pair_time(&w_full, ctx.threading, &ctx.params);
-        let t_int = ctx.costs.pair_time(
-            &interior_work(part.n_pair, part.pair_pairs, ctx.eam),
-            ctx.threading,
-            &ctx.params,
-        );
-        let dt = 0.5 * (t_full - t_int).max(0.0);
+            st.atoms.zero_forces();
+            lane.energy = replay_pass(&lane.scratch, &mut st.atoms.f, exec);
+        }
+        let work = full_work(st, list, ctx.eam);
+        let dt = pass.pair_share() * split_time(|w| ctx.pair_time(w), &interior, Some(&work));
         st.clock += dt;
         lane.acc.pair += dt;
     });

@@ -68,22 +68,15 @@ fn run_config() -> impl Strategy<Value = RunConfig> {
         0.1f64..4.0,
         any::<u64>(),
         comm_tuning(),
-        any::<bool>(),
     )
-        .prop_map(
-            |(kind, natoms_target, temperature, seed, comm, blocked)| RunConfig {
-                kind,
-                natoms_target,
-                temperature,
-                seed,
-                comm,
-                kernel: if blocked {
-                    KernelMode::Blocked
-                } else {
-                    KernelMode::Scalar
-                },
-            },
-        )
+        .prop_map(|(kind, natoms_target, temperature, seed, comm)| RunConfig {
+            kind,
+            natoms_target,
+            temperature,
+            seed,
+            comm,
+            kernel: KernelMode,
+        })
 }
 
 fn comm_variant() -> impl Strategy<Value = CommVariant> {
