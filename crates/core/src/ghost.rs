@@ -31,7 +31,7 @@ use crate::engine::{GhostOp, Op, RankState};
 use crate::plan::NeighborLink;
 use crate::sf::SendSelector;
 use crate::topo_map::RankMap;
-use crate::wire::{self, F64Sink};
+use crate::wire::{self, F64Sink, F64Source};
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::NeighborOffset;
 use tofumd_md::region::Box3;
@@ -226,9 +226,7 @@ impl GhostLayout {
                 let s = edge.shift;
                 for &i in &edge.send {
                     let x = st.atoms.x[i as usize];
-                    out.put_f64(x[0] + s[0]);
-                    out.put_f64(x[1] + s[1]);
-                    out.put_f64(x[2] + s[2]);
+                    out.put_f64s(&[x[0] + s[0], x[1] + s[1], x[2] + s[2]]);
                 }
             }
             GhostOp::ForwardScalar => {
@@ -245,39 +243,37 @@ impl GhostLayout {
         }
     }
 
-    /// Apply the payload received for `(op, e)`: a bcast overwrites the
-    /// ghost segment, a reduce accumulates into the send-list atoms —
-    /// which under the staged carry-forward may themselves be ghosts whose
-    /// sum continues homeward in a later reduce round.
-    pub fn unpack(&self, op: GhostOp, e: usize, st: &mut RankState, values: &[f64]) {
+    /// Apply the payload received for `(op, e)`, streamed from any
+    /// [`F64Source`]: a bcast overwrites the ghost segment, a reduce
+    /// accumulates into the send-list atoms — which under the staged
+    /// carry-forward may themselves be ghosts whose sum continues homeward
+    /// in a later reduce round.
+    pub fn unpack(&self, op: GhostOp, e: usize, st: &mut RankState, mut src: impl F64Source) {
         let edge = &self.edges[e];
         let (start, count) = edge.ghosts;
         assert_eq!(
-            values.len(),
+            src.remaining(),
             op.unit() * self.atoms(op, e, false),
             "{op:?} payload size mismatch on edge {e}"
         );
         match op {
             GhostOp::Forward => {
-                for (x, v) in st.atoms.x[start..start + count]
-                    .iter_mut()
-                    .zip(values.chunks_exact(3))
-                {
-                    *x = [v[0], v[1], v[2]];
+                for x in &mut st.atoms.x[start..start + count] {
+                    src.get_f64s(x);
                 }
             }
-            GhostOp::ForwardScalar => st.scalar[start..start + count].copy_from_slice(values),
+            GhostOp::ForwardScalar => src.get_f64s(&mut st.scalar[start..start + count]),
             GhostOp::Reverse => {
-                for (&i, v) in edge.send.iter().zip(values.chunks_exact(3)) {
+                for &i in &edge.send {
                     let f = &mut st.atoms.f[i as usize];
-                    f[0] += v[0];
-                    f[1] += v[1];
-                    f[2] += v[2];
+                    f[0] += src.get_f64();
+                    f[1] += src.get_f64();
+                    f[2] += src.get_f64();
                 }
             }
             GhostOp::ReverseScalar => {
-                for (&i, v) in edge.send.iter().zip(values) {
-                    st.scalar[i as usize] += v;
+                for &i in &edge.send {
+                    st.scalar[i as usize] += src.get_f64();
                 }
             }
         }
@@ -596,7 +592,12 @@ mod tests {
                 let incoming: Vec<f64> = (0..n_in).map(|j| 100.0 + j as f64 * 0.5).collect();
                 let mut after = RankState::new(st.atoms.clone(), st.graph.clone());
                 after.scalar = st.scalar.clone();
-                g.unpack(op, e, &mut after, &incoming);
+                g.unpack(op, e, &mut after, incoming.as_slice());
+                // The same payload as region bytes scatters identically.
+                let mut from_bytes = RankState::new(st.atoms.clone(), st.graph.clone());
+                from_bytes.scalar = st.scalar.clone();
+                let le = wire::encode_f64s(&incoming);
+                g.unpack(op, e, &mut from_bytes, wire::LeF64s::new(&le));
                 let mut x = st.atoms.x.clone();
                 let mut f = st.atoms.f.clone();
                 let mut scalar = st.scalar.clone();
@@ -624,9 +625,11 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(&after.atoms.x, &x);
-                assert_eq!(&after.atoms.f, &f);
-                assert_eq!(&after.scalar, &scalar);
+                for got in [&after, &from_bytes] {
+                    assert_eq!(&got.atoms.x, &x);
+                    assert_eq!(&got.atoms.f, &f);
+                    assert_eq!(&got.scalar, &scalar);
+                }
             }
         }
     }
@@ -672,6 +675,6 @@ mod tests {
     #[should_panic(expected = "payload size mismatch")]
     fn wrong_sized_payload_is_rejected() {
         let (g, mut st) = random_state(2, &[(vec![0, 1], [0.0; 3], 1)], false);
-        g.unpack(GhostOp::Reverse, 0, &mut st, &[1.0; 3]);
+        g.unpack(GhostOp::Reverse, 0, &mut st, [1.0; 3].as_slice());
     }
 }

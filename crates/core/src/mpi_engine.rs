@@ -197,7 +197,11 @@ impl GhostEngine for MpiThreeStage {
             match op.kind() {
                 OpKind::Border => self.lane.ghosts.append_ghosts(st, sweep * 2 + dir, values),
                 OpKind::Exchange => st.unpack_exchange(values),
-                OpKind::Ghost(g) => self.lane.ghosts.unpack(g, sweep * 2 + dir, st, values),
+                OpKind::Ghost(g) => {
+                    self.lane
+                        .ghosts
+                        .unpack(g, sweep * 2 + dir, st, values.as_slice())
+                }
             }
         }
         // EAM scalar buffers must track the growing ghost tail.
@@ -333,7 +337,7 @@ impl GhostEngine for MpiP2p {
             match op.kind() {
                 OpKind::Border => self.lane.ghosts.append_ghosts(st, k, values),
                 OpKind::Exchange => st.unpack_exchange(values),
-                OpKind::Ghost(g) => self.lane.ghosts.unpack(g, k, st, values),
+                OpKind::Ghost(g) => self.lane.ghosts.unpack(g, k, st, values.as_slice()),
             }
         }
         if op == Op::Border {

@@ -13,35 +13,41 @@
 //!   piggybacked, forward puts written directly into the remote position
 //!   array, 4 round-robin receive buffers (`opt`).
 //!
-//! The setup-stage address exchange (§3.4, Fig. 10: "all the registered
-//! addresses of receive buffers and atom position arrays are sent to
-//! neighbors") is modeled by a shared [`AddressBook`].
+//! Set up once, then post. The setup-stage address exchange (§3.4, Fig.
+//! 10: "all the registered addresses of receive buffers and atom position
+//! arrays are sent to neighbors") is modeled by a shared [`AddressBook`],
+//! read exactly once per out-edge into a [`Channel`] — the whole put
+//! descriptor but the payload. Each Border then fixes the message sizes,
+//! the comm-thread assignment and the landing offsets until the next one
+//! ([`OpPlan`]), so a steady-state ghost op is "frame in place, put" and
+//! "take, dedupe, unpack in place": no lookup, no heap allocation.
 //!
 //! Each engine has one send routine. What differs per message is only
-//! where the payload comes from ([`Payload`]): a ghost op is serialized
-//! *in place* into one of this rank's registered send regions and put
-//! straight from there — no staging copy, no pack cost, `bytes_copied`
-//! stays 0 — while Border and Exchange, which discover their payload
-//! while packing, are framed through a staging copy that is charged and
-//! counted.
+//! where the payload comes from ([`PutSrc`]): a ghost op is serialized *in
+//! place* into one of this rank's registered send regions and put straight
+//! from there — no staging copy, no pack cost, `bytes_copied` stays 0 —
+//! while Border and Exchange, which discover their payload while packing,
+//! are framed through a staging copy that is charged and counted.
 
-use crate::engine::{GhostEngine, GhostOp, Op, OpKind, OpStats, RankState};
+use crate::engine::{GhostEngine, Op, OpKind, OpStats, RankState, N_OPS};
 use crate::fine;
 use crate::ghost::{staged_links, staged_shifts, staged_sweep, GhostLayout, Payload};
 use crate::plan::NeighborLink;
 use crate::sf::{CommGraph, GraphEdge, SendSelector};
 use crate::topo_map::RankMap;
 use crate::wire;
+use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tofumd_md::region::Box3;
 use tofumd_tofu::{
-    dedupe_arrivals, try_wait_arrivals, Arrival, CqExhausted, DeliveryAnomalies, PutResult, Stadd,
-    TofuError, TofuNet, Vcq, TNIS_PER_NODE,
+    dedupe_arrivals, try_wait_arrivals_into, Arrival, CqExhausted, Put, PutSrc, Stadd, TofuError,
+    TofuNet, Vcq, TNIS_PER_NODE,
 };
 
-/// Buffer kinds published in the address book.
+/// Buffer kinds published in the address book. The two inflow kinds also
+/// index the per-direction channel and receive tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BufKind {
     /// Receives border/forward/forward-scalar payloads (ghost-side inflow,
@@ -78,11 +84,9 @@ impl BufKind {
 type AddrKey = (u32, BufKind, u16, u8);
 
 /// Shared registry of every rank's registered buffer addresses — the
-/// simulated setup-stage address exchange.
-///
-/// Read-mostly after setup: every post consults it, writes happen only at
-/// registration and on buffer growth. An `RwLock` keeps the host-parallel
-/// phase driver's concurrent lookups from serializing on one mutex.
+/// simulated setup-stage address exchange, and nothing more: written at
+/// registration, read once per out-edge when a [`Channel`] is resolved,
+/// and kept current by the growth handshake. No post consults it.
 #[derive(Default)]
 pub struct AddressBook {
     map: RwLock<HashMap<AddrKey, (Stadd, usize)>>,
@@ -166,10 +170,7 @@ impl UtofuConfig {
     pub fn single6() -> Self {
         UtofuConfig {
             vcqs: TNIS_PER_NODE,
-            comm_threads: 1,
-            prereg: false,
-            slots: 1,
-            retry_budget: Self::DEFAULT_RETRY_BUDGET,
+            ..Self::coarse4()
         }
     }
 
@@ -178,11 +179,10 @@ impl UtofuConfig {
     #[must_use]
     pub fn pool6() -> Self {
         UtofuConfig {
-            vcqs: TNIS_PER_NODE,
             comm_threads: TNIS_PER_NODE,
             prereg: true,
             slots: 4,
-            retry_budget: Self::DEFAULT_RETRY_BUDGET,
+            ..Self::single6()
         }
     }
 }
@@ -194,201 +194,286 @@ const BASELINE_UNDERSIZE: usize = 4;
 /// Largest record width any op stores per atom (exchange: tag + x + v).
 const MAX_RECORD_F64S: usize = wire::EXCHANGE_RECORD_F64S;
 
-/// Take all arrivals matching `pred`, canonicalize them with
-/// [`dedupe_arrivals`] (deterministic order; duplicate and overwritten
-/// deliveries collapsed), and require at least `count` *distinct*
-/// deliveries to survive — a post-dedupe shortfall means a message is
-/// genuinely missing even though retransmissions padded the raw count.
-fn wait_deduped(
-    net: &TofuNet,
+/// One out-edge in one direction, resolved from the [`AddressBook`] once
+/// per neighbor epoch (first post after build or `rebind_graph`): every
+/// descriptor field of a put toward the peer except the payload.
+struct Channel {
+    /// Book key of the peer-side buffers: peer rank, inflow kind, and the
+    /// peer's index of this edge — which is also the descriptor tag the
+    /// receiver checks arrivals against.
+    rank: u32,
+    kind: BufKind,
+    tag: u16,
     node: usize,
-    now: f64,
-    count: usize,
-    pred: impl FnMut(&Arrival) -> bool,
-) -> Result<(Vec<Arrival>, f64, DeliveryAnomalies), TofuError> {
-    let (mut arrivals, t) = try_wait_arrivals(net, node, now, count, pred)?;
-    let anomalies = dedupe_arrivals(&mut arrivals);
-    if arrivals.len() < count {
-        return Err(net.shortfall_error(node, count, arrivals.len()));
+    hops: u32,
+    /// Per-slot destination buffer and its registered size. This rank is
+    /// the buffers' only writer, so the cached size is authoritative; the
+    /// growth handshake updates it together with the book.
+    dst: Vec<(Stadd, usize)>,
+    /// The peer's registered x-region, target of direct forward writes
+    /// (ghost-side channels under prereg only).
+    x: Option<Stadd>,
+}
+
+/// One of this rank's receive buffers: which in-edge and slot it serves.
+struct RxBuf {
+    stadd: Stadd,
+    edge: u16,
+    slot: u8,
+}
+
+/// Find `stadd` in a receive table sorted by STADD: four ranks share a
+/// node's MRQ, so every arrival on it is matched by binary search instead
+/// of a scan of the posted set.
+fn rx_find(table: &[RxBuf], stadd: Stadd) -> Option<&RxBuf> {
+    let i = table.binary_search_by_key(&stadd.0, |b| b.stadd.0).ok()?;
+    Some(&table[i])
+}
+
+/// The in-edge `a` was delivered on — the owner of the buffer it landed
+/// in — accepted only if the descriptor's index field `named` says the
+/// same: a forged or corrupt descriptor is a typed error, never an index.
+fn checked_edge(
+    node: usize,
+    table: &[RxBuf],
+    a: &Arrival,
+    named: u64,
+    edges: usize,
+) -> Result<usize, TofuError> {
+    match rx_find(table, a.stadd) {
+        Some(b) if u64::from(b.edge) == named => Ok(usize::from(b.edge)),
+        _ => Err(TofuError::BadDescriptor {
+            node,
+            edge: named,
+            edges,
+        }),
     }
-    Ok((arrivals, t, anomalies))
 }
 
-/// Where a put's bytes come from.
-#[derive(Clone, Copy)]
-enum PutSrc<'a> {
-    /// A frame staged in ordinary memory (Border, Exchange), or nothing at
-    /// all (descriptor-only piggybacks).
-    Bytes(&'a [u8]),
-    /// `len` bytes at `offset` of one of this rank's own registered
-    /// regions, serialized there in place — the NIC reads the region
-    /// directly, so there is no staging buffer.
-    Region {
-        stadd: Stadd,
-        offset: usize,
-        len: usize,
-    },
+/// The transport state both uTofu engines share — fabric and book handles,
+/// the ghost layout, sequencing, fault and telemetry state, the reused
+/// receive scratch — with the one put, reserve, wait, frame and consume
+/// routine each of them uses.
+struct UtofuLane {
+    net: Arc<TofuNet>,
+    book: Arc<AddressBook>,
+    node: usize,
+    ghosts: GhostLayout,
+    /// Retransmissions allowed per failed put.
+    retry_budget: u32,
+    /// Sequence stamp of the last logical message; retransmissions of a
+    /// message reuse its number, so receivers can detect duplicates.
+    send_seq: u64,
+    /// Sticky flag: a retry budget was exhausted and the payload escaped
+    /// to the reliable stack — the driver should demote this cluster.
+    fallback_wanted: bool,
+    setup_cost: f64,
+    stats: OpStats,
+    /// Reused receive scratch: the raw arrivals of the op being completed
+    /// and the decoded records of a Border/Exchange message.
+    arrivals: Vec<Arrival>,
+    values: Vec<f64>,
 }
 
-impl PutSrc<'_> {
-    fn len(&self) -> usize {
-        match *self {
-            PutSrc::Bytes(data) => data.len(),
-            PutSrc::Region { len, .. } => len,
+impl UtofuLane {
+    fn new(net: Arc<TofuNet>, book: Arc<AddressBook>, node: usize, retry_budget: u32) -> Self {
+        UtofuLane {
+            net,
+            book,
+            node,
+            ghosts: GhostLayout::default(),
+            retry_budget,
+            send_seq: 0,
+            fallback_wanted: false,
+            setup_cost: 0.0,
+            stats: OpStats::default(),
+            arrivals: Vec::new(),
+            values: Vec::new(),
         }
     }
-}
 
-/// One logical message: the descriptor fields of a put.
-struct Put<'a> {
-    dst_node: usize,
-    dst_stadd: Stadd,
-    dst_offset: usize,
-    src: PutSrc<'a>,
-    piggyback: u64,
-    /// Sequence stamp; retransmissions reuse it.
-    seq: u64,
-    cache_injection: bool,
-}
+    /// Register memory through the faultable path, absorbing transient
+    /// registration refusals: each refused attempt still pays the kernel
+    /// transition (`mem_reg_base`), charged to `setup_cost`. After the
+    /// retry budget the engine registers through the reliable path, which
+    /// cannot fail. Refused attempts consume no region handle, so the
+    /// address sequence stays identical to a fault-free build.
+    fn register(&mut self, len: usize) -> Stadd {
+        for _ in 0..=self.retry_budget {
+            match self.net.try_register_mem(self.node, len) {
+                Ok((stadd, cost)) => {
+                    self.setup_cost += cost;
+                    return stadd;
+                }
+                Err(_) => self.setup_cost += self.net.params().mem_reg_base,
+            }
+        }
+        let (stadd, cost) = self.net.register_mem(self.node, len);
+        self.setup_cost += cost;
+        stadd
+    }
 
-/// Post one logical message on the faultable path, retrying with
-/// exponential backoff (charged to the virtual clock) up to `budget`
-/// resends. Retransmissions reuse `seq` so the receiver's duplicate
-/// detection coalesces partial deliveries. When the budget is exhausted
-/// the payload is handed to the reliable stack ([`Vcq::put_reliable`]) —
-/// which cannot lose it — and the engine flags a fallback request so the
-/// driver demotes the cluster to an MPI transport at the end of the step.
-#[allow(clippy::too_many_arguments)]
-fn put_with_retry(
-    vcq: &mut Vcq,
-    budget: u32,
-    stats: &mut OpStats,
-    op: Op,
-    round: usize,
-    fallback_wanted: &mut bool,
-    now: &mut f64,
-    put: Put<'_>,
-) -> PutResult {
-    let p = *vcq.net().params();
-    let mut attempt = 0u32;
-    loop {
-        let tried = match put.src {
-            PutSrc::Bytes(data) => vcq.try_put(
-                now,
-                put.dst_node,
-                put.dst_stadd,
-                put.dst_offset,
-                data,
-                put.piggyback,
-                put.seq,
-                attempt,
-                put.cache_injection,
-            ),
-            PutSrc::Region { stadd, offset, len } => vcq.try_put_from_region(
-                now,
-                put.dst_node,
-                put.dst_stadd,
-                put.dst_offset,
-                stadd,
-                offset,
-                len,
-                put.piggyback,
-                put.seq,
-                attempt,
-                put.cache_injection,
-            ),
+    /// Resolve the channel toward `rank`'s `kind` buffers for the edge the
+    /// peer knows as `tag` — the only reads of the address book.
+    #[allow(clippy::too_many_arguments)]
+    fn channel(
+        &self,
+        kind: BufKind,
+        rank: usize,
+        node: usize,
+        hops: u32,
+        tag: usize,
+        slots: usize,
+        direct_x: bool,
+    ) -> Result<Channel, TofuError> {
+        let (rank, tag) = (rank as u32, tag as u16);
+        let dst = (0..slots)
+            .map(|slot| self.book.lookup(rank, kind, tag, slot as u8))
+            .collect::<Result<_, _>>()?;
+        let x = match direct_x {
+            true => Some(self.book.lookup(rank, BufKind::XRegion, 0, 0)?.0),
+            false => None,
         };
-        match tried {
-            Ok(r) => return r,
-            Err(_) if attempt < budget => {
-                stats.retry(op, round);
-                *now += p.retry_backoff * f64::from(1u32 << attempt.min(16));
-                attempt += 1;
-            }
-            Err(_) => {
-                stats.fallback(op, round);
-                *fallback_wanted = true;
-                *now += p.fallback_penalty + p.cpu_per_put_mpi;
-                return match put.src {
-                    PutSrc::Bytes(data) => vcq.put_reliable(
-                        now,
-                        put.dst_node,
-                        put.dst_stadd,
-                        put.dst_offset,
-                        data,
-                        put.piggyback,
-                        put.seq,
-                        put.cache_injection,
-                    ),
-                    PutSrc::Region { stadd, offset, len } => vcq.put_reliable_from_region(
-                        now,
-                        put.dst_node,
-                        put.dst_stadd,
-                        put.dst_offset,
-                        stadd,
-                        offset,
-                        len,
-                        put.piggyback,
-                        put.seq,
-                        put.cache_injection,
-                    ),
-                };
-            }
-        }
+        Ok(Channel {
+            rank,
+            kind,
+            tag,
+            node,
+            hops,
+            dst,
+            x,
+        })
     }
-}
 
-/// Serialize `payload` as a combined frame *in place* at the head of the
-/// local registered send region `out = (stadd, size)`, growing it first
-/// when undersized (a local re-registration, not a remote handshake).
-/// Returns the framed length in bytes and the growth cost (0 when none).
-fn frame_in_place(
-    net: &TofuNet,
-    node: usize,
-    out: &mut (Stadd, usize),
-    ghosts: &GhostLayout,
-    st: &RankState,
-    payload: Payload<'_>,
-) -> (usize, f64) {
-    let need = wire::combined_size(payload.len(ghosts));
-    let mut cost = 0.0;
-    if need > out.1 {
-        out.1 = need.next_power_of_two();
-        cost = net.grow_mem(node, out.0, out.1);
-    }
-    let framed = net.write_local_with(node, out.0, 0, need, |buf| {
-        let mut w = wire::CombinedWriter::new(buf);
-        payload.write(ghosts, st, &mut w);
-        w.finish()
-    });
-    (framed, cost)
-}
-
-/// Register memory through the faultable path, absorbing transient
-/// registration refusals: each refused attempt still pays the kernel
-/// transition (`mem_reg_base`), charged to `setup_cost`. After `budget`
-/// refusals the engine registers through the reliable path, which cannot
-/// fail. Refused attempts consume no region handle, so the address
-/// sequence stays identical to a fault-free build.
-fn register_with_retry(
-    net: &Arc<TofuNet>,
-    node: usize,
-    len: usize,
-    budget: u32,
-    setup_cost: &mut f64,
-) -> Stadd {
-    for _ in 0..=budget {
-        match net.try_register_mem(node, len) {
-            Ok((stadd, cost)) => {
-                *setup_cost += cost;
-                return stadd;
-            }
-            Err(_) => *setup_cost += net.params().mem_reg_base,
+    /// The slot-`slot` destination buffer of `ch`, made to hold `need`
+    /// bytes, and what that cost. Growing an undersized buffer is a
+    /// handshake round-trip plus the remote re-registration stall — the
+    /// dynamic-expansion overhead pre-registration eliminates (cost 0.0).
+    fn reserve(
+        &mut self,
+        ch: &mut Channel,
+        slot: usize,
+        need: usize,
+        op: Op,
+        round: usize,
+    ) -> (Stadd, f64) {
+        let (stadd, size) = &mut ch.dst[slot];
+        if need <= *size {
+            return (*stadd, 0.0);
         }
+        *size = need.next_power_of_two();
+        let cost = self.net.grow_mem(ch.node, *stadd, *size);
+        self.book
+            .update_size(ch.rank, ch.kind, ch.tag, slot as u8, *size);
+        self.stats.growth(op, round);
+        (*stadd, 2.0 * self.net.params().wire_time(0, ch.hops) + cost)
     }
-    let (stadd, cost) = net.register_mem(node, len);
-    *setup_cost += cost;
-    stadd
+
+    /// Reserve sequence numbers for `n` logical messages: message `i` is
+    /// stamped `base + 1 + i`, in link order, so the numbering is
+    /// independent of any thread assignment.
+    fn seq_base(&mut self, n: usize) -> u64 {
+        self.send_seq += n as u64;
+        self.send_seq - n as u64
+    }
+
+    /// Count and post one logical message on the faultable path, retrying
+    /// with exponential backoff (charged to the virtual clock) up to the
+    /// retry budget. Retransmissions reuse `put.seq` so the receiver's
+    /// duplicate detection coalesces partial deliveries. When the budget is
+    /// exhausted the payload is handed to the reliable stack
+    /// ([`Vcq::post_reliable`]) — which cannot lose it — and the engine
+    /// flags a fallback request so the driver demotes the cluster to an
+    /// MPI transport at the end of the step.
+    fn put(&mut self, vcq: &mut Vcq, op: Op, round: usize, now: &mut f64, put: Put<'_>) {
+        if !put.src.is_empty() {
+            self.stats.count(op, round, put.src.len());
+        }
+        let p = self.net.params();
+        for attempt in 0.. {
+            if vcq.try_post(now, &put, attempt).is_ok() {
+                return;
+            }
+            if attempt >= self.retry_budget {
+                break;
+            }
+            self.stats.retry(op, round);
+            *now += p.retry_backoff * f64::from(1u32 << attempt.min(16));
+        }
+        self.stats.fallback(op, round);
+        self.fallback_wanted = true;
+        *now += p.fallback_penalty + p.cpu_per_put_mpi;
+        vcq.post_reliable(now, &put);
+    }
+
+    /// Take all arrivals matching `pred` into `self.arrivals`, canonicalize
+    /// them with [`dedupe_arrivals`] (deterministic order; duplicate and
+    /// overwritten deliveries collapsed and counted), and require at least
+    /// `count` *distinct* deliveries to survive — a post-dedupe shortfall
+    /// means a message is genuinely missing even though retransmissions
+    /// padded the raw count. Returns the advanced clock.
+    fn wait(
+        &mut self,
+        now: f64,
+        count: usize,
+        op: Op,
+        round: usize,
+        pred: impl FnMut(&Arrival) -> bool,
+    ) -> Result<f64, TofuError> {
+        let arrivals = &mut self.arrivals;
+        let t = try_wait_arrivals_into(&self.net, self.node, now, count, pred, arrivals)?;
+        let anomalies = dedupe_arrivals(arrivals);
+        if arrivals.len() < count {
+            return Err(self.net.shortfall_error(self.node, count, arrivals.len()));
+        }
+        self.stats.add_dup_drops(op, round, anomalies.duplicates);
+        self.stats.add_overwrites(op, round, anomalies.overwrites);
+        Ok(t)
+    }
+
+    /// Serialize `payload` as a combined frame *in place* at the head of
+    /// the local registered send region `out = (stadd, size)`, growing it
+    /// first when undersized (a local re-registration, not a remote
+    /// handshake). Returns the growth cost (0 when none); the frame is the
+    /// region's first `combined_size(payload.len())` bytes.
+    fn frame(&self, out: &mut (Stadd, usize), st: &RankState, payload: Payload<'_>) -> f64 {
+        let need = wire::combined_size(payload.len(&self.ghosts));
+        let mut cost = 0.0;
+        if need > out.1 {
+            out.1 = need.next_power_of_two();
+            cost = self.net.grow_mem(self.node, out.0, out.1);
+        }
+        let len = self.net.write_local_with(self.node, out.0, 0, need, |buf| {
+            let mut w = wire::CombinedWriter::new(buf);
+            payload.write(&self.ghosts, st, &mut w);
+            w.finish()
+        });
+        debug_assert_eq!(len, need, "layout promised {need} bytes");
+        cost
+    }
+
+    /// Consume one delivered message straight from the registered region
+    /// it landed in, under the node lock: a ghost op scatters the
+    /// little-endian bytes in place (`raw` = a direct x-region write, which
+    /// carries no frame header), Border and Exchange decode their records.
+    fn consume(&mut self, st: &mut RankState, kind: OpKind, e: usize, a: &Arrival, raw: bool) {
+        let (ghosts, values) = (&mut self.ghosts, &mut self.values);
+        self.net
+            .read_local_with(self.node, a.stadd, a.offset, a.len, |bytes| match kind {
+                OpKind::Ghost(g) if raw => ghosts.unpack(g, e, st, wire::LeF64s::new(bytes)),
+                OpKind::Ghost(g) => {
+                    ghosts.unpack(g, e, st, wire::LeF64s::new(wire::combined_body(bytes)));
+                }
+                OpKind::Border => {
+                    wire::parse_combined_into(bytes, values);
+                    ghosts.append_ghosts(st, e, values);
+                }
+                OpKind::Exchange => {
+                    wire::parse_combined_into(bytes, values);
+                    st.unpack_exchange(values);
+                }
+            });
+    }
 }
 
 /// Up to three creation attempts on one `(node, tni)` — rides out a
@@ -431,19 +516,32 @@ fn create_vcq_scan(
     panic!("node {node}: every TNI's CQ pool is exhausted (rank tag {tag})");
 }
 
+/// What one op's posts reuse until the next Border: per-edge message sizes
+/// (fixed by the send lists and ghost segments) and the comm-thread
+/// assignment LPT derives from them — the same deterministic function of
+/// the same sizes and hops, evaluated once per epoch instead of per op.
+#[derive(Default)]
+struct OpPlan {
+    /// Payload f64s per out-edge.
+    f64s: Vec<usize>,
+    /// Per comm thread, the out-edges it posts, in posting order.
+    lanes: Vec<Vec<usize>>,
+}
+
 /// The uTofu p2p engine family.
 pub struct UtofuP2p {
-    net: Arc<TofuNet>,
-    book: Arc<AddressBook>,
-    node: usize,
+    lane: UtofuLane,
     cfg: UtofuConfig,
     vcqs: Vec<Vcq>,
     sel: Option<SendSelector>,
-    ghosts: GhostLayout,
-    /// `[edge][slot]` receive buffers per inflow direction. (Capacities
-    /// live in the address book, which senders consult before writing.)
-    ghost_in: Vec<Vec<Stadd>>,
-    owner_in: Vec<Vec<Stadd>>,
+    /// `[inflow kind][out-edge]`: the resolved destinations (empty until
+    /// the first post; see [`UtofuP2p::resolve_channels`]).
+    chan: [Vec<Channel>; 2],
+    /// `[inflow kind]`: this rank's receive buffers, sorted by STADD.
+    rx: [Vec<RxBuf>; 2],
+    /// `[Op::index()]`: sizes and thread assignment of the current epoch
+    /// (Border's own are rebuilt at its post; Exchange has none).
+    plans: [OpPlan; N_OPS],
     /// Per edge index: *local* registered send region `(stadd, bytes)` the
     /// ghost-op frames are serialized into in place. Never published —
     /// only this rank's NIC reads them.
@@ -452,21 +550,16 @@ pub struct UtofuP2p {
     /// Per send link: byte offset in the neighbor's x-region where our
     /// forwarded positions land (learned via piggyback at border time).
     remote_ghost_off: Vec<Option<usize>>,
+    /// `(byte offset in my x-region, in-edge)` of the non-empty ghost
+    /// segments, ascending — where direct forward writes land this epoch.
+    x_rx: Vec<(usize, u16)>,
+    /// The surviving arrival per in-edge of the op being completed.
+    inbox: Vec<Option<Arrival>>,
     /// Round-robin slot cursor, advanced once per posted op.
     seq: usize,
-    /// Sequence stamp for the *next* logical message; retransmissions of a
-    /// message reuse its number, so receivers can detect duplicates.
-    send_seq: u64,
-    /// Sticky flag: a retry budget was exhausted and the payload escaped
-    /// to the reliable stack — the driver should demote this cluster.
-    fallback_wanted: bool,
     /// Set when CQ exhaustion at build time forced the shared single-VCQ
     /// configuration instead of the requested one.
     cq_fallback: Option<CqExhausted>,
-    setup_cost: f64,
-    /// Buffer-growth events observed (0 under prereg — test observable).
-    pub growth_events: u64,
-    stats: OpStats,
 }
 
 impl UtofuP2p {
@@ -486,7 +579,6 @@ impl UtofuP2p {
         assert!(cfg.comm_threads == 1 || cfg.comm_threads == cfg.vcqs);
         let me = graph.me;
         let mut cfg = cfg;
-        let mut setup_cost = 0.0;
         let mut cq_fallback = None;
         let mut vcqs = Vec::with_capacity(cfg.vcqs);
         // Coarse-grained (1 VCQ): rank r binds its own TNI (4 ranks -> 4
@@ -517,9 +609,10 @@ impl UtofuP2p {
             let (v, _) = create_vcq_scan(&net, node, me % 4, me as u32);
             vcqs.push(v);
         }
+        let mut lane = UtofuLane::new(net, book, node, cfg.retry_budget);
         let n = graph.recv.len();
-        let mut mk_bufs = |links: &[GraphEdge], kind: BufKind| -> Vec<Vec<Stadd>> {
-            let mut bufs = Vec::with_capacity(n);
+        let mut mk_bufs = |links: &[GraphEdge], kind: BufKind| -> Vec<RxBuf> {
+            let mut table = Vec::with_capacity(n * cfg.slots);
             for (k, link) in links.iter().enumerate() {
                 let est_atoms = graph.max_atoms_estimate(link.offset, density);
                 let full = wire::combined_size(est_atoms * MAX_RECORD_F64S);
@@ -528,21 +621,26 @@ impl UtofuP2p {
                 } else {
                     (full / BASELINE_UNDERSIZE).max(64)
                 };
-                let mut per_slot = Vec::with_capacity(cfg.slots);
-                for slot in 0..cfg.slots {
-                    let stadd =
-                        register_with_retry(&net, node, size, cfg.retry_budget, &mut setup_cost);
-                    book.publish(me as u32, kind, k as u16, slot as u8, stadd, size);
-                    per_slot.push(stadd);
+                for slot in 0..cfg.slots as u8 {
+                    let stadd = lane.register(size);
+                    lane.book
+                        .publish(me as u32, kind, k as u16, slot, stadd, size);
+                    table.push(RxBuf {
+                        stadd,
+                        edge: k as u16,
+                        slot,
+                    });
                 }
-                bufs.push(per_slot);
             }
-            bufs
+            table.sort_unstable_by_key(|b| b.stadd.0);
+            table
         };
         // Ghost-side inflow arrives along recv edges; its max size mirrors
         // my own outgoing slab toward the opposite side — symmetric volumes.
-        let ghost_in = mk_bufs(&graph.recv, BufKind::GhostIn);
-        let owner_in = mk_bufs(&graph.send, BufKind::OwnerIn);
+        let rx = [
+            mk_bufs(&graph.recv, BufKind::GhostIn),
+            mk_bufs(&graph.send, BufKind::OwnerIn),
+        ];
         // Local send regions, always full-size (they are this rank's own
         // memory — the undersize experiment concerns *remote* receive
         // buffers). Forward ops pack here per send edge, reverse ops per
@@ -551,41 +649,34 @@ impl UtofuP2p {
         for link in &graph.send {
             let est_atoms = graph.max_atoms_estimate(link.offset, density);
             let size = wire::combined_size(est_atoms * MAX_RECORD_F64S);
-            let stadd = register_with_retry(&net, node, size, cfg.retry_budget, &mut setup_cost);
-            send_out.push((stadd, size));
+            send_out.push((lane.register(size), size));
         }
-        let x_region = if cfg.prereg {
+        let x_region = cfg.prereg.then(|| {
             // Position array registered once at its theoretical maximum:
             // locals + full ghost shell, with the plan's 2x headroom.
             let local_est = (density * graph.sub.volume() * 2.0) as usize + 64;
             let ghost_est = (graph.total_ghost_estimate(density) * 2.0) as usize + 64;
             let bytes = (local_est + ghost_est) * 24;
-            let stadd = register_with_retry(&net, node, bytes, cfg.retry_budget, &mut setup_cost);
-            book.publish(me as u32, BufKind::XRegion, 0, 0, stadd, bytes);
-            Some(stadd)
-        } else {
-            None
-        };
+            let stadd = lane.register(bytes);
+            lane.book
+                .publish(me as u32, BufKind::XRegion, 0, 0, stadd, bytes);
+            stadd
+        });
         UtofuP2p {
-            net,
-            book,
-            node,
+            lane,
             cfg,
             vcqs,
             sel: None,
-            ghosts: GhostLayout::default(),
-            ghost_in,
-            owner_in,
+            chan: [Vec::new(), Vec::new()],
+            rx,
+            plans: Default::default(),
             send_out,
             x_region,
             remote_ghost_off: vec![None; n],
+            x_rx: Vec::new(),
+            inbox: vec![None; n],
             seq: 0,
-            send_seq: 0,
-            fallback_wanted: false,
             cq_fallback,
-            setup_cost,
-            growth_events: 0,
-            stats: OpStats::default(),
         }
     }
 
@@ -596,87 +687,90 @@ impl UtofuP2p {
         self.cq_fallback
     }
 
-    /// Make sure the peer buffer `op`'s payload on out-edge `k` lands in
-    /// holds `need` bytes, and return it. Growing an undersized buffer is
-    /// a handshake + re-registration — the dynamic-expansion overhead
-    /// pre-registration eliminates.
-    fn reserve_dst(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        k: usize,
-        slot: u8,
-        need: usize,
-    ) -> Result<Stadd, TofuError> {
-        let link = st.graph.out_edges(op)[k];
-        let (rank, kind, idx) = (
-            link.rank as u32,
-            BufKind::inflow(op),
-            link.peer_index as u16,
-        );
-        let (stadd, size) = self.book.lookup(rank, kind, idx, slot)?;
-        if need > size {
-            let new_size = need.next_power_of_two();
-            let cost = self.net.grow_mem(link.node, stadd, new_size);
-            // Handshake round-trip + the remote registration stall.
-            let dt = 2.0 * self.net.params().wire_time(0, link.hops) + cost;
-            st.charge(dt, op);
-            self.book.update_size(rank, kind, idx, slot, new_size);
-            self.growth_events += 1;
-            self.stats.growth(op, 0);
-        }
-        Ok(stadd)
+    /// Buffer-growth events observed (0 under prereg — test observable).
+    #[must_use]
+    pub fn growth_events(&self) -> u64 {
+        self.lane.stats.total().growth_events
     }
 
-    /// Post one message per out-edge of `op` (`payloads[k]` travels along
-    /// edge `k`) across the configured threads/VCQs, and charge the
-    /// post-phase completion time to the clock.
+    /// Resolve every out-edge's [`Channel`] from the address book — the
+    /// one time this engine reads it. Deferred to the first post because
+    /// only then have all ranks published; `rebind_graph` drops the
+    /// channels so a swapped graph resolves afresh.
+    fn resolve_channels(&mut self, st: &RankState) -> Result<(), TofuError> {
+        if !self.chan[0].is_empty() {
+            return Ok(());
+        }
+        for (kind, edges) in [
+            (BufKind::GhostIn, &st.graph.send),
+            (BufKind::OwnerIn, &st.graph.recv),
+        ] {
+            let (slots, direct_x) = (self.cfg.slots, self.cfg.prereg && kind == BufKind::GhostIn);
+            self.chan[kind as usize] = edges
+                .iter()
+                .map(|e| {
+                    self.lane
+                        .channel(kind, e.rank, e.node, e.hops, e.peer_index, slots, direct_x)
+                })
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(())
+    }
+
+    /// Fix `op`'s per-edge message sizes for the epoch and derive the
+    /// comm-thread assignment from them.
+    fn replan(&mut self, op: Op, f64s: Vec<usize>) {
+        let lanes = if self.cfg.comm_threads > 1 {
+            let p = self.lane.net.params();
+            let costs: Vec<f64> = f64s
+                .iter()
+                .zip(&self.chan[BufKind::inflow(op) as usize])
+                .map(|(&n, ch)| fine::link_cost(n * 8, ch.hops, p))
+                .collect();
+            fine::balance_lpt(&costs, self.cfg.comm_threads)
+        } else {
+            vec![(0..f64s.len()).collect()]
+        };
+        self.plans[op.index()] = OpPlan { f64s, lanes };
+    }
+
+    /// Post one message per out-edge of `op` across the configured
+    /// threads/VCQs and charge the post-phase completion time to the
+    /// clock. Sizes and thread assignment come from the op's [`OpPlan`],
+    /// destinations from its channels. A ghost op's frames are serialized
+    /// in place into `send_out` here; Border passes its frames in `staged`.
     fn send_edges(
         &mut self,
         st: &mut RankState,
         op: Op,
-        payloads: &[Payload<'_>],
+        staged: &[Bytes],
     ) -> Result<(), TofuError> {
-        let p = *self.net.params();
-        let slot = (self.seq % self.cfg.slots) as u8;
+        let p = *self.lane.net.params();
+        let slot = self.seq % self.cfg.slots;
         self.seq += 1;
-        let n = payloads.len();
-        // One sequence number per logical message, assigned in link order
-        // so the numbering is independent of the thread assignment below.
-        let seq_base = self.send_seq;
-        self.send_seq += n as u64;
-        let f64s: Vec<usize> = payloads.iter().map(|pl| pl.len(&self.ghosts)).collect();
-        // Pre-resolve destinations, growing undersized buffers first.
-        let mut dsts = Vec::with_capacity(n);
-        for (k, &len) in f64s.iter().enumerate() {
-            dsts.push(self.reserve_dst(st, op, k, slot, wire::combined_size(len))?);
+        let kind = BufKind::inflow(op) as usize;
+        let plan = &self.plans[op.index()];
+        let seq_base = self.lane.seq_base(plan.f64s.len());
+        // Grow undersized destination buffers first (never under prereg).
+        for (ch, &f64s) in self.chan[kind].iter_mut().zip(&plan.f64s) {
+            let (_, dt) = self
+                .lane
+                .reserve(ch, slot, wire::combined_size(f64s), op, 0);
+            st.charge(dt, op);
         }
         // Serialize the ghost-op frames in place. Local regions are sized
         // to the theoretical maximum at build; growth here is charged.
-        let mut framed = vec![0; n];
-        for (k, &payload) in payloads.iter().enumerate() {
-            if let Payload::Ghost(..) = payload {
-                let out = &mut self.send_out[k];
-                let (bytes, cost) =
-                    frame_in_place(&self.net, self.node, out, &self.ghosts, st, payload);
+        if let OpKind::Ghost(g) = op.kind() {
+            for (k, out) in self.send_out.iter_mut().enumerate() {
+                let cost = self.lane.frame(out, st, Payload::Ghost(g, k));
                 st.charge(cost, op);
-                framed[k] = bytes;
             }
         }
         // Forward under prereg writes straight into the remote x-region:
         // the raw values start right after the frame header, so the same
         // in-place serialization serves both put shapes.
         let direct_x = self.cfg.prereg && op == Op::Forward;
-        let edges = st.graph.out_edges(op);
         let start = st.clock;
-        let costs: Vec<f64> = (0..n)
-            .map(|k| fine::link_cost(f64s[k] * 8, edges[k].hops, &p))
-            .collect();
-        let assignment = if self.cfg.comm_threads > 1 {
-            fine::balance_lpt(&costs, self.cfg.comm_threads)
-        } else {
-            vec![(0..n).collect::<Vec<_>>()]
-        };
         let region_overhead = if self.cfg.comm_threads > 1 {
             p.pool_region_overhead
         } else {
@@ -685,67 +779,49 @@ impl UtofuP2p {
             p.vcq_drive_overhead * self.cfg.vcqs as f64
         };
         let mut end = start;
-        for (t, links) in assignment.iter().enumerate() {
+        for (t, links) in plan.lanes.iter().enumerate() {
             let mut now = start + region_overhead;
             for &k in links {
-                let edge = edges[k];
-                let staged;
+                let (ch, f64s) = (&self.chan[kind][k], plan.f64s[k]);
+                let region = |offset, len| PutSrc::Region {
+                    stadd: self.send_out[k].0,
+                    offset,
+                    len,
+                };
                 let (dst_stadd, dst_offset, src) = if direct_x {
                     // An empty forward (no atoms cross this link) sends
                     // nothing; the receiver expects arrivals only for its
                     // non-empty ghost segments.
-                    if f64s[k] == 0 {
+                    if f64s == 0 {
                         continue;
                     }
-                    let off = self.remote_ghost_off[k].ok_or(TofuError::PhaseOrder {
-                        node: self.node,
-                        phase: "forward",
-                        missing: "ghost offsets from border",
-                    })?;
-                    let (xs, _) = self.book.lookup(edge.rank as u32, BufKind::XRegion, 0, 0)?;
-                    let src = PutSrc::Region {
-                        stadd: self.send_out[k].0,
-                        offset: wire::COMBINED_HEADER_BYTES,
-                        len: f64s[k] * 8,
+                    let (Some(xs), Some(off)) = (ch.x, self.remote_ghost_off[k]) else {
+                        return Err(TofuError::PhaseOrder {
+                            node: self.lane.node,
+                            phase: "forward",
+                            missing: "ghost offsets from border",
+                        });
                     };
-                    (xs, off, src)
+                    (xs, off, region(wire::COMBINED_HEADER_BYTES, f64s * 8))
+                } else if let Some(frame) = staged.get(k) {
+                    now += p.pack_cost(frame.len());
+                    self.lane.stats.copied(op, 0, frame.len());
+                    (ch.dst[slot].0, 0, PutSrc::Bytes(frame))
                 } else {
-                    let src = match payloads[k] {
-                        Payload::Packed(values) => {
-                            staged = wire::frame_combined(values);
-                            now += p.pack_cost(staged.len());
-                            self.stats.copied(op, 0, staged.len());
-                            PutSrc::Bytes(&staged)
-                        }
-                        Payload::Ghost(..) => PutSrc::Region {
-                            stadd: self.send_out[k].0,
-                            offset: 0,
-                            len: framed[k],
-                        },
-                    };
-                    (dsts[k], 0, src)
+                    (ch.dst[slot].0, 0, region(0, wire::combined_size(f64s)))
                 };
-                self.stats.count(op, 0, src.len());
-                put_with_retry(
-                    &mut self.vcqs[t % self.cfg.vcqs.max(1)],
-                    self.cfg.retry_budget,
-                    &mut self.stats,
-                    op,
-                    0,
-                    &mut self.fallback_wanted,
-                    &mut now,
-                    Put {
-                        dst_node: edge.node,
-                        dst_stadd,
-                        dst_offset,
-                        src,
-                        // The receiver indexes payloads by *its own* edge
-                        // list.
-                        piggyback: edge.peer_index as u64,
-                        seq: seq_base + 1 + k as u64,
-                        cache_injection: true,
-                    },
-                );
+                let put = Put {
+                    dst_node: ch.node,
+                    dst_stadd,
+                    dst_offset,
+                    src,
+                    // The receiver checks it against *its own* edge list.
+                    piggyback: u64::from(ch.tag),
+                    seq: seq_base + 1 + k as u64,
+                    cache_injection: true,
+                };
+                let vcq = &mut self.vcqs[t % self.cfg.vcqs.max(1)];
+                self.lane.put(vcq, op, 0, &mut now, put);
             }
             end = end.max(now);
         }
@@ -753,68 +829,58 @@ impl UtofuP2p {
         Ok(())
     }
 
-    /// Wait for the `n` messages of `op` and return payloads in link order.
-    fn wait_payloads(&mut self, st: &mut RankState, op: Op) -> Result<Vec<Vec<f64>>, TofuError> {
-        let p = *self.net.params();
-        let n = st.graph.recv.len();
-        // The stadds this op's messages land in.
-        let bufs = if op.toward_ghosts() {
-            &self.ghost_in
-        } else {
-            &self.owner_in
-        };
-        let expected: Vec<Stadd> = bufs.iter().flatten().copied().collect();
+    /// Wait for `op`'s messages and file the surviving arrival of each
+    /// in-edge in `self.inbox`, so they are consumed in edge order whatever
+    /// order the MRQ held them in.
+    fn receive(&mut self, st: &mut RankState, op: Op) -> Result<(), TofuError> {
+        let p = *self.lane.net.params();
+        let (node, n) = (self.lane.node, self.inbox.len());
+        let rx = &self.rx[BufKind::inflow(op) as usize];
         let direct_x = self.cfg.prereg && op == Op::Forward;
-        let (arrivals, t, anomalies) = if direct_x {
+        let (expected, t) = if direct_x {
             let xs = self.x_region.ok_or(TofuError::PhaseOrder {
-                node: self.node,
+                node,
                 phase: "forward",
                 missing: "preregistered x region",
             })?;
             // Empty segments produce no message (§3.4 direct writes).
-            let expected_n = (0..n).filter(|&k| self.ghosts.segment(k).1 > 0).count();
-            wait_deduped(&self.net, self.node, st.clock, expected_n, |a| {
-                a.stadd == xs && a.len > 0
-            })?
+            let expected = self.x_rx.len();
+            let pred = |a: &Arrival| a.stadd == xs && a.len > 0;
+            (expected, self.lane.wait(st.clock, expected, op, 0, pred)?)
         } else {
-            wait_deduped(&self.net, self.node, st.clock, n, |a| {
-                a.len > 0 && expected.contains(&a.stadd)
-            })?
+            let pred = |a: &Arrival| a.len > 0 && rx_find(rx, a.stadd).is_some();
+            (n, self.lane.wait(st.clock, n, op, 0, pred)?)
         };
-        self.stats.add_dup_drops(op, 0, anomalies.duplicates);
-        self.stats.add_overwrites(op, 0, anomalies.overwrites);
-        // Map arrivals back to link indices.
-        let mut payloads = vec![Vec::new(); n];
-        let mut unpack_bytes = 0usize;
-        for a in &arrivals {
+        self.inbox.fill(None);
+        let (mut filled, mut unpack_bytes) = (0, 0);
+        for a in &self.lane.arrivals {
             st.arrival_horizon = st.arrival_horizon.max(a.time);
-            let raw = self.net.read_local(self.node, a.stadd, a.offset, a.len);
-            if direct_x {
+            let k = if direct_x {
                 // The landing offset identifies the ghost segment, hence
-                // the link; direct writes need no unpack copy (§3.4).
-                let k = (0..n)
-                    .find(|&k| {
-                        let (start, count) = self.ghosts.segment(k);
-                        count > 0 && start * 24 == a.offset
-                    })
-                    .ok_or(TofuError::PhaseOrder {
-                        node: self.node,
-                        phase: "forward",
-                        missing: "ghost segment matching arrival offset",
-                    })?;
-                payloads[k] = wire::decode_f64s(&raw);
+                // the edge; direct writes need no unpack copy (§3.4).
+                let i = self.x_rx.binary_search_by_key(&a.offset, |e| e.0);
+                let i = i.map_err(|_| TofuError::PhaseOrder {
+                    node,
+                    phase: "forward",
+                    missing: "ghost segment matching arrival offset",
+                })?;
+                usize::from(self.x_rx[i].1)
             } else {
-                payloads[a.piggyback as usize] = wire::parse_combined(&raw);
                 unpack_bytes += a.len;
-            }
+                checked_edge(node, rx, a, a.piggyback, n)?
+            };
+            filled += usize::from(self.inbox[k].replace(*a).is_none());
+        }
+        if filled < expected {
+            return Err(self.lane.net.shortfall_error(node, expected, filled));
         }
         // Receiver-side CPU: one MRQ poll/dequeue per message plus the
         // linear-scan match against the posted buffer set (the O(N^2)
         // term of Fig. 15), plus the unpack copy (skipped for direct
         // x-region writes).
-        let n_bufs = if direct_x { n } else { expected.len() };
-        let poll =
-            arrivals.len() as f64 * (p.cpu_per_put_utofu + n_bufs as f64 * p.mrq_match_per_buffer);
+        let n_bufs = if direct_x { n } else { rx.len() };
+        let poll = self.lane.arrivals.len() as f64
+            * (p.cpu_per_put_utofu + n_bufs as f64 * p.mrq_match_per_buffer);
         let dt = if self.cfg.comm_threads > 1 {
             // Polling and unpacking parallelize over the pool.
             (t - st.clock)
@@ -824,47 +890,46 @@ impl UtofuP2p {
             t - st.clock + poll + p.pack_cost(unpack_bytes)
         };
         st.charge(dt, op);
-        Ok(payloads)
+        Ok(())
     }
-    /// After border unpack, send each ghost provider the offset where its
-    /// atoms landed (8-byte piggyback, §3.4).
-    fn send_ghost_offsets(&mut self, st: &mut RankState) -> Result<(), TofuError> {
+
+    /// After border unpack: fix the epoch's ghost-op plans and landing
+    /// table from the now-final layout, and send each ghost provider the
+    /// offset where its atoms landed (8-byte piggyback, §3.4).
+    fn begin_epoch(&mut self, st: &mut RankState) {
+        let n = self.inbox.len();
+        for op in Op::ALL {
+            if let OpKind::Ghost(g) = op.kind() {
+                self.replan(op, (0..n).map(|k| self.lane.ghosts.len(g, k)).collect());
+            }
+        }
+        if !self.cfg.prereg {
+            return;
+        }
+        self.x_rx.clear();
+        self.remote_ghost_off.fill(None);
         let mut now = st.clock;
-        let n = st.graph.recv.len();
-        let seq_base = self.send_seq;
-        self.send_seq += n as u64;
-        for k in 0..n {
-            let (start, _count) = self.ghosts.segment(k);
-            let link = &st.graph.recv[k];
-            // Target the provider's OwnerIn buffer (same inflow direction
-            // as a reverse message); zero-length write, descriptor-only.
-            let (stadd, _) = self.book.lookup(
-                link.rank as u32,
-                BufKind::OwnerIn,
-                link.peer_index as u16,
-                0,
-            )?;
-            put_with_retry(
-                &mut self.vcqs[0],
-                self.cfg.retry_budget,
-                &mut self.stats,
-                Op::Border,
-                0,
-                &mut self.fallback_wanted,
-                &mut now,
-                Put {
-                    dst_node: link.node,
-                    dst_stadd: stadd,
-                    dst_offset: 0,
-                    src: PutSrc::Bytes(&[]),
-                    piggyback: (link.peer_index as u64) << 48 | (start * 24) as u64,
-                    seq: seq_base + 1 + k as u64,
-                    cache_injection: false,
-                },
-            );
+        let seq_base = self.lane.seq_base(n);
+        // Target the provider's OwnerIn buffer (same inflow direction as a
+        // reverse message); zero-length write, descriptor-only.
+        for (k, ch) in self.chan[BufKind::OwnerIn as usize].iter().enumerate() {
+            let (start, count) = self.lane.ghosts.segment(k);
+            if count > 0 {
+                self.x_rx.push((start * 24, k as u16));
+            }
+            let put = Put {
+                dst_node: ch.node,
+                dst_stadd: ch.dst[0].0,
+                dst_offset: 0,
+                src: PutSrc::Bytes(&[]),
+                piggyback: u64::from(ch.tag) << 48 | (start * 24) as u64,
+                seq: seq_base + 1 + k as u64,
+                cache_injection: false,
+            };
+            self.lane
+                .put(&mut self.vcqs[0], Op::Border, 0, &mut now, put);
         }
         st.charge(now - st.clock, Op::Border);
-        Ok(())
     }
 
     /// Consume the offset piggybacks from all send links (before the first
@@ -873,18 +938,12 @@ impl UtofuP2p {
     /// keeps a rank from stealing its node-mates' descriptors.
     fn recv_ghost_offsets(&mut self, st: &mut RankState) -> Result<(), TofuError> {
         let n = st.graph.send.len();
-        let mine: Vec<Stadd> = self.owner_in.iter().map(|slots| slots[0]).collect();
-        let (arrivals, t, anomalies) = wait_deduped(&self.net, self.node, st.clock, n, |a| {
-            a.len == 0 && mine.contains(&a.stadd)
-        })?;
-        self.stats
-            .add_dup_drops(Op::Border, 0, anomalies.duplicates);
-        self.stats
-            .add_overwrites(Op::Border, 0, anomalies.overwrites);
-        for a in &arrivals {
-            let k = (a.piggyback >> 48) as usize;
-            let off = (a.piggyback & 0xFFFF_FFFF_FFFF) as usize;
-            self.remote_ghost_off[k] = Some(off);
+        let rx = &self.rx[BufKind::OwnerIn as usize];
+        let pred = |a: &Arrival| a.len == 0 && rx_find(rx, a.stadd).is_some_and(|b| b.slot == 0);
+        let t = self.lane.wait(st.clock, n, Op::Border, 0, pred)?;
+        for a in &self.lane.arrivals {
+            let k = checked_edge(self.lane.node, rx, a, a.piggyback >> 48, n)?;
+            self.remote_ghost_off[k] = Some((a.piggyback & 0xFFFF_FFFF_FFFF) as usize);
         }
         st.charge(t - st.clock, Op::Border);
         Ok(())
@@ -894,84 +953,52 @@ impl UtofuP2p {
     /// `send`, the +face in `recv` (present for every grid graph; their
     /// absence is a malformed graph, reported rather than panicking).
     fn face_indices(st: &RankState, dim: usize) -> Result<(usize, usize), TofuError> {
-        let mut want_minus = [0i8; 3];
-        want_minus[dim] = -1;
-        let mut want_plus = [0i8; 3];
-        want_plus[dim] = 1;
-        let k_minus = st
-            .graph
-            .send
-            .iter()
-            .position(|l| l.offset.d == want_minus)
-            .ok_or(TofuError::PhaseOrder {
+        let face = |edges: &[GraphEdge], sign: i8, missing| {
+            let mut want = [0i8; 3];
+            want[dim] = sign;
+            let k = edges.iter().position(|l| l.offset.d == want);
+            k.ok_or(TofuError::PhaseOrder {
                 node: st.graph.me,
                 phase: "exchange",
-                missing: "-face link in send edges",
-            })?;
-        let k_plus = st
-            .graph
-            .recv
-            .iter()
-            .position(|l| l.offset.d == want_plus)
-            .ok_or(TofuError::PhaseOrder {
-                node: st.graph.me,
-                phase: "exchange",
-                missing: "+face link in recv edges",
-            })?;
-        Ok((k_minus, k_plus))
+                missing,
+            })
+        };
+        Ok((
+            face(&st.graph.send, -1, "-face link in send edges")?,
+            face(&st.graph.recv, 1, "+face link in recv edges")?,
+        ))
     }
 
     /// Send the two migration payloads of sweep `dim`: toward the -face
     /// via the neighbor's GhostIn buffer (border-direction flow), toward
     /// the +face via its OwnerIn buffer (reverse-direction flow).
     fn post_exchange(&mut self, st: &mut RankState, dim: usize) -> Result<(), TofuError> {
-        let p = *self.net.params();
+        let p = *self.lane.net.params();
         let payloads = st.pack_exchange(dim);
         let (k_minus, k_plus) = Self::face_indices(st, dim)?;
-        let slot = (self.seq % self.cfg.slots) as u8;
+        let slot = self.seq % self.cfg.slots;
         self.seq += 1;
-        let seq_base = self.send_seq;
-        self.send_seq += 2;
+        let seq_base = self.lane.seq_base(2);
         let mut now = st.clock;
-        for (dir, payload) in payloads.iter().enumerate() {
-            let (link, kind) = if dir == 0 {
-                (st.graph.send[k_minus], BufKind::GhostIn)
-            } else {
-                (st.graph.recv[k_plus], BufKind::OwnerIn)
-            };
-            let k = link.peer_index;
-            let bytes = wire::frame_combined(payload);
-            let (stadd, size) = self.book.lookup(link.rank as u32, kind, k as u16, slot)?;
-            if bytes.len() > size {
-                let new_size = bytes.len().next_power_of_two();
-                let cost = self.net.grow_mem(link.node, stadd, new_size);
-                now += 2.0 * p.wire_time(0, link.hops) + cost;
-                self.book
-                    .update_size(link.rank as u32, kind, k as u16, slot, new_size);
-                self.growth_events += 1;
-                self.stats.growth(Op::Exchange, dim);
-            }
+        let routes = [(BufKind::GhostIn, k_minus), (BufKind::OwnerIn, k_plus)];
+        for (dir, (kind, k)) in routes.into_iter().enumerate() {
+            let ch = &mut self.chan[kind as usize][k];
+            let bytes = wire::frame_combined(&payloads[dir]);
+            let (dst_stadd, dt) = self.lane.reserve(ch, slot, bytes.len(), Op::Exchange, dim);
+            now += dt;
             now += p.pack_cost(bytes.len());
-            self.stats.count(Op::Exchange, dim, bytes.len());
-            self.stats.copied(Op::Exchange, dim, bytes.len());
-            put_with_retry(
-                &mut self.vcqs[0],
-                self.cfg.retry_budget,
-                &mut self.stats,
-                Op::Exchange,
-                dim,
-                &mut self.fallback_wanted,
-                &mut now,
-                Put {
-                    dst_node: link.node,
-                    dst_stadd: stadd,
-                    dst_offset: 0,
-                    src: PutSrc::Bytes(&bytes),
-                    piggyback: k as u64,
-                    seq: seq_base + 1 + dir as u64,
-                    cache_injection: true,
-                },
-            );
+            self.lane.stats.copied(Op::Exchange, dim, bytes.len());
+            let put = Put {
+                dst_node: ch.node,
+                dst_stadd,
+                dst_offset: 0,
+                src: PutSrc::Bytes(&bytes),
+                piggyback: u64::from(ch.tag),
+                seq: seq_base + 1 + dir as u64,
+                cache_injection: true,
+            };
+            self.lane
+                .put(&mut self.vcqs[0], Op::Exchange, dim, &mut now, put);
         }
         st.charge(now - st.clock, Op::Exchange);
         Ok(())
@@ -980,24 +1007,19 @@ impl UtofuP2p {
     /// Receive the two migration payloads of sweep `dim` and append the
     /// migrants as locals.
     fn complete_exchange(&mut self, st: &mut RankState, dim: usize) -> Result<(), TofuError> {
-        let p = *self.net.params();
+        let p = *self.lane.net.params();
         let (k_minus, k_plus) = Self::face_indices(st, dim)?;
-        let expect: Vec<Stadd> = self.ghost_in[k_plus]
-            .iter()
-            .chain(&self.owner_in[k_minus])
-            .copied()
-            .collect();
-        let (arrivals, t, anomalies) = wait_deduped(&self.net, self.node, st.clock, 2, |a| {
-            a.len > 0 && expect.contains(&a.stadd)
-        })?;
-        self.stats
-            .add_dup_drops(Op::Exchange, dim, anomalies.duplicates);
-        self.stats
-            .add_overwrites(Op::Exchange, dim, anomalies.overwrites);
+        let on = |kind: BufKind, k: usize, a: &Arrival| {
+            rx_find(&self.rx[kind as usize], a.stadd).is_some_and(|b| usize::from(b.edge) == k)
+        };
+        let pred = |a: &Arrival| {
+            a.len > 0 && (on(BufKind::GhostIn, k_plus, a) || on(BufKind::OwnerIn, k_minus, a))
+        };
+        let t = self.lane.wait(st.clock, 2, Op::Exchange, dim, pred)?;
         let mut unpack = 0usize;
-        for a in &arrivals {
-            let raw = self.net.read_local(self.node, a.stadd, a.offset, a.len);
-            st.unpack_exchange(&wire::parse_combined(&raw));
+        for i in 0..self.lane.arrivals.len() {
+            let a = self.lane.arrivals[i];
+            self.lane.consume(st, OpKind::Exchange, 0, &a, false);
             unpack += a.len;
         }
         let poll = 2.0 * p.cpu_per_put_utofu;
@@ -1025,93 +1047,86 @@ impl GhostEngine for UtofuP2p {
     }
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
+        self.resolve_channels(st)?;
         match op.kind() {
             OpKind::Exchange => self.post_exchange(st, round),
             OpKind::Border => {
                 let shifts = st.graph.send.iter().map(|e| e.shift);
-                self.ghosts.reset(&mut st.atoms, shifts);
+                self.lane.ghosts.reset(&mut st.atoms, shifts);
                 let sel = self.sel.get_or_insert_with(|| st.graph.selector());
-                let packed = self.ghosts.select_border(st, sel);
-                let payloads: Vec<_> = packed.iter().map(|v| Payload::Packed(v)).collect();
-                self.send_edges(st, op, &payloads)
+                let packed = self.lane.ghosts.select_border(st, sel);
+                self.replan(op, packed.iter().map(Vec::len).collect());
+                let staged: Vec<Bytes> = packed.iter().map(|v| wire::frame_combined(v)).collect();
+                self.send_edges(st, op, &staged)
             }
-            OpKind::Ghost(g) => {
-                if g == GhostOp::Forward
+            OpKind::Ghost(_) => {
+                if op == Op::Forward
                     && self.cfg.prereg
                     && self.remote_ghost_off.iter().any(Option::is_none)
                 {
                     self.recv_ghost_offsets(st)?;
                 }
-                let n = st.graph.out_edges(op).len();
-                let payloads: Vec<_> = (0..n).map(|k| Payload::Ghost(g, k)).collect();
-                self.send_edges(st, op, &payloads)
+                self.send_edges(st, op, &[])
             }
         }
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op.kind() {
-            OpKind::Exchange => self.complete_exchange(st, round),
-            OpKind::Border => {
-                let payloads = self.wait_payloads(st, op)?;
-                for (k, values) in payloads.iter().enumerate() {
-                    self.ghosts.append_ghosts(st, k, values);
-                }
-                st.scalar.resize(st.atoms.ntotal(), 0.0);
-                if self.cfg.prereg {
-                    self.remote_ghost_off.fill(None);
-                    self.send_ghost_offsets(st)?;
-                }
-                Ok(())
-            }
-            OpKind::Ghost(g) => {
-                let payloads = self.wait_payloads(st, op)?;
-                for (k, values) in payloads.iter().enumerate() {
-                    self.ghosts.unpack(g, k, st, values);
-                }
-                Ok(())
+        let kind = op.kind();
+        if kind == OpKind::Exchange {
+            return self.complete_exchange(st, round);
+        }
+        self.receive(st, op)?;
+        let raw = self.cfg.prereg && op == Op::Forward;
+        for (k, a) in self.inbox.iter().enumerate() {
+            if let Some(a) = a {
+                self.lane.consume(st, kind, k, a, raw);
             }
         }
+        if kind == OpKind::Border {
+            st.scalar.resize(st.atoms.ntotal(), 0.0);
+            self.begin_epoch(st);
+        }
+        Ok(())
     }
 
     fn setup_cost(&self) -> f64 {
-        self.setup_cost
+        self.lane.setup_cost
     }
 
     fn op_stats(&self) -> OpStats {
-        self.stats.clone()
+        self.lane.stats.clone()
     }
 
     fn fallback_requested(&self) -> bool {
-        self.fallback_wanted
+        self.lane.fallback_wanted
+    }
+
+    fn rebind_graph(&mut self, _st: &RankState) {
+        // Channels and the send selector are derived from the graph's
+        // edges; resolve both afresh against the swapped graph. The epoch
+        // state is refreshed by the next Border.
+        self.chan = [Vec::new(), Vec::new()];
+        self.sel = None;
     }
 }
 
 /// The staged (3-stage) pattern carried over uTofu — `utofu_3stage`.
 pub struct UtofuThreeStage {
-    net: Arc<TofuNet>,
-    book: Arc<AddressBook>,
-    node: usize,
+    lane: UtofuLane,
     links: [[NeighborLink; 2]; 3],
-    ghosts: GhostLayout,
     /// Swaps per dimension (the plan's shell count).
     shells: usize,
-    /// `[dim*2+dir]` inflow buffers (single slot).
-    ghost_in: Vec<Stadd>,
-    owner_in: Vec<Stadd>,
+    /// `[inflow kind][dim*2+dir]` inflow buffers (single slot).
+    rx: [Vec<Stadd>; 2],
+    /// `[inflow kind][dim*2+dir]`: the resolved face destinations (empty
+    /// until the first post, when every rank has published).
+    chan: [Vec<Channel>; 2],
     /// Local registered send regions `[dim*2+dir]` as `(stadd, bytes)` —
     /// never published; ghost-op frames are serialized in place and put
     /// straight from here.
     send_out: Vec<(Stadd, usize)>,
     vcq: Vcq,
-    /// Sequence stamp for the next logical message (see [`UtofuP2p`]).
-    send_seq: u64,
-    /// Sticky retry-budget-exhausted flag (see [`UtofuP2p`]).
-    fallback_wanted: bool,
-    setup_cost: f64,
-    /// Growth events (same baseline dynamic-expansion accounting).
-    pub growth_events: u64,
-    stats: OpStats,
 }
 
 impl UtofuThreeStage {
@@ -1135,7 +1150,7 @@ impl UtofuThreeStage {
         // Prefer the rank's own TNI; a transiently or persistently
         // exhausted CQ pool shifts the binding to any TNI with room.
         let (vcq, _displaced) = create_vcq_scan(&net, node, me % 4, me as u32);
-        let mut setup_cost = 0.0;
+        let mut lane = UtofuLane::new(net, book, node, UtofuConfig::DEFAULT_RETRY_BUDGET);
         // Face messages carry up to the staged slab: (a+2r)^2 * r volume at
         // the largest stage — size generously from the whole-shell estimate.
         let a = graph.sub.lengths();
@@ -1144,45 +1159,59 @@ impl UtofuThreeStage {
         let est_atoms = (2.0 * density * max_slab) as usize + 16;
         let full = wire::combined_size(est_atoms * MAX_RECORD_F64S);
         let size = full / BASELINE_UNDERSIZE;
-        let mut ghost_in = Vec::with_capacity(6);
-        let mut owner_in = Vec::with_capacity(6);
+        let mut rx = [Vec::with_capacity(6), Vec::with_capacity(6)];
         // Local send regions are always full-size: the undersize baseline
         // experiment models *remote receive* buffers; this rank's own
         // staging memory is registered once at the theoretical maximum.
         let mut send_out = Vec::with_capacity(6);
-        let budget = UtofuConfig::DEFAULT_RETRY_BUDGET;
         for idx in 0..6u16 {
-            let s1 = register_with_retry(&net, node, size, budget, &mut setup_cost);
-            book.publish(me as u32, BufKind::GhostIn, idx, 0, s1, size);
-            let s2 = register_with_retry(&net, node, size, budget, &mut setup_cost);
-            book.publish(me as u32, BufKind::OwnerIn, idx, 0, s2, size);
-            ghost_in.push(s1);
-            owner_in.push(s2);
-            let s3 = register_with_retry(&net, node, full, budget, &mut setup_cost);
-            send_out.push((s3, full));
+            for kind in [BufKind::GhostIn, BufKind::OwnerIn] {
+                let stadd = lane.register(size);
+                lane.book.publish(me as u32, kind, idx, 0, stadd, size);
+                rx[kind as usize].push(stadd);
+            }
+            send_out.push((lane.register(full), full));
         }
         UtofuThreeStage {
-            net,
-            book,
-            node,
+            lane,
             links,
-            ghosts: GhostLayout::default(),
             shells,
-            ghost_in,
-            owner_in,
+            rx,
+            chan: [Vec::new(), Vec::new()],
             send_out,
             vcq,
-            send_seq: 0,
-            fallback_wanted: false,
-            setup_cost,
-            growth_events: 0,
-            stats: OpStats::default(),
         }
     }
 
+    /// Growth events (same baseline dynamic-expansion accounting).
+    #[must_use]
+    pub fn growth_events(&self) -> u64 {
+        self.lane.stats.total().growth_events
+    }
+
+    /// Resolve the twelve face channels — see
+    /// [`UtofuP2p::resolve_channels`]. The receiver's buffer index encodes
+    /// the *receiver-side* direction `1 - dir`.
+    fn resolve_channels(&mut self) -> Result<(), TofuError> {
+        if !self.chan[0].is_empty() {
+            return Ok(());
+        }
+        for kind in [BufKind::GhostIn, BufKind::OwnerIn] {
+            self.chan[kind as usize] = (0..6)
+                .map(|idx| {
+                    let (dim, dir) = (idx / 2, idx % 2);
+                    let l = self.links[dim][dir];
+                    let rx_idx = dim * 2 + (1 - dir);
+                    self.lane
+                        .channel(kind, l.rank, l.node, l.hops, rx_idx, 1, false)
+                })
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(())
+    }
+
     /// Send the two payloads of sweep `dim` toward `links[dim][dir]`'s
-    /// inflow buffers. The receiver's buffer index encodes the
-    /// *receiver-side* direction `1 - dir`.
+    /// inflow buffers.
     fn send_pair(
         &mut self,
         st: &mut RankState,
@@ -1191,100 +1220,75 @@ impl UtofuThreeStage {
         dim: usize,
         payloads: [Payload<'_>; 2],
     ) -> Result<(), TofuError> {
-        let p = *self.net.params();
-        let kind = BufKind::inflow(op);
-        let seq_base = self.send_seq;
-        self.send_seq += 2;
+        self.resolve_channels()?;
+        let p = *self.lane.net.params();
+        let kind = BufKind::inflow(op) as usize;
+        let seq_base = self.lane.seq_base(2);
         let mut now = st.clock;
         for (dir, payload) in payloads.into_iter().enumerate() {
-            let link = self.links[dim][dir];
-            let rx_idx = (dim * 2 + (1 - dir)) as u16;
-            let need = wire::combined_size(payload.len(&self.ghosts));
-            let (stadd, size) = self.book.lookup(link.rank as u32, kind, rx_idx, 0)?;
-            if need > size {
-                let new_size = need.next_power_of_two();
-                let cost = self.net.grow_mem(link.node, stadd, new_size);
-                now += 2.0 * p.wire_time(0, link.hops) + cost;
-                self.book
-                    .update_size(link.rank as u32, kind, rx_idx, 0, new_size);
-                self.growth_events += 1;
-                self.stats.growth(op, round);
-            }
+            let ch = &mut self.chan[kind][dim * 2 + dir];
+            let need = wire::combined_size(payload.len(&self.lane.ghosts));
+            let (dst_stadd, dt) = self.lane.reserve(ch, 0, need, op, round);
+            now += dt;
             let staged;
             let src = match payload {
                 Payload::Packed(values) => {
                     staged = wire::frame_combined(values);
                     now += p.pack_cost(staged.len());
-                    self.stats.copied(op, round, staged.len());
+                    self.lane.stats.copied(op, round, staged.len());
                     PutSrc::Bytes(&staged)
                 }
                 Payload::Ghost(..) => {
                     let out = &mut self.send_out[dim * 2 + dir];
-                    let (len, cost) =
-                        frame_in_place(&self.net, self.node, out, &self.ghosts, st, payload);
-                    now += cost;
+                    now += self.lane.frame(out, st, payload);
                     PutSrc::Region {
                         stadd: out.0,
                         offset: 0,
-                        len,
+                        len: need,
                     }
                 }
             };
-            self.stats.count(op, round, src.len());
-            put_with_retry(
-                &mut self.vcq,
-                UtofuConfig::DEFAULT_RETRY_BUDGET,
-                &mut self.stats,
-                op,
-                round,
-                &mut self.fallback_wanted,
-                &mut now,
-                Put {
-                    dst_node: link.node,
-                    dst_stadd: stadd,
-                    dst_offset: 0,
-                    src,
-                    piggyback: u64::from(rx_idx),
-                    seq: seq_base + 1 + dir as u64,
-                    cache_injection: true,
-                },
-            );
+            let put = Put {
+                dst_node: ch.node,
+                dst_stadd,
+                dst_offset: 0,
+                src,
+                piggyback: u64::from(ch.tag),
+                seq: seq_base + 1 + dir as u64,
+                cache_injection: true,
+            };
+            self.lane.put(&mut self.vcq, op, round, &mut now, put);
         }
         st.charge(now - st.clock, op);
         Ok(())
     }
 
-    /// Wait for the two sweep-`dim` messages; returns `[from -dim, from
-    /// +dim]` payloads.
+    /// Wait for the two sweep-`dim` messages; returns the surviving
+    /// arrivals `[from -dim, from +dim]`.
     fn recv_pair(
         &mut self,
         st: &mut RankState,
         op: Op,
         dim: usize,
-    ) -> Result<[Vec<f64>; 2], TofuError> {
-        let p = *self.net.params();
-        let bufs = if op.toward_ghosts() {
-            &self.ghost_in
-        } else {
-            &self.owner_in
-        };
+    ) -> Result<[Arrival; 2], TofuError> {
+        let p = *self.lane.net.params();
+        let bufs = &self.rx[BufKind::inflow(op) as usize];
         let want = [bufs[dim * 2], bufs[dim * 2 + 1]];
-        let (arrivals, t, anomalies) = wait_deduped(&self.net, self.node, st.clock, 2, |a| {
-            a.stadd == want[0] || a.stadd == want[1]
-        })?;
-        self.stats.add_dup_drops(op, dim, anomalies.duplicates);
-        self.stats.add_overwrites(op, dim, anomalies.overwrites);
-        let mut out = [Vec::new(), Vec::new()];
+        let pred = |a: &Arrival| a.stadd == want[0] || a.stadd == want[1];
+        let t = self.lane.wait(st.clock, 2, op, dim, pred)?;
+        let mut inbox = [None; 2];
         let mut unpack = 0usize;
-        for a in &arrivals {
-            let dir = usize::from(a.stadd == want[1]);
-            let raw = self.net.read_local(self.node, a.stadd, a.offset, a.len);
-            out[dir] = wire::parse_combined(&raw);
+        for a in &self.lane.arrivals {
+            inbox[usize::from(a.stadd == want[1])] = Some(*a);
             unpack += a.len;
         }
-        let poll = arrivals.len() as f64 * (p.cpu_per_put_utofu + 2.0 * p.mrq_match_per_buffer);
+        let poll =
+            self.lane.arrivals.len() as f64 * (p.cpu_per_put_utofu + 2.0 * p.mrq_match_per_buffer);
         st.charge(t - st.clock + poll + p.pack_cost(unpack), op);
-        Ok(out)
+        match inbox {
+            [Some(minus), Some(plus)] => Ok([minus, plus]),
+            _ => Err(self.lane.net.shortfall_error(self.lane.node, 2, 1)),
+        }
     }
 }
 
@@ -1309,9 +1313,9 @@ impl GhostEngine for UtofuThreeStage {
             OpKind::Border => {
                 if round == 0 {
                     let shifts = staged_shifts(&self.links, self.shells);
-                    self.ghosts.reset(&mut st.atoms, shifts);
+                    self.lane.ghosts.reset(&mut st.atoms, shifts);
                 }
-                packed = self.ghosts.sweep_border(st, sweep, self.shells);
+                packed = self.lane.ghosts.sweep_border(st, sweep, self.shells);
                 [Payload::Packed(&packed[0]), Payload::Packed(&packed[1])]
             }
             OpKind::Exchange => {
@@ -1324,13 +1328,8 @@ impl GhostEngine for UtofuThreeStage {
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         let (sweep, dim) = staged_sweep(op, round, self.shells);
-        let payloads = self.recv_pair(st, op, dim)?;
-        for (dir, values) in payloads.iter().enumerate() {
-            match op.kind() {
-                OpKind::Border => self.ghosts.append_ghosts(st, sweep * 2 + dir, values),
-                OpKind::Exchange => st.unpack_exchange(values),
-                OpKind::Ghost(g) => self.ghosts.unpack(g, sweep * 2 + dir, st, values),
-            }
+        for (dir, a) in self.recv_pair(st, op, dim)?.iter().enumerate() {
+            self.lane.consume(st, op.kind(), sweep * 2 + dir, a, false);
         }
         // EAM scalar buffers must track the growing ghost tail.
         if op == Op::Border {
@@ -1340,15 +1339,15 @@ impl GhostEngine for UtofuThreeStage {
     }
 
     fn setup_cost(&self) -> f64 {
-        self.setup_cost
+        self.lane.setup_cost
     }
 
     fn op_stats(&self) -> OpStats {
-        self.stats.clone()
+        self.lane.stats.clone()
     }
 
     fn fallback_requested(&self) -> bool {
-        self.fallback_wanted
+        self.lane.fallback_wanted
     }
 }
 
@@ -1452,7 +1451,7 @@ mod tests {
         let after = f.states[0].atoms.x[gidx];
         assert!((after[2] - before[2] - 0.375).abs() < 1e-12);
         // No buffer growth under pre-registration.
-        assert_eq!(f.engines.iter().map(|e| e.growth_events).sum::<u64>(), 0);
+        assert_eq!(f.engines.iter().map(|e| e.growth_events()).sum::<u64>(), 0);
     }
 
     #[test]
@@ -1580,7 +1579,7 @@ mod tests {
         }
         f.states[1].atoms = Atoms::from_positions(pos, 5000);
         drive(&mut f, Op::Border);
-        let grown: u64 = f.engines.iter().map(|e| e.growth_events).sum();
+        let grown: u64 = f.engines.iter().map(|e| e.growth_events()).sum();
         assert!(grown > 0, "dense border slab must trigger dynamic growth");
     }
 
@@ -1690,9 +1689,9 @@ mod tests {
             // two queued per link it reads whatever bytes sit in the
             // buffers the arrivals point to.)
             let n = f.states[0].graph.recv.len();
-            let expected: Vec<Stadd> = f.engines[0].ghost_in.iter().flatten().copied().collect();
-            let (arrivals, _) = wait_arrivals(&f.net, f.engines[0].node, 0.0, n, |a| {
-                a.len > 0 && expected.contains(&a.stadd)
+            let rx = &f.engines[0].rx[BufKind::GhostIn as usize];
+            let (arrivals, _) = wait_arrivals(&f.net, f.engines[0].lane.node, 0.0, n, |a| {
+                a.len > 0 && rx_find(rx, a.stadd).is_some()
             });
             // Find the arrival from the link that carried rank 1's atom
             // (non-trivial payload: 9 or 17 bytes framed = 1 scalar).
@@ -1703,13 +1702,202 @@ mod tests {
                 .expect("a non-empty scalar payload");
             let raw = f
                 .net
-                .read_local(f.engines[0].node, a.stadd, a.offset, a.len);
+                .read_local(f.engines[0].lane.node, a.stadd, a.offset, a.len);
             wire::parse_combined(&raw)[0]
         };
         // One slot: the first-generation read observes the SECOND payload
         // (overwritten). Four slots: the first payload is intact.
         assert_eq!(run(1), 222.0, "1 buffer must exhibit the overwrite");
         assert_eq!(run(4), 111.0, "4 round-robin buffers prevent it");
+    }
+
+    /// Give every rank `per_rank` atoms strung along its low-x face region
+    /// (border atoms toward several neighbors), tagged by rank.
+    fn restock(f: &mut Fixture, per_rank: usize) {
+        for (r, st) in f.states.iter_mut().enumerate() {
+            let sub = st.graph.sub;
+            let pos = (0..per_rank)
+                .map(|i| {
+                    let t = (i as f64 + 0.5) / per_rank as f64;
+                    [
+                        sub.lo[0] + 0.25 + 1.5 * t,
+                        sub.lo[1] + 9.5 * t,
+                        sub.lo[2] + 1.0 + 8.0 * t,
+                    ]
+                })
+                .collect();
+            st.atoms = Atoms::from_positions(pos, 1 + 1000 * r as u64);
+        }
+    }
+
+    #[test]
+    fn channels_follow_border_epoch() {
+        // Epoch 1 on the sparse fixture, then restock every rank so send
+        // lists, ghost segments and landing offsets all change. After the
+        // re-Border the cached epoch state must be the new one: the next
+        // Forward/Reverse match engines freshly built on the final atoms.
+        for cfg in [UtofuConfig::pool6(), UtofuConfig::coarse4()] {
+            let mut live = fixture(cfg);
+            drive(&mut live, Op::Border);
+            drive(&mut live, Op::Forward);
+            drive(&mut live, Op::Reverse);
+            let old_offsets = live.engines[1].remote_ghost_off.clone();
+            let old_sizes = live.engines[1].plans[Op::Forward.index()].f64s.clone();
+            let mut fresh = fixture(cfg);
+            for f in [&mut live, &mut fresh] {
+                restock(f, 5);
+                drive(f, Op::Border);
+                for st in f.states.iter_mut() {
+                    for i in 0..st.atoms.nlocal {
+                        st.atoms.x[i][1] += 0.015625 * (i + 1) as f64;
+                    }
+                    for g in st.atoms.nlocal..st.atoms.ntotal() {
+                        st.atoms.f[g] = [0.5, -0.25, g as f64];
+                    }
+                }
+                drive(f, Op::Forward);
+                drive(f, Op::Reverse);
+            }
+            let e = &live.engines[1];
+            assert_ne!(e.plans[Op::Forward.index()].f64s, old_sizes);
+            if cfg.prereg {
+                assert_ne!(e.remote_ghost_off, old_offsets, "offsets must move");
+                assert_eq!(e.remote_ghost_off, fresh.engines[1].remote_ghost_off);
+                assert_eq!(e.x_rx, fresh.engines[1].x_rx);
+            }
+            for (a, b) in live.states.iter().zip(&fresh.states) {
+                assert!(a.atoms.nghost() > 0, "every rank holds ghosts now");
+                assert_eq!(a.atoms.tag, b.atoms.tag);
+                assert_eq!(a.atoms.x, b.atoms.x, "forward landed at the new offsets");
+                assert_eq!(a.atoms.f, b.atoms.f, "reverse folded along the new lists");
+            }
+        }
+    }
+
+    #[test]
+    fn grown_size_is_cached_in_the_channel() {
+        // Non-prereg buffers start undersized. A dense slab grows the
+        // ghost-side buffer at Border and the owner-side one at the first
+        // Reverse; after that the channel's cached size is the grown one,
+        // so repeating the ops (and a whole second epoch with the same
+        // need) grows nothing. Counts and modeled clocks are the values the
+        // per-message book lookup produced before channels existed.
+        for (cfg, events, clock0, clock1) in [
+            (
+                UtofuConfig::coarse4(),
+                2,
+                0x3f22_6f51_a3ea_bee1u64,
+                0x3f22_94fe_9ef8_540bu64,
+            ),
+            (
+                UtofuConfig::single6(),
+                2,
+                0x3f2a_4284_bc45_ff92,
+                0x3f2a_6831_b753_94bc,
+            ),
+        ] {
+            let mut f = fixture(cfg);
+            let sub = f.states[1].graph.sub;
+            let pos = (0..600)
+                .map(|i| {
+                    let t = i as f64 / 600.0;
+                    [sub.lo[0] + 0.01 + 2.0 * t, sub.lo[1] + 5.0, sub.lo[2] + 5.0]
+                })
+                .collect();
+            f.states[1].atoms = Atoms::from_positions(pos, 5000);
+            let grown = |f: &Fixture| f.engines.iter().map(|e| e.growth_events()).sum::<u64>();
+            drive(&mut f, Op::Border);
+            assert_eq!(grown(&f), 1, "border grows the ghost-side buffer");
+            drive(&mut f, Op::Forward);
+            drive(&mut f, Op::Reverse);
+            assert_eq!(grown(&f), events, "reverse grows the owner-side buffer");
+            for _ in 0..3 {
+                drive(&mut f, Op::Forward);
+                drive(&mut f, Op::Reverse);
+            }
+            drive(&mut f, Op::Border);
+            drive(&mut f, Op::Forward);
+            drive(&mut f, Op::Reverse);
+            assert_eq!(grown(&f), events, "no second growth for the same need");
+            // The book agrees with the channel (the handshake wrote both).
+            let ch = &f.engines[1].chan[BufKind::GhostIn as usize];
+            for c in ch {
+                let booked = f.book.lookup(c.rank, c.kind, c.tag, 0).unwrap();
+                assert_eq!(booked, c.dst[0]);
+            }
+            assert_eq!(
+                f.states[0].clock.to_bits(),
+                clock0,
+                "{:e}",
+                f.states[0].clock
+            );
+            assert_eq!(
+                f.states[1].clock.to_bits(),
+                clock1,
+                "{:e}",
+                f.states[1].clock
+            );
+        }
+    }
+
+    /// A put into `dst` from a rank-tag no engine uses, carrying `piggyback`.
+    fn forge(f: &Fixture, node: usize, dst: Stadd, data: &[u8], piggyback: u64) {
+        f.net.put(tofumd_tofu::PutRequest {
+            src_node: (node + 1) % f.net.node_count(),
+            tni: 0,
+            dst_node: node,
+            dst_stadd: dst,
+            dst_offset: 0,
+            data,
+            piggyback,
+            src_rank: 9_999,
+            seq: 1,
+            now: 0.0,
+            cache_injection: false,
+        });
+    }
+
+    #[test]
+    fn forged_edge_index_is_a_typed_error() {
+        // A payload arrival whose descriptor names an edge the receiver
+        // does not have used to index `payloads[piggyback]` and panic.
+        let mut f = fixture(UtofuConfig::coarse4());
+        drive(&mut f, Op::Border);
+        for (e, st) in f.engines.iter_mut().zip(f.states.iter_mut()) {
+            e.post(Op::Reverse, 0, st).unwrap();
+        }
+        let (node, n) = (f.engines[0].lane.node, f.states[0].graph.send.len());
+        let dst = f.engines[0].rx[BufKind::OwnerIn as usize][0].stadd;
+        forge(&f, node, dst, &wire::frame_combined(&[]), 40_000);
+        let err = f.engines[0]
+            .complete(Op::Reverse, 0, &mut f.states[0])
+            .unwrap_err();
+        let want = TofuError::BadDescriptor {
+            node,
+            edge: 40_000,
+            edges: n,
+        };
+        assert_eq!(err, want);
+        assert!(err.to_string().contains("edge index 40000"), "{err}");
+
+        // Same for a ghost-offset piggyback (`edge << 48 | offset`) that
+        // used to index `remote_ghost_off` directly.
+        let mut f = fixture(UtofuConfig::pool6());
+        drive(&mut f, Op::Border);
+        let node = f.engines[0].lane.node;
+        let slot0 = f.engines[0].rx[BufKind::OwnerIn as usize]
+            .iter()
+            .find(|b| b.slot == 0)
+            .unwrap()
+            .stadd;
+        forge(&f, node, slot0, &[], 0x7fff << 48 | 24);
+        let err = f.engines[0]
+            .post(Op::Forward, 0, &mut f.states[0])
+            .unwrap_err();
+        assert!(
+            matches!(err, TofuError::BadDescriptor { edge: 0x7fff, .. }),
+            "{err}"
+        );
     }
 
     #[test]

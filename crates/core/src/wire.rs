@@ -20,17 +20,17 @@ pub fn encode_f64s(values: &[f64]) -> Bytes {
 /// Deserialize little-endian bytes into `f64`s. Panics if the length is not
 /// a multiple of 8 (a framing bug, not a recoverable condition).
 #[must_use]
-pub fn decode_f64s(mut bytes: &[u8]) -> Vec<f64> {
-    assert!(
-        bytes.len().is_multiple_of(8),
-        "payload not f64-aligned: {}",
-        bytes.len()
-    );
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    while bytes.has_remaining() {
-        out.push(bytes.get_f64_le());
-    }
+pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
+    let mut out = Vec::new();
+    decode_f64s_into(bytes, &mut out);
     out
+}
+
+/// [`decode_f64s`] into a caller-owned vector (cleared first), so a
+/// receive loop reuses one allocation.
+pub fn decode_f64s_into(bytes: &[u8], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(LeF64s::new(bytes).0.chunks_exact(8).map(le_f64));
 }
 
 /// Message-combine framing: `[count: u64 LE][count * f64]` in one message.
@@ -44,10 +44,11 @@ pub fn frame_combined(values: &[f64]) -> Bytes {
     buf.freeze()
 }
 
-/// Parse a combined frame; tolerates trailing slack (receive buffers are
-/// sized for the maximum message, the count field says how much is real).
+/// The payload bytes of a combined frame; tolerates trailing slack
+/// (receive buffers are sized for the maximum message, the count field
+/// says how much is real).
 #[must_use]
-pub fn parse_combined(bytes: &[u8]) -> Vec<f64> {
+pub fn combined_body(bytes: &[u8]) -> &[u8] {
     assert!(bytes.len() >= 8, "combined frame shorter than its header");
     let mut hdr = &bytes[..8];
     let count = hdr.get_u64_le() as usize;
@@ -57,7 +58,18 @@ pub fn parse_combined(bytes: &[u8]) -> Vec<f64> {
         "combined frame truncated: header claims {count} values, only {} bytes",
         bytes.len()
     );
-    decode_f64s(&bytes[8..need])
+    &bytes[8..need]
+}
+
+/// Parse a combined frame (see [`combined_body`]).
+#[must_use]
+pub fn parse_combined(bytes: &[u8]) -> Vec<f64> {
+    decode_f64s(combined_body(bytes))
+}
+
+/// [`parse_combined`] into a caller-owned vector (cleared first).
+pub fn parse_combined_into(bytes: &[u8], out: &mut Vec<f64>) {
+    decode_f64s_into(combined_body(bytes), out);
 }
 
 /// Size in bytes of a combined frame carrying `n` values.
@@ -100,6 +112,81 @@ impl F64Sink for Vec<f64> {
 impl F64Sink for Vec<u8> {
     fn put_f64(&mut self, v: f64) {
         self.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Origin of streamed `f64` payloads — the receive-side mirror of
+/// [`F64Sink`]. The ghost-op unpack is written once against this trait and
+/// runs unchanged over a decoded `&[f64]` (MPI lanes, tests) or over the
+/// little-endian bytes of a registered region ([`LeF64s`], uTofu: no
+/// intermediate `Vec<u8>` / `Vec<f64>`).
+pub trait F64Source {
+    /// Values not yet read.
+    fn remaining(&self) -> usize;
+
+    /// Read the next value. Panics past the end, like a slice index.
+    fn get_f64(&mut self) -> f64;
+
+    /// Fill `out` with the next `out.len()` values.
+    fn get_f64s(&mut self, out: &mut [f64]) {
+        for o in out {
+            *o = self.get_f64();
+        }
+    }
+}
+
+impl F64Source for &[f64] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn get_f64(&mut self) -> f64 {
+        let v = self[0];
+        *self = &self[1..];
+        v
+    }
+
+    fn get_f64s(&mut self, out: &mut [f64]) {
+        let (head, rest) = self.split_at(out.len());
+        out.copy_from_slice(head);
+        *self = rest;
+    }
+}
+
+/// One `f64` from its 8 little-endian bytes.
+fn le_f64(chunk: &[u8]) -> f64 {
+    let mut le = [0u8; 8];
+    le.copy_from_slice(chunk);
+    f64::from_le_bytes(le)
+}
+
+/// Little-endian `f64`s read in place from a byte slice — the bytes
+/// [`encode_f64s`] / the `Vec<u8>` sink produce.
+pub struct LeF64s<'a>(&'a [u8]);
+
+impl<'a> LeF64s<'a> {
+    /// Panics if the length is not a multiple of 8 (a framing bug, not a
+    /// recoverable condition).
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        assert!(
+            bytes.len().is_multiple_of(8),
+            "payload not f64-aligned: {}",
+            bytes.len()
+        );
+        LeF64s(bytes)
+    }
+}
+
+impl F64Source for LeF64s<'_> {
+    fn remaining(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    fn get_f64(&mut self) -> f64 {
+        let (head, rest) = self.0.split_at(8);
+        self.0 = rest;
+        le_f64(head)
     }
 }
 
@@ -154,9 +241,17 @@ impl F64Sink for CombinedWriter<'_> {
     /// Panics past capacity — writing beyond a registered region is a
     /// hard fault on real hardware too.
     fn put_f64(&mut self, v: f64) {
+        self.put_f64s(&[v]);
+    }
+
+    /// One bounds check for the whole run.
+    fn put_f64s(&mut self, vs: &[f64]) {
         let at = COMBINED_HEADER_BYTES + self.count * 8;
-        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        self.count += 1;
+        let dst = &mut self.buf[at..at + vs.len() * 8];
+        for (d, v) in dst.chunks_exact_mut(8).zip(vs) {
+            d.copy_from_slice(&v.to_le_bytes());
+        }
+        self.count += vs.len();
     }
 }
 
@@ -236,6 +331,32 @@ mod tests {
     fn f64_roundtrip() {
         let vals = vec![0.0, -1.5, std::f64::consts::PI, 1e300, -0.0];
         assert_eq!(decode_f64s(&encode_f64s(&vals)), vals);
+    }
+
+    #[test]
+    fn into_variants_reuse_the_vector_and_sources_agree() {
+        let vals = vec![0.5, -1.5, f64::MAX, -0.0, 7.0];
+        let mut out = vec![99.0; 9]; // stale content must be dropped
+        decode_f64s_into(&encode_f64s(&vals), &mut out);
+        assert_eq!(out, vals);
+        parse_combined_into(&frame_combined(&vals[..2]), &mut out);
+        assert_eq!(out, vals[..2]);
+        // Both sources stream the same values, singly and in runs.
+        let bytes = encode_f64s(&vals);
+        let (mut a, mut b) = (vals.as_slice(), LeF64s::new(&bytes));
+        assert_eq!((a.remaining(), b.remaining()), (5, 5));
+        assert_eq!(a.get_f64().to_bits(), b.get_f64().to_bits());
+        let (mut ra, mut rb) = ([0.0; 3], [0.0; 3]);
+        a.get_f64s(&mut ra);
+        b.get_f64s(&mut rb);
+        assert_eq!((ra, a.remaining()), (rb, b.remaining()));
+        assert_eq!(ra, [-1.5, f64::MAX, -0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not f64-aligned")]
+    fn misaligned_payload_rejected() {
+        let _ = decode_f64s(&[0u8; 12]);
     }
 
     #[test]

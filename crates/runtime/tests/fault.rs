@@ -110,6 +110,51 @@ fn fault_runs_are_thread_schedule_invariant() {
 }
 
 #[test]
+fn plan_installed_on_a_hot_fault_free_fabric_still_injects() {
+    // While the installed plan is empty the fabric's puts skip the fault
+    // mutex altogether. Ten fault-free steps make that fast path hot; a
+    // plan installed afterwards must be consulted exactly as if it had
+    // been there from the build, and installing the empty plan again must
+    // disarm it — at every driver thread count, physics untouched.
+    let cfg = RunConfig::lj(4_000);
+    let mut clean = Cluster::new(MESH, cfg, CommVariant::Opt);
+    clean.set_thermo_every(5);
+    clean.run(30);
+    // One Forward message of rank 7 at step 15: the send edge whose peer
+    // node no other edge of the rank shares.
+    let g = &clean.states()[7].graph;
+    let alone = |k: &usize| g.send.iter().filter(|e| e.node == g.send[*k].node).count() == 1;
+    let k = (0..g.send.len())
+        .find(alone)
+        .expect("an edge with a node of its own");
+    let one_drop = FaultPlan::new().with_rule(FaultRule {
+        step: Some(15),
+        op: Some(Op::Forward.index() as u8),
+        ..g.edge_fault_rule(k, FaultKind::Drop { times: 1 })
+    });
+    for threads in [1usize, 2, 8] {
+        let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
+        c.set_driver_threads(threads);
+        c.set_thermo_every(5);
+        c.run(10);
+        assert_eq!(c.fault_counters().total(), 0);
+        c.install_fault_plan(one_drop.clone());
+        c.run(10);
+        assert_eq!(c.fault_counters().drops, 1, "threads={threads}");
+        assert_eq!(c.fault_counters().total(), 1);
+        assert_eq!(c.op_stats().total().retries, 1, "one drop, one retry");
+        // Disarmed: a rule that would drop everything is gone with it.
+        c.install_fault_plan(FaultPlan::default());
+        c.run(10);
+        assert_eq!(c.fault_counters().total(), 1, "empty plan injects nothing");
+        assert!(!c.demoted());
+        assert_eq!(thermo_bits(clean.thermo_log()), thermo_bits(c.thermo_log()));
+        assert_eq!(state_fingerprint(&clean), state_fingerprint(&c));
+        assert!(c.step_time() >= clean.step_time(), "faults only add time");
+    }
+}
+
+#[test]
 fn faulted_runs_complete_and_report_retries() {
     for cfg in [RunConfig::lj(4_000), RunConfig::eam(4_000)] {
         let mut c = Cluster::with_fault_plan(MESH, cfg, CommVariant::Opt, recoverable_plan());

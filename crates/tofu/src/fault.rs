@@ -464,6 +464,17 @@ pub enum TofuError {
         /// The state it needed.
         missing: &'static str,
     },
+    /// An arrival's descriptor names a halo edge the receiver does not
+    /// have, or not the one owning the buffer it landed in — a forged or
+    /// corrupt descriptor, rejected instead of indexing with it.
+    BadDescriptor {
+        /// The receiving node.
+        node: usize,
+        /// The edge index the descriptor carried.
+        edge: u64,
+        /// How many edges the receiver has.
+        edges: usize,
+    },
 }
 
 impl std::fmt::Display for TofuError {
@@ -521,6 +532,11 @@ impl std::fmt::Display for TofuError {
             } => write!(
                 f,
                 "phase order violation: {phase} on node {node} ran without {missing}"
+            ),
+            TofuError::BadDescriptor { node, edge, edges } => write!(
+                f,
+                "bad descriptor on node {node}: edge index {edge} does not name the \
+                 receiving buffer's edge (receiver has {edges})"
             ),
         }
     }

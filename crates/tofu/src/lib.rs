@@ -65,7 +65,12 @@ pub use fault::{
     OP_SETUP,
 };
 pub use mem::{MemRegistry, Stadd};
-pub use net::{Arrival, CqExhausted, PutRequest, PutResult, TofuNet, CQS_PER_TNI, TNIS_PER_NODE};
-pub use rdma::{dedupe_arrivals, try_wait_arrivals, wait_arrivals, DeliveryAnomalies, Vcq};
+pub use net::{
+    Arrival, CqExhausted, PutRequest, PutResult, PutSrc, TofuNet, CQS_PER_TNI, TNIS_PER_NODE,
+};
+pub use rdma::{
+    dedupe_arrivals, try_wait_arrivals, try_wait_arrivals_into, wait_arrivals, DeliveryAnomalies,
+    Put, Vcq,
+};
 pub use timing::NetParams;
 pub use topology::{CellGrid, TofuCoord, CELL_DIMS, PAPER_NODE_MESHES};

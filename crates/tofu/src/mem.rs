@@ -110,6 +110,49 @@ impl MemRegistry {
         );
         &region[offset..offset + len]
     }
+
+    /// Copy `len` bytes from one region of this node to another (or within
+    /// one) — a same-node put sourced from a registered region: the NIC's
+    /// DMA read and the remote write are one `memcpy`, no bounce buffer.
+    /// Same bounds faults as [`MemRegistry::read`] / [`MemRegistry::write`].
+    pub fn copy(
+        &mut self,
+        src: Stadd,
+        src_offset: usize,
+        dst: Stadd,
+        dst_offset: usize,
+        len: usize,
+    ) {
+        let (s, d) = (src.0 as usize, dst.0 as usize);
+        if s == d {
+            let region = &mut self.regions[s];
+            assert!(
+                src_offset.max(dst_offset) + len <= region.len(),
+                "RDMA write beyond registered region (in-region copy)"
+            );
+            region.copy_within(src_offset..src_offset + len, dst_offset);
+            return;
+        }
+        // Disjoint borrows of the two regions.
+        let (lo, hi) = self.regions.split_at_mut(s.max(d));
+        let (from, to) = if s < d {
+            (&lo[s], &mut hi[0])
+        } else {
+            (&hi[0], &mut lo[d])
+        };
+        assert!(
+            src_offset + len <= from.len(),
+            "RDMA read beyond registered region"
+        );
+        assert!(
+            dst_offset + len <= to.len(),
+            "RDMA write beyond registered region: {} + {} > {}",
+            dst_offset,
+            len,
+            to.len()
+        );
+        to[dst_offset..dst_offset + len].copy_from_slice(&from[src_offset..src_offset + len]);
+    }
 }
 
 #[cfg(test)]
@@ -150,6 +193,32 @@ mod tests {
         assert_eq!(n, 8);
         assert_eq!(m.read(s, 4, 8), &[9; 8]);
         assert_eq!(m.read(s, 0, 4), &[0; 4]);
+    }
+
+    #[test]
+    fn copy_moves_bytes_between_and_within_regions() {
+        let mut m = MemRegistry::default();
+        let p = NetParams::default();
+        let (a, _) = m.register(16, &p);
+        let (b, _) = m.register(16, &p);
+        m.write(a, 2, &[1, 2, 3, 4]);
+        m.copy(a, 2, b, 8, 4); // lower handle -> higher
+        assert_eq!(m.read(b, 8, 4), &[1, 2, 3, 4]);
+        m.copy(b, 9, a, 0, 2); // higher -> lower
+        assert_eq!(m.read(a, 0, 2), &[2, 3]);
+        m.copy(a, 2, a, 10, 4); // within one region
+        assert_eq!(m.read(a, 10, 4), &[1, 2, 3, 4]);
+        m.copy(a, 0, b, 0, 0); // empty copy is a no-op
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond registered region")]
+    fn out_of_bounds_copy_faults() {
+        let mut m = MemRegistry::default();
+        let p = NetParams::default();
+        let (a, _) = m.register(8, &p);
+        let (b, _) = m.register(8, &p);
+        m.copy(a, 0, b, 6, 4);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::timing::NetParams;
 use crate::topology::CellGrid;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Number of TNIs per node (§2.2).
 pub const TNIS_PER_NODE: usize = 6;
@@ -130,6 +131,44 @@ pub struct PutRequest<'a> {
     pub cache_injection: bool,
 }
 
+/// Where a put's bytes come from.
+#[derive(Debug, Clone, Copy)]
+pub enum PutSrc<'a> {
+    /// A frame staged in ordinary memory, or nothing at all
+    /// (descriptor-only piggybacks).
+    Bytes(&'a [u8]),
+    /// `len` bytes at `offset` of one of the injecting node's *own*
+    /// registered regions, serialized there in place (see
+    /// [`TofuNet::write_local_with`]) — the zero-copy wire path. The fabric
+    /// copies region to region: this models the NIC's DMA read, not a CPU
+    /// staging copy, so callers charge no pack cost.
+    Region {
+        /// The source region.
+        stadd: Stadd,
+        /// Byte offset of the payload within it.
+        offset: usize,
+        /// Payload length in bytes.
+        len: usize,
+    },
+}
+
+impl PutSrc<'_> {
+    /// Payload length in bytes.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match *self {
+            PutSrc::Bytes(data) => data.len(),
+            PutSrc::Region { len, .. } => len,
+        }
+    }
+
+    /// True for a descriptor-only put.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// Times produced by a put.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PutResult {
@@ -143,9 +182,16 @@ pub struct PutResult {
 /// The simulated TofuD machine.
 pub struct TofuNet {
     grid: CellGrid,
+    /// Folded-mesh coordinate of every node id, so [`TofuNet::hops`] is
+    /// two loads instead of six div/mods per put.
+    coords: Vec<[u32; 3]>,
     params: NetParams,
     nodes: Vec<NodeState>,
     fault: Mutex<FaultState>,
+    /// True while the installed plan can produce a fault. Puts read this
+    /// first and skip the cluster-wide `fault` mutex while it is clear; a
+    /// non-empty plan is consulted under the mutex exactly as before.
+    fault_armed: AtomicBool,
 }
 
 impl TofuNet {
@@ -155,9 +201,11 @@ impl TofuNet {
         let n = grid.node_count();
         TofuNet {
             grid,
+            coords: (0..n).map(|id| grid.mesh_of_id(id)).collect(),
             params,
             nodes: (0..n).map(|_| NodeState::new()).collect(),
             fault: Mutex::new(FaultState::new()),
+            fault_armed: AtomicBool::new(false),
         }
     }
 
@@ -165,7 +213,12 @@ impl TofuNet {
     /// query a no-op; installing replaces any previous plan but keeps the
     /// accumulated [`FaultCounters`].
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        self.fault.lock().plan = plan;
+        let mut fs = self.fault.lock();
+        fs.plan = plan;
+        // Release pairs with the Acquire load in `try_put_from`; a put that
+        // sees the flag set then reads the plan under the mutex.
+        self.fault_armed
+            .store(!fs.plan.is_empty(), Ordering::Release);
     }
 
     /// Stamp the `(step, op)` context used on subsequent fault keys. The
@@ -248,8 +301,7 @@ impl TofuNet {
     /// Hop count between two node ids on the folded torus.
     #[must_use]
     pub fn hops(&self, a: usize, b: usize) -> u32 {
-        self.grid
-            .hops(self.grid.mesh_of_id(a), self.grid.mesh_of_id(b))
+        self.grid.hops(self.coords[a], self.coords[b])
     }
 
     /// Allocate one CQ on `(node, tni)`; errors when the TNI's 9 CQs are
@@ -358,11 +410,21 @@ impl TofuNet {
 
     /// Read from one's own registered region (unpacking).
     pub fn read_local(&self, node: usize, stadd: Stadd, offset: usize, len: usize) -> Vec<u8> {
-        self.nodes[node]
-            .mem
-            .lock()
-            .read(stadd, offset, len)
-            .to_vec()
+        self.read_local_with(node, stadd, offset, len, <[u8]>::to_vec)
+    }
+
+    /// Deserialize directly from one's own registered region: `f` receives
+    /// the `len` bytes at `offset` under the node lock — the receive-side
+    /// mirror of [`TofuNet::write_local_with`], no intermediate `Vec`.
+    pub fn read_local_with<R>(
+        &self,
+        node: usize,
+        stadd: Stadd,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        f(self.nodes[node].mem.lock().read(stadd, offset, len))
     }
 
     /// Total modeled registration cost accumulated on a node.
@@ -383,7 +445,13 @@ impl TofuNet {
     /// the MPI layer (with its own reliability protocol) and legacy
     /// callers ride on; the faultable bare-uTofu path is [`Self::try_put`].
     pub fn put(&self, req: PutRequest<'_>) -> PutResult {
-        match self.execute_put(&req, 0, None) {
+        self.put_from(&req, PutSrc::Bytes(req.data))
+    }
+
+    /// [`Self::put`] with the payload given as `src` (`req.data` is not
+    /// read).
+    pub(crate) fn put_from(&self, req: &PutRequest<'_>, src: PutSrc<'_>) -> PutResult {
+        match self.execute_put(req, src, 0, None) {
             Ok(r) => r,
             Err(_) => unreachable!("fault-free put cannot fail"),
         }
@@ -394,43 +462,51 @@ impl TofuNet {
     /// the corresponding [`TofuError`] (the sender observes a TCQ error
     /// code); delay and duplicate faults succeed with perturbed delivery.
     pub fn try_put(&self, req: PutRequest<'_>, attempt: u32) -> Result<PutResult, TofuError> {
+        self.try_put_from(&req, PutSrc::Bytes(req.data), attempt)
+    }
+
+    /// [`Self::try_put`] with the payload given as `src` (`req.data` is not
+    /// read).
+    pub(crate) fn try_put_from(
+        &self,
+        req: &PutRequest<'_>,
+        src: PutSrc<'_>,
+        attempt: u32,
+    ) -> Result<PutResult, TofuError> {
+        if !self.fault_armed.load(Ordering::Acquire) {
+            return self.execute_put(req, src, attempt, None);
+        }
         let faulted = {
             let mut fs = self.fault.lock();
-            if fs.plan.is_empty() {
-                None
-            } else {
-                let key = FaultKey {
-                    step: fs.step,
-                    op: fs.op,
-                    src: req.src_rank,
-                    dst: req.dst_node as u32,
-                    tni: req.tni as u8,
-                };
-                let action = fs.plan.decide_put(&key, req.seq, req.data.len(), attempt);
-                match action {
-                    Some(FaultAction::Drop) => fs.counters.drops += 1,
-                    Some(FaultAction::Delay(_)) => fs.counters.delays += 1,
-                    Some(FaultAction::Duplicate) => fs.counters.duplicates += 1,
-                    Some(FaultAction::Truncate(_)) => fs.counters.truncations += 1,
-                    None => {}
-                }
-                action.map(|a| (a, key))
+            let key = FaultKey {
+                step: fs.step,
+                op: fs.op,
+                src: req.src_rank,
+                dst: req.dst_node as u32,
+                tni: req.tni as u8,
+            };
+            let action = fs.plan.decide_put(&key, req.seq, src.len(), attempt);
+            match action {
+                Some(FaultAction::Drop) => fs.counters.drops += 1,
+                Some(FaultAction::Delay(_)) => fs.counters.delays += 1,
+                Some(FaultAction::Duplicate) => fs.counters.duplicates += 1,
+                Some(FaultAction::Truncate(_)) => fs.counters.truncations += 1,
+                None => {}
             }
+            action.map(|a| (a, key))
         };
-        match faulted {
-            None => self.execute_put(&req, attempt, None),
-            Some((action, key)) => self.execute_put(&req, attempt, Some((action, key))),
-        }
+        self.execute_put(req, src, attempt, faulted)
     }
 
     fn execute_put(
         &self,
         req: &PutRequest<'_>,
+        src: PutSrc<'_>,
         attempt: u32,
         fault: Option<(FaultAction, FaultKey)>,
     ) -> Result<PutResult, TofuError> {
         assert!(req.tni < TNIS_PER_NODE, "TNI index out of range");
-        let posted = req.data.len();
+        let posted = src.len();
         // A truncated put still occupies the TNI for the full descriptor
         // but delivers only the cut prefix.
         let bytes = match fault {
@@ -463,11 +539,34 @@ impl TofuNet {
         }
         // Move the real bytes.
         if bytes > 0 {
-            self.nodes[req.dst_node].mem.lock().write(
-                req.dst_stadd,
-                req.dst_offset,
-                &req.data[..bytes],
-            );
+            let (from_node, to_node) = (req.src_node, req.dst_node);
+            let (to_stadd, to_offset) = (req.dst_stadd, req.dst_offset);
+            match src {
+                PutSrc::Bytes(data) => {
+                    self.nodes[to_node]
+                        .mem
+                        .lock()
+                        .write(to_stadd, to_offset, &data[..bytes])
+                }
+                PutSrc::Region { stadd, offset, .. } if from_node == to_node => self.nodes[to_node]
+                    .mem
+                    .lock()
+                    .copy(stadd, offset, to_stadd, to_offset, bytes),
+                PutSrc::Region { stadd, offset, .. } => {
+                    // Region to region across nodes, no bounce buffer. Both
+                    // registries are held at once, always lower node id
+                    // first, so opposing puts cannot deadlock (every other
+                    // path holds at most one node's registry).
+                    let first = self.nodes[from_node.min(to_node)].mem.lock();
+                    let second = self.nodes[from_node.max(to_node)].mem.lock();
+                    let (from, mut to) = if from_node < to_node {
+                        (first, second)
+                    } else {
+                        (second, first)
+                    };
+                    to.write(to_stadd, to_offset, from.read(stadd, offset, bytes));
+                }
+            }
         }
         let arrival = Arrival {
             time: remote_arrival,
@@ -535,13 +634,21 @@ impl TofuNet {
     /// Take *all* currently queued arrivals on `node` that match `pred`.
     /// (In the lockstep driver, all sends of a stage precede all receives,
     /// so everything a stage expects is already queued.)
-    pub fn take_arrivals(
+    pub fn take_arrivals(&self, node: usize, pred: impl FnMut(&Arrival) -> bool) -> Vec<Arrival> {
+        let mut taken = Vec::new();
+        self.take_arrivals_into(node, pred, &mut taken);
+        taken
+    }
+
+    /// [`Self::take_arrivals`] appending to a caller-owned (reusable)
+    /// vector, so a steady-state receive allocates nothing.
+    pub fn take_arrivals_into(
         &self,
         node: usize,
         mut pred: impl FnMut(&Arrival) -> bool,
-    ) -> Vec<Arrival> {
+        taken: &mut Vec<Arrival>,
+    ) {
         let mut mrq = self.nodes[node].mrq.lock();
-        let mut taken = Vec::new();
         let mut i = 0;
         while i < mrq.len() {
             if pred(&mrq[i]) {
@@ -550,7 +657,6 @@ impl TofuNet {
                 i += 1;
             }
         }
-        taken
     }
 
     /// Number of queued (undelivered) notifications on a node.
@@ -696,6 +802,52 @@ mod tests {
         let near = net.put(mk(1, d1, 0));
         let farr = net.put(mk(far, d2, 1));
         assert!(farr.remote_arrival > near.remote_arrival);
+    }
+
+    #[test]
+    fn hop_table_agrees_with_the_grid() {
+        let net = small_net();
+        let g = *net.grid();
+        for a in 0..net.node_count() {
+            for b in 0..net.node_count() {
+                assert_eq!(net.hops(a, b), g.hops(g.mesh_of_id(a), g.mesh_of_id(b)));
+            }
+        }
+    }
+
+    #[test]
+    fn plan_installed_late_is_consulted_and_an_empty_one_disarms() {
+        use crate::fault::{FaultKind, FaultRule};
+        let net = small_net();
+        let (dst, _) = net.register_mem(1, 8);
+        let req = |seq| PutRequest {
+            src_node: 0,
+            tni: 0,
+            dst_node: 1,
+            dst_stadd: dst,
+            dst_offset: 0,
+            data: &[1],
+            piggyback: 0,
+            src_rank: 0,
+            seq,
+            now: 0.0,
+            cache_injection: false,
+        };
+        // Hot fault-free fast path first.
+        for seq in 0..4 {
+            net.try_put(req(seq), 0).unwrap();
+        }
+        net.set_fault_plan(
+            FaultPlan::new().with_rule(FaultRule::any(FaultKind::Drop { times: 1 })),
+        );
+        assert!(matches!(
+            net.try_put(req(4), 0),
+            Err(TofuError::PutDropped { seq: 4, .. })
+        ));
+        net.try_put(req(4), 1).unwrap();
+        net.set_fault_plan(FaultPlan::default());
+        net.try_put(req(5), 0).unwrap();
+        assert_eq!(net.fault_counters().drops, 1, "counters survive re-install");
     }
 
     #[test]

@@ -9,8 +9,28 @@
 
 use crate::fault::TofuError;
 use crate::mem::Stadd;
-use crate::net::{Arrival, CqExhausted, PutRequest, PutResult, TofuNet};
+use crate::net::{Arrival, CqExhausted, PutRequest, PutResult, PutSrc, TofuNet};
 use std::sync::Arc;
+
+/// One logical message: the descriptor fields of a sequenced put —
+/// everything a retransmission repeats.
+#[derive(Debug, Clone, Copy)]
+pub struct Put<'a> {
+    /// Destination node.
+    pub dst_node: usize,
+    /// Destination registered region.
+    pub dst_stadd: Stadd,
+    /// Byte offset within the destination region.
+    pub dst_offset: usize,
+    /// The payload.
+    pub src: PutSrc<'a>,
+    /// 8-byte descriptor-embedded payload.
+    pub piggyback: u64,
+    /// Sequence stamp (see [`Arrival::seq`]); retransmissions reuse it.
+    pub seq: u64,
+    /// Use TofuD cache injection on the receive side.
+    pub cache_injection: bool,
+}
 
 /// A virtual control queue bound to one hardware CQ of one TNI.
 pub struct Vcq {
@@ -73,153 +93,60 @@ impl Vcq {
         piggyback: u64,
         cache_injection: bool,
     ) -> PutResult {
-        *now += self.net.params().cpu_per_put_utofu;
-        self.net.put(PutRequest {
-            src_node: self.node,
-            tni: self.tni,
-            dst_node,
-            dst_stadd,
-            dst_offset,
-            data,
-            piggyback,
-            src_rank: self.rank_tag,
-            seq: 0,
-            now: *now,
-            cache_injection,
-        })
-    }
-
-    /// One-sided put on the *faultable* path: like [`Vcq::put`] but stamped
-    /// with the message sequence number `seq` and subject to the fabric's
-    /// active fault plan. The posting CPU cost is charged per attempt
-    /// (`*now` advances even when the put fails).
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_put(
-        &mut self,
-        now: &mut f64,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        dst_offset: usize,
-        data: &[u8],
-        piggyback: u64,
-        seq: u64,
-        attempt: u32,
-        cache_injection: bool,
-    ) -> Result<PutResult, TofuError> {
-        *now += self.net.params().cpu_per_put_utofu;
-        self.net.try_put(
-            PutRequest {
-                src_node: self.node,
-                tni: self.tni,
+        self.post_reliable(
+            now,
+            &Put {
                 dst_node,
                 dst_stadd,
                 dst_offset,
-                data,
+                src: PutSrc::Bytes(data),
                 piggyback,
-                src_rank: self.rank_tag,
-                seq,
-                now: *now,
+                seq: 0,
                 cache_injection,
             },
-            attempt,
         )
     }
 
-    /// One-sided put on the reliable path carrying a real sequence number —
-    /// the escape hatch after a retry budget is exhausted (the payload is
-    /// handed to the reliable software stack, modeled as never faulting).
-    /// Reusing the message's sequence number lets the receiver's duplicate
-    /// detection coalesce it with any truncated earlier delivery.
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_reliable(
-        &mut self,
-        now: &mut f64,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        dst_offset: usize,
-        data: &[u8],
-        piggyback: u64,
-        seq: u64,
-        cache_injection: bool,
-    ) -> PutResult {
+    /// Charge the descriptor-posting CPU cost and stamp `put` with this
+    /// VCQ's injection point (its payload travels beside the request).
+    fn lower(&self, now: &mut f64, put: &Put<'_>) -> PutRequest<'static> {
         *now += self.net.params().cpu_per_put_utofu;
-        self.net.put(PutRequest {
+        PutRequest {
             src_node: self.node,
             tni: self.tni,
-            dst_node,
-            dst_stadd,
-            dst_offset,
-            data,
-            piggyback,
+            dst_node: put.dst_node,
+            dst_stadd: put.dst_stadd,
+            dst_offset: put.dst_offset,
+            data: &[],
+            piggyback: put.piggyback,
             src_rank: self.rank_tag,
-            seq,
+            seq: put.seq,
             now: *now,
-            cache_injection,
-        })
+            cache_injection: put.cache_injection,
+        }
     }
 
-    /// One-sided put sourcing its payload from one of this node's *own*
-    /// registered regions — the zero-copy wire path. The frame was
-    /// serialized in place (see [`TofuNet::write_local_with`]); the read
-    /// here models the NIC's DMA from the registered source region, not a
-    /// CPU staging copy, so callers charge no pack cost. Faultable like
-    /// [`Vcq::try_put`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_put_from_region(
+    /// Post attempt `attempt` of a sequenced message on the *faultable*
+    /// path: subject to the fabric's active fault plan. The posting CPU
+    /// cost is charged per attempt (`*now` advances even when the put
+    /// fails).
+    pub fn try_post(
         &mut self,
         now: &mut f64,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        dst_offset: usize,
-        src_stadd: Stadd,
-        src_offset: usize,
-        len: usize,
-        piggyback: u64,
-        seq: u64,
+        put: &Put<'_>,
         attempt: u32,
-        cache_injection: bool,
     ) -> Result<PutResult, TofuError> {
-        let data = self.net.read_local(self.node, src_stadd, src_offset, len);
-        self.try_put(
-            now,
-            dst_node,
-            dst_stadd,
-            dst_offset,
-            &data,
-            piggyback,
-            seq,
-            attempt,
-            cache_injection,
-        )
+        self.net
+            .try_put_from(&self.lower(now, put), put.src, attempt)
     }
 
-    /// Reliable-path counterpart of [`Vcq::try_put_from_region`] (the
-    /// escape hatch after a retry budget is exhausted).
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_reliable_from_region(
-        &mut self,
-        now: &mut f64,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        dst_offset: usize,
-        src_stadd: Stadd,
-        src_offset: usize,
-        len: usize,
-        piggyback: u64,
-        seq: u64,
-        cache_injection: bool,
-    ) -> PutResult {
-        let data = self.net.read_local(self.node, src_stadd, src_offset, len);
-        self.put_reliable(
-            now,
-            dst_node,
-            dst_stadd,
-            dst_offset,
-            &data,
-            piggyback,
-            seq,
-            cache_injection,
-        )
+    /// Post a sequenced message on the reliable path — the escape hatch
+    /// after a retry budget is exhausted (the payload is handed to the
+    /// reliable software stack, modeled as never faulting). Reusing the
+    /// message's sequence number lets the receiver's duplicate detection
+    /// coalesce it with any truncated earlier delivery.
+    pub fn post_reliable(&mut self, now: &mut f64, put: &Put<'_>) -> PutResult {
+        self.net.put_from(&self.lower(now, put), put.src)
     }
 
     /// Piggyback-only put: 8 bytes embedded in the descriptor, no buffer
@@ -298,7 +225,23 @@ pub fn try_wait_arrivals(
     count: usize,
     pred: impl FnMut(&Arrival) -> bool,
 ) -> Result<(Vec<Arrival>, f64), TofuError> {
-    let arrivals = net.take_arrivals(node, pred);
+    let mut arrivals = Vec::new();
+    let t = try_wait_arrivals_into(net, node, now, count, pred, &mut arrivals)?;
+    Ok((arrivals, t))
+}
+
+/// [`try_wait_arrivals`] into a caller-owned vector (cleared first), so a
+/// steady-state receive allocates nothing. Returns the advanced clock.
+pub fn try_wait_arrivals_into(
+    net: &TofuNet,
+    node: usize,
+    now: f64,
+    count: usize,
+    pred: impl FnMut(&Arrival) -> bool,
+    arrivals: &mut Vec<Arrival>,
+) -> Result<f64, TofuError> {
+    arrivals.clear();
+    net.take_arrivals_into(node, pred, arrivals);
     if arrivals.len() < count {
         return Err(net.shortfall_error(node, count, arrivals.len()));
     }
@@ -306,7 +249,7 @@ pub fn try_wait_arrivals(
         .iter()
         .map(|a| a.time)
         .fold(f64::NEG_INFINITY, f64::max);
-    Ok((arrivals, now.max(latest)))
+    Ok(now.max(latest))
 }
 
 /// What [`dedupe_arrivals`] removed: anomalies a perfect fabric never
@@ -342,7 +285,9 @@ impl DeliveryAnomalies {
 /// recoverable fault plan the surviving set is byte-identical to the
 /// fault-free run's.
 pub fn dedupe_arrivals(arrivals: &mut Vec<Arrival>) -> DeliveryAnomalies {
-    arrivals.sort_by(|a, b| {
+    // Unstable (in-place, allocation-free) is enough: arrivals that tie on
+    // the whole key are copies of one delivery.
+    arrivals.sort_unstable_by(|a, b| {
         (a.stadd.0, a.offset, a.src_rank, a.seq, a.len)
             .cmp(&(b.stadd.0, b.offset, b.src_rank, b.seq, b.len))
             .then(a.time.total_cmp(&b.time))
@@ -404,15 +349,92 @@ mod tests {
         });
         let mut vcq = Vcq::create(net.clone(), 0, 0, 0).unwrap();
         let mut now = 0.0;
-        let r = vcq
-            .try_put_from_region(&mut now, 1, dst, 0, src, 2, 4, 0, 0, 0, false)
-            .unwrap();
+        let put = |dst_node, dst_stadd, dst_offset, offset, seq| Put {
+            dst_node,
+            dst_stadd,
+            dst_offset,
+            src: PutSrc::Region {
+                stadd: src,
+                offset,
+                len: 4,
+            },
+            piggyback: 0,
+            seq,
+            cache_injection: false,
+        };
+        let r = vcq.try_post(&mut now, &put(1, dst, 0, 2, 0), 0).unwrap();
         assert!((now - net.params().cpu_per_put_utofu).abs() < 1e-15);
         assert!(r.remote_arrival > now);
         assert_eq!(net.read_local(1, dst, 0, 4), vec![7, 8, 9, 10]);
         // Reliable variant delivers the same bytes at another offset.
-        vcq.put_reliable_from_region(&mut now, 1, dst, 4, src, 0, 4, 0, 1, false);
+        vcq.post_reliable(&mut now, &put(1, dst, 4, 0, 1));
         assert_eq!(net.read_local(1, dst, 4, 4), vec![5, 6, 7, 8]);
+        // Same-node region puts (one registry, disjoint or equal regions)
+        // and a put from the higher-numbered node take the other lock
+        // orders; the arrival reports what was written.
+        let (near, _) = net.register_mem(0, 16);
+        vcq.post_reliable(&mut now, &put(0, near, 8, 4, 2));
+        assert_eq!(net.read_local(0, near, 8, 4), vec![9, 10, 11, 12]);
+        vcq.post_reliable(&mut now, &put(0, src, 12, 0, 3));
+        assert_eq!(net.read_local(0, src, 12, 4), vec![5, 6, 7, 8]);
+        let mut back = Vcq::create(net.clone(), 1, 0, 1).unwrap();
+        back.post_reliable(
+            &mut now,
+            &Put {
+                src: PutSrc::Region {
+                    stadd: dst,
+                    offset: 0,
+                    len: 8,
+                },
+                ..put(0, near, 0, 0, 4)
+            },
+        );
+        assert_eq!(net.read_local(0, near, 0, 8), vec![7, 8, 9, 10, 5, 6, 7, 8]);
+        let a = net.take_arrivals(0, |a| a.seq == 4);
+        assert_eq!((a[0].stadd, a[0].offset, a[0].len), (near, 0, 8));
+    }
+
+    #[test]
+    fn region_put_faults_like_a_bytes_put() {
+        use crate::fault::{FaultKind, FaultPlan, FaultRule};
+        let net = net();
+        let (dst, _) = net.register_mem(1, 16);
+        let (src, _) = net.register_mem(0, 16);
+        net.write_local(0, src, 0, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        net.set_fault_plan(
+            FaultPlan::new().with_rule(FaultRule::any(FaultKind::Truncate { len: 3, times: 1 })),
+        );
+        let mut vcq = Vcq::create(net.clone(), 0, 0, 0).unwrap();
+        let put = Put {
+            dst_node: 1,
+            dst_stadd: dst,
+            dst_offset: 0,
+            src: PutSrc::Region {
+                stadd: src,
+                offset: 0,
+                len: 8,
+            },
+            piggyback: 0,
+            seq: 1,
+            cache_injection: false,
+        };
+        let mut now = 0.0;
+        let err = vcq.try_post(&mut now, &put, 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TofuError::PutTruncated {
+                    delivered: 3,
+                    expected: 8,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(net.read_local(1, dst, 0, 8), vec![1, 2, 3, 0, 0, 0, 0, 0]);
+        vcq.try_post(&mut now, &put, 1).unwrap();
+        assert_eq!(net.read_local(1, dst, 0, 8), vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(net.fault_counters().truncations, 1);
     }
 
     #[test]
