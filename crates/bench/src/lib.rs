@@ -1,9 +1,10 @@
 //! # tofumd-bench — harness regenerating the paper's tables and figures
 //!
-//! Each `src/bin/*` binary reproduces one table or figure; Criterion
-//! benches under `benches/` cover the micro-measurements. This library
-//! holds the shared plumbing: proxy-mesh selection, run orchestration and
-//! plain-text table rendering.
+//! Each `src/bin/*` binary reproduces one table or figure from the
+//! *modeled* (virtual) clock. Host speed of the simulator itself is
+//! measured in one place only, `benchmark/run.sh` at the repo root. This
+//! library holds the shared plumbing: proxy-mesh selection, run
+//! orchestration and plain-text table rendering.
 
 #![warn(missing_docs)]
 // Panicking escape hatches are reserved for tests; report failures with a

@@ -119,13 +119,6 @@ impl BorderBins {
         BorderBins { sub, r_ghost, mode }
     }
 
-    /// True when the O(1) bin table is in use (observable for the
-    /// ablation bench).
-    #[must_use]
-    pub fn uses_bins(&self) -> bool {
-        matches!(self.mode, Mode::Bins { .. })
-    }
-
     /// Visit the indices of neighbors that need an atom at `x`.
     #[inline]
     pub fn for_each_target(&self, x: &[f64; 3], mut f: impl FnMut(u16)) {
@@ -184,7 +177,7 @@ mod tests {
     #[test]
     fn interior_atom_goes_nowhere() {
         let (bins, _) = setup(false);
-        assert!(bins.uses_bins());
+        assert!(matches!(bins.mode, Mode::Bins { .. }));
         assert!(bins.targets_of(&[5.0, 5.0, 5.0]).is_empty());
     }
 
@@ -261,7 +254,7 @@ mod tests {
         let neighbors = neighbor_offsets(1, false);
         let sub = Box3::new([0.0; 3], [2.0; 3]);
         let bins = BorderBins::new(sub, 5.0, &neighbors);
-        assert!(!bins.uses_bins());
+        assert!(matches!(bins.mode, Mode::Exact { .. }));
         // Cutoff exceeds the box: every atom is needed by every 1-shell
         // neighbor.
         assert_eq!(bins.targets_of(&[1.0, 1.0, 1.0]).len(), 26);
@@ -274,7 +267,7 @@ mod tests {
         let neighbors = neighbor_offsets(2, false);
         let sub = Box3::new([0.0; 3], [2.0; 3]);
         let bins = BorderBins::new(sub, 3.0, &neighbors);
-        assert!(!bins.uses_bins());
+        assert!(matches!(bins.mode, Mode::Exact { .. }));
         let k_pp = neighbors.iter().position(|o| o.d == [2, 0, 0]).unwrap() as u16;
         // x = 1.5: within 1 of the high face -> the (2,0,0) neighbor needs it.
         assert!(bins.targets_of(&[1.5, 1.0, 1.0]).contains(&k_pp));
@@ -293,7 +286,7 @@ mod tests {
         let neighbors = neighbor_offsets(1, false);
         let sub = Box3::new([0.0; 3], [10.0; 3]);
         let bins = BorderBins::new(sub, 6.0, &neighbors);
-        assert!(!bins.uses_bins());
+        assert!(matches!(bins.mode, Mode::Exact { .. }));
         let t = bins.targets_of(&[5.0, 5.0, 5.0]);
         // The center atom is within 6.0 of all six faces.
         assert_eq!(t.len(), 26);

@@ -28,49 +28,27 @@
 //!   sweeps backwards.
 
 use crate::engine::{GhostOp, Op, RankState};
-use crate::plan::NeighborLink;
-use crate::sf::SendSelector;
-use crate::topo_map::RankMap;
+use crate::sf::{CommGraph, GraphEdge, SendSelector};
 use crate::wire::{self, F64Sink, F64Source};
 use tofumd_md::atom::Atoms;
-use tofumd_md::domain::NeighborOffset;
-use tofumd_md::region::Box3;
 
-/// The six face links of a rank: `links[dim][0]` is the -dim neighbor,
-/// `links[dim][1]` the +dim neighbor.
+/// What a staged engine copies out of its grid graph: the six face links
+/// (`links[dim][0]` the -dim neighbor, `links[dim][1]` the +dim one) and
+/// the swaps per dimension (the plan's shell count; 1 in the common case,
+/// more in Fig. 15's long-cutoff regime).
 #[must_use]
-pub fn staged_links(map: &RankMap, rank: usize, global: &Box3) -> [[NeighborLink; 2]; 3] {
-    let c = map.rank_coord(rank);
-    let rg = map.rank_grid;
-    let l = global.lengths();
-    let mk = |dim: usize, dir: i64| -> NeighborLink {
-        let mut target = [i64::from(c[0]), i64::from(c[1]), i64::from(c[2])];
-        target[dim] += dir;
-        let nb = map.rank_at(target);
-        let mut shift = [0.0; 3];
-        let wrapped = target[dim].div_euclid(i64::from(rg[dim]));
-        shift[dim] = -(wrapped as f64) * l[dim];
-        let mut d = [0i8; 3];
-        d[dim] = dir as i8;
-        NeighborLink {
-            offset: NeighborOffset { d },
-            rank: nb,
-            node: map.node_of(nb),
-            hops: map.hops(rank, nb),
-            shift,
-        }
+pub fn staged_faces(graph: &CommGraph) -> ([[GraphEdge; 2]; 3], usize) {
+    let Some(config) = graph.config() else {
+        panic!("the staged engines require a grid graph");
     };
-    [
-        [mk(0, -1), mk(0, 1)],
-        [mk(1, -1), mk(1, 1)],
-        [mk(2, -1), mk(2, 1)],
-    ]
+    let links = [0, 1, 2].map(|dim| [0, 1].map(|dir| *graph.face_link(dim, dir)));
+    (links, config.shells)
 }
 
 /// Periodic shifts of the staged layout's `6 * swaps` edges, in edge-id
 /// order `(dim * swaps + swap) * 2 + dir`.
 pub fn staged_shifts(
-    links: &[[NeighborLink; 2]; 3],
+    links: &[[GraphEdge; 2]; 3],
     swaps: usize,
 ) -> impl Iterator<Item = [f64; 3]> + '_ {
     (0..6 * swaps).map(move |e| links[e / 2 / swaps][e % 2].shift)
@@ -315,9 +293,9 @@ impl Payload<'_> {
 mod tests {
     use super::*;
     use crate::plan::{CommPlan, PlanConfig};
-    use crate::sf::CommGraph;
-    use crate::topo_map::Placement;
+    use crate::topo_map::{Placement, RankMap};
     use proptest::prelude::*;
+    use tofumd_md::region::Box3;
     use tofumd_tofu::CellGrid;
 
     const OPS: [GhostOp; 4] = [
@@ -329,7 +307,7 @@ mod tests {
 
     /// Rank 0 of the 768-node machine with a 10^3 sub-box at the grid
     /// origin, its face links, and the graph's selector.
-    fn setup(pos: Vec<[f64; 3]>) -> (RankState, [[NeighborLink; 2]; 3], SendSelector) {
+    fn setup(pos: Vec<[f64; 3]>) -> (RankState, [[GraphEdge; 2]; 3], SendSelector) {
         let grid = CellGrid::from_node_mesh([8, 12, 8]).unwrap();
         let map = RankMap::new(grid, Placement::TopoAware);
         let rg = map.rank_grid;
@@ -338,9 +316,9 @@ mod tests {
             10.0 * f64::from(rg[1]),
             10.0 * f64::from(rg[2]),
         ]);
-        let links = staged_links(&map, 0, &global);
         let plan = CommPlan::build(0, &map, &global, 2.0, PlanConfig::NEWTON);
         let graph = CommGraph::from_grid(plan);
+        let (links, _) = staged_faces(&graph);
         let sel = graph.selector();
         (
             RankState::new(Atoms::from_positions(pos, 1), graph),
@@ -355,11 +333,7 @@ mod tests {
         g
     }
 
-    fn staged_layout(
-        st: &mut RankState,
-        links: &[[NeighborLink; 2]; 3],
-        swaps: usize,
-    ) -> GhostLayout {
+    fn staged_layout(st: &mut RankState, links: &[[GraphEdge; 2]; 3], swaps: usize) -> GhostLayout {
         let mut g = GhostLayout::default();
         g.reset(&mut st.atoms, staged_shifts(links, swaps));
         g

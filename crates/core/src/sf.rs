@@ -485,18 +485,6 @@ impl CommGraph {
         }
     }
 
-    /// Post/complete rounds of the migrate primitive: the grid keeps
-    /// LAMMPS's three staged face sweeps; irregular graphs resolve owners
-    /// directly and migrate in one round.
-    #[must_use]
-    pub fn migrate_rounds(&self) -> usize {
-        if self.is_grid() {
-            3
-        } else {
-            1
-        }
-    }
-
     /// Partners of the single-round irregular migration (empty on grid
     /// graphs, which sweep faces instead).
     #[must_use]
@@ -724,7 +712,6 @@ mod tests {
             assert_eq!(g.neighbor_count(), expect);
             assert_eq!(g.send.len(), expect);
             assert!(g.is_grid());
-            assert_eq!(g.migrate_rounds(), 3);
             assert!(g.migrate_peers().is_empty());
         }
     }
@@ -838,7 +825,6 @@ mod tests {
             .map(|r| CommGraph::from_rcb(r, &rcb, &map, 2.5))
             .collect();
         for g in &graphs {
-            assert_eq!(g.migrate_rounds(), 1);
             for p in g.migrate_peers() {
                 let back = graphs[p.rank].migrate_peers();
                 assert_eq!(back[p.tag_index].rank, g.me, "peer expects me at tag_index");

@@ -35,7 +35,6 @@ pub struct RankMap {
     pub rank_grid: [u32; 3],
     /// rank -> node id.
     node_of_rank: Vec<usize>,
-    placement: Placement,
 }
 
 impl RankMap {
@@ -78,7 +77,6 @@ impl RankMap {
             grid,
             rank_grid,
             node_of_rank,
-            placement,
         }
     }
 
@@ -126,12 +124,6 @@ impl RankMap {
             self.grid.mesh_of_id(self.node_of_rank[a]),
             self.grid.mesh_of_id(self.node_of_rank[b]),
         )
-    }
-
-    /// The placement in force.
-    #[must_use]
-    pub fn placement(&self) -> Placement {
-        self.placement
     }
 
     /// Mean hop distance from a rank to its 26 grid neighbors — the

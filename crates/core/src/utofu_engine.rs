@@ -31,16 +31,13 @@
 
 use crate::engine::{GhostEngine, Op, OpKind, OpStats, RankState, N_OPS};
 use crate::fine;
-use crate::ghost::{staged_links, staged_shifts, staged_sweep, GhostLayout, Payload};
-use crate::plan::NeighborLink;
+use crate::ghost::{staged_faces, staged_shifts, staged_sweep, GhostLayout, Payload};
 use crate::sf::{CommGraph, GraphEdge, SendSelector};
-use crate::topo_map::RankMap;
 use crate::wire;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tofumd_md::region::Box3;
 use tofumd_tofu::{
     dedupe_arrivals, try_wait_arrivals_into, Arrival, CqExhausted, Put, PutSrc, Stadd, TofuError,
     TofuNet, Vcq, TNIS_PER_NODE,
@@ -1114,7 +1111,7 @@ impl GhostEngine for UtofuP2p {
 /// The staged (3-stage) pattern carried over uTofu — `utofu_3stage`.
 pub struct UtofuThreeStage {
     lane: UtofuLane,
-    links: [[NeighborLink; 2]; 3],
+    links: [[GraphEdge; 2]; 3],
     /// Swaps per dimension (the plan's shell count).
     shells: usize,
     /// `[inflow kind][dim*2+dir]` inflow buffers (single slot).
@@ -1135,18 +1132,12 @@ impl UtofuThreeStage {
     pub fn new(
         net: Arc<TofuNet>,
         book: Arc<AddressBook>,
-        map: &RankMap,
         graph: &CommGraph,
         node: usize,
         density: f64,
-        global: &Box3,
     ) -> Self {
         let me = graph.me;
-        let shells = match graph.config() {
-            Some(c) => c.shells,
-            None => panic!("the staged engine requires a grid graph"),
-        };
-        let links = staged_links(map, me, global);
+        let (links, shells) = staged_faces(graph);
         // Prefer the rank's own TNI; a transiently or persistently
         // exhausted CQ pool shifts the binding to any TNI with room.
         let (vcq, _displaced) = create_vcq_scan(&net, node, me % 4, me as u32);
@@ -1357,6 +1348,7 @@ mod tests {
     use crate::engine::GhostEngine;
     use crate::topo_map::{Placement, RankMap};
     use tofumd_md::atom::Atoms;
+    use tofumd_md::region::Box3;
     use tofumd_tofu::{wait_arrivals, NetParams};
 
     /// Full-machine fixture on one TofuD cell (48 ranks): ranks 0 and 1
@@ -1610,11 +1602,9 @@ mod tests {
             engines.push(UtofuThreeStage::new(
                 net.clone(),
                 book.clone(),
-                &map,
                 &graph,
                 node,
                 0.8442,
-                &global,
             ));
             let atoms = match r {
                 0 => Atoms::from_positions(

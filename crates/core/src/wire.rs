@@ -216,18 +216,6 @@ impl<'a> CombinedWriter<'a> {
         CombinedWriter { buf, count: 0 }
     }
 
-    /// Values appended so far.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// How many values fit in the underlying buffer.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        (self.buf.len() - COMBINED_HEADER_BYTES) / 8
-    }
-
     /// Patch the count header and return the framed length in bytes
     /// (`combined_size(count)`). The puttable frame is `buf[..len]`.
     #[must_use]
@@ -396,7 +384,6 @@ mod tests {
         let mut w = CombinedWriter::new(&mut buf);
         w.put_f64(vals[0]);
         w.put_f64s(&vals[1..]);
-        assert_eq!(w.count(), vals.len());
         let len = w.finish();
         assert_eq!(len, combined_size(vals.len()));
         assert_eq!(&buf[..len], frame_combined(&vals).as_ref());
@@ -408,7 +395,6 @@ mod tests {
     fn writer_empty_frame() {
         let mut buf = [0u8; 8];
         let w = CombinedWriter::new(&mut buf);
-        assert_eq!(w.capacity(), 0);
         assert_eq!(w.finish(), combined_size(0));
         assert_eq!(&buf[..], frame_combined(&[]).as_ref());
     }

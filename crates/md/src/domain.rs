@@ -1,144 +1,17 @@
-//! 3D spatial domain decomposition (Fig. 1 of the paper).
+//! Spatial decomposition vocabulary (Fig. 1 of the paper).
 //!
-//! The global box is split into a `px x py x pz` grid of sub-boxes, one per
-//! MPI rank. Ranks are numbered with x fastest, z slowest (LAMMPS `xyz`
-//! ordering). Neighbor enumeration supports the paper's three regimes:
-//! 26 neighbors (1 shell, full), 13 (1 shell, Newton half), and the
-//! extended-experiment 124/62 sets (2 shells, when the cutoff exceeds the
-//! sub-box edge — Fig. 15).
+//! The uniform `px x py x pz` brick grid itself lives where it is used
+//! (`tofumd-core`'s `RankMap` and `plan::sub_box_of`); this module holds
+//! what both decompositions share — the neighbor directions of the
+//! paper's three regimes: 26 neighbors (1 shell, full), 13 (1 shell,
+//! Newton half), and the extended-experiment 124/62 sets (2 shells, when
+//! the cutoff exceeds the sub-box edge — Fig. 15) — and the
+//! recursive-coordinate-bisection decomposition for density-skewed
+//! systems.
 
 use crate::region::Box3;
 use crate::wirefmt;
 use serde::{Deserialize, Serialize};
-
-/// A static decomposition of a global periodic box into a grid of sub-boxes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Decomposition {
-    /// Process grid dimensions `[px, py, pz]`.
-    pub grid: [usize; 3],
-    /// The global simulation box.
-    pub global: Box3,
-}
-
-impl Decomposition {
-    /// Decompose `global` over an explicit process grid.
-    #[must_use]
-    pub fn new(grid: [usize; 3], global: Box3) -> Self {
-        assert!(grid.iter().all(|&g| g > 0), "process grid must be positive");
-        Self { grid, global }
-    }
-
-    /// Choose a process grid for `nranks` ranks that minimizes total
-    /// sub-box surface area (LAMMPS's default heuristic), then decompose.
-    #[must_use]
-    pub fn balanced(nranks: usize, global: Box3) -> Self {
-        Self::new(Self::factor(nranks, global.lengths()), global)
-    }
-
-    /// Factor `n` into `[px, py, pz]` minimizing the per-rank communication
-    /// surface `2*(ly*lz/px... )` for a box of the given edge lengths.
-    #[must_use]
-    pub fn factor(n: usize, lengths: [f64; 3]) -> [usize; 3] {
-        assert!(n > 0);
-        let mut best = [n, 1, 1];
-        let mut best_surf = f64::INFINITY;
-        for px in 1..=n {
-            if !n.is_multiple_of(px) {
-                continue;
-            }
-            let rem = n / px;
-            for py in 1..=rem {
-                if !rem.is_multiple_of(py) {
-                    continue;
-                }
-                let pz = rem / py;
-                let sx = lengths[0] / px as f64;
-                let sy = lengths[1] / py as f64;
-                let sz = lengths[2] / pz as f64;
-                let surf = sx * sy + sy * sz + sx * sz;
-                if surf < best_surf {
-                    best_surf = surf;
-                    best = [px, py, pz];
-                }
-            }
-        }
-        best
-    }
-
-    /// Total rank count.
-    #[must_use]
-    pub fn nranks(&self) -> usize {
-        self.grid[0] * self.grid[1] * self.grid[2]
-    }
-
-    /// Grid coordinate of a rank (x fastest).
-    #[must_use]
-    pub fn coord_of_rank(&self, rank: usize) -> [usize; 3] {
-        assert!(rank < self.nranks(), "rank {rank} out of range");
-        let [px, py, _] = self.grid;
-        [rank % px, (rank / px) % py, rank / (px * py)]
-    }
-
-    /// Rank of a (possibly out-of-range) grid coordinate, wrapped
-    /// periodically.
-    #[must_use]
-    pub fn rank_of_coord(&self, coord: [i64; 3]) -> usize {
-        let mut c = [0usize; 3];
-        for d in 0..3 {
-            let g = self.grid[d] as i64;
-            c[d] = coord[d].rem_euclid(g) as usize;
-        }
-        c[0] + self.grid[0] * (c[1] + self.grid[1] * c[2])
-    }
-
-    /// The sub-box owned by the rank at `coord`.
-    #[must_use]
-    pub fn sub_box(&self, coord: [usize; 3]) -> Box3 {
-        let mut frac_lo = [0.0; 3];
-        let mut frac_hi = [0.0; 3];
-        for d in 0..3 {
-            assert!(coord[d] < self.grid[d]);
-            frac_lo[d] = coord[d] as f64 / self.grid[d] as f64;
-            frac_hi[d] = (coord[d] + 1) as f64 / self.grid[d] as f64;
-        }
-        self.global.fractional_sub_box(frac_lo, frac_hi)
-    }
-
-    /// Edge lengths of every sub-box (uniform decomposition).
-    #[must_use]
-    pub fn sub_lengths(&self) -> [f64; 3] {
-        let l = self.global.lengths();
-        [
-            l[0] / self.grid[0] as f64,
-            l[1] / self.grid[1] as f64,
-            l[2] / self.grid[2] as f64,
-        ]
-    }
-
-    /// Which rank owns a (wrapped) global position.
-    #[must_use]
-    pub fn owner_of(&self, x: &[f64; 3]) -> usize {
-        let l = self.global.lengths();
-        let mut c = [0i64; 3];
-        for d in 0..3 {
-            let frac = (x[d] - self.global.lo[d]) / l[d];
-            let idx = (frac * self.grid[d] as f64).floor() as i64;
-            c[d] = idx.clamp(0, self.grid[d] as i64 - 1);
-        }
-        self.rank_of_coord(c)
-    }
-
-    /// How many shells of neighbor sub-boxes a ghost cutoff requires.
-    ///
-    /// 1 shell for the common case `r_ghost <= min sub-box edge`; 2 shells
-    /// triggers the 62/124-neighbor regime of Fig. 15, etc.
-    #[must_use]
-    pub fn shells_for_cutoff(&self, r_ghost: f64) -> usize {
-        let s = self.sub_lengths();
-        let min_edge = s.iter().cloned().fold(f64::INFINITY, f64::min);
-        (r_ghost / min_edge).ceil().max(1.0) as usize
-    }
-}
 
 /// One neighbor direction in the decomposition grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -224,9 +97,9 @@ enum RcbNode {
 
 /// A recursive-coordinate-bisection decomposition: the global box is split
 /// by weighted-median cuts along the longest axis until every rank owns one
-/// half-open box. Unlike [`Decomposition`], sub-boxes are not congruent —
-/// each holds (close to) the same number of atoms, which is what balances
-/// density-skewed systems.
+/// half-open box. Unlike the uniform brick grid, sub-boxes are not
+/// congruent — each holds (close to) the same number of atoms, which is
+/// what balances density-skewed systems.
 ///
 /// The construction is deterministic: cuts are exact order statistics of
 /// the coordinates (`sort_by(total_cmp)`), so the same positions always
@@ -444,23 +317,6 @@ impl RcbDecomposition {
         }
     }
 
-    /// Max-over-mean atom-count imbalance of `positions` under this
-    /// decomposition (1.0 = perfect balance).
-    #[must_use]
-    pub fn imbalance_of(&self, positions: &[[f64; 3]]) -> f64 {
-        let mut counts = vec![0usize; self.nranks()];
-        for p in positions {
-            counts[self.owner_of(p)] += 1;
-        }
-        let max = counts.iter().copied().max().unwrap_or(0) as f64;
-        let mean = positions.len() as f64 / self.nranks() as f64;
-        if mean <= 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-
     /// Append this decomposition (boxes *and* the private split tree) to a
     /// checkpoint payload in the [`crate::wirefmt`] format.
     pub fn wire_encode(&self, out: &mut Vec<u8>) {
@@ -565,57 +421,6 @@ impl RcbDecomposition {
 mod tests {
     use super::*;
 
-    fn cube(n: usize) -> Decomposition {
-        Decomposition::new([n; 3], Box3::from_lengths([9.0; 3]))
-    }
-
-    #[test]
-    fn rank_coord_roundtrip() {
-        let d = Decomposition::new([2, 3, 4], Box3::from_lengths([1.0; 3]));
-        for r in 0..d.nranks() {
-            let c = d.coord_of_rank(r);
-            assert_eq!(d.rank_of_coord([c[0] as i64, c[1] as i64, c[2] as i64]), r);
-        }
-    }
-
-    #[test]
-    fn coord_wraps_periodically() {
-        let d = cube(3);
-        assert_eq!(d.rank_of_coord([-1, 0, 0]), d.rank_of_coord([2, 0, 0]));
-        assert_eq!(d.rank_of_coord([3, 4, -3]), d.rank_of_coord([0, 1, 0]));
-    }
-
-    #[test]
-    fn sub_boxes_tile_global() {
-        let d = cube(3);
-        let mut vol = 0.0;
-        for r in 0..d.nranks() {
-            vol += d.sub_box(d.coord_of_rank(r)).volume();
-        }
-        assert!((vol - d.global.volume()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn owner_of_matches_sub_box() {
-        let d = cube(3);
-        let probe = [4.5, 1.0, 8.0];
-        let r = d.owner_of(&probe);
-        assert!(d.sub_box(d.coord_of_rank(r)).contains(&probe));
-    }
-
-    #[test]
-    fn factor_prefers_cubes_for_cubic_boxes() {
-        assert_eq!(Decomposition::factor(27, [1.0; 3]), [3, 3, 3]);
-        assert_eq!(Decomposition::factor(8, [1.0; 3]), [2, 2, 2]);
-    }
-
-    #[test]
-    fn factor_follows_aspect_ratio() {
-        // A long-x box should get more cuts along x.
-        let g = Decomposition::factor(4, [8.0, 1.0, 1.0]);
-        assert_eq!(g, [4, 1, 1]);
-    }
-
     #[test]
     fn neighbor_counts_match_paper() {
         // Paper: 26 neighbors full / 13 with Newton (1 shell);
@@ -646,15 +451,6 @@ mod tests {
         let edges = half.iter().filter(|o| o.hops() == 2).count();
         let corners = half.iter().filter(|o| o.hops() == 3).count();
         assert_eq!((faces, edges, corners), (3, 6, 4));
-    }
-
-    #[test]
-    fn shells_for_cutoff_regimes() {
-        let d = cube(3); // sub-box edge 3.0
-        assert_eq!(d.shells_for_cutoff(2.5), 1);
-        assert_eq!(d.shells_for_cutoff(3.0), 1);
-        assert_eq!(d.shells_for_cutoff(3.1), 2);
-        assert_eq!(d.shells_for_cutoff(6.5), 3);
     }
 
     /// Deterministic pseudo-uniform positions (no RNG dependency).
@@ -715,14 +511,17 @@ mod tests {
         }
         let nranks = 8;
         let rcb = RcbDecomposition::build(nranks, &pts, &global);
-        let grid = Decomposition::new([8, 1, 1], global);
-        let mut grid_counts = vec![0usize; nranks];
-        for p in &pts {
-            grid_counts[grid.owner_of(p)] += 1;
-        }
-        let grid_imb =
-            *grid_counts.iter().max().unwrap() as f64 / (pts.len() as f64 / nranks as f64);
-        let rcb_imb = rcb.imbalance_of(&pts);
+        // Max-over-mean atom count under an ownership rule; the uniform
+        // baseline is eight 2.0-wide slabs along x.
+        let imbalance = |owner: &dyn Fn(&[f64; 3]) -> usize| {
+            let mut counts = vec![0usize; nranks];
+            for p in &pts {
+                counts[owner(p)] += 1;
+            }
+            *counts.iter().max().unwrap() as f64 / (pts.len() as f64 / nranks as f64)
+        };
+        let grid_imb = imbalance(&|p| ((p[0] / 2.0) as usize).min(nranks - 1));
+        let rcb_imb = imbalance(&|p| rcb.owner_of(p));
         assert!(rcb_imb < 1.15, "RCB imbalance {rcb_imb} should be near 1.0");
         assert!(
             rcb_imb < 0.75 * grid_imb,

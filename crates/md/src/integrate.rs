@@ -34,12 +34,6 @@ impl Masses {
         let idx = (typ as usize).saturating_sub(1);
         self.per_type[idx.min(self.per_type.len() - 1)]
     }
-
-    /// The mass of type 1 (the single-species value).
-    #[must_use]
-    pub fn primary(&self) -> f64 {
-        self.per_type[0]
-    }
 }
 
 /// The microcanonical (NVE) velocity-Verlet integrator.
@@ -73,12 +67,6 @@ impl NveIntegrator {
             masses,
             ftm2v: 1.0 / units.mvv2e(),
         }
-    }
-
-    /// The type-1 mass (used by the single-species cost paths).
-    #[must_use]
-    pub fn mass(&self) -> f64 {
-        self.masses.primary()
     }
 
     /// Half kick + full drift: v += (dt/2) f/m; x += dt v. Local atoms only.
@@ -187,7 +175,6 @@ mod tests {
         assert_eq!(m.of(1), 1.5);
         assert_eq!(m.of(2), 3.0);
         assert_eq!(m.of(9), 3.0, "beyond-table types clamp to the last");
-        assert_eq!(m.primary(), 1.5);
         assert_eq!(Masses::uniform(2.5).of(7), 2.5);
     }
 }

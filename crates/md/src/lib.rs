@@ -5,7 +5,7 @@
 //!
 //! * SoA atom storage with a local + ghost layout ([`atom`]),
 //! * FCC lattice initialization ([`lattice`]) and periodic boxes ([`region`]),
-//! * 3D domain decomposition with 13/26/62/124-neighbor enumeration
+//! * 13/26/62/124-neighbor enumeration and the RCB decomposition
 //!   ([`domain`]),
 //! * cell-binned Verlet neighbor lists with skin and both `neigh_modify`
 //!   rebuild policies ([`neighbor`]),
@@ -79,7 +79,7 @@ pub mod velocity;
 pub mod wirefmt;
 
 pub use atom::Atoms;
-pub use domain::{neighbor_offsets, Decomposition, NeighborOffset};
+pub use domain::{neighbor_offsets, NeighborOffset};
 pub use dump::XyzTrajectory;
 pub use integrate::{Masses, NveIntegrator};
 pub use kernels::PairScratch;

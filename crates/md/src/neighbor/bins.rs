@@ -133,16 +133,15 @@ impl BinGrid {
 /// without leaving the arrays; the pad coordinates are NaN, so a pad lane
 /// fails every `r² < cutsq` test even if a caller forgets to mask it.
 ///
-/// **Cost.** The fill is two passes plus the coordinate copy: about
-/// 10.5 ns per atom on a reused grid (`bins_csr_rebuild` in
-/// `BENCH_kernels.json`, 94.9 M atoms/s), 12–13 ns on a fresh one per
-/// build with a ghost shell (`md.bins_fill_ns_per_atom`; 19 ns at 22
-/// atoms per rank, where the three extra allocations show), of which the
-/// copy is 2–3 ns; and 24 bytes per binned atom that live only as long
-/// as the build that owns the bins. A single-pass Vec-of-Vec scatter
-/// fills in half the time (`bins_vec_of_vec_rebuild`, 192 M atoms/s) but
-/// can hand the build neither contiguous ranges nor coordinates, and the
-/// build that consumes the bins costs 350–1 000 ns per row.
+/// **Cost.** The fill is two passes plus the coordinate copy: 12–13 ns
+/// per atom on a fresh grid per build with a ghost shell
+/// (`md.bins_fill_ns_per_atom`; 19 ns at 22 atoms per rank, where the
+/// three extra allocations show), of which the copy is 2–3 ns; and 24
+/// bytes per binned atom that live only as long as the build that owns
+/// the bins. A single-pass Vec-of-Vec scatter fills in about half the
+/// time but can hand the build neither contiguous ranges nor
+/// coordinates, and the build that consumes the bins costs 350–1 000 ns
+/// per row.
 #[derive(Debug, Clone)]
 pub struct CellBins {
     grid: BinGrid,

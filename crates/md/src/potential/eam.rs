@@ -177,24 +177,6 @@ impl EamCu {
     pub fn lammps_bench() -> Self {
         Self::from_params(EamParams::cu())
     }
-
-    /// Spline-evaluated density at r (exposed for tests).
-    #[must_use]
-    pub fn rho_at(&self, r: f64) -> f64 {
-        self.rho_r.eval(r)
-    }
-
-    /// Spline-evaluated pair energy at r (exposed for tests).
-    #[must_use]
-    pub fn phi_at(&self, r: f64) -> f64 {
-        self.phi_r.eval(r)
-    }
-
-    /// Spline-evaluated embedding energy at rho (exposed for tests).
-    #[must_use]
-    pub fn embed_at(&self, rho: f64) -> f64 {
-        self.f_rho.eval(rho)
-    }
 }
 
 impl ManyBodyPotential for EamCu {
@@ -390,13 +372,13 @@ mod tests {
         let eam = EamCu::from_params(p);
         for i in 0..40 {
             let r = 1.0 + i as f64 * 0.09;
-            assert!((eam.rho_at(r) - p.rho(r)).abs() < 1e-6, "rho at {r}");
-            assert!((eam.phi_at(r) - p.phi(r)).abs() < 1e-6, "phi at {r}");
+            assert!((eam.rho_r.eval(r) - p.rho(r)).abs() < 1e-6, "rho at {r}");
+            assert!((eam.phi_r.eval(r) - p.phi(r)).abs() < 1e-6, "phi at {r}");
         }
         for i in 1..40 {
             let rho = i as f64 * 0.8;
             assert!(
-                (eam.embed_at(rho) - p.embed(rho)).abs() < 1e-4,
+                (eam.f_rho.eval(rho) - p.embed(rho)).abs() < 1e-4,
                 "embed at {rho}"
             );
         }

@@ -83,12 +83,6 @@ impl<'a> WireReader<'a> {
         WireReader { buf, pos: 0 }
     }
 
-    /// Bytes consumed so far.
-    #[must_use]
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes left.
     #[must_use]
     pub fn remaining(&self) -> usize {

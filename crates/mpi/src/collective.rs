@@ -1,10 +1,10 @@
-//! Collective operations: barrier and allreduce.
+//! Collective cost model: barrier and allreduce.
 //!
 //! The costs follow the standard recursive-doubling model (log2(P) rounds,
-//! each a latency + software + bandwidth term). The lockstep driver applies
-//! the cost to every rank's clock and performs the data reduction directly
-//! — the EAM benchmark's every-5-step neighbor-list allreduce (§4.3.1,
-//! Table 3 "Other") is the main consumer.
+//! each a latency + software + bandwidth term). The lockstep driver charges
+//! collectives to rank clocks itself (`tofumd-runtime`'s `accounting`, which
+//! scales the same model to the target mesh); what stays here is the
+//! per-communicator form the benchmark's `mpi.allreduce_sum_us` row times.
 
 use crate::Communicator;
 
@@ -42,29 +42,6 @@ impl Communicator {
         f64::from(diameter) * 0.5 * self.net().params().hop_latency
     }
 
-    /// Synchronize all rank clocks at a barrier: every clock becomes
-    /// `max(clocks) + barrier_cost`. This is how the lockstep driver
-    /// realizes the "MPI barrier is mandatory between stages" of the
-    /// 3-stage pattern (§3.1).
-    pub fn barrier(&self, clocks: &mut [f64]) {
-        assert_eq!(clocks.len(), self.nranks());
-        let latest = clocks.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let done = latest + self.barrier_cost();
-        clocks.fill(done);
-    }
-
-    /// Logical-OR allreduce of per-rank flags (the EAM neighbor-rebuild
-    /// check), advancing all clocks by the allreduce cost.
-    #[must_use]
-    pub fn allreduce_or(&self, flags: &[bool], clocks: &mut [f64]) -> bool {
-        assert_eq!(flags.len(), self.nranks());
-        assert_eq!(clocks.len(), self.nranks());
-        let latest = clocks.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let done = latest + self.allreduce_cost(std::mem::size_of::<u8>());
-        clocks.fill(done);
-        flags.iter().any(|&f| f)
-    }
-
     /// Sum allreduce of per-rank f64 values (thermo reductions), advancing
     /// all clocks.
     #[must_use]
@@ -73,49 +50,6 @@ impl Communicator {
         let latest = clocks.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let done = latest + self.allreduce_cost(std::mem::size_of::<f64>());
         clocks.fill(done);
-        values.iter().sum()
-    }
-
-    /// Modeled cost of a broadcast of `bytes` from one root: a binomial
-    /// tree of log2(P) rounds.
-    #[must_use]
-    pub fn broadcast_cost(&self, bytes: usize) -> f64 {
-        let p = self.net().params();
-        let rounds = (self.nranks() as f64).log2().ceil().max(1.0);
-        rounds
-            * (p.base_latency
-                + p.cpu_per_put_mpi
-                + self.average_hop_latency()
-                + bytes as f64 / p.link_bandwidth)
-    }
-
-    /// Broadcast `value` from `root`: every clock advances past the root's
-    /// clock plus the tree cost; non-root values are overwritten.
-    pub fn broadcast(&self, root: usize, value: f64, values: &mut [f64], clocks: &mut [f64]) {
-        assert_eq!(values.len(), self.nranks());
-        assert!(root < self.nranks());
-        let done = clocks[root] + self.broadcast_cost(std::mem::size_of::<f64>());
-        for (v, c) in values.iter_mut().zip(clocks.iter_mut()) {
-            *v = value;
-            *c = c.max(done);
-        }
-    }
-
-    /// Reduce-to-root (sum): the root's clock advances past every
-    /// contributor plus one tree traversal; other clocks only pay their
-    /// send leg.
-    #[must_use]
-    pub fn reduce_sum(&self, root: usize, values: &[f64], clocks: &mut [f64]) -> f64 {
-        assert_eq!(values.len(), self.nranks());
-        assert!(root < self.nranks());
-        let p = self.net().params();
-        let latest = clocks.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let rounds = (self.nranks() as f64).log2().ceil().max(1.0);
-        let tree = rounds * (p.base_latency + p.cpu_per_put_mpi + self.average_hop_latency());
-        for c in clocks.iter_mut() {
-            *c += p.cpu_per_put_mpi; // every rank posts its contribution
-        }
-        clocks[root] = clocks[root].max(latest + tree);
         values.iter().sum()
     }
 }
@@ -132,15 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_aligns_clocks() {
-        let c = comm(8, [2, 2, 2]);
-        let mut clocks = vec![1.0, 5.0, 2.0, 3.0, 0.5, 4.0, 1.5, 2.5];
-        c.barrier(&mut clocks);
-        assert!(clocks.iter().all(|&t| t == clocks[0]));
-        assert!(clocks[0] > 5.0, "barrier completes after the latest rank");
-    }
-
-    #[test]
     fn collective_costs_grow_with_rank_count() {
         let small = comm(8, [2, 2, 2]);
         let large = comm(96, [2, 2, 2]);
@@ -149,41 +74,11 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_or_reduces_correctly() {
-        let c = comm(4, [1, 1, 1]);
-        let mut clocks = vec![0.0; 4];
-        assert!(!c.allreduce_or(&[false; 4], &mut clocks));
-        assert!(c.allreduce_or(&[false, false, true, false], &mut clocks));
-        assert!(clocks[0] > 0.0);
-    }
-
-    #[test]
     fn allreduce_sum_reduces_correctly() {
         let c = comm(4, [1, 1, 1]);
         let mut clocks = vec![0.0; 4];
         let s = c.allreduce_sum(&[1.0, 2.0, 3.0, 4.0], &mut clocks);
         assert_eq!(s, 10.0);
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone_after_the_root() {
-        let c = comm(8, [2, 2, 2]);
-        let mut values = vec![0.0; 8];
-        let mut clocks = vec![0.0; 8];
-        clocks[3] = 5.0e-6; // root is ahead
-        c.broadcast(3, 42.0, &mut values, &mut clocks);
-        assert!(values.iter().all(|&v| v == 42.0));
-        assert!(clocks.iter().all(|&t| t > 5.0e-6));
-    }
-
-    #[test]
-    fn reduce_sum_charges_the_root_most() {
-        let c = comm(16, [2, 2, 2]);
-        let mut clocks = vec![1.0e-6; 16];
-        let values: Vec<f64> = (0..16).map(f64::from).collect();
-        let s = c.reduce_sum(0, &values, &mut clocks);
-        assert_eq!(s, 120.0);
-        assert!(clocks[0] > clocks[1], "root waits for the tree");
     }
 
     #[test]

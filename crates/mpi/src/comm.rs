@@ -10,17 +10,14 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use tofumd_tofu::{try_wait_arrivals, Stadd, TofuError, TofuNet, TNIS_PER_NODE};
 
-/// Per-destination bounce-buffer capacity. Stage traffic into one rank must
-/// fit; the bump allocator panics otherwise (a real MPI would fall back to
-/// rendezvous flow control).
-const MAILBOX_BYTES: usize = 4 << 20;
-
 /// A communicator over `nranks` ranks placed `ranks_per_node` to a node.
 pub struct Communicator {
     net: Arc<TofuNet>,
     nranks: usize,
     ranks_per_node: usize,
-    /// Bounce buffer (registered region) per rank.
+    /// Bounce buffer (registered region) per rank. Registered empty; it
+    /// holds what the rank has received between two resets, rounded up to
+    /// a power of two, and never shrinks.
     mailbox: Vec<Stadd>,
     /// Bump-allocation offset per rank's mailbox.
     bump: Vec<Mutex<usize>>,
@@ -43,7 +40,7 @@ pub struct RecvMsg {
 }
 
 impl Communicator {
-    /// Build a communicator; registers one mailbox per rank.
+    /// Build a communicator; registers one (empty) mailbox per rank.
     #[must_use]
     pub fn new(net: Arc<TofuNet>, nranks: usize, ranks_per_node: usize) -> Self {
         assert!(nranks > 0 && ranks_per_node > 0);
@@ -55,7 +52,7 @@ impl Communicator {
         let mut bump = Vec::with_capacity(nranks);
         for r in 0..nranks {
             let node = r / ranks_per_node;
-            let (stadd, _cost) = net.register_mem(node, MAILBOX_BYTES);
+            let (stadd, _cost) = net.register_mem(node, 0);
             mailbox.push(stadd);
             bump.push(Mutex::new(0));
         }
@@ -72,12 +69,6 @@ impl Communicator {
     #[must_use]
     pub fn nranks(&self) -> usize {
         self.nranks
-    }
-
-    /// Ranks per node.
-    #[must_use]
-    pub fn ranks_per_node(&self) -> usize {
-        self.ranks_per_node
     }
 
     /// Node hosting a rank.
@@ -121,17 +112,21 @@ impl Communicator {
         if bytes > p.mpi_eager_limit {
             *now += 2.0 * p.wire_time(0, hops);
         }
-        // Reserve mailbox space on the receiver.
+        // Reserve mailbox space on the receiver and make sure the region
+        // reaches it. The growth is the simulator's bookkeeping, not a
+        // modeled registration: MPI's internal buffering is already in
+        // the per-message costs above.
         let offset = {
             let mut b = self.bump[dst].lock();
             let off = *b;
-            assert!(
-                off + bytes <= MAILBOX_BYTES,
-                "mailbox overflow on rank {dst}: stage traffic exceeds {MAILBOX_BYTES} bytes"
-            );
             *b += bytes.max(1);
             off
         };
+        self.net.reserve_mem(
+            self.node_of(dst),
+            self.mailbox[dst],
+            (offset + bytes).next_power_of_two(),
+        );
         // MPI internally spreads ranks over TNIs.
         let tni = src % TNIS_PER_NODE;
         self.net.put(tofumd_tofu::PutRequest {
@@ -193,47 +188,6 @@ impl Communicator {
             arrival: a.time,
         })
     }
-
-    /// Receive `count` messages with tag `tag` from any source; returns them
-    /// with the advanced clock. Panics on a shortfall; recovery-aware
-    /// callers use [`Communicator::try_recv_any`].
-    #[must_use]
-    pub fn recv_any(&self, dst: usize, tag: u32, count: usize, now: f64) -> (Vec<RecvMsg>, f64) {
-        match self.try_recv_any(dst, tag, count, now) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`Communicator::recv_any`].
-    pub fn try_recv_any(
-        &self,
-        dst: usize,
-        tag: u32,
-        count: usize,
-        now: f64,
-    ) -> Result<(Vec<RecvMsg>, f64), TofuError> {
-        let p = *self.net.params();
-        let node = self.node_of(dst);
-        let (arrs, t) = try_wait_arrivals(&self.net, node, now, count, |a| {
-            a.piggyback == u64::from(tag) && a.stadd == self.mailbox[dst]
-        })?;
-        let mut clock = t + (p.mpi_match_cost * arrs.len() as f64);
-        let msgs = arrs
-            .into_iter()
-            .map(|a| {
-                clock += p.pack_cost(a.len);
-                RecvMsg {
-                    data: self.net.read_local(node, a.stadd, a.offset, a.len),
-                    src: a.src_rank as usize,
-                    tag,
-                    now: clock,
-                    arrival: a.time,
-                }
-            })
-            .collect();
-        Ok((msgs, clock))
-    }
 }
 
 #[cfg(test)]
@@ -285,21 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_collects_from_all_sources() {
-        let c = comm(8);
-        for src in 1..4 {
-            let mut now = 0.0;
-            c.send(src, 0, 42, &[src as u8], &mut now);
-        }
-        let (msgs, t) = c.recv_any(0, 42, 3, 0.0);
-        assert_eq!(msgs.len(), 3);
-        assert!(t > 0.0);
-        let mut srcs: Vec<_> = msgs.iter().map(|m| m.src).collect();
-        srcs.sort_unstable();
-        assert_eq!(srcs, vec![1, 2, 3]);
-    }
-
-    #[test]
     fn mailbox_reset_allows_reuse() {
         let c = comm(4);
         for step in 0..10 {
@@ -309,6 +248,34 @@ mod tests {
             assert_eq!(m.data.len(), 1 << 20);
             c.reset_mailboxes();
         }
+    }
+
+    #[test]
+    fn mailbox_grows_to_what_it_receives() {
+        let c = comm(4);
+        let len = |rank: usize| c.net().mem_len(c.node_of(rank), c.mailbox[rank]);
+        assert_eq!(len(0), 0, "a mailbox is registered empty");
+        // Five 1 MiB messages to one rank with no reset in between.
+        for k in 0..5u8 {
+            let mut now = 0.0;
+            c.send(1, 0, u32::from(k), &vec![k; 1 << 20], &mut now);
+        }
+        for k in (0..5u8).rev() {
+            let m = c.recv(0, 1, u32::from(k), 0.0);
+            assert!(m.data.len() == 1 << 20 && m.data.iter().all(|&b| b == k));
+        }
+        assert_eq!(len(0), 8 << 20, "5 MiB received, next power of two");
+        assert_eq!(len(1), 0, "a rank that received nothing holds nothing");
+        // A zero-length send still takes one byte of the bump allocator.
+        let mut now = 0.0;
+        c.send(1, 0, 9, &[], &mut now);
+        assert_eq!(*c.bump[0].lock(), (5 << 20) + 1);
+        assert!(c.recv(0, 1, 9, 0.0).data.is_empty());
+        assert_eq!(
+            c.net().registration_calls_of(0),
+            4,
+            "growth registers nothing"
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! the software costs the paper's analysis blames for MPI-p2p being slower
 //! than MPI-3-stage (§3.2): per-message posting overhead, eager/rendezvous
 //! fragmentation, receiver-side tag matching and bounce-buffer copies.
-//! Collectives (barrier, allreduce) use a recursive-doubling cost model and
-//! are applied to all rank clocks by the lockstep driver.
+//! Collectives (barrier, allreduce) use a recursive-doubling cost model.
+//! A rank's mailbox (its bounce buffer) is registered empty and holds what
+//! the rank has received, not a guessed maximum.
 
 #![warn(missing_docs)]
 // Dimension loops (`for d in 0..3`) index by physical dimension on fixed

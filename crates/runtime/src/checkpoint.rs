@@ -69,8 +69,6 @@ pub enum CheckpointError {
         /// Checksum recomputed over the payload.
         computed: u64,
     },
-    /// A value failed to encode.
-    Encode(String),
     /// The payload failed to decode back into checkpoint data.
     Decode(String),
     /// The cluster is not at a checkpointable boundary (checkpoints are
@@ -100,7 +98,6 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
-            CheckpointError::Encode(m) => write!(f, "checkpoint encode failed: {m}"),
             CheckpointError::Decode(m) => write!(f, "checkpoint decode failed: {m}"),
             CheckpointError::NotCheckpointable(m) => write!(f, "cannot checkpoint here: {m}"),
             CheckpointError::Io(m) => write!(f, "checkpoint I/O failed: {m}"),
@@ -561,19 +558,6 @@ impl CheckpointData {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
         Self::decode(&bytes[HEADER_LEN..expected - FOOTER_LEN])
-    }
-
-    /// Write the container to a file.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), CheckpointError> {
-        std::fs::write(path, self.to_container())
-            .map_err(|e| CheckpointError::Io(format!("write {}: {e}", path.display())))
-    }
-
-    /// Read and validate a container from a file.
-    pub fn load(path: &std::path::Path) -> Result<Self, CheckpointError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
-        Self::from_container(&bytes)
     }
 }
 

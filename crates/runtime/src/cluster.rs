@@ -27,7 +27,7 @@ use crate::variant::CommVariant;
 use std::sync::Arc;
 use tofumd_core::engine::{GhostEngine, Op, OpStats, RankState};
 use tofumd_core::mpi_engine::MpiThreeStage;
-use tofumd_core::topo_map::{Placement, RankMap};
+use tofumd_core::topo_map::RankMap;
 use tofumd_md::integrate::NveIntegrator;
 use tofumd_md::potential::Potential;
 use tofumd_md::region::Box3;
@@ -87,9 +87,6 @@ pub struct Cluster {
     target_mesh: [u32; 3],
     target_ranks: usize,
     op_observer: Option<OpObserver>,
-    /// Ghost-shell depth of the built plans (needed to rebuild engines on
-    /// a mid-run demotion).
-    pub(crate) shells: usize,
     /// Counters of engines retired by a mid-run demotion, folded into the
     /// telemetry views so history survives the engine swap.
     pub(crate) retired_stats: OpStats,
@@ -140,7 +137,7 @@ impl Cluster {
     /// Build a cluster on `mesh` nodes holding `cfg.natoms_target` atoms.
     #[must_use]
     pub fn new(mesh: [u32; 3], cfg: RunConfig, variant: CommVariant) -> Self {
-        Self::build(mesh, mesh, cfg, variant, Placement::TopoAware)
+        Self::build(mesh, mesh, cfg, variant)
     }
 
     /// Build a *proxy* cluster: a small `proxy_mesh` torus whose ranks each
@@ -161,25 +158,7 @@ impl Cluster {
             natoms_target: scaled,
             ..cfg
         };
-        Self::build(
-            proxy_mesh,
-            target_mesh,
-            scaled_cfg,
-            variant,
-            Placement::TopoAware,
-        )
-    }
-
-    /// Full constructor with explicit placement (the topo-map ablation
-    /// passes `Placement::Shuffled`).
-    #[must_use]
-    pub fn with_placement(
-        mesh: [u32; 3],
-        cfg: RunConfig,
-        variant: CommVariant,
-        placement: Placement,
-    ) -> Self {
-        Self::build(mesh, mesh, cfg, variant, placement)
+        Self::build(proxy_mesh, target_mesh, scaled_cfg, variant)
     }
 
     /// Build a cluster with a deterministic [`FaultPlan`] installed on the
@@ -193,7 +172,7 @@ impl Cluster {
         variant: CommVariant,
         plan: FaultPlan,
     ) -> Self {
-        Self::build_with_faults(mesh, mesh, cfg, variant, Placement::TopoAware, Some(plan))
+        Self::build_with_faults(mesh, mesh, cfg, variant, Some(plan))
     }
 
     /// Install (or replace) a fault plan on the running fabric; it takes
@@ -781,15 +760,9 @@ impl Cluster {
     /// reneighbor pass next step so the fresh engines build their ghost
     /// lists before any forward exchange.
     fn demote_to_ref(&mut self) {
-        for (rank, lane) in self.lanes.iter_mut().enumerate() {
+        for (lane, st) in self.lanes.iter_mut().zip(&self.states) {
             self.retired_stats.merge(&lane.engine.op_stats());
-            lane.engine = Box::new(MpiThreeStage::new(
-                self.mpi.clone(),
-                &self.map,
-                rank,
-                &self.global,
-                self.shells,
-            ));
+            lane.engine = Box::new(MpiThreeStage::new(self.mpi.clone(), &st.graph));
         }
         self.variant = CommVariant::Ref;
         self.demoted = true;

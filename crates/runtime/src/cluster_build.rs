@@ -30,9 +30,8 @@ impl Cluster {
         target_mesh: [u32; 3],
         cfg: RunConfig,
         variant: CommVariant,
-        placement: Placement,
     ) -> Self {
-        Self::build_with_faults(proxy_mesh, target_mesh, cfg, variant, placement, None)
+        Self::build_with_faults(proxy_mesh, target_mesh, cfg, variant, None)
     }
 
     pub(super) fn build_with_faults(
@@ -40,12 +39,11 @@ impl Cluster {
         target_mesh: [u32; 3],
         cfg: RunConfig,
         variant: CommVariant,
-        placement: Placement,
         fault_plan: Option<FaultPlan>,
     ) -> Self {
         let grid = CellGrid::from_node_mesh(proxy_mesh)
             .unwrap_or_else(|| panic!("node mesh {proxy_mesh:?} does not fold onto TofuD cells"));
-        let map = RankMap::new(grid, placement);
+        let map = RankMap::new(grid, Placement::TopoAware);
         let nranks = map.nranks();
         let target_ranks = 4 * target_mesh.iter().map(|&d| d as usize).product::<usize>();
 
@@ -155,9 +153,7 @@ impl Cluster {
                 cfg.seed,
             );
             let engine: Box<dyn GhostEngine> = match variant {
-                CommVariant::Ref => {
-                    Box::new(MpiThreeStage::new(mpi.clone(), &map, rank, &global, shells))
-                }
+                CommVariant::Ref => Box::new(MpiThreeStage::new(mpi.clone(), &graph)),
                 CommVariant::MpiP2p => {
                     if rcb.is_some() {
                         Box::new(MpiP2p::new_irregular(mpi.clone(), rank))
@@ -168,11 +164,9 @@ impl Cluster {
                 CommVariant::Utofu3Stage => Box::new(UtofuThreeStage::new(
                     net.clone(),
                     book.clone(),
-                    &map,
                     &graph,
                     node,
                     density,
-                    &global,
                 )),
                 CommVariant::Utofu4TniP2p => Box::new(UtofuP2p::new(
                     net.clone(),
@@ -264,7 +258,6 @@ impl Cluster {
             target_mesh,
             target_ranks,
             op_observer: None,
-            shells,
             retired_stats: tofumd_core::engine::OpStats::default(),
             demoted: false,
             force_rebuild: false,

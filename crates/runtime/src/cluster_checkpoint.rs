@@ -32,7 +32,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tofumd_core::engine::{wrap_for_exchange, Op};
 use tofumd_core::mpi_engine::MpiP2p;
-use tofumd_core::topo_map::Placement;
 use tofumd_core::CommGraph;
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
@@ -211,13 +210,7 @@ impl Cluster {
     /// continues bit-identically to the run that took the checkpoint.
     pub fn restore_from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let data = CheckpointData::from_container(bytes)?;
-        let mut c = Cluster::build(
-            data.proxy_mesh,
-            data.target_mesh,
-            data.cfg,
-            data.variant,
-            Placement::TopoAware,
-        );
+        let mut c = Cluster::build(data.proxy_mesh, data.target_mesh, data.cfg, data.variant);
         if c.nranks() != data.ranks.len() {
             return Err(CheckpointError::Decode(format!(
                 "checkpoint holds {} ranks but mesh {:?} builds {}",

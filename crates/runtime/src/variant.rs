@@ -71,12 +71,6 @@ impl CommVariant {
         }
     }
 
-    /// Does the variant transport ride on MPI (vs uTofu)?
-    #[must_use]
-    pub fn is_mpi(self) -> bool {
-        matches!(self, CommVariant::Ref | CommVariant::MpiP2p)
-    }
-
     /// Does the variant exchange ghosts peer-to-peer (half shell under
     /// Newton) rather than via the staged full-shell sweeps?
     #[must_use]
@@ -126,13 +120,5 @@ mod tests {
             Some(CommVariant::MpiP2p)
         );
         assert_eq!(CommVariant::from_label("nope"), None);
-    }
-
-    #[test]
-    fn transport_classification() {
-        assert!(CommVariant::Ref.is_mpi());
-        assert!(CommVariant::MpiP2p.is_mpi());
-        assert!(!CommVariant::Opt.is_mpi());
-        assert!(!CommVariant::Utofu3Stage.is_mpi());
     }
 }

@@ -3,8 +3,9 @@
 //! This is the "OpenMP-like" comparator of §3.3: correct, but every region
 //! pays thread creation and join. The paper measures 5.8 us per region for
 //! OpenMP against 1.1 us for the spin pool; the same ordering emerges when
-//! benchmarking [`fork_join`] against [`crate::SpinPool::run`] on any
-//! Linux host (see `tofumd-bench`'s `pool_overhead` bench).
+//! timing [`fork_join`] against [`crate::SpinPool::run`] on any Linux
+//! host ([`crate::measure_overheads`], printed by `tofumd-bench`'s
+//! `overheads` bin).
 
 /// Run `f(tid)` on `threads` freshly spawned scoped threads (tid 0 runs on
 /// the caller), joining before returning.

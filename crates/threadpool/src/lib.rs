@@ -1,11 +1,10 @@
-//! # tofumd-threadpool — spin-lock thread pool and fork-join comparator
+//! # tofumd-threadpool — spin-wait thread pool and fork-join comparator
 //!
 //! The paper's fine-grained communication (§3.3) replaces OpenMP's
 //! per-region fork/join with a persistent pool of spin-waiting workers,
 //! measuring 1.1 us of startup+sync overhead against OpenMP's 5.8 us, and
 //! then uses the pool for *all* stages of LAMMPS. This crate provides:
 //!
-//! * [`SpinLock`] — a TTAS spin lock with backoff,
 //! * [`SpinPool`] — a persistent pool dispatching scoped parallel regions
 //!   via atomic epoch signalling (no parking, no per-region spawns),
 //! * [`fork_join`] — the spawn-per-region comparator standing in for
@@ -46,11 +45,9 @@
 pub mod exec;
 pub mod forkjoin;
 pub mod pool;
-pub mod spin;
 pub mod stats;
 
 pub use exec::ChunkExec;
 pub use forkjoin::{fork_join, fork_join_chunked};
 pub use pool::SpinPool;
-pub use spin::{SpinGuard, SpinLock};
 pub use stats::{measure_overheads, OverheadReport};

@@ -125,16 +125,6 @@ impl CongestionModel {
         self.total_stall = 0.0;
         self.messages = 0;
     }
-
-    /// Mean stall per routed message.
-    #[must_use]
-    pub fn mean_stall(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            self.total_stall / self.messages as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -224,13 +224,6 @@ impl FaultPlan {
         self
     }
 
-    /// Attach a seeded background process (builder style).
-    #[must_use]
-    pub fn with_seeded(mut self, seed: u64, rates: FaultRates) -> Self {
-        self.seeded = Some(Seeded { seed, rates });
-        self
-    }
-
     /// True when the plan can never produce a fault.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -73,4 +73,4 @@ pub use rdma::{
     Put, Vcq,
 };
 pub use timing::NetParams;
-pub use topology::{CellGrid, TofuCoord, CELL_DIMS, PAPER_NODE_MESHES};
+pub use topology::{CellGrid, CELL_DIMS, PAPER_NODE_MESHES};

@@ -41,27 +41,32 @@ impl MemRegistry {
     /// behaviour the pre-registration optimization avoids). Re-registration
     /// cost is charged for the whole new size.
     pub fn grow(&mut self, stadd: Stadd, new_len: usize, params: &NetParams) -> f64 {
-        let region = &mut self.regions[stadd.0 as usize];
-        if new_len <= region.len() {
+        if new_len <= self.len(stadd) {
             return 0.0;
         }
-        region.resize(new_len, 0);
+        self.reserve(stadd, new_len);
         let cost = params.registration_cost(new_len);
         self.total_reg_cost += cost;
         self.reg_calls += 1;
         cost
     }
 
+    /// Make a region at least `len` bytes long, zero-filling the new
+    /// tail, *outside the model*: no registration cost, no call count.
+    /// For buffers whose size is the simulator's own bookkeeping rather
+    /// than something the modeled software registers — the MPI layer's
+    /// bounce buffers, whose cost is already in the per-message terms.
+    pub fn reserve(&mut self, stadd: Stadd, len: usize) {
+        let region = &mut self.regions[stadd.0 as usize];
+        if len > region.len() {
+            region.resize(len, 0);
+        }
+    }
+
     /// Region length.
     #[must_use]
     pub fn len(&self, stadd: Stadd) -> usize {
         self.regions[stadd.0 as usize].len()
-    }
-
-    /// True if no regions are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
     }
 
     /// Write bytes into a region. Panics on out-of-bounds — an RDMA put

@@ -238,14 +238,6 @@ impl TofuNet {
         }
     }
 
-    /// The lowest-numbered rank dead at the current fault-context step,
-    /// if any. Pure in (plan, stamped step).
-    #[must_use]
-    pub fn first_dead_rank(&self) -> Option<u32> {
-        let fs = self.fault.lock();
-        fs.plan.dead_ranks(fs.step).first().copied()
-    }
-
     /// All ranks dead at the current fault-context step (sorted).
     #[must_use]
     pub fn dead_ranks(&self) -> Vec<u32> {
@@ -385,9 +377,16 @@ impl TofuNet {
             .grow(stadd, new_len, &self.params)
     }
 
-    /// Write directly into one's own registered region (packing).
-    pub fn write_local(&self, node: usize, stadd: Stadd, offset: usize, data: &[u8]) {
-        self.nodes[node].mem.lock().write(stadd, offset, data);
+    /// Make a region at least `len` bytes long without modeling a
+    /// registration (see [`MemRegistry::reserve`]).
+    pub fn reserve_mem(&self, node: usize, stadd: Stadd, len: usize) {
+        self.nodes[node].mem.lock().reserve(stadd, len);
+    }
+
+    /// Current length of a registered region.
+    #[must_use]
+    pub fn mem_len(&self, node: usize, stadd: Stadd) -> usize {
+        self.nodes[node].mem.lock().len(stadd)
     }
 
     /// Serialize directly into one's own registered region: `f` receives
@@ -425,12 +424,6 @@ impl TofuNet {
         f: impl FnOnce(&[u8]) -> R,
     ) -> R {
         f(self.nodes[node].mem.lock().read(stadd, offset, len))
-    }
-
-    /// Total modeled registration cost accumulated on a node.
-    #[must_use]
-    pub fn registration_cost_of(&self, node: usize) -> f64 {
-        self.nodes[node].mem.lock().total_reg_cost
     }
 
     /// Registration call count on a node.
@@ -887,7 +880,7 @@ mod tests {
     fn get_round_trips() {
         let net = small_net();
         let (dst, _) = net.register_mem(1, 8);
-        net.write_local(1, dst, 0, &[9, 8, 7, 6]);
+        net.write_local_with(1, dst, 0, 4, |b| b.copy_from_slice(&[9, 8, 7, 6]));
         let (data, t) = net.get(0, 0, 1, dst, 1, 2, 0.0);
         assert_eq!(data, vec![8, 7]);
         // Round trip: at least twice the one-way base latency.

@@ -73,12 +73,6 @@ impl Vcq {
         self.cq
     }
 
-    /// The node this VCQ lives on.
-    #[must_use]
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// One-sided put. Advances `*now` by the uTofu descriptor-posting CPU
     /// cost, then injects. Returns completion times.
     /// (The argument list mirrors utofu_put's descriptor fields.)
@@ -147,39 +141,6 @@ impl Vcq {
     /// coalesce it with any truncated earlier delivery.
     pub fn post_reliable(&mut self, now: &mut f64, put: &Put<'_>) -> PutResult {
         self.net.put_from(&self.lower(now, put), put.src)
-    }
-
-    /// Piggyback-only put: 8 bytes embedded in the descriptor, no buffer
-    /// write (§3.4's low-latency offset exchange).
-    pub fn put_piggyback(
-        &mut self,
-        now: &mut f64,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        piggyback: u64,
-    ) -> PutResult {
-        self.put(now, dst_node, dst_stadd, 0, &[], piggyback, false)
-    }
-
-    /// The fabric this VCQ is bound to.
-    #[must_use]
-    pub fn net(&self) -> &Arc<TofuNet> {
-        &self.net
-    }
-
-    /// One-sided get of `len` bytes from a remote region.
-    pub fn get(
-        &mut self,
-        now: &mut f64,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        dst_offset: usize,
-        len: usize,
-    ) -> (Vec<u8>, f64) {
-        *now += self.net.params().cpu_per_put_utofu;
-        self.net.get(
-            self.node, self.tni, dst_node, dst_stadd, dst_offset, len, *now,
-        )
     }
 }
 
@@ -264,14 +225,6 @@ pub struct DeliveryAnomalies {
     /// the same buffer range before this one was consumed (round-robin
     /// slot overwrite).
     pub overwrites: u64,
-}
-
-impl DeliveryAnomalies {
-    /// Total discarded arrivals.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.duplicates + self.overwrites
-    }
 }
 
 /// Canonicalize a batch of arrivals taken off the MRQ: sort them into a
@@ -400,7 +353,9 @@ mod tests {
         let net = net();
         let (dst, _) = net.register_mem(1, 16);
         let (src, _) = net.register_mem(0, 16);
-        net.write_local(0, src, 0, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        net.write_local_with(0, src, 0, 8, |b| {
+            b.copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8])
+        });
         net.set_fault_plan(
             FaultPlan::new().with_rule(FaultRule::any(FaultKind::Truncate { len: 3, times: 1 })),
         );
@@ -504,7 +459,6 @@ mod tests {
                 overwrites: 1,
             }
         );
-        assert_eq!(an.total(), 3);
         let kept: Vec<_> = arrivals.iter().map(|a| (a.offset, a.seq, a.len)).collect();
         assert_eq!(kept, vec![(0, 1, 96), (32, 2, 96), (64, 3, 96)]);
     }
@@ -523,7 +477,7 @@ mod tests {
         };
         let mut arrivals = vec![mk(3, 1), mk(1, 2), mk(2, 3)];
         let an = dedupe_arrivals(&mut arrivals);
-        assert_eq!(an.total(), 0);
+        assert_eq!(an, DeliveryAnomalies::default());
         // Canonical order is by buffer, independent of arrival order.
         let stadds: Vec<_> = arrivals.iter().map(|a| a.stadd.0).collect();
         assert_eq!(stadds, vec![1, 2, 3]);
@@ -569,7 +523,6 @@ mod tests {
         net.set_fault_context(5, 2);
         assert_eq!(net.fault_counters().kills, 1, "not re-counted per step");
         assert_eq!(net.dead_ranks(), vec![2]);
-        assert_eq!(net.first_dead_rank(), Some(2));
     }
 
     #[test]
@@ -597,7 +550,7 @@ mod tests {
         let (dst, _) = net.register_mem(1, 8);
         let mut vcq = Vcq::create(net.clone(), 0, 3, 2).unwrap();
         let mut now = 0.0;
-        vcq.put_piggyback(&mut now, 1, dst, 0x1234_5678_9ABC_DEF0);
+        vcq.put(&mut now, 1, dst, 0, &[], 0x1234_5678_9ABC_DEF0, false);
         let (arr, _) = wait_arrivals(&net, 1, 0.0, 1, |a| a.src_rank == 2);
         assert_eq!(arr[0].piggyback, 0x1234_5678_9ABC_DEF0);
     }

@@ -13,15 +13,6 @@ use serde::{Deserialize, Serialize};
 /// Intra-cell extents of the a/b/c dimensions: 2 x 3 x 2 = 12 nodes/cell.
 pub const CELL_DIMS: [u32; 3] = [2, 3, 2];
 
-/// A node's six-dimensional TofuD coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct TofuCoord {
-    /// Cell coordinate along the X/Y/Z tori.
-    pub cell: [u32; 3],
-    /// Intra-cell coordinate: a in 0..2, b in 0..3, c in 0..2.
-    pub abc: [u32; 3],
-}
-
 /// A rectangular allocation of TofuD cells (what the Fugaku job manager
 /// hands out; always whole cells).
 ///
@@ -91,37 +82,6 @@ impl CellGrid {
             self.intra[0] * self.cells[0],
             self.intra[1] * self.cells[1],
             self.intra[2] * self.cells[2],
-        ]
-    }
-
-    /// Convert a folded-mesh coordinate to the 6D coordinate.
-    #[must_use]
-    pub fn coord_of_mesh(&self, m: [u32; 3]) -> TofuCoord {
-        let mesh = self.node_mesh();
-        for d in 0..3 {
-            assert!(m[d] < mesh[d], "mesh coordinate out of range: {m:?}");
-        }
-        TofuCoord {
-            cell: [
-                m[0] / self.intra[0],
-                m[1] / self.intra[1],
-                m[2] / self.intra[2],
-            ],
-            abc: [
-                m[0] % self.intra[0],
-                m[1] % self.intra[1],
-                m[2] % self.intra[2],
-            ],
-        }
-    }
-
-    /// Convert a 6D coordinate back to the folded mesh.
-    #[must_use]
-    pub fn mesh_of_coord(&self, c: TofuCoord) -> [u32; 3] {
-        [
-            c.cell[0] * self.intra[0] + c.abc[0],
-            c.cell[1] * self.intra[1] + c.abc[1],
-            c.cell[2] * self.intra[2] + c.abc[2],
         ]
     }
 
@@ -202,9 +162,6 @@ mod tests {
         for id in 0..grid.node_count() {
             let m = grid.mesh_of_id(id);
             assert_eq!(grid.node_id(m), id);
-            let c = grid.coord_of_mesh(m);
-            assert_eq!(grid.mesh_of_coord(c), m);
-            assert!(c.abc[0] < 2 && c.abc[1] < 3 && c.abc[2] < 2);
             assert_eq!(grid.intra, CELL_DIMS);
         }
     }
