@@ -555,16 +555,6 @@ pub trait GhostEngine: Send {
     fn rebind_graph(&mut self, _st: &RankState) {}
 }
 
-/// Run one complete ghost operation through an engine for a *single rank
-/// in isolation* (test helper; the real driver interleaves many ranks).
-#[cfg(test)]
-pub fn run_op_single(engine: &mut dyn GhostEngine, op: Op, st: &mut RankState) {
-    for round in 0..engine.rounds(op) {
-        engine.post(op, round, st).expect("post failed");
-        engine.complete(op, round, st).expect("complete failed");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

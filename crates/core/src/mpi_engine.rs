@@ -341,7 +341,6 @@ impl GhostEngine for MpiP2p {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_op_single;
     use crate::plan::{CommPlan, PlanConfig};
     use crate::topo_map::{Placement, RankMap};
     use tofumd_md::atom::Atoms;
@@ -533,10 +532,9 @@ mod tests {
     }
 
     #[test]
-    fn run_op_single_is_a_noop_safe_helper() {
-        // A rank alone in a 1-cell machine exchanging with itself is not a
-        // supported configuration; run_op_single simply drives rounds.
-        // Verify it compiles/links and the rounds accessor is sane.
+    fn engines_report_their_round_structure() {
+        // The driver reads the round count and the stage barrier off the
+        // engine: three barriered rounds staged, one free round p2p.
         let t = two_ranks([vec![[5.0, 5.0, 5.0]], vec![[5.0, 5.0, 5.0]]]);
         let e = MpiThreeStage::new(t.comm.clone(), &t.states[0].graph);
         assert_eq!(e.rounds(Op::Border), 3);
@@ -544,6 +542,5 @@ mod tests {
         let e2 = MpiP2p::new(t.comm, 0);
         assert_eq!(e2.rounds(Op::Forward), 1);
         assert!(!e2.barrier_between_rounds());
-        let _ = run_op_single; // referenced
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::accounting::{self, SyncBucket};
 use crate::config::RunConfig;
-use crate::driver::{Lane, Phase, PlanMode, StepDag, Team};
+use crate::driver::{Lane, Pass, Phase, PlanMode, StepDag, Team};
 use crate::physics;
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
@@ -34,7 +34,7 @@ use tofumd_md::region::Box3;
 use tofumd_md::thermo::ThermoSnapshot;
 use tofumd_model::StageCosts;
 use tofumd_mpi::Communicator;
-use tofumd_tofu::{FaultCounters, FaultPlan, NetParams, TofuError, TofuNet};
+use tofumd_tofu::{FaultCounters, FaultPlan, TofuError, TofuNet};
 
 pub use crate::accounting::StageBreakdown;
 
@@ -277,24 +277,19 @@ impl Cluster {
         self.plan_mode
     }
 
-    fn physics_ctx<'a>(
-        potential: &Potential,
-        variant: CommVariant,
-        cfg: &RunConfig,
-        costs: &'a StageCosts,
-        params: NetParams,
-    ) -> physics::Ctx<'a> {
+    fn physics_ctx(&self) -> physics::Ctx {
+        let (variant, cfg) = (self.variant, &self.cfg);
         physics::Ctx {
-            costs,
-            params,
+            costs: self.costs,
+            params: *self.net.params(),
             threading: variant.threading(),
-            cutoff: potential.cutoff(),
+            cutoff: self.potential.cutoff(),
             skin: cfg.skin(),
             // The one-sided rule requires the grid's half ghost shell;
             // irregular (RCB) graphs carry ghosts on every side, so they
             // keep the coordinate-ordering rule to own each cross-rank
             // pair exactly once.
-            list_kind: match potential.list_kind() {
+            list_kind: match self.potential.list_kind() {
                 tofumd_md::neighbor::ListKind::HalfNewton
                     if variant.is_p2p() && cfg.comm.decomp == crate::config::Decomp::Grid =>
                 {
@@ -306,15 +301,16 @@ impl Cluster {
         }
     }
 
-    /// After a parallel phase region joined, raise the first captured
-    /// engine failure. Recoverable faults never reach here (the engines
-    /// absorb them by retry or reliable-stack fallback). A
+    /// After a parallel region joined, raise the first failure a lane
+    /// captured in `what`. Recoverable faults never reach here (the
+    /// engines absorb them by retry or reliable-stack fallback). A
     /// [`TofuError::PeerDead`] is the one survivable escalation: it marks
     /// the dead rank for the shrinking recovery and lets the step driver
-    /// abort the step. Anything else is a protocol violation a real run
-    /// could not survive either, so the typed context is surfaced as a
-    /// panic message rather than silently corrupting physics.
-    fn raise_lane_failures(&mut self, op: Op, round: usize, stage: &str) {
+    /// abort the step. Anything else — a protocol violation, or a physics
+    /// phase run out of order — a real run could not survive either, so
+    /// the typed context is surfaced as a panic message rather than
+    /// silently corrupting physics.
+    fn raise_lane_failures(&mut self, what: std::fmt::Arguments<'_>) {
         for (rank, lane) in self.lanes.iter_mut().enumerate() {
             if let Some(e) = lane.failed.take() {
                 if let TofuError::PeerDead { rank: dead, .. } = e {
@@ -325,7 +321,7 @@ impl Cluster {
                     }
                     continue;
                 }
-                panic!("rank {rank}: {stage}({op:?}, round {round}) failed: {e}");
+                panic!("rank {rank}: {what} failed: {e}");
             }
         }
     }
@@ -342,16 +338,6 @@ impl Cluster {
             dead.dedup();
         }
         dead
-    }
-
-    /// Raise the first typed failure a physics phase recorded (a phase
-    /// sequencing violation, e.g. a force pass before any list build).
-    fn raise_physics_failures(&mut self, phase: Phase) {
-        for (rank, lane) in self.lanes.iter_mut().enumerate() {
-            if let Some(e) = lane.failed.take() {
-                panic!("rank {rank}: {phase:?} failed: {e}");
-            }
-        }
     }
 
     fn run_op(&mut self, op: Op) {
@@ -381,7 +367,7 @@ impl Cluster {
                         lane.failed = Some(e);
                     }
                 });
-            self.raise_lane_failures(op, round, "post");
+            self.raise_lane_failures(format_args!("post({op:?}, round {round})"));
             if self.pending_peer_death.is_some() {
                 break;
             }
@@ -394,7 +380,7 @@ impl Cluster {
                         lane.failed = Some(e);
                     }
                 });
-            self.raise_lane_failures(op, round, "complete");
+            self.raise_lane_failures(format_args!("complete({op:?}, round {round})"));
             if self.pending_peer_death.is_some() {
                 break;
             }
@@ -457,41 +443,63 @@ impl Cluster {
                 }
                 lane.overlap_c0 = st.clock;
             });
-        self.raise_lane_failures(op, 0, "post");
+        self.raise_lane_failures(format_args!("post({op:?})"));
     }
 
-    /// Complete half of an overlapped op: identical to the complete side
-    /// of [`Cluster::run_op`] (including the observer callback and the
-    /// mailbox reset), plus the overlap credit. The rank spent
-    /// `clock − overlap_c0` on interior compute since the post; any part
-    /// of the raw arrival horizon covered by that window is comm time the
+    /// The overlap window of the op [`Cluster::window_post`] opened, run
+    /// rank-major in one team region: each rank logs the interior rows of
+    /// `pass`, completes its own `op` — the complete side of
+    /// [`Cluster::run_op`] plus the overlap credit — then logs its boundary
+    /// rows and replays ([`physics::Split`]). The credit: the rank spent
+    /// `clock − overlap_c0` on interior compute since the post; any part of
+    /// the raw arrival horizon covered by that window is comm time the
     /// barrier plan would have waited out, booked into `acc.overlapped`.
-    fn window_complete(&mut self, op: Op) {
+    /// A lane whose complete fails skips its boundary half; the failures
+    /// are raised after the region, as for a whole op.
+    fn run_window(&mut self, op: Op, pass: Pass, ctx: &physics::Ctx) {
         self.net.set_fault_context(self.step, op.index() as u8);
         let dead = self.dead_lanes();
-        self.team
-            .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
-                if dead.contains(&(rank as u32)) {
+        let pre_ghost = op == Op::Border;
+        let split = physics::Split {
+            ctx,
+            potential: &self.potential,
+            pass,
+            pre_ghost,
+        };
+        self.team.for_each_chunk(
+            &mut self.lanes,
+            &mut self.states,
+            &|rank, lane, st, exec, scratch| {
+                split.interior(rank, lane, st, exec, scratch);
+                if lane.failed.is_some() {
                     return;
                 }
-                let c1 = st.clock;
-                st.arrival_horizon = f64::NEG_INFINITY;
-                if let Err(e) = lane.engine.complete(op, 0, st) {
-                    lane.failed = Some(e);
+                if !dead.contains(&(rank as u32)) {
+                    let c1 = st.clock;
+                    st.arrival_horizon = f64::NEG_INFINITY;
+                    let done = lane.engine.complete(op, 0, st);
+                    let hidden = (st.arrival_horizon.min(c1) - lane.overlap_c0).max(0.0);
+                    lane.acc.overlapped += hidden;
+                    if let Err(e) = done {
+                        lane.failed = Some(e);
+                        return;
+                    }
                 }
-                let hidden = (st.arrival_horizon.min(c1) - lane.overlap_c0).max(0.0);
-                lane.acc.overlapped += hidden;
-            });
-        self.raise_lane_failures(op, 0, "complete");
+                split.boundary(rank, lane, st, exec, scratch);
+            },
+        );
+        self.raise_lane_failures(format_args!("window({op:?}, {pass:?})"));
+        self.mpi.reset_mailboxes();
         if self.pending_peer_death.is_some() {
-            self.mpi.reset_mailboxes();
             return;
+        }
+        if pre_ghost {
+            self.rebuild_count += 1;
         }
         if let Some(mut obs) = self.op_observer.take() {
             obs(op, 0, 1, &self.states);
             self.op_observer = Some(obs);
         }
-        self.mpi.reset_mailboxes();
     }
 
     /// Install an [`OpObserver`] called after every completed round of
@@ -594,7 +602,7 @@ impl Cluster {
 
     /// Pair phase: single pass, or the EAM pipeline with its two
     /// mid-stage scalar exchanges.
-    fn compute_pair(&mut self) {
+    fn compute_pair(&mut self, ctx: &physics::Ctx) {
         let potential = self.potential.clone();
         if potential.needs_midstage_comm() {
             physics::eam_rho(&self.team, &potential, &mut self.lanes, &mut self.states);
@@ -611,27 +619,13 @@ impl Cluster {
         } else {
             physics::pair_single(&self.team, &potential, &mut self.lanes, &mut self.states);
         }
-        let ctx = Self::physics_ctx(
-            &self.potential,
-            self.variant,
-            &self.cfg,
-            &self.costs,
-            *self.net.params(),
-        );
-        physics::charge_pair(&self.team, &ctx, &mut self.lanes, &mut self.states);
+        physics::charge_pair(&self.team, ctx, &mut self.lanes, &mut self.states);
     }
 
     /// Per-step Other floor plus the optional LAMMPS `thermo N`
     /// reduction, booked into Other like LAMMPS's output stage.
-    fn accounting_phase(&mut self) {
-        let ctx = Self::physics_ctx(
-            &self.potential,
-            self.variant,
-            &self.cfg,
-            &self.costs,
-            *self.net.params(),
-        );
-        physics::charge_other_floor(&self.team, &ctx, &mut self.lanes, &mut self.states);
+    fn accounting_phase(&mut self, ctx: &physics::Ctx) {
+        physics::charge_other_floor(&self.team, ctx, &mut self.lanes, &mut self.states);
         if self.thermo_every > 0 && self.step.is_multiple_of(self.thermo_every) {
             let cost = accounting::allreduce_cost_target(
                 self.net.params(),
@@ -652,13 +646,7 @@ impl Cluster {
 
     /// Execute one phase of a timestep.
     fn run_phase(&mut self, phase: Phase) {
-        let ctx = Self::physics_ctx(
-            &self.potential,
-            self.variant,
-            &self.cfg,
-            &self.costs,
-            *self.net.params(),
-        );
+        let ctx = self.physics_ctx();
         let potential = self.potential.clone();
         let (team, lanes, states) = (&self.team, &mut self.lanes, &mut self.states);
         match phase {
@@ -680,30 +668,19 @@ impl Cluster {
             Phase::SpatialSort => physics::spatial_sort(team, &ctx, lanes, states),
             Phase::Comm(op) => self.run_op(op),
             Phase::Post(op) => self.window_post(op),
-            Phase::Complete(op) => self.window_complete(op),
+            Phase::Window { op, pass } => self.run_window(op, pass, &ctx),
             Phase::RebuildLists => {
                 physics::rebuild_lists(team, &ctx, lanes, states);
                 self.rebuild_count += 1;
             }
-            Phase::InteriorBuild => physics::build_interior_lists(team, &ctx, lanes, states),
-            Phase::BoundaryBuild => {
-                physics::build_boundary_lists(team, &ctx, lanes, states);
-                self.rebuild_count += 1;
-            }
-            Phase::Pair => self.compute_pair(),
-            Phase::Interior(pass) => {
-                physics::log_interior(team, &ctx, &potential, pass, self.rebuild, lanes, states);
-            }
-            Phase::Boundary(pass) => {
-                physics::finish_boundary(team, &ctx, &potential, pass, self.rebuild, lanes, states);
-            }
+            Phase::Pair => self.compute_pair(&ctx),
             Phase::Embed => physics::eam_embed(team, &potential, lanes, states),
             Phase::FinalIntegrate => {
                 physics::integrate_final(team, &ctx, &self.integrator, lanes, states);
             }
-            Phase::Accounting => self.accounting_phase(),
+            Phase::Accounting => self.accounting_phase(&ctx),
         }
-        self.raise_physics_failures(phase);
+        self.raise_lane_failures(format_args!("{phase:?}"));
     }
 
     /// Advance one timestep: the integrate + reneighbor-check prefix,

@@ -23,12 +23,17 @@
 //!   order and ranks in ascending order within each node — exactly the
 //!   serial order restricted to each worker's node range. No phase result
 //!   can depend on the interleaving between workers.
+//! * A halo window ([`Phase::Window`]) runs *rank-major* inside one such
+//!   region. A rank's complete needs only that every rank has posted (the
+//!   `Post` region before it) and still injects in per-node rank order, so
+//!   the window moves no TNI clock a whole-team complete sweep would not.
 //!
 //! Note the 1×2×2 rank-per-node split means a node's four ranks are *not*
 //! contiguous in rank order, which is why chunking is over node groups
 //! rather than rank ranges.
 
 use crate::accounting::StageAcc;
+use parking_lot::Mutex;
 use tofumd_core::engine::{GhostEngine, Op};
 use tofumd_core::topo_map::RankMap;
 use tofumd_md::kernels::PairScratch;
@@ -89,11 +94,6 @@ pub struct Lane {
     /// pool's closures cannot propagate `Result`s); the step driver
     /// inspects and raises it after the region joins.
     pub failed: Option<TofuError>,
-    /// Row-tagged scatter logs of the current force/density pass (when a
-    /// pass is split, the interior side is filled while halo messages are
-    /// in flight, the boundary side after). Retained across steps so the
-    /// hot path does not allocate.
-    pub scratch: PairScratch,
     /// Interior/boundary row partition of the current neighbor epoch.
     pub part: Option<Partition>,
     /// Interior-only list built pre-ghost on rebuild steps, consumed by
@@ -117,7 +117,6 @@ impl Lane {
             moved: false,
             acc: StageAcc::default(),
             failed: None,
-            scratch: PairScratch::new(),
             part: None,
             interior_list: None,
             overlap_c0: 0.0,
@@ -164,27 +163,27 @@ pub enum Phase {
     /// A whole ghost op, every round posted and completed back-to-back.
     Comm(Op),
     /// Post the puts of a single-round halo op, opening its overlap
-    /// window.
+    /// window for every rank.
     Post(Op),
-    /// Wait on the halo op posted earlier in the step.
-    Complete(Op),
+    /// The overlap window of the halo op posted just before, run
+    /// rank-major: each rank in team order logs the interior rows of
+    /// `pass`, completes *its own* `op`, logs the boundary rows against
+    /// the arrived halo and replays both sides in serial row order. In
+    /// the Border window the interior half first classifies rows
+    /// geometrically and builds the interior-only Verlet list, and the
+    /// boundary half first merges the boundary rows into the full list.
+    Window {
+        /// The halo op the window completes.
+        op: Op,
+        /// The scatter pass split across it.
+        pass: Pass,
+    },
     /// Verlet-list rebuild in one pass.
     RebuildLists,
-    /// Classify rows geometrically and build the interior-only Verlet
-    /// list while Border messages are in flight.
-    InteriorBuild,
-    /// Build the boundary rows against the arrived ghosts and merge into
-    /// the full list; derive the list-content partition.
-    BoundaryBuild,
     /// The whole pair stage unsplit (single pass, or the EAM
     /// rho/embed/force pipeline with its mid-stage scalar exchanges) and
     /// its Pair charge.
     Pair,
-    /// Log the interior rows of a pass while a halo is in flight.
-    Interior(Pass),
-    /// Log the boundary rows of a pass against the arrived halo, then
-    /// replay both sides in serial row order.
-    Boundary(Pass),
     /// EAM embedding energy + F' for locals.
     Embed,
     /// Second velocity-Verlet half-kick + Modify charge.
@@ -229,59 +228,59 @@ pub struct StepDag {
 }
 
 impl StepDag {
+    /// Append a node; ids follow insertion order.
+    fn push(&mut self, phase: Phase, deps: Vec<usize>) -> usize {
+        self.nodes.push(DagNode { phase, deps });
+        self.nodes.len() - 1
+    }
+
+    /// Append a halo op split around `pass`: its post region, then its
+    /// rank-major window. The post is the window's only dependency — a
+    /// rank may complete once every rank has posted; the order of interior
+    /// rows, complete and boundary rows is per rank, inside the node.
+    fn window(&mut self, op: Op, pass: Pass, deps: Vec<usize>) -> usize {
+        let post = self.push(Phase::Post(op), deps);
+        self.push(Phase::Window { op, pass }, vec![post])
+    }
+
     /// Build the step DAG. `overlap` selects the shape that splits each
-    /// halo op into a post and a complete with interior compute between
-    /// them; without it the ops and the pair stage run whole, one after
-    /// another.
+    /// halo op into a post and a window with the first (or, for EAM's F'
+    /// forward, the force) pass inside it; without it the ops and the pair
+    /// stage run whole, one after another.
     #[must_use]
     pub fn build(rebuild: bool, eam: bool, reverse_needed: bool, overlap: bool) -> Self {
-        let mut nodes: Vec<DagNode> = Vec::new();
-        let mut push = |phase: Phase, deps: Vec<usize>| -> usize {
-            nodes.push(DagNode { phase, deps });
-            nodes.len() - 1
-        };
+        let mut dag = StepDag { nodes: Vec::new() };
         let first = if eam { Pass::Rho } else { Pass::Pair };
         let mut prev = if rebuild {
-            let rb = push(Phase::Rebalance, vec![]);
-            let ex = push(Phase::Exchange, vec![rb]);
-            let sort = push(Phase::SpatialSort, vec![ex]);
+            let rb = dag.push(Phase::Rebalance, vec![]);
+            let ex = dag.push(Phase::Exchange, vec![rb]);
+            let sort = dag.push(Phase::SpatialSort, vec![ex]);
             if overlap {
-                let bpost = push(Phase::Post(Op::Border), vec![sort]);
-                let ibuild = push(Phase::InteriorBuild, vec![sort]);
-                let ilog = push(Phase::Interior(first), vec![ibuild]);
-                let bdone = push(Phase::Complete(Op::Border), vec![bpost]);
-                let bbuild = push(Phase::BoundaryBuild, vec![ibuild, bdone]);
-                push(Phase::Boundary(first), vec![ilog, bbuild])
+                dag.window(Op::Border, first, vec![sort])
             } else {
-                let border = push(Phase::Comm(Op::Border), vec![sort]);
-                let lists = push(Phase::RebuildLists, vec![border]);
-                push(Phase::Pair, vec![lists])
+                let border = dag.push(Phase::Comm(Op::Border), vec![sort]);
+                let lists = dag.push(Phase::RebuildLists, vec![border]);
+                dag.push(Phase::Pair, vec![lists])
             }
         } else if overlap {
-            let fpost = push(Phase::Post(Op::Forward), vec![]);
-            let ilog = push(Phase::Interior(first), vec![]);
-            let fdone = push(Phase::Complete(Op::Forward), vec![fpost]);
-            push(Phase::Boundary(first), vec![ilog, fdone])
+            dag.window(Op::Forward, first, vec![])
         } else {
-            let fwd = push(Phase::Comm(Op::Forward), vec![]);
-            push(Phase::Pair, vec![fwd])
+            let fwd = dag.push(Phase::Comm(Op::Forward), vec![]);
+            dag.push(Phase::Pair, vec![fwd])
         };
         if eam && overlap {
             // After the density replay: fold ghost rho back, embed, then
             // overlap the F' forward with the interior force rows.
-            let reduce = push(Phase::Comm(Op::ReverseScalar), vec![prev]);
-            let embed = push(Phase::Embed, vec![reduce]);
-            let fpost = push(Phase::Post(Op::ForwardScalar), vec![embed]);
-            let iforce = push(Phase::Interior(Pass::Force), vec![embed]);
-            let fdone = push(Phase::Complete(Op::ForwardScalar), vec![fpost]);
-            prev = push(Phase::Boundary(Pass::Force), vec![iforce, fdone]);
+            let reduce = dag.push(Phase::Comm(Op::ReverseScalar), vec![prev]);
+            let embed = dag.push(Phase::Embed, vec![reduce]);
+            prev = dag.window(Op::ForwardScalar, Pass::Force, vec![embed]);
         }
         if reverse_needed {
-            prev = push(Phase::Comm(Op::Reverse), vec![prev]);
+            prev = dag.push(Phase::Comm(Op::Reverse), vec![prev]);
         }
-        let fin = push(Phase::FinalIntegrate, vec![prev]);
-        push(Phase::Accounting, vec![fin]);
-        StepDag { nodes }
+        let fin = dag.push(Phase::FinalIntegrate, vec![prev]);
+        dag.push(Phase::Accounting, vec![fin]);
+        dag
     }
 
     /// Execute order: repeatedly dispatch the lowest-id node whose deps
@@ -307,7 +306,7 @@ impl StepDag {
 
 /// Raw-pointer wrapper that lets the pool's scoped closures index into
 /// the lane/state slices. Safe because the team's node partition gives
-/// every index to exactly one worker per region (see `for_each`).
+/// every index to exactly one worker per region (see `Team::fan_out`).
 struct SendPtr<T>(*mut T);
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
@@ -332,6 +331,12 @@ pub struct Team {
     /// are node `n`'s ranks in ascending rank order.
     order: Vec<usize>,
     node_starts: Vec<usize>,
+    /// One scatter-log scratch per pool thread, reused by every rank that
+    /// thread visits: a rank's pass opens and closes inside one visit, so
+    /// the logs stay cache-resident and their bytes scale with the driver
+    /// threads, not the ranks. Worker `tid` locks only `scratch[tid]`
+    /// (never contended); the lock is what makes the hand-out safe code.
+    scratch: Vec<Mutex<PairScratch>>,
 }
 
 impl Team {
@@ -356,6 +361,7 @@ impl Team {
             pool: SpinPool::new(threads),
             order,
             node_starts,
+            scratch: (0..threads).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -371,28 +377,22 @@ impl Team {
         self.node_starts.len() - 1
     }
 
-    /// Run `f(rank, &mut a[rank], &mut b[rank])` for every rank, fanned
-    /// out over the team with the static node-aligned partition. With one
-    /// thread this degrades to the plain serial loop in the same order,
-    /// so the 1-thread and N-thread schedules are literally the same
-    /// per-node instruction streams.
-    pub fn for_each<A: Send, B: Send>(
+    /// The static node-aligned fan-out: worker `tid` walks its contiguous
+    /// range of node groups in ascending order and calls `f(tid, rank,
+    /// &mut a[rank], &mut b[rank])` for each of their ranks. With one
+    /// thread this is the plain serial loop in team order, so the 1-thread
+    /// and N-thread schedules are literally the same per-node instruction
+    /// streams.
+    fn fan_out<A: Send, B: Send>(
         &self,
         a: &mut [A],
         b: &mut [B],
-        f: &(dyn Fn(usize, &mut A, &mut B) + Sync),
+        f: &(dyn Fn(usize, usize, &mut A, &mut B) + Sync),
     ) {
         assert_eq!(a.len(), self.order.len());
         assert_eq!(b.len(), self.order.len());
-        let threads = self.pool.threads();
-        if threads <= 1 {
-            for &r in &self.order {
-                f(r, &mut a[r], &mut b[r]);
-            }
-            return;
-        }
         let nnodes = self.nodes();
-        let chunk = nnodes.div_ceil(threads);
+        let chunk = nnodes.div_ceil(self.pool.threads());
         let pa = SendPtr(a.as_mut_ptr());
         let pb = SendPtr(b.as_mut_ptr());
         self.pool.run(&|tid| {
@@ -402,68 +402,61 @@ impl Team {
                 for &r in &self.order[self.node_starts[n]..self.node_starts[n + 1]] {
                     // SAFETY: the node ranges [lo, hi) are disjoint across
                     // tids and every rank id appears exactly once in
-                    // `order`, so each element of `a`/`b` is accessed by
-                    // exactly one thread for the duration of this region;
-                    // `run` does not return until all workers are done.
+                    // `order` (and is below the lengths asserted above),
+                    // so each element of `a`/`b` is accessed by exactly
+                    // one thread for the duration of this region; `run`
+                    // does not return until all workers are done.
                     let ea = unsafe { &mut *pa.slot(r) };
                     let eb = unsafe { &mut *pb.slot(r) };
-                    f(r, ea, eb);
+                    f(tid, r, ea, eb);
                 }
             }
         });
     }
 
+    /// Run `f(rank, &mut a[rank], &mut b[rank])` for every rank, fanned
+    /// out over the team with the static node-aligned partition.
+    pub fn for_each<A: Send, B: Send>(
+        &self,
+        a: &mut [A],
+        b: &mut [B],
+        f: &(dyn Fn(usize, &mut A, &mut B) + Sync),
+    ) {
+        self.fan_out(a, b, &|_, r, ea, eb| f(r, ea, eb));
+    }
+
     /// Like [`Team::for_each`], but hands each rank closure a
-    /// [`ChunkExec`] so the per-rank kernels can themselves go parallel.
-    /// The parallelism budget is spent at exactly one level — the spin
-    /// pool is not reentrant:
+    /// [`ChunkExec`] so the per-rank kernels can themselves go parallel,
+    /// and the visiting worker's [`PairScratch`] for the rank's scatter
+    /// passes. The parallelism budget is spent at exactly one level — the
+    /// spin pool is not reentrant:
     ///
     /// * more threads than node groups → walk ranks serially (team order)
-    ///   and give every rank the pooled executor, so wide-thread runs on
-    ///   few ranks still use all workers;
+    ///   and give every rank the pooled executor and the one scratch, so
+    ///   wide-thread runs on few ranks still use all workers;
     /// * otherwise → the node-aligned rank fan-out of `for_each` with a
     ///   serial executor inside each rank.
     ///
     /// Results are identical either way because every chunked kernel is
-    /// bit-identical to its serial form at any thread count — the mode
-    /// choice (and the thread count) affects only wall-clock.
+    /// bit-identical to its serial form at any thread count and a replay
+    /// does not depend on what the scratch held before — the mode choice
+    /// (and the thread count) affects only wall-clock.
     pub fn for_each_chunk<A: Send, B: Send>(
         &self,
         a: &mut [A],
         b: &mut [B],
-        f: &(dyn Fn(usize, &mut A, &mut B, &ChunkExec<'_>) + Sync),
+        f: &(dyn Fn(usize, &mut A, &mut B, &ChunkExec<'_>, &mut PairScratch) + Sync),
     ) {
-        assert_eq!(a.len(), self.order.len());
-        assert_eq!(b.len(), self.order.len());
-        let threads = self.pool.threads();
-        if threads <= 1 {
-            for &r in &self.order {
-                f(r, &mut a[r], &mut b[r], &ChunkExec::Serial);
-            }
-            return;
-        }
-        if threads > self.nodes() {
+        if self.pool.threads() > self.nodes().max(1) {
             let exec = ChunkExec::Pool(&self.pool);
+            let scratch = &mut *self.scratch[0].lock();
             for &r in &self.order {
-                f(r, &mut a[r], &mut b[r], &exec);
+                f(r, &mut a[r], &mut b[r], &exec, scratch);
             }
             return;
         }
-        let nnodes = self.nodes();
-        let chunk = nnodes.div_ceil(threads);
-        let pa = SendPtr(a.as_mut_ptr());
-        let pb = SendPtr(b.as_mut_ptr());
-        self.pool.run(&|tid| {
-            let lo = tid * chunk;
-            let hi = ((tid + 1) * chunk).min(nnodes);
-            for n in lo..hi {
-                for &r in &self.order[self.node_starts[n]..self.node_starts[n + 1]] {
-                    // SAFETY: same disjointness argument as `for_each`.
-                    let ea = unsafe { &mut *pa.slot(r) };
-                    let eb = unsafe { &mut *pb.slot(r) };
-                    f(r, ea, eb, &ChunkExec::Serial);
-                }
-            }
+        self.fan_out(a, b, &|tid, r, ea, eb| {
+            f(r, ea, eb, &ChunkExec::Serial, &mut self.scratch[tid].lock());
         });
     }
 }
@@ -518,6 +511,33 @@ mod tests {
         }
     }
 
+    /// `for_each_chunk` visits every rank once and hands out one scratch
+    /// per worker: a single one when the ranks are walked serially (one
+    /// thread, or more threads than the 12 node groups), otherwise one per
+    /// node range, shared by the whole range.
+    #[test]
+    fn for_each_chunk_hands_each_worker_one_scratch() {
+        let m = map();
+        for (threads, scratches) in [(1, 1), (2, 2), (5, 4), (8, 6), (16, 1)] {
+            let team = Team::new(threads, &m);
+            let mut hits = vec![0u32; m.nranks()];
+            let mut seen = vec![0usize; m.nranks()];
+            team.for_each_chunk(&mut hits, &mut seen, &|_, h, s, exec, scratch| {
+                *h += 1;
+                *s = std::ptr::from_mut(scratch) as usize;
+                assert_eq!(exec.threads() > 1, threads == 16);
+            });
+            assert!(hits.iter().all(|&h| h == 1), "threads={threads}");
+            for n in 0..team.nodes() {
+                let g = &team.order[team.node_starts[n]..team.node_starts[n + 1]];
+                assert!(g.iter().all(|&r| seen[r] == seen[g[0]]), "node {n} split");
+            }
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), scratches, "threads={threads}");
+        }
+    }
+
     #[test]
     fn dag_ids_are_topological_and_execution_is_id_order() {
         for rebuild in [false, true] {
@@ -566,49 +586,49 @@ mod tests {
         }
     }
 
+    /// The overlapping shape: every split halo op is a `Post` region
+    /// followed by its rank-major `Window`, which depends on exactly that
+    /// post — the one cross-rank edge (a rank completes only after every
+    /// rank posted). The interior/complete/boundary order inside a window
+    /// is per rank, not a DAG edge.
     #[test]
-    fn overlap_dag_interleaves_interior_compute_inside_halo_windows() {
+    fn overlap_dag_runs_each_split_pass_in_a_window_after_its_post() {
         use Phase::*;
-        let tail = [Comm(Op::Reverse), FinalIntegrate, Accounting];
-        let eam_tail = [
-            Comm(Op::ReverseScalar),
-            Embed,
-            Post(Op::ForwardScalar),
-            Interior(Pass::Force),
-            Complete(Op::ForwardScalar),
-            Boundary(Pass::Force),
-        ];
-        for (eam, first) in [(false, Pass::Pair), (true, Pass::Rho)] {
-            let mid: &[Phase] = if eam { &eam_tail } else { &[] };
-            // Rebuild: interior build + first-pass logging run between the
-            // Border post and its complete.
-            let rebuild = [
-                Rebalance,
-                Exchange,
-                SpatialSort,
-                Post(Op::Border),
-                InteriorBuild,
-                Interior(first),
-                Complete(Op::Border),
-                BoundaryBuild,
-                Boundary(first),
-            ];
-            assert_eq!(
-                StepDag::build(true, eam, true, true).execution_order(),
-                [&rebuild[..], mid, &tail[..]].concat()
-            );
-            // Forward: first-pass interior logging inside the Forward
-            // window (and, for EAM, interior force rows inside the F' one).
-            let forward = [
-                Post(Op::Forward),
-                Interior(first),
-                Complete(Op::Forward),
-                Boundary(first),
-            ];
-            assert_eq!(
-                StepDag::build(false, eam, false, true).execution_order(),
-                [&forward[..], mid, &tail[1..]].concat()
-            );
+        let window = |op, pass| [Post(op), Window { op, pass }];
+        for eam in [false, true] {
+            let first = if eam { Pass::Rho } else { Pass::Pair };
+            let mid: Vec<Phase> = if eam {
+                let force = window(Op::ForwardScalar, Pass::Force);
+                [&[Comm(Op::ReverseScalar), Embed][..], &force[..]].concat()
+            } else {
+                vec![]
+            };
+            for reverse in [false, true] {
+                let tail: &[Phase] = if reverse {
+                    &[Comm(Op::Reverse), FinalIntegrate, Accounting]
+                } else {
+                    &[FinalIntegrate, Accounting]
+                };
+                // Rebuild: list build and first pass split around Border.
+                let rebuild = [
+                    &[Rebalance, Exchange, SpatialSort][..],
+                    &window(Op::Border, first)[..],
+                ]
+                .concat();
+                // Forward: first pass split around Forward (and, for EAM,
+                // the force pass around the F' forward).
+                let forward = window(Op::Forward, first);
+                for (rb, head) in [(true, &rebuild[..]), (false, &forward[..])] {
+                    let dag = StepDag::build(rb, eam, reverse, true);
+                    assert_eq!(dag.execution_order(), [head, &mid[..], tail].concat());
+                    for (i, node) in dag.nodes.iter().enumerate() {
+                        if let Window { op, .. } = node.phase {
+                            assert_eq!(node.deps, [i - 1]);
+                            assert_eq!(dag.nodes[i - 1].phase, Post(op));
+                        }
+                    }
+                }
+            }
         }
     }
 }

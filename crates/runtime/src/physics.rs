@@ -37,9 +37,9 @@ fn fail_missing(lane: &mut Lane, rank: usize, phase: &'static str, missing: &'st
 /// Shared read-only context for the physics phases: the potential's
 /// cutoff, the cost model and the threading mode the *virtual* machine
 /// charges for (orthogonal to the host team's thread count).
-pub struct Ctx<'a> {
+pub struct Ctx {
     /// Stage cost model.
-    pub costs: &'a StageCosts,
+    pub costs: StageCosts,
     /// Fabric timing constants.
     pub params: NetParams,
     /// The virtual compute-threading mode of the variant under test.
@@ -54,7 +54,7 @@ pub struct Ctx<'a> {
     pub eam: bool,
 }
 
-impl Ctx<'_> {
+impl Ctx {
     /// Neigh-stage time of a workload.
     fn neigh_time(&self, work: &RankWork) -> f64 {
         self.costs.neigh_time(work, self.threading, &self.params)
@@ -106,7 +106,7 @@ pub fn spatial_sort(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [Ra
 /// Rebuild every rank's Verlet list (chunk-parallel, bit-identical to the
 /// serial build) and charge Neigh time.
 pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
-    team.for_each_chunk(lanes, states, &|_, lane, st, exec| {
+    team.for_each_chunk(lanes, states, &|_, lane, st, exec, _| {
         let (lo, hi) = ghost_box(st);
         let list = NeighborList::build_chunked(
             &st.atoms,
@@ -135,7 +135,7 @@ pub fn pair_single(
     lanes: &mut [Lane],
     states: &mut [RankState],
 ) {
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
+    team.for_each_chunk(lanes, states, &|r, lane, st, exec, scratch| {
         st.atoms.zero_forces();
         let Potential::Pair(pot) = potential else {
             fail_missing(lane, r, "pair", "single-pass potential");
@@ -145,7 +145,7 @@ pub fn pair_single(
             fail_missing_list(lane, r, "pair");
             return;
         };
-        lane.energy = pot.compute_chunked(&mut st.atoms, list, exec, &mut lane.scratch);
+        lane.energy = pot.compute_chunked(&mut st.atoms, list, exec, scratch);
         lane.embed = 0.0;
     });
 }
@@ -153,7 +153,7 @@ pub fn pair_single(
 /// EAM pass 1: electron densities into `st.scalar` (ghost contributions
 /// are reverse-folded by the scalar op the caller runs next).
 pub fn eam_rho(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &mut [RankState]) {
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
+    team.for_each_chunk(lanes, states, &|r, lane, st, exec, scratch| {
         st.atoms.zero_forces();
         let Potential::ManyBody(pot) = potential else {
             fail_missing(lane, r, "eam_rho", "many-body potential");
@@ -163,14 +163,14 @@ pub fn eam_rho(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &
             fail_missing_list(lane, r, "eam_rho");
             return;
         };
-        pot.compute_rho_chunked(&st.atoms, list, &mut st.scalar, exec, &mut lane.scratch);
+        pot.compute_rho_chunked(&st.atoms, list, &mut st.scalar, exec, scratch);
     });
 }
 
 /// EAM mid-stage: embedding energy + F' for locals; leaves F' in
 /// `st.scalar` for the forward-scalar op.
 pub fn eam_embed(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &mut [RankState]) {
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
+    team.for_each_chunk(lanes, states, &|r, lane, st, exec, _| {
         let Potential::ManyBody(pot) = potential else {
             fail_missing(lane, r, "eam_embed", "many-body potential");
             return;
@@ -182,7 +182,7 @@ pub fn eam_embed(team: &Team, potential: &Potential, lanes: &mut [Lane], states:
 
 /// EAM pass 2: forces from the exchanged F' values.
 pub fn eam_force(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &mut [RankState]) {
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
+    team.for_each_chunk(lanes, states, &|r, lane, st, exec, scratch| {
         let Potential::ManyBody(pot) = potential else {
             fail_missing(lane, r, "eam_force", "many-body potential");
             return;
@@ -191,8 +191,7 @@ pub fn eam_force(team: &Team, potential: &Potential, lanes: &mut [Lane], states:
             fail_missing_list(lane, r, "eam_force");
             return;
         };
-        lane.energy =
-            pot.compute_force_chunked(&mut st.atoms, list, &st.scalar, exec, &mut lane.scratch);
+        lane.energy = pot.compute_force_chunked(&mut st.atoms, list, &st.scalar, exec, scratch);
     });
 }
 
@@ -264,9 +263,10 @@ pub fn charge_other_floor(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &m
 }
 
 // ---------------------------------------------------------------------
-// Split (overlap) phases: the interior halves run while halo messages
-// are in flight; the boundary halves run after arrival and replay both
-// sides in exact serial row order (DESIGN.md §12).
+// Split (overlap) passes: the per-rank steps of a halo window. A rank's
+// interior half runs while its halo is in flight, its boundary half after
+// its own complete, and the boundary half replays both sides in exact
+// serial row order (DESIGN.md §12).
 // ---------------------------------------------------------------------
 
 /// Geometric classification radius: a hair beyond the list cutoff so
@@ -312,72 +312,6 @@ fn split_sel(part: &Partition, pre_ghost: bool, eam: bool) -> (&[bool], RankWork
     } else {
         (&part.pair, interior_work(part.n_pair, part.pair_pairs, eam))
     }
-}
-
-/// Classify every rank's rows geometrically and build the interior-only
-/// Verlet list — all before any ghost exists, while the Border halo is in
-/// flight. Charges the interior share of Neigh.
-pub fn build_interior_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
-    team.for_each_chunk(lanes, states, &|_, lane, st, exec| {
-        let (lo, hi) = ghost_box(st);
-        let geo = border_bin::interior_flags(
-            &st.atoms.x,
-            st.atoms.nlocal,
-            &st.graph.sub,
-            classify_radius(ctx),
-        );
-        let ilist = NeighborList::build_interior(
-            &st.atoms,
-            lo,
-            hi,
-            ctx.list_kind,
-            ctx.cutoff,
-            ctx.skin,
-            &geo,
-            exec,
-        );
-        let n_geo = geo.iter().filter(|&&b| b).count();
-        let geo_pairs = ilist.npairs();
-        let interior = interior_work(n_geo, geo_pairs, ctx.eam);
-        let dt = split_time(|w| ctx.neigh_time(w), &interior, None);
-        st.clock += dt;
-        lane.acc.neigh += dt;
-        lane.interior_list = Some(ilist);
-        lane.part = Some(Partition {
-            geo,
-            n_geo,
-            geo_pairs,
-            ..Partition::default()
-        });
-    });
-}
-
-/// Build the boundary rows against the arrived ghost shell, merge with
-/// the interior list into the full list (bit-identical to the one-pass
-/// build) and derive the list-content partition for forward-step splits.
-/// Charges the remainder of the full rebuild's Neigh time.
-pub fn build_boundary_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
-        let Some(ilist) = lane.interior_list.take() else {
-            fail_missing(lane, r, "boundary_build", "interior list");
-            return;
-        };
-        let Some(part) = lane.part.as_mut() else {
-            fail_missing(lane, r, "boundary_build", "row partition");
-            return;
-        };
-        let (lo, hi) = ghost_box(st);
-        let full = NeighborList::build_boundary(&st.atoms, lo, hi, &ilist, &part.geo, exec);
-        part.pair = full.local_only_rows();
-        part.n_pair = part.pair.iter().filter(|&&b| b).count();
-        part.pair_pairs = full.pairs_in(&part.pair, true);
-        let interior = interior_work(part.n_geo, part.geo_pairs, ctx.eam);
-        let work = full_work(st, &full, ctx.eam);
-        let dt = split_time(|w| ctx.neigh_time(w), &interior, Some(&work));
-        st.clock += dt;
-        lane.acc.neigh += dt;
-        lane.list = Some(full);
-    });
 }
 
 impl Pass {
@@ -431,96 +365,180 @@ fn log_rows(
     Ok(())
 }
 
-/// Log the interior rows of `pass` into the lane's scratch while a halo
-/// is in flight — no output array is touched. On a rebuild step the
-/// single pair pass and the density pass run before the ghost shell
-/// exists, over the interior-only list and the geometric partition; the
-/// force pass always runs on the full list. Charges the interior share of
-/// the pass's Pair time.
-pub fn log_interior(
-    team: &Team,
-    ctx: &Ctx,
-    potential: &Potential,
-    pass: Pass,
-    rebuild: bool,
-    lanes: &mut [Lane],
-    states: &mut [RankState],
-) {
-    let pre_ghost = rebuild && pass != Pass::Force;
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
+/// The scatter pass split across one halo window, as the two per-rank
+/// steps the driver runs around the rank's own complete.
+pub struct Split<'a> {
+    /// Shared read-only context.
+    pub ctx: &'a Ctx,
+    /// The potential whose row kernel logs the pass.
+    pub potential: &'a Potential,
+    /// The pass being split.
+    pub pass: Pass,
+    /// The Border window: it opens before the rank's ghost shell exists,
+    /// so the interior half classifies rows geometrically and builds and
+    /// logs the interior-only list, and the boundary half first merges the
+    /// boundary rows into the full list. Every other window splits the
+    /// fixed list by content.
+    pub pre_ghost: bool,
+}
+
+impl Split<'_> {
+    /// Log one side of the pass into `scratch` (the force pass reads F'
+    /// from `st.scalar`) and return the side's share of the pass's Pair
+    /// time: the interior rows' own cost, or what the whole pass costs
+    /// beyond it. `None` leaves a phase-order violation in `lane.failed`.
+    fn log_side(
+        &self,
+        r: usize,
+        lane: &mut Lane,
+        st: &RankState,
+        interior: bool,
+        exec: &ChunkExec<'_>,
+        scratch: &mut PairScratch,
+    ) -> Option<f64> {
+        let (ctx, pass) = (self.ctx, self.pass);
         let Some(part) = lane.part.as_ref() else {
             fail_missing(lane, r, pass.name(), "row partition");
-            return;
+            return None;
         };
-        let (flags, interior) = split_sel(part, pre_ghost, ctx.eam);
-        let list = if pre_ghost {
+        let (flags, inner) = split_sel(part, self.pre_ghost, ctx.eam);
+        let list = if interior && self.pre_ghost {
             lane.interior_list.as_ref()
         } else {
             lane.list.as_ref()
         };
         let Some(list) = list else {
             fail_missing_list(lane, r, pass.name());
-            return;
+            return None;
         };
-        lane.scratch.prepare(st.atoms.nlocal, st.atoms.ntotal());
-        let rows = Rows::Side {
-            flags,
-            interior: true,
-        };
-        if let Err(missing) = log_rows(potential, pass, st, list, rows, exec, &mut lane.scratch) {
+        let rows = Rows::Side { flags, interior };
+        if let Err(missing) = log_rows(self.potential, pass, st, list, rows, exec, scratch) {
             fail_missing(lane, r, pass.name(), missing);
+            return None;
+        }
+        let full = (!interior).then(|| full_work(st, list, ctx.eam));
+        Some(pass.pair_share() * split_time(|w| ctx.pair_time(w), &inner, full.as_ref()))
+    }
+
+    /// Interior half, while the rank's halo is in flight: log the interior
+    /// rows of the pass — no output array is touched — and charge their
+    /// share of Pair (and, in the Border window, of Neigh).
+    pub fn interior(
+        &self,
+        r: usize,
+        lane: &mut Lane,
+        st: &mut RankState,
+        exec: &ChunkExec<'_>,
+        scratch: &mut PairScratch,
+    ) {
+        if self.pre_ghost {
+            build_interior_list(self.ctx, lane, st, exec);
+        }
+        scratch.prepare(st.atoms.nlocal, st.atoms.ntotal());
+        if let Some(dt) = self.log_side(r, lane, st, true, exec, scratch) {
+            st.clock += dt;
+            lane.acc.pair += dt;
+        }
+    }
+
+    /// Boundary half, after the rank's halo landed: log the boundary rows
+    /// against it, then replay both sides in exact serial row order —
+    /// densities into a zeroed `st.scalar`, forces into zeroed forces with
+    /// the energy/virial fold — bit-identical to the one-pass forms.
+    /// Charges the remainder of Pair (and, in the Border window, of Neigh).
+    pub fn boundary(
+        &self,
+        r: usize,
+        lane: &mut Lane,
+        st: &mut RankState,
+        exec: &ChunkExec<'_>,
+        scratch: &mut PairScratch,
+    ) {
+        if self.pre_ghost && !build_boundary_list(self.ctx, r, lane, st, exec) {
             return;
         }
-        let dt = pass.pair_share() * split_time(|w| ctx.pair_time(w), &interior, None);
+        let Some(dt) = self.log_side(r, lane, st, false, exec, scratch) else {
+            return;
+        };
+        if self.pass == Pass::Rho {
+            st.scalar.clear();
+            st.scalar.resize(st.atoms.ntotal(), 0.0);
+            kernels::replay_scalars(scratch, &mut st.scalar, exec);
+        } else {
+            st.atoms.zero_forces();
+            lane.energy = replay_pass(scratch, &mut st.atoms.f, exec);
+        }
         st.clock += dt;
         lane.acc.pair += dt;
+    }
+}
+
+/// Classify the rank's rows geometrically and build its interior-only
+/// Verlet list — before any ghost exists, while its Border halo is in
+/// flight. Charges the interior share of Neigh.
+fn build_interior_list(ctx: &Ctx, lane: &mut Lane, st: &mut RankState, exec: &ChunkExec<'_>) {
+    let (lo, hi) = ghost_box(st);
+    let geo = border_bin::interior_flags(
+        &st.atoms.x,
+        st.atoms.nlocal,
+        &st.graph.sub,
+        classify_radius(ctx),
+    );
+    let ilist = NeighborList::build_interior(
+        &st.atoms,
+        lo,
+        hi,
+        ctx.list_kind,
+        ctx.cutoff,
+        ctx.skin,
+        &geo,
+        exec,
+    );
+    let n_geo = geo.iter().filter(|&&b| b).count();
+    let geo_pairs = ilist.npairs();
+    let interior = interior_work(n_geo, geo_pairs, ctx.eam);
+    let dt = split_time(|w| ctx.neigh_time(w), &interior, None);
+    st.clock += dt;
+    lane.acc.neigh += dt;
+    lane.interior_list = Some(ilist);
+    lane.part = Some(Partition {
+        geo,
+        n_geo,
+        geo_pairs,
+        ..Partition::default()
     });
 }
 
-/// Log the boundary rows of `pass` against the arrived halo, then replay
-/// both sides in exact serial row order: densities into a zeroed
-/// `st.scalar`, forces into zeroed forces with the energy/virial fold —
-/// bit-identical to the one-pass forms. Charges the remainder of the
-/// pass's Pair time.
-pub fn finish_boundary(
-    team: &Team,
+/// Build the rank's boundary rows against its arrived ghost shell, merge
+/// with the interior list into the full list (bit-identical to the
+/// one-pass build) and derive the list-content partition for forward-step
+/// splits. Charges the remainder of the full rebuild's Neigh time. `false`
+/// (with the violation in `lane.failed`) when the interior half never ran.
+fn build_boundary_list(
     ctx: &Ctx,
-    potential: &Potential,
-    pass: Pass,
-    rebuild: bool,
-    lanes: &mut [Lane],
-    states: &mut [RankState],
-) {
-    let pre_ghost = rebuild && pass != Pass::Force;
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec| {
-        let Some(part) = lane.part.as_ref() else {
-            fail_missing(lane, r, pass.name(), "row partition");
-            return;
-        };
-        let (flags, interior) = split_sel(part, pre_ghost, ctx.eam);
-        let Some(list) = lane.list.as_ref() else {
-            fail_missing_list(lane, r, pass.name());
-            return;
-        };
-        let rows = Rows::Side {
-            flags,
-            interior: false,
-        };
-        if let Err(missing) = log_rows(potential, pass, st, list, rows, exec, &mut lane.scratch) {
-            fail_missing(lane, r, pass.name(), missing);
-            return;
-        }
-        if pass == Pass::Rho {
-            st.scalar.clear();
-            st.scalar.resize(st.atoms.ntotal(), 0.0);
-            kernels::replay_scalars(&lane.scratch, &mut st.scalar, exec);
-        } else {
-            st.atoms.zero_forces();
-            lane.energy = replay_pass(&lane.scratch, &mut st.atoms.f, exec);
-        }
-        let work = full_work(st, list, ctx.eam);
-        let dt = pass.pair_share() * split_time(|w| ctx.pair_time(w), &interior, Some(&work));
-        st.clock += dt;
-        lane.acc.pair += dt;
-    });
+    r: usize,
+    lane: &mut Lane,
+    st: &mut RankState,
+    exec: &ChunkExec<'_>,
+) -> bool {
+    let Some(ilist) = lane.interior_list.take() else {
+        fail_missing(lane, r, "boundary_build", "interior list");
+        return false;
+    };
+    let Some(part) = lane.part.as_mut() else {
+        fail_missing(lane, r, "boundary_build", "row partition");
+        return false;
+    };
+    let (lo, hi) = ghost_box(st);
+    let full = NeighborList::build_boundary(&st.atoms, lo, hi, &ilist, &part.geo, exec);
+    part.pair = full.local_only_rows();
+    part.n_pair = part.pair.iter().filter(|&&b| b).count();
+    part.pair_pairs = full.pairs_in(&part.pair, true);
+    let interior = interior_work(part.n_geo, part.geo_pairs, ctx.eam);
+    let work = full_work(st, &full, ctx.eam);
+    let dt = split_time(|w| ctx.neigh_time(w), &interior, Some(&work));
+    st.clock += dt;
+    lane.acc.neigh += dt;
+    lane.list = Some(full);
+    true
 }

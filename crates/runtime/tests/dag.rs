@@ -8,6 +8,10 @@
 //! waits is the DAG's entire purpose, so clocks legitimately differ
 //! between the plans. Everything an MD user can observe — trajectories,
 //! forces, energies, thermo history — must not.
+//!
+//! The clocks of the overlapped shape itself are pinned separately, to
+//! recorded constants: how the host walks a halo window (rank-major, one
+//! scatter log per driver thread) must never reach the modeled time.
 
 use tofumd_core::engine::Op;
 use tofumd_runtime::{Cluster, CommVariant, PlanMode, RunConfig};
@@ -193,4 +197,85 @@ fn p2p_variants_overlap_comm_on_fig06_config() {
     bar.reset_timers();
     bar.run_traced(12);
     assert_eq!(bar.overlapped_total(), 0.0);
+}
+
+/// `step_time`, the five `breakdown` fields and the overlap credit of a
+/// 25-step run, as bits.
+fn clock_bits(cfg: RunConfig, variant: CommVariant, threads: usize) -> [u64; 7] {
+    let mut c = Cluster::new(MESH, cfg, variant);
+    c.set_driver_threads(threads);
+    let rebuilds = c.rebuild_count;
+    c.run(25);
+    assert!(c.rebuild_count > rebuilds, "the run must cross a rebuild");
+    let b = c.breakdown();
+    let clocks = [
+        c.step_time(),
+        b.pair,
+        b.neigh,
+        b.comm,
+        b.modify,
+        b.other,
+        c.overlapped_total(),
+    ];
+    clocks.map(f64::to_bits)
+}
+
+/// The modeled clocks of the overlapped shape do not move: every value
+/// below was recorded at commit `acd2303`, before the halo windows went
+/// rank-major, and holds at threads {1, 2, 8}. A run overlaps from its
+/// first reneighbor step on (the setup build classifies no rows): LJ-Opt
+/// runs the step-20 Border window and five Forward windows; EAM-Opt, which
+/// rebuilds earlier, adds the `Rho` and `Force` windows on `Forward` /
+/// `ForwardScalar`; MPI p2p on an RCB density ramp runs the same windows
+/// over irregular graphs.
+#[test]
+fn overlapped_clocks_are_pinned_at_every_thread_count() {
+    let rcb = RunConfig {
+        comm: tofumd_runtime::config::CommTuning {
+            decomp: tofumd_runtime::config::Decomp::Rcb,
+            density_gradient: 0.5,
+            ..tofumd_runtime::config::CommTuning::default()
+        },
+        ..RunConfig::lj(4000)
+    };
+    const LJ_OPT: [u64; 7] = [
+        0x3f0bee9333852286,
+        0x3efaf029ac851208,
+        0x3eb6a5b22167e925,
+        0x3eea83e4531816da,
+        0x3edb8e7bd93f4bed,
+        0x3edd5c31593e5fb1,
+        0x3f4038c387947816,
+    ];
+    const EAM_OPT: [u64; 7] = [
+        0x3f20444b1804e2f0,
+        0x3f16be6e540ac112,
+        0x3ec66fb9b2aad479,
+        0x3ee817c82f4be8c3,
+        0x3edb8e7bd93f4bf1,
+        0x3ef162e364f6604c,
+        0x3f643f164bae089c,
+    ];
+    const LJ_MPI_P2P_RCB: [u64; 7] = [
+        0x3f41450e171c532f,
+        0x3f04efcfd78c02bd,
+        0x3ec0995243354aa0,
+        0x3f3dfba834d96ab0,
+        0x3ef04a572dd5edcf,
+        0x3edd5c31593e5fb1,
+        0x3f70b1732795dc3c,
+    ];
+    for (label, cfg, variant, want) in [
+        ("lj-opt", RunConfig::lj(4000), CommVariant::Opt, LJ_OPT),
+        ("eam-opt", RunConfig::eam(4000), CommVariant::Opt, EAM_OPT),
+        ("lj-mpi-p2p-rcb", rcb, CommVariant::MpiP2p, LJ_MPI_P2P_RCB),
+    ] {
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                clock_bits(cfg, variant, threads),
+                want,
+                "{label}@{threads} threads: [step_time, pair, neigh, comm, modify, other, overlapped]"
+            );
+        }
+    }
 }

@@ -4,18 +4,23 @@
 //! demote the cluster to the MPI reference engine mid-run instead of
 //! panicking. See DESIGN.md §10 for the fault model.
 
-use tofumd_core::engine::Op;
+use std::sync::{Arc, Mutex};
+use tofumd_core::engine::{CommStats, GhostEngine, Op, OpStats, RankState};
 use tofumd_md::thermo::ThermoSnapshot;
 use tofumd_runtime::{
     bisect_cluster_against_serial, Cluster, CommVariant, LockstepOptions, RunConfig,
 };
-use tofumd_tofu::{FaultKind, FaultPlan, FaultRates, FaultRule};
+use tofumd_tofu::{FaultKind, FaultPlan, FaultRates, FaultRule, TofuError};
 
 const MESH: [u32; 3] = [2, 3, 2];
 const SEED: u64 = 0xC0FFEE;
 
 /// Bit-level view of the thermo log (step + all four columns).
-fn thermo_bits(log: &[ThermoSnapshot]) -> Vec<(u64, u64, u64, u64, u64)> {
+type ThermoBits = Vec<(u64, u64, u64, u64, u64)>;
+/// Bit-level view of every owned atom: tag, position, velocity.
+type StateBits = Vec<(u64, [u64; 3], [u64; 3])>;
+
+fn thermo_bits(log: &[ThermoSnapshot]) -> ThermoBits {
     log.iter()
         .map(|t| {
             (
@@ -31,7 +36,7 @@ fn thermo_bits(log: &[ThermoSnapshot]) -> Vec<(u64, u64, u64, u64, u64)> {
 
 /// Tag-sorted bit-level view of every owned atom's position and velocity,
 /// across all ranks — migration-order independent.
-fn state_fingerprint(c: &Cluster) -> Vec<(u64, [u64; 3], [u64; 3])> {
+fn state_fingerprint(c: &Cluster) -> StateBits {
     let mut rows: Vec<_> = c
         .states()
         .iter()
@@ -88,13 +93,9 @@ fn recoverable_faults_leave_physics_bit_identical() {
 }
 
 #[test]
-#[allow(clippy::type_complexity)]
 fn fault_runs_are_thread_schedule_invariant() {
     let cfg = RunConfig::lj(4_000);
-    let mut reference: Option<(
-        Vec<(u64, u64, u64, u64, u64)>,
-        Vec<(u64, [u64; 3], [u64; 3])>,
-    )> = None;
+    let mut reference: Option<(ThermoBits, StateBits)> = None;
     for threads in [1usize, 2, 8] {
         let mut c = Cluster::with_fault_plan(MESH, cfg, CommVariant::Opt, recoverable_plan());
         c.set_driver_threads(threads);
@@ -425,6 +426,207 @@ fn rank_death_on_grid_engines_shrinks_onto_rcb() {
     assert!(!c.demoted(), "recovery is not the demotion path");
     assert_eq!(c.natoms(), natoms);
     assert_eq!(c.recovery_stats().recoveries, 1);
+}
+
+/// Everything a recovered run leaves behind, as bits: thermo history,
+/// every owned atom, and the virtual clocks (step time, the five stage
+/// means, the overlap credit and the recovery's MTTR).
+fn recovered_fingerprint(c: &Cluster) -> (ThermoBits, StateBits, [u64; 8]) {
+    let b = c.breakdown();
+    let clocks = [
+        c.step_time(),
+        b.pair,
+        b.neigh,
+        b.comm,
+        b.modify,
+        b.other,
+        c.overlapped_total(),
+        c.recovery_stats().recovery_time,
+    ];
+    (
+        thermo_bits(c.thermo_log()),
+        state_fingerprint(c),
+        clocks.map(f64::to_bits),
+    )
+}
+
+/// Run one step and return the ops whose rounds completed in it, in order.
+fn ops_completed_in_next_step(c: &mut Cluster) -> Vec<Op> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let tap = log.clone();
+    c.set_op_observer(Box::new(move |op, _, _, _| tap.lock().unwrap().push(op)));
+    c.run_step();
+    c.clear_op_observer();
+    let ops = log.lock().unwrap().clone();
+    ops
+}
+
+/// A rank dies while its neighbours sit in a *Forward window* (step 25:
+/// windows are open since the step-20 rebuild classified the rows). The
+/// neighbours' completes fail inside the rank-major region and skip their
+/// boundary halves, everyone else finishes its window, and the step is
+/// abandoned after the region: exactly one recovery, atoms conserved,
+/// physics and clocks bit-identical at driver threads {1, 2, 8}.
+#[test]
+fn rank_death_inside_a_forward_window_is_thread_invariant() {
+    let mut reference = None;
+    for threads in [1usize, 2, 8] {
+        let plan =
+            FaultPlan::new().with_rule(FaultRule::any(FaultKind::KillRank { step: 25, rank: 5 }));
+        let mut c = Cluster::with_fault_plan(MESH, RunConfig::lj(4_000), CommVariant::Opt, plan);
+        let natoms = c.natoms();
+        c.set_driver_threads(threads);
+        c.set_thermo_every(5);
+        c.set_checkpoint_every(10);
+        c.run_to(23);
+        let hidden = c.overlapped_total();
+        assert_eq!(
+            ops_completed_in_next_step(&mut c),
+            [Op::Forward, Op::Reverse],
+            "step 24 is a plain forward step"
+        );
+        assert!(c.overlapped_total() > hidden, "and its Forward is a window");
+        // The kill step: no Forward completes; what the observer sees is
+        // the recovery re-running the setup ops on the shrunken forest.
+        assert_eq!(
+            ops_completed_in_next_step(&mut c),
+            [Op::Border, Op::Reverse],
+            "threads={threads}"
+        );
+        assert_eq!(c.dead_rank(), Some(5));
+        assert_eq!(
+            c.current_step(),
+            20,
+            "rolled back to the step-20 checkpoint"
+        );
+        c.run_to(40);
+        assert_eq!(c.recovery_stats().recoveries, 1);
+        assert_eq!(c.natoms(), natoms);
+        let fp = recovered_fingerprint(&c);
+        match &reference {
+            None => reference = Some(fp),
+            Some(r) => assert_eq!(r, &fp, "divergence at driver_threads={threads}"),
+        }
+    }
+}
+
+/// A [`GhostEngine`] shim that reports rank `victim` dead from its
+/// `nth` (0-based) Border complete — what the receive shortfall of a
+/// neighbour escalates to when the peer dies between its Exchange and its
+/// Border. A `KillRank` rule cannot produce this: it is keyed on the step
+/// alone, so on a reneighbor step the victim's face neighbours already
+/// miss its Exchange messages, before the Border window opens.
+struct DeathInBorder {
+    inner: Box<dyn GhostEngine>,
+    nth: u64,
+    seen: u64,
+    victim: u32,
+}
+
+impl GhostEngine for DeathInBorder {
+    fn name(&self) -> &'static str {
+        "death-in-border"
+    }
+    fn rounds(&self, op: Op) -> usize {
+        self.inner.rounds(op)
+    }
+    fn barrier_between_rounds(&self) -> bool {
+        self.inner.barrier_between_rounds()
+    }
+    fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
+        self.inner.post(op, round, st)
+    }
+    fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
+        if op == Op::Border {
+            self.seen += 1;
+            if self.seen > self.nth {
+                return Err(TofuError::PeerDead {
+                    node: 0,
+                    rank: self.victim,
+                    step: 0,
+                });
+            }
+        }
+        self.inner.complete(op, round, st)
+    }
+    fn setup_cost(&self) -> f64 {
+        self.inner.setup_cost()
+    }
+    fn stats(&self) -> CommStats {
+        self.inner.stats()
+    }
+    fn op_stats(&self) -> OpStats {
+        self.inner.op_stats()
+    }
+    fn fallback_requested(&self) -> bool {
+        self.inner.fallback_requested()
+    }
+}
+
+/// The same death surfacing on a reneighbor step, inside the *Border
+/// window* (step 40, the second overlapped rebuild): the victim's
+/// neighbours fail their Border complete after building and logging their
+/// interior rows, and skip the boundary build; the other ranks merge their
+/// lists and replay before the step is abandoned. One recovery from the
+/// step-20 checkpoint, atoms conserved, bit-identical at threads {1, 2, 8}.
+#[test]
+fn rank_death_inside_the_border_window_is_thread_invariant() {
+    const VICTIM: u32 = 5;
+    let mut reference = None;
+    for threads in [1usize, 2, 8] {
+        let mut c = Cluster::new(MESH, RunConfig::lj(4_000), CommVariant::Opt);
+        let natoms = c.natoms();
+        let neighbours: Vec<usize> = (0..c.nranks())
+            .filter(|&r| {
+                let g = &c.states()[r].graph;
+                r != VICTIM as usize && g.recv.iter().any(|e| e.rank == VICTIM as usize)
+            })
+            .collect();
+        assert!(!neighbours.is_empty() && neighbours.len() < c.nranks() - 1);
+        for &r in &neighbours {
+            // Border #0 is step 20's; #1, at step 40, reports the death.
+            c.wrap_engine(r, |inner| {
+                Box::new(DeathInBorder {
+                    inner,
+                    nth: 1,
+                    seen: 0,
+                    victim: VICTIM,
+                })
+            });
+        }
+        c.set_driver_threads(threads);
+        c.set_thermo_every(5);
+        c.set_checkpoint_every(10);
+        c.run_to(39);
+        assert_eq!(c.recovery_stats().recoveries, 0);
+        // The kill step: Exchange completes its three rounds, the Border
+        // window does not; then the recovery's setup ops.
+        assert_eq!(
+            ops_completed_in_next_step(&mut c),
+            [
+                Op::Exchange,
+                Op::Exchange,
+                Op::Exchange,
+                Op::Border,
+                Op::Reverse
+            ],
+            "threads={threads}"
+        );
+        assert_eq!(c.dead_rank(), Some(VICTIM));
+        assert_eq!(
+            c.current_step(),
+            20,
+            "rolled back to the step-20 checkpoint"
+        );
+        c.run_to(60);
+        assert_eq!(c.recovery_stats().recoveries, 1);
+        assert_eq!(c.natoms(), natoms);
+        let fp = recovered_fingerprint(&c);
+        match &reference {
+            None => reference = Some(fp),
+            Some(r) => assert_eq!(r, &fp, "divergence at driver_threads={threads}"),
+        }
+    }
 }
 
 /// A kill with no checkpoint to roll back to is a hard, *typed* stop —

@@ -4,6 +4,11 @@
 //! received. A counting global allocator measures live bytes — allocation
 //! sizes, not host time or RSS, so the numbers repeat exactly.
 //!
+//! The third reading is the step itself: the scatter logs of the force
+//! passes are one per driver thread, so overlapped steps on 48 ranks grow
+//! the heap by what one rank's pass logs, and a second driver thread by
+//! one more log.
+//!
 //! One `#[test]` only: the counter is process-wide and the harness runs
 //! tests of one binary on parallel threads.
 
@@ -75,4 +80,30 @@ fn cluster_heap_is_sized_by_its_traffic() {
     reference.run(25);
     let ref_mib = held() / MIB;
     assert!(ref_mib <= 32, "Ref after 25 steps holds {ref_mib} MiB live");
+    drop(reference);
+
+    // uTofu p2p under the overlapped step DAG: the scatter logs (48 B per
+    // accepted pair) belong to the driver's threads, not to the ranks.
+    // 48 ranks x 500 atoms; the setup force pass has filled one log, and
+    // 25 steps across the step-20 rebuild run every kind of halo window
+    // through it. A log per rank holds 106 MiB after the build and grows
+    // by 45 MiB here.
+    let mut bulk = Cluster::new([2, 3, 2], RunConfig::lj(24_000), CommVariant::Opt);
+    let built = held();
+    assert!(built <= 80 * MIB, "built: {} MiB live", built / MIB);
+    bulk.run(25);
+    assert!(bulk.overlapped_total() > 0.0, "the windows must be in use");
+    let grown = (held() - built) / MIB;
+    assert!(
+        grown <= 6,
+        "25 overlapped steps grew the heap by {grown} MiB"
+    );
+    // A second driver thread brings a second log, not another 47.
+    bulk.set_driver_threads(2);
+    bulk.run(5);
+    let grown = (held() - built) / MIB;
+    assert!(
+        grown <= 8,
+        "two driver threads grew the heap by {grown} MiB"
+    );
 }
