@@ -26,6 +26,12 @@
 //! interleaving. A pass logged in one sitting simply leaves the boundary
 //! side empty.
 //!
+//! The row kernels that write the log share one inner-loop shape
+//! (DESIGN.md §16): per `ROW_BLOCK`-wide slab of a neighbor row,
+//! `Slab::filter` compacts the in-range pairs without a branch, the
+//! potential runs a dense lane loop over those only, and a visitor logs
+//! them pair by pair. LJ and both EAM passes call the same filter.
+//!
 //! No atomics anywhere: atomic float accumulation would make results
 //! depend on thread interleaving, which is exactly the nondeterminism this
 //! design exists to rule out. The chunk size and bucket count affect only
@@ -37,11 +43,9 @@ use tofumd_threadpool::ChunkExec;
 /// Rows per dispatch chunk for neighbor builds and force passes.
 pub const CHUNK_ROWS: usize = 256;
 
-/// Lanes per block in the blocked kernels: 8 × f64 fills one 512-bit SVE
-/// vector (the paper's A64FX target). Blocks are full-width only — the
-/// `len % LANE_WIDTH` remainder always runs the scalar tail — so the lane
-/// loops have constant trip counts the compiler can keep branch-free.
-/// (The neighbor build has no tail: its stream is padded by one block.)
+/// Lanes per block of the neighbor build's stream scan: 8 × f64 fills one
+/// 512-bit SVE vector (the paper's A64FX target). The stream is padded by
+/// one block, so its lane loops have constant trip counts and no tail.
 pub const LANE_WIDTH: usize = 8;
 
 /// Selects nothing: the force and density passes have one blocked row
@@ -51,25 +55,52 @@ pub const LANE_WIDTH: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct KernelMode;
 
-/// Gather one [`LANE_WIDTH`]-wide block of candidate pairs: for each lane
-/// `k`, the displacement `xi - x[idx[k]]` and its squared norm, computed
-/// with exactly the scalar kernels' op sequence (`d0*d0 + d1*d1 + d2*d2`,
-/// left-to-right) so an accepted lane's values are bit-identical to what
-/// the scalar path would have produced for that pair.
-#[inline]
-pub fn gather_dx_r2(
-    xi: [f64; 3],
-    x: &[[f64; 3]],
-    idx: &[u32],
-    dx: &mut [[f64; 3]; LANE_WIDTH],
-    r2: &mut [f64; LANE_WIDTH],
-) {
-    debug_assert_eq!(idx.len(), LANE_WIDTH);
-    for k in 0..LANE_WIDTH {
-        let xj = x[idx[k] as usize];
-        let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-        dx[k] = d;
-        r2[k] = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+/// Slab width of the blocked row kernels: long enough that the vectorized
+/// lane loops dominate their setup and LLVM's own epilogue handles short
+/// remainders, small enough that the slab buffers stay in L1.
+pub(crate) const ROW_BLOCK: usize = 64;
+
+/// Slab buffers of the blocked row kernels, one per chunk so they are
+/// initialized once per chunk, not zeroed once per row: the accepted
+/// pairs of the current slab ([`Slab::filter`]) and two per-pair outputs
+/// of the potential's lane loop (force prefactor, pair energy).
+pub(crate) struct Slab {
+    pub j: [u32; ROW_BLOCK],
+    pub r2: [f64; ROW_BLOCK],
+    pub fp: [f64; ROW_BLOCK],
+    pub en: [f64; ROW_BLOCK],
+}
+
+impl Slab {
+    pub fn new() -> Self {
+        Slab {
+            j: [0; ROW_BLOCK],
+            r2: [0.0; ROW_BLOCK],
+            fp: [0.0; ROW_BLOCK],
+            en: [0.0; ROW_BLOCK],
+        }
+    }
+
+    /// Gather + filter one slab of a neighbor row (`blk`, at most
+    /// [`ROW_BLOCK`] candidates): r² for every candidate (the scalar op
+    /// sequence exactly), with neighbor index and r² compressed to the
+    /// accepted lanes `..na`, in neighbor order; returns `na`. The cursor
+    /// advances via a flag add, so the loop is branch-free — a rejected
+    /// lane's slot is simply overwritten by the next candidate. The
+    /// displacement is NOT buffered: the visit loop re-derives it from
+    /// `x[j]`, still hot in L1 from this pass, with the same subtractions.
+    #[inline]
+    pub fn filter(&mut self, xi: [f64; 3], x: &[[f64; 3]], blk: &[u32], cutsq: f64) -> usize {
+        let mut na = 0usize;
+        for &j in blk {
+            let xj = x[j as usize];
+            let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+            let rr = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+            self.j[na] = j;
+            self.r2[na] = rr;
+            na += usize::from(rr < cutsq);
+        }
+        na
     }
 }
 
@@ -173,15 +204,9 @@ impl RowLog {
         Self::bucket(&mut self.scalar_buckets, self.shift, target).push((self.row, target, delta));
     }
 
-    /// Log one pair's energy and virial contribution.
-    #[inline]
-    pub fn push_ev(&mut self, energy: f64, virial: f64) {
-        self.ev.push((energy, virial));
-    }
-
     /// Log a batch of pair energy/virial contributions in iteration order.
     /// One reservation for the whole batch instead of a capacity check per
-    /// pair — the LJ kernel feeds a slab at a time through this.
+    /// pair — the row kernels feed a slab at a time through this.
     #[inline]
     pub fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I) {
         self.ev.extend(evs);
@@ -429,7 +454,7 @@ mod tests {
                 for &(t, d, e, v) in &stream[PER_ROW * i..PER_ROW * (i + 1)] {
                     log.push_force(t, d);
                     log.push_scalar(t, d[0]);
-                    log.push_ev(e, v);
+                    log.extend_ev([(e, v)]);
                 }
             }
         });

@@ -9,24 +9,31 @@
 //! LAMMPS uses. This preserves the two-pass computation structure — and
 //! therefore the two extra mid-pair-stage communications the paper
 //! optimizes — while using only self-contained data.
+//!
+//! Each pass exists twice. The serial oracle (`compute_rho`,
+//! `compute_embedding`, `compute_force`: `SerialSim`, the lockstep anchor)
+//! walks one pair at a time. The logging row kernels run the LJ kernel's
+//! shape (DESIGN.md §16): the shared branch-free slab filter, then the
+//! accepted pairs only — `sqrt`, ONE [`Spline::locate`] on the r-grid
+//! `rho_r` and `phi_r` share, Horner chains, the pair's single division —
+//! logged pair by pair in neighbor order (the force pass as a dense lane
+//! loop plus a visitor; the density pass, one value per pair, in one loop).
+//! Both call the same `#[inline]` evaluators on the same values in the
+//! same order, so they agree bit for bit (`tests/chunked_kernels.rs`).
 
 use super::spline::Spline;
 use super::{ManyBodyPotential, ManyBodyRowKernel, PairEnergyVirial};
 use crate::atom::Atoms;
-use crate::kernels::{self, PairScratch, Rows, CHUNK_ROWS, LANE_WIDTH};
+use crate::kernels::{PairScratch, Rows, Slab, CHUNK_ROWS, ROW_BLOCK};
 use crate::neighbor::{ListKind, NeighborList};
 use tofumd_threadpool::ChunkExec;
-
-/// One accepted pair of a blocked EAM row: neighbor index, displacement,
-/// squared distance, and distance, in neighbor order. The spline
-/// evaluations stay in the per-pair emit loop (scalar order), so only the
-/// geometry is lane-batched.
-type EamHit = (u32, [f64; 3], f64, f64);
 
 /// Cu-like EAM with spline-tabulated rho(r), phi(r) and F(rho).
 pub struct EamCu {
     cutoff: f64,
     cutsq: f64,
+    /// Tabulated on the same r-grid as `phi_r` (as in a LAMMPS eam file),
+    /// so one `locate` serves both tables.
     rho_r: Spline,
     phi_r: Spline,
     f_rho: Spline,
@@ -131,51 +138,21 @@ impl EamCu {
         }
     }
 
-    /// Blocked inner loop of one neighbor row: gather, displacement, r²,
-    /// and r computed per [`LANE_WIDTH`]-wide lane — the same IEEE op
-    /// sequence the scalar passes run per pair (`0 + d·d` folds to `d·d`
-    /// exactly because squares are never -0.0), rejected lanes' values
-    /// never read — then the accepted pairs collected in neighbor order,
-    /// with the `len % LANE_WIDTH` remainder on the exact scalar tail.
-    #[inline]
-    fn blocked_row_hits(
-        &self,
-        xi: [f64; 3],
-        x: &[[f64; 3]],
-        neigh: &[u32],
-        hits: &mut Vec<EamHit>,
-    ) {
-        hits.clear();
-        let cutsq = self.cutsq;
-        let full = neigh.len() - neigh.len() % LANE_WIDTH;
-        let mut dx = [[0.0f64; 3]; LANE_WIDTH];
-        let mut r2 = [0.0f64; LANE_WIDTH];
-        let mut r = [0.0f64; LANE_WIDTH];
-        for blk in neigh[..full].chunks_exact(LANE_WIDTH) {
-            kernels::gather_dx_r2(xi, x, blk, &mut dx, &mut r2);
-            for k in 0..LANE_WIDTH {
-                r[k] = r2[k].sqrt();
-            }
-            for k in 0..LANE_WIDTH {
-                if r2[k] < cutsq {
-                    hits.push((blk[k], dx[k], r2[k], r[k]));
-                }
-            }
-        }
-        for &j in &neigh[full..] {
-            let xj = x[j as usize];
-            let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-            let rr = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-            if rr < cutsq {
-                hits.push((j, d, rr, rr.sqrt()));
-            }
-        }
-    }
-
     /// The paper's EAM benchmark stand-in (Cu, cutoff 4.95).
     #[must_use]
     pub fn lammps_bench() -> Self {
         Self::from_params(EamParams::cu())
+    }
+
+    /// One accepted pair of the force pass, `(fpair, phi)`, from r² and the
+    /// endpoints' summed F': one `sqrt`, one `locate`, one division.
+    #[inline]
+    fn force_pair(&self, r2: f64, fp_sum: f64) -> (f64, f64) {
+        let r = r2.sqrt();
+        let (m, b) = self.rho_r.locate(r);
+        // dU/dr for the pair, including both embedding terms.
+        let dudr = self.phi_r.deriv_at(m, b) + fp_sum * self.rho_r.deriv_at(m, b);
+        (-dudr / r, self.phi_r.value_at(m, b))
     }
 }
 
@@ -190,21 +167,22 @@ impl ManyBodyPotential for EamCu {
         rho.resize(atoms.ntotal(), 0.0);
         for i in 0..atoms.nlocal {
             let xi = atoms.x[i];
+            let mut rho_i = 0.0;
             for &j in list.neighbors(i) {
                 let j = j as usize;
                 let xj = atoms.x[j];
-                let mut r2 = 0.0;
-                for d in 0..3 {
-                    let dd = xi[d] - xj[d];
-                    r2 += dd * dd;
-                }
+                let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2];
                 if r2 >= self.cutsq {
                     continue;
                 }
                 let contrib = self.rho_r.eval(r2.sqrt());
-                rho[i] += contrib;
-                rho[j] += contrib; // half list: contribute to both endpoints
+                // Half list: contribute to both endpoints, the row's own
+                // share summed locally and added once at row end.
+                rho_i += contrib;
+                rho[j] += contrib;
             }
+            rho[i] += rho_i;
         }
     }
 
@@ -213,8 +191,9 @@ impl ManyBodyPotential for EamCu {
         fp.resize(atoms.ntotal(), 0.0);
         let mut energy = 0.0;
         for i in 0..atoms.nlocal {
-            energy += self.f_rho.eval(rho[i]);
-            fp[i] = self.f_rho.eval_deriv(rho[i]);
+            let (m, b) = self.f_rho.locate(rho[i]);
+            energy += self.f_rho.value_at(m, b);
+            fp[i] = self.f_rho.deriv_at(m, b);
         }
         energy
     }
@@ -239,19 +218,14 @@ impl ManyBodyPotential for EamCu {
                 if r2 >= self.cutsq {
                     continue;
                 }
-                let r = r2.sqrt();
-                let phip = self.phi_r.eval_deriv(r);
-                let rhop = self.rho_r.eval_deriv(r);
-                // dU/dr for the pair, including both embedding terms.
-                let dudr = phip + (fp[i] + fp[j]) * rhop;
-                let fpair = -dudr / r;
+                let (fpair, phi) = self.force_pair(r2, fp[i] + fp[j]);
                 fi[0] += dx[0] * fpair;
                 fi[1] += dx[1] * fpair;
                 fi[2] += dx[2] * fpair;
                 atoms.f[j][0] -= dx[0] * fpair;
                 atoms.f[j][1] -= dx[1] * fpair;
                 atoms.f[j][2] -= dx[2] * fpair;
-                energy += self.phi_r.eval(r);
+                energy += phi;
                 virial += r2 * fpair;
             }
             for d in 0..3 {
@@ -271,29 +245,23 @@ impl ManyBodyPotential for EamCu {
         let nlocal = atoms.nlocal;
         fp.clear();
         fp.resize(atoms.ntotal(), 0.0);
-        // Rows write disjoint fp slots, so chunks mutate their own slice
-        // directly; per-row energies are logged and folded in row order.
-        let mut items: Vec<(&mut [f64], Vec<f64>)> = fp[..nlocal]
+        // Rows write disjoint fp and energy slots, so chunks mutate their
+        // own slices directly; the energies are folded in row order after.
+        let mut energies = vec![0.0; nlocal];
+        let mut items: Vec<_> = fp[..nlocal]
             .chunks_mut(CHUNK_ROWS)
-            .map(|s| (s, Vec::new()))
+            .zip(energies.chunks_mut(CHUNK_ROWS))
             .collect();
         let exec = &exec.floored(nlocal);
-        exec.for_each_mut(&mut items, &|c, item| {
-            let (fp_chunk, energies) = item;
-            let row_lo = c * CHUNK_ROWS;
-            for (k, slot) in fp_chunk.iter_mut().enumerate() {
-                let r = rho[row_lo + k];
-                energies.push(self.f_rho.eval(r));
-                *slot = self.f_rho.eval_deriv(r);
+        exec.for_each_mut(&mut items, &|c, (fp_chunk, en_chunk)| {
+            let rho_chunk = &rho[c * CHUNK_ROWS..];
+            for ((slot, e), &r) in fp_chunk.iter_mut().zip(en_chunk.iter_mut()).zip(rho_chunk) {
+                let (m, b) = self.f_rho.locate(r);
+                *e = self.f_rho.value_at(m, b);
+                *slot = self.f_rho.deriv_at(m, b);
             }
         });
-        let mut energy = 0.0;
-        for (_, energies) in &items {
-            for &e in energies {
-                energy += e;
-            }
-        }
-        energy
+        energies.iter().fold(0.0, |sum, e| sum + e)
     }
 
     fn row_kernel(&self) -> Option<&dyn ManyBodyRowKernel> {
@@ -313,16 +281,19 @@ impl ManyBodyRowKernel for EamCu {
         assert!(!matches!(list.kind, ListKind::Full), "EAM uses a half list");
         let x = &atoms.x;
         scratch.log_chunks(rows, exec, &|log, chunk| {
-            let mut hits: Vec<EamHit> = Vec::new();
+            let mut slab = Slab::new();
             for i in chunk.filter(|&i| rows.covers(i)) {
                 log.begin_row(i as u32);
-                self.blocked_row_hits(x[i], x, list.neighbors(i), &mut hits);
-                for &(j, _, _, r) in &hits {
-                    let contrib = self.rho_r.eval(r);
-                    // Serial order: rho[i] first, then rho[j].
-                    log.push_scalar(i as u32, contrib);
-                    log.push_scalar(j, contrib);
+                let mut rho_i = 0.0;
+                for blk in list.neighbors(i).chunks(ROW_BLOCK) {
+                    let na = slab.filter(x[i], x, blk, self.cutsq);
+                    for (&j, &r2) in slab.j[..na].iter().zip(&slab.r2[..na]) {
+                        let c = self.rho_r.eval(r2.sqrt());
+                        rho_i += c;
+                        log.push_scalar(j, c);
+                    }
                 }
+                log.push_scalar(i as u32, rho_i);
             }
         });
     }
@@ -339,21 +310,29 @@ impl ManyBodyRowKernel for EamCu {
         assert!(fp.len() >= atoms.ntotal(), "fp must cover ghosts");
         let x = &atoms.x;
         scratch.log_chunks(rows, exec, &|log, chunk| {
-            let mut hits: Vec<EamHit> = Vec::new();
+            let mut slab = Slab::new();
             for i in chunk.filter(|&i| rows.covers(i)) {
                 log.begin_row(i as u32);
-                self.blocked_row_hits(x[i], x, list.neighbors(i), &mut hits);
+                let xi = x[i];
                 let mut fi = [0.0f64; 3];
-                for &(j, dx, r2, r) in &hits {
-                    let phip = self.phi_r.eval_deriv(r);
-                    let rhop = self.rho_r.eval_deriv(r);
-                    let dudr = phip + (fp[i] + fp[j as usize]) * rhop;
-                    let fpair = -dudr / r;
-                    fi[0] += dx[0] * fpair;
-                    fi[1] += dx[1] * fpair;
-                    fi[2] += dx[2] * fpair;
-                    log.push_force(j, [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)]);
-                    log.push_ev(self.phi_r.eval(r), r2 * fpair);
+                for blk in list.neighbors(i).chunks(ROW_BLOCK) {
+                    let na = slab.filter(xi, x, blk, self.cutsq);
+                    let (jc, r2) = (&slab.j[..na], &slab.r2[..na]);
+                    let (fpair, en) = (&mut slab.fp[..na], &mut slab.en[..na]);
+                    for k in 0..na {
+                        (fpair[k], en[k]) = self.force_pair(r2[k], fp[i] + fp[jc[k] as usize]);
+                    }
+                    // Forces scatter pair by pair, `dx` re-derived from `x[j]`.
+                    log.extend_ev((0..na).map(|k| (en[k], r2[k] * fpair[k])));
+                    for k in 0..na {
+                        let xj = x[jc[k] as usize];
+                        let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                        let f = fpair[k];
+                        fi[0] += dx[0] * f;
+                        fi[1] += dx[1] * f;
+                        fi[2] += dx[2] * f;
+                        log.push_force(jc[k], [-(dx[0] * f), -(dx[1] * f), -(dx[2] * f)]);
+                    }
                 }
                 log.push_force(i as u32, fi);
             }

@@ -2,34 +2,9 @@
 
 use super::{PairEnergyVirial, PairPotential, PairRowKernel};
 use crate::atom::Atoms;
-use crate::kernels::{PairScratch, Rows};
+use crate::kernels::{PairScratch, Rows, Slab, ROW_BLOCK};
 use crate::neighbor::{ListKind, NeighborList};
 use tofumd_threadpool::ChunkExec;
-
-/// Slab width of the blocked row loop: long enough that the vectorized
-/// lane loops dominate their setup and LLVM's own epilogue handles short
-/// remainders, small enough that the slab buffers stay in L1.
-const ROW_BLOCK: usize = 64;
-
-/// Slab buffers of the blocked row loop, hoisted out of the per-row call
-/// so they are initialized once per chunk, not zeroed once per row.
-struct BlockedScratch {
-    jc: [u32; ROW_BLOCK],
-    r2c: [f64; ROW_BLOCK],
-    fp: [f64; ROW_BLOCK],
-    en: [f64; ROW_BLOCK],
-}
-
-impl Default for BlockedScratch {
-    fn default() -> Self {
-        BlockedScratch {
-            jc: [0; ROW_BLOCK],
-            r2c: [0.0; ROW_BLOCK],
-            fp: [0.0; ROW_BLOCK],
-            en: [0.0; ROW_BLOCK],
-        }
-    }
-}
 
 /// `pair_style lj/cut` equivalent: U(r) = 4 eps [ (sigma/r)^12 - (sigma/r)^6 ]
 /// for r < r_cut, unshifted (LAMMPS default).
@@ -131,66 +106,42 @@ impl LjCut {
     }
 
     /// Blocked inner loop of one neighbor row: process the list in
-    /// [`ROW_BLOCK`]-wide slabs of branch-free lane loops (gather,
-    /// displacement, r², then a fused force-prefactor / pair-energy loop
-    /// whose shared `1.0 / r2` costs one division per lane), handing each
-    /// slab's accepted pairs — neighbor indices, r², force prefactors,
-    /// pair energies, compacted and in neighbor order — to the `slab`
-    /// visitor. Every lane runs the exact IEEE op sequence the scalar
-    /// path runs on that pair — a short final slab just runs the same
-    /// loops with a shorter trip count — and rejected lanes' values are
-    /// never read, so the visited stream is the scalar kernel's accept
-    /// stream bit-for-bit. The visitor sees whole slabs, so it can batch
-    /// its per-pair logging.
+    /// [`ROW_BLOCK`]-wide slabs — the shared branch-free gather + filter
+    /// ([`Slab::filter`]), then a fused force-prefactor / pair-energy lane
+    /// loop whose shared `1.0 / r2` costs one division per lane — handing
+    /// each slab's accepted pairs (neighbor indices, r², force prefactors,
+    /// pair energies, compacted and in neighbor order) to the `slab`
+    /// visitor. Every lane runs the exact IEEE op sequence the scalar path
+    /// runs on that pair and rejected lanes' values are never read, so the
+    /// visited stream is the scalar kernel's accept stream bit-for-bit. The
+    /// visitor sees whole slabs, so it can batch its per-pair logging.
     #[inline]
     fn blocked_row(
         &self,
         xi: [f64; 3],
         x: &[[f64; 3]],
         neigh: &[u32],
-        scr: &mut BlockedScratch,
+        scr: &mut Slab,
         mut slab: impl FnMut(&[u32], &[f64], &[f64], &[f64]),
     ) {
-        let cutsq = self.cutsq;
-        let BlockedScratch {
-            jc,
-            r2c,
-            fp: fpb,
-            en: enb,
-        } = scr;
         let (lj1, lj2) = (self.lj1, self.lj2);
         let (lj3, lj4, eshift) = (self.lj3, self.lj4, self.eshift);
         for blk in neigh.chunks(ROW_BLOCK) {
-            // Gather + filter: r² for every candidate (the scalar op
-            // sequence exactly), with neighbor index and r² compressed to
-            // the accepted lanes. The cursor advances via a flag add, so
-            // the loop is branch-free — a rejected lane's slot is simply
-            // overwritten by the next candidate. The displacement is NOT
-            // buffered: the visit loop re-derives it from `x[j]`, still
-            // hot in L1 from this pass, with the same subtractions.
-            let mut na = 0usize;
-            for &j in blk {
-                let xj = x[j as usize];
-                let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                let rr = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-                jc[na] = j;
-                r2c[na] = rr;
-                na += usize::from(rr < cutsq);
-            }
+            let na = scr.filter(xi, x, blk, self.cutsq);
             // The straight-line bodies of `fpair` and `pair_energy_r2`,
             // fused so the `1.0 / r2` both start with is computed once
             // per lane, over the compacted accepted lanes only — dense,
             // branch-free, and exactly the ops the scalar path runs on
             // those pairs.
-            let (fp, en) = (&mut fpb[..na], &mut enb[..na]);
-            let r2a = &r2c[..na];
+            let (fp, en) = (&mut scr.fp[..na], &mut scr.en[..na]);
+            let r2a = &scr.r2[..na];
             for k in 0..na {
                 let inv2 = 1.0 / r2a[k];
                 let inv6 = inv2 * inv2 * inv2;
                 fp[k] = inv6 * (lj1 * inv6 - lj2) * inv2;
                 en[k] = lj3 * inv6 * inv6 - lj4 * inv6 - eshift;
             }
-            slab(&jc[..na], r2a, fp, en);
+            slab(&scr.j[..na], r2a, fp, en);
         }
     }
 }
@@ -263,7 +214,7 @@ impl PairRowKernel for LjCut {
         let half = !matches!(list.kind, ListKind::Full);
         let x = &atoms.x;
         scratch.log_chunks(rows, exec, &|log, chunk| {
-            let mut bscr = BlockedScratch::default();
+            let mut bscr = Slab::new();
             for i in chunk.filter(|&i| rows.covers(i)) {
                 log.begin_row(i as u32);
                 let xi = x[i];

@@ -418,6 +418,78 @@ mod tests {
         assert!(s1.temperature > 50.0 && s1.temperature < 600.0);
     }
 
+    /// An oracle that is not our own engine: E/atom of a perfect FCC Cu
+    /// crystal is a closed-form lattice sum of the analytic `EamParams`
+    /// forms, every force vanishes by symmetry, and the chunked passes
+    /// reproduce the serial ones to the bit on the same crystal.
+    #[test]
+    fn eam_fcc_crystal_matches_the_closed_form_lattice_sum() {
+        use crate::kernels::PairScratch;
+        use crate::potential::eam::EamParams;
+        use tofumd_threadpool::{ChunkExec, SpinPool};
+
+        let a = 3.615;
+        let (bounds, pos) = FccLattice::from_cell(a).build(4, 4, 4);
+        let sim = SerialSim::new(
+            Atoms::from_positions(pos, 1),
+            bounds,
+            Potential::ManyBody(Box::new(EamCu::lammps_bench())),
+            UnitSystem::Metal,
+            1.0,
+            RebuildPolicy::EAM,
+            0.005,
+            63.55,
+        );
+        // FCC sites are (a/2)(i, j, k) with i + j + k even. The shells by
+        // i² + j² + k²: 2 → the 12 permutations of (±1, ±1, 0) at a/√2,
+        // 4 → the 6 of (±2, 0, 0) at a, 6 → the 24 of (±2, ±1, ±1) at
+        // a·√1.5 = 4.427 Å; 8 → (±2, ±2, 0) at a·√2 = 5.112 Å is past the
+        // 4.95 Å cutoff.
+        let p = EamParams::cu();
+        let shells = [(12.0, a / 2f64.sqrt()), (6.0, a), (24.0, a * 1.5f64.sqrt())];
+        let rho: f64 = shells.iter().map(|&(n, r)| n * p.rho(r)).sum();
+        let phi: f64 = shells.iter().map(|&(n, r)| n * p.phi(r)).sum();
+        let want = p.embed(rho) + 0.5 * phi;
+        let nlocal = sim.atoms.nlocal;
+        let got = sim.snapshot().pe / nlocal as f64;
+        assert!((got - want).abs() < 1e-9, "E/atom {got} vs {want} eV");
+        for f in &sim.atoms.f[..nlocal] {
+            assert!(f.iter().all(|c| c.abs() < 1e-12), "net force {f:?}");
+        }
+
+        let Potential::ManyBody(eam) = &sim.potential else {
+            unreachable!("built with EAM");
+        };
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let pool = SpinPool::new(2);
+        let mut scratch = PairScratch::new();
+        for exec in [ChunkExec::Serial, ChunkExec::Pool(&pool)] {
+            let (mut rho, mut fp) = (Vec::new(), Vec::new());
+            eam.compute_rho_chunked(&sim.atoms, &sim.list, &mut rho, &exec, &mut scratch);
+            sim.reverse_scalar(&mut rho);
+            assert_eq!(bits(&rho), bits(&sim.rho_buf));
+            let embed = eam.compute_embedding_chunked(&sim.atoms, &rho, &mut fp, &exec);
+            sim.forward_scalar(&mut fp);
+            assert_eq!(embed.to_bits(), sim.last_embed.to_bits());
+            assert_eq!(bits(&fp), bits(&sim.fp_buf));
+            let mut atoms = sim.atoms.clone();
+            atoms.zero_forces();
+            let ev = eam.compute_force_chunked(&mut atoms, &sim.list, &fp, &exec, &mut scratch);
+            assert_eq!(ev.energy.to_bits(), sim.last_pair.energy.to_bits());
+            assert_eq!(ev.virial.to_bits(), sim.last_pair.virial.to_bits());
+            for (gi, g) in sim.ghosts.iter().enumerate() {
+                let fg = atoms.f[nlocal + gi];
+                for d in 0..3 {
+                    atoms.f[g.owner as usize][d] += fg[d];
+                }
+            }
+            assert_eq!(
+                bits(atoms.f.as_flattened()),
+                bits(sim.atoms.f.as_flattened())
+            );
+        }
+    }
+
     #[test]
     fn check_yes_policy_skips_rebuilds_when_cold() {
         // A 0-temperature crystal never moves, so `check yes` should never
