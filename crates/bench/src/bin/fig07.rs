@@ -10,52 +10,6 @@
 // The bins share the library crate's no-unwrap contract.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::sync::Arc;
-use tofumd_bench::render_table;
-use tofumd_tofu::{CellGrid, NetParams, TofuNet, Vcq, CQS_PER_TNI, TNIS_PER_NODE};
-
 fn main() {
-    println!("Fig. 7 — VCQ binding (simulated node)\n");
-
-    println!("== coarse-grained: 4 ranks x 1 VCQ on their own TNI ==");
-    let net = Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()));
-    let mut rows = Vec::new();
-    for rank in 0..4u32 {
-        let v = Vcq::create(net.clone(), 0, rank as usize % 4, rank)
-            .unwrap_or_else(|e| panic!("VCQ for rank {rank}: {e:?}"));
-        rows.push(vec![
-            format!("rank {rank}"),
-            format!("TNI {}", v.tni()),
-            format!("CQ {}", v.cq()),
-        ]);
-    }
-    println!("{}", render_table(&["rank", "TNI", "CQ"], &rows));
-
-    println!("== fine-grained: 4 ranks x 6 VCQs, one per TNI (Fig. 7's scheme) ==");
-    let net = Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()));
-    let mut rows = Vec::new();
-    for rank in 0..4u32 {
-        let mut cells = vec![format!("rank {rank}")];
-        for tni in 0..TNIS_PER_NODE {
-            let v = Vcq::create(net.clone(), 0, tni, rank)
-                .unwrap_or_else(|e| panic!("VCQ for rank {rank} TNI {tni}: {e:?}"));
-            cells.push(format!("CQ{}", v.cq()));
-        }
-        rows.push(cells);
-    }
-    println!(
-        "{}",
-        render_table(
-            &["rank", "TNI0", "TNI1", "TNI2", "TNI3", "TNI4", "TNI5"],
-            &rows
-        )
-    );
-    println!("24 CQs in use (4 ranks x 6 TNIs); each TNI has {CQS_PER_TNI} CQs, so");
-
-    // Exhaustion: how many more VCQs fit on TNI0?
-    let mut extra = 0;
-    while Vcq::create(net.clone(), 0, 0, 99).is_ok() {
-        extra += 1;
-    }
-    println!("{extra} additional VCQs fit on TNI0 before CQ exhaustion (9 - 4 = 5).");
+    print!("{}", tofumd_bench::fig07_report());
 }

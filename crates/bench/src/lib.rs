@@ -15,7 +15,9 @@
 // lint suggests would be less clear.
 #![allow(clippy::needless_range_loop)]
 
+use std::sync::Arc;
 use tofumd_runtime::{Cluster, CommVariant, RunConfig, StageBreakdown};
+use tofumd_tofu::{CellGrid, NetParams, TofuNet, Vcq, CQS_PER_TNI, TNIS_PER_NODE};
 
 /// The proxy torus used for large-target runs: 24 nodes (2 cells), 96
 /// ranks on a 4 x 6 x 4 rank grid — large enough that every rank has
@@ -129,9 +131,78 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// The text of `--bin fig07` (`results/fig07.txt`): the two VCQ binding
+/// modes on a simulated node — coarse-grained (each of the 4 ranks binds
+/// one VCQ on its own TNI) and fine-grained (each rank creates 6 VCQs, one
+/// per TNI, claiming CQ slot r on each) — and the 9-CQ-per-TNI exhaustion
+/// rule. A `Vcq` frees its CQ on drop, so each section holds the VCQs it
+/// created until its rows are read.
+#[must_use]
+pub fn fig07_report() -> String {
+    let node = || Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()));
+    let create = |net: &Arc<TofuNet>, tni: usize, rank: u32| {
+        Vcq::create(net.clone(), 0, tni, rank)
+            .unwrap_or_else(|e| panic!("VCQ for rank {rank} TNI {tni}: {e:?}"))
+    };
+    let mut out = String::from("Fig. 7 — VCQ binding (simulated node)\n\n");
+
+    out.push_str("== coarse-grained: 4 ranks x 1 VCQ on their own TNI ==\n");
+    let net = node();
+    let vcqs: Vec<Vcq> = (0..4u32).map(|r| create(&net, r as usize, r)).collect();
+    let rows: Vec<Vec<String>> = (0..4)
+        .zip(&vcqs)
+        .map(|(rank, v)| {
+            vec![
+                format!("rank {rank}"),
+                format!("TNI {}", v.tni()),
+                format!("CQ {}", v.cq()),
+            ]
+        })
+        .collect();
+    out.push_str(&render_table(&["rank", "TNI", "CQ"], &rows));
+
+    out.push_str("\n== fine-grained: 4 ranks x 6 VCQs, one per TNI (Fig. 7's scheme) ==\n");
+    let net = node();
+    let mut vcqs: Vec<Vcq> = Vec::new();
+    let mut rows = Vec::new();
+    for rank in 0..4u32 {
+        let mut cells = vec![format!("rank {rank}")];
+        for tni in 0..TNIS_PER_NODE {
+            let v = create(&net, tni, rank);
+            cells.push(format!("CQ{}", v.cq()));
+            vcqs.push(v);
+        }
+        rows.push(cells);
+    }
+    out.push_str(&render_table(
+        &["rank", "TNI0", "TNI1", "TNI2", "TNI3", "TNI4", "TNI5"],
+        &rows,
+    ));
+    out.push_str(&format!(
+        "\n24 CQs in use (4 ranks x 6 TNIs); each TNI has {CQS_PER_TNI} CQs, so\n"
+    ));
+
+    // Exhaustion: how many more VCQs fit on TNI0 beside the four held?
+    while let Ok(v) = Vcq::create(net.clone(), 0, 0, 99) {
+        vcqs.push(v);
+    }
+    let extra = vcqs.len() - 4 * TNIS_PER_NODE;
+    out.push_str(&format!(
+        "{extra} additional VCQs fit on TNI0 before CQ exhaustion (9 - 4 = 5).\n"
+    ));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `fig07` terminates (it once looped forever creating and dropping
+    /// the same CQ) and prints the committed figure.
+    #[test]
+    fn fig07_report_returns_the_committed_text() {
+        assert_eq!(fig07_report(), include_str!("../../../results/fig07.txt"));
+    }
 
     #[test]
     fn proxy_mesh_folds() {

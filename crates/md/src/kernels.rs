@@ -1,42 +1,40 @@
-//! Deterministic chunk-parallel kernel support.
+//! Deterministic scatter passes: one row body, two places to write.
 //!
-//! The force and density passes parallelize by splitting a rank's neighbor
-//! rows into fixed-size chunks, but their serial counterparts accumulate
-//! with floating-point `+=` in one specific order — and this codebase
-//! promises bit-identical results at any `--threads`. Per-thread partial
-//! sums reduced afterwards would change the addition order, so the chunked
-//! kernels never sum concurrently. Instead each chunk *logs* the updates
-//! its rows would perform, in exactly the serial order, and the logs are
-//! replayed afterwards:
+//! The force and density passes accumulate with floating-point `+=` in one
+//! specific order — rows ascending, pairs in neighbor order, the row's own
+//! share at row end — and this codebase promises those bits at any
+//! `--threads`. Each pass therefore has ONE blocked row body that writes
+//! through a [`Sink`], and the executor a rank is handed picks the sink:
 //!
-//! * **Force/density scatters** are bucketed by target-index range. Each
-//!   bucket owns a disjoint slice of the output array, so buckets replay in
-//!   parallel; within a bucket the chunks replay in ascending chunk order,
-//!   making every individual element's update sequence exactly the serial
-//!   kernel's. Since IEEE-754 addition is deterministic (just not
-//!   associative), same sequence ⇒ same bits.
-//! * **Energy/virial** contributions are logged per pair and folded on one
-//!   thread in chunk/row/pair order — again the serial addition sequence.
+//! * **[`Direct`]** — a rank visited by one worker ([`ChunkExec::Serial`]:
+//!   every run with `threads ≤ nodes`) walks its rows ascending and adds
+//!   straight into `f` / `rho` and a running energy/virial. That *is* the
+//!   serial oracle's order, so there is nothing to reorder and nothing is
+//!   logged.
+//! * **[`RowLog`]** — a rank several workers share ([`ChunkExec::Pool`]:
+//!   `threads > nodes`) splits its rows into fixed-size chunks that run
+//!   concurrently. Per-thread partial sums would change the addition
+//!   order, so a chunk *logs* the updates its rows would perform and the
+//!   logs are replayed afterwards: scatter entries `(target, Δ)` are
+//!   bucketed by target-index range — buckets own disjoint slices of the
+//!   output and replay in parallel, the chunks of one bucket in ascending
+//!   order, so every element receives its updates in exactly the serial
+//!   sequence — and energy/virial are folded on one thread in chunk, row,
+//!   pair order. IEEE-754 addition is deterministic (just not
+//!   associative): same sequence, same bits.
 //!
-//! Every logged update carries its source row, so a pass may be logged in
-//! two sittings — the *interior* rows while halo messages are in flight,
-//! the *boundary* rows once they have arrived — and still replay in the
-//! serial order: a row lives wholly on one side, each side's stream is
-//! row-ascending, so a two-pointer merge by row restores the serial
-//! interleaving. A pass logged in one sitting simply leaves the boundary
-//! side empty.
-//!
-//! The row kernels that write the log share one inner-loop shape
-//! (DESIGN.md §16): per `ROW_BLOCK`-wide slab of a neighbor row,
-//! `Slab::filter` compacts the in-range pairs without a branch, the
-//! potential runs a dense lane loop over those only, and a visitor logs
-//! them pair by pair. LJ and both EAM passes call the same filter.
+//! The row bodies share one inner-loop shape (DESIGN.md §16): per
+//! `ROW_BLOCK`-wide slab of a neighbor row, `Slab::filter` compacts the
+//! in-range pairs without a branch, the potential runs a dense lane loop
+//! over those only, and the pairs are handed to the sink one by one. LJ
+//! and both EAM passes call the same filter.
 //!
 //! No atomics anywhere: atomic float accumulation would make results
 //! depend on thread interleaving, which is exactly the nondeterminism this
 //! design exists to rule out. The chunk size and bucket count affect only
 //! wall-clock, never results.
 
+use crate::potential::PairEnergyVirial;
 use serde::{Deserialize, Serialize};
 use tofumd_threadpool::ChunkExec;
 
@@ -104,6 +102,77 @@ impl Slab {
     }
 }
 
+/// Where a row body writes what its pairs contribute. Both implementations
+/// see the same calls in the same order — scatters in neighbor order, the
+/// row's own share last, energy/virial a slab at a time.
+pub(crate) trait Sink {
+    /// `f[target] += delta`.
+    fn add_force(&mut self, target: u32, delta: [f64; 3]);
+
+    /// `rho[target] += delta`.
+    fn add_scalar(&mut self, target: u32, delta: f64);
+
+    /// A batch of pair energy/virial contributions in iteration order.
+    fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I);
+}
+
+/// The sink of a rank one worker owns: the output array itself plus the
+/// running energy/virial. Rows are fed ascending, which is the serial
+/// oracle's addition order element by element.
+pub(crate) struct Direct<'a> {
+    f: &'a mut [[f64; 3]],
+    rho: &'a mut [f64],
+    ev: PairEnergyVirial,
+}
+
+impl<'a> Direct<'a> {
+    /// Sink of a force pass over `f`.
+    pub fn forces(f: &'a mut [[f64; 3]]) -> Self {
+        Direct {
+            f,
+            rho: &mut [],
+            ev: PairEnergyVirial::default(),
+        }
+    }
+
+    /// Sink of a density pass over `rho`.
+    pub fn scalars(rho: &'a mut [f64]) -> Self {
+        Direct {
+            f: &mut [],
+            rho,
+            ev: PairEnergyVirial::default(),
+        }
+    }
+
+    /// Energy/virial accumulated so far.
+    pub fn ev(&self) -> PairEnergyVirial {
+        self.ev
+    }
+}
+
+impl Sink for Direct<'_> {
+    #[inline]
+    fn add_force(&mut self, target: u32, delta: [f64; 3]) {
+        let o = &mut self.f[target as usize];
+        o[0] += delta[0];
+        o[1] += delta[1];
+        o[2] += delta[2];
+    }
+
+    #[inline]
+    fn add_scalar(&mut self, target: u32, delta: f64) {
+        self.rho[target as usize] += delta;
+    }
+
+    #[inline]
+    fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I) {
+        for (de, dv) in evs {
+            self.ev.energy += de;
+            self.ev.virial += dv;
+        }
+    }
+}
+
 /// Number of disjoint target-index ranges the scatter replay splits the
 /// output array into (the replay's parallelism ceiling).
 pub const SCATTER_BUCKETS: usize = 16;
@@ -119,50 +188,27 @@ pub fn bucket_size(ntotal: usize) -> usize {
     ntotal.div_ceil(SCATTER_BUCKETS).max(1).next_power_of_two()
 }
 
-/// The rows one logging call covers, and with them the side of the
-/// [`PairScratch`] they are logged to.
-#[derive(Debug, Clone, Copy)]
-pub enum Rows<'a> {
-    /// Every row, in one sitting (the boundary side stays empty).
-    All,
-    /// The rows with `flags[i] == interior`, to that side.
-    Side {
-        /// Interior flag per local row.
-        flags: &'a [bool],
-        /// Which side this call logs.
-        interior: bool,
-    },
-}
-
-impl Rows<'_> {
-    /// Does this call log row `i`?
-    #[inline]
-    #[must_use]
-    pub fn covers(self, i: usize) -> bool {
-        match self {
-            Rows::All => true,
-            Rows::Side { flags, interior } => flags[i] == interior,
-        }
-    }
-}
-
-/// One chunk's logged updates for one side of a pass: scatter entries
-/// `(row, target, delta)` bucketed by target range, plus the per-pair
-/// energy/virial stream with one `(row, start)` run per logged row.
+/// One row chunk's logged updates: scatter entries `(target, delta)`
+/// bucketed by target range (32 B per force entry, 16 B per density
+/// entry) plus the per-pair energy/virial stream (16 B). Rows are logged
+/// ascending, so each stream is already in serial order.
 #[derive(Debug, Default)]
-pub struct RowLog {
+pub(crate) struct RowLog {
     shift: u32,
-    row: u32,
-    vec_buckets: Vec<Vec<(u32, u32, [f64; 3])>>,
-    scalar_buckets: Vec<Vec<(u32, u32, f64)>>,
+    vec_buckets: Vec<Vec<(u32, [f64; 3])>>,
+    scalar_buckets: Vec<Vec<(u32, f64)>>,
     ev: Vec<(f64, f64)>,
-    ev_rows: Vec<(u32, usize)>,
 }
 
 impl RowLog {
-    /// Clear all logs, keeping their capacity for the next pass.
-    fn reset(&mut self, shift: u32) {
+    /// Clear all logs, keeping their capacity for the next pass, with
+    /// `nbuckets` buckets of `1 << shift` targets each.
+    fn reset(&mut self, shift: u32, nbuckets: usize) {
         self.shift = shift;
+        if self.vec_buckets.len() < nbuckets {
+            self.vec_buckets.resize_with(nbuckets, Vec::new);
+            self.scalar_buckets.resize_with(nbuckets, Vec::new);
+        }
         for b in &mut self.vec_buckets {
             b.clear();
         }
@@ -170,65 +216,36 @@ impl RowLog {
             b.clear();
         }
         self.ev.clear();
-        self.ev_rows.clear();
-    }
-
-    /// Start logging neighbor row `row`; rows must arrive ascending.
-    #[inline]
-    pub fn begin_row(&mut self, row: u32) {
-        self.row = row;
-        self.ev_rows.push((row, self.ev.len()));
-    }
-
-    /// Bucket of `target`, growing the bucket list on demand: the width is
-    /// fixed when the pass is prepared, but the boundary rows of a pass
-    /// prepared before the ghost shell existed scatter to targets past it.
-    #[inline]
-    fn bucket<T>(buckets: &mut Vec<Vec<T>>, shift: u32, target: u32) -> &mut Vec<T> {
-        let idx = (target >> shift) as usize;
-        if buckets.len() <= idx {
-            buckets.resize_with(idx + 1, Vec::new);
-        }
-        &mut buckets[idx]
-    }
-
-    /// Log `out[target] += delta` for a `[f64; 3]` output array.
-    #[inline]
-    pub fn push_force(&mut self, target: u32, delta: [f64; 3]) {
-        Self::bucket(&mut self.vec_buckets, self.shift, target).push((self.row, target, delta));
-    }
-
-    /// Log `out[target] += delta` for a scalar output array.
-    #[inline]
-    pub fn push_scalar(&mut self, target: u32, delta: f64) {
-        Self::bucket(&mut self.scalar_buckets, self.shift, target).push((self.row, target, delta));
-    }
-
-    /// Log a batch of pair energy/virial contributions in iteration order.
-    /// One reservation for the whole batch instead of a capacity check per
-    /// pair — the row kernels feed a slab at a time through this.
-    #[inline]
-    pub fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I) {
-        self.ev.extend(evs);
-    }
-
-    /// The energy/virial entries of the `k`-th logged row.
-    fn ev_run(&self, k: usize) -> &[(f64, f64)] {
-        let end = self.ev_rows.get(k + 1).map_or(self.ev.len(), |r| r.1);
-        &self.ev[self.ev_rows[k].1..end]
     }
 }
 
-/// Reusable per-rank scratch of the logging kernels: one interior and one
-/// boundary [`RowLog`] per row chunk, retained across steps so
-/// steady-state runs don't allocate.
+impl Sink for RowLog {
+    #[inline]
+    fn add_force(&mut self, target: u32, delta: [f64; 3]) {
+        self.vec_buckets[(target >> self.shift) as usize].push((target, delta));
+    }
+
+    #[inline]
+    fn add_scalar(&mut self, target: u32, delta: f64) {
+        self.scalar_buckets[(target >> self.shift) as usize].push((target, delta));
+    }
+
+    /// One reservation for the whole batch instead of a capacity check per
+    /// pair — the row bodies feed a slab at a time through this.
+    #[inline]
+    fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I) {
+        self.ev.extend(evs);
+    }
+}
+
+/// The scatter log of a rank that several workers share: one [`RowLog`]
+/// per row chunk, retained across passes and ranks so steady-state runs
+/// don't allocate. A rank one worker owns never touches it.
 #[derive(Debug, Default)]
 pub struct PairScratch {
-    nlocal: usize,
     bs: usize,
     nchunks: usize,
-    interior: Vec<RowLog>,
-    boundary: Vec<RowLog>,
+    logs: Vec<RowLog>,
 }
 
 impl PairScratch {
@@ -238,57 +255,36 @@ impl PairScratch {
         PairScratch::default()
     }
 
-    /// Reset for a pass over `nlocal` rows scattering into `ntotal`
-    /// targets (both sides cleared, capacity retained). Call once per
-    /// pass, before logging either side. A pass whose interior side is
-    /// logged before the ghost shell exists passes the ghost-free count:
-    /// ghost targets then land in buckets grown on demand. The bucket
-    /// width only ever grows, so such a pass keeps the width the previous
-    /// shell's targets fitted — one bucketing per scratch, which is what
-    /// lets every bucket reuse its capacity from pass to pass.
-    pub fn prepare(&mut self, nlocal: usize, ntotal: usize) {
-        self.nlocal = nlocal;
+    /// Log a pass over `nlocal` rows scattering into `ntotal` targets:
+    /// clear the logs (capacity retained), then run `rows(log, range)`
+    /// once per row chunk — concurrently under a pool — with the chunk's
+    /// log and row range; it feeds the rows through the log in ascending
+    /// order. The bucket width only ever grows, so ranks of different
+    /// sizes share one bucketing per scratch and every bucket reuses its
+    /// capacity from pass to pass.
+    pub(crate) fn log(
+        &mut self,
+        nlocal: usize,
+        ntotal: usize,
+        exec: &ChunkExec<'_>,
+        rows: &(dyn Fn(&mut RowLog, std::ops::Range<usize>) + Sync),
+    ) {
         self.bs = self.bs.max(bucket_size(ntotal));
         self.nchunks = nlocal.div_ceil(CHUNK_ROWS);
-        if self.interior.len() < self.nchunks {
-            self.interior.resize_with(self.nchunks, RowLog::default);
-            self.boundary.resize_with(self.nchunks, RowLog::default);
+        if self.logs.len() < self.nchunks {
+            self.logs.resize_with(self.nchunks, RowLog::default);
         }
-        let shift = self.bs.trailing_zeros();
-        for log in self.interior[..self.nchunks]
-            .iter_mut()
-            .chain(&mut self.boundary[..self.nchunks])
-        {
-            log.reset(shift);
-        }
-    }
-
-    /// Chunk-parallel driver of a logging kernel: `chunk(log, range)` runs
-    /// once per row chunk with the chunk's log on the side `rows` names
-    /// and the chunk's row range; it logs the rows `rows` covers, in
-    /// ascending order, each opened with [`RowLog::begin_row`].
-    pub fn log_chunks(
-        &mut self,
-        rows: Rows<'_>,
-        exec: &ChunkExec<'_>,
-        chunk: &(dyn Fn(&mut RowLog, std::ops::Range<usize>) + Sync),
-    ) {
-        let nlocal = self.nlocal;
-        let side = match rows {
-            Rows::All | Rows::Side { interior: true, .. } => &mut self.interior,
-            Rows::Side { .. } => &mut self.boundary,
-        };
+        let (shift, nbuckets) = (self.bs.trailing_zeros(), ntotal.div_ceil(self.bs));
         exec.floored(nlocal)
-            .for_each_mut(&mut side[..self.nchunks], &|c, log| {
-                chunk(log, c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(nlocal));
+            .for_each_mut(&mut self.logs[..self.nchunks], &|c, log| {
+                log.reset(shift, nbuckets);
+                rows(log, c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(nlocal));
             });
     }
 
-    /// The two sides of every chunk, in chunk order.
-    fn chunks(&self) -> impl Iterator<Item = (&RowLog, &RowLog)> {
-        self.interior[..self.nchunks]
-            .iter()
-            .zip(&self.boundary[..self.nchunks])
+    /// The logs of the last pass, in chunk order.
+    fn chunks(&self) -> &[RowLog] {
+        &self.logs[..self.nchunks]
     }
 }
 
@@ -309,70 +305,30 @@ fn bucket_slices<T>(out: &mut [T], bs: usize) -> Vec<(usize, &mut [T])> {
     slices
 }
 
-/// Merge one chunk's interior and boundary streams by ascending row tag
-/// (ties impossible: a row lives wholly on one side) and apply each entry
-/// through `f` — the serial kernel's exact visit order for that chunk.
-#[inline]
-fn merge_rows<T: Copy>(ia: &[(u32, u32, T)], ba: &[(u32, u32, T)], mut f: impl FnMut(u32, T)) {
-    let (mut p, mut q) = (0, 0);
-    while p < ia.len() && q < ba.len() {
-        if ia[p].0 <= ba[q].0 {
-            f(ia[p].1, ia[p].2);
-            p += 1;
-        } else {
-            f(ba[q].1, ba[q].2);
-            q += 1;
-        }
-    }
-    for &(_, t, d) in &ia[p..] {
-        f(t, d);
-    }
-    for &(_, t, d) in &ba[q..] {
-        f(t, d);
-    }
-}
-
 /// Replay one scatter stream (`buckets` picks it out of a log) into `out`.
 /// Buckets run in parallel (disjoint target ranges); within each bucket
-/// the chunks replay in ascending order with the two sides of each chunk
-/// merged by row, so every element receives its updates in exactly the
-/// serial kernel's sequence.
+/// the chunks replay in ascending order, so every element receives its
+/// updates in exactly the serial kernel's sequence.
 fn replay<T: Copy + Sync, O: Send>(
     scratch: &PairScratch,
     out: &mut [O],
     exec: &ChunkExec<'_>,
-    buckets: impl Fn(&RowLog) -> &Vec<Vec<(u32, u32, T)>> + Sync,
+    buckets: impl Fn(&RowLog) -> &Vec<Vec<(u32, T)>> + Sync,
     add: impl Fn(&mut O, T) + Sync,
 ) {
     let exec = &exec.floored(out.len());
     let mut slices = bucket_slices(out, scratch.bs);
     exec.for_each_mut(&mut slices, &|b, (base, slice)| {
-        let side = |log| buckets(log).get(b).map_or(&[][..], |v| v);
-        for (interior, boundary) in scratch.chunks() {
-            merge_rows(side(interior), side(boundary), |t, d| {
+        for log in scratch.chunks() {
+            for &(t, d) in buckets(log).get(b).into_iter().flatten() {
                 add(&mut slice[t as usize - *base], d);
-            });
+            }
         }
     });
 }
 
-/// Replay a pass's `[f64; 3]` scatter log into `out` (see [`replay`]).
-pub fn replay_forces(scratch: &PairScratch, out: &mut [[f64; 3]], exec: &ChunkExec<'_>) {
-    replay(
-        scratch,
-        out,
-        exec,
-        |log| &log.vec_buckets,
-        |o, d: [f64; 3]| {
-            o[0] += d[0];
-            o[1] += d[1];
-            o[2] += d[2];
-        },
-    );
-}
-
-/// Scalar-array variant of [`replay_forces`] (EAM electron density).
-pub fn replay_scalars(scratch: &PairScratch, out: &mut [f64], exec: &ChunkExec<'_>) {
+/// Replay a logged density pass into `out` (see [`replay`]).
+pub(crate) fn replay_scalars(scratch: &PairScratch, out: &mut [f64], exec: &ChunkExec<'_>) {
     replay(
         scratch,
         out,
@@ -382,32 +338,31 @@ pub fn replay_scalars(scratch: &PairScratch, out: &mut [f64], exec: &ChunkExec<'
     );
 }
 
-/// Fold a pass's energy/virial streams on one thread: chunks in ascending
-/// order, each chunk's rows merged across its two sides by row — the
-/// serial kernel's exact addition sequence.
-#[must_use]
-pub fn fold_ev(scratch: &PairScratch) -> (f64, f64) {
-    let mut energy = 0.0;
-    let mut virial = 0.0;
-    for (ia, ba) in scratch.chunks() {
-        let (mut p, mut q) = (0, 0);
-        while p < ia.ev_rows.len() || q < ba.ev_rows.len() {
-            let interior = q == ba.ev_rows.len()
-                || (p < ia.ev_rows.len() && ia.ev_rows[p].0 <= ba.ev_rows[q].0);
-            let run = if interior {
-                p += 1;
-                ia.ev_run(p - 1)
-            } else {
-                q += 1;
-                ba.ev_run(q - 1)
-            };
-            for &(de, dv) in run {
-                energy += de;
-                virial += dv;
-            }
-        }
+/// Finish a logged force pass: replay the scatters into `f` (see
+/// [`replay`]) and fold the energy/virial streams on one thread, chunks in
+/// ascending order — the serial kernel's exact addition sequence.
+pub(crate) fn replay_forces(
+    scratch: &PairScratch,
+    f: &mut [[f64; 3]],
+    exec: &ChunkExec<'_>,
+) -> PairEnergyVirial {
+    replay(
+        scratch,
+        f,
+        exec,
+        |log| &log.vec_buckets,
+        |o, d: [f64; 3]| {
+            o[0] += d[0];
+            o[1] += d[1];
+            o[2] += d[2];
+        },
+    );
+    let mut ev = PairEnergyVirial::default();
+    for &(de, dv) in scratch.chunks().iter().flat_map(|log| &log.ev) {
+        ev.energy += de;
+        ev.virial += dv;
     }
-    (energy, virial)
+    ev
 }
 
 #[cfg(test)]
@@ -418,15 +373,14 @@ mod tests {
     /// Updates per synthetic row.
     const PER_ROW: usize = 3;
 
-    /// One logged update: target, force delta, energy, virial.
+    /// One update: target, force delta, energy, virial.
     type Update = (u32, [f64; 3], f64, f64);
 
     /// A row-ordered synthetic update stream, [`PER_ROW`] updates per row,
     /// with awkward magnitudes so any reordering of a target's updates
-    /// changes the bits. Interior rows only hit local targets; boundary
-    /// rows may scatter into the "ghost" range `nrows..ntotal` (mirrors
-    /// the pair kernels).
-    fn stream(interior: &[bool], ntotal: usize) -> Vec<Update> {
+    /// changes the bits. Targets reach into the "ghost" range
+    /// `nrows..ntotal` (mirrors the pair kernels).
+    fn stream(nrows: usize, ntotal: usize) -> Vec<Update> {
         let mut s = 0x243f6a8885a308d3u64;
         let mut rnd = move || {
             s = s
@@ -435,10 +389,9 @@ mod tests {
             s >> 33
         };
         let mut out = Vec::new();
-        for (i, &int) in interior.iter().enumerate() {
+        for i in 0..nrows {
             for _ in 0..PER_ROW {
-                let range = if int { interior.len() } else { ntotal };
-                let t = (rnd() as usize % range) as u32;
+                let t = (rnd() as usize % ntotal) as u32;
                 let v = (rnd() as f64).sin() * 1e3 + 1e-7 * i as f64;
                 out.push((t, [v, -0.5 * v, 1e-6 * v], v * 0.25, -v));
             }
@@ -446,116 +399,112 @@ mod tests {
         out
     }
 
-    /// Log the rows `rows` covers, as a logging kernel would.
-    fn log(scratch: &mut PairScratch, stream: &[Update], rows: Rows<'_>, exec: &ChunkExec<'_>) {
-        scratch.log_chunks(rows, exec, &|log, range| {
-            for i in range.filter(|&i| rows.covers(i)) {
-                log.begin_row(i as u32);
-                for &(t, d, e, v) in &stream[PER_ROW * i..PER_ROW * (i + 1)] {
-                    log.push_force(t, d);
-                    log.push_scalar(t, d[0]);
-                    log.extend_ev([(e, v)]);
-                }
-            }
-        });
+    /// Log `rows` of the stream, as a row body would.
+    fn feed(log: &mut RowLog, stream: &[Update], rows: std::ops::Range<usize>) {
+        for &(t, d, e, v) in &stream[PER_ROW * rows.start..PER_ROW * rows.end] {
+            log.add_force(t, d);
+            log.add_scalar(t, d[0]);
+            log.extend_ev([(e, v)]);
+        }
     }
 
-    /// Drive the same row-ordered update stream through (a) direct serial
-    /// application and (b) the log — in one sitting, and with the rows
-    /// partitioned by a pseudo-random interior mask, the all-interior and
-    /// all-boundary masks and alternating rows, the boundary side prepared
-    /// before its "ghost" targets are known — then replay and fold.
+    /// Drive the same row-ordered update stream through (a) a hand-written
+    /// serial application, (b) the direct sinks and (c) the log, serial
+    /// and pooled, on a fresh scratch and on one a larger pass has used —
+    /// then replay and fold.
     #[test]
     fn replay_matches_direct_application_bitwise() {
         let nrows = 700; // > 2 chunks of 256
         let ntotal = 900; // targets include a "ghost" range past nlocal
-        let masks: [Vec<bool>; 4] = [
-            (0..nrows)
-                .map(|i| !(i * 2654435761usize).is_multiple_of(3))
-                .collect(),
-            vec![true; nrows],
-            vec![false; nrows],
-            (0..nrows).map(|i| i % 2 == 0).collect(),
-        ];
-        let pool = SpinPool::new(4);
-        for flags in &masks {
-            let stream = stream(flags, ntotal);
-            let mut direct = vec![[0.0f64; 3]; ntotal];
-            let mut dscalar = vec![0.0f64; ntotal];
-            let (mut e_ref, mut v_ref) = (0.0, 0.0);
-            for &(t, d, e, v) in &stream {
-                for dim in 0..3 {
-                    direct[t as usize][dim] += d[dim];
-                }
-                dscalar[t as usize] += d[0];
-                e_ref += e;
-                v_ref += v;
+        let stream = stream(nrows, ntotal);
+        let mut want = vec![[0.0f64; 3]; ntotal];
+        let mut wscalar = vec![0.0f64; ntotal];
+        let (mut e_ref, mut v_ref) = (0.0, 0.0);
+        for &(t, d, e, v) in &stream {
+            for dim in 0..3 {
+                want[t as usize][dim] += d[dim];
             }
-            for exec in [ChunkExec::Serial, ChunkExec::Pool(&pool)] {
-                for split in [false, true] {
-                    let mut scratch = PairScratch::new();
-                    if split {
-                        scratch.prepare(nrows, nrows);
-                        for interior in [true, false] {
-                            log(&mut scratch, &stream, Rows::Side { flags, interior }, &exec);
-                        }
-                    } else {
-                        scratch.prepare(nrows, ntotal);
-                        log(&mut scratch, &stream, Rows::All, &exec);
-                    }
-                    let mut f = vec![[0.0f64; 3]; ntotal];
-                    replay_forces(&scratch, &mut f, &exec);
-                    assert_eq!(f, direct);
-                    let mut sc = vec![0.0f64; ntotal];
-                    replay_scalars(&scratch, &mut sc, &exec);
-                    assert_eq!(sc, dscalar);
-                    let (e, v) = fold_ev(&scratch);
-                    assert_eq!(e.to_bits(), e_ref.to_bits());
-                    assert_eq!(v.to_bits(), v_ref.to_bits());
+            wscalar[t as usize] += d[0];
+            e_ref += e;
+            v_ref += v;
+        }
+        let same_ev = |ev: PairEnergyVirial| {
+            assert_eq!(ev.energy.to_bits(), e_ref.to_bits());
+            assert_eq!(ev.virial.to_bits(), v_ref.to_bits());
+        };
+
+        let mut f = vec![[0.0f64; 3]; ntotal];
+        let mut sink = Direct::forces(&mut f);
+        // The force sink has no density array; feed the two separately.
+        for &(t, d, e, v) in &stream {
+            sink.add_force(t, d);
+            sink.extend_ev([(e, v)]);
+        }
+        same_ev(sink.ev());
+        assert_eq!(f, want);
+        let mut sc = vec![0.0f64; ntotal];
+        let mut sink = Direct::scalars(&mut sc);
+        for &(t, d, ..) in &stream {
+            sink.add_scalar(t, d[0]);
+        }
+        assert_eq!(sc, wscalar);
+
+        let pool = SpinPool::new(4);
+        for exec in [ChunkExec::Serial, ChunkExec::Pool(&pool)] {
+            for used in [false, true] {
+                let mut scratch = PairScratch::new();
+                if used {
+                    // A wider bucketing and more chunks than this pass needs.
+                    scratch.log(4 * nrows, 4 * ntotal, &exec, &|log, rows| {
+                        log.add_force(rows.start as u32, [1.0; 3]);
+                        log.extend_ev([(1.0, 1.0)]);
+                    });
                 }
+                scratch.log(nrows, ntotal, &exec, &|log, rows| feed(log, &stream, rows));
+                let mut f = vec![[0.0f64; 3]; ntotal];
+                same_ev(replay_forces(&scratch, &mut f, &exec));
+                assert_eq!(f, want);
+                let mut sc = vec![0.0f64; ntotal];
+                replay_scalars(&scratch, &mut sc, &exec);
+                assert_eq!(sc, wscalar);
             }
         }
     }
 
-    /// `prepare` must clear both sides, and an empty scratch replays as a
-    /// no-op even over a non-empty output array.
+    /// Preparing a pass must clear both sides of the log — the scatter
+    /// buckets and the energy/virial stream — and an empty log replays as
+    /// a no-op even over a non-empty output array.
     #[test]
     fn prepare_clears_both_sides() {
-        let flags = vec![true; 300];
-        let stream = stream(&flags, 300);
+        let stream = stream(300, 300);
         let mut scratch = PairScratch::new();
-        scratch.prepare(300, 300);
-        for interior in [true, false] {
-            let all = vec![interior; 300];
-            let rows = Rows::Side {
-                flags: &all,
-                interior,
-            };
-            log(&mut scratch, &stream, rows, &ChunkExec::Serial);
-        }
-        scratch.prepare(300, 300);
+        scratch.log(300, 300, &ChunkExec::Serial, &|log, rows| {
+            feed(log, &stream, rows);
+        });
+        scratch.log(300, 300, &ChunkExec::Serial, &|_, _| {});
         let mut out = vec![[0.0f64; 3]; 300];
-        replay_forces(&scratch, &mut out, &ChunkExec::Serial);
+        let ev = replay_forces(&scratch, &mut out, &ChunkExec::Serial);
         assert!(out.iter().all(|v| *v == [0.0; 3]));
-        assert_eq!(fold_ev(&scratch), (0.0, 0.0));
+        assert_eq!(ev, PairEnergyVirial::default());
+        let mut sc = vec![0.0f64; 300];
+        replay_scalars(&scratch, &mut sc, &ChunkExec::Serial);
+        assert!(sc.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn tiny_output_arrays_bucket_safely() {
         // ntotal < SCATTER_BUCKETS: bucket width clamps to 1.
         let mut scratch = PairScratch::new();
-        scratch.prepare(1, 3);
-        scratch.log_chunks(Rows::All, &ChunkExec::Serial, &|log, _| {
-            log.begin_row(0);
-            log.push_force(2, [1.0, 0.0, 0.0]);
-            log.push_force(0, [0.5, 0.0, 0.0]);
+        scratch.log(1, 3, &ChunkExec::Serial, &|log, _| {
+            log.add_force(2, [1.0, 0.0, 0.0]);
+            log.add_force(0, [0.5, 0.0, 0.0]);
         });
         let mut out = vec![[0.0f64; 3]; 3];
         replay_forces(&scratch, &mut out, &ChunkExec::Serial);
         assert_eq!(out[2][0], 1.0);
         assert_eq!(out[0][0], 0.5);
         // Zero-length output: nothing logged, replay is a no-op.
-        scratch.prepare(0, 0);
+        scratch.log(0, 0, &ChunkExec::Serial, &|_, _| {});
         replay_forces(&scratch, &mut [], &ChunkExec::Serial);
     }
 }

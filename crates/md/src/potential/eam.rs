@@ -12,19 +12,21 @@
 //!
 //! Each pass exists twice. The serial oracle (`compute_rho`,
 //! `compute_embedding`, `compute_force`: `SerialSim`, the lockstep anchor)
-//! walks one pair at a time. The logging row kernels run the LJ kernel's
+//! walks one pair at a time. The blocked row bodies (`rho_rows`,
+//! `force_rows`, behind the `*_chunked` entry points) run the LJ kernel's
 //! shape (DESIGN.md §16): the shared branch-free slab filter, then the
 //! accepted pairs only — `sqrt`, ONE [`Spline::locate`] on the r-grid
 //! `rho_r` and `phi_r` share, Horner chains, the pair's single division —
-//! logged pair by pair in neighbor order (the force pass as a dense lane
-//! loop plus a visitor; the density pass, one value per pair, in one loop).
-//! Both call the same `#[inline]` evaluators on the same values in the
-//! same order, so they agree bit for bit (`tests/chunked_kernels.rs`).
+//! handed to the sink pair by pair in neighbor order (the force pass as a
+//! dense lane loop plus a scatter loop; the density pass, one value per
+//! pair, in one loop). Both call the same `#[inline]` evaluators on the
+//! same values in the same order, so they agree bit for bit
+//! (`tests/chunked_kernels.rs`).
 
 use super::spline::Spline;
-use super::{ManyBodyPotential, ManyBodyRowKernel, PairEnergyVirial};
+use super::{ManyBodyPotential, PairEnergyVirial};
 use crate::atom::Atoms;
-use crate::kernels::{PairScratch, Rows, Slab, CHUNK_ROWS, ROW_BLOCK};
+use crate::kernels::{self, Direct, PairScratch, Sink, Slab, CHUNK_ROWS, ROW_BLOCK};
 use crate::neighbor::{ListKind, NeighborList};
 use tofumd_threadpool::ChunkExec;
 
@@ -264,79 +266,121 @@ impl ManyBodyPotential for EamCu {
         energies.iter().fold(0.0, |sum, e| sum + e)
     }
 
-    fn row_kernel(&self) -> Option<&dyn ManyBodyRowKernel> {
-        Some(self)
-    }
-}
-
-impl ManyBodyRowKernel for EamCu {
-    fn log_rho_rows(
+    fn compute_rho_chunked(
         &self,
         atoms: &Atoms,
         list: &NeighborList,
-        rows: Rows<'_>,
+        rho: &mut Vec<f64>,
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
     ) {
         assert!(!matches!(list.kind, ListKind::Full), "EAM uses a half list");
-        let x = &atoms.x;
-        scratch.log_chunks(rows, exec, &|log, chunk| {
-            let mut slab = Slab::new();
-            for i in chunk.filter(|&i| rows.covers(i)) {
-                log.begin_row(i as u32);
-                let mut rho_i = 0.0;
-                for blk in list.neighbors(i).chunks(ROW_BLOCK) {
-                    let na = slab.filter(x[i], x, blk, self.cutsq);
-                    for (&j, &r2) in slab.j[..na].iter().zip(&slab.r2[..na]) {
-                        let c = self.rho_r.eval(r2.sqrt());
-                        rho_i += c;
-                        log.push_scalar(j, c);
-                    }
-                }
-                log.push_scalar(i as u32, rho_i);
+        let (x, nlocal) = (&atoms.x, atoms.nlocal);
+        rho.clear();
+        rho.resize(atoms.ntotal(), 0.0);
+        match exec {
+            ChunkExec::Serial => self.rho_rows(x, list, 0..nlocal, &mut Direct::scalars(rho)),
+            ChunkExec::Pool(_) => {
+                scratch.log(nlocal, atoms.ntotal(), exec, &|log, chunk| {
+                    self.rho_rows(x, list, chunk, log);
+                });
+                kernels::replay_scalars(scratch, rho, exec);
             }
-        });
+        }
     }
 
-    fn log_force_rows(
+    fn compute_force_chunked(
         &self,
-        atoms: &Atoms,
+        atoms: &mut Atoms,
         list: &NeighborList,
         fp: &[f64],
-        rows: Rows<'_>,
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
-    ) {
+    ) -> PairEnergyVirial {
         assert!(fp.len() >= atoms.ntotal(), "fp must cover ghosts");
-        let x = &atoms.x;
-        scratch.log_chunks(rows, exec, &|log, chunk| {
-            let mut slab = Slab::new();
-            for i in chunk.filter(|&i| rows.covers(i)) {
-                log.begin_row(i as u32);
-                let xi = x[i];
-                let mut fi = [0.0f64; 3];
-                for blk in list.neighbors(i).chunks(ROW_BLOCK) {
-                    let na = slab.filter(xi, x, blk, self.cutsq);
-                    let (jc, r2) = (&slab.j[..na], &slab.r2[..na]);
-                    let (fpair, en) = (&mut slab.fp[..na], &mut slab.en[..na]);
-                    for k in 0..na {
-                        (fpair[k], en[k]) = self.force_pair(r2[k], fp[i] + fp[jc[k] as usize]);
-                    }
-                    // Forces scatter pair by pair, `dx` re-derived from `x[j]`.
-                    log.extend_ev((0..na).map(|k| (en[k], r2[k] * fpair[k])));
-                    for k in 0..na {
-                        let xj = x[jc[k] as usize];
-                        let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                        let f = fpair[k];
-                        fi[0] += dx[0] * f;
-                        fi[1] += dx[1] * f;
-                        fi[2] += dx[2] * f;
-                        log.push_force(jc[k], [-(dx[0] * f), -(dx[1] * f), -(dx[2] * f)]);
-                    }
-                }
-                log.push_force(i as u32, fi);
+        let nlocal = atoms.nlocal;
+        match exec {
+            ChunkExec::Serial => {
+                let mut sink = Direct::forces(&mut atoms.f);
+                self.force_rows(&atoms.x, list, fp, 0..nlocal, &mut sink);
+                sink.ev()
             }
-        });
+            ChunkExec::Pool(_) => {
+                let (x, ntotal) = (&atoms.x, atoms.ntotal());
+                scratch.log(nlocal, ntotal, exec, &|log, chunk| {
+                    self.force_rows(x, list, fp, chunk, log);
+                });
+                kernels::replay_forces(scratch, &mut atoms.f, exec)
+            }
+        }
+    }
+
+    fn has_row_kernel(&self) -> bool {
+        true
+    }
+}
+
+impl EamCu {
+    /// The blocked row body of the density pass: `rows` ascending, each
+    /// pair's contribution to its neighbor in neighbor order, then the
+    /// row's own sum.
+    fn rho_rows(
+        &self,
+        x: &[[f64; 3]],
+        list: &NeighborList,
+        rows: std::ops::Range<usize>,
+        sink: &mut impl Sink,
+    ) {
+        let mut slab = Slab::new();
+        for i in rows {
+            let mut rho_i = 0.0;
+            for blk in list.neighbors(i).chunks(ROW_BLOCK) {
+                let na = slab.filter(x[i], x, blk, self.cutsq);
+                for (&j, &r2) in slab.j[..na].iter().zip(&slab.r2[..na]) {
+                    let c = self.rho_r.eval(r2.sqrt());
+                    rho_i += c;
+                    sink.add_scalar(j, c);
+                }
+            }
+            sink.add_scalar(i as u32, rho_i);
+        }
+    }
+
+    /// The blocked row body of the force pass (LJ's shape); `fp` must be
+    /// valid for every neighbor the rows touch.
+    fn force_rows(
+        &self,
+        x: &[[f64; 3]],
+        list: &NeighborList,
+        fp: &[f64],
+        rows: std::ops::Range<usize>,
+        sink: &mut impl Sink,
+    ) {
+        let mut slab = Slab::new();
+        for i in rows {
+            let xi = x[i];
+            let mut fi = [0.0f64; 3];
+            for blk in list.neighbors(i).chunks(ROW_BLOCK) {
+                let na = slab.filter(xi, x, blk, self.cutsq);
+                let (jc, r2) = (&slab.j[..na], &slab.r2[..na]);
+                let (fpair, en) = (&mut slab.fp[..na], &mut slab.en[..na]);
+                for k in 0..na {
+                    (fpair[k], en[k]) = self.force_pair(r2[k], fp[i] + fp[jc[k] as usize]);
+                }
+                // Forces scatter pair by pair, `dx` re-derived from `x[j]`.
+                sink.extend_ev((0..na).map(|k| (en[k], r2[k] * fpair[k])));
+                for k in 0..na {
+                    let xj = x[jc[k] as usize];
+                    let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                    let f = fpair[k];
+                    fi[0] += dx[0] * f;
+                    fi[1] += dx[1] * f;
+                    fi[2] += dx[2] * f;
+                    sink.add_force(jc[k], [-(dx[0] * f), -(dx[1] * f), -(dx[2] * f)]);
+                }
+            }
+            sink.add_force(i as u32, fi);
+        }
     }
 }
 

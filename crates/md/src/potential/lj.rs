@@ -1,8 +1,8 @@
 //! Lennard-Jones 12-6 potential with cutoff (Eq. 1 of the paper).
 
-use super::{PairEnergyVirial, PairPotential, PairRowKernel};
+use super::{PairEnergyVirial, PairPotential};
 use crate::atom::Atoms;
-use crate::kernels::{PairScratch, Rows, Slab, ROW_BLOCK};
+use crate::kernels::{self, Direct, PairScratch, Sink, Slab, ROW_BLOCK};
 use crate::neighbor::{ListKind, NeighborList};
 use tofumd_threadpool::ChunkExec;
 
@@ -114,7 +114,7 @@ impl LjCut {
     /// visitor. Every lane runs the exact IEEE op sequence the scalar path
     /// runs on that pair and rejected lanes' values are never read, so the
     /// visited stream is the scalar kernel's accept stream bit-for-bit. The
-    /// visitor sees whole slabs, so it can batch its per-pair logging.
+    /// visitor sees whole slabs, so it can batch its energy/virial stream.
     #[inline]
     fn blocked_row(
         &self,
@@ -197,56 +197,75 @@ impl PairPotential for LjCut {
         PairEnergyVirial { energy, virial }
     }
 
-    fn row_kernel(&self) -> Option<&dyn PairRowKernel> {
-        Some(self)
+    fn compute_chunked(
+        &self,
+        atoms: &mut Atoms,
+        list: &NeighborList,
+        exec: &ChunkExec<'_>,
+        scratch: &mut PairScratch,
+    ) -> PairEnergyVirial {
+        let nlocal = atoms.nlocal;
+        match exec {
+            ChunkExec::Serial => {
+                let mut sink = Direct::forces(&mut atoms.f);
+                self.rows(&atoms.x, list, 0..nlocal, &mut sink);
+                sink.ev()
+            }
+            ChunkExec::Pool(_) => {
+                let (x, ntotal) = (&atoms.x, atoms.ntotal());
+                scratch.log(nlocal, ntotal, exec, &|log, chunk| {
+                    self.rows(x, list, chunk, log);
+                });
+                kernels::replay_forces(scratch, &mut atoms.f, exec)
+            }
+        }
+    }
+
+    fn has_row_kernel(&self) -> bool {
+        true
     }
 }
 
-impl PairRowKernel for LjCut {
-    fn log_rows(
+impl LjCut {
+    /// The blocked row body of the force pass: `rows` ascending, each
+    /// row's pair reactions in neighbor order, then its own force — the
+    /// serial pass's updates in the serial pass's order, into `sink`.
+    fn rows(
         &self,
-        atoms: &Atoms,
+        x: &[[f64; 3]],
         list: &NeighborList,
-        rows: Rows<'_>,
-        exec: &ChunkExec<'_>,
-        scratch: &mut PairScratch,
+        rows: std::ops::Range<usize>,
+        sink: &mut impl Sink,
     ) {
         let half = !matches!(list.kind, ListKind::Full);
-        let x = &atoms.x;
-        scratch.log_chunks(rows, exec, &|log, chunk| {
-            let mut bscr = Slab::new();
-            for i in chunk.filter(|&i| rows.covers(i)) {
-                log.begin_row(i as u32);
-                let xi = x[i];
-                let mut fi = [0.0f64; 3];
-                self.blocked_row(xi, x, list.neighbors(i), &mut bscr, |jc, r2, fp, en| {
-                    // One reservation per slab for the ev stream; the
-                    // products match the serial pass's op order.
-                    let ev = en.iter().zip(r2).zip(fp);
+        let mut bscr = Slab::new();
+        for i in rows {
+            let xi = x[i];
+            let mut fi = [0.0f64; 3];
+            self.blocked_row(xi, x, list.neighbors(i), &mut bscr, |jc, r2, fp, en| {
+                // One batch per slab for the ev stream; the products
+                // match the serial pass's op order.
+                let ev = en.iter().zip(r2).zip(fp);
+                if half {
+                    sink.extend_ev(ev.map(|((&e, &rr), &fpk)| (e, rr * fpk)));
+                } else {
+                    sink.extend_ev(ev.map(|((&e, &rr), &fpk)| (0.5 * e, 0.5 * rr * fpk)));
+                }
+                for k in 0..jc.len() {
+                    let j = jc[k];
+                    let xj = x[j as usize];
+                    let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                    let fpair = fp[k];
+                    fi[0] += dx[0] * fpair;
+                    fi[1] += dx[1] * fpair;
+                    fi[2] += dx[2] * fpair;
                     if half {
-                        log.extend_ev(ev.map(|((&e, &rr), &fpk)| (e, rr * fpk)));
-                    } else {
-                        log.extend_ev(ev.map(|((&e, &rr), &fpk)| (0.5 * e, 0.5 * rr * fpk)));
+                        sink.add_force(j, [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)]);
                     }
-                    for k in 0..jc.len() {
-                        let j = jc[k];
-                        let xj = x[j as usize];
-                        let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                        let fpair = fp[k];
-                        fi[0] += dx[0] * fpair;
-                        fi[1] += dx[1] * fpair;
-                        fi[2] += dx[2] * fpair;
-                        if half {
-                            log.push_force(
-                                j,
-                                [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)],
-                            );
-                        }
-                    }
-                });
-                log.push_force(i as u32, fi);
-            }
-        });
+                }
+            });
+            sink.add_force(i as u32, fi);
+        }
     }
 }
 

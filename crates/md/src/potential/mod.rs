@@ -7,6 +7,14 @@
 //!   ghost electron densities and a forward exchange of the embedding-energy
 //!   derivative (§4 "the EAM potential requires two additional
 //!   communications during the pair stage").
+//!
+//! Each scatter pass has a serial scalar form (`compute*`: the oracle and
+//! what [`crate::SerialSim`] runs) and a `*_chunked` entry point the
+//! cluster calls. A potential with a blocked row body (LJ, EAM) overrides
+//! the latter with one `match` on the executor it is handed: serial →
+//! the row body scatters straight into the output array, pool → through
+//! the scatter log and its replay ([`crate::kernels`]). Same bits either
+//! way; the provided defaults run the serial pass.
 
 pub mod eam;
 pub mod lj;
@@ -15,7 +23,7 @@ pub mod spline;
 pub mod sw;
 
 use crate::atom::Atoms;
-use crate::kernels::{self, PairScratch, Rows};
+use crate::kernels::PairScratch;
 use crate::neighbor::{ListKind, NeighborList};
 use tofumd_threadpool::ChunkExec;
 
@@ -45,18 +53,6 @@ impl PairEnergyVirial {
     }
 }
 
-/// Finish a force-scattering pass logged into `scratch`: replay the
-/// scatters into `f` and fold the energy/virial stream.
-pub fn replay_pass(
-    scratch: &PairScratch,
-    f: &mut [[f64; 3]],
-    exec: &ChunkExec<'_>,
-) -> PairEnergyVirial {
-    kernels::replay_forces(scratch, f, exec);
-    let (energy, virial) = kernels::fold_ev(scratch);
-    PairEnergyVirial { energy, virial }
-}
-
 /// A single-pass pairwise potential.
 pub trait PairPotential: Send + Sync {
     /// Force cutoff distance.
@@ -71,10 +67,11 @@ pub trait PairPotential: Send + Sync {
     /// formulation is held to, and what [`crate::SerialSim`] runs.
     fn compute(&self, atoms: &mut Atoms, list: &NeighborList) -> PairEnergyVirial;
 
-    /// Chunk-parallel [`PairPotential::compute`], bit-identical to it at
-    /// any thread count (see [`crate::kernels`]): the row kernel over all
-    /// rows. Potentials without a row kernel run the serial pass — correct,
-    /// just not parallel.
+    /// [`PairPotential::compute`] at kernel speed, bit-identical to it
+    /// under any executor (see [`crate::kernels`]): a potential with a
+    /// blocked row body scatters straight into `atoms.f` when `exec` is
+    /// serial and through `scratch`'s log when it is a pool. The default is
+    /// the serial pass — correct, just neither blocked nor parallel.
     fn compute_chunked(
         &self,
         atoms: &mut Atoms,
@@ -82,12 +79,8 @@ pub trait PairPotential: Send + Sync {
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
     ) -> PairEnergyVirial {
-        let Some(kernel) = self.row_kernel() else {
-            return self.compute(atoms, list);
-        };
-        scratch.prepare(atoms.nlocal, atoms.ntotal());
-        kernel.log_rows(atoms, list, Rows::All, exec, scratch);
-        replay_pass(scratch, &mut atoms.f, exec)
+        let _ = (exec, scratch);
+        self.compute(atoms, list)
     }
 
     /// Does the compute pass accumulate forces on ghost atoms (requiring a
@@ -97,61 +90,11 @@ pub trait PairPotential: Send + Sync {
         !matches!(self.list_kind(), ListKind::Full)
     }
 
-    /// The potential's logging row kernel, or `None` when it has none (the
-    /// step executor then never splits its pair pass across a halo
-    /// window).
-    fn row_kernel(&self) -> Option<&dyn PairRowKernel> {
-        None
+    /// Does [`PairPotential::compute_chunked`] run a blocked row body? The
+    /// step executor charges only such a pass across a halo window.
+    fn has_row_kernel(&self) -> bool {
+        false
     }
-}
-
-/// The logging form of a pair pass. A pass is `prepare`d once on its
-/// [`PairScratch`], logged in one sitting ([`Rows::All`]) or in two — the
-/// interior rows while halo puts are in flight, the boundary rows once
-/// ghosts have arrived — and then replayed with [`replay_pass`]. The
-/// replay is bit-identical to the serial pass because every row logs
-/// exactly the updates the serial kernel would perform, in the same
-/// per-pair order, and the replay re-interleaves rows ascending.
-pub trait PairRowKernel: Send + Sync {
-    /// Log the updates of the rows `rows` covers; other rows contribute
-    /// nothing.
-    fn log_rows(
-        &self,
-        atoms: &Atoms,
-        list: &NeighborList,
-        rows: Rows<'_>,
-        exec: &ChunkExec<'_>,
-        scratch: &mut PairScratch,
-    );
-}
-
-/// The logging forms of the EAM density and force passes; same contract
-/// as [`PairRowKernel`]. The embedding pass is local-only and logs
-/// nothing.
-pub trait ManyBodyRowKernel: Send + Sync {
-    /// Log the density contributions of the rows `rows` covers (scalar
-    /// scatter, both pair endpoints). Replay with
-    /// [`crate::kernels::replay_scalars`] onto a zeroed `rho`.
-    fn log_rho_rows(
-        &self,
-        atoms: &Atoms,
-        list: &NeighborList,
-        rows: Rows<'_>,
-        exec: &ChunkExec<'_>,
-        scratch: &mut PairScratch,
-    );
-
-    /// Log the force/energy updates of the rows `rows` covers; `fp` must
-    /// be valid for every neighbor those rows touch.
-    fn log_force_rows(
-        &self,
-        atoms: &Atoms,
-        list: &NeighborList,
-        fp: &[f64],
-        rows: Rows<'_>,
-        exec: &ChunkExec<'_>,
-        scratch: &mut PairScratch,
-    );
 }
 
 /// A two-pass (EAM-like) potential with mid-pair-stage communication.
@@ -170,8 +113,9 @@ pub trait ManyBodyPotential: Send + Sync {
     /// (half/Newton list: each pair contributes to both endpoints).
     fn compute_rho(&self, atoms: &Atoms, list: &NeighborList, rho: &mut Vec<f64>);
 
-    /// Chunk-parallel [`ManyBodyPotential::compute_rho`], bit-identical to
-    /// it at any thread count. Serial without a row kernel.
+    /// [`ManyBodyPotential::compute_rho`] at kernel speed, bit-identical to
+    /// it under any executor: direct when `exec` is serial, through
+    /// `scratch`'s log when it is a pool. Defaults to the serial pass.
     fn compute_rho_chunked(
         &self,
         atoms: &Atoms,
@@ -180,14 +124,8 @@ pub trait ManyBodyPotential: Send + Sync {
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
     ) {
-        let Some(kernel) = self.row_kernel() else {
-            return self.compute_rho(atoms, list, rho);
-        };
-        scratch.prepare(atoms.nlocal, atoms.ntotal());
-        kernel.log_rho_rows(atoms, list, Rows::All, exec, scratch);
-        rho.clear();
-        rho.resize(atoms.ntotal(), 0.0);
-        kernels::replay_scalars(scratch, rho, exec);
+        let _ = (exec, scratch);
+        self.compute_rho(atoms, list, rho);
     }
 
     /// Compute the embedding energy for local atoms from the fully-reduced
@@ -213,8 +151,10 @@ pub trait ManyBodyPotential: Send + Sync {
     fn compute_force(&self, atoms: &mut Atoms, list: &NeighborList, fp: &[f64])
         -> PairEnergyVirial;
 
-    /// Chunk-parallel [`ManyBodyPotential::compute_force`], bit-identical
-    /// to it at any thread count. Serial without a row kernel.
+    /// [`ManyBodyPotential::compute_force`] at kernel speed, bit-identical
+    /// to it under any executor; same dispatch as
+    /// [`ManyBodyPotential::compute_rho_chunked`]. Defaults to the serial
+    /// pass.
     fn compute_force_chunked(
         &self,
         atoms: &mut Atoms,
@@ -223,17 +163,14 @@ pub trait ManyBodyPotential: Send + Sync {
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
     ) -> PairEnergyVirial {
-        let Some(kernel) = self.row_kernel() else {
-            return self.compute_force(atoms, list, fp);
-        };
-        scratch.prepare(atoms.nlocal, atoms.ntotal());
-        kernel.log_force_rows(atoms, list, fp, Rows::All, exec, scratch);
-        replay_pass(scratch, &mut atoms.f, exec)
+        let _ = (exec, scratch);
+        self.compute_force(atoms, list, fp)
     }
 
-    /// The potential's logging row kernels, or `None` when it has none.
-    fn row_kernel(&self) -> Option<&dyn ManyBodyRowKernel> {
-        None
+    /// Do the `*_chunked` density and force passes run blocked row bodies?
+    /// Same meaning as [`PairPotential::has_row_kernel`].
+    fn has_row_kernel(&self) -> bool {
+        false
     }
 }
 

@@ -1,16 +1,16 @@
 //! Property tests for the deterministic chunk-parallel kernels.
 //!
-//! The contract under test: the chunked neighbor build and the logging row
-//! kernels of the LJ/EAM passes are **bit-identical** to the serial scalar
-//! kernels — same force bits, same energy/virial bits — at any thread
-//! count, logged in one sitting or split into interior and boundary rows,
-//! with or without spatial sorting; and spatial sorting permutes atoms
-//! without changing which pairs exist. The neighbor build itself is held,
-//! row for row, to the per-candidate reference scan kept here as
-//! [`oracle_rows`].
+//! The contract under test: the chunked neighbor build and the blocked
+//! row kernels of the LJ/EAM passes are **bit-identical** to the serial
+//! scalar kernels — same force bits, same energy/virial bits — whichever
+//! way they write: straight into the arrays (a serial executor) or through
+//! the scatter log (a pool of 2 or 8 threads), with or without spatial
+//! sorting; and spatial sorting permutes atoms without changing which
+//! pairs exist. The neighbor build itself is held, row for row, to the
+//! per-candidate reference scan kept here as [`oracle_rows`].
 
 use proptest::prelude::*;
-use tofumd_md::kernels::{self, PairScratch, Rows, LANE_WIDTH};
+use tofumd_md::kernels::{PairScratch, LANE_WIDTH};
 use tofumd_md::neighbor::{
     ghost_pair_belongs_to_i, sort_locals_by_bin, CellBins, ListKind, NeighborList,
 };
@@ -99,36 +99,6 @@ fn kernel_cloud(seed: u64, cutoff: f64, skin: f64) -> ([f64; 3], [f64; 3], Atoms
     (lo, hi, atoms)
 }
 
-/// The interior masks every pass is split under (besides the one-sitting
-/// pass of the `*_chunked` wrappers): a random mask, all-interior,
-/// all-boundary and alternating rows.
-fn partitions(nlocal: usize, seed: u64) -> [Vec<bool>; 4] {
-    let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
-    [
-        (0..nlocal).map(|_| rng.unit() < 0.6).collect(),
-        vec![true; nlocal],
-        vec![false; nlocal],
-        (0..nlocal).map(|i| i % 2 == 0).collect(),
-    ]
-}
-
-/// Log one pass in two sittings on a fresh scratch, prepared as the step
-/// executor prepares a first rebuild step's — before any ghost shell
-/// existed — so the boundary rows' ghost targets land in buckets grown on
-/// demand.
-fn log_split(
-    nlocal: usize,
-    flags: &[bool],
-    log: impl Fn(Rows<'_>, &mut PairScratch),
-) -> PairScratch {
-    let mut scratch = PairScratch::new();
-    scratch.prepare(nlocal, nlocal);
-    for interior in [true, false] {
-        log(Rows::Side { flags, interior }, &mut scratch);
-    }
-    scratch
-}
-
 /// The cloud must exercise what the family claims: a row past the LJ slab
 /// width and every block-tail length of the EAM lane loop.
 fn assert_row_coverage(list: &NeighborList, nlocal: usize) {
@@ -145,52 +115,50 @@ fn assert_row_coverage(list: &NeighborList, nlocal: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The LJ row kernel — through `compute_chunked` and logged side by
-    /// side under every partition — reproduces the serial scalar pass bit
-    /// for bit (forces, energy, virial) for half and full lists at 1, 2
-    /// and 8 threads.
+    /// Three-way identity of the LJ force pass, half and full lists: the
+    /// row kernel writing directly (`ChunkExec::Serial`) ≡ the serial
+    /// scalar oracle ≡ the row kernel logged and replayed at pool threads
+    /// {2, 8} — forces, energy and virial bit for bit, from zeroed forces
+    /// and on top of forces already in the array, all on one scratch.
     #[test]
     fn lj_row_kernel_is_bitwise_serial(seed in any::<u64>()) {
-        let (lo, hi, atoms0) = kernel_cloud(seed, 2.5, 0.3);
+        let (lo, hi, mut atoms0) = kernel_cloud(seed, 2.5, 0.3);
         let pools = [SpinPool::new(2), SpinPool::new(8)];
         let execs = [ChunkExec::Serial, ChunkExec::Pool(&pools[0]), ChunkExec::Pool(&pools[1])];
-        for kind in [ListKind::HalfNewton, ListKind::Full] {
-            let lj = LjCut::new(1.0, 1.0, 2.5, kind);
-            let Some(kernel) = lj.row_kernel() else { panic!("LJ has a row kernel") };
-            let list = NeighborList::build(&atoms0, lo, hi, kind, 2.5, 0.3);
-            assert_row_coverage(&list, atoms0.nlocal);
-            let mut want = atoms0.clone();
-            let want_ev = lj.compute(&mut want, &list);
-            let mut scratch = PairScratch::new();
-            for exec in &execs {
-                let mut atoms = atoms0.clone();
-                let ev = lj.compute_chunked(&mut atoms, &list, exec, &mut scratch);
-                prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
-                prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
-                prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "{:?} chunked t{}", kind, exec.threads());
-                for flags in &partitions(atoms0.nlocal, seed) {
+        let mut scratch = PairScratch::new();
+        for preloaded in [false, true] {
+            if preloaded {
+                let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
+                for f in &mut atoms0.f {
+                    *f = rng.point([-1e3; 3], [1e3; 3]);
+                }
+            }
+            for kind in [ListKind::HalfNewton, ListKind::Full] {
+                let lj = LjCut::new(1.0, 1.0, 2.5, kind);
+                prop_assert!(lj.has_row_kernel());
+                let list = NeighborList::build(&atoms0, lo, hi, kind, 2.5, 0.3);
+                assert_row_coverage(&list, atoms0.nlocal);
+                let mut want = atoms0.clone();
+                let want_ev = lj.compute(&mut want, &list);
+                for exec in &execs {
                     let mut atoms = atoms0.clone();
-                    let split = log_split(atoms.nlocal, flags, |rows, scratch| {
-                        kernel.log_rows(&atoms, &list, rows, exec, scratch);
-                    });
-                    kernels::replay_forces(&split, &mut atoms.f, exec);
-                    let (energy, virial) = kernels::fold_ev(&split);
-                    prop_assert_eq!(energy.to_bits(), want_ev.energy.to_bits());
-                    prop_assert_eq!(virial.to_bits(), want_ev.virial.to_bits());
-                    prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "{:?} split t{}", kind, exec.threads());
+                    let ev = lj.compute_chunked(&mut atoms, &list, exec, &mut scratch);
+                    prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
+                    prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
+                    prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "{:?} preloaded {} t{}", kind, preloaded, exec.threads());
                 }
             }
         }
     }
 
-    /// The EAM density and force row kernels — through the `*_chunked`
-    /// wrappers and logged side by side under every partition — and the
-    /// chunked embedding reproduce the serial scalar passes bit for bit at
-    /// 1, 2 and 8 threads.
+    /// The same three-way identity for the EAM density and force passes —
+    /// direct ≡ serial oracle ≡ logged at pool threads {2, 8} — plus the
+    /// chunked embedding; the density pass into a dirty `rho` of the wrong
+    /// length, and both passes sharing one scratch with each other.
     #[test]
     fn eam_row_kernels_are_bitwise_serial(seed in any::<u64>()) {
         let eam = EamCu::lammps_bench();
-        let Some(kernel) = eam.row_kernel() else { panic!("EAM has row kernels") };
+        prop_assert!(eam.has_row_kernel());
         let (lo, hi, atoms0) = kernel_cloud(seed, 4.95, 1.0);
         let pools = [SpinPool::new(2), SpinPool::new(8)];
         let execs = [ChunkExec::Serial, ChunkExec::Pool(&pools[0]), ChunkExec::Pool(&pools[1])];
@@ -207,9 +175,9 @@ proptest! {
         let want_ev = eam.compute_force(&mut want, &list, &want_fp);
         let mut scratch = PairScratch::new();
         for exec in &execs {
-            let (mut rho, mut fp) = (Vec::new(), Vec::new());
+            let (mut rho, mut fp) = (vec![7.5; 11], Vec::new());
             eam.compute_rho_chunked(&atoms0, &list, &mut rho, exec, &mut scratch);
-            prop_assert_eq!(first_bit_mismatch(&rho, &want_rho), None, "rho chunked t{}", exec.threads());
+            prop_assert_eq!(first_bit_mismatch(&rho, &want_rho), None, "rho t{}", exec.threads());
             let embed = eam.compute_embedding_chunked(&atoms0, &rho, &mut fp, exec);
             prop_assert_eq!(embed.to_bits(), want_embed.to_bits());
             prop_assert_eq!(first_bit_mismatch(&fp[..atoms0.nlocal], &want_fp[..atoms0.nlocal]), None);
@@ -217,24 +185,7 @@ proptest! {
             let ev = eam.compute_force_chunked(&mut atoms, &list, &want_fp, exec, &mut scratch);
             prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
             prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
-            prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "force chunked t{}", exec.threads());
-            for flags in &partitions(atoms0.nlocal, seed) {
-                let split = log_split(atoms0.nlocal, flags, |rows, scratch| {
-                    kernel.log_rho_rows(&atoms0, &list, rows, exec, scratch);
-                });
-                let mut rho = vec![0.0; atoms0.ntotal()];
-                kernels::replay_scalars(&split, &mut rho, exec);
-                prop_assert_eq!(first_bit_mismatch(&rho, &want_rho), None, "rho split t{}", exec.threads());
-                let mut atoms = atoms0.clone();
-                let split = log_split(atoms.nlocal, flags, |rows, scratch| {
-                    kernel.log_force_rows(&atoms, &list, &want_fp, rows, exec, scratch);
-                });
-                kernels::replay_forces(&split, &mut atoms.f, exec);
-                let (energy, virial) = kernels::fold_ev(&split);
-                prop_assert_eq!(energy.to_bits(), want_ev.energy.to_bits());
-                prop_assert_eq!(virial.to_bits(), want_ev.virial.to_bits());
-                prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "force split t{}", exec.threads());
-            }
+            prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "force t{}", exec.threads());
         }
     }
 }

@@ -421,8 +421,8 @@ impl Cluster {
             return false;
         }
         match &*self.potential {
-            Potential::Pair(p) => p.row_kernel().is_some(),
-            Potential::ManyBody(p) => p.row_kernel().is_some(),
+            Potential::Pair(p) => p.has_row_kernel(),
+            Potential::ManyBody(p) => p.has_row_kernel(),
         }
     }
 
@@ -447,15 +447,16 @@ impl Cluster {
     }
 
     /// The overlap window of the op [`Cluster::window_post`] opened, run
-    /// rank-major in one team region: each rank logs the interior rows of
-    /// `pass`, completes its own `op` — the complete side of
-    /// [`Cluster::run_op`] plus the overlap credit — then logs its boundary
-    /// rows and replays ([`physics::Split`]). The credit: the rank spent
-    /// `clock − overlap_c0` on interior compute since the post; any part of
-    /// the raw arrival horizon covered by that window is comm time the
-    /// barrier plan would have waited out, booked into `acc.overlapped`.
-    /// A lane whose complete fails skips its boundary half; the failures
-    /// are raised after the region, as for a whole op.
+    /// rank-major in one team region: each rank charges the interior rows'
+    /// share of `pass`, completes its own `op` — the complete side of
+    /// [`Cluster::run_op`] plus the overlap credit — then runs `pass` over
+    /// all its rows and charges the remainder ([`physics::Split`]). The
+    /// credit: the rank's clock advanced by `clock − overlap_c0` of
+    /// interior compute since the post; any part of the raw arrival horizon
+    /// covered by that window is comm time the barrier plan would have
+    /// waited out, booked into `acc.overlapped`. A lane whose complete
+    /// fails runs no pass; the failures are raised after the region, as
+    /// for a whole op.
     fn run_window(&mut self, op: Op, pass: Pass, ctx: &physics::Ctx) {
         self.net.set_fault_context(self.step, op.index() as u8);
         let dead = self.dead_lanes();
@@ -470,7 +471,7 @@ impl Cluster {
             &mut self.lanes,
             &mut self.states,
             &|rank, lane, st, exec, scratch| {
-                split.interior(rank, lane, st, exec, scratch);
+                split.interior(rank, lane, st, exec);
                 if lane.failed.is_some() {
                     return;
                 }
@@ -495,6 +496,9 @@ impl Cluster {
         }
         if pre_ghost {
             self.rebuild_count += 1;
+            // A row billed inside a window must be one that could have
+            // run there: it lists no ghost.
+            debug_assert_eq!(self.partition_violation(), None);
         }
         if let Some(mut obs) = self.op_observer.take() {
             obs(op, 0, 1, &self.states);
@@ -604,8 +608,11 @@ impl Cluster {
     /// mid-stage scalar exchanges.
     fn compute_pair(&mut self, ctx: &physics::Ctx) {
         let potential = self.potential.clone();
+        let run = |c: &mut Self, pass| {
+            physics::pair_pass(&c.team, &potential, pass, &mut c.lanes, &mut c.states);
+        };
         if potential.needs_midstage_comm() {
-            physics::eam_rho(&self.team, &potential, &mut self.lanes, &mut self.states);
+            run(self, Pass::Rho);
             self.run_op(Op::ReverseScalar);
             if self.pending_peer_death.is_some() {
                 return;
@@ -615,9 +622,9 @@ impl Cluster {
             if self.pending_peer_death.is_some() {
                 return;
             }
-            physics::eam_force(&self.team, &potential, &mut self.lanes, &mut self.states);
+            run(self, Pass::Force);
         } else {
-            physics::pair_single(&self.team, &potential, &mut self.lanes, &mut self.states);
+            run(self, Pass::Pair);
         }
         physics::charge_pair(&self.team, ctx, &mut self.lanes, &mut self.states);
     }

@@ -52,6 +52,22 @@ impl Cluster {
         crate::trace::atom_imbalance(&self.atom_counts())
     }
 
+    /// `(rank, row)` of the first row that breaks a halo window's licence
+    /// ([`crate::driver::Partition::violation`]) on any rank currently
+    /// holding a row partition; `None` when every partition is sound (or
+    /// no overlapped rebuild has classified rows yet).
+    #[must_use]
+    pub fn partition_violation(&self) -> Option<(usize, usize)> {
+        self.lanes
+            .iter()
+            .zip(&self.states)
+            .enumerate()
+            .find_map(|(r, (lane, st))| {
+                let (part, list) = (lane.part.as_ref()?, lane.list.as_ref()?);
+                Some((r, part.violation(list, st.atoms.nlocal)?))
+            })
+    }
+
     /// Run `n` steps recording a per-step stage trace.
     pub fn run_traced(&mut self, n: u64) -> crate::trace::Trace {
         let mut trace = crate::trace::Trace::default();

@@ -27,6 +27,8 @@
 //!   region. A rank's complete needs only that every rank has posted (the
 //!   `Post` region before it) and still injects in per-node rank order, so
 //!   the window moves no TNI clock a whole-team complete sweep would not.
+//!   The window splits a pass's *charge* around the complete; the pass
+//!   itself runs once, after it.
 //!
 //! Note the 1×2×2 rank-per-node split means a node's four ranks are *not*
 //! contiguous in rank order, which is why chunking is over node groups
@@ -51,10 +53,15 @@ use tofumd_tofu::TofuError;
 /// * `geo` — geometric: the atom sits deeper than `cutoff + skin` from
 ///   every face of the rank's subdomain, so *no* atom it could ever list
 ///   as a neighbor is a ghost. Safe for the rebuild-step split, where the
-///   interior half runs before the ghost shell exists.
+///   interior rows are built before the ghost shell exists.
 /// * `pair` — list-content: the row's stored neighbor rows are all local.
 ///   A superset of `geo`; safe for forward-step splits, where the list is
 ///   fixed and only ghost *positions* are in flight.
+///
+/// Either way an interior row holds no ghost index, so nothing it computes
+/// can depend on the halo in flight: that is what licenses charging it
+/// inside the window while the host evaluates every row in one sweep after
+/// the complete ([`Partition::violation`] checks it).
 #[derive(Debug, Default, Clone)]
 pub struct Partition {
     /// Geometric interior flags per local atom.
@@ -69,6 +76,20 @@ pub struct Partition {
     pub n_pair: usize,
     /// Stored pairs on `pair` rows.
     pub pair_pairs: usize,
+}
+
+impl Partition {
+    /// The first row that breaks the partition's contract against the
+    /// rank's finished `list` (both tiers filled, i.e. after the boundary
+    /// build): flagged interior in either tier yet listing an index
+    /// `>= nlocal`, or `geo` without `pair`. `None` when sound.
+    #[must_use]
+    pub fn violation(&self, list: &NeighborList, nlocal: usize) -> Option<usize> {
+        (0..nlocal).find(|&i| {
+            let ghost = || list.neighbors(i).iter().any(|&j| j as usize >= nlocal);
+            (self.geo[i] && !self.pair[i]) || (self.pair[i] && ghost())
+        })
+    }
 }
 
 /// Per-rank execution context owned by the driver: everything a phase
@@ -124,8 +145,8 @@ impl Lane {
     }
 }
 
-/// One scatter pass of the pair stage — the unit the step DAG splits
-/// across a halo window.
+/// One scatter pass of the pair stage — the unit whose charge the step
+/// DAG splits across a halo window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
     /// The single pass of a pairwise potential.
@@ -166,16 +187,16 @@ pub enum Phase {
     /// window for every rank.
     Post(Op),
     /// The overlap window of the halo op posted just before, run
-    /// rank-major: each rank in team order logs the interior rows of
-    /// `pass`, completes *its own* `op`, logs the boundary rows against
-    /// the arrived halo and replays both sides in serial row order. In
-    /// the Border window the interior half first classifies rows
+    /// rank-major: each rank in team order charges the interior rows'
+    /// share of `pass`, completes *its own* `op`, then runs `pass` once
+    /// over all rows against the arrived halo and charges the remainder.
+    /// In the Border window the interior step first classifies rows
     /// geometrically and builds the interior-only Verlet list, and the
-    /// boundary half first merges the boundary rows into the full list.
+    /// boundary step first merges the boundary rows into the full list.
     Window {
         /// The halo op the window completes.
         op: Op,
-        /// The scatter pass split across it.
+        /// The scatter pass whose charge is split across it.
         pass: Pass,
     },
     /// Verlet-list rebuild in one pass.
@@ -305,11 +326,17 @@ impl StepDag {
 }
 
 /// Raw-pointer wrapper that lets the pool's scoped closures index into
-/// the lane/state slices. Safe because the team's node partition gives
-/// every index to exactly one worker per region (see `Team::fan_out`).
+/// the lane/state slices.
 struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: the pointer is only dereferenced inside `Team::for_each`, whose
+// node partition hands every element to exactly one worker per region, so
+// moving the wrapper to that worker moves exclusive access to `T: Send`
+// elements and nothing else.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: sharing `&SendPtr` shares only the address; no two threads ever
+// form references to the same element (same partition argument), so no
+// `&T` is shared and `T: Send` suffices.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     /// Pointer to element `i`. Taking the receiver by value (Copy-free via
@@ -331,12 +358,11 @@ pub struct Team {
     /// are node `n`'s ranks in ascending rank order.
     order: Vec<usize>,
     node_starts: Vec<usize>,
-    /// One scatter-log scratch per pool thread, reused by every rank that
-    /// thread visits: a rank's pass opens and closes inside one visit, so
-    /// the logs stay cache-resident and their bytes scale with the driver
-    /// threads, not the ranks. Worker `tid` locks only `scratch[tid]`
-    /// (never contended); the lock is what makes the hand-out safe code.
-    scratch: Vec<Mutex<PairScratch>>,
+    /// The one scatter log: of the rank the whole pool is currently inside
+    /// (`threads > nodes`). A rank one worker owns scatters straight into
+    /// its arrays and needs none. The lock is what makes handing it out of
+    /// `&self` safe code; it is never contended.
+    scratch: Mutex<PairScratch>,
 }
 
 impl Team {
@@ -361,7 +387,7 @@ impl Team {
             pool: SpinPool::new(threads),
             order,
             node_starts,
-            scratch: (0..threads).map(|_| Mutex::default()).collect(),
+            scratch: Mutex::default(),
         }
     }
 
@@ -377,17 +403,17 @@ impl Team {
         self.node_starts.len() - 1
     }
 
-    /// The static node-aligned fan-out: worker `tid` walks its contiguous
-    /// range of node groups in ascending order and calls `f(tid, rank,
-    /// &mut a[rank], &mut b[rank])` for each of their ranks. With one
-    /// thread this is the plain serial loop in team order, so the 1-thread
-    /// and N-thread schedules are literally the same per-node instruction
-    /// streams.
-    fn fan_out<A: Send, B: Send>(
+    /// Run `f(rank, &mut a[rank], &mut b[rank])` for every rank with the
+    /// static node-aligned fan-out: worker `tid` walks its contiguous
+    /// range of node groups in ascending order and visits each of their
+    /// ranks. With one thread this is the plain serial loop in team order,
+    /// so the 1-thread and N-thread schedules are literally the same
+    /// per-node instruction streams.
+    pub fn for_each<A: Send, B: Send>(
         &self,
         a: &mut [A],
         b: &mut [B],
-        f: &(dyn Fn(usize, usize, &mut A, &mut B) + Sync),
+        f: &(dyn Fn(usize, &mut A, &mut B) + Sync),
     ) {
         assert_eq!(a.len(), self.order.len());
         assert_eq!(b.len(), self.order.len());
@@ -403,44 +429,34 @@ impl Team {
                     // SAFETY: the node ranges [lo, hi) are disjoint across
                     // tids and every rank id appears exactly once in
                     // `order` (and is below the lengths asserted above),
-                    // so each element of `a`/`b` is accessed by exactly
+                    // so each element of `a`/`b` is referenced by exactly
                     // one thread for the duration of this region; `run`
-                    // does not return until all workers are done.
-                    let ea = unsafe { &mut *pa.slot(r) };
-                    let eb = unsafe { &mut *pb.slot(r) };
-                    f(tid, r, ea, eb);
+                    // does not return until all workers are done, so the
+                    // references end before the `&mut` borrows of `a` and
+                    // `b` do.
+                    let (ea, eb) = unsafe { (&mut *pa.slot(r), &mut *pb.slot(r)) };
+                    f(r, ea, eb);
                 }
             }
         });
     }
 
-    /// Run `f(rank, &mut a[rank], &mut b[rank])` for every rank, fanned
-    /// out over the team with the static node-aligned partition.
-    pub fn for_each<A: Send, B: Send>(
-        &self,
-        a: &mut [A],
-        b: &mut [B],
-        f: &(dyn Fn(usize, &mut A, &mut B) + Sync),
-    ) {
-        self.fan_out(a, b, &|_, r, ea, eb| f(r, ea, eb));
-    }
-
     /// Like [`Team::for_each`], but hands each rank closure a
-    /// [`ChunkExec`] so the per-rank kernels can themselves go parallel,
-    /// and the visiting worker's [`PairScratch`] for the rank's scatter
-    /// passes. The parallelism budget is spent at exactly one level — the
-    /// spin pool is not reentrant:
+    /// [`ChunkExec`] — and with it the way the rank's scatter passes write
+    /// (`tofumd_md::kernels`). The parallelism budget is spent at exactly
+    /// one level — the spin pool is not reentrant:
     ///
     /// * more threads than node groups → walk ranks serially (team order)
-    ///   and give every rank the pooled executor and the one scratch, so
-    ///   wide-thread runs on few ranks still use all workers;
+    ///   and give every rank the pooled executor and the team's scatter
+    ///   log, so wide-thread runs on few ranks still use all workers;
     /// * otherwise → the node-aligned rank fan-out of `for_each` with a
-    ///   serial executor inside each rank.
+    ///   serial executor inside each rank: one worker owns the rank, its
+    ///   passes scatter straight into its arrays, and the scratch it is
+    ///   handed is an empty one nothing opens (no allocation).
     ///
     /// Results are identical either way because every chunked kernel is
-    /// bit-identical to its serial form at any thread count and a replay
-    /// does not depend on what the scratch held before — the mode choice
-    /// (and the thread count) affects only wall-clock.
+    /// bit-identical to its serial form under either executor — the mode
+    /// choice (and the thread count) affects only wall-clock.
     pub fn for_each_chunk<A: Send, B: Send>(
         &self,
         a: &mut [A],
@@ -449,14 +465,14 @@ impl Team {
     ) {
         if self.pool.threads() > self.nodes().max(1) {
             let exec = ChunkExec::Pool(&self.pool);
-            let scratch = &mut *self.scratch[0].lock();
+            let scratch = &mut *self.scratch.lock();
             for &r in &self.order {
                 f(r, &mut a[r], &mut b[r], &exec, scratch);
             }
             return;
         }
-        self.fan_out(a, b, &|tid, r, ea, eb| {
-            f(r, ea, eb, &ChunkExec::Serial, &mut self.scratch[tid].lock());
+        self.for_each(a, b, &|r, ea, eb| {
+            f(r, ea, eb, &ChunkExec::Serial, &mut PairScratch::new());
         });
     }
 }
@@ -511,30 +527,29 @@ mod tests {
         }
     }
 
-    /// `for_each_chunk` visits every rank once and hands out one scratch
-    /// per worker: a single one when the ranks are walked serially (one
-    /// thread, or more threads than the 12 node groups), otherwise one per
-    /// node range, shared by the whole range.
+    /// `for_each_chunk` visits every rank once and spends the threads at
+    /// one level: a serial executor per rank (and a scratch nothing has
+    /// opened) while workers own whole ranks, the pooled executor and the
+    /// team's one scatter log once threads outnumber the 12 node groups.
     #[test]
-    fn for_each_chunk_hands_each_worker_one_scratch() {
+    fn for_each_chunk_pools_only_when_threads_exceed_nodes() {
         let m = map();
-        for (threads, scratches) in [(1, 1), (2, 2), (5, 4), (8, 6), (16, 1)] {
+        for threads in [1, 2, 5, 12, 13, 16] {
             let team = Team::new(threads, &m);
+            let pooled = threads > 12;
             let mut hits = vec![0u32; m.nranks()];
             let mut seen = vec![0usize; m.nranks()];
             team.for_each_chunk(&mut hits, &mut seen, &|_, h, s, exec, scratch| {
                 *h += 1;
                 *s = std::ptr::from_mut(scratch) as usize;
-                assert_eq!(exec.threads() > 1, threads == 16);
+                assert_eq!(matches!(exec, ChunkExec::Pool(_)), pooled);
             });
             assert!(hits.iter().all(|&h| h == 1), "threads={threads}");
-            for n in 0..team.nodes() {
-                let g = &team.order[team.node_starts[n]..team.node_starts[n + 1]];
-                assert!(g.iter().all(|&r| seen[r] == seen[g[0]]), "node {n} split");
-            }
-            seen.sort_unstable();
-            seen.dedup();
-            assert_eq!(seen.len(), scratches, "threads={threads}");
+            let own = std::ptr::from_ref(&*team.scratch.lock()) as usize;
+            assert!(
+                seen.iter().all(|&s| (s == own) == pooled),
+                "threads={threads}"
+            );
         }
     }
 

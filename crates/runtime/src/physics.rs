@@ -7,14 +7,19 @@
 //! `lanes[r]` / `states[r]` plus shared read-only context, so the team
 //! can run them at any thread count with bit-identical results (the
 //! virtual-time charges depend only on the rank's own workload).
+//!
+//! A scatter pass always runs whole, over all of a rank's rows
+//! ([`pair_pass`] in the non-overlapping shape, [`Split::boundary`] in a
+//! halo window — the same `run_pass`); a window splits only the pass's
+//! *charge* around the rank's complete.
 
 use crate::driver::{Lane, Partition, Pass, Team};
 use tofumd_core::border_bin;
 use tofumd_core::engine::RankState;
 use tofumd_md::integrate::NveIntegrator;
-use tofumd_md::kernels::{self, PairScratch, Rows};
+use tofumd_md::kernels::PairScratch;
 use tofumd_md::neighbor::{sort_locals_by_bin, ListKind, NeighborList};
-use tofumd_md::potential::{replay_pass, Potential};
+use tofumd_md::potential::Potential;
 use tofumd_model::{RankWork, StageCosts, Threading};
 use tofumd_threadpool::ChunkExec;
 use tofumd_tofu::{NetParams, TofuError};
@@ -128,42 +133,50 @@ pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [R
     });
 }
 
-/// Single-pass pair potential: zero forces, compute, store energy/virial.
-pub fn pair_single(
+/// Run one scatter pass over all of the rank's rows: densities into
+/// `st.scalar`, or forces into zeroed `st.atoms.f` (the force pass reads F'
+/// from `st.scalar`) with the energy/virial into `lane.energy`. A missing
+/// list or a potential of the other kind leaves a phase-order violation in
+/// `lane.failed`.
+fn run_pass(
+    potential: &Potential,
+    pass: Pass,
+    r: usize,
+    lane: &mut Lane,
+    st: &mut RankState,
+    exec: &ChunkExec<'_>,
+    scratch: &mut PairScratch,
+) {
+    let Some(list) = lane.list.as_ref() else {
+        fail_missing_list(lane, r, pass.name());
+        return;
+    };
+    match (potential, pass) {
+        (Potential::Pair(pot), Pass::Pair) => {
+            st.atoms.zero_forces();
+            lane.energy = pot.compute_chunked(&mut st.atoms, list, exec, scratch);
+        }
+        (Potential::ManyBody(pot), Pass::Rho) => {
+            pot.compute_rho_chunked(&st.atoms, list, &mut st.scalar, exec, scratch);
+        }
+        (Potential::ManyBody(pot), Pass::Force) => {
+            st.atoms.zero_forces();
+            lane.energy = pot.compute_force_chunked(&mut st.atoms, list, &st.scalar, exec, scratch);
+        }
+        _ => fail_missing(lane, r, pass.name(), "potential of the pass's kind"),
+    }
+}
+
+/// One scatter pass of the unsplit pair stage, on every rank.
+pub fn pair_pass(
     team: &Team,
     potential: &Potential,
+    pass: Pass,
     lanes: &mut [Lane],
     states: &mut [RankState],
 ) {
     team.for_each_chunk(lanes, states, &|r, lane, st, exec, scratch| {
-        st.atoms.zero_forces();
-        let Potential::Pair(pot) = potential else {
-            fail_missing(lane, r, "pair", "single-pass potential");
-            return;
-        };
-        let Some(list) = lane.list.as_ref() else {
-            fail_missing_list(lane, r, "pair");
-            return;
-        };
-        lane.energy = pot.compute_chunked(&mut st.atoms, list, exec, scratch);
-        lane.embed = 0.0;
-    });
-}
-
-/// EAM pass 1: electron densities into `st.scalar` (ghost contributions
-/// are reverse-folded by the scalar op the caller runs next).
-pub fn eam_rho(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &mut [RankState]) {
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec, scratch| {
-        st.atoms.zero_forces();
-        let Potential::ManyBody(pot) = potential else {
-            fail_missing(lane, r, "eam_rho", "many-body potential");
-            return;
-        };
-        let Some(list) = lane.list.as_ref() else {
-            fail_missing_list(lane, r, "eam_rho");
-            return;
-        };
-        pot.compute_rho_chunked(&st.atoms, list, &mut st.scalar, exec, scratch);
+        run_pass(potential, pass, r, lane, st, exec, scratch);
     });
 }
 
@@ -177,21 +190,6 @@ pub fn eam_embed(team: &Team, potential: &Potential, lanes: &mut [Lane], states:
         };
         lane.embed = pot.compute_embedding_chunked(&st.atoms, &st.scalar, &mut lane.fp_buf, exec);
         std::mem::swap(&mut st.scalar, &mut lane.fp_buf);
-    });
-}
-
-/// EAM pass 2: forces from the exchanged F' values.
-pub fn eam_force(team: &Team, potential: &Potential, lanes: &mut [Lane], states: &mut [RankState]) {
-    team.for_each_chunk(lanes, states, &|r, lane, st, exec, scratch| {
-        let Potential::ManyBody(pot) = potential else {
-            fail_missing(lane, r, "eam_force", "many-body potential");
-            return;
-        };
-        let Some(list) = lane.list.as_ref() else {
-            fail_missing_list(lane, r, "eam_force");
-            return;
-        };
-        lane.energy = pot.compute_force_chunked(&mut st.atoms, list, &st.scalar, exec, scratch);
     });
 }
 
@@ -263,10 +261,12 @@ pub fn charge_other_floor(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &m
 }
 
 // ---------------------------------------------------------------------
-// Split (overlap) passes: the per-rank steps of a halo window. A rank's
-// interior half runs while its halo is in flight, its boundary half after
-// its own complete, and the boundary half replays both sides in exact
-// serial row order (DESIGN.md §12).
+// Halo windows: the per-rank steps either side of the rank's own complete.
+// A window splits what the *model* needs split — the charge — and nothing
+// else: the interior rows' share of Neigh/Pair is charged (and, in the
+// Border window, those rows are classified and built) while the halo is in
+// flight; after the complete the list is finished, the pass runs once over
+// all rows, and the remainder is charged (DESIGN.md §12).
 // ---------------------------------------------------------------------
 
 /// Geometric classification radius: a hair beyond the list cutoff so
@@ -302,15 +302,15 @@ fn split_time(
     }
 }
 
-/// The interior flag set of one split pass and its workload: geometric
-/// when the pass starts before the ghost shell exists (the first pass of a
-/// rebuild step), list-content otherwise (the list is fixed, only ghost
-/// values are in flight).
-fn split_sel(part: &Partition, pre_ghost: bool, eam: bool) -> (&[bool], RankWork) {
+/// The interior workload of one window's pass: geometric when the window
+/// opens before the ghost shell exists (the first pass of a rebuild step),
+/// list-content otherwise (the list is fixed, only ghost values are in
+/// flight).
+fn split_sel(part: &Partition, pre_ghost: bool, eam: bool) -> RankWork {
     if pre_ghost {
-        (&part.geo, interior_work(part.n_geo, part.geo_pairs, eam))
+        interior_work(part.n_geo, part.geo_pairs, eam)
     } else {
-        (&part.pair, interior_work(part.n_pair, part.pair_pairs, eam))
+        interior_work(part.n_pair, part.pair_pairs, eam)
     }
 }
 
@@ -334,118 +334,56 @@ impl Pass {
     }
 }
 
-/// Log the rows `rows` covers of `pass` through the potential's row
-/// kernel (the force pass reads F' from `st.scalar`). `Err` names what the
-/// potential lacks for the pass.
-fn log_rows(
-    potential: &Potential,
-    pass: Pass,
-    st: &RankState,
-    list: &NeighborList,
-    rows: Rows<'_>,
-    exec: &ChunkExec<'_>,
-    scratch: &mut PairScratch,
-) -> Result<(), &'static str> {
-    const NO_KERNEL: &str = "row kernel";
-    match (potential, pass) {
-        (Potential::Pair(pot), Pass::Pair) => {
-            let kernel = pot.row_kernel().ok_or(NO_KERNEL)?;
-            kernel.log_rows(&st.atoms, list, rows, exec, scratch);
-        }
-        (Potential::ManyBody(pot), Pass::Rho) => {
-            let kernel = pot.row_kernel().ok_or(NO_KERNEL)?;
-            kernel.log_rho_rows(&st.atoms, list, rows, exec, scratch);
-        }
-        (Potential::ManyBody(pot), Pass::Force) => {
-            let kernel = pot.row_kernel().ok_or(NO_KERNEL)?;
-            kernel.log_force_rows(&st.atoms, list, &st.scalar, rows, exec, scratch);
-        }
-        _ => return Err("potential of the pass's kind"),
-    }
-    Ok(())
-}
-
-/// The scatter pass split across one halo window, as the two per-rank
-/// steps the driver runs around the rank's own complete.
+/// The scatter pass of one halo window, as the two per-rank steps the
+/// driver runs around the rank's own complete.
 pub struct Split<'a> {
     /// Shared read-only context.
     pub ctx: &'a Ctx,
-    /// The potential whose row kernel logs the pass.
+    /// The potential whose pass the window carries.
     pub potential: &'a Potential,
-    /// The pass being split.
+    /// The pass.
     pub pass: Pass,
     /// The Border window: it opens before the rank's ghost shell exists,
-    /// so the interior half classifies rows geometrically and builds and
-    /// logs the interior-only list, and the boundary half first merges the
-    /// boundary rows into the full list. Every other window splits the
-    /// fixed list by content.
+    /// so the interior step classifies rows geometrically and builds the
+    /// interior-only list (the clock needs its pair count before the
+    /// complete), and the boundary step first merges the boundary rows
+    /// into the full list. Every other window reads the fixed list's
+    /// content partition.
     pub pre_ghost: bool,
 }
 
 impl Split<'_> {
-    /// Log one side of the pass into `scratch` (the force pass reads F'
-    /// from `st.scalar`) and return the side's share of the pass's Pair
-    /// time: the interior rows' own cost, or what the whole pass costs
+    /// One side's share of the pass's Pair time: the interior rows' own
+    /// cost, or — given the `full` workload — what the whole pass costs
     /// beyond it. `None` leaves a phase-order violation in `lane.failed`.
-    fn log_side(
-        &self,
-        r: usize,
-        lane: &mut Lane,
-        st: &RankState,
-        interior: bool,
-        exec: &ChunkExec<'_>,
-        scratch: &mut PairScratch,
-    ) -> Option<f64> {
+    fn share(&self, r: usize, lane: &mut Lane, full: Option<&RankWork>) -> Option<f64> {
         let (ctx, pass) = (self.ctx, self.pass);
         let Some(part) = lane.part.as_ref() else {
             fail_missing(lane, r, pass.name(), "row partition");
             return None;
         };
-        let (flags, inner) = split_sel(part, self.pre_ghost, ctx.eam);
-        let list = if interior && self.pre_ghost {
-            lane.interior_list.as_ref()
-        } else {
-            lane.list.as_ref()
-        };
-        let Some(list) = list else {
-            fail_missing_list(lane, r, pass.name());
-            return None;
-        };
-        let rows = Rows::Side { flags, interior };
-        if let Err(missing) = log_rows(self.potential, pass, st, list, rows, exec, scratch) {
-            fail_missing(lane, r, pass.name(), missing);
-            return None;
-        }
-        let full = (!interior).then(|| full_work(st, list, ctx.eam));
-        Some(pass.pair_share() * split_time(|w| ctx.pair_time(w), &inner, full.as_ref()))
+        let inner = split_sel(part, self.pre_ghost, ctx.eam);
+        Some(pass.pair_share() * split_time(|w| ctx.pair_time(w), &inner, full))
     }
 
-    /// Interior half, while the rank's halo is in flight: log the interior
-    /// rows of the pass — no output array is touched — and charge their
-    /// share of Pair (and, in the Border window, of Neigh).
-    pub fn interior(
-        &self,
-        r: usize,
-        lane: &mut Lane,
-        st: &mut RankState,
-        exec: &ChunkExec<'_>,
-        scratch: &mut PairScratch,
-    ) {
+    /// While the rank's halo is in flight: charge the interior rows' share
+    /// of Pair (and, in the Border window, classify and build those rows
+    /// and charge their share of Neigh). No row is evaluated — a row that
+    /// holds no ghost index cannot observe the halo, so when it runs is a
+    /// host matter, not a modeled one.
+    pub fn interior(&self, r: usize, lane: &mut Lane, st: &mut RankState, exec: &ChunkExec<'_>) {
         if self.pre_ghost {
             build_interior_list(self.ctx, lane, st, exec);
         }
-        scratch.prepare(st.atoms.nlocal, st.atoms.ntotal());
-        if let Some(dt) = self.log_side(r, lane, st, true, exec, scratch) {
+        if let Some(dt) = self.share(r, lane, None) {
             st.clock += dt;
             lane.acc.pair += dt;
         }
     }
 
-    /// Boundary half, after the rank's halo landed: log the boundary rows
-    /// against it, then replay both sides in exact serial row order —
-    /// densities into a zeroed `st.scalar`, forces into zeroed forces with
-    /// the energy/virial fold — bit-identical to the one-pass forms.
-    /// Charges the remainder of Pair (and, in the Border window, of Neigh).
+    /// After the rank's halo landed: finish the list (Border window), run
+    /// the pass once over all rows — the one-pass form itself — and charge
+    /// the remainder of Pair (and of Neigh).
     pub fn boundary(
         &self,
         r: usize,
@@ -457,19 +395,15 @@ impl Split<'_> {
         if self.pre_ghost && !build_boundary_list(self.ctx, r, lane, st, exec) {
             return;
         }
-        let Some(dt) = self.log_side(r, lane, st, false, exec, scratch) else {
+        run_pass(self.potential, self.pass, r, lane, st, exec, scratch);
+        // `None`: no list, which `run_pass` has reported.
+        let Some(full) = rank_work(lane, st, self.ctx.eam) else {
             return;
         };
-        if self.pass == Pass::Rho {
-            st.scalar.clear();
-            st.scalar.resize(st.atoms.ntotal(), 0.0);
-            kernels::replay_scalars(scratch, &mut st.scalar, exec);
-        } else {
-            st.atoms.zero_forces();
-            lane.energy = replay_pass(scratch, &mut st.atoms.f, exec);
+        if let Some(dt) = self.share(r, lane, Some(&full)) {
+            st.clock += dt;
+            lane.acc.pair += dt;
         }
-        st.clock += dt;
-        lane.acc.pair += dt;
     }
 }
 

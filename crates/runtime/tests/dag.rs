@@ -10,8 +10,10 @@
 //! forces, energies, thermo history — must not.
 //!
 //! The clocks of the overlapped shape itself are pinned separately, to
-//! recorded constants: how the host walks a halo window (rank-major, one
-//! scatter log per driver thread) must never reach the modeled time.
+//! recorded constants: how the host walks a halo window (rank-major, the
+//! pass in one sweep after the rank's complete) must never reach the
+//! modeled time. What licenses that sweep — no row charged as interior
+//! can see a ghost — is checked structurally on the final lists.
 
 use tofumd_core::engine::Op;
 use tofumd_runtime::{Cluster, CommVariant, PlanMode, RunConfig};
@@ -197,6 +199,53 @@ fn p2p_variants_overlap_comm_on_fig06_config() {
     bar.reset_timers();
     bar.run_traced(12);
     assert_eq!(bar.overlapped_total(), 0.0);
+}
+
+/// The licence of the halo windows: a window charges its interior rows
+/// while the halo is in flight but evaluates them, with every other row,
+/// after the rank's complete. That is the same physics only if no such row
+/// can observe the halo — so after every step of overlapped runs on the
+/// grid (`Opt`) and on an RCB star forest that re-cuts mid-run, every row
+/// either tier of every rank's `Partition` flags interior lists no index
+/// `>= nlocal` in the final list, and `geo ⊆ pair`.
+#[test]
+fn interior_rows_never_list_a_ghost() {
+    use tofumd_runtime::config::{CommTuning, Decomp};
+    let rcb = RunConfig {
+        comm: CommTuning {
+            decomp: Decomp::Rcb,
+            density_gradient: 0.8,
+            balance_thresh: Some(1.05),
+            rebalance_every: Some(25),
+            ..CommTuning::default()
+        },
+        ..RunConfig::lj(8000)
+    };
+    for (label, cfg, variant, steps, rebalances) in [
+        (
+            "opt-grid",
+            RunConfig::lj(65_536),
+            CommVariant::Opt,
+            25,
+            false,
+        ),
+        ("mpi-p2p-rcb", rcb, CommVariant::MpiP2p, 60, true),
+    ] {
+        let mut c = Cluster::new(MESH, cfg, variant);
+        let rebuilds = c.rebuild_count;
+        for _ in 0..steps {
+            c.run_step();
+            assert_eq!(
+                c.partition_violation(),
+                None,
+                "{label} step {}: (rank, row) charged as interior lists a ghost",
+                c.step
+            );
+        }
+        assert!(c.rebuild_count > rebuilds, "{label}: no rebuild crossed");
+        assert!(c.overlapped_total() > 0.0, "{label}: no window ran");
+        assert_eq!(c.rebalance_count() > 0, rebalances, "{label}");
+    }
 }
 
 /// `step_time`, the five `breakdown` fields and the overlap credit of a

@@ -21,11 +21,16 @@ pub enum ChunkExec<'a> {
 }
 
 /// Raw-pointer wrapper so the pool's scoped closures can index into the
-/// item slice. Safe because `run_chunked` hands each index to exactly one
-/// thread and `run` does not return until every worker is done.
+/// item slice.
 struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: the pointer is only dereferenced in `for_each_mut`, where
+// `run_chunked` hands each index to exactly one thread; moving the wrapper
+// there moves exclusive access to `T: Send` items and nothing else.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: sharing `&SendPtr` shares only the address; no two threads form
+// references to the same item (same disjointness), so no `&T` is shared
+// and `T: Send` suffices.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     // Accessor (rather than direct field use) so closures capture the
@@ -86,10 +91,12 @@ impl<'a> ChunkExec<'a> {
                 let ptr = SendPtr(items.as_mut_ptr());
                 pool.run_chunked(items.len(), &|_tid, range| {
                     for k in range {
-                        // SAFETY: `run_chunked` ranges are disjoint and
-                        // cover each index exactly once; `run` joins all
-                        // workers before returning, so no reference
-                        // outlives the region.
+                        // SAFETY: `run_chunked` ranges are disjoint, lie
+                        // within `0..items.len()` and cover each index
+                        // exactly once, so this is the only reference to
+                        // item `k`; `run` joins all workers before
+                        // returning, so it ends before the `&mut items`
+                        // borrow does.
                         let item = unsafe { &mut *ptr.get().add(k) };
                         f(k, item);
                     }

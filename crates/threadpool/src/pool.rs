@@ -25,7 +25,11 @@ struct TaskPtr {
     vtable: *const (),
 }
 
+// SAFETY: the two words are the halves of a `&(dyn Fn(usize) + Sync)`; a
+// shared reference to a `Sync` closure may be sent to another thread.
 unsafe impl Send for TaskPtr {}
+// SAFETY: `TaskPtr` is `Copy` plain data with no interior mutability, so
+// sharing `&TaskPtr` exposes nothing but reads of those two words.
 unsafe impl Sync for TaskPtr {}
 
 struct Shared {
@@ -45,6 +49,12 @@ struct SpinSlot {
     ptr: std::cell::UnsafeCell<TaskPtr>,
 }
 
+// SAFETY: the cell is written only by `SpinPool::run`, before its epoch
+// bump and while every worker spins on the epoch (none is inside a
+// region), and read only by workers after they observe that bump with
+// `Acquire`; the `Release`/`Acquire` pair on `epoch` orders the write
+// before every read, and `run` does not write again until `done` shows
+// every worker has finished reading. No access is concurrent with a write.
 unsafe impl Sync for SpinSlot {}
 
 /// The spin-wait pool. The calling thread participates in every region, so
@@ -100,8 +110,11 @@ impl SpinPool {
             f(0);
             return;
         }
-        // Erase the lifetime: workers only use the pointer while we are
-        // blocked in this call, and we spin until they are all done.
+        // SAFETY: a `&dyn` reference is two pointer words, the layout of
+        // `TaskPtr`. The transmute erases the borrow's lifetime: workers
+        // dereference the copy only between the epoch bump below and their
+        // `done` increment, and this call does not return (so `f` stays
+        // borrowed and alive) until `done` reaches the worker count.
         let erased: TaskPtr = unsafe { std::mem::transmute(f) };
         // SAFETY: workers are quiescent between regions; the slot is only
         // written here and only read after the epoch bump below.
@@ -175,8 +188,10 @@ fn worker_loop(shared: &Shared, tid: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // SAFETY: the epoch bump happens-after the slot write; `run` keeps
-        // the closure alive until `done` reaches the worker count.
+        // SAFETY: the `Acquire` load that saw the new epoch happens-after
+        // `run`'s slot write (its `Release` bump), so the slot holds the
+        // words of a live `&(dyn Fn(usize) + Sync)`; `run` keeps that
+        // closure borrowed until this worker's `done` increment below.
         let f: &(dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(*shared.task.ptr.get()) };
         f(tid);
         shared.done.fetch_add(1, Ordering::Release);

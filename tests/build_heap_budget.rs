@@ -4,10 +4,11 @@
 //! received. A counting global allocator measures live bytes — allocation
 //! sizes, not host time or RSS, so the numbers repeat exactly.
 //!
-//! The third reading is the step itself: the scatter logs of the force
-//! passes are one per driver thread, so overlapped steps on 48 ranks grow
-//! the heap by what one rank's pass logs, and a second driver thread by
-//! one more log.
+//! The third reading is the step itself: a rank one driver thread owns
+//! scatters its force pass straight into its arrays, so overlapped steps
+//! on 48 ranks grow the heap by list slack only and a second driver thread
+//! by its pool; only a run with more threads than nodes opens the scatter
+//! log, and it holds one, not one per thread.
 //!
 //! One `#[test]` only: the counter is process-wide and the harness runs
 //! tests of one binary on parallel threads.
@@ -82,28 +83,40 @@ fn cluster_heap_is_sized_by_its_traffic() {
     assert!(ref_mib <= 32, "Ref after 25 steps holds {ref_mib} MiB live");
     drop(reference);
 
-    // uTofu p2p under the overlapped step DAG: the scatter logs (48 B per
-    // accepted pair) belong to the driver's threads, not to the ranks.
-    // 48 ranks x 500 atoms; the setup force pass has filled one log, and
-    // 25 steps across the step-20 rebuild run every kind of halo window
-    // through it. A log per rank holds 106 MiB after the build and grows
-    // by 45 MiB here.
+    // uTofu p2p under the overlapped step DAG, 48 ranks x 500 atoms, 25
+    // steps across the step-20 rebuild so every kind of halo window runs.
+    // No scatter log is written at one thread (a log per rank held 106 MiB
+    // after the build and grew by 45 MiB here; a log per thread, 2.2 MiB).
     let mut bulk = Cluster::new([2, 3, 2], RunConfig::lj(24_000), CommVariant::Opt);
     let built = held();
     assert!(built <= 80 * MIB, "built: {} MiB live", built / MIB);
     bulk.run(25);
     assert!(bulk.overlapped_total() > 0.0, "the windows must be in use");
-    let grown = (held() - built) / MIB;
+    let grown = held() - built;
     assert!(
-        grown <= 6,
-        "25 overlapped steps grew the heap by {grown} MiB"
+        grown / MIB <= 1,
+        "25 overlapped steps grew the heap by {} KiB",
+        grown / 1024
     );
-    // A second driver thread brings a second log, not another 47.
+    // A second driver thread brings its pool (a thread handle and the
+    // shared epoch block) and nothing else.
     bulk.set_driver_threads(2);
     bulk.run(5);
-    let grown = (held() - built) / MIB;
+    let second = held().saturating_sub(built + grown);
     assert!(
-        grown <= 8,
-        "two driver threads grew the heap by {grown} MiB"
+        second <= 16 * 1024,
+        "a second driver thread grew the heap by {} KiB",
+        second / 1024
+    );
+    // More threads than the 12 nodes: every rank is walked by the whole
+    // pool through the team's ONE scatter log (48 B per accepted pair of
+    // the largest rank, 1.0 MiB here), not one per thread.
+    bulk.set_driver_threads(13);
+    bulk.run(5);
+    let pooled = held().saturating_sub(built + grown);
+    assert!(
+        pooled <= 2 * MIB,
+        "13 driver threads grew the heap by {} KiB",
+        pooled / 1024
     );
 }
