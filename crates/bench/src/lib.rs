@@ -1,23 +1,30 @@
-//! # tofumd-bench — harness regenerating the paper's tables and figures
+//! # tofumd-bench — the one program regenerating the paper's tables and figures
 //!
-//! Each `src/bin/*` binary reproduces one table or figure from the
-//! *modeled* (virtual) clock. Host speed of the simulator itself is
-//! measured in one place only, `benchmark/run.sh` at the repo root. This
-//! library holds the shared plumbing: proxy-mesh selection, run
-//! orchestration and plain-text table rendering.
+//! `tofumd-bench <command>`: every table and figure is a report, a
+//! `fn(&Opts) -> String` in `reports` printing quantities of the
+//! *modeled* (virtual) clock only, so its text is a pure function of the
+//! tree; `reproduce` writes each one to `results/<name>.txt`. [`cli`]
+//! holds the command table and the one argument parser, `tools` the
+//! commands that are not committed text (`bisect`, `overheads`,
+//! `reproduce`). Host speed of the simulator itself is measured in one
+//! place only, `benchmark/run.sh` at the repo root. This file holds the
+//! shared plumbing: proxy-mesh selection, run orchestration and
+//! plain-text table rendering.
 
 #![warn(missing_docs)]
 // Panicking escape hatches are reserved for tests; report failures with a
-// message naming the input instead (the bins inherit the same contract).
+// message naming the input instead.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // Dimension loops (`for d in 0..3`) index by physical dimension on fixed
 // [f64; 3] vectors; the index is the semantics, so the iterator rewrite the
 // lint suggests would be less clear.
 #![allow(clippy::needless_range_loop)]
 
-use std::sync::Arc;
-use tofumd_runtime::{Cluster, CommVariant, RunConfig, StageBreakdown};
-use tofumd_tofu::{CellGrid, NetParams, TofuNet, Vcq, CQS_PER_TNI, TNIS_PER_NODE};
+use tofumd_runtime::{Cluster, CommVariant, RunConfig};
+
+pub mod cli;
+mod reports;
+mod tools;
 
 /// The proxy torus used for large-target runs: 24 nodes (2 cells), 96
 /// ranks on a 4 x 6 x 4 rank grid — large enough that every rank has
@@ -34,23 +41,31 @@ pub const STRONG_SCALING_MESHES: [(usize, [u32; 3]); 5] = [
     (36864, [32, 36, 32]),
 ];
 
+/// The paper's smallest machine (768 nodes), the target most proxy
+/// figures stand in for.
+pub(crate) const MESH_768: [u32; 3] = STRONG_SCALING_MESHES[0].1;
+
 /// Number of timed steps (the paper's runs report 99-step timings).
 pub const PAPER_STEPS: u64 = 99;
 
-/// Outcome of one proxy run.
-#[derive(Debug, Clone, Copy)]
-pub struct RunResult {
-    /// Mean virtual seconds per step (slowest-rank clock).
-    pub step_time: f64,
-    /// Mean per-step stage breakdown.
-    pub breakdown: StageBreakdown,
-}
-
-/// Run `steps` timesteps of `cfg` on a proxy torus standing in for
-/// `target_mesh`, under `variant`, driving ranks with `threads` host
-/// workers; returns per-step timings. Results are bit-identical at any
+/// A proxy torus standing in for `target_mesh` under `variant`, its ranks
+/// driven by `threads` host workers. Results are bit-identical at any
 /// thread count (the phase-executor determinism contract), so `threads`
 /// only changes wall-clock time.
+#[must_use]
+pub(crate) fn proxy(
+    target_mesh: [u32; 3],
+    cfg: RunConfig,
+    variant: CommVariant,
+    threads: usize,
+) -> Cluster {
+    let mut cluster = Cluster::proxy(PROXY_MESH, target_mesh, cfg, variant);
+    cluster.set_driver_threads(threads);
+    cluster
+}
+
+/// [`proxy`] after `steps` timesteps, ready to be asked for its per-step
+/// `step_time()` and `breakdown()`.
 #[must_use]
 pub fn run_proxy(
     target_mesh: [u32; 3],
@@ -58,29 +73,10 @@ pub fn run_proxy(
     variant: CommVariant,
     steps: u64,
     threads: usize,
-) -> RunResult {
-    let mut cluster = Cluster::proxy(PROXY_MESH, target_mesh, cfg, variant);
-    cluster.set_driver_threads(threads);
+) -> Cluster {
+    let mut cluster = proxy(target_mesh, cfg, variant, threads);
     cluster.run(steps);
-    RunResult {
-        step_time: cluster.step_time(),
-        breakdown: cluster.breakdown(),
-    }
-}
-
-/// Parse `--threads N` from the process args; defaults to the host's
-/// available parallelism. Shared by every figure/table binary.
-#[must_use]
-pub fn threads_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
-        .max(1)
+    cluster
 }
 
 /// Format seconds as an adaptive human unit.
@@ -97,13 +93,13 @@ pub fn fmt_time(s: f64) -> String {
     }
 }
 
-/// Render an aligned plain-text table.
+/// Render an aligned plain-text table under `|`-separated column `headers`.
 #[must_use]
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let ncols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+pub fn render_table(headers: &str, rows: &[Vec<String>]) -> String {
+    let header_cells: Vec<String> = headers.split('|').map(String::from).collect();
+    let mut widths: Vec<usize> = header_cells.iter().map(String::len).collect();
     for row in rows {
-        assert_eq!(row.len(), ncols, "ragged table row");
+        assert_eq!(row.len(), widths.len(), "ragged table row");
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
         }
@@ -117,7 +113,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         line.push('\n');
         line
     };
-    let header_cells: Vec<String> = headers.iter().map(|h| (*h).to_string()).collect();
     out.push_str(&fmt_row(&header_cells, &widths));
     let mut sep = String::from("|");
     for w in &widths {
@@ -131,77 +126,82 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// The text of `--bin fig07` (`results/fig07.txt`): the two VCQ binding
-/// modes on a simulated node — coarse-grained (each of the 4 ranks binds
-/// one VCQ on its own TNI) and fine-grained (each rank creates 6 VCQs, one
-/// per TNI, claiming CQ slot r on each) — and the 9-CQ-per-TNI exhaustion
-/// rule. A `Vcq` frees its CQ on drop, so each section holds the VCQs it
-/// created until its rows are read.
-#[must_use]
-pub fn fig07_report() -> String {
-    let node = || Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()));
-    let create = |net: &Arc<TofuNet>, tni: usize, rank: u32| {
-        Vcq::create(net.clone(), 0, tni, rank)
-            .unwrap_or_else(|e| panic!("VCQ for rank {rank} TNI {tni}: {e:?}"))
-    };
-    let mut out = String::from("Fig. 7 — VCQ binding (simulated node)\n\n");
-
-    out.push_str("== coarse-grained: 4 ranks x 1 VCQ on their own TNI ==\n");
-    let net = node();
-    let vcqs: Vec<Vcq> = (0..4u32).map(|r| create(&net, r as usize, r)).collect();
-    let rows: Vec<Vec<String>> = (0..4)
-        .zip(&vcqs)
-        .map(|(rank, v)| {
-            vec![
-                format!("rank {rank}"),
-                format!("TNI {}", v.tni()),
-                format!("CQ {}", v.cq()),
-            ]
-        })
-        .collect();
-    out.push_str(&render_table(&["rank", "TNI", "CQ"], &rows));
-
-    out.push_str("\n== fine-grained: 4 ranks x 6 VCQs, one per TNI (Fig. 7's scheme) ==\n");
-    let net = node();
-    let mut vcqs: Vec<Vcq> = Vec::new();
-    let mut rows = Vec::new();
-    for rank in 0..4u32 {
-        let mut cells = vec![format!("rank {rank}")];
-        for tni in 0..TNIS_PER_NODE {
-            let v = create(&net, tni, rank);
-            cells.push(format!("CQ{}", v.cq()));
-            vcqs.push(v);
-        }
-        rows.push(cells);
-    }
-    out.push_str(&render_table(
-        &["rank", "TNI0", "TNI1", "TNI2", "TNI3", "TNI4", "TNI5"],
-        &rows,
-    ));
-    out.push_str(&format!(
-        "\n24 CQs in use (4 ranks x 6 TNIs); each TNI has {CQS_PER_TNI} CQs, so\n"
-    ));
-
-    // Exhaustion: how many more VCQs fit on TNI0 beside the four held?
-    while let Ok(v) = Vcq::create(net.clone(), 0, 0, 99) {
-        vcqs.push(v);
-    }
-    let extra = vcqs.len() - 4 * TNIS_PER_NODE;
-    out.push_str(&format!(
-        "{extra} additional VCQs fit on TNI0 before CQ exhaustion (9 - 4 = 5).\n"
-    ));
-    out
+/// Append [`render_table`] and the blank line the reports put after it.
+pub(crate) fn push_table(out: &mut String, headers: &str, rows: &[Vec<String>]) {
+    *out += &render_table(headers, rows);
+    out.push('\n');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use std::collections::BTreeSet;
+
+    /// `name`'s report at its defaults and the committed `results/` file.
+    fn report_and_file(name: &str) -> (String, String) {
+        let (command, report) = cli::reports()
+            .find(|(c, _)| c.name == name)
+            .unwrap_or_else(|| panic!("no report named {name}"));
+        let path = tools::results_dir().join(format!("{name}.txt"));
+        let file = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        (report(&command.defaults), file)
+    }
+
     /// `fig07` terminates (it once looped forever creating and dropping
     /// the same CQ) and prints the committed figure.
     #[test]
     fn fig07_report_returns_the_committed_text() {
-        assert_eq!(fig07_report(), include_str!("../../../results/fig07.txt"));
+        let (text, file) = report_and_file("fig07");
+        assert_eq!(text, file);
+    }
+
+    /// What CI checks for all fifteen through `reproduce`, here for the
+    /// reports cheap enough for tier-1.
+    #[test]
+    fn cheap_reports_return_their_committed_texts() {
+        for name in [
+            "equations",
+            "table1",
+            "fig08",
+            "fig14",
+            "sensitivity",
+            "congestion",
+            "trace",
+            "table3",
+        ] {
+            let (text, file) = report_and_file(name);
+            assert_eq!(text, file, "{name}: run `tofumd-bench reproduce`");
+        }
+    }
+
+    /// No orphan file, no unchecked report: `results/*.txt` is exactly
+    /// what `reproduce` writes.
+    #[test]
+    fn results_dir_holds_exactly_the_reports() {
+        let files: BTreeSet<String> = std::fs::read_dir(tools::results_dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|file| file.ends_with(".txt"))
+            .collect();
+        let written: BTreeSet<String> = cli::reports()
+            .map(|(c, _)| format!("{}.txt", c.name))
+            .collect();
+        assert_eq!(files, written);
+    }
+
+    /// `--threads` never reaches a report's text.
+    #[test]
+    fn a_report_is_the_same_text_at_any_thread_count() {
+        let (command, report) = cli::reports().find(|(c, _)| c.name == "trace").unwrap();
+        let at = |threads| {
+            report(&cli::Opts {
+                steps: 21, // one past the first reneighbor
+                threads: Some(threads),
+                ..command.defaults
+            })
+        };
+        assert_eq!(at(1), at(2));
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let t = render_table(
-            &["name", "value"],
+            "name|value",
             &[
                 vec!["a".into(), "1".into()],
                 vec!["long-name".into(), "22".into()],
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn smoke_proxy_run() {
         let r = run_proxy([8, 12, 8], RunConfig::lj(65_536), CommVariant::Opt, 3, 2);
-        assert!(r.step_time > 0.0);
-        assert!(r.breakdown.total() > 0.0);
+        assert!(r.step_time() > 0.0);
+        assert!(r.breakdown().total() > 0.0);
     }
 }

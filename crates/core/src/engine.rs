@@ -502,9 +502,6 @@ impl RankState {
 
 /// One of the paper's communication designs, driven in lockstep rounds.
 pub trait GhostEngine: Send {
-    /// Human-readable variant name (figure labels).
-    fn name(&self) -> &'static str;
-
     /// How many post/complete rounds `op` takes (p2p: 1; 3-stage: 3).
     fn rounds(&self, op: Op) -> usize;
 

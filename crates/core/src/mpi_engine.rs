@@ -128,10 +128,6 @@ impl MpiThreeStage {
 }
 
 impl GhostEngine for MpiThreeStage {
-    fn name(&self) -> &'static str {
-        "mpi-3stage"
-    }
-
     fn rounds(&self, op: Op) -> usize {
         // Every ghost op sweeps the three dimensions `shells` times.
         // Whether Reverse runs at all (Newton on/off) is the driver's
@@ -237,10 +233,6 @@ impl MpiP2p {
 }
 
 impl GhostEngine for MpiP2p {
-    fn name(&self) -> &'static str {
-        "mpi-p2p"
-    }
-
     fn rounds(&self, op: Op) -> usize {
         // Grid graphs migrate by sweeping the three dimensions even under
         // p2p ghosts; irregular graphs migrate owner-directed in one round.

@@ -148,23 +148,7 @@ impl CommPlan {
     /// and multiple shells).
     #[must_use]
     pub fn slab_volume(&self, offset: NeighborOffset) -> f64 {
-        let a = self.sub.lengths();
-        let r = self.r_ghost;
-        let mut v = 1.0;
-        for d in 0..3 {
-            let extent = match offset.d[d].unsigned_abs() {
-                0 => a[d],
-                1 => r.min(a[d]),
-                s => {
-                    // Shell s covers the band ((s-1)a, min(r, sa)] of ghost
-                    // depth beyond s-1 whole sub-boxes.
-
-                    (r - (f64::from(s) - 1.0) * a[d]).clamp(0.0, a[d])
-                }
-            };
-            v *= extent;
-        }
-        v
+        slab_volume(&self.sub, self.r_ghost, offset)
     }
 
     /// Estimated *maximum* atoms in the slab toward `offset` at the given
@@ -172,9 +156,7 @@ impl CommPlan {
     /// "theoretical upper limit of atoms to be exchanged").
     #[must_use]
     pub fn max_atoms_estimate(&self, offset: NeighborOffset, density: f64) -> usize {
-        // 2x headroom over the mean absorbs density fluctuations plus the
-        // skin-induced overcount; +8 covers tiny slabs.
-        (2.0 * density * self.slab_volume(offset)).ceil() as usize + 8
+        max_atoms_in(self.slab_volume(offset), density)
     }
 
     /// Total expected ghost atoms received per exchange (the plan-level
@@ -186,6 +168,33 @@ impl CommPlan {
             .map(|l| density * self.slab_volume(l.offset))
             .sum()
     }
+}
+
+/// Volume of the ghost slab a `sub`-sized box sends toward grid `offset`
+/// at ghost depth `r_ghost`: the one slab formula behind
+/// [`CommPlan::slab_volume`] and `CommGraph::slab_volume`.
+#[must_use]
+pub fn slab_volume(sub: &Box3, r_ghost: f64, offset: NeighborOffset) -> f64 {
+    let a = sub.lengths();
+    let mut v = 1.0;
+    for d in 0..3 {
+        v *= match offset.d[d].unsigned_abs() {
+            0 => a[d],
+            1 => r_ghost.min(a[d]),
+            // Shell s covers the band ((s-1)a, min(r, sa)] of ghost depth
+            // beyond s-1 whole sub-boxes.
+            s => (r_ghost - (f64::from(s) - 1.0) * a[d]).clamp(0.0, a[d]),
+        };
+    }
+    v
+}
+
+/// Buffer pre-sizing bound for a slab of `volume` at number `density`: 2x
+/// headroom over the mean absorbs density fluctuations plus the
+/// skin-induced overcount; +8 covers tiny slabs.
+#[must_use]
+pub fn max_atoms_in(volume: f64, density: f64) -> usize {
+    (2.0 * density * volume).ceil() as usize + 8
 }
 
 /// Sub-box of the rank at grid coordinate `c` in an `rg` decomposition.

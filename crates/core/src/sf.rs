@@ -27,7 +27,7 @@
 
 use crate::border_bin::BorderBins;
 use crate::engine::Op;
-use crate::plan::{CommPlan, NeighborLink, PlanConfig};
+use crate::plan::{self, CommPlan, NeighborLink, PlanConfig};
 use crate::topo_map::RankMap;
 use std::sync::Arc;
 use tofumd_md::domain::{NeighborOffset, RcbDecomposition};
@@ -547,30 +547,17 @@ impl CommGraph {
     }
 
     /// Expected ghost-slab volume toward a grid `offset` (Table 1's
-    /// msg_size column; grid graphs only — same formula as the plan's).
+    /// msg_size column; grid graphs only — the plan's formula).
     #[must_use]
     pub fn slab_volume(&self, offset: NeighborOffset) -> f64 {
-        let a = self.sub.lengths();
-        let r = self.r_ghost;
-        let mut v = 1.0;
-        for d in 0..3 {
-            let extent = match offset.d[d].unsigned_abs() {
-                0 => a[d],
-                1 => r.min(a[d]),
-                s => (r - (f64::from(s) - 1.0) * a[d]).clamp(0.0, a[d]),
-            };
-            v *= extent;
-        }
-        v
+        plan::slab_volume(&self.sub, self.r_ghost, offset)
     }
 
-    /// Estimated *maximum* atoms moved along edge `k` of `edges` at the
-    /// given number density (§3.4 buffer pre-sizing). Grid graphs use the
-    /// offset slab formula (bit-identical to the plan's estimate);
-    /// irregular graphs use the expanded-region overlap.
+    /// Estimated *maximum* atoms moved toward grid `offset` at the given
+    /// number density (§3.4 buffer pre-sizing; the plan's estimate).
     #[must_use]
     pub fn max_atoms_estimate(&self, offset: NeighborOffset, density: f64) -> usize {
-        (2.0 * density * self.slab_volume(offset)).ceil() as usize + 8
+        plan::max_atoms_in(self.slab_volume(offset), density)
     }
 
     /// Total expected ghost atoms received per exchange.

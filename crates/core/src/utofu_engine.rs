@@ -1026,14 +1026,6 @@ impl UtofuP2p {
 }
 
 impl GhostEngine for UtofuP2p {
-    fn name(&self) -> &'static str {
-        match (self.cfg.comm_threads, self.cfg.vcqs, self.cfg.prereg) {
-            (1, 1, _) => "utofu-p2p-4tni",
-            (1, _, _) => "utofu-p2p-6tni",
-            _ => "utofu-p2p-pool",
-        }
-    }
-
     fn rounds(&self, op: Op) -> usize {
         // Migration sweeps the three dimensions even under p2p ghosts.
         if op == Op::Exchange {
@@ -1284,10 +1276,6 @@ impl UtofuThreeStage {
 }
 
 impl GhostEngine for UtofuThreeStage {
-    fn name(&self) -> &'static str {
-        "utofu-3stage"
-    }
-
     fn rounds(&self, op: Op) -> usize {
         if op == Op::Exchange {
             3

@@ -20,7 +20,7 @@
 
 use crate::accounting::{self, SyncBucket};
 use crate::config::RunConfig;
-use crate::driver::{Lane, Pass, Phase, PlanMode, StepDag, Team};
+use crate::driver::{step_plan, Lane, Pass, Phase, PlanMode, Team};
 use crate::physics;
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
@@ -691,10 +691,10 @@ impl Cluster {
     }
 
     /// Advance one timestep: the integrate + reneighbor-check prefix,
-    /// then — the verdict shapes it — the step DAG in its deterministic
-    /// lowest-id-ready order, overlapping halo ops with interior compute
-    /// where [`Cluster::overlap_eligible`] allows. Physics is bit-identical
-    /// between the DAG's two shapes. If any engine exhausted its put retry
+    /// then — the verdict shapes it — the [`step_plan`] in order,
+    /// overlapping halo ops with interior compute where
+    /// [`Cluster::overlap_eligible`] allows. Physics is bit-identical
+    /// between the plan's two shapes. If any engine exhausted its put retry
     /// budget during the step, the whole cluster demotes to the MPI
     /// 3-stage reference before the next step.
     pub fn run_step(&mut self) {
@@ -707,13 +707,13 @@ impl Cluster {
         // them for the current list epoch (one-pass rebuilds invalidate
         // it).
         let partitioned = self.rebuild || self.lanes.iter().all(|l| l.part.is_some());
-        let dag = StepDag::build(
+        let plan = step_plan(
             self.rebuild,
             self.cfg.is_eam(),
             self.reverse_needed,
             self.overlap_eligible() && partitioned,
         );
-        for phase in dag.execution_order() {
+        for phase in plan {
             if self.pending_peer_death.is_some() {
                 break;
             }
@@ -766,9 +766,6 @@ impl Cluster {
 struct PlaceholderEngine;
 
 impl GhostEngine for PlaceholderEngine {
-    fn name(&self) -> &'static str {
-        "placeholder"
-    }
     fn rounds(&self, _op: Op) -> usize {
         0
     }

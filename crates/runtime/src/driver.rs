@@ -2,7 +2,7 @@
 //!
 //! A timestep is an ordered list of [`Phase`]s — per-rank work items
 //! (integrate, reneighbor-check, ghost ops, pair passes, accounting) —
-//! whose middle section is a [`StepDag`] built once the reneighbor
+//! whose middle section is a [`step_plan`] built once the reneighbor
 //! verdict is known, executed over all simulated ranks by a persistent
 //! [`Team`] of host threads built on `tofumd-threadpool`'s spin pool (the
 //! paper's §3.3 design, dogfooded as our own step driver).
@@ -160,7 +160,7 @@ pub enum Pass {
 /// One work item of a timestep. The comm phases run the engine's
 /// post/complete rounds; the compute phases fan per-rank closures out
 /// over the [`Team`]. Every step starts with `InitialIntegrate` and
-/// `ReneighborCheck`; the rest is the step's [`StepDag`].
+/// `ReneighborCheck`; the rest is the step's [`step_plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// First velocity-Verlet half-kick + drift.
@@ -216,7 +216,7 @@ pub enum Phase {
 /// How the cluster sequences a timestep's work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanMode {
-    /// Never overlap: every step runs the [`StepDag`]'s non-overlapping
+    /// Never overlap: every step runs [`step_plan`]'s non-overlapping
     /// shape — every comm op posts and completes back-to-back, compute
     /// strictly between ops. The reference side of the DAG-equivalence
     /// suites.
@@ -227,102 +227,44 @@ pub enum PlanMode {
     Dag,
 }
 
-/// A DAG node: its phase and the ids of the nodes it depends on.
-#[derive(Debug, Clone)]
-pub struct DagNode {
-    /// The work item.
-    pub phase: Phase,
-    /// Ids of nodes that must execute first (always smaller than this
-    /// node's own id, so id order is a topological order).
-    pub deps: Vec<usize>,
-}
-
-/// The dependency DAG of one timestep, built after the reneighbor verdict
-/// is known. Node ids are assigned in a valid topological order and the
-/// executor dispatches the lowest-id ready node, so the execution order
-/// is a pure function of the step's shape — independent of host thread
-/// count, wall-clock, or any virtual-time value (DESIGN.md §12).
-#[derive(Debug)]
-pub struct StepDag {
-    /// The nodes, id-indexed.
-    pub nodes: Vec<DagNode>,
-}
-
-impl StepDag {
-    /// Append a node; ids follow insertion order.
-    fn push(&mut self, phase: Phase, deps: Vec<usize>) -> usize {
-        self.nodes.push(DagNode { phase, deps });
-        self.nodes.len() - 1
+/// The ordered phases of one timestep after its `InitialIntegrate` +
+/// `ReneighborCheck` prefix, built once the reneighbor verdict is known.
+/// `overlap` selects the shape that splits each halo op into a post and a
+/// rank-major window with the first (or, for EAM's F' forward, the force)
+/// pass inside it — a rank may complete once every rank has posted, so a
+/// window directly follows its post; without it the ops and the pair stage
+/// run whole, one after another. The plan is a pure function of the step's
+/// shape — independent of host thread count, wall-clock, or any
+/// virtual-time value (DESIGN.md §12).
+#[must_use]
+pub fn step_plan(rebuild: bool, eam: bool, reverse_needed: bool, overlap: bool) -> Vec<Phase> {
+    use Phase::{
+        Accounting, Comm, Embed, Exchange, FinalIntegrate, Pair, Post, Rebalance, RebuildLists,
+        SpatialSort, Window,
+    };
+    let window = |op, pass| [Post(op), Window { op, pass }];
+    let first = if eam { Pass::Rho } else { Pass::Pair };
+    let mut plan = Vec::with_capacity(12);
+    if rebuild {
+        plan.extend([Rebalance, Exchange, SpatialSort]);
     }
-
-    /// Append a halo op split around `pass`: its post region, then its
-    /// rank-major window. The post is the window's only dependency — a
-    /// rank may complete once every rank has posted; the order of interior
-    /// rows, complete and boundary rows is per rank, inside the node.
-    fn window(&mut self, op: Op, pass: Pass, deps: Vec<usize>) -> usize {
-        let post = self.push(Phase::Post(op), deps);
-        self.push(Phase::Window { op, pass }, vec![post])
+    match (rebuild, overlap) {
+        (true, true) => plan.extend(window(Op::Border, first)),
+        (true, false) => plan.extend([Comm(Op::Border), RebuildLists, Pair]),
+        (false, true) => plan.extend(window(Op::Forward, first)),
+        (false, false) => plan.extend([Comm(Op::Forward), Pair]),
     }
-
-    /// Build the step DAG. `overlap` selects the shape that splits each
-    /// halo op into a post and a window with the first (or, for EAM's F'
-    /// forward, the force) pass inside it; without it the ops and the pair
-    /// stage run whole, one after another.
-    #[must_use]
-    pub fn build(rebuild: bool, eam: bool, reverse_needed: bool, overlap: bool) -> Self {
-        let mut dag = StepDag { nodes: Vec::new() };
-        let first = if eam { Pass::Rho } else { Pass::Pair };
-        let mut prev = if rebuild {
-            let rb = dag.push(Phase::Rebalance, vec![]);
-            let ex = dag.push(Phase::Exchange, vec![rb]);
-            let sort = dag.push(Phase::SpatialSort, vec![ex]);
-            if overlap {
-                dag.window(Op::Border, first, vec![sort])
-            } else {
-                let border = dag.push(Phase::Comm(Op::Border), vec![sort]);
-                let lists = dag.push(Phase::RebuildLists, vec![border]);
-                dag.push(Phase::Pair, vec![lists])
-            }
-        } else if overlap {
-            dag.window(Op::Forward, first, vec![])
-        } else {
-            let fwd = dag.push(Phase::Comm(Op::Forward), vec![]);
-            dag.push(Phase::Pair, vec![fwd])
-        };
-        if eam && overlap {
-            // After the density replay: fold ghost rho back, embed, then
-            // overlap the F' forward with the interior force rows.
-            let reduce = dag.push(Phase::Comm(Op::ReverseScalar), vec![prev]);
-            let embed = dag.push(Phase::Embed, vec![reduce]);
-            prev = dag.window(Op::ForwardScalar, Pass::Force, vec![embed]);
-        }
-        if reverse_needed {
-            prev = dag.push(Phase::Comm(Op::Reverse), vec![prev]);
-        }
-        let fin = dag.push(Phase::FinalIntegrate, vec![prev]);
-        dag.push(Phase::Accounting, vec![fin]);
-        dag
+    if eam && overlap {
+        // After the density replay: fold ghost rho back, embed, then
+        // overlap the F' forward with the interior force rows.
+        plan.extend([Comm(Op::ReverseScalar), Embed]);
+        plan.extend(window(Op::ForwardScalar, Pass::Force));
     }
-
-    /// Execute order: repeatedly dispatch the lowest-id node whose deps
-    /// have all run. Because ids are assigned topologically this equals
-    /// plain id order, but computing it through the ready set keeps the
-    /// scheduling rule explicit (and lets tests validate the dep edges).
-    #[must_use]
-    pub fn execution_order(&self) -> Vec<Phase> {
-        let n = self.nodes.len();
-        let mut done = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        while order.len() < n {
-            let ready = (0..n).find(|&i| !done[i] && self.nodes[i].deps.iter().all(|&d| done[d]));
-            let Some(i) = ready else {
-                unreachable!("step DAG has a dependency cycle");
-            };
-            done[i] = true;
-            order.push(self.nodes[i].phase);
-        }
-        order
+    if reverse_needed {
+        plan.push(Comm(Op::Reverse));
     }
+    plan.extend([FinalIntegrate, Accounting]);
+    plan
 }
 
 /// Raw-pointer wrapper that lets the pool's scoped closures index into
@@ -553,18 +495,24 @@ mod tests {
         }
     }
 
+    /// The step "DAG" is a chain in program order: every shape ends with
+    /// the final integrate and the accounting, runs no phase twice, and
+    /// puts a window directly behind the post of the op it completes —
+    /// the one cross-rank edge (a rank completes only after every rank
+    /// posted).
     #[test]
     fn dag_ids_are_topological_and_execution_is_id_order() {
         for rebuild in [false, true] {
             for eam in [false, true] {
                 for overlap in [false, true] {
-                    let dag = StepDag::build(rebuild, eam, true, overlap);
-                    for (i, n) in dag.nodes.iter().enumerate() {
-                        assert!(n.deps.iter().all(|&d| d < i), "dep edge forward at {i}");
+                    let plan = step_plan(rebuild, eam, true, overlap);
+                    assert!(plan.ends_with(&[Phase::FinalIntegrate, Phase::Accounting]));
+                    for (i, phase) in plan.iter().enumerate() {
+                        assert!(!plan[..i].contains(phase), "{phase:?} runs twice");
+                        if let Phase::Window { op, .. } = *phase {
+                            assert_eq!(plan[i - 1], Phase::Post(op));
+                        }
                     }
-                    let order = dag.execution_order();
-                    let by_id: Vec<Phase> = dag.nodes.iter().map(|n| n.phase).collect();
-                    assert_eq!(order, by_id);
                 }
             }
         }
@@ -594,7 +542,7 @@ mod tests {
                 } else {
                     &[FinalIntegrate, Accounting]
                 };
-                let order = |rb| StepDag::build(rb, eam, reverse, false).execution_order();
+                let order = |rb| step_plan(rb, eam, reverse, false);
                 assert_eq!(order(true), [&rebuild[..], tail].concat());
                 assert_eq!(order(false), [&forward[..], tail].concat());
             }
@@ -602,10 +550,8 @@ mod tests {
     }
 
     /// The overlapping shape: every split halo op is a `Post` region
-    /// followed by its rank-major `Window`, which depends on exactly that
-    /// post — the one cross-rank edge (a rank completes only after every
-    /// rank posted). The interior/complete/boundary order inside a window
-    /// is per rank, not a DAG edge.
+    /// followed by its rank-major `Window`. The interior/complete/boundary
+    /// order inside a window is per rank, not part of the plan.
     #[test]
     fn overlap_dag_runs_each_split_pass_in_a_window_after_its_post() {
         use Phase::*;
@@ -634,14 +580,8 @@ mod tests {
                 // the force pass around the F' forward).
                 let forward = window(Op::Forward, first);
                 for (rb, head) in [(true, &rebuild[..]), (false, &forward[..])] {
-                    let dag = StepDag::build(rb, eam, reverse, true);
-                    assert_eq!(dag.execution_order(), [head, &mid[..], tail].concat());
-                    for (i, node) in dag.nodes.iter().enumerate() {
-                        if let Window { op, .. } = node.phase {
-                            assert_eq!(node.deps, [i - 1]);
-                            assert_eq!(dag.nodes[i - 1].phase, Post(op));
-                        }
-                    }
+                    let plan = step_plan(rb, eam, reverse, true);
+                    assert_eq!(plan, [head, &mid[..], tail].concat());
                 }
             }
         }

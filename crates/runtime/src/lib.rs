@@ -57,7 +57,7 @@ pub use accounting::{StageAcc, SyncBucket};
 pub use checkpoint::{CheckpointData, CheckpointError, RankDump};
 pub use cluster::{Cluster, StageBreakdown};
 pub use config::{PotentialKind, RunConfig};
-pub use driver::{Lane, Partition, Pass, Phase, PlanMode, StepDag, Team};
+pub use driver::{Lane, Partition, Pass, Phase, PlanMode, Team};
 pub use lockstep::{
     bisect_against_serial, bisect_cluster_against_serial, bisect_clusters, bisect_variants,
     AtomDelta, Divergence, DivergenceReport, FaultInjector, LockstepOptions,

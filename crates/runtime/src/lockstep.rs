@@ -823,10 +823,6 @@ impl FaultInjector {
 }
 
 impl GhostEngine for FaultInjector {
-    fn name(&self) -> &'static str {
-        "fault-injector"
-    }
-
     fn rounds(&self, op: Op) -> usize {
         self.inner.rounds(op)
     }

@@ -524,9 +524,6 @@ struct DeathInBorder {
 }
 
 impl GhostEngine for DeathInBorder {
-    fn name(&self) -> &'static str {
-        "death-in-border"
-    }
     fn rounds(&self, op: Op) -> usize {
         self.inner.rounds(op)
     }

@@ -18,9 +18,6 @@ struct NoDelegate {
 }
 
 impl GhostEngine for NoDelegate {
-    fn name(&self) -> &'static str {
-        "no-delegate"
-    }
     fn rounds(&self, op: Op) -> usize {
         self.inner.rounds(op) + 1
     }

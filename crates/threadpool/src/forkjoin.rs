@@ -5,7 +5,7 @@
 //! OpenMP against 1.1 us for the spin pool; the same ordering emerges when
 //! timing [`fork_join`] against [`crate::SpinPool::run`] on any Linux
 //! host ([`crate::measure_overheads`], printed by `tofumd-bench`'s
-//! `overheads` bin).
+//! `overheads` command).
 
 /// Run `f(tid)` on `threads` freshly spawned scoped threads (tid 0 runs on
 /// the caller), joining before returning.

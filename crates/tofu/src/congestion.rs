@@ -7,7 +7,7 @@
 //! dimension-ordered link-occupancy model so that assumption can be
 //! *checked*: route every message of an exchange over the folded torus,
 //! serialize on each directed link, and compare against the
-//! contention-free prediction. `--bin congestion` runs the validation at
+//! contention-free prediction. `tofumd-bench congestion` validates it at
 //! the paper's message sizes and at deliberately oversized ones.
 
 use crate::timing::NetParams;
