@@ -8,70 +8,13 @@
 //! the packed bytes travel is the engines' business.
 //!
 //! Both communication patterns of §3.1 fill the same layout and differ
-//! only in how Border builds the send lists:
-//!
-//! * **p2p** (Fig. 5): edge id = graph edge index `k`; `send[k]` mirrors
-//!   `recv[k]` and messages are tagged with the receiver's edge index
-//!   (`peer_index`), which disambiguates small periodic grids and
-//!   irregular graphs where one rank is a neighbor along several edges.
-//!   Send lists come from the graph's [`SendSelector`].
-//! * **3-stage** (Fig. 4): edge id = `(dim * swaps + swap) * 2 + dir`.
-//!   LAMMPS's 6-way swap sweeps x, then y, then z, sending the atoms
-//!   (locals *and already-received ghosts*) within the ghost cutoff of
-//!   each face to the two face neighbors. The carry-forward makes edge and
-//!   corner ghosts travel in up to three legs — which is why each stage
-//!   must complete before the next starts, the serialization the p2p
-//!   pattern removes. When the cutoff exceeds the sub-box edge (Fig. 15's
-//!   62/124-neighbor regime) each dimension performs `swaps` successive
-//!   swaps: swap 0 ships the local band, swap `s` *relays* the ghosts that
-//!   arrived from the opposite face in swap `s - 1`. Reduce ops run the
-//!   sweeps backwards.
+//! only in how Border builds the send lists and numbers the edges; that is
+//! [`crate::pattern::Pattern`]'s business.
 
-use crate::engine::{GhostOp, Op, RankState};
-use crate::sf::{CommGraph, GraphEdge, SendSelector};
+use crate::engine::{GhostOp, Op, OpKind, RankState};
+use crate::sf::SendSelector;
 use crate::wire::{self, F64Sink, F64Source};
 use tofumd_md::atom::Atoms;
-
-/// What a staged engine copies out of its grid graph: the six face links
-/// (`links[dim][0]` the -dim neighbor, `links[dim][1]` the +dim one) and
-/// the swaps per dimension (the plan's shell count; 1 in the common case,
-/// more in Fig. 15's long-cutoff regime).
-#[must_use]
-pub fn staged_faces(graph: &CommGraph) -> ([[GraphEdge; 2]; 3], usize) {
-    let Some(config) = graph.config() else {
-        panic!("the staged engines require a grid graph");
-    };
-    let links = [0, 1, 2].map(|dim| [0, 1].map(|dir| *graph.face_link(dim, dir)));
-    (links, config.shells)
-}
-
-/// Periodic shifts of the staged layout's `6 * swaps` edges, in edge-id
-/// order `(dim * swaps + swap) * 2 + dir`.
-pub fn staged_shifts(
-    links: &[[GraphEdge; 2]; 3],
-    swaps: usize,
-) -> impl Iterator<Item = [f64; 3]> + '_ {
-    (0..6 * swaps).map(move |e| links[e / 2 / swaps][e % 2].shift)
-}
-
-/// The `(sweep, dim)` a staged engine drives in `round` of `op`, with
-/// `swaps` swaps per dimension; the sweep's two layout edges are
-/// `sweep * 2 + dir`. Ops flowing toward the ghosts walk the sweeps in
-/// order, reduce ops walk them backwards (z..x, last swap first), and
-/// migration is one swap per dimension (atoms move less than a sub-box
-/// between rebuilds).
-#[must_use]
-pub fn staged_sweep(op: Op, round: usize, swaps: usize) -> (usize, usize) {
-    if op == Op::Exchange {
-        return (round, round);
-    }
-    let sweep = if op.toward_ghosts() {
-        round
-    } else {
-        3 * swaps - 1 - round
-    };
-    (sweep, sweep / swaps)
-}
 
 #[derive(Debug, Clone, Default)]
 struct Edge {
@@ -270,7 +213,18 @@ pub enum Payload<'a> {
     Ghost(GhostOp, usize),
 }
 
-impl Payload<'_> {
+impl<'a> Payload<'a> {
+    /// The payload of message `i` of a round of `op`: the `i`-th of the
+    /// payloads [`crate::pattern::Pattern::pack`] returned, or the ghost op
+    /// over layout edge `layout`.
+    #[must_use]
+    pub fn of(op: Op, packed: &'a [Vec<f64>], i: usize, layout: usize) -> Self {
+        match op.kind() {
+            OpKind::Ghost(g) => Payload::Ghost(g, layout),
+            OpKind::Border | OpKind::Exchange => Payload::Packed(&packed[i]),
+        }
+    }
+
     /// Payload size in f64s.
     #[must_use]
     pub fn len(&self, layout: &GhostLayout) -> usize {
@@ -292,7 +246,9 @@ impl Payload<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::{staged_shifts, staged_sweep};
     use crate::plan::{CommPlan, PlanConfig};
+    use crate::sf::{CommGraph, GraphEdge};
     use crate::topo_map::{Placement, RankMap};
     use proptest::prelude::*;
     use tofumd_md::region::Box3;
@@ -318,7 +274,7 @@ mod tests {
         ]);
         let plan = CommPlan::build(0, &map, &global, 2.0, PlanConfig::NEWTON);
         let graph = CommGraph::from_grid(plan);
-        let (links, _) = staged_faces(&graph);
+        let links = [0, 1, 2].map(|dim| [0, 1].map(|dir| *graph.face_link(dim, dir)));
         let sel = graph.selector();
         (
             RankState::new(Atoms::from_positions(pos, 1), graph),
@@ -335,7 +291,7 @@ mod tests {
 
     fn staged_layout(st: &mut RankState, links: &[[GraphEdge; 2]; 3], swaps: usize) -> GhostLayout {
         let mut g = GhostLayout::default();
-        g.reset(&mut st.atoms, staged_shifts(links, swaps));
+        g.reset(&mut st.atoms, staged_shifts(links.as_flattened(), swaps));
         g
     }
 

@@ -3,10 +3,11 @@
 //! Implements every communication design of *"Enhance the Strong Scaling of
 //! LAMMPS on Fugaku"* (SC '23) over the simulated TofuD fabric:
 //!
-//! * the baseline **3-stage** exchange with carry-forward and its uTofu
-//!   port ([`MpiThreeStage`], [`UtofuThreeStage`]),
-//! * the **peer-to-peer** pattern with Newton-halved 13-neighbor exchange
-//!   and its 26/62/124-neighbor generalizations ([`MpiP2p`], [`UtofuP2p`]),
+//! * the two **patterns** — the baseline 3-stage exchange with
+//!   carry-forward, and peer-to-peer with the Newton-halved 13-neighbor
+//!   exchange and its 26/62/124-neighbor generalizations — as one
+//!   [`Pattern`] that lists each round's messages, shipped by one engine
+//!   per **transport** ([`MpiEngine`] two-sided, [`UtofuEngine`] one-sided),
 //! * one **ghost layout** behind both patterns ([`ghost`]): send list +
 //!   periodic shift + ghost segment per halo edge, filled by the pattern's
 //!   Border builder, and one typed gather/scatter ([`GhostOp`]: 3-vector or
@@ -61,6 +62,7 @@ pub mod engine;
 pub mod fine;
 pub mod ghost;
 pub mod mpi_engine;
+pub mod pattern;
 pub mod plan;
 pub mod sf;
 pub mod topo_map;
@@ -69,8 +71,9 @@ pub mod wire;
 
 pub use border_bin::BorderBins;
 pub use engine::{CommStats, GhostEngine, GhostOp, Op, RankState};
-pub use mpi_engine::{MpiP2p, MpiThreeStage};
+pub use mpi_engine::MpiEngine;
+pub use pattern::{Pattern, PatternKind};
 pub use plan::{CommPlan, NeighborLink, PlanConfig};
 pub use sf::{CommGraph, GraphEdge, MigratePeer, SendSelector};
 pub use topo_map::{Placement, RankMap, RANKS_PER_NODE_SPLIT};
-pub use utofu_engine::{AddressBook, UtofuConfig, UtofuP2p, UtofuThreeStage};
+pub use utofu_engine::{AddressBook, UtofuConfig, UtofuEngine};

@@ -1,17 +1,18 @@
-//! Ghost engines over the uTofu one-sided transport: the paper's
+//! The ghost engine over the uTofu one-sided transport: the paper's
 //! contribution (§3.2–§3.4).
 //!
-//! Variants:
-//! * [`UtofuThreeStage`] — the staged pattern re-implemented on uTofu
-//!   (paper artifact `utofu_3stage`),
-//! * [`UtofuP2p`] with [`UtofuConfig::coarse4`] — coarse-grained p2p, one
-//!   VCQ per rank on its own TNI (`4tni_p2p`),
-//! * [`UtofuConfig::single6`] — single thread driving 6 VCQs, the §4.2
-//!   "abnormally poor" configuration (`6tni_p2p`),
-//! * [`UtofuConfig::pool6`] — the optimized code: 6 spin-pool comm threads,
-//!   one VCQ per TNI, pre-registered max-size buffers, ghost offsets
-//!   piggybacked, forward puts written directly into the remote position
-//!   array, 4 round-robin receive buffers (`opt`).
+//! One [`UtofuEngine`] ships either [`Pattern`]; its [`UtofuConfig`] picks
+//! the variant:
+//! * staged pattern at [`UtofuConfig::coarse4`] — the 3-stage sweeps
+//!   re-implemented on uTofu (paper artifact `utofu_3stage`),
+//! * p2p at [`UtofuConfig::coarse4`] — coarse-grained p2p, one VCQ per
+//!   rank on its own TNI (`4tni_p2p`),
+//! * p2p at [`UtofuConfig::single6`] — single thread driving 6 VCQs, the
+//!   §4.2 "abnormally poor" configuration (`6tni_p2p`),
+//! * p2p at [`UtofuConfig::pool6`] — the optimized code: 6 spin-pool comm
+//!   threads, one VCQ per TNI, pre-registered max-size buffers, ghost
+//!   offsets piggybacked, forward puts written directly into the remote
+//!   position array, 4 round-robin receive buffers (`opt`).
 //!
 //! Set up once, then post. The setup-stage address exchange (§3.4, Fig.
 //! 10: "all the registered addresses of receive buffers and atom position
@@ -22,19 +23,27 @@
 //! ([`OpPlan`]), so a steady-state ghost op is "frame in place, put" and
 //! "take, dedupe, unpack in place": no lookup, no heap allocation.
 //!
-//! Each engine has one send routine. What differs per message is only
-//! where the payload comes from ([`PutSrc`]): a ghost op is serialized *in
+//! Two send and two receive routines, chosen by the shape of the round
+//! the pattern lists: one that spans every graph edge (p2p Border and
+//! ghost ops) is *planned* — posted across the configured VCQs / comm
+//! threads from its [`OpPlan`], received into the per-edge inbox; one that
+//! lists two face messages (every staged round, every grid migration
+//! sweep) is *sequential* on the rank's first VCQ. Per message only the
+//! payload's origin differs ([`PutSrc`]): a ghost op is serialized *in
 //! place* into one of this rank's registered send regions and put straight
 //! from there — no staging copy, no pack cost, `bytes_copied` stays 0 —
 //! while Border and Exchange, which discover their payload while packing,
-//! are framed through a staging copy that is charged and counted.
+//! are framed through a staging copy that is charged and counted. The
+//! ghost-offset piggyback keeps its own put/wait pair: it carries no
+//! payload, reserves nothing, encodes `edge << 48 | offset`, and is
+//! consumed before the first Forward rather than at its own complete.
 
 use crate::engine::{GhostEngine, Op, OpKind, OpStats, RankState, N_OPS};
 use crate::fine;
-use crate::ghost::{staged_faces, staged_shifts, staged_sweep, GhostLayout, Payload};
-use crate::sf::{CommGraph, GraphEdge, SendSelector};
+use crate::ghost::{GhostLayout, Payload};
+use crate::pattern::{Landing, Pattern, PatternKind};
+use crate::sf::{CommGraph, GraphEdge};
 use crate::wire;
-use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -66,9 +75,10 @@ impl BufKind {
         }
     }
 
-    /// The peer-side buffer kind `op`'s payloads land in.
-    fn inflow(op: Op) -> Self {
-        if op.toward_ghosts() {
+    /// The peer-side buffer kind a payload flowing `toward_ghosts` (or back
+    /// toward the owners) lands in.
+    fn inflow(toward_ghosts: bool) -> Self {
+        if toward_ghosts {
             BufKind::GhostIn
         } else {
             BufKind::OwnerIn
@@ -120,15 +130,9 @@ impl AddressBook {
                 slot: usize::from(slot),
             })
     }
-
-    fn update_size(&self, rank: u32, kind: BufKind, link: u16, slot: u8, size: usize) {
-        if let Some(e) = self.map.write().get_mut(&(rank, kind, link, slot)) {
-            e.1 = size;
-        }
-    }
 }
 
-/// Configuration of a uTofu p2p engine.
+/// Configuration of a uTofu engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UtofuConfig {
     /// VCQs this rank creates (1 = own TNI only, 6 = one per TNI).
@@ -247,15 +251,14 @@ fn checked_edge(
     }
 }
 
-/// The transport state both uTofu engines share — fabric and book handles,
-/// the ghost layout, sequencing, fault and telemetry state, the reused
-/// receive scratch — with the one put, reserve, wait, frame and consume
-/// routine each of them uses.
+/// The transport state under every send and receive routine — fabric and
+/// book handles, sequencing, fault and telemetry state, the reused receive
+/// scratch — with the one put, reserve, wait, frame and consume routine
+/// they share.
 struct UtofuLane {
     net: Arc<TofuNet>,
     book: Arc<AddressBook>,
     node: usize,
-    ghosts: GhostLayout,
     /// Retransmissions allowed per failed put.
     retry_budget: u32,
     /// Sequence stamp of the last logical message; retransmissions of a
@@ -278,7 +281,6 @@ impl UtofuLane {
             net,
             book,
             node,
-            ghosts: GhostLayout::default(),
             retry_budget,
             send_seq: 0,
             fallback_wanted: false,
@@ -310,20 +312,17 @@ impl UtofuLane {
         stadd
     }
 
-    /// Resolve the channel toward `rank`'s `kind` buffers for the edge the
-    /// peer knows as `tag` — the only reads of the address book.
-    #[allow(clippy::too_many_arguments)]
+    /// Resolve the channel along out-edge `e` toward its peer's `kind`
+    /// buffers for the edge the peer knows as `e.peer_index` — the only
+    /// reads of the address book.
     fn channel(
         &self,
         kind: BufKind,
-        rank: usize,
-        node: usize,
-        hops: u32,
-        tag: usize,
+        e: &GraphEdge,
         slots: usize,
         direct_x: bool,
     ) -> Result<Channel, TofuError> {
-        let (rank, tag) = (rank as u32, tag as u16);
+        let (rank, tag) = (e.rank as u32, e.peer_index as u16);
         let dst = (0..slots)
             .map(|slot| self.book.lookup(rank, kind, tag, slot as u8))
             .collect::<Result<_, _>>()?;
@@ -335,8 +334,8 @@ impl UtofuLane {
             rank,
             kind,
             tag,
-            node,
-            hops,
+            node: e.node,
+            hops: e.hops,
             dst,
             x,
         })
@@ -361,7 +360,7 @@ impl UtofuLane {
         *size = need.next_power_of_two();
         let cost = self.net.grow_mem(ch.node, *stadd, *size);
         self.book
-            .update_size(ch.rank, ch.kind, ch.tag, slot as u8, *size);
+            .publish(ch.rank, ch.kind, ch.tag, slot as u8, *stadd, *size);
         self.stats.growth(op, round);
         (*stadd, 2.0 * self.net.params().wire_time(0, ch.hops) + cost)
     }
@@ -433,8 +432,14 @@ impl UtofuLane {
     /// first when undersized (a local re-registration, not a remote
     /// handshake). Returns the growth cost (0 when none); the frame is the
     /// region's first `combined_size(payload.len())` bytes.
-    fn frame(&self, out: &mut (Stadd, usize), st: &RankState, payload: Payload<'_>) -> f64 {
-        let need = wire::combined_size(payload.len(&self.ghosts));
+    fn frame(
+        &self,
+        layout: &GhostLayout,
+        out: &mut (Stadd, usize),
+        st: &RankState,
+        payload: Payload<'_>,
+    ) -> f64 {
+        let need = wire::combined_size(payload.len(layout));
         let mut cost = 0.0;
         if need > out.1 {
             out.1 = need.next_power_of_two();
@@ -442,7 +447,7 @@ impl UtofuLane {
         }
         let len = self.net.write_local_with(self.node, out.0, 0, need, |buf| {
             let mut w = wire::CombinedWriter::new(buf);
-            payload.write(&self.ghosts, st, &mut w);
+            payload.write(layout, st, &mut w);
             w.finish()
         });
         debug_assert_eq!(len, need, "layout promised {need} bytes");
@@ -452,24 +457,34 @@ impl UtofuLane {
     /// Consume one delivered message straight from the registered region
     /// it landed in, under the node lock: a ghost op scatters the
     /// little-endian bytes in place (`raw` = a direct x-region write, which
-    /// carries no frame header), Border and Exchange decode their records.
-    fn consume(&mut self, st: &mut RankState, kind: OpKind, e: usize, a: &Arrival, raw: bool) {
-        let (ghosts, values) = (&mut self.ghosts, &mut self.values);
+    /// carries no frame header), Border and Exchange decode their records
+    /// for the pattern to deliver.
+    fn consume(
+        &mut self,
+        pattern: &mut Pattern,
+        st: &mut RankState,
+        op: Op,
+        layout: usize,
+        a: &Arrival,
+        raw: bool,
+    ) {
+        let values = &mut self.values;
+        let deliver = |bytes: &[u8]| match op.kind() {
+            OpKind::Ghost(g) if raw => {
+                let src = wire::LeF64s::new(bytes);
+                pattern.ghosts.unpack(g, layout, st, src);
+            }
+            OpKind::Ghost(g) => {
+                let src = wire::LeF64s::new(wire::combined_body(bytes));
+                pattern.ghosts.unpack(g, layout, st, src);
+            }
+            OpKind::Border | OpKind::Exchange => {
+                wire::parse_combined_into(bytes, values);
+                pattern.deliver(op, layout, st, values);
+            }
+        };
         self.net
-            .read_local_with(self.node, a.stadd, a.offset, a.len, |bytes| match kind {
-                OpKind::Ghost(g) if raw => ghosts.unpack(g, e, st, wire::LeF64s::new(bytes)),
-                OpKind::Ghost(g) => {
-                    ghosts.unpack(g, e, st, wire::LeF64s::new(wire::combined_body(bytes)));
-                }
-                OpKind::Border => {
-                    wire::parse_combined_into(bytes, values);
-                    ghosts.append_ghosts(st, e, values);
-                }
-                OpKind::Exchange => {
-                    wire::parse_combined_into(bytes, values);
-                    st.unpack_exchange(values);
-                }
-            });
+            .read_local_with(self.node, a.stadd, a.offset, a.len, deliver);
     }
 }
 
@@ -491,23 +506,14 @@ fn create_vcq_retry(
 }
 
 /// Create a VCQ on the first TNI with a free CQ, preferring `first`.
-/// Returns the exhaustion report for `first` when a different TNI had to
-/// be used. Panics only when every TNI on the node is exhausted — with
-/// 9 CQs x 6 TNIs against 4 ranks that is real resource starvation, not
-/// a transient fault.
-fn create_vcq_scan(
-    net: &Arc<TofuNet>,
-    node: usize,
-    first: usize,
-    tag: u32,
-) -> (Vcq, Option<CqExhausted>) {
-    let displaced = match create_vcq_retry(net, node, first, tag) {
-        Ok(v) => return (v, None),
-        Err(e) => Some(e),
-    };
-    for tni in (0..TNIS_PER_NODE).filter(|&t| t != first) {
+/// Panics only when every TNI on the node is exhausted — with 9 CQs x 6
+/// TNIs against 4 ranks that is real resource starvation, not a transient
+/// fault.
+fn create_vcq_scan(net: &Arc<TofuNet>, node: usize, first: usize, tag: u32) -> Vcq {
+    let tnis = std::iter::once(first).chain((0..TNIS_PER_NODE).filter(|&t| t != first));
+    for tni in tnis {
         if let Ok(v) = create_vcq_retry(net, node, tni, tag) {
-            return (v, displaced);
+            return v;
         }
     }
     panic!("node {node}: every TNI's CQ pool is exhausted (rank tag {tag})");
@@ -525,19 +531,19 @@ struct OpPlan {
     lanes: Vec<Vec<usize>>,
 }
 
-/// The uTofu p2p engine family.
-pub struct UtofuP2p {
+/// One rank's uTofu engine: a [`Pattern`] shipped over one-sided puts.
+pub struct UtofuEngine {
     lane: UtofuLane,
+    pattern: Pattern,
     cfg: UtofuConfig,
     vcqs: Vec<Vcq>,
-    sel: Option<SendSelector>,
     /// `[inflow kind][out-edge]`: the resolved destinations (empty until
-    /// the first post; see [`UtofuP2p::resolve_channels`]).
+    /// the first post; see [`UtofuEngine::resolve_channels`]).
     chan: [Vec<Channel>; 2],
     /// `[inflow kind]`: this rank's receive buffers, sorted by STADD.
     rx: [Vec<RxBuf>; 2],
     /// `[Op::index()]`: sizes and thread assignment of the current epoch
-    /// (Border's own are rebuilt at its post; Exchange has none).
+    /// for the planned rounds (Border's own are rebuilt at its post).
     plans: [OpPlan; N_OPS],
     /// Per edge index: *local* registered send region `(stadd, bytes)` the
     /// ghost-op frames are serialized into in place. Never published —
@@ -550,103 +556,100 @@ pub struct UtofuP2p {
     /// `(byte offset in my x-region, in-edge)` of the non-empty ghost
     /// segments, ascending — where direct forward writes land this epoch.
     x_rx: Vec<(usize, u16)>,
-    /// The surviving arrival per in-edge of the op being completed.
+    /// The surviving arrival per in-edge of the planned op being completed.
     inbox: Vec<Option<Arrival>>,
-    /// Round-robin slot cursor, advanced once per posted op.
+    /// Round-robin slot cursor, advanced once per posted round.
     seq: usize,
-    /// Set when CQ exhaustion at build time forced the shared single-VCQ
-    /// configuration instead of the requested one.
-    cq_fallback: Option<CqExhausted>,
 }
 
-impl UtofuP2p {
-    /// Build the engine for one rank and publish its buffers.
+impl UtofuEngine {
+    /// Build the engine for the rank that owns `graph` (a grid graph: the
+    /// buffer tables are sized from its offsets), walking it with the
+    /// pattern of `kind`, and publish its buffers.
     ///
     /// `density` sizes the §3.4 "theoretical upper limit" buffers.
-    #[must_use]
     pub fn new(
         net: Arc<TofuNet>,
         book: Arc<AddressBook>,
+        kind: PatternKind,
         graph: &CommGraph,
         node: usize,
         density: f64,
-        cfg: UtofuConfig,
-    ) -> Self {
+        mut cfg: UtofuConfig,
+    ) -> Result<Self, TofuError> {
+        if !graph.is_grid() {
+            return Err(TofuError::UnsupportedGraph {
+                engine: "utofu",
+                graph: "rcb",
+            });
+        }
+        let pattern = Pattern::new(kind, graph)?;
         assert!(cfg.vcqs >= 1 && cfg.vcqs <= TNIS_PER_NODE);
         assert!(cfg.comm_threads == 1 || cfg.comm_threads == cfg.vcqs);
         let me = graph.me;
-        let mut cfg = cfg;
-        let mut cq_fallback = None;
-        let mut vcqs = Vec::with_capacity(cfg.vcqs);
         // Coarse-grained (1 VCQ): rank r binds its own TNI (4 ranks -> 4
         // TNIs); fine-grained binds every TNI.
-        let wanted: Vec<usize> = if cfg.vcqs == 1 {
-            vec![me % 4]
+        let wanted = if cfg.vcqs == 1 {
+            me % 4..me % 4 + 1
         } else {
-            (0..cfg.vcqs).collect()
+            0..cfg.vcqs
         };
-        let mut exhausted = None;
-        for &tni in &wanted {
-            match create_vcq_retry(&net, node, tni, me as u32) {
-                Ok(v) => vcqs.push(v),
-                Err(e) => {
-                    exhausted = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = exhausted {
-            // Persistent CQ exhaustion: return the partial set to the pool
-            // (each Vcq frees its CQ on drop) and degrade to the shared
-            // single-VCQ configuration on whichever TNI has room.
-            vcqs.clear();
-            cq_fallback = Some(e);
+        let created: Result<Vec<Vcq>, _> = wanted
+            .map(|tni| create_vcq_retry(&net, node, tni, me as u32))
+            .collect();
+        // Persistent CQ exhaustion: the partial set went back to the pool
+        // (each Vcq frees its CQ on drop); degrade to the shared single-VCQ
+        // configuration on whichever TNI has room.
+        let vcqs = created.unwrap_or_else(|_| {
             cfg.vcqs = 1;
             cfg.comm_threads = 1;
-            let (v, _) = create_vcq_scan(&net, node, me % 4, me as u32);
-            vcqs.push(v);
-        }
+            vec![create_vcq_scan(&net, node, me % 4, me as u32)]
+        });
         let mut lane = UtofuLane::new(net, book, node, cfg.retry_budget);
-        let n = graph.recv.len();
-        let mut mk_bufs = |links: &[GraphEdge], kind: BufKind| -> Vec<RxBuf> {
-            let mut table = Vec::with_capacity(n * cfg.slots);
-            for (k, link) in links.iter().enumerate() {
-                let est_atoms = graph.max_atoms_estimate(link.offset, density);
-                let full = wire::combined_size(est_atoms * MAX_RECORD_F64S);
-                let size = if cfg.prereg {
-                    full
-                } else {
-                    (full / BASELINE_UNDERSIZE).max(64)
-                };
-                for slot in 0..cfg.slots as u8 {
-                    let stadd = lane.register(size);
-                    lane.book
-                        .publish(me as u32, kind, k as u16, slot, stadd, size);
-                    table.push(RxBuf {
-                        stadd,
-                        edge: k as u16,
-                        slot,
-                    });
-                }
-            }
-            table.sort_unstable_by_key(|b| b.stadd.0);
-            table
+        let n = pattern.out_edges(graph, true).len();
+        // Registration order fixes the STADD sequence and the float order
+        // of `setup_cost`: the staged tables register face by face (ghost
+        // in, owner in, send region), the p2p tables family by family.
+        let families = [Some(BufKind::GhostIn), Some(BufKind::OwnerIn), None];
+        let order: Vec<(Option<BufKind>, usize)> = if pattern.is_staged() {
+            (0..n).flat_map(|k| families.map(|f| (f, k))).collect()
+        } else {
+            let by_family = |f| (0..n).map(move |k| (f, k));
+            families.into_iter().flat_map(by_family).collect()
         };
-        // Ghost-side inflow arrives along recv edges; its max size mirrors
-        // my own outgoing slab toward the opposite side — symmetric volumes.
-        let rx = [
-            mk_bufs(&graph.recv, BufKind::GhostIn),
-            mk_bufs(&graph.send, BufKind::OwnerIn),
-        ];
-        // Local send regions, always full-size (they are this rank's own
-        // memory — the undersize experiment concerns *remote* receive
-        // buffers). Forward ops pack here per send edge, reverse ops per
-        // recv edge; volumes are symmetric, so one set serves both.
+        let mut rx = [Vec::new(), Vec::new()];
         let mut send_out = Vec::with_capacity(n);
-        for link in &graph.send {
-            let est_atoms = graph.max_atoms_estimate(link.offset, density);
-            let size = wire::combined_size(est_atoms * MAX_RECORD_F64S);
-            send_out.push((lane.register(size), size));
+        for (family, k) in order {
+            let ghost_side = family == Some(BufKind::GhostIn);
+            let est_atoms = pattern.max_atoms(graph, ghost_side, k, density);
+            let full = wire::combined_size(est_atoms * MAX_RECORD_F64S);
+            let Some(kind) = family else {
+                // Local send regions, always full-size (they are this
+                // rank's own memory — the undersize experiment concerns
+                // *remote* receive buffers). Forward ops pack here per send
+                // edge, reverse ops per recv edge; volumes are symmetric,
+                // so one set serves both.
+                send_out.push((lane.register(full), full));
+                continue;
+            };
+            let size = if cfg.prereg {
+                full
+            } else {
+                (full / BASELINE_UNDERSIZE).max(64)
+            };
+            for slot in 0..cfg.slots as u8 {
+                let stadd = lane.register(size);
+                lane.book
+                    .publish(me as u32, kind, k as u16, slot, stadd, size);
+                rx[kind as usize].push(RxBuf {
+                    stadd,
+                    edge: k as u16,
+                    slot,
+                });
+            }
+        }
+        for table in &mut rx {
+            table.sort_unstable_by_key(|b| b.stadd.0);
         }
         let x_region = cfg.prereg.then(|| {
             // Position array registered once at its theoretical maximum:
@@ -659,11 +662,11 @@ impl UtofuP2p {
                 .publish(me as u32, BufKind::XRegion, 0, 0, stadd, bytes);
             stadd
         });
-        UtofuP2p {
+        Ok(UtofuEngine {
             lane,
+            pattern,
             cfg,
             vcqs,
-            sel: None,
             chan: [Vec::new(), Vec::new()],
             rx,
             plans: Default::default(),
@@ -673,15 +676,7 @@ impl UtofuP2p {
             x_rx: Vec::new(),
             inbox: vec![None; n],
             seq: 0,
-            cq_fallback,
-        }
-    }
-
-    /// The CQ-exhaustion event that forced this engine into the shared
-    /// single-VCQ configuration at build time, if any.
-    #[must_use]
-    pub fn cq_fallback(&self) -> Option<CqExhausted> {
-        self.cq_fallback
+        })
     }
 
     /// Buffer-growth events observed (0 under prereg — test observable).
@@ -698,17 +693,14 @@ impl UtofuP2p {
         if !self.chan[0].is_empty() {
             return Ok(());
         }
-        for (kind, edges) in [
-            (BufKind::GhostIn, &st.graph.send),
-            (BufKind::OwnerIn, &st.graph.recv),
-        ] {
-            let (slots, direct_x) = (self.cfg.slots, self.cfg.prereg && kind == BufKind::GhostIn);
+        let (lane, slots) = (&self.lane, self.cfg.slots);
+        for kind in [BufKind::GhostIn, BufKind::OwnerIn] {
+            let ghost_side = kind == BufKind::GhostIn;
+            let direct_x = self.cfg.prereg && ghost_side;
+            let edges = self.pattern.out_edges(&st.graph, ghost_side);
             self.chan[kind as usize] = edges
                 .iter()
-                .map(|e| {
-                    self.lane
-                        .channel(kind, e.rank, e.node, e.hops, e.peer_index, slots, direct_x)
-                })
+                .map(|e| lane.channel(kind, e, slots, direct_x))
                 .collect::<Result<_, _>>()?;
         }
         Ok(())
@@ -721,7 +713,7 @@ impl UtofuP2p {
             let p = self.lane.net.params();
             let costs: Vec<f64> = f64s
                 .iter()
-                .zip(&self.chan[BufKind::inflow(op) as usize])
+                .zip(&self.chan[BufKind::inflow(op.toward_ghosts()) as usize])
                 .map(|(&n, ch)| fine::link_cost(n * 8, ch.hops, p))
                 .collect();
             fine::balance_lpt(&costs, self.cfg.comm_threads)
@@ -731,21 +723,22 @@ impl UtofuP2p {
         self.plans[op.index()] = OpPlan { f64s, lanes };
     }
 
-    /// Post one message per out-edge of `op` across the configured
-    /// threads/VCQs and charge the post-phase completion time to the
-    /// clock. Sizes and thread assignment come from the op's [`OpPlan`],
-    /// destinations from its channels. A ghost op's frames are serialized
-    /// in place into `send_out` here; Border passes its frames in `staged`.
-    fn send_edges(
+    /// The planned post: one message per out-edge of `op` across the
+    /// configured threads/VCQs, charging the post-phase completion time to
+    /// the clock. Sizes and thread assignment come from the op's
+    /// [`OpPlan`], destinations from its channels. A ghost op's frames are
+    /// serialized in place into `send_out` here; Border's payloads arrive
+    /// in `packed`.
+    fn post_planned(
         &mut self,
         st: &mut RankState,
         op: Op,
-        staged: &[Bytes],
+        packed: &[Vec<f64>],
     ) -> Result<(), TofuError> {
         let p = *self.lane.net.params();
         let slot = self.seq % self.cfg.slots;
         self.seq += 1;
-        let kind = BufKind::inflow(op) as usize;
+        let kind = BufKind::inflow(op.toward_ghosts()) as usize;
         let plan = &self.plans[op.index()];
         let seq_base = self.lane.seq_base(plan.f64s.len());
         // Grow undersized destination buffers first (never under prereg).
@@ -758,8 +751,9 @@ impl UtofuP2p {
         // Serialize the ghost-op frames in place. Local regions are sized
         // to the theoretical maximum at build; growth here is charged.
         if let OpKind::Ghost(g) = op.kind() {
+            let layout = &self.pattern.ghosts;
             for (k, out) in self.send_out.iter_mut().enumerate() {
-                let cost = self.lane.frame(out, st, Payload::Ghost(g, k));
+                let cost = self.lane.frame(layout, out, st, Payload::Ghost(g, k));
                 st.charge(cost, op);
             }
         }
@@ -785,6 +779,7 @@ impl UtofuP2p {
                     offset,
                     len,
                 };
+                let frame;
                 let (dst_stadd, dst_offset, src) = if direct_x {
                     // An empty forward (no atoms cross this link) sends
                     // nothing; the receiver expects arrivals only for its
@@ -800,10 +795,11 @@ impl UtofuP2p {
                         });
                     };
                     (xs, off, region(wire::COMBINED_HEADER_BYTES, f64s * 8))
-                } else if let Some(frame) = staged.get(k) {
+                } else if let Payload::Packed(values) = Payload::of(op, packed, k, k) {
+                    frame = wire::frame_combined(values);
                     now += p.pack_cost(frame.len());
                     self.lane.stats.copied(op, 0, frame.len());
-                    (ch.dst[slot].0, 0, PutSrc::Bytes(frame))
+                    (ch.dst[slot].0, 0, PutSrc::Bytes(&frame))
                 } else {
                     (ch.dst[slot].0, 0, region(0, wire::combined_size(f64s)))
                 };
@@ -826,13 +822,74 @@ impl UtofuP2p {
         Ok(())
     }
 
-    /// Wait for `op`'s messages and file the surviving arrival of each
-    /// in-edge in `self.inbox`, so they are consumed in edge order whatever
-    /// order the MRQ held them in.
-    fn receive(&mut self, st: &mut RankState, op: Op) -> Result<(), TofuError> {
+    /// The sequential post: the two face messages round `round` of `op`
+    /// lists, one after the other on the rank's first VCQ. A growth
+    /// handshake is charged where it happens, between the puts.
+    fn post_listed(
+        &mut self,
+        st: &mut RankState,
+        op: Op,
+        round: usize,
+        packed: &[Vec<f64>],
+    ) -> Result<(), TofuError> {
+        let slot = self.seq % self.cfg.slots;
+        self.seq += 1;
+        let (lane, pattern, chan, send_out) = (
+            &mut self.lane,
+            &self.pattern,
+            &mut self.chan,
+            &mut self.send_out,
+        );
+        let (vcq, layout) = (&mut self.vcqs[0], &pattern.ghosts);
+        let p = *lane.net.params();
+        let seq_base = lane.seq_base(2);
+        let mut now = st.clock;
+        pattern.for_each_hop(op, round, st, false, |h| {
+            let ch = &mut chan[BufKind::inflow(h.toward_ghosts) as usize][h.k];
+            let payload = Payload::of(op, packed, h.i, h.layout);
+            let need = wire::combined_size(payload.len(layout));
+            let (dst_stadd, dt) = lane.reserve(ch, slot, need, op, round);
+            now += dt;
+            let frame;
+            let src = match payload {
+                Payload::Packed(values) => {
+                    frame = wire::frame_combined(values);
+                    now += p.pack_cost(frame.len());
+                    lane.stats.copied(op, round, frame.len());
+                    PutSrc::Bytes(&frame)
+                }
+                Payload::Ghost(..) => {
+                    let out = &mut send_out[h.k];
+                    now += lane.frame(layout, out, st, payload);
+                    PutSrc::Region {
+                        stadd: out.0,
+                        offset: 0,
+                        len: need,
+                    }
+                }
+            };
+            let put = Put {
+                dst_node: ch.node,
+                dst_stadd,
+                dst_offset: 0,
+                src,
+                piggyback: u64::from(ch.tag),
+                seq: seq_base + 1 + h.i as u64,
+                cache_injection: true,
+            };
+            lane.put(vcq, op, round, &mut now, put);
+        })?;
+        st.charge(now - st.clock, op);
+        Ok(())
+    }
+
+    /// The planned receive: wait for one message per in-edge of `op`, file
+    /// the surviving arrival of each in `self.inbox`, and consume them in
+    /// edge order whatever order the MRQ held them in.
+    fn recv_planned(&mut self, st: &mut RankState, op: Op) -> Result<(), TofuError> {
         let p = *self.lane.net.params();
         let (node, n) = (self.lane.node, self.inbox.len());
-        let rx = &self.rx[BufKind::inflow(op) as usize];
+        let rx = &self.rx[BufKind::inflow(op.toward_ghosts()) as usize];
         let direct_x = self.cfg.prereg && op == Op::Forward;
         let (expected, t) = if direct_x {
             let xs = self.x_region.ok_or(TofuError::PhaseOrder {
@@ -887,7 +944,62 @@ impl UtofuP2p {
             t - st.clock + poll + p.pack_cost(unpack_bytes)
         };
         st.charge(dt, op);
+        for (k, a) in self.inbox.iter().enumerate() {
+            if let Some(a) = a {
+                self.lane.consume(&mut self.pattern, st, op, k, a, direct_x);
+            }
+        }
         Ok(())
+    }
+
+    /// The sequential receive: wait for the two face messages round
+    /// `round` of `op` lists and consume them in STADD order, which is hop
+    /// order on a staged round (a face's buffers were registered -dim
+    /// first) and ghost-side first on a grid migration sweep. `posted` is
+    /// how many buffers the MRQ match is charged against per arrival.
+    fn recv_listed(
+        &mut self,
+        st: &mut RankState,
+        op: Op,
+        round: usize,
+        posted: f64,
+    ) -> Result<(), TofuError> {
+        let p = *self.lane.net.params();
+        // (inflow kind, in-edge, layout edge) per hop, and the sweep's
+        // dimension: telemetry files its receive anomalies under that.
+        let (mut want, mut dim) = ([(0, 0, 0); 2], round);
+        self.pattern.for_each_hop(op, round, st, true, |h| {
+            want[h.i] = (BufKind::inflow(h.toward_ghosts) as usize, h.k, h.layout);
+            if let Landing::Face { dim: d, .. } = h.landing {
+                dim = d;
+            }
+        })?;
+        let rx = &self.rx;
+        let hop_of = |a: &Arrival| {
+            let on = |&(kind, k, _): &(usize, usize, usize)| {
+                rx_find(&rx[kind], a.stadd).is_some_and(|b| usize::from(b.edge) == k)
+            };
+            want.iter().position(on)
+        };
+        let pred = |a: &Arrival| a.len > 0 && hop_of(a).is_some();
+        let t = self.lane.wait(st.clock, 2, op, dim, pred)?;
+        let (mut seen, mut unpack) = ([false; 2], 0usize);
+        for i in 0..self.lane.arrivals.len() {
+            let a = self.lane.arrivals[i];
+            if let Some(hop) = hop_of(&a) {
+                self.lane
+                    .consume(&mut self.pattern, st, op, want[hop].2, &a, false);
+                seen[hop] = true;
+                unpack += a.len;
+            }
+        }
+        let poll = self.lane.arrivals.len() as f64
+            * (p.cpu_per_put_utofu + posted * p.mrq_match_per_buffer);
+        st.charge(t - st.clock + poll + p.pack_cost(unpack), op);
+        match seen {
+            [true, true] => Ok(()),
+            _ => Err(self.lane.net.shortfall_error(self.lane.node, 2, 1)),
+        }
     }
 
     /// After border unpack: fix the epoch's ghost-op plans and landing
@@ -897,7 +1009,8 @@ impl UtofuP2p {
         let n = self.inbox.len();
         for op in Op::ALL {
             if let OpKind::Ghost(g) = op.kind() {
-                self.replan(op, (0..n).map(|k| self.lane.ghosts.len(g, k)).collect());
+                let layout = &self.pattern.ghosts;
+                self.replan(op, (0..n).map(|k| layout.len(g, k)).collect());
             }
         }
         if !self.cfg.prereg {
@@ -910,7 +1023,7 @@ impl UtofuP2p {
         // Target the provider's OwnerIn buffer (same inflow direction as a
         // reverse message); zero-length write, descriptor-only.
         for (k, ch) in self.chan[BufKind::OwnerIn as usize].iter().enumerate() {
-            let (start, count) = self.lane.ghosts.segment(k);
+            let (start, count) = self.pattern.ghosts.segment(k);
             if count > 0 {
                 self.x_rx.push((start * 24, k as u16));
             }
@@ -945,135 +1058,41 @@ impl UtofuP2p {
         st.charge(t - st.clock, Op::Border);
         Ok(())
     }
-
-    /// Indices of the pure-face links for sweep `dim`: the -face in
-    /// `send`, the +face in `recv` (present for every grid graph; their
-    /// absence is a malformed graph, reported rather than panicking).
-    fn face_indices(st: &RankState, dim: usize) -> Result<(usize, usize), TofuError> {
-        let face = |edges: &[GraphEdge], sign: i8, missing| {
-            let mut want = [0i8; 3];
-            want[dim] = sign;
-            let k = edges.iter().position(|l| l.offset.d == want);
-            k.ok_or(TofuError::PhaseOrder {
-                node: st.graph.me,
-                phase: "exchange",
-                missing,
-            })
-        };
-        Ok((
-            face(&st.graph.send, -1, "-face link in send edges")?,
-            face(&st.graph.recv, 1, "+face link in recv edges")?,
-        ))
-    }
-
-    /// Send the two migration payloads of sweep `dim`: toward the -face
-    /// via the neighbor's GhostIn buffer (border-direction flow), toward
-    /// the +face via its OwnerIn buffer (reverse-direction flow).
-    fn post_exchange(&mut self, st: &mut RankState, dim: usize) -> Result<(), TofuError> {
-        let p = *self.lane.net.params();
-        let payloads = st.pack_exchange(dim);
-        let (k_minus, k_plus) = Self::face_indices(st, dim)?;
-        let slot = self.seq % self.cfg.slots;
-        self.seq += 1;
-        let seq_base = self.lane.seq_base(2);
-        let mut now = st.clock;
-        let routes = [(BufKind::GhostIn, k_minus), (BufKind::OwnerIn, k_plus)];
-        for (dir, (kind, k)) in routes.into_iter().enumerate() {
-            let ch = &mut self.chan[kind as usize][k];
-            let bytes = wire::frame_combined(&payloads[dir]);
-            let (dst_stadd, dt) = self.lane.reserve(ch, slot, bytes.len(), Op::Exchange, dim);
-            now += dt;
-            now += p.pack_cost(bytes.len());
-            self.lane.stats.copied(Op::Exchange, dim, bytes.len());
-            let put = Put {
-                dst_node: ch.node,
-                dst_stadd,
-                dst_offset: 0,
-                src: PutSrc::Bytes(&bytes),
-                piggyback: u64::from(ch.tag),
-                seq: seq_base + 1 + dir as u64,
-                cache_injection: true,
-            };
-            self.lane
-                .put(&mut self.vcqs[0], Op::Exchange, dim, &mut now, put);
-        }
-        st.charge(now - st.clock, Op::Exchange);
-        Ok(())
-    }
-
-    /// Receive the two migration payloads of sweep `dim` and append the
-    /// migrants as locals.
-    fn complete_exchange(&mut self, st: &mut RankState, dim: usize) -> Result<(), TofuError> {
-        let p = *self.lane.net.params();
-        let (k_minus, k_plus) = Self::face_indices(st, dim)?;
-        let on = |kind: BufKind, k: usize, a: &Arrival| {
-            rx_find(&self.rx[kind as usize], a.stadd).is_some_and(|b| usize::from(b.edge) == k)
-        };
-        let pred = |a: &Arrival| {
-            a.len > 0 && (on(BufKind::GhostIn, k_plus, a) || on(BufKind::OwnerIn, k_minus, a))
-        };
-        let t = self.lane.wait(st.clock, 2, Op::Exchange, dim, pred)?;
-        let mut unpack = 0usize;
-        for i in 0..self.lane.arrivals.len() {
-            let a = self.lane.arrivals[i];
-            self.lane.consume(st, OpKind::Exchange, 0, &a, false);
-            unpack += a.len;
-        }
-        let poll = 2.0 * p.cpu_per_put_utofu;
-        st.charge(t - st.clock + poll + p.pack_cost(unpack), Op::Exchange);
-        Ok(())
-    }
 }
 
-impl GhostEngine for UtofuP2p {
+impl GhostEngine for UtofuEngine {
     fn rounds(&self, op: Op) -> usize {
-        // Migration sweeps the three dimensions even under p2p ghosts.
-        if op == Op::Exchange {
-            3
-        } else {
-            1
-        }
+        self.pattern.rounds(op)
     }
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         self.resolve_channels(st)?;
-        match op.kind() {
-            OpKind::Exchange => self.post_exchange(st, round),
-            OpKind::Border => {
-                let shifts = st.graph.send.iter().map(|e| e.shift);
-                self.lane.ghosts.reset(&mut st.atoms, shifts);
-                let sel = self.sel.get_or_insert_with(|| st.graph.selector());
-                let packed = self.lane.ghosts.select_border(st, sel);
-                self.replan(op, packed.iter().map(Vec::len).collect());
-                let staged: Vec<Bytes> = packed.iter().map(|v| wire::frame_combined(v)).collect();
-                self.send_edges(st, op, &staged)
-            }
-            OpKind::Ghost(_) => {
-                if op == Op::Forward
-                    && self.cfg.prereg
-                    && self.remote_ghost_off.iter().any(Option::is_none)
-                {
-                    self.recv_ghost_offsets(st)?;
-                }
-                self.send_edges(st, op, &[])
-            }
+        let packed = self.pattern.pack(op, round, st);
+        if !self.pattern.spans_edges(op) {
+            return self.post_listed(st, op, round, &packed);
         }
+        if op == Op::Border {
+            self.replan(op, packed.iter().map(Vec::len).collect());
+        } else if op == Op::Forward
+            && self.cfg.prereg
+            && self.remote_ghost_off.iter().any(Option::is_none)
+        {
+            self.recv_ghost_offsets(st)?;
+        }
+        self.post_planned(st, op, &packed)
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        let kind = op.kind();
-        if kind == OpKind::Exchange {
-            return self.complete_exchange(st, round);
+        if self.pattern.spans_edges(op) {
+            self.recv_planned(st, op)?;
+        } else {
+            // A staged round matches each arrival against the two face
+            // buffers it posted; a p2p migration sweep charges no match.
+            let posted = if self.pattern.is_staged() { 2.0 } else { 0.0 };
+            self.recv_listed(st, op, round, posted)?;
         }
-        self.receive(st, op)?;
-        let raw = self.cfg.prereg && op == Op::Forward;
-        for (k, a) in self.inbox.iter().enumerate() {
-            if let Some(a) = a {
-                self.lane.consume(st, kind, k, a, raw);
-            }
-        }
-        if kind == OpKind::Border {
-            st.scalar.resize(st.atoms.ntotal(), 0.0);
+        self.pattern.finish(op, st);
+        if op == Op::Border && self.pattern.spans_edges(op) {
             self.begin_epoch(st);
         }
         Ok(())
@@ -1091,242 +1110,12 @@ impl GhostEngine for UtofuP2p {
         self.lane.fallback_wanted
     }
 
-    fn rebind_graph(&mut self, _st: &RankState) {
-        // Channels and the send selector are derived from the graph's
-        // edges; resolve both afresh against the swapped graph. The epoch
-        // state is refreshed by the next Border.
+    fn rebind_graph(&mut self, st: &RankState) {
+        // Channels are derived from the graph's edges; resolve them afresh
+        // against the swapped graph. The epoch state is refreshed by the
+        // next Border.
         self.chan = [Vec::new(), Vec::new()];
-        self.sel = None;
-    }
-}
-
-/// The staged (3-stage) pattern carried over uTofu — `utofu_3stage`.
-pub struct UtofuThreeStage {
-    lane: UtofuLane,
-    links: [[GraphEdge; 2]; 3],
-    /// Swaps per dimension (the plan's shell count).
-    shells: usize,
-    /// `[inflow kind][dim*2+dir]` inflow buffers (single slot).
-    rx: [Vec<Stadd>; 2],
-    /// `[inflow kind][dim*2+dir]`: the resolved face destinations (empty
-    /// until the first post, when every rank has published).
-    chan: [Vec<Channel>; 2],
-    /// Local registered send regions `[dim*2+dir]` as `(stadd, bytes)` —
-    /// never published; ghost-op frames are serialized in place and put
-    /// straight from here.
-    send_out: Vec<(Stadd, usize)>,
-    vcq: Vcq,
-}
-
-impl UtofuThreeStage {
-    /// Build the engine for one rank and publish its 12 face buffers.
-    #[must_use]
-    pub fn new(
-        net: Arc<TofuNet>,
-        book: Arc<AddressBook>,
-        graph: &CommGraph,
-        node: usize,
-        density: f64,
-    ) -> Self {
-        let me = graph.me;
-        let (links, shells) = staged_faces(graph);
-        // Prefer the rank's own TNI; a transiently or persistently
-        // exhausted CQ pool shifts the binding to any TNI with room.
-        let (vcq, _displaced) = create_vcq_scan(&net, node, me % 4, me as u32);
-        let mut lane = UtofuLane::new(net, book, node, UtofuConfig::DEFAULT_RETRY_BUDGET);
-        // Face messages carry up to the staged slab: (a+2r)^2 * r volume at
-        // the largest stage — size generously from the whole-shell estimate.
-        let a = graph.sub.lengths();
-        let r = graph.r_ghost;
-        let max_slab = (a[0] + 2.0 * r) * (a[1] + 2.0 * r) * r;
-        let est_atoms = (2.0 * density * max_slab) as usize + 16;
-        let full = wire::combined_size(est_atoms * MAX_RECORD_F64S);
-        let size = full / BASELINE_UNDERSIZE;
-        let mut rx = [Vec::with_capacity(6), Vec::with_capacity(6)];
-        // Local send regions are always full-size: the undersize baseline
-        // experiment models *remote receive* buffers; this rank's own
-        // staging memory is registered once at the theoretical maximum.
-        let mut send_out = Vec::with_capacity(6);
-        for idx in 0..6u16 {
-            for kind in [BufKind::GhostIn, BufKind::OwnerIn] {
-                let stadd = lane.register(size);
-                lane.book.publish(me as u32, kind, idx, 0, stadd, size);
-                rx[kind as usize].push(stadd);
-            }
-            send_out.push((lane.register(full), full));
-        }
-        UtofuThreeStage {
-            lane,
-            links,
-            shells,
-            rx,
-            chan: [Vec::new(), Vec::new()],
-            send_out,
-            vcq,
-        }
-    }
-
-    /// Growth events (same baseline dynamic-expansion accounting).
-    #[must_use]
-    pub fn growth_events(&self) -> u64 {
-        self.lane.stats.total().growth_events
-    }
-
-    /// Resolve the twelve face channels — see
-    /// [`UtofuP2p::resolve_channels`]. The receiver's buffer index encodes
-    /// the *receiver-side* direction `1 - dir`.
-    fn resolve_channels(&mut self) -> Result<(), TofuError> {
-        if !self.chan[0].is_empty() {
-            return Ok(());
-        }
-        for kind in [BufKind::GhostIn, BufKind::OwnerIn] {
-            self.chan[kind as usize] = (0..6)
-                .map(|idx| {
-                    let (dim, dir) = (idx / 2, idx % 2);
-                    let l = self.links[dim][dir];
-                    let rx_idx = dim * 2 + (1 - dir);
-                    self.lane
-                        .channel(kind, l.rank, l.node, l.hops, rx_idx, 1, false)
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        Ok(())
-    }
-
-    /// Send the two payloads of sweep `dim` toward `links[dim][dir]`'s
-    /// inflow buffers.
-    fn send_pair(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        round: usize,
-        dim: usize,
-        payloads: [Payload<'_>; 2],
-    ) -> Result<(), TofuError> {
-        self.resolve_channels()?;
-        let p = *self.lane.net.params();
-        let kind = BufKind::inflow(op) as usize;
-        let seq_base = self.lane.seq_base(2);
-        let mut now = st.clock;
-        for (dir, payload) in payloads.into_iter().enumerate() {
-            let ch = &mut self.chan[kind][dim * 2 + dir];
-            let need = wire::combined_size(payload.len(&self.lane.ghosts));
-            let (dst_stadd, dt) = self.lane.reserve(ch, 0, need, op, round);
-            now += dt;
-            let staged;
-            let src = match payload {
-                Payload::Packed(values) => {
-                    staged = wire::frame_combined(values);
-                    now += p.pack_cost(staged.len());
-                    self.lane.stats.copied(op, round, staged.len());
-                    PutSrc::Bytes(&staged)
-                }
-                Payload::Ghost(..) => {
-                    let out = &mut self.send_out[dim * 2 + dir];
-                    now += self.lane.frame(out, st, payload);
-                    PutSrc::Region {
-                        stadd: out.0,
-                        offset: 0,
-                        len: need,
-                    }
-                }
-            };
-            let put = Put {
-                dst_node: ch.node,
-                dst_stadd,
-                dst_offset: 0,
-                src,
-                piggyback: u64::from(ch.tag),
-                seq: seq_base + 1 + dir as u64,
-                cache_injection: true,
-            };
-            self.lane.put(&mut self.vcq, op, round, &mut now, put);
-        }
-        st.charge(now - st.clock, op);
-        Ok(())
-    }
-
-    /// Wait for the two sweep-`dim` messages; returns the surviving
-    /// arrivals `[from -dim, from +dim]`.
-    fn recv_pair(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        dim: usize,
-    ) -> Result<[Arrival; 2], TofuError> {
-        let p = *self.lane.net.params();
-        let bufs = &self.rx[BufKind::inflow(op) as usize];
-        let want = [bufs[dim * 2], bufs[dim * 2 + 1]];
-        let pred = |a: &Arrival| a.stadd == want[0] || a.stadd == want[1];
-        let t = self.lane.wait(st.clock, 2, op, dim, pred)?;
-        let mut inbox = [None; 2];
-        let mut unpack = 0usize;
-        for a in &self.lane.arrivals {
-            inbox[usize::from(a.stadd == want[1])] = Some(*a);
-            unpack += a.len;
-        }
-        let poll =
-            self.lane.arrivals.len() as f64 * (p.cpu_per_put_utofu + 2.0 * p.mrq_match_per_buffer);
-        st.charge(t - st.clock + poll + p.pack_cost(unpack), op);
-        match inbox {
-            [Some(minus), Some(plus)] => Ok([minus, plus]),
-            _ => Err(self.lane.net.shortfall_error(self.lane.node, 2, 1)),
-        }
-    }
-}
-
-impl GhostEngine for UtofuThreeStage {
-    fn rounds(&self, op: Op) -> usize {
-        if op == Op::Exchange {
-            3
-        } else {
-            3 * self.shells
-        }
-    }
-
-    fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        let (sweep, dim) = staged_sweep(op, round, self.shells);
-        let packed;
-        let payloads = match op.kind() {
-            OpKind::Ghost(g) => [0, 1].map(|dir| Payload::Ghost(g, sweep * 2 + dir)),
-            OpKind::Border => {
-                if round == 0 {
-                    let shifts = staged_shifts(&self.links, self.shells);
-                    self.lane.ghosts.reset(&mut st.atoms, shifts);
-                }
-                packed = self.lane.ghosts.sweep_border(st, sweep, self.shells);
-                [Payload::Packed(&packed[0]), Payload::Packed(&packed[1])]
-            }
-            OpKind::Exchange => {
-                packed = st.pack_exchange(dim);
-                [Payload::Packed(&packed[0]), Payload::Packed(&packed[1])]
-            }
-        };
-        self.send_pair(st, op, round, dim, payloads)
-    }
-
-    fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        let (sweep, dim) = staged_sweep(op, round, self.shells);
-        for (dir, a) in self.recv_pair(st, op, dim)?.iter().enumerate() {
-            self.lane.consume(st, op.kind(), sweep * 2 + dir, a, false);
-        }
-        // EAM scalar buffers must track the growing ghost tail.
-        if op == Op::Border {
-            st.scalar.resize(st.atoms.ntotal(), 0.0);
-        }
-        Ok(())
-    }
-
-    fn setup_cost(&self) -> f64 {
-        self.lane.setup_cost
-    }
-
-    fn op_stats(&self) -> OpStats {
-        self.lane.stats.clone()
-    }
-
-    fn fallback_requested(&self) -> bool {
-        self.lane.fallback_wanted
+        self.pattern.rebind(&st.graph);
     }
 }
 
@@ -1334,85 +1123,15 @@ impl GhostEngine for UtofuThreeStage {
 mod tests {
     use super::*;
     use crate::engine::GhostEngine;
-    use crate::topo_map::{Placement, RankMap};
+    use crate::pattern::fixture::{drive, fill_scalars};
     use tofumd_md::atom::Atoms;
-    use tofumd_md::region::Box3;
-    use tofumd_tofu::{wait_arrivals, NetParams};
+    use tofumd_tofu::wait_arrivals;
 
-    /// Full-machine fixture on one TofuD cell (48 ranks): ranks 0 and 1
-    /// are x-face neighbors and hold one atom each near their shared face;
-    /// every rank participates in the lockstep rounds.
-    struct Fixture {
-        net: Arc<TofuNet>,
-        book: Arc<AddressBook>,
-        map: RankMap,
-        global: Box3,
-        engines: Vec<UtofuP2p>,
-        states: Vec<RankState>,
-    }
+    type Fixture = crate::pattern::fixture::Fixture<UtofuEngine>;
 
+    /// The shared cell fixture under the p2p pattern at `cfg`.
     fn fixture(cfg: UtofuConfig) -> Fixture {
-        let grid = tofumd_tofu::CellGrid::new([1, 1, 1]);
-        let map = RankMap::new(grid, Placement::TopoAware);
-        let rg = map.rank_grid;
-        let global = Box3::from_lengths([
-            10.0 * f64::from(rg[0]),
-            10.0 * f64::from(rg[1]),
-            10.0 * f64::from(rg[2]),
-        ]);
-        let net = Arc::new(TofuNet::new(grid, NetParams::default()));
-        let book = AddressBook::new();
-        let plan_cfg = crate::plan::PlanConfig::NEWTON;
-        let mut engines = Vec::new();
-        let mut states = Vec::new();
-        for r in 0..map.nranks() {
-            let plan = crate::plan::CommPlan::build(r, &map, &global, 2.8, plan_cfg);
-            let graph = CommGraph::from_grid(plan);
-            let node = map.node_of(r);
-            engines.push(UtofuP2p::new(
-                net.clone(),
-                book.clone(),
-                &graph,
-                node,
-                0.8442,
-                cfg,
-            ));
-            let atoms = match r {
-                0 => {
-                    let sub = graph.sub;
-                    Atoms::from_positions(
-                        vec![[sub.hi[0] - 0.5, sub.lo[1] + 5.0, sub.lo[2] + 5.0]],
-                        1,
-                    )
-                }
-                1 => {
-                    let sub = graph.sub;
-                    Atoms::from_positions(
-                        vec![[sub.lo[0] + 0.5, sub.lo[1] + 5.0, sub.lo[2] + 5.0]],
-                        1001,
-                    )
-                }
-                _ => Atoms::default(),
-            };
-            states.push(RankState::new(atoms, graph));
-        }
-        Fixture {
-            net,
-            book,
-            map,
-            global,
-            engines,
-            states,
-        }
-    }
-
-    fn drive(f: &mut Fixture, op: Op) {
-        for (e, st) in f.engines.iter_mut().zip(f.states.iter_mut()) {
-            e.post(op, 0, st).unwrap();
-        }
-        for (e, st) in f.engines.iter_mut().zip(f.states.iter_mut()) {
-            e.complete(op, 0, st).unwrap();
-        }
+        crate::pattern::fixture::fixture(|fab, g| fab.utofu(PatternKind::P2p, cfg, g))
     }
 
     #[test]
@@ -1452,11 +1171,7 @@ mod tests {
     fn scalar_ops_roundtrip_and_book_into_pair_bucket() {
         let mut f = fixture(UtofuConfig::pool6());
         drive(&mut f, Op::Border);
-        for st in f.states.iter_mut() {
-            let n = st.atoms.ntotal();
-            st.scalar.clear();
-            st.scalar.resize(n, 0.0);
-        }
+        fill_scalars(&mut f, 0.0);
         // Rank 1's local fp = 7.25 must reach its ghost copy on rank 0.
         f.states[1].scalar[0] = 7.25;
         drive(&mut f, Op::ForwardScalar);
@@ -1479,20 +1194,9 @@ mod tests {
         // packing, pass through a staging copy, and are measured.
         for cfg in [UtofuConfig::pool6(), UtofuConfig::coarse4()] {
             let mut f = fixture(cfg);
-            for round in 0..3 {
-                for (e, st) in f.engines.iter_mut().zip(f.states.iter_mut()) {
-                    e.post(Op::Exchange, round, st).unwrap();
-                }
-                for (e, st) in f.engines.iter_mut().zip(f.states.iter_mut()) {
-                    e.complete(Op::Exchange, round, st).unwrap();
-                }
-            }
+            drive(&mut f, Op::Exchange);
             drive(&mut f, Op::Border);
-            for st in f.states.iter_mut() {
-                let n = st.atoms.ntotal();
-                st.scalar.clear();
-                st.scalar.resize(n, 0.0);
-            }
+            fill_scalars(&mut f, 0.0);
             drive(&mut f, Op::Forward);
             drive(&mut f, Op::ForwardScalar);
             drive(&mut f, Op::Reverse);
@@ -1565,64 +1269,11 @@ mod tests {
 
     #[test]
     fn utofu_3stage_carries_ghosts_both_directions() {
-        let grid = tofumd_tofu::CellGrid::new([1, 1, 1]);
-        let map = RankMap::new(grid, Placement::TopoAware);
-        let rg = map.rank_grid;
-        let global = Box3::from_lengths([
-            10.0 * f64::from(rg[0]),
-            10.0 * f64::from(rg[1]),
-            10.0 * f64::from(rg[2]),
-        ]);
-        let net = Arc::new(TofuNet::new(grid, NetParams::default()));
-        let book = AddressBook::new();
-        let mut engines = Vec::new();
-        let mut states = Vec::new();
-        for r in 0..map.nranks() {
-            let plan = crate::plan::CommPlan::build(
-                r,
-                &map,
-                &global,
-                2.8,
-                crate::plan::PlanConfig::NEWTON,
-            );
-            let graph = CommGraph::from_grid(plan);
-            let node = map.node_of(r);
-            engines.push(UtofuThreeStage::new(
-                net.clone(),
-                book.clone(),
-                &graph,
-                node,
-                0.8442,
-            ));
-            let atoms = match r {
-                0 => Atoms::from_positions(
-                    vec![[
-                        graph.sub.hi[0] - 0.5,
-                        graph.sub.lo[1] + 5.0,
-                        graph.sub.lo[2] + 5.0,
-                    ]],
-                    1,
-                ),
-                1 => Atoms::from_positions(
-                    vec![[
-                        graph.sub.lo[0] + 0.5,
-                        graph.sub.lo[1] + 5.0,
-                        graph.sub.lo[2] + 5.0,
-                    ]],
-                    1001,
-                ),
-                _ => Atoms::default(),
-            };
-            states.push(RankState::new(atoms, graph));
-        }
-        for round in 0..3 {
-            for (e, st) in engines.iter_mut().zip(states.iter_mut()) {
-                e.post(Op::Border, round, st).unwrap();
-            }
-            for (e, st) in engines.iter_mut().zip(states.iter_mut()) {
-                e.complete(Op::Border, round, st).unwrap();
-            }
-        }
+        let cfg = UtofuConfig::coarse4();
+        let mut f =
+            crate::pattern::fixture::fixture(|fab, g| fab.utofu(PatternKind::Staged, cfg, g));
+        drive(&mut f, Op::Border);
+        let states = &f.states;
         // The staged pattern ships the *full* shell: both ranks see each
         // other's atom.
         let tags0: Vec<u64> = states[0].atoms.tag[states[0].atoms.nlocal..].to_vec();
@@ -1647,11 +1298,7 @@ mod tests {
             };
             let mut f = fixture(cfg);
             drive(&mut f, Op::Border);
-            for st in f.states.iter_mut() {
-                let n = st.atoms.ntotal();
-                st.scalar.clear();
-                st.scalar.resize(n, 0.0);
-            }
+            fill_scalars(&mut f, 0.0);
             // Overlapped stages: rank 1 posts TWO forward-scalar stages
             // before rank 0 completes the first.
             f.states[1].scalar[0] = 111.0;
@@ -1668,7 +1315,7 @@ mod tests {
             // buffers the arrivals point to.)
             let n = f.states[0].graph.recv.len();
             let rx = &f.engines[0].rx[BufKind::GhostIn as usize];
-            let (arrivals, _) = wait_arrivals(&f.net, f.engines[0].lane.node, 0.0, n, |a| {
+            let (arrivals, _) = wait_arrivals(&f.fabric.net, f.engines[0].lane.node, 0.0, n, |a| {
                 a.len > 0 && rx_find(rx, a.stadd).is_some()
             });
             // Find the arrival from the link that carried rank 1's atom
@@ -1679,6 +1326,7 @@ mod tests {
                 .min_by(|x, y| x.time.total_cmp(&y.time))
                 .expect("a non-empty scalar payload");
             let raw = f
+                .fabric
                 .net
                 .read_local(f.engines[0].lane.node, a.stadd, a.offset, a.len);
             wire::parse_combined(&raw)[0]
@@ -1800,7 +1448,7 @@ mod tests {
             // The book agrees with the channel (the handshake wrote both).
             let ch = &f.engines[1].chan[BufKind::GhostIn as usize];
             for c in ch {
-                let booked = f.book.lookup(c.rank, c.kind, c.tag, 0).unwrap();
+                let booked = f.fabric.book.lookup(c.rank, c.kind, c.tag, 0).unwrap();
                 assert_eq!(booked, c.dst[0]);
             }
             assert_eq!(
@@ -1820,8 +1468,8 @@ mod tests {
 
     /// A put into `dst` from a rank-tag no engine uses, carrying `piggyback`.
     fn forge(f: &Fixture, node: usize, dst: Stadd, data: &[u8], piggyback: u64) {
-        f.net.put(tofumd_tofu::PutRequest {
-            src_node: (node + 1) % f.net.node_count(),
+        f.fabric.net.put(tofumd_tofu::PutRequest {
+            src_node: (node + 1) % f.fabric.net.node_count(),
             tni: 0,
             dst_node: node,
             dst_stadd: dst,
@@ -1906,7 +1554,5 @@ mod tests {
             p > 2.0 * c,
             "prereg setup {p} should far exceed baseline {c}"
         );
-        // Keep the fixture fields alive (silence dead-code in this test).
-        let _ = (&coarse.net, &coarse.book, &coarse.map, &coarse.global);
     }
 }

@@ -1,14 +1,15 @@
-//! The steady-state ghost ops of the uTofu p2p engine allocate nothing.
+//! The steady-state ghost ops of the uTofu engine allocate nothing.
 //!
 //! Channels are resolved at the first post and the per-op plans at Border;
 //! after that a Forward / Reverse / ForwardScalar / ReverseScalar round —
 //! `post` + `complete` over every rank — is "frame in place, put" and
-//! "take, dedupe, unpack in place" on reused buffers. A counting global
-//! allocator holds the engine to that: zero allocations per round under
-//! pre-registration, and without it only in rounds that grew a buffer.
+//! "take, dedupe, unpack in place" on reused buffers, under either
+//! pattern. A counting global allocator holds the engine to that: zero
+//! allocations per round under pre-registration, and without it only in
+//! rounds that grew a buffer.
 //!
 //! One `#[test]` only: the counter is per thread, but the fixture is not
-//! cheap and the two configurations share it.
+//! cheap and the configurations share it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use tofumd_core::engine::{GhostEngine, Op, RankState};
 use tofumd_core::plan::{CommPlan, PlanConfig};
 use tofumd_core::topo_map::{Placement, RankMap};
-use tofumd_core::{AddressBook, CommGraph, UtofuConfig, UtofuP2p};
+use tofumd_core::{AddressBook, CommGraph, PatternKind, UtofuConfig, UtofuEngine};
 use tofumd_md::atom::Atoms;
 use tofumd_md::region::Box3;
 use tofumd_tofu::{CellGrid, NetParams, TofuNet};
@@ -64,12 +65,17 @@ const GHOST_OPS: [Op; 4] = [
 ];
 
 struct Fixture {
-    engines: Vec<UtofuP2p>,
+    engines: Vec<UtofuEngine>,
     states: Vec<RankState>,
 }
 
-/// One TofuD cell (48 ranks, 10^3 sub-boxes), every rank built with `cfg`.
+/// One TofuD cell (48 ranks, 10^3 sub-boxes), every rank built with `cfg`
+/// under the p2p pattern.
 fn fixture(cfg: UtofuConfig) -> Fixture {
+    fixture_of(PatternKind::P2p, cfg)
+}
+
+fn fixture_of(kind: PatternKind, cfg: UtofuConfig) -> Fixture {
     let grid = CellGrid::new([1, 1, 1]);
     let map = RankMap::new(grid, Placement::TopoAware);
     let rg = map.rank_grid;
@@ -85,14 +91,8 @@ fn fixture(cfg: UtofuConfig) -> Fixture {
         let plan = CommPlan::build(r, &map, &global, 2.8, PlanConfig::NEWTON);
         let graph = CommGraph::from_grid(plan);
         let node = map.node_of(r);
-        engines.push(UtofuP2p::new(
-            net.clone(),
-            book.clone(),
-            &graph,
-            node,
-            0.8442,
-            cfg,
-        ));
+        let (net, book) = (net.clone(), book.clone());
+        engines.push(UtofuEngine::new(net, book, kind, &graph, node, 0.8442, cfg).unwrap());
         states.push(RankState::new(Atoms::default(), graph));
     }
     Fixture { engines, states }
@@ -118,11 +118,13 @@ fn stock(f: &mut Fixture, per_rank: usize) {
 }
 
 fn drive(f: &mut Fixture, op: Op) {
-    for (e, st) in f.engines.iter_mut().zip(&mut f.states) {
-        e.post(op, 0, st).unwrap();
-    }
-    for (e, st) in f.engines.iter_mut().zip(&mut f.states) {
-        e.complete(op, 0, st).unwrap();
+    for round in 0..f.engines[0].rounds(op) {
+        for (e, st) in f.engines.iter_mut().zip(&mut f.states) {
+            e.post(op, round, st).unwrap();
+        }
+        for (e, st) in f.engines.iter_mut().zip(&mut f.states) {
+            e.complete(op, round, st).unwrap();
+        }
     }
 }
 
@@ -138,7 +140,12 @@ fn border(f: &mut Fixture) {
 /// One round of the four ghost ops over all ranks; returns what it
 /// allocated and how many buffers it grew.
 fn round(f: &mut Fixture) -> (u64, u64) {
-    let grown = |f: &Fixture| f.engines.iter().map(UtofuP2p::growth_events).sum::<u64>();
+    let grown = |f: &Fixture| {
+        f.engines
+            .iter()
+            .map(UtofuEngine::growth_events)
+            .sum::<u64>()
+    };
     let (a0, g0) = (allocs(), grown(f));
     for op in GHOST_OPS {
         drive(f, op);
@@ -194,4 +201,15 @@ fn steady_state_ghost_ops_do_not_allocate() {
         );
     }
     assert_eq!(rounds[2..], [(0, 0); 4], "grown sizes are cached");
+
+    // The staged pattern over the same engine: three sequential rounds per
+    // op on the face buffers, just as quiet once those have grown.
+    let mut f = fixture_of(PatternKind::Staged, UtofuConfig::coarse4());
+    stock(&mut f, 12);
+    border(&mut f);
+    round(&mut f);
+    round(&mut f);
+    for r in 0..20 {
+        assert_eq!(round(&mut f), (0, 0), "staged round {r}");
+    }
 }

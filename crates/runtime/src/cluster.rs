@@ -26,8 +26,8 @@ use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::sync::Arc;
 use tofumd_core::engine::{GhostEngine, Op, OpStats, RankState};
-use tofumd_core::mpi_engine::MpiThreeStage;
 use tofumd_core::topo_map::RankMap;
+use tofumd_core::AddressBook;
 use tofumd_md::integrate::NveIntegrator;
 use tofumd_md::potential::Potential;
 use tofumd_md::region::Box3;
@@ -65,6 +65,8 @@ pub struct Cluster {
     global: Box3,
     net: Arc<TofuNet>,
     mpi: Arc<Communicator>,
+    /// The address exchange this cluster's uTofu engines publish to.
+    book: Arc<AddressBook>,
     potential: Arc<Potential>,
     integrator: NveIntegrator,
     states: Vec<RankState>,
@@ -344,16 +346,17 @@ impl Cluster {
         // Key every fault decision this op makes on (step, op).
         self.net.set_fault_context(self.step, op.index() as u8);
         let dead = self.dead_lanes();
-        let rounds = self.lanes[0].engine.rounds(op);
-        let barrier = self.lanes[0].engine.barrier_between_rounds();
+        // The round structure is read off the first live lane: a dead
+        // lane's engine sits on a stale graph and has no say.
+        let live = |rank: usize| !dead.contains(&(rank as u32));
+        let lead = &self.lanes[(0..self.lanes.len()).find(|&r| live(r)).unwrap_or(0)].engine;
+        let (rounds, barrier) = (lead.rounds(op), lead.barrier_between_rounds());
         // A wrapper that fails to delegate rounds()/barrier_between_rounds()
-        // silently changes every rank's round count (the driver reads rank
-        // 0 only) — catch the disagreement here.
+        // silently changes every rank's round count (the driver reads one
+        // lane only) — catch the disagreement here.
         debug_assert!(
-            self.lanes
-                .iter()
-                .all(|l| l.engine.rounds(op) == rounds
-                    && l.engine.barrier_between_rounds() == barrier),
+            self.lanes.iter().enumerate().all(|(r, l)| !live(r)
+                || (l.engine.rounds(op) == rounds && l.engine.barrier_between_rounds() == barrier)),
             "engines disagree on rounds({op:?})/barrier: engine wrappers must \
              delegate rounds() and barrier_between_rounds()"
         );
@@ -405,19 +408,13 @@ impl Cluster {
     }
 
     /// Can this step's halo ops overlap with interior compute? Requires
-    /// [`PlanMode::Dag`], a p2p variant whose Border/Forward ops are
-    /// single-round without a stage barrier, and a potential with row
-    /// kernels. Re-evaluated every step, so a mid-run demotion (to the
-    /// 3-stage reference) degrades the DAG to its non-overlapping shape.
+    /// [`PlanMode::Dag`], a p2p variant — the row every lane's engine was
+    /// built from, so Border and Forward are single rounds without a stage
+    /// barrier — and a potential with row kernels. Re-evaluated every step,
+    /// so a mid-run demotion (to the 3-stage reference) degrades the DAG to
+    /// its non-overlapping shape.
     fn overlap_eligible(&self) -> bool {
         if self.plan_mode == PlanMode::Barrier || !self.variant.is_p2p() {
-            return false;
-        }
-        let engine = &self.lanes[0].engine;
-        if engine.barrier_between_rounds()
-            || engine.rounds(Op::Border) != 1
-            || engine.rounds(Op::Forward) != 1
-        {
             return false;
         }
         match &*self.potential {
@@ -744,9 +741,10 @@ impl Cluster {
     /// reneighbor pass next step so the fresh engines build their ghost
     /// lists before any forward exchange.
     fn demote_to_ref(&mut self) {
-        for (lane, st) in self.lanes.iter_mut().zip(&self.states) {
-            self.retired_stats.merge(&lane.engine.op_stats());
-            lane.engine = Box::new(MpiThreeStage::new(self.mpi.clone(), &st.graph));
+        for rank in 0..self.lanes.len() {
+            self.retired_stats
+                .merge(&self.lanes[rank].engine.op_stats());
+            self.lanes[rank].engine = self.engine_for(CommVariant::Ref, rank);
         }
         self.variant = CommVariant::Ref;
         self.demoted = true;

@@ -10,11 +10,9 @@ use crate::driver::{Lane, Phase, PlanMode, Team};
 use crate::variant::CommVariant;
 use std::sync::Arc;
 use tofumd_core::engine::{GhostEngine, Op, RankState};
-use tofumd_core::mpi_engine::{MpiP2p, MpiThreeStage};
 use tofumd_core::plan::{CommPlan, PlanConfig};
 use tofumd_core::topo_map::{Placement, RankMap};
-use tofumd_core::utofu_engine::{AddressBook, UtofuConfig, UtofuP2p, UtofuThreeStage};
-use tofumd_core::CommGraph;
+use tofumd_core::{AddressBook, CommGraph, MpiEngine, UtofuEngine};
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
 use tofumd_md::integrate::NveIntegrator;
@@ -22,9 +20,41 @@ use tofumd_md::region::Box3;
 use tofumd_md::velocity;
 use tofumd_model::StageCosts;
 use tofumd_mpi::Communicator;
-use tofumd_tofu::{CellGrid, FaultPlan, NetParams, TofuNet};
+use tofumd_tofu::{CellGrid, FaultPlan, NetParams, TofuError, TofuNet};
+
+/// The one engine factory: `variant`'s row of the pattern × transport
+/// table ([`CommVariant::row`]) built for the rank that owns `graph`; a
+/// row that cannot walk it is the typed error, under the variant's label.
+pub(super) fn try_engine(
+    variant: CommVariant,
+    graph: &CommGraph,
+    mpi: &Arc<Communicator>,
+    book: &Arc<AddressBook>,
+    map: &RankMap,
+    density: f64,
+) -> Result<Box<dyn GhostEngine>, TofuError> {
+    let (kind, utofu) = variant.row();
+    let built: Result<Box<dyn GhostEngine>, _> = match utofu {
+        None => MpiEngine::new(mpi.clone(), kind, graph).map(|e| Box::new(e) as _),
+        Some(cfg) => {
+            let (net, node) = (mpi.net().clone(), map.node_of(graph.me));
+            UtofuEngine::new(net, book.clone(), kind, graph, node, density, cfg)
+                .map(|e| Box::new(e) as _)
+        }
+    };
+    built.map_err(|e| e.for_engine(variant.label()))
+}
 
 impl Cluster {
+    /// The engine of `variant` for `rank`'s current graph, from the one
+    /// factory every build, demotion and recovery goes through — and the
+    /// single place a mismatched variant × decomposition stops a run.
+    pub(super) fn engine_for(&self, variant: CommVariant, rank: usize) -> Box<dyn GhostEngine> {
+        let (graph, density) = (&self.states[rank].graph, self.cfg.density());
+        try_engine(variant, graph, &self.mpi, &self.book, &self.map, density)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
     pub(super) fn build(
         proxy_mesh: [u32; 3],
         target_mesh: [u32; 3],
@@ -102,15 +132,11 @@ impl Cluster {
         };
 
         // Decomposition: uniform bricks, or RCB over the initial atom
-        // positions. RCB's irregular graph rides the reliable MPI p2p
-        // engine; the staged and uTofu engines stay grid-only.
+        // positions. RCB's irregular graph rides the MPI p2p engine; the
+        // engine factory rejects every other variant on it.
         let rcb = match cfg.comm.decomp {
             Decomp::Grid => None,
             Decomp::Rcb => {
-                assert!(
-                    matches!(variant, CommVariant::MpiP2p),
-                    "RCB decomposition requires the MpiP2p engine (got {variant:?})"
-                );
                 let xs: Vec<[f64; 3]> = kept.iter().map(|(x, _)| *x).collect();
                 Some(Arc::new(RcbDecomposition::build(nranks, &xs, &global)))
             }
@@ -128,11 +154,7 @@ impl Cluster {
 
         let potential = Arc::new(cfg.build_potential());
         let integrator = NveIntegrator::new(cfg.timestep(), cfg.mass(), cfg.units());
-        let density = cfg.density();
-        let book = AddressBook::new();
-
         let mut states = Vec::with_capacity(nranks);
-        let mut lanes: Vec<Lane> = Vec::with_capacity(nranks);
         for rank in 0..nranks {
             let graph = match &rcb {
                 Some(r) => CommGraph::from_rcb(rank, r, &map, r_ghost),
@@ -140,7 +162,6 @@ impl Cluster {
                     CommGraph::from_grid(CommPlan::build(rank, &map, &global, r_ghost, plan_cfg))
                 }
             };
-            let node = map.node_of(rank);
             let mut atoms = Atoms::default();
             for (x, tag) in &per_rank[rank] {
                 atoms.push_local(*x, [0.0; 3], cfg.type_of_tag(*tag), *tag);
@@ -152,49 +173,7 @@ impl Cluster {
                 cfg.units(),
                 cfg.seed,
             );
-            let engine: Box<dyn GhostEngine> = match variant {
-                CommVariant::Ref => Box::new(MpiThreeStage::new(mpi.clone(), &graph)),
-                CommVariant::MpiP2p => {
-                    if rcb.is_some() {
-                        Box::new(MpiP2p::new_irregular(mpi.clone(), rank))
-                    } else {
-                        Box::new(MpiP2p::new(mpi.clone(), rank))
-                    }
-                }
-                CommVariant::Utofu3Stage => Box::new(UtofuThreeStage::new(
-                    net.clone(),
-                    book.clone(),
-                    &graph,
-                    node,
-                    density,
-                )),
-                CommVariant::Utofu4TniP2p => Box::new(UtofuP2p::new(
-                    net.clone(),
-                    book.clone(),
-                    &graph,
-                    node,
-                    density,
-                    UtofuConfig::coarse4(),
-                )),
-                CommVariant::Utofu6TniP2p => Box::new(UtofuP2p::new(
-                    net.clone(),
-                    book.clone(),
-                    &graph,
-                    node,
-                    density,
-                    UtofuConfig::single6(),
-                )),
-                CommVariant::Opt => Box::new(UtofuP2p::new(
-                    net.clone(),
-                    book.clone(),
-                    &graph,
-                    node,
-                    density,
-                    UtofuConfig::pool6(),
-                )),
-            };
             states.push(RankState::new(atoms, graph));
-            lanes.push(Lane::new(engine));
         }
 
         // Zero total momentum and scale to the target temperature, using
@@ -242,10 +221,11 @@ impl Cluster {
             global,
             net,
             mpi,
+            book: AddressBook::new(),
             potential,
             integrator,
             states,
-            lanes,
+            lanes: Vec::new(),
             team,
             costs: StageCosts::default(),
             step: 0,
@@ -276,6 +256,9 @@ impl Cluster {
             // a valid checkpoint boundary.
             at_rebuild_boundary: true,
         };
+        cluster.lanes = (0..nranks)
+            .map(|rank| Lane::new(cluster.engine_for(variant, rank)))
+            .collect();
         // Setup stage: sort locals into bin order (no ghosts exist yet),
         // then establish ghosts, lists, initial forces.
         cluster.run_phase(Phase::SpatialSort);
@@ -300,4 +283,62 @@ fn owner_of(global: &Box3, rg: [u32; 3], map: &RankMap, x: &[f64; 3]) -> usize {
         c[d] = idx.clamp(0, i64::from(rg[d]) - 1);
     }
     map.rank_at(c)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::CommTuning;
+
+    #[test]
+    fn a_variant_that_cannot_walk_the_graph_is_a_typed_error() {
+        let grid = CellGrid::new([1, 1, 1]);
+        let map = RankMap::new(grid, Placement::TopoAware);
+        let net = Arc::new(TofuNet::new(grid, NetParams::default()));
+        let mpi = Arc::new(Communicator::new(net, map.nranks(), 4));
+        let global = Box3::from_lengths([20.0, 16.0, 12.0]);
+        let pts: Vec<[f64; 3]> = (0..200u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let u = |s: u32| ((h >> s) & 0xffff) as f64 / 65536.0;
+                [u(0) * 20.0, u(16) * 16.0, u(32) * 12.0]
+            })
+            .collect();
+        let rcb = Arc::new(RcbDecomposition::build(4, &pts, &global));
+        let graph = CommGraph::from_rcb(0, &rcb, &map, 2.5);
+        let book = AddressBook::new();
+        let build = |variant| try_engine(variant, &graph, &mpi, &book, &map, 0.8);
+        for variant in [CommVariant::Ref, CommVariant::Utofu3Stage, CommVariant::Opt] {
+            let err = build(variant).err();
+            let want = TofuError::UnsupportedGraph {
+                engine: variant.label(),
+                graph: "rcb",
+            };
+            assert_eq!(err, Some(want), "{variant:?}");
+        }
+        let text = build(CommVariant::Opt).err().map(|e| e.to_string());
+        assert_eq!(
+            text.as_deref(),
+            Some(
+                "engine parallel-p2p does not support rcb graphs: the staged sweeps and \
+                 the uTofu buffer tables need the uniform grid"
+            )
+        );
+        // The one row that walks it migrates owner-directed in one round.
+        let engine = build(CommVariant::MpiP2p).unwrap();
+        assert_eq!(engine.rounds(Op::Exchange), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "engine ref does not support rcb graphs")]
+    fn a_mismatched_cluster_stops_at_the_factory() {
+        let cfg = RunConfig {
+            comm: CommTuning {
+                decomp: Decomp::Rcb,
+                ..CommTuning::default()
+            },
+            ..RunConfig::lj(2_000)
+        };
+        let _ = Cluster::new([2, 3, 2], cfg, CommVariant::Ref);
+    }
 }

@@ -31,7 +31,6 @@ use crate::variant::CommVariant;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tofumd_core::engine::{wrap_for_exchange, Op};
-use tofumd_core::mpi_engine::MpiP2p;
 use tofumd_core::CommGraph;
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
@@ -377,22 +376,24 @@ impl Cluster {
             }
         }
 
-        // Every lane moves to the irregular MPI p2p engine — the one
-        // topology that can express N−1 parts. The dead lane gets one
-        // too (engine types must agree for the round bookkeeping) but is
-        // skipped by every phase from here on.
+        // Every lane moves to the MPI p2p engine — the one row of the
+        // variant table that walks an irregular graph of N−1 parts. The
+        // dead lane gets one too (over its stale graph) but is skipped by
+        // every phase from here on.
         self.cfg.comm.decomp = Decomp::Rcb;
         self.variant = CommVariant::MpiP2p;
         let r_ghost = self.cfg.ghost_cutoff();
-        for (rank, (st, lane)) in self.states.iter_mut().zip(&mut self.lanes).enumerate() {
+        for rank in 0..self.lanes.len() {
+            let st = &mut self.states[rank];
             st.atoms = Atoms::default();
             st.scalar.clear();
-            lane.engine = Box::new(MpiP2p::new_irregular(self.mpi.clone(), rank));
             if let Some(part) = survivors.iter().position(|&r| r == rank) {
                 st.atoms = std::mem::take(&mut per_part[part]);
                 st.graph = CommGraph::from_rcb_mapped(part, &rcb, &self.map, r_ghost, &survivors);
             }
-            lane.engine.rebind_graph(st);
+            let engine = self.engine_for(CommVariant::MpiP2p, rank);
+            let lane = &mut self.lanes[rank];
+            lane.engine = engine;
             lane.part = None;
             lane.interior_list = None;
         }

@@ -3,6 +3,7 @@
 //! the MPI-p2p strawman of Fig. 6.
 
 use serde::{Deserialize, Serialize};
+use tofumd_core::{PatternKind, UtofuConfig};
 use tofumd_model::Threading;
 
 /// One of the paper's communication designs.
@@ -71,11 +72,27 @@ impl CommVariant {
         }
     }
 
+    /// The variant's row of the paper's 2 × 2 design space (§3.2–§3.4):
+    /// its communication pattern, and its transport — `None` is MPI
+    /// two-sided, `Some` is uTofu one-sided at that VCQ / comm-thread /
+    /// buffer configuration.
+    #[must_use]
+    pub fn row(self) -> (PatternKind, Option<UtofuConfig>) {
+        match self {
+            CommVariant::Ref => (PatternKind::Staged, None),
+            CommVariant::MpiP2p => (PatternKind::P2p, None),
+            CommVariant::Utofu3Stage => (PatternKind::Staged, Some(UtofuConfig::coarse4())),
+            CommVariant::Utofu4TniP2p => (PatternKind::P2p, Some(UtofuConfig::coarse4())),
+            CommVariant::Utofu6TniP2p => (PatternKind::P2p, Some(UtofuConfig::single6())),
+            CommVariant::Opt => (PatternKind::P2p, Some(UtofuConfig::pool6())),
+        }
+    }
+
     /// Does the variant exchange ghosts peer-to-peer (half shell under
     /// Newton) rather than via the staged full-shell sweeps?
     #[must_use]
     pub fn is_p2p(self) -> bool {
-        !matches!(self, CommVariant::Ref | CommVariant::Utofu3Stage)
+        self.row().0 == PatternKind::P2p
     }
 }
 

@@ -468,6 +468,14 @@ pub enum TofuError {
         /// How many edges the receiver has.
         edges: usize,
     },
+    /// An engine was asked to walk a graph it cannot: the staged sweeps
+    /// and the uTofu buffer tables both need the uniform grid.
+    UnsupportedGraph {
+        /// The engine (communication-variant label).
+        engine: &'static str,
+        /// The kind of graph it was handed.
+        graph: &'static str,
+    },
 }
 
 impl std::fmt::Display for TofuError {
@@ -531,11 +539,31 @@ impl std::fmt::Display for TofuError {
                 "bad descriptor on node {node}: edge index {edge} does not name the \
                  receiving buffer's edge (receiver has {edges})"
             ),
+            TofuError::UnsupportedGraph { engine, graph } => write!(
+                f,
+                "engine {engine} does not support {graph} graphs: the staged sweeps and the \
+                 uTofu buffer tables need the uniform grid"
+            ),
         }
     }
 }
 
 impl std::error::Error for TofuError {}
+
+impl TofuError {
+    /// Name the engine of an [`TofuError::UnsupportedGraph`] in the
+    /// caller's terms (the driver knows the variant label the user chose;
+    /// the engine knows only its pattern or transport).
+    #[must_use]
+    pub fn for_engine(self, engine: &'static str) -> Self {
+        match self {
+            TofuError::UnsupportedGraph { graph, .. } => {
+                TofuError::UnsupportedGraph { engine, graph }
+            }
+            e => e,
+        }
+    }
+}
 
 impl From<CqExhausted> for TofuError {
     fn from(e: CqExhausted) -> Self {
