@@ -221,7 +221,7 @@ pub const COMMANDS: [Command; 18] = [
     cmd("congestion", "§3.1 no-blocking assumption under link congestion", &[], BASE, Report(reports::congestion)),
     cmd("trace", "per-step virtual-time trace, ref vs opt",
         &[Steps, Threads], Opts { steps: 40, ..BASE }, Report(reports::trace)),
-    cmd("overheads", "§3.3 region overheads measured on this host (not committed)",
+    cmd("overheads", "§3.3 region overheads and §3.4 registered bytes on this host (not committed)",
         &[Threads, Iters], Opts { threads: Some(4), iters: 2000, ..BASE }, Tool(tools::overheads)),
     cmd("bisect", "lockstep divergence bisector (exit 0 clean / 1 divergent)",
         &[Variant, Against, Steps, Atoms, Tol, Threads, FaultSeed],

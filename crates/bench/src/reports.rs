@@ -716,10 +716,12 @@ pub(crate) fn ablations(o: &Opts) -> String {
     // 3. Pre-registration vs dynamic buffers.
     let run_25 = |name, variant| {
         let mut c = proxy(MESH_768, RunConfig::lj(1_700_000), variant, o.threads());
-        let before = c.growth_events();
         c.run(25);
-        let grown = c.growth_events() - before;
-        row(name, grown.to_string(), fmt_time(c.setup_cost()))
+        row(
+            name,
+            c.growth_events().to_string(),
+            fmt_time(c.setup_cost()),
+        )
     };
     out += "== 3. Pre-registered addresses (25 steps, 1.7M workload) ==\n";
     let rows = [

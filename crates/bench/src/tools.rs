@@ -2,7 +2,7 @@
 //! host reading of §3.3's region overheads, and `reproduce`.
 
 use crate::cli::{self, Opts};
-use crate::render_table;
+use crate::{render_table, run_proxy, MESH_768};
 use std::path::Path;
 use std::process::ExitCode;
 use tofumd_runtime::lockstep::{bisect_cluster_against_serial, bisect_clusters, LockstepOptions};
@@ -70,7 +70,9 @@ pub(crate) fn bisect(o: &Opts) -> ExitCode {
 /// §3.3 — thread startup/synchronization overhead, spin pool vs fork-join,
 /// measured on this host beside the paper's constants the virtual-time
 /// model uses (5.8 us per OpenMP region against 1.1 us for the spin pool
-/// on A64FX). Host wall-clock, so never committed.
+/// on A64FX). Host wall-clock, so never committed. Then §3.4's
+/// over-provision factor per variant: the bytes each design registers
+/// against the bytes its traffic touched (what this host holds for them).
 pub(crate) fn overheads(o: &Opts) -> ExitCode {
     let (threads, iters) = (o.threads(), usize::try_from(o.iters).unwrap_or(usize::MAX));
     println!("§3.3 — parallel-region overheads ({threads} threads, {iters} regions)\n");
@@ -98,6 +100,27 @@ pub(crate) fn overheads(o: &Opts) -> ExitCode {
         println!("note: single-core host — the spin pool degrades to yield-based switching,");
         println!("so the measured ratio underestimates the dedicated-core contrast.");
     }
+
+    const STEPS: u64 = 25;
+    println!("\n§3.4 — registered memory, modeled vs host-backed ({STEPS} steps, 65K workload)\n");
+    let rows: Vec<Vec<String>> = CommVariant::STEP_BY_STEP
+        .iter()
+        .map(|&variant| {
+            let c = run_proxy(MESH_768, RunConfig::lj(65_536), variant, STEPS, threads);
+            let (modeled, backed) = c.registered_bytes();
+            vec![
+                variant.label().to_string(),
+                c.registration_calls().to_string(),
+                modeled.to_string(),
+                backed.to_string(),
+                format!("{:.2}x", modeled as f64 / backed as f64),
+            ]
+        })
+        .collect();
+    let headers = "variant|registration calls|modeled bytes|backed bytes|modeled / backed";
+    println!("{}", render_table(headers, &rows));
+    println!("modeled: what the design registers and is charged for; backed: the prefix");
+    println!("of each region some put, frame or read has touched");
     ExitCode::SUCCESS
 }
 

@@ -92,6 +92,9 @@ pub struct Cluster {
     /// Counters of engines retired by a mid-run demotion, folded into the
     /// telemetry views so history survives the engine swap.
     pub(crate) retired_stats: OpStats,
+    /// Fabric registration calls when the build finished — the baseline
+    /// of [`Cluster::growth_events`].
+    pub(crate) built_reg_calls: u64,
     /// True once the cluster has swapped its engines for the MPI 3-stage
     /// reference after a retry budget was exhausted.
     pub(crate) demoted: bool,

@@ -239,6 +239,7 @@ impl Cluster {
             target_ranks,
             op_observer: None,
             retired_stats: tofumd_core::engine::OpStats::default(),
+            built_reg_calls: 0,
             demoted: false,
             force_rebuild: false,
             rebalance_now: false,
@@ -269,6 +270,7 @@ impl Cluster {
             cluster.run_op(Op::Reverse);
         }
         cluster.reset_timers();
+        cluster.built_reg_calls = cluster.registration_calls();
         cluster
     }
 }

@@ -232,14 +232,29 @@ impl Cluster {
         latest / iters as f64
     }
 
-    /// Total buffer-growth events across all ranks (the §3.4 dynamic
-    /// expansion overhead; zero under pre-registration).
+    /// Registration calls made on the fabric so far, over all nodes.
     #[must_use]
-    pub fn growth_events(&self) -> u64 {
-        // Growth is observable through registration call counts: every
-        // grow re-registers. Subtract the initial registrations.
+    pub fn registration_calls(&self) -> u64 {
         (0..self.net.node_count())
             .map(|n| self.net.registration_calls_of(n))
-            .sum::<u64>()
+            .sum()
+    }
+
+    /// Re-registrations since the build finished, across all ranks: the
+    /// §3.4 dynamic-expansion overhead (every grow re-registers), zero
+    /// under pre-registration. An engine swapped in mid-run (demotion,
+    /// recovery) registers its buffers here too.
+    #[must_use]
+    pub fn growth_events(&self) -> u64 {
+        self.registration_calls() - self.built_reg_calls
+    }
+
+    /// `(modeled, backed)` bytes of registered memory over all nodes: what
+    /// the engines registered (§3.4's theoretical maximum, the size every
+    /// cost is charged on) and what the host holds for the bytes actually
+    /// touched (see [`tofumd_tofu::TofuNet::registered_bytes`]).
+    #[must_use]
+    pub fn registered_bytes(&self) -> (usize, usize) {
+        self.net.registered_bytes()
     }
 }

@@ -378,7 +378,8 @@ impl TofuNet {
     }
 
     /// Make a region at least `len` bytes long without modeling a
-    /// registration (see [`MemRegistry::reserve`]).
+    /// registration (see [`MemRegistry::reserve`]): the modeled length
+    /// rises, host memory follows only what is then written.
     pub fn reserve_mem(&self, node: usize, stadd: Stadd, len: usize) {
         self.nodes[node].mem.lock().reserve(stadd, len);
     }
@@ -387,6 +388,14 @@ impl TofuNet {
     #[must_use]
     pub fn mem_len(&self, node: usize, stadd: Stadd) -> usize {
         self.nodes[node].mem.lock().len(stadd)
+    }
+
+    /// [`MemRegistry::registered_bytes`] summed over all nodes; modeled
+    /// over backed is §3.4's over-provision factor.
+    #[must_use]
+    pub fn registered_bytes(&self) -> (usize, usize) {
+        let per_node = self.nodes.iter().map(|n| n.mem.lock().registered_bytes());
+        per_node.fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db))
     }
 
     /// Serialize directly into one's own registered region: `f` receives
@@ -552,7 +561,7 @@ impl TofuNet {
                     // path holds at most one node's registry).
                     let first = self.nodes[from_node.min(to_node)].mem.lock();
                     let second = self.nodes[from_node.max(to_node)].mem.lock();
-                    let (from, mut to) = if from_node < to_node {
+                    let (mut from, mut to) = if from_node < to_node {
                         (first, second)
                     } else {
                         (second, first)
