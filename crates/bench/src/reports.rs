@@ -699,7 +699,9 @@ pub(crate) fn ablations(o: &Opts) -> String {
             let cost = p.pack_cost(bytes) + p.cpu_per_put_utofu;
             costs.extend((0..row.msgs).map(|_| cost));
         }
-        let lpt = fine::makespan(&fine::balance_lpt(&costs, 6), &costs);
+        let mut lanes = Vec::new();
+        fine::balance_lpt(costs.len(), |k| costs[k], &mut [0.0; 6], &mut lanes);
+        let lpt = fine::makespan(&lanes, &costs);
         let rr = fine::makespan(&fine::balance_round_robin(costs.len(), 6), &costs);
         out += &format!("== 2. Comm-thread load balancing, {label} ==\n");
         let rows = [

@@ -8,6 +8,7 @@
 //! timestep while letting virtual time flow through the simulated fabric.
 
 use crate::sf::CommGraph;
+use crate::wire::{self, F64Source};
 use serde::{Deserialize, Serialize};
 use tofumd_md::atom::Atoms;
 use tofumd_tofu::TofuError;
@@ -235,47 +236,14 @@ pub struct OpStats {
 }
 
 impl OpStats {
-    fn slot(&mut self, op: Op, round: usize) -> &mut CommStats {
+    /// The counters of `(op, round)`, where an engine records what that
+    /// round sent, grew, retried and dropped.
+    pub fn at(&mut self, op: Op, round: usize) -> &mut CommStats {
         let v = &mut self.rounds[op.index()];
         if v.len() <= round {
             v.resize(round + 1, CommStats::default());
         }
         &mut v[round]
-    }
-
-    /// Count one message of `bytes` bytes under `(op, round)`.
-    pub fn count(&mut self, op: Op, round: usize, bytes: usize) {
-        self.slot(op, round).count(bytes);
-    }
-
-    /// Count `bytes` staged through a send-side copy under `(op, round)`.
-    pub fn copied(&mut self, op: Op, round: usize, bytes: usize) {
-        self.slot(op, round).copied(bytes);
-    }
-
-    /// Record one dynamic buffer-growth event under `(op, round)`.
-    pub fn growth(&mut self, op: Op, round: usize) {
-        self.slot(op, round).growth_events += 1;
-    }
-
-    /// Record one put retransmission under `(op, round)`.
-    pub fn retry(&mut self, op: Op, round: usize) {
-        self.slot(op, round).retries += 1;
-    }
-
-    /// Record one budget-exhausted reliable-stack send under `(op, round)`.
-    pub fn fallback(&mut self, op: Op, round: usize) {
-        self.slot(op, round).fallback_sends += 1;
-    }
-
-    /// Record `n` discarded duplicate deliveries under `(op, round)`.
-    pub fn add_dup_drops(&mut self, op: Op, round: usize, n: u64) {
-        self.slot(op, round).dup_drops += n;
-    }
-
-    /// Record `n` detected receive-buffer overwrites under `(op, round)`.
-    pub fn add_overwrites(&mut self, op: Op, round: usize, n: u64) {
-        self.slot(op, round).overwrites += n;
     }
 
     /// Per-round counters recorded for `op` (may be empty).
@@ -308,7 +276,7 @@ impl OpStats {
     pub fn merge(&mut self, other: &OpStats) {
         for op in Op::ALL {
             for (round, s) in other.rounds_of(op).iter().enumerate() {
-                self.slot(op, round).merge(s);
+                self.at(op, round).merge(s);
             }
         }
     }
@@ -321,7 +289,7 @@ impl OpStats {
             let before = earlier.rounds_of(op);
             for (round, s) in self.rounds_of(op).iter().enumerate() {
                 let b = before.get(round).copied().unwrap_or_default();
-                *out.slot(op, round) = s.since(&b);
+                *out.at(op, round) = s.since(&b);
             }
         }
         out
@@ -492,11 +460,14 @@ impl RankState {
         out
     }
 
-    /// Exchange-stage unpacking: append arriving migrants as local atoms.
-    pub fn unpack_exchange(&mut self, values: &[f64]) {
-        for (tag, typ, x, v) in crate::wire::parse_exchange_records(values) {
-            self.atoms.push_local(x, v, typ, tag);
-        }
+    /// Exchange-stage unpacking: append the migrants streamed from any
+    /// [`F64Source`] (a decoded slice, or the bytes they landed in) as
+    /// local atoms.
+    pub fn unpack_exchange(&mut self, src: impl F64Source) {
+        let atoms = &mut self.atoms;
+        wire::for_each_record(src, wire::EXCHANGE_RECORD_F64S, |tag, typ, r| {
+            atoms.push_local([r[0], r[1], r[2]], [r[3], r[4], r[5]], typ, tag);
+        });
     }
 }
 
@@ -594,11 +565,11 @@ mod tests {
     #[test]
     fn op_stats_accumulate_and_fold() {
         let mut s = OpStats::default();
-        s.count(Op::Forward, 0, 100);
-        s.count(Op::Forward, 0, 300);
-        s.count(Op::Exchange, 2, 50);
-        s.growth(Op::Border, 1);
-        s.copied(Op::Forward, 0, 400);
+        s.at(Op::Forward, 0).count(100);
+        s.at(Op::Forward, 0).count(300);
+        s.at(Op::Exchange, 2).count(50);
+        s.at(Op::Border, 1).growth_events += 1;
+        s.at(Op::Forward, 0).copied(400);
         assert_eq!(s.op_total(Op::Forward).messages, 2);
         assert_eq!(s.op_total(Op::Forward).bytes_copied, 400);
         assert_eq!(
@@ -671,7 +642,7 @@ mod tests {
         let mut sender = RankState::new(Atoms::from_positions(vec![[-1e-18, 1.0, 1.0]], 7), mk(0));
         let mut receiver = RankState::new(Atoms::default(), mk(top));
         let out = sender.pack_exchange(0);
-        receiver.unpack_exchange(&out[0]);
+        receiver.unpack_exchange(out[0].as_slice());
         assert_eq!(receiver.atoms.nlocal, 1);
         // The migrant sits strictly inside the receiver's half-open
         // sub-box: a further exchange sweep must not move it again.
@@ -720,7 +691,7 @@ mod tests {
         let payloads = states[0].pack_exchange_graph();
         let peers = states[0].graph.migrate_peers().to_vec();
         for (p, payload) in peers.iter().zip(&payloads) {
-            states[p.rank].unpack_exchange(payload);
+            states[p.rank].unpack_exchange(payload.as_slice());
         }
         let total: usize = states.iter().map(|s| s.atoms.nlocal).sum();
         assert_eq!(total, pts.len() + 1, "no atom lost in migration");

@@ -18,27 +18,45 @@ pub fn link_cost(bytes: usize, hops: u32, p: &NetParams) -> f64 {
     p.pack_cost(bytes) + p.cpu_per_put_utofu + p.wire_time(bytes, hops)
 }
 
-/// Assign `costs.len()` links to `nthreads` threads minimizing the maximum
-/// per-thread total (LPT greedy: heaviest link first onto the lightest
-/// thread). Returns per-thread link index lists.
-#[must_use]
-pub fn balance_lpt(costs: &[f64], nthreads: usize) -> Vec<Vec<usize>> {
-    assert!(nthreads >= 1);
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]));
-    let mut loads = vec![0.0f64; nthreads];
-    let mut out = vec![Vec::new(); nthreads];
-    for idx in order {
-        let mut t = 0;
-        for (i, load) in loads.iter().enumerate().skip(1) {
-            if load.total_cmp(&loads[t]).is_lt() {
-                t = i;
-            }
-        }
-        loads[t] += costs[idx];
-        out[t].push(idx);
+/// Assign links `0..n`, link `k` costing `cost(k)`, to one thread per
+/// entry of `loads`, minimizing the maximum per-thread total (LPT greedy:
+/// heaviest link first onto the lightest thread). `lanes` receives the
+/// per-thread link lists and `loads` their totals, both reused, so once
+/// the lists have grown re-balancing allocates nothing. A single thread
+/// has nothing to balance and posts in link order.
+pub fn balance_lpt(
+    n: usize,
+    cost: impl Fn(usize) -> f64,
+    loads: &mut [f64],
+    lanes: &mut Vec<Vec<usize>>,
+) {
+    loads.fill(0.0);
+    lanes.resize_with(loads.len(), Vec::new);
+    lanes.iter_mut().for_each(Vec::clear);
+    let (first, rest) = lanes.split_at_mut(1);
+    let queue = &mut first[0];
+    queue.extend(0..n);
+    if rest.is_empty() {
+        return;
     }
-    out
+    // Heaviest first, ties in link order (a stable sort's order, without
+    // its scratch buffer), queued on lane 0 and dealt out from there.
+    queue.sort_unstable_by(|&a, &b| cost(b).total_cmp(&cost(a)).then(a.cmp(&b)));
+    let mut kept = 0;
+    for j in 0..n {
+        let idx = queue[j];
+        // The lightest thread, the first of equals.
+        let lightest = (0..loads.len()).min_by(|&a, &b| loads[a].total_cmp(&loads[b]));
+        let t = lightest.unwrap_or(0);
+        loads[t] += cost(idx);
+        if t == 0 {
+            queue[kept] = idx;
+            kept += 1;
+        } else {
+            rest[t - 1].push(idx);
+        }
+    }
+    queue.truncate(kept);
 }
 
 /// Round-robin assignment (the ablation baseline).
@@ -65,6 +83,17 @@ pub fn makespan(assignment: &[Vec<usize>], costs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn balance_lpt(costs: &[f64], nthreads: usize) -> Vec<Vec<usize>> {
+        let mut lanes = Vec::new();
+        super::balance_lpt(
+            costs.len(),
+            |k| costs[k],
+            &mut vec![0.0; nthreads],
+            &mut lanes,
+        );
+        lanes
+    }
 
     #[test]
     fn covers_every_link_once() {

@@ -7,6 +7,10 @@
 //! over those lists ([`GhostOp`]: `unit ∈ {3, 1}` × bcast | reduce); how
 //! the packed bytes travel is the engines' business.
 //!
+//! Border only fills the send lists; its records stream from them into the
+//! transport's buffer ([`GhostLayout::pack_border`]) and from the landed
+//! bytes into the atoms ([`GhostLayout::append_ghosts`]), as the ghost ops.
+//!
 //! Both communication patterns of §3.1 fill the same layout and differ
 //! only in how Border builds the send lists and numbers the edges; that is
 //! [`crate::pattern::Pattern`]'s business.
@@ -35,54 +39,44 @@ pub struct GhostLayout {
 
 impl GhostLayout {
     /// Start a new border pass: drop the rank's ghosts and every list, and
-    /// lay out one empty edge per entry of `shifts`.
+    /// lay out one empty edge per entry of `shifts`. Each edge keeps its
+    /// send list's capacity, so a Border that selects what the last one did
+    /// allocates nothing.
     pub fn reset(&mut self, atoms: &mut Atoms, shifts: impl IntoIterator<Item = [f64; 3]>) {
         atoms.clear_ghosts();
-        self.edges.clear();
-        self.edges.extend(shifts.into_iter().map(|shift| Edge {
-            shift,
-            ..Edge::default()
-        }));
-    }
-
-    /// Put atom `i` on edge `e`'s send list and append its border record
-    /// (tag + shifted position) to `out`.
-    fn push_border(&mut self, st: &RankState, e: usize, i: usize, out: &mut Vec<f64>) {
-        let edge = &mut self.edges[e];
-        edge.send.push(i as u32);
-        let (x, s) = (st.atoms.x[i], edge.shift);
-        wire::push_border_record(
-            out,
-            st.atoms.tag[i],
-            st.atoms.typ[i],
-            [x[0] + s[0], x[1] + s[1], x[2] + s[2]],
-        );
+        let mut n = 0;
+        for shift in shifts {
+            if n == self.edges.len() {
+                self.edges.push(Edge::default());
+            }
+            let edge = &mut self.edges[n];
+            edge.send.clear();
+            (edge.shift, edge.ghosts, n) = (shift, (0, 0), n + 1);
+        }
+        self.edges.truncate(n);
     }
 
     /// The p2p Border builder: route every local atom through the graph's
-    /// selector. Returns the border payloads, one per edge.
-    pub fn select_border(&mut self, st: &RankState, sel: &SendSelector) -> Vec<Vec<f64>> {
-        let mut payloads = vec![Vec::new(); self.edges.len()];
+    /// selector onto the send lists of the edges it borders.
+    pub fn select_border(&mut self, st: &RankState, sel: &SendSelector) {
         for i in 0..st.atoms.nlocal {
             sel.for_each_target(&st.atoms.x[i], |k| {
-                self.push_border(st, usize::from(k), i, &mut payloads[usize::from(k)]);
+                self.edges[usize::from(k)].send.push(i as u32);
             });
         }
-        payloads
     }
 
-    /// The staged Border builder for one sweep: returns the payloads
-    /// `[toward -dim, toward +dim]`.
+    /// The staged Border builder for one sweep: fills the send lists of its
+    /// two edges, `[toward -dim, toward +dim]`.
     ///
     /// Swap 0 scans everything present (locals plus all earlier-dimension
     /// ghosts); swap `s > 0` relays only the ghosts that arrived from the
     /// *opposite* face in swap `s - 1`. The band test (within `r_ghost` of
     /// the face) is the same in both cases.
-    pub fn sweep_border(&mut self, st: &RankState, sweep: usize, swaps: usize) -> [Vec<f64>; 2] {
+    pub fn sweep_border(&mut self, st: &RankState, sweep: usize, swaps: usize) {
         let (dim, swap) = (sweep / swaps, sweep % swaps);
         let r = st.graph.r_ghost;
         let (lo, hi) = (st.graph.sub.lo[dim], st.graph.sub.hi[dim]);
-        let mut payloads = [Vec::new(), Vec::new()];
         for dir in 0..2 {
             let candidates = if swap == 0 {
                 0..st.atoms.ntotal()
@@ -90,26 +84,39 @@ impl GhostLayout {
                 let (start, count) = self.edges[(sweep - 1) * 2 + 1 - dir].ghosts;
                 start..start + count
             };
+            let send = &mut self.edges[sweep * 2 + dir].send;
             for i in candidates {
                 let x = st.atoms.x[i][dim];
                 if (dir == 0 && x < lo + r) || (dir == 1 && x >= hi - r) {
-                    self.push_border(st, sweep * 2 + dir, i, &mut payloads[dir]);
+                    send.push(i as u32);
                 }
             }
         }
-        payloads
     }
 
-    /// Append the border records received along edge `e` as its ghost
-    /// segment. Engines call this in edge order, so the ghost layout is
-    /// deterministic across runs.
-    pub fn append_ghosts(&mut self, st: &mut RankState, e: usize, payload: &[f64]) {
-        let start = st.atoms.ntotal();
-        let records = wire::parse_border_records(payload);
-        for (tag, typ, x) in &records {
-            st.atoms.push_ghost(*x, *typ, *tag);
+    /// Stream edge `e`'s Border records into any [`F64Sink`], the way
+    /// [`GhostLayout::pack`] streams a ghost op: per send-list atom its
+    /// packed tag and type, then its position `+ shift`.
+    pub fn pack_border(&self, e: usize, st: &RankState, out: &mut impl F64Sink) {
+        let (a, edge) = (&st.atoms, &self.edges[e]);
+        let s = edge.shift;
+        for &i in &edge.send {
+            let (i, x) = (i as usize, a.x[i as usize]);
+            let id = wire::pack_id(a.tag[i], a.typ[i]);
+            out.put_f64s(&[id, x[0] + s[0], x[1] + s[1], x[2] + s[2]]);
         }
-        self.edges[e].ghosts = (start, records.len());
+    }
+
+    /// Append the border records received along edge `e`, streamed from
+    /// any [`F64Source`], as its ghost segment. Engines call this in edge
+    /// order, so the ghost layout is deterministic across runs.
+    pub fn append_ghosts(&mut self, st: &mut RankState, e: usize, src: impl F64Source) {
+        let start = st.atoms.ntotal();
+        st.atoms.reserve(src.remaining() / wire::BORDER_RECORD_F64S);
+        wire::for_each_record(src, wire::BORDER_RECORD_F64S, |tag, typ, x| {
+            st.atoms.push_ghost([x[0], x[1], x[2]], typ, tag);
+        });
+        self.edges[e].ghosts = (start, st.atoms.ntotal() - start);
     }
 
     /// `(first ghost index, count)` of edge `e`'s ghost segment.
@@ -205,9 +212,12 @@ impl GhostLayout {
 /// never by an option.
 #[derive(Debug, Clone, Copy)]
 pub enum Payload<'a> {
-    /// Discovered while packing (Border, Exchange): a pre-packed slice the
-    /// transport copies into its own buffer, charged as a staging copy.
+    /// Exchange's emigrants, removed from the atoms while packing: a
+    /// pre-packed slice the transport stages into its own buffer.
     Packed(&'a [f64]),
+    /// Border over one layout edge: its records, streamed from the send
+    /// list and staged like [`Payload::Packed`] (LAMMPS copies them).
+    Border(usize),
     /// A ghost op over one layout edge: sized up front and streamed
     /// straight into the transport's buffer.
     Ghost(GhostOp, usize),
@@ -215,13 +225,14 @@ pub enum Payload<'a> {
 
 impl<'a> Payload<'a> {
     /// The payload of message `i` of a round of `op`: the `i`-th of the
-    /// payloads [`crate::pattern::Pattern::pack`] returned, or the ghost op
-    /// over layout edge `layout`.
+    /// emigrant payloads [`crate::pattern::Pattern::pack`] returned, or the
+    /// Border records / ghost op over layout edge `layout`.
     #[must_use]
     pub fn of(op: Op, packed: &'a [Vec<f64>], i: usize, layout: usize) -> Self {
         match op.kind() {
             OpKind::Ghost(g) => Payload::Ghost(g, layout),
-            OpKind::Border | OpKind::Exchange => Payload::Packed(&packed[i]),
+            OpKind::Border => Payload::Border(layout),
+            OpKind::Exchange => Payload::Packed(&packed[i]),
         }
     }
 
@@ -230,6 +241,7 @@ impl<'a> Payload<'a> {
     pub fn len(&self, layout: &GhostLayout) -> usize {
         match *self {
             Payload::Packed(v) => v.len(),
+            Payload::Border(e) => wire::BORDER_RECORD_F64S * layout.edges[e].send.len(),
             Payload::Ghost(op, e) => layout.len(op, e),
         }
     }
@@ -238,6 +250,7 @@ impl<'a> Payload<'a> {
     pub fn write(&self, layout: &GhostLayout, st: &RankState, out: &mut impl F64Sink) {
         match *self {
             Payload::Packed(v) => out.put_f64s(v),
+            Payload::Border(e) => layout.pack_border(e, st, out),
             Payload::Ghost(op, e) => layout.pack(op, e, st, out),
         }
     }
@@ -299,6 +312,14 @@ mod tests {
         g.edges.iter().map(|e| e.send.len()).sum()
     }
 
+    /// Edge `e`'s Border records as the vector the wire oracles parse.
+    fn records(g: &GhostLayout, e: usize, st: &RankState) -> Vec<f64> {
+        let mut out: Vec<f64> = Vec::new();
+        g.pack_border(e, st, &mut out);
+        assert_eq!(out.len(), Payload::Border(e).len(g));
+        out
+    }
+
     #[test]
     fn face_links_point_at_grid_neighbors() {
         let (_, links, _) = setup(vec![[5.0; 3]]);
@@ -331,8 +352,8 @@ mod tests {
     fn interior_atoms_are_not_selected() {
         let (mut st, _, sel) = setup(vec![[5.0, 5.0, 5.0]]);
         let mut g = p2p_layout(&mut st);
-        let payloads = g.select_border(&st, &sel);
-        assert!(payloads.iter().all(Vec::is_empty));
+        g.select_border(&st, &sel);
+        assert!((0..g.edges.len()).all(|k| records(&g, k, &st).is_empty()));
         assert_eq!(total_send_atoms(&g), 0);
     }
 
@@ -342,7 +363,8 @@ mod tests {
         // whose offset has non-positive components matching those faces.
         let (mut st, _, sel) = setup(vec![[0.5, 0.5, 0.5]]);
         let mut g = p2p_layout(&mut st);
-        let payloads = g.select_border(&st, &sel);
+        g.select_border(&st, &sel);
+        let payloads: Vec<_> = (0..g.edges.len()).map(|k| records(&g, k, &st)).collect();
         // send edges = lower-half offsets; the --- corner matches 7 of 13.
         assert_eq!(payloads.iter().filter(|p| !p.is_empty()).count(), 7);
         for (k, p) in payloads.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
@@ -363,13 +385,21 @@ mod tests {
         wire::push_border_record(&mut per_edge[0], 12, 1, [2.0; 3]);
         wire::push_border_record(&mut per_edge[2], 13, 1, [3.0; 3]);
         for (k, p) in per_edge.iter().enumerate() {
-            g.append_ghosts(&mut st, k, p);
+            g.append_ghosts(&mut st, k, p.as_slice());
         }
         assert_eq!(g.segment(0), (1, 2));
         assert_eq!(g.segment(1), (3, 0));
         assert_eq!(g.segment(2), (3, 1));
         assert_eq!(st.atoms.nghost(), 3);
         assert_eq!(st.atoms.tag[1..], [11, 12, 13]);
+        // The same records as little-endian bytes land identically.
+        let mut again = p2p_layout(&mut st);
+        for (k, p) in per_edge.iter().enumerate() {
+            again.append_ghosts(&mut st, k, wire::LeF64s::new(&wire::encode_f64s(p)));
+        }
+        assert_eq!((again.segment(0), again.segment(2)), ((1, 2), (3, 1)));
+        assert_eq!(st.atoms.tag[1..], [11, 12, 13]);
+        assert_eq!(st.atoms.x[2], [2.0; 3]);
         // A new border pass starts from a clean slate.
         g.reset(&mut st.atoms, [[0.0; 3]]);
         assert_eq!((st.atoms.nghost(), g.segment(0)), (0, (0, 0)));
@@ -379,7 +409,8 @@ mod tests {
     fn sweep_selects_slabs_only() {
         let (mut st, links, _) = setup(vec![[0.5, 5.0, 5.0], [5.0, 5.0, 5.0], [9.5, 5.0, 5.0]]);
         let mut g = staged_layout(&mut st, &links, 1);
-        let p = g.sweep_border(&st, 0, 1);
+        g.sweep_border(&st, 0, 1);
+        let p = [records(&g, 0, &st), records(&g, 1, &st)];
         assert_eq!(p[0].len(), wire::BORDER_RECORD_F64S);
         assert_eq!(p[1].len(), wire::BORDER_RECORD_F64S);
         assert_eq!(g.edges[0].send, vec![0]);
@@ -394,12 +425,12 @@ mod tests {
         let mut g = staged_layout(&mut st, &links, 1);
         let mut ghost_payload = Vec::new();
         wire::push_border_record(&mut ghost_payload, 99, 1, [-0.5, 0.3, 5.0]);
-        g.append_ghosts(&mut st, 0, &ghost_payload);
-        g.append_ghosts(&mut st, 1, &[]);
+        g.append_ghosts(&mut st, 0, ghost_payload.as_slice());
+        g.append_ghosts(&mut st, 1, &[][..]);
         assert_eq!(st.atoms.nghost(), 1);
-        let p = g.sweep_border(&st, 1, 1);
+        g.sweep_border(&st, 1, 1);
         assert_eq!(g.edges[2].send, vec![st.atoms.nlocal as u32]);
-        let recs = wire::parse_border_records(&p[0]);
+        let recs = wire::parse_border_records(&records(&g, 2, &st));
         assert_eq!(recs[0].0, 99, "carried ghost keeps its original tag");
     }
 
@@ -412,14 +443,15 @@ mod tests {
         let mut g = staged_layout(&mut st, &links, 2);
         let mut from_minus = Vec::new();
         wire::push_border_record(&mut from_minus, 77, 1, [8.5, 5.0, 5.0]);
-        g.append_ghosts(&mut st, 0, &from_minus);
-        g.append_ghosts(&mut st, 1, &[]);
-        let p = g.sweep_border(&st, 1, 2);
+        g.append_ghosts(&mut st, 0, from_minus.as_slice());
+        g.append_ghosts(&mut st, 1, &[][..]);
+        g.sweep_border(&st, 1, 2);
         assert_eq!(g.edges[3].send, vec![st.atoms.nlocal as u32]);
         assert!(g.edges[2].send.is_empty());
-        assert_eq!(wire::parse_border_records(&p[1])[0].0, 77);
+        let p = records(&g, 3, &st);
+        assert_eq!(wire::parse_border_records(&p)[0].0, 77);
         // Locals are NOT rescanned in swap 1 (they shipped in swap 0).
-        assert_eq!(p[1].len(), wire::BORDER_RECORD_F64S);
+        assert_eq!(p.len(), wire::BORDER_RECORD_F64S);
     }
 
     #[test]
@@ -435,9 +467,10 @@ mod tests {
         let (mut st, links, _) = setup(pos);
         let mut g = staged_layout(&mut st, &links, 1);
         for sweep in 0..3 {
-            let p = g.sweep_border(&st, sweep, 1);
+            g.sweep_border(&st, sweep, 1);
+            let p = [0, 1].map(|dir| records(&g, sweep * 2 + dir, &st));
             for dir in 0..2 {
-                g.append_ghosts(&mut st, sweep * 2 + dir, &p[dir]);
+                g.append_ghosts(&mut st, sweep * 2 + dir, p[dir].as_slice());
             }
         }
         let (a, r) = (10.0f64, 2.0f64);
@@ -487,6 +520,38 @@ mod tests {
     /// Every property the engines rely on, for all four ops on every edge.
     fn check_all_ops(g: &GhostLayout, st: &RankState, slack: usize) {
         for (e, edge) in g.edges.iter().enumerate() {
+            // Border: the records of the send list through every sink, and
+            // back into ghosts from the region's bytes.
+            let vals = records(g, e, st);
+            let mut region = vec![0xAAu8; wire::combined_size(vals.len()) + slack * 8];
+            let mut w = wire::CombinedWriter::new(&mut region);
+            Payload::Border(e).write(g, st, &mut w);
+            let framed = w.finish();
+            assert_eq!(&region[..framed], wire::frame_combined(&vals).as_ref());
+            let expect: Vec<(u64, u32, [f64; 3])> = edge
+                .send
+                .iter()
+                .map(|&i| {
+                    let (i, s) = (i as usize, edge.shift);
+                    let x = st.atoms.x[i];
+                    let shifted = [x[0] + s[0], x[1] + s[1], x[2] + s[2]];
+                    (st.atoms.tag[i], st.atoms.typ[i], shifted)
+                })
+                .collect();
+            assert_eq!(wire::parse_border_records(&vals), expect);
+            let mut landed = RankState::new(st.atoms.clone(), st.graph.clone());
+            let mut into = GhostLayout {
+                edges: vec![Edge::default(); g.edges.len()],
+            };
+            let body = wire::combined_body(&region[..framed]);
+            into.append_ghosts(&mut landed, e, wire::LeF64s::new(body));
+            let n = st.atoms.ntotal();
+            assert_eq!(into.segment(e), (n, edge.send.len()));
+            let got: Vec<_> = (n..landed.atoms.ntotal())
+                .map(|j| (landed.atoms.tag[j], landed.atoms.typ[j], landed.atoms.x[j]))
+                .collect();
+            assert_eq!(got, expect);
+
             let (start, count) = edge.ghosts;
             for op in OPS {
                 // pack: same values through every sink, `len` as promised.

@@ -8,7 +8,7 @@ use crate::engine::{GhostEngine, Op, OpStats, RankState};
 use crate::ghost::Payload;
 use crate::pattern::{Hop, Landing, Pattern, PatternKind};
 use crate::sf::CommGraph;
-use crate::wire;
+use crate::wire::LeF64s;
 use std::sync::Arc;
 use tofumd_mpi::Communicator;
 use tofumd_tofu::TofuError;
@@ -82,21 +82,21 @@ impl GhostEngine for MpiEngine {
 
     /// MPI copies every payload into its send buffer: the pack cost of the
     /// whole round is charged up front and every byte counts as staged.
-    /// The values stream through the [`wire::F64Sink`] straight into the
-    /// bytes handed to [`Communicator::send`].
+    /// The values stream through the [`crate::wire::F64Sink`] straight into the
+    /// round's one byte vector, handed to [`Communicator::send`] per hop.
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         let packed = self.pattern.pack(op, round, st);
-        let (pattern, layout) = (&self.pattern, &self.pattern.ghosts);
+        let (pattern, layout, graph) = (&self.pattern, &self.pattern.ghosts, &st.graph);
         let payload = |h: Hop| Payload::of(op, &packed, h.i, h.layout);
         let mut f64s = 0;
-        pattern.for_each_hop(op, round, st, false, |h| f64s += payload(h).len(layout))?;
+        pattern.for_each_hop(op, round, graph, false, |h| f64s += payload(h).len(layout))?;
         let mut now = st.clock + self.comm.net().params().pack_cost(f64s * 8);
         let mut bytes: Vec<u8> = Vec::with_capacity(f64s * 8);
-        pattern.for_each_hop(op, round, st, false, |h| {
+        pattern.for_each_hop(op, round, graph, false, |h| {
             bytes.clear();
             payload(h).write(layout, st, &mut bytes);
-            self.stats.count(op, round, bytes.len());
-            self.stats.copied(op, round, bytes.len());
+            self.stats.at(op, round).count(bytes.len());
+            self.stats.at(op, round).copied(bytes.len());
             let (dst, tag) = (h.rank, tag(op, h.landing));
             self.comm.send(self.me, dst, tag, &bytes, &mut now);
         })?;
@@ -104,33 +104,31 @@ impl GhostEngine for MpiEngine {
         Ok(())
     }
 
-    /// Receive the round's messages in hop order, then deliver them. A
+    /// Receive the round's messages in hop order, each delivered straight
+    /// from the mailbox bytes it landed in before the next is matched. A
     /// shortfall (dead peer / protocol bug) surfaces as the typed error;
     /// the clock is still charged for the messages that did arrive.
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        let mut arrived = Vec::new();
-        let (mut now, mut horizon, mut failed) = (st.clock, st.arrival_horizon, None);
-        self.pattern.for_each_hop(op, round, st, true, |h| {
-            if failed.is_some() {
-                return;
-            }
-            match self.comm.try_recv(self.me, h.rank, tag(op, h.landing), now) {
-                Ok(m) => {
-                    now = m.now;
-                    horizon = horizon.max(m.arrival);
-                    arrived.push((h.layout, wire::decode_f64s(&m.data)));
+        let (mut now, mut horizon, mut failed) = (st.clock, st.arrival_horizon, Ok(()));
+        let mut i = 0;
+        while let Some(h) = self.pattern.hop(op, round, &st.graph, true, i)? {
+            let pattern = &mut self.pattern;
+            let deliver = |bytes: &[u8]| pattern.deliver(op, h.layout, st, LeF64s::new(bytes));
+            match self
+                .comm
+                .recv_with(self.me, h.rank, tag(op, h.landing), now, deliver)
+            {
+                Ok(m) => (now, horizon) = (m.now, horizon.max(m.arrival)),
+                Err(e) => {
+                    failed = Err(e);
+                    break;
                 }
-                Err(e) => failed = Some(e),
             }
-        })?;
+            i += 1;
+        }
         st.arrival_horizon = horizon;
         st.charge(now - st.clock, op);
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        for (layout, values) in &arrived {
-            self.pattern.deliver(op, *layout, st, values);
-        }
+        failed?;
         self.pattern.finish(op, st);
         Ok(())
     }

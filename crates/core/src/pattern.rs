@@ -4,9 +4,9 @@
 //! space — *pattern* (3-stage sweeps vs peer-to-peer) × *transport* (MPI
 //! two-sided vs uTofu one-sided). A [`Pattern`] is the first axis and the
 //! only place that answers, for `(op, round)`: how many rounds there are,
-//! which messages leave and which are expected ([`Pattern::for_each_hop`]),
-//! what each carries ([`Pattern::pack`], [`crate::ghost::Payload::of`]),
-//! how an arrived payload is delivered and what Border does when it
+//! which messages leave and which are expected ([`Pattern::hop`]), what
+//! each carries ([`crate::ghost::Payload::of`]), how an arrived payload is
+//! delivered from the bytes it landed in and what Border does when it
 //! finishes. The engines ([`crate::mpi_engine`], [`crate::utofu_engine`])
 //! are the second axis: each holds a `Pattern` and ships what it lists.
 //!
@@ -33,6 +33,7 @@
 use crate::engine::{Op, OpKind, RankState};
 use crate::ghost::GhostLayout;
 use crate::sf::{CommGraph, GraphEdge, SendSelector};
+use crate::wire::F64Source;
 use tofumd_tofu::TofuError;
 
 /// The two communication patterns of §3.1.
@@ -258,111 +259,117 @@ impl Pattern {
     }
 
     /// Build what `(op, round)` sends before any of it is posted: Border
-    /// starts (round 0) or extends the layout and packs the border records,
-    /// Exchange removes the emigrants and packs theirs. Returns the packed
-    /// payloads in hop order; a ghost op packs nothing here — it is
-    /// streamed from the layout into the transport's buffer.
+    /// starts (round 0) or extends the layout's send lists, Exchange
+    /// removes the emigrants and packs theirs. Returns Exchange's packed
+    /// payloads in hop order; Border and the ghost ops pack nothing here —
+    /// they are streamed from the layout into the transport's buffer.
     pub fn pack(&mut self, op: Op, round: usize, st: &mut RankState) -> Vec<Vec<f64>> {
         match (&mut self.walk, op.kind()) {
-            (_, OpKind::Ghost(_)) => Vec::new(),
+            (_, OpKind::Ghost(_)) => {}
             (Walk::Staged { links, shells }, OpKind::Border) => {
                 if round == 0 {
                     let shifts = staged_shifts(&links[..], *shells);
                     self.ghosts.reset(&mut st.atoms, shifts);
                 }
                 // Border walks the sweeps in order: sweep == round.
-                self.ghosts.sweep_border(st, round, *shells).into()
+                self.ghosts.sweep_border(st, round, *shells);
             }
             (Walk::P2p { sel, .. }, OpKind::Border) => {
                 let shifts = st.graph.send.iter().map(|e| e.shift);
                 self.ghosts.reset(&mut st.atoms, shifts);
                 let sel = sel.get_or_insert_with(|| st.graph.selector());
-                self.ghosts.select_border(st, sel)
+                self.ghosts.select_border(st, sel);
             }
             // Irregular single round: every out-of-box atom goes straight
             // to its new owner.
-            (Walk::P2p { grid: false, .. }, OpKind::Exchange) => st.pack_exchange_graph(),
-            (_, OpKind::Exchange) => st.pack_exchange(round).into(),
+            (Walk::P2p { grid: false, .. }, OpKind::Exchange) => return st.pack_exchange_graph(),
+            (_, OpKind::Exchange) => return st.pack_exchange(round).into(),
         }
+        Vec::new()
     }
 
-    /// Visit the messages `(op, round)` sends (`incoming == false`, in
-    /// posting order) or expects (`incoming == true`, in delivery order).
-    /// No list is built: the uTofu ghost-op path stays allocation-free.
+    /// Message `i` of those `(op, round)` sends (`incoming == false`, in
+    /// posting order) or expects (`incoming == true`, in delivery order),
+    /// or `None` past the last. Derived on demand, so no list is built and
+    /// a receive may deliver each message before it asks for the next.
+    pub fn hop(
+        &self,
+        op: Op,
+        round: usize,
+        graph: &CommGraph,
+        incoming: bool,
+        i: usize,
+    ) -> Result<Option<Hop>, TofuError> {
+        let flow = op.toward_ghosts();
+        // What I send along an edge of one family arrives along the same
+        // edge of the other.
+        let peers = |toward_ghosts: bool| self.out_edges(graph, toward_ghosts != incoming);
+        let hop = |toward_ghosts, k, rank, landing, layout| Hop {
+            i,
+            toward_ghosts,
+            k,
+            rank,
+            landing,
+            layout,
+        };
+        // A face message is tagged with the direction it travelled: the
+        // one arriving from my `i` side travelled `1 - i`.
+        let face = |dim, toward_ghosts, k: usize, layout| {
+            let (rank, dir) = (peers(toward_ghosts)[k].rank, i ^ usize::from(incoming));
+            let landing = Landing::Face { dim, dir };
+            Some(hop(toward_ghosts, k, rank, landing, layout))
+        };
+        let grid_migration =
+            op == Op::Exchange && matches!(self.walk, Walk::P2p { grid: true, .. });
+        Ok(match &self.walk {
+            // A face round lists two messages, -face first.
+            _ if (self.is_staged() || grid_migration) && i >= 2 => None,
+            Walk::Staged { shells, .. } => {
+                let (sweep, dim) = staged_sweep(op, round, *shells);
+                face(dim, flow, dim * 2 + i, sweep * 2 + i)
+            }
+            _ if grid_migration => {
+                let (down, k) = face_edges(graph, round)?[i];
+                face(round, down != incoming, k, 0)
+            }
+            // A migrant is tagged with my slot in its new owner's list.
+            _ if op == Op::Exchange => graph.migrate_peers().get(i).map(|p| {
+                let slot = if incoming { i } else { p.tag_index };
+                hop(flow, i, p.rank, Landing::Edge(slot), 0)
+            }),
+            _ => peers(flow).get(i).map(|e| {
+                let index = if incoming { i } else { e.peer_index };
+                hop(flow, i, e.rank, Landing::Edge(index), i)
+            }),
+        })
+    }
+
+    /// Visit every [`Pattern::hop`] of `(op, round)` in order.
     pub fn for_each_hop(
         &self,
         op: Op,
         round: usize,
-        st: &RankState,
+        graph: &CommGraph,
         incoming: bool,
         mut f: impl FnMut(Hop),
     ) -> Result<(), TofuError> {
-        let (graph, flow) = (&st.graph, op.toward_ghosts());
-        // What I send along an edge of one family arrives along the same
-        // edge of the other.
-        let peers = |toward_ghosts: bool| self.out_edges(graph, toward_ghosts != incoming);
-        let mut hop = |i, toward_ghosts, k, rank, landing, layout| {
-            f(Hop {
-                i,
-                toward_ghosts,
-                k,
-                rank,
-                landing,
-                layout,
-            });
-        };
-        // A face round: its dimension and the `(family, edge, layout edge)`
-        // of its two messages, -face first.
-        let faces = match &self.walk {
-            Walk::Staged { shells, .. } => {
-                let (sweep, dim) = staged_sweep(op, round, *shells);
-                let pair = [0, 1].map(|dir| (flow, dim * 2 + dir, sweep * 2 + dir));
-                Some((dim, pair))
-            }
-            Walk::P2p { grid: true, .. } if op == Op::Exchange => {
-                let pair = face_edges(graph, round)?;
-                Some((round, pair.map(|(down, k)| (down != incoming, k, 0))))
-            }
-            Walk::P2p { .. } => None,
-        };
-        if let Some((dim, pair)) = faces {
-            for (i, (toward_ghosts, k, layout)) in pair.into_iter().enumerate() {
-                // A face message is tagged with the direction it travelled:
-                // the one arriving from my `i` side travelled `1 - i`.
-                let dir = if incoming { 1 - i } else { i };
-                let rank = peers(toward_ghosts)[k].rank;
-                hop(
-                    i,
-                    toward_ghosts,
-                    k,
-                    rank,
-                    Landing::Face { dim, dir },
-                    layout,
-                );
-            }
-        } else if op == Op::Exchange {
-            // A migrant is tagged with my slot in its new owner's list.
-            for (i, p) in graph.migrate_peers().iter().enumerate() {
-                let slot = if incoming { i } else { p.tag_index };
-                hop(i, flow, i, p.rank, Landing::Edge(slot), 0);
-            }
-        } else {
-            for (k, e) in peers(flow).iter().enumerate() {
-                let index = if incoming { k } else { e.peer_index };
-                hop(k, flow, k, e.rank, Landing::Edge(index), k);
-            }
+        let mut i = 0;
+        while let Some(h) = self.hop(op, round, graph, incoming, i)? {
+            f(h);
+            i += 1;
         }
         Ok(())
     }
 
-    /// Deliver the decoded payload that arrived on layout edge `layout`:
-    /// Border appends the edge's ghost segment, Exchange adopts the
-    /// migrants, a ghost op scatters through the layout.
-    pub fn deliver(&mut self, op: Op, layout: usize, st: &mut RankState, values: &[f64]) {
+    /// Deliver the payload that arrived on layout edge `layout` from any
+    /// [`F64Source`] (on both transports, the bytes it landed in): Border
+    /// appends the edge's ghost segment, Exchange adopts the migrants, a
+    /// ghost op scatters through the layout.
+    pub fn deliver(&mut self, op: Op, layout: usize, st: &mut RankState, src: impl F64Source) {
         match op.kind() {
-            OpKind::Border => self.ghosts.append_ghosts(st, layout, values),
-            OpKind::Exchange => st.unpack_exchange(values),
-            OpKind::Ghost(g) => self.ghosts.unpack(g, layout, st, values),
+            OpKind::Border => self.ghosts.append_ghosts(st, layout, src),
+            OpKind::Exchange => st.unpack_exchange(src),
+            OpKind::Ghost(g) => self.ghosts.unpack(g, layout, st, src),
         }
     }
 

@@ -28,12 +28,14 @@
 //! ghost ops) is *planned* — posted across the configured VCQs / comm
 //! threads from its [`OpPlan`], received into the per-edge inbox; one that
 //! lists two face messages (every staged round, every grid migration
-//! sweep) is *sequential* on the rank's first VCQ. Per message only the
-//! payload's origin differs ([`PutSrc`]): a ghost op is serialized *in
-//! place* into one of this rank's registered send regions and put straight
-//! from there — no staging copy, no pack cost, `bytes_copied` stays 0 —
-//! while Border and Exchange, which discover their payload while packing,
-//! are framed through a staging copy that is charged and counted. The
+//! sweep) is *sequential* on the rank's first VCQ. Every message is framed
+//! *in place* into one of this rank's registered send regions and put
+//! from there, and every arrival is delivered from the bytes it landed in
+//! ([`UtofuLane::consume`]); only the charge differs by op. A ghost op is
+//! zero-copy — no pack cost, `bytes_copied` stays 0 — while Border and
+//! Exchange model LAMMPS's staging copy: charged and counted, though the
+//! simulator copies nothing extra (a frame past its send region goes out
+//! of a one-off vector; the model never grows that region). The
 //! ghost-offset piggyback keeps its own put/wait pair: it carries no
 //! payload, reserves nothing, encodes `edge << 48 | offset`, and is
 //! consumed before the first Forward rather than at its own complete.
@@ -252,9 +254,9 @@ fn checked_edge(
 }
 
 /// The transport state under every send and receive routine — fabric and
-/// book handles, sequencing, fault and telemetry state, the reused receive
-/// scratch — with the one put, reserve, wait, frame and consume routine
-/// they share.
+/// book handles, sequencing, fault and telemetry state, the reused arrival
+/// list — with the one put, reserve, wait, frame and consume routine they
+/// share.
 struct UtofuLane {
     net: Arc<TofuNet>,
     book: Arc<AddressBook>,
@@ -269,10 +271,8 @@ struct UtofuLane {
     fallback_wanted: bool,
     setup_cost: f64,
     stats: OpStats,
-    /// Reused receive scratch: the raw arrivals of the op being completed
-    /// and the decoded records of a Border/Exchange message.
+    /// Reused receive scratch: the raw arrivals of the op being completed.
     arrivals: Vec<Arrival>,
-    values: Vec<f64>,
 }
 
 impl UtofuLane {
@@ -287,7 +287,6 @@ impl UtofuLane {
             setup_cost: 0.0,
             stats: OpStats::default(),
             arrivals: Vec::new(),
-            values: Vec::new(),
         }
     }
 
@@ -361,7 +360,7 @@ impl UtofuLane {
         let cost = self.net.grow_mem(ch.node, *stadd, *size);
         self.book
             .publish(ch.rank, ch.kind, ch.tag, slot as u8, *stadd, *size);
-        self.stats.growth(op, round);
+        self.stats.at(op, round).growth_events += 1;
         (*stadd, 2.0 * self.net.params().wire_time(0, ch.hops) + cost)
     }
 
@@ -383,7 +382,7 @@ impl UtofuLane {
     /// MPI transport at the end of the step.
     fn put(&mut self, vcq: &mut Vcq, op: Op, round: usize, now: &mut f64, put: Put<'_>) {
         if !put.src.is_empty() {
-            self.stats.count(op, round, put.src.len());
+            self.stats.at(op, round).count(put.src.len());
         }
         let p = self.net.params();
         for attempt in 0.. {
@@ -393,10 +392,10 @@ impl UtofuLane {
             if attempt >= self.retry_budget {
                 break;
             }
-            self.stats.retry(op, round);
+            self.stats.at(op, round).retries += 1;
             *now += p.retry_backoff * f64::from(1u32 << attempt.min(16));
         }
-        self.stats.fallback(op, round);
+        self.stats.at(op, round).fallback_sends += 1;
         self.fallback_wanted = true;
         *now += p.fallback_penalty + p.cpu_per_put_mpi;
         vcq.post_reliable(now, &put);
@@ -422,45 +421,61 @@ impl UtofuLane {
         if arrivals.len() < count {
             return Err(self.net.shortfall_error(self.node, count, arrivals.len()));
         }
-        self.stats.add_dup_drops(op, round, anomalies.duplicates);
-        self.stats.add_overwrites(op, round, anomalies.overwrites);
+        let got = self.stats.at(op, round);
+        got.dup_drops += anomalies.duplicates;
+        got.overwrites += anomalies.overwrites;
         Ok(t)
     }
 
-    /// Serialize `payload` as a combined frame *in place* at the head of
-    /// the local registered send region `out = (stadd, size)`, growing it
-    /// first when undersized (a local re-registration, not a remote
-    /// handshake). Returns the growth cost (0 when none); the frame is the
-    /// region's first `combined_size(payload.len())` bytes.
+    /// Serialize `payload` of `(op, round)` as a combined frame at the head
+    /// of the local registered send region `out = (stadd, size)`; returns
+    /// the cost and, if the frame was built elsewhere, that frame. A ghost
+    /// op is zero-copy: an undersized region is grown first (a local
+    /// re-registration, charged). Border and Exchange model LAMMPS's
+    /// staging copy, charged (`pack_cost`) and counted (`bytes_copied`);
+    /// their region is never grown — a frame past it goes to a one-off
+    /// vector.
     fn frame(
-        &self,
+        &mut self,
         layout: &GhostLayout,
         out: &mut (Stadd, usize),
         st: &RankState,
         payload: Payload<'_>,
-    ) -> f64 {
+        op: Op,
+        round: usize,
+    ) -> (f64, Option<Vec<u8>>) {
         let need = wire::combined_size(payload.len(layout));
-        let mut cost = 0.0;
-        if need > out.1 {
-            out.1 = need.next_power_of_two();
-            cost = self.net.grow_mem(self.node, out.0, out.1);
-        }
-        let len = self.net.write_local_with(self.node, out.0, 0, need, |buf| {
+        let fill = |buf: &mut [u8]| {
             let mut w = wire::CombinedWriter::new(buf);
             payload.write(layout, st, &mut w);
             w.finish()
-        });
+        };
+        let mut cost = 0.0;
+        if let Payload::Ghost(..) = payload {
+            if need > out.1 {
+                out.1 = need.next_power_of_two();
+                cost = self.net.grow_mem(self.node, out.0, out.1);
+            }
+        } else {
+            cost = self.net.params().pack_cost(need);
+            self.stats.at(op, round).copied(need);
+            if need > out.1 {
+                let mut frame = vec![0; need];
+                fill(&mut frame);
+                return (cost, Some(frame));
+            }
+        }
+        let len = self.net.write_local_with(self.node, out.0, 0, need, fill);
         debug_assert_eq!(len, need, "layout promised {need} bytes");
-        cost
+        (cost, None)
     }
 
-    /// Consume one delivered message straight from the registered region
-    /// it landed in, under the node lock: a ghost op scatters the
-    /// little-endian bytes in place (`raw` = a direct x-region write, which
-    /// carries no frame header), Border and Exchange decode their records
-    /// for the pattern to deliver.
+    /// Deliver one arrived message straight from the registered region it
+    /// landed in, under the node lock: the pattern reads the little-endian
+    /// bytes in place (`raw` = a direct x-region write, which carries no
+    /// frame header).
     fn consume(
-        &mut self,
+        &self,
         pattern: &mut Pattern,
         st: &mut RankState,
         op: Op,
@@ -468,23 +483,15 @@ impl UtofuLane {
         a: &Arrival,
         raw: bool,
     ) {
-        let values = &mut self.values;
-        let deliver = |bytes: &[u8]| match op.kind() {
-            OpKind::Ghost(g) if raw => {
-                let src = wire::LeF64s::new(bytes);
-                pattern.ghosts.unpack(g, layout, st, src);
-            }
-            OpKind::Ghost(g) => {
-                let src = wire::LeF64s::new(wire::combined_body(bytes));
-                pattern.ghosts.unpack(g, layout, st, src);
-            }
-            OpKind::Border | OpKind::Exchange => {
-                wire::parse_combined_into(bytes, values);
-                pattern.deliver(op, layout, st, values);
-            }
-        };
         self.net
-            .read_local_with(self.node, a.stadd, a.offset, a.len, deliver);
+            .read_local_with(self.node, a.stadd, a.offset, a.len, |bytes| {
+                let body = if raw {
+                    bytes
+                } else {
+                    wire::combined_body(bytes)
+                };
+                pattern.deliver(op, layout, st, wire::LeF64s::new(body));
+            });
     }
 }
 
@@ -522,7 +529,8 @@ fn create_vcq_scan(net: &Arc<TofuNet>, node: usize, first: usize, tag: u32) -> V
 /// What one op's posts reuse until the next Border: per-edge message sizes
 /// (fixed by the send lists and ghost segments) and the comm-thread
 /// assignment LPT derives from them — the same deterministic function of
-/// the same sizes and hops, evaluated once per epoch instead of per op.
+/// the same sizes and hops, evaluated once per epoch instead of per op,
+/// into the same vectors every epoch.
 #[derive(Default)]
 struct OpPlan {
     /// Payload f64s per out-edge.
@@ -707,34 +715,27 @@ impl UtofuEngine {
     }
 
     /// Fix `op`'s per-edge message sizes for the epoch and derive the
-    /// comm-thread assignment from them.
-    fn replan(&mut self, op: Op, f64s: Vec<usize>) {
-        let lanes = if self.cfg.comm_threads > 1 {
-            let p = self.lane.net.params();
-            let costs: Vec<f64> = f64s
-                .iter()
-                .zip(&self.chan[BufKind::inflow(op.toward_ghosts()) as usize])
-                .map(|(&n, ch)| fine::link_cost(n * 8, ch.hops, p))
-                .collect();
-            fine::balance_lpt(&costs, self.cfg.comm_threads)
-        } else {
-            vec![(0..f64s.len()).collect()]
-        };
-        self.plans[op.index()] = OpPlan { f64s, lanes };
+    /// comm-thread assignment from them, into the plan's own vectors.
+    fn replan(&mut self, op: Op) {
+        let (layout, plan) = (&self.pattern.ghosts, &mut self.plans[op.index()]);
+        let n = self.inbox.len();
+        plan.f64s.clear();
+        plan.f64s
+            .extend((0..n).map(|k| Payload::of(op, &[], k, k).len(layout)));
+        let (p, f64s) = (self.lane.net.params(), &plan.f64s);
+        let chan = &self.chan[BufKind::inflow(op.toward_ghosts()) as usize];
+        let cost = |k: usize| fine::link_cost(f64s[k] * 8, chan[k].hops, p);
+        let loads = &mut [0.0; TNIS_PER_NODE][..self.cfg.comm_threads];
+        fine::balance_lpt(n, cost, loads, &mut plan.lanes);
     }
 
     /// The planned post: one message per out-edge of `op` across the
     /// configured threads/VCQs, charging the post-phase completion time to
     /// the clock. Sizes and thread assignment come from the op's
     /// [`OpPlan`], destinations from its channels. A ghost op's frames are
-    /// serialized in place into `send_out` here; Border's payloads arrive
-    /// in `packed`.
-    fn post_planned(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        packed: &[Vec<f64>],
-    ) -> Result<(), TofuError> {
+    /// serialized into `send_out` up front; Border's by the thread that
+    /// posts them, its staging copy charged on that thread's clock.
+    fn post_planned(&mut self, st: &mut RankState, op: Op) -> Result<(), TofuError> {
         let p = *self.lane.net.params();
         let slot = self.seq % self.cfg.slots;
         self.seq += 1;
@@ -750,10 +751,11 @@ impl UtofuEngine {
         }
         // Serialize the ghost-op frames in place. Local regions are sized
         // to the theoretical maximum at build; growth here is charged.
+        let layout = &self.pattern.ghosts;
         if let OpKind::Ghost(g) = op.kind() {
-            let layout = &self.pattern.ghosts;
             for (k, out) in self.send_out.iter_mut().enumerate() {
-                let cost = self.lane.frame(layout, out, st, Payload::Ghost(g, k));
+                let payload = Payload::Ghost(g, k);
+                let (cost, _) = self.lane.frame(layout, out, st, payload, op, 0);
                 st.charge(cost, op);
             }
         }
@@ -774,13 +776,9 @@ impl UtofuEngine {
             let mut now = start + region_overhead;
             for &k in links {
                 let (ch, f64s) = (&self.chan[kind][k], plan.f64s[k]);
-                let region = |offset, len| PutSrc::Region {
-                    stadd: self.send_out[k].0,
-                    offset,
-                    len,
-                };
-                let frame;
-                let (dst_stadd, dst_offset, src) = if direct_x {
+                let (mut offset, mut len) = (0, wire::combined_size(f64s));
+                let mut spilled = None;
+                let (dst_stadd, dst_offset) = if direct_x {
                     // An empty forward (no atoms cross this link) sends
                     // nothing; the receiver expects arrivals only for its
                     // non-empty ghost segments.
@@ -794,15 +792,19 @@ impl UtofuEngine {
                             missing: "ghost offsets from border",
                         });
                     };
-                    (xs, off, region(wire::COMBINED_HEADER_BYTES, f64s * 8))
-                } else if let Payload::Packed(values) = Payload::of(op, packed, k, k) {
-                    frame = wire::frame_combined(values);
-                    now += p.pack_cost(frame.len());
-                    self.lane.stats.copied(op, 0, frame.len());
-                    (ch.dst[slot].0, 0, PutSrc::Bytes(&frame))
+                    (offset, len) = (wire::COMBINED_HEADER_BYTES, f64s * 8);
+                    (xs, off)
                 } else {
-                    (ch.dst[slot].0, 0, region(0, wire::combined_size(f64s)))
+                    if op == Op::Border {
+                        let (out, payload) = (&mut self.send_out[k], Payload::Border(k));
+                        let (cost, frame) = self.lane.frame(layout, out, st, payload, op, 0);
+                        (now, spilled) = (now + cost, frame);
+                    }
+                    (ch.dst[slot].0, 0)
                 };
+                let stadd = self.send_out[k].0;
+                let region = PutSrc::Region { stadd, offset, len };
+                let src = spilled.as_deref().map_or(region, PutSrc::Bytes);
                 let put = Put {
                     dst_node: ch.node,
                     dst_stadd,
@@ -841,33 +843,20 @@ impl UtofuEngine {
             &mut self.send_out,
         );
         let (vcq, layout) = (&mut self.vcqs[0], &pattern.ghosts);
-        let p = *lane.net.params();
         let seq_base = lane.seq_base(2);
         let mut now = st.clock;
-        pattern.for_each_hop(op, round, st, false, |h| {
+        pattern.for_each_hop(op, round, &st.graph, false, |h| {
             let ch = &mut chan[BufKind::inflow(h.toward_ghosts) as usize][h.k];
             let payload = Payload::of(op, packed, h.i, h.layout);
             let need = wire::combined_size(payload.len(layout));
             let (dst_stadd, dt) = lane.reserve(ch, slot, need, op, round);
             now += dt;
-            let frame;
-            let src = match payload {
-                Payload::Packed(values) => {
-                    frame = wire::frame_combined(values);
-                    now += p.pack_cost(frame.len());
-                    lane.stats.copied(op, round, frame.len());
-                    PutSrc::Bytes(&frame)
-                }
-                Payload::Ghost(..) => {
-                    let out = &mut send_out[h.k];
-                    now += lane.frame(layout, out, st, payload);
-                    PutSrc::Region {
-                        stadd: out.0,
-                        offset: 0,
-                        len: need,
-                    }
-                }
-            };
+            let out = &mut send_out[h.k];
+            let (cost, spilled) = lane.frame(layout, out, st, payload, op, round);
+            now += cost;
+            let (stadd, offset, len) = (out.0, 0, need);
+            let region = PutSrc::Region { stadd, offset, len };
+            let src = spilled.as_deref().map_or(region, PutSrc::Bytes);
             let put = Put {
                 dst_node: ch.node,
                 dst_stadd,
@@ -968,7 +957,7 @@ impl UtofuEngine {
         // (inflow kind, in-edge, layout edge) per hop, and the sweep's
         // dimension: telemetry files its receive anomalies under that.
         let (mut want, mut dim) = ([(0, 0, 0); 2], round);
-        self.pattern.for_each_hop(op, round, st, true, |h| {
+        self.pattern.for_each_hop(op, round, &st.graph, true, |h| {
             want[h.i] = (BufKind::inflow(h.toward_ghosts) as usize, h.k, h.layout);
             if let Landing::Face { dim: d, .. } = h.landing {
                 dim = d;
@@ -984,11 +973,10 @@ impl UtofuEngine {
         let pred = |a: &Arrival| a.len > 0 && hop_of(a).is_some();
         let t = self.lane.wait(st.clock, 2, op, dim, pred)?;
         let (mut seen, mut unpack) = ([false; 2], 0usize);
-        for i in 0..self.lane.arrivals.len() {
-            let a = self.lane.arrivals[i];
-            if let Some(hop) = hop_of(&a) {
+        for a in &self.lane.arrivals {
+            if let Some(hop) = hop_of(a) {
                 self.lane
-                    .consume(&mut self.pattern, st, op, want[hop].2, &a, false);
+                    .consume(&mut self.pattern, st, op, want[hop].2, a, false);
                 seen[hop] = true;
                 unpack += a.len;
             }
@@ -1007,11 +995,11 @@ impl UtofuEngine {
     /// offset where its atoms landed (8-byte piggyback, §3.4).
     fn begin_epoch(&mut self, st: &mut RankState) {
         let n = self.inbox.len();
-        for op in Op::ALL {
-            if let OpKind::Ghost(g) = op.kind() {
-                let layout = &self.pattern.ghosts;
-                self.replan(op, (0..n).map(|k| layout.len(g, k)).collect());
-            }
+        for op in Op::ALL
+            .into_iter()
+            .filter(|op| matches!(op.kind(), OpKind::Ghost(_)))
+        {
+            self.replan(op);
         }
         if !self.cfg.prereg {
             return;
@@ -1072,14 +1060,14 @@ impl GhostEngine for UtofuEngine {
             return self.post_listed(st, op, round, &packed);
         }
         if op == Op::Border {
-            self.replan(op, packed.iter().map(Vec::len).collect());
+            self.replan(op);
         } else if op == Op::Forward
             && self.cfg.prereg
             && self.remote_ghost_off.iter().any(Option::is_none)
         {
             self.recv_ghost_offsets(st)?;
         }
-        self.post_planned(st, op, &packed)
+        self.post_planned(st, op)
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
@@ -1554,5 +1542,60 @@ mod tests {
             p > 2.0 * c,
             "prereg setup {p} should far exceed baseline {c}"
         );
+    }
+
+    #[test]
+    fn oversized_border_frame_changes_nothing_modeled() {
+        // A slab denser than §3.4 sized the send regions for — past 1.75x
+        // the estimate, since the regions hold 7-value Exchange records and
+        // Border's are 4 — so rank 1's frame toward rank 0 cannot be built
+        // in place. The region is not grown for it: no local registration,
+        // the modeled clocks the staged copy charged before the frame was
+        // built in place (pinned), and every ghost arrives.
+        let n = 1500;
+        for (cfg, clocks) in [
+            (
+                UtofuConfig::coarse4(),
+                [0x3f00_d460_0b5b_c94b, 0x3efe_6df8_19b3_457f],
+            ),
+            (
+                UtofuConfig::pool6(),
+                [0x3eff_039c_eb03_8b09, 0x3efe_b873_76eb_e11e],
+            ),
+        ] {
+            let mut f = fixture(cfg);
+            let sub = f.states[1].graph.sub;
+            let pos = (0..n)
+                .map(|i| {
+                    let t = i as f64 / n as f64;
+                    [sub.lo[0] + 0.01 + 2.0 * t, sub.lo[1] + 5.0, sub.lo[2] + 5.0]
+                })
+                .collect();
+            f.states[1].atoms = Atoms::from_positions(pos, 5000);
+            let (net, node) = (f.fabric.net.clone(), f.engines[1].lane.node);
+            let regions = f.engines[1].send_out.clone();
+            let k = f.states[1].graph.send.iter().position(|e| e.rank == 0);
+            let region = regions[k.unwrap()].1;
+            assert!(
+                wire::combined_size(4 * n) > region,
+                "{region} B holds the frame"
+            );
+            let calls = net.registration_calls_of(node);
+            drive(&mut f, Op::Border);
+            assert_eq!(net.registration_calls_of(node), calls, "{cfg:?} registered");
+            assert_eq!(f.engines[1].send_out, regions, "{cfg:?} grew a send region");
+            for &(stadd, len) in &regions {
+                assert_eq!(net.mem_len(node, stadd), len, "{cfg:?} reserved");
+            }
+            let a = &f.states[0].atoms;
+            let landed = a.tag[a.nlocal..].iter().filter(|&&t| t >= 5000).count();
+            assert_eq!(landed, n, "{cfg:?}: every slab atom is a ghost of rank 0");
+            let bits = [0, 1].map(|r| f.states[r].clock.to_bits());
+            assert_eq!(
+                bits, clocks,
+                "{cfg:?}: {:e} {:e}",
+                f.states[0].clock, f.states[1].clock
+            );
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! §3.5.1: MPI transfers of unknown-length arrays classically need a length
 //! message followed by a payload message; the paper *combines* them by
-//! making the first 8 bytes of the single message the element count. Both
-//! protocols are implemented here so the ablation bench can compare them.
+//! making the first 8 bytes of the single message the element count; that
+//! frame is built here (the ablation report prices the two-message one).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -67,11 +67,6 @@ pub fn parse_combined(bytes: &[u8]) -> Vec<f64> {
     decode_f64s(combined_body(bytes))
 }
 
-/// [`parse_combined`] into a caller-owned vector (cleared first).
-pub fn parse_combined_into(bytes: &[u8], out: &mut Vec<f64>) {
-    decode_f64s_into(combined_body(bytes), out);
-}
-
 /// Size in bytes of a combined frame carrying `n` values.
 #[must_use]
 pub fn combined_size(n: usize) -> usize {
@@ -81,10 +76,10 @@ pub fn combined_size(n: usize) -> usize {
 /// Bytes of the combined frame's count header.
 pub const COMBINED_HEADER_BYTES: usize = 8;
 
-/// Destination for streamed `f64` payloads. The ghost-op pack is written
-/// once against this trait and runs unchanged over a `Vec<f64>` (tests),
-/// the `Vec<u8>` handed to the MPI transport, or a [`CombinedWriter`] over
-/// a registered region (uTofu: no staging copy at all).
+/// Destination for streamed `f64` payloads. The Border and ghost-op packs
+/// are written once against this trait and run unchanged over a `Vec<f64>`
+/// (tests), the `Vec<u8>` handed to the MPI transport, or a
+/// [`CombinedWriter`] over a registered region (uTofu: framed in place).
 pub trait F64Sink {
     /// Append one value.
     fn put_f64(&mut self, v: f64);
@@ -116,10 +111,10 @@ impl F64Sink for Vec<u8> {
 }
 
 /// Origin of streamed `f64` payloads — the receive-side mirror of
-/// [`F64Sink`]. The ghost-op unpack is written once against this trait and
-/// runs unchanged over a decoded `&[f64]` (MPI lanes, tests) or over the
-/// little-endian bytes of a registered region ([`LeF64s`], uTofu: no
-/// intermediate `Vec<u8>` / `Vec<f64>`).
+/// [`F64Sink`]. Every delivery is written once against this trait and runs
+/// unchanged over a decoded `&[f64]` (tests) or over the little-endian
+/// bytes a message landed in ([`LeF64s`]: a uTofu region or an MPI
+/// mailbox, no intermediate `Vec<u8>` / `Vec<f64>`).
 pub trait F64Source {
     /// Values not yet read.
     fn remaining(&self) -> usize;
@@ -269,20 +264,32 @@ pub fn unpack_id(v: f64) -> (u64, u32) {
     (bits & ((1 << 48) - 1), (bits >> 48) as u32)
 }
 
+/// Stream the records of `width` values out of `src` in order, handing `f`
+/// each one's `(tag, type)` and the values after its packed id: how Border
+/// and Exchange deliver straight from the bytes a message landed in.
+/// Panics unless the payload is a whole number of records (a framing bug).
+pub fn for_each_record(mut src: impl F64Source, width: usize, mut f: impl FnMut(u64, u32, &[f64])) {
+    assert!(
+        src.remaining().is_multiple_of(width),
+        "payload not a whole number of {width}-value records"
+    );
+    let mut body = [0.0; EXCHANGE_RECORD_F64S];
+    let body = &mut body[..width - 1];
+    while src.remaining() > 0 {
+        let (tag, typ) = unpack_id(src.get_f64());
+        src.get_f64s(body);
+        f(tag, typ, body);
+    }
+}
+
 /// Decode border records; yields (tag, type, position).
 #[must_use]
 pub fn parse_border_records(values: &[f64]) -> Vec<(u64, u32, [f64; 3])> {
-    assert!(
-        values.len().is_multiple_of(BORDER_RECORD_F64S),
-        "border payload not a whole number of records"
-    );
-    values
-        .chunks_exact(BORDER_RECORD_F64S)
-        .map(|c| {
-            let (tag, typ) = unpack_id(c[0]);
-            (tag, typ, [c[1], c[2], c[3]])
-        })
-        .collect()
+    let mut out = Vec::new();
+    for_each_record(values, BORDER_RECORD_F64S, |tag, typ, x| {
+        out.push((tag, typ, [x[0], x[1], x[2]]));
+    });
+    out
 }
 
 /// Encode one exchange-stage atom record: packed tag/type, x, v (7 slots).
@@ -298,17 +305,11 @@ pub const EXCHANGE_RECORD_F64S: usize = 7;
 /// Decode exchange records; yields (tag, type, position, velocity).
 #[must_use]
 pub fn parse_exchange_records(values: &[f64]) -> Vec<(u64, u32, [f64; 3], [f64; 3])> {
-    assert!(
-        values.len().is_multiple_of(EXCHANGE_RECORD_F64S),
-        "exchange payload not a whole number of records"
-    );
-    values
-        .chunks_exact(EXCHANGE_RECORD_F64S)
-        .map(|c| {
-            let (tag, typ) = unpack_id(c[0]);
-            (tag, typ, [c[1], c[2], c[3]], [c[4], c[5], c[6]])
-        })
-        .collect()
+    let mut out = Vec::new();
+    for_each_record(values, EXCHANGE_RECORD_F64S, |tag, typ, r| {
+        out.push((tag, typ, [r[0], r[1], r[2]], [r[3], r[4], r[5]]));
+    });
+    out
 }
 
 #[cfg(test)]
@@ -327,7 +328,7 @@ mod tests {
         let mut out = vec![99.0; 9]; // stale content must be dropped
         decode_f64s_into(&encode_f64s(&vals), &mut out);
         assert_eq!(out, vals);
-        parse_combined_into(&frame_combined(&vals[..2]), &mut out);
+        decode_f64s_into(combined_body(&frame_combined(&vals[..2])), &mut out);
         assert_eq!(out, vals[..2]);
         // Both sources stream the same values, singly and in runs.
         let bytes = encode_f64s(&vals);

@@ -96,7 +96,7 @@ proptest! {
             let peers = peer_lists[r].clone();
             prop_assert_eq!(outs.len(), peers.len());
             for (p, payload) in peers.iter().zip(outs) {
-                states[p.rank].unpack_exchange(payload);
+                states[p.rank].unpack_exchange(payload.as_slice());
             }
         }
 

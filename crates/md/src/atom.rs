@@ -63,6 +63,24 @@ impl Atoms {
         self.tag.truncate(self.nlocal);
     }
 
+    /// Make room for `n` more atoms. A set that fits the room the largest
+    /// one left allocates nothing; growing adds `n` or a quarter of what is
+    /// held, whichever is more, so a set appended in pieces reallocates a
+    /// few times and capacity stays within a quarter of the largest set
+    /// ever held rather than doubling past it.
+    pub fn reserve(&mut self, n: usize) {
+        fn grow<T>(v: &mut Vec<T>, n: usize) {
+            if v.capacity() - v.len() < n {
+                v.reserve_exact(n.max(v.len() / 4));
+            }
+        }
+        grow(&mut self.x, n);
+        grow(&mut self.v, n);
+        grow(&mut self.f, n);
+        grow(&mut self.typ, n);
+        grow(&mut self.tag, n);
+    }
+
     /// Append one ghost atom; returns its index.
     pub fn push_ghost(&mut self, x: [f64; 3], typ: u32, tag: u64) -> usize {
         self.x.push(x);
@@ -112,22 +130,28 @@ impl Atoms {
     /// previously at `perm[k]` (all per-atom arrays move together; tags
     /// travel with their atoms, so identity is preserved). Must be called
     /// only when no ghosts are present — ghost indices into the old order
-    /// would dangle.
-    pub fn reorder_locals(&mut self, perm: &[u32]) {
+    /// would dangle. The atoms move in place, cycle by cycle, so the arrays
+    /// keep their capacity and the ghosts the next Border appends land in
+    /// room the last one grew; `perm` is spent marking the cycles walked.
+    pub fn reorder_locals(&mut self, perm: &mut [u32]) {
+        const WALKED: u32 = 1 << 31;
         assert_eq!(
             self.nghost(),
             0,
             "cannot reorder locals while ghosts present"
         );
-        assert_eq!(perm.len(), self.nlocal);
-        fn apply<T: Copy>(src: &[T], perm: &[u32]) -> Vec<T> {
-            perm.iter().map(|&p| src[p as usize]).collect()
+        assert!(perm.len() == self.nlocal && self.nlocal < WALKED as usize);
+        for start in 0..perm.len() {
+            let at = |a: &Self, i: usize| (a.x[i], a.v[i], a.f[i], a.typ[i], a.tag[i]);
+            let (mut k, held) = (start, at(self, start));
+            while perm[k] & WALKED == 0 {
+                let from = perm[k] as usize;
+                perm[k] |= WALKED;
+                let next = if from == start { held } else { at(self, from) };
+                (self.x[k], self.v[k], self.f[k], self.typ[k], self.tag[k]) = next;
+                k = from;
+            }
         }
-        self.x = apply(&self.x, perm);
-        self.v = apply(&self.v, perm);
-        self.f = apply(&self.f, perm);
-        self.typ = apply(&self.typ, perm);
-        self.tag = apply(&self.tag, perm);
     }
 
     /// Zero all force entries (local and ghost).
@@ -238,11 +262,24 @@ mod tests {
     fn reorder_moves_all_arrays_together() {
         let mut a = three_atoms();
         a.v[2] = [9.0; 3];
-        a.reorder_locals(&[2, 0, 1]);
+        a.reorder_locals(&mut [2, 0, 1]);
         assert_eq!(a.tag, vec![3, 1, 2]);
         assert_eq!(a.x[0], [2.0; 3]);
         assert_eq!(a.v[0], [9.0; 3]);
         assert!(a.is_consistent());
+        // Several cycles and a fixed point, against the gather it performs.
+        let perm = [2u32, 1, 5, 6, 3, 0, 4];
+        let pos = (0..7).map(|i| [f64::from(i), 0.5, -1.0]).collect();
+        let mut a = Atoms::from_positions(pos, 1);
+        a.v = (0..7).map(|i| [0.0, f64::from(i), 0.0]).collect();
+        let want = |v: &[u64]| perm.iter().map(|&p| v[p as usize]).collect::<Vec<_>>();
+        let (tags, x) = (want(&a.tag), perm.map(|p| a.x[p as usize]));
+        a.reorder_locals(&mut perm.clone());
+        assert_eq!((a.tag.clone(), a.x.clone()), (tags, x.to_vec()));
+        assert!(
+            (0..7).all(|i| a.v[i][1] == a.x[i][0]),
+            "velocities travel too"
+        );
     }
 
     #[test]
@@ -250,7 +287,7 @@ mod tests {
     fn reorder_with_ghosts_panics() {
         let mut a = three_atoms();
         a.push_ghost([9.0; 3], 1, 7);
-        a.reorder_locals(&[0, 1, 2]);
+        a.reorder_locals(&mut [0, 1, 2]);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub fn sort_locals_by_bin(atoms: &mut Atoms, lo: [f64; 3], hi: [f64; 3], min_cel
         perm[*at as usize] = i as u32;
         *at += 1;
     }
-    atoms.reorder_locals(&perm);
+    atoms.reorder_locals(&mut perm);
     true
 }
 

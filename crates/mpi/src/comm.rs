@@ -8,7 +8,7 @@
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use tofumd_tofu::{try_wait_arrivals, Stadd, TofuError, TofuNet, TNIS_PER_NODE};
+use tofumd_tofu::{Stadd, TofuError, TofuNet, TNIS_PER_NODE};
 
 /// A communicator over `nranks` ranks placed `ranks_per_node` to a node.
 pub struct Communicator {
@@ -23,11 +23,13 @@ pub struct Communicator {
     bump: Vec<Mutex<usize>>,
 }
 
-/// A received message.
+/// A received message: by default its payload bytes copied out of the
+/// bounce buffer; from [`Communicator::recv_with`], whatever the caller
+/// made of them in place.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RecvMsg {
-    /// Payload bytes (already copied out of the bounce buffer).
-    pub data: Vec<u8>,
+pub struct RecvMsg<T = Vec<u8>> {
+    /// The payload, or what the receive's closure returned for it.
+    pub data: T,
     /// Sender rank.
     pub src: usize,
     /// Message tag.
@@ -41,10 +43,15 @@ pub struct RecvMsg {
 
 impl Communicator {
     /// Build a communicator; registers one (empty) mailbox per rank.
+    ///
+    /// Contract: `nranks` and `ranks_per_node` are positive and the fabric
+    /// has a node for every `ranks_per_node` ranks — the cluster derives
+    /// all three from one rank map. Debug builds check it; a release build
+    /// handed too few nodes faults at the first registration past them.
     #[must_use]
     pub fn new(net: Arc<TofuNet>, nranks: usize, ranks_per_node: usize) -> Self {
-        assert!(nranks > 0 && ranks_per_node > 0);
-        assert!(
+        debug_assert!(nranks > 0 && ranks_per_node > 0);
+        debug_assert!(
             nranks.div_ceil(ranks_per_node) <= net.node_count(),
             "not enough nodes for {nranks} ranks at {ranks_per_node}/node"
         );
@@ -144,21 +151,28 @@ impl Communicator {
         });
     }
 
-    /// Blocking receive of one message matching `(src, tag)`. Returns the
-    /// payload and advances the receiver clock past arrival + matching +
-    /// bounce-buffer copy. Panics on a shortfall (protocol bug);
-    /// recovery-aware callers use [`Communicator::try_recv`].
+    /// Receive of a message the caller knows was sent, its payload copied
+    /// out (see [`Communicator::try_recv`]).
+    ///
+    /// Contract: one message matching `(src, tag)` is queued — in the
+    /// lockstep driver every send of a stage precedes its receives. Debug
+    /// builds check it; a release build that breaks it gets an empty
+    /// payload stamped `now`. Callers that can meet a dead peer use
+    /// [`Communicator::try_recv`] or [`Communicator::recv_with`].
     #[must_use]
     pub fn recv(&self, dst: usize, src: usize, tag: u32, now: f64) -> RecvMsg {
-        match self.try_recv(dst, src, tag, now) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
+        let got = self.try_recv(dst, src, tag, now);
+        debug_assert!(got.is_ok(), "{got:?}");
+        got.unwrap_or(RecvMsg {
+            data: Vec::new(),
+            src,
+            tag,
+            now,
+            arrival: now,
+        })
     }
 
-    /// Fallible form of [`Communicator::recv`]: a missing message surfaces
-    /// as [`TofuError::Deadlock`] — or [`TofuError::PeerDead`] when the
-    /// fault plan has killed a rank — instead of panicking.
+    /// [`Communicator::recv_with`] that copies the payload out.
     pub fn try_recv(
         &self,
         dst: usize,
@@ -166,25 +180,41 @@ impl Communicator {
         tag: u32,
         now: f64,
     ) -> Result<RecvMsg, TofuError> {
-        let p = *self.net.params();
+        self.recv_with(dst, src, tag, now, <[u8]>::to_vec)
+    }
+
+    /// Receive the message matching `(src, tag)` in place: `f` gets its
+    /// payload bytes in the bounce buffer, under the node lock — the
+    /// receive-side twin of [`TofuNet::read_local_with`] — and the
+    /// receiver clock advances past arrival + matching + bounce-buffer
+    /// copy. A missing message is [`TofuError::Deadlock`] — or
+    /// [`TofuError::PeerDead`] when the fault plan has killed a rank — and
+    /// a second queued match is [`TofuError::DuplicateMessage`].
+    pub fn recv_with<R>(
+        &self,
+        dst: usize,
+        src: usize,
+        tag: u32,
+        now: f64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<RecvMsg<R>, TofuError> {
+        let p = self.net.params();
         let node = self.node_of(dst);
-        let (mut arr, t) = try_wait_arrivals(&self.net, node, now, 1, |a| {
+        let (first, more) = self.net.take_first_arrival(node, |a| {
             a.src_rank == src as u32
                 && a.piggyback == u64::from(tag)
                 && a.stadd == self.mailbox[dst]
-        })?;
-        // try_wait_arrivals errors below `count` matches, so one is
-        // always present here.
-        let a = arr
-            .pop()
-            .unwrap_or_else(|| unreachable!("try_wait_arrivals(.., 1, ..) returned empty"));
-        let data = self.net.read_local(node, a.stadd, a.offset, a.len);
-        let now = t + p.mpi_match_cost + p.pack_cost(a.len);
+        });
+        let a = first.ok_or_else(|| self.net.shortfall_error(node, 1, 0))?;
+        if more {
+            return Err(TofuError::DuplicateMessage { node, src, tag });
+        }
+        let data = self.net.read_local_with(node, a.stadd, a.offset, a.len, f);
         Ok(RecvMsg {
             data,
             src,
             tag,
-            now,
+            now: now.max(a.time) + p.mpi_match_cost + p.pack_cost(a.len),
             arrival: a.time,
         })
     }
@@ -222,6 +252,32 @@ mod tests {
         let m10 = c.recv(1, 0, 10, 0.0);
         assert_eq!(m11.data, vec![0xBB]);
         assert_eq!(m10.data, vec![0xAA]);
+    }
+
+    #[test]
+    fn a_second_queued_match_is_a_typed_error() {
+        let c = comm(8);
+        let mut now = 0.0;
+        c.send(0, 1, 7, &[1], &mut now);
+        c.send(0, 1, 7, &[2], &mut now);
+        let err = c.try_recv(1, 0, 7, 0.0).unwrap_err();
+        let want = TofuError::DuplicateMessage {
+            node: 0,
+            src: 0,
+            tag: 7,
+        };
+        assert_eq!(err, want);
+        assert!(err.to_string().contains("two queued from rank 0"), "{err}");
+        // Nothing matches any more: the shortfall is the typed deadlock.
+        assert!(matches!(
+            c.recv_with(1, 0, 8, 0.0, |_| ()),
+            Err(TofuError::Deadlock { .. })
+        ));
+        // One of each key is received in place, in any order.
+        c.send(2, 1, 9, &[5, 6], &mut now);
+        let sum = |b: &[u8]| b.iter().map(|&x| u32::from(x)).sum::<u32>();
+        let m = c.recv_with(1, 2, 9, 0.0, sum).unwrap();
+        assert_eq!((m.data, m.src), (11, 2));
     }
 
     #[test]

@@ -454,14 +454,13 @@ mod tests {
         let mut stats = OpStats::default();
         // 96 forward messages of 30 atoms (3 f64s each) over 2 rank-steps.
         for _ in 0..96 {
-            stats.count(Op::Forward, 0, 30 * 3 * 8);
+            stats.at(Op::Forward, 0).count(30 * 3 * 8);
         }
-        stats.growth(Op::Border, 0);
-        stats.retry(Op::Forward, 0);
-        stats.retry(Op::Forward, 0);
-        stats.fallback(Op::Forward, 0);
-        stats.add_dup_drops(Op::Exchange, 0, 3);
-        stats.copied(Op::Forward, 0, 30 * 3 * 8);
+        stats.at(Op::Border, 0).growth_events += 1;
+        stats.at(Op::Forward, 0).retries += 2;
+        stats.at(Op::Forward, 0).fallback_sends += 1;
+        stats.at(Op::Exchange, 0).dup_drops += 3;
+        stats.at(Op::Forward, 0).copied(30 * 3 * 8);
         let rows = comm_rows(&stats, 2.0);
         assert_eq!(
             rows.len(),

@@ -468,6 +468,17 @@ pub enum TofuError {
         /// How many edges the receiver has.
         edges: usize,
     },
+    /// A two-sided receive found a second queued message with its `(src,
+    /// tag)`: one key names one message per round, and taking the first
+    /// would leave the other for a later receive with the same tag.
+    DuplicateMessage {
+        /// The receiving node.
+        node: usize,
+        /// The sending rank.
+        src: usize,
+        /// The message tag.
+        tag: u32,
+    },
     /// An engine was asked to walk a graph it cannot: the staged sweeps
     /// and the uTofu buffer tables both need the uniform grid.
     UnsupportedGraph {
@@ -538,6 +549,10 @@ impl std::fmt::Display for TofuError {
                 f,
                 "bad descriptor on node {node}: edge index {edge} does not name the \
                  receiving buffer's edge (receiver has {edges})"
+            ),
+            TofuError::DuplicateMessage { node, src, tag } => write!(
+                f,
+                "duplicate message on node {node}: two queued from rank {src} with tag {tag}"
             ),
             TofuError::UnsupportedGraph { engine, graph } => write!(
                 f,

@@ -661,6 +661,25 @@ impl TofuNet {
         }
     }
 
+    /// Take the first queued arrival on `node` that matches `pred`, and say
+    /// whether another match is still queued after it — for a receive that
+    /// expects exactly one. Allocates nothing.
+    pub fn take_first_arrival(
+        &self,
+        node: usize,
+        mut pred: impl FnMut(&Arrival) -> bool,
+    ) -> (Option<Arrival>, bool) {
+        let mut mrq = self.nodes[node].mrq.lock();
+        let Some(i) = mrq.iter().position(&mut pred) else {
+            return (None, false);
+        };
+        // Everything after `i` — the swapped-in last entry included — is
+        // what followed the taken one.
+        let taken = mrq.swap_remove(i);
+        let more = mrq[i..].iter().any(pred);
+        (Some(taken), more)
+    }
+
     /// Number of queued (undelivered) notifications on a node.
     #[must_use]
     pub fn pending_arrivals(&self, node: usize) -> usize {

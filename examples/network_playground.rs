@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use tofumd::tofu::{wait_arrivals, CellGrid, NetParams, TofuNet, Vcq, CQS_PER_TNI};
 
-fn main() {
+fn main() -> Result<(), tofumd::tofu::CqExhausted> {
     // A single TofuD cell: 12 nodes in the 2x3x2 block.
     let net = Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()));
     println!(
@@ -23,7 +23,7 @@ fn main() {
     );
 
     // Create a VCQ on node 0, TNI 2, and put a payload with a piggyback.
-    let mut vcq = Vcq::create(net.clone(), 0, 2, 0).expect("CQ available");
+    let mut vcq = Vcq::create(net.clone(), 0, 2, 0)?;
     let mut clock = 0.0;
     let payload: Vec<u8> = (0..64).collect();
     let r = vcq.put(&mut clock, 5, stadd, 128, &payload, 0xC0FFEE, true);
@@ -59,10 +59,13 @@ fn main() {
         second.remote_arrival * 1e6
     );
 
-    // Each TNI exposes 9 CQs; the 10th VCQ fails (Fig. 7's constraint).
-    let mut made = 1; // vcq above took one on TNI 2
-    while Vcq::create(net.clone(), 0, 2, 9).is_ok() {
-        made += 1;
+    // Each TNI exposes 9 CQs; the 10th VCQ fails (Fig. 7's constraint). A
+    // VCQ frees its CQ when dropped, so the ones created are held.
+    let mut held = vec![vcq];
+    while let Ok(v) = Vcq::create(net.clone(), 0, 2, 9) {
+        held.push(v);
     }
+    let made = held.len();
     println!("TNI 2 CQ capacity: created {made} VCQs, limit {CQS_PER_TNI} — next create fails");
+    Ok(())
 }

@@ -93,12 +93,9 @@ fn rebalance_study() {
             .filter(|s| s.0 > window_start && s.0 < rb)
             .map(|s| s.1)
             .fold(1.0f64, f64::max);
-        let post = td
-            .imbalance_samples
-            .iter()
-            .find(|s| s.0 == rb)
-            .map(|s| s.1)
-            .unwrap();
+        let Some(&(_, post)) = td.imbalance_samples.iter().find(|s| s.0 == rb) else {
+            panic!("no imbalance sample at the rebalance step {rb}");
+        };
         println!("  step {rb:>4}: peak {peak:.4} -> {post:.4}");
         assert!(
             post - 1.0 <= 0.5 * (peak - 1.0),
@@ -106,8 +103,11 @@ fn rebalance_study() {
         );
         window_start = rb;
     }
-    let (_, _, flast) = tf.imbalance_history().unwrap();
-    let (_, _, dlast) = td.imbalance_history().unwrap();
+    let (Some((_, _, flast)), Some((_, _, dlast))) =
+        (tf.imbalance_history(), td.imbalance_history())
+    else {
+        panic!("both melts sample their imbalance");
+    };
     println!(
         "final imbalance after {steps} steps: static {:.4}, rebalanced {:.4}",
         flast.1, dlast.1
@@ -172,7 +172,7 @@ fn kill_rank_study() {
     println!("kill-rank study passed: N-1 recovery is physics-faithful");
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let hot = std::env::args().any(|a| a == "--hot");
     let t_target = if hot { 3500.0 } else { 800.0 };
     println!("Stillinger-Weber silicon, target T = {t_target} K\n");
@@ -211,7 +211,7 @@ fn main() {
         sim.run(100);
         thermostat.apply(&mut sim.atoms, 28.0855, UnitSystem::Metal, 0.1);
         msd.update(&sim.atoms, &sim.bounds);
-        traj.frame(&sim.atoms, &sim.bounds, sim.step).unwrap();
+        traj.frame(&sim.atoms, &sim.bounds, sim.step)?;
         let s = sim.snapshot();
         println!(
             "{:>6} {:>10.1} {:>12.4} {:>12.4}",
@@ -256,4 +256,5 @@ fn main() {
     if std::env::args().any(|a| a == "--kill-rank") {
         kill_rank_study();
     }
+    Ok(())
 }

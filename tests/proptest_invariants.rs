@@ -138,7 +138,14 @@ proptest! {
         let sel = st.graph.selector();
         let mut g = GhostLayout::default();
         g.reset(&mut st.atoms, st.graph.send.iter().map(|e| e.shift));
-        let payloads = g.select_border(&st, &sel);
+        g.select_border(&st, &sel);
+        let payloads: Vec<Vec<f64>> = (0..st.graph.send.len())
+            .map(|k| {
+                let mut records: Vec<f64> = Vec::new();
+                g.pack_border(k, &st, &mut records);
+                records
+            })
+            .collect();
         // Feed the payloads back as if we were our own neighbor: parse and
         // confirm every record preserves the tag and the shifted position.
         for (k, payload) in payloads.iter().enumerate() {
