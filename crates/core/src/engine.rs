@@ -227,8 +227,8 @@ impl CommStats {
 }
 
 /// [`CommStats`] resolved along the two axes the lockstep driver iterates:
-/// operation kind and round within the operation. Engines accumulate into
-/// this; the runtime aggregates it across ranks for telemetry reports.
+/// operation kind and round within the operation. Engines count into
+/// [`RankState::stats`]; the runtime aggregates it across ranks.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpStats {
     /// `rounds[op.index()][round]`, grown on first use per round.
@@ -313,7 +313,30 @@ pub fn wrap_for_exchange(global: &tofumd_md::region::Box3, x: [f64; 3]) -> [f64;
     w
 }
 
-/// Per-rank simulation-side state an engine operates on.
+/// Where a rank's virtual time went: LAMMPS's five stages (Table 3), EAM's
+/// mid-pair comm, and the comm time the overlap windows hid.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StageTimes {
+    /// Pair-stage compute time.
+    pub pair: f64,
+    /// EAM's scalar-op comm, counted into the Pair stage (the paper's way).
+    pub pair_comm: f64,
+    /// Neighbor-rebuild time.
+    pub neigh: f64,
+    /// Ghost communication: border, forward, reverse and exchange.
+    pub comm: f64,
+    /// Integration (Modify) time.
+    pub modify: f64,
+    /// Collectives and bookkeeping (Other) time.
+    pub other: f64,
+    /// Comm time hidden behind interior compute: wait the rank never
+    /// incurred, so it enters no stage sum.
+    pub overlapped: f64,
+}
+
+/// Per-rank simulation-side state an engine operates on, and the rank's
+/// one ledger: clock, stage times and comm counters. It outlives any
+/// engine, so an engine swap (demotion, recovery) keeps the history.
 #[derive(Debug)]
 pub struct RankState {
     /// The rank's atoms (locals + ghosts).
@@ -322,11 +345,10 @@ pub struct RankState {
     pub graph: CommGraph,
     /// Virtual clock (seconds of simulated Fugaku time).
     pub clock: f64,
-    /// Time attributed to the Comm stage this step (Table 3 breakdown).
-    pub comm_time: f64,
-    /// Time attributed to mid-pair-stage communication (EAM; counted into
-    /// the Pair stage per the paper's accounting).
-    pub pair_comm_time: f64,
+    /// The clock's time by stage (Table 3 breakdown).
+    pub stages: StageTimes,
+    /// Message counters per `(op, round)`, from whichever engine ran.
+    pub stats: OpStats,
     /// Scalar work buffer for EAM (rho or fp), len == atoms.ntotal().
     pub scalar: Vec<f64>,
     /// Latest raw payload-arrival instant folded in by the engine's
@@ -345,20 +367,20 @@ impl RankState {
             atoms,
             graph,
             clock: 0.0,
-            comm_time: 0.0,
-            pair_comm_time: 0.0,
+            stages: StageTimes::default(),
+            stats: OpStats::default(),
             scalar: Vec::new(),
             arrival_horizon: f64::NEG_INFINITY,
         }
     }
 
-    /// Charge `dt` of virtual time to the clock and the chosen stage
-    /// bucket.
+    /// Charge `dt` of virtual time to the clock and `op`'s comm bucket
+    /// (`pair_comm` for EAM's scalar ops).
     pub fn charge(&mut self, dt: f64, op: Op) {
         self.clock += dt;
         match op {
-            Op::ForwardScalar | Op::ReverseScalar => self.pair_comm_time += dt,
-            _ => self.comm_time += dt,
+            Op::ForwardScalar | Op::ReverseScalar => self.stages.pair_comm += dt,
+            _ => self.stages.comm += dt,
         }
     }
 
@@ -487,7 +509,7 @@ pub trait GhostEngine: Send {
     /// An `Err` is a transport failure the engine could not absorb through
     /// its own recovery (retry, reliable-stack escape) — the driver treats
     /// it as fatal for the run. Recoverable faults are handled internally
-    /// and only surface through counters and [`Self::fallback_requested`].
+    /// and only surface through `st.stats` and [`Self::fallback_requested`].
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError>;
 
     /// Receive and unpack this rank's messages for `(op, round)`.
@@ -497,16 +519,6 @@ pub trait GhostEngine: Send {
     /// pre-sizing): reported separately, not charged to step time.
     fn setup_cost(&self) -> f64 {
         0.0
-    }
-
-    /// Cumulative message counters since construction (all ops folded).
-    fn stats(&self) -> CommStats {
-        self.op_stats().total()
-    }
-
-    /// Cumulative per-(op, round) message counters since construction.
-    fn op_stats(&self) -> OpStats {
-        OpStats::default()
     }
 
     /// True once the engine has exhausted a retry budget and wants the
@@ -549,8 +561,8 @@ mod tests {
         st.charge(2.0, Op::ReverseScalar);
         st.charge(4.0, Op::Border);
         assert_eq!(st.clock, 7.0);
-        assert_eq!(st.comm_time, 5.0);
-        assert_eq!(st.pair_comm_time, 2.0);
+        assert_eq!(st.stages.comm, 5.0);
+        assert_eq!(st.stages.pair_comm, 2.0);
     }
 
     #[test]

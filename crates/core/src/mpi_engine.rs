@@ -4,7 +4,7 @@
 //! per-message software cost — and the one engine that also walks
 //! irregular graphs (RCB, post-recovery).
 
-use crate::engine::{GhostEngine, Op, OpStats, RankState};
+use crate::engine::{GhostEngine, Op, RankState};
 use crate::ghost::Payload;
 use crate::pattern::{Hop, Landing, Pattern, PatternKind};
 use crate::sf::CommGraph;
@@ -36,12 +36,11 @@ fn tag(op: Op, landing: Landing) -> u32 {
     }
 }
 
-/// One rank's MPI engine: its endpoint, its pattern and its counters.
+/// One rank's MPI engine: its endpoint and its pattern.
 pub struct MpiEngine {
     comm: Arc<Communicator>,
     me: usize,
     pattern: Pattern,
-    stats: OpStats,
 }
 
 impl MpiEngine {
@@ -56,7 +55,6 @@ impl MpiEngine {
             comm,
             me: graph.me,
             pattern: Pattern::new(kind, graph)?,
-            stats: OpStats::default(),
         })
     }
 }
@@ -72,10 +70,6 @@ impl GhostEngine for MpiEngine {
         self.pattern.is_staged()
     }
 
-    fn op_stats(&self) -> OpStats {
-        self.stats.clone()
-    }
-
     fn rebind_graph(&mut self, st: &RankState) {
         self.pattern.rebind(&st.graph);
     }
@@ -86,17 +80,17 @@ impl GhostEngine for MpiEngine {
     /// round's one byte vector, handed to [`Communicator::send`] per hop.
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         let packed = self.pattern.pack(op, round, st);
-        let (pattern, layout, graph) = (&self.pattern, &self.pattern.ghosts, &st.graph);
+        let (pattern, layout) = (&self.pattern, &self.pattern.ghosts);
         let payload = |h: Hop| Payload::of(op, &packed, h.i, h.layout);
         let mut f64s = 0;
-        pattern.for_each_hop(op, round, graph, false, |h| f64s += payload(h).len(layout))?;
+        pattern.for_each_hop(op, round, st, false, |h, _| f64s += payload(h).len(layout))?;
         let mut now = st.clock + self.comm.net().params().pack_cost(f64s * 8);
         let mut bytes: Vec<u8> = Vec::with_capacity(f64s * 8);
-        pattern.for_each_hop(op, round, graph, false, |h| {
+        pattern.for_each_hop(op, round, st, false, |h, st| {
             bytes.clear();
             payload(h).write(layout, st, &mut bytes);
-            self.stats.at(op, round).count(bytes.len());
-            self.stats.at(op, round).copied(bytes.len());
+            st.stats.at(op, round).count(bytes.len());
+            st.stats.at(op, round).copied(bytes.len());
             let (dst, tag) = (h.rank, tag(op, h.landing));
             self.comm.send(self.me, dst, tag, &bytes, &mut now);
         })?;
@@ -229,16 +223,16 @@ mod tests {
     fn engines_charge_time_to_the_right_buckets() {
         let mut f = mpi_fixture(PatternKind::P2p);
         drive(&mut f, Op::Border);
-        assert!(f.states[0].comm_time > 0.0);
-        let comm_before = f.states[0].comm_time;
+        assert!(f.states[0].stages.comm > 0.0);
+        let comm_before = f.states[0].stages.comm;
         fill_scalars(&mut f, 1.0);
         drive(&mut f, Op::ForwardScalar);
         assert!(
-            f.states[0].pair_comm_time > 0.0,
+            f.states[0].stages.pair_comm > 0.0,
             "scalar ops book into the pair bucket"
         );
         assert_eq!(
-            f.states[0].comm_time, comm_before,
+            f.states[0].stages.comm, comm_before,
             "scalar ops must not book into Comm"
         );
     }

@@ -344,18 +344,18 @@ impl Pattern {
         })
     }
 
-    /// Visit every [`Pattern::hop`] of `(op, round)` in order.
+    /// Visit every [`Pattern::hop`] of `(op, round)` in order, lending `st`.
     pub fn for_each_hop(
         &self,
         op: Op,
         round: usize,
-        graph: &CommGraph,
+        st: &mut RankState,
         incoming: bool,
-        mut f: impl FnMut(Hop),
+        mut f: impl FnMut(Hop, &mut RankState),
     ) -> Result<(), TofuError> {
         let mut i = 0;
-        while let Some(h) = self.hop(op, round, graph, incoming, i)? {
-            f(h);
+        while let Some(h) = self.hop(op, round, &st.graph, incoming, i)? {
+            f(h, st);
             i += 1;
         }
         Ok(())

@@ -40,7 +40,7 @@
 //! payload, reserves nothing, encodes `edge << 48 | offset`, and is
 //! consumed before the first Forward rather than at its own complete.
 
-use crate::engine::{GhostEngine, Op, OpKind, OpStats, RankState, N_OPS};
+use crate::engine::{CommStats, GhostEngine, Op, OpKind, RankState, N_OPS};
 use crate::fine;
 use crate::ghost::{GhostLayout, Payload};
 use crate::pattern::{Landing, Pattern, PatternKind};
@@ -254,9 +254,9 @@ fn checked_edge(
 }
 
 /// The transport state under every send and receive routine — fabric and
-/// book handles, sequencing, fault and telemetry state, the reused arrival
-/// list — with the one put, reserve, wait, frame and consume routine they
-/// share.
+/// book handles, sequencing, fault state, the reused arrival list — with
+/// the one put, reserve, wait, frame and consume routine they share, each
+/// counting into the `(op, round)` counters of the rank's `st.stats`.
 struct UtofuLane {
     net: Arc<TofuNet>,
     book: Arc<AddressBook>,
@@ -270,7 +270,6 @@ struct UtofuLane {
     /// to the reliable stack — the driver should demote this cluster.
     fallback_wanted: bool,
     setup_cost: f64,
-    stats: OpStats,
     /// Reused receive scratch: the raw arrivals of the op being completed.
     arrivals: Vec<Arrival>,
 }
@@ -285,7 +284,6 @@ impl UtofuLane {
             send_seq: 0,
             fallback_wanted: false,
             setup_cost: 0.0,
-            stats: OpStats::default(),
             arrivals: Vec::new(),
         }
     }
@@ -349,8 +347,7 @@ impl UtofuLane {
         ch: &mut Channel,
         slot: usize,
         need: usize,
-        op: Op,
-        round: usize,
+        sent: &mut CommStats,
     ) -> (Stadd, f64) {
         let (stadd, size) = &mut ch.dst[slot];
         if need <= *size {
@@ -360,7 +357,7 @@ impl UtofuLane {
         let cost = self.net.grow_mem(ch.node, *stadd, *size);
         self.book
             .publish(ch.rank, ch.kind, ch.tag, slot as u8, *stadd, *size);
-        self.stats.at(op, round).growth_events += 1;
+        sent.growth_events += 1;
         (*stadd, 2.0 * self.net.params().wire_time(0, ch.hops) + cost)
     }
 
@@ -380,9 +377,9 @@ impl UtofuLane {
     /// ([`Vcq::post_reliable`]) — which cannot lose it — and the engine
     /// flags a fallback request so the driver demotes the cluster to an
     /// MPI transport at the end of the step.
-    fn put(&mut self, vcq: &mut Vcq, op: Op, round: usize, now: &mut f64, put: Put<'_>) {
+    fn put(&mut self, vcq: &mut Vcq, now: &mut f64, put: Put<'_>, sent: &mut CommStats) {
         if !put.src.is_empty() {
-            self.stats.at(op, round).count(put.src.len());
+            sent.count(put.src.len());
         }
         let p = self.net.params();
         for attempt in 0.. {
@@ -392,10 +389,10 @@ impl UtofuLane {
             if attempt >= self.retry_budget {
                 break;
             }
-            self.stats.at(op, round).retries += 1;
+            sent.retries += 1;
             *now += p.retry_backoff * f64::from(1u32 << attempt.min(16));
         }
-        self.stats.at(op, round).fallback_sends += 1;
+        sent.fallback_sends += 1;
         self.fallback_wanted = true;
         *now += p.fallback_penalty + p.cpu_per_put_mpi;
         vcq.post_reliable(now, &put);
@@ -411,9 +408,8 @@ impl UtofuLane {
         &mut self,
         now: f64,
         count: usize,
-        op: Op,
-        round: usize,
         pred: impl FnMut(&Arrival) -> bool,
+        got: &mut CommStats,
     ) -> Result<f64, TofuError> {
         let arrivals = &mut self.arrivals;
         let t = try_wait_arrivals_into(&self.net, self.node, now, count, pred, arrivals)?;
@@ -421,7 +417,6 @@ impl UtofuLane {
         if arrivals.len() < count {
             return Err(self.net.shortfall_error(self.node, count, arrivals.len()));
         }
-        let got = self.stats.at(op, round);
         got.dup_drops += anomalies.duplicates;
         got.overwrites += anomalies.overwrites;
         Ok(t)
@@ -439,17 +434,12 @@ impl UtofuLane {
         &mut self,
         layout: &GhostLayout,
         out: &mut (Stadd, usize),
-        st: &RankState,
+        st: &mut RankState,
         payload: Payload<'_>,
         op: Op,
         round: usize,
     ) -> (f64, Option<Vec<u8>>) {
         let need = wire::combined_size(payload.len(layout));
-        let fill = |buf: &mut [u8]| {
-            let mut w = wire::CombinedWriter::new(buf);
-            payload.write(layout, st, &mut w);
-            w.finish()
-        };
         let mut cost = 0.0;
         if let Payload::Ghost(..) = payload {
             if need > out.1 {
@@ -458,12 +448,17 @@ impl UtofuLane {
             }
         } else {
             cost = self.net.params().pack_cost(need);
-            self.stats.at(op, round).copied(need);
-            if need > out.1 {
-                let mut frame = vec![0; need];
-                fill(&mut frame);
-                return (cost, Some(frame));
-            }
+            st.stats.at(op, round).copied(need);
+        }
+        let fill = |buf: &mut [u8]| {
+            let mut w = wire::CombinedWriter::new(buf);
+            payload.write(layout, st, &mut w);
+            w.finish()
+        };
+        if need > out.1 {
+            let mut frame = vec![0; need];
+            fill(&mut frame);
+            return (cost, Some(frame));
         }
         let len = self.net.write_local_with(self.node, out.0, 0, need, fill);
         debug_assert_eq!(len, need, "layout promised {need} bytes");
@@ -687,12 +682,6 @@ impl UtofuEngine {
         })
     }
 
-    /// Buffer-growth events observed (0 under prereg — test observable).
-    #[must_use]
-    pub fn growth_events(&self) -> u64 {
-        self.lane.stats.total().growth_events
-    }
-
     /// Resolve every out-edge's [`Channel`] from the address book — the
     /// one time this engine reads it. Deferred to the first post because
     /// only then have all ranks published; `rebind_graph` drops the
@@ -744,9 +733,8 @@ impl UtofuEngine {
         let seq_base = self.lane.seq_base(plan.f64s.len());
         // Grow undersized destination buffers first (never under prereg).
         for (ch, &f64s) in self.chan[kind].iter_mut().zip(&plan.f64s) {
-            let (_, dt) = self
-                .lane
-                .reserve(ch, slot, wire::combined_size(f64s), op, 0);
+            let need = wire::combined_size(f64s);
+            let (_, dt) = self.lane.reserve(ch, slot, need, st.stats.at(op, 0));
             st.charge(dt, op);
         }
         // Serialize the ghost-op frames in place. Local regions are sized
@@ -816,7 +804,7 @@ impl UtofuEngine {
                     cache_injection: true,
                 };
                 let vcq = &mut self.vcqs[t % self.cfg.vcqs.max(1)];
-                self.lane.put(vcq, op, 0, &mut now, put);
+                self.lane.put(vcq, &mut now, put, st.stats.at(op, 0));
             }
             end = end.max(now);
         }
@@ -845,11 +833,11 @@ impl UtofuEngine {
         let (vcq, layout) = (&mut self.vcqs[0], &pattern.ghosts);
         let seq_base = lane.seq_base(2);
         let mut now = st.clock;
-        pattern.for_each_hop(op, round, &st.graph, false, |h| {
+        pattern.for_each_hop(op, round, st, false, |h, st| {
             let ch = &mut chan[BufKind::inflow(h.toward_ghosts) as usize][h.k];
             let payload = Payload::of(op, packed, h.i, h.layout);
             let need = wire::combined_size(payload.len(layout));
-            let (dst_stadd, dt) = lane.reserve(ch, slot, need, op, round);
+            let (dst_stadd, dt) = lane.reserve(ch, slot, need, st.stats.at(op, round));
             now += dt;
             let out = &mut send_out[h.k];
             let (cost, spilled) = lane.frame(layout, out, st, payload, op, round);
@@ -866,7 +854,7 @@ impl UtofuEngine {
                 seq: seq_base + 1 + h.i as u64,
                 cache_injection: true,
             };
-            lane.put(vcq, op, round, &mut now, put);
+            lane.put(vcq, &mut now, put, st.stats.at(op, round));
         })?;
         st.charge(now - st.clock, op);
         Ok(())
@@ -889,10 +877,13 @@ impl UtofuEngine {
             // Empty segments produce no message (§3.4 direct writes).
             let expected = self.x_rx.len();
             let pred = |a: &Arrival| a.stadd == xs && a.len > 0;
-            (expected, self.lane.wait(st.clock, expected, op, 0, pred)?)
+            let t = self
+                .lane
+                .wait(st.clock, expected, pred, st.stats.at(op, 0))?;
+            (expected, t)
         } else {
             let pred = |a: &Arrival| a.len > 0 && rx_find(rx, a.stadd).is_some();
-            (n, self.lane.wait(st.clock, n, op, 0, pred)?)
+            (n, self.lane.wait(st.clock, n, pred, st.stats.at(op, 0))?)
         };
         self.inbox.fill(None);
         let (mut filled, mut unpack_bytes) = (0, 0);
@@ -957,7 +948,7 @@ impl UtofuEngine {
         // (inflow kind, in-edge, layout edge) per hop, and the sweep's
         // dimension: telemetry files its receive anomalies under that.
         let (mut want, mut dim) = ([(0, 0, 0); 2], round);
-        self.pattern.for_each_hop(op, round, &st.graph, true, |h| {
+        self.pattern.for_each_hop(op, round, st, true, |h, _| {
             want[h.i] = (BufKind::inflow(h.toward_ghosts) as usize, h.k, h.layout);
             if let Landing::Face { dim: d, .. } = h.landing {
                 dim = d;
@@ -971,7 +962,7 @@ impl UtofuEngine {
             want.iter().position(on)
         };
         let pred = |a: &Arrival| a.len > 0 && hop_of(a).is_some();
-        let t = self.lane.wait(st.clock, 2, op, dim, pred)?;
+        let t = self.lane.wait(st.clock, 2, pred, st.stats.at(op, dim))?;
         let (mut seen, mut unpack) = ([false; 2], 0usize);
         for a in &self.lane.arrivals {
             if let Some(hop) = hop_of(a) {
@@ -1025,7 +1016,7 @@ impl UtofuEngine {
                 cache_injection: false,
             };
             self.lane
-                .put(&mut self.vcqs[0], Op::Border, 0, &mut now, put);
+                .put(&mut self.vcqs[0], &mut now, put, st.stats.at(Op::Border, 0));
         }
         st.charge(now - st.clock, Op::Border);
     }
@@ -1038,7 +1029,9 @@ impl UtofuEngine {
         let n = st.graph.send.len();
         let rx = &self.rx[BufKind::OwnerIn as usize];
         let pred = |a: &Arrival| a.len == 0 && rx_find(rx, a.stadd).is_some_and(|b| b.slot == 0);
-        let t = self.lane.wait(st.clock, n, Op::Border, 0, pred)?;
+        let t = self
+            .lane
+            .wait(st.clock, n, pred, st.stats.at(Op::Border, 0))?;
         for a in &self.lane.arrivals {
             let k = checked_edge(self.lane.node, rx, a, a.piggyback >> 48, n)?;
             self.remote_ghost_off[k] = Some((a.piggyback & 0xFFFF_FFFF_FFFF) as usize);
@@ -1090,10 +1083,6 @@ impl GhostEngine for UtofuEngine {
         self.lane.setup_cost
     }
 
-    fn op_stats(&self) -> OpStats {
-        self.lane.stats.clone()
-    }
-
     fn fallback_requested(&self) -> bool {
         self.lane.fallback_wanted
     }
@@ -1122,6 +1111,11 @@ mod tests {
         crate::pattern::fixture::fixture(|fab, g| fab.utofu(PatternKind::P2p, cfg, g))
     }
 
+    /// Buffer-growth events counted over every rank so far.
+    fn grown(f: &Fixture) -> u64 {
+        f.states.iter().map(|s| s.stats.total().growth_events).sum()
+    }
+
     #[test]
     fn border_then_forward_under_prereg() {
         let mut f = fixture(UtofuConfig::pool6());
@@ -1138,7 +1132,7 @@ mod tests {
         let after = f.states[0].atoms.x[gidx];
         assert!((after[2] - before[2] - 0.375).abs() < 1e-12);
         // No buffer growth under pre-registration.
-        assert_eq!(f.engines.iter().map(|e| e.growth_events()).sum::<u64>(), 0);
+        assert_eq!(grown(&f), 0);
     }
 
     #[test]
@@ -1165,7 +1159,7 @@ mod tests {
         drive(&mut f, Op::ForwardScalar);
         let gidx = f.states[0].atoms.nlocal;
         assert_eq!(f.states[0].scalar[gidx], 7.25);
-        assert!(f.states[0].pair_comm_time > 0.0);
+        assert!(f.states[0].stages.pair_comm > 0.0);
         // Ghost rho on rank 0 folds back into rank 1's local.
         f.states[0].scalar[gidx] = 0.125;
         f.states[1].scalar[0] = 1.0;
@@ -1189,9 +1183,9 @@ mod tests {
             drive(&mut f, Op::ForwardScalar);
             drive(&mut f, Op::Reverse);
             drive(&mut f, Op::ReverseScalar);
-            let mut total = OpStats::default();
-            for e in &f.engines {
-                total.merge(&e.op_stats());
+            let mut total = crate::engine::OpStats::default();
+            for st in &f.states {
+                total.merge(&st.stats);
             }
             for op in [Op::Border, Op::Exchange] {
                 let t = total.op_total(op);
@@ -1233,8 +1227,8 @@ mod tests {
         drive(&mut six, Op::Border);
         drive(&mut coarse, Op::Forward);
         drive(&mut six, Op::Forward);
-        let t4 = coarse.states[0].comm_time;
-        let t6 = six.states[0].comm_time;
+        let t4 = coarse.states[0].stages.comm;
+        let t6 = six.states[0].stages.comm;
         assert!(t6 > t4, "6 VCQs single-thread {t6} must exceed 4TNI {t4}");
     }
 
@@ -1251,8 +1245,10 @@ mod tests {
         }
         f.states[1].atoms = Atoms::from_positions(pos, 5000);
         drive(&mut f, Op::Border);
-        let grown: u64 = f.engines.iter().map(|e| e.growth_events()).sum();
-        assert!(grown > 0, "dense border slab must trigger dynamic growth");
+        assert!(
+            grown(&f) > 0,
+            "dense border slab must trigger dynamic growth"
+        );
     }
 
     #[test]
@@ -1419,7 +1415,6 @@ mod tests {
                 })
                 .collect();
             f.states[1].atoms = Atoms::from_positions(pos, 5000);
-            let grown = |f: &Fixture| f.engines.iter().map(|e| e.growth_events()).sum::<u64>();
             drive(&mut f, Op::Border);
             assert_eq!(grown(&f), 1, "border grows the ghost-side buffer");
             drive(&mut f, Op::Forward);

@@ -221,10 +221,10 @@ fn border<E: GhostEngine>(f: &mut Fixture<E>) {
 
 /// Buffers the engines have grown so far.
 fn grown(f: &Fixture<UtofuEngine>) -> u64 {
-    f.engines
+    f.states
         .iter()
-        .map(UtofuEngine::growth_events)
-        .sum::<u64>()
+        .map(|st| st.stats.total().growth_events)
+        .sum()
 }
 
 /// What running `ops` over all ranks allocated and how many buffers it

@@ -1,13 +1,13 @@
-//! Virtual-time accounting: the LAMMPS stage breakdown, per-rank stage
-//! accumulators, and the collective cost models charged at the *target*
+//! Virtual-time accounting: the LAMMPS stage breakdown, the global clock
+//! alignment, and the collective cost models charged at the *target*
 //! machine's scale.
 //!
-//! Extracted from the `Cluster` monolith so the phase executor
-//! ([`crate::driver`]) and the physics kernels ([`crate::physics`]) can
-//! book time without reaching back into the façade. All clock alignment
-//! goes through [`global_sync`], the single implementation of the
-//! "stall everyone to the latest clock plus a cost" pattern that was
-//! previously copy-pasted across `run_step` and `sync_barrier`.
+//! Every charge lands in the rank's one ledger, [`RankState`]: its clock
+//! and its [`tofumd_core::engine::StageTimes`]. The phase executor
+//! ([`crate::driver`]), the physics kernels ([`crate::physics`]) and the
+//! engines all book there. All clock alignment goes through
+//! [`global_sync`], the single implementation of the "stall everyone to
+//! the latest clock plus a cost" pattern.
 
 use tofumd_core::engine::{Op, RankState};
 use tofumd_tofu::NetParams;
@@ -48,38 +48,11 @@ impl StageBreakdown {
     }
 }
 
-/// Per-rank accumulators for the compute-side stages. Communication time
-/// lives on [`RankState`] (`comm_time` / `pair_comm_time`) because the
-/// engines charge it themselves; everything else accumulates here.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageAcc {
-    /// Pair-stage compute time.
-    pub pair: f64,
-    /// Neighbor-rebuild time.
-    pub neigh: f64,
-    /// Integration (Modify) time.
-    pub modify: f64,
-    /// Collectives + bookkeeping (Other) time.
-    pub other: f64,
-    /// Comm time hidden behind interior compute by the DAG plan's overlap
-    /// windows. Informational: the hidden time never entered any stage sum
-    /// (it is wait the rank simply did not incur), so it is excluded from
-    /// `total()`-style breakdowns.
-    pub overlapped: f64,
-}
-
-impl StageAcc {
-    /// Zero every accumulator.
-    pub fn reset(&mut self) {
-        *self = StageAcc::default();
-    }
-}
-
 /// Where a [`global_sync`] books the stall time it creates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncBucket {
     /// A communication barrier: stall lands in the comm bucket of `Op`
-    /// (scalar ops charge `pair_comm_time`, everything else `comm_time`).
+    /// (scalar ops charge `pair_comm`, everything else `comm`).
     Comm(Op),
     /// A collective (reneighbor allreduce, thermo reduction): stall lands
     /// in the Other stage.
@@ -94,27 +67,20 @@ pub enum SyncBucket {
 ///
 /// The fold over clocks is a max, so the result is independent of rank
 /// iteration order — part of the determinism contract (DESIGN.md §9).
-pub fn global_sync<'a>(
-    states: &mut [RankState],
-    accs: impl Iterator<Item = &'a mut StageAcc>,
-    cost: f64,
-    bucket: SyncBucket,
-) {
+pub fn global_sync(states: &mut [RankState], cost: f64, bucket: SyncBucket) {
     let latest = states
         .iter()
         .map(|s| s.clock)
         .fold(f64::NEG_INFINITY, f64::max);
     let done = latest + cost;
-    for (st, acc) in states.iter_mut().zip(accs) {
+    for st in states {
         let dt = done - st.clock;
-        st.clock = done;
         match bucket {
-            SyncBucket::Comm(op) => match op {
-                Op::ForwardScalar | Op::ReverseScalar => st.pair_comm_time += dt,
-                _ => st.comm_time += dt,
-            },
-            SyncBucket::Other => acc.other += dt,
+            SyncBucket::Comm(op) => st.charge(dt, op),
+            SyncBucket::Other => st.stages.other += dt,
         }
+        // Exactly `done`, whatever `clock + dt` rounds to.
+        st.clock = done;
     }
 }
 
@@ -179,39 +145,27 @@ mod tests {
         sts[0].clock = 1.0;
         sts[1].clock = 5.0;
         sts[2].clock = 2.0;
-        let mut accs = [StageAcc::default(); 3];
-        global_sync(&mut sts, accs.iter_mut(), 0.5, SyncBucket::Other);
+        global_sync(&mut sts, 0.5, SyncBucket::Other);
         for st in &sts {
             assert!((st.clock - 5.5).abs() < 1e-15);
         }
-        assert!((accs[0].other - 4.5).abs() < 1e-15);
-        assert!((accs[1].other - 0.5).abs() < 1e-15);
-        assert!((accs[2].other - 3.5).abs() < 1e-15);
+        assert!((sts[0].stages.other - 4.5).abs() < 1e-15);
+        assert!((sts[1].stages.other - 0.5).abs() < 1e-15);
+        assert!((sts[2].stages.other - 3.5).abs() < 1e-15);
     }
 
     #[test]
     fn comm_bucket_routes_scalar_ops_to_pair_comm() {
         let mut sts = states(2);
         sts[1].clock = 3.0;
-        let mut accs = [StageAcc::default(); 2];
-        global_sync(
-            &mut sts,
-            accs.iter_mut(),
-            0.0,
-            SyncBucket::Comm(Op::ReverseScalar),
-        );
-        assert!((sts[0].pair_comm_time - 3.0).abs() < 1e-15);
-        assert!(sts[0].comm_time.abs() < 1e-15);
+        global_sync(&mut sts, 0.0, SyncBucket::Comm(Op::ReverseScalar));
+        assert!((sts[0].stages.pair_comm - 3.0).abs() < 1e-15);
+        assert!(sts[0].stages.comm.abs() < 1e-15);
         let mut sts = states(2);
         sts[1].clock = 3.0;
-        global_sync(
-            &mut sts,
-            accs.iter_mut(),
-            0.0,
-            SyncBucket::Comm(Op::Forward),
-        );
-        assert!((sts[0].comm_time - 3.0).abs() < 1e-15);
-        assert!(accs.iter().all(|a| a.other == 0.0));
+        global_sync(&mut sts, 0.0, SyncBucket::Comm(Op::Forward));
+        assert!((sts[0].stages.comm - 3.0).abs() < 1e-15);
+        assert!(sts.iter().all(|s| s.stages.other == 0.0));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::physics;
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::sync::Arc;
-use tofumd_core::engine::{GhostEngine, Op, OpStats, RankState};
+use tofumd_core::engine::{GhostEngine, Op, RankState, StageTimes};
 use tofumd_core::topo_map::RankMap;
 use tofumd_core::AddressBook;
 use tofumd_md::integrate::NveIntegrator;
@@ -89,9 +89,6 @@ pub struct Cluster {
     target_mesh: [u32; 3],
     target_ranks: usize,
     op_observer: Option<OpObserver>,
-    /// Counters of engines retired by a mid-run demotion, folded into the
-    /// telemetry views so history survives the engine swap.
-    pub(crate) retired_stats: OpStats,
     /// Fabric registration calls when the build finished — the baseline
     /// of [`Cluster::growth_events`].
     pub(crate) built_reg_calls: u64,
@@ -236,18 +233,14 @@ impl Cluster {
         &self.map
     }
 
-    /// Zero all timing state (clocks, TNI schedules, accumulators).
+    /// Zero all timing state (clocks, TNI schedules, stage times).
     /// Called after setup so reported times cover production steps only.
     pub fn reset_timers(&mut self) {
         for st in &mut self.states {
             st.clock = 0.0;
-            st.comm_time = 0.0;
-            st.pair_comm_time = 0.0;
+            st.stages = StageTimes::default();
         }
         self.net.reset_clocks();
-        for lane in &mut self.lanes {
-            lane.acc.reset();
-        }
         self.steps_run = 0;
     }
 
@@ -395,12 +388,8 @@ impl Cluster {
                 // barrier is mandatory between stages", §3.1), realized by
                 // LAMMPS's sendrecv dependency chain: a global stall plus
                 // one notification, not a log-P collective.
-                accounting::global_sync(
-                    &mut self.states,
-                    self.lanes.iter_mut().map(|l| &mut l.acc),
-                    self.net.params().mpi_match_cost,
-                    SyncBucket::Comm(op),
-                );
+                let cost = self.net.params().mpi_match_cost;
+                accounting::global_sync(&mut self.states, cost, SyncBucket::Comm(op));
             }
             if let Some(mut obs) = self.op_observer.take() {
                 obs(op, round, rounds, &self.states);
@@ -454,7 +443,7 @@ impl Cluster {
     /// credit: the rank's clock advanced by `clock − overlap_c0` of
     /// interior compute since the post; any part of the raw arrival horizon
     /// covered by that window is comm time the barrier plan would have
-    /// waited out, booked into `acc.overlapped`. A lane whose complete
+    /// waited out, booked into `st.stages.overlapped`. A lane whose complete
     /// fails runs no pass; the failures are raised after the region, as
     /// for a whole op.
     fn run_window(&mut self, op: Op, pass: Pass, ctx: &physics::Ctx) {
@@ -480,7 +469,7 @@ impl Cluster {
                     st.arrival_horizon = f64::NEG_INFINITY;
                     let done = lane.engine.complete(op, 0, st);
                     let hidden = (st.arrival_horizon.min(c1) - lane.overlap_c0).max(0.0);
-                    lane.acc.overlapped += hidden;
+                    st.stages.overlapped += hidden;
                     if let Err(e) = done {
                         lane.failed = Some(e);
                         return;
@@ -558,12 +547,7 @@ impl Cluster {
             self.target_ranks,
             1,
         );
-        accounting::global_sync(
-            &mut self.states,
-            self.lanes.iter_mut().map(|l| &mut l.acc),
-            cost,
-            SyncBucket::Other,
-        );
+        accounting::global_sync(&mut self.states, cost, SyncBucket::Other);
     }
 
     fn reneighbor_verdict(&mut self) {
@@ -596,12 +580,7 @@ impl Cluster {
             self.target_ranks,
             1,
         );
-        accounting::global_sync(
-            &mut self.states,
-            self.lanes.iter_mut().map(|l| &mut l.acc),
-            cost,
-            SyncBucket::Other,
-        );
+        accounting::global_sync(&mut self.states, cost, SyncBucket::Other);
     }
 
     /// Pair phase: single pass, or the EAM pipeline with its two
@@ -640,12 +619,7 @@ impl Cluster {
                 self.target_ranks,
                 3 * 8,
             );
-            accounting::global_sync(
-                &mut self.states,
-                self.lanes.iter_mut().map(|l| &mut l.acc),
-                cost,
-                SyncBucket::Other,
-            );
+            accounting::global_sync(&mut self.states, cost, SyncBucket::Other);
             let snap = self.thermo();
             self.thermo_log.push(snap);
         }
@@ -737,16 +711,14 @@ impl Cluster {
         }
     }
 
-    /// Graceful degradation: retire every lane's engine (folding its
-    /// counters into [`Self::retired_stats`]) and replace it with the MPI
-    /// 3-stage reference. The demotion is *collective* — the lockstep ops
-    /// require all ranks to speak the same protocol — and forces a
-    /// reneighbor pass next step so the fresh engines build their ghost
-    /// lists before any forward exchange.
+    /// Graceful degradation: replace every lane's engine with the MPI
+    /// 3-stage reference (the counters stay on the rank's state). The
+    /// demotion is *collective* — the lockstep ops require all ranks to
+    /// speak the same protocol — and forces a reneighbor pass next step so
+    /// the fresh engines build their ghost lists before any forward
+    /// exchange.
     fn demote_to_ref(&mut self) {
         for rank in 0..self.lanes.len() {
-            self.retired_stats
-                .merge(&self.lanes[rank].engine.op_stats());
             self.lanes[rank].engine = self.engine_for(CommVariant::Ref, rank);
         }
         self.variant = CommVariant::Ref;

@@ -238,7 +238,6 @@ impl Cluster {
             target_mesh,
             target_ranks,
             op_observer: None,
-            retired_stats: tofumd_core::engine::OpStats::default(),
             built_reg_calls: 0,
             demoted: false,
             force_rebuild: false,

@@ -30,7 +30,7 @@ use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tofumd_core::engine::{wrap_for_exchange, Op};
+use tofumd_core::engine::{wrap_for_exchange, Op, StageTimes};
 use tofumd_core::CommGraph;
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
@@ -105,22 +105,16 @@ impl Cluster {
         let ranks = self
             .states
             .iter()
-            .zip(&self.lanes)
-            .map(|(st, lane)| {
+            .map(|st| {
                 let mut atoms = st.atoms.clone();
                 atoms.clear_ghosts();
+                let t = &st.stages;
                 RankDump {
                     atoms,
                     clock: st.clock,
-                    comm_time: st.comm_time,
-                    pair_comm_time: st.pair_comm_time,
-                    acc: [
-                        lane.acc.pair,
-                        lane.acc.neigh,
-                        lane.acc.modify,
-                        lane.acc.other,
-                        lane.acc.overlapped,
-                    ],
+                    comm_time: t.comm,
+                    pair_comm_time: t.pair_comm,
+                    acc: [t.pair, t.neigh, t.modify, t.other, t.overlapped],
                 }
             })
             .collect();
@@ -169,12 +163,12 @@ impl Cluster {
         // plus its share of the container drain.
         let cost = CHECKPOINT_BASE_COST + size as f64 * CHECKPOINT_BYTE_COST;
         let dead = self.dead;
-        for (rank, (st, lane)) in self.states.iter_mut().zip(&mut self.lanes).enumerate() {
+        for (rank, st) in self.states.iter_mut().enumerate() {
             if Some(rank as u32) == dead {
                 continue;
             }
             st.clock += cost;
-            lane.acc.other += cost;
+            st.stages.other += cost;
         }
         self.recovery.checkpoints += 1;
         self.recovery.checkpoint_cost += cost;
@@ -261,19 +255,20 @@ impl Cluster {
         if c.reverse_needed {
             c.run_op(Op::Reverse);
         }
-        // Counters and clocks last: the replay above charged virtual time
-        // that the original run charged at its own rebuild step.
-        for (rank, dump) in data.ranks.iter().enumerate() {
-            let st = &mut c.states[rank];
+        // Clocks and stage times last: the replay above charged virtual
+        // time that the original run charged at its own rebuild step.
+        for (st, dump) in c.states.iter_mut().zip(&data.ranks) {
+            let [pair, neigh, modify, other, overlapped] = dump.acc;
             st.clock = dump.clock;
-            st.comm_time = dump.comm_time;
-            st.pair_comm_time = dump.pair_comm_time;
-            let acc = &mut c.lanes[rank].acc;
-            acc.pair = dump.acc[0];
-            acc.neigh = dump.acc[1];
-            acc.modify = dump.acc[2];
-            acc.other = dump.acc[3];
-            acc.overlapped = dump.acc[4];
+            st.stages = StageTimes {
+                pair,
+                pair_comm: dump.pair_comm_time,
+                neigh,
+                comm: dump.comm_time,
+                modify,
+                other,
+                overlapped,
+            };
         }
         c.net.reset_clocks();
         c.step = data.step;
@@ -379,7 +374,8 @@ impl Cluster {
         // Every lane moves to the MPI p2p engine — the one row of the
         // variant table that walks an irregular graph of N−1 parts. The
         // dead lane gets one too (over its stale graph) but is skipped by
-        // every phase from here on.
+        // every phase from here on. Clocks, stage times and counters stay
+        // on the states, so the swap loses none of their history.
         self.cfg.comm.decomp = Decomp::Rcb;
         self.variant = CommVariant::MpiP2p;
         let r_ghost = self.cfg.ghost_cutoff();

@@ -4,19 +4,19 @@
 //! only observes (or re-drives) existing state.
 
 use super::{Cluster, StageBreakdown};
-use tofumd_core::engine::{CommStats, Op, OpStats};
+use tofumd_core::engine::{Op, OpStats};
 use tofumd_md::thermo::{self, ThermoSnapshot};
 
 impl Cluster {
     /// Raw per-stage sums across ranks (un-normalized; used by tracing).
     fn stage_sums(&self) -> [f64; 5] {
         let mut s = [0.0; 5];
-        for (lane, st) in self.lanes.iter().zip(&self.states) {
-            s[0] += lane.acc.pair + st.pair_comm_time;
-            s[1] += lane.acc.neigh;
-            s[2] += st.comm_time;
-            s[3] += lane.acc.modify;
-            s[4] += lane.acc.other;
+        for t in self.states.iter().map(|st| &st.stages) {
+            s[0] += t.pair + t.pair_comm;
+            s[1] += t.neigh;
+            s[2] += t.comm;
+            s[3] += t.modify;
+            s[4] += t.other;
         }
         s
     }
@@ -118,7 +118,7 @@ impl Cluster {
     /// part of any stage sum: it is wait the ranks never incurred.
     #[must_use]
     pub fn overlapped_total(&self) -> f64 {
-        self.lanes.iter().map(|l| l.acc.overlapped).sum()
+        self.states.iter().map(|st| st.stages.overlapped).sum()
     }
 
     /// Mean per-step stage breakdown over all ranks since the last
@@ -178,25 +178,15 @@ impl Cluster {
         self.lanes.iter().map(|l| l.engine.setup_cost()).sum()
     }
 
-    /// Aggregate message counters across ranks (Table 1's live
-    /// counterpart: messages posted and payload bytes moved).
-    #[must_use]
-    pub fn comm_stats(&self) -> CommStats {
-        let mut total = self.retired_stats.total();
-        for lane in &self.lanes {
-            total.merge(&lane.engine.stats());
-        }
-        total
-    }
-
-    /// Aggregate per-op / per-round message counters across ranks — the
-    /// deep-telemetry view behind [`Cluster::comm_stats`]. Includes the
-    /// counters of engines retired by a mid-run demotion.
+    /// Per-op / per-round message counters summed over ranks since the
+    /// build (Table 1's live counterpart: messages posted and payload
+    /// bytes moved; `.total()` folds the ops). They live on the ranks'
+    /// states, so engine swaps (demotion, recovery) keep them.
     #[must_use]
     pub fn op_stats(&self) -> OpStats {
-        let mut total = self.retired_stats.clone();
-        for lane in &self.lanes {
-            total.merge(&lane.engine.op_stats());
+        let mut total = OpStats::default();
+        for st in &self.states {
+            total.merge(&st.stats);
         }
         total
     }

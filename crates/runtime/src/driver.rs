@@ -34,7 +34,6 @@
 //! contiguous in rank order, which is why chunking is over node groups
 //! rather than rank ranges.
 
-use crate::accounting::StageAcc;
 use parking_lot::Mutex;
 use tofumd_core::engine::{GhostEngine, Op};
 use tofumd_core::topo_map::RankMap;
@@ -93,7 +92,8 @@ impl Partition {
 }
 
 /// Per-rank execution context owned by the driver: everything a phase
-/// needs besides the [`tofumd_core::engine::RankState`] itself. Keeping
+/// needs besides the [`tofumd_core::engine::RankState`] itself, which also
+/// holds the rank's clock, stage times and comm counters. Keeping
 /// it in one struct lets the team hand a worker `(&mut Lane, &mut
 /// RankState)` for each rank it owns without aliasing.
 pub struct Lane {
@@ -109,8 +109,6 @@ pub struct Lane {
     pub fp_buf: Vec<f64>,
     /// Reneighbor-check verdict of this rank (set by the check phase).
     pub moved: bool,
-    /// Compute-stage time accumulators.
-    pub acc: StageAcc,
     /// Typed engine failure captured inside a parallel phase region (the
     /// pool's closures cannot propagate `Result`s); the step driver
     /// inspects and raises it after the region joins.
@@ -136,7 +134,6 @@ impl Lane {
             embed: 0.0,
             fp_buf: Vec::new(),
             moved: false,
-            acc: StageAcc::default(),
             failed: None,
             part: None,
             interior_list: None,

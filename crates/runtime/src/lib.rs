@@ -15,8 +15,10 @@
 //!   thread count; DESIGN.md §9),
 //! * [`physics`] — the per-rank compute kernels (neighbor rebuild, pair
 //!   passes, NVE integration),
-//! * [`accounting`] — stage accumulators, `global_sync` clock alignment
-//!   and the target-scale collective cost models.
+//! * [`accounting`] — the stage breakdown, `global_sync` clock alignment
+//!   and the target-scale collective cost models. A rank's clock, stage
+//!   times and comm counters all live on its `RankState`, the one ledger
+//!   every phase and engine books into.
 //!
 //! # Example
 //!
@@ -53,7 +55,7 @@ pub mod script;
 pub mod trace;
 pub mod variant;
 
-pub use accounting::{StageAcc, SyncBucket};
+pub use accounting::SyncBucket;
 pub use checkpoint::{CheckpointData, CheckpointError, RankDump};
 pub use cluster::{Cluster, StageBreakdown};
 pub use config::{PotentialKind, RunConfig};

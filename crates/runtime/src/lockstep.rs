@@ -22,11 +22,12 @@
 
 use crate::cluster::Cluster;
 use crate::config::RunConfig;
+use crate::trace::{comm_rows, OpCommRow};
 use crate::variant::CommVariant;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use tofumd_core::engine::{GhostEngine, Op, OpStats, RankState};
+use tofumd_core::engine::{GhostEngine, Op, RankState};
 use tofumd_md::atom::Atoms;
 use tofumd_md::region::Box3;
 use tofumd_md::serial::SerialSim;
@@ -100,21 +101,6 @@ pub struct Divergence {
     pub deltas: Vec<AtomDelta>,
 }
 
-/// One op's aggregate counters for the report footer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OpStatsRow {
-    /// Op label.
-    pub op: String,
-    /// Messages posted across all ranks.
-    pub messages: u64,
-    /// Payload bytes across all ranks.
-    pub bytes: u64,
-    /// Largest single message (bytes).
-    pub max_msg_bytes: u64,
-    /// Remote-buffer growth events.
-    pub growth_events: u64,
-}
-
 /// Outcome of a bisect run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DivergenceReport {
@@ -130,10 +116,10 @@ pub struct DivergenceReport {
     pub tol: f64,
     /// The first divergence, if any.
     pub divergence: Option<Divergence>,
-    /// Per-op counters accumulated on side A.
-    pub op_stats_a: Vec<OpStatsRow>,
-    /// Per-op counters accumulated on side B.
-    pub op_stats_b: Vec<OpStatsRow>,
+    /// Per-op counters of side A, totalled over its ranks and steps.
+    pub op_stats_a: Vec<OpCommRow>,
+    /// Per-op counters of side B, totalled over its ranks and steps.
+    pub op_stats_b: Vec<OpCommRow>,
 }
 
 impl DivergenceReport {
@@ -190,33 +176,13 @@ impl DivergenceReport {
             ));
             for r in rows {
                 out.push_str(&format!(
-                    "                       {:<11} {:>8} {:>12} {:>8} {:>7}\n",
+                    "                       {:<11} {:>8.0} {:>12.0} {:>8} {:>7}\n",
                     r.op, r.messages, r.bytes, r.max_msg_bytes, r.growth_events
                 ));
             }
         }
         out
     }
-}
-
-/// Fold an [`OpStats`] into report rows, skipping silent ops.
-fn stats_rows(stats: &OpStats) -> Vec<OpStatsRow> {
-    Op::ALL
-        .iter()
-        .filter_map(|&op| {
-            let t = stats.op_total(op);
-            if t.messages == 0 && t.growth_events == 0 {
-                return None;
-            }
-            Some(OpStatsRow {
-                op: op.label().to_string(),
-                messages: t.messages,
-                bytes: t.bytes,
-                max_msg_bytes: t.max_msg_bytes,
-                growth_events: t.growth_events,
-            })
-        })
-        .collect()
 }
 
 /// One local atom in a snapshot: (tag, x, v, f).
@@ -654,8 +620,8 @@ pub fn bisect_clusters(
             }
         }
     }
-    report.op_stats_a = stats_rows(&a.op_stats());
-    report.op_stats_b = stats_rows(&b.op_stats());
+    report.op_stats_a = comm_rows(&a.op_stats(), 1.0);
+    report.op_stats_b = comm_rows(&b.op_stats(), 1.0);
     report
 }
 
@@ -788,7 +754,7 @@ pub fn bisect_cluster_against_serial(
             break 'steps;
         }
     }
-    report.op_stats_a = stats_rows(&cluster.op_stats());
+    report.op_stats_a = comm_rows(&cluster.op_stats(), 1.0);
     report
 }
 
@@ -833,10 +799,6 @@ impl GhostEngine for FaultInjector {
 
     fn setup_cost(&self) -> f64 {
         self.inner.setup_cost()
-    }
-
-    fn op_stats(&self) -> OpStats {
-        self.inner.op_stats()
     }
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {

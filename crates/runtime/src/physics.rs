@@ -124,7 +124,7 @@ pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [R
         );
         let dt = ctx.neigh_time(&full_work(st, &list, ctx.eam));
         st.clock += dt;
-        lane.acc.neigh += dt;
+        st.stages.neigh += dt;
         lane.list = Some(list);
         // A one-pass rebuild starts a new list epoch without classifying
         // rows; any partition from an earlier epoch is now stale.
@@ -202,7 +202,7 @@ pub fn charge_pair(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [Ran
         };
         let dt = ctx.pair_time(&work);
         st.clock += dt;
-        lane.acc.pair += dt;
+        st.stages.pair += dt;
     });
 }
 
@@ -235,7 +235,7 @@ pub fn integrate_final(
         };
         let dt = ctx.costs.modify_time(&work, ctx.threading, &ctx.params);
         st.clock += dt;
-        lane.acc.modify += dt;
+        st.stages.modify += dt;
     });
 }
 
@@ -254,9 +254,9 @@ pub fn check_displacements(team: &Team, skin: f64, lanes: &mut [Lane], states: &
 /// Charge the per-step bookkeeping floor into Other.
 pub fn charge_other_floor(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
     let dt = ctx.costs.other_time();
-    team.for_each(lanes, states, &|_, lane, st| {
+    team.for_each(lanes, states, &|_, _lane, st| {
         st.clock += dt;
-        lane.acc.other += dt;
+        st.stages.other += dt;
     });
 }
 
@@ -377,7 +377,7 @@ impl Split<'_> {
         }
         if let Some(dt) = self.share(r, lane, None) {
             st.clock += dt;
-            lane.acc.pair += dt;
+            st.stages.pair += dt;
         }
     }
 
@@ -402,7 +402,7 @@ impl Split<'_> {
         };
         if let Some(dt) = self.share(r, lane, Some(&full)) {
             st.clock += dt;
-            lane.acc.pair += dt;
+            st.stages.pair += dt;
         }
     }
 }
@@ -433,7 +433,7 @@ fn build_interior_list(ctx: &Ctx, lane: &mut Lane, st: &mut RankState, exec: &Ch
     let interior = interior_work(n_geo, geo_pairs, ctx.eam);
     let dt = split_time(|w| ctx.neigh_time(w), &interior, None);
     st.clock += dt;
-    lane.acc.neigh += dt;
+    st.stages.neigh += dt;
     lane.interior_list = Some(ilist);
     lane.part = Some(Partition {
         geo,
@@ -472,7 +472,7 @@ fn build_boundary_list(
     let work = full_work(st, &full, ctx.eam);
     let dt = split_time(|w| ctx.neigh_time(w), &interior, Some(&work));
     st.clock += dt;
-    lane.acc.neigh += dt;
+    st.stages.neigh += dt;
     lane.list = Some(full);
     true
 }

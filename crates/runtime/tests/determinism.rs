@@ -29,8 +29,8 @@ fn fingerprint(c: &Cluster) -> Vec<u64> {
     }
     for st in c.states() {
         bits.push(st.clock.to_bits());
-        bits.push(st.comm_time.to_bits());
-        bits.push(st.pair_comm_time.to_bits());
+        bits.push(st.stages.comm.to_bits());
+        bits.push(st.stages.pair_comm.to_bits());
     }
     let t = c.thermo();
     bits.extend([t.pe.to_bits(), t.ke.to_bits(), t.pressure.to_bits()]);

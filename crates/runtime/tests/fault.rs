@@ -5,7 +5,7 @@
 //! panicking. See DESIGN.md §10 for the fault model.
 
 use std::sync::{Arc, Mutex};
-use tofumd_core::engine::{CommStats, GhostEngine, Op, OpStats, RankState};
+use tofumd_core::engine::{CommStats, GhostEngine, Op, RankState};
 use tofumd_md::thermo::ThermoSnapshot;
 use tofumd_runtime::{
     bisect_cluster_against_serial, Cluster, CommVariant, LockstepOptions, RunConfig,
@@ -56,6 +56,19 @@ fn state_fingerprint(c: &Cluster) -> StateBits {
 
 fn recoverable_plan() -> FaultPlan {
     FaultPlan::seeded(SEED, FaultRates::light())
+}
+
+/// The cluster's message counters, asserted to have only grown since
+/// `before`: they live on the ranks' states, so no engine swap (demotion,
+/// recovery) may take traffic back.
+fn counters_grew(c: &Cluster, before: &CommStats) -> CommStats {
+    let now = c.op_stats().total();
+    assert!(
+        now.messages >= before.messages && now.bytes >= before.bytes,
+        "counters went backwards at step {}: {before:?} -> {now:?}",
+        c.current_step()
+    );
+    now
 }
 
 #[test]
@@ -185,7 +198,11 @@ fn exhausted_retries_demote_to_reference_and_finish() {
     });
     let cfg = RunConfig::lj(4_000);
     let mut c = Cluster::with_fault_plan(MESH, cfg, CommVariant::Opt, unrecoverable.clone());
-    c.run(10);
+    let mut sent = c.op_stats().total();
+    for _ in 0..10 {
+        c.run_step();
+        sent = counters_grew(&c, &sent);
+    }
     assert!(c.demoted(), "retry exhaustion must demote, not panic");
     assert_eq!(c.variant(), CommVariant::Ref);
     assert!(
@@ -405,7 +422,8 @@ fn rank_death_rolls_back_and_recovers_on_survivors() {
 /// The same kill on a *grid* run under the uTofu-optimized engine: every
 /// variant escalates `PeerDead`, and recovery lands the survivors on the
 /// one topology that can express N−1 parts — RCB over the irregular MPI
-/// p2p engine.
+/// p2p engine. A trace across the kill step keeps counting: the swap to
+/// the new engines takes no traffic back.
 #[test]
 fn rank_death_on_grid_engines_shrinks_onto_rcb() {
     let plan =
@@ -414,6 +432,17 @@ fn rank_death_on_grid_engines_shrinks_onto_rcb() {
     let mut c = Cluster::with_fault_plan(MESH, cfg, CommVariant::Opt, plan);
     let natoms = c.natoms();
     c.set_checkpoint_every(10);
+    c.run_to(23);
+    let before = c.op_stats().total();
+    // Step 24, the kill step 25 (rolled back to 20) and the replayed 21.
+    let trace = c.run_traced(3);
+    assert_eq!(c.recovery_stats().recoveries, 1);
+    counters_grew(&c, &before);
+    assert!(!trace.comm.is_empty());
+    for r in &trace.comm {
+        let values = [r.messages, r.atoms, r.bytes, r.copied];
+        assert!(values.iter().all(|v| v.is_finite()), "{r:?}");
+    }
     c.run_to(40);
 
     assert_eq!(c.dead_rank(), Some(5));
@@ -548,12 +577,6 @@ impl GhostEngine for DeathInBorder {
     }
     fn setup_cost(&self) -> f64 {
         self.inner.setup_cost()
-    }
-    fn stats(&self) -> CommStats {
-        self.inner.stats()
-    }
-    fn op_stats(&self) -> OpStats {
-        self.inner.op_stats()
     }
     fn fallback_requested(&self) -> bool {
         self.inner.fallback_requested()

@@ -5,7 +5,7 @@
 //! all ranks agree; these tests pin both sides of that contract.
 
 use std::panic::AssertUnwindSafe;
-use tofumd_core::engine::{CommStats, GhostEngine, Op, OpStats, RankState};
+use tofumd_core::engine::{GhostEngine, Op, RankState};
 use tofumd_runtime::{Cluster, CommVariant, FaultInjector, RunConfig};
 use tofumd_tofu::TofuError;
 
@@ -29,12 +29,6 @@ impl GhostEngine for NoDelegate {
     }
     fn setup_cost(&self) -> f64 {
         self.inner.setup_cost()
-    }
-    fn stats(&self) -> CommStats {
-        self.inner.stats()
-    }
-    fn op_stats(&self) -> OpStats {
-        self.inner.op_stats()
     }
 }
 

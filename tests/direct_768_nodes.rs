@@ -30,7 +30,7 @@ fn first_scaling_point_runs_directly_within_512_mib() {
     c.run(25);
     assert_eq!(c.natoms(), natoms, "atoms are conserved");
     assert!(!c.demoted());
-    assert_eq!(c.comm_stats().retries, 0);
+    assert_eq!(c.op_stats().total().retries, 0);
     assert_eq!(c.growth_events(), 0, "pre-registered: nothing re-registers");
     let held = (LIVE.load(Ordering::Relaxed) - base) / MIB;
     assert!(held <= 512, "768 nodes hold {held} MiB live after 25 steps");

@@ -192,9 +192,9 @@ fn live_message_counts_match_table1() {
     let cfg = RunConfig::lj(65_536);
     let count = |variant: CommVariant| {
         let mut c = Cluster::proxy(PROXY, [8, 12, 8], cfg, variant);
-        let before = c.comm_stats();
+        let before = c.op_stats().total();
         let _ = c.bench_forward_exchange(10);
-        let after = c.comm_stats();
+        let after = c.op_stats().total();
         let per_rank_per_exchange =
             (after.messages - before.messages) as f64 / (10.0 * c.nranks() as f64);
         let bytes = (after.bytes - before.bytes) as f64 / (10.0 * c.nranks() as f64);
