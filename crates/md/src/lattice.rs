@@ -107,26 +107,6 @@ impl FccLattice {
         }
         (b, pos)
     }
-
-    /// Choose a near-cubic cell grid containing at least `n_target` atoms.
-    ///
-    /// The paper quotes workloads by atom count (65 K, 1.7 M, 4 194 304...);
-    /// this helper maps a target count back to a cell grid like the LAMMPS
-    /// benchmark scripts do.
-    #[must_use]
-    pub fn cells_for_atoms(n_target: usize) -> (usize, usize, usize) {
-        assert!(n_target > 0);
-        let cells = (n_target as f64 / 4.0).cbrt();
-        let n = cells.round().max(1.0) as usize;
-        // Refine so 4*nx*ny*nz >= n_target with a near-cubic shape.
-        let mut dims = [n, n, n];
-        let mut i = 0;
-        while 4 * dims[0] * dims[1] * dims[2] < n_target {
-            dims[i % 3] += 1;
-            i += 1;
-        }
-        (dims[0], dims[1], dims[2])
-    }
 }
 
 #[cfg(test)]
@@ -165,19 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn cells_for_atoms_meets_target() {
-        for &target in &[100usize, 65_536, 1_000, 4_194_304] {
-            let (nx, ny, nz) = FccLattice::cells_for_atoms(target);
-            assert!(4 * nx * ny * nz >= target);
-            // Near-cubic: dims within 2 of each other.
-            let dims = [nx, ny, nz];
-            let max = *dims.iter().max().unwrap();
-            let min = *dims.iter().min().unwrap();
-            assert!(max - min <= 2, "grid too lopsided for {target}: {dims:?}");
-        }
-    }
-
-    #[test]
     fn diamond_cell_has_tetrahedral_bonds() {
         // Silicon: a = 5.431; nearest neighbor at a*sqrt(3)/4.
         let lat = FccLattice::from_cell(5.431);
@@ -192,13 +159,5 @@ mod tests {
             min_d = min_d.min(d);
         }
         assert!((min_d - expect).abs() < 1e-9, "bond {min_d} vs {expect}");
-    }
-
-    #[test]
-    fn paper_lj_workload_grid() {
-        // 4,194,304 = 2^22: the strong-scaling LJ workload (Fig. 13).
-        let (nx, ny, nz) = FccLattice::cells_for_atoms(4_194_304);
-        assert!(4 * nx * ny * nz >= 4_194_304);
-        assert_eq!((nx, ny, nz), (102, 102, 102));
     }
 }

@@ -314,10 +314,6 @@ impl ManyBodyPotential for EamCu {
             }
         }
     }
-
-    fn has_row_kernel(&self) -> bool {
-        true
-    }
 }
 
 impl EamCu {

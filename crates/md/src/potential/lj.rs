@@ -104,46 +104,6 @@ impl LjCut {
         let inv6 = inv2 * inv2 * inv2;
         inv6 * (self.lj1 * inv6 - self.lj2) * inv2
     }
-
-    /// Blocked inner loop of one neighbor row: process the list in
-    /// [`ROW_BLOCK`]-wide slabs — the shared branch-free gather + filter
-    /// ([`Slab::filter`]), then a fused force-prefactor / pair-energy lane
-    /// loop whose shared `1.0 / r2` costs one division per lane — handing
-    /// each slab's accepted pairs (neighbor indices, r², force prefactors,
-    /// pair energies, compacted and in neighbor order) to the `slab`
-    /// visitor. Every lane runs the exact IEEE op sequence the scalar path
-    /// runs on that pair and rejected lanes' values are never read, so the
-    /// visited stream is the scalar kernel's accept stream bit-for-bit. The
-    /// visitor sees whole slabs, so it can batch its energy/virial stream.
-    #[inline]
-    fn blocked_row(
-        &self,
-        xi: [f64; 3],
-        x: &[[f64; 3]],
-        neigh: &[u32],
-        scr: &mut Slab,
-        mut slab: impl FnMut(&[u32], &[f64], &[f64], &[f64]),
-    ) {
-        let (lj1, lj2) = (self.lj1, self.lj2);
-        let (lj3, lj4, eshift) = (self.lj3, self.lj4, self.eshift);
-        for blk in neigh.chunks(ROW_BLOCK) {
-            let na = scr.filter(xi, x, blk, self.cutsq);
-            // The straight-line bodies of `fpair` and `pair_energy_r2`,
-            // fused so the `1.0 / r2` both start with is computed once
-            // per lane, over the compacted accepted lanes only — dense,
-            // branch-free, and exactly the ops the scalar path runs on
-            // those pairs.
-            let (fp, en) = (&mut scr.fp[..na], &mut scr.en[..na]);
-            let r2a = &scr.r2[..na];
-            for k in 0..na {
-                let inv2 = 1.0 / r2a[k];
-                let inv6 = inv2 * inv2 * inv2;
-                fp[k] = inv6 * (lj1 * inv6 - lj2) * inv2;
-                en[k] = lj3 * inv6 * inv6 - lj4 * inv6 - eshift;
-            }
-            slab(&scr.j[..na], r2a, fp, en);
-        }
-    }
 }
 
 impl PairPotential for LjCut {
@@ -204,68 +164,84 @@ impl PairPotential for LjCut {
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
     ) -> PairEnergyVirial {
-        let nlocal = atoms.nlocal;
+        let c = [self.lj1, self.lj2, self.lj3, self.lj4];
+        let coeff = move |_: usize, _: u32| c;
+        let (cutsq, eshift, nlocal) = (self.cutsq, self.eshift, atoms.nlocal);
         match exec {
             ChunkExec::Serial => {
                 let mut sink = Direct::forces(&mut atoms.f);
-                self.rows(&atoms.x, list, 0..nlocal, &mut sink);
+                lj_rows(&atoms.x, list, 0..nlocal, cutsq, eshift, coeff, &mut sink);
                 sink.ev()
             }
             ChunkExec::Pool(_) => {
                 let (x, ntotal) = (&atoms.x, atoms.ntotal());
                 scratch.log(nlocal, ntotal, exec, &|log, chunk| {
-                    self.rows(x, list, chunk, log);
+                    lj_rows(x, list, chunk, cutsq, eshift, coeff, log);
                 });
                 kernels::replay_forces(scratch, &mut atoms.f, exec)
             }
         }
     }
-
-    fn has_row_kernel(&self) -> bool {
-        true
-    }
 }
 
-impl LjCut {
-    /// The blocked row body of the force pass: `rows` ascending, each
-    /// row's pair reactions in neighbor order, then its own force — the
-    /// serial pass's updates in the serial pass's order, into `sink`.
-    fn rows(
-        &self,
-        x: &[[f64; 3]],
-        list: &NeighborList,
-        rows: std::ops::Range<usize>,
-        sink: &mut impl Sink,
-    ) {
-        let half = !matches!(list.kind, ListKind::Full);
-        let mut bscr = Slab::new();
-        for i in rows {
-            let xi = x[i];
-            let mut fi = [0.0f64; 3];
-            self.blocked_row(xi, x, list.neighbors(i), &mut bscr, |jc, r2, fp, en| {
-                // One batch per slab for the ev stream; the products
-                // match the serial pass's op order.
-                let ev = en.iter().zip(r2).zip(fp);
+/// The blocked row body of an LJ force pass, shared by [`LjCut`] and
+/// [`super::LjCutMulti`]: `rows` ascending, each row's pair reactions in
+/// neighbor order, then its own force — the scalar pass's updates in the
+/// scalar pass's order, into `sink`. Each [`ROW_BLOCK`]-wide slab of a row
+/// goes through the shared branch-free gather + filter ([`Slab::filter`])
+/// at `cutsq`, then a fused force-prefactor / pair-energy lane loop over
+/// the accepted lanes, whose shared `1.0 / r2` costs one division per lane.
+/// `coeff(i, j)` gathers the pair's `[lj1, lj2, lj3, lj4]`. Every lane
+/// runs the exact IEEE op sequence the scalar pass runs on that pair, and
+/// rejected lanes' values are never read, so the stream is the scalar
+/// kernel's bit for bit.
+pub(super) fn lj_rows(
+    x: &[[f64; 3]],
+    list: &NeighborList,
+    rows: std::ops::Range<usize>,
+    cutsq: f64,
+    eshift: f64,
+    coeff: impl Fn(usize, u32) -> [f64; 4],
+    sink: &mut impl Sink,
+) {
+    let half = !matches!(list.kind, ListKind::Full);
+    let mut slab = Slab::new();
+    for i in rows {
+        let xi = x[i];
+        let mut fi = [0.0f64; 3];
+        for blk in list.neighbors(i).chunks(ROW_BLOCK) {
+            let na = slab.filter(xi, x, blk, cutsq);
+            let (jc, r2) = (&slab.j[..na], &slab.r2[..na]);
+            let (fp, en) = (&mut slab.fp[..na], &mut slab.en[..na]);
+            for k in 0..na {
+                let [lj1, lj2, lj3, lj4] = coeff(i, jc[k]);
+                let inv2 = 1.0 / r2[k];
+                let inv6 = inv2 * inv2 * inv2;
+                fp[k] = inv6 * (lj1 * inv6 - lj2) * inv2;
+                en[k] = lj3 * inv6 * inv6 - lj4 * inv6 - eshift;
+            }
+            // One batch per slab for the ev stream; the products match the
+            // scalar pass's op order.
+            let ev = en.iter().zip(r2).zip(fp.iter());
+            if half {
+                sink.extend_ev(ev.map(|((&e, &rr), &fpk)| (e, rr * fpk)));
+            } else {
+                sink.extend_ev(ev.map(|((&e, &rr), &fpk)| (0.5 * e, 0.5 * rr * fpk)));
+            }
+            for k in 0..na {
+                let j = jc[k];
+                let xj = x[j as usize];
+                let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                let fpair = fp[k];
+                fi[0] += dx[0] * fpair;
+                fi[1] += dx[1] * fpair;
+                fi[2] += dx[2] * fpair;
                 if half {
-                    sink.extend_ev(ev.map(|((&e, &rr), &fpk)| (e, rr * fpk)));
-                } else {
-                    sink.extend_ev(ev.map(|((&e, &rr), &fpk)| (0.5 * e, 0.5 * rr * fpk)));
+                    sink.add_force(j, [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)]);
                 }
-                for k in 0..jc.len() {
-                    let j = jc[k];
-                    let xj = x[j as usize];
-                    let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
-                    let fpair = fp[k];
-                    fi[0] += dx[0] * fpair;
-                    fi[1] += dx[1] * fpair;
-                    fi[2] += dx[2] * fpair;
-                    if half {
-                        sink.add_force(j, [-(dx[0] * fpair), -(dx[1] * fpair), -(dx[2] * fpair)]);
-                    }
-                }
-            });
-            sink.add_force(i as u32, fi);
+            }
         }
+        sink.add_force(i as u32, fi);
     }
 }
 

@@ -2,46 +2,41 @@
 //!
 //! The benchmark workloads are single-species (Table 2), but a usable MD
 //! library needs alloys and mixtures: this is `pair_style lj/cut` with a
-//! full `pair_coeff i j` matrix, filled by Lorentz-Berthelot mixing when
-//! only the diagonal is given. Atom types travel with ghosts through the
-//! communication layer's packed tag/type wire records.
+//! full `pair_coeff i j` matrix, filled by Lorentz-Berthelot mixing from
+//! the diagonal. Atom types travel with ghosts through the communication
+//! layer's packed tag/type wire records.
 
+use super::lj::lj_rows;
 use super::{PairEnergyVirial, PairPotential};
 use crate::atom::Atoms;
+use crate::kernels::{self, Direct, PairScratch};
 use crate::neighbor::{ListKind, NeighborList};
+use tofumd_threadpool::ChunkExec;
 
-/// Per-pair LJ coefficients.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PairCoeff {
-    lj1: f64, // 48 eps sigma^12
-    lj2: f64, // 24 eps sigma^6
-    lj3: f64, // 4 eps sigma^12
-    lj4: f64, // 4 eps sigma^6
-    cutsq: f64,
+/// Per-pair LJ coefficients `[lj1, lj2, lj3, lj4]` = `[48 eps sigma^12,
+/// 24 eps sigma^6, 4 eps sigma^12, 4 eps sigma^6]`.
+type PairCoeff = [f64; 4];
+
+fn pair_coeff(epsilon: f64, sigma: f64) -> PairCoeff {
+    let s6 = sigma.powi(6);
+    let s12 = s6 * s6;
+    [
+        48.0 * epsilon * s12,
+        24.0 * epsilon * s6,
+        4.0 * epsilon * s12,
+        4.0 * epsilon * s6,
+    ]
 }
 
-impl PairCoeff {
-    fn new(epsilon: f64, sigma: f64, cutoff: f64) -> Self {
-        let s6 = sigma.powi(6);
-        let s12 = s6 * s6;
-        PairCoeff {
-            lj1: 48.0 * epsilon * s12,
-            lj2: 24.0 * epsilon * s6,
-            lj3: 4.0 * epsilon * s12,
-            lj4: 4.0 * epsilon * s6,
-            cutsq: cutoff * cutoff,
-        }
-    }
-}
-
-/// Multi-type LJ potential (types are 1-based, as in LAMMPS).
+/// Multi-type LJ potential (types are 1-based, as in LAMMPS). Every pair
+/// shares one cutoff.
 #[derive(Debug, Clone)]
 pub struct LjCutMulti {
     ntypes: usize,
     /// Row-major `[ntypes x ntypes]` coefficient matrix.
     coeff: Vec<PairCoeff>,
-    /// Largest pair cutoff (drives the neighbor list).
-    max_cutoff: f64,
+    cutoff: f64,
+    cutsq: f64,
     list: ListKind,
 }
 
@@ -58,24 +53,16 @@ impl LjCutMulti {
             for (ej, sj) in types {
                 let eps = (ei * ej).sqrt();
                 let sig = 0.5 * (si + sj);
-                coeff.push(PairCoeff::new(eps, sig, cutoff));
+                coeff.push(pair_coeff(eps, sig));
             }
         }
         LjCutMulti {
             ntypes: n,
             coeff,
-            max_cutoff: cutoff,
+            cutoff,
+            cutsq: cutoff * cutoff,
             list: ListKind::HalfNewton,
         }
-    }
-
-    /// Override one `pair_coeff i j` entry (1-based types; symmetric).
-    pub fn set_pair(&mut self, i: usize, j: usize, epsilon: f64, sigma: f64, cutoff: f64) {
-        assert!(i >= 1 && i <= self.ntypes && j >= 1 && j <= self.ntypes);
-        let c = PairCoeff::new(epsilon, sigma, cutoff);
-        self.coeff[(i - 1) * self.ntypes + (j - 1)] = c;
-        self.coeff[(j - 1) * self.ntypes + (i - 1)] = c;
-        self.max_cutoff = self.max_cutoff.max(cutoff);
     }
 
     #[inline]
@@ -87,18 +74,18 @@ impl LjCutMulti {
     /// Pair energy for types (ti, tj) at distance r (tests).
     #[must_use]
     pub fn pair_energy(&self, ti: u32, tj: u32, r: f64) -> f64 {
-        let c = self.pair(ti, tj);
-        if r * r >= c.cutsq {
+        if r * r >= self.cutsq {
             return 0.0;
         }
+        let [_, _, lj3, lj4] = *self.pair(ti, tj);
         let inv6 = 1.0 / r.powi(6);
-        c.lj3 * inv6 * inv6 - c.lj4 * inv6
+        lj3 * inv6 * inv6 - lj4 * inv6
     }
 }
 
 impl PairPotential for LjCutMulti {
     fn cutoff(&self) -> f64 {
-        self.max_cutoff
+        self.cutoff
     }
 
     fn list_kind(&self) -> ListKind {
@@ -115,20 +102,20 @@ impl PairPotential for LjCutMulti {
             let mut fi = [0.0f64; 3];
             for &j in list.neighbors(i) {
                 let j = j as usize;
-                let c = self.pair(ti, atoms.typ[j]);
                 let xj = atoms.x[j];
                 let dx = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
                 let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2];
-                if r2 >= c.cutsq {
+                if r2 >= self.cutsq {
                     continue;
                 }
+                let [lj1, lj2, lj3, lj4] = *self.pair(ti, atoms.typ[j]);
                 let inv2 = 1.0 / r2;
                 let inv6 = inv2 * inv2 * inv2;
-                let fpair = inv6 * (c.lj1 * inv6 - c.lj2) * inv2;
+                let fpair = inv6 * (lj1 * inv6 - lj2) * inv2;
                 for d in 0..3 {
                     fi[d] += dx[d] * fpair;
                 }
-                let e = c.lj3 * inv6 * inv6 - c.lj4 * inv6;
+                let e = lj3 * inv6 * inv6 - lj4 * inv6;
                 if half {
                     for d in 0..3 {
                         atoms.f[j][d] -= dx[d] * fpair;
@@ -145,6 +132,35 @@ impl PairPotential for LjCutMulti {
             }
         }
         PairEnergyVirial { energy, virial }
+    }
+
+    /// LJ's blocked row body, the pair's coefficients gathered by type in
+    /// the lane loop. Unshifted: an `eshift` of `0.0` leaves every pair
+    /// energy's bits as they are.
+    fn compute_chunked(
+        &self,
+        atoms: &mut Atoms,
+        list: &NeighborList,
+        exec: &ChunkExec<'_>,
+        scratch: &mut PairScratch,
+    ) -> PairEnergyVirial {
+        let nlocal = atoms.nlocal;
+        let typ = &atoms.typ;
+        let coeff = |i: usize, j: u32| *self.pair(typ[i], typ[j as usize]);
+        match exec {
+            ChunkExec::Serial => {
+                let mut sink = Direct::forces(&mut atoms.f);
+                lj_rows(&atoms.x, list, 0..nlocal, self.cutsq, 0.0, coeff, &mut sink);
+                sink.ev()
+            }
+            ChunkExec::Pool(_) => {
+                let (x, ntotal) = (&atoms.x, atoms.ntotal());
+                scratch.log(nlocal, ntotal, exec, &|log, chunk| {
+                    lj_rows(x, list, chunk, self.cutsq, 0.0, coeff, log);
+                });
+                kernels::replay_forces(scratch, &mut atoms.f, exec)
+            }
+        }
     }
 }
 
@@ -176,18 +192,6 @@ mod tests {
         }
         // Symmetric.
         assert_eq!(multi.pair_energy(1, 2, 2.3), multi.pair_energy(2, 1, 2.3));
-    }
-
-    #[test]
-    fn explicit_pair_coeff_overrides_mixing() {
-        let mut multi = LjCutMulti::from_types(&[(1.0, 1.0), (1.0, 1.0)], 2.5);
-        multi.set_pair(1, 2, 0.5, 1.5, 4.0);
-        assert!((multi.cutoff() - 4.0).abs() < 1e-12, "cutoff tracks max");
-        let direct = LjCut::new(0.5, 1.5, 4.0, ListKind::HalfNewton);
-        assert!((multi.pair_energy(2, 1, 2.0) - direct.pair_energy(2.0)).abs() < 1e-12);
-        // 1-1 unchanged.
-        let plain = LjCut::lammps_bench();
-        assert!((multi.pair_energy(1, 1, 1.2) - plain.pair_energy(1.2)).abs() < 1e-12);
     }
 
     #[test]

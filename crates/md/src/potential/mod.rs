@@ -8,13 +8,14 @@
 //!   derivative (§4 "the EAM potential requires two additional
 //!   communications during the pair stage").
 //!
-//! Each scatter pass has a serial scalar form (`compute*`: the oracle and
-//! what [`crate::SerialSim`] runs) and a `*_chunked` entry point the
-//! cluster calls. A potential with a blocked row body (LJ, EAM) overrides
-//! the latter with one `match` on the executor it is handed: serial →
-//! the row body scatters straight into the output array, pool → through
-//! the scatter log and its replay ([`crate::kernels`]). Same bits either
-//! way; the provided defaults run the serial pass.
+//! Each scatter pass has a serial form (`compute*`: what
+//! [`crate::SerialSim`] runs) and a `*_chunked` entry point the cluster
+//! calls. Every potential writes the latter as one row body behind one
+//! `match` on the executor it is handed: serial → the row body scatters
+//! straight into the output array, pool → through the scatter log and its
+//! replay ([`crate::kernels`]). Same bits either way. LJ, multi-type LJ and
+//! EAM keep a scalar `compute*` as the oracle of their blocked row bodies;
+//! SW's `compute` is its row body run serially, held to its analytic tests.
 
 pub mod eam;
 pub mod lj;
@@ -42,17 +43,6 @@ pub struct PairEnergyVirial {
     pub virial: f64,
 }
 
-impl PairEnergyVirial {
-    /// Element-wise sum (used when reducing across ranks).
-    #[must_use]
-    pub fn merged(self, other: PairEnergyVirial) -> PairEnergyVirial {
-        PairEnergyVirial {
-            energy: self.energy + other.energy,
-            virial: self.virial + other.virial,
-        }
-    }
-}
-
 /// A single-pass pairwise potential.
 pub trait PairPotential: Send + Sync {
     /// Force cutoff distance.
@@ -63,37 +53,27 @@ pub trait PairPotential: Send + Sync {
 
     /// Compute forces into `atoms.f` (ghost entries included when the list
     /// is half/Newton) and return energy/virial contributions of this
-    /// rank. One pair at a time on one thread: the reference every other
-    /// formulation is held to, and what [`crate::SerialSim`] runs.
+    /// rank, on one thread: the reference every other formulation is held
+    /// to, and what [`crate::SerialSim`] runs.
     fn compute(&self, atoms: &mut Atoms, list: &NeighborList) -> PairEnergyVirial;
 
     /// [`PairPotential::compute`] at kernel speed, bit-identical to it
-    /// under any executor (see [`crate::kernels`]): a potential with a
-    /// blocked row body scatters straight into `atoms.f` when `exec` is
-    /// serial and through `scratch`'s log when it is a pool. The default is
-    /// the serial pass — correct, just neither blocked nor parallel.
+    /// under any executor (see [`crate::kernels`]): the row body scatters
+    /// straight into `atoms.f` when `exec` is serial and through
+    /// `scratch`'s log when it is a pool.
     fn compute_chunked(
         &self,
         atoms: &mut Atoms,
         list: &NeighborList,
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
-    ) -> PairEnergyVirial {
-        let _ = (exec, scratch);
-        self.compute(atoms, list)
-    }
+    ) -> PairEnergyVirial;
 
     /// Does the compute pass accumulate forces on ghost atoms (requiring a
     /// reverse exchange)? Half-list potentials always do; full-list pair
     /// potentials don't; full-list *many-body* potentials (SW, Tersoff) do.
     fn writes_ghost_forces(&self) -> bool {
         !matches!(self.list_kind(), ListKind::Full)
-    }
-
-    /// Does [`PairPotential::compute_chunked`] run a blocked row body? The
-    /// step executor charges only such a pass across a halo window.
-    fn has_row_kernel(&self) -> bool {
-        false
     }
 }
 
@@ -115,7 +95,7 @@ pub trait ManyBodyPotential: Send + Sync {
 
     /// [`ManyBodyPotential::compute_rho`] at kernel speed, bit-identical to
     /// it under any executor: direct when `exec` is serial, through
-    /// `scratch`'s log when it is a pool. Defaults to the serial pass.
+    /// `scratch`'s log when it is a pool.
     fn compute_rho_chunked(
         &self,
         atoms: &Atoms,
@@ -123,10 +103,7 @@ pub trait ManyBodyPotential: Send + Sync {
         rho: &mut Vec<f64>,
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
-    ) {
-        let _ = (exec, scratch);
-        self.compute_rho(atoms, list, rho);
-    }
+    );
 
     /// Compute the embedding energy for local atoms from the fully-reduced
     /// density, filling `fp[i] = F'(rho_i)`; returns the summed embedding
@@ -134,18 +111,14 @@ pub trait ManyBodyPotential: Send + Sync {
     fn compute_embedding(&self, atoms: &Atoms, rho: &[f64], fp: &mut Vec<f64>) -> f64;
 
     /// Chunk-parallel [`ManyBodyPotential::compute_embedding`],
-    /// bit-identical to it at any thread count. Defaults to the serial
-    /// pass.
+    /// bit-identical to it at any thread count.
     fn compute_embedding_chunked(
         &self,
         atoms: &Atoms,
         rho: &[f64],
         fp: &mut Vec<f64>,
         exec: &ChunkExec<'_>,
-    ) -> f64 {
-        let _ = exec;
-        self.compute_embedding(atoms, rho, fp)
-    }
+    ) -> f64;
 
     /// Final force pass; `fp` must be valid for locals *and* ghosts.
     fn compute_force(&self, atoms: &mut Atoms, list: &NeighborList, fp: &[f64])
@@ -153,8 +126,7 @@ pub trait ManyBodyPotential: Send + Sync {
 
     /// [`ManyBodyPotential::compute_force`] at kernel speed, bit-identical
     /// to it under any executor; same dispatch as
-    /// [`ManyBodyPotential::compute_rho_chunked`]. Defaults to the serial
-    /// pass.
+    /// [`ManyBodyPotential::compute_rho_chunked`].
     fn compute_force_chunked(
         &self,
         atoms: &mut Atoms,
@@ -162,16 +134,7 @@ pub trait ManyBodyPotential: Send + Sync {
         fp: &[f64],
         exec: &ChunkExec<'_>,
         scratch: &mut PairScratch,
-    ) -> PairEnergyVirial {
-        let _ = (exec, scratch);
-        self.compute_force(atoms, list, fp)
-    }
-
-    /// Do the `*_chunked` density and force passes run blocked row bodies?
-    /// Same meaning as [`PairPotential::has_row_kernel`].
-    fn has_row_kernel(&self) -> bool {
-        false
-    }
+    ) -> PairEnergyVirial;
 }
 
 /// Any potential the engines can run.
@@ -223,21 +186,6 @@ impl Potential {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merged_sums_fields() {
-        let a = PairEnergyVirial {
-            energy: 1.0,
-            virial: 2.0,
-        };
-        let b = PairEnergyVirial {
-            energy: 0.5,
-            virial: -1.0,
-        };
-        let m = a.merged(b);
-        assert_eq!(m.energy, 1.5);
-        assert_eq!(m.virial, 1.0);
-    }
 
     #[test]
     fn potential_enum_dispatch() {

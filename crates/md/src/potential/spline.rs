@@ -29,7 +29,6 @@ struct Row([f64; 8]);
 #[derive(Debug, Clone)]
 pub struct Spline {
     x0: f64,
-    dx: f64,
     inv_dx: f64,
     /// Upper clamp of the grid coordinate: just inside the last interval.
     t_max: f64,
@@ -61,7 +60,6 @@ impl Spline {
             .collect();
         Spline {
             x0,
-            dx,
             inv_dx: 1.0 / dx,
             t_max: (n - 1) as f64 - 1e-12,
             rows,
@@ -85,12 +83,6 @@ impl Spline {
             y2[i] = y2[i] * y2[i + 1] + u[i];
         }
         y2
-    }
-
-    /// Domain upper bound.
-    #[must_use]
-    pub fn x_max(&self) -> f64 {
-        self.x0 + self.rows.len() as f64 * self.dx
     }
 
     /// Interval row containing `x` and the position `b ∈ [0, 1)` inside
@@ -229,7 +221,8 @@ mod tests {
                 x0 + (lcg >> 11) as f64 / (1u64 << 53) as f64 * (n - 1) as f64 * dx
             });
             let knots = (0..n).map(|i| x0 + i as f64 * dx);
-            let ends = [x0 - 3.0 * dx, s.x_max() + 3.0 * dx, -f64::MAX, f64::MAX];
+            let x_max = x0 + (n - 1) as f64 * dx;
+            let ends = [x0 - 3.0 * dx, x_max + 3.0 * dx, -f64::MAX, f64::MAX];
             for x in knots.chain(interior).chain(ends) {
                 let (v, d) = (s.eval(x), s.eval_deriv(x));
                 assert!(
@@ -274,7 +267,7 @@ mod tests {
             -7.0,
             1.999,
             2.0,
-            s.x_max(),
+            4.0,
             99.0,
             f64::NAN,
         ];
@@ -337,11 +330,5 @@ mod tests {
                 "spline self-consistency at {x}"
             );
         }
-    }
-
-    #[test]
-    fn x_max_matches_domain() {
-        let s = Spline::tabulate(2.0, 0.25, 9, |x| x);
-        assert!((s.x_max() - 4.0).abs() < 1e-12);
     }
 }

@@ -14,7 +14,9 @@
 
 use super::{PairEnergyVirial, PairPotential};
 use crate::atom::Atoms;
+use crate::kernels::{self, Direct, PairScratch, Sink};
 use crate::neighbor::{ListKind, NeighborList};
+use tofumd_threadpool::ChunkExec;
 
 /// Stillinger-Weber parameters (single species).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,21 +131,61 @@ impl PairPotential for StillingerWeber {
         true
     }
 
+    /// The row body over `f` itself: SW's one force loop. SW has no blocked
+    /// form to check against a scalar one; the analytic tests below are
+    /// its reference.
     fn compute(&self, atoms: &mut Atoms, list: &NeighborList) -> PairEnergyVirial {
+        let mut sink = Direct::forces(&mut atoms.f);
+        self.rows(&atoms.x, &atoms.tag, list, 0..atoms.nlocal, &mut sink);
+        sink.ev()
+    }
+
+    fn compute_chunked(
+        &self,
+        atoms: &mut Atoms,
+        list: &NeighborList,
+        exec: &ChunkExec<'_>,
+        scratch: &mut PairScratch,
+    ) -> PairEnergyVirial {
+        match exec {
+            ChunkExec::Serial => self.compute(atoms, list),
+            ChunkExec::Pool(_) => {
+                let (x, tag) = (&atoms.x, &atoms.tag);
+                scratch.log(atoms.nlocal, atoms.ntotal(), exec, &|log, chunk| {
+                    self.rows(x, tag, list, chunk, log);
+                });
+                kernels::replay_forces(scratch, &mut atoms.f, exec)
+            }
+        }
+    }
+}
+
+impl StillingerWeber {
+    /// The row body of the force pass: `rows` ascending; per row, each
+    /// two-body pair's reaction on j and share on i, then each triplet's
+    /// j, k and centre scatters, every update as its own sink call — so a
+    /// row's updates reach every element in one fixed order whichever sink
+    /// takes them. Energy and virial go out in the order they accumulate.
+    fn rows(
+        &self,
+        x: &[[f64; 3]],
+        tag: &[u64],
+        list: &NeighborList,
+        rows: std::ops::Range<usize>,
+        sink: &mut impl Sink,
+    ) {
         assert_eq!(list.kind, ListKind::Full, "SW needs the full list");
         let rc = self.r_cut();
         let rc2 = rc * rc;
-        let mut energy = 0.0;
-        let mut virial = 0.0;
-        let nlocal = atoms.nlocal;
-        // Scratch for the in-cutoff neighbors of the current center.
-        let mut near: Vec<(usize, [f64; 3], f64)> = Vec::with_capacity(16);
-        for i in 0..nlocal {
-            let xi = atoms.x[i];
+        // The in-cutoff neighbors of the current center: index, bond
+        // vector, length.
+        let mut near: Vec<(u32, [f64; 3], f64)> = Vec::with_capacity(16);
+        for i in rows {
+            let xi = x[i];
+            let iu = i as u32;
             near.clear();
             for &j in list.neighbors(i) {
-                let j = j as usize;
-                let xj = atoms.x[j];
+                let xj = x[j as usize];
                 let u = [xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]];
                 let r2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
                 if r2 < rc2 {
@@ -153,17 +195,15 @@ impl PairPotential for StillingerWeber {
             // Two-body: each pair once machine-wide, chosen by tag order;
             // reaction on j (possibly a ghost) flows home via reverse.
             for &(j, u, r) in &near {
-                if atoms.tag[i] >= atoms.tag[j] {
+                if tag[i] >= tag[j as usize] {
                     continue;
                 }
                 let dv = self.dv2(r);
                 let f = -dv / r; // force on j along +u
-                for d in 0..3 {
-                    atoms.f[j][d] += f * u[d];
-                    atoms.f[i][d] -= f * u[d];
-                }
-                energy += self.v2(r);
-                virial += f * r * r;
+                let fu = [f * u[0], f * u[1], f * u[2]];
+                sink.add_force(j, fu);
+                sink.add_force(iu, [-fu[0], -fu[1], -fu[2]]);
+                sink.extend_ev([(self.v2(r), f * r * r)]);
             }
             // Three-body: triplets centered at the local atom i.
             for jj in 0..near.len() {
@@ -177,29 +217,31 @@ impl PairPotential for StillingerWeber {
                         continue;
                     }
                     let le = self.lambda * self.epsilon;
-                    energy += le * delta * delta * gj * gk;
+                    let e3 = le * delta * delta * gj * gk;
                     let dh_drj = le * delta * delta * self.dg(ru) * gk;
                     let dh_drk = le * delta * delta * gj * self.dg(rv);
                     let dh_dc = 2.0 * le * delta * gj * gk;
                     // Gradients of cos(theta) wrt the bond vectors.
                     let mut fj = [0.0f64; 3];
                     let mut fk = [0.0f64; 3];
+                    let mut vir = [0.0f64; 3];
                     for d in 0..3 {
                         let dc_du = v[d] / (ru * rv) - c * u[d] / (ru * ru);
                         let dc_dv = u[d] / (ru * rv) - c * v[d] / (rv * rv);
                         fj[d] = -(dh_drj * u[d] / ru + dh_dc * dc_du);
                         fk[d] = -(dh_drk * v[d] / rv + dh_dc * dc_dv);
+                        vir[d] = u[d] * fj[d] + v[d] * fk[d];
                     }
-                    for d in 0..3 {
-                        atoms.f[j][d] += fj[d];
-                        atoms.f[k][d] += fk[d];
-                        atoms.f[i][d] -= fj[d] + fk[d];
-                        virial += u[d] * fj[d] + v[d] * fk[d];
-                    }
+                    sink.add_force(j, fj);
+                    sink.add_force(k, fk);
+                    sink.add_force(iu, [-(fj[0] + fk[0]), -(fj[1] + fk[1]), -(fj[2] + fk[2])]);
+                    // One energy term and three virial terms: `-0.0` is
+                    // the exact identity of IEEE addition, so the padding
+                    // leaves the energy sum's bits alone.
+                    sink.extend_ev([(e3, vir[0]), (-0.0, vir[1]), (-0.0, vir[2])]);
                 }
             }
         }
-        PairEnergyVirial { energy, virial }
     }
 }
 

@@ -1,9 +1,9 @@
-//! Temperature control: Berendsen weak coupling and hard rescaling.
+//! Temperature control: Berendsen weak coupling.
 //!
 //! The paper's benchmarks run pure NVE (Table 2), but preparing a melt or
 //! holding a target temperature — what the silicon example does — needs a
 //! thermostat. Berendsen scales velocities toward the target with a
-//! relaxation time `tau`; `rescale` is the brute-force limit.
+//! relaxation time `tau`; `tau == dt` is a hard rescale.
 
 use crate::atom::Atoms;
 use crate::thermo;
@@ -46,22 +46,6 @@ impl Berendsen {
     }
 }
 
-/// Hard velocity rescale to exactly `t_target`. Returns the scale factor.
-pub fn rescale(atoms: &mut Atoms, mass: f64, units: UnitSystem, t_target: f64) -> f64 {
-    let ke = thermo::kinetic_energy(atoms, mass, units);
-    let t_now = thermo::temperature(ke, atoms.nlocal, units);
-    if t_now <= 0.0 {
-        return 1.0;
-    }
-    let scale = (t_target / t_now).sqrt();
-    for i in 0..atoms.nlocal {
-        for d in 0..3 {
-            atoms.v[i][d] *= scale;
-        }
-    }
-    scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,13 +63,6 @@ mod tests {
             a.nlocal,
             UnitSystem::Lj,
         )
-    }
-
-    #[test]
-    fn rescale_hits_target_exactly() {
-        let mut a = hot_atoms(200, 2.0);
-        rescale(&mut a, 1.0, UnitSystem::Lj, 0.5);
-        assert!((temp(&a) - 0.5).abs() < 1e-10);
     }
 
     #[test]

@@ -54,22 +54,6 @@ impl UnitSystem {
             UnitSystem::Metal => 1.036_426_9e-4,
         }
     }
-
-    /// Default timestep used by the paper's inputs (Table 2): 0.005 tau for
-    /// LJ, 0.005 ps for metal.
-    #[must_use]
-    pub fn default_timestep(self) -> f64 {
-        0.005
-    }
-
-    /// Human-readable time unit name (for reports).
-    #[must_use]
-    pub fn time_unit(self) -> &'static str {
-        match self {
-            UnitSystem::Lj => "tau",
-            UnitSystem::Metal => "ps",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -89,13 +73,5 @@ mod tests {
         assert!((UnitSystem::Metal.boltzmann() - 8.617333262e-5).abs() < 1e-12);
         assert!((UnitSystem::Metal.nktv2p() - 1.602176634e6).abs() < 1.0);
         assert!((UnitSystem::Metal.mvv2e() - 1.0364269e-4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn timestep_defaults() {
-        assert_eq!(UnitSystem::Lj.default_timestep(), 0.005);
-        assert_eq!(UnitSystem::Metal.default_timestep(), 0.005);
-        assert_eq!(UnitSystem::Lj.time_unit(), "tau");
-        assert_eq!(UnitSystem::Metal.time_unit(), "ps");
     }
 }

@@ -1,12 +1,12 @@
 //! Property tests for the deterministic chunk-parallel kernels.
 //!
-//! The contract under test: the chunked neighbor build and the blocked
-//! row kernels of the LJ/EAM passes are **bit-identical** to the serial
-//! scalar kernels — same force bits, same energy/virial bits — whichever
-//! way they write: straight into the arrays (a serial executor) or through
-//! the scatter log (a pool of 2 or 8 threads), with or without spatial
-//! sorting; and spatial sorting permutes atoms without changing which
-//! pairs exist. The neighbor build itself is held, row for row, to the
+//! The contract under test: the chunked neighbor build and the row bodies
+//! of the LJ, multi-type LJ, EAM and SW passes are **bit-identical** to
+//! the serial kernels — same force bits, same energy/virial bits —
+//! whichever way they write: straight into the arrays (a serial executor)
+//! or through the scatter log (a pool of 2 or 8 threads), with or without
+//! spatial sorting; and spatial sorting permutes atoms without changing
+//! which pairs exist. The neighbor build itself is held, row for row, to the
 //! per-candidate reference scan kept here as [`oracle_rows`].
 
 use proptest::prelude::*;
@@ -14,7 +14,9 @@ use tofumd_md::kernels::{PairScratch, LANE_WIDTH};
 use tofumd_md::neighbor::{
     ghost_pair_belongs_to_i, sort_locals_by_bin, CellBins, ListKind, NeighborList,
 };
-use tofumd_md::potential::{EamCu, LjCut, ManyBodyPotential, PairPotential};
+use tofumd_md::potential::{
+    EamCu, LjCut, LjCutMulti, ManyBodyPotential, PairPotential, StillingerWeber,
+};
 use tofumd_md::Atoms;
 use tofumd_threadpool::{ChunkExec, SpinPool};
 
@@ -135,7 +137,6 @@ proptest! {
             }
             for kind in [ListKind::HalfNewton, ListKind::Full] {
                 let lj = LjCut::new(1.0, 1.0, 2.5, kind);
-                prop_assert!(lj.has_row_kernel());
                 let list = NeighborList::build(&atoms0, lo, hi, kind, 2.5, 0.3);
                 assert_row_coverage(&list, atoms0.nlocal);
                 let mut want = atoms0.clone();
@@ -158,7 +159,6 @@ proptest! {
     #[test]
     fn eam_row_kernels_are_bitwise_serial(seed in any::<u64>()) {
         let eam = EamCu::lammps_bench();
-        prop_assert!(eam.has_row_kernel());
         let (lo, hi, atoms0) = kernel_cloud(seed, 4.95, 1.0);
         let pools = [SpinPool::new(2), SpinPool::new(8)];
         let execs = [ChunkExec::Serial, ChunkExec::Pool(&pools[0]), ChunkExec::Pool(&pools[1])];
@@ -186,6 +186,76 @@ proptest! {
             prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
             prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
             prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "force t{}", exec.threads());
+        }
+    }
+
+    /// The LJ identity for the multi-type force pass, every atom (ghosts
+    /// included) drawn one of three species, so a pair's coefficients are
+    /// gathered from all nine type pairs.
+    #[test]
+    fn lj_multi_row_kernel_is_bitwise_serial(seed in any::<u64>()) {
+        let (lo, hi, mut atoms0) = kernel_cloud(seed, 2.5, 0.3);
+        let mut rng = Lcg(seed ^ 0x5851_f42d_4c95_7f2d);
+        for t in &mut atoms0.typ {
+            *t = 1 + rng.below(3) as u32;
+        }
+        let multi = LjCutMulti::from_types(&[(1.0, 1.0), (0.8, 0.9), (1.3, 1.1)], 2.5);
+        let pools = [SpinPool::new(2), SpinPool::new(8)];
+        let execs = [ChunkExec::Serial, ChunkExec::Pool(&pools[0]), ChunkExec::Pool(&pools[1])];
+        let mut scratch = PairScratch::new();
+        for preloaded in [false, true] {
+            if preloaded {
+                for f in &mut atoms0.f {
+                    *f = rng.point([-1e3; 3], [1e3; 3]);
+                }
+            }
+            for kind in [ListKind::HalfNewton, ListKind::Full] {
+                let list = NeighborList::build(&atoms0, lo, hi, kind, 2.5, 0.3);
+                assert_row_coverage(&list, atoms0.nlocal);
+                let mut want = atoms0.clone();
+                let want_ev = multi.compute(&mut want, &list);
+                for exec in &execs {
+                    let mut atoms = atoms0.clone();
+                    let ev = multi.compute_chunked(&mut atoms, &list, exec, &mut scratch);
+                    prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
+                    prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
+                    prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "{:?} preloaded {} t{}", kind, preloaded, exec.threads());
+                }
+            }
+        }
+    }
+
+    /// The SW force pass on the full list: its row body writing directly ≡
+    /// `compute` (the same body, run serially) ≡ logged and replayed at
+    /// pool threads {2, 8} — pair reactions, triplet j/k scatters and the
+    /// centre's shares, plus energy/virial, bit for bit. The cloud is laid
+    /// out for twice SW's cutoff, which thins its crowded cell: the
+    /// triplet loop is quadratic in a row's neighbors.
+    #[test]
+    fn sw_row_kernel_is_bitwise_serial(seed in any::<u64>()) {
+        let sw = StillingerWeber::silicon();
+        let rc = sw.r_cut();
+        let (lo, hi, mut atoms0) = kernel_cloud(seed, 2.0 * rc, 1.0);
+        let pools = [SpinPool::new(2), SpinPool::new(8)];
+        let execs = [ChunkExec::Serial, ChunkExec::Pool(&pools[0]), ChunkExec::Pool(&pools[1])];
+        let list = NeighborList::build(&atoms0, lo, hi, ListKind::Full, rc, 1.0);
+        let mut scratch = PairScratch::new();
+        for preloaded in [false, true] {
+            if preloaded {
+                let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
+                for f in &mut atoms0.f {
+                    *f = rng.point([-1e3; 3], [1e3; 3]);
+                }
+            }
+            let mut want = atoms0.clone();
+            let want_ev = sw.compute(&mut want, &list);
+            for exec in &execs {
+                let mut atoms = atoms0.clone();
+                let ev = sw.compute_chunked(&mut atoms, &list, exec, &mut scratch);
+                prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
+                prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
+                prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "preloaded {} t{}", preloaded, exec.threads());
+            }
         }
     }
 }

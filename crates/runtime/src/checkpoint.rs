@@ -490,6 +490,15 @@ impl CheckpointData {
                     "rank {i} atom arrays inconsistent"
                 )));
             }
+            // The force pass indexes its coefficients by type: a type the
+            // run would not assign is a type the potential may not have.
+            let mut types = d.atoms.tag.iter().zip(&d.atoms.typ);
+            if let Some((&tag, &t)) = types.find(|&(&tag, &t)| t != self.cfg.type_of_tag(tag)) {
+                return Err(CheckpointError::Decode(format!(
+                    "rank {i} atom tag {tag} has type {t}, the run assigns {}",
+                    self.cfg.type_of_tag(tag)
+                )));
+            }
         }
         Ok(())
     }
@@ -588,9 +597,16 @@ mod tests {
             })
             .collect();
         let rcb = RcbDecomposition::build(3, &pts, &global);
+        let mut cfg = RunConfig::lj(4_000);
+        cfg.kind = PotentialKind::LjBinary;
+        cfg.comm.decomp = Decomp::Rcb;
+        cfg.comm.balance_thresh = Some(1.1);
+        cfg.comm.rebalance_every = Some(25);
         let mut atoms = Atoms::from_positions(pts[..20].to_vec(), 1);
         atoms.v[3] = [0.25, -0.5, 1.75];
-        atoms.typ[7] = 2;
+        for (t, &tag) in atoms.typ.iter_mut().zip(&atoms.tag) {
+            *t = cfg.type_of_tag(tag);
+        }
         let dump = |clock: f64| RankDump {
             atoms: atoms.clone(),
             clock,
@@ -598,10 +614,6 @@ mod tests {
             pair_comm_time: clock * 0.03125,
             acc: [1.0, 2.0, 3.0, 4.0, 5.0],
         };
-        let mut cfg = RunConfig::lj(4_000);
-        cfg.comm.decomp = Decomp::Rcb;
-        cfg.comm.balance_thresh = Some(1.1);
-        cfg.comm.rebalance_every = Some(25);
         CheckpointData {
             proxy_mesh: [2, 2, 1],
             target_mesh: [2, 2, 1],

@@ -400,19 +400,13 @@ impl Cluster {
     }
 
     /// Can this step's halo ops overlap with interior compute? Requires
-    /// [`PlanMode::Dag`], a p2p variant — the row every lane's engine was
-    /// built from, so Border and Forward are single rounds without a stage
-    /// barrier — and a potential with row kernels. Re-evaluated every step,
-    /// so a mid-run demotion (to the 3-stage reference) degrades the DAG to
-    /// its non-overlapping shape.
+    /// [`PlanMode::Dag`] and a p2p variant — the row every lane's engine
+    /// was built from, so Border and Forward are single rounds without a
+    /// stage barrier. Re-evaluated every step, so a mid-run demotion (to
+    /// the 3-stage reference) degrades the DAG to its non-overlapping
+    /// shape.
     fn overlap_eligible(&self) -> bool {
-        if self.plan_mode == PlanMode::Barrier || !self.variant.is_p2p() {
-            return false;
-        }
-        match &*self.potential {
-            Potential::Pair(p) => p.has_row_kernel(),
-            Potential::ManyBody(p) => p.has_row_kernel(),
-        }
+        self.plan_mode == PlanMode::Dag && self.variant.is_p2p()
     }
 
     /// Post half of an overlapped single-round op: identical to the post

@@ -218,8 +218,8 @@ pub enum PlanMode {
     /// strictly between ops. The reference side of the DAG-equivalence
     /// suites.
     Barrier,
-    /// Overlap halo posts with interior compute wherever the variant and
-    /// potential allow it (the default).
+    /// Overlap halo posts with interior compute wherever the variant
+    /// allows it (the default).
     #[default]
     Dag,
 }

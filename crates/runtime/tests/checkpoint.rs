@@ -5,7 +5,9 @@
 //! typed errors, never panics. See DESIGN.md §15.
 
 use tofumd_runtime::checkpoint::{CheckpointData, CheckpointError};
-use tofumd_runtime::{bisect_clusters, Cluster, CommVariant, LockstepOptions, PlanMode, RunConfig};
+use tofumd_runtime::{
+    bisect_clusters, Cluster, CommVariant, LockstepOptions, PlanMode, PotentialKind, RunConfig,
+};
 
 const MESH: [u32; 3] = [2, 3, 2];
 
@@ -253,4 +255,32 @@ fn damaged_restart_files_are_rejected_with_typed_errors() {
         Cluster::restore_from_file(std::path::Path::new("/nonexistent/x.restart")),
         Err(CheckpointError::Io(_))
     ));
+}
+
+/// The force pass gathers pair coefficients by atom type, so a restart
+/// file whose atom carries a type the run would not assign — out of the
+/// potential's range, or in range but not its tag's — is refused with a
+/// typed error before any rank is rebuilt from it.
+#[test]
+fn restored_atom_types_must_be_the_runs() {
+    let cfg = RunConfig {
+        kind: PotentialKind::LjBinary,
+        ..RunConfig::lj(2_048)
+    };
+    let mut c = Cluster::new(MESH, cfg, CommVariant::MpiP2p);
+    c.checkpoint_now().expect("post-setup dump is legal");
+    let good = c.last_checkpoint().unwrap().to_vec();
+    assert!(Cluster::restore_from_bytes(&good).is_ok());
+    let data = CheckpointData::from_container(&good).unwrap();
+    let tag = data.ranks[0].atoms.tag[0];
+    let wrong = 3 - cfg.type_of_tag(tag);
+    for typ in [3, wrong] {
+        let mut bad = CheckpointData::from_container(&good).unwrap();
+        bad.ranks[0].atoms.typ[0] = typ;
+        match Cluster::restore_from_bytes(&bad.to_container()) {
+            Err(CheckpointError::Decode(m)) => assert!(m.contains("type"), "{m}"),
+            Err(e) => panic!("type {typ}: wrong error kind: {e}"),
+            Ok(_) => panic!("type {typ} on tag {tag} restored"),
+        }
+    }
 }

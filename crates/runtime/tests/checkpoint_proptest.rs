@@ -138,7 +138,8 @@ fn recovery_stats() -> impl Strategy<Value = RecoveryStats> {
 
 /// A full randomized checkpoint state. The cross-field invariants
 /// `validate()` enforces (RCB part count == live ranks, dead rank in
-/// range) are honored by construction; everything else is free.
+/// range, each atom's type the one the run assigns its tag) are honored
+/// by construction; everything else is free.
 fn checkpoint_data() -> impl Strategy<Value = CheckpointData> {
     // (nranks, dead?, dead-rank draw, rcb?, rcb scatter seed)
     let shape = (
@@ -206,6 +207,16 @@ fn checkpoint_data() -> impl Strategy<Value = CheckpointData> {
                 } else {
                     None
                 };
+                let ranks = dumps
+                    .into_iter()
+                    .take(nranks)
+                    .map(|mut d| {
+                        for (t, &tag) in d.atoms.typ.iter_mut().zip(&d.atoms.tag) {
+                            *t = cfg.type_of_tag(tag);
+                        }
+                        d
+                    })
+                    .collect();
                 CheckpointData {
                     proxy_mesh: [2, 2, 1],
                     target_mesh: [4, 3, 2],
@@ -221,7 +232,7 @@ fn checkpoint_data() -> impl Strategy<Value = CheckpointData> {
                     thermo_log,
                     dead,
                     rcb,
-                    ranks: dumps.into_iter().take(nranks).collect(),
+                    ranks,
                     recovery,
                 }
             },

@@ -1,6 +1,6 @@
 //! DAG-plan equivalence suite (DESIGN.md §12): the overlap DAG must
 //! produce **bit-identical physics** to the barrier plan at every thread
-//! count, across all engine variants and both potentials — including
+//! count, across all engine variants and every potential — including
 //! rebuild steps (where the split is geometric), mid-run thread-count
 //! changes, and a faulted run that demotes mid-overlap.
 //!
@@ -16,7 +16,7 @@
 //! can see a ghost — is checked structurally on the final lists.
 
 use tofumd_core::engine::Op;
-use tofumd_runtime::{Cluster, CommVariant, PlanMode, RunConfig};
+use tofumd_runtime::{Cluster, CommVariant, PlanMode, PotentialKind, RunConfig};
 use tofumd_tofu::{FaultKind, FaultPlan, FaultRule};
 
 const MESH: [u32; 3] = [2, 3, 2]; // 12 nodes, 48 ranks
@@ -62,15 +62,28 @@ fn run_mode(
     physics_fingerprint(&c)
 }
 
+/// The binary LJ mixture (types by tag parity).
+fn lj_binary(natoms: usize) -> RunConfig {
+    RunConfig {
+        kind: PotentialKind::LjBinary,
+        ..RunConfig::lj(natoms)
+    }
+}
+
 /// The headline contract: DAG ≡ barrier bit-for-bit at threads {1, 2, 8}
-/// across all five step-by-step variants and both potentials. Variants or
-/// potentials that cannot overlap run the degenerate DAG and must match
-/// trivially; overlapping ones must match through the split kernels.
+/// across all five step-by-step variants and every potential class — LJ,
+/// EAM, SW's full-list three-body pass and the multi-type LJ pass. The
+/// reference variant runs the degenerate DAG and must match trivially; the
+/// p2p ones must match through their halo windows. SW and the binary
+/// mixture open theirs only once a rebuild has classified their rows
+/// (steps 50 and 20 here), so their rows run past it.
 #[test]
 fn dag_matches_barrier_bit_for_bit() {
     for (cfg, steps, label) in [
         (RunConfig::lj(4000), 8, "lj"),
         (RunConfig::eam(4000), 6, "eam"),
+        (RunConfig::sw(4000), 52, "sw"),
+        (lj_binary(4000), 22, "lj-binary"),
     ] {
         for variant in CommVariant::STEP_BY_STEP {
             let barrier = run_mode(cfg, variant, PlanMode::Barrier, 1, steps);
@@ -84,6 +97,14 @@ fn dag_matches_barrier_bit_for_bit() {
                 );
             }
         }
+    }
+    for (cfg, label) in [(RunConfig::sw(4000), "sw"), (lj_binary(4000), "lj-binary")] {
+        let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
+        c.run(80);
+        assert!(
+            c.overlapped_total() > 0.0,
+            "{label}: no comm time was hidden"
+        );
     }
 }
 

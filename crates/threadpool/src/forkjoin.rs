@@ -23,22 +23,6 @@ pub fn fork_join(threads: usize, f: &(dyn Fn(usize) + Sync)) {
     });
 }
 
-/// Chunked fork-join analogue of [`crate::SpinPool::run_chunked`].
-pub fn fork_join_chunked(
-    threads: usize,
-    n: usize,
-    f: &(dyn Fn(usize, std::ops::Range<usize>) + Sync),
-) {
-    fork_join(threads, &|tid| {
-        let chunk = n.div_ceil(threads);
-        let start = tid * chunk;
-        let end = ((tid + 1) * chunk).min(n);
-        if start < end {
-            f(tid, start..end);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,29 +50,20 @@ mod tests {
     }
 
     #[test]
-    fn chunked_partitions_exactly() {
-        let n = 77;
-        let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        fork_join_chunked(4, n, &|_tid, range| {
-            for i in range {
-                counts[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn matches_pool_semantics() {
-        // fork_join and SpinPool::run must produce identical work splits.
+        // The overhead experiment times fork_join against SpinPool::run, so
+        // both must run the region once on every tid.
         let pool = crate::SpinPool::new(3);
-        let a = AtomicUsize::new(0);
-        let b = AtomicUsize::new(0);
-        fork_join_chunked(3, 100, &|_, r| {
-            a.fetch_add(r.len(), Ordering::Relaxed);
+        let a = [const { AtomicUsize::new(0) }; 3];
+        let b = [const { AtomicUsize::new(0) }; 3];
+        fork_join(3, &|tid| {
+            a[tid].fetch_add(1, Ordering::Relaxed);
         });
-        pool.run_chunked(100, &|_, r| {
-            b.fetch_add(r.len(), Ordering::Relaxed);
+        pool.run(&|tid| {
+            b[tid].fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
+        let hits = |h: &[AtomicUsize; 3]| h.each_ref().map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(hits(&a), [1; 3]);
+        assert_eq!(hits(&b), [1; 3]);
     }
 }

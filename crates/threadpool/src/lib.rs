@@ -48,6 +48,6 @@ pub mod pool;
 pub mod stats;
 
 pub use exec::ChunkExec;
-pub use forkjoin::{fork_join, fork_join_chunked};
+pub use forkjoin::fork_join;
 pub use pool::SpinPool;
 pub use stats::{measure_overheads, OverheadReport};

@@ -4,10 +4,9 @@
 //!
 //! * the 6D mesh/torus topology with its folded virtual-3D-torus view and
 //!   hop metric ([`topology`]),
-//! * shelf-unit job allocation with physical-coordinate queries ([`alloc`]),
 //! * per-node registered memory with modeled registration costs ([`mem`]),
 //! * the fabric itself — 6 TNIs per node with injection serialization,
-//!   RDMA put/get that move real bytes, MRQ notifications, piggyback
+//!   RDMA puts that move real bytes, MRQ notifications, piggyback
 //!   payloads and cache injection ([`net`]),
 //! * the uTofu-style VCQ user API whose `&mut`-based operations encode the
 //!   "CQs are not thread-safe" constraint the paper designs around
@@ -49,7 +48,6 @@
 // lint suggests would be less clear.
 #![allow(clippy::needless_range_loop)]
 
-pub mod alloc;
 pub mod congestion;
 pub mod fault;
 pub mod mem;
@@ -58,7 +56,6 @@ pub mod rdma;
 pub mod timing;
 pub mod topology;
 
-pub use alloc::{AllocError, JobAllocation, SHELF_NODES};
 pub use congestion::CongestionModel;
 pub use fault::{
     FaultAction, FaultCounters, FaultKey, FaultKind, FaultPlan, FaultRates, FaultRule, TofuError,

@@ -602,37 +602,6 @@ impl TofuNet {
         })
     }
 
-    /// Execute an RDMA get: fetch `len` bytes from the remote region. Costs
-    /// a round trip (request + response) on the wire.
-    /// (The argument list mirrors utofu_get's descriptor fields.)
-    #[allow(clippy::too_many_arguments)]
-    pub fn get(
-        &self,
-        src_node: usize,
-        tni: usize,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        dst_offset: usize,
-        len: usize,
-        now: f64,
-    ) -> (Vec<u8>, f64) {
-        let inject_start = {
-            let mut free = self.nodes[src_node].tni_free.lock();
-            let start = free[tni].max(now);
-            free[tni] = start + self.params.tni_occupancy(0);
-            start
-        };
-        let hops = self.hops(src_node, dst_node);
-        let complete =
-            inject_start + self.params.wire_time(0, hops) + self.params.wire_time(len, hops);
-        let data = self.nodes[dst_node]
-            .mem
-            .lock()
-            .read(dst_stadd, dst_offset, len)
-            .to_vec();
-        (data, complete)
-    }
-
     /// Take *all* currently queued arrivals on `node` that match `pred`.
     /// (In the lockstep driver, all sends of a stage precede all receives,
     /// so everything a stage expects is already queued.)
@@ -902,17 +871,6 @@ mod tests {
         let plain = net.put(mk(false, 0));
         let ci = net.put(mk(true, 1));
         assert!(ci.remote_arrival < plain.remote_arrival);
-    }
-
-    #[test]
-    fn get_round_trips() {
-        let net = small_net();
-        let (dst, _) = net.register_mem(1, 8);
-        net.write_local_with(1, dst, 0, 4, |b| b.copy_from_slice(&[9, 8, 7, 6]));
-        let (data, t) = net.get(0, 0, 1, dst, 1, 2, 0.0);
-        assert_eq!(data, vec![8, 7]);
-        // Round trip: at least twice the one-way base latency.
-        assert!(t >= 2.0 * net.params().base_latency);
     }
 
     #[test]

@@ -98,28 +98,31 @@ fn eam_opt_matches_serial_over_20_steps() {
 fn sw_silicon_matches_serial_and_conserves() {
     // Stillinger-Weber: full list + ghost-force reverse over 26 links —
     // the Tersoff/DeePMD communication class of Fig. 15, with real
-    // three-body forces.
+    // three-body forces — on one driver thread and on eight.
     let cfg = RunConfig::sw(6000);
-    let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
-    let mut s = serial_twin(&c, &cfg);
-    let e0 = c.thermo().total_energy();
-    s.run(15);
-    c.run(15);
-    let snap = s.snapshot();
-    let t = c.thermo();
-    assert!(
-        (t.pe - snap.pe).abs() / snap.pe.abs() < 1e-9,
-        "SW pe {} vs serial {}",
-        t.pe,
-        snap.pe
-    );
-    assert!((t.ke - snap.ke).abs() / snap.ke < 1e-9);
-    // The Table-2 timestep (5 fs) is large for SW's stiff bonds, so some
-    // integration drift is expected — what matters here is that the
-    // decomposed run tracks the serial one exactly (asserted above) and
-    // that the drift stays bounded.
-    let drift = (t.total_energy() - e0).abs() / c.natoms() as f64;
-    assert!(drift < 2e-2, "SW cluster energy drift {drift} eV/atom");
+    for threads in [1, 8] {
+        let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
+        c.set_driver_threads(threads);
+        let mut s = serial_twin(&c, &cfg);
+        let e0 = c.thermo().total_energy();
+        s.run(15);
+        c.run(15);
+        let snap = s.snapshot();
+        let t = c.thermo();
+        assert!(
+            (t.pe - snap.pe).abs() / snap.pe.abs() < 1e-9,
+            "SW pe {} vs serial {} at {threads} threads",
+            t.pe,
+            snap.pe
+        );
+        assert!((t.ke - snap.ke).abs() / snap.ke < 1e-9);
+        // The Table-2 timestep (5 fs) is large for SW's stiff bonds, so
+        // some integration drift is expected — what matters here is that
+        // the decomposed run tracks the serial one exactly (asserted above)
+        // and that the drift stays bounded.
+        let drift = (t.total_energy() - e0).abs() / c.natoms() as f64;
+        assert!(drift < 2e-2, "SW cluster energy drift {drift} eV/atom");
+    }
 }
 
 #[test]
@@ -209,52 +212,56 @@ fn serial_and_cluster_temperature_equipartition() {
 fn binary_mixture_types_survive_the_wire() {
     // A 50/50 LJ mixture: types must travel with ghosts through border /
     // forward / exchange, or the forces are silently wrong. Compared
-    // against the serial engine with the same tag-parity assignment.
+    // against the serial engine with the same tag-parity assignment, on
+    // one driver thread and on eight.
     use tofumd::runtime::PotentialKind;
     let cfg = RunConfig {
         kind: PotentialKind::LjBinary,
         ..RunConfig::lj(6000)
     };
-    let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
-    // Serial twin with types by tag parity.
-    let g = gather(&c);
-    let mut atoms = Atoms::from_positions(g.iter().map(|e| e.1).collect(), 1);
-    for (i, e) in g.iter().enumerate() {
-        atoms.v[i] = e.2;
-        atoms.typ[i] = cfg.type_of_tag(e.0);
-    }
-    let mut s = SerialSim::new(
-        atoms,
-        c.global_box(),
-        cfg.build_potential(),
-        cfg.units(),
-        cfg.skin(),
-        cfg.policy(),
-        cfg.timestep(),
-        cfg.mass(),
-    );
-    // Every ghost in the cluster must carry its owner's species.
-    for st in c.states() {
-        for gi in st.atoms.nlocal..st.atoms.ntotal() {
-            assert_eq!(
-                st.atoms.typ[gi],
-                cfg.type_of_tag(st.atoms.tag[gi]),
-                "ghost type mismatch for tag {}",
-                st.atoms.tag[gi]
-            );
+    for threads in [1, 8] {
+        let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
+        c.set_driver_threads(threads);
+        // Serial twin with types by tag parity.
+        let g = gather(&c);
+        let mut atoms = Atoms::from_positions(g.iter().map(|e| e.1).collect(), 1);
+        for (i, e) in g.iter().enumerate() {
+            atoms.v[i] = e.2;
+            atoms.typ[i] = cfg.type_of_tag(e.0);
         }
+        let mut s = SerialSim::new(
+            atoms,
+            c.global_box(),
+            cfg.build_potential(),
+            cfg.units(),
+            cfg.skin(),
+            cfg.policy(),
+            cfg.timestep(),
+            cfg.mass(),
+        );
+        // Every ghost in the cluster must carry its owner's species.
+        for st in c.states() {
+            for gi in st.atoms.nlocal..st.atoms.ntotal() {
+                assert_eq!(
+                    st.atoms.typ[gi],
+                    cfg.type_of_tag(st.atoms.tag[gi]),
+                    "ghost type mismatch for tag {}",
+                    st.atoms.tag[gi]
+                );
+            }
+        }
+        s.run(25); // crosses the every-20 rebuild (exchange carries types too)
+        c.run(25);
+        let snap = s.snapshot();
+        let t = c.thermo();
+        assert!(
+            (t.pe - snap.pe).abs() / snap.pe.abs() < 1e-9,
+            "binary pe {} vs serial {} at {threads} threads",
+            t.pe,
+            snap.pe
+        );
+        assert!((t.ke - snap.ke).abs() / snap.ke < 1e-9);
     }
-    s.run(25); // crosses the every-20 rebuild (exchange carries types too)
-    c.run(25);
-    let snap = s.snapshot();
-    let t = c.thermo();
-    assert!(
-        (t.pe - snap.pe).abs() / snap.pe.abs() < 1e-9,
-        "binary pe {} vs serial {}",
-        t.pe,
-        snap.pe
-    );
-    assert!((t.ke - snap.ke).abs() / snap.ke < 1e-9);
 }
 
 #[test]
