@@ -6,9 +6,11 @@
 //! `tofumd-runtime`: every rank first `post`s its sends for a round, then
 //! every rank `complete`s its receives — mirroring a bulk-synchronous MD
 //! timestep while letting virtual time flow through the simulated fabric.
+//! What a message carries is not the engine's choice: every payload of
+//! every op streams from the rank's [`crate::ghost::GhostLayout`], and
+//! the engine only decides how its bytes travel.
 
 use crate::sf::CommGraph;
-use crate::wire::{self, F64Source};
 use serde::{Deserialize, Serialize};
 use tofumd_md::atom::Atoms;
 use tofumd_tofu::TofuError;
@@ -84,9 +86,11 @@ impl Op {
         matches!(self, Op::Border | Op::Forward | Op::ForwardScalar)
     }
 
-    /// Split the ops by how their payload comes to be: Border and Exchange
-    /// discover it while packing, the four repeated ops are one typed
-    /// gather/scatter over the ghost layout.
+    /// Split the ops by what their selection step does before the post.
+    /// Border fills the ghost layout's send lists and Exchange fills them
+    /// with the emigrants it parks; the four repeated ops select nothing
+    /// and gather/scatter over the layout Border filled. Every payload then
+    /// streams from the layout ([`crate::ghost::Payload`]).
     #[must_use]
     pub fn kind(self) -> OpKind {
         match self {
@@ -296,12 +300,14 @@ impl OpStats {
     }
 }
 
-/// The coordinate `pack_exchange_graph` routes migrants by: the periodic
-/// wrap of `x` into the global box, nudged one ulp off the upper face when
-/// the wrap rounds onto it (the half-open boxes exclude their `hi` face —
-/// see `pack_exchange` for the rounding hazard). The mid-run rebalance
-/// uses the same function to predict destinations, so its migrate peer
-/// lists agree bit-for-bit with what the exchange actually routes.
+/// The coordinate an owner-directed Exchange
+/// ([`crate::ghost::GhostLayout::select_exchange`]) routes migrants by: the
+/// periodic wrap of `x` into the global box, nudged one ulp off the upper
+/// face when the wrap rounds onto it (the half-open boxes exclude their
+/// `hi` face — see `GhostLayout::sweep_exchange` for the rounding hazard).
+/// The mid-run rebalance uses the same function to predict destinations,
+/// so its migrate peer lists agree bit-for-bit with what the exchange
+/// actually routes.
 #[must_use]
 pub fn wrap_for_exchange(global: &tofumd_md::region::Box3, x: [f64; 3]) -> [f64; 3] {
     let (mut w, _) = global.wrap(x);
@@ -382,114 +388,6 @@ impl RankState {
             Op::ForwardScalar | Op::ReverseScalar => self.stages.pair_comm += dt,
             _ => self.stages.comm += dt,
         }
-    }
-
-    /// Exchange-stage packing for sweep `dim`: remove local atoms whose
-    /// coordinate lies outside the sub-box in that dimension and encode
-    /// them (tag, type, shifted position, velocity) toward each face.
-    /// Ghosts must have been cleared. Returns `[toward -dim, toward +dim]`.
-    pub fn pack_exchange(&mut self, dim: usize) -> [Vec<f64>; 2] {
-        assert_eq!(self.atoms.nghost(), 0, "exchange runs before border");
-        let (lo, hi) = (self.graph.sub.lo[dim], self.graph.sub.hi[dim]);
-        let mut out = [Vec::new(), Vec::new()];
-        let mut i = 0;
-        while i < self.atoms.nlocal {
-            let x = self.atoms.x[i];
-            let dir = if x[dim] < lo {
-                0
-            } else if x[dim] >= hi {
-                1
-            } else {
-                i += 1;
-                continue;
-            };
-            let link = *self.graph.face_link(dim, dir);
-            let mut nx = [
-                x[0] + link.shift[0],
-                x[1] + link.shift[1],
-                x[2] + link.shift[2],
-            ];
-            // Periodic-wrap guard: the receiving sub-box is half-open
-            // [lo, hi). An atom marginally outside the *global* lower face
-            // can round to exactly the global upper face after the +L
-            // shift (|x - lo| is far below one ulp of L), landing on the
-            // receiver's hi face — outside its box, so every subsequent
-            // rebuild re-migrates it and the atom ping-pongs between the
-            // boundary ranks. Nudge it one ulp inside. The mirror case
-            // (an atom at exactly the global upper face whose -L shift
-            // rounds below the global lower face) clamps to the face
-            // itself, which is inside the half-open box.
-            let s = link.shift[dim];
-            if s > 0.0 && nx[dim] >= lo + s {
-                nx[dim] = (lo + s).next_down();
-            } else if s < 0.0 && nx[dim] < hi + s {
-                nx[dim] = hi + s;
-            }
-            crate::wire::push_exchange_record(
-                &mut out[dir],
-                self.atoms.tag[i],
-                self.atoms.typ[i],
-                nx,
-                self.atoms.v[i],
-            );
-            self.atoms.swap_remove_local(i);
-        }
-        out
-    }
-
-    /// Exchange-stage packing for irregular graphs: one owner-directed
-    /// round instead of three staged sweeps. Local atoms that left the
-    /// sub-box are wrapped into the global box, resolved to their new
-    /// owner through the decomposition, and encoded toward the matching
-    /// migrate peer; periodic self-wraps are rewritten in place. Returns
-    /// one payload per entry of [`CommGraph::migrate_peers`].
-    pub fn pack_exchange_graph(&mut self) -> Vec<Vec<f64>> {
-        assert_eq!(self.atoms.nghost(), 0, "exchange runs before border");
-        let peers = self.graph.migrate_peers().to_vec();
-        let global = *self.graph.global_box();
-        let mut out = vec![Vec::new(); peers.len()];
-        let mut i = 0;
-        while i < self.atoms.nlocal {
-            let x = self.atoms.x[i];
-            if self.graph.sub.contains(&x) {
-                i += 1;
-                continue;
-            }
-            let w = wrap_for_exchange(&global, x);
-            let owner = self.graph.owner_of(&w);
-            if owner == self.graph.me {
-                self.atoms.x[i] = w;
-                i += 1;
-            } else if let Some(p) = peers.iter().position(|p| p.rank == owner) {
-                crate::wire::push_exchange_record(
-                    &mut out[p],
-                    self.atoms.tag[i],
-                    self.atoms.typ[i],
-                    w,
-                    self.atoms.v[i],
-                );
-                self.atoms.swap_remove_local(i);
-            } else {
-                // Within one rebuild interval atoms cannot outrun the
-                // ghost cutoff, so the new owner is always a halo peer;
-                // keep the atom (wrapped) rather than lose it if that
-                // invariant is ever violated.
-                debug_assert!(false, "migrant outran the halo at {w:?}");
-                self.atoms.x[i] = w;
-                i += 1;
-            }
-        }
-        out
-    }
-
-    /// Exchange-stage unpacking: append the migrants streamed from any
-    /// [`F64Source`] (a decoded slice, or the bytes they landed in) as
-    /// local atoms.
-    pub fn unpack_exchange(&mut self, src: impl F64Source) {
-        let atoms = &mut self.atoms;
-        wire::for_each_record(src, wire::EXCHANGE_RECORD_F64S, |tag, typ, r| {
-            atoms.push_local([r[0], r[1], r[2]], [r[3], r[4], r[5]], typ, tag);
-        });
     }
 }
 
@@ -603,124 +501,5 @@ mod tests {
         let d = m.since(&s);
         assert_eq!(d.total().bytes, 450);
         assert_eq!(d.op_total(Op::Forward).messages, 2);
-    }
-
-    #[test]
-    fn exchange_wrap_never_lands_on_the_receiving_upper_face() {
-        let mut st = state();
-        assert_eq!(
-            st.graph.sub.lo[0], 0.0,
-            "rank 0 sits on the global lower face"
-        );
-        let shift = st.graph.face_link(0, 0).shift[0];
-        assert!(shift > 0.0, "lower-face link wraps by +L");
-        // An atom marginally below the global lower face: x + L rounds to
-        // exactly L, the global (and receiving sub-box's) upper face.
-        let x = -1e-18;
-        assert_eq!(x + shift, shift, "premise: the shift absorbs the offset");
-        st.atoms = Atoms::from_positions(vec![[x, 1.0, 1.0]], 7);
-        let out = st.pack_exchange(0);
-        assert_eq!(st.atoms.nlocal, 0);
-        let recs = crate::wire::parse_exchange_records(&out[0]);
-        assert_eq!(recs.len(), 1);
-        let nx = recs[0].2[0];
-        assert!(
-            nx < shift,
-            "wrapped coordinate {nx} must stay below the global upper face {shift}"
-        );
-        assert!(
-            shift - nx < 1e-9,
-            "only a one-ulp nudge, got {}",
-            shift - nx
-        );
-    }
-
-    #[test]
-    fn wrapped_migrant_settles_on_the_receiving_rank() {
-        let grid = CellGrid::from_node_mesh([8, 12, 8]).unwrap();
-        let map = RankMap::new(grid, Placement::TopoAware);
-        let global = Box3::from_lengths([80.0, 240.0, 160.0]);
-        let rg = map.rank_grid;
-        let top = map.rank_at([i64::from(rg[0]) - 1, 0, 0]);
-        let mk = |rank| {
-            CommGraph::from_grid(CommPlan::build(
-                rank,
-                &map,
-                &global,
-                2.8,
-                PlanConfig::NEWTON,
-            ))
-        };
-        let mut sender = RankState::new(Atoms::from_positions(vec![[-1e-18, 1.0, 1.0]], 7), mk(0));
-        let mut receiver = RankState::new(Atoms::default(), mk(top));
-        let out = sender.pack_exchange(0);
-        receiver.unpack_exchange(out[0].as_slice());
-        assert_eq!(receiver.atoms.nlocal, 1);
-        // The migrant sits strictly inside the receiver's half-open
-        // sub-box: a further exchange sweep must not move it again.
-        let again = receiver.pack_exchange(0);
-        assert!(
-            again[0].is_empty() && again[1].is_empty(),
-            "migrant must not ping-pong off the receiver"
-        );
-        assert_eq!(receiver.atoms.nlocal, 1);
-    }
-
-    #[test]
-    fn irregular_migration_routes_atoms_to_their_owner() {
-        use std::sync::Arc;
-        use tofumd_md::domain::RcbDecomposition;
-        let grid = CellGrid::new([1, 1, 1]);
-        let map = RankMap::new(grid, Placement::TopoAware);
-        let global = Box3::from_lengths([20.0, 16.0, 12.0]);
-        let pts: Vec<[f64; 3]> = (0..200)
-            .map(|i| {
-                let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                let u = |s: u32| ((h >> s) & 0xffff) as f64 / 65536.0;
-                [u(0) * 20.0, u(16) * 16.0, u(32) * 12.0]
-            })
-            .collect();
-        let rcb = Arc::new(RcbDecomposition::build(4, &pts, &global));
-        let graphs: Vec<CommGraph> = (0..4)
-            .map(|r| CommGraph::from_rcb(r, &rcb, &map, 2.5))
-            .collect();
-        // Give rank 0 every atom plus one out-of-box straggler; one
-        // migrate round must leave each atom on its owner.
-        let mut states: Vec<RankState> = graphs
-            .iter()
-            .enumerate()
-            .map(|(r, g)| {
-                let mine: Vec<[f64; 3]> = if r == 0 {
-                    let mut v = pts.clone();
-                    v.push([-0.5, 1.0, 1.0]); // wraps to the +x edge
-                    v
-                } else {
-                    Vec::new()
-                };
-                RankState::new(Atoms::from_positions(mine, 1), g.clone())
-            })
-            .collect();
-        let payloads = states[0].pack_exchange_graph();
-        let peers = states[0].graph.migrate_peers().to_vec();
-        for (p, payload) in peers.iter().zip(&payloads) {
-            states[p.rank].unpack_exchange(payload.as_slice());
-        }
-        let total: usize = states.iter().map(|s| s.atoms.nlocal).sum();
-        assert_eq!(total, pts.len() + 1, "no atom lost in migration");
-        for st in &states {
-            for i in 0..st.atoms.nlocal {
-                assert!(
-                    st.graph.sub.contains(&st.atoms.x[i]),
-                    "atom {:?} not owned by rank {}",
-                    st.atoms.x[i],
-                    st.graph.me
-                );
-            }
-        }
-        // A second round is a fixed point.
-        for st in &mut states {
-            let again = st.pack_exchange_graph();
-            assert!(again.iter().all(Vec::is_empty), "migration must converge");
-        }
     }
 }

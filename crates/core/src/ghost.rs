@@ -7,15 +7,17 @@
 //! over those lists ([`GhostOp`]: `unit ∈ {3, 1}` × bcast | reduce); how
 //! the packed bytes travel is the engines' business.
 //!
-//! Border only fills the send lists; its records stream from them into the
-//! transport's buffer ([`GhostLayout::pack_border`]) and from the landed
-//! bytes into the atoms ([`GhostLayout::append_ghosts`]), as the ghost ops.
+//! Every payload of every op streams from this layout ([`Payload`]).
+//! Border and Exchange only fill the send lists, and their records stream
+//! from them into the transport's buffer and from the landed bytes into
+//! the atoms. Exchange's emigrants wait, moved in place, in the (empty)
+//! ghost region past the locals until the post has streamed them.
 //!
 //! Both communication patterns of §3.1 fill the same layout and differ
 //! only in how Border builds the send lists and numbers the edges; that is
 //! [`crate::pattern::Pattern`]'s business.
 
-use crate::engine::{GhostOp, Op, OpKind, RankState};
+use crate::engine::{wrap_for_exchange, GhostOp, Op, OpKind, RankState};
 use crate::sf::SendSelector;
 use crate::wire::{self, F64Sink, F64Source};
 use tofumd_md::atom::Atoms;
@@ -35,25 +37,27 @@ struct Edge {
 #[derive(Debug, Clone, Default)]
 pub struct GhostLayout {
     edges: Vec<Edge>,
+    /// Edges a pass with fewer of them laid aside, last edge on top.
+    spare: Vec<Edge>,
 }
 
 impl GhostLayout {
-    /// Start a new border pass: drop the rank's ghosts and every list, and
-    /// lay out one empty edge per entry of `shifts`. Each edge keeps its
-    /// send list's capacity, so a Border that selects what the last one did
-    /// allocates nothing.
+    /// Start a new pass: drop the rank's ghosts and every list, and lay
+    /// out one empty edge per entry of `shifts`. Each edge keeps its send
+    /// list's capacity, also across an Exchange with fewer edges, so a
+    /// Border that selects what the last one did allocates nothing.
     pub fn reset(&mut self, atoms: &mut Atoms, shifts: impl IntoIterator<Item = [f64; 3]>) {
         atoms.clear_ghosts();
         let mut n = 0;
         for shift in shifts {
             if n == self.edges.len() {
-                self.edges.push(Edge::default());
+                self.edges.push(self.spare.pop().unwrap_or_default());
             }
             let edge = &mut self.edges[n];
             edge.send.clear();
             (edge.shift, edge.ghosts, n) = (shift, (0, 0), n + 1);
         }
-        self.edges.truncate(n);
+        self.spare.extend(self.edges.drain(n..).rev());
     }
 
     /// The p2p Border builder: route every local atom through the graph's
@@ -94,6 +98,78 @@ impl GhostLayout {
         }
     }
 
+    /// The staged Exchange builder for sweep `dim` (sweep 0 starts the
+    /// pass on six edges): every local outside the sub-box in `dim` moves
+    /// by its face link's periodic shift onto edge `dim * 2 + dir`.
+    pub(crate) fn sweep_exchange(&mut self, st: &mut RankState, dim: usize) {
+        if dim == 0 {
+            self.reset(&mut st.atoms, [[0.0; 3]; 6]);
+        }
+        assert_eq!(st.atoms.nghost(), 0, "exchange runs before border");
+        let (graph, lo, hi) = (&st.graph, st.graph.sub.lo[dim], st.graph.sub.hi[dim]);
+        self.emigrate(&mut st.atoms, |x| {
+            let dir = match x[dim] {
+                v if v < lo => 0,
+                v if v >= hi => 1,
+                _ => return None,
+            };
+            let s = graph.face_link(dim, dir).shift;
+            *x = [x[0] + s[0], x[1] + s[1], x[2] + s[2]];
+            // The receiving sub-box is half-open [lo, hi). An atom a hair
+            // below the global lower face can round onto the global upper
+            // face after the +L shift, outside the receiver's box, and
+            // would ping-pong between the boundary ranks on every rebuild:
+            // nudge it one ulp inside. The mirror case, a -L shift rounding
+            // below the global lower face, clamps onto that face, inside.
+            if s[dim] > 0.0 && x[dim] >= lo + s[dim] {
+                x[dim] = (lo + s[dim]).next_down();
+            } else if s[dim] < 0.0 && x[dim] < hi + s[dim] {
+                x[dim] = hi + s[dim];
+            }
+            Some(dim * 2 + dir)
+        });
+    }
+
+    /// The owner-directed Exchange builder for irregular graphs, one edge
+    /// per entry of [`crate::sf::CommGraph::migrate_peers`]: a local that
+    /// left the sub-box is wrapped into the global box in place, and goes
+    /// to the peer that owns it there unless that is this rank.
+    pub fn select_exchange(&mut self, st: &mut RankState) {
+        let (graph, n) = (&st.graph, st.graph.migrate_peers().len());
+        self.reset(&mut st.atoms, std::iter::repeat_n([0.0; 3], n));
+        let global = *graph.global_box();
+        self.emigrate(&mut st.atoms, |x| {
+            if graph.sub.contains(x) {
+                return None;
+            }
+            *x = wrap_for_exchange(&global, *x);
+            let owner = graph.owner_of(x);
+            let peer = graph.migrate_peers().iter().position(|p| p.rank == owner);
+            // Within one rebuild interval atoms cannot outrun the ghost
+            // cutoff, so the new owner is always a halo peer; keep the atom
+            // (wrapped) rather than lose it if that is ever violated.
+            debug_assert!(owner == graph.me || peer.is_some(), "{x:?} outran the halo");
+            peer.filter(|_| owner != graph.me)
+        });
+    }
+
+    /// Walk the locals: `route` keeps one (`None`, possibly after moving it
+    /// in place) or names the edge it emigrates on. An emigrant is swapped
+    /// out of the locals and waits past `nlocal` until the post streams it.
+    fn emigrate(
+        &mut self,
+        atoms: &mut Atoms,
+        mut route: impl FnMut(&mut [f64; 3]) -> Option<usize>,
+    ) {
+        let mut i = 0;
+        while i < atoms.nlocal {
+            match route(&mut atoms.x[i]) {
+                Some(e) => self.edges[e].send.push(atoms.swap_out_local(i) as u32),
+                None => i += 1,
+            }
+        }
+    }
+
     /// Stream edge `e`'s Border records into any [`F64Sink`], the way
     /// [`GhostLayout::pack`] streams a ghost op: per send-list atom its
     /// packed tag and type, then its position `+ shift`.
@@ -102,8 +178,20 @@ impl GhostLayout {
         let s = edge.shift;
         for &i in &edge.send {
             let (i, x) = (i as usize, a.x[i as usize]);
-            let id = wire::pack_id(a.tag[i], a.typ[i]);
-            out.put_f64s(&[id, x[0] + s[0], x[1] + s[1], x[2] + s[2]]);
+            let shifted = [x[0] + s[0], x[1] + s[1], x[2] + s[2]];
+            wire::put_record(out, a.tag[i], a.typ[i], &shifted);
+        }
+    }
+
+    /// Stream edge `e`'s Exchange records into any [`F64Sink`]: per
+    /// emigrant its packed tag and type, then its position (already moved)
+    /// and velocity.
+    pub(crate) fn pack_migrants(&self, e: usize, st: &RankState, out: &mut impl F64Sink) {
+        let a = &st.atoms;
+        for &i in &self.edges[e].send {
+            let (i, x, v) = (i as usize, a.x[i as usize], a.v[i as usize]);
+            let body = [x[0], x[1], x[2], v[0], v[1], v[2]];
+            wire::put_record(out, a.tag[i], a.typ[i], &body);
         }
     }
 
@@ -117,6 +205,18 @@ impl GhostLayout {
             st.atoms.push_ghost([x[0], x[1], x[2]], typ, tag);
         });
         self.edges[e].ghosts = (start, st.atoms.ntotal() - start);
+    }
+
+    /// Adopt the migrants streamed from any [`F64Source`] (a decoded
+    /// slice, or the bytes they landed in) as local atoms. The emigrants
+    /// this rank parked were streamed when the round was posted, so they
+    /// are dropped first.
+    pub fn adopt_migrants(st: &mut RankState, src: impl F64Source) {
+        let atoms = &mut st.atoms;
+        atoms.clear_ghosts();
+        wire::for_each_record(src, wire::EXCHANGE_RECORD_F64S, |tag, typ, r| {
+            atoms.push_local([r[0], r[1], r[2]], [r[3], r[4], r[5]], typ, tag);
+        });
     }
 
     /// `(first ghost index, count)` of edge `e`'s ghost segment.
@@ -208,31 +308,29 @@ impl GhostLayout {
     }
 }
 
-/// Where one outgoing message's payload comes from — decided by the op,
-/// never by an option.
+/// What one outgoing message carries: an op over one layout edge, sized
+/// from the layout up front and streamed from it into the transport's
+/// buffer — decided by the op, never by an option.
 #[derive(Debug, Clone, Copy)]
-pub enum Payload<'a> {
-    /// Exchange's emigrants, removed from the atoms while packing: a
-    /// pre-packed slice the transport stages into its own buffer.
-    Packed(&'a [f64]),
-    /// Border over one layout edge: its records, streamed from the send
-    /// list and staged like [`Payload::Packed`] (LAMMPS copies them).
+pub enum Payload {
+    /// Exchange's records: the emigrants on the edge's send list, staged
+    /// like Border's.
+    Exchange(usize),
+    /// Border's records: the edge's send list, staged (LAMMPS copies them).
     Border(usize),
-    /// A ghost op over one layout edge: sized up front and streamed
-    /// straight into the transport's buffer.
+    /// A ghost op: zero-copy, streamed straight into the transport's
+    /// buffer.
     Ghost(GhostOp, usize),
 }
 
-impl<'a> Payload<'a> {
-    /// The payload of message `i` of a round of `op`: the `i`-th of the
-    /// emigrant payloads [`crate::pattern::Pattern::pack`] returned, or the
-    /// Border records / ghost op over layout edge `layout`.
+impl Payload {
+    /// The payload `op` sends on layout edge `layout`.
     #[must_use]
-    pub fn of(op: Op, packed: &'a [Vec<f64>], i: usize, layout: usize) -> Self {
+    pub fn of(op: Op, layout: usize) -> Self {
         match op.kind() {
             OpKind::Ghost(g) => Payload::Ghost(g, layout),
             OpKind::Border => Payload::Border(layout),
-            OpKind::Exchange => Payload::Packed(&packed[i]),
+            OpKind::Exchange => Payload::Exchange(layout),
         }
     }
 
@@ -240,7 +338,7 @@ impl<'a> Payload<'a> {
     #[must_use]
     pub fn len(&self, layout: &GhostLayout) -> usize {
         match *self {
-            Payload::Packed(v) => v.len(),
+            Payload::Exchange(e) => wire::EXCHANGE_RECORD_F64S * layout.edges[e].send.len(),
             Payload::Border(e) => wire::BORDER_RECORD_F64S * layout.edges[e].send.len(),
             Payload::Ghost(op, e) => layout.len(op, e),
         }
@@ -249,7 +347,7 @@ impl<'a> Payload<'a> {
     /// Stream the values into `out`.
     pub fn write(&self, layout: &GhostLayout, st: &RankState, out: &mut impl F64Sink) {
         match *self {
-            Payload::Packed(v) => out.put_f64s(v),
+            Payload::Exchange(e) => layout.pack_migrants(e, st, out),
             Payload::Border(e) => layout.pack_border(e, st, out),
             Payload::Ghost(op, e) => layout.pack(op, e, st, out),
         }
@@ -380,10 +478,10 @@ mod tests {
     fn ghost_segments_follow_edge_order() {
         let (mut st, _, _) = setup(vec![[5.0; 3]]);
         let mut g = p2p_layout(&mut st);
-        let mut per_edge = vec![Vec::new(); st.graph.recv.len()];
-        wire::push_border_record(&mut per_edge[0], 11, 1, [1.0; 3]);
-        wire::push_border_record(&mut per_edge[0], 12, 1, [2.0; 3]);
-        wire::push_border_record(&mut per_edge[2], 13, 1, [3.0; 3]);
+        let mut per_edge: Vec<Vec<f64>> = vec![Vec::new(); st.graph.recv.len()];
+        wire::put_record(&mut per_edge[0], 11, 1, &[1.0; 3]);
+        wire::put_record(&mut per_edge[0], 12, 1, &[2.0; 3]);
+        wire::put_record(&mut per_edge[2], 13, 1, &[3.0; 3]);
         for (k, p) in per_edge.iter().enumerate() {
             g.append_ghosts(&mut st, k, p.as_slice());
         }
@@ -423,8 +521,8 @@ mod tests {
     fn carry_forward_ships_prior_dim_ghosts() {
         let (mut st, links, _) = setup(vec![[5.0, 5.0, 5.0]]);
         let mut g = staged_layout(&mut st, &links, 1);
-        let mut ghost_payload = Vec::new();
-        wire::push_border_record(&mut ghost_payload, 99, 1, [-0.5, 0.3, 5.0]);
+        let mut ghost_payload: Vec<f64> = Vec::new();
+        wire::put_record(&mut ghost_payload, 99, 1, &[-0.5, 0.3, 5.0]);
         g.append_ghosts(&mut st, 0, ghost_payload.as_slice());
         g.append_ghosts(&mut st, 1, &[][..]);
         assert_eq!(st.atoms.nghost(), 1);
@@ -441,8 +539,8 @@ mod tests {
         // toward +x in swap 1, and only there.
         let (mut st, links, _) = setup(vec![[5.0, 5.0, 5.0]]);
         let mut g = staged_layout(&mut st, &links, 2);
-        let mut from_minus = Vec::new();
-        wire::push_border_record(&mut from_minus, 77, 1, [8.5, 5.0, 5.0]);
+        let mut from_minus: Vec<f64> = Vec::new();
+        wire::put_record(&mut from_minus, 77, 1, &[8.5, 5.0, 5.0]);
         g.append_ghosts(&mut st, 0, from_minus.as_slice());
         g.append_ghosts(&mut st, 1, &[][..]);
         g.sweep_border(&st, 1, 2);
@@ -481,6 +579,156 @@ mod tests {
         assert!(rel < 0.15, "staged volume {got} vs estimate {expect}");
     }
 
+    /// Exchange's first sweep over `st`: the x faces' two payloads,
+    /// `[toward -x, toward +x]`.
+    fn sweep_x(st: &mut RankState) -> [Vec<f64>; 2] {
+        let mut g = GhostLayout::default();
+        g.sweep_exchange(st, 0);
+        [0, 1].map(|e| {
+            let mut out: Vec<f64> = Vec::new();
+            Payload::Exchange(e).write(&g, st, &mut out);
+            out
+        })
+    }
+
+    /// An owner-directed Exchange over `st`: one payload per migrate peer.
+    fn migrate(st: &mut RankState) -> Vec<Vec<f64>> {
+        let mut g = GhostLayout::default();
+        g.select_exchange(st);
+        let peers = 0..st.graph.migrate_peers().len();
+        peers
+            .map(|p| {
+                let mut out: Vec<f64> = Vec::new();
+                Payload::Exchange(p).write(&g, st, &mut out);
+                out
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exchange_wrap_never_lands_on_the_receiving_upper_face() {
+        let grid = CellGrid::from_node_mesh([8, 12, 8]).unwrap();
+        let map = RankMap::new(grid, Placement::TopoAware);
+        let global = Box3::from_lengths([80.0, 240.0, 160.0]);
+        let plan = CommPlan::build(0, &map, &global, 2.8, PlanConfig::NEWTON);
+        let graph = CommGraph::from_grid(plan);
+        let mut st = RankState::new(Atoms::from_positions(vec![[1.0; 3]], 1), graph);
+        assert_eq!(
+            st.graph.sub.lo[0], 0.0,
+            "rank 0 sits on the global lower face"
+        );
+        let shift = st.graph.face_link(0, 0).shift[0];
+        assert!(shift > 0.0, "lower-face link wraps by +L");
+        // An atom marginally below the global lower face: x + L rounds to
+        // exactly L, the global (and receiving sub-box's) upper face.
+        let x = -1e-18;
+        assert_eq!(x + shift, shift, "premise: the shift absorbs the offset");
+        st.atoms = Atoms::from_positions(vec![[x, 1.0, 1.0]], 7);
+        let out = sweep_x(&mut st);
+        assert_eq!(st.atoms.nlocal, 0);
+        let recs = wire::parse_exchange_records(&out[0]);
+        assert_eq!(recs.len(), 1);
+        let nx = recs[0].2[0];
+        assert!(
+            nx < shift,
+            "wrapped coordinate {nx} must stay below the global upper face {shift}"
+        );
+        assert!(
+            shift - nx < 1e-9,
+            "only a one-ulp nudge, got {}",
+            shift - nx
+        );
+    }
+
+    #[test]
+    fn wrapped_migrant_settles_on_the_receiving_rank() {
+        let grid = CellGrid::from_node_mesh([8, 12, 8]).unwrap();
+        let map = RankMap::new(grid, Placement::TopoAware);
+        let global = Box3::from_lengths([80.0, 240.0, 160.0]);
+        let rg = map.rank_grid;
+        let top = map.rank_at([i64::from(rg[0]) - 1, 0, 0]);
+        let mk = |rank| {
+            CommGraph::from_grid(CommPlan::build(
+                rank,
+                &map,
+                &global,
+                2.8,
+                PlanConfig::NEWTON,
+            ))
+        };
+        let mut sender = RankState::new(Atoms::from_positions(vec![[-1e-18, 1.0, 1.0]], 7), mk(0));
+        let mut receiver = RankState::new(Atoms::default(), mk(top));
+        let out = sweep_x(&mut sender);
+        GhostLayout::adopt_migrants(&mut receiver, out[0].as_slice());
+        assert_eq!(receiver.atoms.nlocal, 1);
+        // The migrant sits strictly inside the receiver's half-open
+        // sub-box: a further exchange sweep must not move it again.
+        let again = sweep_x(&mut receiver);
+        assert!(
+            again[0].is_empty() && again[1].is_empty(),
+            "migrant must not ping-pong off the receiver"
+        );
+        assert_eq!(receiver.atoms.nlocal, 1);
+    }
+
+    #[test]
+    fn irregular_migration_routes_atoms_to_their_owner() {
+        use std::sync::Arc;
+        use tofumd_md::domain::RcbDecomposition;
+        let grid = CellGrid::new([1, 1, 1]);
+        let map = RankMap::new(grid, Placement::TopoAware);
+        let global = Box3::from_lengths([20.0, 16.0, 12.0]);
+        let pts: Vec<[f64; 3]> = (0..200)
+            .map(|i| {
+                let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let u = |s: u32| ((h >> s) & 0xffff) as f64 / 65536.0;
+                [u(0) * 20.0, u(16) * 16.0, u(32) * 12.0]
+            })
+            .collect();
+        let rcb = Arc::new(RcbDecomposition::build(4, &pts, &global));
+        let graphs: Vec<CommGraph> = (0..4)
+            .map(|r| CommGraph::from_rcb(r, &rcb, &map, 2.5))
+            .collect();
+        // Give rank 0 every atom plus one out-of-box straggler; one
+        // migrate round must leave each atom on its owner.
+        let mut states: Vec<RankState> = graphs
+            .iter()
+            .enumerate()
+            .map(|(r, g)| {
+                let mine: Vec<[f64; 3]> = if r == 0 {
+                    let mut v = pts.clone();
+                    v.push([-0.5, 1.0, 1.0]); // wraps to the +x edge
+                    v
+                } else {
+                    Vec::new()
+                };
+                RankState::new(Atoms::from_positions(mine, 1), g.clone())
+            })
+            .collect();
+        let payloads = migrate(&mut states[0]);
+        let peers = states[0].graph.migrate_peers().to_vec();
+        for (p, payload) in peers.iter().zip(&payloads) {
+            GhostLayout::adopt_migrants(&mut states[p.rank], payload.as_slice());
+        }
+        let total: usize = states.iter().map(|s| s.atoms.nlocal).sum();
+        assert_eq!(total, pts.len() + 1, "no atom lost in migration");
+        for st in &states {
+            for i in 0..st.atoms.nlocal {
+                assert!(
+                    st.graph.sub.contains(&st.atoms.x[i]),
+                    "atom {:?} not owned by rank {}",
+                    st.atoms.x[i],
+                    st.graph.me
+                );
+            }
+        }
+        // A second round is a fixed point.
+        for st in &mut states {
+            let again = migrate(st);
+            assert!(again.iter().all(Vec::is_empty), "migration must converge");
+        }
+    }
+
     /// One random edge: send-list picks (reduced modulo the atoms the
     /// pattern may index), shift, ghost-segment length.
     type EdgeSpec = (Vec<u32>, [f64; 3], usize);
@@ -512,12 +760,17 @@ mod tests {
         }
         for i in 0..ntotal {
             st.atoms.f[i] = [val(i, 1.5), val(i, -2.5), val(i, 0.25)];
+            st.atoms.v[i] = [val(i, -0.5), val(i, 0.75), val(i, 3.0)];
         }
         st.scalar = (0..ntotal).map(|i| val(i, 7.0)).collect();
-        (GhostLayout { edges }, st)
+        let g = GhostLayout {
+            edges,
+            ..GhostLayout::default()
+        };
+        (g, st)
     }
 
-    /// Every property the engines rely on, for all four ops on every edge.
+    /// Every property the engines rely on, for every op on every edge.
     fn check_all_ops(g: &GhostLayout, st: &RankState, slack: usize) {
         for (e, edge) in g.edges.iter().enumerate() {
             // Border: the records of the send list through every sink, and
@@ -542,6 +795,7 @@ mod tests {
             let mut landed = RankState::new(st.atoms.clone(), st.graph.clone());
             let mut into = GhostLayout {
                 edges: vec![Edge::default(); g.edges.len()],
+                ..GhostLayout::default()
             };
             let body = wire::combined_body(&region[..framed]);
             into.append_ghosts(&mut landed, e, wire::LeF64s::new(body));
@@ -549,6 +803,36 @@ mod tests {
             assert_eq!(into.segment(e), (n, edge.send.len()));
             let got: Vec<_> = (n..landed.atoms.ntotal())
                 .map(|j| (landed.atoms.tag[j], landed.atoms.typ[j], landed.atoms.x[j]))
+                .collect();
+            assert_eq!(got, expect);
+
+            // Exchange: the send list's records, positions as stored, and
+            // back as locals from the region's bytes.
+            let len = Payload::Exchange(e).len(g);
+            let mut region = vec![0xAAu8; wire::combined_size(len) + slack * 8];
+            let mut w = wire::CombinedWriter::new(&mut region);
+            Payload::Exchange(e).write(g, st, &mut w);
+            let framed = w.finish();
+            let body = wire::combined_body(&region[..framed]);
+            assert_eq!(body.len(), 8 * len);
+            let expect: Vec<_> = edge
+                .send
+                .iter()
+                .map(|&i| {
+                    let (a, i) = (&st.atoms, i as usize);
+                    (a.tag[i], a.typ[i], a.x[i], a.v[i])
+                })
+                .collect();
+            assert_eq!(
+                wire::parse_exchange_records(&wire::decode_f64s(body)),
+                expect
+            );
+            let mut adopted = RankState::new(st.atoms.clone(), st.graph.clone());
+            GhostLayout::adopt_migrants(&mut adopted, wire::LeF64s::new(body));
+            let (a, n) = (&adopted.atoms, st.atoms.nlocal);
+            assert_eq!((a.nghost(), a.nlocal), (0, n + edge.send.len()));
+            let got: Vec<_> = (n..a.nlocal)
+                .map(|j| (a.tag[j], a.typ[j], a.x[j], a.v[j]))
                 .collect();
             assert_eq!(got, expect);
 

@@ -76,12 +76,12 @@ impl GhostEngine for MpiEngine {
 
     /// MPI copies every payload into its send buffer: the pack cost of the
     /// whole round is charged up front and every byte counts as staged.
-    /// The values stream through the [`crate::wire::F64Sink`] straight into the
-    /// round's one byte vector, handed to [`Communicator::send`] per hop.
+    /// The values stream from the layout through [`crate::wire::F64Sink`]
+    /// into the round's one byte vector, sent per hop.
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        let packed = self.pattern.pack(op, round, st);
+        self.pattern.select(op, round, st);
         let (pattern, layout) = (&self.pattern, &self.pattern.ghosts);
-        let payload = |h: Hop| Payload::of(op, &packed, h.i, h.layout);
+        let payload = |h: Hop| Payload::of(op, h.layout);
         let mut f64s = 0;
         pattern.for_each_hop(op, round, st, false, |h, _| f64s += payload(h).len(layout))?;
         let mut now = st.clock + self.comm.net().params().pack_cost(f64s * 8);

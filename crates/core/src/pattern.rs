@@ -4,20 +4,21 @@
 //! space — *pattern* (3-stage sweeps vs peer-to-peer) × *transport* (MPI
 //! two-sided vs uTofu one-sided). A [`Pattern`] is the first axis and the
 //! only place that answers, for `(op, round)`: how many rounds there are,
-//! which messages leave and which are expected ([`Pattern::hop`]), what
-//! each carries ([`crate::ghost::Payload::of`]), how an arrived payload is
-//! delivered from the bytes it landed in and what Border does when it
-//! finishes. The engines ([`crate::mpi_engine`], [`crate::utofu_engine`])
-//! are the second axis: each holds a `Pattern` and ships what it lists.
+//! what it selects onto the send lists ([`Pattern::select`]), which
+//! messages leave and which are expected ([`Pattern::hop`]) and the layout
+//! edge each streams from, how an arrived payload is delivered from the
+//! bytes it landed in and what Border does when it finishes. The engines
+//! ([`crate::mpi_engine`], [`crate::utofu_engine`]) are the second axis:
+//! each holds a `Pattern` and ships what it lists.
 //!
 //! * **p2p** (Fig. 5): one round per ghost op, a message on every graph
 //!   edge. Layout edge id = graph edge index `k`; a message is known to
 //!   its receiver by the edge's `peer_index`, which disambiguates small
 //!   periodic grids and irregular graphs where one rank is a neighbor
 //!   along several edges. Send lists come from the graph's
-//!   [`SendSelector`]. Migration sweeps the three grid dimensions (as
-//!   LAMMPS does under every pattern) or, on an irregular graph, goes
-//!   owner-directed in one round.
+//!   [`SendSelector`]. Migration sweeps the grid faces, as under either
+//!   pattern (layout edge `dim * 2 + dir`), or, on an irregular graph,
+//!   goes owner-directed in one round (one edge per migrate peer).
 //! * **3-stage** (Fig. 4): layout edge id = `(dim * swaps + swap) * 2 +
 //!   dir`. LAMMPS's 6-way swap sweeps x, then y, then z, sending the atoms
 //!   (locals *and already-received ghosts*) within the ghost cutoff of
@@ -75,7 +76,7 @@ pub struct Hop {
     pub rank: usize,
     /// What the receiver knows the message by.
     pub landing: Landing,
-    /// The [`GhostLayout`] edge a ghost op packs from / delivers to.
+    /// The [`GhostLayout`] edge the message streams from / delivers to.
     pub layout: usize,
 }
 
@@ -258,12 +259,12 @@ impl Pattern {
         graph.max_atoms_estimate(in_edges[k].offset, density)
     }
 
-    /// Build what `(op, round)` sends before any of it is posted: Border
-    /// starts (round 0) or extends the layout's send lists, Exchange
-    /// removes the emigrants and packs theirs. Returns Exchange's packed
-    /// payloads in hop order; Border and the ghost ops pack nothing here —
-    /// they are streamed from the layout into the transport's buffer.
-    pub fn pack(&mut self, op: Op, round: usize, st: &mut RankState) -> Vec<Vec<f64>> {
+    /// Select what `(op, round)` sends before any of it is posted: Border
+    /// starts (round 0) or extends the layout's send lists, Exchange fills
+    /// them with the emigrants it parks past the locals, the ghost ops
+    /// select nothing. Every payload then streams from the layout into the
+    /// transport's buffer ([`crate::ghost::Payload`]).
+    pub fn select(&mut self, op: Op, round: usize, st: &mut RankState) {
         match (&mut self.walk, op.kind()) {
             (_, OpKind::Ghost(_)) => {}
             (Walk::Staged { links, shells }, OpKind::Border) => {
@@ -282,10 +283,9 @@ impl Pattern {
             }
             // Irregular single round: every out-of-box atom goes straight
             // to its new owner.
-            (Walk::P2p { grid: false, .. }, OpKind::Exchange) => return st.pack_exchange_graph(),
-            (_, OpKind::Exchange) => return st.pack_exchange(round).into(),
+            (Walk::P2p { grid: false, .. }, OpKind::Exchange) => self.ghosts.select_exchange(st),
+            (_, OpKind::Exchange) => self.ghosts.sweep_exchange(st, round),
         }
-        Vec::new()
     }
 
     /// Message `i` of those `(op, round)` sends (`incoming == false`, in
@@ -330,12 +330,12 @@ impl Pattern {
             }
             _ if grid_migration => {
                 let (down, k) = face_edges(graph, round)?[i];
-                face(round, down != incoming, k, 0)
+                face(round, down != incoming, k, round * 2 + i)
             }
             // A migrant is tagged with my slot in its new owner's list.
             _ if op == Op::Exchange => graph.migrate_peers().get(i).map(|p| {
                 let slot = if incoming { i } else { p.tag_index };
-                hop(flow, i, p.rank, Landing::Edge(slot), 0)
+                hop(flow, i, p.rank, Landing::Edge(slot), i)
             }),
             _ => peers(flow).get(i).map(|e| {
                 let index = if incoming { i } else { e.peer_index };
@@ -363,12 +363,12 @@ impl Pattern {
 
     /// Deliver the payload that arrived on layout edge `layout` from any
     /// [`F64Source`] (on both transports, the bytes it landed in): Border
-    /// appends the edge's ghost segment, Exchange adopts the migrants, a
-    /// ghost op scatters through the layout.
+    /// appends the edge's ghost segment, Exchange drops the emigrants its
+    /// post streamed and adopts the migrants, a ghost op scatters.
     pub fn deliver(&mut self, op: Op, layout: usize, st: &mut RankState, src: impl F64Source) {
         match op.kind() {
             OpKind::Border => self.ghosts.append_ghosts(st, layout, src),
-            OpKind::Exchange => st.unpack_exchange(src),
+            OpKind::Exchange => GhostLayout::adopt_migrants(st, src),
             OpKind::Ghost(g) => self.ghosts.unpack(g, layout, st, src),
         }
     }

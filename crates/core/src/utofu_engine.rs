@@ -28,9 +28,10 @@
 //! ghost ops) is *planned* — posted across the configured VCQs / comm
 //! threads from its [`OpPlan`], received into the per-edge inbox; one that
 //! lists two face messages (every staged round, every grid migration
-//! sweep) is *sequential* on the rank's first VCQ. Every message is framed
-//! *in place* into one of this rank's registered send regions and put
-//! from there, and every arrival is delivered from the bytes it landed in
+//! sweep) is *sequential* on the rank's first VCQ. Every message of every
+//! op is streamed from the pattern's ghost layout and framed *in place*
+//! into one of this rank's registered send regions and put from there,
+//! and every arrival is delivered from the bytes it landed in
 //! ([`UtofuLane::consume`]); only the charge differs by op. A ghost op is
 //! zero-copy — no pack cost, `bytes_copied` stays 0 — while Border and
 //! Exchange model LAMMPS's staging copy: charged and counted, though the
@@ -435,7 +436,7 @@ impl UtofuLane {
         layout: &GhostLayout,
         out: &mut (Stadd, usize),
         st: &mut RankState,
-        payload: Payload<'_>,
+        payload: Payload,
         op: Op,
         round: usize,
     ) -> (f64, Option<Vec<u8>>) {
@@ -710,7 +711,7 @@ impl UtofuEngine {
         let n = self.inbox.len();
         plan.f64s.clear();
         plan.f64s
-            .extend((0..n).map(|k| Payload::of(op, &[], k, k).len(layout)));
+            .extend((0..n).map(|k| Payload::of(op, k).len(layout)));
         let (p, f64s) = (self.lane.net.params(), &plan.f64s);
         let chan = &self.chan[BufKind::inflow(op.toward_ghosts()) as usize];
         let cost = |k: usize| fine::link_cost(f64s[k] * 8, chan[k].hops, p);
@@ -815,13 +816,7 @@ impl UtofuEngine {
     /// The sequential post: the two face messages round `round` of `op`
     /// lists, one after the other on the rank's first VCQ. A growth
     /// handshake is charged where it happens, between the puts.
-    fn post_listed(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        round: usize,
-        packed: &[Vec<f64>],
-    ) -> Result<(), TofuError> {
+    fn post_listed(&mut self, st: &mut RankState, op: Op, round: usize) -> Result<(), TofuError> {
         let slot = self.seq % self.cfg.slots;
         self.seq += 1;
         let (lane, pattern, chan, send_out) = (
@@ -835,7 +830,7 @@ impl UtofuEngine {
         let mut now = st.clock;
         pattern.for_each_hop(op, round, st, false, |h, st| {
             let ch = &mut chan[BufKind::inflow(h.toward_ghosts) as usize][h.k];
-            let payload = Payload::of(op, packed, h.i, h.layout);
+            let payload = Payload::of(op, h.layout);
             let need = wire::combined_size(payload.len(layout));
             let (dst_stadd, dt) = lane.reserve(ch, slot, need, st.stats.at(op, round));
             now += dt;
@@ -1048,9 +1043,9 @@ impl GhostEngine for UtofuEngine {
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         self.resolve_channels(st)?;
-        let packed = self.pattern.pack(op, round, st);
+        self.pattern.select(op, round, st);
         if !self.pattern.spans_edges(op) {
-            return self.post_listed(st, op, round, &packed);
+            return self.post_listed(st, op, round);
         }
         if op == Op::Border {
             self.replan(op);
@@ -1172,8 +1167,9 @@ mod tests {
         // The repeated ghost ops serialize frames in place inside the
         // registered send regions: wire bytes move, but `bytes_copied`
         // stays at zero on both the direct-x (pool6) and framed (coarse4)
-        // variants. Border and Exchange discover their payload while
-        // packing, pass through a staging copy, and are measured.
+        // variants. Border and Exchange stream their records from the
+        // layout's send lists too, but model LAMMPS's staging copy, so
+        // every byte they send is counted as copied.
         for cfg in [UtofuConfig::pool6(), UtofuConfig::coarse4()] {
             let mut f = fixture(cfg);
             drive(&mut f, Op::Exchange);

@@ -76,8 +76,8 @@ pub fn combined_size(n: usize) -> usize {
 /// Bytes of the combined frame's count header.
 pub const COMBINED_HEADER_BYTES: usize = 8;
 
-/// Destination for streamed `f64` payloads. The Border and ghost-op packs
-/// are written once against this trait and run unchanged over a `Vec<f64>`
+/// Destination for streamed `f64` payloads. Every op's pack is written
+/// once against this trait and runs unchanged over a `Vec<f64>`
 /// (tests), the `Vec<u8>` handed to the MPI transport, or a
 /// [`CombinedWriter`] over a registered region (uTofu: framed in place).
 pub trait F64Sink {
@@ -238,21 +238,28 @@ impl F64Sink for CombinedWriter<'_> {
     }
 }
 
-/// Encode one border-stage atom record: tag and type packed into one f64
-/// (tag in the low 48 bits, type in the next 8 — both exact in a double's
-/// 53-bit mantissa), followed by x, y, z.
-pub fn push_border_record(out: &mut Vec<f64>, tag: u64, typ: u32, x: [f64; 3]) {
-    out.push(pack_id(tag, typ));
-    out.extend_from_slice(&x);
+/// Stream one atom record into any [`F64Sink`], in one run: tag and type
+/// packed into one f64 (tag in the low 48 bits, type in the next 5 — both
+/// exact in a double's 53-bit mantissa), then `body` — Border's shifted
+/// position, or Exchange's position and velocity.
+pub fn put_record(out: &mut impl F64Sink, tag: u64, typ: u32, body: &[f64]) {
+    let mut rec = [0.0; EXCHANGE_RECORD_F64S];
+    rec[0] = pack_id(tag, typ);
+    rec[1..=body.len()].copy_from_slice(body);
+    out.put_f64s(&rec[..=body.len()]);
 }
 
 /// Number of f64 slots per border record.
 pub const BORDER_RECORD_F64S: usize = 4;
 
+/// Every atom tag the wire can carry is below this bound: the packed id's
+/// 48-bit tag field.
+pub const TAG_LIMIT: u64 = 1 << 48;
+
 /// Pack (tag, type) into one exactly-representable f64.
 #[must_use]
 pub fn pack_id(tag: u64, typ: u32) -> f64 {
-    assert!(tag < (1 << 48), "tag exceeds the 48-bit wire budget");
+    assert!(tag < TAG_LIMIT, "tag exceeds the 48-bit wire budget");
     assert!(typ < (1 << 5), "type exceeds the 5-bit wire budget");
     (tag | (u64::from(typ) << 48)) as f64
 }
@@ -261,7 +268,7 @@ pub fn pack_id(tag: u64, typ: u32) -> f64 {
 #[must_use]
 pub fn unpack_id(v: f64) -> (u64, u32) {
     let bits = v as u64;
-    (bits & ((1 << 48) - 1), (bits >> 48) as u32)
+    (bits & (TAG_LIMIT - 1), (bits >> 48) as u32)
 }
 
 /// Stream the records of `width` values out of `src` in order, handing `f`
@@ -292,14 +299,7 @@ pub fn parse_border_records(values: &[f64]) -> Vec<(u64, u32, [f64; 3])> {
     out
 }
 
-/// Encode one exchange-stage atom record: packed tag/type, x, v (7 slots).
-pub fn push_exchange_record(out: &mut Vec<f64>, tag: u64, typ: u32, x: [f64; 3], v: [f64; 3]) {
-    out.push(pack_id(tag, typ));
-    out.extend_from_slice(&x);
-    out.extend_from_slice(&v);
-}
-
-/// Number of f64 slots per exchange record.
+/// Number of f64 slots per exchange record: packed tag/type, x, v.
 pub const EXCHANGE_RECORD_F64S: usize = 7;
 
 /// Decode exchange records; yields (tag, type, position, velocity).
@@ -428,9 +428,9 @@ mod tests {
 
     #[test]
     fn border_records_roundtrip() {
-        let mut buf = Vec::new();
-        push_border_record(&mut buf, 42, 1, [1.0, 2.0, 3.0]);
-        push_border_record(&mut buf, 7, 3, [-1.0, 0.0, 9.5]);
+        let mut buf: Vec<f64> = Vec::new();
+        put_record(&mut buf, 42, 1, &[1.0, 2.0, 3.0]);
+        put_record(&mut buf, 7, 3, &[-1.0, 0.0, 9.5]);
         let recs = parse_border_records(&buf);
         assert_eq!(
             recs,
@@ -440,8 +440,8 @@ mod tests {
 
     #[test]
     fn exchange_records_roundtrip() {
-        let mut buf = Vec::new();
-        push_exchange_record(&mut buf, 3, 2, [1.0; 3], [0.5, -0.5, 0.0]);
+        let mut buf: Vec<f64> = Vec::new();
+        put_record(&mut buf, 3, 2, &[1.0, 1.0, 1.0, 0.5, -0.5, 0.0]);
         let recs = parse_exchange_records(&buf);
         assert_eq!(recs, vec![(3, 2, [1.0; 3], [0.5, -0.5, 0.0])]);
     }

@@ -13,6 +13,9 @@
 //! pre-registration, and without it only in rounds that grew a buffer.
 //! The MPI engine hands each hop a send buffer (one vector per rank and
 //! round) and delivers each message from the mailbox bytes it landed in.
+//! Exchange is a send-list op like Border: warmed rounds that carry atoms
+//! across a face and back allocate nothing on uTofu and the round's send
+//! vector on MPI.
 //!
 //! One `#[test]` only: the counter is per thread, but the fixture is not
 //! cheap and the configurations share it.
@@ -305,6 +308,7 @@ fn steady_state_ghost_ops_do_not_allocate() {
             "pool6 second epoch, rebuild {r}"
         );
     }
+    assert_eq!(exchange_rounds(&mut f), 0.0, "pool6 Exchange");
 
     // Dynamic buffers: only a round that grows one may allocate (the
     // re-registration itself), and the grown size sticks.
@@ -339,6 +343,7 @@ fn steady_state_ghost_ops_do_not_allocate() {
     for r in 0..3 {
         assert_eq!(rebuild(&mut f), [(0, 0); 2], "coarse4 dense rebuild {r}");
     }
+    assert_eq!(exchange_rounds(&mut f), 0.0, "coarse4 Exchange");
 
     // The staged pattern over the same engine: three sequential rounds per
     // op on the face buffers, just as quiet once those have grown.
@@ -354,6 +359,7 @@ fn steady_state_ghost_ops_do_not_allocate() {
     for r in 0..5 {
         assert_eq!(rebuild(&mut f), [(0, 0); 2], "staged rebuild {r}");
     }
+    assert_eq!(exchange_rounds(&mut f), 0.0, "staged Exchange");
 
     // MPI: the send vector of a rank's round, and nothing per message or
     // per record — on the grid under both patterns and on an irregular
@@ -388,4 +394,49 @@ fn mpi_steady(label: &str, f: &mut Fixture<MpiEngine>) {
             assert!(got <= 1.0, "{label} {op:?}, step {r}: {got} per rank");
         }
     }
+    let exchange = exchange_rounds(f);
+    assert!(exchange <= 1.0, "{label} Exchange: {exchange} per rank");
+}
+
+/// Move every rank's locals that sit within 1.0 of its low x face (`down`)
+/// or its high one 0.75 further that way, most of them out of the sub-box.
+/// The ghosts go first, as the driver drops them before Exchange.
+fn push_across<E>(f: &mut Fixture<E>, down: bool) {
+    for st in &mut f.states {
+        st.atoms.clear_ghosts();
+        let (lo, hi) = (st.graph.sub.lo[0], st.graph.sub.hi[0]);
+        for x in &mut st.atoms.x {
+            if down && x[0] < lo + 1.0 {
+                x[0] -= 0.75;
+            } else if !down && x[0] >= hi - 1.0 {
+                x[0] += 0.75;
+            }
+        }
+    }
+}
+
+/// Exchange rounds that carry atoms across the x faces and back: eight to
+/// warm up, then the allocations per rank and op round of six more. Every
+/// round must move an atom.
+fn exchange_rounds<E: GhostEngine>(f: &mut Fixture<E>) -> f64 {
+    let locals = |f: &Fixture<E>| -> Vec<Vec<u64>> {
+        let tags = |st: &RankState| st.atoms.tag[..st.atoms.nlocal].to_vec();
+        f.states.iter().map(tags).collect()
+    };
+    let mut cross = |k: usize| {
+        let before = locals(f);
+        push_across(f, k.is_multiple_of(2));
+        let a0 = allocs();
+        drive(f, Op::Exchange);
+        let spent = allocs() - a0;
+        assert_ne!(locals(f), before, "Exchange round {k} moved no atom");
+        spent
+    };
+    let (warm, measured) = (8, 6);
+    (0..warm).for_each(|k| {
+        cross(k);
+    });
+    let spent: u64 = (warm..warm + measured).map(&mut cross).sum();
+    let rounds = f.engines[0].rounds(Op::Exchange) * f.engines.len() * measured;
+    spent as f64 / rounds as f64
 }

@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tofumd_core::engine::{wrap_for_exchange, RankState};
+use tofumd_core::ghost::{GhostLayout, Payload};
 use tofumd_core::sf::rebalance_migrate_peers;
 use tofumd_core::topo_map::{Placement, RankMap};
 use tofumd_core::CommGraph;
@@ -16,6 +17,20 @@ use tofumd_md::region::Box3;
 use tofumd_tofu::CellGrid;
 
 const LENGTHS: [f64; 3] = [20.0, 16.0, 12.0];
+
+/// An owner-directed Exchange over `st`: one payload per migrate peer,
+/// streamed from the send lists it fills.
+fn migrate(st: &mut RankState) -> Vec<Vec<f64>> {
+    let mut g = GhostLayout::default();
+    g.select_exchange(st);
+    (0..st.graph.migrate_peers().len())
+        .map(|p| {
+            let mut out: Vec<f64> = Vec::new();
+            Payload::Exchange(p).write(&g, st, &mut out);
+            out
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -90,13 +105,12 @@ proptest! {
 
         // One owner-directed round: every rank packs, every payload is
         // delivered to the matching peer.
-        let payloads: Vec<Vec<Vec<f64>>> =
-            states.iter_mut().map(RankState::pack_exchange_graph).collect();
+        let payloads: Vec<Vec<Vec<f64>>> = states.iter_mut().map(migrate).collect();
         for (r, outs) in payloads.iter().enumerate() {
             let peers = peer_lists[r].clone();
             prop_assert_eq!(outs.len(), peers.len());
             for (p, payload) in peers.iter().zip(outs) {
-                states[p.rank].unpack_exchange(payload.as_slice());
+                GhostLayout::adopt_migrants(&mut states[p.rank], payload.as_slice());
             }
         }
 
@@ -116,7 +130,7 @@ proptest! {
                 prop_assert!(st.graph.sub.contains(&x));
                 prop_assert_eq!(st.graph.owner_of(&x), st.graph.me);
             }
-            let again = st.pack_exchange_graph();
+            let again = migrate(st);
             prop_assert!(again.iter().all(Vec::is_empty));
         }
     }

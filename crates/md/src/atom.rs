@@ -108,22 +108,20 @@ impl Atoms {
         self.nlocal += 1;
     }
 
-    /// Remove local atom `i` by swapping in the last local atom (O(1),
+    /// Swap local atom `i` with the last local and shrink `nlocal` (O(1),
     /// order-destroying — fine because neighbor lists are rebuilt after
-    /// every exchange). Must be called only when no ghosts are present.
-    pub fn swap_remove_local(&mut self, i: usize) {
-        assert_eq!(
-            self.nghost(),
-            0,
-            "cannot remove locals while ghosts present"
-        );
+    /// every exchange). It stays, at the returned index, in the ghost
+    /// region until [`Atoms::clear_ghosts`]: where Exchange parks emigrants.
+    pub fn swap_out_local(&mut self, i: usize) -> usize {
         assert!(i < self.nlocal);
-        self.x.swap_remove(i);
-        self.v.swap_remove(i);
-        self.f.swap_remove(i);
-        self.typ.swap_remove(i);
-        self.tag.swap_remove(i);
-        self.nlocal -= 1;
+        let last = self.nlocal - 1;
+        self.x.swap(i, last);
+        self.v.swap(i, last);
+        self.f.swap(i, last);
+        self.typ.swap(i, last);
+        self.tag.swap(i, last);
+        self.nlocal = last;
+        last
     }
 
     /// Permute the local atoms so that new slot `k` holds the atom
@@ -243,11 +241,17 @@ mod tests {
     #[test]
     fn swap_remove_keeps_consistency() {
         let mut a = three_atoms();
-        a.swap_remove_local(0);
+        assert_eq!(a.swap_out_local(0), 2);
         assert_eq!(a.nlocal, 2);
         // Atom formerly last (tag 3) moved into slot 0.
         assert_eq!(a.tag[0], 3);
         assert!(a.is_consistent());
+        // The removed atom waits past the locals until the ghosts go.
+        assert_eq!((a.tag[2], a.x[2], a.nghost()), (1, [0.0; 3], 1));
+        assert_eq!(a.swap_out_local(1), 1);
+        assert_eq!(a.tag, [3, 2, 1]);
+        a.clear_ghosts();
+        assert_eq!((a.nlocal, a.ntotal()), (1, 1));
     }
 
     #[test]

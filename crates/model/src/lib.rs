@@ -29,7 +29,7 @@ pub mod table1;
 
 pub use analytic::{opt_step_time, ref_step_time, AnalyticBreakdown, AnalyticWorkload};
 pub use equations::{pattern_times, PatternTimes, Transport};
-pub use scaling::{parallel_efficiency, speedups, units_per_day, ScalingPoint};
+pub use scaling::{parallel_efficiency, units_per_day};
 pub use sensitivity::{headline_speedup, sweep, Knob};
 pub use stagecost::{RankWork, StageCosts, Threading};
 pub use table1::{Geometry, PatternRow};

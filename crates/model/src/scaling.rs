@@ -1,8 +1,6 @@
 //! Scaling metrics and performance-unit conversions used by the paper's
 //! evaluation (Figs. 13, 14).
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds per day.
 pub const SECONDS_PER_DAY: f64 = 86_400.0;
 
@@ -31,29 +29,6 @@ pub fn parallel_efficiency(
     step_time: f64,
 ) -> f64 {
     (base_step_time * base_nodes as f64) / (step_time * nodes as f64)
-}
-
-/// One point of a scaling study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScalingPoint {
-    /// Compute nodes used.
-    pub nodes: usize,
-    /// Mean wall-clock seconds per MD step.
-    pub step_time: f64,
-}
-
-/// Speedup of `optimized` over `baseline` at matching node counts.
-#[must_use]
-pub fn speedups(baseline: &[ScalingPoint], optimized: &[ScalingPoint]) -> Vec<(usize, f64)> {
-    baseline
-        .iter()
-        .filter_map(|b| {
-            optimized
-                .iter()
-                .find(|o| o.nodes == b.nodes)
-                .map(|o| (b.nodes, b.step_time / o.step_time))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -89,33 +64,5 @@ mod tests {
         assert!((parallel_efficiency(768, 1.0e-3, 1536, 0.5e-3) - 1.0).abs() < 1e-12);
         // No improvement at 2x nodes -> 50%.
         assert!((parallel_efficiency(768, 1.0e-3, 1536, 1.0e-3) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedup_matching() {
-        let base = [
-            ScalingPoint {
-                nodes: 768,
-                step_time: 2.0,
-            },
-            ScalingPoint {
-                nodes: 36864,
-                step_time: 1.0,
-            },
-        ];
-        let opt = [
-            ScalingPoint {
-                nodes: 36864,
-                step_time: 0.345,
-            },
-            ScalingPoint {
-                nodes: 768,
-                step_time: 1.0,
-            },
-        ];
-        let s = speedups(&base, &opt);
-        assert_eq!(s.len(), 2);
-        assert!((s[0].1 - 2.0).abs() < 1e-12);
-        assert!((s[1].1 - 2.9).abs() < 1e-2);
     }
 }

@@ -31,6 +31,7 @@ use crate::config::{CommTuning, Decomp, PotentialKind, RunConfig};
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::fmt;
+use tofumd_core::wire::TAG_LIMIT;
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
 use tofumd_md::kernels::KernelMode;
@@ -464,40 +465,39 @@ impl CheckpointData {
     /// invariants a hostile payload could violate while passing the
     /// per-type decoders.
     fn validate(&self) -> Result<(), CheckpointError> {
+        let fail = |m: String| Err(CheckpointError::Decode(m));
         let nranks = self.ranks.len();
         if nranks == 0 {
-            return Err(CheckpointError::Decode("checkpoint has zero ranks".into()));
+            return fail("checkpoint has zero ranks".into());
         }
         if let Some(rcb) = &self.rcb {
-            let parts = rcb.nranks();
-            let expected = nranks - usize::from(self.dead.is_some());
+            let (parts, expected) = (rcb.nranks(), nranks - usize::from(self.dead.is_some()));
             if parts != expected {
-                return Err(CheckpointError::Decode(format!(
-                    "RCB has {parts} parts but {expected} live ranks"
-                )));
+                return fail(format!("RCB has {parts} parts but {expected} live ranks"));
             }
         }
-        if let Some(dead) = self.dead {
-            if (dead as usize) >= nranks {
-                return Err(CheckpointError::Decode(format!(
-                    "dead rank {dead} out of range for {nranks} ranks"
-                )));
-            }
+        if let Some(dead) = self.dead.filter(|&dead| dead as usize >= nranks) {
+            return fail(format!("dead rank {dead} out of range for {nranks} ranks"));
         }
         for (i, d) in self.ranks.iter().enumerate() {
             if !d.atoms.is_consistent() {
-                return Err(CheckpointError::Decode(format!(
-                    "rank {i} atom arrays inconsistent"
-                )));
+                return fail(format!("rank {i} atom arrays inconsistent"));
+            }
+            // Border packs every tag into a wire id, whose tag field ends
+            // at the wire's limit.
+            if let Some(tag) = d.atoms.tag.iter().find(|&&tag| tag >= TAG_LIMIT) {
+                return fail(format!(
+                    "rank {i} atom tag {tag} is past the wire's {TAG_LIMIT}"
+                ));
             }
             // The force pass indexes its coefficients by type: a type the
             // run would not assign is a type the potential may not have.
             let mut types = d.atoms.tag.iter().zip(&d.atoms.typ);
             if let Some((&tag, &t)) = types.find(|&(&tag, &t)| t != self.cfg.type_of_tag(tag)) {
-                return Err(CheckpointError::Decode(format!(
-                    "rank {i} atom tag {tag} has type {t}, the run assigns {}",
-                    self.cfg.type_of_tag(tag)
-                )));
+                let run = self.cfg.type_of_tag(tag);
+                return fail(format!(
+                    "rank {i} atom tag {tag} has type {t}, the run assigns {run}"
+                ));
             }
         }
         Ok(())

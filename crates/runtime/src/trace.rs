@@ -8,16 +8,16 @@
 
 use crate::cluster::StageBreakdown;
 use serde::{Deserialize, Serialize};
-use tofumd_core::engine::{Op, OpStats};
+use tofumd_core::engine::{Op, OpKind, OpStats};
+use tofumd_core::wire;
 
-/// Payload f64s per atom record of each op (Exchange records also carry
-/// the tag and type; the small framing overhead is ignored).
-fn record_f64s(op: Op) -> f64 {
-    match op {
-        Op::Exchange => 7.0,
-        Op::Border => 4.0,
-        Op::Forward | Op::Reverse => 3.0,
-        Op::ForwardScalar | Op::ReverseScalar => 1.0,
+/// Payload f64s per atom record of each op (Exchange and Border records
+/// also carry the tag and type; the small framing overhead is ignored).
+fn record_f64s(op: Op) -> usize {
+    match op.kind() {
+        OpKind::Exchange => wire::EXCHANGE_RECORD_F64S,
+        OpKind::Border => wire::BORDER_RECORD_F64S,
+        OpKind::Ghost(g) => g.unit(),
     }
 }
 
@@ -65,7 +65,7 @@ pub fn comm_rows(stats: &OpStats, rank_steps: f64) -> Vec<OpCommRow> {
             Some(OpCommRow {
                 op: op.label(),
                 messages: t.messages as f64 / norm,
-                atoms: t.bytes as f64 / (8.0 * record_f64s(op)) / norm,
+                atoms: t.bytes as f64 / (8 * record_f64s(op)) as f64 / norm,
                 bytes: t.bytes as f64 / norm,
                 max_msg_bytes: t.max_msg_bytes,
                 growth_events: t.growth_events,

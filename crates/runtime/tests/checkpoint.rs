@@ -284,3 +284,24 @@ fn restored_atom_types_must_be_the_runs() {
         }
     }
 }
+
+/// Border packs every tag into the wire's 48-bit id field, so a restart
+/// file whose tags do not fit — here every rank-0 tag moved past the field,
+/// still unique, and the container resealed — is refused with a typed error
+/// instead of panicking in the first Border the restore replays.
+#[test]
+fn restored_atom_tags_must_fit_the_wire() {
+    let mut c = Cluster::new(MESH, RunConfig::lj(2_048), CommVariant::MpiP2p);
+    c.checkpoint_now().expect("post-setup dump is legal");
+    let good = c.last_checkpoint().unwrap().to_vec();
+    let mut bad = CheckpointData::from_container(&good).unwrap();
+    assert!(bad.ranks[0].atoms.nlocal > 0, "rank 0 holds atoms");
+    for (i, tag) in bad.ranks[0].atoms.tag.iter_mut().enumerate() {
+        *tag = (1 << 48) + i as u64;
+    }
+    match Cluster::restore_from_bytes(&bad.to_container()) {
+        Err(CheckpointError::Decode(m)) => assert!(m.contains("tag"), "{m}"),
+        Err(e) => panic!("wrong error kind: {e}"),
+        Ok(_) => panic!("a tag past the wire's field restored"),
+    }
+}

@@ -271,9 +271,9 @@ proptest! {
             0..40,
         ),
     ) {
-        let mut payload = Vec::new();
+        let mut payload: Vec<f64> = Vec::new();
         for (tag, typ, x, v) in &records {
-            wire::push_exchange_record(&mut payload, *tag, *typ, *x, *v);
+            wire::put_record(&mut payload, *tag, *typ, &[*x, *v].concat());
         }
         prop_assert_eq!(payload.len(), records.len() * wire::EXCHANGE_RECORD_F64S);
         prop_assert_eq!(wire::parse_exchange_records(&payload), records.clone());
@@ -291,9 +291,9 @@ proptest! {
             0..40,
         ),
     ) {
-        let mut payload = Vec::new();
+        let mut payload: Vec<f64> = Vec::new();
         for (tag, typ, x) in &records {
-            wire::push_border_record(&mut payload, *tag, *typ, *x);
+            wire::put_record(&mut payload, *tag, *typ, x);
         }
         prop_assert_eq!(payload.len(), records.len() * wire::BORDER_RECORD_F64S);
         prop_assert_eq!(wire::parse_border_records(&payload), records.clone());
@@ -361,14 +361,9 @@ fn wire_edge_cases_exact() {
         (max_tag, max_typ)
     );
     assert_eq!(wire::unpack_id(wire::pack_id(0, 0)), (0, 0));
-    let mut payload = Vec::new();
-    wire::push_exchange_record(
-        &mut payload,
-        max_tag,
-        max_typ,
-        [f64::MIN, 0.0, f64::MAX],
-        [0.0; 3],
-    );
+    let mut payload: Vec<f64> = Vec::new();
+    let body = [f64::MIN, 0.0, f64::MAX, 0.0, 0.0, 0.0];
+    wire::put_record(&mut payload, max_tag, max_typ, &body);
     let back = wire::parse_exchange_records(&payload);
     assert_eq!(
         back,
