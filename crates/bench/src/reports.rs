@@ -12,7 +12,7 @@ use crate::{
 };
 use std::sync::Arc;
 use tofumd_core::fine;
-use tofumd_core::plan::{CommPlan, PlanConfig};
+use tofumd_core::sf::{CommGraph, PlanConfig};
 use tofumd_core::topo_map::{Placement, RankMap};
 use tofumd_md::region::Box3;
 use tofumd_md::{velocity, Atoms, SerialSim};
@@ -103,20 +103,11 @@ pub(crate) fn table1(_: &Opts) -> String {
     let headers = "pattern|slab volume|atoms|fwd bytes|hops|msgs";
     push_table(&mut out, headers, &rows);
 
-    // Cross-check: the concrete CommPlan reproduces the symbolic volumes.
+    // Cross-check: the concrete grid graph reproduces the symbolic volumes.
     let map = RankMap::new(grid_768(), Placement::TopoAware);
-    let plan = CommPlan::build(
-        0,
-        &map,
-        &global_box(&map, geom.a),
-        R_GHOST,
-        PlanConfig::NEWTON,
-    );
-    let plan_total: f64 = plan
-        .recv_from
-        .iter()
-        .map(|l| plan.slab_volume(l.offset))
-        .sum();
+    let global = global_box(&map, geom.a);
+    let graph = CommGraph::grid(0, &map, &global, R_GHOST, PlanConfig::NEWTON);
+    let plan_total: f64 = graph.recv.iter().map(|e| graph.slab_volume(e.offset)).sum();
     out += &format!(
         "\nCommPlan cross-check: concrete half-shell volume {:.2} vs symbolic {:.2} (match: {})\n",
         plan_total,
@@ -757,8 +748,8 @@ pub(crate) fn ablations(o: &Opts) -> String {
         let global = global_box(m, 2.935);
         let wires: Vec<f64> = (0..m.nranks())
             .step_by(97)
-            .flat_map(|r| CommPlan::build(r, m, &global, R_GHOST, PlanConfig::NEWTON).recv_from)
-            .map(|l| p.wire_time(522, l.hops))
+            .flat_map(|r| CommGraph::grid(r, m, &global, R_GHOST, PlanConfig::NEWTON).recv)
+            .map(|e| p.wire_time(522, e.hops))
             .collect();
         wires.iter().sum::<f64>() / wires.len() as f64
     };

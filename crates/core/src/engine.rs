@@ -436,7 +436,7 @@ pub trait GhostEngine: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{CommPlan, PlanConfig};
+    use crate::sf::PlanConfig;
     use crate::topo_map::{Placement, RankMap};
     use tofumd_md::region::Box3;
     use tofumd_tofu::CellGrid;
@@ -445,10 +445,9 @@ mod tests {
         let grid = CellGrid::from_node_mesh([8, 12, 8]).unwrap();
         let map = RankMap::new(grid, Placement::TopoAware);
         let global = Box3::from_lengths([80.0, 240.0, 160.0]);
-        let plan = CommPlan::build(0, &map, &global, 2.8, PlanConfig::NEWTON);
         RankState::new(
             Atoms::from_positions(vec![[1.0; 3]], 1),
-            CommGraph::from_grid(plan),
+            CommGraph::grid(0, &map, &global, 2.8, PlanConfig::NEWTON),
         )
     }
 

@@ -358,8 +358,7 @@ impl Payload {
 mod tests {
     use super::*;
     use crate::pattern::{staged_shifts, staged_sweep};
-    use crate::plan::{CommPlan, PlanConfig};
-    use crate::sf::{CommGraph, GraphEdge};
+    use crate::sf::{CommGraph, GraphEdge, PlanConfig};
     use crate::topo_map::{Placement, RankMap};
     use proptest::prelude::*;
     use tofumd_md::region::Box3;
@@ -383,8 +382,7 @@ mod tests {
             10.0 * f64::from(rg[1]),
             10.0 * f64::from(rg[2]),
         ]);
-        let plan = CommPlan::build(0, &map, &global, 2.0, PlanConfig::NEWTON);
-        let graph = CommGraph::from_grid(plan);
+        let graph = CommGraph::grid(0, &map, &global, 2.0, PlanConfig::NEWTON);
         let links = [0, 1, 2].map(|dim| [0, 1].map(|dir| *graph.face_link(dim, dir)));
         let sel = graph.selector();
         (
@@ -610,8 +608,7 @@ mod tests {
         let grid = CellGrid::from_node_mesh([8, 12, 8]).unwrap();
         let map = RankMap::new(grid, Placement::TopoAware);
         let global = Box3::from_lengths([80.0, 240.0, 160.0]);
-        let plan = CommPlan::build(0, &map, &global, 2.8, PlanConfig::NEWTON);
-        let graph = CommGraph::from_grid(plan);
+        let graph = CommGraph::grid(0, &map, &global, 2.8, PlanConfig::NEWTON);
         let mut st = RankState::new(Atoms::from_positions(vec![[1.0; 3]], 1), graph);
         assert_eq!(
             st.graph.sub.lo[0], 0.0,
@@ -647,15 +644,7 @@ mod tests {
         let global = Box3::from_lengths([80.0, 240.0, 160.0]);
         let rg = map.rank_grid;
         let top = map.rank_at([i64::from(rg[0]) - 1, 0, 0]);
-        let mk = |rank| {
-            CommGraph::from_grid(CommPlan::build(
-                rank,
-                &map,
-                &global,
-                2.8,
-                PlanConfig::NEWTON,
-            ))
-        };
+        let mk = |rank| CommGraph::grid(rank, &map, &global, 2.8, PlanConfig::NEWTON);
         let mut sender = RankState::new(Atoms::from_positions(vec![[-1e-18, 1.0, 1.0]], 7), mk(0));
         let mut receiver = RankState::new(Atoms::default(), mk(top));
         let out = sweep_x(&mut sender);

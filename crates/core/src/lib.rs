@@ -25,10 +25,10 @@
 //! Engines implement [`GhostEngine`] and are driven in bulk-synchronous
 //! lockstep by `tofumd-runtime`.
 //!
-//! # Example: Table-1 geometry from a concrete plan
+//! # Example: Table-1 geometry from a concrete grid graph
 //!
 //! ```
-//! use tofumd_core::plan::{CommPlan, PlanConfig};
+//! use tofumd_core::sf::{CommGraph, PlanConfig};
 //! use tofumd_core::topo_map::{Placement, RankMap};
 //! use tofumd_md::region::Box3;
 //! use tofumd_tofu::CellGrid;
@@ -41,11 +41,11 @@
 //!     10.0 * rg[1] as f64,
 //!     10.0 * rg[2] as f64,
 //! ]);
-//! let plan = CommPlan::build(0, &map, &global, 2.8, PlanConfig::NEWTON);
+//! let graph = CommGraph::grid(0, &map, &global, 2.8, PlanConfig::NEWTON);
 //! // Newton's 3rd law: 13 neighbors, half the full shell.
-//! assert_eq!(plan.neighbor_count(), 13);
+//! assert_eq!(graph.neighbor_count(), 13);
 //! // Face neighbors are one hop away under the topology mapping.
-//! assert!(plan.recv_from.iter().all(|l| l.hops <= 3));
+//! assert!(graph.recv.iter().all(|e| e.hops <= 3));
 //! ```
 
 #![warn(missing_docs)]
@@ -63,7 +63,6 @@ pub mod fine;
 pub mod ghost;
 pub mod mpi_engine;
 pub mod pattern;
-pub mod plan;
 pub mod sf;
 pub mod topo_map;
 pub mod utofu_engine;
@@ -73,7 +72,6 @@ pub use border_bin::BorderBins;
 pub use engine::{CommStats, GhostEngine, GhostOp, Op, RankState};
 pub use mpi_engine::MpiEngine;
 pub use pattern::{Pattern, PatternKind};
-pub use plan::{CommPlan, NeighborLink, PlanConfig};
-pub use sf::{CommGraph, GraphEdge, MigratePeer, SendSelector};
+pub use sf::{CommGraph, CommPlan, GraphEdge, MigratePeer, PlanConfig, SendSelector};
 pub use topo_map::{Placement, RankMap, RANKS_PER_NODE_SPLIT};
 pub use utofu_engine::{AddressBook, UtofuConfig, UtofuEngine};

@@ -132,7 +132,7 @@ impl GhostEngine for MpiEngine {
 mod tests {
     use super::*;
     use crate::pattern::fixture::{drive, fill_scalars, fixture, Fabric, Fixture};
-    use crate::plan::PlanConfig;
+    use crate::sf::PlanConfig;
     use crate::utofu_engine::UtofuConfig;
 
     fn mpi_fixture(kind: PatternKind) -> Fixture<MpiEngine> {

@@ -391,8 +391,7 @@ pub(crate) mod fixture {
     use super::PatternKind;
     use crate::engine::{GhostEngine, Op, RankState};
     use crate::mpi_engine::MpiEngine;
-    use crate::plan::{CommPlan, PlanConfig};
-    use crate::sf::CommGraph;
+    use crate::sf::{CommGraph, PlanConfig};
     use crate::topo_map::{Placement, RankMap};
     use crate::utofu_engine::{AddressBook, UtofuConfig, UtofuEngine};
     use std::sync::Arc;
@@ -437,7 +436,7 @@ pub(crate) mod fixture {
 
         /// Rank `rank`'s grid graph at ghost cutoff 2.8.
         pub fn graph(&self, rank: usize, cfg: PlanConfig) -> CommGraph {
-            CommGraph::from_grid(CommPlan::build(rank, &self.map, &self.global, 2.8, cfg))
+            CommGraph::grid(rank, &self.map, &self.global, 2.8, cfg)
         }
 
         /// Rank `rank`'s irregular graph over a 4-part RCB cut of a small

@@ -142,16 +142,9 @@ pub struct UtofuConfig {
     pub prereg: bool,
     /// Round-robin receive buffers per link (1 baseline, 4 in `opt`).
     pub slots: usize,
-    /// Retransmissions allowed per failed put before the engine escapes to
-    /// the reliable stack and requests fallback to an MPI transport.
-    pub retry_budget: u32,
 }
 
 impl UtofuConfig {
-    /// Default put-retry budget: enough to absorb any recoverable fault a
-    /// seeded plan produces (those only hit a message's first attempt).
-    pub const DEFAULT_RETRY_BUDGET: u32 = 3;
-
     /// Coarse-grained p2p: 1 thread, own TNI (`4tni_p2p`).
     #[must_use]
     pub fn coarse4() -> Self {
@@ -160,7 +153,6 @@ impl UtofuConfig {
             comm_threads: 1,
             prereg: false,
             slots: 1,
-            retry_budget: Self::DEFAULT_RETRY_BUDGET,
         }
     }
 
@@ -185,6 +177,12 @@ impl UtofuConfig {
         }
     }
 }
+
+/// Retransmissions allowed per failed put (and refused attempts per
+/// registration) before the engine escapes to the reliable stack and
+/// requests fallback to an MPI transport: enough to absorb any recoverable
+/// fault a seeded plan produces (those only hit a message's first attempt).
+const RETRY_BUDGET: u32 = 3;
 
 /// How generously baseline (non-prereg) buffers are undersized at setup so
 /// dynamic growth — the §3.4 overhead — occurs and is accounted.
@@ -260,8 +258,6 @@ struct UtofuLane {
     net: Arc<TofuNet>,
     book: Arc<AddressBook>,
     node: usize,
-    /// Retransmissions allowed per failed put.
-    retry_budget: u32,
     /// Sequence stamp of the last logical message; retransmissions of a
     /// message reuse its number, so receivers can detect duplicates.
     send_seq: u64,
@@ -274,12 +270,11 @@ struct UtofuLane {
 }
 
 impl UtofuLane {
-    fn new(net: Arc<TofuNet>, book: Arc<AddressBook>, node: usize, retry_budget: u32) -> Self {
+    fn new(net: Arc<TofuNet>, book: Arc<AddressBook>, node: usize) -> Self {
         UtofuLane {
             net,
             book,
             node,
-            retry_budget,
             send_seq: 0,
             fallback_wanted: false,
             setup_cost: 0.0,
@@ -294,7 +289,7 @@ impl UtofuLane {
     /// cannot fail. Refused attempts consume no region handle, so the
     /// address sequence stays identical to a fault-free build.
     fn register(&mut self, len: usize) -> Stadd {
-        for _ in 0..=self.retry_budget {
+        for _ in 0..=RETRY_BUDGET {
             match self.net.try_register_mem(self.node, len) {
                 Ok((stadd, cost)) => {
                     self.setup_cost += cost;
@@ -371,7 +366,7 @@ impl UtofuLane {
             if vcq.try_post(now, &put, attempt).is_ok() {
                 return;
             }
-            if attempt >= self.retry_budget {
+            if attempt >= RETRY_BUDGET {
                 break;
             }
             sent.retries += 1;
@@ -609,7 +604,7 @@ impl UtofuEngine {
                 vec![vcq.find(Result::is_ok).unwrap_or(none)?]
             }
         };
-        let mut lane = UtofuLane::new(net, book, node, cfg.retry_budget);
+        let mut lane = UtofuLane::new(net, book, node);
         let n = pattern.out_edges(graph, true).len();
         // Registration order fixes the STADD sequence and the float order
         // of `setup_cost`: the staged tables register face by face (ghost
@@ -1201,7 +1196,6 @@ mod tests {
                 comm_threads: 1,
                 prereg: false,
                 slots,
-                retry_budget: UtofuConfig::DEFAULT_RETRY_BUDGET,
             };
             let mut f = fixture(cfg);
             drive(&mut f, Op::Border);
@@ -1499,7 +1493,7 @@ mod tests {
 
     #[test]
     fn cq_exhaustion_on_every_tni_is_a_typed_error() {
-        use crate::plan::PlanConfig;
+        use crate::sf::PlanConfig;
         use tofumd_tofu::{FaultKind, FaultPlan, FaultRule};
         let fab = crate::pattern::fixture::Fabric::new();
         let exhaust = FaultRule::any(FaultKind::ExhaustCq { times: u32::MAX });

@@ -24,9 +24,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use tofumd_core::engine::{GhostEngine, Op, RankState};
-use tofumd_core::plan::{CommPlan, PlanConfig};
 use tofumd_core::topo_map::{Placement, RankMap};
-use tofumd_core::{AddressBook, CommGraph, MpiEngine, PatternKind, UtofuConfig, UtofuEngine};
+use tofumd_core::{
+    AddressBook, CommGraph, MpiEngine, PatternKind, PlanConfig, UtofuConfig, UtofuEngine,
+};
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
 use tofumd_md::region::Box3;
@@ -99,7 +100,7 @@ fn cell() -> (Arc<TofuNet>, RankMap, Box3) {
 }
 
 fn grid_graph(map: &RankMap, global: &Box3, r: usize) -> CommGraph {
-    CommGraph::from_grid(CommPlan::build(r, map, global, 2.8, PlanConfig::NEWTON))
+    CommGraph::grid(r, map, global, 2.8, PlanConfig::NEWTON)
 }
 
 /// Every rank of the cell built with `cfg` under the p2p pattern.

@@ -1,7 +1,7 @@
 //! Spatial decomposition vocabulary (Fig. 1 of the paper).
 //!
 //! The uniform `px x py x pz` brick grid itself lives where it is used
-//! (`tofumd-core`'s `RankMap` and `plan::sub_box_of`); this module holds
+//! (`tofumd-core`'s `RankMap` and `CommGraph::grid`); this module holds
 //! what both decompositions share — the neighbor directions of the
 //! paper's three regimes: 26 neighbors (1 shell, full), 13 (1 shell,
 //! Newton half), and the extended-experiment 124/62 sets (2 shells, when

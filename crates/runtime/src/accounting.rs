@@ -112,8 +112,8 @@ pub fn allreduce_cost_target(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tofumd_core::plan::{CommPlan, PlanConfig};
     use tofumd_core::topo_map::{Placement, RankMap};
+    use tofumd_core::{CommGraph, PlanConfig};
     use tofumd_md::atom::Atoms;
     use tofumd_md::region::Box3;
     use tofumd_tofu::CellGrid;
@@ -124,17 +124,8 @@ mod tests {
         let global = Box3::from_lengths([10.0; 3]);
         (0..n)
             .map(|r| {
-                let plan = CommPlan::build(
-                    r,
-                    &map,
-                    &global,
-                    1.0,
-                    PlanConfig {
-                        shells: 1,
-                        half: false,
-                    },
-                );
-                RankState::new(Atoms::default(), tofumd_core::CommGraph::from_grid(plan))
+                let graph = CommGraph::grid(r, &map, &global, 1.0, PlanConfig::FULL);
+                RankState::new(Atoms::default(), graph)
             })
             .collect()
     }

@@ -31,6 +31,7 @@ use crate::config::{CommTuning, Decomp, PotentialKind, RunConfig};
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::fmt;
+use tofumd_core::engine::StageTimes;
 use tofumd_core::wire::TAG_LIMIT;
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
@@ -121,12 +122,8 @@ pub struct RankDump {
     pub atoms: Atoms,
     /// Virtual clock at the checkpoint.
     pub clock: f64,
-    /// Accumulated communication time.
-    pub comm_time: f64,
-    /// Communication time charged inside the pair stage (EAM mid-pair).
-    pub pair_comm_time: f64,
-    /// Stage accumulators `[pair, neigh, modify, other, overlapped]`.
-    pub acc: [f64; 5],
+    /// The clock's time by stage at the checkpoint.
+    pub stages: StageTimes,
 }
 
 /// Everything a restore needs, decoded from a container payload.
@@ -345,10 +342,17 @@ fn get_recovery(r: &mut WireReader<'_>) -> Result<RecoveryStats, WireError> {
 fn put_rank(out: &mut Vec<u8>, d: &RankDump) {
     d.atoms.wire_encode(out);
     wirefmt::put_f64(out, d.clock);
-    wirefmt::put_f64(out, d.comm_time);
-    wirefmt::put_f64(out, d.pair_comm_time);
-    for a in &d.acc {
-        wirefmt::put_f64(out, *a);
+    let t = &d.stages;
+    for v in [
+        t.comm,
+        t.pair_comm,
+        t.pair,
+        t.neigh,
+        t.modify,
+        t.other,
+        t.overlapped,
+    ] {
+        wirefmt::put_f64(out, v);
     }
 }
 
@@ -356,9 +360,16 @@ fn get_rank(r: &mut WireReader<'_>) -> Result<RankDump, WireError> {
     Ok(RankDump {
         atoms: Atoms::wire_decode(r)?,
         clock: r.f64_()?,
-        comm_time: r.f64_()?,
-        pair_comm_time: r.f64_()?,
-        acc: [r.f64_()?, r.f64_()?, r.f64_()?, r.f64_()?, r.f64_()?],
+        // Fields decode in the order `put_rank` writes them.
+        stages: StageTimes {
+            comm: r.f64_()?,
+            pair_comm: r.f64_()?,
+            pair: r.f64_()?,
+            neigh: r.f64_()?,
+            modify: r.f64_()?,
+            other: r.f64_()?,
+            overlapped: r.f64_()?,
+        },
     })
 }
 
@@ -470,14 +481,25 @@ impl CheckpointData {
         if nranks == 0 {
             return fail("checkpoint has zero ranks".into());
         }
+        if let Some(dead) = self.dead.filter(|&dead| dead as usize >= nranks) {
+            return fail(format!("dead rank {dead} out of range for {nranks} ranks"));
+        }
+        // A shrinking recovery re-cut every atom over the survivors: the
+        // restore routes them by that tree, and the dead rank owns none.
+        if let Some(dead) = self.dead {
+            if self.rcb.is_none() {
+                return fail(format!("dead rank {dead} without the survivors' RCB tree"));
+            }
+            let held = self.ranks[dead as usize].atoms.nlocal;
+            if held > 0 {
+                return fail(format!("dead rank {dead} holds {held} atoms"));
+            }
+        }
         if let Some(rcb) = &self.rcb {
             let (parts, expected) = (rcb.nranks(), nranks - usize::from(self.dead.is_some()));
             if parts != expected {
                 return fail(format!("RCB has {parts} parts but {expected} live ranks"));
             }
-        }
-        if let Some(dead) = self.dead.filter(|&dead| dead as usize >= nranks) {
-            return fail(format!("dead rank {dead} out of range for {nranks} ranks"));
         }
         for (i, d) in self.ranks.iter().enumerate() {
             if !d.atoms.is_consistent() {
@@ -610,9 +632,19 @@ mod tests {
         let dump = |clock: f64| RankDump {
             atoms: atoms.clone(),
             clock,
-            comm_time: clock * 0.25,
-            pair_comm_time: clock * 0.03125,
-            acc: [1.0, 2.0, 3.0, 4.0, 5.0],
+            stages: StageTimes {
+                comm: clock * 0.25,
+                pair_comm: clock * 0.03125,
+                pair: 1.0,
+                neigh: 2.0,
+                modify: 3.0,
+                other: 4.0,
+                overlapped: 5.0,
+            },
+        };
+        let dead = RankDump {
+            atoms: Atoms::default(),
+            ..dump(0.0)
         };
         CheckpointData {
             proxy_mesh: [2, 2, 1],
@@ -644,7 +676,7 @@ mod tests {
             ],
             dead: Some(3),
             rcb: Some(rcb),
-            ranks: vec![dump(1.5), dump(1.625), dump(1.75), dump(0.0)],
+            ranks: vec![dump(1.5), dump(1.625), dump(1.75), dead],
             recovery: RecoveryStats {
                 checkpoints: 2,
                 checkpoint_cost: 3.5e-3,

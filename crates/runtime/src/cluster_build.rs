@@ -10,9 +10,8 @@ use crate::driver::{Lane, Phase, PlanMode, Team};
 use crate::variant::CommVariant;
 use std::sync::Arc;
 use tofumd_core::engine::{GhostEngine, Op, RankState};
-use tofumd_core::plan::{CommPlan, PlanConfig};
 use tofumd_core::topo_map::{Placement, RankMap};
-use tofumd_core::{AddressBook, CommGraph, MpiEngine, UtofuEngine};
+use tofumd_core::{AddressBook, CommGraph, MpiEngine, PlanConfig, UtofuEngine};
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
 use tofumd_md::integrate::NveIntegrator;
@@ -158,9 +157,7 @@ impl Cluster {
         for rank in 0..nranks {
             let graph = match &rcb {
                 Some(r) => CommGraph::from_rcb(rank, r, &map, r_ghost),
-                None => {
-                    CommGraph::from_grid(CommPlan::build(rank, &map, &global, r_ghost, plan_cfg))
-                }
+                None => CommGraph::grid(rank, &map, &global, r_ghost, plan_cfg),
             };
             let mut atoms = Atoms::default();
             for (x, tag) in &per_rank[rank] {

@@ -30,7 +30,7 @@ use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tofumd_core::engine::{wrap_for_exchange, Op, StageTimes};
+use tofumd_core::engine::{wrap_for_exchange, Op};
 use tofumd_core::CommGraph;
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
@@ -108,13 +108,10 @@ impl Cluster {
             .map(|st| {
                 let mut atoms = st.atoms.clone();
                 atoms.clear_ghosts();
-                let t = &st.stages;
                 RankDump {
                     atoms,
                     clock: st.clock,
-                    comm_time: t.comm,
-                    pair_comm_time: t.pair_comm,
-                    acc: [t.pair, t.neigh, t.modify, t.other, t.overlapped],
+                    stages: st.stages,
                 }
             })
             .collect();
@@ -214,24 +211,15 @@ impl Cluster {
         }
         // Install the *saved* decomposition's star forests (the build
         // derived its own from the initial lattice, which is wrong after
-        // any rebalance or recovery).
+        // any rebalance or recovery): part p on the p-th survivor, which
+        // is rank p when no rank has died.
+        c.dead = data.dead;
         if let Some(rcb) = &data.rcb {
-            let rcb = Arc::new(rcb.clone());
-            let r_ghost = c.cfg.ghost_cutoff();
-            match data.dead {
-                None => {
-                    for rank in 0..c.nranks() {
-                        c.states[rank].graph = CommGraph::from_rcb(rank, &rcb, &c.map, r_ghost);
-                    }
-                }
-                Some(d) => {
-                    let survivors: Vec<usize> =
-                        (0..c.nranks()).filter(|&r| r != d as usize).collect();
-                    for (part, &rank) in survivors.iter().enumerate() {
-                        c.states[rank].graph =
-                            CommGraph::from_rcb_mapped(part, &rcb, &c.map, r_ghost, &survivors);
-                    }
-                }
+            let (rcb, r_ghost, survivors) =
+                (Arc::new(rcb.clone()), c.cfg.ghost_cutoff(), c.survivors());
+            for (part, &rank) in survivors.iter().enumerate() {
+                c.states[rank].graph =
+                    CommGraph::from_rcb_mapped(part, &rcb, &c.map, r_ghost, &survivors);
             }
         }
         // Saved atoms (already in post-sort on-rank order — no
@@ -242,7 +230,6 @@ impl Cluster {
             st.scalar.clear();
             c.lanes[rank].engine.rebind_graph(st);
         }
-        c.dead = data.dead;
         c.net.reset_clocks();
         c.mpi.reset_mailboxes();
         // Replay ghosts, lists and forces from the saved positions. At a
@@ -258,17 +245,8 @@ impl Cluster {
         // Clocks and stage times last: the replay above charged virtual
         // time that the original run charged at its own rebuild step.
         for (st, dump) in c.states.iter_mut().zip(&data.ranks) {
-            let [pair, neigh, modify, other, overlapped] = dump.acc;
             st.clock = dump.clock;
-            st.stages = StageTimes {
-                pair,
-                pair_comm: dump.pair_comm_time,
-                neigh,
-                comm: dump.comm_time,
-                modify,
-                other,
-                overlapped,
-            };
+            st.stages = dump.stages;
         }
         c.net.reset_clocks();
         c.step = data.step;

@@ -4,6 +4,7 @@
 //! and engine variants — and damaged restart files must be rejected with
 //! typed errors, never panics. See DESIGN.md §15.
 
+use tofumd_md::domain::RcbDecomposition;
 use tofumd_runtime::checkpoint::{CheckpointData, CheckpointError};
 use tofumd_runtime::{
     bisect_clusters, Cluster, CommVariant, LockstepOptions, PlanMode, PotentialKind, RunConfig,
@@ -303,5 +304,42 @@ fn restored_atom_tags_must_fit_the_wire() {
         Err(CheckpointError::Decode(m)) => assert!(m.contains("tag"), "{m}"),
         Err(e) => panic!("wrong error kind: {e}"),
         Ok(_) => panic!("a tag past the wire's field restored"),
+    }
+}
+
+/// A restart file naming a dead rank describes a shrunken run: the
+/// survivors' RCB tree owns every atom and the dead rank's dump is empty.
+/// A file without that tree — which the restore's Border replay would
+/// deadlock on, waiting for the dead rank — or whose dead rank still
+/// holds atoms no phase would ever move, is refused with a typed error.
+#[test]
+fn restored_dead_rank_needs_the_survivors_tree() {
+    // A grid checkpoint resealed as if rank 5 had died.
+    let mut c = Cluster::new(MESH, RunConfig::lj(2_048), CommVariant::MpiP2p);
+    c.checkpoint_now().expect("post-setup dump is legal");
+    let mut bad = CheckpointData::from_container(c.last_checkpoint().unwrap()).unwrap();
+    bad.dead = Some(5);
+    match Cluster::restore_from_bytes(&bad.to_container()) {
+        Err(CheckpointError::Decode(m)) => assert!(m.contains("tree"), "{m}"),
+        Err(e) => panic!("wrong error kind: {e}"),
+        Ok(_) => panic!("a dead rank without the survivors' tree restored"),
+    }
+    // An RCB checkpoint resealed with its last rank dead over an
+    // (n-1)-part tree of its positions, the dead rank's atoms left behind.
+    let mut c = Cluster::new(MESH, rcb_cfg(4_000), CommVariant::MpiP2p);
+    c.checkpoint_now().expect("post-setup dump is legal");
+    let mut bad = CheckpointData::from_container(c.last_checkpoint().unwrap()).unwrap();
+    let dead = bad.ranks.len() - 1;
+    assert!(
+        bad.ranks[dead].atoms.nlocal > 0,
+        "the last rank holds atoms"
+    );
+    let xs: Vec<[f64; 3]> = bad.ranks.iter().flat_map(|d| d.atoms.x.clone()).collect();
+    bad.rcb = Some(RcbDecomposition::build(dead, &xs, &c.global_box()));
+    bad.dead = Some(dead as u32);
+    match Cluster::restore_from_bytes(&bad.to_container()) {
+        Err(CheckpointError::Decode(m)) => assert!(m.contains("holds"), "{m}"),
+        Err(e) => panic!("wrong error kind: {e}"),
+        Ok(_) => panic!("a dead rank holding atoms restored"),
     }
 }

@@ -15,6 +15,7 @@
 //! enum and option choices are drawn as small integers/bools and mapped.
 
 use proptest::prelude::*;
+use tofumd_core::engine::StageTimes;
 use tofumd_md::domain::RcbDecomposition;
 use tofumd_md::kernels::KernelMode;
 use tofumd_md::region::Box3;
@@ -117,9 +118,15 @@ fn rank_dump() -> impl Strategy<Value = RankDump> {
         RankDump {
             atoms,
             clock,
-            comm_time: clock * 0.25,
-            pair_comm_time: clock * 0.03125,
-            acc: [clock, clock * 0.5, 0.125, 0.0625, 0.0],
+            stages: StageTimes {
+                comm: clock * 0.25,
+                pair_comm: clock * 0.03125,
+                pair: clock,
+                neigh: clock * 0.5,
+                modify: 0.125,
+                other: 0.0625,
+                overlapped: 0.0,
+            },
         }
     })
 }
@@ -138,8 +145,9 @@ fn recovery_stats() -> impl Strategy<Value = RecoveryStats> {
 
 /// A full randomized checkpoint state. The cross-field invariants
 /// `validate()` enforces (RCB part count == live ranks, dead rank in
-/// range, each atom's type the one the run assigns its tag) are honored
-/// by construction; everything else is free.
+/// range with the survivors' tree and no atoms, each atom's type the one
+/// the run assigns its tag) are honored by construction; everything else
+/// is free.
 fn checkpoint_data() -> impl Strategy<Value = CheckpointData> {
     // (nranks, dead?, dead-rank draw, rcb?, rcb scatter seed)
     let shape = (
@@ -187,7 +195,7 @@ fn checkpoint_data() -> impl Strategy<Value = CheckpointData> {
                     thermo_every,
                 ) = c;
                 let dead = has_dead.then_some(dead_raw % nranks as u32);
-                let rcb = if with_rcb {
+                let rcb = if with_rcb || dead.is_some() {
                     // A deterministic pseudo-scatter varied by the case
                     // seed: RCB just needs *some* points to cut.
                     let global = Box3::from_lengths([BOX_LEN; 3]);
@@ -210,7 +218,11 @@ fn checkpoint_data() -> impl Strategy<Value = CheckpointData> {
                 let ranks = dumps
                     .into_iter()
                     .take(nranks)
-                    .map(|mut d| {
+                    .enumerate()
+                    .map(|(r, mut d)| {
+                        if Some(r as u32) == dead {
+                            d.atoms = Atoms::default();
+                        }
                         for (t, &tag) in d.atoms.typ.iter_mut().zip(&d.atoms.tag) {
                             *t = cfg.type_of_tag(tag);
                         }

@@ -4,8 +4,7 @@ use proptest::prelude::*;
 use tofumd::comm::border_bin::BorderBins;
 use tofumd::comm::engine::{GhostOp, RankState};
 use tofumd::comm::ghost::GhostLayout;
-use tofumd::comm::plan::{CommPlan, PlanConfig};
-use tofumd::comm::sf::CommGraph;
+use tofumd::comm::sf::{CommGraph, PlanConfig};
 use tofumd::comm::topo_map::{Placement, RankMap};
 use tofumd::comm::wire::{self, F64Sink};
 use tofumd::md::domain::{neighbor_offsets, RcbDecomposition};
@@ -131,8 +130,7 @@ proptest! {
             10.0 * f64::from(rg[1]),
             10.0 * f64::from(rg[2]),
         ]);
-        let plan = CommPlan::build(0, &map, &global, 2.5, PlanConfig::NEWTON);
-        let graph = CommGraph::from_grid(plan);
+        let graph = CommGraph::grid(0, &map, &global, 2.5, PlanConfig::NEWTON);
         let pos: Vec<[f64; 3]> = atoms.iter().map(|&(x, y, z)| [x, y, z]).collect();
         let mut st = RankState::new(Atoms::from_positions(pos, 1), graph);
         let sel = st.graph.selector();
@@ -236,8 +234,6 @@ proptest! {
     /// Slab volumes are monotone in the cutoff and bounded by the sub-box.
     #[test]
     fn slab_volumes_are_sane(r1 in 0.5f64..4.0, r2 in 0.5f64..4.0) {
-        use tofumd::comm::plan::{CommPlan, PlanConfig};
-        use tofumd::comm::topo_map::{Placement, RankMap};
         let (lo, hi) = if r1 < r2 { (r1, r2) } else { (r2, r1) };
         let grid = CellGrid::from_node_mesh([8, 12, 8]).unwrap();
         let map = RankMap::new(grid, Placement::TopoAware);
@@ -247,15 +243,13 @@ proptest! {
             10.0 * f64::from(rg[1]),
             10.0 * f64::from(rg[2]),
         ]);
-        let p_lo = CommPlan::build(0, &map, &global, lo, PlanConfig::NEWTON);
-        let p_hi = CommPlan::build(0, &map, &global, hi, PlanConfig::NEWTON);
-        let v = |p: &CommPlan| -> f64 {
-            p.recv_from.iter().map(|l| p.slab_volume(l.offset)).sum()
-        };
-        prop_assert!(v(&p_hi) >= v(&p_lo) - 1e-12);
+        let g_lo = CommGraph::grid(0, &map, &global, lo, PlanConfig::NEWTON);
+        let g_hi = CommGraph::grid(0, &map, &global, hi, PlanConfig::NEWTON);
+        let v = |g: &CommGraph| -> f64 { g.recv.iter().map(|e| g.slab_volume(e.offset)).sum() };
+        prop_assert!(v(&g_hi) >= v(&g_lo) - 1e-12);
         // Face slab never exceeds the sub-box volume at 1 shell.
-        for link in &p_lo.recv_from {
-            prop_assert!(p_lo.slab_volume(link.offset) <= p_lo.sub.volume() + 1e-9);
+        for e in &g_lo.recv {
+            prop_assert!(g_lo.slab_volume(e.offset) <= g_lo.sub.volume() + 1e-9);
         }
     }
 }
@@ -399,7 +393,7 @@ proptest! {
         let cfg = PlanConfig { shells, half };
         let expected = [[26, 13], [124, 62]][shells - 1][usize::from(half)];
         let me = seed % map.nranks();
-        let g = CommGraph::from_grid(CommPlan::build(me, &map, &global, r, cfg));
+        let g = CommGraph::grid(me, &map, &global, r, cfg);
         prop_assert_eq!(g.neighbor_count(), expected);
         prop_assert_eq!(g.send.len(), g.recv.len());
         for (k, (s, rv)) in g.send.iter().zip(&g.recv).enumerate() {
@@ -413,7 +407,7 @@ proptest! {
         if !g.send.is_empty() {
             let k = seed % g.send.len();
             let e = g.send[k];
-            let pg = CommGraph::from_grid(CommPlan::build(e.rank, &map, &global, r, cfg));
+            let pg = CommGraph::grid(e.rank, &map, &global, r, cfg);
             let back = pg.recv[e.peer_index];
             prop_assert_eq!(back.rank, me);
             prop_assert_eq!(back.offset, e.offset.opposite());
