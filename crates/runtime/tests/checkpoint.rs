@@ -5,10 +5,11 @@
 //! typed errors, never panics. See DESIGN.md §15.
 
 use tofumd_md::domain::RcbDecomposition;
-use tofumd_runtime::checkpoint::{CheckpointData, CheckpointError};
+use tofumd_runtime::checkpoint::{fnv1a64, CheckpointData, CheckpointError};
 use tofumd_runtime::{
     bisect_clusters, Cluster, CommVariant, LockstepOptions, PlanMode, PotentialKind, RunConfig,
 };
+use tofumd_tofu::{FaultKind, FaultPlan, FaultRule};
 
 const MESH: [u32; 3] = [2, 3, 2];
 
@@ -341,5 +342,92 @@ fn restored_dead_rank_needs_the_survivors_tree() {
         Err(CheckpointError::Decode(m)) => assert!(m.contains("holds"), "{m}"),
         Err(e) => panic!("wrong error kind: {e}"),
         Ok(_) => panic!("a dead rank holding atoms restored"),
+    }
+}
+
+/// The 48-rank RCB run of `fault.rs`'s
+/// `rank_death_rolls_back_and_recovers_on_survivors`: rank 17 dies at step
+/// 30 and checkpoints land every 10 steps.
+fn faulted_rcb_run() -> Cluster {
+    let kill = FaultKind::KillRank { step: 30, rank: 17 };
+    let plan = FaultPlan::new().with_rule(FaultRule::any(kill));
+    let mut c = Cluster::with_fault_plan(MESH, rcb_cfg(4_000), CommVariant::MpiP2p, plan);
+    c.set_thermo_every(5);
+    c.set_checkpoint_every(10);
+    c
+}
+
+/// The last checkpoint of [`faulted_rcb_run`] brought to step 45: the
+/// shrunken run at step 40, rank 17 dead.
+fn post_recovery_checkpoint() -> Vec<u8> {
+    let mut c = faulted_rcb_run();
+    c.run_to(45);
+    assert_eq!(c.dead_rank(), Some(17), "the kill must have been recovered");
+    c.last_checkpoint().expect("checkpointed").to_vec()
+}
+
+/// One FNV-1a digest over the bits of every rank's clock and stage times
+/// after the cluster restored from `bytes` ran 10 steps.
+fn restored_clock_digest(bytes: &[u8]) -> u64 {
+    let mut c = Cluster::restore_from_bytes(bytes).expect("restore must succeed");
+    c.run(10);
+    let mut bits = Vec::new();
+    for st in c.states() {
+        let s = st.stages;
+        let words = [
+            st.clock,
+            s.pair,
+            s.pair_comm,
+            s.neigh,
+            s.comm,
+            s.modify,
+            s.other,
+            s.overlapped,
+        ];
+        for w in words {
+            bits.extend_from_slice(&w.to_bits().to_le_bytes());
+        }
+    }
+    fnv1a64(&bits)
+}
+
+/// A restored run's modeled time is a function of the checkpoint alone:
+/// every rank's clock and stage times, 10 steps after restoring the
+/// checkpoints of `assert_restore_bit_identical`'s three configs and of
+/// the shrunken post-recovery run, are the recorded bits. A change to how
+/// a restore seats its decomposition must not move them.
+#[test]
+fn restored_clocks_and_stage_times_are_pinned() {
+    let checkpoint = |cfg, variant| {
+        let mut c = Cluster::new(MESH, cfg, variant);
+        c.set_checkpoint_every(8);
+        c.run(20);
+        c.last_checkpoint().expect("checkpointed").to_vec()
+    };
+    let cases = [
+        (
+            "opt grid",
+            checkpoint(RunConfig::lj(4_000), CommVariant::Opt),
+            0x541c_3e2a_f958_991a,
+        ),
+        (
+            "mpi-p2p grid",
+            checkpoint(RunConfig::lj(4_000), CommVariant::MpiP2p),
+            0x12c2_a245_b585_c1f7,
+        ),
+        (
+            "mpi-p2p rcb",
+            checkpoint(rcb_cfg(4_000), CommVariant::MpiP2p),
+            0xa07c_67ce_64f3_8ceb,
+        ),
+        (
+            "post-recovery",
+            post_recovery_checkpoint(),
+            0x6192_1b14_27a4_167f,
+        ),
+    ];
+    for (name, bytes, want) in cases {
+        let got = restored_clock_digest(&bytes);
+        assert_eq!(got, want, "{name}: digest {got:#018x}");
     }
 }
