@@ -38,8 +38,9 @@ use tofumd_tofu::{FaultCounters, FaultPlan, TofuError, TofuNet};
 
 pub use crate::accounting::StageBreakdown;
 
-// Child modules of the façade: system construction (lattice, engines,
-// velocity init, setup phases) and the read-side metrics/observability
+// Child modules of the façade: seating a decomposition (build, restore's
+// assemble, the shared re-cut / install / settle), checkpoint and
+// recovery, rebalancing, and the read-side metrics/observability
 // surface. Split out so this file stays the step driver alone.
 #[path = "cluster_build.rs"]
 mod build;
@@ -89,8 +90,8 @@ pub struct Cluster {
     target_mesh: [u32; 3],
     target_ranks: usize,
     op_observer: Option<OpObserver>,
-    /// Fabric registration calls when the build finished — the baseline
-    /// of [`Cluster::growth_events`].
+    /// Fabric registration calls when the build (or a restore) settled —
+    /// the baseline of [`Cluster::growth_events`].
     pub(crate) built_reg_calls: u64,
     /// True once the cluster has swapped its engines for the MPI 3-stage
     /// reference after a retry budget was exhausted.
@@ -139,7 +140,7 @@ impl Cluster {
     /// Build a cluster on `mesh` nodes holding `cfg.natoms_target` atoms.
     #[must_use]
     pub fn new(mesh: [u32; 3], cfg: RunConfig, variant: CommVariant) -> Self {
-        Self::build(mesh, mesh, cfg, variant)
+        Self::build(mesh, mesh, cfg, variant, None)
     }
 
     /// Build a *proxy* cluster: a small `proxy_mesh` torus whose ranks each
@@ -160,7 +161,7 @@ impl Cluster {
             natoms_target: scaled,
             ..cfg
         };
-        Self::build(proxy_mesh, target_mesh, scaled_cfg, variant)
+        Self::build(proxy_mesh, target_mesh, scaled_cfg, variant, None)
     }
 
     /// Build a cluster with a deterministic [`FaultPlan`] installed on the
@@ -174,7 +175,7 @@ impl Cluster {
         variant: CommVariant,
         plan: FaultPlan,
     ) -> Self {
-        Self::build_with_faults(mesh, mesh, cfg, variant, Some(plan))
+        Self::build(mesh, mesh, cfg, variant, Some(plan))
     }
 
     /// Install (or replace) a fault plan on the running fabric; it takes
@@ -324,34 +325,31 @@ impl Cluster {
         }
     }
 
-    /// Lanes excluded from every communication phase: ranks the fault
-    /// plan has killed by the current fault-context step, plus a rank a
-    /// completed shrinking recovery removed (the plan's kill step is in
-    /// the rolled-back past, so the recovery keeps its own record).
-    fn dead_lanes(&self) -> Vec<u32> {
+    /// Open `op`: key the fabric's fault decisions on `(step, op)` and
+    /// return the lanes it skips. Every fan-out of an engine call starts
+    /// here.
+    fn open(&self, op: Op) -> Dead {
+        self.net.set_fault_context(self.step, op.index() as u8);
         let mut dead = self.net.dead_ranks();
         if let Some(d) = self.dead {
             dead.push(d);
             dead.sort_unstable();
             dead.dedup();
         }
-        dead
+        Dead(dead)
     }
 
     fn run_op(&mut self, op: Op) {
-        // Key every fault decision this op makes on (step, op).
-        self.net.set_fault_context(self.step, op.index() as u8);
-        let dead = self.dead_lanes();
+        let dead = self.open(op);
         // The round structure is read off the first live lane: a dead
         // lane's engine sits on a stale graph and has no say.
-        let live = |rank: usize| !dead.contains(&(rank as u32));
-        let lead = &self.lanes[(0..self.lanes.len()).find(|&r| live(r)).unwrap_or(0)].engine;
+        let lead = &self.lanes[(0..self.lanes.len()).find(|&r| !dead.has(r)).unwrap_or(0)].engine;
         let (rounds, barrier) = (lead.rounds(op), lead.barrier_between_rounds());
         // A wrapper that fails to delegate rounds()/barrier_between_rounds()
         // silently changes every rank's round count (the driver reads one
         // lane only) — catch the disagreement here.
         debug_assert!(
-            self.lanes.iter().enumerate().all(|(r, l)| !live(r)
+            self.lanes.iter().enumerate().all(|(r, l)| dead.has(r)
                 || (l.engine.rounds(op) == rounds && l.engine.barrier_between_rounds() == barrier)),
             "engines disagree on rounds({op:?})/barrier: engine wrappers must \
              delegate rounds() and barrier_between_rounds()"
@@ -359,12 +357,7 @@ impl Cluster {
         for round in 0..rounds {
             self.team
                 .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
-                    if dead.contains(&(rank as u32)) {
-                        return;
-                    }
-                    if let Err(e) = lane.engine.post(op, round, st) {
-                        lane.failed = Some(e);
-                    }
+                    dead.call(rank, lane, st, |lane, st| lane.engine.post(op, round, st));
                 });
             self.raise_lane_failures(format_args!("post({op:?}, round {round})"));
             if self.pending_peer_death.is_some() {
@@ -372,12 +365,9 @@ impl Cluster {
             }
             self.team
                 .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
-                    if dead.contains(&(rank as u32)) {
-                        return;
-                    }
-                    if let Err(e) = lane.engine.complete(op, round, st) {
-                        lane.failed = Some(e);
-                    }
+                    dead.call(rank, lane, st, |lane, st| {
+                        lane.engine.complete(op, round, st)
+                    });
                 });
             self.raise_lane_failures(format_args!("complete({op:?}, round {round})"));
             if self.pending_peer_death.is_some() {
@@ -413,17 +403,11 @@ impl Cluster {
     /// side of [`Cluster::run_op`], plus each rank records the clock at
     /// which its halo went out (the start of the overlap window).
     fn window_post(&mut self, op: Op) {
-        self.net.set_fault_context(self.step, op.index() as u8);
-        let dead = self.dead_lanes();
+        let dead = self.open(op);
         debug_assert_eq!(self.lanes[0].engine.rounds(op), 1);
         self.team
             .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
-                if dead.contains(&(rank as u32)) {
-                    return;
-                }
-                if let Err(e) = lane.engine.post(op, 0, st) {
-                    lane.failed = Some(e);
-                }
+                dead.call(rank, lane, st, |lane, st| lane.engine.post(op, 0, st));
                 lane.overlap_c0 = st.clock;
             });
         self.raise_lane_failures(format_args!("post({op:?})"));
@@ -441,8 +425,7 @@ impl Cluster {
     /// fails runs no pass; the failures are raised after the region, as
     /// for a whole op.
     fn run_window(&mut self, op: Op, pass: Pass, ctx: &physics::Ctx) {
-        self.net.set_fault_context(self.step, op.index() as u8);
-        let dead = self.dead_lanes();
+        let dead = self.open(op);
         let pre_ghost = op == Op::Border;
         let split = physics::Split {
             ctx,
@@ -450,26 +433,22 @@ impl Cluster {
             pass,
             pre_ghost,
         };
+        let complete = |lane: &mut Lane, st: &mut RankState| {
+            let c1 = st.clock;
+            st.arrival_horizon = f64::NEG_INFINITY;
+            let done = lane.engine.complete(op, 0, st);
+            let hidden = (st.arrival_horizon.min(c1) - lane.overlap_c0).max(0.0);
+            st.stages.overlapped += hidden;
+            done
+        };
         self.team.for_each_chunk(
             &mut self.lanes,
             &mut self.states,
             &|rank, lane, st, exec, scratch| {
                 split.interior(rank, lane, st, exec);
-                if lane.failed.is_some() {
-                    return;
+                if lane.failed.is_none() && dead.call(rank, lane, st, complete) {
+                    split.boundary(rank, lane, st, exec, scratch);
                 }
-                if !dead.contains(&(rank as u32)) {
-                    let c1 = st.clock;
-                    st.arrival_horizon = f64::NEG_INFINITY;
-                    let done = lane.engine.complete(op, 0, st);
-                    let hidden = (st.arrival_horizon.min(c1) - lane.overlap_c0).max(0.0);
-                    st.stages.overlapped += hidden;
-                    if let Err(e) = done {
-                        lane.failed = Some(e);
-                        return;
-                    }
-                }
-                split.boundary(rank, lane, st, exec, scratch);
             },
         );
         self.raise_lane_failures(format_args!("window({op:?}, {pass:?})"));
@@ -712,10 +691,8 @@ impl Cluster {
     /// the fresh engines build their ghost lists before any forward
     /// exchange.
     fn demote_to_ref(&mut self) {
-        for rank in 0..self.lanes.len() {
-            self.lanes[rank].engine = self.engine_for(CommVariant::Ref, rank);
-        }
         self.variant = CommVariant::Ref;
+        self.fresh_engines();
         self.demoted = true;
         self.force_rebuild = true;
     }
@@ -728,8 +705,41 @@ impl Cluster {
     }
 }
 
-/// Stand-in engine used only inside [`Cluster::wrap_engine`] while the
-/// real engine is temporarily moved out. Never posts or completes.
+/// The lanes an op skips: ranks the fault plan has killed by the current
+/// fault-context step, plus a rank a completed shrinking recovery removed
+/// (the plan's kill step is in the rolled-back past, so the recovery keeps
+/// its own record).
+struct Dead(Vec<u32>);
+
+impl Dead {
+    fn has(&self, rank: usize) -> bool {
+        self.0.contains(&(rank as u32))
+    }
+
+    /// One lane's engine call in a fan-out: none on a dead rank; on a live
+    /// one `call`, its error parked in `lane.failed` for
+    /// [`Cluster::raise_lane_failures`]. False only when the call failed.
+    fn call(
+        &self,
+        rank: usize,
+        lane: &mut Lane,
+        st: &mut RankState,
+        call: impl FnOnce(&mut Lane, &mut RankState) -> Result<(), TofuError>,
+    ) -> bool {
+        if self.has(rank) {
+            return true;
+        }
+        if let Err(e) = call(lane, st) {
+            lane.failed = Some(e);
+            return false;
+        }
+        true
+    }
+}
+
+/// Stand-in engine: a lane's until [`Cluster::fresh_engines`] builds the
+/// real one, and inside [`Cluster::wrap_engine`] while the real engine is
+/// moved out. Never posts or completes.
 struct PlaceholderEngine;
 
 impl GhostEngine for PlaceholderEngine {

@@ -1,15 +1,23 @@
-//! Construction of a [`Cluster`]: lattice sizing proportioned to the rank
-//! grid, atom distribution, engine instantiation per [`CommVariant`],
-//! global velocity initialization and the setup phases (ghosts, lists,
-//! initial forces). Child module of [`crate::cluster`] so it can fill the
-//! façade's private fields without widening their visibility.
+//! Seating a decomposition on a [`Cluster`]. Child module of
+//! [`crate::cluster`] so it can fill the façade's private fields.
+//!
+//! Every path that puts atoms on ranks is a short sequence of steps, each
+//! written once here: *generate* (lattice, density ramp, owners,
+//! velocities), *assemble* (fabric, graphs, lanes and engines from
+//! per-rank atoms), *re-cut* (positions wrapped the way Exchange routes
+//! them, an RCB over the live ranks), *install* (new graphs, engines
+//! rebound or rebuilt, lane caches dropped) and *settle* (Border → lists
+//! → Pair → Reverse). Build is generate → assemble → sort → settle;
+//! restore is decode → assemble → settle; shrinking recovery is re-cut →
+//! install → settle; a rebalance is re-cut → install → migrate; a
+//! demotion rebuilds the engines only.
 
-use super::Cluster;
+use super::{Cluster, PlaceholderEngine};
 use crate::config::{Decomp, RunConfig};
 use crate::driver::{Lane, Phase, PlanMode, Team};
 use crate::variant::CommVariant;
 use std::sync::Arc;
-use tofumd_core::engine::{GhostEngine, Op, RankState};
+use tofumd_core::engine::{wrap_for_exchange, GhostEngine, Op, RankState};
 use tofumd_core::topo_map::{Placement, RankMap};
 use tofumd_core::{AddressBook, CommGraph, MpiEngine, PlanConfig, UtofuEngine};
 use tofumd_md::atom::Atoms;
@@ -44,26 +52,98 @@ pub(super) fn try_engine(
     built.map_err(|e| e.for_engine(variant.label()))
 }
 
+/// Atoms dealt to ranks — in on-rank order — and the decomposition that
+/// dealt them: an RCB cut (`None` on the grid) whose part p sits on the
+/// p-th rank `dead` spares. What generate or a checkpoint hands
+/// [`Cluster::assemble`].
+pub(super) struct Deal {
+    pub(super) atoms: Vec<Atoms>,
+    pub(super) rcb: Option<Arc<RcbDecomposition>>,
+    pub(super) dead: Option<u32>,
+}
+
+/// Lattice cells per axis, proportioned to the rank grid so each rank's
+/// sub-box is (near-)cubic — the paper's Table 1 analysis and Fig. 1
+/// assume cubic sub-boxes — and sized for `cfg.natoms_target` atoms, with
+/// the global box they span. Build lays its lattice in exactly these
+/// cells; restore takes the box alone.
+fn lattice(cfg: &RunConfig, map: &RankMap) -> ([usize; 3], Box3) {
+    let rg = map.rank_grid;
+    let nranks_f = f64::from(rg[0]) * f64::from(rg[1]) * f64::from(rg[2]);
+    let apc = cfg.atoms_per_cell() as f64;
+    let cells_per_rank = (cfg.natoms_target as f64 / (apc * nranks_f)).cbrt();
+    let cells = rg.map(|r| ((cells_per_rank * f64::from(r)).ceil() as usize).max(1));
+    let a = cfg.lattice().cell;
+    (cells, Box3::from_lengths(cells.map(|n| a * n as f64)))
+}
+
+/// Generate: the lattice of [`lattice`], thinned along +x by the density
+/// ramp, dealt to its owners — the grid's bricks, or an RCB over the kept
+/// positions — with velocities drawn per rank, then drift-corrected and
+/// scaled with globally reduced sums so they match a serial run.
+fn generate(cfg: &RunConfig, map: &RankMap) -> Deal {
+    let nranks = map.nranks();
+    let (cells, global) = lattice(cfg, map);
+    let (_, pos) = cfg.build_lattice(cells[0], cells[1], cells[2]);
+    // The ramp thins by a per-tag hash, so the surviving set is identical
+    // under any decomposition.
+    let glx = global.lengths()[0];
+    let kept: Vec<([f64; 3], u64)> = pos
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (*p, i as u64 + 1))
+        .filter(|(p, tag)| cfg.comm.keeps_atom(*tag, (p[0] - global.lo[0]) / glx))
+        .collect();
+    // RCB's irregular graph rides the MPI p2p engine; the engine factory
+    // rejects every other variant on it.
+    let rcb = match cfg.comm.decomp {
+        Decomp::Grid => None,
+        Decomp::Rcb => {
+            let xs: Vec<[f64; 3]> = kept.iter().map(|(x, _)| *x).collect();
+            Some(Arc::new(RcbDecomposition::build(nranks, &xs, &global)))
+        }
+    };
+    let mut atoms: Vec<Atoms> = (0..nranks).map(|_| Atoms::default()).collect();
+    for (p, tag) in &kept {
+        let owner = match &rcb {
+            Some(r) => r.owner_of(p),
+            None => owner_of(&global, map, p),
+        };
+        atoms[owner].push_local(*p, [0.0; 3], cfg.type_of_tag(*tag), *tag);
+    }
+    // Zero total momentum and scale to the target temperature with
+    // globally reduced sums, so the result matches a serial run.
+    let (mass, units) = (cfg.mass(), cfg.units());
+    for a in &mut atoms {
+        velocity::create_velocities(a, mass, cfg.temperature, units, cfg.seed);
+    }
+    let vs = || atoms.iter().flat_map(|a| &a.v[..a.nlocal]);
+    let natoms_global = vs().count();
+    let mut vcm = [0.0f64; 3];
+    for v in vs() {
+        for d in 0..3 {
+            vcm[d] += v[d];
+        }
+    }
+    let vcm = vcm.map(|s| s / natoms_global as f64);
+    let ke_after = vs().fold(0.0, |ke, v| {
+        let s = (0..3).fold(0.0, |s, d| s + (v[d] - vcm[d]) * (v[d] - vcm[d]));
+        ke + 0.5 * units.mvv2e() * mass * s
+    });
+    for a in &mut atoms {
+        velocity::apply_drift_and_scale(a, vcm, ke_after, natoms_global, cfg.temperature, units);
+    }
+    Deal {
+        atoms,
+        rcb,
+        dead: None,
+    }
+}
+
 impl Cluster {
-    /// The engine of `variant` for `rank`'s current graph, from the one
-    /// factory every build, demotion and recovery goes through — and the
-    /// single place a mismatched variant × decomposition stops a run.
-    pub(super) fn engine_for(&self, variant: CommVariant, rank: usize) -> Box<dyn GhostEngine> {
-        let (graph, density) = (&self.states[rank].graph, self.cfg.density());
-        try_engine(variant, graph, &self.mpi, &self.book, &self.map, density)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
+    /// Build = generate → assemble → sort → settle, with the clocks zeroed
+    /// after the setup.
     pub(super) fn build(
-        proxy_mesh: [u32; 3],
-        target_mesh: [u32; 3],
-        cfg: RunConfig,
-        variant: CommVariant,
-    ) -> Self {
-        Self::build_with_faults(proxy_mesh, target_mesh, cfg, variant, None)
-    }
-
-    pub(super) fn build_with_faults(
         proxy_mesh: [u32; 3],
         target_mesh: [u32; 3],
         cfg: RunConfig,
@@ -72,168 +152,59 @@ impl Cluster {
     ) -> Self {
         let grid = CellGrid::from_node_mesh(proxy_mesh)
             .unwrap_or_else(|| panic!("node mesh {proxy_mesh:?} does not fold onto TofuD cells"));
+        let deal = generate(&cfg, &RankMap::new(grid, Placement::TopoAware));
+        let mut c = Self::assemble(grid, target_mesh, cfg, variant, fault_plan, deal);
+        // Sort locals into bin order while no ghosts exist yet.
+        c.run_phase(Phase::SpatialSort);
+        c.settle();
+        c.reset_timers();
+        c.built_reg_calls = c.registration_calls();
+        c
+    }
+
+    /// Assemble: the fabric — with `fault_plan` live before the first
+    /// engine registers, so registration / CQ faults hit the build too —
+    /// the box of [`lattice`], every rank's graph and a lane with a fresh
+    /// engine, from the atoms of `deal`. No phase runs.
+    pub(super) fn assemble(
+        grid: CellGrid,
+        target_mesh: [u32; 3],
+        cfg: RunConfig,
+        variant: CommVariant,
+        fault_plan: Option<FaultPlan>,
+        deal: Deal,
+    ) -> Self {
         let map = RankMap::new(grid, Placement::TopoAware);
         let nranks = map.nranks();
-        let target_ranks = 4 * target_mesh.iter().map(|&d| d as usize).product::<usize>();
-
-        // Build the global system with the lattice proportioned to the
-        // rank grid so each rank's sub-box is (near-)cubic — the paper's
-        // Table 1 analysis and Fig. 1 assume cubic sub-boxes.
-        let rg_pre = {
-            let mesh = grid.node_mesh();
-            [
-                mesh[0] * tofumd_core::topo_map::RANKS_PER_NODE_SPLIT[0],
-                mesh[1] * tofumd_core::topo_map::RANKS_PER_NODE_SPLIT[1],
-                mesh[2] * tofumd_core::topo_map::RANKS_PER_NODE_SPLIT[2],
-            ]
-        };
-        let nranks_f = f64::from(rg_pre[0]) * f64::from(rg_pre[1]) * f64::from(rg_pre[2]);
-        let apc = cfg.atoms_per_cell() as f64;
-        let cells_per_rank = (cfg.natoms_target as f64 / (apc * nranks_f)).cbrt();
-        let (cx, cy, cz) = (
-            (cells_per_rank * f64::from(rg_pre[0])).ceil() as usize,
-            (cells_per_rank * f64::from(rg_pre[1])).ceil() as usize,
-            (cells_per_rank * f64::from(rg_pre[2])).ceil() as usize,
-        );
-        let (global, pos) = cfg.build_lattice(cx.max(1), cy.max(1), cz.max(1));
-        // Optional density ramp: thin the lattice along +x by a per-tag
-        // hash so the surviving set is identical under any decomposition.
-        let glx = global.lengths()[0];
-        let kept: Vec<([f64; 3], u64)> = pos
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (*p, i as u64 + 1))
-            .filter(|(p, tag)| cfg.comm.keeps_atom(*tag, (p[0] - global.lo[0]) / glx))
-            .collect();
-
-        // Fabric + MPI layer. A fault plan must be live before the first
-        // engine is built so registration / CQ faults hit the build too.
         let net = Arc::new(TofuNet::new(grid, NetParams::default()));
         if let Some(plan) = fault_plan {
             net.set_fault_plan(plan);
         }
-        let mpi = Arc::new(Communicator::new(net.clone(), nranks, 4));
-
-        // Plans.
-        let rg = map.rank_grid;
-        let r_ghost = cfg.ghost_cutoff();
-        let gl = global.lengths();
-        let min_edge = (0..3)
-            .map(|d| gl[d] / f64::from(rg[d]))
-            .fold(f64::INFINITY, f64::min);
-        let auto_shells = ((r_ghost / min_edge).ceil() as usize).max(1);
-        // A requested halo depth may widen the exchange (62/124-neighbor
-        // scenarios) but never narrow it below the cutoff-derived floor.
-        let shells = cfg.comm.shells.map_or(auto_shells, |s| s.max(auto_shells));
-        let plan_cfg = PlanConfig {
-            shells,
-            half: cfg.newton_half(),
-        };
-
-        // Decomposition: uniform bricks, or RCB over the initial atom
-        // positions. RCB's irregular graph rides the MPI p2p engine; the
-        // engine factory rejects every other variant on it.
-        let rcb = match cfg.comm.decomp {
-            Decomp::Grid => None,
-            Decomp::Rcb => {
-                let xs: Vec<[f64; 3]> = kept.iter().map(|(x, _)| *x).collect();
-                Some(Arc::new(RcbDecomposition::build(nranks, &xs, &global)))
-            }
-        };
-
-        // Distribute atoms to owners.
-        let mut per_rank: Vec<Vec<([f64; 3], u64)>> = vec![Vec::new(); nranks];
-        for (p, tag) in &kept {
-            let owner = match &rcb {
-                Some(r) => r.owner_of(p),
-                None => owner_of(&global, rg, &map, p),
-            };
-            per_rank[owner].push((*p, *tag));
-        }
-
-        let potential = Arc::new(cfg.build_potential());
-        let integrator = NveIntegrator::new(cfg.timestep(), cfg.mass(), cfg.units());
-        let mut states = Vec::with_capacity(nranks);
-        for rank in 0..nranks {
-            let graph = match &rcb {
-                Some(r) => CommGraph::from_rcb(rank, r, &map, r_ghost),
-                None => CommGraph::grid(rank, &map, &global, r_ghost, plan_cfg),
-            };
-            let mut atoms = Atoms::default();
-            for (x, tag) in &per_rank[rank] {
-                atoms.push_local(*x, [0.0; 3], cfg.type_of_tag(*tag), *tag);
-            }
-            velocity::create_velocities(
-                &mut atoms,
-                cfg.mass(),
-                cfg.temperature,
-                cfg.units(),
-                cfg.seed,
-            );
-            states.push(RankState::new(atoms, graph));
-        }
-
-        // Zero total momentum and scale to the target temperature, using
-        // globally reduced quantities so the result matches a serial run.
-        let natoms_global: usize = states.iter().map(|s| s.atoms.nlocal).sum();
-        let mut vcm = [0.0f64; 3];
-        for st in &states {
-            for i in 0..st.atoms.nlocal {
-                for d in 0..3 {
-                    vcm[d] += st.atoms.v[i][d];
-                }
-            }
-        }
-        for v in &mut vcm {
-            *v /= natoms_global as f64;
-        }
-        let mut ke_after = 0.0;
-        for st in &states {
-            for i in 0..st.atoms.nlocal {
-                let mut s = 0.0;
-                for d in 0..3 {
-                    let dv = st.atoms.v[i][d] - vcm[d];
-                    s += dv * dv;
-                }
-                ke_after += 0.5 * cfg.units().mvv2e() * cfg.mass() * s;
-            }
-        }
-        for st in &mut states {
-            velocity::apply_drift_and_scale(
-                &mut st.atoms,
-                vcm,
-                ke_after,
-                natoms_global,
-                cfg.temperature,
-                cfg.units(),
-            );
-        }
-
-        let half = cfg.needs_reverse();
-        let team = Team::new(1, &map);
-        let mut cluster = Cluster {
+        let mut c = Cluster {
             cfg,
             variant,
+            global: lattice(&cfg, &map).1,
+            team: Team::new(1, &map),
             map,
-            global,
+            mpi: Arc::new(Communicator::new(net.clone(), nranks, 4)),
             net,
-            mpi,
             book: AddressBook::new(),
-            potential,
-            integrator,
-            states,
-            lanes: Vec::new(),
-            team,
+            potential: Arc::new(cfg.build_potential()),
+            integrator: NveIntegrator::new(cfg.timestep(), cfg.mass(), cfg.units()),
+            states: Vec::new(),
+            lanes: (0..nranks)
+                .map(|_| Lane::new(Box::new(PlaceholderEngine)))
+                .collect(),
             costs: StageCosts::default(),
             step: 0,
             rebuild_count: 0,
             steps_run: 0,
             rebuild: false,
-            reverse_needed: half,
+            reverse_needed: cfg.needs_reverse(),
             thermo_every: 0,
             thermo_log: Vec::new(),
             target_mesh,
-            target_ranks,
+            target_ranks: 4 * target_mesh.iter().map(|&d| d as usize).product::<usize>(),
             op_observer: None,
             built_reg_calls: 0,
             demoted: false,
@@ -241,39 +212,140 @@ impl Cluster {
             rebalance_now: false,
             rebalance_count: 0,
             plan_mode: PlanMode::default(),
-            proxy_mesh,
+            proxy_mesh: grid.node_mesh(),
             checkpoint_every: 0,
             next_checkpoint: 0,
             checkpoint_path: None,
             last_checkpoint: None,
             pending_peer_death: None,
-            dead: None,
+            dead: deal.dead,
             recovery: crate::trace::RecoveryStats::default(),
-            // The setup phases below end at a freshly-built-lists state —
-            // a valid checkpoint boundary.
-            at_rebuild_boundary: true,
+            at_rebuild_boundary: false,
         };
-        cluster.lanes = (0..nranks)
-            .map(|rank| Lane::new(cluster.engine_for(variant, rank)))
-            .collect();
-        // Setup stage: sort locals into bin order (no ghosts exist yet),
-        // then establish ghosts, lists, initial forces.
-        cluster.run_phase(Phase::SpatialSort);
-        cluster.run_op(Op::Border);
-        cluster.run_phase(Phase::RebuildLists);
-        cluster.run_phase(Phase::Pair);
-        if cluster.reverse_needed {
-            cluster.run_op(Op::Reverse);
+        let graphs = c.graphs(deal.rcb.as_ref());
+        let states = deal.atoms.into_iter().zip(graphs);
+        c.states = states.map(|(a, g)| RankState::new(a, g)).collect();
+        c.fresh_engines();
+        c
+    }
+
+    /// The ranks still alive, in rank order: part p of an RCB cut sits on
+    /// the p-th of them.
+    pub(super) fn survivors(&self) -> Vec<usize> {
+        let dead = self.dead.map(|d| d as usize);
+        (0..self.map.nranks())
+            .filter(|&r| Some(r) != dead)
+            .collect()
+    }
+
+    /// Every rank's graph: part p of `rcb` on the p-th live rank — the one
+    /// place an RCB star forest is built — or else the grid's brick, where
+    /// a dead rank sits too (no phase reads its graph).
+    pub(super) fn graphs(&self, rcb: Option<&Arc<RcbDecomposition>>) -> Vec<CommGraph> {
+        let (map, global, r_ghost) = (&self.map, &self.global, self.cfg.ghost_cutoff());
+        let gl = global.lengths();
+        let min_edge = (0..3)
+            .map(|d| gl[d] / f64::from(map.rank_grid[d]))
+            .fold(f64::INFINITY, f64::min);
+        let auto_shells = ((r_ghost / min_edge).ceil() as usize).max(1);
+        // A requested halo depth may widen the exchange (62/124-neighbor
+        // scenarios) but never narrow it below the cutoff-derived floor.
+        let shells = self
+            .cfg
+            .comm
+            .shells
+            .map_or(auto_shells, |s| s.max(auto_shells));
+        let half = self.cfg.newton_half();
+        let live = self.survivors();
+        let graph = |rank| match (rcb, live.binary_search(&rank)) {
+            (Some(rcb), Ok(part)) => CommGraph::from_rcb_mapped(part, rcb, map, r_ghost, &live),
+            _ => CommGraph::grid(rank, map, global, r_ghost, PlanConfig { shells, half }),
+        };
+        (0..map.nranks()).map(graph).collect()
+    }
+
+    /// A fresh engine of the variant in force on every lane, over its
+    /// rank's graph — the one place engines are built, and the single
+    /// place a mismatched variant × decomposition stops a run.
+    pub(super) fn fresh_engines(&mut self) {
+        let density = self.cfg.density();
+        for (lane, st) in self.lanes.iter_mut().zip(&self.states) {
+            let built = try_engine(
+                self.variant,
+                &st.graph,
+                &self.mpi,
+                &self.book,
+                &self.map,
+                density,
+            );
+            lane.engine = built.unwrap_or_else(|e| panic!("{e}"));
         }
-        cluster.reset_timers();
-        cluster.built_reg_calls = cluster.registration_calls();
-        cluster
+    }
+
+    /// Re-cut: every owned position of `ranks` wrapped exactly the way
+    /// Exchange routes a migrant, in rank order (deterministic input), and
+    /// an RCB cut of them over the live ranks. `what` names the caller in
+    /// the panic a degenerate cut raises.
+    pub(super) fn recut<'a>(
+        &self,
+        ranks: impl Iterator<Item = &'a Atoms>,
+        what: &str,
+    ) -> (Vec<Vec<[f64; 3]>>, Arc<RcbDecomposition>) {
+        let global = self.global;
+        let wrapped: Vec<Vec<[f64; 3]>> = ranks
+            .map(|a| {
+                a.x[..a.nlocal]
+                    .iter()
+                    .map(|&x| wrap_for_exchange(&global, x))
+                    .collect()
+            })
+            .collect();
+        let all: Vec<[f64; 3]> = wrapped.iter().flatten().copied().collect();
+        match RcbDecomposition::try_build(self.survivors().len(), &all, &global) {
+            Ok(r) => (wrapped, Arc::new(r)),
+            Err(e) => panic!("{what} at step {}: {e}", self.step),
+        }
+    }
+
+    /// Install: `graphs` on every rank, its ghosts dropped; then each
+    /// lane's engine rebound to its rank's new graph — or, when `fresh`,
+    /// rebuilt for the variant in force — and its graph-keyed caches
+    /// dropped. A barrier point: every rank swaps before any communicates.
+    pub(super) fn install(&mut self, graphs: Vec<CommGraph>, fresh: bool) {
+        for (st, graph) in self.states.iter_mut().zip(graphs) {
+            st.atoms.clear_ghosts();
+            st.graph = graph;
+        }
+        if fresh {
+            self.fresh_engines();
+        }
+        for (lane, st) in self.lanes.iter_mut().zip(&self.states) {
+            if !fresh {
+                lane.engine.rebind_graph(st);
+            }
+            lane.part = None;
+            lane.interior_list = None;
+        }
+    }
+
+    /// Settle: ghosts, lists, forces and — when Newton's third law folds
+    /// them back — the reverse exchange, from the positions in place. At a
+    /// reneighbor boundary these are pure functions of the positions, so
+    /// the state after a settle is a valid checkpoint boundary.
+    pub(super) fn settle(&mut self) {
+        self.run_op(Op::Border);
+        self.run_phase(Phase::RebuildLists);
+        self.run_phase(Phase::Pair);
+        if self.reverse_needed {
+            self.run_op(Op::Reverse);
+        }
+        self.at_rebuild_boundary = true;
     }
 }
 
 /// Which rank's sub-box contains the (wrapped) position.
-fn owner_of(global: &Box3, rg: [u32; 3], map: &RankMap, x: &[f64; 3]) -> usize {
-    let l = global.lengths();
+fn owner_of(global: &Box3, map: &RankMap, x: &[f64; 3]) -> usize {
+    let (l, rg) = (global.lengths(), map.rank_grid);
     let mut c = [0i64; 3];
     for d in 0..3 {
         let frac = (x[d] - global.lo[d]) / l[d];

@@ -10,30 +10,30 @@
 //!   where the neighbor lists are a pure function of the saved positions;
 //!   that is what makes a restore *bit-identical* to the uninterrupted
 //!   run (the lockstep bisector is the verifier).
-//! * **Restore** — [`Cluster::restore_from_bytes`] rebuilds the cluster
-//!   from a container: fresh fabric, the *saved* decomposition's star
-//!   forests, saved atoms, then a Border + list + force replay that lands
-//!   exactly where the original run stood.
+//! * **Restore** — [`Cluster::restore_from_bytes`] is decode → assemble
+//!   → settle (see `cluster_build.rs`): the restart's mesh is checked, the
+//!   saved atoms are assembled on a fresh fabric over the *saved*
+//!   decomposition's star forests, and one settle lands exactly where
+//!   the original run stood. Nothing is generated and thrown away.
 //! * **Shrinking recovery** — when a peer dies mid-step
 //!   ([`TofuError::PeerDead`](tofumd_tofu::TofuError::PeerDead)), the
-//!   survivors roll back to the last checkpoint, re-decompose the *whole*
-//!   system over N−1 ranks with RCB, swap every lane onto the irregular
-//!   MPI p2p engine, and continue. The dead lane stays allocated but is
-//!   skipped by every communication phase. Costs are tracked in
+//!   survivors roll back to the last checkpoint and run re-cut → install
+//!   → settle: the *whole* system cut over N−1 ranks with RCB, every
+//!   lane on the irregular MPI p2p engine. The dead lane stays allocated
+//!   but is skipped by every communication phase. Costs are tracked in
 //!   [`RecoveryStats`] and surface in `Trace::report`.
 
+use super::build::Deal;
 use super::Cluster;
 use crate::checkpoint::{CheckpointData, CheckpointError, RankDump};
 use crate::config::Decomp;
-use crate::driver::Phase;
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tofumd_core::engine::{wrap_for_exchange, Op};
-use tofumd_core::CommGraph;
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
+use tofumd_tofu::CellGrid;
 
 /// Fixed virtual-time cost of sealing one checkpoint, charged to every
 /// live rank (the barrier + metadata write), before the per-byte term.
@@ -81,14 +81,6 @@ impl Cluster {
     #[must_use]
     pub fn current_step(&self) -> u64 {
         self.step
-    }
-
-    /// Physical ranks still alive, in rank order. Index in this list is
-    /// the rank's RCB *part* after a shrinking recovery.
-    fn survivors(&self) -> Vec<usize> {
-        (0..self.nranks())
-            .filter(|&r| Some(r as u32) != self.dead)
-            .collect()
     }
 
     /// The RCB decomposition currently installed (from any live rank's
@@ -196,59 +188,42 @@ impl Cluster {
         }
     }
 
-    /// Rebuild a cluster from sealed container bytes. The restored run
-    /// continues bit-identically to the run that took the checkpoint.
+    /// Rebuild a cluster from sealed container bytes: decode → assemble →
+    /// settle. The restored run continues bit-identically to the run that
+    /// took the checkpoint.
     pub fn restore_from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let data = CheckpointData::from_container(bytes)?;
-        let mut c = Cluster::build(data.proxy_mesh, data.target_mesh, data.cfg, data.variant);
-        if c.nranks() != data.ranks.len() {
-            return Err(CheckpointError::Decode(format!(
-                "checkpoint holds {} ranks but mesh {:?} builds {}",
-                data.ranks.len(),
-                data.proxy_mesh,
-                c.nranks()
-            )));
+        let mut data = CheckpointData::from_container(bytes)?;
+        // Check the mesh before anything is assembled on it.
+        let (mesh, n) = (data.proxy_mesh, data.ranks.len() as u128);
+        let nodes: u128 = mesh.iter().map(|&d| u128::from(d)).product();
+        let decode = |m: String| Err(CheckpointError::Decode(m));
+        if 4 * nodes != n {
+            return decode(format!(
+                "checkpoint holds {n} ranks but mesh {mesh:?} builds {}",
+                4 * nodes
+            ));
         }
-        // Install the *saved* decomposition's star forests (the build
-        // derived its own from the initial lattice, which is wrong after
-        // any rebalance or recovery): part p on the p-th survivor, which
-        // is rank p when no rank has died.
-        c.dead = data.dead;
-        if let Some(rcb) = &data.rcb {
-            let (rcb, r_ghost, survivors) =
-                (Arc::new(rcb.clone()), c.cfg.ghost_cutoff(), c.survivors());
-            for (part, &rank) in survivors.iter().enumerate() {
-                c.states[rank].graph =
-                    CommGraph::from_rcb_mapped(part, &rcb, &c.map, r_ghost, &survivors);
-            }
-        }
-        // Saved atoms (already in post-sort on-rank order — no
-        // SpatialSort on replay), fresh engine caches.
-        for (rank, dump) in data.ranks.iter().enumerate() {
-            let st = &mut c.states[rank];
-            st.atoms = dump.atoms.clone();
-            st.scalar.clear();
-            c.lanes[rank].engine.rebind_graph(st);
-        }
-        c.net.reset_clocks();
-        c.mpi.reset_mailboxes();
-        // Replay ghosts, lists and forces from the saved positions. At a
-        // reneighbor boundary these are pure functions of the dump, so
-        // the state after this replay is the uninterrupted run's, bit for
-        // bit.
-        c.run_op(Op::Border);
-        c.run_phase(Phase::RebuildLists);
-        c.run_phase(Phase::Pair);
-        if c.reverse_needed {
-            c.run_op(Op::Reverse);
-        }
-        // Clocks and stage times last: the replay above charged virtual
-        // time that the original run charged at its own rebuild step.
+        let Some(grid) = CellGrid::from_node_mesh(mesh) else {
+            return decode(format!("node mesh {mesh:?} does not fold onto TofuD cells"));
+        };
+        // The saved atoms (already in post-sort on-rank order — no
+        // SpatialSort) on the *saved* decomposition.
+        let atoms = data.ranks.iter_mut().map(|d| std::mem::take(&mut d.atoms));
+        let deal = Deal {
+            atoms: atoms.collect(),
+            rcb: data.rcb.take().map(Arc::new),
+            dead: data.dead,
+        };
+        let mut c = Cluster::assemble(grid, data.target_mesh, data.cfg, data.variant, None, deal);
+        c.settle();
+        // Clocks and stage times last: the settle charged virtual time that
+        // the original run charged at its own rebuild step.
         for (st, dump) in c.states.iter_mut().zip(&data.ranks) {
             st.clock = dump.clock;
             st.stages = dump.stages;
         }
         c.net.reset_clocks();
+        c.built_reg_calls = c.registration_calls();
         c.step = data.step;
         c.rebuild_count = data.rebuild_count;
         c.steps_run = data.steps_run;
@@ -258,8 +233,6 @@ impl Cluster {
         c.thermo_every = data.thermo_every;
         c.thermo_log = data.thermo_log;
         c.recovery = data.recovery;
-        c.rebuild = false;
-        c.at_rebuild_boundary = true;
         c.last_checkpoint = Some(bytes.to_vec());
         Ok(c)
     }
@@ -315,38 +288,26 @@ impl Cluster {
         }
         self.mpi.reset_mailboxes();
 
-        // Re-decompose the checkpointed system over the survivors. The
+        // Re-cut the checkpointed system over the survivors. The
         // checkpoint is global state, so the dead rank's atoms are not
         // lost — they redistribute onto the new cuts like everyone
         // else's.
-        let survivors: Vec<usize> = (0..self.nranks()).filter(|&r| r != dead as usize).collect();
-        let global = self.global;
-        let wrapped: Vec<Vec<[f64; 3]>> = data
-            .ranks
-            .iter()
-            .map(|d| {
-                (0..d.atoms.nlocal)
-                    .map(|i| wrap_for_exchange(&global, d.atoms.x[i]))
-                    .collect()
-            })
-            .collect();
-        let all: Vec<[f64; 3]> = wrapped.iter().flatten().copied().collect();
-        let rcb = match RcbDecomposition::try_build(survivors.len(), &all, &global) {
-            Ok(r) => Arc::new(r),
-            Err(e) => panic!("recovery at step {step_at_death}: {e}"),
-        };
+        self.dead = Some(dead);
+        let (wrapped, rcb) = self.recut(data.ranks.iter().map(|d| &d.atoms), "recovery");
         // Deterministic redistribution: checkpoint (rank, slot) order.
-        let mut per_part: Vec<Atoms> = (0..survivors.len()).map(|_| Atoms::default()).collect();
+        let mut per_part: Vec<Atoms> = (0..rcb.nranks()).map(|_| Atoms::default()).collect();
         for (d, ws) in data.ranks.iter().zip(&wrapped) {
-            for i in 0..d.atoms.nlocal {
-                let part = rcb.owner_of(&ws[i]);
-                per_part[part].push_local(
-                    d.atoms.x[i],
-                    d.atoms.v[i],
-                    d.atoms.typ[i],
-                    d.atoms.tag[i],
-                );
+            for (i, w) in ws.iter().enumerate() {
+                let a = &d.atoms;
+                per_part[rcb.owner_of(w)].push_local(a.x[i], a.v[i], a.typ[i], a.tag[i]);
             }
+        }
+        for st in &mut self.states {
+            st.atoms = Atoms::default();
+            st.scalar.clear();
+        }
+        for (rank, atoms) in self.survivors().into_iter().zip(per_part) {
+            self.states[rank].atoms = atoms;
         }
 
         // Every lane moves to the MPI p2p engine — the one row of the
@@ -356,24 +317,9 @@ impl Cluster {
         // on the states, so the swap loses none of their history.
         self.cfg.comm.decomp = Decomp::Rcb;
         self.variant = CommVariant::MpiP2p;
-        let r_ghost = self.cfg.ghost_cutoff();
-        for rank in 0..self.lanes.len() {
-            let st = &mut self.states[rank];
-            st.atoms = Atoms::default();
-            st.scalar.clear();
-            if let Some(part) = survivors.iter().position(|&r| r == rank) {
-                st.atoms = std::mem::take(&mut per_part[part]);
-                st.graph = CommGraph::from_rcb_mapped(part, &rcb, &self.map, r_ghost, &survivors);
-            }
-            let engine = self.engine_for(CommVariant::MpiP2p, rank);
-            let lane = &mut self.lanes[rank];
-            lane.engine = engine;
-            lane.part = None;
-            lane.interior_list = None;
-        }
-        self.dead = Some(dead);
+        self.install(self.graphs(Some(&rcb)), true);
         // Rewind the run counters (not the clocks — elapsed virtual time
-        // is real) and replay the setup on the shrunken forest.
+        // is real) and settle on the shrunken forest.
         self.step = data.step;
         self.steps_run = data.steps_run;
         self.rebalance_count = data.rebalance_count;
@@ -382,14 +328,8 @@ impl Cluster {
         self.rebalance_now = false;
         self.force_rebuild = false;
         self.pending_peer_death = None;
-        self.run_op(Op::Border);
-        self.run_phase(Phase::RebuildLists);
-        self.run_phase(Phase::Pair);
-        if self.reverse_needed {
-            self.run_op(Op::Reverse);
-        }
+        self.settle();
         self.rebuild_count = data.rebuild_count;
-        self.at_rebuild_boundary = true;
         let t_after = self
             .states
             .iter()

@@ -2,13 +2,14 @@
 //! rcb`). Child module of [`crate::cluster`].
 //!
 //! When the check phase arms it (interval step, global atom imbalance
-//! above the balance threshold), the Rebalance phase rebuilds the RCB
-//! decomposition from the *current* wrapped positions, swaps every rank's
-//! star forest for one built over the new cuts, and migrates atoms to
-//! their new owners in a single owner-directed exchange over the new
-//! graph. Because an atom's new owner can be any rank — not just a halo
-//! neighbor of the new graph — the migration runs over a transient,
-//! symmetric migrate-peer set computed from the actual destination matrix
+//! above the balance threshold), the Rebalance phase is re-cut → install
+//! → migrate (see `cluster_build.rs`): an RCB cut from the *current*
+//! wrapped positions, every rank's star forest swapped for one over the
+//! new cuts, and atoms moved to their new owners in a single
+//! owner-directed exchange over the new graph. Because an atom's new
+//! owner can be any rank — not just a halo neighbor of the new graph —
+//! the migration runs over a transient, symmetric migrate-peer set
+//! computed from the actual destination matrix
 //! ([`rebalance_migrate_peers`]); the halo-derived peer list is restored
 //! afterwards for steady-state exchanges.
 //!
@@ -18,11 +19,8 @@
 //! imbalance) — so runs are bit-identical at any `--threads`.
 
 use super::Cluster;
-use std::sync::Arc;
-use tofumd_core::engine::{wrap_for_exchange, Op};
+use tofumd_core::engine::Op;
 use tofumd_core::sf::rebalance_migrate_peers;
-use tofumd_core::CommGraph;
-use tofumd_md::domain::RcbDecomposition;
 
 impl Cluster {
     /// Mid-run rebalances performed since construction.
@@ -44,31 +42,8 @@ impl Cluster {
             return;
         }
         self.rebalance_now = false;
-        let nranks = self.nranks();
-        let global = self.global;
-
-        // Owned positions, pre-wrapped exactly the way the exchange
-        // routes migrants, in rank order (deterministic input).
-        let wrapped: Vec<Vec<[f64; 3]>> = self
-            .states
-            .iter()
-            .map(|st| {
-                (0..st.atoms.nlocal)
-                    .map(|i| wrap_for_exchange(&global, st.atoms.x[i]))
-                    .collect()
-            })
-            .collect();
-        let all: Vec<[f64; 3]> = wrapped.iter().flatten().copied().collect();
-        let rcb = match RcbDecomposition::try_build(nranks, &all, &global) {
-            Ok(r) => Arc::new(r),
-            Err(e) => panic!("rebalance at step {}: {e}", self.step),
-        };
-
-        // Fresh star forests over the new cuts.
-        let r_ghost = self.cfg.ghost_cutoff();
-        let graphs: Vec<CommGraph> = (0..nranks)
-            .map(|r| CommGraph::from_rcb(r, &rcb, &self.map, r_ghost))
-            .collect();
+        let (wrapped, rcb) = self.recut(self.states.iter().map(|st| &st.atoms), "rebalance");
+        let graphs = self.graphs(Some(&rcb));
 
         // Destination matrix under the new decomposition → the transient
         // migrate-peer set covering every actual move.
@@ -87,15 +62,13 @@ impl Cluster {
             })
             .collect();
         let peers = rebalance_migrate_peers(&needs, &self.map);
-
-        // Barrier point: every rank installs its new graph (with the
-        // transient peers) and drops graph-keyed engine caches before any
-        // rank communicates.
-        for (rank, (st, lane)) in self.states.iter_mut().zip(&mut self.lanes).enumerate() {
-            st.atoms.clear_ghosts();
-            st.graph = graphs[rank].clone().with_migrate_peers(peers[rank].clone());
-            lane.engine.rebind_graph(st);
-        }
+        let migrating = graphs.iter().zip(peers);
+        self.install(
+            migrating
+                .map(|(g, p)| g.clone().with_migrate_peers(p))
+                .collect(),
+            false,
+        );
 
         // One owner-directed migration over the *new* graph. Runs through
         // the ordinary op path, so it is fault-injectable under
@@ -105,8 +78,8 @@ impl Cluster {
         // Restore the halo-derived migrate peers for steady-state
         // exchanges; send/recv edges are identical, so the engines'
         // freshly rebuilt caches stand.
-        for (rank, st) in self.states.iter_mut().enumerate() {
-            st.graph = graphs[rank].clone();
+        for (st, graph) in self.states.iter_mut().zip(graphs) {
+            st.graph = graph;
         }
         self.rebalance_count += 1;
     }

@@ -61,8 +61,8 @@ pub use cluster::{Cluster, StageBreakdown};
 pub use config::{PotentialKind, RunConfig};
 pub use driver::{Lane, Partition, Pass, Phase, PlanMode, Team};
 pub use lockstep::{
-    bisect_against_serial, bisect_cluster_against_serial, bisect_clusters, bisect_variants,
-    AtomDelta, Divergence, DivergenceReport, FaultInjector, LockstepOptions,
+    bisect_cluster_against_serial, bisect_clusters, AtomDelta, Divergence, DivergenceReport,
+    FaultInjector, LockstepOptions,
 };
 pub use script::{parse_script, ScriptError, ScriptRun};
 pub use trace::{OpCommRow, RecoveryStats, StepRecord, Trace};

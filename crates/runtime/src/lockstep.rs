@@ -21,9 +21,7 @@
 //! variant; otherwise ops are compared at completion.
 
 use crate::cluster::Cluster;
-use crate::config::RunConfig;
 use crate::trace::{comm_rows, OpCommRow};
-use crate::variant::CommVariant;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -625,40 +623,9 @@ pub fn bisect_clusters(
     report
 }
 
-/// Build two clusters of `va` and `vb` on the same system and bisect.
-#[must_use]
-pub fn bisect_variants(
-    mesh: [u32; 3],
-    cfg: RunConfig,
-    va: CommVariant,
-    vb: CommVariant,
-    opts: &LockstepOptions,
-) -> DivergenceReport {
-    let mut a = Cluster::new(mesh, cfg, va);
-    let mut b = Cluster::new(mesh, cfg, vb);
-    a.set_driver_threads(opts.driver_threads);
-    b.set_driver_threads(opts.driver_threads);
-    bisect_clusters(&mut a, &mut b, opts)
-}
-
-/// Bisect a cluster against its serial twin. The twin has no per-op
-/// structure, so comparison is per-step on the gathered locals
+/// Bisect an already-built cluster against its serial twin. The twin has
+/// no per-op structure, so comparison is per-step on the gathered locals
 /// (positions by min-image, then velocities).
-#[must_use]
-pub fn bisect_against_serial(
-    mesh: [u32; 3],
-    cfg: RunConfig,
-    variant: CommVariant,
-    opts: &LockstepOptions,
-) -> DivergenceReport {
-    let mut cluster = Cluster::new(mesh, cfg, variant);
-    cluster.set_driver_threads(opts.driver_threads);
-    bisect_cluster_against_serial(&mut cluster, opts)
-}
-
-/// [`bisect_against_serial`] over an already-built cluster — the entry
-/// point for runs with non-default construction (installed fault plans,
-/// custom placement) that still need the serial-twin oracle.
 #[must_use]
 pub fn bisect_cluster_against_serial(
     cluster: &mut Cluster,
@@ -833,8 +800,14 @@ impl GhostEngine for FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RunConfig;
+    use crate::variant::CommVariant;
 
     const MESH: [u32; 3] = [2, 3, 2]; // 12 nodes, 48 ranks
+
+    fn lj(variant: CommVariant) -> Cluster {
+        Cluster::new(MESH, RunConfig::lj(4000), variant)
+    }
 
     #[test]
     fn identical_variants_never_diverge() {
@@ -843,13 +816,7 @@ mod tests {
             tol: 0.0,
             ..LockstepOptions::default()
         };
-        let report = bisect_variants(
-            MESH,
-            RunConfig::lj(4000),
-            CommVariant::Opt,
-            CommVariant::Opt,
-            &opts,
-        );
+        let report = bisect_clusters(&mut lj(CommVariant::Opt), &mut lj(CommVariant::Opt), &opts);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.steps_run, 3);
         assert!(!report.op_stats_a.is_empty());
@@ -862,13 +829,7 @@ mod tests {
             steps: 3,
             ..LockstepOptions::default()
         };
-        let report = bisect_variants(
-            MESH,
-            RunConfig::lj(4000),
-            CommVariant::Ref,
-            CommVariant::Opt,
-            &opts,
-        );
+        let report = bisect_clusters(&mut lj(CommVariant::Ref), &mut lj(CommVariant::Opt), &opts);
         assert!(report.is_clean(), "{}", report.render());
     }
 
@@ -945,7 +906,7 @@ mod tests {
             steps: 5,
             ..LockstepOptions::default()
         };
-        let report = bisect_against_serial(MESH, RunConfig::lj(4000), CommVariant::Opt, &opts);
+        let report = bisect_cluster_against_serial(&mut lj(CommVariant::Opt), &opts);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.steps_run, 5);
     }

@@ -431,3 +431,63 @@ fn restored_clocks_and_stage_times_are_pinned() {
         assert_eq!(got, want, "{name}: digest {got:#018x}");
     }
 }
+
+/// A restart file's proxy mesh is checked before anything is assembled on
+/// it: a mesh that does not fold onto TofuD cells, or whose node count
+/// does not hold the file's ranks (four per node), is a typed error, not a
+/// panic in the fabric's constructor.
+#[test]
+fn restored_mesh_must_fold_onto_tofu_cells() {
+    let mut c = Cluster::new(MESH, RunConfig::lj(2_048), CommVariant::MpiP2p);
+    c.checkpoint_now().expect("post-setup dump is legal");
+    let good = c.last_checkpoint().unwrap().to_vec();
+    // [1, 1, 1] and [0, 3, 2] (zero nodes) hold too few ranks; [1, 1, 12]
+    // holds all 48 but has no 2 × 3 × 2 cell fold.
+    for (mesh, want) in [
+        ([1, 1, 1], "ranks"),
+        ([0, 3, 2], "ranks"),
+        ([1, 1, 12], "fold"),
+    ] {
+        let mut bad = CheckpointData::from_container(&good).unwrap();
+        bad.proxy_mesh = mesh;
+        match Cluster::restore_from_bytes(&bad.to_container()) {
+            Err(CheckpointError::Decode(m)) => assert!(m.contains(want), "{mesh:?}: {m}"),
+            Err(e) => panic!("{mesh:?}: wrong error kind: {e}"),
+            Ok(_) => panic!("mesh {mesh:?} restored"),
+        }
+    }
+}
+
+/// A checkpoint the shrunken run sealed after a recovery restores onto the
+/// survivors: the restored run matches a twin of the faulted run brought
+/// to the checkpoint's step, bit for bit, at threads {1, 2}.
+#[test]
+fn post_recovery_checkpoint_restores_bit_identically() {
+    let bytes = post_recovery_checkpoint();
+    for threads in [1usize, 2] {
+        let mut restored = Cluster::restore_from_bytes(&bytes).expect("restore must succeed");
+        assert_eq!(
+            (restored.current_step(), restored.dead_rank()),
+            (40, Some(17))
+        );
+        restored.set_driver_threads(threads);
+        let mut twin = faulted_rcb_run();
+        twin.set_driver_threads(threads);
+        twin.run_to(40);
+        let report = bisect_clusters(
+            &mut restored,
+            &mut twin,
+            &LockstepOptions {
+                steps: 10,
+                tol: 0.0,
+                driver_threads: threads,
+                ..LockstepOptions::default()
+            },
+        );
+        assert!(
+            report.is_clean(),
+            "post-recovery restore diverged (threads {threads}):\n{}",
+            report.render()
+        );
+    }
+}
