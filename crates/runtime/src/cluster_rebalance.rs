@@ -62,13 +62,11 @@ impl Cluster {
             })
             .collect();
         let peers = rebalance_migrate_peers(&needs, &self.map);
-        let migrating = graphs.iter().zip(peers);
-        self.install(
-            migrating
-                .map(|(g, p)| g.clone().with_migrate_peers(p))
-                .collect(),
-            false,
-        );
+        let migrating = graphs
+            .iter()
+            .zip(peers)
+            .map(|(g, p)| g.clone().with_migrate_peers(p));
+        self.install(migrating.collect(), false);
 
         // One owner-directed migration over the *new* graph. Runs through
         // the ordinary op path, so it is fault-injectable under
