@@ -26,7 +26,6 @@ pub(crate) fn bisect(o: &Opts) -> ExitCode {
     let opts = LockstepOptions {
         steps: o.steps,
         tol: o.tol,
-        driver_threads: o.threads(),
         ..LockstepOptions::default()
     };
     let cfg = RunConfig::lj(o.atoms);
@@ -35,7 +34,7 @@ pub(crate) fn bisect(o: &Opts) -> ExitCode {
             Some(plan) => Cluster::with_fault_plan(MESH, cfg, v, plan),
             None => Cluster::new(MESH, cfg, v),
         };
-        c.set_driver_threads(opts.driver_threads);
+        c.set_driver_threads(o.threads());
         c
     };
     let plan = o

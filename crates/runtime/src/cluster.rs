@@ -503,9 +503,9 @@ impl Cluster {
     /// (the reference engines are grid-only).
     fn reneighbor_check(&mut self) {
         self.reneighbor_verdict();
-        // A post-recovery run keeps its shrunken decomposition static:
-        // `run_rebalance` rebuilds full-width graphs, which would
-        // resurrect the dead rank.
+        // A post-recovery run keeps its shrunken decomposition static.
+        // Every input of `run_rebalance` is in rank space over the
+        // survivors, but no test yet drives a re-cut after a death.
         if self.demoted || self.dead.is_some() || !self.cfg.comm.rebalance_check_due(self.step) {
             return;
         }

@@ -84,7 +84,9 @@ fn lattice(cfg: &RunConfig, map: &RankMap) -> ([usize; 3], Box3) {
 fn generate(cfg: &RunConfig, map: &RankMap) -> Deal {
     let nranks = map.nranks();
     let (cells, global) = lattice(cfg, map);
-    let (_, pos) = cfg.build_lattice(cells[0], cells[1], cells[2]);
+    let (built, pos) = cfg.build_lattice(cells[0], cells[1], cells[2]);
+    // Restore seats `lattice`'s box with no positions: the two must agree.
+    debug_assert_eq!(built, global, "lattice box and cell box disagree");
     // The ramp thins by a per-tag hash, so the surviving set is identical
     // under any decomposition.
     let glx = global.lengths()[0];

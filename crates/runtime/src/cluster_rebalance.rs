@@ -46,14 +46,16 @@ impl Cluster {
         let graphs = self.graphs(Some(&rcb));
 
         // Destination matrix under the new decomposition → the transient
-        // migrate-peer set covering every actual move.
+        // migrate-peer set covering every actual move. Part p of the cut
+        // sits on the p-th survivor, so owners go from part to rank space.
+        let live = self.survivors();
         let needs: Vec<Vec<usize>> = wrapped
             .iter()
             .enumerate()
             .map(|(r, ws)| {
                 let mut d: Vec<usize> = ws
                     .iter()
-                    .map(|w| rcb.owner_of(w))
+                    .map(|w| live[rcb.owner_of(w)])
                     .filter(|&owner| owner != r)
                     .collect();
                 d.sort_unstable();

@@ -42,10 +42,6 @@ pub struct LockstepOptions {
     pub tol: f64,
     /// Cap on per-divergence atom deltas kept in the report.
     pub max_deltas: usize,
-    /// Host threads for the phase driver on each side. Thread count never
-    /// changes results (the determinism contract), so any value bisects
-    /// identically — larger values just run faster on multicore hosts.
-    pub driver_threads: usize,
 }
 
 impl Default for LockstepOptions {
@@ -54,7 +50,6 @@ impl Default for LockstepOptions {
             steps: 30,
             tol: 1e-7,
             max_deltas: 8,
-            driver_threads: 1,
         }
     }
 }

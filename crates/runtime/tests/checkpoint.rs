@@ -62,7 +62,6 @@ fn assert_restore_bit_identical(
         &LockstepOptions {
             steps: 10,
             tol: 0.0,
-            driver_threads: threads,
             ..LockstepOptions::default()
         },
     );
@@ -480,7 +479,6 @@ fn post_recovery_checkpoint_restores_bit_identically() {
             &LockstepOptions {
                 steps: 10,
                 tol: 0.0,
-                driver_threads: threads,
                 ..LockstepOptions::default()
             },
         );
