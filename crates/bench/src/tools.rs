@@ -26,7 +26,6 @@ pub(crate) fn bisect(o: &Opts) -> ExitCode {
     let opts = LockstepOptions {
         steps: o.steps,
         tol: o.tol,
-        ..LockstepOptions::default()
     };
     let cfg = RunConfig::lj(o.atoms);
     let build = |v: CommVariant, plan: Option<FaultPlan>| -> Cluster {

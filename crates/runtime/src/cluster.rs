@@ -381,10 +381,7 @@ impl Cluster {
                 let cost = self.net.params().mpi_match_cost;
                 accounting::global_sync(&mut self.states, cost, SyncBucket::Comm(op));
             }
-            if let Some(mut obs) = self.op_observer.take() {
-                obs(op, round, rounds, &self.states);
-                self.op_observer = Some(obs);
-            }
+            self.observe(op, round, rounds);
         }
         self.mpi.reset_mailboxes();
     }
@@ -462,9 +459,14 @@ impl Cluster {
             // run there: it lists no ghost.
             debug_assert_eq!(self.partition_violation(), None);
         }
-        if let Some(mut obs) = self.op_observer.take() {
-            obs(op, 0, 1, &self.states);
-            self.op_observer = Some(obs);
+        self.observe(op, 0, 1);
+    }
+
+    /// Hand the states after round `round` of `rounds` of `op` to the
+    /// installed [`OpObserver`], if any.
+    fn observe(&mut self, op: Op, round: usize, rounds: usize) {
+        if let Some(obs) = &mut self.op_observer {
+            obs(op, round, rounds, &self.states);
         }
     }
 

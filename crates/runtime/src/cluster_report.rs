@@ -5,6 +5,8 @@
 
 use super::{Cluster, StageBreakdown};
 use tofumd_core::engine::{Op, OpStats};
+use tofumd_md::atom::Atoms;
+use tofumd_md::serial::SerialSim;
 use tofumd_md::thermo::{self, ThermoSnapshot};
 
 impl Cluster {
@@ -170,6 +172,35 @@ impl Cluster {
             temperature: thermo::temperature(ke, n, units),
             pressure: thermo::pressure(ke, virial, self.global.volume(), units),
         }
+    }
+
+    /// The serial engine on this cluster's current locals in tag order,
+    /// every atom keeping its tag, type, position and velocity: the same
+    /// system in one box, for the bisector and the physics checks to step
+    /// beside the cluster.
+    #[must_use]
+    pub fn serial_twin(&self) -> SerialSim {
+        let mut order: Vec<(u64, usize, usize)> = Vec::with_capacity(self.natoms());
+        for (r, st) in self.states.iter().enumerate() {
+            order.extend((0..st.atoms.nlocal).map(|i| (st.atoms.tag[i], r, i)));
+        }
+        order.sort_unstable();
+        let mut atoms = Atoms::default();
+        for (tag, r, i) in order {
+            let a = &self.states[r].atoms;
+            atoms.push_local(a.x[i], a.v[i], a.typ[i], tag);
+        }
+        let cfg = &self.cfg;
+        SerialSim::new(
+            atoms,
+            self.global,
+            cfg.build_potential(),
+            cfg.units(),
+            cfg.skin(),
+            cfg.policy(),
+            cfg.timestep(),
+            cfg.mass(),
+        )
     }
 
     /// Sum of modeled setup costs (registrations, pre-sizing) across ranks.

@@ -5,26 +5,27 @@
 //! Cross-engine bugs in this codebase historically surfaced as a thermo
 //! mismatch after 30 steps — an error signal that is 30 steps × ~10 ops ×
 //! 48 ranks away from the defect. The bisector collapses that search: it
-//! snapshots every rank's locals and ghosts after every completed
-//! communication round (via [`Cluster::set_op_observer`]) and reports the
-//! exact `(step, op, round, rank)` where the two runs first part ways,
-//! together with the offending atom tags, their positions on both sides,
-//! and the owner rank of the first bad tag (the "suspected neighbor" —
-//! the rank whose outgoing data went wrong).
+//! snapshots every rank's atoms after every completed communication round
+//! (via [`Cluster::set_op_observer`]) and reports the exact `(step, op,
+//! round, rank)` where the two runs first part ways, together with the
+//! offending atom tags, their values on both sides, and the owner rank of
+//! the first bad tag (the "suspected neighbor" — the rank whose outgoing
+//! data went wrong).
 //!
-//! Engine families are only partially comparable: the staged engines
-//! (`ref`, `utofu-3stage`) build the *full* ghost shell while the p2p
-//! engines build the upper *half* shell, so ghost tag-sets are compared
-//! exactly only within a family, and across families the comparison is
-//! restricted to the common tags' physical (wrapped) positions.
-//! Round-for-round comparison applies only when both sides run the same
-//! variant; otherwise ops are compared at completion.
+//! One driver steps side A (a cluster) against a second cluster, op by op,
+//! or against the serial twin ([`Cluster::serial_twin`]), one rank at the
+//! end of each step. A field table names what each op is checked on; each
+//! field compares as a multiset of `(tag, value)`, every periodic image
+//! included. Staged engines (`ref`, `utofu-3stage`) build the *full* ghost
+//! shell and p2p engines the upper *half*, so across families a ghost field
+//! compares one wrapped image per common tag. Rounds pair one for one only
+//! between identical variants; otherwise ops compare at completion.
 
 use crate::cluster::Cluster;
 use crate::trace::{comm_rows, OpCommRow};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::cmp::Ordering;
+use std::sync::{Arc, Mutex, PoisonError};
 use tofumd_core::engine::{GhostEngine, Op, RankState};
 use tofumd_md::atom::Atoms;
 use tofumd_md::region::Box3;
@@ -40,8 +41,6 @@ pub struct LockstepOptions {
     /// Cross-engine runs accumulate fp summation noise, so exact equality
     /// is only expected between identical variants.
     pub tol: f64,
-    /// Cap on per-divergence atom deltas kept in the report.
-    pub max_deltas: usize,
 }
 
 impl Default for LockstepOptions {
@@ -49,10 +48,12 @@ impl Default for LockstepOptions {
         LockstepOptions {
             steps: 30,
             tol: 1e-7,
-            max_deltas: 8,
         }
     }
 }
+
+/// Worst per-atom deltas kept in a divergence.
+const MAX_DELTAS: usize = 8;
 
 /// One offending atom: its coordinates on both sides.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,7 +91,7 @@ pub struct Divergence {
     pub missing_tags: Vec<u64>,
     /// Tags present on side B but not A (at `rank`).
     pub extra_tags: Vec<u64>,
-    /// Worst per-atom deltas (capped at `max_deltas`).
+    /// Worst per-atom deltas, the largest eight.
     pub deltas: Vec<AtomDelta>,
 }
 
@@ -178,316 +179,148 @@ impl DivergenceReport {
     }
 }
 
-/// One local atom in a snapshot: (tag, x, v, f).
-type LocalSnap = (u64, [f64; 3], [f64; 3], [f64; 3]);
+/// One compared quantity: a per-atom value of the locals or of the
+/// ghosts. A scalar (EAM rho / F') rides in the first component.
+/// Positions compare by minimum image, the rest by plain difference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Field {
+    LocalX,
+    LocalV,
+    LocalF,
+    LocalScalar,
+    GhostX,
+    GhostScalar,
+}
 
-/// Per-rank state frozen after one communication round.
-#[derive(Debug, Clone)]
-struct RankSnap {
-    /// Tag-sorted locals.
-    locals: Vec<LocalSnap>,
-    /// Ghost positions per tag (periodic images duplicate tags, so each
-    /// tag maps to a sorted multiset of raw coordinates).
-    ghosts: BTreeMap<u64, Vec<[f64; 3]>>,
-    /// Tag-sorted local scalars (EAM rho / F'), when populated.
-    local_scalars: Vec<(u64, f64)>,
-    /// Ghost scalars per tag, sorted, when populated.
-    ghost_scalars: BTreeMap<u64, Vec<f64>>,
+/// The field table: what a point of the step is checked on, each field
+/// with its report label. `None` is the end of the step.
+fn fields(op: Option<Op>, twin: bool) -> &'static [(Field, &'static str)] {
+    use Field::*;
+    match op {
+        Some(Op::Exchange) => &[
+            (LocalX, "local positions after migration"),
+            (LocalV, "local velocities after migration"),
+        ],
+        Some(Op::Border) => &[(GhostX, "ghost positions after border")],
+        Some(Op::Forward) => &[(GhostX, "ghost positions after forward")],
+        Some(Op::Reverse) => &[(LocalF, "local forces after reverse")],
+        Some(Op::ReverseScalar) => &[(LocalScalar, "local scalars after reverse")],
+        Some(Op::ForwardScalar) => &[(GhostScalar, "ghost scalars after forward")],
+        None if twin => &[
+            (LocalX, "positions (vs serial)"),
+            (LocalV, "velocities (vs serial)"),
+        ],
+        None => &[
+            (LocalX, "end-of-step positions"),
+            (LocalV, "end-of-step velocities"),
+        ],
+    }
+}
+
+/// One side's values of a field: `(tag, value)` sorted by tag, then by
+/// value — the multiset the side holds, every periodic image of a ghost
+/// included.
+type Column = Vec<(u64, [f64; 3])>;
+
+impl Field {
+    fn ghost(self) -> bool {
+        matches!(self, Field::GhostX | Field::GhostScalar)
+    }
+
+    /// This field of every `(atoms, scalar)` source, as one column. A
+    /// scalar array that does not cover its atoms is not populated and
+    /// contributes nothing.
+    fn column<'s>(self, sources: impl IntoIterator<Item = (&'s Atoms, &'s [f64])>) -> Column {
+        let mut col = Vec::new();
+        for (at, scalar) in sources {
+            let scalars = matches!(self, Field::LocalScalar | Field::GhostScalar);
+            if scalars && scalar.len() != at.ntotal() {
+                continue;
+            }
+            let mine = |&i: &usize| (i >= at.nlocal) == self.ghost();
+            col.extend((0..at.ntotal()).filter(mine).map(|i| {
+                let value = match self {
+                    Field::LocalX | Field::GhostX => at.x[i],
+                    Field::LocalV => at.v[i],
+                    Field::LocalF => at.f[i],
+                    Field::LocalScalar | Field::GhostScalar => [scalar[i], 0.0, 0.0],
+                };
+                (at.tag[i], value)
+            }));
+        }
+        col.sort_unstable_by(|p, q| p.0.cmp(&q.0).then_with(|| total_cmp3(&p.1, &q.1)));
+        col
+    }
+}
+
+/// Each rank's columns of the table row `row`.
+fn snap(states: &[RankState], row: &[(Field, &str)]) -> Vec<Vec<Column>> {
+    states
+        .iter()
+        .map(|st| {
+            row.iter()
+                .map(|(f, _)| f.column([(&st.atoms, &st.scalar[..])]))
+                .collect()
+        })
+        .collect()
 }
 
 /// Total lexicographic order on raw coordinates. Uses `f64::total_cmp` per
 /// component so a NaN coordinate still sorts deterministically — the
 /// bisector exists to diagnose bad numbers and must not panic on them;
 /// the NaN itself is reported as a divergence by the field comparison.
-fn total_cmp3(p: &[f64; 3], q: &[f64; 3]) -> std::cmp::Ordering {
+fn total_cmp3(p: &[f64; 3], q: &[f64; 3]) -> Ordering {
     p.iter()
         .zip(q)
         .map(|(a, b)| a.total_cmp(b))
         .find(|o| o.is_ne())
-        .unwrap_or(std::cmp::Ordering::Equal)
+        .unwrap_or(Ordering::Equal)
 }
 
-impl RankSnap {
-    fn capture(st: &RankState) -> Self {
-        let at = &st.atoms;
-        let mut locals: Vec<_> = (0..at.nlocal)
-            .map(|i| (at.tag[i], at.x[i], at.v[i], at.f[i]))
-            .collect();
-        locals.sort_unstable_by_key(|e| e.0);
-        let mut ghosts: BTreeMap<u64, Vec<[f64; 3]>> = BTreeMap::new();
-        for i in at.nlocal..at.ntotal() {
-            ghosts.entry(at.tag[i]).or_default().push(at.x[i]);
-        }
-        for v in ghosts.values_mut() {
-            v.sort_by(total_cmp3);
-        }
-        let has_scalar = st.scalar.len() == at.ntotal() && at.ntotal() > 0;
-        let mut local_scalars = Vec::new();
-        let mut ghost_scalars: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        if has_scalar {
-            local_scalars = (0..at.nlocal).map(|i| (at.tag[i], st.scalar[i])).collect();
-            local_scalars.sort_unstable_by_key(|e| e.0);
-            for i in at.nlocal..at.ntotal() {
-                ghost_scalars
-                    .entry(at.tag[i])
-                    .or_default()
-                    .push(st.scalar[i]);
-            }
-            for v in ghost_scalars.values_mut() {
-                v.sort_by(f64::total_cmp);
-            }
-        }
-        RankSnap {
-            locals,
-            ghosts,
-            local_scalars,
-            ghost_scalars,
-        }
+/// Largest per-component difference, by minimum image when asked. NaN
+/// anywhere yields NaN (a plain `f64::max` fold would silently drop it,
+/// hiding exactly the corruption the bisector hunts).
+fn delta(global: &Box3, minimum_image: bool, a: &[f64; 3], b: &[f64; 3]) -> f64 {
+    let d = if minimum_image {
+        global.minimum_image(a, b)
+    } else {
+        [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+    };
+    if d.iter().any(|c| c.is_nan()) {
+        return f64::NAN;
     }
+    d.iter().fold(0.0, |m, c| m.max(c.abs()))
 }
 
-/// All ranks frozen after round `round` of `op`.
-#[derive(Debug, Clone)]
+/// All ranks' columns after round `round` of `op`.
+#[derive(Debug)]
 struct OpSnap {
     op: Op,
     round: usize,
     rounds: usize,
-    ranks: Vec<RankSnap>,
+    ranks: Vec<Vec<Column>>,
 }
 
-/// Run one step of `cluster` capturing an [`OpSnap`] after every round.
+/// Run one step of `cluster` capturing an [`OpSnap`] of the op's fields
+/// after every round.
 fn capture_step(cluster: &mut Cluster) -> Vec<OpSnap> {
     let sink: Arc<Mutex<Vec<OpSnap>>> = Arc::new(Mutex::new(Vec::new()));
     let tap = sink.clone();
     cluster.set_op_observer(Box::new(move |op, round, rounds, states| {
+        let ranks = snap(states, fields(Some(op), false));
         tap.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .push(OpSnap {
                 op,
                 round,
                 rounds,
-                ranks: states.iter().map(RankSnap::capture).collect(),
+                ranks,
             });
     }));
     cluster.run_step();
     cluster.clear_op_observer();
-    let snaps = std::mem::take(
-        &mut *sink
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    );
+    let snaps = std::mem::take(&mut *sink.lock().unwrap_or_else(PoisonError::into_inner));
     snaps
-}
-
-/// Largest per-component min-image difference between two coordinates.
-/// NaN anywhere yields NaN (a plain `f64::max` fold would silently drop
-/// it, hiding exactly the corruption the bisector hunts).
-fn mi_delta(global: &Box3, a: &[f64; 3], b: &[f64; 3]) -> f64 {
-    let d = global.minimum_image(a, b);
-    let mut m = 0.0f64;
-    for c in d {
-        if c.is_nan() {
-            return f64::NAN;
-        }
-        m = m.max(c.abs());
-    }
-    m
-}
-
-/// Largest plain per-component difference; NaN anywhere yields NaN.
-fn abs_delta(a: &[f64; 3], b: &[f64; 3]) -> f64 {
-    let mut m = 0.0f64;
-    for d in 0..3 {
-        let c = (a[d] - b[d]).abs();
-        if c.is_nan() {
-            return f64::NAN;
-        }
-        m = m.max(c);
-    }
-    m
-}
-
-struct CompareCtx<'c> {
-    global: Box3,
-    tol: f64,
-    max_deltas: usize,
-    /// Exact ghost tag-set equality expected (same engine family)?
-    same_family: bool,
-    /// Tag → owner rank on side A, for source attribution.
-    owner: &'c BTreeMap<u64, usize>,
-}
-
-/// Compare one field across the two sides of one rank. Returns the
-/// divergence skeleton (rank/neighbor/field/tags/deltas filled; position
-/// fields use min-image distances).
-#[allow(clippy::too_many_arguments)]
-fn field_divergence(
-    ctx: &CompareCtx<'_>,
-    rank: usize,
-    field: &str,
-    minimum_image: bool,
-    a: &[(u64, [f64; 3])],
-    b: &[(u64, [f64; 3])],
-) -> Option<Divergence> {
-    let ta: BTreeMap<u64, &[f64; 3]> = a.iter().map(|(t, x)| (*t, x)).collect();
-    let tb: BTreeMap<u64, &[f64; 3]> = b.iter().map(|(t, x)| (*t, x)).collect();
-    let missing_tags: Vec<u64> = ta.keys().filter(|t| !tb.contains_key(t)).copied().collect();
-    let extra_tags: Vec<u64> = tb.keys().filter(|t| !ta.contains_key(t)).copied().collect();
-    let mut deltas = Vec::new();
-    for (t, xa) in &ta {
-        if let Some(xb) = tb.get(t) {
-            let d = if minimum_image {
-                mi_delta(&ctx.global, xa, xb)
-            } else {
-                abs_delta(xa, xb)
-            };
-            // A NaN delta IS a divergence (`>` alone is false for NaN).
-            if d > ctx.tol || d.is_nan() {
-                deltas.push(AtomDelta {
-                    tag: *t,
-                    a: **xa,
-                    b: **xb,
-                    abs_delta: d,
-                });
-            }
-        }
-    }
-    if missing_tags.is_empty() && extra_tags.is_empty() && deltas.is_empty() {
-        return None;
-    }
-    // Descending by total order: NaN deltas sort first, largest finite next.
-    deltas.sort_by(|p, q| q.abs_delta.total_cmp(&p.abs_delta));
-    deltas.truncate(ctx.max_deltas);
-    let first_tag = deltas
-        .first()
-        .map(|d| d.tag)
-        .or_else(|| missing_tags.first().copied())
-        .or_else(|| extra_tags.first().copied());
-    let neighbor = first_tag.and_then(|t| ctx.owner.get(&t).copied());
-    Some(Divergence {
-        step: 0,
-        op: None,
-        round: 0,
-        rounds: 0,
-        rank,
-        neighbor,
-        field: field.to_string(),
-        missing_tags,
-        extra_tags,
-        deltas,
-    })
-}
-
-/// Flatten a ghost multiset map to comparable (tag, position) pairs. In
-/// same-family mode every image is compared pairwise (tag duplicated in
-/// the output); across families only the wrapped physical position of one
-/// representative image per common tag is compared.
-fn ghost_pairs(
-    ctx: &CompareCtx<'_>,
-    ghosts: &BTreeMap<u64, Vec<[f64; 3]>>,
-) -> Vec<(u64, [f64; 3])> {
-    let mut out = Vec::new();
-    for (t, images) in ghosts {
-        if ctx.same_family {
-            for x in images {
-                out.push((*t, *x));
-            }
-        } else if let Some(x) = images.first() {
-            out.push((*t, ctx.global.wrap(*x).0));
-        }
-    }
-    out
-}
-
-/// Compare side-A vs side-B rank snapshots after `op`. Returns the first
-/// diverging rank's record.
-fn compare_op(ctx: &CompareCtx<'_>, op: Op, a: &[RankSnap], b: &[RankSnap]) -> Option<Divergence> {
-    for (rank, (ra, rb)) in a.iter().zip(b).enumerate() {
-        let div = match op {
-            Op::Exchange => {
-                let la: Vec<_> = ra.locals.iter().map(|e| (e.0, e.1)).collect();
-                let lb: Vec<_> = rb.locals.iter().map(|e| (e.0, e.1)).collect();
-                field_divergence(ctx, rank, "local positions after migration", true, &la, &lb)
-                    .or_else(|| {
-                        let va: Vec<_> = ra.locals.iter().map(|e| (e.0, e.2)).collect();
-                        let vb: Vec<_> = rb.locals.iter().map(|e| (e.0, e.2)).collect();
-                        field_divergence(
-                            ctx,
-                            rank,
-                            "local velocities after migration",
-                            false,
-                            &va,
-                            &vb,
-                        )
-                    })
-            }
-            Op::Border | Op::Forward => {
-                let ga = ghost_pairs(ctx, &ra.ghosts);
-                let gb = ghost_pairs(ctx, &rb.ghosts);
-                let field = if op == Op::Border {
-                    "ghost positions after border"
-                } else {
-                    "ghost positions after forward"
-                };
-                // Same family: exact tag multisets; across families the
-                // helper has already reduced to common physical positions,
-                // and tag-set differences are expected, so mask them.
-                let mut d = field_divergence(ctx, rank, field, true, &ga, &gb);
-                if !ctx.same_family {
-                    if let Some(dd) = &mut d {
-                        dd.missing_tags.clear();
-                        dd.extra_tags.clear();
-                        if dd.deltas.is_empty() {
-                            d = None;
-                        }
-                    }
-                }
-                d
-            }
-            Op::Reverse => {
-                let fa: Vec<_> = ra.locals.iter().map(|e| (e.0, e.3)).collect();
-                let fb: Vec<_> = rb.locals.iter().map(|e| (e.0, e.3)).collect();
-                field_divergence(ctx, rank, "local forces after reverse", false, &fa, &fb)
-            }
-            Op::ReverseScalar => {
-                let sa: Vec<_> = ra
-                    .local_scalars
-                    .iter()
-                    .map(|e| (e.0, [e.1, 0.0, 0.0]))
-                    .collect();
-                let sb: Vec<_> = rb
-                    .local_scalars
-                    .iter()
-                    .map(|e| (e.0, [e.1, 0.0, 0.0]))
-                    .collect();
-                field_divergence(ctx, rank, "local scalars after reverse", false, &sa, &sb)
-            }
-            Op::ForwardScalar => {
-                let flat = |m: &BTreeMap<u64, Vec<f64>>| -> Vec<(u64, [f64; 3])> {
-                    m.iter()
-                        .filter_map(|(t, v)| v.first().map(|s| (*t, [*s, 0.0, 0.0])))
-                        .collect()
-                };
-                let (sa, sb) = (flat(&ra.ghost_scalars), flat(&rb.ghost_scalars));
-                let mut d =
-                    field_divergence(ctx, rank, "ghost scalars after forward", false, &sa, &sb);
-                if !ctx.same_family {
-                    if let Some(dd) = &mut d {
-                        dd.missing_tags.clear();
-                        dd.extra_tags.clear();
-                        if dd.deltas.is_empty() {
-                            d = None;
-                        }
-                    }
-                }
-                d
-            }
-        };
-        if div.is_some() {
-            return div;
-        }
-    }
-    None
 }
 
 /// Group a step's raw round snapshots into per-op occurrences (a new
@@ -503,32 +336,183 @@ fn occurrences(snaps: Vec<OpSnap>) -> Vec<Vec<OpSnap>> {
     out
 }
 
-/// Map every tag to its owner rank, from side-A locals.
-fn owner_map(ranks: &[RankSnap]) -> BTreeMap<u64, usize> {
-    let mut m = BTreeMap::new();
-    for (r, snap) in ranks.iter().enumerate() {
-        for (tag, ..) in &snap.locals {
-            m.insert(*tag, r);
+impl Divergence {
+    /// `field` differs on `rank`; the driver stamps the rest.
+    fn on(rank: usize, field: String) -> Self {
+        Divergence {
+            step: 0,
+            op: None,
+            round: 0,
+            rounds: 0,
+            rank,
+            neighbor: None,
+            field,
+            missing_tags: Vec::new(),
+            extra_tags: Vec::new(),
+            deltas: Vec::new(),
         }
     }
-    m
+
+    /// Stamp `step` and name the owner on side A (`a`) of the first bad
+    /// tag as the suspected source. Against the serial twin, whose one
+    /// rank says nothing, that owner is the rank too.
+    fn attributed(self, step: u64, a: &[RankState], twin: bool) -> Self {
+        let first = (self.deltas.first().map(|x| x.tag))
+            .or(self.missing_tags.first().copied())
+            .or(self.extra_tags.first().copied());
+        let owns = |st: &RankState, t| st.atoms.tag[..st.atoms.nlocal].contains(&t);
+        let neighbor = first.and_then(|t| a.iter().position(|st| owns(st, t)));
+        let rank = if twin {
+            neighbor.unwrap_or(self.rank)
+        } else {
+            self.rank
+        };
+        Divergence {
+            step,
+            rank,
+            neighbor,
+            ..self
+        }
+    }
 }
 
-/// Drive two already-built clusters in lockstep and report the first
-/// divergence. Both must be built on the same mesh and [`RunConfig`].
-pub fn bisect_clusters(
-    a: &mut Cluster,
-    b: &mut Cluster,
-    opts: &LockstepOptions,
-) -> DivergenceReport {
-    assert_eq!(a.nranks(), b.nranks(), "clusters must share the rank grid");
-    assert_eq!(a.natoms(), b.natoms(), "clusters must share the system");
-    let same_family = a.variant.is_p2p() == b.variant.is_p2p();
-    let strict_rounds = a.variant == b.variant;
-    let global = a.global_box();
+/// How two sides' columns are compared.
+struct Ctx {
+    global: Box3,
+    tol: f64,
+    /// Same engine family: ghost images must match one for one.
+    same_family: bool,
+    /// Same variant: rounds compare one for one, not only completed ops.
+    same_variant: bool,
+}
+
+impl Ctx {
+    /// The first rank and field of `row` on which `a` and `b` part ways.
+    fn compare(
+        &self,
+        row: &[(Field, &str)],
+        a: &[Vec<Column>],
+        b: &[Vec<Column>],
+    ) -> Option<Divergence> {
+        a.iter().zip(b).enumerate().find_map(|(rank, (ra, rb))| {
+            row.iter()
+                .zip(ra.iter().zip(rb))
+                .find_map(|(&(field, label), (ca, cb))| self.field(field, label, rank, ca, cb))
+        })
+    }
+
+    /// Compare one field's multisets: within a tag the sorted values pair
+    /// one for one, and an image one side lacks names its tag as missing
+    /// or extra. Across engine families a ghost field is reduced to one
+    /// wrapped value per tag and tag-set differences are forgiven — the
+    /// one place cross-family masking happens.
+    fn field(
+        &self,
+        field: Field,
+        label: &str,
+        rank: usize,
+        a: &Column,
+        b: &Column,
+    ) -> Option<Divergence> {
+        let masked = field.ghost() && !self.same_family;
+        let reduced;
+        let (a, b) = if masked {
+            reduced = [a, b].map(|c| self.representatives(field, c));
+            (&reduced[0], &reduced[1])
+        } else {
+            (a, b)
+        };
+        let mut d = Divergence::on(rank, label.to_string());
+        // Walk both columns in tag order; an exhausted side sorts last.
+        let key = |c: &Column, k: usize| c.get(k).map_or((1, 0), |e| (0, e.0));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            match key(a, i).cmp(&key(b, j)) {
+                Ordering::Less => {
+                    d.missing_tags.push(a[i].0);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    d.extra_tags.push(b[j].0);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let ((tag, va), (_, vb)) = (a[i], b[j]);
+                    let by_image = matches!(field, Field::LocalX | Field::GhostX);
+                    let abs_delta = delta(&self.global, by_image, &va, &vb);
+                    // A NaN delta IS a divergence (`>` alone is false for NaN).
+                    if abs_delta > self.tol || abs_delta.is_nan() {
+                        d.deltas.push(AtomDelta {
+                            tag,
+                            a: va,
+                            b: vb,
+                            abs_delta,
+                        });
+                    }
+                    (i, j) = (i + 1, j + 1);
+                }
+            }
+        }
+        // A tag with surplus images is named once.
+        for tags in [&mut d.missing_tags, &mut d.extra_tags] {
+            if masked {
+                tags.clear();
+            }
+            tags.dedup();
+        }
+        if d.missing_tags.is_empty() && d.extra_tags.is_empty() && d.deltas.is_empty() {
+            return None;
+        }
+        // Descending by total order: NaN deltas sort first, largest finite next.
+        d.deltas.sort_by(|p, q| q.abs_delta.total_cmp(&p.abs_delta));
+        d.deltas.truncate(MAX_DELTAS);
+        Some(d)
+    }
+
+    /// One value per tag: the first image, wrapped into the box when it
+    /// is a position.
+    fn representatives(&self, field: Field, col: &Column) -> Column {
+        let mut out = col.clone();
+        out.dedup_by_key(|e| e.0);
+        if field == Field::GhostX {
+            for e in &mut out {
+                e.1 = self.global.wrap(e.1).0;
+            }
+        }
+        out
+    }
+}
+
+/// Side B of a bisect.
+enum SideB<'c> {
+    /// A second cluster on the same mesh, compared after every op and at
+    /// the end of every step.
+    Cluster(&'c mut Cluster),
+    /// The serial twin: one rank, compared at the end of every step.
+    Twin(Box<SerialSim>),
+}
+
+/// The one lockstep driver: step `a` against `b` until the first
+/// divergence or `opts.steps`.
+fn lockstep(a: &mut Cluster, mut b: SideB<'_>, opts: &LockstepOptions) -> DivergenceReport {
+    let (label, same_family, same_variant) = match &b {
+        SideB::Cluster(c) => {
+            assert_eq!(a.nranks(), c.nranks(), "clusters must share the rank grid");
+            assert_eq!(a.natoms(), c.natoms(), "clusters must share the system");
+            let same_family = a.variant.is_p2p() == c.variant.is_p2p();
+            (c.variant.label(), same_family, a.variant == c.variant)
+        }
+        SideB::Twin(_) => ("serial", false, false),
+    };
+    let ctx = Ctx {
+        global: a.global_box(),
+        tol: opts.tol,
+        same_family,
+        same_variant,
+    };
     let mut report = DivergenceReport {
         a: a.variant.label().to_string(),
-        b: b.variant.label().to_string(),
+        b: label.to_string(),
         steps_requested: opts.steps,
         steps_run: 0,
         tol: opts.tol,
@@ -536,188 +520,99 @@ pub fn bisect_clusters(
         op_stats_a: Vec::new(),
         op_stats_b: Vec::new(),
     };
-    'steps: for step in 1..=opts.steps {
-        let occ_a = occurrences(capture_step(a));
-        let occ_b = occurrences(capture_step(b));
+    for step in 1..=opts.steps {
         report.steps_run = step;
-        let seq_a: Vec<Op> = occ_a.iter().map(|o| o[0].op).collect();
-        let seq_b: Vec<Op> = occ_b.iter().map(|o| o[0].op).collect();
-        if seq_a != seq_b {
-            report.divergence = Some(Divergence {
-                step,
-                op: None,
-                round: 0,
-                rounds: 0,
-                rank: 0,
-                neighbor: None,
-                field: format!("op sequence: A ran {seq_a:?}, B ran {seq_b:?}"),
-                missing_tags: Vec::new(),
-                extra_tags: Vec::new(),
-                deltas: Vec::new(),
-            });
-            break 'steps;
-        }
-        for (oa, ob) in occ_a.iter().zip(&occ_b) {
-            let op = oa[0].op;
-            let owner = owner_map(&oa[0].ranks);
-            let ctx = CompareCtx {
-                global,
-                tol: opts.tol,
-                max_deltas: opts.max_deltas,
-                same_family,
-                owner: &owner,
-            };
-            // Same variant: identical round structure lets the bisector
-            // localize mid-op rounds. Otherwise only the completed op
-            // states are physically comparable.
-            let pairs: Vec<(&OpSnap, &OpSnap)> = if strict_rounds && oa.len() == ob.len() {
-                oa.iter().zip(ob.iter()).collect()
-            } else {
-                // Occurrences are nonempty by construction; compare the
-                // completed-op states.
-                oa.last().zip(ob.last()).into_iter().collect()
-            };
-            for (sa, sb) in pairs {
-                if let Some(mut d) = compare_op(&ctx, op, &sa.ranks, &sb.ranks) {
-                    d.step = step;
-                    d.op = Some(op);
-                    d.round = sa.round;
-                    d.rounds = sa.rounds;
-                    report.divergence = Some(d);
-                    break 'steps;
-                }
-            }
-        }
-        // End-of-step: locals must agree even on op-free steps.
-        let owner = owner_map(&a.states().iter().map(RankSnap::capture).collect::<Vec<_>>());
-        let ctx = CompareCtx {
-            global,
-            tol: opts.tol,
-            max_deltas: opts.max_deltas,
-            same_family,
-            owner: &owner,
-        };
-        for (rank, (ra, rb)) in a.states().iter().zip(b.states()).enumerate() {
-            let (sa, sb) = (RankSnap::capture(ra), RankSnap::capture(rb));
-            let xa: Vec<_> = sa.locals.iter().map(|e| (e.0, e.1)).collect();
-            let xb: Vec<_> = sb.locals.iter().map(|e| (e.0, e.1)).collect();
-            let va: Vec<_> = sa.locals.iter().map(|e| (e.0, e.2)).collect();
-            let vb: Vec<_> = sb.locals.iter().map(|e| (e.0, e.2)).collect();
-            let d = field_divergence(&ctx, rank, "end-of-step positions", true, &xa, &xb).or_else(
-                || field_divergence(&ctx, rank, "end-of-step velocities", false, &va, &vb),
-            );
-            if let Some(mut d) = d {
-                d.step = step;
-                report.divergence = Some(d);
-                break 'steps;
-            }
+        if let Some(d) = step_divergence(a, &mut b, &ctx) {
+            let twin = matches!(b, SideB::Twin(_));
+            report.divergence = Some(d.attributed(step, a.states(), twin));
+            break;
         }
     }
     report.op_stats_a = comm_rows(&a.op_stats(), 1.0);
-    report.op_stats_b = comm_rows(&b.op_stats(), 1.0);
+    if let SideB::Cluster(c) = &b {
+        report.op_stats_b = comm_rows(&c.op_stats(), 1.0);
+    }
     report
 }
 
-/// Bisect an already-built cluster against its serial twin. The twin has
-/// no per-op structure, so comparison is per-step on the gathered locals
+/// Run one step on both sides and compare them: op by op when side B is
+/// a cluster, then the locals at the end of the step (side A gathered
+/// into one rank against the twin).
+fn step_divergence(a: &mut Cluster, b: &mut SideB<'_>, ctx: &Ctx) -> Option<Divergence> {
+    let end = fields(None, matches!(b, SideB::Twin(_)));
+    let (end_a, end_b) = match b {
+        SideB::Cluster(c) => {
+            let occ_a = occurrences(capture_step(a));
+            let occ_b = occurrences(capture_step(c));
+            let seq_a: Vec<Op> = occ_a.iter().map(|o| o[0].op).collect();
+            let seq_b: Vec<Op> = occ_b.iter().map(|o| o[0].op).collect();
+            if seq_a != seq_b {
+                let field = format!("op sequence: A ran {seq_a:?}, B ran {seq_b:?}");
+                return Some(Divergence::on(0, field));
+            }
+            for (oa, ob) in occ_a.iter().zip(&occ_b) {
+                // Same variant: identical round structure lets the
+                // bisector localize mid-op rounds. Otherwise only the
+                // completed op states are physically comparable
+                // (occurrences are nonempty by construction).
+                let pairs: Vec<(&OpSnap, &OpSnap)> = if ctx.same_variant && oa.len() == ob.len() {
+                    oa.iter().zip(ob).collect()
+                } else {
+                    oa.last().zip(ob.last()).into_iter().collect()
+                };
+                for (sa, sb) in pairs {
+                    let row = fields(Some(sa.op), false);
+                    if let Some(d) = ctx.compare(row, &sa.ranks, &sb.ranks) {
+                        let (op, round, rounds) = (Some(sa.op), sa.round, sa.rounds);
+                        return Some(Divergence {
+                            op,
+                            round,
+                            rounds,
+                            ..d
+                        });
+                    }
+                }
+            }
+            (snap(a.states(), end), snap(c.states(), end))
+        }
+        SideB::Twin(s) => {
+            a.run_step();
+            s.run_step();
+            let all = a.states().iter().map(|st| (&st.atoms, &st.scalar[..]));
+            let twin = [(&s.atoms, &[][..])];
+            let gathered = |(f, _): &(Field, &str)| f.column(all.clone());
+            let own = |(f, _): &(Field, &str)| f.column(twin);
+            (
+                vec![end.iter().map(gathered).collect()],
+                vec![end.iter().map(own).collect()],
+            )
+        }
+    };
+    // End of step: locals must agree even on op-free steps.
+    ctx.compare(end, &end_a, &end_b)
+}
+
+/// Drive two already-built clusters in lockstep and report the first
+/// divergence. Both must be built on the same mesh and [`RunConfig`](crate::RunConfig).
+pub fn bisect_clusters(
+    a: &mut Cluster,
+    b: &mut Cluster,
+    opts: &LockstepOptions,
+) -> DivergenceReport {
+    lockstep(a, SideB::Cluster(b), opts)
+}
+
+/// Bisect an already-built cluster against its serial twin
+/// ([`Cluster::serial_twin`], taken now). The twin has no per-op
+/// structure, so comparison is per-step on the gathered locals
 /// (positions by min-image, then velocities).
 #[must_use]
 pub fn bisect_cluster_against_serial(
     cluster: &mut Cluster,
     opts: &LockstepOptions,
 ) -> DivergenceReport {
-    let cfg = cluster.cfg;
-    let variant = cluster.variant;
-    let global = cluster.global_box();
-
-    // Gather the cluster's initial state into one tag-sorted serial system.
-    let gather = |c: &Cluster| -> Vec<(u64, [f64; 3], [f64; 3])> {
-        let mut out = Vec::new();
-        for st in c.states() {
-            for i in 0..st.atoms.nlocal {
-                out.push((st.atoms.tag[i], st.atoms.x[i], st.atoms.v[i]));
-            }
-        }
-        out.sort_unstable_by_key(|e| e.0);
-        out
-    };
-    let g0 = gather(cluster);
-    let mut atoms = Atoms::from_positions(g0.iter().map(|e| e.1).collect(), 1);
-    for (i, e) in g0.iter().enumerate() {
-        atoms.v[i] = e.2;
-    }
-    let mut serial = SerialSim::new(
-        atoms,
-        global,
-        cfg.build_potential(),
-        cfg.units(),
-        cfg.skin(),
-        cfg.policy(),
-        cfg.timestep(),
-        cfg.mass(),
-    );
-
-    let mut report = DivergenceReport {
-        a: variant.label().to_string(),
-        b: "serial".to_string(),
-        steps_requested: opts.steps,
-        steps_run: 0,
-        tol: opts.tol,
-        divergence: None,
-        op_stats_a: Vec::new(),
-        op_stats_b: Vec::new(),
-    };
-    'steps: for step in 1..=opts.steps {
-        cluster.run_step();
-        serial.run_step();
-        report.steps_run = step;
-        let gc = gather(cluster);
-        let owner: BTreeMap<u64, usize> = cluster
-            .states()
-            .iter()
-            .enumerate()
-            .flat_map(|(r, st)| (0..st.atoms.nlocal).map(move |i| (st.atoms.tag[i], r)))
-            .collect();
-        let ctx = CompareCtx {
-            global,
-            tol: opts.tol,
-            max_deltas: opts.max_deltas,
-            same_family: false,
-            owner: &owner,
-        };
-        let xa: Vec<_> = gc.iter().map(|e| (e.0, e.1)).collect();
-        let xb: Vec<_> = serial
-            .atoms
-            .tag
-            .iter()
-            .take(serial.atoms.nlocal)
-            .zip(&serial.atoms.x)
-            .map(|(t, x)| (*t, *x))
-            .collect();
-        let va: Vec<_> = gc.iter().map(|e| (e.0, e.2)).collect();
-        let vb: Vec<_> = serial
-            .atoms
-            .tag
-            .iter()
-            .take(serial.atoms.nlocal)
-            .zip(&serial.atoms.v)
-            .map(|(t, v)| (*t, *v))
-            .collect();
-        let d = field_divergence(&ctx, 0, "positions (vs serial)", true, &xa, &xb)
-            .or_else(|| field_divergence(&ctx, 0, "velocities (vs serial)", false, &va, &vb));
-        if let Some(mut d) = d {
-            d.step = step;
-            // The "rank" slot is meaningless against a serial twin; point
-            // it at the owner of the first bad tag instead.
-            if let Some(n) = d.neighbor {
-                d.rank = n;
-            }
-            report.divergence = Some(d);
-            break 'steps;
-        }
-    }
-    report.op_stats_a = comm_rows(&cluster.op_stats(), 1.0);
-    report
+    let twin = cluster.serial_twin();
+    lockstep(cluster, SideB::Twin(Box::new(twin)), opts)
 }
 
 /// A [`GhostEngine`] shim that corrupts the data one rank puts on the
@@ -806,11 +701,7 @@ mod tests {
 
     #[test]
     fn identical_variants_never_diverge() {
-        let opts = LockstepOptions {
-            steps: 3,
-            tol: 0.0,
-            ..LockstepOptions::default()
-        };
+        let opts = LockstepOptions { steps: 3, tol: 0.0 };
         let report = bisect_clusters(&mut lj(CommVariant::Opt), &mut lj(CommVariant::Opt), &opts);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.steps_run, 3);
@@ -904,6 +795,55 @@ mod tests {
         let report = bisect_cluster_against_serial(&mut lj(CommVariant::Opt), &opts);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.steps_run, 5);
+    }
+
+    /// Within a family a ghost field is a multiset per tag: every
+    /// periodic image is compared, and an image one side lacks names its
+    /// tag.
+    #[test]
+    fn every_ghost_image_is_compared() {
+        let ctx = Ctx {
+            global: Box3::from_lengths([5.0; 3]),
+            tol: 1e-7,
+            same_family: true,
+            same_variant: true,
+        };
+        // One local (tag 1) and the images of ghost tag 9, with a scalar
+        // per atom.
+        let rank = |field: Field, images: &[([f64; 3], f64)]| {
+            let mut at = Atoms::default();
+            at.push_local([2.0; 3], [0.0; 3], 1, 1);
+            let mut scalar = vec![0.0];
+            for (x, s) in images {
+                at.push_ghost(*x, 1, 9);
+                scalar.push(*s);
+            }
+            vec![vec![field.column([(&at, &scalar[..])])]]
+        };
+        let (x0, x1) = ([1.0, 1.0, 1.0], [6.0, 1.0, 1.0]);
+        let fwd = fields(Some(Op::Forward), false);
+        let clean = rank(Field::GhostX, &[(x0, 0.0), (x1, 0.0)]);
+        assert_eq!(ctx.compare(fwd, &clean, &clean), None);
+        // A corrupted image that does not sort last.
+        let bad = rank(Field::GhostX, &[([1.5, 1.0, 1.0], 0.0), (x1, 0.0)]);
+        let d = ctx
+            .compare(fwd, &clean, &bad)
+            .expect("a corrupted image is reported");
+        assert_eq!((d.deltas[0].tag, d.deltas[0].abs_delta), (9, 0.5));
+        // A dropped image.
+        let dropped = rank(Field::GhostX, &[(x1, 0.0)]);
+        let d = ctx
+            .compare(fwd, &clean, &dropped)
+            .expect("a dropped image is reported");
+        assert_eq!(d.missing_tags, vec![9]);
+        // A differing second ghost-scalar image.
+        let fwd_scalar = fields(Some(Op::ForwardScalar), false);
+        let a = rank(Field::GhostScalar, &[(x0, 0.25), (x1, 0.5)]);
+        let b = rank(Field::GhostScalar, &[(x0, 0.25), (x1, 0.75)]);
+        let d = ctx
+            .compare(fwd_scalar, &a, &b)
+            .expect("a second scalar image is compared");
+        assert_eq!((d.deltas[0].tag, d.deltas[0].abs_delta), (9, 0.25));
     }
 
     #[test]

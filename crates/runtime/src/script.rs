@@ -62,18 +62,52 @@ fn err(line: usize, message: impl Into<String>) -> ScriptError {
     }
 }
 
-/// Parse the `<thresh>` token of `balance <thresh> rcb` / `fix ...
-/// balance N <thresh> rcb`. Max/mean imbalance is >= 1 by definition, so
-/// anything non-numeric, non-finite or <= 0 is a script error, not a
-/// silently-dropped token.
-fn parse_balance_thresh(lineno: usize, tok: &str) -> Result<f64, ScriptError> {
-    let thresh: f64 = tok
+/// A number a script argument may hold: a count, or a real that must
+/// also be finite.
+trait Number: std::str::FromStr {
+    fn finite(&self) -> bool {
+        true
+    }
+}
+
+impl Number for u32 {}
+impl Number for u64 {}
+impl Number for f64 {
+    fn finite(&self) -> bool {
+        self.is_finite()
+    }
+}
+
+/// Token `i` of `tokens` as a number: missing, malformed and non-finite
+/// values are errors on line `lineno` naming `what`.
+fn num<T: Number>(tokens: &[&str], i: usize, lineno: usize, what: &str) -> Result<T, ScriptError> {
+    let tok = *tokens
+        .get(i)
+        .ok_or_else(|| err(lineno, format!("missing {what}")))?;
+    let v: T = tok
         .parse()
-        .map_err(|_| err(lineno, format!("non-numeric balance threshold '{tok}'")))?;
-    if !thresh.is_finite() || thresh <= 0.0 {
+        .map_err(|_| err(lineno, format!("bad {what} '{tok}'")))?;
+    if !v.finite() {
+        return Err(err(lineno, format!("{what} must be finite, got '{tok}'")));
+    }
+    Ok(v)
+}
+
+/// `|diff| <= tol`: a cross-check written so that a NaN cannot pass it.
+fn within(diff: f64, tol: f64) -> bool {
+    diff.abs() <= tol
+}
+
+/// The `<thresh>` token of `balance <thresh> rcb` / `fix ... balance N
+/// <thresh> rcb`. Max/mean imbalance is >= 1 by definition, so anything
+/// non-numeric, non-finite or <= 0 is a script error, not a
+/// silently-dropped token.
+fn balance_thresh(tokens: &[&str], i: usize, lineno: usize) -> Result<f64, ScriptError> {
+    let thresh: f64 = num(tokens, i, lineno, "balance threshold")?;
+    if thresh <= 0.0 {
         return Err(err(
             lineno,
-            format!("balance threshold must be a positive finite number, got '{tok}'"),
+            format!("balance threshold must be a positive finite number, got '{thresh}'"),
         ));
     }
     Ok(thresh)
@@ -139,28 +173,17 @@ pub fn parse_script(text: &str) -> Result<ScriptRun, ScriptError> {
                 if style != "fcc" && style != "diamond" {
                     return Err(err(lineno, format!("unsupported lattice '{style}'")));
                 }
-                let v: f64 = tokens
-                    .get(2)
-                    .ok_or_else(|| err(lineno, "lattice needs a value"))?
-                    .parse()
-                    .map_err(|_| err(lineno, "bad lattice value"))?;
                 st.lattice_style = Some(style.to_string());
-                st.lattice_value = Some(v);
+                st.lattice_value = Some(num(&tokens, 2, lineno, "lattice value")?);
             }
             "region" => {
                 // region <id> block 0 nx 0 ny 0 nz
                 if tokens.get(2) != Some(&"block") {
                     return Err(err(lineno, "only 'region ... block' supported"));
                 }
-                let nums: Vec<f64> = tokens[3..]
-                    .iter()
-                    .take(6)
-                    .map(|t| t.parse::<f64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| err(lineno, "bad region bounds"))?;
-                if nums.len() != 6 {
-                    return Err(err(lineno, "region block needs 6 bounds"));
-                }
+                let nums = (3..9)
+                    .map(|i| num(&tokens, i, lineno, "region bound"))
+                    .collect::<Result<Vec<f64>, _>>()?;
                 let dims = (
                     (nums[1] - nums[0]).round() as usize,
                     (nums[3] - nums[2]).round() as usize,
@@ -183,20 +206,12 @@ pub fn parse_script(text: &str) -> Result<ScriptRun, ScriptError> {
                 if tokens.get(2) != Some(&"create") {
                     return Err(err(lineno, "only 'velocity all create' supported"));
                 }
-                st.temperature = Some(
-                    tokens
-                        .get(3)
-                        .ok_or_else(|| err(lineno, "velocity needs T"))?
-                        .parse()
-                        .map_err(|_| err(lineno, "bad temperature"))?,
-                );
-                st.seed = Some(
-                    tokens
-                        .get(4)
-                        .ok_or_else(|| err(lineno, "velocity needs a seed"))?
-                        .parse()
-                        .map_err(|_| err(lineno, "bad seed"))?,
-                );
+                let t: f64 = num(&tokens, 3, lineno, "temperature")?;
+                if t < 0.0 {
+                    return Err(err(lineno, format!("temperature must be >= 0, got {t}")));
+                }
+                st.temperature = Some(t);
+                st.seed = Some(num(&tokens, 4, lineno, "seed")?);
             }
             "pair_style" => {
                 let style = *tokens
@@ -205,13 +220,7 @@ pub fn parse_script(text: &str) -> Result<ScriptRun, ScriptError> {
                 match style {
                     "lj/cut" => {
                         st.pair_style = Some("lj/cut".into());
-                        st.pair_cutoff = Some(
-                            tokens
-                                .get(2)
-                                .ok_or_else(|| err(lineno, "lj/cut needs a cutoff"))?
-                                .parse()
-                                .map_err(|_| err(lineno, "bad cutoff"))?,
-                        );
+                        st.pair_cutoff = Some(num(&tokens, 2, lineno, "lj/cut cutoff")?);
                     }
                     "eam" => {
                         st.pair_style = Some("eam".into());
@@ -226,26 +235,14 @@ pub fn parse_script(text: &str) -> Result<ScriptRun, ScriptError> {
                 st.ignored.push(line.to_string()); // Table-2 parameters are built in
             }
             "neighbor" => {
-                st.skin = Some(
-                    tokens
-                        .get(1)
-                        .ok_or_else(|| err(lineno, "neighbor needs a skin"))?
-                        .parse()
-                        .map_err(|_| err(lineno, "bad skin"))?,
-                );
+                st.skin = Some(num(&tokens, 1, lineno, "neighbor skin")?);
             }
             "neigh_modify" => {
                 let mut i = 1;
                 while i + 1 < tokens.len() + 1 {
                     match tokens.get(i) {
                         Some(&"every") => {
-                            st.neigh_every = Some(
-                                tokens
-                                    .get(i + 1)
-                                    .ok_or_else(|| err(lineno, "every needs a value"))?
-                                    .parse()
-                                    .map_err(|_| err(lineno, "bad every"))?,
-                            );
+                            st.neigh_every = Some(num(&tokens, i + 1, lineno, "every")?);
                             i += 2;
                         }
                         Some(&"check") => {
@@ -272,18 +269,11 @@ pub fn parse_script(text: &str) -> Result<ScriptRun, ScriptError> {
                         if tokens.last() != Some(&"rcb") {
                             return Err(err(lineno, "only 'fix ... balance ... rcb' supported"));
                         }
-                        let every: u64 = tokens
-                            .get(4)
-                            .ok_or_else(|| err(lineno, "fix balance needs an interval"))?
-                            .parse()
-                            .map_err(|_| err(lineno, "bad fix balance interval"))?;
+                        let every: u64 = num(&tokens, 4, lineno, "fix balance interval")?;
                         if every == 0 {
                             return Err(err(lineno, "fix balance interval must be positive"));
                         }
-                        let tok = *tokens
-                            .get(5)
-                            .ok_or_else(|| err(lineno, "fix balance needs a threshold"))?;
-                        st.balance_thresh = Some(parse_balance_thresh(lineno, tok)?);
+                        st.balance_thresh = Some(balance_thresh(&tokens, 5, lineno)?);
                         st.rebalance_every = Some(every);
                         st.comm_style = Some(Decomp::Rcb);
                     }
@@ -296,20 +286,10 @@ pub fn parse_script(text: &str) -> Result<ScriptRun, ScriptError> {
                 }
             }
             "timestep" => {
-                st.timestep = Some(
-                    tokens
-                        .get(1)
-                        .ok_or_else(|| err(lineno, "timestep needs a value"))?
-                        .parse()
-                        .map_err(|_| err(lineno, "bad timestep"))?,
-                );
+                st.timestep = Some(num(&tokens, 1, lineno, "timestep")?);
             }
             "thermo" => {
-                st.thermo_every = tokens
-                    .get(1)
-                    .ok_or_else(|| err(lineno, "thermo needs an interval"))?
-                    .parse()
-                    .map_err(|_| err(lineno, "bad thermo interval"))?;
+                st.thermo_every = num(&tokens, 1, lineno, "thermo interval")?;
             }
             "thermo_style" | "thermo_modify" => st.ignored.push(line.to_string()),
             "comm_style" => {
@@ -324,13 +304,7 @@ pub fn parse_script(text: &str) -> Result<ScriptRun, ScriptError> {
                 while i < tokens.len() {
                     match tokens.get(i) {
                         Some(&"cutoff") => {
-                            st.comm_cutoff = Some(
-                                tokens
-                                    .get(i + 1)
-                                    .ok_or_else(|| err(lineno, "cutoff needs a value"))?
-                                    .parse()
-                                    .map_err(|_| err(lineno, "bad comm cutoff"))?,
-                            );
+                            st.comm_cutoff = Some(num(&tokens, i + 1, lineno, "comm cutoff")?);
                             i += 2;
                         }
                         Some(other) => {
@@ -345,19 +319,12 @@ pub fn parse_script(text: &str) -> Result<ScriptRun, ScriptError> {
                 if tokens.last() != Some(&"rcb") {
                     return Err(err(lineno, "only 'balance ... rcb' supported"));
                 }
-                let tok = *tokens
-                    .get(1)
-                    .ok_or_else(|| err(lineno, "balance needs a threshold"))?;
-                st.balance_thresh = Some(parse_balance_thresh(lineno, tok)?);
+                st.balance_thresh = Some(balance_thresh(&tokens, 1, lineno)?);
                 st.comm_style = Some(Decomp::Rcb);
             }
             "restart" => {
                 // restart N <file>
-                let every: u64 = tokens
-                    .get(1)
-                    .ok_or_else(|| err(lineno, "restart needs an interval"))?
-                    .parse()
-                    .map_err(|_| err(lineno, "bad restart interval"))?;
+                let every: u64 = num(&tokens, 1, lineno, "restart interval")?;
                 if every == 0 {
                     return Err(err(lineno, "restart interval must be positive"));
                 }
@@ -373,13 +340,7 @@ pub fn parse_script(text: &str) -> Result<ScriptRun, ScriptError> {
                 st.read_restart = Some(file.to_string());
             }
             "run" => {
-                st.run_steps = Some(
-                    tokens
-                        .get(1)
-                        .ok_or_else(|| err(lineno, "run needs a step count"))?
-                        .parse()
-                        .map_err(|_| err(lineno, "bad step count"))?,
-                );
+                st.run_steps = Some(num(&tokens, 1, lineno, "step count")?);
             }
             other => return Err(err(lineno, format!("unsupported command '{other}'"))),
         }
@@ -411,7 +372,15 @@ fn finalize(st: State) -> Result<ScriptRun, ScriptError> {
         Some("diamond") => 8,
         _ => 4,
     };
-    let natoms = atoms_per_cell * nx * ny * nz;
+    let natoms = [nx, ny, nz]
+        .into_iter()
+        .try_fold(atoms_per_cell, usize::checked_mul)
+        .ok_or_else(|| {
+            err(
+                0,
+                format!("region of {nx} x {ny} x {nz} cells is too large"),
+            )
+        })?;
     let style = st
         .pair_style
         .ok_or_else(|| err(0, "script never set pair_style"))?;
@@ -461,8 +430,37 @@ fn finalize(st: State) -> Result<ScriptRun, ScriptError> {
     // Cross-validate script values against the Table-2 constants baked
     // into RunConfig: the fidelity contract is that scripts *match* the
     // benchmarks, so mismatches are reported, not silently applied.
+    let lattice = config.lattice();
+    if let Some(style) = st.lattice_style {
+        let want = if config.atoms_per_cell() == 8 {
+            "diamond"
+        } else {
+            "fcc"
+        };
+        if style != want {
+            return Err(err(
+                0,
+                format!("lattice {style} differs from the Table-2 lattice {want}"),
+            ));
+        }
+    }
+    if let Some(value) = st.lattice_value {
+        // LAMMPS reads the value as a reduced density under `units lj` and
+        // as the cell edge under `units metal`.
+        let want = if units == "lj" {
+            config.density()
+        } else {
+            lattice.cell
+        };
+        if !within(value - want, 1e-9) {
+            return Err(err(
+                0,
+                format!("lattice value {value} differs from the Table-2 value {want}"),
+            ));
+        }
+    }
     if let Some(skin) = st.skin {
-        if (skin - config.skin()).abs() > 1e-9 {
+        if !within(skin - config.skin(), 1e-9) {
             return Err(err(
                 0,
                 format!(
@@ -473,7 +471,7 @@ fn finalize(st: State) -> Result<ScriptRun, ScriptError> {
         }
     }
     if let Some(ts) = st.timestep {
-        if (ts - config.timestep()).abs() > 1e-12 {
+        if !within(ts - config.timestep(), 1e-12) {
             return Err(err(
                 0,
                 format!("timestep {ts} differs from Table 2's 0.005"),
@@ -658,7 +656,7 @@ mod tests {
         for bad in ["0", "-1.5", "nan", "inf"] {
             let e = parse_script(&format!("units lj\nbalance {bad} rcb\n")).unwrap_err();
             assert_eq!(e.line, 2, "threshold '{bad}' must fail on its line");
-            assert!(e.message.contains("positive"), "{e}");
+            assert!(e.message.contains("balance threshold must be"), "{e}");
         }
         // A missing threshold (`balance rcb`) no longer slips through.
         let e = parse_script("units lj\nbalance rcb\n").unwrap_err();
@@ -714,6 +712,57 @@ mod tests {
     fn bad_pair_style_is_rejected() {
         let e = parse_script("units lj\npair_style reaxff\n").unwrap_err();
         assert!(e.message.contains("reaxff"));
+    }
+
+    #[test]
+    fn the_committed_inputs_parse() {
+        for text in [
+            include_str!("../../../inputs/in.threadpool.lj"),
+            include_str!("../../../inputs/in.threadpool.eam"),
+            include_str!("../../../inputs/in.silicon.sw"),
+        ] {
+            parse_script(text).expect("a committed input parses");
+        }
+    }
+
+    #[test]
+    fn negative_temperature_is_rejected() {
+        let s = IN_THREADPOOL_LJ.replace("create 1.44", "create -1.44");
+        let e = parse_script(&s).unwrap_err();
+        assert_eq!(e.line, 9);
+        assert!(e.message.contains("temperature"), "{e}");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_with_line_numbers() {
+        for (from, to, line) in [
+            ("create 1.44", "create nan", 9),
+            ("create 1.44", "create inf", 9),
+            ("0.3 bin", "nan bin", 12),
+            ("timestep        0.005", "timestep NaN", 16),
+            ("lj/cut 2.5", "lj/cut -inf", 10),
+        ] {
+            let e = parse_script(&IN_THREADPOOL_LJ.replace(from, to)).unwrap_err();
+            assert_eq!(e.line, line, "{to}: {e}");
+            assert!(e.message.contains("finite"), "{e}");
+        }
+    }
+
+    #[test]
+    fn lattice_must_match_table2() {
+        for (from, to) in [("fcc 0.8442", "fcc 0.5"), ("fcc 0.8442", "diamond 0.8442")] {
+            let e = parse_script(&IN_THREADPOOL_LJ.replace(from, to)).unwrap_err();
+            assert!(e.message.contains("lattice"), "{to}: {e}");
+        }
+        let e = parse_script(&IN_THREADPOOL_EAM.replace("fcc 3.615", "fcc 3.6")).unwrap_err();
+        assert!(e.message.contains("lattice value"), "{e}");
+    }
+
+    #[test]
+    fn huge_region_is_an_error_not_an_overflow() {
+        let s = IN_THREADPOOL_LJ.replace("block 0 32 0 32 0 16", "block 0 1e30 0 1e30 0 1e30");
+        let e = parse_script(&s).unwrap_err();
+        assert!(e.message.contains("too large"), "{e}");
     }
 
     #[test]

@@ -62,7 +62,6 @@ fn assert_restore_bit_identical(
         &LockstepOptions {
             steps: 10,
             tol: 0.0,
-            ..LockstepOptions::default()
         },
     );
     assert!(
@@ -479,7 +478,6 @@ fn post_recovery_checkpoint_restores_bit_identically() {
             &LockstepOptions {
                 steps: 10,
                 tol: 0.0,
-                ..LockstepOptions::default()
             },
         );
         assert!(

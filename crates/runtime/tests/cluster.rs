@@ -1,10 +1,11 @@
 //! Cluster behavior tests (moved out of `cluster.rs` when the monolith
 //! was split into the driver/physics/accounting layers).
 
-use tofumd_md::atom::Atoms;
 use tofumd_md::thermo::ThermoSnapshot;
-use tofumd_md::velocity;
-use tofumd_runtime::{Cluster, CommVariant, RunConfig};
+use tofumd_runtime::config::{CommTuning, Decomp};
+use tofumd_runtime::{
+    bisect_cluster_against_serial, Cluster, CommVariant, LockstepOptions, PotentialKind, RunConfig,
+};
 
 /// Smallest foldable machine: one cell = 12 nodes = 48 ranks.
 const MESH: [u32; 3] = [2, 3, 2];
@@ -25,31 +26,10 @@ fn construction_distributes_all_atoms() {
 
 #[test]
 fn forces_match_serial_reference_at_setup() {
-    use tofumd_md::neighbor::RebuildPolicy;
-    use tofumd_md::SerialSim;
-    let cfg = RunConfig::lj(8000);
     let cluster = small_lj(CommVariant::Opt);
-    // Serial reference on the identical system: gather the cluster's
-    // own atoms (pre-step positions) into one box.
-    let mut gathered: Vec<(u64, [f64; 3])> = Vec::new();
-    for st in cluster.states() {
-        for i in 0..st.atoms.nlocal {
-            gathered.push((st.atoms.tag[i], st.atoms.x[i]));
-        }
-    }
-    gathered.sort_unstable_by_key(|(tag, _)| *tag);
-    let mut atoms = Atoms::from_positions(gathered.iter().map(|g| g.1).collect(), 1);
-    velocity::create_velocities(&mut atoms, 1.0, cfg.temperature, cfg.units(), cfg.seed);
-    let serial = SerialSim::new(
-        atoms,
-        cluster.global_box(),
-        cfg.build_potential(),
-        cfg.units(),
-        cfg.skin(),
-        RebuildPolicy::LJ,
-        cfg.timestep(),
-        cfg.mass(),
-    );
+    // Serial reference on the identical system: the cluster's own atoms
+    // (pre-step positions) in one box.
+    let serial = cluster.serial_twin();
     // Compare forces atom-by-atom via tags.
     let mut serial_f = std::collections::HashMap::new();
     for i in 0..serial.atoms.nlocal {
@@ -72,6 +52,40 @@ fn forces_match_serial_reference_at_setup() {
         }
     }
     assert_eq!(checked, serial.atoms.nlocal);
+}
+
+/// The serial twin is the same system: each atom keeps its tag and type.
+/// A density ramp leaves gaps in the tags and a binary mixture's species
+/// ride on the types, so a twin that renumbers tags or resets types
+/// diverges at step 1.
+#[test]
+fn serial_twin_bisects_clean_on_ramps_and_mixtures() {
+    let ramp = |decomp| RunConfig {
+        comm: CommTuning {
+            decomp,
+            density_gradient: 0.6,
+            ..CommTuning::default()
+        },
+        ..RunConfig::lj(4000)
+    };
+    let binary = RunConfig {
+        kind: PotentialKind::LjBinary,
+        ..RunConfig::lj(4000)
+    };
+    let opts = LockstepOptions {
+        steps: 3,
+        ..LockstepOptions::default()
+    };
+    for (cfg, variant) in [
+        (ramp(Decomp::Grid), CommVariant::MpiP2p),
+        (ramp(Decomp::Rcb), CommVariant::MpiP2p),
+        (binary, CommVariant::Opt),
+    ] {
+        let report = bisect_cluster_against_serial(&mut Cluster::new(MESH, cfg, variant), &opts);
+        let what = (cfg.kind, cfg.comm.decomp, variant);
+        assert!(report.is_clean(), "{what:?}:\n{}", report.render());
+        assert_eq!(report.steps_run, 3);
+    }
 }
 
 #[test]

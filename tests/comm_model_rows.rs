@@ -5,7 +5,6 @@
 //! Thread-invariance of the same numbers is
 //! `crates/runtime/tests/determinism.rs`'s job; one driver thread here.
 
-use tofumd::md::{Atoms, SerialSim};
 use tofumd::runtime::{Cluster, CommVariant, RunConfig};
 
 const MESH: [u32; 3] = [2, 3, 2]; // 12 nodes, 48 ranks
@@ -52,28 +51,7 @@ const ROWS: [(CommVariant, [u64; 2]); 6] = [
 /// after `steps` steps: a pinned comm time over broken physics would pin
 /// the wrong traffic.
 fn serial_twin_energy(cfg: RunConfig, steps: u64) -> f64 {
-    let c = Cluster::new(MESH, cfg, CommVariant::Ref);
-    let mut rows = Vec::new();
-    for st in c.states() {
-        for i in 0..st.atoms.nlocal {
-            rows.push((st.atoms.tag[i], st.atoms.x[i], st.atoms.v[i]));
-        }
-    }
-    rows.sort_unstable_by_key(|e| e.0);
-    let mut atoms = Atoms::from_positions(rows.iter().map(|e| e.1).collect(), 1);
-    for (i, e) in rows.iter().enumerate() {
-        atoms.v[i] = e.2;
-    }
-    let mut serial = SerialSim::new(
-        atoms,
-        c.global_box(),
-        cfg.build_potential(),
-        cfg.units(),
-        cfg.skin(),
-        cfg.policy(),
-        cfg.timestep(),
-        cfg.mass(),
-    );
+    let mut serial = Cluster::new(MESH, cfg, CommVariant::Ref).serial_twin();
     serial.run(steps);
     let s = serial.snapshot();
     s.pe + s.ke

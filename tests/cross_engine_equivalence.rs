@@ -2,40 +2,10 @@
 //! and all of them agree with the serial reference engine — the Fig. 11
 //! claim ("our optimized version ... retains the original precision").
 
-use tofumd::md::{thermo, velocity, Atoms, SerialSim};
+use tofumd::md::{thermo, velocity, Atoms};
 use tofumd::runtime::{Cluster, CommVariant, RunConfig};
 
 const MESH: [u32; 3] = [2, 3, 2]; // 12 nodes, 48 ranks
-
-/// Gather a cluster's local atoms into one tag-sorted serial system.
-fn gather(cluster: &Cluster) -> Vec<(u64, [f64; 3], [f64; 3])> {
-    let mut out = Vec::new();
-    for st in cluster.states() {
-        for i in 0..st.atoms.nlocal {
-            out.push((st.atoms.tag[i], st.atoms.x[i], st.atoms.v[i]));
-        }
-    }
-    out.sort_unstable_by_key(|e| e.0);
-    out
-}
-
-fn serial_twin(cluster: &Cluster, cfg: &RunConfig) -> SerialSim {
-    let g = gather(cluster);
-    let mut atoms = Atoms::from_positions(g.iter().map(|e| e.1).collect(), 1);
-    for (i, e) in g.iter().enumerate() {
-        atoms.v[i] = e.2;
-    }
-    SerialSim::new(
-        atoms,
-        cluster.global_box(),
-        cfg.build_potential(),
-        cfg.units(),
-        cfg.skin(),
-        cfg.policy(),
-        cfg.timestep(),
-        cfg.mass(),
-    )
-}
 
 #[test]
 fn lj_variants_match_serial_over_30_steps() {
@@ -46,7 +16,7 @@ fn lj_variants_match_serial_over_30_steps() {
         if reference.is_none() {
             // Build the serial twin from the first cluster's initial state
             // and advance it the same number of steps.
-            let mut s = serial_twin(&c, &cfg);
+            let mut s = c.serial_twin();
             s.run(30);
             let snap = s.snapshot();
             reference = Some((snap.pe, snap.pressure));
@@ -75,7 +45,7 @@ fn lj_variants_match_serial_over_30_steps() {
 fn eam_opt_matches_serial_over_20_steps() {
     let cfg = RunConfig::eam(6000);
     let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
-    let mut s = serial_twin(&c, &cfg);
+    let mut s = c.serial_twin();
     s.run(20);
     c.run(20);
     let snap = s.snapshot();
@@ -103,7 +73,7 @@ fn sw_silicon_matches_serial_and_conserves() {
     for threads in [1, 8] {
         let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
         c.set_driver_threads(threads);
-        let mut s = serial_twin(&c, &cfg);
+        let mut s = c.serial_twin();
         let e0 = c.thermo().total_energy();
         s.run(15);
         c.run(15);
@@ -222,23 +192,16 @@ fn binary_mixture_types_survive_the_wire() {
     for threads in [1, 8] {
         let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
         c.set_driver_threads(threads);
-        // Serial twin with types by tag parity.
-        let g = gather(&c);
-        let mut atoms = Atoms::from_positions(g.iter().map(|e| e.1).collect(), 1);
-        for (i, e) in g.iter().enumerate() {
-            atoms.v[i] = e.2;
-            atoms.typ[i] = cfg.type_of_tag(e.0);
+        // The serial twin carries each atom's type over from the cluster,
+        // and every local follows the tag-parity assignment.
+        let mut s = c.serial_twin();
+        for (tag, typ) in s.atoms.tag.iter().zip(&s.atoms.typ).take(s.atoms.nlocal) {
+            assert_eq!(
+                *typ,
+                cfg.type_of_tag(*tag),
+                "local type mismatch for tag {tag}"
+            );
         }
-        let mut s = SerialSim::new(
-            atoms,
-            c.global_box(),
-            cfg.build_potential(),
-            cfg.units(),
-            cfg.skin(),
-            cfg.policy(),
-            cfg.timestep(),
-            cfg.mass(),
-        );
         // Every ghost in the cluster must carry its owner's species.
         for st in c.states() {
             for gi in st.atoms.nlocal..st.atoms.ntotal() {
@@ -279,7 +242,7 @@ fn long_cutoff_staged_engines_match_serial() {
     };
     for variant in [CommVariant::Ref, CommVariant::Utofu3Stage, CommVariant::Opt] {
         let mut c = Cluster::new(MESH, cfg, variant);
-        let mut s = serial_twin(&c, &cfg);
+        let mut s = c.serial_twin();
         s.run(12);
         c.run(12);
         let snap = s.snapshot();
