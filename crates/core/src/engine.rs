@@ -11,12 +11,11 @@
 //! the engine only decides how its bytes travel.
 
 use crate::sf::CommGraph;
-use serde::{Deserialize, Serialize};
 use tofumd_md::atom::Atoms;
 use tofumd_tofu::TofuError;
 
 /// A ghost-communication operation within a timestep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Establish ghost atoms (tags + positions); runs after exchange on
     /// reneighbor steps.
@@ -150,7 +149,7 @@ impl GhostOp {
 
 /// Live communication counters (the in-vivo counterpart of Table 1's
 /// `total_msg` and `total_atom` columns).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Messages posted (payload puts; piggyback-only descriptors excluded).
     pub messages: u64,
@@ -175,7 +174,6 @@ pub struct CommStats {
     /// intermediate CPU copy before reaching the transport. The zero-copy
     /// wire path serializes straight into a registered region and counts
     /// nothing here — the acceptance signal that the copy is really gone.
-    #[serde(default)]
     pub bytes_copied: u64,
 }
 
@@ -233,7 +231,7 @@ impl CommStats {
 /// [`CommStats`] resolved along the two axes the lockstep driver iterates:
 /// operation kind and round within the operation. Engines count into
 /// [`RankState::stats`]; the runtime aggregates it across ranks.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpStats {
     /// `rounds[op.index()][round]`, grown on first use per round.
     rounds: [Vec<CommStats>; N_OPS],

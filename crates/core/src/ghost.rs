@@ -769,7 +769,7 @@ mod tests {
             let mut w = wire::CombinedWriter::new(&mut region);
             Payload::Border(e).write(g, st, &mut w);
             let framed = w.finish();
-            assert_eq!(&region[..framed], wire::frame_combined(&vals).as_ref());
+            assert_eq!(&region[..framed], wire::frame_combined(&vals));
             let expect: Vec<(u64, u32, [f64; 3])> = edge
                 .send
                 .iter()
@@ -836,10 +836,10 @@ mod tests {
                 let mut w = wire::CombinedWriter::new(&mut region);
                 Payload::Ghost(op, e).write(g, st, &mut w);
                 let framed = w.finish();
-                assert_eq!(&region[..framed], wire::frame_combined(&vals).as_ref());
+                assert_eq!(&region[..framed], wire::frame_combined(&vals));
                 let mut bytes: Vec<u8> = Vec::new();
                 g.pack(op, e, st, &mut bytes);
-                assert_eq!(&bytes[..], wire::encode_f64s(&vals).as_ref());
+                assert_eq!(&bytes[..], wire::encode_f64s(&vals));
                 let expect: Vec<f64> = match op {
                     GhostOp::Forward => edge
                         .send

@@ -29,14 +29,13 @@
 use crate::border_bin::BorderBins;
 use crate::engine::Op;
 use crate::topo_map::RankMap;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tofumd_md::domain::{neighbor_offsets, NeighborOffset, RcbDecomposition};
 use tofumd_md::region::Box3;
 use tofumd_tofu::{FaultKind, FaultRule};
 
 /// Which neighbor set a grid graph spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanConfig {
     /// Neighbor shells: 1 for the common regime, 2 for the 62/124-neighbor
     /// extended experiment (Fig. 15).

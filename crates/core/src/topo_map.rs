@@ -7,7 +7,6 @@
 //! exchange within 0 hops (same node) or a small constant. The ablation
 //! alternative is a shuffled placement that destroys locality.
 
-use serde::{Deserialize, Serialize};
 use tofumd_tofu::CellGrid;
 
 /// Refinement of the node mesh into the rank grid: 4 ranks/node as a
@@ -15,7 +14,7 @@ use tofumd_tofu::CellGrid;
 pub const RANKS_PER_NODE_SPLIT: [u32; 3] = [1, 2, 2];
 
 /// Placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Topology-aware: decomposition grid == refined node mesh (the
     /// paper's topo-map optimization).
@@ -28,7 +27,7 @@ pub enum Placement {
 }
 
 /// Mapping between decomposition ranks and (node, slot) pairs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankMap {
     grid: CellGrid,
     /// Rank grid dimensions (node mesh x split).

@@ -42,9 +42,8 @@ use crate::ghost::{GhostLayout, Payload};
 use crate::pattern::{Pattern, PatternKind};
 use crate::sf::{CommGraph, GraphEdge};
 use crate::wire;
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use tofumd_tofu::{
     dedupe_arrivals, try_wait_arrivals_into, Arrival, CqExhausted, Put, PutSrc, Stadd, TofuError,
     TofuNet, Vcq, TNIS_PER_NODE,
@@ -107,6 +106,7 @@ impl AddressBook {
     fn publish(&self, rank: u32, kind: BufKind, link: u16, slot: u8, stadd: Stadd, size: usize) {
         self.map
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert((rank, kind, link, slot), (stadd, size));
     }
 
@@ -119,6 +119,7 @@ impl AddressBook {
     ) -> Result<(Stadd, usize), TofuError> {
         self.map
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&(rank, kind, link, slot))
             .copied()
             .ok_or(TofuError::MissingBuffer {

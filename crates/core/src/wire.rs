@@ -5,16 +5,12 @@
 //! making the first 8 bytes of the single message the element count; that
 //! frame is built here (the ablation report prices the two-message one).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// Serialize a flat `f64` slice to little-endian bytes.
 #[must_use]
-pub fn encode_f64s(values: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(values.len() * 8);
-    for v in values {
-        buf.put_f64_le(*v);
-    }
-    buf.freeze()
+pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(values.len() * 8);
+    buf.put_f64s(values);
+    buf
 }
 
 /// Deserialize little-endian bytes into `f64`s. Panics if the length is not
@@ -35,13 +31,11 @@ pub fn decode_f64s_into(bytes: &[u8], out: &mut Vec<f64>) {
 
 /// Message-combine framing: `[count: u64 LE][count * f64]` in one message.
 #[must_use]
-pub fn frame_combined(values: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + values.len() * 8);
-    buf.put_u64_le(values.len() as u64);
-    for v in values {
-        buf.put_f64_le(*v);
-    }
-    buf.freeze()
+pub fn frame_combined(values: &[f64]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(combined_size(values.len()));
+    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
+    buf.put_f64s(values);
+    buf
 }
 
 /// The payload bytes of a combined frame; tolerates trailing slack
@@ -50,9 +44,14 @@ pub fn frame_combined(values: &[f64]) -> Bytes {
 #[must_use]
 pub fn combined_body(bytes: &[u8]) -> &[u8] {
     assert!(bytes.len() >= 8, "combined frame shorter than its header");
-    let mut hdr = &bytes[..8];
-    let count = hdr.get_u64_le() as usize;
-    let need = 8 + count * 8;
+    let mut hdr = [0u8; 8];
+    hdr.copy_from_slice(&bytes[..8]);
+    let count = u64::from_le_bytes(hdr);
+    // A forged count must not wrap the frame length around to a short one.
+    let need = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(8)?.checked_add(8))
+        .unwrap_or(usize::MAX);
     assert!(
         bytes.len() >= need,
         "combined frame truncated: header claims {count} values, only {} bytes",
@@ -372,6 +371,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "combined frame truncated")]
+    fn forged_count_cannot_wrap_the_frame_length() {
+        // 8 * (2^61 + 1) wraps to 8: unchecked, this 24-byte frame would
+        // yield an 8-byte body.
+        let mut frame = ((1u64 << 61) + 1).to_le_bytes().to_vec();
+        frame.extend_from_slice(&[0u8; 16]);
+        let _ = combined_body(&frame);
+    }
+
+    #[test]
     fn empty_combined_frame() {
         let frame = frame_combined(&[]);
         assert_eq!(frame.len(), 8);
@@ -387,7 +396,7 @@ mod tests {
         w.put_f64s(&vals[1..]);
         let len = w.finish();
         assert_eq!(len, combined_size(vals.len()));
-        assert_eq!(&buf[..len], frame_combined(&vals).as_ref());
+        assert_eq!(&buf[..len], frame_combined(&vals));
         // Slack past the frame is untouched and tolerated by the parser.
         assert_eq!(parse_combined(&buf), vals);
     }
@@ -397,7 +406,7 @@ mod tests {
         let mut buf = [0u8; 8];
         let w = CombinedWriter::new(&mut buf);
         assert_eq!(w.finish(), combined_size(0));
-        assert_eq!(&buf[..], frame_combined(&[]).as_ref());
+        assert_eq!(&buf[..], frame_combined(&[]));
     }
 
     #[test]
@@ -414,7 +423,7 @@ mod tests {
         let mut b: Vec<u8> = Vec::new();
         b.put_f64(vals[0]);
         b.put_f64s(&vals[1..]);
-        assert_eq!(b, encode_f64s(&vals).as_ref());
+        assert_eq!(b, encode_f64s(&vals));
     }
 
     #[test]

@@ -11,10 +11,9 @@
 
 use crate::region::Box3;
 use crate::wirefmt;
-use serde::{Deserialize, Serialize};
 
 /// One neighbor direction in the decomposition grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NeighborOffset {
     /// Grid offset per dimension, each in `[-shells, +shells]`.
     pub d: [i8; 3],
@@ -81,7 +80,7 @@ pub fn neighbor_offsets(shells: usize, half: bool) -> Vec<NeighborOffset> {
 }
 
 /// A node of the RCB split tree: either a final rank or a coordinate cut.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum RcbNode {
     /// Subtree is a single rank.
     Leaf(usize),
@@ -104,7 +103,7 @@ enum RcbNode {
 /// The construction is deterministic: cuts are exact order statistics of
 /// the coordinates (`sort_by(total_cmp)`), so the same positions always
 /// yield the same boxes on any thread count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RcbDecomposition {
     /// The global simulation box.
     pub global: Box3,
@@ -119,7 +118,7 @@ pub struct RcbDecomposition {
 /// the hi side of *every* cut and silently corrupt ownership. Matching the
 /// lockstep bisector's NaN-is-divergence rule, a non-finite input is a
 /// detected error, never a quietly mis-owned atom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RcbError {
     /// `positions[index]` has a NaN or infinite component along `dim`.
     NonFiniteCoordinate {

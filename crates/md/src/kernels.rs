@@ -35,7 +35,6 @@
 //! wall-clock, never results.
 
 use crate::potential::PairEnergyVirial;
-use serde::{Deserialize, Serialize};
 use tofumd_threadpool::ChunkExec;
 
 /// Rows per dispatch chunk for neighbor builds and force passes.
@@ -50,7 +49,7 @@ pub const LANE_WIDTH: usize = 8;
 /// kernel each. Kept only because the benchmark package passes
 /// `RunConfig::kernel` to [`crate::neighbor::NeighborList::build_chunked_mode`];
 /// delete with the next benchmark PR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelMode;
 
 /// Slab width of the blocked row kernels: long enough that the vectorized

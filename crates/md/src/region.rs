@@ -1,12 +1,10 @@
 //! Orthogonal simulation boxes with periodic boundary conditions.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned orthogonal box, periodic in all three dimensions.
 ///
 /// This is the global simulation domain of Fig. 1(a) in the paper; sub-boxes
 /// produced by the domain decomposition reuse the same type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Box3 {
     /// Lower corner (inclusive).
     pub lo: [f64; 3],

@@ -6,11 +6,10 @@
 
 use crate::atom::Atoms;
 use crate::units::UnitSystem;
-use serde::{Deserialize, Serialize};
 
 /// A thermodynamic snapshot of the whole system (already reduced across
 /// ranks where applicable).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ThermoSnapshot {
     /// Timestep the snapshot was taken at.
     pub step: u64,

@@ -1,9 +1,8 @@
 //! A minimal little-endian wire format for checkpoint payloads.
 //!
-//! The workspace's vendored `serde` is a marker-trait stub (no data
-//! model), so anything that needs real bytes — the checkpoint/restart
-//! subsystem — encodes by hand through these primitives. The format is
-//! deliberately boring: fixed-width little-endian scalars, `u64` length
+//! This is the checkpoint format, not a stand-in for a serialization
+//! framework: the checkpoint/restart subsystem encodes every field by
+//! hand through these primitives. The format is deliberately boring: fixed-width little-endian scalars, `u64` length
 //! prefixes, one byte per bool/option marker. Readers never panic; every
 //! malformed input surfaces as a typed [`WireError`].
 

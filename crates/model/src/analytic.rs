@@ -10,11 +10,10 @@
 use crate::equations::{pattern_times, Transport};
 use crate::stagecost::{RankWork, StageCosts, Threading};
 use crate::table1::Geometry;
-use serde::{Deserialize, Serialize};
 use tofumd_tofu::NetParams;
 
 /// A self-contained analytic workload description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticWorkload {
     /// Local atoms per rank.
     pub n_local: f64,
@@ -91,7 +90,7 @@ impl AnalyticWorkload {
 }
 
 /// Predicted per-step stage times (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticBreakdown {
     /// Pair stage (incl. EAM mid-stage comm under the chosen pattern).
     pub pair: f64,

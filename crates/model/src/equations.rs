@@ -9,11 +9,10 @@
 //! injection serialization.
 
 use crate::table1::Geometry;
-use serde::{Deserialize, Serialize};
 use tofumd_tofu::NetParams;
 
 /// Which software stack injects the messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// MPI two-sided (heavy per-message software cost).
     Mpi,
@@ -33,7 +32,7 @@ impl Transport {
 }
 
 /// All six pattern-time predictions for one geometry/transport.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternTimes {
     /// Eq. (3): naive serial 3-stage.
     pub three_stage_naive: f64,

@@ -10,11 +10,10 @@
 
 use crate::analytic::{opt_step_time, ref_step_time, AnalyticWorkload};
 use crate::stagecost::StageCosts;
-use serde::{Deserialize, Serialize};
 use tofumd_tofu::NetParams;
 
 /// Which calibrated constant a sweep varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Knob {
     /// Sender-side MPI per-message CPU cost.
     MpiPerMessage,
@@ -82,7 +81,7 @@ pub fn headline_speedup(params: &NetParams, costs: &StageCosts) -> f64 {
 }
 
 /// One sweep sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Knob value (seconds).
     pub value: f64,

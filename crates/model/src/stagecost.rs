@@ -9,10 +9,8 @@
 //! the thread pool); each constant notes its calibration anchor. See
 //! EXPERIMENTS.md for the calibration narrative.
 
-use serde::{Deserialize, Serialize};
-
 /// Which threading runtime executes the compute stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Threading {
     /// OpenMP-style fork/join per parallel region (baseline LAMMPS and the
     /// non-pool uTofu variants; 5.8 us/region).
@@ -22,7 +20,7 @@ pub enum Threading {
 }
 
 /// Per-stage cost constants. Times in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageCosts {
     /// Cost of one pair interaction on one core (LJ): ~10 ns covers the
     /// distance check, the 12-6 kernel and force scatter at short vector
@@ -93,7 +91,7 @@ impl Threading {
 }
 
 /// Workload numbers a stage-cost evaluation needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankWork {
     /// Local atoms on the rank.
     pub n_local: f64,

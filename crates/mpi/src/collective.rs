@@ -1,4 +1,4 @@
-//! Collective cost model: barrier and allreduce.
+//! Collective cost model: allreduce.
 //!
 //! The costs follow the standard recursive-doubling model (log2(P) rounds,
 //! each a latency + software + bandwidth term). The lockstep driver charges
@@ -9,16 +9,6 @@
 use crate::Communicator;
 
 impl Communicator {
-    /// Modeled completion cost of a barrier over all ranks, measured from
-    /// the *latest* participant. Recursive doubling: log2(P) rounds of a
-    /// zero-byte exchange.
-    #[must_use]
-    pub fn barrier_cost(&self) -> f64 {
-        let p = self.net().params();
-        let rounds = (self.nranks() as f64).log2().ceil().max(1.0);
-        rounds * (p.base_latency + p.cpu_per_put_mpi + self.average_hop_latency())
-    }
-
     /// Modeled cost of an allreduce of `bytes` per rank: 2 log2(P) rounds
     /// (reduce-scatter + allgather equivalent), each moving `bytes`.
     #[must_use]
@@ -69,7 +59,6 @@ mod tests {
     fn collective_costs_grow_with_rank_count() {
         let small = comm(8, [2, 2, 2]);
         let large = comm(96, [2, 2, 2]);
-        assert!(large.barrier_cost() > small.barrier_cost());
         assert!(large.allreduce_cost(8) > small.allreduce_cost(8));
     }
 
@@ -79,11 +68,5 @@ mod tests {
         let mut clocks = vec![0.0; 4];
         let s = c.allreduce_sum(&[1.0, 2.0, 3.0, 4.0], &mut clocks);
         assert_eq!(s, 10.0);
-    }
-
-    #[test]
-    fn allreduce_costs_more_than_barrier() {
-        let c = comm(64, [2, 2, 2]);
-        assert!(c.allreduce_cost(8) > c.barrier_cost());
     }
 }

@@ -6,8 +6,7 @@
 //! bounce-buffer copy on delivery). The uTofu path in `tofumd-core`
 //! bypasses all of it with pre-registered one-sided puts.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use tofumd_tofu::{Stadd, TofuError, TofuNet, TNIS_PER_NODE};
 
 /// A communicator over `nranks` ranks placed `ranks_per_node` to a node.
@@ -100,7 +99,7 @@ impl Communicator {
     /// lockstep driver, after all receives completed).
     pub fn reset_mailboxes(&self) {
         for b in &self.bump {
-            *b.lock() = 0;
+            *b.lock().unwrap_or_else(PoisonError::into_inner) = 0;
         }
     }
 
@@ -124,7 +123,9 @@ impl Communicator {
         // modeled registration: MPI's internal buffering is already in
         // the per-message costs above.
         let offset = {
-            let mut b = self.bump[dst].lock();
+            let mut b = self.bump[dst]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let off = *b;
             *b += bytes.max(1);
             off
@@ -325,7 +326,7 @@ mod tests {
         // A zero-length send still takes one byte of the bump allocator.
         let mut now = 0.0;
         c.send(1, 0, 9, &[], &mut now);
-        assert_eq!(*c.bump[0].lock(), (5 << 20) + 1);
+        assert_eq!(*c.bump[0].lock().unwrap(), (5 << 20) + 1);
         assert!(c.recv(0, 1, 9, 0.0).data.is_empty());
         assert_eq!(
             c.net().registration_calls_of(0),

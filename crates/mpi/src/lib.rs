@@ -4,7 +4,7 @@
 //! the software costs the paper's analysis blames for MPI-p2p being slower
 //! than MPI-3-stage (§3.2): per-message posting overhead, eager/rendezvous
 //! fragmentation, receiver-side tag matching and bounce-buffer copies.
-//! Collectives (barrier, allreduce) use a recursive-doubling cost model.
+//! The allreduce uses a recursive-doubling cost model.
 //! A rank's mailbox (its bounce buffer) is registered empty and holds what
 //! the rank has received, not a guessed maximum.
 

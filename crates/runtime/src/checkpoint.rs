@@ -10,11 +10,11 @@
 //! saved positions, so a restore replays Border + list build + forces
 //! from the dump and lands on the exact state of the uninterrupted run.
 //!
-//! The wire format is the hand-rolled [`tofumd_md::wirefmt`] codec — the
-//! workspace's vendored `serde` is a marker-trait stub with no data model,
-//! so every type here carries an explicit `encode`/`decode` pair
-//! (fixed-width little-endian scalars, `u64` length prefixes, `u8` option
-//! markers, `u32` enum tags) wrapped in a versioned container:
+//! The wire format is the [`tofumd_md::wirefmt`] codec: every type here
+//! carries an explicit `encode`/`decode` pair, so the bytes on disk are
+//! spelled out in this file (fixed-width little-endian scalars, `u64`
+//! length prefixes, `u8` option markers, `u32` enum tags) and wrapped in
+//! a versioned container:
 //!
 //! ```text
 //! magic "TMDCKPT\0" | version u32 | payload_len u64 | payload | fnv1a64

@@ -1,6 +1,5 @@
 //! Run configurations mirroring the paper's inputs (Table 2).
 
-use serde::{Deserialize, Serialize};
 use tofumd_md::kernels::KernelMode;
 use tofumd_md::lattice::FccLattice;
 use tofumd_md::neighbor::{ListKind, RebuildPolicy};
@@ -8,7 +7,7 @@ use tofumd_md::potential::{EamCu, LjCut, LjCutMulti, Potential, StillingerWeber}
 use tofumd_md::units::UnitSystem;
 
 /// Which force field / neighbor regime a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PotentialKind {
     /// Table 2 LJ benchmark: sigma = eps = 1, cutoff 2.5, Newton on.
     Lj,
@@ -37,7 +36,7 @@ pub enum PotentialKind {
 }
 
 /// Spatial decomposition strategy (LAMMPS `comm_style`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Decomp {
     /// Uniform bricks aligned with the rank mesh (`comm_style brick`).
     #[default]
@@ -51,7 +50,7 @@ pub enum Decomp {
 /// Communication-layer tuning riding along with a [`RunConfig`]. The
 /// default reproduces the historical behavior exactly (uniform grid,
 /// cutoff-derived halo, uniform lattice).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommTuning {
     /// Decomposition strategy.
     pub decomp: Decomp,
@@ -70,12 +69,10 @@ pub struct CommTuning {
     /// Imbalance threshold of `balance <thresh> rcb`: a mid-run rebalance
     /// fires only while max/mean atom imbalance exceeds this. `None`
     /// means 1.0 (any measurable imbalance qualifies). RCB only.
-    #[serde(default)]
     pub balance_thresh: Option<f64>,
     /// Check the rebalance trigger every this many steps (LAMMPS
     /// `fix balance N`). `None` keeps the decomposition static for the
     /// whole run — the historical behavior. RCB only.
-    #[serde(default)]
     pub rebalance_every: Option<u64>,
 }
 
@@ -131,7 +128,7 @@ impl CommTuning {
 }
 
 /// A complete run configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
     /// Force field / regime.
     pub kind: PotentialKind,
@@ -142,11 +139,9 @@ pub struct RunConfig {
     /// Velocity seed.
     pub seed: u64,
     /// Communication tuning (decomposition, halo depth, density ramp).
-    #[serde(default)]
     pub comm: CommTuning,
     /// Selects nothing (see [`KernelMode`]); kept because the benchmark
     /// package reads it. Delete with the next benchmark PR.
-    #[serde(default)]
     pub kernel: KernelMode,
 }
 

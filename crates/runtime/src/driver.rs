@@ -34,7 +34,7 @@
 //! contiguous in rank order, which is why chunking is over node groups
 //! rather than rank ranges.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 use tofumd_core::engine::{GhostEngine, Op};
 use tofumd_core::topo_map::RankMap;
 use tofumd_md::kernels::PairScratch;
@@ -404,7 +404,7 @@ impl Team {
     ) {
         if self.pool.threads() > self.nodes().max(1) {
             let exec = ChunkExec::Pool(&self.pool);
-            let scratch = &mut *self.scratch.lock();
+            let scratch = &mut *self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
             for &r in &self.order {
                 f(r, &mut a[r], &mut b[r], &exec, scratch);
             }
@@ -484,7 +484,7 @@ mod tests {
                 assert_eq!(matches!(exec, ChunkExec::Pool(_)), pooled);
             });
             assert!(hits.iter().all(|&h| h == 1), "threads={threads}");
-            let own = std::ptr::from_ref(&*team.scratch.lock()) as usize;
+            let own = std::ptr::from_ref(&*team.scratch.lock().unwrap()) as usize;
             assert!(
                 seen.iter().all(|&s| (s == own) == pooled),
                 "threads={threads}"

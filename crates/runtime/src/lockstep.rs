@@ -23,7 +23,6 @@
 
 use crate::cluster::Cluster;
 use crate::trace::{comm_rows, OpCommRow};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 use tofumd_core::engine::{GhostEngine, Op, RankState};
@@ -33,7 +32,7 @@ use tofumd_md::serial::SerialSim;
 use tofumd_tofu::TofuError;
 
 /// Knobs for a bisect run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LockstepOptions {
     /// Steps to drive both runs (stops early at the first divergence).
     pub steps: u64,
@@ -56,7 +55,7 @@ impl Default for LockstepOptions {
 const MAX_DELTAS: usize = 8;
 
 /// One offending atom: its coordinates on both sides.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AtomDelta {
     /// Global atom tag.
     pub tag: u64,
@@ -69,7 +68,7 @@ pub struct AtomDelta {
 }
 
 /// The first point where the two runs disagree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
     /// Timestep (1-based) of the divergence.
     pub step: u64,
@@ -96,7 +95,7 @@ pub struct Divergence {
 }
 
 /// Outcome of a bisect run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DivergenceReport {
     /// Label of side A.
     pub a: String,

@@ -7,7 +7,6 @@
 //! the max/mean rank imbalance.
 
 use crate::cluster::StageBreakdown;
-use serde::{Deserialize, Serialize};
 use tofumd_core::engine::{Op, OpKind, OpStats};
 use tofumd_core::wire;
 
@@ -24,7 +23,7 @@ fn record_f64s(op: Op) -> usize {
 /// One op's aggregate comm counters over a traced run, normalized per
 /// rank-step — the live counterpart of Table 1's `total_msg` /
 /// `total_atom` columns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCommRow {
     /// Op label ("exchange", "border", ...).
     pub op: &'static str,
@@ -45,7 +44,6 @@ pub struct OpCommRow {
     pub faults: u64,
     /// Send-side staging bytes per rank per step — 0.0 on the zero-copy
     /// registered-region wire path, `bytes` on fully staged transports.
-    #[serde(default)]
     pub copied: f64,
 }
 
@@ -78,7 +76,7 @@ pub fn comm_rows(stats: &OpStats, rank_steps: f64) -> Vec<OpCommRow> {
 }
 
 /// One step's stage record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRecord {
     /// Timestep number.
     pub step: u64,
@@ -90,12 +88,11 @@ pub struct StepRecord {
     pub rebuilt: bool,
     /// Comm time hidden behind interior compute this step (mean over
     /// ranks); zero under the barrier plan or a non-overlapping variant.
-    #[serde(default)]
     pub overlapped: f64,
 }
 
 /// A recorded run trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Per-step records in order.
     pub steps: Vec<StepRecord>,
@@ -104,29 +101,24 @@ pub struct Trace {
     /// Per-rank local atom counts at the end of the traced window — the
     /// load the decomposition handed each rank (RCB's win over the grid
     /// on skewed systems shows up here).
-    #[serde(default)]
     pub atom_counts: Vec<usize>,
     /// Max/mean of `atom_counts` (1.0 = perfectly balanced).
-    #[serde(default)]
     pub atom_imbalance: f64,
     /// Per-step `(step, max/mean imbalance)` history. The end-of-run
     /// `atom_counts` snapshot alone would let a mid-run rebalance
     /// masquerade as a run that was balanced throughout; the sample
     /// series is the actual evidence (each rebalance shows as a drop
     /// back toward 1.0).
-    #[serde(default)]
     pub imbalance_samples: Vec<ImbalanceSample>,
     /// Steps at which a mid-run rebalance rebuilt the decomposition.
-    #[serde(default)]
     pub rebalance_steps: Vec<u64>,
     /// Checkpoint and rank-death recovery counters of the traced run.
-    #[serde(default)]
     pub recovery: RecoveryStats,
 }
 
 /// Checkpoint-cost and shrinking-recovery counters (Table 3's robustness
 /// companion: what surviving a rank death cost in virtual time).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecoveryStats {
     /// Checkpoints taken (auto + manual).
     pub checkpoints: u64,

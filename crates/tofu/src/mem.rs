@@ -15,11 +15,10 @@
 //! Bytes past the backing were never written and read as zeros.
 
 use crate::timing::NetParams;
-use serde::{Deserialize, Serialize};
 
 /// A registered-region handle (the uTofu "STADD", a network-visible
 /// address). Valid only on the node that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Stadd(pub u32);
 
 /// One region: the registered (modeled) length and the touched prefix.

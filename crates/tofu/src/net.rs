@@ -14,14 +14,20 @@ use crate::fault::{FaultAction, FaultCounters, FaultKey, FaultPlan, TofuError, O
 use crate::mem::{MemRegistry, Stadd};
 use crate::timing::NetParams;
 use crate::topology::CellGrid;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of TNIs per node (§2.2).
 pub const TNIS_PER_NODE: usize = 6;
 /// Control queues per TNI (§3.3, Fig. 7).
 pub const CQS_PER_TNI: usize = 9;
+
+/// Every lock of this file. A holder that panicked is recovered, not
+/// propagated: no code runs on past a panic (DESIGN.md §9).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A remote-arrival notification (uTofu MRQ entry).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -213,7 +219,7 @@ impl TofuNet {
     /// query a no-op; installing replaces any previous plan but keeps the
     /// accumulated [`FaultCounters`].
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        let mut fs = self.fault.lock();
+        let mut fs = lock(&self.fault);
         fs.plan = plan;
         // Release pairs with the Acquire load in `try_put_from`; a put that
         // sees the flag set then reads the plan under the mutex.
@@ -225,7 +231,7 @@ impl TofuNet {
     /// lockstep driver calls this at the top of every engine operation;
     /// outside operations the op is [`OP_SETUP`].
     pub fn set_fault_context(&self, step: u64, op: u8) {
-        let mut fs = self.fault.lock();
+        let mut fs = lock(&self.fault);
         fs.step = step;
         fs.op = op;
         if fs.plan.has_kill_rules() {
@@ -241,7 +247,7 @@ impl TofuNet {
     /// All ranks dead at the current fault-context step (sorted).
     #[must_use]
     pub fn dead_ranks(&self) -> Vec<u32> {
-        let fs = self.fault.lock();
+        let fs = lock(&self.fault);
         fs.plan.dead_ranks(fs.step)
     }
 
@@ -251,7 +257,7 @@ impl TofuNet {
     /// [`TofuError::Deadlock`].
     #[must_use]
     pub fn shortfall_error(&self, node: usize, expected: usize, found: usize) -> TofuError {
-        let fs = self.fault.lock();
+        let fs = lock(&self.fault);
         if let Some(&rank) = fs.plan.dead_ranks(fs.step).first() {
             return TofuError::PeerDead {
                 node,
@@ -269,7 +275,7 @@ impl TofuNet {
     /// Totals of every fault injected so far.
     #[must_use]
     pub fn fault_counters(&self) -> FaultCounters {
-        self.fault.lock().counters
+        lock(&self.fault).counters
     }
 
     /// The cell grid (for hop computations and rank mapping).
@@ -302,7 +308,7 @@ impl TofuNet {
     /// as on hardware). Returns the CQ index.
     pub fn allocate_cq(&self, node: usize, tni: usize) -> Result<usize, CqExhausted> {
         {
-            let mut fs = self.fault.lock();
+            let mut fs = lock(&self.fault);
             if !fs.plan.is_empty() {
                 let attempt = fs.cq_failures.get(&(node, tni)).copied().unwrap_or(0);
                 let key = FaultKey {
@@ -319,7 +325,7 @@ impl TofuNet {
                 }
             }
         }
-        let mut alloc = self.nodes[node].cq_alloc.lock();
+        let mut alloc = lock(&self.nodes[node].cq_alloc);
         let used = &mut alloc[tni];
         if (*used as usize) >= CQS_PER_TNI {
             return Err(CqExhausted { node, tni });
@@ -333,13 +339,13 @@ impl TofuNet {
     /// is reused only in LIFO order — sufficient for the engine lifecycle
     /// (an engine frees all its VCQs at once when it is replaced).
     pub fn release_cq(&self, node: usize, tni: usize) {
-        let mut alloc = self.nodes[node].cq_alloc.lock();
+        let mut alloc = lock(&self.nodes[node].cq_alloc);
         alloc[tni] = alloc[tni].saturating_sub(1);
     }
 
     /// Register memory on a node; returns the handle and the modeled cost.
     pub fn register_mem(&self, node: usize, len: usize) -> (Stadd, f64) {
-        self.nodes[node].mem.lock().register(len, &self.params)
+        lock(&self.nodes[node].mem).register(len, &self.params)
     }
 
     /// Register memory, consulting the fault plan first. A faulted
@@ -349,7 +355,7 @@ impl TofuNet {
     /// costs and whether to retry.
     pub fn try_register_mem(&self, node: usize, len: usize) -> Result<(Stadd, f64), TofuError> {
         {
-            let mut fs = self.fault.lock();
+            let mut fs = lock(&self.fault);
             if !fs.plan.is_empty() {
                 let attempt = fs.reg_failures.get(&node).copied().unwrap_or(0);
                 let key = FaultKey {
@@ -371,30 +377,27 @@ impl TofuNet {
 
     /// Grow a registered region (dynamic expansion, baseline behaviour).
     pub fn grow_mem(&self, node: usize, stadd: Stadd, new_len: usize) -> f64 {
-        self.nodes[node]
-            .mem
-            .lock()
-            .grow(stadd, new_len, &self.params)
+        lock(&self.nodes[node].mem).grow(stadd, new_len, &self.params)
     }
 
     /// Make a region at least `len` bytes long without modeling a
     /// registration (see [`MemRegistry::reserve`]): the modeled length
     /// rises, host memory follows only what is then written.
     pub fn reserve_mem(&self, node: usize, stadd: Stadd, len: usize) {
-        self.nodes[node].mem.lock().reserve(stadd, len);
+        lock(&self.nodes[node].mem).reserve(stadd, len);
     }
 
     /// Current length of a registered region.
     #[must_use]
     pub fn mem_len(&self, node: usize, stadd: Stadd) -> usize {
-        self.nodes[node].mem.lock().len(stadd)
+        lock(&self.nodes[node].mem).len(stadd)
     }
 
     /// [`MemRegistry::registered_bytes`] summed over all nodes; modeled
     /// over backed is §3.4's over-provision factor.
     #[must_use]
     pub fn registered_bytes(&self) -> (usize, usize) {
-        let per_node = self.nodes.iter().map(|n| n.mem.lock().registered_bytes());
+        let per_node = self.nodes.iter().map(|n| lock(&n.mem).registered_bytes());
         per_node.fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db))
     }
 
@@ -410,10 +413,7 @@ impl TofuNet {
         len: usize,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> R {
-        self.nodes[node]
-            .mem
-            .lock()
-            .write_with(stadd, offset, len, f)
+        lock(&self.nodes[node].mem).write_with(stadd, offset, len, f)
     }
 
     /// Read from one's own registered region (unpacking).
@@ -432,13 +432,13 @@ impl TofuNet {
         len: usize,
         f: impl FnOnce(&[u8]) -> R,
     ) -> R {
-        f(self.nodes[node].mem.lock().read(stadd, offset, len))
+        f(lock(&self.nodes[node].mem).read(stadd, offset, len))
     }
 
     /// Registration call count on a node.
     #[must_use]
     pub fn registration_calls_of(&self, node: usize) -> u64 {
-        self.nodes[node].mem.lock().reg_calls
+        lock(&self.nodes[node].mem).reg_calls
     }
 
     /// Execute an RDMA put on the reliable path: serialize on the source
@@ -479,7 +479,7 @@ impl TofuNet {
             return self.execute_put(req, src, attempt, None);
         }
         let faulted = {
-            let mut fs = self.fault.lock();
+            let mut fs = lock(&self.fault);
             let key = FaultKey {
                 step: fs.step,
                 op: fs.op,
@@ -518,7 +518,7 @@ impl TofuNet {
         // Injection serialization on the source TNI — charged even for a
         // dropped put (the descriptor was injected; delivery failed).
         let inject_start = {
-            let mut free = self.nodes[req.src_node].tni_free.lock();
+            let mut free = lock(&self.nodes[req.src_node].tni_free);
             let start = free[req.tni].max(req.now);
             free[req.tni] = start + self.params.tni_occupancy(posted);
             start
@@ -545,22 +545,18 @@ impl TofuNet {
             let (to_stadd, to_offset) = (req.dst_stadd, req.dst_offset);
             match src {
                 PutSrc::Bytes(data) => {
-                    self.nodes[to_node]
-                        .mem
-                        .lock()
-                        .write(to_stadd, to_offset, &data[..bytes])
+                    lock(&self.nodes[to_node].mem).write(to_stadd, to_offset, &data[..bytes])
                 }
-                PutSrc::Region { stadd, offset, .. } if from_node == to_node => self.nodes[to_node]
-                    .mem
-                    .lock()
-                    .copy(stadd, offset, to_stadd, to_offset, bytes),
+                PutSrc::Region { stadd, offset, .. } if from_node == to_node => {
+                    lock(&self.nodes[to_node].mem).copy(stadd, offset, to_stadd, to_offset, bytes)
+                }
                 PutSrc::Region { stadd, offset, .. } => {
                     // Region to region across nodes, no bounce buffer. Both
                     // registries are held at once, always lower node id
                     // first, so opposing puts cannot deadlock (every other
                     // path holds at most one node's registry).
-                    let first = self.nodes[from_node.min(to_node)].mem.lock();
-                    let second = self.nodes[from_node.max(to_node)].mem.lock();
+                    let first = lock(&self.nodes[from_node.min(to_node)].mem);
+                    let second = lock(&self.nodes[from_node.max(to_node)].mem);
                     let (mut from, mut to) = if from_node < to_node {
                         (first, second)
                     } else {
@@ -581,7 +577,7 @@ impl TofuNet {
             seq: req.seq,
         };
         {
-            let mut mrq = self.nodes[req.dst_node].mrq.lock();
+            let mut mrq = lock(&self.nodes[req.dst_node].mrq);
             mrq.push(arrival);
             if matches!(fault, Some((FaultAction::Duplicate, _))) {
                 mrq.push(arrival);
@@ -619,7 +615,7 @@ impl TofuNet {
         mut pred: impl FnMut(&Arrival) -> bool,
         taken: &mut Vec<Arrival>,
     ) {
-        let mut mrq = self.nodes[node].mrq.lock();
+        let mut mrq = lock(&self.nodes[node].mrq);
         let mut i = 0;
         while i < mrq.len() {
             if pred(&mrq[i]) {
@@ -638,7 +634,7 @@ impl TofuNet {
         node: usize,
         mut pred: impl FnMut(&Arrival) -> bool,
     ) -> (Option<Arrival>, bool) {
-        let mut mrq = self.nodes[node].mrq.lock();
+        let mut mrq = lock(&self.nodes[node].mrq);
         let Some(i) = mrq.iter().position(&mut pred) else {
             return (None, false);
         };
@@ -652,13 +648,13 @@ impl TofuNet {
     /// Number of queued (undelivered) notifications on a node.
     #[must_use]
     pub fn pending_arrivals(&self, node: usize) -> usize {
-        self.nodes[node].mrq.lock().len()
+        lock(&self.nodes[node].mrq).len()
     }
 
     /// Reset all TNI injection clocks (between benchmark repetitions).
     pub fn reset_clocks(&self) {
         for n in &self.nodes {
-            *n.tni_free.lock() = [0.0; TNIS_PER_NODE];
+            *lock(&n.tni_free) = [0.0; TNIS_PER_NODE];
         }
     }
 }
