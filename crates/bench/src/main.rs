@@ -2,6 +2,8 @@
 //! Exit codes: 0 done (`bisect`: clean), 1 failed (`bisect`: divergent),
 //! 2 usage error.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::process::ExitCode;
 use tofumd_bench::cli::{self, Run};
 

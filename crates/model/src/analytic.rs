@@ -112,13 +112,6 @@ impl AnalyticBreakdown {
     }
 }
 
-/// Cost of a recursive-doubling allreduce at `ranks` participants.
-#[must_use]
-pub fn allreduce_cost(ranks: f64, p: &NetParams) -> f64 {
-    let rounds = 2.0 * ranks.log2().ceil().max(1.0);
-    rounds * (p.base_latency + p.cpu_per_put_mpi + p.mpi_match_cost)
-}
-
 /// Analytic step time for the **optimized** configuration (pool p2p,
 /// Eq. 8 communication, spin-pool compute).
 #[must_use]
@@ -141,7 +134,7 @@ pub fn opt_step_time(
     }
     let mut other = costs.other_time();
     if w.allreduce_every > 0.0 {
-        other += allreduce_cost(ranks, p) / w.allreduce_every;
+        other += p.allreduce_time(ranks, 0.0, 0) / w.allreduce_every;
     }
     AnalyticBreakdown {
         pair,
@@ -174,7 +167,7 @@ pub fn ref_step_time(
     }
     let mut other = costs.other_time();
     if w.allreduce_every > 0.0 {
-        other += allreduce_cost(ranks, p) / w.allreduce_every;
+        other += p.allreduce_time(ranks, 0.0, 0) / w.allreduce_every;
     }
     AnalyticBreakdown {
         pair,
@@ -246,13 +239,5 @@ mod tests {
         let half = w.work_half_shell().n_ghost;
         let full = w.work_full_shell().n_ghost;
         assert!((full / half - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn allreduce_cost_grows_logarithmically() {
-        let p = NetParams::default();
-        let c1 = allreduce_cost(1024.0, &p);
-        let c2 = allreduce_cost(1_048_576.0, &p);
-        assert!((c2 / c1 - 2.0).abs() < 1e-9, "2^10 -> 2^20 doubles rounds");
     }
 }

@@ -1,35 +1,21 @@
 //! Collective cost model: allreduce.
 //!
-//! The costs follow the standard recursive-doubling model (log2(P) rounds,
-//! each a latency + software + bandwidth term). The lockstep driver charges
-//! collectives to rank clocks itself (`tofumd-runtime`'s `accounting`, which
-//! scales the same model to the target mesh); what stays here is the
-//! per-communicator form the benchmark's `mpi.allreduce_sum_us` row times.
+//! The cost is the fabric's one recursive-doubling model,
+//! `NetParams::allreduce_time`. The lockstep driver charges collectives to
+//! rank clocks itself (`tofumd-runtime`'s `Cluster`, which runs the same
+//! model at the target mesh); what stays here is the per-communicator form
+//! the benchmark's `mpi.allreduce_sum_us` row times.
 
 use crate::Communicator;
 
 impl Communicator {
-    /// Modeled cost of an allreduce of `bytes` per rank: 2 log2(P) rounds
-    /// (reduce-scatter + allgather equivalent), each moving `bytes`.
+    /// Modeled cost of an allreduce of `bytes` per rank over this
+    /// communicator's ranks and mesh ([`tofumd_tofu::NetParams::allreduce_time`]).
     #[must_use]
     pub fn allreduce_cost(&self, bytes: usize) -> f64 {
         let p = self.net().params();
-        let rounds = 2.0 * (self.nranks() as f64).log2().ceil().max(1.0);
-        rounds
-            * (p.base_latency
-                + p.cpu_per_put_mpi
-                + p.mpi_match_cost
-                + self.average_hop_latency()
-                + bytes as f64 / p.link_bandwidth)
-    }
-
-    /// Mean per-round hop latency: recursive doubling partners are spread
-    /// across the mesh; use half the mesh diameter as the expected hop
-    /// count per round.
-    fn average_hop_latency(&self) -> f64 {
-        let mesh = self.net().grid().node_mesh();
-        let diameter: u32 = mesh.iter().map(|&d| d / 2).sum();
-        f64::from(diameter) * 0.5 * self.net().params().hop_latency
+        let hop = p.mean_hop_latency(self.net().grid().node_mesh());
+        p.allreduce_time(self.nranks() as f64, hop, bytes)
     }
 
     /// Sum allreduce of per-rank f64 values (thermo reductions), advancing

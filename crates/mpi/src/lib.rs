@@ -9,6 +9,7 @@
 //! the rank has received, not a guessed maximum.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // Dimension loops (`for d in 0..3`) index by physical dimension on fixed
 // [f64; 3] vectors; the index is the semantics, so the iterator rewrite the
 // lint suggests would be less clear.

@@ -1,6 +1,5 @@
-//! Virtual-time accounting: the LAMMPS stage breakdown, the global clock
-//! alignment, and the collective cost models charged at the *target*
-//! machine's scale.
+//! Virtual-time accounting: the LAMMPS stage breakdown and the global clock
+//! alignment.
 //!
 //! Every charge lands in the rank's one ledger, [`RankState`]: its clock
 //! and its [`tofumd_core::engine::StageTimes`]. The phase executor
@@ -10,7 +9,6 @@
 //! the latest clock plus a cost" pattern.
 
 use tofumd_core::engine::{Op, RankState};
-use tofumd_tofu::NetParams;
 
 /// Per-step mean stage times (seconds), the Table 3 row format.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -59,6 +57,12 @@ pub enum SyncBucket {
     Other,
 }
 
+/// The latest of `states`' clocks (`-inf` for none). A max fold, so it is
+/// independent of iteration order.
+pub(crate) fn latest_clock<'a>(states: impl Iterator<Item = &'a RankState>) -> f64 {
+    states.map(|s| s.clock).fold(f64::NEG_INFINITY, f64::max)
+}
+
 /// Align every rank's clock to the latest clock plus `cost`, booking the
 /// per-rank stall into `bucket`. This is the one and only "global
 /// synchronization" primitive: the 3-stage inter-round barrier, the
@@ -68,11 +72,7 @@ pub enum SyncBucket {
 /// The fold over clocks is a max, so the result is independent of rank
 /// iteration order — part of the determinism contract (DESIGN.md §9).
 pub fn global_sync(states: &mut [RankState], cost: f64, bucket: SyncBucket) {
-    let latest = states
-        .iter()
-        .map(|s| s.clock)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let done = latest + cost;
+    let done = latest_clock(states.iter()) + cost;
     for st in states {
         let dt = done - st.clock;
         match bucket {
@@ -82,31 +82,6 @@ pub fn global_sync(states: &mut [RankState], cost: f64, bucket: SyncBucket) {
         // Exactly `done`, whatever `clock + dt` rounds to.
         st.clock = done;
     }
-}
-
-/// Mean per-round hop latency of the *target* machine's collectives.
-#[must_use]
-pub fn target_hop_latency(params: &NetParams, target_mesh: [u32; 3]) -> f64 {
-    let diameter: u32 = target_mesh.iter().map(|&d| d / 2).sum();
-    f64::from(diameter) * 0.5 * params.hop_latency
-}
-
-/// Cost of an allreduce of `bytes` at the target machine's rank count
-/// (log-P rounds of latency + matching + hop + wire time).
-#[must_use]
-pub fn allreduce_cost_target(
-    params: &NetParams,
-    target_mesh: [u32; 3],
-    target_ranks: usize,
-    bytes: usize,
-) -> f64 {
-    let rounds = 2.0 * (target_ranks as f64).log2().ceil().max(1.0);
-    rounds
-        * (params.base_latency
-            + params.cpu_per_put_mpi
-            + params.mpi_match_cost
-            + target_hop_latency(params, target_mesh)
-            + bytes as f64 / params.link_bandwidth)
 }
 
 #[cfg(test)]
@@ -170,15 +145,5 @@ mod tests {
         };
         assert!((b.total() - 5.0).abs() < 1e-15);
         assert!((b.percentages().iter().sum::<f64>() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn allreduce_cost_grows_with_ranks_and_bytes() {
-        let p = NetParams::default();
-        let small = allreduce_cost_target(&p, [8, 12, 8], 3072, 8);
-        let more_ranks = allreduce_cost_target(&p, [8, 12, 8], 147_456, 8);
-        let more_bytes = allreduce_cost_target(&p, [8, 12, 8], 3072, 1 << 20);
-        assert!(more_ranks > small);
-        assert!(more_bytes > small);
     }
 }

@@ -516,12 +516,16 @@ impl Cluster {
             self.rebalance_now = true;
             self.rebuild = true;
         }
-        let cost = accounting::allreduce_cost_target(
-            self.net.params(),
-            self.target_mesh,
-            self.target_ranks,
-            1,
-        );
+        self.allreduce(1);
+    }
+
+    /// An allreduce of `bytes` per rank at the target machine's scale:
+    /// every clock stalls to the latest plus the collective's cost, booked
+    /// into Other.
+    fn allreduce(&mut self, bytes: usize) {
+        let p = self.net.params();
+        let hop = p.mean_hop_latency(self.target_mesh);
+        let cost = p.allreduce_time(self.target_ranks as f64, hop, bytes);
         accounting::global_sync(&mut self.states, cost, SyncBucket::Other);
     }
 
@@ -549,13 +553,7 @@ impl Cluster {
             &mut self.states,
         );
         self.rebuild = self.lanes.iter().any(|l| l.moved);
-        let cost = accounting::allreduce_cost_target(
-            self.net.params(),
-            self.target_mesh,
-            self.target_ranks,
-            1,
-        );
-        accounting::global_sync(&mut self.states, cost, SyncBucket::Other);
+        self.allreduce(1);
     }
 
     /// Pair phase: single pass, or the EAM pipeline with its two
@@ -588,13 +586,7 @@ impl Cluster {
     fn accounting_phase(&mut self, ctx: &physics::Ctx) {
         physics::charge_other_floor(&self.team, ctx, &mut self.lanes, &mut self.states);
         if self.thermo_every > 0 && self.step.is_multiple_of(self.thermo_every) {
-            let cost = accounting::allreduce_cost_target(
-                self.net.params(),
-                self.target_mesh,
-                self.target_ranks,
-                3 * 8,
-            );
-            accounting::global_sync(&mut self.states, cost, SyncBucket::Other);
+            self.allreduce(3 * 8);
             let snap = self.thermo();
             self.thermo_log.push(snap);
         }

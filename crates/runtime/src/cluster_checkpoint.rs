@@ -25,6 +25,7 @@
 
 use super::build::Deal;
 use super::Cluster;
+use crate::accounting;
 use crate::checkpoint::{CheckpointData, CheckpointError, RankDump};
 use crate::config::Decomp;
 use crate::trace::RecoveryStats;
@@ -276,11 +277,7 @@ impl Cluster {
             ),
         };
         let step_at_death = self.step;
-        let t_death = self
-            .states
-            .iter()
-            .map(|s| s.clock)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let t_death = accounting::latest_clock(self.states.iter());
         // Drain everything in flight: puts from (or addressed to) the
         // dead rank must not leak into the replay.
         for node in 0..self.net.node_count() {
@@ -330,13 +327,13 @@ impl Cluster {
         self.pending_peer_death = None;
         self.settle();
         self.rebuild_count = data.rebuild_count;
-        let t_after = self
-            .states
-            .iter()
-            .enumerate()
-            .filter(|&(r, _)| r != dead as usize)
-            .map(|(_, s)| s.clock)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let t_after = accounting::latest_clock(
+            self.states
+                .iter()
+                .enumerate()
+                .filter(|&(r, _)| r != dead as usize)
+                .map(|(_, s)| s),
+        );
         self.recovery.recoveries += 1;
         self.recovery.steps_lost += step_at_death - data.step;
         self.recovery.recovery_time += (t_after - t_death).max(0.0);

@@ -4,6 +4,7 @@
 //! only observes (or re-drives) existing state.
 
 use super::{Cluster, StageBreakdown};
+use crate::accounting;
 use tofumd_core::engine::{Op, OpStats};
 use tofumd_md::atom::Atoms;
 use tofumd_md::serial::SerialSim;
@@ -27,11 +28,7 @@ impl Cluster {
     /// load-imbalance factor that gates bulk-synchronous steps.
     #[must_use]
     pub fn imbalance(&self) -> f64 {
-        let max = self
-            .states
-            .iter()
-            .map(|s| s.clock)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let max = accounting::latest_clock(self.states.iter());
         let mean = self.states.iter().map(|s| s.clock).sum::<f64>() / self.nranks() as f64;
         if mean <= 0.0 {
             1.0
@@ -77,11 +74,7 @@ impl Cluster {
         let ops_before = self.op_stats();
         for _ in 0..n {
             let before = self.stage_sums();
-            let clock_before = self
-                .states
-                .iter()
-                .map(|s| s.clock)
-                .fold(f64::NEG_INFINITY, f64::max);
+            let clock_before = accounting::latest_clock(self.states.iter());
             let rebuilds_before = self.rebuild_count;
             let rebalances_before = self.rebalance_count;
             let overlapped_before = self.overlapped_total();
@@ -91,11 +84,7 @@ impl Cluster {
                 trace.push_rebalance_step(self.step);
             }
             let after = self.stage_sums();
-            let clock_after = self
-                .states
-                .iter()
-                .map(|s| s.clock)
-                .fold(f64::NEG_INFINITY, f64::max);
+            let clock_after = accounting::latest_clock(self.states.iter());
             let mut stages = [0.0; 5];
             for (st, (a, b)) in stages.iter_mut().zip(after.iter().zip(&before)) {
                 *st = (a - b) / nranks;
@@ -143,11 +132,7 @@ impl Cluster {
     /// averaged over the steps run.
     #[must_use]
     pub fn step_time(&self) -> f64 {
-        let latest = self
-            .states
-            .iter()
-            .map(|s| s.clock)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let latest = accounting::latest_clock(self.states.iter());
         latest / self.steps_run.max(1) as f64
     }
 
@@ -244,11 +229,7 @@ impl Cluster {
         for _ in 0..iters {
             self.run_op(Op::Forward);
         }
-        let latest = self
-            .states
-            .iter()
-            .map(|s| s.clock)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let latest = accounting::latest_clock(self.states.iter());
         self.reset_timers();
         latest / iters as f64
     }

@@ -40,7 +40,7 @@ use tofumd_core::topo_map::RankMap;
 use tofumd_md::kernels::PairScratch;
 use tofumd_md::neighbor::NeighborList;
 use tofumd_md::potential::PairEnergyVirial;
-use tofumd_threadpool::{ChunkExec, SpinPool};
+use tofumd_threadpool::{ChunkExec, GroupFanout, SpinPool};
 use tofumd_tofu::TofuError;
 
 /// The rank's interior/boundary row partition for one overlap window
@@ -264,28 +264,6 @@ pub fn step_plan(rebuild: bool, eam: bool, reverse_needed: bool, overlap: bool) 
     plan
 }
 
-/// Raw-pointer wrapper that lets the pool's scoped closures index into
-/// the lane/state slices.
-struct SendPtr<T>(*mut T);
-// SAFETY: the pointer is only dereferenced inside `Team::for_each`, whose
-// node partition hands every element to exactly one worker per region, so
-// moving the wrapper to that worker moves exclusive access to `T: Send`
-// elements and nothing else.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: sharing `&SendPtr` shares only the address; no two threads ever
-// form references to the same element (same partition argument), so no
-// `&T` is shared and `T: Send` suffices.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Pointer to element `i`. Taking the receiver by value (Copy-free via
-    /// `&self`) keeps edition-2021 closures capturing the whole wrapper
-    /// rather than the raw-pointer field, which would lose the Sync impl.
-    fn slot(&self, i: usize) -> *mut T {
-        self.0.wrapping_add(i)
-    }
-}
-
 /// The persistent worker team driving per-rank phases.
 ///
 /// Built once per `(thread count, rank map)`; dispatching a phase is one
@@ -293,10 +271,8 @@ impl<T> SendPtr<T> {
 /// thread spawns like the old `thread::scope` driver.
 pub struct Team {
     pool: SpinPool,
-    /// Rank ids grouped by node: `order[node_starts[n]..node_starts[n+1]]`
-    /// are node `n`'s ranks in ascending rank order.
-    order: Vec<usize>,
-    node_starts: Vec<usize>,
+    /// Rank ids grouped by node, each node's ranks ascending.
+    nodes: GroupFanout,
     /// The one scatter log: of the rank the whole pool is currently inside
     /// (`threads > nodes`). A rank one worker owns scatters straight into
     /// its arrays and needs none. The lock is what makes handing it out of
@@ -309,23 +285,10 @@ impl Team {
     #[must_use]
     pub fn new(threads: usize, map: &RankMap) -> Self {
         assert!(threads >= 1, "team needs at least one thread");
-        let nranks = map.nranks();
-        let nnodes = (0..nranks).map(|r| map.node_of(r) + 1).max().unwrap_or(0);
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); nnodes];
-        for r in 0..nranks {
-            groups[map.node_of(r)].push(r);
-        }
-        let mut order = Vec::with_capacity(nranks);
-        let mut node_starts = Vec::with_capacity(nnodes + 1);
-        node_starts.push(0);
-        for g in &groups {
-            order.extend_from_slice(g);
-            node_starts.push(order.len());
-        }
+        let node_of: Vec<usize> = (0..map.nranks()).map(|r| map.node_of(r)).collect();
         Team {
             pool: SpinPool::new(threads),
-            order,
-            node_starts,
+            nodes: GroupFanout::new(&node_of),
             scratch: Mutex::default(),
         }
     }
@@ -339,45 +302,21 @@ impl Team {
     /// Number of node groups in the partition.
     #[must_use]
     pub fn nodes(&self) -> usize {
-        self.node_starts.len() - 1
+        self.nodes.groups()
     }
 
     /// Run `f(rank, &mut a[rank], &mut b[rank])` for every rank with the
-    /// static node-aligned fan-out: worker `tid` walks its contiguous
-    /// range of node groups in ascending order and visits each of their
-    /// ranks. With one thread this is the plain serial loop in team order,
-    /// so the 1-thread and N-thread schedules are literally the same
-    /// per-node instruction streams.
+    /// static node-aligned fan-out ([`GroupFanout::for_each`]): worker
+    /// `tid` walks its contiguous range of node groups in ascending order
+    /// and visits each of their ranks. With one thread this is the plain
+    /// serial loop in team order.
     pub fn for_each<A: Send, B: Send>(
         &self,
         a: &mut [A],
         b: &mut [B],
         f: &(dyn Fn(usize, &mut A, &mut B) + Sync),
     ) {
-        assert_eq!(a.len(), self.order.len());
-        assert_eq!(b.len(), self.order.len());
-        let nnodes = self.nodes();
-        let chunk = nnodes.div_ceil(self.pool.threads());
-        let pa = SendPtr(a.as_mut_ptr());
-        let pb = SendPtr(b.as_mut_ptr());
-        self.pool.run(&|tid| {
-            let lo = tid * chunk;
-            let hi = ((tid + 1) * chunk).min(nnodes);
-            for n in lo..hi {
-                for &r in &self.order[self.node_starts[n]..self.node_starts[n + 1]] {
-                    // SAFETY: the node ranges [lo, hi) are disjoint across
-                    // tids and every rank id appears exactly once in
-                    // `order` (and is below the lengths asserted above),
-                    // so each element of `a`/`b` is referenced by exactly
-                    // one thread for the duration of this region; `run`
-                    // does not return until all workers are done, so the
-                    // references end before the `&mut` borrows of `a` and
-                    // `b` do.
-                    let (ea, eb) = unsafe { (&mut *pa.slot(r), &mut *pb.slot(r)) };
-                    f(r, ea, eb);
-                }
-            }
-        });
+        self.nodes.for_each(&self.pool, a, b, f);
     }
 
     /// Like [`Team::for_each`], but hands each rank closure a
@@ -405,7 +344,7 @@ impl Team {
         if self.pool.threads() > self.nodes().max(1) {
             let exec = ChunkExec::Pool(&self.pool);
             let scratch = &mut *self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-            for &r in &self.order {
+            for &r in self.nodes.order() {
                 f(r, &mut a[r], &mut b[r], &exec, scratch);
             }
             return;
@@ -434,16 +373,16 @@ mod tests {
         let m = map();
         let team = Team::new(3, &m);
         assert_eq!(team.nodes(), 12);
-        assert_eq!(team.order.len(), m.nranks());
+        assert_eq!(team.nodes.order().len(), m.nranks());
         // Every rank appears exactly once.
         let mut seen = vec![false; m.nranks()];
-        for &r in &team.order {
+        for &r in team.nodes.order() {
             assert!(!seen[r]);
             seen[r] = true;
         }
         // Each node group holds exactly that node's ranks, ascending.
         for n in 0..team.nodes() {
-            let g = &team.order[team.node_starts[n]..team.node_starts[n + 1]];
+            let g = team.nodes.group(n);
             assert_eq!(g.len(), 4);
             assert!(g.windows(2).all(|w| w[0] < w[1]));
             assert!(g.iter().all(|&r| m.node_of(r) == n));

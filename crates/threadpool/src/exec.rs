@@ -21,11 +21,12 @@ pub enum ChunkExec<'a> {
 }
 
 /// Raw-pointer wrapper so the pool's scoped closures can index into the
-/// item slice.
+/// slices of [`ChunkExec::for_each_mut`] and [`GroupFanout::for_each`].
 struct SendPtr<T>(*mut T);
-// SAFETY: the pointer is only dereferenced in `for_each_mut`, where
-// `run_chunked` hands each index to exactly one thread; moving the wrapper
-// there moves exclusive access to `T: Send` items and nothing else.
+// SAFETY: the pointer is only dereferenced in `ChunkExec::for_each_mut`
+// and `GroupFanout::for_each`, which hand each index to exactly one thread
+// per region; moving the wrapper there moves exclusive access to `T: Send`
+// items and nothing else.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: sharing `&SendPtr` shares only the address; no two threads form
 // references to the same item (same disjointness), so no `&T` is shared
@@ -33,10 +34,10 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
-    // Accessor (rather than direct field use) so closures capture the
-    // `Sync` wrapper, not the raw pointer field.
-    fn get(&self) -> *mut T {
-        self.0
+    /// Pointer to item `i`. A method (rather than direct field use) so
+    /// closures capture the `Sync` wrapper, not the raw pointer field.
+    fn slot(&self, i: usize) -> *mut T {
+        self.0.wrapping_add(i)
     }
 }
 
@@ -97,12 +98,90 @@ impl<'a> ChunkExec<'a> {
                         // item `k`; `run` joins all workers before
                         // returning, so it ends before the `&mut items`
                         // borrow does.
-                        let item = unsafe { &mut *ptr.get().add(k) };
+                        let item = unsafe { &mut *ptr.slot(k) };
                         f(k, item);
                     }
                 });
             }
         }
+    }
+}
+
+/// A static partition of items `0..n` into ordered groups (the driver's
+/// ranks by node) and the fan-out that hands each pool worker a
+/// contiguous range of whole groups.
+pub struct GroupFanout {
+    /// Item ids grouped: `order[starts[g]..starts[g + 1]]` are group `g`'s
+    /// items in ascending order. A permutation of `0..n` by construction.
+    order: Vec<usize>,
+    starts: Vec<usize>,
+}
+
+impl GroupFanout {
+    /// Group item `i` into group `group_of[i]`; groups are numbered
+    /// `0..=max`, and a group no item names is empty.
+    #[must_use]
+    pub fn new(group_of: &[usize]) -> Self {
+        let mut order: Vec<usize> = (0..group_of.len()).collect();
+        // Stable, so each group's items stay ascending.
+        order.sort_by_key(|&i| group_of[i]);
+        let ngroups = group_of.iter().map(|&g| g + 1).max().unwrap_or(0);
+        let starts = (0..=ngroups)
+            .map(|g| order.partition_point(|&i| group_of[i] < g))
+            .collect();
+        GroupFanout { order, starts }
+    }
+
+    /// Number of groups.
+    #[must_use]
+    pub fn groups(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Every item, group by group.
+    #[must_use]
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// Group `g`'s items, ascending.
+    #[must_use]
+    pub fn group(&self, g: usize) -> &[usize] {
+        &self.order[self.starts[g]..self.starts[g + 1]]
+    }
+
+    /// Run `f(i, &mut a[i], &mut b[i])` for every item on `pool`: worker
+    /// `tid` walks its contiguous range of groups in ascending order and
+    /// visits each of their items. With one thread this is the plain
+    /// serial loop over [`Self::order`], so the 1-thread and N-thread
+    /// schedules are the same per-group instruction streams.
+    pub fn for_each<A: Send, B: Send>(
+        &self,
+        pool: &SpinPool,
+        a: &mut [A],
+        b: &mut [B],
+        f: &(dyn Fn(usize, &mut A, &mut B) + Sync),
+    ) {
+        assert_eq!(a.len(), self.order.len());
+        assert_eq!(b.len(), self.order.len());
+        let ngroups = self.groups();
+        let chunk = ngroups.div_ceil(pool.threads());
+        let (pa, pb) = (SendPtr(a.as_mut_ptr()), SendPtr(b.as_mut_ptr()));
+        pool.run(&|tid| {
+            for g in (tid * chunk)..((tid + 1) * chunk).min(ngroups) {
+                for &i in self.group(g) {
+                    // SAFETY: the group ranges are disjoint across tids and
+                    // `order` is a permutation of `0..a.len()` (asserted
+                    // equal to `b.len()`), so each element of `a`/`b` is
+                    // referenced by exactly one thread for the duration of
+                    // this region; `run` does not return until all workers
+                    // are done, so the references end before the `&mut`
+                    // borrows of `a` and `b` do.
+                    let (ea, eb) = unsafe { (&mut *pa.slot(i), &mut *pb.slot(i)) };
+                    f(i, ea, eb);
+                }
+            }
+        });
     }
 }
 
@@ -138,6 +217,26 @@ mod tests {
         assert_eq!(exec.floored(16384).threads(), 8);
         // Serial stays serial regardless.
         assert_eq!(ChunkExec::Serial.floored(1 << 20).threads(), 1);
+    }
+
+    #[test]
+    fn groups_partition_the_items_and_fan_out_once_each() {
+        let group_of = [2, 0, 2, 1, 0, 2, 4];
+        let fan = GroupFanout::new(&group_of);
+        assert_eq!(fan.groups(), 5);
+        assert_eq!(fan.order(), &[1, 4, 3, 0, 2, 5, 6]);
+        assert!(fan.group(3).is_empty());
+        for threads in [1, 2, 5, 8] {
+            let pool = SpinPool::new(threads);
+            let mut hits = vec![0u32; group_of.len()];
+            let mut ids = vec![0usize; group_of.len()];
+            fan.for_each(&pool, &mut hits, &mut ids, &|i, h, id| {
+                *h += 1;
+                *id = i;
+            });
+            assert!(hits.iter().all(|&h| h == 1), "threads={threads}");
+            assert!(ids.iter().enumerate().all(|(i, &id)| i == id));
+        }
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //!
 //! * [`SpinPool`] — a persistent pool dispatching scoped parallel regions
 //!   via atomic epoch signalling (no parking, no per-region spawns),
+//! * [`ChunkExec`] and [`GroupFanout`] — the chunk and group fan-outs the
+//!   MD kernels and the runtime's rank driver run on the pool; with the
+//!   pool they hold every `unsafe` site of the workspace,
 //! * [`fork_join`] — the spawn-per-region comparator standing in for
 //!   OpenMP's runtime,
 //! * [`measure_overheads`] — the §3.3 overhead experiment, runnable on any
@@ -37,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // Dimension loops (`for d in 0..3`) index by physical dimension on fixed
 // [f64; 3] vectors; the index is the semantics, so the iterator rewrite the
 // lint suggests would be less clear.
@@ -47,7 +51,7 @@ pub mod forkjoin;
 pub mod pool;
 pub mod stats;
 
-pub use exec::ChunkExec;
+pub use exec::{ChunkExec, GroupFanout};
 pub use forkjoin::fork_join;
 pub use pool::SpinPool;
 pub use stats::{measure_overheads, OverheadReport};

@@ -128,6 +128,33 @@ impl NetParams {
     pub fn pack_cost(&self, bytes: usize) -> f64 {
         bytes as f64 * self.pack_per_byte
     }
+
+    /// Recursive-doubling allreduce of `bytes` per rank over `ranks`
+    /// participants: 2 log2(P) rounds (reduce-scatter + allgather
+    /// equivalent), each paying latency, MPI posting and matching, one
+    /// mean hop (`hop_latency`, see [`Self::mean_hop_latency`]) and the
+    /// wire time of `bytes`. The one collective cost of the tree: the MPI
+    /// communicator, the runtime's target-scale charges and the analytic
+    /// model (hop 0, no payload) all call it.
+    #[must_use]
+    pub fn allreduce_time(&self, ranks: f64, hop_latency: f64, bytes: usize) -> f64 {
+        let rounds = 2.0 * ranks.log2().ceil().max(1.0);
+        rounds
+            * (self.base_latency
+                + self.cpu_per_put_mpi
+                + self.mpi_match_cost
+                + hop_latency
+                + bytes as f64 / self.link_bandwidth)
+    }
+
+    /// Mean per-round hop latency of a collective on a node `mesh`:
+    /// recursive-doubling partners are spread across the mesh, so a round
+    /// costs half the mesh diameter in hops.
+    #[must_use]
+    pub fn mean_hop_latency(&self, mesh: [u32; 3]) -> f64 {
+        let diameter: u32 = mesh.iter().map(|&d| d / 2).sum();
+        f64::from(diameter) * 0.5 * self.hop_latency
+    }
 }
 
 #[cfg(test)]
@@ -170,6 +197,23 @@ mod tests {
         let p = NetParams::default();
         assert!((p.pool_region_overhead - 1.1e-6).abs() < 1e-12);
         assert!((p.omp_region_overhead - 5.8e-6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn allreduce_cost_grows_with_ranks_and_bytes() {
+        let p = NetParams::default();
+        let hop = p.mean_hop_latency([8, 12, 8]);
+        let small = p.allreduce_time(3072.0, hop, 8);
+        assert!(p.allreduce_time(147_456.0, hop, 8) > small);
+        assert!(p.allreduce_time(3072.0, hop, 1 << 20) > small);
+    }
+
+    #[test]
+    fn allreduce_cost_grows_logarithmically() {
+        let p = NetParams::default();
+        let c1 = p.allreduce_time(1024.0, 0.0, 0);
+        let c2 = p.allreduce_time(1_048_576.0, 0.0, 0);
+        assert!((c2 / c1 - 2.0).abs() < 1e-9, "2^10 -> 2^20 doubles rounds");
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //!
 //!     cargo run --release --example binary_alloy
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use tofumd::md::lattice::FccLattice;
 use tofumd::md::neighbor::RebuildPolicy;
 use tofumd::md::potential::{LjCutMulti, Potential};

@@ -6,6 +6,8 @@
 //!
 //! With no argument, the built-in artifact LJ script runs.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use tofumd::runtime::{parse_script, Cluster, CommVariant};
 
 fn main() {

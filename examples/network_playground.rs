@@ -3,6 +3,8 @@
 //!
 //!     cargo run --release --example network_playground
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 use tofumd::tofu::{wait_arrivals, CellGrid, NetParams, TofuNet, Vcq, CQS_PER_TNI};
 

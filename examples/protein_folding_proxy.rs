@@ -12,6 +12,8 @@
 //!
 //!     cargo run --release --example protein_folding_proxy
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use tofumd::runtime::{Cluster, CommVariant, RunConfig};
 
 const STEPS_TO_1US: f64 = 2.0e8; // 1 us / 5 fs

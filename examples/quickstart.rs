@@ -4,6 +4,8 @@
 //!
 //!     cargo run --release --example quickstart
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use tofumd::runtime::{Cluster, CommVariant, RunConfig};
 
 fn main() {

@@ -22,6 +22,8 @@
 //! finish the run (self-asserting: every atom survives and the final
 //! energy matches an undisturbed twin).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use tofumd::md::{lattice::FccLattice, neighbor::RebuildPolicy, units::UnitSystem, velocity};
 use tofumd::md::{thermostat::Berendsen, Atoms, Msd, Potential, Rdf, SerialSim, StillingerWeber};
 use tofumd::runtime::config::{CommTuning, Decomp};

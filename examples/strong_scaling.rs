@@ -9,6 +9,8 @@
 //! `--shells 1 --full` is the 26-neighbor regime. `--quick` runs only the
 //! first two machine sizes (CI smoke).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use tofumd::model::scaling;
 use tofumd::runtime::config::CommTuning;
 use tofumd::runtime::{Cluster, CommVariant, RunConfig};

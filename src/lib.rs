@@ -4,6 +4,8 @@
 //! Strong Scaling of LAMMPS on Fugaku"* (SC '23). See the README for the
 //! architecture and DESIGN.md / EXPERIMENTS.md for the reproduction map.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub use tofumd_core as comm;
 pub use tofumd_md as md;
 pub use tofumd_model as model;
