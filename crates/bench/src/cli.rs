@@ -153,8 +153,8 @@ impl Opts {
 #[derive(Clone, Copy)]
 pub enum Run {
     /// A deterministic report: the text `reproduce` commits as
-    /// `results/<name>.txt`.
-    Report(fn(&Opts) -> String),
+    /// `results/<name>.txt`, and its readings of the paper's claims.
+    Report(fn(&Opts) -> crate::claims::Report),
     /// Anything else; prints for itself and returns the exit code.
     Tool(fn(&Opts) -> ExitCode),
 }
@@ -231,7 +231,7 @@ pub const COMMANDS: [Command; 18] = [
 ];
 
 /// The deterministic reports of [`COMMANDS`] — what `reproduce` writes.
-pub fn reports() -> impl Iterator<Item = (&'static Command, fn(&Opts) -> String)> {
+pub fn reports() -> impl Iterator<Item = (&'static Command, fn(&Opts) -> crate::claims::Report)> {
     COMMANDS.iter().filter_map(|c| match c.run {
         Report(run) => Some((c, run)),
         Tool(_) => None,

@@ -15,13 +15,10 @@
 // Panicking escape hatches are reserved for tests; report failures with a
 // message naming the input instead.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-// Dimension loops (`for d in 0..3`) index by physical dimension on fixed
-// [f64; 3] vectors; the index is the semantics, so the iterator rewrite the
-// lint suggests would be less clear.
-#![allow(clippy::needless_range_loop)]
 
 use tofumd_runtime::{Cluster, CommVariant, RunConfig};
 
+pub mod claims;
 pub mod cli;
 mod reports;
 mod tools;
@@ -145,7 +142,7 @@ mod tests {
             .unwrap_or_else(|| panic!("no report named {name}"));
         let path = tools::results_dir().join(format!("{name}.txt"));
         let file = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        (report(&command.defaults), file)
+        (report(&command.defaults).text, file)
     }
 
     /// `fig07` terminates (it once looped forever creating and dropping
@@ -186,6 +183,7 @@ mod tests {
             .collect();
         let written: BTreeSet<String> = cli::reports()
             .map(|(c, _)| format!("{}.txt", c.name))
+            .chain(["claims.txt".to_string()])
             .collect();
         assert_eq!(files, written);
     }
@@ -200,6 +198,7 @@ mod tests {
                 threads: Some(threads),
                 ..command.defaults
             })
+            .text
         };
         assert_eq!(at(1), at(2));
     }

@@ -12,7 +12,7 @@ fn main() -> ExitCode {
     match cli::parse(&args) {
         Ok((command, opts)) => match command.run {
             Run::Report(report) => {
-                print!("{}", report(&opts));
+                print!("{}", report(&opts).text);
                 ExitCode::SUCCESS
             }
             Run::Tool(tool) => tool(&opts),

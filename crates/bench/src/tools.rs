@@ -66,11 +66,11 @@ pub(crate) fn bisect(o: &Opts) -> ExitCode {
 }
 
 /// §3.3 — thread startup/synchronization overhead, spin pool vs fork-join,
-/// measured on this host beside the paper's constants the virtual-time
-/// model uses (5.8 us per OpenMP region against 1.1 us for the spin pool
-/// on A64FX). Host wall-clock, so never committed. Then §3.4's
-/// over-provision factor per variant: the bytes each design registers
-/// against the bytes its traffic touched (what this host holds for them).
+/// measured on this host beside the `NetParams` region overheads the
+/// virtual-time model uses (the paper's A64FX readings). Host wall-clock,
+/// so never committed. Then §3.4's over-provision factor per variant: the
+/// bytes each design registers against the bytes its traffic touched
+/// (what this host holds for them).
 pub(crate) fn overheads(o: &Opts) -> ExitCode {
     let (threads, iters) = (o.threads(), usize::try_from(o.iters).unwrap_or(usize::MAX));
     println!("§3.3 — parallel-region overheads ({threads} threads, {iters} regions)\n");
@@ -93,7 +93,8 @@ pub(crate) fn overheads(o: &Opts) -> ExitCode {
     ];
     let headers = "mechanism|measured (host)|paper / model";
     println!("{}", render_table(headers, &rows));
-    println!("measured ratio: {:.1}x (paper: 5.8/1.1 = 5.3x)", r.ratio());
+    let paper = p.omp_region_overhead / p.pool_region_overhead;
+    println!("measured ratio: {:.1}x (paper: {paper:.1}x)", r.ratio());
     if std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) == 1 {
         println!("note: single-core host — the spin pool degrades to yield-based switching,");
         println!("so the measured ratio underestimates the dedicated-core contrast.");
@@ -127,17 +128,22 @@ pub(crate) fn results_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"))
 }
 
-/// Run every report at its defaults and write `results/<name>.txt`, so
-/// that `reproduce && git diff --exit-code results/` checks every
-/// committed output against the tree.
+/// Run every report at its defaults, write `results/<name>.txt` and their
+/// claim readings as `results/claims.txt`, so that `reproduce && git diff
+/// --exit-code results/` checks every committed output against the tree.
 pub(crate) fn reproduce(o: &Opts) -> ExitCode {
+    let mut files = Vec::new();
     for (command, report) in cli::reports() {
         let opts = Opts {
             threads: o.threads,
             ..command.defaults
         };
-        let file = format!("{}.txt", command.name);
-        if let Err(e) = std::fs::write(results_dir().join(&file), report(&opts)) {
+        files.push((format!("{}.txt", command.name), report(&opts)));
+    }
+    let claims = crate::claims::file(files.iter().map(|f| &f.1));
+    files.push(("claims.txt".into(), claims.into()));
+    for (file, report) in files {
+        if let Err(e) = std::fs::write(results_dir().join(&file), report.text) {
             eprintln!("cannot write results/{file}: {e}");
             return ExitCode::FAILURE;
         }

@@ -1,10 +1,11 @@
 //! Measurement of per-region threading overhead.
 //!
-//! Reproduces the §3.3 experiment: "we further conducted tests to measure
-//! the overhead of OpenMP and thread pool for thread startup and
-//! synchronization, which resulted in 5.8 us and 1.1 us respectively."
-//! The absolute numbers depend on the host; the *ordering* (fork-join an
-//! order of magnitude above the spin pool) is the reproducible claim.
+//! Reproduces the §3.3 experiment that timed thread startup and
+//! synchronization of OpenMP against a thread pool; the paper's two
+//! readings are the model's `NetParams::omp_region_overhead` and
+//! `pool_region_overhead`. The absolute numbers depend on the host; the
+//! *ordering* (fork-join well above the spin pool) is the reproducible
+//! claim.
 
 use crate::{fork_join, SpinPool};
 use std::time::Instant;
@@ -23,7 +24,8 @@ pub struct OverheadReport {
 }
 
 impl OverheadReport {
-    /// fork_join / pool overhead ratio (paper: 5.8/1.1 ~ 5.3x).
+    /// fork_join / pool overhead ratio (the paper's is
+    /// `NetParams::omp_region_overhead / pool_region_overhead`).
     #[must_use]
     pub fn ratio(&self) -> f64 {
         self.fork_join / self.pool.max(1e-12)

@@ -78,5 +78,5 @@ fn main() {
             r / o
         );
     }
-    println!("\npaper anchors: 2.9x speedup at 36,864 nodes; 8.77M tau/day optimized.");
+    println!("\nthe paper's numbers for these points: the fig13 rows of results/claims.txt");
 }

@@ -124,10 +124,11 @@ const RULES: &[Rule] = &[
         sample: &[("src/x.rs", "pub use lockstep::bisect_variants;\n")],
     },
     Rule {
-        scope: scope(RUNTIME, NONE, Part::NonTest),
+        scope: scope(&["crates/runtime/src/*.rs", "crates/bench/src/*.rs"], NONE, Part::NonTest),
         check: Check::Refuse(&["from_positions("]),
-        why: "the runtime renumbers no atoms: its one serial twin keeps every tag and type",
-        sample: &[(RUNTIME_SAMPLE, "let a = Atoms::from_positions(&x);\n")],
+        why: "the runtime and the reports renumber no atoms: the one serial twin, \
+              `Cluster::serial_twin`, keeps every tag, type and velocity",
+        sample: &[("crates/bench/src/reports.rs", "let a = Atoms::from_positions(&x);\n")],
     },
     Rule {
         scope: scope(&["crates/runtime/src/cluster_checkpoint.rs"], NONE, Part::NonTest),
@@ -275,6 +276,13 @@ const RULES: &[Rule] = &[
         ]),
         why: "one perf harness (benchmark/), one slab filter, one one-sided scatter log",
         sample: &[("Cargo.toml", "[dev-dependencies]\nCriterion = \"0.5\"\n")],
+    },
+    Rule {
+        scope: scope(&["crates/*/src/*.rs", "examples/*.rs"], &["crates/bench/src/claims.rs"], Part::NonTest),
+        check: Check::Refuse(&["paper anchor", "8.77", "3.01x", "2.45x", "2.9x", "-79%", "5.3x"]),
+        why: "each paper number is written once, in `tofumd-bench`'s claims table; \
+              a report footer prints its rows and results/claims.txt gathers them",
+        sample: &[("examples/x.rs", "println!(\"paper anchors: 2.9x at 36,864 nodes\");\n")],
     },
     Rule {
         scope: scope(&["crates/bench/src/bin/*"], NONE, Part::Whole),
