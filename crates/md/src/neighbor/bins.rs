@@ -1,7 +1,66 @@
 //! Spatial cell bins used to build Verlet neighbor lists in O(N).
 
+use crate::atom::Atoms;
 use crate::kernels::LANE_WIDTH;
+use std::cell::RefCell;
 use std::ops::Range;
+
+thread_local! {
+    /// The bins every build and sort on this thread fills, re-gridded in
+    /// place: one set per driver thread, never one per rank.
+    static BINS: RefCell<Option<CellBins>> = const { RefCell::new(None) };
+}
+
+/// Run `f` on this thread's bins, re-gridded over `[lo, hi]` as
+/// [`CellBins::new`] would but keeping every buffer (the next fill
+/// rewrites the content). Allocates only while the bins grow.
+pub(crate) fn with_bins<R>(
+    lo: [f64; 3],
+    hi: [f64; 3],
+    min_cell: f64,
+    f: impl FnOnce(&mut CellBins) -> R,
+) -> R {
+    BINS.with_borrow_mut(|slot| {
+        let bins = slot.get_or_insert_with(|| CellBins::new(lo, hi, min_cell));
+        bins.grid = BinGrid::new(lo, hi, min_cell);
+        bins.starts.resize(bins.grid.nbins() + 1, 0);
+        bins.ghost_start.resize(bins.grid.nbins(), 0);
+        f(bins)
+    })
+}
+
+/// Stable-sort the local atoms by flat bin index on the grid the neighbor
+/// build bins over (`[lo, hi]`, cells at least `min_cell`; another grid
+/// disarms [`CellBins::sorted_locals`]), so position reads are
+/// cache-friendly and the half-stencil build engages; repeating it is a
+/// no-op. No ghosts may be present; `true` if the order changed. A
+/// counting sort, as [`CellBins::fill`] bins, in this thread's bins: the
+/// cursors hold the slots, the flat indices the keys, the index array the
+/// permutation.
+pub fn sort_locals_by_bin(atoms: &mut Atoms, lo: [f64; 3], hi: [f64; 3], min_cell: f64) -> bool {
+    with_bins(lo, hi, min_cell, |bins| {
+        let (slot, keys) = (&mut bins.cursor_scratch, &mut bins.flat_scratch);
+        let (perm, n) = (&mut bins.atoms, atoms.nlocal);
+        slot.clear();
+        slot.resize(bins.grid.nbins() + 1, 0);
+        keys.clear();
+        if bins.grid.count(&atoms.x[..n], slot, keys) {
+            return false;
+        }
+        for b in 1..slot.len() {
+            slot[b] += slot[b - 1];
+        }
+        perm.clear();
+        perm.resize(n, 0);
+        for (i, &b) in keys.iter().enumerate() {
+            let at = &mut slot[b as usize];
+            perm[*at as usize] = i as u32;
+            *at += 1;
+        }
+        atoms.reorder_locals(perm);
+        true
+    })
+}
 
 /// The geometry of a uniform bin grid over `[lo, hi]`: which cell a
 /// coordinate falls in, and how far a coordinate is from the cells beside
@@ -134,14 +193,14 @@ impl BinGrid {
 /// fails every `r² < cutsq` test even if a caller forgets to mask it.
 ///
 /// **Cost.** The fill is two passes plus the coordinate copy: 12–13 ns
-/// per atom on a fresh grid per build with a ghost shell
-/// (`md.bins_fill_ns_per_atom`; 19 ns at 22 atoms per rank, where the
-/// three extra allocations show), of which the copy is 2–3 ns; and 24
-/// bytes per binned atom that live only as long as the build that owns
-/// the bins. A single-pass Vec-of-Vec scatter fills in about half the
-/// time but can hand the build neither contiguous ranges nor
-/// coordinates, and the build that consumes the bins costs 350–1 000 ns
-/// per row.
+/// per atom on a fresh grid with a ghost shell (`md.bins_fill_ns_per_atom`),
+/// 18–22 ns refilled in place on a busy 2-core host, which allocates
+/// nothing; 32 bytes per binned atom, held once per driver thread. A
+/// single-pass Vec-of-Vec scatter fills in about half the time but can
+/// hand the build neither contiguous ranges nor coordinates, and the
+/// build that consumes the bins costs 410–680 ns per row on the same host
+/// (250–2 300 locals; 188–247 candidates per row in the benchmark's
+/// HalfNewton workloads, 221 in `lj-bulk`).
 #[derive(Debug, Clone)]
 pub struct CellBins {
     grid: BinGrid,
@@ -238,7 +297,7 @@ impl CellBins {
         self.starts.iter_mut().for_each(|s| *s = 0);
         let mut flats = std::mem::take(&mut self.flat_scratch);
         flats.clear();
-        flats.reserve(positions.len());
+        flats.reserve_exact(positions.len());
         let (locals, ghosts) = positions.split_at(nlocal);
         self.sorted_locals = self.grid.count(locals, &mut self.starts, &mut flats);
         self.grid.count(ghosts, &mut self.starts, &mut flats);
@@ -259,8 +318,11 @@ impl CellBins {
         // rebuilds at the same size skip the resize's memset entirely.
         let n = positions.len();
         if self.atoms.len() != n + LANE_WIDTH {
+            self.atoms
+                .reserve_exact((n + LANE_WIDTH).saturating_sub(self.atoms.len()));
             self.atoms.resize(n + LANE_WIDTH, 0);
             for s in [&mut self.xs, &mut self.ys, &mut self.zs] {
+                s.reserve_exact((n + LANE_WIDTH).saturating_sub(s.len()));
                 s.resize(n + LANE_WIDTH, 0.0);
             }
         }
@@ -503,5 +565,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sort_engages_the_bins_fast_path() {
+        // Reverse-ordered positions: definitely unsorted.
+        let pos: Vec<[f64; 3]> = (0..20)
+            .rev()
+            .map(|k| [0.25 + 0.49 * k as f64 % 10.0, 1.0, 1.0])
+            .collect();
+        let mut atoms = Atoms::from_positions(pos, 1);
+        let lo = [0.0; 3];
+        let hi = [10.0; 3];
+        let mut bins = CellBins::new(lo, hi, 2.5);
+        bins.fill(&atoms.x, atoms.nlocal);
+        assert!(!bins.sorted_locals());
+
+        assert!(sort_locals_by_bin(&mut atoms, lo, hi, 2.5));
+        bins.fill(&atoms.x, atoms.nlocal);
+        assert!(bins.sorted_locals(), "sort must match the build grid");
+        // Idempotent: a second sort changes nothing.
+        assert!(!sort_locals_by_bin(&mut atoms, lo, hi, 2.5));
+    }
+
+    #[test]
+    fn sort_permutes_identity_not_content() {
+        let pos = vec![[9.0, 9.0, 9.0], [1.0, 1.0, 1.0], [5.0, 5.0, 5.0]];
+        let mut atoms = Atoms::from_positions(pos, 10);
+        atoms.v[0] = [7.0; 3];
+        sort_locals_by_bin(&mut atoms, [0.0; 3], [10.0; 3], 2.5);
+        // Tag 10 (position 9,9,9, velocity 7) travels with its atom.
+        let slot = atoms.tag.iter().position(|&t| t == 10).unwrap();
+        assert_eq!(atoms.x[slot], [9.0, 9.0, 9.0]);
+        assert_eq!(atoms.v[slot], [7.0; 3]);
+        // Sorted ascending by bin along the diagonal.
+        assert_eq!(atoms.tag, vec![11, 12, 10]);
+    }
+
+    #[test]
+    fn counting_sort_is_the_stable_comparison_sort() {
+        let (lo, hi, cell) = ([-1.0, 0.5, -2.0], [9.0, 7.5, 4.0], 1.3);
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut rnd = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let pos: Vec<[f64; 3]> = (0..500)
+            .map(|_| std::array::from_fn(|d| lo[d] + (hi[d] - lo[d]) * rnd()))
+            .collect();
+        let grid = CellBins::new(lo, hi, cell);
+        let mut want: Vec<u64> = (0..500).collect();
+        want.sort_by_key(|&t| grid.bin_of(&pos[t as usize]));
+        let mut atoms = Atoms::from_positions(pos, 0);
+        assert!(sort_locals_by_bin(&mut atoms, lo, hi, cell));
+        assert_eq!(atoms.tag, want);
     }
 }

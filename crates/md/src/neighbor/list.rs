@@ -1,7 +1,7 @@
 //! Verlet neighbor lists (half/Newton and full variants) with skin and
 //! the two rebuild policies of Table 2 (`check no` / `check yes`).
 
-use super::bins::{BinStream, CellBins};
+use super::bins::{with_bins, BinStream, CellBins};
 use crate::atom::Atoms;
 use crate::kernels::{KernelMode, CHUNK_ROWS, LANE_WIDTH};
 use std::cmp::Ordering;
@@ -27,15 +27,16 @@ pub enum ListKind {
     HalfOneSided,
 }
 
-/// A built neighbor list in CSR layout.
+/// A built neighbor list. Its rows live in pages, one per
+/// [`CHUNK_ROWS`]-row chunk, that the list keeps and rewrites in place on
+/// every rebuild: once the pages have reached their high-water size a
+/// rebuild allocates nothing.
 #[derive(Debug, Clone)]
 pub struct NeighborList {
     /// Which pairs the list stores.
     pub kind: ListKind,
-    /// CSR row offsets, `nlocal + 1` entries.
-    offsets: Vec<u32>,
-    /// Flattened neighbor indices (may point at ghost atoms).
-    neigh: Vec<u32>,
+    /// The rows; pages past the last row are kept for a later rebuild.
+    pages: Vec<Page>,
     /// Force cutoff + skin used when the list was built.
     pub cutoff_list: f64,
     /// Local atom positions at build time (drives `check yes` rebuilds).
@@ -80,42 +81,56 @@ const PACK: [[u8; LANE_WIDTH]; 256] = {
     table
 };
 
-/// Most stream ranges one row scans: nine stencil lines, or — with the
-/// lower-half skip — twelve ghost segments below the center line, one
-/// ghost segment and one range on it, four ranges above.
-const MAX_SPANS: usize = 18;
+/// Most stream ranges one row scans: with the lower-half skip but not the
+/// lower-layer one (HalfOneSided), nine ghost segments below, three on the
+/// center layer's lower line and one range for each line from the center.
+const MAX_SPANS: usize = 17;
 
-/// Neighbor rows under construction. Every block of the compaction
-/// stores all [`LANE_WIDTH`] left-packed lanes and then advances by the
-/// number accepted, so `buf` runs ahead of `len` by whatever the row
-/// reserved; `lens` records each finished row; `flags` is the distance
-/// pass's per-candidate verdict, reused from range to range.
-#[derive(Default)]
-struct RowChunk {
+/// Most candidates one distance pass covers: the verdicts fit a stack
+/// buffer, and a row reserves at most a piece past what it accepted.
+const PIECE: usize = 128;
+
+/// The rows of one chunk. Rows are stored back to back in the order they
+/// were built — a split rebuild writes its interior rows, then its
+/// boundary rows after them — and `rows[k]` locates row `k`. Every block
+/// of the compaction stores all [`LANE_WIDTH`] left-packed lanes and then
+/// advances by the number accepted, so `buf` runs ahead of `len` by up to
+/// one piece. `local_rows` / `local_pairs` count, as rows are written, the
+/// rows that list no ghost and their pairs.
+#[derive(Debug, Clone, Default)]
+struct Page {
     buf: Vec<u32>,
     len: usize,
-    lens: Vec<u32>,
-    flags: Vec<u8>,
+    rows: Vec<[u32; 2]>,
+    local_rows: usize,
+    local_pairs: usize,
 }
 
-impl RowChunk {
-    /// The window past `len` that `blocks` full-width stores can touch,
-    /// and `widest` verdict bytes.
+impl Page {
+    /// Empty the page for `nrows` rows, every one empty until written.
+    fn clear(&mut self, nrows: usize) {
+        self.len = 0;
+        self.rows.clear();
+        self.rows.resize(nrows, [0, 0]);
+        (self.local_rows, self.local_pairs) = (0, 0);
+    }
+
+    /// Make `buf` at least `need` long, doubling.
     #[inline]
-    fn scratch(&mut self, blocks: usize, widest: usize) -> (&mut [u32], &mut [u8]) {
-        let need = self.len + blocks * LANE_WIDTH;
+    fn reserve(&mut self, need: usize) {
         if self.buf.len() < need {
             self.buf.resize(need.max(2 * self.buf.len()), 0);
         }
-        if self.flags.len() < widest {
-            self.flags.resize(widest, 0);
-        }
-        (&mut self.buf[self.len..need], &mut self.flags[..widest])
     }
 
-    /// The stored neighbors (rows back to back).
-    fn neigh(&self) -> &[u32] {
-        &self.buf[..self.len]
+    /// After a build, give back what the doubling over-reserved or the rows
+    /// no longer use, keeping enough for the drift of a few rows.
+    fn trim(&mut self) {
+        let keep = self.len + self.len / 64 + 64 + PIECE;
+        if self.buf.len() > keep + self.len / 32 {
+            self.buf.truncate(keep);
+            self.buf.shrink_to_fit();
+        }
     }
 }
 
@@ -128,9 +143,10 @@ struct Row {
     cutsq: f64,
 }
 
-/// Scan one contiguous stream range for row `row`, appending the *stream
-/// positions* of the accepted candidates to `dst[n..]`; returns the new
-/// `n`. Two passes, neither with a branch that depends on a candidate:
+/// Scan one contiguous stream range of at most [`PIECE`] candidates for
+/// row `row`, appending the *stream positions* of the accepted candidates
+/// to `dst[n..]`; returns the new `n`. Two passes, neither with a branch
+/// that depends on a candidate:
 ///
 /// 1. the distance pass writes one verdict byte per candidate — `r²` with
 ///    the op sequence `d0*d0 + d1*d1 + d2*d2` (left to right), `r² <
@@ -144,18 +160,18 @@ struct Row {
 /// selects the local rule: `j > i` when set, `j != i` when clear. (A
 /// ghost's index is above every local's, so HalfOneSided is `HALF` alone.)
 #[inline(always)]
-fn scan_span<const HALF: bool, const NEWTON: bool>(
+fn scan_piece<const HALF: bool, const NEWTON: bool>(
     s: &BinStream<'_>,
     span: Range<usize>,
     row: &Row,
-    flags: &mut [u8],
     dst: &mut [u32],
     mut n: usize,
 ) -> usize {
     let len = span.len();
     // The stream's pad makes the rounded-up range readable.
     let padded = span.start..span.start + len.next_multiple_of(LANE_WIDTH);
-    let flags = &mut flags[..padded.len()];
+    let mut verdicts = [0u8; PIECE];
+    let flags = &mut verdicts[..padded.len()];
     let [xi0, xi1, xi2] = row.xi;
     let candidates = s.xs[padded.clone()]
         .iter()
@@ -177,14 +193,16 @@ fn scan_span<const HALF: bool, const NEWTON: bool>(
         };
         *keep = u8::from((r2 < row.cutsq) & rule);
     }
-    // Lanes past the range end belong to the next bin.
-    flags[len..].fill(0);
     let (blocks, _) = flags.as_chunks::<LANE_WIDTH>();
     for (q, keep) in blocks.iter().enumerate() {
         // Gather the eight 0/1 bytes into one 8-bit mask: the multiplier
         // moves byte k's bit 0 to bit 56 + k, and no two partial products
         // collide, so nothing carries.
-        let mask = u64::from_le_bytes(*keep).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        let mut mask = u64::from_le_bytes(*keep).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        if q == len / LANE_WIDTH {
+            // Lanes past the range end belong to the next bin.
+            mask &= (1 << (len % LANE_WIDTH)) - 1;
+        }
         let base = (span.start + q * LANE_WIDTH) as u32;
         let lanes = &PACK[mask as usize];
         for (d, &lane) in dst[n..n + LANE_WIDTH].iter_mut().zip(lanes) {
@@ -198,7 +216,8 @@ fn scan_span<const HALF: bool, const NEWTON: bool>(
 /// The stream ranges row `row` scans, in stencil order — bins in
 /// ascending `(dz, dy, dx)`, which with atoms in ascending index order
 /// inside each bin (locals, then ghosts) is the row's neighbor order.
-/// Returns how many entries of `spans` were written; none is empty.
+/// Returns how many entries of `spans` were written; none is empty, and
+/// two that are adjacent in the stream are one.
 ///
 /// The three x-adjacent bins of a `(dz, dy)` stencil line are adjacent in
 /// flat order, hence one range, scanned left to right — the same order as
@@ -211,10 +230,12 @@ fn scan_span<const HALF: bool, const NEWTON: bool>(
 /// list), the *local* segments of the 13 lexicographically lower stencil
 /// bins are skipped: a lex-lower in-range bin has a strictly lower flat
 /// index, so with bin-sorted locals every local atom there has `j < i`
-/// and the half-list rule would reject it. Their ghost segments are still
-/// scanned, bin by bin — the HalfNewton coordinate rule can assign a pair
-/// to `i` even when the ghost sits in a lower bin.
-fn row_spans(
+/// and the half-list rule would reject it. Under `NEWTON` the lower
+/// z-layer's ghost segments go too: `coord_of` is monotone, so a ghost
+/// binned one layer below `xi` has `z < xi[2]` and fails the `(z, y, x)`
+/// rule. The other lower bins' ghost segments are scanned — in the row's
+/// own layer a ghost of a lower bin can still sit above `xi`.
+fn row_spans<const NEWTON: bool>(
     bins: &CellBins,
     xi: &[f64; 3],
     cutsq_prune: f64,
@@ -235,12 +256,14 @@ fn row_spans(
     let in_grid = |d: usize, o: usize| (1..=nb[d]).contains(&(c[d] + o));
     let mut count = 0;
     let mut push = |span: Range<usize>| {
-        if !span.is_empty() {
+        if count > 0 && spans[count - 1].end == span.start {
+            spans[count - 1].end = span.end;
+        } else if !span.is_empty() {
             spans[count] = span;
             count += 1;
         }
     };
-    for oz in 0..3 {
+    for oz in usize::from(NEWTON && skip_lower)..3 {
         if !in_grid(2, oz) {
             continue;
         }
@@ -269,31 +292,41 @@ fn row_spans(
     count
 }
 
-/// Append row `row`'s accepted neighbors to `out`: scan the row's stream
-/// ranges in order, then turn the packed stream positions into atom
-/// indices.
-fn append_row_neighbors<const HALF: bool, const NEWTON: bool>(
+/// Write row `row` into `page` as its row `k`: scan the row's stream
+/// ranges in order, turn the packed stream positions into atom indices,
+/// and count the row if it lists no ghost.
+fn emit_row<const HALF: bool, const NEWTON: bool>(
     bins: &CellBins,
     row: &Row,
     cutsq_prune: f64,
     skip_lower: bool,
-    out: &mut RowChunk,
+    page: &mut Page,
+    k: usize,
 ) {
     let mut spans = [const { 0..0 }; MAX_SPANS];
-    let count = row_spans(bins, &row.xi, cutsq_prune, skip_lower, &mut spans);
-    let spans = &spans[..count];
-    let blocks = spans.iter().map(|s| s.len().div_ceil(LANE_WIDTH)).sum();
-    let widest = spans.iter().map(Range::len).max().unwrap_or(0);
+    let count = row_spans::<NEWTON>(bins, &row.xi, cutsq_prune, skip_lower, &mut spans);
     let s = bins.stream();
-    let (dst, flags) = out.scratch(blocks, widest.next_multiple_of(LANE_WIDTH));
-    let mut n = 0;
-    for span in spans {
-        n = scan_span::<HALF, NEWTON>(&s, span.clone(), row, flags, dst, n);
+    let (start, mut end) = (page.len, page.len);
+    for span in &spans[..count] {
+        let mut from = span.start;
+        while from < span.end {
+            let to = span.end.min(from + PIECE);
+            page.reserve(end + (to - from).next_multiple_of(LANE_WIDTH));
+            end = scan_piece::<HALF, NEWTON>(&s, from..to, row, &mut page.buf, end);
+            from = to;
+        }
     }
-    for e in &mut dst[..n] {
+    let mut top = 0;
+    for e in &mut page.buf[start..end] {
         *e = s.idx[*e as usize];
+        top = top.max(*e);
     }
-    out.len += n;
+    page.len = end;
+    page.rows[k] = [start as u32, end as u32];
+    if top < row.nlocal {
+        page.local_rows += 1;
+        page.local_pairs += end - start;
+    }
 }
 
 impl NeighborList {
@@ -304,63 +337,81 @@ impl NeighborList {
     pub fn empty(kind: ListKind) -> Self {
         NeighborList {
             kind,
-            offsets: vec![0],
-            neigh: Vec::new(),
+            pages: Vec::new(),
             cutoff_list: 0.0,
             x_at_build: Vec::new(),
         }
     }
 
-    /// Bin `atoms` over `[lo, hi]` and scan the rows `want` selects, in
-    /// [`CHUNK_ROWS`]-row chunks fanned out over `exec`. Unselected rows
-    /// are present but empty.
+    /// The pages holding rows.
+    fn pages(&self) -> &[Page] {
+        &self.pages[..self.nlocal().div_ceil(CHUNK_ROWS)]
+    }
+
+    /// Bin `atoms` over `[lo, hi]` in this thread's bins and write rows
+    /// into the pages, [`CHUNK_ROWS`]-row chunks fanned out over `exec`:
+    /// every row (`half` is `None`), the interior half of a split rebuild
+    /// (`Some((flags, true))`: the rows flagged, into emptied pages, the
+    /// others present but empty) or its boundary half (`Some((flags,
+    /// false))`: the rows not flagged, after the rows already there).
     fn build_rows(
+        &mut self,
         atoms: &Atoms,
         lo: [f64; 3],
         hi: [f64; 3],
-        kind: ListKind,
-        cutoff_list: f64,
         exec: &ChunkExec<'_>,
-        want: &(dyn Fn(usize) -> bool + Sync),
-    ) -> Vec<RowChunk> {
+        half: Option<(&[bool], bool)>,
+    ) {
+        let fresh = !matches!(half, Some((_, false)));
+        let finished = !matches!(half, Some((_, true)));
+        let (kind, cutoff_list, nlocal) = (self.kind, self.cutoff_list, atoms.nlocal);
         let cutsq = cutoff_list * cutoff_list;
         // A pruned bin's lower-bound distance must exceed every distance
         // the `r² < cutsq` test can accept; the factor covers the rounding
         // of both sums.
         let cutsq_prune = cutsq * (1.0 + 16.0 * f64::EPSILON);
-        let mut bins = CellBins::new(lo, hi, cutoff_list);
-        bins.fill(&atoms.x, atoms.nlocal);
-        let skip_lower = bins.sorted_locals() && !matches!(kind, ListKind::Full);
-
-        let nlocal = atoms.nlocal;
-        let mut chunks: Vec<RowChunk> = Vec::new();
-        chunks.resize_with(nlocal.div_ceil(CHUNK_ROWS), RowChunk::default);
-        let append = match kind {
-            ListKind::HalfNewton => append_row_neighbors::<true, true>,
-            ListKind::HalfOneSided => append_row_neighbors::<true, false>,
-            ListKind::Full => append_row_neighbors::<false, false>,
+        self.x_at_build.clear();
+        self.x_at_build.reserve_exact(nlocal);
+        self.x_at_build.extend_from_slice(&atoms.x[..nlocal]);
+        let npages = nlocal.div_ceil(CHUNK_ROWS);
+        if self.pages.len() < npages {
+            self.pages.resize_with(npages, Page::default);
+        }
+        let emit = match kind {
+            ListKind::HalfNewton => emit_row::<true, true>,
+            ListKind::HalfOneSided => emit_row::<true, false>,
+            ListKind::Full => emit_row::<false, false>,
         };
-        let bins = &bins;
-        let x = &atoms.x;
-        let exec = &exec.floored(nlocal);
-        exec.for_each_mut(&mut chunks, &|c, chunk| {
-            let row_lo = c * CHUNK_ROWS;
-            let row_hi = (row_lo + CHUNK_ROWS).min(nlocal);
-            for i in row_lo..row_hi {
-                let before = chunk.len;
-                if want(i) {
-                    let row = Row {
-                        i: i as u32,
-                        xi: x[i],
-                        nlocal: nlocal as u32,
-                        cutsq,
-                    };
-                    append(bins, &row, cutsq_prune, skip_lower, chunk);
+        let pages = &mut self.pages[..npages];
+        with_bins(lo, hi, cutoff_list, |bins| {
+            bins.fill(&atoms.x, nlocal);
+            let skip_lower = bins.sorted_locals() && kind != ListKind::Full;
+            let (bins, x) = (&*bins, &atoms.x);
+            exec.floored(nlocal).for_each_mut(pages, &|c, page| {
+                let rows = c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(nlocal);
+                if fresh {
+                    page.clear(rows.len());
                 }
-                chunk.lens.push((chunk.len - before) as u32);
-            }
+                let (nlocal, mut row) = (
+                    nlocal as u32,
+                    Row {
+                        i: 0,
+                        xi: [0.0; 3],
+                        nlocal: 0,
+                        cutsq,
+                    },
+                );
+                for (k, i) in rows.enumerate() {
+                    if half.is_none_or(|(flags, interior)| flags[i] == interior) {
+                        (row.i, row.xi, row.nlocal) = (i as u32, x[i], nlocal);
+                        emit(bins, &row, cutsq_prune, skip_lower, page, k);
+                    }
+                }
+                if finished {
+                    page.trim();
+                }
+            });
         });
-        chunks
     }
 
     /// Build a list for the local atoms of `atoms`, binning local + ghost
@@ -381,9 +432,9 @@ impl NeighborList {
     }
 
     /// Chunk-parallel [`NeighborList::build`]: rows are split into
-    /// fixed-size chunks fanned out over `exec`, and the per-chunk results
-    /// stitched back in chunk order — the produced list is identical to
-    /// the serial build at any thread count.
+    /// fixed-size chunks fanned out over `exec`, each chunk writing its
+    /// own page — the produced list is identical to the serial build at
+    /// any thread count.
     #[must_use]
     pub fn build_chunked(
         atoms: &Atoms,
@@ -394,9 +445,9 @@ impl NeighborList {
         skin: f64,
         exec: &ChunkExec<'_>,
     ) -> Self {
-        let cutoff_list = cutoff_force + skin;
-        let chunks = Self::build_rows(atoms, lo, hi, kind, cutoff_list, exec, &|_| true);
-        Self::stitch(&chunks, kind, cutoff_list, atoms)
+        let mut list = Self::empty(kind);
+        list.rebuild(atoms, lo, hi, kind, cutoff_force + skin, None, exec);
+        list
     }
 
     /// Alias of [`NeighborList::build_chunked`]: the list does not depend
@@ -417,155 +468,95 @@ impl NeighborList {
         Self::build_chunked(atoms, lo, hi, kind, cutoff_force, skin, exec)
     }
 
-    /// Build only the *interior* rows of a split rebuild: rows flagged
-    /// `true` in `interior`, binned over the local atoms alone. Boundary
-    /// rows are present but empty.
+    /// [`NeighborList::build_chunked`] in place, with list cutoff
+    /// `cutoff_list` (force cutoff + skin), into this list's pages — or,
+    /// given `interior` flags, the first half of a split rebuild: only the
+    /// rows flagged `true`, the others present but empty.
     ///
-    /// Intended to run while the Border halo exchange is still in flight,
-    /// i.e. **before any ghosts exist** (`atoms.nghost() == 0`). The grid
-    /// is the same `[lo, hi]` grid the full build uses, and with no ghosts
-    /// the fill, the sorted-locals detection and every interior row's
-    /// 27-bin scan see exactly the candidates the full build would show
-    /// them: an interior row's ghost candidates all sit beyond the
-    /// classification shell and would be distance-rejected anyway. The
-    /// produced rows are therefore bit-identical to the same rows of
-    /// [`NeighborList::build_chunked`] after the halo lands — provided the
-    /// flags are sound (no interior atom within `cutoff_force + skin` of a
-    /// sub-box face).
-    #[must_use]
+    /// The split's first half runs while the Border halo is in flight,
+    /// **before any ghosts exist** (`atoms.nghost() == 0`), on the same
+    /// `[lo, hi]` grid: the fill, the sorted-locals detection and every
+    /// interior row's scan see exactly the candidates the full build would
+    /// show them, since an interior row's ghost candidates all sit beyond
+    /// the classification shell and would be distance-rejected anyway. Its
+    /// rows are therefore bit-identical to the same rows of a one-pass
+    /// rebuild after the halo lands — provided the flags are sound (no
+    /// interior atom within the list cutoff of a sub-box face).
     #[allow(clippy::too_many_arguments)]
-    pub fn build_interior(
+    pub fn rebuild(
+        &mut self,
         atoms: &Atoms,
         lo: [f64; 3],
         hi: [f64; 3],
         kind: ListKind,
-        cutoff_force: f64,
-        skin: f64,
-        interior: &[bool],
+        cutoff_list: f64,
+        interior: Option<&[bool]>,
         exec: &ChunkExec<'_>,
-    ) -> Self {
-        debug_assert_eq!(atoms.nghost(), 0, "interior build runs pre-ghost");
-        let cutoff_list = cutoff_force + skin;
-        let chunks = Self::build_rows(atoms, lo, hi, kind, cutoff_list, exec, &|i| interior[i]);
-        Self::stitch(&chunks, kind, cutoff_list, atoms)
+    ) {
+        debug_assert!(
+            interior.is_none() || atoms.nghost() == 0,
+            "interior half runs pre-ghost"
+        );
+        (self.kind, self.cutoff_list) = (kind, cutoff_list);
+        self.build_rows(atoms, lo, hi, exec, interior.map(|flags| (flags, true)));
     }
 
-    /// Complete a split rebuild: build the rows flagged `false` in
-    /// `interior` against the full (locals + ghosts) bins and merge them
-    /// with the interior rows built by [`NeighborList::build_interior`].
+    /// Complete a split rebuild: write the rows flagged `false` in
+    /// `interior`, built against the full (locals + ghosts) bins, beside
+    /// the interior rows the split's first half wrote.
     ///
     /// Runs after the Border halo has landed. Local positions must not
     /// have moved since the interior half (nothing between the two halves
-    /// integrates), so the merged list is bit-identical to one
-    /// [`NeighborList::build_chunked`] pass over the same state.
-    #[must_use]
-    pub fn build_boundary(
+    /// integrates), so the list is bit-identical to one
+    /// [`NeighborList::rebuild`] over the same state.
+    pub fn rebuild_boundary(
+        &mut self,
         atoms: &Atoms,
         lo: [f64; 3],
         hi: [f64; 3],
-        interior_list: &NeighborList,
         interior: &[bool],
         exec: &ChunkExec<'_>,
-    ) -> Self {
-        let kind = interior_list.kind;
-        let cutoff_list = interior_list.cutoff_list;
-        let chunks = Self::build_rows(atoms, lo, hi, kind, cutoff_list, exec, &|i| !interior[i]);
-
-        // Merge row-by-row: interior rows from the pre-ghost half,
-        // boundary rows from this pass.
-        let nlocal = atoms.nlocal;
-        let mut offsets = Vec::with_capacity(nlocal + 1);
-        offsets.push(0u32);
-        let mut neigh = Vec::new();
-        let mut cursors = vec![0usize; chunks.len()];
-        for i in 0..nlocal {
-            let c = i / CHUNK_ROWS;
-            let len = chunks[c].lens[i - c * CHUNK_ROWS] as usize;
-            if interior[i] {
-                debug_assert_eq!(len, 0, "row {i} built on both sides");
-                neigh.extend_from_slice(interior_list.neighbors(i));
-            } else {
-                let at = cursors[c];
-                neigh.extend_from_slice(&chunks[c].neigh()[at..at + len]);
-            }
-            cursors[c] += len;
-            offsets.push(neigh.len() as u32);
-        }
-
-        NeighborList {
-            kind,
-            offsets,
-            neigh,
-            cutoff_list,
-            x_at_build: atoms.x[..nlocal].to_vec(),
-        }
+    ) {
+        self.build_rows(atoms, lo, hi, exec, Some((interior, false)));
     }
 
-    /// Stitch per-chunk rows into a CSR list (chunk order = row order).
-    fn stitch(chunks: &[RowChunk], kind: ListKind, cutoff_list: f64, atoms: &Atoms) -> Self {
-        let nlocal = atoms.nlocal;
-        let mut offsets = Vec::with_capacity(nlocal + 1);
-        offsets.push(0u32);
-        let mut total = 0u32;
-        for chunk in chunks {
-            for &len in &chunk.lens {
-                total += len;
-                offsets.push(total);
-            }
-        }
-        let mut neigh = Vec::with_capacity(total as usize);
-        for chunk in chunks {
-            neigh.extend_from_slice(chunk.neigh());
-        }
-        NeighborList {
-            kind,
-            offsets,
-            neigh,
-            cutoff_list,
-            x_at_build: atoms.x[..nlocal].to_vec(),
-        }
-    }
-
-    /// Flag every row whose stored neighbors are all local (`j < nlocal`).
-    /// These rows never read ghost state, so their force/density
-    /// contributions can be computed while a halo exchange is in flight —
-    /// the *exact* (list-content) form of the interior classification,
-    /// a superset of the geometric cutoff+skin shell test.
+    /// Does row `i` list no ghost (`j < nlocal`)? Such a row never reads
+    /// ghost state, so its force/density contributions can be computed
+    /// while a halo exchange is in flight — the *exact* (list-content) form
+    /// of the interior classification, a superset of the geometric
+    /// cutoff+skin shell test.
     #[must_use]
-    pub fn local_only_rows(&self) -> Vec<bool> {
-        let nl = self.nlocal() as u32;
-        (0..self.nlocal())
-            .map(|i| self.neighbors(i).iter().all(|&j| j < nl))
-            .collect()
+    pub fn local_only(&self, i: usize) -> bool {
+        let nlocal = self.nlocal() as u32;
+        self.neighbors(i).iter().all(|&j| j < nlocal)
     }
 
-    /// Stored pairs in the selected row class of a `flags` partition.
+    /// The rows that list no ghost, and the pairs they store: counted as
+    /// the rows were written.
     #[must_use]
-    pub fn pairs_in(&self, flags: &[bool], select: bool) -> usize {
-        (0..self.nlocal())
-            .filter(|&i| flags[i] == select)
-            .map(|i| self.neighbors(i).len())
-            .sum()
+    pub fn local_only_totals(&self) -> (usize, usize) {
+        let pages = self.pages().iter();
+        pages.fold((0, 0), |(r, p), g| (r + g.local_rows, p + g.local_pairs))
     }
 
     /// Neighbors of local atom `i`.
     #[must_use]
     pub fn neighbors(&self, i: usize) -> &[u32] {
-        let a = self.offsets[i] as usize;
-        let b = self.offsets[i + 1] as usize;
-        &self.neigh[a..b]
+        let page = &self.pages[i / CHUNK_ROWS];
+        let [a, b] = page.rows[i % CHUNK_ROWS];
+        &page.buf[a as usize..b as usize]
     }
 
     /// Number of local atoms the list covers.
     #[must_use]
     pub fn nlocal(&self) -> usize {
-        self.offsets.len() - 1
+        self.x_at_build.len()
     }
 
     /// Total stored pairs.
     #[must_use]
     pub fn npairs(&self) -> usize {
-        self.neigh.len()
+        self.pages().iter().map(|g| g.len).sum()
     }
 
     /// `check yes` policy (Table 2, EAM): true if any local atom has moved
@@ -705,6 +696,25 @@ mod tests {
         assert!(!RebuildPolicy::LJ.is_check_step(21));
     }
 
+    impl NeighborList {
+        /// Flag every row whose stored neighbors are all local, from the
+        /// rows' content.
+        fn local_only_rows(&self) -> Vec<bool> {
+            let nl = self.nlocal() as u32;
+            (0..self.nlocal())
+                .map(|i| self.neighbors(i).iter().all(|&j| j < nl))
+                .collect()
+        }
+
+        /// Stored pairs in the selected row class of a `flags` partition.
+        fn pairs_in(&self, flags: &[bool], select: bool) -> usize {
+            (0..self.nlocal())
+                .filter(|&i| flags[i] == select)
+                .map(|i| self.neighbors(i).len())
+                .sum()
+        }
+    }
+
     /// Split interior/boundary rebuild over a sub-box with a ghost shell
     /// must reproduce the one-pass chunked build bit-for-bit, sorted or
     /// not, for every list kind.
@@ -751,16 +761,8 @@ mod tests {
                 assert!(flags.iter().any(|&f| f), "test needs interior rows");
                 assert!(flags.iter().any(|&f| !f), "test needs boundary rows");
                 // Interior half runs pre-ghost.
-                let int = NeighborList::build_interior(
-                    &bare,
-                    lo,
-                    hi,
-                    kind,
-                    cut,
-                    skin,
-                    &flags,
-                    &ChunkExec::Serial,
-                );
+                let mut split = NeighborList::empty(kind);
+                split.rebuild(&bare, lo, hi, kind, r, Some(&flags), &ChunkExec::Serial);
                 // The halo lands: ghosts in the shell just outside.
                 let mut full = bare.clone();
                 for (k, tag) in (0..160).zip(10_000u64..) {
@@ -774,8 +776,7 @@ mod tests {
                     }
                     full.push_ghost(g, 1, tag);
                 }
-                let split =
-                    NeighborList::build_boundary(&full, lo, hi, &int, &flags, &ChunkExec::Serial);
+                split.rebuild_boundary(&full, lo, hi, &flags, &ChunkExec::Serial);
                 let one =
                     NeighborList::build_chunked(&full, lo, hi, kind, cut, skin, &ChunkExec::Serial);
                 assert_eq!(split.npairs(), one.npairs(), "{kind:?} sorted={sorted}");
@@ -797,6 +798,19 @@ mod tests {
                     one.pairs_in(&flags, true) + one.pairs_in(&flags, false),
                     one.npairs()
                 );
+                // The partition recorded as rows were written is the
+                // content partition, in either build.
+                for list in [&one, &split] {
+                    assert_eq!(
+                        lor,
+                        (0..list.nlocal())
+                            .map(|i| list.local_only(i))
+                            .collect::<Vec<_>>()
+                    );
+                    let lor_pairs = one.pairs_in(&lor, true);
+                    let lor_rows = lor.iter().filter(|&&b| b).count();
+                    assert_eq!(list.local_only_totals(), (lor_rows, lor_pairs));
+                }
             }
         }
     }

@@ -2,8 +2,6 @@
 
 pub mod bins;
 pub mod list;
-pub mod sort;
 
-pub use bins::CellBins;
+pub use bins::{sort_locals_by_bin, CellBins};
 pub use list::{ghost_pair_belongs_to_i, ListKind, NeighborList, RebuildPolicy};
-pub use sort::sort_locals_by_bin;

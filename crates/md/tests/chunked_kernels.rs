@@ -504,6 +504,20 @@ fn edge_cloud(
         ghosts.push([p[0] + sign * 0.05, p[1], p[2]]);
         ghosts.push([p[0] - sign * 0.07, p[1] + sign * 0.05, p[2]]);
     }
+    // The crowded bin's lower z face, which the HalfNewton build prunes
+    // across: locals and ghosts exactly on it and one ulp either side,
+    // and ghosts tying those rows' z on either side in y and in x (the
+    // ones one ulp below sit in the bin below).
+    for z in [clo[2].next_down(), clo[2], clo[2].next_up()] {
+        let mut p = rng.point(clo, chi);
+        p[2] = z;
+        locals.push(p);
+        ghosts.push(p);
+        for s in [-1.0, 1.0] {
+            ghosts.push([p[0], p[1] + s * 0.3 * size[1], z]);
+            ghosts.push([p[0] + s * 0.3 * size[0], p[1], z]);
+        }
+    }
     (lo, hi, locals, ghosts)
 }
 
@@ -520,6 +534,9 @@ proptest! {
         let pool2 = SpinPool::new(2);
         let pool8 = SpinPool::new(8);
         let execs = [ChunkExec::Serial, ChunkExec::Pool(&pool2), ChunkExec::Pool(&pool8)];
+        // One list rebuilt in place through every case: its pages still
+        // hold the rows of the case before.
+        let mut split = NeighborList::empty(ListKind::Full);
         for (shape, nfill) in SHAPES {
             let (lo, hi, locals, ghosts) = edge_cloud(shape, nfill, seed);
             for sorted in [false, true] {
@@ -548,14 +565,13 @@ proptest! {
                         );
                         let one =
                             NeighborList::build_chunked(&atoms, lo, hi, kind, OCUT, OSKIN, exec);
-                        let int = NeighborList::build_interior(
-                            &bare, lo, hi, kind, OCUT, OSKIN, &interior, exec,
-                        );
-                        let split =
-                            NeighborList::build_boundary(&atoms, lo, hi, &int, &interior, exec);
+                        split.rebuild(&bare, lo, hi, kind, OCUT + OSKIN, Some(&interior), exec);
+                        split.rebuild_boundary(&atoms, lo, hi, &interior, exec);
                         for (i, row) in want.iter().enumerate() {
                             prop_assert_eq!(one.neighbors(i), &row[..], "one-pass row {} {}", i, label);
                             prop_assert_eq!(split.neighbors(i), &row[..], "split row {} {}", i, label);
+                            let local = row.iter().all(|&j| (j as usize) < atoms.nlocal);
+                            prop_assert_eq!(split.local_only(i), local, "split flag {} {}", i, label);
                         }
                     }
                 }

@@ -53,9 +53,11 @@ use tofumd_tofu::TofuError;
 ///   every face of the rank's subdomain, so *no* atom it could ever list
 ///   as a neighbor is a ghost. Safe for the rebuild-step split, where the
 ///   interior rows are built before the ghost shell exists.
-/// * `pair` — list-content: the row's stored neighbor rows are all local.
-///   A superset of `geo`; safe for forward-step splits, where the list is
-///   fixed and only ghost *positions* are in flight.
+/// * `pair` — list-content: the row's stored neighbors are all local
+///   ([`NeighborList::local_only`]); the list counts these rows as it
+///   writes them, and the partition keeps the counts. A superset of
+///   `geo`; safe for forward-step splits, where the list is fixed and
+///   only ghost *positions* are in flight.
 ///
 /// Either way an interior row holds no ghost index, so nothing it computes
 /// can depend on the halo in flight: that is what licenses charging it
@@ -65,8 +67,6 @@ use tofumd_tofu::TofuError;
 pub struct Partition {
     /// Geometric interior flags per local atom.
     pub geo: Vec<bool>,
-    /// List-content interior flags per local atom.
-    pub pair: Vec<bool>,
     /// Count of `geo` rows.
     pub n_geo: usize,
     /// Stored pairs on `geo` rows.
@@ -79,15 +79,12 @@ pub struct Partition {
 
 impl Partition {
     /// The first row that breaks the partition's contract against the
-    /// rank's finished `list` (both tiers filled, i.e. after the boundary
-    /// build): flagged interior in either tier yet listing an index
-    /// `>= nlocal`, or `geo` without `pair`. `None` when sound.
+    /// rank's finished `list` (after the boundary build): flagged `geo`
+    /// yet listing an index `>= nlocal`. (`pair` is read off the list's
+    /// rows, so it holds by construction.) `None` when sound.
     #[must_use]
     pub fn violation(&self, list: &NeighborList, nlocal: usize) -> Option<usize> {
-        (0..nlocal).find(|&i| {
-            let ghost = || list.neighbors(i).iter().any(|&j| j as usize >= nlocal);
-            (self.geo[i] && !self.pair[i]) || (self.pair[i] && ghost())
-        })
+        (0..nlocal).find(|&i| self.geo[i] && !list.local_only(i))
     }
 }
 
@@ -115,8 +112,9 @@ pub struct Lane {
     pub failed: Option<TofuError>,
     /// Interior/boundary row partition of the current neighbor epoch.
     pub part: Option<Partition>,
-    /// Interior-only list built pre-ghost on rebuild steps, consumed by
-    /// the boundary build after the Border op lands.
+    /// The list between the halves of a split rebuild: its interior rows
+    /// written pre-ghost, finished in place by the boundary build after
+    /// the Border op lands and moved back to `list`.
     pub interior_list: Option<NeighborList>,
     /// The rank's clock right after the last overlapped post — the start
     /// of the window whose hidden comm time the complete side credits.

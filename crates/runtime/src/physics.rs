@@ -108,24 +108,16 @@ pub fn spatial_sort(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [Ra
     });
 }
 
-/// Rebuild every rank's Verlet list (chunk-parallel, bit-identical to the
-/// serial build) and charge Neigh time.
+/// Rebuild every rank's Verlet list in place (chunk-parallel,
+/// bit-identical to the serial build) and charge Neigh time.
 pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
     team.for_each_chunk(lanes, states, &|_, lane, st, exec, _| {
-        let (lo, hi) = ghost_box(st);
-        let list = NeighborList::build_chunked(
-            &st.atoms,
-            lo,
-            hi,
-            ctx.list_kind,
-            ctx.cutoff,
-            ctx.skin,
-            exec,
-        );
-        let dt = ctx.neigh_time(&full_work(st, &list, ctx.eam));
+        let ((lo, hi), kind) = (ghost_box(st), ctx.list_kind);
+        let list = lane.list.get_or_insert_with(|| NeighborList::empty(kind));
+        list.rebuild(&st.atoms, lo, hi, kind, ctx.cutoff + ctx.skin, None, exec);
+        let dt = ctx.neigh_time(&full_work(st, list, ctx.eam));
         st.clock += dt;
         st.stages.neigh += dt;
-        lane.list = Some(list);
         // A one-pass rebuild starts a new list epoch without classifying
         // rows; any partition from an earlier epoch is now stale.
         lane.part = None;
@@ -418,23 +410,19 @@ fn build_interior_list(ctx: &Ctx, lane: &mut Lane, st: &mut RankState, exec: &Ch
         &st.graph.sub,
         classify_radius(ctx),
     );
-    let ilist = NeighborList::build_interior(
-        &st.atoms,
-        lo,
-        hi,
-        ctx.list_kind,
-        ctx.cutoff,
-        ctx.skin,
-        &geo,
-        exec,
-    );
+    let (kind, cutoff_list) = (ctx.list_kind, ctx.cutoff + ctx.skin);
+    let mut list = lane
+        .list
+        .take()
+        .unwrap_or_else(|| NeighborList::empty(kind));
+    list.rebuild(&st.atoms, lo, hi, kind, cutoff_list, Some(&geo), exec);
     let n_geo = geo.iter().filter(|&&b| b).count();
-    let geo_pairs = ilist.npairs();
+    let geo_pairs = list.npairs();
     let interior = interior_work(n_geo, geo_pairs, ctx.eam);
     let dt = split_time(|w| ctx.neigh_time(w), &interior, None);
     st.clock += dt;
     st.stages.neigh += dt;
-    lane.interior_list = Some(ilist);
+    lane.interior_list = Some(list);
     lane.part = Some(Partition {
         geo,
         n_geo,
@@ -443,10 +431,10 @@ fn build_interior_list(ctx: &Ctx, lane: &mut Lane, st: &mut RankState, exec: &Ch
     });
 }
 
-/// Build the rank's boundary rows against its arrived ghost shell, merge
-/// with the interior list into the full list (bit-identical to the
-/// one-pass build) and derive the list-content partition for forward-step
-/// splits. Charges the remainder of the full rebuild's Neigh time. `false`
+/// Write the rank's boundary rows, built against its arrived ghost shell,
+/// beside the interior rows (bit-identical to the one-pass build) and read
+/// the list-content partition the rows recorded, for forward-step splits.
+/// Charges the remainder of the full rebuild's Neigh time. `false`
 /// (with the violation in `lane.failed`) when the interior half never ran.
 fn build_boundary_list(
     ctx: &Ctx,
@@ -455,7 +443,7 @@ fn build_boundary_list(
     st: &mut RankState,
     exec: &ChunkExec<'_>,
 ) -> bool {
-    let Some(ilist) = lane.interior_list.take() else {
+    let Some(mut list) = lane.interior_list.take() else {
         fail_missing(lane, r, "boundary_build", "interior list");
         return false;
     };
@@ -464,15 +452,13 @@ fn build_boundary_list(
         return false;
     };
     let (lo, hi) = ghost_box(st);
-    let full = NeighborList::build_boundary(&st.atoms, lo, hi, &ilist, &part.geo, exec);
-    part.pair = full.local_only_rows();
-    part.n_pair = part.pair.iter().filter(|&&b| b).count();
-    part.pair_pairs = full.pairs_in(&part.pair, true);
+    list.rebuild_boundary(&st.atoms, lo, hi, &part.geo, exec);
+    (part.n_pair, part.pair_pairs) = list.local_only_totals();
     let interior = interior_work(part.n_geo, part.geo_pairs, ctx.eam);
-    let work = full_work(st, &full, ctx.eam);
+    let work = full_work(st, &list, ctx.eam);
     let dt = split_time(|w| ctx.neigh_time(w), &interior, Some(&work));
     st.clock += dt;
     st.stages.neigh += dt;
-    lane.list = Some(full);
+    lane.list = Some(list);
     true
 }

@@ -1,9 +1,10 @@
 //! Integration: what a timestep allocates. A forward step re-uses every
 //! buffer the last rebuild sized; a rebuild step allocates for the
-//! neighbor-list build, the spatial sort and high-water growth of
-//! registered backing — not per halo edge, message or record: Border and
-//! Exchange stream their records from the send lists into the transport's
-//! buffer and from the landed bytes into the atoms on both transports.
+//! geometric interior flags and for high-water growth (registered backing,
+//! the neighbor list's pages) — not per list row or bin, nor per halo edge,
+//! message or record: Border and Exchange stream their records from the
+//! send lists into the transport's buffer and from the landed bytes into
+//! the atoms on both transports.
 //! The MPI lanes pay one send vector per rank and op round.
 //!
 //! A counting global allocator counts allocation calls — numbers that
@@ -55,11 +56,14 @@ fn steps_allocate_within_budget() {
     // whose receive slots back a little more.
     let worst = fwd.iter().max().copied().unwrap_or(0);
     assert!(worst <= n, "lj-strong forward step: {worst} allocations");
-    // Today 4 711 and 4 723, 49 per rank (5 260 while Exchange packed its
-    // emigrants into vectors, 29 900 before Border streamed); the budget
-    // leaves 3 per rank of headroom.
+    // Today 275 and 281, 3 per rank, since the neighbor list rewrites its
+    // pages in place and the bins and the sort's scratch are one set per
+    // driver thread (4 711 and 4 723 while every build allocated its bins,
+    // rows and CSR copy; 5 260 while Exchange packed its emigrants into
+    // vectors, 29 900 before Border streamed); the budget leaves 3 per
+    // rank of headroom.
     for (i, &a) in rebuild.iter().enumerate() {
-        assert!(a <= 52 * n, "lj-strong rebuild {i}: {a} allocations");
+        assert!(a <= 6 * n, "lj-strong rebuild {i}: {a} allocations");
     }
     drop(c);
 
@@ -80,10 +84,10 @@ fn steps_allocate_within_budget() {
     // (10 215 when every message was copied out and decoded).
     let worst = fwd.iter().max().copied().unwrap_or(0);
     assert!(worst <= 2 * n * 2, "rcb forward step: {worst} allocations");
-    // Today 2 999 and 3 001, 63 per rank (3 589 while Exchange packed,
-    // 33 000 before Border streamed); the budget leaves 3 per rank of
-    // headroom.
+    // Today 247 and 247, 5 per rank (2 999 and 3 001 while every list
+    // build allocated, 3 589 while Exchange packed, 33 000 before Border
+    // streamed); the budget leaves 3 per rank of headroom.
     for (i, &a) in rebuild.iter().enumerate() {
-        assert!(a <= 66 * n, "rcb rebuild {i}: {a} allocations");
+        assert!(a <= 8 * n, "rcb rebuild {i}: {a} allocations");
     }
 }
