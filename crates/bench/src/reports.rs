@@ -515,10 +515,9 @@ pub(crate) fn table3(o: &Opts) -> Report {
     let (mut rows, mut readings, shares) = (Vec::new(), Vec::new(), claims::of("Table 3"));
     for ((name, (cfg, variant)), paper) in names.into_iter().zip(runs).zip(shares.chunks(5)) {
         let b = run_proxy(mesh, cfg, variant, steps, o.threads()).breakdown();
-        let stages = [b.pair, b.neigh, b.comm, b.modify, b.other, b.total()];
         rows.push(
             std::iter::once(name.to_string())
-                .chain(stages.map(fmt_time))
+                .chain(b.to_array().into_iter().chain([b.total()]).map(fmt_time))
                 .collect(),
         );
         let pct = b.percentages();
@@ -530,8 +529,8 @@ pub(crate) fn table3(o: &Opts) -> Report {
                 .collect(),
         );
     }
-    let headers = "potential|Pair|Neigh|Comm|Modify|Other|total/step";
-    push_table(&mut out, headers, &rows);
+    let headers = format!("potential|{}|total/step", StageBreakdown::NAMES.join("|"));
+    push_table(&mut out, &headers, &rows);
     finish(out, readings)
 }
 

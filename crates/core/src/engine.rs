@@ -12,6 +12,7 @@
 
 use crate::sf::CommGraph;
 use tofumd_md::atom::Atoms;
+pub use tofumd_model::stagecost::{Stage, StageTimes};
 use tofumd_tofu::TofuError;
 
 /// A ghost-communication operation within a timestep.
@@ -317,27 +318,6 @@ pub fn wrap_for_exchange(global: &tofumd_md::region::Box3, x: [f64; 3]) -> [f64;
     w
 }
 
-/// Where a rank's virtual time went: LAMMPS's five stages (Table 3), EAM's
-/// mid-pair comm, and the comm time the overlap windows hid.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageTimes {
-    /// Pair-stage compute time.
-    pub pair: f64,
-    /// EAM's scalar-op comm, counted into the Pair stage (the paper's way).
-    pub pair_comm: f64,
-    /// Neighbor-rebuild time.
-    pub neigh: f64,
-    /// Ghost communication: border, forward, reverse and exchange.
-    pub comm: f64,
-    /// Integration (Modify) time.
-    pub modify: f64,
-    /// Collectives and bookkeeping (Other) time.
-    pub other: f64,
-    /// Comm time hidden behind interior compute: wait the rank never
-    /// incurred, so it enters no stage sum.
-    pub overlapped: f64,
-}
-
 /// Per-rank simulation-side state an engine operates on, and the rank's
 /// one ledger: clock, stage times and comm counters. It outlives any
 /// engine, so an engine swap (demotion, recovery) keeps the history.
@@ -378,13 +358,28 @@ impl RankState {
         }
     }
 
-    /// Charge `dt` of virtual time to the clock and `op`'s comm bucket
-    /// (`pair_comm` for EAM's scalar ops).
-    pub fn charge(&mut self, dt: f64, op: Op) {
+    /// Charge `dt` of virtual time to the clock and to `stage`'s bucket
+    /// (an [`Op`] charges its comm bucket): the ledger's one writer.
+    pub fn charge(&mut self, dt: f64, stage: impl Into<Stage>) {
         self.clock += dt;
+        let t = &mut self.stages;
+        *match stage.into() {
+            Stage::Pair => &mut t.pair,
+            Stage::PairComm => &mut t.pair_comm,
+            Stage::Neigh => &mut t.neigh,
+            Stage::Comm => &mut t.comm,
+            Stage::Modify => &mut t.modify,
+            Stage::Other => &mut t.other,
+        } += dt;
+    }
+}
+
+impl From<Op> for Stage {
+    /// An op's comm bucket: EAM's scalar ops count into the Pair stage.
+    fn from(op: Op) -> Stage {
         match op {
-            Op::ForwardScalar | Op::ReverseScalar => self.stages.pair_comm += dt,
-            _ => self.stages.comm += dt,
+            Op::ForwardScalar | Op::ReverseScalar => Stage::PairComm,
+            _ => Stage::Comm,
         }
     }
 }
@@ -458,6 +453,19 @@ mod tests {
         assert_eq!(st.clock, 7.0);
         assert_eq!(st.stages.comm, 5.0);
         assert_eq!(st.stages.pair_comm, 2.0);
+        for (i, stage) in [Stage::Pair, Stage::Neigh, Stage::Modify, Stage::Other]
+            .into_iter()
+            .enumerate()
+        {
+            st.charge(f64::from(8 << i), stage);
+        }
+        assert_eq!(st.clock, 127.0);
+        let t = st.stages;
+        assert_eq!(
+            [t.pair, t.neigh, t.modify, t.other],
+            [8.0, 16.0, 32.0, 64.0]
+        );
+        assert_eq!([t.comm, t.pair_comm, t.overlapped], [5.0, 2.0, 0.0]);
     }
 
     #[test]

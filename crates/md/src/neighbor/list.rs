@@ -715,9 +715,31 @@ mod tests {
         }
     }
 
+    /// The brute-force row `i` of a `kind` list over every atom of `atoms`:
+    /// each `j != i` within `cutoff_list`, kept by the kind's rule, sorted.
+    fn brute_force_row(atoms: &Atoms, kind: ListKind, cutoff_list: f64, i: usize) -> Vec<u32> {
+        let xi = atoms.x[i];
+        (0..atoms.ntotal())
+            .filter(|&j| {
+                let xj = atoms.x[j];
+                let d = [xi[0] - xj[0], xi[1] - xj[1], xi[2] - xj[2]];
+                let in_range = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < cutoff_list * cutoff_list;
+                let kept = match kind {
+                    ListKind::Full => j != i,
+                    ListKind::HalfOneSided => j > i,
+                    ListKind::HalfNewton if j < atoms.nlocal => j > i,
+                    ListKind::HalfNewton => ghost_pair_belongs_to_i(&xi, &xj),
+                };
+                in_range && kept
+            })
+            .map(|j| j as u32)
+            .collect()
+    }
+
     /// Split interior/boundary rebuild over a sub-box with a ghost shell
     /// must reproduce the one-pass chunked build bit-for-bit, sorted or
-    /// not, for every list kind.
+    /// not, for every list kind, and every row must be the brute-force
+    /// in-range set (so a prune both builds share cannot hide).
     #[test]
     fn split_build_matches_one_pass_build() {
         use crate::neighbor::sort_locals_by_bin;
@@ -785,6 +807,13 @@ mod tests {
                         split.neighbors(i),
                         one.neighbors(i),
                         "row {i} {kind:?} sorted={sorted}"
+                    );
+                    let mut got = split.neighbors(i).to_vec();
+                    got.sort_unstable();
+                    assert_eq!(
+                        got,
+                        brute_force_row(&full, kind, r, i),
+                        "brute-force row {i} {kind:?} sorted={sorted}"
                     );
                 }
                 // Interior rows of a sound partition contain no ghosts.

@@ -8,7 +8,7 @@
 //! simulations elsewhere.
 
 use crate::equations::{pattern_times, Transport};
-use crate::stagecost::{RankWork, StageCosts, Threading};
+use crate::stagecost::{RankWork, StageBreakdown, StageCosts, Threading};
 use crate::table1::Geometry;
 use tofumd_tofu::NetParams;
 
@@ -89,29 +89,6 @@ impl AnalyticWorkload {
     }
 }
 
-/// Predicted per-step stage times (seconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyticBreakdown {
-    /// Pair stage (incl. EAM mid-stage comm under the chosen pattern).
-    pub pair: f64,
-    /// Amortized neighbor rebuild.
-    pub neigh: f64,
-    /// Forward + reverse ghost exchange (+ border amortized).
-    pub comm: f64,
-    /// Integration.
-    pub modify: f64,
-    /// Bookkeeping + collectives.
-    pub other: f64,
-}
-
-impl AnalyticBreakdown {
-    /// Total per-step seconds.
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.pair + self.neigh + self.comm + self.modify + self.other
-    }
-}
-
 /// Analytic step time for the **optimized** configuration (pool p2p,
 /// Eq. 8 communication, spin-pool compute).
 #[must_use]
@@ -120,7 +97,7 @@ pub fn opt_step_time(
     ranks: f64,
     costs: &StageCosts,
     p: &NetParams,
-) -> AnalyticBreakdown {
+) -> StageBreakdown {
     let geom = w.geometry();
     let work = w.work_half_shell();
     let t = pattern_times(&geom, w.density, 24.0, Transport::Utofu, p);
@@ -136,7 +113,7 @@ pub fn opt_step_time(
     if w.allreduce_every > 0.0 {
         other += p.allreduce_time(ranks, 0.0, 0) / w.allreduce_every;
     }
-    AnalyticBreakdown {
+    StageBreakdown {
         pair,
         neigh: costs.neigh_time(&work, Threading::SpinPool, p) / w.rebuild_every,
         comm: 2.0 * exchange,
@@ -153,7 +130,7 @@ pub fn ref_step_time(
     ranks: f64,
     costs: &StageCosts,
     p: &NetParams,
-) -> AnalyticBreakdown {
+) -> StageBreakdown {
     let geom = w.geometry();
     let work = w.work_full_shell();
     let t = pattern_times(&geom, w.density, 24.0, Transport::Mpi, p);
@@ -169,7 +146,7 @@ pub fn ref_step_time(
     if w.allreduce_every > 0.0 {
         other += p.allreduce_time(ranks, 0.0, 0) / w.allreduce_every;
     }
-    AnalyticBreakdown {
+    StageBreakdown {
         pair,
         neigh: costs.neigh_time(&work, Threading::OpenMp, p) / w.rebuild_every,
         comm: 2.0 * exchange,

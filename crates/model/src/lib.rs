@@ -7,7 +7,9 @@
 //! * [`equations`] — the pattern-time equations (3)–(8) over a
 //!   [`tofumd_tofu::NetParams`],
 //! * [`stagecost`] — calibrated CPU costs of the Pair / Neigh / Modify /
-//!   Other stages (Table 3's non-communication rows),
+//!   Other stages (Table 3's non-communication rows), and the ledger's
+//!   stage types: the [`Stage`] a charge lands in, a rank's [`StageTimes`]
+//!   and the Table 3 row, [`StageBreakdown`],
 //! * [`scaling`] — throughput conversions (tau/day, us/day) and parallel
 //!   efficiency (Figs. 13, 14).
 
@@ -27,9 +29,9 @@ pub mod sensitivity;
 pub mod stagecost;
 pub mod table1;
 
-pub use analytic::{opt_step_time, ref_step_time, AnalyticBreakdown, AnalyticWorkload};
+pub use analytic::{opt_step_time, ref_step_time, AnalyticWorkload};
 pub use equations::{pattern_times, PatternTimes, Transport};
 pub use scaling::{parallel_efficiency, units_per_day};
 pub use sensitivity::{headline_speedup, sweep, Knob};
-pub use stagecost::{RankWork, StageCosts, Threading};
+pub use stagecost::{RankWork, Stage, StageBreakdown, StageCosts, StageTimes, Threading};
 pub use table1::{Geometry, PatternRow};

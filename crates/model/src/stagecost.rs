@@ -8,6 +8,136 @@
 //! Fig. 12's step-by-step ordering, the 43 %/57 % pair-stage reduction from
 //! the thread pool); each constant notes its calibration anchor. See
 //! EXPERIMENTS.md for the calibration narrative.
+//!
+//! The module also holds the ledger's types: [`Stage`], the bucket a charge
+//! lands in; [`StageTimes`], a rank's time by bucket; and
+//! [`StageBreakdown`], the Table 3 row both the simulated cluster and the
+//! analytic model report.
+
+/// The bucket a virtual-time charge lands in: LAMMPS's five stages, with
+/// EAM's mid-pair comm kept apart from the Pair compute it counts into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Pair-stage compute.
+    Pair,
+    /// EAM's scalar-op comm, counted into the Pair stage (the paper's way).
+    PairComm,
+    /// Neighbor-list rebuild.
+    Neigh,
+    /// Ghost communication: border, forward, reverse and exchange.
+    Comm,
+    /// Integration.
+    Modify,
+    /// Collectives, checkpoints and bookkeeping.
+    Other,
+}
+
+/// Where a rank's virtual time went: one bucket per [`Stage`], and the
+/// comm time the overlap windows hid.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StageTimes {
+    /// [`Stage::Pair`].
+    pub pair: f64,
+    /// [`Stage::PairComm`].
+    pub pair_comm: f64,
+    /// [`Stage::Neigh`].
+    pub neigh: f64,
+    /// [`Stage::Comm`].
+    pub comm: f64,
+    /// [`Stage::Modify`].
+    pub modify: f64,
+    /// [`Stage::Other`].
+    pub other: f64,
+    /// Comm time hidden behind interior compute: wait the rank never
+    /// incurred, so it enters no stage sum.
+    pub overlapped: f64,
+}
+
+impl StageTimes {
+    /// The seven buckets in the checkpoint's byte order: comm, pair_comm,
+    /// pair, neigh, modify, other, overlapped.
+    pub fn buckets_mut(&mut self) -> [&mut f64; 7] {
+        [
+            &mut self.comm,
+            &mut self.pair_comm,
+            &mut self.pair,
+            &mut self.neigh,
+            &mut self.modify,
+            &mut self.other,
+            &mut self.overlapped,
+        ]
+    }
+
+    /// The seven buckets by value, in [`Self::buckets_mut`]'s order.
+    #[must_use]
+    pub fn buckets(mut self) -> [f64; 7] {
+        self.buckets_mut().map(|v| *v)
+    }
+
+    /// Table 3's five stages (EAM's mid-pair comm counts as Pair; the
+    /// overlap credit as none).
+    #[must_use]
+    pub fn breakdown(&self) -> StageBreakdown {
+        StageBreakdown {
+            pair: self.pair + self.pair_comm,
+            neigh: self.neigh,
+            comm: self.comm,
+            modify: self.modify,
+            other: self.other,
+        }
+    }
+}
+
+/// Per-step stage times (seconds), the Table 3 row format.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StageBreakdown {
+    /// Pair stage (force kernels + EAM mid-stage comm).
+    pub pair: f64,
+    /// Neighbor-list rebuild (amortized per step).
+    pub neigh: f64,
+    /// Ghost communication: border + forward + reverse + exchange.
+    pub comm: f64,
+    /// Position/velocity updates.
+    pub modify: f64,
+    /// Collectives, output, bookkeeping.
+    pub other: f64,
+}
+
+impl StageBreakdown {
+    /// Stage names in Table 3's order, the order of [`Self::to_array`].
+    pub const NAMES: [&'static str; 5] = ["Pair", "Neigh", "Comm", "Modify", "Other"];
+
+    /// The stages in Table 3's order: the one place that order is written.
+    #[must_use]
+    pub fn to_array(self) -> [f64; 5] {
+        [self.pair, self.neigh, self.comm, self.modify, self.other]
+    }
+
+    /// The inverse of [`Self::to_array`].
+    #[must_use]
+    pub fn from_array([pair, neigh, comm, modify, other]: [f64; 5]) -> Self {
+        StageBreakdown {
+            pair,
+            neigh,
+            comm,
+            modify,
+            other,
+        }
+    }
+
+    /// Total per-step time.
+    #[must_use]
+    pub fn total(&self) -> f64 {
+        self.to_array().iter().sum()
+    }
+
+    /// Stage shares in percent, Table 3's second rows.
+    #[must_use]
+    pub fn percentages(&self) -> [f64; 5] {
+        let t = self.total().max(1e-300);
+        self.to_array().map(|v| 100.0 * v / t)
+    }
+}
 
 /// Which threading runtime executes the compute stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,6 +298,66 @@ mod tests {
             interactions: 780.0,
             eam: false,
         }
+    }
+
+    #[test]
+    fn array_form_percentages_and_names_share_one_order() {
+        // Distinct powers of two: swapping any two stages breaks a check.
+        let b = StageBreakdown {
+            pair: 1.0,
+            neigh: 2.0,
+            comm: 4.0,
+            modify: 8.0,
+            other: 16.0,
+        };
+        let by_name = [
+            ("Pair", b.pair),
+            ("Neigh", b.neigh),
+            ("Comm", b.comm),
+            ("Modify", b.modify),
+            ("Other", b.other),
+        ];
+        let (arr, pct) = (b.to_array(), b.percentages());
+        for (i, (name, v)) in by_name.into_iter().enumerate() {
+            assert_eq!(StageBreakdown::NAMES[i], name);
+            assert_eq!(arr[i], v, "{name}");
+            assert_eq!(pct[i], 100.0 * v / 31.0, "{name}");
+        }
+        assert_eq!(StageBreakdown::from_array(arr), b);
+        assert_eq!(b.total(), 31.0);
+    }
+
+    #[test]
+    fn breakdown_percentages_sum_to_100() {
+        let b = StageBreakdown {
+            pair: 2.0,
+            neigh: 1.0,
+            comm: 1.0,
+            modify: 0.5,
+            other: 0.5,
+        };
+        assert!((b.total() - 5.0).abs() < 1e-15);
+        assert!((b.percentages().iter().sum::<f64>() - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stage_times_fold_pair_comm_into_pair() {
+        let mut t = StageTimes::default();
+        for (i, v) in t.buckets_mut().into_iter().enumerate() {
+            *v = (i + 1) as f64;
+        }
+        let want = StageTimes {
+            comm: 1.0,
+            pair_comm: 2.0,
+            pair: 3.0,
+            neigh: 4.0,
+            modify: 5.0,
+            other: 6.0,
+            overlapped: 7.0,
+        };
+        assert_eq!(t, want);
+        assert_eq!(t.buckets(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        assert_eq!(t.breakdown().to_array(), [5.0, 4.0, 1.0, 5.0, 6.0]);
     }
 
     #[test]

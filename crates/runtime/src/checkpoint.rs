@@ -339,37 +339,26 @@ fn get_recovery(r: &mut WireReader<'_>) -> Result<RecoveryStats, WireError> {
     })
 }
 
+/// A rank's atoms, its clock, then its seven stage buckets in
+/// [`StageTimes::buckets_mut`]'s order.
 fn put_rank(out: &mut Vec<u8>, d: &RankDump) {
     d.atoms.wire_encode(out);
     wirefmt::put_f64(out, d.clock);
-    let t = &d.stages;
-    for v in [
-        t.comm,
-        t.pair_comm,
-        t.pair,
-        t.neigh,
-        t.modify,
-        t.other,
-        t.overlapped,
-    ] {
+    for v in d.stages.buckets() {
         wirefmt::put_f64(out, v);
     }
 }
 
 fn get_rank(r: &mut WireReader<'_>) -> Result<RankDump, WireError> {
+    let (atoms, clock) = (Atoms::wire_decode(r)?, r.f64_()?);
+    let mut stages = StageTimes::default();
+    for v in stages.buckets_mut() {
+        *v = r.f64_()?;
+    }
     Ok(RankDump {
-        atoms: Atoms::wire_decode(r)?,
-        clock: r.f64_()?,
-        // Fields decode in the order `put_rank` writes them.
-        stages: StageTimes {
-            comm: r.f64_()?,
-            pair_comm: r.f64_()?,
-            pair: r.f64_()?,
-            neigh: r.f64_()?,
-            modify: r.f64_()?,
-            other: r.f64_()?,
-            overlapped: r.f64_()?,
-        },
+        atoms,
+        clock,
+        stages,
     })
 }
 
@@ -685,6 +674,40 @@ mod tests {
                 recovery_time: 2.0e-3,
             },
         }
+    }
+
+    #[test]
+    fn rank_stage_bytes_follow_the_documented_order() {
+        // Every VERSION 2 file stores comm, pair_comm, pair, neigh, modify,
+        // other, overlapped after a rank's atoms and clock; the round trips
+        // cannot see a reorder, which would misread all of them.
+        let atoms = Atoms::from_positions(vec![[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 1);
+        let dump = RankDump {
+            atoms: atoms.clone(),
+            clock: 0.5,
+            stages: StageTimes {
+                comm: 1.0,
+                pair_comm: 2.0,
+                pair: 3.0,
+                neigh: 4.0,
+                modify: 5.0,
+                other: 6.0,
+                overlapped: 7.0,
+            },
+        };
+        let mut bytes = Vec::new();
+        put_rank(&mut bytes, &dump);
+        let mut head = Vec::new();
+        atoms.wire_encode(&mut head);
+        wirefmt::put_f64(&mut head, 0.5);
+        assert_eq!(bytes[..head.len()], head[..], "atoms, then the clock");
+        let stages: Vec<f64> = bytes[head.len()..]
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        assert_eq!(stages, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        let back = get_rank(&mut WireReader::new(&bytes)).unwrap();
+        assert_eq!(back.stages, dump.stages);
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //! [`tofumd_md::SerialSim`]) and performance runs (a small *proxy* torus
 //! carrying the per-rank workload of a much larger target machine).
 
-use crate::accounting::{self, SyncBucket};
+use crate::accounting;
 use crate::config::RunConfig;
 use crate::driver::{step_plan, Lane, Pass, Phase, PlanMode, Team};
 use crate::physics;
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::sync::Arc;
-use tofumd_core::engine::{GhostEngine, Op, RankState, StageTimes};
+use tofumd_core::engine::{GhostEngine, Op, RankState, Stage, StageTimes};
 use tofumd_core::topo_map::RankMap;
 use tofumd_core::AddressBook;
 use tofumd_md::integrate::NveIntegrator;
@@ -36,7 +36,7 @@ use tofumd_model::StageCosts;
 use tofumd_mpi::Communicator;
 use tofumd_tofu::{FaultCounters, FaultPlan, TofuError, TofuNet};
 
-pub use crate::accounting::StageBreakdown;
+pub use tofumd_model::StageBreakdown;
 
 // Child modules of the façade: seating a decomposition (build, restore's
 // assemble, the shared re-cut / install / settle), checkpoint and
@@ -379,7 +379,7 @@ impl Cluster {
                 // LAMMPS's sendrecv dependency chain: a global stall plus
                 // one notification, not a log-P collective.
                 let cost = self.net.params().mpi_match_cost;
-                accounting::global_sync(&mut self.states, cost, SyncBucket::Comm(op));
+                accounting::global_sync(&mut self.states, cost, op.into());
             }
             self.observe(op, round, rounds);
         }
@@ -526,7 +526,7 @@ impl Cluster {
         let p = self.net.params();
         let hop = p.mean_hop_latency(self.target_mesh);
         let cost = p.allreduce_time(self.target_ranks as f64, hop, bytes);
-        accounting::global_sync(&mut self.states, cost, SyncBucket::Other);
+        accounting::global_sync(&mut self.states, cost, Stage::Other);
     }
 
     fn reneighbor_verdict(&mut self) {

@@ -32,6 +32,7 @@ use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tofumd_core::engine::Stage;
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
 use tofumd_tofu::CellGrid;
@@ -157,8 +158,7 @@ impl Cluster {
             if Some(rank as u32) == dead {
                 continue;
             }
-            st.clock += cost;
-            st.stages.other += cost;
+            st.charge(cost, Stage::Other);
         }
         self.recovery.checkpoints += 1;
         self.recovery.checkpoint_cost += cost;

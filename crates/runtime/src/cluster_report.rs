@@ -14,12 +14,10 @@ impl Cluster {
     /// Raw per-stage sums across ranks (un-normalized; used by tracing).
     fn stage_sums(&self) -> [f64; 5] {
         let mut s = [0.0; 5];
-        for t in self.states.iter().map(|st| &st.stages) {
-            s[0] += t.pair + t.pair_comm;
-            s[1] += t.neigh;
-            s[2] += t.comm;
-            s[3] += t.modify;
-            s[4] += t.other;
+        for st in &self.states {
+            for (sum, v) in s.iter_mut().zip(st.stages.breakdown().to_array()) {
+                *sum += v;
+            }
         }
         s
     }
@@ -85,13 +83,9 @@ impl Cluster {
             }
             let after = self.stage_sums();
             let clock_after = accounting::latest_clock(self.states.iter());
-            let mut stages = [0.0; 5];
-            for (st, (a, b)) in stages.iter_mut().zip(after.iter().zip(&before)) {
-                *st = (a - b) / nranks;
-            }
             trace.push(crate::trace::StepRecord {
                 step: self.step,
-                stages,
+                stages: std::array::from_fn(|k| (after[k] - before[k]) / nranks),
                 max_clock_delta: clock_after - clock_before,
                 rebuilt: self.rebuild_count > rebuilds_before,
                 overlapped: (self.overlapped_total() - overlapped_before) / nranks,
@@ -116,16 +110,8 @@ impl Cluster {
     /// `reset_timers`.
     #[must_use]
     pub fn breakdown(&self) -> StageBreakdown {
-        let n = self.nranks() as f64;
-        let steps = self.steps_run.max(1) as f64;
-        let s = self.stage_sums();
-        StageBreakdown {
-            pair: s[0] / (n * steps),
-            neigh: s[1] / (n * steps),
-            comm: s[2] / (n * steps),
-            modify: s[3] / (n * steps),
-            other: s[4] / (n * steps),
-        }
+        let rank_steps = self.nranks() as f64 * self.steps_run.max(1) as f64;
+        StageBreakdown::from_array(self.stage_sums().map(|s| s / rank_steps))
     }
 
     /// Wall-clock (virtual) seconds per step: the slowest rank's clock

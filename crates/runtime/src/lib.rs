@@ -15,10 +15,11 @@
 //!   thread count; DESIGN.md §9),
 //! * [`physics`] — the per-rank compute kernels (neighbor rebuild, pair
 //!   passes, NVE integration),
-//! * [`accounting`] — the stage breakdown, `global_sync` clock alignment
-//!   and the target-scale collective cost models. A rank's clock, stage
-//!   times and comm counters all live on its `RankState`, the one ledger
-//!   every phase and engine books into.
+//! * [`accounting`] — `global_sync` clock alignment. A rank's clock,
+//!   stage times and comm counters all live on its `RankState`, the one
+//!   ledger every phase and engine books into through
+//!   `RankState::charge`; the Table 3 row, [`StageBreakdown`], is
+//!   `tofumd-model`'s.
 //!
 //! # Example
 //!
@@ -55,7 +56,6 @@ pub mod script;
 pub mod trace;
 pub mod variant;
 
-pub use accounting::SyncBucket;
 pub use checkpoint::{CheckpointData, CheckpointError, RankDump};
 pub use cluster::{Cluster, StageBreakdown};
 pub use config::{PotentialKind, RunConfig};

@@ -15,7 +15,7 @@
 
 use crate::driver::{Lane, Partition, Pass, Team};
 use tofumd_core::border_bin;
-use tofumd_core::engine::RankState;
+use tofumd_core::engine::{RankState, Stage};
 use tofumd_md::integrate::NveIntegrator;
 use tofumd_md::kernels::PairScratch;
 use tofumd_md::neighbor::{sort_locals_by_bin, ListKind, NeighborList};
@@ -116,8 +116,7 @@ pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [R
         let list = lane.list.get_or_insert_with(|| NeighborList::empty(kind));
         list.rebuild(&st.atoms, lo, hi, kind, ctx.cutoff + ctx.skin, None, exec);
         let dt = ctx.neigh_time(&full_work(st, list, ctx.eam));
-        st.clock += dt;
-        st.stages.neigh += dt;
+        st.charge(dt, Stage::Neigh);
         // A one-pass rebuild starts a new list epoch without classifying
         // rows; any partition from an earlier epoch is now stale.
         lane.part = None;
@@ -193,8 +192,7 @@ pub fn charge_pair(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [Ran
             return;
         };
         let dt = ctx.pair_time(&work);
-        st.clock += dt;
-        st.stages.pair += dt;
+        st.charge(dt, Stage::Pair);
     });
 }
 
@@ -226,8 +224,7 @@ pub fn integrate_final(
             return;
         };
         let dt = ctx.costs.modify_time(&work, ctx.threading, &ctx.params);
-        st.clock += dt;
-        st.stages.modify += dt;
+        st.charge(dt, Stage::Modify);
     });
 }
 
@@ -247,8 +244,7 @@ pub fn check_displacements(team: &Team, skin: f64, lanes: &mut [Lane], states: &
 pub fn charge_other_floor(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
     let dt = ctx.costs.other_time();
     team.for_each(lanes, states, &|_, _lane, st| {
-        st.clock += dt;
-        st.stages.other += dt;
+        st.charge(dt, Stage::Other);
     });
 }
 
@@ -368,8 +364,7 @@ impl Split<'_> {
             build_interior_list(self.ctx, lane, st, exec);
         }
         if let Some(dt) = self.share(r, lane, None) {
-            st.clock += dt;
-            st.stages.pair += dt;
+            st.charge(dt, Stage::Pair);
         }
     }
 
@@ -393,8 +388,7 @@ impl Split<'_> {
             return;
         };
         if let Some(dt) = self.share(r, lane, Some(&full)) {
-            st.clock += dt;
-            st.stages.pair += dt;
+            st.charge(dt, Stage::Pair);
         }
     }
 }
@@ -420,8 +414,7 @@ fn build_interior_list(ctx: &Ctx, lane: &mut Lane, st: &mut RankState, exec: &Ch
     let geo_pairs = list.npairs();
     let interior = interior_work(n_geo, geo_pairs, ctx.eam);
     let dt = split_time(|w| ctx.neigh_time(w), &interior, None);
-    st.clock += dt;
-    st.stages.neigh += dt;
+    st.charge(dt, Stage::Neigh);
     lane.interior_list = Some(list);
     lane.part = Some(Partition {
         geo,
@@ -457,8 +450,7 @@ fn build_boundary_list(
     let interior = interior_work(part.n_geo, part.geo_pairs, ctx.eam);
     let work = full_work(st, &list, ctx.eam);
     let dt = split_time(|w| ctx.neigh_time(w), &interior, Some(&work));
-    st.clock += dt;
-    st.stages.neigh += dt;
+    st.charge(dt, Stage::Neigh);
     lane.list = Some(list);
     true
 }

@@ -80,7 +80,8 @@ pub fn comm_rows(stats: &OpStats, rank_steps: f64) -> Vec<OpCommRow> {
 pub struct StepRecord {
     /// Timestep number.
     pub step: u64,
-    /// Stage durations for this step (mean over ranks).
+    /// Stage durations for this step (mean over ranks), in
+    /// [`StageBreakdown::to_array`]'s order.
     pub stages: [f64; 5],
     /// Slowest-rank clock advance this step.
     pub max_clock_delta: f64,
@@ -157,9 +158,6 @@ pub fn atom_imbalance(counts: &[usize]) -> f64 {
     }
 }
 
-/// Stage names in breakdown order.
-pub const STAGE_NAMES: [&str; 5] = ["Pair", "Neigh", "Comm", "Modify", "Other"];
-
 /// One `(step, max/mean atom imbalance)` point of the traced history.
 pub type ImbalanceSample = (u64, f64);
 
@@ -215,40 +213,26 @@ impl Trace {
     /// Mean breakdown over all recorded steps.
     #[must_use]
     pub fn mean(&self) -> StageBreakdown {
-        let n = self.steps.len().max(1) as f64;
-        let mut sum = [0.0; 5];
-        for r in &self.steps {
-            for (s, v) in sum.iter_mut().zip(&r.stages) {
-                *s += v;
-            }
+        StageBreakdown::from_array(self.stage_stats().map(|(_, mean, _)| mean))
+    }
+
+    /// (min, mean, max) of one per-step reading across steps; zeros when
+    /// no step was recorded.
+    fn spread(&self, read: impl Fn(&StepRecord) -> f64) -> (f64, f64, f64) {
+        if self.steps.is_empty() {
+            return (0.0, 0.0, 0.0);
         }
-        StageBreakdown {
-            pair: sum[0] / n,
-            neigh: sum[1] / n,
-            comm: sum[2] / n,
-            modify: sum[3] / n,
-            other: sum[4] / n,
+        let mut s = (f64::INFINITY, 0.0, f64::NEG_INFINITY);
+        for v in self.steps.iter().map(read) {
+            s = (s.0.min(v), s.1 + v, s.2.max(v));
         }
+        (s.0, s.1 / self.steps.len() as f64, s.2)
     }
 
     /// Per-stage (min, mean, max) across steps.
     #[must_use]
     pub fn stage_stats(&self) -> [(f64, f64, f64); 5] {
-        let mut out = [(f64::INFINITY, 0.0, f64::NEG_INFINITY); 5];
-        if self.steps.is_empty() {
-            return [(0.0, 0.0, 0.0); 5];
-        }
-        for r in &self.steps {
-            for (o, v) in out.iter_mut().zip(&r.stages) {
-                o.0 = o.0.min(*v);
-                o.1 += v;
-                o.2 = o.2.max(*v);
-            }
-        }
-        for o in &mut out {
-            o.1 /= self.steps.len() as f64;
-        }
-        out
+        std::array::from_fn(|k| self.spread(|r| r.stages[k]))
     }
 
     /// Ratio of the mean rebuild-step total to the mean plain-step total —
@@ -275,17 +259,7 @@ impl Trace {
     /// Per-step (min, mean, max) of the overlapped comm time.
     #[must_use]
     pub fn overlap_stats(&self) -> (f64, f64, f64) {
-        if self.steps.is_empty() {
-            return (0.0, 0.0, 0.0);
-        }
-        let mut stats = (f64::INFINITY, 0.0, f64::NEG_INFINITY);
-        for r in &self.steps {
-            stats.0 = stats.0.min(r.overlapped);
-            stats.1 += r.overlapped;
-            stats.2 = stats.2.max(r.overlapped);
-        }
-        stats.1 /= self.steps.len() as f64;
-        stats
+        self.spread(|r| r.overlapped)
     }
 
     /// Render a compact text report.
@@ -294,7 +268,7 @@ impl Trace {
         let mut out = String::new();
         let stats = self.stage_stats();
         out.push_str("stage   min        mean       max (per step)\n");
-        for (name, (mn, mean, mx)) in STAGE_NAMES.iter().zip(stats) {
+        for (name, (mn, mean, mx)) in StageBreakdown::NAMES.iter().zip(stats) {
             out.push_str(&format!(
                 "{name:<7} {:>8.2}us {:>8.2}us {:>8.2}us\n",
                 mn * 1e6,
@@ -436,7 +410,7 @@ mod tests {
         let mut t = Trace::default();
         t.push(rec(1, 4e-6, false));
         let rep = t.report();
-        for name in STAGE_NAMES {
+        for name in StageBreakdown::NAMES {
             assert!(rep.contains(name), "missing {name} in report");
         }
     }

@@ -178,10 +178,17 @@ fn traced_run_matches_cumulative_breakdown() {
     let mut c = small_lj(CommVariant::Opt);
     let trace = c.run_traced(25);
     assert_eq!(trace.len(), 25);
-    // Trace mean must equal the cluster's cumulative breakdown.
-    let tm = trace.mean();
-    let cb = c.breakdown();
+    // Trace mean must equal the cluster's cumulative breakdown, stage by
+    // stage: two swapped stages fail here even though the totals agree.
+    let (tm, cb) = (trace.mean(), c.breakdown());
     assert!((tm.total() - cb.total()).abs() / cb.total() < 1e-9);
+    let names = tofumd_runtime::StageBreakdown::NAMES;
+    for ((name, t), b) in names.iter().zip(tm.to_array()).zip(cb.to_array()) {
+        assert!(
+            (t - b).abs() <= 1e-9 * b.abs(),
+            "{name}: trace {t} vs breakdown {b}"
+        );
+    }
     // The step-20 rebuild shows up as a marked, more expensive step.
     let rebuilt: Vec<_> = trace.steps.iter().filter(|r| r.rebuilt).collect();
     assert_eq!(rebuilt.len(), 1);

@@ -15,7 +15,8 @@ use tofumd_runtime::{Cluster, CommVariant, RunConfig};
 const MESH: [u32; 3] = [2, 3, 2]; // 12 nodes, 48 ranks
 
 /// Exact-bits fingerprint of everything the contract covers: the thermo
-/// log, every rank's virtual clock and comm-time buckets, and the final
+/// log, every rank's virtual clock and all seven stage buckets (a charge
+/// booked into the wrong bucket at some thread count shows), and the final
 /// global thermo snapshot.
 fn fingerprint(c: &Cluster) -> Vec<u64> {
     let mut bits = Vec::new();
@@ -29,8 +30,7 @@ fn fingerprint(c: &Cluster) -> Vec<u64> {
     }
     for st in c.states() {
         bits.push(st.clock.to_bits());
-        bits.push(st.stages.comm.to_bits());
-        bits.push(st.stages.pair_comm.to_bits());
+        bits.extend(st.stages.buckets().map(f64::to_bits));
     }
     let t = c.thermo();
     bits.extend([t.pe.to_bits(), t.ke.to_bits(), t.pressure.to_bits()]);

@@ -8,7 +8,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use tofumd::runtime::{parse_script, Cluster, CommVariant};
+use tofumd::runtime::{parse_script, Cluster, CommVariant, StageBreakdown};
 
 fn main() {
     let text = match std::env::args().nth(1) {
@@ -79,9 +79,14 @@ fn main() {
         );
     }
     let b = cluster.breakdown();
+    let shares: Vec<String> = StageBreakdown::NAMES
+        .iter()
+        .zip(b.percentages())
+        .map(|(name, pct)| format!("{name} {pct:.1}%"))
+        .collect();
     println!(
-        "\nMPI task timing breakdown (virtual): Pair {:.1}% Neigh {:.1}% Comm {:.1}% Modify {:.1}% Other {:.1}%",
-        b.percentages()[0], b.percentages()[1], b.percentages()[2], b.percentages()[3], b.percentages()[4],
+        "\nMPI task timing breakdown (virtual): {}",
+        shares.join(" ")
     );
     println!(
         "performance: {:.3} {}-units/day per the paper's metric",

@@ -6,7 +6,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use tofumd::runtime::{Cluster, CommVariant, RunConfig};
+use tofumd::runtime::{Cluster, CommVariant, RunConfig, StageBreakdown};
 
 fn main() {
     // 8,000 LJ atoms (Table 2 benchmark parameters) on 12 nodes / 48 ranks.
@@ -42,10 +42,8 @@ fn main() {
     let b = cluster.breakdown();
     let pct = b.percentages();
     println!("\nper-step virtual-time breakdown (simulated Fugaku):");
-    println!("  Pair   {:>9.2} us  {:>5.1}%", b.pair * 1e6, pct[0]);
-    println!("  Neigh  {:>9.2} us  {:>5.1}%", b.neigh * 1e6, pct[1]);
-    println!("  Comm   {:>9.2} us  {:>5.1}%", b.comm * 1e6, pct[2]);
-    println!("  Modify {:>9.2} us  {:>5.1}%", b.modify * 1e6, pct[3]);
-    println!("  Other  {:>9.2} us  {:>5.1}%", b.other * 1e6, pct[4]);
+    for ((name, t), pct) in StageBreakdown::NAMES.iter().zip(b.to_array()).zip(pct) {
+        println!("  {name:<6} {:>9.2} us  {pct:>5.1}%", t * 1e6);
+    }
     println!("  total  {:>9.2} us per step", b.total() * 1e6);
 }

@@ -210,6 +210,28 @@ const RULES: &[Rule] = &[
         sample: &[("crates/x/src/lib.rs", "    fn op_stats(&self) -> OpStats {\n")],
     },
     Rule {
+        scope: scope(&["crates/*/src/*.rs"], &["crates/core/src/engine.rs"], Part::NonTest),
+        check: Check::Refuse(&[
+            "clock +=",
+            "stages.pair +=",
+            "stages.pair_comm +=",
+            "stages.neigh +=",
+            "stages.comm +=",
+            "stages.modify +=",
+            "stages.other +=",
+        ]),
+        why: "the ledger has one writer: every charge is `RankState::charge(dt, stage)`; \
+              the overlap credit and a clock's reset or restore are not charges",
+        sample: &[("crates/runtime/src/physics.rs", "        st.clock += dt;\n        st.stages.neigh += dt;\n")],
+    },
+    Rule {
+        scope: scope(RS, NONE, Part::Whole),
+        // Spelled in halves, so that `git grep` for the gone names finds none.
+        check: Check::Refuse(&[concat!("Analytic", "Breakdown"), concat!("Sync", "Bucket")]),
+        why: "one Table 3 row type, `StageBreakdown`, and one stage type, `Stage`: their twins stay gone",
+        sample: &[("crates/model/src/analytic.rs", concat!("pub struct Analytic", "Breakdown {\n"))],
+    },
+    Rule {
         scope: scope(CORE, &["crates/core/src/wire.rs"], Part::NonTest),
         check: Check::Refuse(&[
             "parse_border_records(",
