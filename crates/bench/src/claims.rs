@@ -8,9 +8,9 @@
 //! that one number:
 //!
 //! * a *shape* row is a ratio with a one-sided bound — an ordering the
-//!   paper reports ([`Judge::Above`], [`Judge::Below`]);
+//!   paper reports (`Judge::Above`, `Judge::Below`);
 //! * a *magnitude* row holds the paper's value and passes within
-//!   [`TOLERANCE`] of it. Outside it the row must name its known deviation
+//!   `TOLERANCE` of it. Outside it the row must name its known deviation
 //!   here; inside it the row must not (like an allowlist entry that is no
 //!   longer needed).
 

@@ -61,7 +61,7 @@ pub(crate) fn proxy(
     cluster
 }
 
-/// [`proxy`] after `steps` timesteps, ready to be asked for its per-step
+/// `proxy` after `steps` timesteps, ready to be asked for its per-step
 /// `step_time()` and `breakdown()`.
 #[must_use]
 pub fn run_proxy(

@@ -51,12 +51,14 @@ fn side(x: f64, lo: f64, hi: f64, r: f64) -> usize {
 /// `r >= cutoff + skin`, such an atom is not sent to any neighbor and no
 /// incoming ghost can fall within the neighbor-list cutoff of it, so its
 /// CSR row and pair updates are computable before the halo arrives.
-#[must_use]
-pub fn interior_flags(x: &[[f64; 3]], nlocal: usize, sub: &Box3, r: f64) -> Vec<bool> {
-    x[..nlocal]
-        .iter()
-        .map(|p| (0..3).all(|d| side(p[d], sub.lo[d], sub.hi[d], r) == 1))
-        .collect()
+/// Rewrites `flags` in place, one entry per local atom.
+pub fn interior_flags(x: &[[f64; 3]], nlocal: usize, sub: &Box3, r: f64, flags: &mut Vec<bool>) {
+    flags.clear();
+    flags.extend(
+        x[..nlocal]
+            .iter()
+            .map(|p| (0..3).all(|d| side(p[d], sub.lo[d], sub.hi[d], r) == 1)),
+    );
 }
 
 /// Exact slab test: does the neighbor at `off` (possibly several shells
@@ -239,7 +241,8 @@ mod tests {
             [9.9, 9.9, 9.9],  // corner shell
             [3.0, 3.0, 3.0],  // ghost slot — must be ignored
         ];
-        let flags = interior_flags(&x, 6, &sub, r);
+        let mut flags = vec![false; 9];
+        interior_flags(&x, 6, &sub, r, &mut flags);
         assert_eq!(flags, vec![true, true, false, false, true, false]);
         // Consistency with the bin classifier: interior atoms are exactly
         // the ones the border packer sends nowhere.

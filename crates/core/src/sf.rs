@@ -15,20 +15,20 @@
 //!   neighbor set (13, 26, 62 or 124), `send[k]` toward its opposite, so
 //!   the pairing index is the same on both sides (`peer_index == k`),
 //!   plus the six face edges the staged migration sweeps.
-//! * [`CommGraph::from_rcb`] derives the edge set from a
+//! * [`CommGraph::from_rcb_parts`] derives every part's edge set from a
 //!   recursive-coordinate-bisection decomposition: an edge exists for each
 //!   `(peer, periodic image)` whose box comes within `r_ghost` of mine.
 //!
 //! Determinism contract: edge lists are ordered by `(peer rank, image
-//! vector)`, pairing indices are computed by reconstructing the peer's
-//! edge list with the same pure function, and the lockstep driver
-//! completes receives in edge order — so completion order (and the
-//! virtual clock) is a pure function of the decomposition, never of
-//! thread scheduling.
+//! vector)`, pairing indices are looked up in the peer's list of the one
+//! table a decomposition computes, and the lockstep driver completes
+//! receives in edge order — so completion order (and the virtual clock)
+//! is a pure function of the decomposition, never of thread scheduling.
 
 use crate::border_bin::BorderBins;
 use crate::engine::Op;
 use crate::topo_map::RankMap;
+use std::cell::OnceCell;
 use std::sync::Arc;
 use tofumd_md::domain::{neighbor_offsets, NeighborOffset, RcbDecomposition};
 use tofumd_md::region::Box3;
@@ -111,7 +111,7 @@ enum Topology {
         /// Physical rank of each RCB part. Identity for full-width graphs;
         /// a shrunken recovery graph maps part `p` to the `p`-th survivor,
         /// so `owner_of` keeps answering in physical-rank space.
-        rank_of: Vec<usize>,
+        rank_of: Arc<[usize]>,
     },
 }
 
@@ -141,76 +141,119 @@ pub fn expand(b: &Box3, r: f64) -> Box3 {
     )
 }
 
-/// Volume of the intersection of two boxes (0 when disjoint).
-#[must_use]
-pub fn overlap_volume(a: &Box3, b: &Box3) -> f64 {
-    let mut v = 1.0;
-    for d in 0..3 {
-        let lo = a.lo[d].max(b.lo[d]);
-        let hi = a.hi[d].min(b.hi[d]);
-        if hi <= lo {
-            return 0.0;
+/// A part's `(peer, image)` pairs and migrate partners ([`RcbForest`]).
+type PartPairs = (Vec<(usize, [i32; 3])>, Vec<usize>);
+
+/// One RCB decomposition's star forest, part `p` on rank `rank_of[p]`:
+/// each part's `(peer, image)` pairs — every periodic image of a peer's
+/// box within `r_ghost` of the part's, in `(peer, image)` order — and its
+/// migrate partners (those peers but itself, deduplicated), computed on
+/// first use and kept: a forest computes each part's once, a single graph
+/// only its own and its peers'.
+struct RcbForest<'a> {
+    rcb: &'a Arc<RcbDecomposition>,
+    r_ghost: f64,
+    rank_of: Arc<[usize]>,
+    pairs: Vec<OnceCell<PartPairs>>,
+}
+
+impl<'a> RcbForest<'a> {
+    fn new(rcb: &'a Arc<RcbDecomposition>, r_ghost: f64, rank_of: &[usize]) -> Self {
+        let (n, l) = (rcb.boxes.len(), rcb.global.lengths());
+        assert_eq!(rank_of.len(), n, "rank_of must cover every RCB part");
+        assert!(l.iter().all(|&l| r_ghost < l), "r_ghost spans the box");
+        let (rank_of, pairs) = (rank_of.into(), (0..n).map(|_| OnceCell::new()).collect());
+        RcbForest {
+            rcb,
+            r_ghost,
+            rank_of,
+            pairs,
         }
-        v *= hi - lo;
     }
-    v
-}
 
-/// Do two boxes come strictly within `r` of each other?
-fn within(a: &Box3, b: &Box3, r: f64) -> bool {
-    (0..3).all(|d| a.lo[d] - r < b.hi[d] && b.lo[d] - r < a.hi[d])
-}
-
-/// The 27 periodic image vectors in a fixed lexicographic order.
-fn images() -> impl Iterator<Item = [i32; 3]> {
-    (-1..=1).flat_map(|sx| (-1..=1).flat_map(move |sy| (-1..=1).map(move |sz| [sx, sy, sz])))
-}
-
-/// Receive pairs of `rank` under an RCB decomposition: every
-/// `(peer, image)` whose shifted box comes within `r_ghost` of mine,
-/// ordered by `(peer, image)`. Pure function of the decomposition — both
-/// sides of every edge recompute it to agree on pairing indices.
-fn rcb_recv_pairs(rcb: &RcbDecomposition, rank: usize, r_ghost: f64) -> Vec<(usize, [i32; 3])> {
-    let l = rcb.global.lengths();
-    let mine = rcb.boxes[rank];
-    let mut out = Vec::new();
-    for (peer, pb) in rcb.boxes.iter().enumerate() {
-        for img in images() {
-            if peer == rank && img == [0, 0, 0] {
-                continue;
+    fn pairs(&self, part: usize) -> &PartPairs {
+        self.pairs[part].get_or_init(|| {
+            let (rcb, r, mut pairs) = (self.rcb, self.r_ghost, Vec::new());
+            let (l, me) = (rcb.global.lengths(), rcb.boxes[part]);
+            for (peer, pb) in rcb.boxes.iter().enumerate() {
+                // `within`, an axis at a time: the shifts s along d whose
+                // image of the peer's box comes close enough.
+                let at = |d: usize| {
+                    (-1..=1).filter(move |&s| {
+                        let o = f64::from(s) * l[d];
+                        me.lo[d] - r < pb.hi[d] + o && pb.lo[d] + o - r < me.hi[d]
+                    })
+                };
+                for img in
+                    at(0).flat_map(|x| at(1).flat_map(move |y| at(2).map(move |z| [x, y, z])))
+                {
+                    if peer != part || img != [0; 3] {
+                        pairs.push((peer, img));
+                    }
+                }
             }
-            let shifted = Box3 {
-                lo: [
-                    pb.lo[0] + f64::from(img[0]) * l[0],
-                    pb.lo[1] + f64::from(img[1]) * l[1],
-                    pb.lo[2] + f64::from(img[2]) * l[2],
-                ],
-                hi: [
-                    pb.hi[0] + f64::from(img[0]) * l[0],
-                    pb.hi[1] + f64::from(img[1]) * l[1],
-                    pb.hi[2] + f64::from(img[2]) * l[2],
-                ],
+            let mut peers: Vec<usize> = pairs.iter().map(|&(p, _)| p).collect();
+            peers.dedup();
+            peers.retain(|&p| p != part);
+            (pairs, peers)
+        })
+    }
+
+    /// The graph of `part`: an edge per pair, its pairing index one binary
+    /// search for `(part, -image)` in the peer's pairs, each migrate tag
+    /// one for `part` in the peer's partners.
+    fn graph(&self, part: usize, map: &RankMap) -> CommGraph {
+        let (rcb, rank_of, l) = (self.rcb, &self.rank_of, self.rcb.global.lengths());
+        let shift_of = |img: [i32; 3]| [0, 1, 2].map(|d| f64::from(img[d]) * l[d]);
+        let (pairs, partners) = self.pairs(part);
+        let mut recv = Vec::with_capacity(pairs.len());
+        let mut send = Vec::with_capacity(pairs.len());
+        for &(peer, img) in pairs {
+            // My recv edge mirrors the peer's send edge (part, img), which
+            // sits where its recv edge (part, -img) — my send edge's
+            // mirror — does: one index serves both.
+            let neg = img.map(|s| -s);
+            let Ok(peer_index) = self.pairs(peer).0.binary_search(&(part, neg)) else {
+                panic!("part {peer} is missing the mirror edge {neg:?} of part {part}");
             };
-            if within(&mine, &shifted, r_ghost) {
-                out.push((peer, img));
-            }
+            let (pb, rank, shift) = (rcb.boxes[peer], rank_of[peer], shift_of(img));
+            let mut edge = GraphEdge {
+                offset: NeighborOffset { d: [0; 3] },
+                rank,
+                node: map.node_of(rank),
+                hops: map.hops(rank_of[part], rank),
+                shift,
+                region: Box3 {
+                    lo: [0, 1, 2].map(|d| pb.lo[d] + shift[d]),
+                    hi: [0, 1, 2].map(|d| pb.hi[d] + shift[d]),
+                },
+                peer_index,
+            };
+            // The peer's atoms arrive shifted by +img·L into my frame;
+            // mine leave toward it shifted by -img·L.
+            recv.push(edge);
+            edge.shift = shift_of(neg);
+            send.push(edge);
+        }
+        let tag = |peer: usize| self.pairs(peer).1.binary_search(&part);
+        let migrate = partners.iter().map(|&peer| MigratePeer {
+            rank: rank_of[peer],
+            node: map.node_of(rank_of[peer]),
+            tag_index: tag(peer).unwrap_or(usize::MAX),
+        });
+        CommGraph {
+            me: rank_of[part],
+            sub: rcb.boxes[part],
+            r_ghost: self.r_ghost,
+            recv,
+            send,
+            topology: Topology::Irregular {
+                rcb: rcb.clone(),
+                migrate: migrate.collect(),
+                rank_of: rank_of.clone(),
+            },
         }
     }
-    out.sort_unstable_by_key(|&(p, img)| (p, img));
-    out
-}
-
-/// Migrate partners of `rank`: the deduplicated rank set of its edges
-/// (excluding itself — self-wraps are resolved locally), sorted.
-fn rcb_migrate_ranks(rcb: &RcbDecomposition, rank: usize, r_ghost: f64) -> Vec<usize> {
-    let mut ranks: Vec<usize> = rcb_recv_pairs(rcb, rank, r_ghost)
-        .iter()
-        .map(|&(p, _)| p)
-        .filter(|&p| p != rank)
-        .collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-    ranks
 }
 
 /// Migration peer lists for a decomposition swap. `needs[r]` is the set of
@@ -329,25 +372,27 @@ impl CommGraph {
         plan.0
     }
 
-    /// Build the star forest of `rank` over an RCB decomposition: one edge
-    /// per `(peer, periodic image)` whose box comes within `r_ghost` of
-    /// mine. Pairing indices are cross-computed deterministically, so all
-    /// ranks agree without any negotiation round.
+    /// The star forest of every part of an RCB decomposition, part `p` on
+    /// physical rank `rank_of[p]` (distinct): one edge per `(peer, periodic
+    /// image)` whose box comes within `r_ghost` of the part's. Pairing
+    /// indices and migrate tags are looked up in part space in each part's
+    /// one list of pairs, so all ranks agree without a negotiation round;
+    /// rank and node fields name the physical ranks. Build, rebalance,
+    /// restore and shrinking recovery (over the survivors of a dead rank)
+    /// all come through here.
     #[must_use]
-    pub fn from_rcb(rank: usize, rcb: &Arc<RcbDecomposition>, map: &RankMap, r_ghost: f64) -> Self {
-        let identity: Vec<usize> = (0..rcb.boxes.len()).collect();
-        Self::from_rcb_mapped(rank, rcb, map, r_ghost, &identity)
+    pub fn from_rcb_parts(
+        rcb: &Arc<RcbDecomposition>,
+        map: &RankMap,
+        r_ghost: f64,
+        rank_of: &[usize],
+    ) -> Vec<Self> {
+        let forest = RcbForest::new(rcb, r_ghost, rank_of);
+        (0..rank_of.len()).map(|p| forest.graph(p, map)).collect()
     }
 
-    /// [`CommGraph::from_rcb`] with an explicit part → physical-rank map:
-    /// the graph of *part* `part` whose peers live at `rank_of[p]`. Edge
-    /// lists, pairing indices, and migrate tags are all computed in part
-    /// space (every survivor reconstructs the same lists, so they stay
-    /// cross-consistent), then rank and node fields are remapped so the
-    /// transport addresses real ranks. Shrinking recovery uses this to
-    /// rebuild an N−1 decomposition over the survivors of a dead rank.
-    ///
-    /// `rank_of` must assign each part a distinct physical rank.
+    /// Part `part`'s graph of [`CommGraph::from_rcb_parts`]: only its own
+    /// pairs and its peers' are computed.
     #[must_use]
     pub fn from_rcb_mapped(
         part: usize,
@@ -356,98 +401,14 @@ impl CommGraph {
         r_ghost: f64,
         rank_of: &[usize],
     ) -> Self {
-        assert_eq!(
-            rank_of.len(),
-            rcb.boxes.len(),
-            "rank_of must cover every RCB part"
-        );
-        let rank = part;
-        let l = rcb.global.lengths();
-        let sub = rcb.boxes[rank];
-        assert!(
-            (0..3).all(|d| r_ghost < l[d]),
-            "ghost cutoff must stay below the global box"
-        );
-        let pairs = rcb_recv_pairs(rcb, rank, r_ghost);
-        let shift_of = |img: [i32; 3]| -> [f64; 3] {
-            [
-                f64::from(img[0]) * l[0],
-                f64::from(img[1]) * l[1],
-                f64::from(img[2]) * l[2],
-            ]
-        };
-        let translated = |peer: usize, img: [i32; 3]| -> Box3 {
-            let s = shift_of(img);
-            let pb = rcb.boxes[peer];
-            Box3 {
-                lo: [pb.lo[0] + s[0], pb.lo[1] + s[1], pb.lo[2] + s[2]],
-                hi: [pb.hi[0] + s[0], pb.hi[1] + s[1], pb.hi[2] + s[2]],
-            }
-        };
-        let index_in = |peer: usize, target: (usize, [i32; 3])| -> usize {
-            rcb_recv_pairs(rcb, peer, r_ghost)
-                .iter()
-                .position(|&p| p == target)
-                .unwrap_or_else(|| {
-                    // Mirror-edge existence is a theorem of the symmetric
-                    // `within` test; failure means the decomposition is
-                    // inconsistent across ranks.
-                    panic!("rank {peer} is missing the mirror edge {target:?} of rank {rank}")
-                })
-        };
-        let mut recv = Vec::with_capacity(pairs.len());
-        let mut send = Vec::with_capacity(pairs.len());
-        for &(peer, img) in &pairs {
-            let node = map.node_of(rank_of[peer]);
-            let hops = map.hops(rank_of[rank], rank_of[peer]);
-            let neg = [-img[0], -img[1], -img[2]];
-            // recv[k]: the peer's atoms arrive shifted by +img·L into my
-            // frame. Mirrors the peer's send edge (me, img), which sits
-            // where (me, -img) sits in the peer's recv list.
-            recv.push(GraphEdge {
-                offset: NeighborOffset { d: [0; 3] },
-                rank: rank_of[peer],
-                node,
-                hops,
-                shift: shift_of(img),
-                region: translated(peer, img),
-                peer_index: index_in(peer, (rank, neg)),
-            });
-            // send[k]: I ship my atoms shifted by -img·L toward the peer.
-            // Mirrors the peer's recv edge (me, -img).
-            send.push(GraphEdge {
-                offset: NeighborOffset { d: [0; 3] },
-                rank: rank_of[peer],
-                node,
-                hops,
-                shift: shift_of(neg),
-                region: translated(peer, img),
-                peer_index: index_in(peer, (rank, neg)),
-            });
-        }
-        let migrate = rcb_migrate_ranks(rcb, rank, r_ghost)
-            .into_iter()
-            .map(|peer| MigratePeer {
-                rank: rank_of[peer],
-                node: map.node_of(rank_of[peer]),
-                tag_index: rcb_migrate_ranks(rcb, peer, r_ghost)
-                    .iter()
-                    .position(|&p| p == rank)
-                    .unwrap_or(usize::MAX),
-            })
-            .collect();
-        CommGraph {
-            me: rank_of[rank],
-            sub,
-            r_ghost,
-            recv,
-            send,
-            topology: Topology::Irregular {
-                rcb: rcb.clone(),
-                migrate,
-                rank_of: rank_of.to_vec(),
-            },
-        }
+        RcbForest::new(rcb, r_ghost, rank_of).graph(part, map)
+    }
+
+    /// [`CommGraph::from_rcb_mapped`] with every part on its own rank.
+    #[must_use]
+    pub fn from_rcb(rank: usize, rcb: &Arc<RcbDecomposition>, map: &RankMap, r_ghost: f64) -> Self {
+        let identity: Vec<usize> = (0..rcb.boxes.len()).collect();
+        Self::from_rcb_mapped(rank, rcb, map, r_ghost, &identity)
     }
 
     /// Replace the migrate-peer list (irregular graphs only). A mid-run
@@ -563,8 +524,8 @@ impl CommGraph {
     }
 
     /// Build the border-atom selector for this graph's send edges: the
-    /// O(1) bin table (or exact slab test) on grid graphs, the per-edge
-    /// expanded-region test on irregular graphs.
+    /// O(1) bin table (or exact slab test) on grid graphs, the expanded
+    /// regions' slab bit sets on irregular graphs.
     #[must_use]
     pub fn selector(&self) -> SendSelector {
         match &self.topology {
@@ -572,12 +533,14 @@ impl CommGraph {
                 let offsets: Vec<_> = self.send.iter().map(|e| e.offset).collect();
                 SendSelector::Grid(BorderBins::new(self.sub, self.r_ghost, &offsets))
             }
-            Topology::Irregular { .. } => SendSelector::Regions(
-                self.send
+            Topology::Irregular { .. } => {
+                let regions: Vec<Box3> = self
+                    .send
                     .iter()
                     .map(|e| expand(&e.region, self.r_ghost))
-                    .collect(),
-            ),
+                    .collect();
+                SendSelector::Regions(RegionSlabs::new(&regions))
+            }
         }
     }
 
@@ -610,21 +573,12 @@ impl CommGraph {
         (2.0 * density * self.slab_volume(offset)).ceil() as usize + 8
     }
 
-    /// Total expected ghost atoms received per exchange.
+    /// Total expected ghost atoms received per exchange (grid graphs
+    /// only, like the uTofu engine that sizes its x-region by it).
     #[must_use]
     pub fn total_ghost_estimate(&self, density: f64) -> f64 {
-        match &self.topology {
-            Topology::Grid { .. } => self
-                .recv
-                .iter()
-                .map(|e| density * self.slab_volume(e.offset))
-                .sum(),
-            Topology::Irregular { .. } => self
-                .recv
-                .iter()
-                .map(|e| density * overlap_volume(&expand(&self.sub, self.r_ghost), &e.region))
-                .sum(),
-        }
+        let slab = |e: &GraphEdge| density * self.slab_volume(e.offset);
+        self.recv.iter().map(slab).sum()
     }
 
     /// A [`FaultRule`] addressing one send edge of this graph: faults keyed
@@ -671,7 +625,47 @@ pub enum SendSelector {
     Grid(BorderBins),
     /// Irregular graphs: one expanded peer region per send edge, already
     /// translated into my frame.
-    Regions(Vec<Box3>),
+    Regions(RegionSlabs),
+}
+
+/// Which of a set of boxes hold a point, as per-axis slab bit sets: the
+/// sorted faces of the boxes cut each axis into slabs, and each axis holds
+/// its cuts and, `words` u64s per slab, bit k set where box k spans that
+/// slab. A point's boxes are the AND of its three slabs' sets, in
+/// ascending order — [`Box3::contains`]'s half-open verdicts (NaN in no
+/// box) at one binary search per axis.
+#[derive(Debug, Clone)]
+pub struct RegionSlabs {
+    axes: [(Vec<f64>, Vec<u64>); 3],
+    words: usize,
+}
+
+impl RegionSlabs {
+    fn new(boxes: &[Box3]) -> Self {
+        let words = boxes.len().div_ceil(64);
+        let axis = |d: usize| {
+            // A box empty (or NaN) along d spans no slab of it.
+            let spans = boxes.iter().enumerate().filter(|(_, b)| b.lo[d] < b.hi[d]);
+            let mut cuts = Vec::new();
+            for (_, b) in spans.clone() {
+                cuts.extend([b.lo[d], b.hi[d]]);
+            }
+            cuts.sort_by(f64::total_cmp);
+            cuts.dedup();
+            // Slab s is [cuts[s - 1], cuts[s]): a box from cuts[a] to
+            // cuts[b] spans slabs a + 1 ..= b.
+            let mut cover = vec![0; (cuts.len() + 1) * words];
+            for (k, b) in spans {
+                let at = |v: f64| cuts.partition_point(|&c| c < v);
+                for s in at(b.lo[d]) + 1..=at(b.hi[d]) {
+                    cover[s * words + k / 64] |= 1 << (k % 64);
+                }
+            }
+            (cuts, cover)
+        };
+        let axes = [0, 1, 2].map(axis);
+        RegionSlabs { axes, words }
+    }
 }
 
 impl SendSelector {
@@ -680,22 +674,21 @@ impl SendSelector {
     pub fn for_each_target(&self, x: &[f64; 3], mut f: impl FnMut(u16)) {
         match self {
             SendSelector::Grid(bins) => bins.for_each_target(x, f),
-            SendSelector::Regions(regions) => {
-                for (k, r) in regions.iter().enumerate() {
-                    if r.contains(x) {
-                        f(k as u16);
+            SendSelector::Regions(RegionSlabs { axes, words }) => {
+                let slab = |d: usize| {
+                    let (cuts, cover) = &axes[d];
+                    &cover[cuts.partition_point(|&c| c <= x[d]) * words..]
+                };
+                let [a, b, c] = [0, 1, 2].map(slab);
+                for w in 0..*words {
+                    let mut bits = a[w] & b[w] & c[w];
+                    while bits != 0 {
+                        f((w * 64 + bits.trailing_zeros() as usize) as u16);
+                        bits &= bits - 1;
                     }
                 }
             }
         }
-    }
-
-    /// Collected targets of an atom (convenience for tests).
-    #[must_use]
-    pub fn targets_of(&self, x: &[f64; 3]) -> Vec<u16> {
-        let mut out = Vec::new();
-        self.for_each_target(x, |k| out.push(k));
-        out
     }
 }
 
@@ -703,6 +696,7 @@ impl SendSelector {
 mod tests {
     use super::*;
     use crate::topo_map::Placement;
+    use proptest::prelude::*;
     use tofumd_tofu::CellGrid;
 
     fn grid_setup() -> (RankMap, Box3) {
@@ -715,6 +709,13 @@ mod tests {
             10.0 * f64::from(rg[2]),
         ]);
         (map, global)
+    }
+
+    /// The send edges `sel` picks for an atom at `x`, in visiting order.
+    fn targets(sel: &SendSelector, x: &[f64; 3]) -> Vec<u16> {
+        let mut out = Vec::new();
+        sel.for_each_target(x, |k| out.push(k));
+        out
     }
 
     fn grid_graph(rank: usize, cfg: PlanConfig) -> CommGraph {
@@ -1146,7 +1147,7 @@ mod tests {
                     .filter(|(_, e)| expand(&e.region, r).contains(p))
                     .map(|(k, _)| k as u16)
                     .collect();
-                assert_eq!(sel.targets_of(p), want, "atom {p:?} on rank {rank}");
+                assert_eq!(targets(&sel, p), want, "atom {p:?} on rank {rank}");
             }
         }
     }
@@ -1190,12 +1191,269 @@ mod tests {
         assert_eq!(rule2.dst, Some(g2.send[3].node as u32));
     }
 
+    /// The 27 periodic image vectors in a fixed lexicographic order.
+    fn images() -> impl Iterator<Item = [i32; 3]> {
+        (-1..=1).flat_map(|sx| (-1..=1).flat_map(move |sy| (-1..=1).map(move |sz| [sx, sy, sz])))
+    }
+
+    /// Do two boxes come strictly within `r` of each other?
+    fn within(a: &Box3, b: &Box3, r: f64) -> bool {
+        (0..3).all(|d| a.lo[d] - r < b.hi[d] && b.lo[d] - r < a.hi[d])
+    }
+
+    /// The oracle's receive pairs of `rank`: every `(peer, image)` whose
+    /// shifted box comes within `r_ghost` of mine, by a scan of all 27
+    /// images of every peer, then sorted.
+    fn oracle_pairs(rcb: &RcbDecomposition, rank: usize, r_ghost: f64) -> Vec<(usize, [i32; 3])> {
+        let l = rcb.global.lengths();
+        let mine = rcb.boxes[rank];
+        let mut out = Vec::new();
+        for (peer, pb) in rcb.boxes.iter().enumerate() {
+            for img in images() {
+                if peer == rank && img == [0, 0, 0] {
+                    continue;
+                }
+                let s = [0, 1, 2].map(|d| f64::from(img[d]) * l[d]);
+                let shifted = Box3 {
+                    lo: [pb.lo[0] + s[0], pb.lo[1] + s[1], pb.lo[2] + s[2]],
+                    hi: [pb.hi[0] + s[0], pb.hi[1] + s[1], pb.hi[2] + s[2]],
+                };
+                if within(&mine, &shifted, r_ghost) {
+                    out.push((peer, img));
+                }
+            }
+        }
+        out.sort_unstable_by_key(|&(p, img)| (p, img));
+        out
+    }
+
+    /// The oracle's migrate partners: the deduplicated peers of `pairs`
+    /// but `rank` itself, sorted.
+    fn oracle_migrate(pairs: &[(usize, [i32; 3])], rank: usize) -> Vec<usize> {
+        let mut ranks: Vec<usize> = pairs
+            .iter()
+            .map(|&(p, _)| p)
+            .filter(|&p| p != rank)
+            .collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        ranks
+    }
+
+    /// Part `part`'s recv edges, send edges and migrate peers built one
+    /// part at a time: every pairing index and migrate tag found by a
+    /// linear search of the peer's re-derived lists (`all` holds
+    /// `oracle_pairs` of every part).
+    fn oracle_graph(
+        part: usize,
+        rcb: &RcbDecomposition,
+        all: &[Vec<(usize, [i32; 3])>],
+        map: &RankMap,
+        rank_of: &[usize],
+    ) -> (Vec<GraphEdge>, Vec<GraphEdge>, Vec<MigratePeer>) {
+        let l = rcb.global.lengths();
+        let shift_of = |img: [i32; 3]| -> [f64; 3] {
+            [
+                f64::from(img[0]) * l[0],
+                f64::from(img[1]) * l[1],
+                f64::from(img[2]) * l[2],
+            ]
+        };
+        let translated = |peer: usize, img: [i32; 3]| -> Box3 {
+            let s = shift_of(img);
+            let pb = rcb.boxes[peer];
+            Box3 {
+                lo: [pb.lo[0] + s[0], pb.lo[1] + s[1], pb.lo[2] + s[2]],
+                hi: [pb.hi[0] + s[0], pb.hi[1] + s[1], pb.hi[2] + s[2]],
+            }
+        };
+        let index_in = |peer: usize, target: (usize, [i32; 3])| -> usize {
+            all[peer]
+                .iter()
+                .position(|&p| p == target)
+                .expect("mirror edge")
+        };
+        let (mut recv, mut send) = (Vec::new(), Vec::new());
+        for &(peer, img) in &all[part] {
+            let node = map.node_of(rank_of[peer]);
+            let hops = map.hops(rank_of[part], rank_of[peer]);
+            let neg = [-img[0], -img[1], -img[2]];
+            recv.push(GraphEdge {
+                offset: NeighborOffset { d: [0; 3] },
+                rank: rank_of[peer],
+                node,
+                hops,
+                shift: shift_of(img),
+                region: translated(peer, img),
+                peer_index: index_in(peer, (part, neg)),
+            });
+            send.push(GraphEdge {
+                offset: NeighborOffset { d: [0; 3] },
+                rank: rank_of[peer],
+                node,
+                hops,
+                shift: shift_of(neg),
+                region: translated(peer, img),
+                peer_index: index_in(peer, (part, neg)),
+            });
+        }
+        let migrate = oracle_migrate(&all[part], part)
+            .into_iter()
+            .map(|peer| MigratePeer {
+                rank: rank_of[peer],
+                node: map.node_of(rank_of[peer]),
+                tag_index: oracle_migrate(&all[peer], peer)
+                    .iter()
+                    .position(|&p| p == part)
+                    .unwrap_or(usize::MAX),
+            })
+            .collect();
+        (recv, send, migrate)
+    }
+
+    /// `n` points in `global`: uniform, or tied to a coarse lattice whose
+    /// planes RCB cuts then fall on, so neighboring boxes share faces
+    /// bit for bit.
+    fn scatter(n: usize, global: &Box3, seed: u64, lattice: bool) -> Vec<[f64; 3]> {
+        let l = global.lengths();
+        (0..n as u64)
+            .map(|i| {
+                let h = (i ^ seed.rotate_left(17)).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed;
+                let h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let u = |s: u32| ((h >> s) & 0xffff) as f64 / 65536.0;
+                [0, 1, 2].map(|d| {
+                    let f = if lattice {
+                        (u(16 * d as u32) * 8.0).floor() / 8.0
+                    } else {
+                        u(16 * d as u32)
+                    };
+                    global.lo[d] + f * l[d]
+                })
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every field of every edge and migrate peer of every part, on
+        /// the full rank set and on one with a rank gone, is the oracle's,
+        /// bit for bit (`{:?}` prints each f64 so that it reads back to
+        /// the same bits); one part alone through `from_rcb_mapped` too.
+        #[test]
+        fn rcb_forest_matches_the_per_part_oracle(
+            nparts in 2usize..65,
+            seed in any::<u64>(),
+            lattice in any::<bool>(),
+            reach in 0.1f64..0.9,
+            dead in 0usize..66,
+        ) {
+            let map = RankMap::new(CellGrid::new([2, 1, 1]), Placement::TopoAware);
+            let global = Box3::new([-3.5, 1.25, 0.0], [16.5, 17.25, 12.0]);
+            let pts = scatter(12 * nparts, &global, seed, lattice);
+            let rcb = Arc::new(RcbDecomposition::build(nparts, &pts, &global));
+            // Up to 0.9 of the shortest axis: deep into periodic images.
+            let r_ghost = reach * 12.0;
+            let all: Vec<_> = (0..nparts).map(|p| oracle_pairs(&rcb, p, r_ghost)).collect();
+            let identity: Vec<usize> = (0..nparts).collect();
+            let shrunk: Vec<usize> = (0..=nparts).filter(|&r| r != dead % (nparts + 1)).collect();
+            for rank_of in [identity, shrunk] {
+                let forest = CommGraph::from_rcb_parts(&rcb, &map, r_ghost, &rank_of);
+                prop_assert_eq!(forest.len(), nparts);
+                for (part, g) in forest.iter().enumerate() {
+                    let want = oracle_graph(part, &rcb, &all, &map, &rank_of);
+                    let got = (g.recv.clone(), g.send.clone(), g.migrate_peers().to_vec());
+                    prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "part {}", part);
+                    prop_assert_eq!(g.me, rank_of[part]);
+                }
+                let part = seed as usize % nparts;
+                let one = CommGraph::from_rcb_mapped(part, &rcb, &map, r_ghost, &rank_of);
+                prop_assert_eq!(format!("{:?}", one.recv), format!("{:?}", forest[part].recv));
+                prop_assert_eq!(format!("{:?}", one.send), format!("{:?}", forest[part].send));
+                prop_assert_eq!(one.migrate_peers(), forest[part].migrate_peers());
+            }
+        }
+
+        /// The slab bit sets pick the boxes `Box3::contains` picks, in
+        /// ascending order: at random points, on every face, one ulp either
+        /// side of it, and at NaN — over up to 150 boxes (three words),
+        /// some sharing faces, some empty along an axis.
+        #[test]
+        fn region_slabs_match_the_per_region_test(
+            boxes in prop::collection::vec(
+                (prop::array::uniform3(0u8..12), prop::array::uniform3(0u8..6), prop::array::uniform3(-1.0f64..1.0)),
+                1..150,
+            ),
+            probes in prop::collection::vec(prop::array::uniform3(-2.0f64..14.0), 16),
+        ) {
+            // Faces on a half-unit lattice (ties) or off it by a random
+            // fraction; a zero extent leaves the box empty along that axis.
+            let boxes: Vec<Box3> = boxes
+                .iter()
+                .map(|(lo, ext, jitter)| {
+                    let lo = [0, 1, 2].map(|d| f64::from(lo[d]) * 0.5 + if jitter[d] > 0.5 { jitter[d] } else { 0.0 });
+                    Box3 { lo, hi: [0, 1, 2].map(|d| lo[d] + f64::from(ext[d])) }
+                })
+                .collect();
+            let sel = SendSelector::Regions(RegionSlabs::new(&boxes));
+            let check = |x: [f64; 3]| {
+                let want: Vec<u16> = (0..boxes.len())
+                    .filter(|&k| boxes[k].contains(&x))
+                    .map(|k| k as u16)
+                    .collect();
+                assert_eq!(targets(&sel, &x), want, "at {x:?}");
+            };
+            let mut faces: Vec<f64> = boxes.iter().flat_map(|b| b.lo.into_iter().chain(b.hi)).collect();
+            faces.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0]);
+            for (i, p) in probes.iter().enumerate() {
+                check(*p);
+                for d in 0..3 {
+                    for &f in faces.iter().skip(i).step_by(16) {
+                        for v in [f, f.next_up(), f.next_down()] {
+                            let mut x = *p;
+                            x[d] = v;
+                            check(x);
+                        }
+                    }
+                }
+            }
+            check([f64::NAN; 3]);
+        }
+    }
+
     #[test]
-    fn overlap_volume_basics() {
-        let a = Box3::from_lengths([2.0; 3]);
-        let b = Box3::new([1.0, 0.0, 0.0], [3.0, 2.0, 2.0]);
-        assert!((overlap_volume(&a, &b) - 4.0).abs() < 1e-12);
-        let c = Box3::new([5.0; 3], [6.0; 3]);
-        assert_eq!(overlap_volume(&a, &c), 0.0);
+    fn a_384_part_forest_pairs_every_edge_with_its_mirror() {
+        // The paper-scale RCB cut: 384 parts of a ramped scatter. Every
+        // edge's `peer_index` names the peer's edge that points back at
+        // me, under the same pairing index, carrying the same shift (the
+        // one my atoms take toward it), the opposite of the shift its own
+        // atoms take toward me.
+        let map = RankMap::new(CellGrid::new([2, 2, 2]), Placement::TopoAware);
+        let global = Box3::from_lengths([64.0, 48.0, 40.0]);
+        let pts: Vec<[f64; 3]> = scatter(20_000, &global, 7, false)
+            .into_iter()
+            .filter(|p| (p[0] * 31.0).fract() < 1.0 - 0.6 * p[0] / 64.0)
+            .collect();
+        let rcb = Arc::new(RcbDecomposition::build(384, &pts, &global));
+        let identity: Vec<usize> = (0..384).collect();
+        let graphs = CommGraph::from_rcb_parts(&rcb, &map, 2.8, &identity);
+        let mut edges = 0;
+        for g in &graphs {
+            assert!(!g.send.is_empty());
+            for (k, (r, s)) in g.recv.iter().zip(&g.send).enumerate() {
+                let back = &graphs[s.rank].recv[s.peer_index];
+                assert_eq!((back.rank, back.peer_index), (g.me, k), "recv mirror");
+                assert_eq!(back.shift, s.shift);
+                let out = &graphs[r.rank].send[r.peer_index];
+                assert_eq!((out.rank, out.peer_index), (g.me, k), "send mirror");
+                assert_eq!(out.shift, r.shift);
+                assert_eq!(r.shift.map(|v| -v), s.shift);
+                edges += 1;
+            }
+            for p in g.migrate_peers() {
+                assert_eq!(graphs[p.rank].migrate_peers()[p.tag_index].rank, g.me);
+            }
+        }
+        assert!(edges > 384 * 13, "{edges} edges");
     }
 }

@@ -17,7 +17,7 @@
 //! Set up once, then post. The setup-stage address exchange (§3.4, Fig.
 //! 10: "all the registered addresses of receive buffers and atom position
 //! arrays are sent to neighbors") is modeled by a shared [`AddressBook`],
-//! read exactly once per out-edge into a [`Channel`] — the whole put
+//! read exactly once per out-edge into a `Channel` — the whole put
 //! descriptor but the payload. Each Border then fixes the comm-thread lanes
 //! and the landing offsets until the next one, so a steady-state ghost op
 //! is "frame in place, put" and "take, dedupe, unpack in place": no lookup,
@@ -26,7 +26,7 @@
 //! One send and one receive routine, [`GhostEngine::post`] and
 //! [`GhostEngine::complete`], walk [`Pattern::hop`] for every round. Where
 //! a round that spans every graph edge and a face round are charged
-//! differently, the difference is a field of the round's [`RoundShape`].
+//! differently, the difference is a field of the round's `RoundShape`.
 //! Every message streams from the ghost layout, framed in place into a
 //! registered send region and put from there; every arrival is delivered
 //! from the bytes it landed in. A ghost op is zero-copy (`bytes_copied`
@@ -89,7 +89,7 @@ type AddrKey = (u32, BufKind, u16, u8);
 
 /// Shared registry of every rank's registered buffer addresses — the
 /// simulated setup-stage address exchange, and nothing more: written at
-/// registration, read once per out-edge when a [`Channel`] is resolved,
+/// registration, read once per out-edge when a `Channel` is resolved,
 /// and kept current by the growth handshake. No post consults it.
 #[derive(Default)]
 pub struct AddressBook {

@@ -1,5 +1,5 @@
-//! The steady-state ghost ops and Border allocate nothing on uTofu, and
-//! next to nothing on MPI.
+//! The steady-state ghost ops, Border and Exchange allocate nothing on
+//! either transport.
 //!
 //! Channels are resolved at the first post and the per-op plans at Border;
 //! after that a Forward / Reverse / ForwardScalar / ReverseScalar round —
@@ -11,11 +11,10 @@
 //! plans rebuilt into their own vectors. A counting global allocator holds
 //! the uTofu engine to that: zero allocations per round under
 //! pre-registration, and without it only in rounds that grew a buffer.
-//! The MPI engine hands each hop a send buffer (one vector per rank and
-//! round) and delivers each message from the mailbox bytes it landed in.
+//! The MPI engine writes every hop through its driver thread's one send
+//! buffer and delivers each message from the mailbox bytes it landed in.
 //! Exchange is a send-list op like Border: warmed rounds that carry atoms
-//! across a face and back allocate nothing on uTofu and the round's send
-//! vector on MPI.
+//! across a face and back allocate nothing on either transport.
 //!
 //! One `#[test]` only: the counter is per thread, but the fixture is not
 //! cheap and the configurations share it.
@@ -377,8 +376,9 @@ fn steady_state_ghost_ops_do_not_allocate() {
     mpi_steady("p2p on rcb", &mut f);
 }
 
-/// Warm `f` up, then hold each MPI op to its allocation budget per rank
-/// and round: one for a ghost op (its send vector), two for Border.
+/// Warm `f` up, then hold each MPI op to no allocation per rank and
+/// round (one for a ghost op and two for Border while every post
+/// allocated its send vector).
 fn mpi_steady(label: &str, f: &mut Fixture<MpiEngine>) {
     for _ in 0..2 {
         border(f);
@@ -389,14 +389,14 @@ fn mpi_steady(label: &str, f: &mut Fixture<MpiEngine>) {
     assert!(f.states.iter().all(|st| st.atoms.nghost() > 0), "{label}");
     for r in 0..5 {
         let border = per_rank_round(f, Op::Border);
-        assert!(border <= 2.0, "{label} Border, step {r}: {border} per rank");
+        assert_eq!(border, 0.0, "{label} Border, step {r}: per rank");
         for op in GHOST_OPS {
             let got = per_rank_round(f, op);
-            assert!(got <= 1.0, "{label} {op:?}, step {r}: {got} per rank");
+            assert_eq!(got, 0.0, "{label} {op:?}, step {r}: per rank");
         }
     }
     let exchange = exchange_rounds(f);
-    assert!(exchange <= 1.0, "{label} Exchange: {exchange} per rank");
+    assert_eq!(exchange, 0.0, "{label} Exchange: per rank");
 }
 
 /// Move every rank's locals that sit within 1.0 of its low x face (`down`)

@@ -217,7 +217,8 @@ impl RcbDecomposition {
         let mut best: Option<(f64, f64, usize, f64)> = None; // (err, -len, dim, cut)
         for d in 0..3 {
             let mut coords: Vec<f64> = slice.iter().map(|p| p[d]).collect();
-            coords.sort_by(f64::total_cmp);
+            // `total_cmp` ties are equal bits: any sort gives this array.
+            coords.sort_unstable_by(f64::total_cmp);
             for m in 1..npts {
                 if coords[m] > coords[m - 1] {
                     let err = (m as f64 - target).abs();

@@ -4,14 +4,14 @@
 //! specific order — rows ascending, pairs in neighbor order, the row's own
 //! share at row end — and this codebase promises those bits at any
 //! `--threads`. Each pass therefore has ONE blocked row body that writes
-//! through a [`Sink`], and the executor a rank is handed picks the sink:
+//! through a `Sink`, and the executor a rank is handed picks the sink:
 //!
-//! * **[`Direct`]** — a rank visited by one worker ([`ChunkExec::Serial`]:
+//! * **`Direct`** — a rank visited by one worker ([`ChunkExec::Serial`]:
 //!   every run with `threads ≤ nodes`) walks its rows ascending and adds
 //!   straight into `f` / `rho` and a running energy/virial. That *is* the
 //!   serial oracle's order, so there is nothing to reorder and nothing is
 //!   logged.
-//! * **[`RowLog`]** — a rank several workers share ([`ChunkExec::Pool`]:
+//! * **`RowLog`** — a rank several workers share ([`ChunkExec::Pool`]:
 //!   `threads > nodes`) splits its rows into fixed-size chunks that run
 //!   concurrently. Per-thread partial sums would change the addition
 //!   order, so a chunk *logs* the updates its rows would perform and the
@@ -237,7 +237,7 @@ impl Sink for RowLog {
     }
 }
 
-/// The scatter log of a rank that several workers share: one [`RowLog`]
+/// The scatter log of a rank that several workers share: one `RowLog`
 /// per row chunk, retained across passes and ranks so steady-state runs
 /// don't allocate. A rank one worker owns never touches it.
 #[derive(Debug, Default)]

@@ -8,7 +8,7 @@
 //! (Table 3): Pair, Neigh, Comm, Modify, Other.
 //!
 //! `Cluster` is a thin façade: each timestep executes the
-//! [`Phase`](crate::driver::Phase)s of [`crate::driver`]'s step DAG, per-rank
+//! [`Phase`]s of [`crate::driver`]'s step DAG, per-rank
 //! compute lives in [`crate::physics`], and virtual-time bookkeeping in
 //! [`crate::accounting`]. Host parallelism comes from the driver's
 //! node-aligned [`Team`] on the spin pool — bit-identical results at any
@@ -634,7 +634,7 @@ impl Cluster {
     /// Advance one timestep: the integrate + reneighbor-check prefix,
     /// then — the verdict shapes it — the [`step_plan`] in order,
     /// overlapping halo ops with interior compute where
-    /// [`Cluster::overlap_eligible`] allows. Physics is bit-identical
+    /// `Cluster::overlap_eligible` allows. Physics is bit-identical
     /// between the plan's two shapes. If any engine exhausted its put retry
     /// budget during the step, the whole cluster demotes to the MPI
     /// 3-stage reference before the next step.

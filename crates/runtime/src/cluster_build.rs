@@ -259,9 +259,13 @@ impl Cluster {
             .map_or(auto_shells, |s| s.max(auto_shells));
         let half = self.cfg.newton_half();
         let live = self.survivors();
-        let graph = |rank| match (rcb, live.binary_search(&rank)) {
-            (Some(rcb), Ok(part)) => CommGraph::from_rcb_mapped(part, rcb, map, r_ghost, &live),
-            _ => CommGraph::grid(rank, map, global, r_ghost, PlanConfig { shells, half }),
+        let forest = rcb.map(|rcb| CommGraph::from_rcb_parts(rcb, map, r_ghost, &live));
+        let mut parts = forest.unwrap_or_default().into_iter();
+        let graph = |rank| {
+            let part = live.binary_search(&rank).ok().and_then(|_| parts.next());
+            part.unwrap_or_else(|| {
+                CommGraph::grid(rank, map, global, r_ghost, PlanConfig { shells, half })
+            })
         };
         (0..map.nranks()).map(graph).collect()
     }

@@ -1,7 +1,7 @@
 //! The per-rank compute kernels of a timestep — neighbor rebuilds, pair
 //! passes (including the EAM two-pass pipeline) and NVE integration —
 //! extracted from the `Cluster` monolith and fanned out over the
-//! [`Team`](crate::driver::Team).
+//! [`Team`].
 //!
 //! Every function here is a pure per-rank map: rank `r` touches only
 //! `lanes[r]` / `states[r]` plus shared read-only context, so the team
@@ -398,12 +398,10 @@ impl Split<'_> {
 /// flight. Charges the interior share of Neigh.
 fn build_interior_list(ctx: &Ctx, lane: &mut Lane, st: &mut RankState, exec: &ChunkExec<'_>) {
     let (lo, hi) = ghost_box(st);
-    let geo = border_bin::interior_flags(
-        &st.atoms.x,
-        st.atoms.nlocal,
-        &st.graph.sub,
-        classify_radius(ctx),
-    );
+    // The last epoch's flags are rewritten in place.
+    let mut geo = lane.part.take().map(|p| p.geo).unwrap_or_default();
+    let (x, nlocal, sub) = (&st.atoms.x, st.atoms.nlocal, &st.graph.sub);
+    border_bin::interior_flags(x, nlocal, sub, classify_radius(ctx), &mut geo);
     let (kind, cutoff_list) = (ctx.list_kind, ctx.cutoff + ctx.skin);
     let mut list = lane
         .list

@@ -32,7 +32,7 @@ pub struct NetParams {
     /// CPU time to post one MPI message: fragmentation, tag generation,
     /// matching bookkeeping ("heavy software stack, such as message
     /// fragmentation and tag-matching", §3.2). Order 1-2 us per Zambre et
-    /// al. [33].
+    /// al. \[33\].
     pub cpu_per_put_mpi: f64,
     /// Receiver-side CPU cost per matched MPI message (tag matching +
     /// unexpected-queue handling).

@@ -1,11 +1,11 @@
 //! Integration: what a timestep allocates. A forward step re-uses every
-//! buffer the last rebuild sized; a rebuild step allocates for the
-//! geometric interior flags and for high-water growth (registered backing,
-//! the neighbor list's pages) — not per list row or bin, nor per halo edge,
-//! message or record: Border and Exchange stream their records from the
-//! send lists into the transport's buffer and from the landed bytes into
-//! the atoms on both transports.
-//! The MPI lanes pay one send vector per rank and op round.
+//! buffer the last rebuild sized; a rebuild step allocates for high-water
+//! growth (registered backing, the neighbor list's pages) — not for the
+//! geometric interior flags, which rewrite the last epoch's in place, nor
+//! per list row or bin, nor per halo edge, message or record: Border and
+//! Exchange stream their records from the send lists into the transport's
+//! buffer and from the landed bytes into the atoms on both transports.
+//! The MPI lanes reuse one send buffer per driver thread.
 //!
 //! A counting global allocator counts allocation calls — numbers that
 //! repeat exactly for a seed, on any host. One driver thread, so no pool
@@ -56,14 +56,14 @@ fn steps_allocate_within_budget() {
     // whose receive slots back a little more.
     let worst = fwd.iter().max().copied().unwrap_or(0);
     assert!(worst <= n, "lj-strong forward step: {worst} allocations");
-    // Today 275 and 281, 3 per rank, since the neighbor list rewrites its
-    // pages in place and the bins and the sort's scratch are one set per
-    // driver thread (4 711 and 4 723 while every build allocated its bins,
-    // rows and CSR copy; 5 260 while Exchange packed its emigrants into
-    // vectors, 29 900 before Border streamed); the budget leaves 3 per
-    // rank of headroom.
+    // Today 179 and 185, 2 per rank, since the interior flags rewrite
+    // the last epoch's vector in place (275 and 281 while they allocated
+    // one per rank; 4 711 and 4 723 while every list build allocated its
+    // bins, rows and CSR copy; 5 260 while Exchange packed its emigrants
+    // into vectors, 29 900 before Border streamed); the budget leaves
+    // about 1 per rank of headroom.
     for (i, &a) in rebuild.iter().enumerate() {
-        assert!(a <= 6 * n, "lj-strong rebuild {i}: {a} allocations");
+        assert!(a <= 3 * n, "lj-strong rebuild {i}: {a} allocations");
     }
     drop(c);
 
@@ -80,14 +80,17 @@ fn steps_allocate_within_budget() {
     let mut c = Cluster::new([2, 3, 2], cfg, CommVariant::MpiP2p);
     let n = c.nranks();
     let (fwd, rebuild) = per_step(&mut c, 202);
-    // Today 97: one send vector per rank and round, plus the step plan
-    // (10 215 when every message was copied out and decoded).
+    // Today 1, the step plan, since the MPI lanes reuse one send buffer
+    // per driver thread (97 while every post allocated a send vector, one
+    // per rank and round; 10 215 when every message was copied out and
+    // decoded); the budget leaves 3 of headroom.
     let worst = fwd.iter().max().copied().unwrap_or(0);
-    assert!(worst <= 2 * n * 2, "rcb forward step: {worst} allocations");
-    // Today 247 and 247, 5 per rank (2 999 and 3 001 while every list
-    // build allocated, 3 589 while Exchange packed, 33 000 before Border
-    // streamed); the budget leaves 3 per rank of headroom.
+    assert!(worst <= 4, "rcb forward step: {worst} allocations");
+    // Today 55 and 56, about 1 per rank (247 and 247 while the send
+    // vectors and interior flags allocated; 2 999 and 3 001 while every
+    // list build allocated, 3 589 while Exchange packed, 33 000 before
+    // Border streamed); the budget leaves about 1 per rank of headroom.
     for (i, &a) in rebuild.iter().enumerate() {
-        assert!(a <= 8 * n, "rcb rebuild {i}: {a} allocations");
+        assert!(a <= 2 * n, "rcb rebuild {i}: {a} allocations");
     }
 }
