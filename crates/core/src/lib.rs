@@ -20,7 +20,9 @@
 //!   forward writes into the remote position array, ghost-offset
 //!   piggybacking and 4 round-robin receive buffers ([`UtofuConfig::pool6`]),
 //! * the auxiliary optimizations: **message combine** ([`wire`]), **border
-//!   bins** ([`border_bin`]) and the **topology map** ([`topo_map`]).
+//!   bins** ([`SendSelector`]: per-axis slab bit sets over each send edge's
+//!   grown peer region, on every graph) and the **topology map**
+//!   ([`topo_map`]).
 //!
 //! Engines implement [`GhostEngine`] and are driven in bulk-synchronous
 //! lockstep by `tofumd-runtime`.
@@ -57,7 +59,6 @@
 // lint suggests would be less clear.
 #![allow(clippy::needless_range_loop)]
 
-pub mod border_bin;
 pub mod engine;
 pub mod fine;
 pub mod ghost;
@@ -68,7 +69,6 @@ pub mod topo_map;
 pub mod utofu_engine;
 pub mod wire;
 
-pub use border_bin::BorderBins;
 pub use engine::{CommStats, GhostEngine, GhostOp, Op, RankState};
 pub use mpi_engine::MpiEngine;
 pub use pattern::{Pattern, PatternKind};

@@ -25,7 +25,6 @@
 //! receives in edge order — so completion order (and the virtual clock)
 //! is a pure function of the decomposition, never of thread scheduling.
 
-use crate::border_bin::BorderBins;
 use crate::engine::Op;
 use crate::topo_map::RankMap;
 use std::cell::OnceCell;
@@ -60,8 +59,9 @@ impl PlanConfig {
 /// One directed halo edge of the star forest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphEdge {
-    /// Grid offset to the peer (zero for irregular graphs, where the edge
-    /// geometry lives in `region` instead).
+    /// Grid offset to the peer (zero for irregular graphs). It sizes the
+    /// grid's buffers and finds its face edges for the migration sweeps;
+    /// Border selection reads `region` instead, on both graph kinds.
     pub offset: NeighborOffset,
     /// The peer's rank id.
     pub rank: usize,
@@ -74,8 +74,9 @@ pub struct GraphEdge {
     /// arriving ghosts are already in my frame.
     pub shift: [f64; 3],
     /// The peer's sub-box translated into my frame: for send edges the
-    /// region whose `r_ghost`-expansion selects my border atoms; for recv
-    /// edges the region arriving ghosts land in.
+    /// region whose `r_ghost`-expansion selects my border atoms (on grid
+    /// graphs spelled from my own faces and unbounded on the sides away
+    /// from me); for recv edges the region arriving ghosts land in.
     pub region: Box3,
     /// Index of this relationship in the peer's opposite edge list: my
     /// `send[k]` is the peer's `recv[send[k].peer_index]` and vice versa.
@@ -176,12 +177,14 @@ impl<'a> RcbForest<'a> {
             let (rcb, r, mut pairs) = (self.rcb, self.r_ghost, Vec::new());
             let (l, me) = (rcb.global.lengths(), rcb.boxes[part]);
             for (peer, pb) in rcb.boxes.iter().enumerate() {
-                // `within`, an axis at a time: the shifts s along d whose
-                // image of the peer's box comes close enough.
+                // An axis at a time, the shifts s along d whose image of
+                // the peer's box comes within r: both gaps are spelled so
+                // that swapping the boxes and negating s gives the same
+                // floats, so the peer finds the mirror pair bit for bit.
                 let at = |d: usize| {
                     (-1..=1).filter(move |&s| {
                         let o = f64::from(s) * l[d];
-                        me.lo[d] - r < pb.hi[d] + o && pb.lo[d] + o - r < me.hi[d]
+                        me.lo[d] - pb.hi[d] - o < r && pb.lo[d] - me.hi[d] + o < r
                     })
                 };
                 for img in
@@ -339,6 +342,22 @@ impl CommGraph {
                 peer_index,
             }
         };
+        // A send edge's selection region, spelled from my own faces and
+        // bounded only on the sides that face me: along d, the neighbor o
+        // steps out owns `[hi + (o-1)·len, ∞)` for o > 0,
+        // `(-∞, lo + (o+1)·len)` for o < 0 and all of d for o = 0.
+        let facing = |off: NeighborOffset| {
+            let (mut lo, mut hi) = ([f64::NEG_INFINITY; 3], [f64::INFINITY; 3]);
+            for d in 0..3 {
+                let o = f64::from(off.d[d]);
+                match off.d[d].signum() {
+                    1 => lo[d] = sub.hi[d] + (o - 1.0) * len[d],
+                    -1 => hi[d] = sub.lo[d] + (o + 1.0) * len[d],
+                    _ => {}
+                }
+            }
+            Box3 { lo, hi }
+        };
         let offsets = neighbor_offsets(config.shells, config.half);
         let recv = offsets
             .iter()
@@ -348,7 +367,13 @@ impl CommGraph {
         let send = offsets
             .iter()
             .enumerate()
-            .map(|(k, o)| edge(o.opposite(), k))
+            .map(|(k, o)| {
+                let o = o.opposite();
+                GraphEdge {
+                    region: facing(o),
+                    ..edge(o, k)
+                }
+            })
             .collect();
         let face = |d: usize, dir: i8| {
             let mut off = [0; 3];
@@ -523,25 +548,16 @@ impl CommGraph {
         }
     }
 
-    /// Build the border-atom selector for this graph's send edges: the
-    /// O(1) bin table (or exact slab test) on grid graphs, the expanded
-    /// regions' slab bit sets on irregular graphs.
+    /// Build the border-atom selector for this graph's send edges: edge k
+    /// wants the atoms inside its peer region grown by `r_ghost`.
     #[must_use]
     pub fn selector(&self) -> SendSelector {
-        match &self.topology {
-            Topology::Grid { .. } => {
-                let offsets: Vec<_> = self.send.iter().map(|e| e.offset).collect();
-                SendSelector::Grid(BorderBins::new(self.sub, self.r_ghost, &offsets))
-            }
-            Topology::Irregular { .. } => {
-                let regions: Vec<Box3> = self
-                    .send
-                    .iter()
-                    .map(|e| expand(&e.region, self.r_ghost))
-                    .collect();
-                SendSelector::Regions(RegionSlabs::new(&regions))
-            }
-        }
+        let regions: Vec<Box3> = self
+            .send
+            .iter()
+            .map(|e| expand(&e.region, self.r_ghost))
+            .collect();
+        SendSelector::new(&regions)
     }
 
     /// Expected ghost-slab volume toward a grid `offset` (Table 1's
@@ -617,30 +633,20 @@ impl CommPlan {
     }
 }
 
-/// Which send edges need a given atom: the per-graph strategy behind
-/// border packing.
+/// Which send edges need a given atom, as per-axis slab bit sets over the
+/// edges' selection boxes: the sorted faces of the boxes cut each axis
+/// into slabs, and each axis holds its cuts and, `words` u64s per slab,
+/// bit k set where box k spans that slab. A point's edges are the AND of
+/// its three slabs' sets, in ascending order — [`Box3::contains`]'s
+/// half-open verdicts (NaN in no box) at one binary search per axis. On a
+/// one-shell grid this is the §3.5.2 3×3×3 bin table, factorized by axis.
 #[derive(Debug, Clone)]
-pub enum SendSelector {
-    /// Grid graphs: the §3.5.2 bin table / exact slab test.
-    Grid(BorderBins),
-    /// Irregular graphs: one expanded peer region per send edge, already
-    /// translated into my frame.
-    Regions(RegionSlabs),
-}
-
-/// Which of a set of boxes hold a point, as per-axis slab bit sets: the
-/// sorted faces of the boxes cut each axis into slabs, and each axis holds
-/// its cuts and, `words` u64s per slab, bit k set where box k spans that
-/// slab. A point's boxes are the AND of its three slabs' sets, in
-/// ascending order — [`Box3::contains`]'s half-open verdicts (NaN in no
-/// box) at one binary search per axis.
-#[derive(Debug, Clone)]
-pub struct RegionSlabs {
+pub struct SendSelector {
     axes: [(Vec<f64>, Vec<u64>); 3],
     words: usize,
 }
 
-impl RegionSlabs {
+impl SendSelector {
     fn new(boxes: &[Box3]) -> Self {
         let words = boxes.len().div_ceil(64);
         let axis = |d: usize| {
@@ -664,29 +670,22 @@ impl RegionSlabs {
             (cuts, cover)
         };
         let axes = [0, 1, 2].map(axis);
-        RegionSlabs { axes, words }
+        SendSelector { axes, words }
     }
-}
 
-impl SendSelector {
     /// Visit the indices of send edges that need an atom at `x`.
     #[inline]
     pub fn for_each_target(&self, x: &[f64; 3], mut f: impl FnMut(u16)) {
-        match self {
-            SendSelector::Grid(bins) => bins.for_each_target(x, f),
-            SendSelector::Regions(RegionSlabs { axes, words }) => {
-                let slab = |d: usize| {
-                    let (cuts, cover) = &axes[d];
-                    &cover[cuts.partition_point(|&c| c <= x[d]) * words..]
-                };
-                let [a, b, c] = [0, 1, 2].map(slab);
-                for w in 0..*words {
-                    let mut bits = a[w] & b[w] & c[w];
-                    while bits != 0 {
-                        f((w * 64 + bits.trailing_zeros() as usize) as u16);
-                        bits &= bits - 1;
-                    }
-                }
+        // Per axis, the cover and the first word of x's slab in it.
+        let [(a, i), (b, j), (c, k)] = [0, 1, 2].map(|d| {
+            let (cuts, cover) = &self.axes[d];
+            (cover, cuts.partition_point(|&cut| cut <= x[d]) * self.words)
+        });
+        for w in 0..self.words {
+            let mut bits = a[i + w] & b[j + w] & c[k + w];
+            while bits != 0 {
+                f((w * 64 + bits.trailing_zeros() as usize) as u16);
+                bits &= bits - 1;
             }
         }
     }
@@ -750,8 +749,9 @@ mod tests {
         // a zero shift included) of every recv, send and face edge plus
         // the sub-box, for ranks {0, 7, last} of two machines on a
         // non-cubic, off-origin box. Engines key tags, address-book slots
-        // and shifts off these fields, so a grid construction change must
-        // leave every digest where it is.
+        // and shifts off these fields, and Border selects by the send
+        // regions, so a grid construction change must leave every digest
+        // where it is.
         let instances = [
             (PlanConfig::NEWTON, 13),
             (PlanConfig::FULL, 26),
@@ -803,10 +803,10 @@ mod tests {
         assert_eq!(
             digests,
             [
-                0xbf82_511e_1868_3215,
-                0xb804_3152_712f_dbf1,
-                0x6729_936f_31f6_2238,
-                0x6fe3_9f00_309c_e91d,
+                0xfe4e_385e_a694_d13c,
+                0x3e28_47a6_f650_0ad9,
+                0x493c_3ad6_fecd_facc,
+                0x2e51_8a3e_1c29_350d,
             ],
             "{digests:#018x?}"
         );
@@ -1130,6 +1130,119 @@ mod tests {
         let _ = g.with_migrate_peers(Vec::new());
     }
 
+    /// Rank 0's grid graph over cubic sub-boxes of edge `edge`: its
+    /// sub-box is `[0, edge)³`.
+    fn cube_graph(edge: f64, r_ghost: f64, shells: usize, half: bool) -> CommGraph {
+        let map = RankMap::new(CellGrid::new([1, 1, 1]), Placement::TopoAware);
+        let global = Box3::from_lengths(map.rank_grid.map(|n| edge * f64::from(n)));
+        let g = CommGraph::grid(0, &map, &global, r_ghost, PlanConfig { shells, half });
+        assert_eq!(g.sub, Box3::from_lengths([edge; 3]));
+        g
+    }
+
+    /// The send edges toward the offsets `keep` accepts, in edge order.
+    fn sends_where(g: &CommGraph, keep: impl Fn([i8; 3]) -> bool) -> Vec<u16> {
+        (0..g.send.len())
+            .filter(|&k| keep(g.send[k].offset.d))
+            .map(|k| k as u16)
+            .collect()
+    }
+
+    #[test]
+    fn interior_atom_goes_nowhere() {
+        let g = cube_graph(10.0, 2.0, 1, false);
+        assert!(targets(&g.selector(), &[5.0; 3]).is_empty());
+    }
+
+    #[test]
+    fn face_atom_goes_to_one_neighbor() {
+        let g = cube_graph(10.0, 2.0, 1, false);
+        let want = sends_where(&g, |d| d == [-1, 0, 0]);
+        assert_eq!(want.len(), 1);
+        assert_eq!(targets(&g.selector(), &[0.5, 5.0, 5.0]), want); // low-x face only
+    }
+
+    #[test]
+    fn corner_atom_goes_to_seven_neighbors() {
+        // Corner bin: 3 faces + 3 edges + 1 corner = 7 targets.
+        let g = cube_graph(10.0, 2.0, 1, false);
+        let want = sends_where(&g, |d| d.iter().all(|&o| o >= 0));
+        assert_eq!(want.len(), 7);
+        assert_eq!(targets(&g.selector(), &[9.9; 3]), want);
+    }
+
+    #[test]
+    fn half_neighbor_set_respected() {
+        // The half set sends toward the lower half: the --- corner reaches
+        // its 7 all-non-positive offsets, the +++ corner none.
+        let g = cube_graph(10.0, 2.0, 1, true);
+        assert_eq!(g.send.len(), 13);
+        let sel = g.selector();
+        let want = sends_where(&g, |d| d.iter().all(|&o| o <= 0));
+        assert_eq!(want.len(), 7);
+        assert_eq!(targets(&sel, &[0.1; 3]), want);
+        assert!(targets(&sel, &[9.9; 3]).is_empty());
+    }
+
+    #[test]
+    fn oversized_cutoff_selects_every_neighbor() {
+        // Cutoff exceeds the box: every atom is needed by every 1-shell
+        // neighbor.
+        let g = cube_graph(2.0, 5.0, 1, false);
+        assert_eq!(targets(&g.selector(), &[1.0; 3]).len(), 26);
+    }
+
+    #[test]
+    fn two_shell_slabs_are_exact() {
+        // Sub-box edge 2, cutoff 3: shell-2 neighbors need atoms within
+        // 3 - 2 = 1 of the matching face.
+        let g = cube_graph(2.0, 3.0, 2, false);
+        let sel = g.selector();
+        let k_pp = sends_where(&g, |d| d == [2, 0, 0])[0];
+        // x = 1.5: within 1 of the high face -> the (2,0,0) neighbor needs it.
+        assert!(targets(&sel, &[1.5, 1.0, 1.0]).contains(&k_pp));
+        // x = 0.5: 2*a - r = 1.0 above it -> not needed by (2,0,0).
+        assert!(!targets(&sel, &[0.5, 1.0, 1.0]).contains(&k_pp));
+        // But the (1,0,0) neighbor needs everything (cutoff > edge).
+        let k_p = sends_where(&g, |d| d == [1, 0, 0])[0];
+        assert!(targets(&sel, &[0.5, 1.0, 1.0]).contains(&k_p));
+    }
+
+    #[test]
+    fn overlapping_shells_select_every_face() {
+        // r > edge/2: an atom in the middle belongs to both face slabs of
+        // every axis; the center atom is within 6.0 of all six faces.
+        let g = cube_graph(10.0, 6.0, 1, false);
+        assert_eq!(targets(&g.selector(), &[5.0; 3]).len(), 26);
+    }
+
+    #[test]
+    fn matches_naive_scan_everywhere() {
+        // The naive scan tests the atom against every send edge's slab:
+        // the neighbor at offset o needs the atoms within r of the face it
+        // shares with me, x >= hi - r for o = +1 and x < lo + r for o = -1.
+        let (r, g) = (2.0, cube_graph(10.0, 2.0, 1, false));
+        let sel = g.selector();
+        let naive = |x: &[f64; 3]| -> Vec<u16> {
+            let needs = |e: &GraphEdge| {
+                (0..3).all(|d| match e.offset.d[d] {
+                    1 => x[d] >= g.sub.hi[d] - r,
+                    -1 => x[d] < g.sub.lo[d] + r,
+                    _ => true,
+                })
+            };
+            (0..g.send.len()).filter(|&k| needs(&g.send[k])).map(|k| k as u16).collect()
+        };
+        for &x in &[0.1, 1.9, 2.1, 5.0, 7.9, 8.1, 9.9] {
+            for &y in &[0.5, 5.0, 9.5] {
+                for z in [0.3, 5.0, 9.7] {
+                    let p = [x, y, z];
+                    assert_eq!(targets(&sel, &p), naive(&p), "mismatch at {p:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn rcb_selector_matches_brute_force_membership() {
         // An atom must be selected for edge k exactly when it lies within
@@ -1196,14 +1309,10 @@ mod tests {
         (-1..=1).flat_map(|sx| (-1..=1).flat_map(move |sy| (-1..=1).map(move |sz| [sx, sy, sz])))
     }
 
-    /// Do two boxes come strictly within `r` of each other?
-    fn within(a: &Box3, b: &Box3, r: f64) -> bool {
-        (0..3).all(|d| a.lo[d] - r < b.hi[d] && b.lo[d] - r < a.hi[d])
-    }
-
     /// The oracle's receive pairs of `rank`: every `(peer, image)` whose
-    /// shifted box comes within `r_ghost` of mine, by a scan of all 27
-    /// images of every peer, then sorted.
+    /// box, shifted by the image, comes strictly within `r_ghost` of mine
+    /// on every axis, by a scan of all 27 images of every peer, then
+    /// sorted. Each gap is the mine-minus-peer difference, then the shift.
     fn oracle_pairs(rcb: &RcbDecomposition, rank: usize, r_ghost: f64) -> Vec<(usize, [i32; 3])> {
         let l = rcb.global.lengths();
         let mine = rcb.boxes[rank];
@@ -1214,11 +1323,12 @@ mod tests {
                     continue;
                 }
                 let s = [0, 1, 2].map(|d| f64::from(img[d]) * l[d]);
-                let shifted = Box3 {
-                    lo: [pb.lo[0] + s[0], pb.lo[1] + s[1], pb.lo[2] + s[2]],
-                    hi: [pb.hi[0] + s[0], pb.hi[1] + s[1], pb.hi[2] + s[2]],
+                let near = |d: usize| {
+                    let below = mine.lo[d] - pb.hi[d] - s[d];
+                    let above = pb.lo[d] - mine.hi[d] + s[d];
+                    below < r_ghost && above < r_ghost
                 };
-                if within(&mine, &shifted, r_ghost) {
+                if (0..3).all(near) {
                     out.push((peer, img));
                 }
             }
@@ -1395,7 +1505,7 @@ mod tests {
                     Box3 { lo, hi: [0, 1, 2].map(|d| lo[d] + f64::from(ext[d])) }
                 })
                 .collect();
-            let sel = SendSelector::Regions(RegionSlabs::new(&boxes));
+            let sel = SendSelector::new(&boxes);
             let check = |x: [f64; 3]| {
                 let want: Vec<u16> = (0..boxes.len())
                     .filter(|&k| boxes[k].contains(&x))
@@ -1419,6 +1529,49 @@ mod tests {
             }
             check([f64::NAN; 3]);
         }
+    }
+
+    #[test]
+    fn rcb_pairs_at_an_exact_periodic_gap_match_the_oracle() {
+        // Three slabs along x of an off-origin box; part 1 shifted up by
+        // one box length sits a gap above part 2's hi face, which
+        // `c1 + l - hi` and `c1 - hi + l` round apart. For r_ghost on
+        // every float from 8 ulps below the one to 8 above the other,
+        // where the spellings of the pair test disagree about the face
+        // (and so would part 1 and part 2 about their pair), the forest
+        // builds with every mirror and matches the oracle edge for edge.
+        let map = RankMap::new(CellGrid::new([1, 1, 1]), Placement::TopoAware);
+        let global = Box3::new([-3.5, 0.0, 0.0], [15.9, 4.0, 4.0]);
+        let pts = [-3.0, -2.27754, 10.0].map(|x| [x, 2.0, 2.0]);
+        let rcb = Arc::new(RcbDecomposition::build(3, &pts, &global));
+        let (l, hi, c1) = (global.lengths()[0], global.hi[0], rcb.boxes[1].lo[0]);
+        assert_eq!((rcb.boxes[2].hi[0], rcb.boxes[0].hi[0]), (hi, c1));
+        let (g1, g2) = (c1 + l - hi, c1 - hi + l);
+        assert_ne!(g1, g2);
+        let (mut r, mut end) = (g1.min(g2), g1.max(g2));
+        for _ in 0..8 {
+            (r, end) = (r.next_down(), end.next_up());
+        }
+        let (identity, mut reached) = ([0, 1, 2], Vec::new());
+        while r <= end {
+            let all: Vec<_> = (0..3).map(|p| oracle_pairs(&rcb, p, r)).collect();
+            let forest = CommGraph::from_rcb_parts(&rcb, &map, r, &identity);
+            for (part, g) in forest.iter().enumerate() {
+                let want = oracle_graph(part, &rcb, &all, &map, &identity);
+                let got = (g.recv.clone(), g.send.clone(), g.migrate_peers().to_vec());
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "part {part}, r {r:?}"
+                );
+            }
+            let spellings = (c1 + l - r < hi, c1 - r + l < hi);
+            reached.push((forest[2].send.len(), spellings.0 != spellings.1));
+            r = r.next_up();
+        }
+        // The window crosses the gap, and the spellings part ways in it.
+        assert_ne!(reached.first().map(|t| t.0), reached.last().map(|t| t.0));
+        assert!(reached.iter().any(|t| t.1), "{reached:?}");
     }
 
     #[test]

@@ -20,12 +20,6 @@ pub struct NeighborOffset {
 }
 
 impl NeighborOffset {
-    /// Chebyshev distance (how many "rings" out this neighbor is).
-    #[must_use]
-    pub fn ring(&self) -> u8 {
-        self.d.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0)
-    }
-
     /// Number of non-zero components: 1 = face, 2 = edge, 3 = corner.
     /// This is also the hop count in a 3D-torus-mapped topology (Table 1).
     #[must_use]

@@ -14,12 +14,12 @@
 //! *charge* around the rank's complete.
 
 use crate::driver::{Lane, Partition, Pass, Team};
-use tofumd_core::border_bin;
 use tofumd_core::engine::{RankState, Stage};
 use tofumd_md::integrate::NveIntegrator;
 use tofumd_md::kernels::PairScratch;
 use tofumd_md::neighbor::{sort_locals_by_bin, ListKind, NeighborList};
 use tofumd_md::potential::Potential;
+use tofumd_md::region::Box3;
 use tofumd_model::{RankWork, StageCosts, Threading};
 use tofumd_threadpool::ChunkExec;
 use tofumd_tofu::{NetParams, TofuError};
@@ -264,6 +264,36 @@ fn classify_radius(ctx: &Ctx) -> f64 {
     (ctx.cutoff + ctx.skin) * (1.0 + 1e-9)
 }
 
+/// Classify one coordinate against the sub-box border shell:
+/// 0 = within `r` of the low face, 2 = within `r` of the high face,
+/// 1 = interior.
+#[inline]
+fn side(x: f64, lo: f64, hi: f64, r: f64) -> usize {
+    if x < lo + r {
+        0
+    } else if x >= hi - r {
+        2
+    } else {
+        1
+    }
+}
+
+/// Geometric interior classification for comm/compute overlap: flag the
+/// local atoms strictly farther than `r` from every face of `sub` (the
+/// `side() == 1` zone in all three dims). With `r >= cutoff + skin`, such
+/// an atom is not sent to any neighbor and no incoming ghost can fall
+/// within the neighbor-list cutoff of it, so its CSR row and pair updates
+/// are computable before the halo arrives. Rewrites `flags` in place, one
+/// entry per local atom.
+fn interior_flags(x: &[[f64; 3]], nlocal: usize, sub: &Box3, r: f64, flags: &mut Vec<bool>) {
+    flags.clear();
+    flags.extend(
+        x[..nlocal]
+            .iter()
+            .map(|p| (0..3).all(|d| side(p[d], sub.lo[d], sub.hi[d], r) == 1)),
+    );
+}
+
 /// Cost-model workload of an interior row set (no ghosts by definition).
 fn interior_work(n_rows: usize, pairs: usize, eam: bool) -> RankWork {
     RankWork {
@@ -401,7 +431,7 @@ fn build_interior_list(ctx: &Ctx, lane: &mut Lane, st: &mut RankState, exec: &Ch
     // The last epoch's flags are rewritten in place.
     let mut geo = lane.part.take().map(|p| p.geo).unwrap_or_default();
     let (x, nlocal, sub) = (&st.atoms.x, st.atoms.nlocal, &st.graph.sub);
-    border_bin::interior_flags(x, nlocal, sub, classify_radius(ctx), &mut geo);
+    interior_flags(x, nlocal, sub, classify_radius(ctx), &mut geo);
     let (kind, cutoff_list) = (ctx.list_kind, ctx.cutoff + ctx.skin);
     let mut list = lane
         .list
@@ -451,4 +481,43 @@ fn build_boundary_list(
     st.charge(dt, Stage::Neigh);
     lane.list = Some(list);
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tofumd_core::sf::{CommGraph, PlanConfig};
+    use tofumd_core::topo_map::{Placement, RankMap};
+    use tofumd_tofu::CellGrid;
+
+    #[test]
+    fn interior_flags_match_border_shell_complement() {
+        let sub = Box3::new([0.0; 3], [10.0; 3]);
+        let r = 2.0;
+        let x = vec![
+            [5.0, 5.0, 5.0],  // deep interior
+            [2.0, 5.0, 5.0],  // exactly lo + r: interior (side uses x < lo + r)
+            [1.99, 5.0, 5.0], // inside the low-x shell
+            [5.0, 8.0, 5.0],  // exactly hi - r: in the shell (x >= hi - r)
+            [5.0, 7.99, 5.0], // just inside
+            [9.9, 9.9, 9.9],  // corner shell
+            [3.0, 3.0, 3.0],  // ghost slot — must be ignored
+        ];
+        let mut flags = vec![false; 9];
+        interior_flags(&x, 6, &sub, r, &mut flags);
+        assert_eq!(flags, vec![true, true, false, false, true, false]);
+        // Consistency with the border selector of a full-shell grid graph
+        // on the same sub-box: interior atoms are exactly the ones the
+        // border packer sends nowhere.
+        let map = RankMap::new(CellGrid::new([1, 1, 1]), Placement::TopoAware);
+        let global = Box3::from_lengths(map.rank_grid.map(|n| 10.0 * f64::from(n)));
+        let graph = CommGraph::grid(0, &map, &global, r, PlanConfig::FULL);
+        assert_eq!(graph.sub, sub);
+        let sel = graph.selector();
+        for (p, &f) in x[..6].iter().zip(&flags) {
+            let mut sent = false;
+            sel.for_each_target(p, |_| sent = true);
+            assert_eq!(!sent, f, "at {p:?}");
+        }
+    }
 }

@@ -1,13 +1,12 @@
 //! Property-based tests over the core data structures and invariants.
 
 use proptest::prelude::*;
-use tofumd::comm::border_bin::BorderBins;
 use tofumd::comm::engine::{GhostOp, RankState};
 use tofumd::comm::ghost::GhostLayout;
 use tofumd::comm::sf::{CommGraph, PlanConfig};
 use tofumd::comm::topo_map::{Placement, RankMap};
 use tofumd::comm::wire::{self, F64Sink};
-use tofumd::md::domain::{neighbor_offsets, RcbDecomposition};
+use tofumd::md::domain::{neighbor_offsets, NeighborOffset, RcbDecomposition};
 use tofumd::md::potential::eam::EamParams;
 use tofumd::md::potential::spline::Spline;
 use tofumd::md::{Atoms, Box3};
@@ -71,22 +70,6 @@ proptest! {
     fn wire_roundtrip(values in prop::collection::vec(-1e12f64..1e12, 0..200)) {
         prop_assert_eq!(wire::decode_f64s(&wire::encode_f64s(&values)), values.clone());
         prop_assert_eq!(wire::parse_combined(&wire::frame_combined(&values)), values);
-    }
-
-    /// Border-bin classification always matches the exact slab test.
-    #[test]
-    fn border_bins_match_naive(
-        x in 0.0f64..10.0, y in 0.0f64..10.0, z in 0.0f64..10.0,
-        r in 0.5f64..6.0,
-        half in any::<bool>(),
-    ) {
-        let offsets = neighbor_offsets(1, half);
-        let bins = BorderBins::new(Box3::from_lengths([10.0; 3]), r, &offsets);
-        let mut fast = bins.targets_of(&[x, y, z]);
-        let mut slow = bins.targets_naive(&[x, y, z], &offsets);
-        fast.sort_unstable();
-        slow.sort_unstable();
-        prop_assert_eq!(fast, slow);
     }
 
     /// Natural cubic splines reproduce smooth functions and their
@@ -439,5 +422,93 @@ proptest! {
             prop_assert_eq!(a.lo, b.lo);
             prop_assert_eq!(a.hi, b.hi);
         }
+    }
+}
+
+/// The per-offset slab test, the oracle for grid graphs' border selection:
+/// the neighbor at `off` (possibly several shells out) owns
+/// `[lo + o·a, lo + (o+1)·a)` along d and needs the atoms within `r` of
+/// it, each bound spelled from the sub-box face nearest the atom.
+fn slab_needs(x: &[f64; 3], sub: &Box3, r: f64, off: NeighborOffset) -> bool {
+    let a = sub.lengths();
+    (0..3).all(|d| {
+        let o = f64::from(off.d[d]);
+        match off.d[d].signum() {
+            1 => x[d] >= sub.hi[d] + (o - 1.0) * a[d] - r,
+            -1 => x[d] < sub.lo[d] + (o + 1.0) * a[d] + r,
+            _ => true,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// On grid graphs the one border selector picks the send edges the
+    /// slab oracle picks, in the same order: on random rank meshes with
+    /// anisotropic, off-origin boxes, one and two shells, half and full
+    /// sets, and `r_ghost` from 0.2 of the shortest edge to just under the
+    /// shell limit. Probed at random points within `r_ghost` of the
+    /// sub-box (locals drift at most skin/2 between rebuilds), and with
+    /// one coordinate on every `lo`, `hi`, `lo + r`, `hi - r` and oracle
+    /// bound in that range, one ulp either side of it; NaN selects no edge.
+    #[test]
+    fn grid_selector_matches_the_slab_oracle(
+        cells in prop::array::uniform3(1u32..3),
+        shape in 0usize..4,
+        origin in prop::array::uniform3(-1.0f64..1.0),
+        scale in -6.0f64..2.0,
+        edge in prop::array::uniform3(1.0f64..12.0),
+        reach in 0.0f64..0.999,
+        seed in 0usize..1000,
+        probes in prop::collection::vec(prop::array::uniform3(0.0f64..1.0), 8),
+    ) {
+        let (shells, half) = (1 + shape / 2, shape % 2 == 1);
+        let map = RankMap::new(CellGrid::new(cells), Placement::TopoAware);
+        let rg = map.rank_grid.map(f64::from);
+        // Off-origin by 1e-6 to 100: faces off the sub-box's own ulp grid.
+        let origin = origin.map(|o| o * 10f64.powf(scale));
+        let hi = [0, 1, 2].map(|d| origin[d] + edge[d] * rg[d]);
+        let global = Box3::new(origin, hi);
+        let min_edge = edge.iter().copied().fold(f64::INFINITY, f64::min);
+        let r = min_edge * (0.2 + reach * (shells as f64 - 0.2));
+        let g = CommGraph::grid(seed % map.nranks(), &map, &global, r, PlanConfig { shells, half });
+        let (sub, a, sel) = (g.sub, g.sub.lengths(), g.selector());
+        let targets = |x: &[f64; 3]| {
+            let mut out = Vec::new();
+            sel.for_each_target(x, |k| out.push(k));
+            out
+        };
+        let check = |x: [f64; 3]| {
+            let want: Vec<u16> = (0..g.send.len())
+                .filter(|&k| slab_needs(&x, &sub, r, g.send[k].offset))
+                .map(|k| k as u16)
+                .collect();
+            assert_eq!(targets(&x), want, "at {x:?} on {sub:?}, r = {r}");
+        };
+        for p in &probes {
+            let x = [0, 1, 2].map(|d| sub.lo[d] - r + p[d] * (a[d] + 2.0 * r));
+            check(x);
+            for d in 0..3 {
+                let mut faces = vec![sub.lo[d], sub.hi[d], sub.lo[d] + r, sub.hi[d] - r];
+                for s in 1..=shells {
+                    let o = s as f64;
+                    faces.push(sub.hi[d] + (o - 1.0) * a[d] - r);
+                    faces.push(sub.lo[d] - (o - 1.0) * a[d] + r);
+                }
+                for f in faces {
+                    let near = |v: f64| sub.lo[d] - r <= v && v < sub.hi[d] + r;
+                    for v in [f, f.next_up(), f.next_down()].into_iter().filter(|&v| near(v)) {
+                        let mut y = x;
+                        y[d] = v;
+                        check(y);
+                    }
+                }
+                let mut y = x;
+                y[d] = f64::NAN;
+                prop_assert!(targets(&y).is_empty(), "NaN along {} selects an edge", d);
+            }
+        }
+        prop_assert!(targets(&[f64::NAN; 3]).is_empty());
     }
 }
