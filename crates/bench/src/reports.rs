@@ -21,7 +21,9 @@ use tofumd_model::equations::{pattern_times, Transport};
 use tofumd_model::sensitivity::{headline_speedup, sweep, Knob};
 use tofumd_model::{scaling, Geometry, StageCosts};
 use tofumd_runtime::{Cluster, CommVariant, PotentialKind, RunConfig, StageBreakdown};
-use tofumd_tofu::{CellGrid, CongestionModel, NetParams, TofuNet, Vcq, CQS_PER_TNI, TNIS_PER_NODE};
+use tofumd_tofu::{
+    CellGrid, CongestionModel, NetParams, Put, PutSrc, TofuNet, Vcq, CQS_PER_TNI, TNIS_PER_NODE,
+};
 
 /// LJ reduced density of every paper workload.
 const DENSITY: f64 = 0.8442;
@@ -268,6 +270,15 @@ fn send_burst(size: usize, msgs: usize, vcqs_per_rank: usize, threads: usize) ->
     let net = Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), p));
     let (dst, _) = net.register_mem(1, size.max(1) * 4);
     let payload = vec![0u8; size];
+    let put = Put {
+        dst_node: 1,
+        dst_stadd: dst,
+        dst_offset: 0,
+        src: PutSrc::Bytes(&payload),
+        piggyback: 0,
+        seq: 0,
+        cache_injection: true,
+    };
     let mut done: f64 = 0.0;
     for rank in 0..4u32 {
         // This rank's VCQs: its own TNI, or all six.
@@ -286,7 +297,7 @@ fn send_burst(size: usize, msgs: usize, vcqs_per_rank: usize, threads: usize) ->
         for t in 0..threads {
             let mut now = region;
             for _ in (t..msgs).step_by(threads) {
-                let r = vcqs[t % vcqs_per_rank].put(&mut now, 1, dst, 0, &payload, 0, true);
+                let r = vcqs[t % vcqs_per_rank].post_reliable(&mut now, &put);
                 done = done.max(r.local_complete);
             }
             done = done.max(now);

@@ -87,7 +87,7 @@ impl GhostEngine for MpiEngine {
     /// The values stream from the layout through [`crate::wire::F64Sink`]
     /// into the thread's one byte vector, sent per hop.
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        self.pattern.select(op, round, st);
+        self.pattern.select(op, round, st)?;
         let (pattern, layout) = (&self.pattern, &self.pattern.ghosts);
         let payload = |h: Hop| Payload::of(op, h.layout);
         let mut f64s = 0;

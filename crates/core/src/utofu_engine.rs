@@ -350,7 +350,7 @@ impl UtofuLane {
         2.0 * self.net.params().wire_time(0, ch.hops) + cost
     }
 
-    /// Count and post one logical message on the faultable path, retrying
+    /// Count and send one logical message on the faultable path, retrying
     /// with exponential backoff (charged to the virtual clock) up to the
     /// retry budget. Retransmissions reuse `put.seq` so the receiver's
     /// duplicate detection coalesces partial deliveries. When the budget is
@@ -358,7 +358,7 @@ impl UtofuLane {
     /// ([`Vcq::post_reliable`]) — which cannot lose it — and the engine
     /// flags a fallback request so the driver demotes the cluster to an
     /// MPI transport at the end of the step.
-    fn put(&mut self, vcq: &mut Vcq, now: &mut f64, put: Put<'_>, sent: &mut CommStats) {
+    fn send(&mut self, vcq: &mut Vcq, now: &mut f64, put: Put<'_>, sent: &mut CommStats) {
         if !put.src.is_empty() {
             sent.count(put.src.len());
         }
@@ -782,7 +782,7 @@ impl UtofuEngine {
                 cache_injection: false,
             };
             self.lane
-                .put(&mut self.vcqs[0], &mut now, put, st.stats.at(Op::Border, 0));
+                .send(&mut self.vcqs[0], &mut now, put, st.stats.at(Op::Border, 0));
         }
         st.charge(now - st.clock, Op::Border);
     }
@@ -820,7 +820,7 @@ impl GhostEngine for UtofuEngine {
     /// just past the frame header straight into the peer's x-region.
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         self.resolve_channels(st)?;
-        self.pattern.select(op, round, st);
+        self.pattern.select(op, round, st)?;
         let shape = self.shape(op);
         if shape.lpt_lanes && op == Op::Border {
             self.replan(op);
@@ -905,7 +905,7 @@ impl GhostEngine for UtofuEngine {
                     cache_injection: true,
                 };
                 let vcq = &mut self.vcqs[t % self.cfg.vcqs];
-                lane.put(vcq, &mut now, put, st.stats.at(op, round));
+                lane.send(vcq, &mut now, put, st.stats.at(op, round));
             }
             end = end.max(now);
         }
@@ -1020,7 +1020,6 @@ mod tests {
     use crate::engine::GhostEngine;
     use crate::pattern::fixture::{drive, fill_scalars};
     use tofumd_md::atom::Atoms;
-    use tofumd_tofu::wait_arrivals;
 
     type Fixture = crate::pattern::fixture::Fixture<UtofuEngine>;
 
@@ -1217,9 +1216,11 @@ mod tests {
             // buffers the arrivals point to.)
             let n = f.states[0].graph.recv.len();
             let rx = &f.engines[0].rx;
-            let (arrivals, _) = wait_arrivals(&f.fabric.net, f.engines[0].lane.node, 0.0, n, |a| {
+            let ghost_in = |a: &Arrival| {
                 a.len > 0 && rx_find(rx, a.stadd).is_some_and(|b| b.kind == BufKind::GhostIn)
-            });
+            };
+            let (node, mut arrivals) = (f.engines[0].lane.node, Vec::new());
+            try_wait_arrivals_into(&f.fabric.net, node, 0.0, n, ghost_in, &mut arrivals).unwrap();
             // Find the arrival from the link that carried rank 1's atom
             // (non-trivial payload: 9 or 17 bytes framed = 1 scalar).
             let a = arrivals
@@ -1227,11 +1228,10 @@ mod tests {
                 .filter(|a| a.len > 8)
                 .min_by(|x, y| x.time.total_cmp(&y.time))
                 .expect("a non-empty scalar payload");
-            let raw = f
-                .fabric
-                .net
-                .read_local(f.engines[0].lane.node, a.stadd, a.offset, a.len);
-            wire::parse_combined(&raw)[0]
+            let net = &f.fabric.net;
+            net.read_local_with(node, a.stadd, a.offset, a.len, |raw| {
+                wire::parse_combined(raw)[0]
+            })
         };
         // One slot: the first-generation read observes the SECOND payload
         // (overwritten). Four slots: the first payload is intact.

@@ -153,16 +153,16 @@ impl Communicator {
     }
 
     /// Receive of a message the caller knows was sent, its payload copied
-    /// out (see [`Communicator::try_recv`]).
+    /// out (see [`Communicator::recv_with`]).
     ///
     /// Contract: one message matching `(src, tag)` is queued — in the
     /// lockstep driver every send of a stage precedes its receives. Debug
     /// builds check it; a release build that breaks it gets an empty
     /// payload stamped `now`. Callers that can meet a dead peer use
-    /// [`Communicator::try_recv`] or [`Communicator::recv_with`].
+    /// [`Communicator::recv_with`].
     #[must_use]
     pub fn recv(&self, dst: usize, src: usize, tag: u32, now: f64) -> RecvMsg {
-        let got = self.try_recv(dst, src, tag, now);
+        let got = self.recv_with(dst, src, tag, now, <[u8]>::to_vec);
         debug_assert!(got.is_ok(), "{got:?}");
         got.unwrap_or(RecvMsg {
             data: Vec::new(),
@@ -171,17 +171,6 @@ impl Communicator {
             now,
             arrival: now,
         })
-    }
-
-    /// [`Communicator::recv_with`] that copies the payload out.
-    pub fn try_recv(
-        &self,
-        dst: usize,
-        src: usize,
-        tag: u32,
-        now: f64,
-    ) -> Result<RecvMsg, TofuError> {
-        self.recv_with(dst, src, tag, now, <[u8]>::to_vec)
     }
 
     /// Receive the message matching `(src, tag)` in place: `f` gets its
@@ -261,7 +250,7 @@ mod tests {
         let mut now = 0.0;
         c.send(0, 1, 7, &[1], &mut now);
         c.send(0, 1, 7, &[2], &mut now);
-        let err = c.try_recv(1, 0, 7, 0.0).unwrap_err();
+        let err = c.recv_with(1, 0, 7, 0.0, |_| ()).unwrap_err();
         let want = TofuError::DuplicateMessage {
             node: 0,
             src: 0,

@@ -12,7 +12,7 @@
 //! host thread count, or interleaving — determinism by construction, not
 //! by locking.
 //!
-//! Fault decisions are consulted by [`crate::net::TofuNet::try_put`],
+//! Fault decisions are consulted by [`crate::rdma::Vcq::try_post`],
 //! `try_register_mem` and `allocate_cq`; the errors they produce are the
 //! typed [`TofuError`] variants that replace the old panic paths.
 

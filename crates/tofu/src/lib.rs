@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tofumd_tofu::{wait_arrivals, CellGrid, NetParams, TofuNet, Vcq};
+//! use tofumd_tofu::{try_wait_arrivals_into, CellGrid, NetParams, Put, PutSrc, TofuNet, Vcq};
 //!
 //! // One TofuD cell: 12 nodes in the 2x3x2 block.
 //! let net = Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()));
@@ -31,12 +31,23 @@
 //! let (stadd, _reg_cost) = net.register_mem(3, 64);
 //! let mut vcq = Vcq::create(net.clone(), 0, 0, 7).unwrap();
 //! let mut clock = 0.0;
-//! let r = vcq.put(&mut clock, 3, stadd, 16, &[1, 2, 3, 4], 0xBEEF, true);
+//! let put = Put {
+//!     dst_node: 3,
+//!     dst_stadd: stadd,
+//!     dst_offset: 16,
+//!     src: PutSrc::Bytes(&[1, 2, 3, 4]),
+//!     piggyback: 0xBEEF,
+//!     seq: 0,
+//!     cache_injection: true,
+//! };
+//! let r = vcq.post_reliable(&mut clock, &put);
 //! assert!(r.remote_arrival > 0.0);
-//! // The receiver polls its MRQ and reads the bytes.
-//! let (arrivals, _now) = wait_arrivals(&net, 3, 0.0, 1, |a| a.piggyback == 0xBEEF);
+//! // The receiver polls its MRQ and reads the bytes in place.
+//! let mut arrivals = Vec::new();
+//! let _now = try_wait_arrivals_into(&net, 3, 0.0, 1, |a| a.piggyback == 0xBEEF, &mut arrivals)
+//!     .unwrap();
 //! assert_eq!(arrivals[0].len, 4);
-//! assert_eq!(net.read_local(3, stadd, 16, 4), vec![1, 2, 3, 4]);
+//! net.read_local_with(3, stadd, 16, 4, |bytes| assert_eq!(bytes, [1, 2, 3, 4]));
 //! ```
 
 #![warn(missing_docs)]
@@ -65,9 +76,6 @@ pub use mem::{MemRegistry, Stadd};
 pub use net::{
     Arrival, CqExhausted, PutRequest, PutResult, PutSrc, TofuNet, CQS_PER_TNI, TNIS_PER_NODE,
 };
-pub use rdma::{
-    dedupe_arrivals, try_wait_arrivals, try_wait_arrivals_into, wait_arrivals, DeliveryAnomalies,
-    Put, Vcq,
-};
+pub use rdma::{dedupe_arrivals, try_wait_arrivals_into, DeliveryAnomalies, Put, Vcq};
 pub use timing::NetParams;
 pub use topology::{CellGrid, CELL_DIMS, PAPER_NODE_MESHES};

@@ -416,11 +416,6 @@ impl TofuNet {
         lock(&self.nodes[node].mem).write_with(stadd, offset, len, f)
     }
 
-    /// Read from one's own registered region (unpacking).
-    pub fn read_local(&self, node: usize, stadd: Stadd, offset: usize, len: usize) -> Vec<u8> {
-        self.read_local_with(node, stadd, offset, len, <[u8]>::to_vec)
-    }
-
     /// Deserialize directly from one's own registered region: `f` receives
     /// the `len` bytes at `offset` under the node lock — the receive-side
     /// mirror of [`TofuNet::write_local_with`], no intermediate `Vec`.
@@ -445,7 +440,8 @@ impl TofuNet {
     /// TNI, copy the payload into the destination region, enqueue the MRQ
     /// notification. Never consults the fault plan — this is the transport
     /// the MPI layer (with its own reliability protocol) and legacy
-    /// callers ride on; the faultable bare-uTofu path is [`Self::try_put`].
+    /// callers ride on; the faultable bare-uTofu path is
+    /// [`crate::rdma::Vcq::try_post`].
     pub fn put(&self, req: PutRequest<'_>) -> PutResult {
         self.put_from(&req, PutSrc::Bytes(req.data))
     }
@@ -459,16 +455,11 @@ impl TofuNet {
         }
     }
 
-    /// Execute an RDMA put, first consulting the active fault plan for
-    /// attempt `attempt` of this message. Drop and truncate faults return
-    /// the corresponding [`TofuError`] (the sender observes a TCQ error
-    /// code); delay and duplicate faults succeed with perturbed delivery.
-    pub fn try_put(&self, req: PutRequest<'_>, attempt: u32) -> Result<PutResult, TofuError> {
-        self.try_put_from(&req, PutSrc::Bytes(req.data), attempt)
-    }
-
-    /// [`Self::try_put`] with the payload given as `src` (`req.data` is not
-    /// read).
+    /// Execute an RDMA put of `src` (`req.data` is not read), first
+    /// consulting the active fault plan for attempt `attempt` of this
+    /// message. Drop and truncate faults return the corresponding
+    /// [`TofuError`] (the sender observes a TCQ error code); delay and
+    /// duplicate faults succeed with perturbed delivery.
     pub(crate) fn try_put_from(
         &self,
         req: &PutRequest<'_>,
@@ -708,7 +699,7 @@ mod tests {
         });
         assert!(r.remote_arrival > 0.0);
         assert!(r.local_complete <= r.remote_arrival);
-        assert_eq!(net.read_local(1, dst, 8, 3), vec![5, 6, 7]);
+        net.read_local_with(1, dst, 8, 3, |b| assert_eq!(b, [5, 6, 7]));
         let a = net.take_arrivals(1, |_| true);
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].piggyback, 42);
@@ -812,7 +803,7 @@ mod tests {
             dst_node: 1,
             dst_stadd: dst,
             dst_offset: 0,
-            data: &[1],
+            data: &[],
             piggyback: 0,
             src_rank: 0,
             seq,
@@ -821,18 +812,18 @@ mod tests {
         };
         // Hot fault-free fast path first.
         for seq in 0..4 {
-            net.try_put(req(seq), 0).unwrap();
+            net.try_put_from(&req(seq), PutSrc::Bytes(&[1]), 0).unwrap();
         }
         net.set_fault_plan(
             FaultPlan::new().with_rule(FaultRule::any(FaultKind::Drop { times: 1 })),
         );
         assert!(matches!(
-            net.try_put(req(4), 0),
+            net.try_put_from(&req(4), PutSrc::Bytes(&[1]), 0),
             Err(TofuError::PutDropped { seq: 4, .. })
         ));
-        net.try_put(req(4), 1).unwrap();
+        net.try_put_from(&req(4), PutSrc::Bytes(&[1]), 1).unwrap();
         net.set_fault_plan(FaultPlan::default());
-        net.try_put(req(5), 0).unwrap();
+        net.try_put_from(&req(5), PutSrc::Bytes(&[1]), 0).unwrap();
         assert_eq!(net.fault_counters().drops, 1, "counters survive re-install");
     }
 
@@ -886,7 +877,7 @@ mod tests {
             now: 0.0,
             cache_injection: false,
         });
-        assert_eq!(net.read_local(1, dst, 0, 8), vec![0; 8]);
+        net.read_local_with(1, dst, 0, 8, |b| assert_eq!(b, [0; 8]));
         let a = net.take_arrivals(1, |a| a.src_rank == 3);
         assert_eq!(a[0].piggyback, 0xDEAD_BEEF);
         assert_eq!(a[0].len, 0);

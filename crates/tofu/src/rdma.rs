@@ -73,34 +73,6 @@ impl Vcq {
         self.cq
     }
 
-    /// One-sided put. Advances `*now` by the uTofu descriptor-posting CPU
-    /// cost, then injects. Returns completion times.
-    /// (The argument list mirrors utofu_put's descriptor fields.)
-    #[allow(clippy::too_many_arguments)]
-    pub fn put(
-        &mut self,
-        now: &mut f64,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        dst_offset: usize,
-        data: &[u8],
-        piggyback: u64,
-        cache_injection: bool,
-    ) -> PutResult {
-        self.post_reliable(
-            now,
-            &Put {
-                dst_node,
-                dst_stadd,
-                dst_offset,
-                src: PutSrc::Bytes(data),
-                piggyback,
-                seq: 0,
-                cache_injection,
-            },
-        )
-    }
-
     /// Charge the descriptor-posting CPU cost and stamp `put` with this
     /// VCQ's injection point (its payload travels beside the request).
     fn lower(&self, now: &mut f64, put: &Put<'_>) -> PutRequest<'static> {
@@ -153,46 +125,15 @@ impl Drop for Vcq {
     }
 }
 
-/// Block until at least `count` arrivals matching `pred` are available on
-/// `node`; returns them and the advanced clock (max of `now` and the
-/// latest needed arrival — the receiver spins on its MRQ until then).
-///
-/// Panics if fewer than `count` matching messages are queued: in the
-/// lockstep bulk-synchronous driver every send of a stage precedes the
-/// receives, so a shortfall is a protocol bug (a real run would deadlock).
-/// Recovery-aware callers use [`try_wait_arrivals`] instead.
-pub fn wait_arrivals(
-    net: &TofuNet,
-    node: usize,
-    now: f64,
-    count: usize,
-    pred: impl FnMut(&Arrival) -> bool,
-) -> (Vec<Arrival>, f64) {
-    match try_wait_arrivals(net, node, now, count, pred) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`wait_arrivals`]: a shortfall returns
-/// [`TofuError::Deadlock`] instead of panicking, so engines can surface
-/// the protocol violation as a typed error — or [`TofuError::PeerDead`]
-/// when the active fault plan has killed a rank at the current step (the
-/// missing arrivals will never come; survivors can shrink and recover).
-pub fn try_wait_arrivals(
-    net: &TofuNet,
-    node: usize,
-    now: f64,
-    count: usize,
-    pred: impl FnMut(&Arrival) -> bool,
-) -> Result<(Vec<Arrival>, f64), TofuError> {
-    let mut arrivals = Vec::new();
-    let t = try_wait_arrivals_into(net, node, now, count, pred, &mut arrivals)?;
-    Ok((arrivals, t))
-}
-
-/// [`try_wait_arrivals`] into a caller-owned vector (cleared first), so a
-/// steady-state receive allocates nothing. Returns the advanced clock.
+/// Take every arrival matching `pred` on `node` into `arrivals` (cleared
+/// first, so a steady-state receive allocates nothing) and return the
+/// advanced clock: the max of `now` and the latest arrival, since the
+/// receiver spins on its MRQ until then. Fewer than `count` is
+/// [`TofuError::Deadlock`] (in the lockstep driver every send of a stage
+/// precedes its receives, so a real run would hang) — or
+/// [`TofuError::PeerDead`] when the active fault plan has killed a rank at
+/// the current step (the missing arrivals will never come; survivors can
+/// shrink and recover).
 pub fn try_wait_arrivals_into(
     net: &TofuNet,
     node: usize,
@@ -280,16 +221,29 @@ mod tests {
         Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()))
     }
 
+    /// A bytes put of `data` to `(dst_node, dst_stadd)` at offset 0.
+    fn bytes_put(dst_node: usize, dst_stadd: Stadd, data: &[u8], piggyback: u64) -> Put<'_> {
+        Put {
+            dst_node,
+            dst_stadd,
+            dst_offset: 0,
+            src: PutSrc::Bytes(data),
+            piggyback,
+            seq: 0,
+            cache_injection: false,
+        }
+    }
+
     #[test]
     fn vcq_put_charges_cpu_cost() {
         let net = net();
         let (dst, _) = net.register_mem(1, 16);
         let mut vcq = Vcq::create(net.clone(), 0, 0, 0).unwrap();
         let mut now = 0.0;
-        let r = vcq.put(&mut now, 1, dst, 0, &[1, 2, 3, 4], 0, false);
+        let r = vcq.post_reliable(&mut now, &bytes_put(1, dst, &[1, 2, 3, 4], 0));
         assert!((now - net.params().cpu_per_put_utofu).abs() < 1e-15);
         assert!(r.remote_arrival > now);
-        assert_eq!(net.read_local(1, dst, 0, 4), vec![1, 2, 3, 4]);
+        net.read_local_with(1, dst, 0, 4, |b| assert_eq!(b, [1, 2, 3, 4]));
     }
 
     #[test]
@@ -318,18 +272,18 @@ mod tests {
         let r = vcq.try_post(&mut now, &put(1, dst, 0, 2, 0), 0).unwrap();
         assert!((now - net.params().cpu_per_put_utofu).abs() < 1e-15);
         assert!(r.remote_arrival > now);
-        assert_eq!(net.read_local(1, dst, 0, 4), vec![7, 8, 9, 10]);
+        net.read_local_with(1, dst, 0, 4, |b| assert_eq!(b, [7, 8, 9, 10]));
         // Reliable variant delivers the same bytes at another offset.
         vcq.post_reliable(&mut now, &put(1, dst, 4, 0, 1));
-        assert_eq!(net.read_local(1, dst, 4, 4), vec![5, 6, 7, 8]);
+        net.read_local_with(1, dst, 4, 4, |b| assert_eq!(b, [5, 6, 7, 8]));
         // Same-node region puts (one registry, disjoint or equal regions)
         // and a put from the higher-numbered node take the other lock
         // orders; the arrival reports what was written.
         let (near, _) = net.register_mem(0, 16);
         vcq.post_reliable(&mut now, &put(0, near, 8, 4, 2));
-        assert_eq!(net.read_local(0, near, 8, 4), vec![9, 10, 11, 12]);
+        net.read_local_with(0, near, 8, 4, |b| assert_eq!(b, [9, 10, 11, 12]));
         vcq.post_reliable(&mut now, &put(0, src, 12, 0, 3));
-        assert_eq!(net.read_local(0, src, 12, 4), vec![5, 6, 7, 8]);
+        net.read_local_with(0, src, 12, 4, |b| assert_eq!(b, [5, 6, 7, 8]));
         let mut back = Vcq::create(net.clone(), 1, 0, 1).unwrap();
         back.post_reliable(
             &mut now,
@@ -342,7 +296,7 @@ mod tests {
                 ..put(0, near, 0, 0, 4)
             },
         );
-        assert_eq!(net.read_local(0, near, 0, 8), vec![7, 8, 9, 10, 5, 6, 7, 8]);
+        net.read_local_with(0, near, 0, 8, |b| assert_eq!(b, [7, 8, 9, 10, 5, 6, 7, 8]));
         let a = net.take_arrivals(0, |a| a.seq == 4);
         assert_eq!((a[0].stadd, a[0].offset, a[0].len), (near, 0, 8));
     }
@@ -386,9 +340,9 @@ mod tests {
             ),
             "{err}"
         );
-        assert_eq!(net.read_local(1, dst, 0, 8), vec![1, 2, 3, 0, 0, 0, 0, 0]);
+        net.read_local_with(1, dst, 0, 8, |b| assert_eq!(b, [1, 2, 3, 0, 0, 0, 0, 0]));
         vcq.try_post(&mut now, &put, 1).unwrap();
-        assert_eq!(net.read_local(1, dst, 0, 8), vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        net.read_local_with(1, dst, 0, 8, |b| assert_eq!(b, [1, 2, 3, 4, 5, 6, 7, 8]));
         assert_eq!(net.fault_counters().truncations, 1);
     }
 
@@ -486,7 +440,7 @@ mod tests {
     #[test]
     fn try_wait_reports_shortfall_as_typed_deadlock() {
         let net = net();
-        let err = try_wait_arrivals(&net, 0, 0.0, 2, |_| true).unwrap_err();
+        let err = try_wait_arrivals_into(&net, 0, 0.0, 2, |_| true, &mut Vec::new()).unwrap_err();
         assert_eq!(
             err,
             TofuError::Deadlock {
@@ -506,11 +460,11 @@ mod tests {
         );
         // Before the kill step a shortfall is still a protocol bug.
         net.set_fault_context(3, 1);
-        let err = try_wait_arrivals(&net, 0, 0.0, 1, |_| true).unwrap_err();
+        let err = try_wait_arrivals_into(&net, 0, 0.0, 1, |_| true, &mut Vec::new()).unwrap_err();
         assert!(matches!(err, TofuError::Deadlock { .. }), "{err}");
         // From the kill step on, the same shortfall names the dead peer.
         net.set_fault_context(4, 1);
-        let err = try_wait_arrivals(&net, 0, 0.0, 1, |_| true).unwrap_err();
+        let err = try_wait_arrivals_into(&net, 0, 0.0, 1, |_| true, &mut Vec::new()).unwrap_err();
         assert_eq!(
             err,
             TofuError::PeerDead {
@@ -531,17 +485,11 @@ mod tests {
         let (dst, _) = net.register_mem(1, 8);
         let mut vcq = Vcq::create(net.clone(), 0, 0, 7).unwrap();
         let mut now = 0.0;
-        vcq.put(&mut now, 1, dst, 0, &[9], 0, false);
-        let (arr, t) = wait_arrivals(&net, 1, 0.0, 1, |a| a.src_rank == 7);
+        vcq.post_reliable(&mut now, &bytes_put(1, dst, &[9], 0));
+        let mut arr = Vec::new();
+        let t = try_wait_arrivals_into(&net, 1, 0.0, 1, |a| a.src_rank == 7, &mut arr).unwrap();
         assert_eq!(arr.len(), 1);
         assert!(t >= arr[0].time);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock")]
-    fn missing_arrivals_panic() {
-        let net = net();
-        wait_arrivals(&net, 0, 0.0, 1, |_| true);
     }
 
     #[test]
@@ -550,8 +498,8 @@ mod tests {
         let (dst, _) = net.register_mem(1, 8);
         let mut vcq = Vcq::create(net.clone(), 0, 3, 2).unwrap();
         let mut now = 0.0;
-        vcq.put(&mut now, 1, dst, 0, &[], 0x1234_5678_9ABC_DEF0, false);
-        let (arr, _) = wait_arrivals(&net, 1, 0.0, 1, |a| a.src_rank == 2);
+        vcq.post_reliable(&mut now, &bytes_put(1, dst, &[], 0x1234_5678_9ABC_DEF0));
+        let arr = net.take_arrivals(1, |a| a.src_rank == 2);
         assert_eq!(arr[0].piggyback, 0x1234_5678_9ABC_DEF0);
     }
 }

@@ -6,9 +6,10 @@
 //! thread-schedule-invariance guarantee is built on.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use tofumd_tofu::{
-    CellGrid, FaultKind, FaultPlan, FaultRates, FaultRule, NetParams, PutRequest, PutResult,
-    TofuError, TofuNet,
+    CellGrid, FaultKind, FaultPlan, FaultRates, FaultRule, NetParams, Put, PutResult, PutSrc,
+    TofuError, TofuNet, Vcq,
 };
 
 /// One scripted put, fully derived from the case seed.
@@ -47,9 +48,11 @@ fn script(seed: u64, nputs: usize, nnodes: usize, max_attempt: u32) -> Vec<Scrip
         .collect()
 }
 
-/// Execute `puts` on a fresh fabric under `plan`; return everything
-/// observable: per-put outcomes, the drained arrival queues of every
-/// node, and the fault totals.
+/// Execute `puts` on a fresh fabric under `plan`, each through
+/// [`Vcq::try_post`] (the engines' faultable path) on a VCQ of its own
+/// `(tni, src_rank)`, dropped after the put so no TNI runs out of CQs;
+/// return everything observable: per-put outcomes, the drained arrival
+/// queues of every node, and the fault totals.
 #[allow(clippy::type_complexity)]
 fn run_script(
     plan: &FaultPlan,
@@ -59,7 +62,7 @@ fn run_script(
     Vec<Vec<tofumd_tofu::Arrival>>,
     tofumd_tofu::FaultCounters,
 ) {
-    let net = TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default());
+    let net = Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()));
     net.set_fault_plan(plan.clone());
     let stadds: Vec<_> = (0..net.node_count())
         .map(|n| net.register_mem(n, 4096).0)
@@ -68,22 +71,17 @@ fn run_script(
     let mut results = Vec::with_capacity(puts.len());
     for p in puts {
         net.set_fault_context(p.step, p.op);
-        results.push(net.try_put(
-            PutRequest {
-                src_node: 0,
-                tni: p.tni,
-                dst_node: p.dst_node,
-                dst_stadd: stadds[p.dst_node],
-                dst_offset: 512 * (p.seq as usize % 7),
-                data: &payload[..p.len],
-                piggyback: p.seq,
-                src_rank: p.src_rank,
-                seq: p.seq,
-                now: 0.0,
-                cache_injection: false,
-            },
-            p.attempt,
-        ));
+        let mut vcq = Vcq::create(net.clone(), 0, p.tni, p.src_rank).unwrap();
+        let put = Put {
+            dst_node: p.dst_node,
+            dst_stadd: stadds[p.dst_node],
+            dst_offset: 512 * (p.seq as usize % 7),
+            src: PutSrc::Bytes(&payload[..p.len]),
+            piggyback: p.seq,
+            seq: p.seq,
+            cache_injection: false,
+        };
+        results.push(vcq.try_post(&mut 0.0, &put, p.attempt));
     }
     let arrivals = (0..net.node_count())
         .map(|n| net.take_arrivals(n, |_| true))

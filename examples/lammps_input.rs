@@ -8,6 +8,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use tofumd::md::thermo::ThermoSnapshot;
 use tofumd::runtime::{parse_script, Cluster, CommVariant, StageBreakdown};
 
 fn main() {
@@ -51,32 +52,32 @@ fn main() {
         "\nrunning on the simulated 768-node machine ({} proxy ranks)...",
         cluster.nranks()
     );
+    // LAMMPS prints the first and the last step whatever the interval
+    // (`thermo 0` prints only those). The cluster charges every interval's
+    // reduction into Other, as LAMMPS's output stage does, and logs it;
+    // the first and a last step off the interval are read directly.
     let every = if run.thermo_every == 0 {
         run.steps
     } else {
         run.thermo_every.min(run.steps)
     };
-    let mut done = 0;
-    let t0 = cluster.thermo();
-    println!(
-        "step {:>6}  T {:>9.4}  P {:>12.4}  E {:>14.4}",
-        0,
-        t0.temperature,
-        t0.pressure,
-        t0.total_energy()
-    );
-    while done < run.steps {
-        let n = every.min(run.steps - done);
-        cluster.run(n);
-        done += n;
-        let t = cluster.thermo();
+    cluster.set_thermo_every(every);
+    let print = |t: &ThermoSnapshot| {
         println!(
             "step {:>6}  T {:>9.4}  P {:>12.4}  E {:>14.4}",
-            done,
+            t.step,
             t.temperature,
             t.pressure,
             t.total_energy()
         );
+    };
+    let start = cluster.current_step();
+    print(&cluster.thermo());
+    cluster.run(run.steps);
+    let log = cluster.thermo_log();
+    log.iter().filter(|t| t.step > start).for_each(print);
+    if log.last().is_none_or(|t| t.step != cluster.current_step()) {
+        print(&cluster.thermo());
     }
     let b = cluster.breakdown();
     let shares: Vec<String> = StageBreakdown::NAMES

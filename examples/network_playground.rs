@@ -6,9 +6,11 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::Arc;
-use tofumd::tofu::{wait_arrivals, CellGrid, NetParams, TofuNet, Vcq, CQS_PER_TNI};
+use tofumd::tofu::{
+    try_wait_arrivals_into, CellGrid, NetParams, Put, PutSrc, TofuNet, Vcq, CQS_PER_TNI,
+};
 
-fn main() -> Result<(), tofumd::tofu::CqExhausted> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A single TofuD cell: 12 nodes in the 2x3x2 block.
     let net = Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()));
     println!(
@@ -28,7 +30,16 @@ fn main() -> Result<(), tofumd::tofu::CqExhausted> {
     let mut vcq = Vcq::create(net.clone(), 0, 2, 0)?;
     let mut clock = 0.0;
     let payload: Vec<u8> = (0..64).collect();
-    let r = vcq.put(&mut clock, 5, stadd, 128, &payload, 0xC0FFEE, true);
+    let small = Put {
+        dst_node: 5,
+        dst_stadd: stadd,
+        dst_offset: 128,
+        src: PutSrc::Bytes(&payload),
+        piggyback: 0xC0FFEE,
+        seq: 0,
+        cache_injection: true,
+    };
+    let r = vcq.post_reliable(&mut clock, &small);
     println!(
         "put 64 B node0 -> node5 ({} hops): local complete {:.3} us, remote arrival {:.3} us",
         net.hops(0, 5),
@@ -37,7 +48,8 @@ fn main() -> Result<(), tofumd::tofu::CqExhausted> {
     );
 
     // The receiver polls its MRQ, advancing its own virtual clock.
-    let (arrivals, now) = wait_arrivals(&net, 5, 0.0, 1, |a| a.piggyback == 0xC0FFEE);
+    let mut arrivals = Vec::new();
+    let now = try_wait_arrivals_into(&net, 5, 0.0, 1, |a| a.piggyback == 0xC0FFEE, &mut arrivals)?;
     let a = &arrivals[0];
     println!(
         "node 5 sees {} B at offset {} (piggyback {:#x}) at t = {:.3} us",
@@ -46,15 +58,30 @@ fn main() -> Result<(), tofumd::tofu::CqExhausted> {
         a.piggyback,
         now * 1e6
     );
-    assert_eq!(net.read_local(5, stadd, 128, 64), payload);
+    net.read_local_with(5, stadd, 128, 64, |bytes| assert_eq!(bytes, payload));
     println!("payload bytes verified in the registered region\n");
 
     // TNI injection serializes; different TNIs run in parallel.
     let (big_dst, _) = net.register_mem(1, 2 << 20);
     let big = vec![0u8; 1 << 20];
     let mut t = 0.0;
-    let first = vcq.put(&mut t, 1, big_dst, 0, &big, 0, false);
-    let second = vcq.put(&mut t, 1, big_dst, 1 << 20, &big, 0, false);
+    let first_half = Put {
+        dst_node: 1,
+        dst_stadd: big_dst,
+        dst_offset: 0,
+        src: PutSrc::Bytes(&big),
+        piggyback: 0,
+        cache_injection: false,
+        ..small
+    };
+    let first = vcq.post_reliable(&mut t, &first_half);
+    let second = vcq.post_reliable(
+        &mut t,
+        &Put {
+            dst_offset: 1 << 20,
+            ..first_half
+        },
+    );
     println!(
         "two 1 MiB puts on one TNI serialize: arrivals {:.1} us then {:.1} us",
         first.remote_arrival * 1e6,

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use tofumd::tofu::{wait_arrivals, CellGrid, NetParams, PutRequest, TofuNet};
+use tofumd::tofu::{try_wait_arrivals_into, CellGrid, NetParams, PutRequest, TofuNet};
 
 fn net() -> Arc<TofuNet> {
     Arc::new(TofuNet::new(CellGrid::new([2, 2, 2]), NetParams::default()))
@@ -36,7 +36,8 @@ proptest! {
             });
             offset += p.len();
         }
-        let (arrivals, _) = wait_arrivals(&net, 1, 0.0, payloads.len(), |_| true);
+        let mut arrivals = Vec::new();
+        try_wait_arrivals_into(&net, 1, 0.0, payloads.len(), |_| true, &mut arrivals).unwrap();
         prop_assert_eq!(arrivals.len(), payloads.len());
         // Each piggyback appears exactly once.
         let mut tags: Vec<u64> = arrivals.iter().map(|a| a.piggyback).collect();
@@ -46,7 +47,7 @@ proptest! {
         let mut offset = 0;
         for p in &payloads {
             if !p.is_empty() {
-                prop_assert_eq!(&net.read_local(1, dst, offset, p.len()), p);
+                prop_assert_eq!(&net.read_local_with(1, dst, offset, p.len(), <[u8]>::to_vec), p);
             }
             offset += p.len();
         }
