@@ -165,13 +165,6 @@ impl Potential {
         }
     }
 
-    /// True if computing this potential requires the two extra mid-stage
-    /// communications (the paper's EAM case).
-    #[must_use]
-    pub fn needs_midstage_comm(&self) -> bool {
-        matches!(self, Potential::ManyBody(_))
-    }
-
     /// True if ghost forces must be reverse-communicated after the pair
     /// stage.
     #[must_use]
@@ -190,11 +183,9 @@ mod tests {
     #[test]
     fn potential_enum_dispatch() {
         let lj = Potential::Pair(Box::new(LjCut::lammps_bench()));
-        assert!(!lj.needs_midstage_comm());
         assert!(lj.needs_reverse(), "half-list LJ reverse-communicates");
         assert_eq!(lj.cutoff(), 2.5);
         let eam = Potential::ManyBody(Box::new(EamCu::lammps_bench()));
-        assert!(eam.needs_midstage_comm());
         assert!(eam.needs_reverse());
         assert_eq!(eam.list_kind(), ListKind::HalfNewton);
     }

@@ -14,10 +14,10 @@
 
 use super::{Cluster, PlaceholderEngine};
 use crate::config::{Decomp, RunConfig};
-use crate::driver::{Lane, Phase, PlanMode, Team};
+use crate::driver::{halo_and_pair, Lane, Phase, PlanMode, Team};
 use crate::variant::CommVariant;
 use std::sync::Arc;
-use tofumd_core::engine::{wrap_for_exchange, GhostEngine, Op, RankState};
+use tofumd_core::engine::{wrap_for_exchange, GhostEngine, RankState};
 use tofumd_core::topo_map::{Placement, RankMap};
 use tofumd_core::{AddressBook, CommGraph, MpiEngine, PlanConfig, UtofuEngine};
 use tofumd_md::atom::Atoms;
@@ -201,8 +201,6 @@ impl Cluster {
             step: 0,
             rebuild_count: 0,
             steps_run: 0,
-            rebuild: false,
-            reverse_needed: cfg.needs_reverse(),
             thermo_every: 0,
             thermo_log: Vec::new(),
             target_mesh,
@@ -211,7 +209,6 @@ impl Cluster {
             built_reg_calls: 0,
             demoted: false,
             force_rebuild: false,
-            rebalance_now: false,
             rebalance_count: 0,
             plan_mode: PlanMode::default(),
             proxy_mesh: grid.node_mesh(),
@@ -335,15 +332,17 @@ impl Cluster {
     }
 
     /// Settle: ghosts, lists, forces and — when Newton's third law folds
-    /// them back — the reverse exchange, from the positions in place. At a
-    /// reneighbor boundary these are pure functions of the positions, so
-    /// the state after a settle is a valid checkpoint boundary.
+    /// them back — the reverse exchange, from the positions in place: the
+    /// barrier rebuild plan's [`halo_and_pair`] slice, every phase run even
+    /// if a peer death is pending. At a reneighbor boundary these are pure
+    /// functions of the positions, so the state after a settle is a valid
+    /// checkpoint boundary.
     pub(super) fn settle(&mut self) {
-        self.run_op(Op::Border);
-        self.run_phase(Phase::RebuildLists);
-        self.run_phase(Phase::Pair);
-        if self.reverse_needed {
-            self.run_op(Op::Reverse);
+        let (eam, reverse) = (self.cfg.is_eam(), self.potential.needs_reverse());
+        let mut plan = Vec::new();
+        halo_and_pair(&mut plan, true, eam, reverse, false);
+        for phase in plan {
+            self.run_phase(phase);
         }
         self.at_rebuild_boundary = true;
     }
@@ -365,6 +364,7 @@ fn owner_of(global: &Box3, map: &RankMap, x: &[f64; 3]) -> usize {
 mod tests {
     use super::*;
     use crate::config::CommTuning;
+    use tofumd_core::engine::Op;
 
     #[test]
     fn a_variant_that_cannot_walk_the_graph_is_a_typed_error() {

@@ -153,12 +153,8 @@ impl Cluster {
         // Synchronous cost model: every live rank stalls for the barrier
         // plus its share of the container drain.
         let cost = CHECKPOINT_BASE_COST + size as f64 * CHECKPOINT_BYTE_COST;
-        let dead = self.dead;
-        for (rank, st) in self.states.iter_mut().enumerate() {
-            if Some(rank as u32) == dead {
-                continue;
-            }
-            st.charge(cost, Stage::Other);
+        for rank in self.survivors() {
+            self.states[rank].charge(cost, Stage::Other);
         }
         self.recovery.checkpoints += 1;
         self.recovery.checkpoint_cost += cost;
@@ -321,19 +317,12 @@ impl Cluster {
         self.steps_run = data.steps_run;
         self.rebalance_count = data.rebalance_count;
         self.thermo_log = data.thermo_log;
-        self.rebuild = false;
-        self.rebalance_now = false;
         self.force_rebuild = false;
         self.pending_peer_death = None;
         self.settle();
         self.rebuild_count = data.rebuild_count;
-        let t_after = accounting::latest_clock(
-            self.states
-                .iter()
-                .enumerate()
-                .filter(|&(r, _)| r != dead as usize)
-                .map(|(_, s)| s),
-        );
+        let live = self.survivors();
+        let t_after = accounting::latest_clock(live.iter().map(|&r| &self.states[r]));
         self.recovery.recoveries += 1;
         self.recovery.steps_lost += step_at_death - data.step;
         self.recovery.recovery_time += (t_after - t_death).max(0.0);

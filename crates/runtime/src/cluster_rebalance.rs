@@ -1,7 +1,7 @@
 //! Mid-run dynamic domain rebalancing (LAMMPS `fix balance N <thresh>
 //! rcb`). Child module of [`crate::cluster`].
 //!
-//! When the check phase arms it (interval step, global atom imbalance
+//! When the reneighbor check arms it (interval step, global atom imbalance
 //! above the balance threshold), the Rebalance phase is re-cut → install
 //! → migrate (see `cluster_build.rs`): an RCB cut from the *current*
 //! wrapped positions, every rank's star forest swapped for one over the
@@ -29,8 +29,8 @@ impl Cluster {
         self.rebalance_count
     }
 
-    /// The Rebalance phase body: a no-op unless the check phase armed it
-    /// this step.
+    /// The Rebalance phase body, listed only on a step whose reneighbor
+    /// check armed it.
     ///
     /// # Panics
     ///
@@ -38,10 +38,6 @@ impl Cluster {
     /// integration cannot be decomposed, and silently keeping the old
     /// cuts would hide the corruption.
     pub(super) fn run_rebalance(&mut self) {
-        if !self.rebalance_now {
-            return;
-        }
-        self.rebalance_now = false;
         let (wrapped, rcb) = self.recut(self.states.iter().map(|st| &st.atoms), "rebalance");
         let graphs = self.graphs(Some(&rcb));
 

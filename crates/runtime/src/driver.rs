@@ -1,11 +1,14 @@
 //! The deterministic host-parallel phase executor.
 //!
-//! A timestep is an ordered list of [`Phase`]s — per-rank work items
-//! (integrate, reneighbor-check, ghost ops, pair passes, accounting) —
-//! whose middle section is a [`step_plan`] built once the reneighbor
-//! verdict is known, executed over all simulated ranks by a persistent
-//! [`Team`] of host threads built on `tofumd-threadpool`'s spin pool (the
-//! paper's §3.3 design, dogfooded as our own step driver).
+//! A timestep is `InitialIntegrate`, the reneighbor check, then a
+//! [`step_plan`] built from the check's [`Verdict`]: an ordered list of
+//! [`Phase`]s — per-rank work items (ghost ops, scatter passes, the pair
+//! charge, integration, accounting) — executed over all simulated ranks
+//! by a persistent [`Team`] of host threads built on `tofumd-threadpool`'s
+//! spin pool (the paper's §3.3 design, dogfooded as our own step driver).
+//! The plan is the one sequencer: every ghost op a step runs is one of its
+//! entries, and the setup/restore/recovery settle runs its middle slice,
+//! [`halo_and_pair`].
 //!
 //! # Determinism contract (DESIGN.md §9)
 //!
@@ -154,20 +157,16 @@ pub enum Pass {
 
 /// One work item of a timestep. The comm phases run the engine's
 /// post/complete rounds; the compute phases fan per-rank closures out
-/// over the [`Team`]. Every step starts with `InitialIntegrate` and
-/// `ReneighborCheck`; the rest is the step's [`step_plan`].
+/// over the [`Team`]. Every step starts with `InitialIntegrate`; after
+/// the reneighbor check the rest is the step's [`step_plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// First velocity-Verlet half-kick + drift.
     InitialIntegrate,
-    /// Decide whether this step reneighbors (policy + displacement
-    /// allreduce).
-    ReneighborCheck,
-    /// Mid-run domain rebalance (reneighbor steps only; a no-op unless
-    /// the check phase armed it): rebuild the RCB decomposition from the
-    /// current positions, swap every rank's graph and migrate atoms to
-    /// their new owners. A global barrier point — every rank swaps before
-    /// any rank exchanges.
+    /// Mid-run domain rebalance (listed only when the check armed it):
+    /// rebuild the RCB decomposition from the current positions, swap
+    /// every rank's graph and migrate atoms to their new owners. A global
+    /// barrier point — every rank swaps before any rank exchanges.
     Rebalance,
     /// Staged atom migration (reneighbor steps only; 3 rounds, never
     /// split).
@@ -196,10 +195,12 @@ pub enum Phase {
     },
     /// Verlet-list rebuild in one pass.
     RebuildLists,
-    /// The whole pair stage unsplit (single pass, or the EAM
-    /// rho/embed/force pipeline with its mid-stage scalar exchanges) and
-    /// its Pair charge.
-    Pair,
+    /// One scatter pass over all of every rank's rows, unsplit and
+    /// uncharged: its Pair time is booked once by `ChargePair`.
+    Pass(Pass),
+    /// Book every rank's Pair-stage time from its whole workload, after
+    /// the unsplit pair stage's last pass.
+    ChargePair,
     /// EAM embedding energy + F' for locals.
     Embed,
     /// Second velocity-Verlet half-kick + Modify charge.
@@ -222,44 +223,72 @@ pub enum PlanMode {
     Dag,
 }
 
-/// The ordered phases of one timestep after its `InitialIntegrate` +
-/// `ReneighborCheck` prefix, built once the reneighbor verdict is known.
-/// `overlap` selects the shape that splits each halo op into a post and a
-/// rank-major window with the first (or, for EAM's F' forward, the force)
-/// pass inside it — a rank may complete once every rank has posted, so a
-/// window directly follows its post; without it the ops and the pair stage
-/// run whole, one after another. The plan is a pure function of the step's
-/// shape — independent of host thread count, wall-clock, or any
-/// virtual-time value (DESIGN.md §12).
+/// What a step's reneighbor check decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verdict {
+    /// The step reneighbors: migration, sort, Border and a list build.
+    pub rebuild: bool,
+    /// The balance trigger fired: the step re-cuts before it migrates.
+    pub rebalance: bool,
+}
+
+/// Entries of the longest plan, a barrier EAM rebalance step.
+const PLAN_CAPACITY: usize = 14;
+
+/// The phases of one timestep after `InitialIntegrate` and the reneighbor
+/// check: the rebalance when armed, the migration and sort on a rebuild,
+/// the [`halo_and_pair`] middle, then the final integrate and the
+/// accounting. A pure function of the step's shape — independent of host
+/// thread count, wall-clock, or any virtual-time value (DESIGN.md §12).
 #[must_use]
-pub fn step_plan(rebuild: bool, eam: bool, reverse_needed: bool, overlap: bool) -> Vec<Phase> {
-    use Phase::{
-        Accounting, Comm, Embed, Exchange, FinalIntegrate, Pair, Post, Rebalance, RebuildLists,
-        SpatialSort, Window,
+pub fn step_plan(verdict: Verdict, eam: bool, reverse: bool, overlap: bool) -> Vec<Phase> {
+    let mut plan = Vec::with_capacity(PLAN_CAPACITY);
+    if verdict.rebalance {
+        plan.push(Phase::Rebalance);
+    }
+    if verdict.rebuild {
+        plan.extend([Phase::Exchange, Phase::SpatialSort]);
+    }
+    halo_and_pair(&mut plan, verdict.rebuild, eam, reverse, overlap);
+    plan.extend([Phase::FinalIntegrate, Phase::Accounting]);
+    plan
+}
+
+/// The middle of a step, appended to `plan` (settle runs it alone): the
+/// Border (rebuild) or Forward halo with the first scatter pass, EAM's
+/// scalar ops around its embed and force pass, and Reverse when ghost
+/// forces fold back. `overlap` splits each halo op into a post and a
+/// rank-major window that charges its pass; without it each op runs whole
+/// before its pass and `ChargePair` books the pair stage after the last.
+pub fn halo_and_pair(
+    plan: &mut Vec<Phase>,
+    rebuild: bool,
+    eam: bool,
+    reverse: bool,
+    overlap: bool,
+) {
+    use Phase::{ChargePair, Comm, Embed, Post, RebuildLists, Window};
+    let halo = |op, pass| match overlap {
+        true => [Post(op), Window { op, pass }],
+        false => [Comm(op), Phase::Pass(pass)],
     };
-    let window = |op, pass| [Post(op), Window { op, pass }];
-    let first = if eam { Pass::Rho } else { Pass::Pair };
-    let mut plan = Vec::with_capacity(12);
-    if rebuild {
-        plan.extend([Rebalance, Exchange, SpatialSort]);
+    let op = if rebuild { Op::Border } else { Op::Forward };
+    let [open, first] = halo(op, if eam { Pass::Rho } else { Pass::Pair });
+    plan.push(open);
+    if rebuild && !overlap {
+        plan.push(RebuildLists);
     }
-    match (rebuild, overlap) {
-        (true, true) => plan.extend(window(Op::Border, first)),
-        (true, false) => plan.extend([Comm(Op::Border), RebuildLists, Pair]),
-        (false, true) => plan.extend(window(Op::Forward, first)),
-        (false, false) => plan.extend([Comm(Op::Forward), Pair]),
-    }
-    if eam && overlap {
-        // After the density replay: fold ghost rho back, embed, then
-        // overlap the F' forward with the interior force rows.
+    plan.push(first);
+    if eam {
         plan.extend([Comm(Op::ReverseScalar), Embed]);
-        plan.extend(window(Op::ForwardScalar, Pass::Force));
+        plan.extend(halo(Op::ForwardScalar, Pass::Force));
     }
-    if reverse_needed {
+    if !overlap {
+        plan.push(ChargePair);
+    }
+    if reverse {
         plan.push(Comm(Op::Reverse));
     }
-    plan.extend([FinalIntegrate, Accounting]);
-    plan
 }
 
 /// The persistent worker team driving per-rank phases.
@@ -429,18 +458,44 @@ mod tests {
         }
     }
 
+    /// The verdicts a check can return: a rebalance always rebuilds.
+    const VERDICTS: [Verdict; 3] = [
+        Verdict {
+            rebuild: false,
+            rebalance: false,
+        },
+        Verdict {
+            rebuild: true,
+            rebalance: false,
+        },
+        Verdict {
+            rebuild: true,
+            rebalance: true,
+        },
+    ];
+
+    /// `[FinalIntegrate, Accounting]`, after Reverse when asked for.
+    fn tail(reverse: bool) -> Vec<Phase> {
+        let reverse = reverse.then_some(Phase::Comm(Op::Reverse));
+        reverse
+            .into_iter()
+            .chain([Phase::FinalIntegrate, Phase::Accounting])
+            .collect()
+    }
+
     /// The step "DAG" is a chain in program order: every shape ends with
-    /// the final integrate and the accounting, runs no phase twice, and
-    /// puts a window directly behind the post of the op it completes —
-    /// the one cross-rank edge (a rank completes only after every rank
-    /// posted).
+    /// the final integrate and the accounting, runs no phase twice, lists
+    /// the rebalance exactly when the verdict armed it, and puts a window
+    /// directly behind the post of the op it completes — the one
+    /// cross-rank edge (a rank completes only after every rank posted).
     #[test]
     fn dag_ids_are_topological_and_execution_is_id_order() {
-        for rebuild in [false, true] {
+        for verdict in VERDICTS {
             for eam in [false, true] {
                 for overlap in [false, true] {
-                    let plan = step_plan(rebuild, eam, true, overlap);
+                    let plan = step_plan(verdict, eam, true, overlap);
                     assert!(plan.ends_with(&[Phase::FinalIntegrate, Phase::Accounting]));
+                    assert_eq!(plan.contains(&Phase::Rebalance), verdict.rebalance);
                     for (i, phase) in plan.iter().enumerate() {
                         assert!(!plan[..i].contains(phase), "{phase:?} runs twice");
                         if let Phase::Window { op, .. } = *phase {
@@ -454,41 +509,46 @@ mod tests {
 
     /// The non-overlapping shape (all of `PlanMode::Barrier`, and what
     /// `PlanMode::Dag` degrades to) is the barrier step sequence: whole
-    /// ops and the whole pair stage in program order, the rebuild and
-    /// forward paths mutually exclusive, the rebalance barrier point ahead
-    /// of the migration it may redirect, Reverse only when asked for.
+    /// ops, each scatter pass after the op it reads, one `ChargePair` after
+    /// the last pass, the rebuild and forward paths mutually exclusive, the
+    /// armed rebalance ahead of the migration it redirects, Reverse only
+    /// when asked for.
     #[test]
     fn non_overlap_dag_is_the_barrier_sequence() {
-        use Phase::*;
-        let rebuild = [
-            Rebalance,
-            Exchange,
-            SpatialSort,
-            Comm(Op::Border),
-            RebuildLists,
-            Pair,
-        ];
-        let forward = [Comm(Op::Forward), Pair];
+        use Phase::{ChargePair, Comm, Embed, Exchange, Rebalance, RebuildLists, SpatialSort};
+        let rebuild = [Exchange, SpatialSort, Comm(Op::Border), RebuildLists];
         for eam in [false, true] {
+            let pair = if eam {
+                vec![
+                    Phase::Pass(Pass::Rho),
+                    Comm(Op::ReverseScalar),
+                    Embed,
+                    Comm(Op::ForwardScalar),
+                    Phase::Pass(Pass::Force),
+                    ChargePair,
+                ]
+            } else {
+                vec![Phase::Pass(Pass::Pair), ChargePair]
+            };
             for reverse in [false, true] {
-                let tail: &[Phase] = if reverse {
-                    &[Comm(Op::Reverse), FinalIntegrate, Accounting]
-                } else {
-                    &[FinalIntegrate, Accounting]
-                };
-                let order = |rb| step_plan(rb, eam, reverse, false);
-                assert_eq!(order(true), [&rebuild[..], tail].concat());
-                assert_eq!(order(false), [&forward[..], tail].concat());
+                let order = |v| step_plan(v, eam, reverse, false);
+                let tail = tail(reverse);
+                let [forward, rebuilt, rebalanced] = VERDICTS.map(order);
+                assert_eq!(forward, [&[Comm(Op::Forward)][..], &pair, &tail].concat());
+                assert_eq!(rebuilt, [&rebuild[..], &pair, &tail].concat());
+                let head = [&[Rebalance][..], &rebuild].concat();
+                assert_eq!(rebalanced, [head, pair.clone(), tail].concat());
             }
         }
     }
 
     /// The overlapping shape: every split halo op is a `Post` region
-    /// followed by its rank-major `Window`. The interior/complete/boundary
+    /// followed by its rank-major `Window`, and the windows book the pair
+    /// stage, so no `ChargePair` is listed. The interior/complete/boundary
     /// order inside a window is per rank, not part of the plan.
     #[test]
     fn overlap_dag_runs_each_split_pass_in_a_window_after_its_post() {
-        use Phase::*;
+        use Phase::{Comm, Embed, Exchange, Post, Rebalance, SpatialSort, Window};
         let window = |op, pass| [Post(op), Window { op, pass }];
         for eam in [false, true] {
             let first = if eam { Pass::Rho } else { Pass::Pair };
@@ -499,25 +559,61 @@ mod tests {
                 vec![]
             };
             for reverse in [false, true] {
-                let tail: &[Phase] = if reverse {
-                    &[Comm(Op::Reverse), FinalIntegrate, Accounting]
-                } else {
-                    &[FinalIntegrate, Accounting]
-                };
-                // Rebuild: list build and first pass split around Border.
-                let rebuild = [
-                    &[Rebalance, Exchange, SpatialSort][..],
-                    &window(Op::Border, first)[..],
-                ]
-                .concat();
+                let tail = tail(reverse);
+                // Rebuild: list build and first pass split around Border,
+                // behind the migration (and the re-cut when armed).
+                let border = window(Op::Border, first);
+                let rebuild = [&[Exchange, SpatialSort][..], &border].concat();
+                let rebalance = [&[Rebalance][..], &rebuild].concat();
                 // Forward: first pass split around Forward (and, for EAM,
                 // the force pass around the F' forward).
                 let forward = window(Op::Forward, first);
-                for (rb, head) in [(true, &rebuild[..]), (false, &forward[..])] {
-                    let plan = step_plan(rb, eam, reverse, true);
-                    assert_eq!(plan, [head, &mid[..], tail].concat());
+                let heads = [&forward[..], &rebuild, &rebalance];
+                for (verdict, head) in VERDICTS.into_iter().zip(heads) {
+                    let plan = step_plan(verdict, eam, reverse, true);
+                    assert_eq!(plan, [head, &mid[..], &tail].concat());
                 }
             }
         }
+    }
+
+    /// Settle's slice — ghosts, lists, the pair stage and Reverse from the
+    /// positions in place — is the barrier rebuild plan between its
+    /// migration and its tail.
+    #[test]
+    fn settle_slice_is_the_middle_of_the_barrier_rebuild_plan() {
+        for eam in [false, true] {
+            for reverse in [false, true] {
+                let mut slice = Vec::new();
+                halo_and_pair(&mut slice, true, eam, reverse, false);
+                assert!(slice.starts_with(&[Phase::Comm(Op::Border), Phase::RebuildLists]));
+                let plan = step_plan(VERDICTS[1], eam, reverse, false);
+                let migrate = [Phase::Exchange, Phase::SpatialSort];
+                let end = [Phase::FinalIntegrate, Phase::Accounting];
+                assert_eq!(plan, [&migrate[..], &slice, &end].concat());
+            }
+        }
+    }
+
+    /// A step allocates its plan once: the capacity `step_plan` asks for
+    /// covers every shape, and the longest shape fills it.
+    #[test]
+    fn plan_capacity_covers_every_shape() {
+        let mut longest = 0;
+        for rebuild in [false, true] {
+            for rebalance in [false, true] {
+                for eam in [false, true] {
+                    for reverse in [false, true] {
+                        for overlap in [false, true] {
+                            let verdict = Verdict { rebuild, rebalance };
+                            let plan = step_plan(verdict, eam, reverse, overlap);
+                            assert!(plan.len() <= PLAN_CAPACITY, "{plan:?}");
+                            longest = longest.max(plan.len());
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(longest, PLAN_CAPACITY);
     }
 }
