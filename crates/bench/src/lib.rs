@@ -17,6 +17,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use tofumd_runtime::{Cluster, CommVariant, RunConfig};
+use tofumd_tofu::PAPER_NODE_MESHES;
 
 pub mod claims;
 pub mod cli;
@@ -29,18 +30,23 @@ mod tools;
 /// steps in seconds.
 pub const PROXY_MESH: [u32; 3] = [4, 3, 2];
 
-/// The paper's strong-scaling node meshes (§4.3.1).
-pub const STRONG_SCALING_MESHES: [(usize, [u32; 3]); 5] = [
-    (768, [8, 12, 8]),
-    (2160, [12, 15, 12]),
-    (6144, [16, 24, 16]),
-    (18432, [24, 32, 24]),
-    (36864, [32, 36, 32]),
-];
+/// The paper's strong-scaling node meshes (§4.3.1, Fig. 13): its machine
+/// sizes without the weak-scaling 20,736-node point.
+pub const STRONG_SCALING_MESHES: [(usize, [u32; 3]); 5] = {
+    let m = PAPER_NODE_MESHES;
+    [m[0], m[1], m[2], m[3], m[5]]
+};
+
+/// Fig. 14's weak-scaling node meshes: the paper's machine sizes up to the
+/// 20,736-node point.
+pub(crate) const WEAK_SCALING_MESHES: [(usize, [u32; 3]); 5] = {
+    let m = PAPER_NODE_MESHES;
+    [m[0], m[1], m[2], m[3], m[4]]
+};
 
 /// The paper's smallest machine (768 nodes), the target most proxy
 /// figures stand in for.
-pub(crate) const MESH_768: [u32; 3] = STRONG_SCALING_MESHES[0].1;
+pub(crate) const MESH_768: [u32; 3] = PAPER_NODE_MESHES[0].1;
 
 /// Number of timed steps (the paper's runs report 99-step timings).
 pub const PAPER_STEPS: u64 = 99;

@@ -493,15 +493,15 @@ fn create_vcq_retry(
 /// here; [`UtofuEngine::shape`] derives it from the pattern and the
 /// config, and nothing else sets it.
 struct RoundShape {
-    /// Post across the op's LPT lanes over the comm threads, lane `t` on
-    /// VCQ `t mod vcqs`; otherwise one lane, in hop order, on VCQ 0.
-    lpt_lanes: bool,
+    /// The round spans every graph edge. It posts across the op's LPT
+    /// lanes over the comm threads, lane `t` on VCQ `t mod vcqs`, and its
+    /// growth handshakes (and ghost-op frames) are charged before the puts
+    /// start, one `st.charge` each. A face round posts one lane, in hop
+    /// order, on VCQ 0, and adds its growth to the lane's clock between
+    /// its puts.
+    spans: bool,
     /// Software cost each lane pays before its first put.
     region_overhead: f64,
-    /// Growth handshakes (and ghost-op frames) are charged before the puts
-    /// start, one `st.charge` each; otherwise added to the lane's clock
-    /// between its puts.
-    grow_first: bool,
     /// Receive buffers each arrival is MRQ-matched against.
     match_bufs: usize,
     /// Polling and unpacking divide over the comm-thread pool.
@@ -709,7 +709,7 @@ impl UtofuEngine {
         let pool = spans && cfg.comm_threads > 1;
         let direct_x = spans && cfg.prereg && op == Op::Forward;
         RoundShape {
-            lpt_lanes: spans,
+            spans,
             region_overhead: match (spans, pool) {
                 (false, _) => 0.0,
                 (true, true) => p.pool_region_overhead,
@@ -717,7 +717,6 @@ impl UtofuEngine {
                 // cost (§4.2's explanation for 6TNI-single-thread).
                 (true, false) => p.vcq_drive_overhead * cfg.vcqs as f64,
             },
-            grow_first: spans,
             // The family's whole receive table (one entry per edge under
             // direct-`x`); a staged round's two face buffers; nothing on a
             // p2p migration sweep.
@@ -822,7 +821,7 @@ impl GhostEngine for UtofuEngine {
         self.resolve_channels(st)?;
         self.pattern.select(op, round, st)?;
         let shape = self.shape(op);
-        if shape.lpt_lanes && op == Op::Border {
+        if shape.spans && op == Op::Border {
             self.replan(op);
         } else if shape.direct_x && self.remote_ghost_off.iter().any(Option::is_none) {
             self.recv_ghost_offsets(st)?;
@@ -831,8 +830,8 @@ impl GhostEngine for UtofuEngine {
         self.seq += 1;
         let (lane, chan, send_out) = (&mut self.lane, &mut self.chan, &mut self.send_out);
         let (pattern, layout) = (&self.pattern, &self.pattern.ghosts);
-        let frame_first = shape.grow_first && matches!(op.kind(), OpKind::Ghost(_));
-        if shape.grow_first {
+        let frame_first = shape.spans && matches!(op.kind(), OpKind::Ghost(_));
+        if shape.spans {
             pattern.for_each_hop(op, round, st, false, |h, st| {
                 let ch = &mut chan[BufKind::inflow(h.toward_ghosts) as usize][h.k];
                 let need = wire::combined_size(Payload::of(op, h.layout).len(layout));
@@ -850,9 +849,9 @@ impl GhostEngine for UtofuEngine {
         // Message `i` is stamped `base + 1 + i`, whichever lane posts it.
         let (base, start, plan) = (lane.send_seq, st.clock, &self.lanes[op.index()]);
         let (mut end, mut sent) = (start, 0);
-        for t in 0..if shape.lpt_lanes { plan.len() } else { 1 } {
+        for t in 0..if shape.spans { plan.len() } else { 1 } {
             // A face round's one lane is its hops in order.
-            let lpt = plan.get(t).filter(|_| shape.lpt_lanes);
+            let lpt = plan.get(t).filter(|_| shape.spans);
             let (mut now, mut j) = (start + shape.region_overhead, 0);
             while let Some(i) = lpt.map_or(Some(j), |lane| lane.get(j).copied()) {
                 j += 1;
@@ -864,7 +863,7 @@ impl GhostEngine for UtofuEngine {
                 let payload = Payload::of(op, h.layout);
                 let f64s = payload.len(layout);
                 let (mut offset, mut len, mut spilled) = (0, wire::combined_size(f64s), None);
-                if !shape.grow_first {
+                if !shape.spans {
                     now += lane.reserve(ch, slot, len, st.stats.at(op, round));
                 }
                 let (dst_stadd, dst_offset) = if shape.direct_x {
@@ -991,7 +990,7 @@ impl GhostEngine for UtofuEngine {
             }
         }
         self.pattern.finish(op, st);
-        if op == Op::Border && shape.lpt_lanes {
+        if op == Op::Border && shape.spans {
             self.begin_epoch(st);
         }
         Ok(())

@@ -10,7 +10,8 @@
 //! * cell-binned Verlet neighbor lists with skin and both `neigh_modify`
 //!   rebuild policies ([`neighbor`]),
 //! * Lennard-Jones and EAM potentials — the paper's two benchmark force
-//!   fields — including EAM's two-pass structure that requires mid-pair-stage
+//!   fields — LJ over a `pair_coeff`-style type table of any number of
+//!   species, and EAM's two-pass structure that requires mid-pair-stage
 //!   communication ([`potential`]),
 //! * velocity-Verlet NVE integration ([`integrate`]) and thermodynamic
 //!   observables ([`thermo`]),
@@ -86,9 +87,7 @@ pub use kernels::PairScratch;
 pub use lattice::FccLattice;
 pub use neighbor::{sort_locals_by_bin, ListKind, NeighborList, RebuildPolicy};
 pub use observe::{Msd, Rdf};
-pub use potential::{
-    EamCu, LjCut, LjCutMulti, ManyBodyPotential, PairPotential, Potential, StillingerWeber,
-};
+pub use potential::{EamCu, LjCut, PairPotential, Potential, StillingerWeber};
 pub use region::Box3;
 pub use serial::SerialSim;
 pub use thermo::ThermoSnapshot;

@@ -24,13 +24,21 @@
 //! (`tests/chunked_kernels.rs`).
 
 use super::spline::Spline;
-use super::{ManyBodyPotential, PairEnergyVirial};
+use super::PairEnergyVirial;
 use crate::atom::Atoms;
 use crate::kernels::{self, Direct, PairScratch, Sink, Slab, CHUNK_ROWS, ROW_BLOCK};
 use crate::neighbor::{ListKind, NeighborList};
 use tofumd_threadpool::ChunkExec;
 
-/// Cu-like EAM with spline-tabulated rho(r), phi(r) and F(rho).
+/// Cu-like EAM with spline-tabulated rho(r), phi(r) and F(rho): a
+/// two-pass potential with mid-pair-stage communication.
+///
+/// The driving engine must:
+/// 1. call [`EamCu::compute_rho`],
+/// 2. **reverse-communicate** ghost `rho` contributions to their owners,
+/// 3. call [`EamCu::compute_embedding`],
+/// 4. **forward-communicate** local `fp` values to ghosts,
+/// 5. call [`EamCu::compute_force`].
 pub struct EamCu {
     cutoff: f64,
     cutsq: f64,
@@ -156,14 +164,16 @@ impl EamCu {
         let dudr = self.phi_r.deriv_at(m, b) + fp_sum * self.rho_r.deriv_at(m, b);
         (-dudr / r, self.phi_r.value_at(m, b))
     }
-}
 
-impl ManyBodyPotential for EamCu {
-    fn cutoff(&self) -> f64 {
+    /// Force cutoff distance.
+    #[must_use]
+    pub fn cutoff(&self) -> f64 {
         self.cutoff
     }
 
-    fn compute_rho(&self, atoms: &Atoms, list: &NeighborList, rho: &mut Vec<f64>) {
+    /// Accumulate electron density for local *and ghost* atoms
+    /// (half/Newton list: each pair contributes to both endpoints).
+    pub fn compute_rho(&self, atoms: &Atoms, list: &NeighborList, rho: &mut Vec<f64>) {
         assert!(!matches!(list.kind, ListKind::Full), "EAM uses a half list");
         rho.clear();
         rho.resize(atoms.ntotal(), 0.0);
@@ -188,7 +198,10 @@ impl ManyBodyPotential for EamCu {
         }
     }
 
-    fn compute_embedding(&self, atoms: &Atoms, rho: &[f64], fp: &mut Vec<f64>) -> f64 {
+    /// Compute the embedding energy for local atoms from the fully-reduced
+    /// density, filling `fp[i] = F'(rho_i)`; returns the summed embedding
+    /// energy of local atoms.
+    pub fn compute_embedding(&self, atoms: &Atoms, rho: &[f64], fp: &mut Vec<f64>) -> f64 {
         fp.clear();
         fp.resize(atoms.ntotal(), 0.0);
         let mut energy = 0.0;
@@ -200,7 +213,8 @@ impl ManyBodyPotential for EamCu {
         energy
     }
 
-    fn compute_force(
+    /// Final force pass; `fp` must be valid for locals *and* ghosts.
+    pub fn compute_force(
         &self,
         atoms: &mut Atoms,
         list: &NeighborList,
@@ -237,7 +251,9 @@ impl ManyBodyPotential for EamCu {
         PairEnergyVirial { energy, virial }
     }
 
-    fn compute_embedding_chunked(
+    /// Chunk-parallel [`EamCu::compute_embedding`], bit-identical to it at
+    /// any thread count.
+    pub fn compute_embedding_chunked(
         &self,
         atoms: &Atoms,
         rho: &[f64],
@@ -266,7 +282,10 @@ impl ManyBodyPotential for EamCu {
         energies.iter().fold(0.0, |sum, e| sum + e)
     }
 
-    fn compute_rho_chunked(
+    /// [`EamCu::compute_rho`] at kernel speed, bit-identical to it under
+    /// any executor: direct when `exec` is serial, through `scratch`'s log
+    /// when it is a pool.
+    pub fn compute_rho_chunked(
         &self,
         atoms: &Atoms,
         list: &NeighborList,
@@ -289,7 +308,9 @@ impl ManyBodyPotential for EamCu {
         }
     }
 
-    fn compute_force_chunked(
+    /// [`EamCu::compute_force`] at kernel speed, bit-identical to it under
+    /// any executor; same dispatch as [`EamCu::compute_rho_chunked`].
+    pub fn compute_force_chunked(
         &self,
         atoms: &mut Atoms,
         list: &NeighborList,
@@ -314,9 +335,7 @@ impl ManyBodyPotential for EamCu {
             }
         }
     }
-}
 
-impl EamCu {
     /// The blocked row body of the density pass: `rows` ascending, each
     /// pair's contribution to its neighbor in neighbor order, then the
     /// row's own sum.

@@ -401,7 +401,7 @@ mod tests {
         let mut sim = SerialSim::new(
             atoms,
             bounds,
-            Potential::ManyBody(Box::new(EamCu::lammps_bench())),
+            Potential::ManyBody(EamCu::lammps_bench()),
             UnitSystem::Metal,
             1.0,
             RebuildPolicy::EAM,
@@ -433,7 +433,7 @@ mod tests {
         let sim = SerialSim::new(
             Atoms::from_positions(pos, 1),
             bounds,
-            Potential::ManyBody(Box::new(EamCu::lammps_bench())),
+            Potential::ManyBody(EamCu::lammps_bench()),
             UnitSystem::Metal,
             1.0,
             RebuildPolicy::EAM,
@@ -500,7 +500,7 @@ mod tests {
         let mut sim = SerialSim::new(
             atoms,
             bounds,
-            Potential::ManyBody(Box::new(EamCu::lammps_bench())),
+            Potential::ManyBody(EamCu::lammps_bench()),
             UnitSystem::Metal,
             1.0,
             RebuildPolicy::EAM,

@@ -1,7 +1,7 @@
 //! Property tests for the deterministic chunk-parallel kernels.
 //!
 //! The contract under test: the chunked neighbor build and the row bodies
-//! of the LJ, multi-type LJ, EAM and SW passes are **bit-identical** to
+//! of the LJ (any type table), EAM and SW passes are **bit-identical** to
 //! the serial kernels — same force bits, same energy/virial bits —
 //! whichever way they write: straight into the arrays (a serial executor)
 //! or through the scatter log (a pool of 2 or 8 threads), with or without
@@ -14,9 +14,7 @@ use tofumd_md::kernels::{PairScratch, LANE_WIDTH};
 use tofumd_md::neighbor::{
     ghost_pair_belongs_to_i, sort_locals_by_bin, CellBins, ListKind, NeighborList,
 };
-use tofumd_md::potential::{
-    EamCu, LjCut, LjCutMulti, ManyBodyPotential, PairPotential, StillingerWeber,
-};
+use tofumd_md::potential::{EamCu, LjCut, PairPotential, StillingerWeber};
 use tofumd_md::Atoms;
 use tofumd_threadpool::{ChunkExec, SpinPool};
 
@@ -121,32 +119,49 @@ proptest! {
     /// row kernel writing directly (`ChunkExec::Serial`) ≡ the serial
     /// scalar oracle ≡ the row kernel logged and replayed at pool threads
     /// {2, 8} — forces, energy and virial bit for bit, from zeroed forces
-    /// and on top of forces already in the array, all on one scratch.
+    /// and on top of forces already in the array, all on one scratch. Over
+    /// type tables of 1 to 3 species from both constructors, shifted and
+    /// not: every atom (ghosts included) is drawn one of the table's
+    /// species, so a table of `n` gathers a pair's row from all `n²` type
+    /// pairs, and a one-entry table runs the captured-row loop.
     #[test]
     fn lj_row_kernel_is_bitwise_serial(seed in any::<u64>()) {
         let (lo, hi, mut atoms0) = kernel_cloud(seed, 2.5, 0.3);
+        let mut rng = Lcg(seed ^ 0x5851_f42d_4c95_7f2d);
+        let species = [(1.0, 1.0), (0.8, 0.9), (1.3, 1.1)];
         let pools = [SpinPool::new(2), SpinPool::new(8)];
         let execs = [ChunkExec::Serial, ChunkExec::Pool(&pools[0]), ChunkExec::Pool(&pools[1])];
         let mut scratch = PairScratch::new();
         for preloaded in [false, true] {
             if preloaded {
-                let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
                 for f in &mut atoms0.f {
                     *f = rng.point([-1e3; 3], [1e3; 3]);
                 }
             }
             for kind in [ListKind::HalfNewton, ListKind::Full] {
-                let lj = LjCut::new(1.0, 1.0, 2.5, kind);
                 let list = NeighborList::build(&atoms0, lo, hi, kind, 2.5, 0.3);
                 assert_row_coverage(&list, atoms0.nlocal);
-                let mut want = atoms0.clone();
-                let want_ev = lj.compute(&mut want, &list);
-                for exec in &execs {
-                    let mut atoms = atoms0.clone();
-                    let ev = lj.compute_chunked(&mut atoms, &list, exec, &mut scratch);
-                    prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
-                    prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
-                    prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "{:?} preloaded {} t{}", kind, preloaded, exec.threads());
+                let tables = [
+                    LjCut::new(1.0, 1.0, 2.5, kind),
+                    LjCut::new(1.0, 1.0, 2.5, kind).shifted(),
+                    LjCut::from_types(&species[..1], 2.5),
+                    LjCut::from_types(&species[..2], 2.5),
+                    LjCut::from_types(&species, 2.5).shifted(),
+                ];
+                for (t, lj) in tables.iter().enumerate() {
+                    let ntypes = [1, 1, 1, 2, 3][t];
+                    for typ in &mut atoms0.typ {
+                        *typ = 1 + rng.below(ntypes) as u32;
+                    }
+                    let mut want = atoms0.clone();
+                    let want_ev = lj.compute(&mut want, &list);
+                    for exec in &execs {
+                        let mut atoms = atoms0.clone();
+                        let ev = lj.compute_chunked(&mut atoms, &list, exec, &mut scratch);
+                        prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
+                        prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
+                        prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "{:?} table {} preloaded {} t{}", kind, t, preloaded, exec.threads());
+                    }
                 }
             }
         }
@@ -186,42 +201,6 @@ proptest! {
             prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
             prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
             prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "force t{}", exec.threads());
-        }
-    }
-
-    /// The LJ identity for the multi-type force pass, every atom (ghosts
-    /// included) drawn one of three species, so a pair's coefficients are
-    /// gathered from all nine type pairs.
-    #[test]
-    fn lj_multi_row_kernel_is_bitwise_serial(seed in any::<u64>()) {
-        let (lo, hi, mut atoms0) = kernel_cloud(seed, 2.5, 0.3);
-        let mut rng = Lcg(seed ^ 0x5851_f42d_4c95_7f2d);
-        for t in &mut atoms0.typ {
-            *t = 1 + rng.below(3) as u32;
-        }
-        let multi = LjCutMulti::from_types(&[(1.0, 1.0), (0.8, 0.9), (1.3, 1.1)], 2.5);
-        let pools = [SpinPool::new(2), SpinPool::new(8)];
-        let execs = [ChunkExec::Serial, ChunkExec::Pool(&pools[0]), ChunkExec::Pool(&pools[1])];
-        let mut scratch = PairScratch::new();
-        for preloaded in [false, true] {
-            if preloaded {
-                for f in &mut atoms0.f {
-                    *f = rng.point([-1e3; 3], [1e3; 3]);
-                }
-            }
-            for kind in [ListKind::HalfNewton, ListKind::Full] {
-                let list = NeighborList::build(&atoms0, lo, hi, kind, 2.5, 0.3);
-                assert_row_coverage(&list, atoms0.nlocal);
-                let mut want = atoms0.clone();
-                let want_ev = multi.compute(&mut want, &list);
-                for exec in &execs {
-                    let mut atoms = atoms0.clone();
-                    let ev = multi.compute_chunked(&mut atoms, &list, exec, &mut scratch);
-                    prop_assert_eq!(ev.energy.to_bits(), want_ev.energy.to_bits());
-                    prop_assert_eq!(ev.virial.to_bits(), want_ev.virial.to_bits());
-                    prop_assert_eq!(first_bit_mismatch(atoms.f.as_flattened(), want.f.as_flattened()), None, "{:?} preloaded {} t{}", kind, preloaded, exec.threads());
-                }
-            }
         }
     }
 

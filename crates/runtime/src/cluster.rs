@@ -84,7 +84,6 @@ pub struct Cluster {
     /// Snapshots collected at thermo steps.
     thermo_log: Vec<ThermoSnapshot>,
     target_mesh: [u32; 3],
-    target_ranks: usize,
     op_observer: Option<OpObserver>,
     /// Fabric registration calls when the build (or a restore) settled —
     /// the baseline of [`Cluster::growth_events`].
@@ -99,9 +98,6 @@ pub struct Cluster {
     pub(crate) rebalance_count: u64,
     /// Whether the step DAG may overlap halo ops with interior compute.
     plan_mode: PlanMode,
-    /// The proxy mesh this cluster was built on (needed to restore: the
-    /// [`RankMap`] does not expose its cell grid).
-    pub(crate) proxy_mesh: [u32; 3],
     /// Auto-checkpoint cadence in steps (0 = manual checkpoints only).
     /// Checkpoints land at the first reneighbor step at or past the due
     /// step, so the dump is always at a list-rebuild boundary.
@@ -519,7 +515,8 @@ impl Cluster {
     fn allreduce(&mut self, bytes: usize) {
         let p = self.net.params();
         let hop = p.mean_hop_latency(self.target_mesh);
-        let cost = p.allreduce_time(self.target_ranks as f64, hop, bytes);
+        let nodes: u32 = self.target_mesh.iter().product();
+        let cost = p.allreduce_time(f64::from(4 * nodes), hop, bytes);
         accounting::global_sync(&mut self.states, cost, Stage::Other);
     }
 

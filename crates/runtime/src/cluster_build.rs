@@ -204,14 +204,12 @@ impl Cluster {
             thermo_every: 0,
             thermo_log: Vec::new(),
             target_mesh,
-            target_ranks: 4 * target_mesh.iter().map(|&d| d as usize).product::<usize>(),
             op_observer: None,
             built_reg_calls: 0,
             demoted: false,
             force_rebuild: false,
             rebalance_count: 0,
             plan_mode: PlanMode::default(),
-            proxy_mesh: grid.node_mesh(),
             checkpoint_every: 0,
             next_checkpoint: 0,
             checkpoint_path: None,

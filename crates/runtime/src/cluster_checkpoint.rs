@@ -110,7 +110,7 @@ impl Cluster {
             })
             .collect();
         CheckpointData {
-            proxy_mesh: self.proxy_mesh,
+            proxy_mesh: self.net.grid().node_mesh(),
             target_mesh: self.target_mesh,
             cfg: self.cfg,
             variant: self.variant,

@@ -3,7 +3,7 @@
 use tofumd_md::kernels::KernelMode;
 use tofumd_md::lattice::FccLattice;
 use tofumd_md::neighbor::{ListKind, RebuildPolicy};
-use tofumd_md::potential::{EamCu, LjCut, LjCutMulti, Potential, StillingerWeber};
+use tofumd_md::potential::{EamCu, LjCut, Potential, StillingerWeber};
 use tofumd_md::units::UnitSystem;
 
 /// Which force field / neighbor regime a run uses.
@@ -274,7 +274,7 @@ impl RunConfig {
     pub fn build_potential(&self) -> Potential {
         match self.kind {
             PotentialKind::Lj => Potential::Pair(Box::new(LjCut::lammps_bench())),
-            PotentialKind::Eam => Potential::ManyBody(Box::new(EamCu::lammps_bench())),
+            PotentialKind::Eam => Potential::ManyBody(EamCu::lammps_bench()),
             PotentialKind::LjFull => {
                 Potential::Pair(Box::new(LjCut::new(1.0, 1.0, 2.5, ListKind::Full)))
             }
@@ -287,10 +287,9 @@ impl RunConfig {
                 Potential::Pair(Box::new(LjCut::new(1.0, 1.0, cutoff, kind)))
             }
             PotentialKind::Sw => Potential::Pair(Box::new(StillingerWeber::silicon())),
-            PotentialKind::LjBinary => Potential::Pair(Box::new(LjCutMulti::from_types(
-                &[(1.0, 1.0), (0.8, 0.9)],
-                2.5,
-            ))),
+            PotentialKind::LjBinary => {
+                Potential::Pair(Box::new(LjCut::from_types(&[(1.0, 1.0), (0.8, 0.9)], 2.5)))
+            }
         }
     }
 

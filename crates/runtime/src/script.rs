@@ -500,46 +500,13 @@ fn finalize(st: State) -> Result<ScriptRun, ScriptError> {
     })
 }
 
-/// The artifact's LJ benchmark input (65K-atom scale: 16^3 FCC cells x 4
-/// won't reach 65K, so the standard 32x32x16 block is used; pass other
-/// region sizes for the 1.7M / 4.2M workloads).
-pub const IN_THREADPOOL_LJ: &str = r"# 3d Lennard-Jones melt (paper artifact: in.threadpool.lj)
-units           lj
-atom_style      atomic
-lattice         fcc 0.8442
-region          box block 0 32 0 32 0 16
-create_box      1 box
-create_atoms    1 box
-mass            1 1.0
-velocity        all create 1.44 87287
-pair_style      lj/cut 2.5
-pair_coeff      1 1 1.0 1.0
-neighbor        0.3 bin
-neigh_modify    delay 0 every 20 check no
-fix             1 all nve
-thermo          100
-timestep        0.005
-run             99
-";
+/// The artifact's LJ benchmark input, `inputs/in.threadpool.lj` (65K-atom
+/// scale: 16^3 FCC cells x 4 won't reach 65K, so the standard 32x32x16
+/// block is used; pass other region sizes for the 1.7M / 4.2M workloads).
+pub const IN_THREADPOOL_LJ: &str = include_str!("../../../inputs/in.threadpool.lj");
 
-/// The artifact's EAM benchmark input.
-pub const IN_THREADPOOL_EAM: &str = r"# Cu EAM benchmark (paper artifact: in.threadpool.eam)
-units           metal
-atom_style      atomic
-lattice         fcc 3.615
-region          box block 0 32 0 32 0 16
-create_box      1 box
-create_atoms    1 box
-pair_style      eam
-pair_coeff      1 1 Cu_u3.eam
-velocity        all create 1600 376847
-neighbor        1.0 bin
-neigh_modify    every 5 check yes
-fix             1 all nve
-thermo          100
-timestep        0.005
-run             99
-";
+/// The artifact's EAM benchmark input, `inputs/in.threadpool.eam`.
+pub const IN_THREADPOOL_EAM: &str = include_str!("../../../inputs/in.threadpool.eam");
 
 #[cfg(test)]
 mod tests {
@@ -717,8 +684,8 @@ mod tests {
     #[test]
     fn the_committed_inputs_parse() {
         for text in [
-            include_str!("../../../inputs/in.threadpool.lj"),
-            include_str!("../../../inputs/in.threadpool.eam"),
+            IN_THREADPOOL_LJ,
+            IN_THREADPOOL_EAM,
             include_str!("../../../inputs/in.silicon.sw"),
         ] {
             parse_script(text).expect("a committed input parses");

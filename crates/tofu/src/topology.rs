@@ -123,7 +123,8 @@ impl CellGrid {
 
 /// The node-mesh shapes used by the paper's scaling study (§4.3.1):
 /// (nodes, mesh) pairs for 768 ... 36,864 nodes plus the weak-scaling
-/// 20,736-node point.
+/// 20,736-node point. The one table of the paper's machine sizes: the
+/// figures' strong- and weak-scaling lists are picked from it.
 pub const PAPER_NODE_MESHES: [(usize, [u32; 3]); 6] = [
     (768, [8, 12, 8]),
     (2160, [12, 15, 12]),

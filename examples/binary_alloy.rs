@@ -9,7 +9,7 @@
 
 use tofumd::md::lattice::FccLattice;
 use tofumd::md::neighbor::RebuildPolicy;
-use tofumd::md::potential::{LjCutMulti, Potential};
+use tofumd::md::potential::{LjCut, Potential};
 use tofumd::md::{velocity, Atoms, Masses, Rdf, SerialSim, UnitSystem};
 use tofumd::runtime::{Cluster, CommVariant, PotentialKind, RunConfig};
 
@@ -59,10 +59,7 @@ fn main() {
     let mut sim = SerialSim::new(
         atoms,
         bounds,
-        Potential::Pair(Box::new(LjCutMulti::from_types(
-            &[(1.0, 1.0), (0.8, 0.9)],
-            2.5,
-        ))),
+        Potential::Pair(Box::new(LjCut::from_types(&[(1.0, 1.0), (0.8, 0.9)], 2.5))),
         UnitSystem::Lj,
         0.3,
         RebuildPolicy {

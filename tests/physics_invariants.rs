@@ -148,7 +148,7 @@ fn binary_mixture_with_masses_conserves_and_equipartitions() {
     // temperature (so mean v^2 of the heavy species is ~4x smaller).
     use tofumd::md::lattice::FccLattice;
     use tofumd::md::neighbor::RebuildPolicy;
-    use tofumd::md::potential::{LjCutMulti, Potential};
+    use tofumd::md::potential::{LjCut, Potential};
     use tofumd::md::{Masses, SerialSim};
     let lat = FccLattice::from_reduced_density(0.8442);
     let (bounds, pos) = lat.build(4, 4, 4);
@@ -162,10 +162,7 @@ fn binary_mixture_with_masses_conserves_and_equipartitions() {
     let mut sim = SerialSim::new(
         atoms,
         bounds,
-        Potential::Pair(Box::new(LjCutMulti::from_types(
-            &[(1.0, 1.0), (0.9, 0.95)],
-            2.5,
-        ))),
+        Potential::Pair(Box::new(LjCut::from_types(&[(1.0, 1.0), (0.9, 0.95)], 2.5))),
         UnitSystem::Lj,
         0.3,
         RebuildPolicy {

@@ -246,6 +246,18 @@ const RULES: &[Rule] = &[
     },
     Rule {
         scope: scope(RS, NONE, Part::Whole),
+        // Spelled in halves, so that `git grep` for the gone names finds none.
+        check: Check::Refuse(&[
+            concat!("LjCut", "Multi"),
+            concat!("lj", "_multi"),
+            concat!("ManyBody", "Potential"),
+        ]),
+        why: "one implementation per pair style: `LjCut` holds the per-type-pair table, and EAM's \
+              passes are `EamCu`'s own methods, not a trait with one implementor",
+        sample: &[("crates/md/src/potential/mod.rs", concat!("pub use lj", "_multi::LjCut", "Multi;\n"))],
+    },
+    Rule {
+        scope: scope(RS, NONE, Part::Whole),
         // Spelled in halves, so that `git grep` for the gone names finds
         // none. `.put(&mut ` is the VCQ wrapper's call (`TofuNet::put`
         // takes a request); `try_put_from(`, `read_local_with(` and
@@ -306,9 +318,9 @@ const RULES: &[Rule] = &[
     },
     Rule {
         scope: scope(&["crates/md/src/*.rs", "crates/runtime/src/*.rs"], NONE, Part::NonTest),
-        check: Check::Cap(10_146),
-        why: "the MD and runtime crates stay no larger than one allreduce and one fan-out left them; \
-              the cap only moves down",
+        check: Check::Cap(9_935),
+        why: "the MD and runtime crates stay no larger than one LJ pair style and a directly called \
+              EAM left them; the cap only moves down",
         sample: &[("crates/md/src/atom.rs", "let x = 1;\n")],
     },
     Rule {
