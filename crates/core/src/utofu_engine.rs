@@ -20,18 +20,19 @@
 //! read exactly once per out-edge into a `Channel` — the whole put
 //! descriptor but the payload. Each Border then fixes the comm-thread lanes
 //! and the landing offsets until the next one, so a steady-state ghost op
-//! is "frame in place, put" and "take, dedupe, unpack in place": no lookup,
-//! no heap allocation.
+//! is "put, written in place" and "take, dedupe, unpack in place": no
+//! lookup, no heap allocation.
 //!
 //! One send and one receive routine, [`GhostEngine::post`] and
 //! [`GhostEngine::complete`], walk [`Pattern::hop`] for every round. Where
 //! a round that spans every graph edge and a face round are charged
 //! differently, the difference is a field of the round's `RoundShape`.
-//! Every message streams from the ghost layout, framed in place into a
-//! registered send region and put from there; every arrival is delivered
-//! from the bytes it landed in. A ghost op is zero-copy (`bytes_copied`
-//! stays 0); Border and Exchange model LAMMPS's staging copy, charged and
-//! counted (a frame past its send region goes out of a one-off vector).
+//! Every message streams from the ghost layout once, straight into the
+//! landing range of its put ([`PutSrc::Write`]); every arrival is delivered
+//! from the bytes it landed in. The send regions are registered and
+//! charged, never backed. A ghost op is zero-copy (`bytes_copied` stays
+//! 0); Border and Exchange model LAMMPS's staging copy, charged and
+//! counted.
 //! The ghost-offset piggyback keeps its own put/wait pair: it carries no
 //! payload, encodes `edge << 48 | offset`, and is consumed before the
 //! first Forward rather than at its own complete.
@@ -253,7 +254,7 @@ fn checked_edge<'t>(
 
 /// The transport state under `post`, `complete` and the piggyback pair —
 /// fabric and book handles, sequencing, fault state, the reused arrival
-/// list — with the one put, reserve, wait, frame and consume routine they
+/// list — with the one put, reserve, wait, frame-cost and consume routine they
 /// share, each counting into the `(op, round)` counters of `st.stats`.
 struct UtofuLane {
     net: Arc<TofuNet>,
@@ -403,47 +404,30 @@ impl UtofuLane {
         Ok(t)
     }
 
-    /// Serialize `payload` of `(op, round)` as a combined frame at the head
-    /// of the local registered send region `out = (stadd, size)`; returns
-    /// the cost and, if the frame was built elsewhere, that frame. A ghost
-    /// op is zero-copy: an undersized region is grown first (a local
-    /// re-registration, charged). Border and Exchange model LAMMPS's
-    /// staging copy, charged (`pack_cost`) and counted (`bytes_copied`);
-    /// their region is never grown — a frame past it goes to a one-off
-    /// vector.
-    fn frame(
-        &mut self,
+    /// What framing `payload` costs the sender; `sent` counts it. A ghost
+    /// op is zero-copy: only its send region `out = (stadd, size)` is
+    /// modeled — grown when undersized (a local re-registration, charged),
+    /// never backed, since the payload is written once, into its landing
+    /// range. Border and Exchange model LAMMPS's staging copy, charged
+    /// (`pack_cost`) and counted (`bytes_copied`); their region is never
+    /// grown.
+    fn frame_cost(
+        &self,
         layout: &GhostLayout,
         out: &mut (Stadd, usize),
-        st: &mut RankState,
         payload: Payload,
-        op: Op,
-        round: usize,
-    ) -> (f64, Option<Vec<u8>>) {
+        sent: &mut CommStats,
+    ) -> f64 {
         let need = wire::combined_size(payload.len(layout));
-        let mut cost = 0.0;
-        if let Payload::Ghost(..) = payload {
-            if need > out.1 {
-                out.1 = need.next_power_of_two();
-                cost = self.net.grow_mem(self.node, out.0, out.1);
-            }
-        } else {
-            cost = self.net.params().pack_cost(need);
-            st.stats.at(op, round).copied(need);
+        if !matches!(payload, Payload::Ghost(..)) {
+            sent.copied(need);
+            return self.net.params().pack_cost(need);
         }
-        let fill = |buf: &mut [u8]| {
-            let mut w = wire::CombinedWriter::new(buf);
-            payload.write(layout, st, &mut w);
-            w.finish()
-        };
-        if need > out.1 {
-            let mut frame = vec![0; need];
-            fill(&mut frame);
-            return (cost, Some(frame));
+        if need <= out.1 {
+            return 0.0;
         }
-        let len = self.net.write_local_with(self.node, out.0, 0, need, fill);
-        debug_assert_eq!(len, need, "layout promised {need} bytes");
-        (cost, None)
+        out.1 = need.next_power_of_two();
+        self.net.grow_mem(self.node, out.0, out.1)
     }
 
     /// Deliver one arrived message straight from the registered region it
@@ -536,9 +520,10 @@ pub struct UtofuEngine {
     /// dealt once per epoch into the same vectors (Border's own at its
     /// post).
     lanes: [Vec<Vec<usize>>; N_OPS],
-    /// Per edge index: *local* registered send region `(stadd, bytes)` the
-    /// ghost-op frames are serialized into in place. Never published —
-    /// only this rank's NIC reads them.
+    /// Per edge index: *local* registered send region `(stadd, bytes)`, the
+    /// §3.4 buffer whose registration and growth are charged. Never
+    /// published and never backed: payloads are written into their
+    /// landing ranges instead.
     send_out: Vec<(Stadd, usize)>,
     x_region: Option<Stadd>,
     /// Per send link: byte offset in the neighbor's x-region where our
@@ -626,9 +611,9 @@ impl UtofuEngine {
             let Some(kind) = family else {
                 // Local send regions, always full-size (they are this
                 // rank's own memory — the undersize experiment concerns
-                // *remote* receive buffers). Forward ops pack here per send
-                // edge, reverse ops per recv edge; volumes are symmetric,
-                // so one set serves both.
+                // *remote* receive buffers). Forward ops are charged here
+                // per send edge, reverse ops per recv edge; volumes are
+                // symmetric, so one set serves both.
                 send_out.push((lane.register(full), full));
                 continue;
             };
@@ -813,10 +798,10 @@ impl GhostEngine for UtofuEngine {
     }
 
     /// Post every message `(op, round)` lists, lane by lane, and charge the
-    /// slowest lane. Each streams from the layout into this rank's send
-    /// region, framed in place, and is put from there into the round's
-    /// slot of the buffer its channel names — or, under direct-`x`, from
-    /// just past the frame header straight into the peer's x-region.
+    /// slowest lane. Each streams from the layout once, written by the
+    /// fabric as a combined frame into the round's slot of the buffer its
+    /// channel names — or, under direct-`x`, as raw `f64`s at the peer's
+    /// ghost offset in its x-region.
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         self.resolve_channels(st)?;
         self.pattern.select(op, round, st)?;
@@ -841,14 +826,14 @@ impl GhostEngine for UtofuEngine {
         }
         if frame_first {
             pattern.for_each_hop(op, round, st, false, |h, st| {
-                let payload = Payload::of(op, h.layout);
-                let (cost, _) = lane.frame(layout, &mut send_out[h.k], st, payload, op, round);
+                let (out, payload) = (&mut send_out[h.k], Payload::of(op, h.layout));
+                let cost = lane.frame_cost(layout, out, payload, st.stats.at(op, round));
                 st.charge(cost, op);
             })?;
         }
         // Message `i` is stamped `base + 1 + i`, whichever lane posts it.
         let (base, start, plan) = (lane.send_seq, st.clock, &self.lanes[op.index()]);
-        let (mut end, mut sent) = (start, 0);
+        let (mut end, mut sent, mut tally) = (start, 0, CommStats::default());
         for t in 0..if shape.spans { plan.len() } else { 1 } {
             // A face round's one lane is its hops in order.
             let lpt = plan.get(t).filter(|_| shape.spans);
@@ -862,7 +847,7 @@ impl GhostEngine for UtofuEngine {
                 let ch = &mut chan[BufKind::inflow(h.toward_ghosts) as usize][h.k];
                 let payload = Payload::of(op, h.layout);
                 let f64s = payload.len(layout);
-                let (mut offset, mut len, mut spilled) = (0, wire::combined_size(f64s), None);
+                let mut len = wire::combined_size(f64s);
                 if !shape.spans {
                     now += lane.reserve(ch, slot, len, st.stats.at(op, round));
                 }
@@ -880,34 +865,42 @@ impl GhostEngine for UtofuEngine {
                             missing: "ghost offsets from border",
                         });
                     };
-                    (offset, len) = (wire::COMBINED_HEADER_BYTES, f64s * 8);
+                    len = f64s * 8;
                     (xs, off)
                 } else {
                     if !frame_first {
                         let out = &mut send_out[h.k];
-                        let (cost, frame) = lane.frame(layout, out, st, payload, op, round);
-                        (now, spilled) = (now + cost, frame);
+                        now += lane.frame_cost(layout, out, payload, st.stats.at(op, round));
                     }
                     (ch.dst[slot].0, 0)
                 };
-                let stadd = send_out[h.k].0;
-                let region = PutSrc::Region { stadd, offset, len };
-                let src = spilled.as_deref().map_or(region, PutSrc::Bytes);
+                // Written once, by the fabric, into the landing range: raw
+                // at the peer's ghost offset, or framed in the slot.
+                let write = |mut buf: &mut [u8]| {
+                    if shape.direct_x {
+                        return payload.write(layout, st, &mut buf);
+                    }
+                    let mut w = wire::CombinedWriter::new(buf);
+                    payload.write(layout, st, &mut w);
+                    let framed = w.finish();
+                    debug_assert_eq!(framed, len, "layout promised {len} bytes");
+                };
                 let put = Put {
                     dst_node: ch.node,
                     dst_stadd,
                     dst_offset,
-                    src,
+                    src: PutSrc::Write { len, write: &write },
                     // The receiver checks it against *its own* edge list.
                     piggyback: u64::from(ch.tag),
                     seq: base + 1 + h.i as u64,
                     cache_injection: true,
                 };
                 let vcq = &mut self.vcqs[t % self.cfg.vcqs];
-                lane.send(vcq, &mut now, put, st.stats.at(op, round));
+                lane.send(vcq, &mut now, put, &mut tally);
             }
             end = end.max(now);
         }
+        st.stats.at(op, round).merge(&tally);
         lane.send_seq += sent;
         st.charge(end - start, op);
         Ok(())
@@ -1570,6 +1563,66 @@ mod tests {
                 "{cfg:?}: {:e} {:e}",
                 f.states[0].clock, f.states[1].clock
             );
+        }
+    }
+
+    #[test]
+    fn send_regions_are_charged_but_never_backed() {
+        // Every op of an epoch, on a slab dense enough that the ghost ops
+        // outgrow §3.4's send regions on both sides of the slab's edge.
+        // Each payload is written once, into its landing range, so no send
+        // region ever holds a host byte; each keeps the modeled length its
+        // growth charged, and the clocks carry the growth and staging
+        // charges the in-region build paid (pinned).
+        let n = 2500;
+        for (cfg, clocks) in [
+            (
+                UtofuConfig::pool6(),
+                [0x3f20_0dd1_1c1b_2e31, 0x3f20_1487_18c1_dd5d],
+            ),
+            (
+                UtofuConfig::coarse4(),
+                [0x3f20_de87_03d5_b194, 0x3f21_0014_f317_1d6f],
+            ),
+        ] {
+            let mut f = fixture(cfg);
+            let sub = f.states[1].graph.sub;
+            let pos = (0..n)
+                .map(|i| {
+                    let t = i as f64 / n as f64;
+                    [sub.lo[0] + 0.01 + 2.0 * t, sub.lo[1] + 5.0, sub.lo[2] + 5.0]
+                })
+                .collect();
+            f.states[1].atoms = Atoms::from_positions(pos, 5000);
+            let before: Vec<_> = f.engines.iter().map(|e| e.send_out.clone()).collect();
+            drive(&mut f, Op::Exchange);
+            drive(&mut f, Op::Border);
+            fill_scalars(&mut f, 0.5);
+            for op in [
+                Op::Forward,
+                Op::ForwardScalar,
+                Op::Reverse,
+                Op::ReverseScalar,
+            ] {
+                drive(&mut f, op);
+            }
+            let (net, mut grown) = (&f.fabric.net, 0);
+            for (e, was) in f.engines.iter().zip(&before) {
+                for (&(stadd, len), &(_, len0)) in e.send_out.iter().zip(was) {
+                    let node = e.lane.node;
+                    assert_eq!(
+                        net.mem_backed(node, stadd),
+                        0,
+                        "{cfg:?} backed a send region"
+                    );
+                    assert_eq!(net.mem_len(node, stadd), len, "{cfg:?} modeled length");
+                    grown += usize::from(len > len0);
+                }
+            }
+            assert!(grown >= 2, "{cfg:?}: ghost ops grew {grown} send regions");
+            let bits = [0, 1].map(|r| f.states[r].clock.to_bits());
+            let (c0, c1) = (f.states[0].clock, f.states[1].clock);
+            assert_eq!(bits, clocks, "{cfg:?}: {c0:e} {c1:e} {bits:#x?}");
         }
     }
 }

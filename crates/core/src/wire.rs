@@ -77,25 +77,19 @@ pub const COMBINED_HEADER_BYTES: usize = 8;
 
 /// Destination for streamed `f64` payloads. Every op's pack is written
 /// once against this trait and runs unchanged over a `Vec<f64>`
-/// (tests), the `Vec<u8>` handed to the MPI transport, or a
-/// [`CombinedWriter`] over a registered region (uTofu: framed in place).
+/// (tests), the `Vec<u8>` handed to the MPI transport, or a put's landing
+/// range (uTofu: a [`CombinedWriter`] frame, or raw `&mut [u8]`).
 pub trait F64Sink {
-    /// Append one value.
-    fn put_f64(&mut self, v: f64);
-
     /// Append a run of values.
-    fn put_f64s(&mut self, vs: &[f64]) {
-        for &v in vs {
-            self.put_f64(v);
-        }
+    fn put_f64s(&mut self, vs: &[f64]);
+
+    /// Append one value.
+    fn put_f64(&mut self, v: f64) {
+        self.put_f64s(&[v]);
     }
 }
 
 impl F64Sink for Vec<f64> {
-    fn put_f64(&mut self, v: f64) {
-        self.push(v);
-    }
-
     fn put_f64s(&mut self, vs: &[f64]) {
         self.extend_from_slice(vs);
     }
@@ -104,8 +98,26 @@ impl F64Sink for Vec<f64> {
 /// Little-endian bytes appended in place — the same bytes as
 /// [`encode_f64s`], without the intermediate `Vec<f64>`.
 impl F64Sink for Vec<u8> {
-    fn put_f64(&mut self, v: f64) {
-        self.extend_from_slice(&v.to_le_bytes());
+    fn put_f64s(&mut self, vs: &[f64]) {
+        for v in vs {
+            self.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// Little-endian bytes written in place at the head of a byte slice,
+/// which then advances past them (as `std::io::Write` does for
+/// `&mut [u8]`): a uTofu put's raw payload written straight into its
+/// landing range, and the body of a [`CombinedWriter`] frame. Panics past
+/// the slice's end.
+impl F64Sink for &mut [u8] {
+    /// One bounds check for the whole run.
+    fn put_f64s(&mut self, vs: &[f64]) {
+        let (dst, rest) = std::mem::take(self).split_at_mut(vs.len() * 8);
+        for (d, v) in dst.chunks_exact_mut(8).zip(vs) {
+            d.copy_from_slice(&v.to_le_bytes());
+        }
+        *self = rest;
     }
 }
 
@@ -185,9 +197,10 @@ impl F64Source for LeF64s<'_> {
 }
 
 /// Serializes a combined frame *in place* into a caller-provided byte
-/// buffer — in the zero-copy wire path that buffer is a slice of a
-/// registered RDMA region, so the frame is built exactly where the NIC
-/// reads it and never passes through an intermediate `Vec`.
+/// buffer — in the zero-copy wire path that buffer is the landing range of
+/// a uTofu put in the receiver's registered region, so the frame is built
+/// once, exactly where the receiver reads it, and never passes through an
+/// intermediate `Vec` or a send region.
 ///
 /// The 8-byte count header is reserved up front and patched by
 /// [`CombinedWriter::finish`], so the element count need not be known
@@ -222,17 +235,8 @@ impl<'a> CombinedWriter<'a> {
 impl F64Sink for CombinedWriter<'_> {
     /// Panics past capacity — writing beyond a registered region is a
     /// hard fault on real hardware too.
-    fn put_f64(&mut self, v: f64) {
-        self.put_f64s(&[v]);
-    }
-
-    /// One bounds check for the whole run.
     fn put_f64s(&mut self, vs: &[f64]) {
-        let at = COMBINED_HEADER_BYTES + self.count * 8;
-        let dst = &mut self.buf[at..at + vs.len() * 8];
-        for (d, v) in dst.chunks_exact_mut(8).zip(vs) {
-            d.copy_from_slice(&v.to_le_bytes());
-        }
+        (&mut self.buf[COMBINED_HEADER_BYTES + self.count * 8..]).put_f64s(vs);
         self.count += vs.len();
     }
 }

@@ -421,7 +421,9 @@ mod tests {
     /// An oracle that is not our own engine: E/atom of a perfect FCC Cu
     /// crystal is a closed-form lattice sum of the analytic `EamParams`
     /// forms, every force vanishes by symmetry, and the chunked passes
-    /// reproduce the serial ones to the bit on the same crystal.
+    /// reproduce the serial ones to the bit on the same crystal — 2 048
+    /// atoms, so that a 2-thread pool clears `ChunkExec::floored`'s floor
+    /// and really fans out.
     #[test]
     fn eam_fcc_crystal_matches_the_closed_form_lattice_sum() {
         use crate::kernels::PairScratch;
@@ -429,7 +431,7 @@ mod tests {
         use tofumd_threadpool::{ChunkExec, SpinPool};
 
         let a = 3.615;
-        let (bounds, pos) = FccLattice::from_cell(a).build(4, 4, 4);
+        let (bounds, pos) = FccLattice::from_cell(a).build(8, 8, 8);
         let sim = SerialSim::new(
             Atoms::from_positions(pos, 1),
             bounds,
@@ -462,6 +464,11 @@ mod tests {
         };
         let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         let pool = SpinPool::new(2);
+        let floored = ChunkExec::Pool(&pool).floored(nlocal);
+        assert!(
+            matches!(floored, ChunkExec::Pool(_)),
+            "{nlocal} rows run serially"
+        );
         let mut scratch = PairScratch::new();
         for exec in [ChunkExec::Serial, ChunkExec::Pool(&pool)] {
             let (mut rho, mut fp) = (Vec::new(), Vec::new());

@@ -6,8 +6,10 @@
 //!   hop metric ([`topology`]),
 //! * per-node registered memory with modeled registration costs ([`mem`]),
 //! * the fabric itself — 6 TNIs per node with injection serialization,
-//!   RDMA puts that move real bytes, MRQ notifications, piggyback
-//!   payloads and cache injection ([`net`]),
+//!   RDMA puts that write real bytes once, into the landing range (a byte
+//!   slice copied in, or a [`PutSrc::Write`] payload serialized straight
+//!   into the destination slice), MRQ notifications, piggyback payloads
+//!   and cache injection ([`net`]),
 //! * the uTofu-style VCQ user API whose `&mut`-based operations encode the
 //!   "CQs are not thread-safe" constraint the paper designs around
 //!   ([`rdma`]),
@@ -16,8 +18,8 @@
 //!
 //! Virtual time: callers thread an `f64` clock through operations; the
 //! fabric accounts injection serialization per TNI and wire time per
-//! message. Real payload bytes are stored and copied — data correctness and
-//! timing fidelity are separated concerns.
+//! message. Real payload bytes are stored in the receiver's registered
+//! memory — data correctness and timing fidelity are separated concerns.
 //!
 //! # Example
 //!
@@ -48,6 +50,13 @@
 //!     .unwrap();
 //! assert_eq!(arrivals[0].len, 4);
 //! net.read_local_with(3, stadd, 16, 4, |bytes| assert_eq!(bytes, [1, 2, 3, 4]));
+//!
+//! // A payload can also be written once, straight into the landing range:
+//! // no send buffer holds it first.
+//! let write = |buf: &mut [u8]| buf.copy_from_slice(&[5, 6]);
+//! let src = PutSrc::Write { len: 2, write: &write };
+//! vcq.post_reliable(&mut clock, &Put { src, dst_offset: 20, seq: 1, ..put });
+//! net.read_local_with(3, stadd, 16, 6, |bytes| assert_eq!(bytes, [1, 2, 3, 4, 5, 6]));
 //! ```
 
 #![warn(missing_docs)]

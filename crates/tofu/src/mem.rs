@@ -95,6 +95,12 @@ impl MemRegistry {
         self.regions[stadd.0 as usize].len
     }
 
+    /// Host bytes backing a region: the prefix some access has touched.
+    #[must_use]
+    pub fn backed(&self, stadd: Stadd) -> usize {
+        self.regions[stadd.0 as usize].backing.len()
+    }
+
     /// `(modeled, backed)` bytes summed over this node's regions: what the
     /// modeled software registered, and what the host holds for it.
     #[must_use]
@@ -111,9 +117,9 @@ impl MemRegistry {
     }
 
     /// Hand a region's bytes to `f` for in-place serialization — the
-    /// zero-copy wire path packs frames directly here instead of staging
-    /// them in a `Vec` first. Panics if `offset + len` overruns the
-    /// region, like [`MemRegistry::write`].
+    /// landing range of a written put, which its payload is serialized
+    /// straight into. Panics if `offset + len` overruns the region, like
+    /// [`MemRegistry::write`].
     pub fn write_with<R>(
         &mut self,
         stadd: Stadd,
@@ -142,51 +148,6 @@ impl MemRegistry {
             "RDMA read beyond registered region"
         );
         &region.touch(offset + len)[offset..]
-    }
-
-    /// Copy `len` bytes from one region of this node to another (or within
-    /// one) — a same-node put sourced from a registered region: the NIC's
-    /// DMA read and the remote write are one `memcpy`, no bounce buffer.
-    /// Same bounds faults as [`MemRegistry::read`] / [`MemRegistry::write`].
-    pub fn copy(
-        &mut self,
-        src: Stadd,
-        src_offset: usize,
-        dst: Stadd,
-        dst_offset: usize,
-        len: usize,
-    ) {
-        let (s, d) = (src.0 as usize, dst.0 as usize);
-        if s == d {
-            let (region, end) = (&mut self.regions[s], src_offset.max(dst_offset) + len);
-            assert!(
-                end <= region.len,
-                "RDMA write beyond registered region (in-region copy)"
-            );
-            let bytes = region.touch(end);
-            bytes.copy_within(src_offset..src_offset + len, dst_offset);
-            return;
-        }
-        // Disjoint borrows of the two regions.
-        let (lo, hi) = self.regions.split_at_mut(s.max(d));
-        let (from, to) = if s < d {
-            (&mut lo[s], &mut hi[0])
-        } else {
-            (&mut hi[0], &mut lo[d])
-        };
-        assert!(
-            src_offset + len <= from.len,
-            "RDMA read beyond registered region"
-        );
-        assert!(
-            dst_offset + len <= to.len,
-            "RDMA write beyond registered region: {} + {} > {}",
-            dst_offset,
-            len,
-            to.len
-        );
-        to.touch(dst_offset + len)[dst_offset..]
-            .copy_from_slice(&from.touch(src_offset + len)[src_offset..]);
     }
 }
 
@@ -231,32 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_moves_bytes_between_and_within_regions() {
-        let mut m = MemRegistry::default();
-        let p = NetParams::default();
-        let (a, _) = m.register(16, &p);
-        let (b, _) = m.register(16, &p);
-        m.write(a, 2, &[1, 2, 3, 4]);
-        m.copy(a, 2, b, 8, 4); // lower handle -> higher
-        assert_eq!(m.read(b, 8, 4), &[1, 2, 3, 4]);
-        m.copy(b, 9, a, 0, 2); // higher -> lower
-        assert_eq!(m.read(a, 0, 2), &[2, 3]);
-        m.copy(a, 2, a, 10, 4); // within one region
-        assert_eq!(m.read(a, 10, 4), &[1, 2, 3, 4]);
-        m.copy(a, 0, b, 0, 0); // empty copy is a no-op
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond registered region")]
-    fn out_of_bounds_copy_faults() {
-        let mut m = MemRegistry::default();
-        let p = NetParams::default();
-        let (a, _) = m.register(8, &p);
-        let (b, _) = m.register(8, &p);
-        m.copy(a, 0, b, 6, 4);
-    }
-
-    #[test]
     #[should_panic(expected = "beyond registered region")]
     fn out_of_bounds_write_faults() {
         let mut m = MemRegistry::default();
@@ -279,11 +214,6 @@ mod tests {
         assert_eq!(m.grow(s, 100, &p), 0.0);
     }
 
-    /// Host bytes held for one region (the touched prefix).
-    fn backed(m: &MemRegistry, s: Stadd) -> usize {
-        m.regions[s.0 as usize].backing.len()
-    }
-
     #[test]
     fn fresh_region_reads_zeros_and_backs_nothing_until_touched() {
         let mut m = MemRegistry::default();
@@ -292,7 +222,7 @@ mod tests {
         assert_eq!(m.len(s), 1 << 20);
         assert_eq!(m.registered_bytes(), (1 << 20, 0));
         assert_eq!(m.read(s, 100, 28), &[0; 28]);
-        assert_eq!(backed(&m, s), 128, "a read backs exactly its end");
+        assert_eq!(m.backed(s), 128, "a read backs exactly its end");
         assert_eq!(m.read(s, (1 << 20) - 4, 4), &[0; 4]);
         m.write(s, 4096, &[5; 8]);
         assert_eq!(m.read(s, 4090, 8), &[0, 0, 0, 0, 0, 0, 5, 5]);
@@ -305,7 +235,7 @@ mod tests {
         let mut m = MemRegistry::default();
         let (s, _) = m.register(64, &NetParams::default());
         m.write(s, 0, &[1; 4]);
-        assert_eq!(backed(&m, s), 4);
+        assert_eq!(m.backed(s), 4);
         m.write(s, 60, &[0; 8]);
     }
 
@@ -326,24 +256,8 @@ mod tests {
         let cost = m.grow(s, 4096, &p);
         assert_eq!(cost.to_bits(), p.registration_cost(4096).to_bits());
         assert_eq!(m.reg_calls, 2);
-        assert_eq!((m.len(s), backed(&m, s)), (4096, 16));
+        assert_eq!((m.len(s), m.backed(s)), (4096, 16));
         assert_eq!(m.read(s, 12, 8), &[1, 2, 3, 4, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn copy_from_a_never_written_source_delivers_zeros() {
-        let mut m = MemRegistry::default();
-        let p = NetParams::default();
-        let (a, _) = m.register(64, &p);
-        let (b, _) = m.register(64, &p);
-        m.write(b, 0, &[9; 16]);
-        m.copy(a, 32, b, 4, 8);
-        assert_eq!(
-            m.read(b, 0, 16),
-            &[9, 9, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 9, 9]
-        );
-        m.copy(b, 40, b, 0, 4); // in-region, source past the backing
-        assert_eq!(m.read(b, 0, 4), &[0; 4]);
     }
 
     #[test]
@@ -352,7 +266,7 @@ mod tests {
         let (s, _) = m.register(0, &NetParams::default());
         let cost = m.total_reg_cost;
         m.reserve(s, 8 << 20);
-        assert_eq!((m.len(s), backed(&m, s)), (8 << 20, 0));
+        assert_eq!((m.len(s), m.backed(s)), (8 << 20, 0));
         m.reserve(s, 16); // never shrinks
         assert_eq!(m.len(s), 8 << 20);
         assert_eq!((m.reg_calls, m.total_reg_cost), (1, cost), "unmodeled");
@@ -391,14 +305,14 @@ mod tests {
         #[test]
         fn lazy_registry_matches_the_eager_one(
             ops in proptest::collection::vec(
-                (0u8..9, 0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16),
+                (0u8..7, 0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16),
                 1..160,
             ),
         ) {
             let p = NetParams::default();
             let mut m = MemRegistry::default();
             let mut e = Eager::default();
-            for (i, &(kind, a, b, c, d)) in ops.iter().enumerate() {
+            for (i, &(kind, a, b, c)) in ops.iter().enumerate() {
                 let n = e.regions.len();
                 if kind == 0 || n == 0 {
                     let len = a % 2048;
@@ -429,24 +343,11 @@ mod tests {
                         e.touch(r, off + len);
                     }
                     3 | 4 => {
-                        // Same region (3) or whichever region `d` picks (4).
-                        let to = if kind == 3 { r } else { d % n };
-                        let (src_off, len) = span(r, b, c);
-                        let room = e.regions[to].len();
-                        let len = len.min(room);
-                        let dst_off = d % (room - len + 1);
-                        m.copy(s, src_off, Stadd(to as u32), dst_off, len);
-                        let bytes = e.regions[r][src_off..src_off + len].to_vec();
-                        e.regions[to][dst_off..dst_off + len].copy_from_slice(&bytes);
-                        e.touch(r, src_off + len);
-                        e.touch(to, dst_off + len);
-                    }
-                    5 | 6 => {
                         let (off, len) = span(r, b, c);
                         proptest::prop_assert_eq!(m.read(s, off, len), &e.regions[r][off..off + len]);
                         e.touch(r, off + len);
                     }
-                    7 => {
+                    5 => {
                         let new_len = b % 4096;
                         let cost = m.grow(s, new_len, &p);
                         if new_len > e.regions[r].len() {
@@ -472,7 +373,7 @@ mod tests {
             for (r, region) in e.regions.iter().enumerate() {
                 let s = Stadd(r as u32);
                 proptest::prop_assert_eq!(m.len(s), region.len());
-                proptest::prop_assert!(backed(&m, s) <= e.touched[r]);
+                proptest::prop_assert!(m.backed(s) <= e.touched[r]);
                 // Last: a whole-region read backs everything.
                 proptest::prop_assert_eq!(m.read(s, 0, region.len()), region.as_slice());
             }

@@ -138,24 +138,35 @@ pub struct PutRequest<'a> {
 }
 
 /// Where a put's bytes come from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub enum PutSrc<'a> {
     /// A frame staged in ordinary memory, or nothing at all
     /// (descriptor-only piggybacks).
     Bytes(&'a [u8]),
-    /// `len` bytes at `offset` of one of the injecting node's *own*
-    /// registered regions, serialized there in place (see
-    /// [`TofuNet::write_local_with`]) — the zero-copy wire path. The fabric
-    /// copies region to region: this models the NIC's DMA read, not a CPU
-    /// staging copy, so callers charge no pack cost.
-    Region {
-        /// The source region.
-        stadd: Stadd,
-        /// Byte offset of the payload within it.
-        offset: usize,
+    /// A payload of `len` bytes that `write` serializes straight into the
+    /// landing range — the zero-copy wire path: the payload is written
+    /// once, where the receiver reads it, and the sender's registered send
+    /// region is never backed. The fabric calls `write` on the destination
+    /// slice under the destination node's lock, so `write` must not call
+    /// back into the fabric; it must fill every byte of the slice it is
+    /// handed and may be called again for a retransmission. A truncated delivery writes the whole payload into
+    /// a scratch buffer and lands only the cut prefix, as a
+    /// [`PutSrc::Bytes`] put of the same bytes would.
+    Write {
         /// Payload length in bytes.
         len: usize,
+        /// Serializes the payload into a slice of exactly `len` bytes.
+        write: &'a dyn Fn(&mut [u8]),
     },
+}
+
+impl std::fmt::Debug for PutSrc<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            PutSrc::Bytes(data) => f.debug_tuple("Bytes").field(&data).finish(),
+            PutSrc::Write { len, .. } => f.debug_struct("Write").field("len", &len).finish(),
+        }
+    }
 }
 
 impl PutSrc<'_> {
@@ -164,7 +175,7 @@ impl PutSrc<'_> {
     pub fn len(&self) -> usize {
         match *self {
             PutSrc::Bytes(data) => data.len(),
-            PutSrc::Region { len, .. } => len,
+            PutSrc::Write { len, .. } => len,
         }
     }
 
@@ -198,6 +209,9 @@ pub struct TofuNet {
     /// first and skip the cluster-wide `fault` mutex while it is clear; a
     /// non-empty plan is consulted under the mutex exactly as before.
     fault_armed: AtomicBool,
+    /// Where a truncated [`PutSrc::Write`] payload is written whole before
+    /// its cut prefix lands; reused, so only a fault ever grows it.
+    truncated: Mutex<Vec<u8>>,
 }
 
 impl TofuNet {
@@ -212,6 +226,7 @@ impl TofuNet {
             nodes: (0..n).map(|_| NodeState::new()).collect(),
             fault: Mutex::new(FaultState::new()),
             fault_armed: AtomicBool::new(false),
+            truncated: Mutex::new(Vec::new()),
         }
     }
 
@@ -393,6 +408,12 @@ impl TofuNet {
         lock(&self.nodes[node].mem).len(stadd)
     }
 
+    /// Host bytes backing a registered region (see [`MemRegistry::backed`]).
+    #[must_use]
+    pub fn mem_backed(&self, node: usize, stadd: Stadd) -> usize {
+        lock(&self.nodes[node].mem).backed(stadd)
+    }
+
     /// [`MemRegistry::registered_bytes`] summed over all nodes; modeled
     /// over backed is §3.4's over-provision factor.
     #[must_use]
@@ -401,24 +422,9 @@ impl TofuNet {
         per_node.fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db))
     }
 
-    /// Serialize directly into one's own registered region: `f` receives
-    /// the `len` bytes at `offset` and builds the wire frame in place.
-    /// This is the zero-copy pack path — there is no staging buffer for
-    /// the NIC source data, so callers charge no pack cost for it.
-    pub fn write_local_with<R>(
-        &self,
-        node: usize,
-        stadd: Stadd,
-        offset: usize,
-        len: usize,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> R {
-        lock(&self.nodes[node].mem).write_with(stadd, offset, len, f)
-    }
-
     /// Deserialize directly from one's own registered region: `f` receives
     /// the `len` bytes at `offset` under the node lock — the receive-side
-    /// mirror of [`TofuNet::write_local_with`], no intermediate `Vec`.
+    /// mirror of a [`PutSrc::Write`] put, no intermediate `Vec`.
     pub fn read_local_with<R>(
         &self,
         node: usize,
@@ -530,30 +536,21 @@ impl TofuNet {
         if let Some((FaultAction::Delay(dt), _)) = fault {
             remote_arrival += dt;
         }
-        // Move the real bytes.
+        // Move the real bytes: once, into the landing range.
         if bytes > 0 {
-            let (from_node, to_node) = (req.src_node, req.dst_node);
-            let (to_stadd, to_offset) = (req.dst_stadd, req.dst_offset);
+            let (stadd, offset) = (req.dst_stadd, req.dst_offset);
+            let mem = &self.nodes[req.dst_node].mem;
             match src {
-                PutSrc::Bytes(data) => {
-                    lock(&self.nodes[to_node].mem).write(to_stadd, to_offset, &data[..bytes])
+                PutSrc::Bytes(data) => lock(mem).write(stadd, offset, &data[..bytes]),
+                PutSrc::Write { write, .. } if bytes == posted => {
+                    lock(mem).write_with(stadd, offset, bytes, write);
                 }
-                PutSrc::Region { stadd, offset, .. } if from_node == to_node => {
-                    lock(&self.nodes[to_node].mem).copy(stadd, offset, to_stadd, to_offset, bytes)
-                }
-                PutSrc::Region { stadd, offset, .. } => {
-                    // Region to region across nodes, no bounce buffer. Both
-                    // registries are held at once, always lower node id
-                    // first, so opposing puts cannot deadlock (every other
-                    // path holds at most one node's registry).
-                    let first = lock(&self.nodes[from_node.min(to_node)].mem);
-                    let second = lock(&self.nodes[from_node.max(to_node)].mem);
-                    let (mut from, mut to) = if from_node < to_node {
-                        (first, second)
-                    } else {
-                        (second, first)
-                    };
-                    to.write(to_stadd, to_offset, from.read(stadd, offset, bytes));
+                PutSrc::Write { write, .. } => {
+                    let mut whole = lock(&self.truncated);
+                    whole.clear();
+                    whole.resize(posted, 0);
+                    write(&mut whole);
+                    lock(mem).write(stadd, offset, &whole[..bytes]);
                 }
             }
         }

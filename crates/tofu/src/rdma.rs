@@ -246,93 +246,86 @@ mod tests {
         net.read_local_with(1, dst, 0, 4, |b| assert_eq!(b, [1, 2, 3, 4]));
     }
 
-    #[test]
-    fn put_from_region_carries_in_place_frame() {
-        let net = net();
-        let (dst, _) = net.register_mem(1, 16);
-        let (src, _) = net.register_mem(0, 16);
-        net.write_local_with(0, src, 0, 8, |buf| {
-            buf.copy_from_slice(&[5, 6, 7, 8, 9, 10, 11, 12]);
-        });
-        let mut vcq = Vcq::create(net.clone(), 0, 0, 0).unwrap();
-        let mut now = 0.0;
-        let put = |dst_node, dst_stadd, dst_offset, offset, seq| Put {
+    /// A written put of `len` bytes that serializes with `write`.
+    fn written<'a>(
+        dst_node: usize,
+        dst_stadd: Stadd,
+        dst_offset: usize,
+        len: usize,
+        write: &'a dyn Fn(&mut [u8]),
+        seq: u64,
+    ) -> Put<'a> {
+        Put {
             dst_node,
             dst_stadd,
             dst_offset,
-            src: PutSrc::Region {
-                stadd: src,
-                offset,
-                len: 4,
-            },
+            src: PutSrc::Write { len, write },
             piggyback: 0,
             seq,
             cache_injection: false,
-        };
-        let r = vcq.try_post(&mut now, &put(1, dst, 0, 2, 0), 0).unwrap();
-        assert!((now - net.params().cpu_per_put_utofu).abs() < 1e-15);
-        assert!(r.remote_arrival > now);
-        net.read_local_with(1, dst, 0, 4, |b| assert_eq!(b, [7, 8, 9, 10]));
-        // Reliable variant delivers the same bytes at another offset.
-        vcq.post_reliable(&mut now, &put(1, dst, 4, 0, 1));
-        net.read_local_with(1, dst, 4, 4, |b| assert_eq!(b, [5, 6, 7, 8]));
-        // Same-node region puts (one registry, disjoint or equal regions)
-        // and a put from the higher-numbered node take the other lock
-        // orders; the arrival reports what was written.
-        let (near, _) = net.register_mem(0, 16);
-        vcq.post_reliable(&mut now, &put(0, near, 8, 4, 2));
-        net.read_local_with(0, near, 8, 4, |b| assert_eq!(b, [9, 10, 11, 12]));
-        vcq.post_reliable(&mut now, &put(0, src, 12, 0, 3));
-        net.read_local_with(0, src, 12, 4, |b| assert_eq!(b, [5, 6, 7, 8]));
-        let mut back = Vcq::create(net.clone(), 1, 0, 1).unwrap();
-        back.post_reliable(
-            &mut now,
-            &Put {
-                src: PutSrc::Region {
-                    stadd: dst,
-                    offset: 0,
-                    len: 8,
-                },
-                ..put(0, near, 0, 0, 4)
-            },
-        );
-        net.read_local_with(0, near, 0, 8, |b| assert_eq!(b, [7, 8, 9, 10, 5, 6, 7, 8]));
-        let a = net.take_arrivals(0, |a| a.seq == 4);
-        assert_eq!((a[0].stadd, a[0].offset, a[0].len), (near, 0, 8));
+        }
     }
 
     #[test]
-    fn region_put_faults_like_a_bytes_put() {
-        use crate::fault::{FaultKind, FaultPlan, FaultRule};
+    fn written_put_serializes_into_the_landing_range() {
         let net = net();
         let (dst, _) = net.register_mem(1, 16);
-        let (src, _) = net.register_mem(0, 16);
-        net.write_local_with(0, src, 0, 8, |b| {
-            b.copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8])
-        });
-        net.set_fault_plan(
-            FaultPlan::new().with_rule(FaultRule::any(FaultKind::Truncate { len: 3, times: 1 })),
-        );
+        let (own, _) = net.register_mem(0, 16);
         let mut vcq = Vcq::create(net.clone(), 0, 0, 0).unwrap();
-        let put = Put {
-            dst_node: 1,
-            dst_stadd: dst,
-            dst_offset: 0,
-            src: PutSrc::Region {
-                stadd: src,
-                offset: 0,
-                len: 8,
-            },
-            piggyback: 0,
-            seq: 1,
-            cache_injection: false,
-        };
         let mut now = 0.0;
+        let four = |b: &mut [u8]| b.copy_from_slice(&[7, 8, 9, 10]);
+        let r = vcq
+            .try_post(&mut now, &written(1, dst, 0, 4, &four, 0), 0)
+            .unwrap();
+        assert!((now - net.params().cpu_per_put_utofu).abs() < 1e-15);
+        assert!(r.remote_arrival > now);
+        net.read_local_with(1, dst, 0, 4, |b| assert_eq!(b, [7, 8, 9, 10]));
+        // The reliable variant lands the same bytes at another offset, and
+        // a same-node put lands in the sender's own registry.
+        vcq.post_reliable(&mut now, &written(1, dst, 12, 4, &four, 1));
+        net.read_local_with(1, dst, 12, 4, |b| assert_eq!(b, [7, 8, 9, 10]));
+        vcq.post_reliable(&mut now, &written(0, own, 8, 4, &four, 2));
+        net.read_local_with(0, own, 8, 4, |b| assert_eq!(b, [7, 8, 9, 10]));
+        let a = net.take_arrivals(0, |a| a.seq == 2);
+        assert_eq!((a[0].stadd, a[0].offset, a[0].len), (own, 8, 4));
+        // Only the landing ranges were ever backed: 16 bytes on node 1 (its
+        // furthest end), 12 on node 0; nothing was staged on the sender.
+        assert_eq!(net.registered_bytes(), (32, 28));
+    }
+
+    #[test]
+    fn written_put_faults_like_a_bytes_put() {
+        use crate::fault::{FaultKind, FaultPlan, FaultRule};
+        use std::cell::Cell;
+        let net = net();
+        let (dst, _) = net.register_mem(1, 16);
+        let drop_first = FaultRule {
+            step: Some(0),
+            ..FaultRule::any(FaultKind::Drop { times: 1 })
+        };
+        let cut = FaultRule::any(FaultKind::Truncate { len: 3, times: 2 });
+        net.set_fault_plan(FaultPlan::new().with_rule(drop_first).with_rule(cut));
+        let calls = Cell::new(0);
+        let eight = |b: &mut [u8]| {
+            calls.set(calls.get() + 1);
+            b.copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        };
+        let mut vcq = Vcq::create(net.clone(), 0, 0, 0).unwrap();
+        let put = written(1, dst, 0, 8, &eight, 1);
+        let mut now = 0.0;
+        // A drop writes nothing.
         let err = vcq.try_post(&mut now, &put, 0).unwrap_err();
+        assert!(matches!(err, TofuError::PutDropped { seq: 1, .. }), "{err}");
+        assert_eq!((calls.get(), net.registered_bytes().1), (0, 0));
+        // A truncation writes the payload whole, off to the side, and lands
+        // only the cut prefix.
+        net.set_fault_context(1, 0);
+        let err = vcq.try_post(&mut now, &put, 1).unwrap_err();
         assert!(
             matches!(
                 err,
                 TofuError::PutTruncated {
+                    attempt: 1,
                     delivered: 3,
                     expected: 8,
                     ..
@@ -341,9 +334,22 @@ mod tests {
             "{err}"
         );
         net.read_local_with(1, dst, 0, 8, |b| assert_eq!(b, [1, 2, 3, 0, 0, 0, 0, 0]));
-        vcq.try_post(&mut now, &put, 1).unwrap();
+        // The retry calls the writer again, straight into the landing range.
+        vcq.try_post(&mut now, &put, 2).unwrap();
         net.read_local_with(1, dst, 0, 8, |b| assert_eq!(b, [1, 2, 3, 4, 5, 6, 7, 8]));
-        assert_eq!(net.fault_counters().truncations, 1);
+        assert_eq!(calls.get(), 2);
+        let c = net.fault_counters();
+        assert_eq!((c.drops, c.truncations), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "RDMA write beyond registered region: 6 + 4 > 8")]
+    fn written_put_past_its_region_faults() {
+        let net = net();
+        let (dst, _) = net.register_mem(1, 8);
+        let mut vcq = Vcq::create(net.clone(), 0, 0, 0).unwrap();
+        let zeros = |b: &mut [u8]| b.fill(0);
+        vcq.post_reliable(&mut 0.0, &written(1, dst, 6, 4, &zeros, 0));
     }
 
     #[test]
@@ -501,5 +507,121 @@ mod tests {
         vcq.post_reliable(&mut now, &bytes_put(1, dst, &[], 0x1234_5678_9ABC_DEF0));
         let arr = net.take_arrivals(1, |a| a.src_rank == 2);
         assert_eq!(arr[0].piggyback, 0x1234_5678_9ABC_DEF0);
+    }
+
+    /// One put of the oracle: payload, destination node, landing offset,
+    /// and what the fault plan does to it — 0 nothing, 1 drop, 2 truncate
+    /// at `cut % (len + 1)`, 3 duplicate, 4 delay, 5 the drop → truncate →
+    /// success retry chain on the put's one `seq`.
+    type Case = (Vec<u8>, usize, usize, u8, usize);
+
+    /// Everything a run of puts leaves behind: each attempt's result, both
+    /// landing regions' bytes and backing, the MRQ arrivals and the fault
+    /// totals.
+    type Trace = (
+        Vec<Result<PutResult, TofuError>>,
+        Vec<Vec<u8>>,
+        (usize, usize),
+        Vec<Arrival>,
+        crate::fault::FaultCounters,
+    );
+
+    /// Post `cases` in order on a fresh fabric whose two 256-byte landing
+    /// regions hold `prefill`, each payload as [`PutSrc::Bytes`] or, when
+    /// `in_place`, written straight into its landing range.
+    fn replay(cases: &[Case], prefill: &[u8], in_place: bool) -> Trace {
+        use crate::fault::{FaultKind, FaultPlan, FaultRule};
+        let net = net();
+        let regions = [0, 1].map(|node| net.register_mem(node, 256).0);
+        let mut vcq = Vcq::create(net.clone(), 0, 0, 7).unwrap();
+        let mut now = 0.0;
+        for (node, &stadd) in regions.iter().enumerate() {
+            vcq.post_reliable(&mut now, &bytes_put(node, stadd, prefill, 0));
+        }
+        let mut results = Vec::new();
+        for (i, (data, node, offset, action, cut)) in cases.iter().enumerate() {
+            let (step, len) = (2 * i as u64, data.len());
+            let kind = match action {
+                1 => FaultKind::Drop { times: 1 },
+                2 | 5 => FaultKind::Truncate {
+                    len: cut % (len + 1),
+                    times: if *action == 5 { 2 } else { 1 },
+                },
+                3 => FaultKind::Duplicate,
+                _ => FaultKind::Delay { dt: 1e-6 },
+            };
+            let drop_first = FaultRule {
+                step: Some(step),
+                ..FaultRule::any(FaultKind::Drop { times: 1 })
+            };
+            let plan = match action {
+                0 => FaultPlan::default(),
+                5 => FaultPlan::new()
+                    .with_rule(drop_first)
+                    .with_rule(FaultRule::any(kind)),
+                _ => FaultPlan::new().with_rule(FaultRule::any(kind)),
+            };
+            net.set_fault_plan(plan);
+            net.set_fault_context(step, 1);
+            let write = |b: &mut [u8]| b.copy_from_slice(data);
+            let src = match in_place {
+                true => PutSrc::Write { len, write: &write },
+                false => PutSrc::Bytes(data),
+            };
+            let put = Put {
+                src,
+                dst_offset: *offset,
+                seq: 1 + i as u64,
+                ..bytes_put(*node, regions[*node], &[], i as u64)
+            };
+            for attempt in 0..if *action == 5 { 3 } else { 1 } {
+                if attempt == 1 {
+                    net.set_fault_context(step + 1, 1);
+                }
+                results.push(vcq.try_post(&mut now, &put, attempt));
+            }
+        }
+        let bytes = [0, 1].map(|n| net.read_local_with(n, regions[n], 0, 256, <[u8]>::to_vec));
+        let arrivals = [0, 1].map(|n| net.take_arrivals(n, |_| true)).concat();
+        let backed = net.registered_bytes();
+        (
+            results,
+            bytes.to_vec(),
+            backed,
+            arrivals,
+            net.fault_counters(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// A put written in place leaves exactly what a bytes put of the
+        /// same payload leaves, under every fault action and the retry
+        /// chain: the landing bytes (and how many are backed), the MRQ
+        /// arrivals, each attempt's result or error, the fault totals.
+        #[test]
+        fn written_put_leaves_what_a_bytes_put_leaves(
+            puts in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u8..=255, 0..96),
+                    0usize..2,
+                    0usize..256,
+                    0u8..6,
+                    0usize..128,
+                ),
+                1..8,
+            ),
+            prefill in proptest::collection::vec(0u8..=255, 0..256),
+        ) {
+            let cases: Vec<Case> = puts
+                .into_iter()
+                .map(|(data, node, at, action, cut)| {
+                    let offset = at % (257 - data.len());
+                    (data, node, offset, action, cut)
+                })
+                .collect();
+            proptest::prop_assert_eq!(replay(&cases, &prefill, true), replay(&cases, &prefill, false));
+        }
     }
 }

@@ -258,6 +258,15 @@ const RULES: &[Rule] = &[
     },
     Rule {
         scope: scope(RS, NONE, Part::Whole),
+        // Spelled in halves, so that `git grep` for the gone names finds none.
+        check: Check::Refuse(&[concat!("PutSrc::", "Region"), concat!("write_local", "_with(")]),
+        why: "a uTofu payload is written once, by the fabric, straight into its landing range \
+              (`PutSrc::Write`): the frame built in the sender's send region and copied region to \
+              region stays gone",
+        sample: &[("crates/core/src/utofu_engine.rs", concat!("let src = PutSrc::", "Region { stadd, offset, len };\n"))],
+    },
+    Rule {
+        scope: scope(RS, NONE, Part::Whole),
         // Spelled in halves, so that `git grep` for the gone names finds
         // none. `.put(&mut ` is the VCQ wrapper's call (`TofuNet::put`
         // takes a request); `try_put_from(`, `read_local_with(` and
@@ -312,8 +321,9 @@ const RULES: &[Rule] = &[
     },
     Rule {
         scope: scope(CORE, NONE, Part::NonTest),
-        check: Check::Cap(3630),
-        why: "the core crate stays no larger than deleting the vendored stubs left it; the cap only moves down",
+        check: Check::Cap(3626),
+        why: "the core crate stays no larger than writing each uTofu payload once, straight into its \
+              landing range, left it; the cap only moves down",
         sample: &[("crates/core/src/engine.rs", "let x = 1;\n")],
     },
     Rule {
