@@ -9,10 +9,9 @@ use crate::ghost::Payload;
 use crate::pattern::{Hop, Landing, Pattern, PatternKind};
 use crate::sf::CommGraph;
 use crate::wire::LeF64s;
-use std::cell::RefCell;
 use std::sync::Arc;
 use tofumd_mpi::Communicator;
-use tofumd_tofu::TofuError;
+use tofumd_tofu::{PutSrc, TofuError};
 
 /// Tag block of an op: tags only ever match within one op's rounds.
 fn op_base(op: Op) -> u32 {
@@ -35,13 +34,6 @@ fn tag(op: Op, landing: Landing) -> u32 {
         Landing::Face { dim, dir } => staged_tag(op, dim, dir),
         Landing::Edge(link) => p2p_tag(op, link),
     }
-}
-
-thread_local! {
-    /// The send buffer of every MPI engine this host thread drives, grown
-    /// to the largest message it has sent: one per driver thread, where
-    /// one per engine would hold a rank count of them.
-    static BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One rank's MPI engine: its endpoint and its pattern.
@@ -84,8 +76,9 @@ impl GhostEngine for MpiEngine {
 
     /// MPI copies every payload into its send buffer: the pack cost of the
     /// whole round is charged up front and every byte counts as staged.
-    /// The values stream from the layout through [`crate::wire::F64Sink`]
-    /// into the thread's one byte vector, sent per hop.
+    /// The modeled copy is a charge only: the values stream from the
+    /// layout through [`crate::wire::F64Sink`] once, straight into the
+    /// receiver's mailbox ([`PutSrc::Write`]).
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         self.pattern.select(op, round, st)?;
         let (pattern, layout) = (&self.pattern, &self.pattern.ghosts);
@@ -93,15 +86,17 @@ impl GhostEngine for MpiEngine {
         let mut f64s = 0;
         pattern.for_each_hop(op, round, st, false, |h, _| f64s += payload(h).len(layout))?;
         let mut now = st.clock + self.comm.net().params().pack_cost(f64s * 8);
-        BYTES.with_borrow_mut(|bytes| {
-            pattern.for_each_hop(op, round, st, false, |h, st| {
-                bytes.clear();
-                payload(h).write(layout, st, bytes);
-                st.stats.at(op, round).count(bytes.len());
-                st.stats.at(op, round).copied(bytes.len());
-                let (dst, tag) = (h.rank, tag(op, h.landing));
-                self.comm.send(self.me, dst, tag, bytes, &mut now);
-            })
+        pattern.for_each_hop(op, round, st, false, |h, st| {
+            let len = payload(h).len(layout) * 8;
+            st.stats.at(op, round).count(len);
+            st.stats.at(op, round).copied(len);
+            let write = |mut buf: &mut [u8]| {
+                payload(h).write(layout, st, &mut buf);
+                debug_assert!(buf.is_empty(), "layout promised {len} bytes");
+            };
+            let (dst, tag) = (h.rank, tag(op, h.landing));
+            let src = PutSrc::Write { len, write: &write };
+            self.comm.send_with(self.me, dst, tag, src, &mut now);
         })?;
         st.charge(now - st.clock, op);
         Ok(())

@@ -25,7 +25,6 @@
 //! receives in edge order — so completion order (and the virtual clock)
 //! is a pure function of the decomposition, never of thread scheduling.
 
-use crate::engine::Op;
 use crate::topo_map::RankMap;
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -453,29 +452,6 @@ impl CommGraph {
     #[must_use]
     pub fn neighbor_count(&self) -> usize {
         self.recv.len()
-    }
-
-    /// The edges `op`'s payloads leave along: `send` edges toward the
-    /// ghosts, `recv` edges back toward the owners. A message on edge `e`
-    /// lands in the peer's [`CommGraph::in_edges`] slot `e.peer_index`.
-    #[must_use]
-    pub fn out_edges(&self, op: Op) -> &[GraphEdge] {
-        if op.toward_ghosts() {
-            &self.send
-        } else {
-            &self.recv
-        }
-    }
-
-    /// The edges `op`'s payloads arrive along (the mirror of
-    /// [`CommGraph::out_edges`]).
-    #[must_use]
-    pub fn in_edges(&self, op: Op) -> &[GraphEdge] {
-        if op.toward_ghosts() {
-            &self.recv
-        } else {
-            &self.send
-        }
     }
 
     /// The two face edges of `dim`, `[toward the -face, toward the

@@ -1078,12 +1078,13 @@ mod tests {
 
     #[test]
     fn zero_copy_ghost_ops_stage_no_bytes() {
-        // The repeated ghost ops serialize frames in place inside the
-        // registered send regions: wire bytes move, but `bytes_copied`
-        // stays at zero on both the direct-x (pool6) and framed (coarse4)
-        // variants. Border and Exchange stream their records from the
-        // layout's send lists too, but model LAMMPS's staging copy, so
-        // every byte they send is counted as copied.
+        // The repeated ghost ops write each payload once, straight into
+        // its landing range at the peer — raw at the ghost offset (direct-x,
+        // pool6) or framed in the reserved slot (coarse4): wire bytes move,
+        // but `bytes_copied` stays at zero on both variants. Border and
+        // Exchange stream their records from the layout's send lists the
+        // same way, but model LAMMPS's staging copy, so every byte they
+        // send is counted as copied.
         for cfg in [UtofuConfig::pool6(), UtofuConfig::coarse4()] {
             let mut f = fixture(cfg);
             drive(&mut f, Op::Exchange);
@@ -1515,10 +1516,11 @@ mod tests {
     fn oversized_border_frame_changes_nothing_modeled() {
         // A slab denser than §3.4 sized the send regions for — past 1.75x
         // the estimate, since the regions hold 7-value Exchange records and
-        // Border's are 4 — so rank 1's frame toward rank 0 cannot be built
-        // in place. The region is not grown for it: no local registration,
-        // the modeled clocks the staged copy charged before the frame was
-        // built in place (pinned), and every ghost arrives.
+        // Border's are 4 — so rank 1's frame toward rank 0 is larger than
+        // its send region. The frame is written straight into its landing
+        // slot at rank 0, never into that region, so the region is not
+        // grown for it: no local registration, the modeled clocks of the
+        // charged staging copy (pinned), and every ghost arrives.
         let n = 1500;
         for (cfg, clocks) in [
             (

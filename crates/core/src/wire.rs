@@ -76,9 +76,9 @@ pub fn combined_size(n: usize) -> usize {
 pub const COMBINED_HEADER_BYTES: usize = 8;
 
 /// Destination for streamed `f64` payloads. Every op's pack is written
-/// once against this trait and runs unchanged over a `Vec<f64>`
-/// (tests), the `Vec<u8>` handed to the MPI transport, or a put's landing
-/// range (uTofu: a [`CombinedWriter`] frame, or raw `&mut [u8]`).
+/// once against this trait and runs unchanged over a `Vec<f64>` or a
+/// `Vec<u8>` (tests), or a put's landing range on either transport (a
+/// [`CombinedWriter`] frame, or raw `&mut [u8]`).
 pub trait F64Sink {
     /// Append a run of values.
     fn put_f64s(&mut self, vs: &[f64]);
@@ -107,9 +107,9 @@ impl F64Sink for Vec<u8> {
 
 /// Little-endian bytes written in place at the head of a byte slice,
 /// which then advances past them (as `std::io::Write` does for
-/// `&mut [u8]`): a uTofu put's raw payload written straight into its
-/// landing range, and the body of a [`CombinedWriter`] frame. Panics past
-/// the slice's end.
+/// `&mut [u8]`): a put's raw payload written straight into its landing
+/// range (a uTofu direct-x Forward, every MPI message), and the body of a
+/// [`CombinedWriter`] frame. Panics past the slice's end.
 impl F64Sink for &mut [u8] {
     /// One bounds check for the whole run.
     fn put_f64s(&mut self, vs: &[f64]) {

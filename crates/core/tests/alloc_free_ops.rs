@@ -3,16 +3,16 @@
 //!
 //! Channels are resolved at the first post and the per-op plans at Border;
 //! after that a Forward / Reverse / ForwardScalar / ReverseScalar round —
-//! `post` + `complete` over every rank — is "frame in place, put" and
-//! "take, dedupe, unpack in place" on reused buffers, under either
+//! `post` + `complete` over every rank — is "write into the landing range"
+//! and "take, dedupe, unpack in place" on reused buffers, under either
 //! pattern. Border is the same once the send lists and the atoms have the
-//! capacity the last one needed: records framed from the send lists into
-//! the registered send regions, ghosts appended from the landed bytes,
-//! plans rebuilt into their own vectors. A counting global allocator holds
-//! the uTofu engine to that: zero allocations per round under
-//! pre-registration, and without it only in rounds that grew a buffer.
-//! The MPI engine writes every hop through its driver thread's one send
-//! buffer and delivers each message from the mailbox bytes it landed in.
+//! capacity the last one needed: records streamed from the send lists
+//! straight into the peers' landing slots, ghosts appended from the landed
+//! bytes, plans rebuilt into their own vectors. A counting global
+//! allocator holds the uTofu engine to that: zero allocations per round
+//! under pre-registration, and without it only in rounds that grew a
+//! buffer. The MPI engine writes every hop straight into the receiver's
+//! mailbox and delivers each message from the mailbox bytes it landed in.
 //! Exchange is a send-list op like Border: warmed rounds that carry atoms
 //! across a face and back allocate nothing on either transport.
 //!

@@ -7,7 +7,7 @@
 //! bypasses all of it with pre-registered one-sided puts.
 
 use std::sync::{Arc, Mutex, PoisonError};
-use tofumd_tofu::{Stadd, TofuError, TofuNet, TNIS_PER_NODE};
+use tofumd_tofu::{PutRequest, PutSrc, Stadd, TofuError, TofuNet, TNIS_PER_NODE};
 
 /// A communicator over `nranks` ranks placed `ranks_per_node` to a node.
 pub struct Communicator {
@@ -103,12 +103,19 @@ impl Communicator {
         }
     }
 
-    /// Buffered send (MPI_Isend + the implementation's eager/rendezvous
-    /// protocol). Advances `*now` by the sender-side software cost and
-    /// returns immediately; the message is matched by `(src, tag)`.
+    /// Buffered send of `data` (see [`Communicator::send_with`]).
     pub fn send(&self, src: usize, dst: usize, tag: u32, data: &[u8], now: &mut f64) {
+        self.send_with(src, dst, tag, PutSrc::Bytes(data), now);
+    }
+
+    /// Buffered send (MPI_Isend + the implementation's eager/rendezvous
+    /// protocol) of `payload`, written once into the receiver's mailbox —
+    /// the send-side twin of [`Communicator::recv_with`]. Advances `*now`
+    /// by the sender-side software cost and returns immediately; the
+    /// message is matched by `(src, tag)`.
+    pub fn send_with(&self, src: usize, dst: usize, tag: u32, payload: PutSrc<'_>, now: &mut f64) {
         let p = *self.net.params();
-        let bytes = data.len();
+        let bytes = payload.len();
         // Fragmentation: each eager fragment pays the per-message CPU cost.
         let frags = bytes.div_ceil(p.mpi_eager_limit).max(1);
         *now += p.cpu_per_put_mpi * frags as f64;
@@ -137,19 +144,20 @@ impl Communicator {
         );
         // MPI internally spreads ranks over TNIs.
         let tni = src % TNIS_PER_NODE;
-        self.net.put(tofumd_tofu::PutRequest {
+        let req = PutRequest {
             src_node: self.node_of(src),
             tni,
             dst_node: self.node_of(dst),
             dst_stadd: self.mailbox[dst],
             dst_offset: offset,
-            data,
+            data: &[],
             piggyback: u64::from(tag),
             src_rank: src as u32,
             seq: 0,
             now: *now,
             cache_injection: false,
-        });
+        };
+        self.net.put_from(&req, payload);
     }
 
     /// Receive of a message the caller knows was sent, its payload copied
@@ -322,6 +330,50 @@ mod tests {
             4,
             "growth registers nothing"
         );
+    }
+
+    #[test]
+    fn a_written_send_lands_as_its_bytes_would() {
+        // The oracle of `send_with(PutSrc::Write)`: a `send` of the same
+        // bytes, on a fresh communicator of its own, across the eager
+        // limit and into rendezvous.
+        let eager = comm(8).net().params().mpi_eager_limit;
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        for len in [0, 8, eager, eager + 8, 3 * eager] {
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    seed as u8
+                })
+                .collect();
+            let (by_bytes, by_writer) = (comm(8), comm(8));
+            let (mut t_bytes, mut t_writer) = (0.25, 0.25);
+            by_bytes.send(2, 5, 3, &bytes, &mut t_bytes);
+            let write = |buf: &mut [u8]| buf.copy_from_slice(&bytes);
+            let src = PutSrc::Write { len, write: &write };
+            by_writer.send_with(2, 5, 3, src, &mut t_writer);
+            assert_eq!(
+                t_bytes.to_bits(),
+                t_writer.to_bits(),
+                "{len} B: sender clock"
+            );
+            let landed = |c: &Communicator| {
+                let node = c.node_of(5);
+                (
+                    c.net().mem_len(node, c.mailbox[5]),
+                    *c.bump[5].lock().unwrap(),
+                    c.net().registration_calls_of(node),
+                )
+            };
+            assert_eq!(landed(&by_bytes), landed(&by_writer), "{len} B: mailbox");
+            let (a, b) = (by_bytes.recv(5, 2, 3, 0.5), by_writer.recv(5, 2, 3, 0.5));
+            assert_eq!(a.data, bytes, "{len} B: payload");
+            assert_eq!(a.data, b.data, "{len} B: payload");
+            assert_eq!(a.now.to_bits(), b.now.to_bits(), "{len} B: receiver clock");
+            assert_eq!(a.arrival.to_bits(), b.arrival.to_bits(), "{len} B: arrival");
+        }
     }
 
     #[test]

@@ -442,19 +442,18 @@ impl TofuNet {
         lock(&self.nodes[node].mem).reg_calls
     }
 
-    /// Execute an RDMA put on the reliable path: serialize on the source
-    /// TNI, copy the payload into the destination region, enqueue the MRQ
-    /// notification. Never consults the fault plan — this is the transport
-    /// the MPI layer (with its own reliability protocol) and legacy
-    /// callers ride on; the faultable bare-uTofu path is
-    /// [`crate::rdma::Vcq::try_post`].
+    /// [`Self::put_from`] of the bytes in `req.data`.
     pub fn put(&self, req: PutRequest<'_>) -> PutResult {
         self.put_from(&req, PutSrc::Bytes(req.data))
     }
 
-    /// [`Self::put`] with the payload given as `src` (`req.data` is not
-    /// read).
-    pub(crate) fn put_from(&self, req: &PutRequest<'_>, src: PutSrc<'_>) -> PutResult {
+    /// Execute an RDMA put of `src` on the reliable path (`req.data` is
+    /// not read): serialize on the source TNI, write the payload once into
+    /// the destination region, enqueue the MRQ notification. Never
+    /// consults the fault plan — the MPI layer (with its own reliability
+    /// protocol) rides on it; the faultable bare-uTofu path is
+    /// [`crate::rdma::Vcq::try_post`].
+    pub fn put_from(&self, req: &PutRequest<'_>, src: PutSrc<'_>) -> PutResult {
         match self.execute_put(req, src, 0, None) {
             Ok(r) => r,
             Err(_) => unreachable!("fault-free put cannot fail"),
