@@ -20,10 +20,10 @@ use tofumd_md::region::Box3;
 use tofumd_model::analytic::{opt_step_time, AnalyticWorkload};
 use tofumd_model::equations::{pattern_times, Transport};
 use tofumd_model::sensitivity::{headline_speedup, sweep, Knob};
-use tofumd_model::{scaling, Geometry, StageCosts};
+use tofumd_model::{scaling, Geometry, Machine};
 use tofumd_runtime::{Cluster, CommVariant, PotentialKind, RunConfig, StageBreakdown};
 use tofumd_tofu::{
-    CellGrid, CongestionModel, NetParams, Put, PutSrc, TofuNet, Vcq, CQS_PER_TNI, TNIS_PER_NODE,
+    CellGrid, CongestionModel, Put, PutSrc, TofuNet, Vcq, CQS_PER_TNI, TNIS_PER_NODE,
 };
 
 /// LJ reduced density of every paper workload.
@@ -129,7 +129,7 @@ pub(crate) fn table1(_: &Opts) -> Report {
 /// under MPI's heavy T_inj but wins under uTofu's light one, and parallel
 /// injection benefits p2p most (§3.1/§3.2).
 pub(crate) fn equations(_: &Opts) -> Report {
-    let p = NetParams::default();
+    let p = Machine::fugaku().net;
     let mut out = String::from("Equations (3)-(8) — analytic pattern times\n\n");
     let mut small = Vec::new(); // the 65K MPI and uTofu times
     for (label, n_local) in [
@@ -214,7 +214,8 @@ pub(crate) fn fig06(o: &Opts) -> Report {
 /// on drop, so each section holds the VCQs it created until its rows are
 /// read.
 pub(crate) fn fig07(_: &Opts) -> Report {
-    let node = || Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), NetParams::default()));
+    let net = Machine::fugaku().net;
+    let node = || Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), net));
     let mut out = String::from("Fig. 7 — VCQ binding (simulated node)\n\n");
 
     out.push_str("== coarse-grained: 4 ranks x 1 VCQ on their own TNI ==\n");
@@ -267,7 +268,7 @@ fn vcq(net: &Arc<TofuNet>, tni: usize, rank: u32) -> Vcq {
 /// node through `vcqs_per_rank` VCQs driven by `threads` virtual threads
 /// per rank. Returns the virtual time for all messages to inject.
 fn send_burst(size: usize, msgs: usize, vcqs_per_rank: usize, threads: usize) -> f64 {
-    let p = NetParams::default();
+    let p = Machine::fugaku().net;
     let net = Arc::new(TofuNet::new(CellGrid::new([1, 1, 1]), p));
     let (dst, _) = net.register_mem(1, size.max(1) * 4);
     let payload = vec![0u8; size];
@@ -554,8 +555,7 @@ pub(crate) fn table3(o: &Opts) -> Report {
 /// overwhelmingly pair-dominated, which is exactly why the paper observes
 /// near-linear scaling.
 pub(crate) fn fig14(_: &Opts) -> Report {
-    let costs = StageCosts::default();
-    let p = NetParams::default();
+    let m = Machine::fugaku();
     let mut out = String::from("Fig. 14 — weak scaling (opt variant, analytic path)\n\n");
     let mut readings = Vec::new();
     for (name, w, unit, ids) in [
@@ -574,10 +574,10 @@ pub(crate) fn fig14(_: &Opts) -> Report {
     ] {
         let (mut rows, mut last) = (Vec::new(), [0.0; 2]); // atoms (billions), efficiency
         let base_ranks = 4.0 * WEAK_SCALING_MESHES[0].0 as f64;
-        let base = opt_step_time(&w, base_ranks, &costs, &p).total();
+        let base = opt_step_time(&w, base_ranks, &m).total();
         for (nodes, _) in WEAK_SCALING_MESHES {
             let ranks = 4.0 * nodes as f64;
-            let t = opt_step_time(&w, ranks, &costs, &p).total();
+            let t = opt_step_time(&w, ranks, &m).total();
             let total_atoms = w.n_local * ranks;
             rows.push(vec![
                 nodes.to_string(),
@@ -650,7 +650,7 @@ pub(crate) fn fig15(o: &Opts) -> Report {
 /// benchmark's `core.border_classify_ns_per_atom`.)
 pub(crate) fn ablations(o: &Opts) -> Report {
     let row = |name: &str, a: String, b: String| vec![name.to_string(), a, b];
-    let p = NetParams::default();
+    let p = Machine::fugaku().net;
     let mut out = String::new();
     out += &format!(
         "Ablations ({} exchange iterations where timed)\n\n",
@@ -782,9 +782,8 @@ pub(crate) fn ablations(o: &Opts) -> Report {
 /// the paper's conclusions; this shows they survive 2x miscalibration of
 /// any single constant.
 pub(crate) fn sensitivity(_: &Opts) -> Report {
-    let costs = StageCosts::default();
-    let p = NetParams::default();
-    let base = headline_speedup(&p, &costs);
+    let m = Machine::fugaku();
+    let base = headline_speedup(&m);
     let mut out = String::new();
     out += "Calibration sensitivity — LJ headline speedup at 36,864 nodes\n";
     let paper = claims::get("sensitivity.headline").judge.paper();
@@ -796,9 +795,9 @@ pub(crate) fn sensitivity(_: &Opts) -> Report {
         .map(|knob| {
             let mut row = vec![
                 knob.name().to_string(),
-                format!("{:.2} us", knob.default_value(&p) * 1e6),
+                format!("{:.2} us", knob.default_value(&m) * 1e6),
             ];
-            let samples = sweep(knob, &factors, &costs);
+            let samples = sweep(knob, &factors, &m);
             floor = floor.min(samples[1].speedup).min(samples[3].speedup);
             row.extend(samples.iter().map(|s| format!("{:.2}x", s.speedup)));
             row
@@ -806,7 +805,7 @@ pub(crate) fn sensitivity(_: &Opts) -> Report {
         .collect();
     let headers = "knob|calibrated|x0.25|x0.5|x1|x2|x4";
     push_table(&mut out, headers, &rows);
-    let (pool, omp) = (p.pool_region_overhead, p.omp_region_overhead);
+    let (pool, omp) = (m.net.pool_region_overhead, m.net.omp_region_overhead);
     let readings = vec![
         ("sec33.pool-region", pool * 1e6),
         ("sec33.omp-region", omp * 1e6),
@@ -841,7 +840,7 @@ pub(crate) fn congestion(_: &Opts) -> Report {
     ];
     let mut out = String::new();
     out += "§3.1 no-blocking assumption check — 768-node exchange, all rank pairs\n\n";
-    let p = NetParams::default();
+    let p = Machine::fugaku().net;
     let grid = grid_768();
     let mesh = grid.node_mesh();
     let mut model = CongestionModel::new(&grid, p);

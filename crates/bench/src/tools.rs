@@ -5,9 +5,10 @@ use crate::cli::{self, Opts};
 use crate::{render_table, run_proxy, MESH_768};
 use std::path::Path;
 use std::process::ExitCode;
+use tofumd_model::Machine;
 use tofumd_runtime::lockstep::{bisect_cluster_against_serial, bisect_clusters, LockstepOptions};
 use tofumd_runtime::{Cluster, CommVariant, RunConfig};
-use tofumd_tofu::{FaultPlan, FaultRates, NetParams};
+use tofumd_tofu::{FaultPlan, FaultRates};
 
 /// Lockstep divergence bisector: drive `--variant` in lockstep against the
 /// reference engine, another variant or the serial twin (`--against`) on
@@ -66,7 +67,7 @@ pub(crate) fn bisect(o: &Opts) -> ExitCode {
 }
 
 /// §3.3 — thread startup/synchronization overhead, spin pool vs fork-join,
-/// measured on this host beside the `NetParams` region overheads the
+/// measured on this host beside the `Machine::fugaku()` region overheads the
 /// virtual-time model uses (the paper's A64FX readings). Host wall-clock,
 /// so never committed. Then §3.4's over-provision factor per variant: the
 /// bytes each design registers against the bytes its traffic touched
@@ -75,7 +76,7 @@ pub(crate) fn overheads(o: &Opts) -> ExitCode {
     let (threads, iters) = (o.threads(), usize::try_from(o.iters).unwrap_or(usize::MAX));
     println!("§3.3 — parallel-region overheads ({threads} threads, {iters} regions)\n");
     let r = tofumd_threadpool::measure_overheads(threads, iters);
-    let p = NetParams::default();
+    let p = Machine::fugaku().net;
     let row = |name: &str, host: f64, model: f64| {
         vec![
             name.to_string(),

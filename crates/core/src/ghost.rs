@@ -840,9 +840,9 @@ mod tests {
                 Payload::Ghost(op, e).write(g, st, &mut w);
                 let framed = w.finish();
                 assert_eq!(&region[..framed], wire::frame_combined(&vals));
-                let mut bytes: Vec<u8> = Vec::new();
-                g.pack(op, e, st, &mut bytes);
-                assert_eq!(&bytes[..], wire::encode_f64s(&vals));
+                let mut bytes = vec![0u8; 8 * vals.len()];
+                g.pack(op, e, st, &mut &mut bytes[..]);
+                assert_eq!(bytes, wire::encode_f64s(&vals));
                 let expect: Vec<f64> = match op {
                     GhostOp::Forward => edge
                         .send

@@ -8,8 +8,8 @@
 /// Serialize a flat `f64` slice to little-endian bytes.
 #[must_use]
 pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * 8);
-    buf.put_f64s(values);
+    let mut buf = vec![0u8; values.len() * 8];
+    (&mut buf[..]).put_f64s(values);
     buf
 }
 
@@ -32,9 +32,10 @@ pub fn decode_f64s_into(bytes: &[u8], out: &mut Vec<f64>) {
 /// Message-combine framing: `[count: u64 LE][count * f64]` in one message.
 #[must_use]
 pub fn frame_combined(values: &[f64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(combined_size(values.len()));
-    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    buf.put_f64s(values);
+    let mut buf = vec![0u8; combined_size(values.len())];
+    let (head, mut body) = buf.split_at_mut(COMBINED_HEADER_BYTES);
+    head.copy_from_slice(&(values.len() as u64).to_le_bytes());
+    body.put_f64s(values);
     buf
 }
 
@@ -76,9 +77,9 @@ pub fn combined_size(n: usize) -> usize {
 pub const COMBINED_HEADER_BYTES: usize = 8;
 
 /// Destination for streamed `f64` payloads. Every op's pack is written
-/// once against this trait and runs unchanged over a `Vec<f64>` or a
-/// `Vec<u8>` (tests), or a put's landing range on either transport (a
-/// [`CombinedWriter`] frame, or raw `&mut [u8]`).
+/// once against this trait and runs unchanged over a `Vec<f64>`, or a
+/// put's landing range on either transport (a [`CombinedWriter`] frame, or
+/// raw `&mut [u8]`).
 pub trait F64Sink {
     /// Append a run of values.
     fn put_f64s(&mut self, vs: &[f64]);
@@ -92,16 +93,6 @@ pub trait F64Sink {
 impl F64Sink for Vec<f64> {
     fn put_f64s(&mut self, vs: &[f64]) {
         self.extend_from_slice(vs);
-    }
-}
-
-/// Little-endian bytes appended in place — the same bytes as
-/// [`encode_f64s`], without the intermediate `Vec<f64>`.
-impl F64Sink for Vec<u8> {
-    fn put_f64s(&mut self, vs: &[f64]) {
-        for v in vs {
-            self.extend_from_slice(&v.to_le_bytes());
-        }
     }
 }
 
@@ -167,7 +158,7 @@ fn le_f64(chunk: &[u8]) -> f64 {
 }
 
 /// Little-endian `f64`s read in place from a byte slice — the bytes
-/// [`encode_f64s`] / the `Vec<u8>` sink produce.
+/// [`encode_f64s`] / the `&mut [u8]` sink produce.
 pub struct LeF64s<'a>(&'a [u8]);
 
 impl<'a> LeF64s<'a> {
@@ -424,9 +415,11 @@ mod tests {
     #[test]
     fn byte_sink_matches_encode_f64s() {
         let vals = [1.0, -2.5, 3.25e10, -0.0];
-        let mut b: Vec<u8> = Vec::new();
-        b.put_f64(vals[0]);
-        b.put_f64s(&vals[1..]);
+        let mut b = vec![0u8; 8 * vals.len()];
+        let mut sink: &mut [u8] = &mut b;
+        sink.put_f64(vals[0]);
+        sink.put_f64s(&vals[1..]);
+        assert!(sink.is_empty());
         assert_eq!(b, encode_f64s(&vals));
     }
 

@@ -8,9 +8,9 @@
 //! simulations elsewhere.
 
 use crate::equations::{pattern_times, Transport};
-use crate::stagecost::{RankWork, StageBreakdown, StageCosts, Threading};
+use crate::machine::Machine;
+use crate::stagecost::{RankWork, StageBreakdown, Threading};
 use crate::table1::Geometry;
-use tofumd_tofu::NetParams;
 
 /// A self-contained analytic workload description.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,32 +92,28 @@ impl AnalyticWorkload {
 /// Analytic step time for the **optimized** configuration (pool p2p,
 /// Eq. 8 communication, spin-pool compute).
 #[must_use]
-pub fn opt_step_time(
-    w: &AnalyticWorkload,
-    ranks: f64,
-    costs: &StageCosts,
-    p: &NetParams,
-) -> StageBreakdown {
+pub fn opt_step_time(w: &AnalyticWorkload, ranks: f64, m: &Machine) -> StageBreakdown {
+    let p = &m.net;
     let geom = w.geometry();
     let work = w.work_half_shell();
     let t = pattern_times(&geom, w.density, 24.0, Transport::Utofu, p);
     let pack = p.pack_cost((w.density * geom.p2p_total() * 24.0) as usize) / 6.0;
     let exchange = t.p2p_parallel + pack + p.pool_region_overhead;
-    let mut pair = costs.pair_time(&work, Threading::SpinPool, p);
+    let mut pair = m.pair_time(&work, Threading::SpinPool);
     if w.eam {
         // Two scalar mid-stage exchanges (8 B/atom payloads).
         let ts = pattern_times(&geom, w.density, 8.0, Transport::Utofu, p);
         pair += 2.0 * (ts.p2p_parallel + p.pool_region_overhead);
     }
-    let mut other = costs.other_time();
+    let mut other = m.other_time();
     if w.allreduce_every > 0.0 {
         other += p.allreduce_time(ranks, 0.0, 0) / w.allreduce_every;
     }
     StageBreakdown {
         pair,
-        neigh: costs.neigh_time(&work, Threading::SpinPool, p) / w.rebuild_every,
+        neigh: m.neigh_time(&work, Threading::SpinPool) / w.rebuild_every,
         comm: 2.0 * exchange,
-        modify: costs.modify_time(&work, Threading::SpinPool, p),
+        modify: m.modify_time(&work, Threading::SpinPool),
         other,
     }
 }
@@ -125,32 +121,28 @@ pub fn opt_step_time(
 /// Analytic step time for the **baseline** configuration (MPI 3-stage,
 /// Eq. 5 communication with MPI software costs, OpenMP compute).
 #[must_use]
-pub fn ref_step_time(
-    w: &AnalyticWorkload,
-    ranks: f64,
-    costs: &StageCosts,
-    p: &NetParams,
-) -> StageBreakdown {
+pub fn ref_step_time(w: &AnalyticWorkload, ranks: f64, m: &Machine) -> StageBreakdown {
+    let p = &m.net;
     let geom = w.geometry();
     let work = w.work_full_shell();
     let t = pattern_times(&geom, w.density, 24.0, Transport::Mpi, p);
     let bytes = (w.density * geom.three_stage_total() * 24.0) as usize;
     // Staged exchange: Eq. 5 wire path + receiver match/copy per message.
     let exchange = t.three_stage_opt + p.pack_cost(bytes) * 2.0 + 6.0 * p.mpi_match_cost;
-    let mut pair = costs.pair_time(&work, Threading::OpenMp, p);
+    let mut pair = m.pair_time(&work, Threading::OpenMp);
     if w.eam {
         let ts = pattern_times(&geom, w.density, 8.0, Transport::Mpi, p);
         pair += 2.0 * (ts.three_stage_opt + 6.0 * p.mpi_match_cost);
     }
-    let mut other = costs.other_time();
+    let mut other = m.other_time();
     if w.allreduce_every > 0.0 {
         other += p.allreduce_time(ranks, 0.0, 0) / w.allreduce_every;
     }
     StageBreakdown {
         pair,
-        neigh: costs.neigh_time(&work, Threading::OpenMp, p) / w.rebuild_every,
+        neigh: m.neigh_time(&work, Threading::OpenMp) / w.rebuild_every,
         comm: 2.0 * exchange,
-        modify: costs.modify_time(&work, Threading::OpenMp, p),
+        modify: m.modify_time(&work, Threading::OpenMp),
         other,
     }
 }
@@ -159,17 +151,13 @@ pub fn ref_step_time(
 mod tests {
     use super::*;
 
-    fn defaults() -> (StageCosts, NetParams) {
-        (StageCosts::default(), NetParams::default())
-    }
-
     #[test]
     fn opt_beats_ref_in_both_regimes() {
-        let (c, p) = defaults();
+        let m = Machine::fugaku();
         for n_local in [22.0, 550.0, 1365.0] {
             let w = AnalyticWorkload::lj(n_local);
-            let opt = opt_step_time(&w, 3072.0, &c, &p).total();
-            let r = ref_step_time(&w, 3072.0, &c, &p).total();
+            let opt = opt_step_time(&w, 3072.0, &m).total();
+            let r = ref_step_time(&w, 3072.0, &m).total();
             assert!(r > opt, "ref {r} must exceed opt {opt} at n={n_local}");
         }
     }
@@ -178,11 +166,10 @@ mod tests {
     fn speedup_grows_as_workload_shrinks() {
         // The strong-scaling trend: smaller per-rank workloads are more
         // comm-bound, so the optimization buys more.
-        let (c, p) = defaults();
+        let m = Machine::fugaku();
         let s = |n: f64| {
             let w = AnalyticWorkload::lj(n);
-            ref_step_time(&w, 147_456.0, &c, &p).total()
-                / opt_step_time(&w, 147_456.0, &c, &p).total()
+            ref_step_time(&w, 147_456.0, &m).total() / opt_step_time(&w, 147_456.0, &m).total()
         };
         assert!(s(28.0) > s(280.0));
         assert!(s(280.0) > s(2800.0));
@@ -192,20 +179,20 @@ mod tests {
     fn weak_scaling_is_flat_in_node_count() {
         // At 1.2M atoms/rank, collective growth is the only rank-count
         // dependence and it is negligible: Fig. 14's near-linearity.
-        let (c, p) = defaults();
+        let m = Machine::fugaku();
         let w = AnalyticWorkload::lj(1_200_000.0);
-        let t_small = opt_step_time(&w, 3072.0, &c, &p).total();
-        let t_large = opt_step_time(&w, 82_944.0, &c, &p).total();
+        let t_small = opt_step_time(&w, 3072.0, &m).total();
+        let t_large = opt_step_time(&w, 82_944.0, &m).total();
         assert!((t_large / t_small - 1.0).abs() < 1e-3);
     }
 
     #[test]
     fn eam_pays_allreduce_and_midstage_comm() {
-        let (c, p) = defaults();
+        let m = Machine::fugaku();
         let eam = AnalyticWorkload::eam(23.0);
         let lj = AnalyticWorkload::lj(28.0);
-        let be = opt_step_time(&eam, 147_456.0, &c, &p);
-        let bl = opt_step_time(&lj, 147_456.0, &c, &p);
+        let be = opt_step_time(&eam, 147_456.0, &m);
+        let bl = opt_step_time(&lj, 147_456.0, &m);
         assert!(be.other > bl.other, "EAM's every-5-step allreduce");
         assert!(be.pair > bl.pair, "EAM pair includes mid-stage comm");
     }

@@ -6,6 +6,7 @@
 //!   and p2p ghost patterns (Table 1),
 //! * [`equations`] — the pattern-time equations (3)–(8) over a
 //!   [`tofumd_tofu::NetParams`],
+//! * [`machine`] — the one modeled machine, [`Machine::fugaku`],
 //! * [`stagecost`] — calibrated CPU costs of the Pair / Neigh / Modify /
 //!   Other stages (Table 3's non-communication rows), and the ledger's
 //!   stage types: the [`Stage`] a charge lands in, a rank's [`StageTimes`]
@@ -24,6 +25,7 @@
 
 pub mod analytic;
 pub mod equations;
+pub mod machine;
 pub mod scaling;
 pub mod sensitivity;
 pub mod stagecost;
@@ -31,6 +33,7 @@ pub mod table1;
 
 pub use analytic::{opt_step_time, ref_step_time, AnalyticWorkload};
 pub use equations::{pattern_times, PatternTimes, Transport};
+pub use machine::Machine;
 pub use scaling::{parallel_efficiency, units_per_day};
 pub use sensitivity::{headline_speedup, sweep, Knob};
 pub use stagecost::{RankWork, Stage, StageBreakdown, StageCosts, StageTimes, Threading};

@@ -9,7 +9,7 @@
 //! while a heavier uTofu stack erodes it.
 
 use crate::analytic::{opt_step_time, ref_step_time, AnalyticWorkload};
-use crate::stagecost::StageCosts;
+use crate::machine::Machine;
 use tofumd_tofu::NetParams;
 
 /// Which calibrated constant a sweep varies.
@@ -45,38 +45,38 @@ impl Knob {
         }
     }
 
-    /// The calibrated default value.
-    #[must_use]
-    pub fn default_value(self, p: &NetParams) -> f64 {
+    /// This knob's constant in `net`.
+    fn field(self, net: &mut NetParams) -> &mut f64 {
         match self {
-            Knob::MpiPerMessage => p.cpu_per_put_mpi,
-            Knob::UtofuPerPut => p.cpu_per_put_utofu,
-            Knob::PoolRegion => p.pool_region_overhead,
-            Knob::OmpRegion => p.omp_region_overhead,
+            Knob::MpiPerMessage => &mut net.cpu_per_put_mpi,
+            Knob::UtofuPerPut => &mut net.cpu_per_put_utofu,
+            Knob::PoolRegion => &mut net.pool_region_overhead,
+            Knob::OmpRegion => &mut net.omp_region_overhead,
         }
     }
 
-    /// A copy of `p` with this knob set to `value`.
+    /// This knob's value in `m`.
     #[must_use]
-    pub fn apply(self, p: &NetParams, value: f64) -> NetParams {
-        let mut q = *p;
-        match self {
-            Knob::MpiPerMessage => q.cpu_per_put_mpi = value,
-            Knob::UtofuPerPut => q.cpu_per_put_utofu = value,
-            Knob::PoolRegion => q.pool_region_overhead = value,
-            Knob::OmpRegion => q.omp_region_overhead = value,
-        }
+    pub fn default_value(self, m: &Machine) -> f64 {
+        *self.field(&mut { m.net })
+    }
+
+    /// A copy of `m` with this knob set to `value`.
+    #[must_use]
+    pub fn apply(self, m: &Machine, value: f64) -> Machine {
+        let mut q = *m;
+        *self.field(&mut q.net) = value;
         q
     }
 }
 
-/// Strong-scaling speedup (ref/opt) of the LJ last point under `params`.
+/// Strong-scaling speedup (ref/opt) of the LJ last point on `m`.
 #[must_use]
-pub fn headline_speedup(params: &NetParams, costs: &StageCosts) -> f64 {
+pub fn headline_speedup(m: &Machine) -> f64 {
     // 4,194,304 atoms over 147,456 ranks: the paper's last point.
     let w = AnalyticWorkload::lj(4_194_304.0 / 147_456.0);
-    let r = ref_step_time(&w, 147_456.0, costs, params).total();
-    let o = opt_step_time(&w, 147_456.0, costs, params).total();
+    let r = ref_step_time(&w, 147_456.0, m).total();
+    let o = opt_step_time(&w, 147_456.0, m).total();
     r / o
 }
 
@@ -89,19 +89,16 @@ pub struct Sample {
     pub speedup: f64,
 }
 
-/// Sweep a knob over `factors` x its calibrated default.
+/// Sweep a knob over `factors` x its value in `base`, every other
+/// constant held at `base`'s.
 #[must_use]
-pub fn sweep(knob: Knob, factors: &[f64], costs: &StageCosts) -> Vec<Sample> {
-    let base = NetParams::default();
-    let v0 = knob.default_value(&base);
+pub fn sweep(knob: Knob, factors: &[f64], base: &Machine) -> Vec<Sample> {
+    let v0 = knob.default_value(base);
     factors
         .iter()
-        .map(|&f| {
-            let p = knob.apply(&base, v0 * f);
-            Sample {
-                value: v0 * f,
-                speedup: headline_speedup(&p, costs),
-            }
+        .map(|&f| Sample {
+            value: v0 * f,
+            speedup: headline_speedup(&knob.apply(base, v0 * f)),
         })
         .collect()
 }
@@ -111,7 +108,7 @@ mod tests {
     use super::*;
 
     fn speedups(knob: Knob) -> Vec<f64> {
-        sweep(knob, &[0.5, 1.0, 2.0], &StageCosts::default())
+        sweep(knob, &[0.5, 1.0, 2.0], &Machine::fugaku())
             .into_iter()
             .map(|s| s.speedup)
             .collect()
@@ -119,8 +116,23 @@ mod tests {
 
     #[test]
     fn baseline_speedup_is_in_the_paper_band() {
-        let s = headline_speedup(&NetParams::default(), &StageCosts::default());
+        let s = headline_speedup(&Machine::fugaku());
         assert!((1.8..4.5).contains(&s), "headline speedup {s}");
+    }
+
+    #[test]
+    fn sweep_honours_the_machine_it_is_given() {
+        let fugaku = Machine::fugaku();
+        let mut heavy_mpi = fugaku;
+        heavy_mpi.net.cpu_per_put_mpi *= 2.0;
+        for m in [fugaku, heavy_mpi] {
+            let s = headline_speedup(&m);
+            for knob in Knob::ALL {
+                let got = sweep(knob, &[1.0], &m)[0].speedup;
+                assert_eq!(got.to_bits(), s.to_bits(), "{}", knob.name());
+            }
+        }
+        assert_ne!(headline_speedup(&heavy_mpi), headline_speedup(&fugaku));
     }
 
     #[test]
@@ -147,15 +159,14 @@ mod tests {
     fn conclusion_is_robust_to_2x_miscalibration() {
         // Even with every knob individually off by 2x in the unfavourable
         // direction, the optimization still wins clearly.
-        let costs = StageCosts::default();
-        let base = NetParams::default();
+        let base = Machine::fugaku();
         for knob in Knob::ALL {
             let worst_factor = match knob {
                 Knob::MpiPerMessage | Knob::OmpRegion => 0.5, // cheaper baseline
                 Knob::UtofuPerPut | Knob::PoolRegion => 2.0,  // costlier opt
             };
-            let p = knob.apply(&base, knob.default_value(&base) * worst_factor);
-            let s = headline_speedup(&p, &costs);
+            let m = knob.apply(&base, knob.default_value(&base) * worst_factor);
+            let s = headline_speedup(&m);
             assert!(
                 s > 1.3,
                 "{}: speedup {s} collapses under 2x miscalibration",

@@ -3,10 +3,11 @@
 //!
 //! Communication time comes from the simulated fabric; the remaining
 //! stages — Pair, Neigh, Modify, Other — are CPU work whose absolute
-//! values on A64FX we cannot measure. The constants below are calibrated
-//! so the *shape* of the paper's results holds (Table 3 stage shares,
-//! Fig. 12's step-by-step ordering, the 43 %/57 % pair-stage reduction from
-//! the thread pool); each constant notes its calibration anchor. See
+//! values on A64FX we cannot measure. The [`StageCosts`] of
+//! [`Machine::fugaku`](crate::Machine::fugaku) are calibrated so the
+//! *shape* of the paper's results holds (Table 3 stage shares, Fig. 12's
+//! step-by-step ordering, the 43 %/57 % pair-stage reduction from the
+//! thread pool); each field notes its calibration anchor. See
 //! EXPERIMENTS.md for the calibration narrative.
 //!
 //! The module also holds the ledger's types: [`Stage`], the bucket a charge
@@ -149,7 +150,8 @@ pub enum Threading {
     SpinPool,
 }
 
-/// Per-stage cost constants. Times in seconds.
+/// Per-stage cost constants, evaluated by [`Machine`](crate::Machine)'s
+/// stage-time methods. Times in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageCosts {
     /// Cost of one pair interaction on one core (LJ): ~10 ns covers the
@@ -187,37 +189,10 @@ pub struct StageCosts {
     pub other_base: f64,
     /// Computing cores per rank (12: one CMG).
     pub cores: f64,
-}
-
-impl Default for StageCosts {
-    fn default() -> Self {
-        StageCosts {
-            pair_interaction: 10.0e-9,
-            pair_atom: 330.0e-9,
-            eam_pair_factor: 3.4,
-            eam_atom_factor: 2.0,
-            pair_fixed: 3.0e-6,
-            eam_fixed: 28.0e-6,
-            pair_regions: 2.0,
-            neigh_atom: 550.0e-9,
-            neigh_pair: 20.0e-9,
-            modify_atom: 110.0e-9,
-            modify_fixed: 2.5e-6,
-            other_base: 7.0e-6,
-            cores: 12.0,
-        }
-    }
-}
-
-impl Threading {
-    /// Per-region dispatch + join overhead (§3.3's 5.8 us vs 1.1 us).
-    #[must_use]
-    pub fn region_overhead(self, p: &tofumd_tofu::NetParams) -> f64 {
-        match self {
-            Threading::OpenMp => p.omp_region_overhead,
-            Threading::SpinPool => p.pool_region_overhead,
-        }
-    }
+    /// Fixed cost of one checkpoint on every live rank (barrier + metadata).
+    pub checkpoint_base: f64,
+    /// Checkpoint cost per container byte: a ~1 GB/s filesystem drain.
+    pub checkpoint_per_byte: f64,
 }
 
 /// Workload numbers a stage-cost evaluation needs.
@@ -233,62 +208,10 @@ pub struct RankWork {
     pub eam: bool,
 }
 
-impl StageCosts {
-    /// Pair-stage compute time (excluding mid-stage communication, which
-    /// the fabric provides).
-    #[must_use]
-    pub fn pair_time(&self, w: &RankWork, threading: Threading, p: &tofumd_tofu::NetParams) -> f64 {
-        let (f_int, f_atom, fixed) = if w.eam {
-            (
-                self.eam_pair_factor,
-                self.eam_atom_factor,
-                self.pair_fixed + self.eam_fixed,
-            )
-        } else {
-            (1.0, 1.0, self.pair_fixed)
-        };
-        let work = (w.n_local + w.n_ghost) * self.pair_atom * f_atom
-            + w.interactions * self.pair_interaction * f_int;
-        self.pair_regions * threading.region_overhead(p) + fixed + work / self.cores
-    }
-
-    /// Neighbor-list rebuild time (charged on rebuild steps only).
-    #[must_use]
-    pub fn neigh_time(
-        &self,
-        w: &RankWork,
-        threading: Threading,
-        p: &tofumd_tofu::NetParams,
-    ) -> f64 {
-        let work = (w.n_local + w.n_ghost) * self.neigh_atom + w.interactions * self.neigh_pair;
-        threading.region_overhead(p) + work / self.cores
-    }
-
-    /// Modify-stage time per step: two integration halves, each a parallel
-    /// region (this is where the paper's "OpenMP makes modify 10x slower"
-    /// shows up — for tiny n_local the region overhead dominates).
-    #[must_use]
-    pub fn modify_time(
-        &self,
-        w: &RankWork,
-        threading: Threading,
-        p: &tofumd_tofu::NetParams,
-    ) -> f64 {
-        self.modify_fixed
-            + 2.0 * (threading.region_overhead(p) + w.n_local * self.modify_atom / self.cores)
-    }
-
-    /// "Other" floor per step (collective costs are added by the driver).
-    #[must_use]
-    pub fn other_time(&self) -> f64 {
-        self.other_base
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tofumd_tofu::NetParams;
+    use crate::Machine;
 
     fn small_work() -> RankWork {
         // The 36,864-node regime: ~28 locals, ghost-dominated.
@@ -362,11 +285,10 @@ mod tests {
 
     #[test]
     fn pool_reduces_pair_time_substantially_when_small() {
-        let c = StageCosts::default();
-        let p = NetParams::default();
+        let m = Machine::fugaku();
         let w = small_work();
-        let omp = c.pair_time(&w, Threading::OpenMp, &p);
-        let pool = c.pair_time(&w, Threading::SpinPool, &p);
+        let omp = m.pair_time(&w, Threading::OpenMp);
+        let pool = m.pair_time(&w, Threading::SpinPool);
         // Fig. 13b: pair time drops ~40% at the last point.
         let drop = 1.0 - pool / omp;
         assert!(
@@ -379,22 +301,20 @@ mod tests {
     fn modify_overhead_dominates_small_systems() {
         // "Enabling OpenMP causes the modify stage to take ten times
         // longer": with tiny n_local, region overhead >> integration work.
-        let c = StageCosts::default();
-        let p = NetParams::default();
+        let m = Machine::fugaku();
         let w = small_work();
-        let omp = c.modify_time(&w, Threading::OpenMp, &p);
-        let compute_only = 2.0 * w.n_local * c.modify_atom / c.cores;
+        let omp = m.modify_time(&w, Threading::OpenMp);
+        let compute_only = 2.0 * w.n_local * m.costs.modify_atom / m.costs.cores;
         assert!(omp > 10.0 * compute_only);
     }
 
     #[test]
     fn eam_pair_is_heavier_than_lj() {
-        let c = StageCosts::default();
-        let p = NetParams::default();
+        let m = Machine::fugaku();
         let mut w = small_work();
-        let lj = c.pair_time(&w, Threading::OpenMp, &p);
+        let lj = m.pair_time(&w, Threading::OpenMp);
         w.eam = true;
-        let eam = c.pair_time(&w, Threading::OpenMp, &p);
+        let eam = m.pair_time(&w, Threading::OpenMp);
         assert!(eam > lj);
     }
 
@@ -402,16 +322,15 @@ mod tests {
     fn large_systems_amortize_region_overhead() {
         // Fig. 12: for 1.7M atoms the pair stage dominates and the pool
         // advantage shrinks.
-        let c = StageCosts::default();
-        let p = NetParams::default();
+        let m = Machine::fugaku();
         let big = RankWork {
             n_local: 550.0,
             n_ghost: 900.0,
             interactions: 15_000.0,
             eam: false,
         };
-        let omp = c.pair_time(&big, Threading::OpenMp, &p);
-        let pool = c.pair_time(&big, Threading::SpinPool, &p);
+        let omp = m.pair_time(&big, Threading::OpenMp);
+        let pool = m.pair_time(&big, Threading::SpinPool);
         let drop = 1.0 - pool / omp;
         assert!(drop < 0.25, "large-system pool gain should shrink: {drop}");
     }

@@ -3,9 +3,9 @@
 //! Every rank holds real atoms and computes real forces; ghost data moves
 //! as real bytes through the chosen [`CommVariant`]'s engine. Time is
 //! *virtual*: communication time flows from the fabric's calibrated model,
-//! compute-stage time from [`StageCosts`] applied to the rank's actual
-//! workload. The per-stage accounting mirrors LAMMPS's timing breakdown
-//! (Table 3): Pair, Neigh, Comm, Modify, Other.
+//! compute-stage time from the [`Machine`]'s stage costs applied to the
+//! rank's actual workload. The per-stage accounting mirrors LAMMPS's timing
+//! breakdown (Table 3): Pair, Neigh, Comm, Modify, Other.
 //!
 //! `Cluster` is a thin façade: each timestep executes the
 //! [`Phase`]s of [`crate::driver`]'s step DAG, per-rank
@@ -32,7 +32,7 @@ use tofumd_md::integrate::NveIntegrator;
 use tofumd_md::potential::Potential;
 use tofumd_md::region::Box3;
 use tofumd_md::thermo::ThermoSnapshot;
-use tofumd_model::StageCosts;
+use tofumd_model::Machine;
 use tofumd_mpi::Communicator;
 use tofumd_tofu::{FaultCounters, FaultPlan, TofuError, TofuNet};
 
@@ -73,7 +73,8 @@ pub struct Cluster {
     states: Vec<RankState>,
     lanes: Vec<Lane>,
     team: Team,
-    costs: StageCosts,
+    /// The modeled machine; the fabric is built from its `net`.
+    machine: Machine,
     /// Completed timesteps since construction.
     pub step: u64,
     /// Neighbor-list rebuilds performed (including setup).
@@ -268,8 +269,7 @@ impl Cluster {
     fn physics_ctx(&self) -> physics::Ctx {
         let (variant, cfg) = (self.variant, &self.cfg);
         physics::Ctx {
-            costs: self.costs,
-            params: *self.net.params(),
+            machine: self.machine,
             threading: variant.threading(),
             cutoff: self.potential.cutoff(),
             skin: cfg.skin(),

@@ -25,9 +25,9 @@ use tofumd_md::domain::RcbDecomposition;
 use tofumd_md::integrate::NveIntegrator;
 use tofumd_md::region::Box3;
 use tofumd_md::velocity;
-use tofumd_model::StageCosts;
+use tofumd_model::Machine;
 use tofumd_mpi::Communicator;
-use tofumd_tofu::{CellGrid, FaultPlan, NetParams, TofuError, TofuNet};
+use tofumd_tofu::{CellGrid, FaultPlan, TofuError, TofuNet};
 
 /// The one engine factory: `variant`'s row of the pattern × transport
 /// table ([`CommVariant::row`]) built for the rank that owns `graph`; a
@@ -178,7 +178,8 @@ impl Cluster {
     ) -> Self {
         let map = RankMap::new(grid, Placement::TopoAware);
         let nranks = map.nranks();
-        let net = Arc::new(TofuNet::new(grid, NetParams::default()));
+        let machine = Machine::fugaku();
+        let net = Arc::new(TofuNet::new(grid, machine.net));
         if let Some(plan) = fault_plan {
             net.set_fault_plan(plan);
         }
@@ -197,7 +198,7 @@ impl Cluster {
             lanes: (0..nranks)
                 .map(|_| Lane::new(Box::new(PlaceholderEngine)))
                 .collect(),
-            costs: StageCosts::default(),
+            machine,
             step: 0,
             rebuild_count: 0,
             steps_run: 0,
@@ -363,6 +364,7 @@ mod tests {
     use super::*;
     use crate::config::CommTuning;
     use tofumd_core::engine::Op;
+    use tofumd_tofu::NetParams;
 
     #[test]
     fn a_variant_that_cannot_walk_the_graph_is_a_typed_error() {

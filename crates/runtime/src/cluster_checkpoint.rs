@@ -37,14 +37,6 @@ use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
 use tofumd_tofu::CellGrid;
 
-/// Fixed virtual-time cost of sealing one checkpoint, charged to every
-/// live rank (the barrier + metadata write), before the per-byte term.
-const CHECKPOINT_BASE_COST: f64 = 1.0e-3;
-
-/// Virtual seconds per container byte — a ~1 GB/s parallel-filesystem
-/// drain, amortized across ranks.
-const CHECKPOINT_BYTE_COST: f64 = 1.0e-9;
-
 impl Cluster {
     /// Enable auto-checkpointing every `every` steps (LAMMPS
     /// `restart N <file>` without the file). The dump lands at the first
@@ -152,7 +144,8 @@ impl Cluster {
         }
         // Synchronous cost model: every live rank stalls for the barrier
         // plus its share of the container drain.
-        let cost = CHECKPOINT_BASE_COST + size as f64 * CHECKPOINT_BYTE_COST;
+        let c = &self.machine.costs;
+        let cost = c.checkpoint_base + size as f64 * c.checkpoint_per_byte;
         for rank in self.survivors() {
             self.states[rank].charge(cost, Stage::Other);
         }

@@ -20,9 +20,9 @@ use tofumd_md::kernels::PairScratch;
 use tofumd_md::neighbor::{sort_locals_by_bin, ListKind, NeighborList};
 use tofumd_md::potential::Potential;
 use tofumd_md::region::Box3;
-use tofumd_model::{RankWork, StageCosts, Threading};
+use tofumd_model::{Machine, RankWork, Threading};
 use tofumd_threadpool::ChunkExec;
-use tofumd_tofu::{NetParams, TofuError};
+use tofumd_tofu::TofuError;
 
 /// Record a phase-order violation (state consumed before it was built) on
 /// the lane; the step driver raises it after the phase joins.
@@ -40,13 +40,11 @@ fn fail_missing(lane: &mut Lane, rank: usize, phase: &'static str, missing: &'st
 }
 
 /// Shared read-only context for the physics phases: the potential's
-/// cutoff, the cost model and the threading mode the *virtual* machine
-/// charges for (orthogonal to the host team's thread count).
+/// cutoff, the modeled machine and the threading mode it charges for
+/// (orthogonal to the host team's thread count).
 pub struct Ctx {
-    /// Stage cost model.
-    pub costs: StageCosts,
-    /// Fabric timing constants.
-    pub params: NetParams,
+    /// The modeled machine whose stage costs are charged.
+    pub machine: Machine,
     /// The virtual compute-threading mode of the variant under test.
     pub threading: Threading,
     /// Force cutoff of the potential.
@@ -57,18 +55,6 @@ pub struct Ctx {
     pub list_kind: ListKind,
     /// EAM workload flag for the cost model.
     pub eam: bool,
-}
-
-impl Ctx {
-    /// Neigh-stage time of a workload.
-    fn neigh_time(&self, work: &RankWork) -> f64 {
-        self.costs.neigh_time(work, self.threading, &self.params)
-    }
-
-    /// Pair-stage time of a workload.
-    fn pair_time(&self, work: &RankWork) -> f64 {
-        self.costs.pair_time(work, self.threading, &self.params)
-    }
 }
 
 /// The cost-model workload of a rank's whole row set under `list`.
@@ -115,7 +101,8 @@ pub fn rebuild_lists(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [R
         let ((lo, hi), kind) = (ghost_box(st), ctx.list_kind);
         let list = lane.list.get_or_insert_with(|| NeighborList::empty(kind));
         list.rebuild(&st.atoms, lo, hi, kind, ctx.cutoff + ctx.skin, None, exec);
-        let dt = ctx.neigh_time(&full_work(st, list, ctx.eam));
+        let work = full_work(st, list, ctx.eam);
+        let dt = ctx.machine.neigh_time(&work, ctx.threading);
         st.charge(dt, Stage::Neigh);
         // A one-pass rebuild starts a new list epoch without classifying
         // rows; any partition from an earlier epoch is now stale.
@@ -191,7 +178,7 @@ pub fn charge_pair(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [Ran
             fail_missing_list(lane, r, "charge_pair");
             return;
         };
-        let dt = ctx.pair_time(&work);
+        let dt = ctx.machine.pair_time(&work, ctx.threading);
         st.charge(dt, Stage::Pair);
     });
 }
@@ -223,7 +210,7 @@ pub fn integrate_final(
             fail_missing_list(lane, r, "integrate_final");
             return;
         };
-        let dt = ctx.costs.modify_time(&work, ctx.threading, &ctx.params);
+        let dt = ctx.machine.modify_time(&work, ctx.threading);
         st.charge(dt, Stage::Modify);
     });
 }
@@ -242,7 +229,7 @@ pub fn check_displacements(team: &Team, skin: f64, lanes: &mut [Lane], states: &
 
 /// Charge the per-step bookkeeping floor into Other.
 pub fn charge_other_floor(team: &Team, ctx: &Ctx, lanes: &mut [Lane], states: &mut [RankState]) {
-    let dt = ctx.costs.other_time();
+    let dt = ctx.machine.other_time();
     team.for_each(lanes, states, &|_, _lane, st| {
         st.charge(dt, Stage::Other);
     });
@@ -381,7 +368,8 @@ impl Split<'_> {
             return None;
         };
         let inner = split_sel(part, self.pre_ghost, ctx.eam);
-        Some(pass.pair_share() * split_time(|w| ctx.pair_time(w), &inner, full))
+        let pair = |w: &RankWork| ctx.machine.pair_time(w, ctx.threading);
+        Some(pass.pair_share() * split_time(pair, &inner, full))
     }
 
     /// While the rank's halo is in flight: charge the interior rows' share
@@ -441,7 +429,8 @@ fn build_interior_list(ctx: &Ctx, lane: &mut Lane, st: &mut RankState, exec: &Ch
     let n_geo = geo.iter().filter(|&&b| b).count();
     let geo_pairs = list.npairs();
     let interior = interior_work(n_geo, geo_pairs, ctx.eam);
-    let dt = split_time(|w| ctx.neigh_time(w), &interior, None);
+    let neigh = |w: &RankWork| ctx.machine.neigh_time(w, ctx.threading);
+    let dt = split_time(neigh, &interior, None);
     st.charge(dt, Stage::Neigh);
     lane.interior_list = Some(list);
     lane.part = Some(Partition {
@@ -477,7 +466,8 @@ fn build_boundary_list(
     (part.n_pair, part.pair_pairs) = list.local_only_totals();
     let interior = interior_work(part.n_geo, part.geo_pairs, ctx.eam);
     let work = full_work(st, &list, ctx.eam);
-    let dt = split_time(|w| ctx.neigh_time(w), &interior, Some(&work));
+    let neigh = |w: &RankWork| ctx.machine.neigh_time(w, ctx.threading);
+    let dt = split_time(neigh, &interior, Some(&work));
     st.charge(dt, Stage::Neigh);
     lane.list = Some(list);
     true

@@ -130,7 +130,7 @@ impl NetParams {
     }
 
     /// Recursive-doubling allreduce of `bytes` per rank over `ranks`
-    /// participants: 2 log2(P) rounds (reduce-scatter + allgather
+    /// participants: 2 ⌈log2 P⌉ rounds (reduce-scatter + allgather
     /// equivalent), each paying latency, MPI posting and matching, one
     /// mean hop (`hop_latency`, see [`Self::mean_hop_latency`]) and the
     /// wire time of `bytes`. The one collective cost of the tree: the MPI
@@ -138,7 +138,7 @@ impl NetParams {
     /// model (hop 0, no payload) all call it.
     #[must_use]
     pub fn allreduce_time(&self, ranks: f64, hop_latency: f64, bytes: usize) -> f64 {
-        let rounds = 2.0 * ranks.log2().ceil().max(1.0);
+        let rounds = 2.0 * f64::from(allreduce_depth(ranks));
         rounds
             * (self.base_latency
                 + self.cpu_per_put_mpi
@@ -157,9 +157,20 @@ impl NetParams {
     }
 }
 
+/// Recursive-doubling depth over `ranks` participants, an integral
+/// count: ⌈log2 P⌉, and at least one round.
+fn allreduce_depth(ranks: f64) -> u32 {
+    debug_assert!(
+        ranks >= 0.0 && ranks.fract() == 0.0,
+        "rank count {ranks} is not integral"
+    );
+    (ranks as u64).next_power_of_two().trailing_zeros().max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PAPER_NODE_MESHES;
 
     #[test]
     fn wire_time_components() {
@@ -214,6 +225,16 @@ mod tests {
         let c1 = p.allreduce_time(1024.0, 0.0, 0);
         let c2 = p.allreduce_time(1_048_576.0, 0.0, 0);
         assert!((c2 / c1 - 2.0).abs() < 1e-9, "2^10 -> 2^20 doubles rounds");
+    }
+
+    #[test]
+    fn integer_allreduce_depth_matches_the_float_ceiling() {
+        let paper = PAPER_NODE_MESHES.iter().map(|&(nodes, _)| 4 * nodes as u64);
+        for n in (1..=1u64 << 18).chain(paper) {
+            let ranks = n as f64;
+            let float = ranks.log2().ceil().max(1.0);
+            assert_eq!(f64::from(allreduce_depth(ranks)), float, "{n} ranks");
+        }
     }
 
     #[test]

@@ -144,21 +144,14 @@ fn proxy_and_analytic_models_agree_on_magnitude() {
     // configuration's step time — they share constants but differ in
     // mechanism (analytic equations vs event-level fabric).
     use tofumd::model::analytic::{opt_step_time, AnalyticWorkload};
-    use tofumd::model::StageCosts;
-    use tofumd::tofu::NetParams;
+    use tofumd::model::Machine;
     let cfg = RunConfig::lj(4_194_304);
     let mut c = Cluster::proxy(PROXY, [8, 12, 8], cfg, CommVariant::Opt);
     c.run(20);
     let proxy = c.step_time();
     let n_local = cfg.natoms_target as f64 / (4.0 * 768.0);
     let w = AnalyticWorkload::lj(n_local);
-    let analytic = opt_step_time(
-        &w,
-        4.0 * 768.0,
-        &StageCosts::default(),
-        &NetParams::default(),
-    )
-    .total();
+    let analytic = opt_step_time(&w, 4.0 * 768.0, &Machine::fugaku()).total();
     let ratio = proxy / analytic;
     assert!(
         (0.5..2.0).contains(&ratio),

@@ -230,6 +230,19 @@ const RULES: &[Rule] = &[
         sample: &[("crates/runtime/src/physics.rs", "        st.clock += dt;\n        st.stages.neigh += dt;\n")],
     },
     Rule {
+        // The tofu crate owns `NetParams` and its doc example.
+        scope: scope(&["crates/*/src/*.rs"], &["crates/tofu/*", "crates/model/src/machine.rs"], Part::NonTest),
+        check: Check::Refuse(&[
+            "NetParams::default()",
+            "StageCosts::default()",
+            "CHECKPOINT_BASE_COST",
+            "CHECKPOINT_BYTE_COST",
+        ]),
+        why: "one modeled machine: `Machine::fugaku()` is the only place the committed \
+              virtual-time constants are put together, and every estimator takes that value",
+        sample: &[("crates/bench/src/reports.rs", "    let p = NetParams::default();\n")],
+    },
+    Rule {
         scope: scope(RS, NONE, Part::Whole),
         // Spelled in halves, so that `git grep` for the gone names finds none.
         check: Check::Refuse(&[concat!("Analytic", "Breakdown"), concat!("Sync", "Bucket")]),
@@ -328,16 +341,17 @@ const RULES: &[Rule] = &[
     },
     Rule {
         scope: scope(CORE, NONE, Part::NonTest),
-        check: Check::Cap(3597),
+        check: Check::Cap(3588),
         why: "the core crate stays no larger than writing each payload once on both transports, \
-              straight into its landing range, left it; the cap only moves down",
+              straight into its landing range, with no test-only byte sink, left it; the cap only \
+              moves down",
         sample: &[("crates/core/src/engine.rs", "let x = 1;\n")],
     },
     Rule {
         scope: scope(&["crates/md/src/*.rs", "crates/runtime/src/*.rs"], NONE, Part::NonTest),
-        check: Check::Cap(9_935),
-        why: "the MD and runtime crates stay no larger than one LJ pair style and a directly called \
-              EAM left them; the cap only moves down",
+        check: Check::Cap(9_919),
+        why: "the MD and runtime crates stay no larger than one LJ pair style, a directly called \
+              EAM and one modeled machine left them; the cap only moves down",
         sample: &[("crates/md/src/atom.rs", "let x = 1;\n")],
     },
     Rule {
