@@ -263,11 +263,7 @@ impl GhostLayout {
                     out.put_f64(st.scalar[i as usize]);
                 }
             }
-            GhostOp::Reverse => {
-                for f in &st.atoms.f[start..start + count] {
-                    out.put_f64s(f);
-                }
-            }
+            GhostOp::Reverse => out.put_f64s(st.atoms.f[start..start + count].as_flattened()),
             GhostOp::ReverseScalar => out.put_f64s(&st.scalar[start..start + count]),
         }
     }
@@ -286,18 +282,14 @@ impl GhostLayout {
             "{op:?} payload size mismatch on edge {e}"
         );
         match op {
-            GhostOp::Forward => {
-                for x in &mut st.atoms.x[start..start + count] {
-                    src.get_f64s(x);
-                }
-            }
+            GhostOp::Forward => src.get_f64s(st.atoms.x[start..start + count].as_flattened_mut()),
             GhostOp::ForwardScalar => src.get_f64s(&mut st.scalar[start..start + count]),
             GhostOp::Reverse => {
+                let mut v = [0.0; 3];
                 for &i in &edge.send {
+                    src.get_f64s(&mut v);
                     let f = &mut st.atoms.f[i as usize];
-                    f[0] += src.get_f64();
-                    f[1] += src.get_f64();
-                    f[2] += src.get_f64();
+                    (f[0], f[1], f[2]) = (f[0] + v[0], f[1] + v[1], f[2] + v[2]);
                 }
             }
             GhostOp::ReverseScalar => {

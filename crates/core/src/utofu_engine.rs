@@ -227,6 +227,12 @@ struct RxBuf {
 /// node's MRQ, so every arrival on it is matched by binary search instead
 /// of a scan of the posted set.
 fn rx_find(table: &[RxBuf], stadd: Stadd) -> Option<&RxBuf> {
+    // Most entries belong to the node's other ranks: reject what lies
+    // outside this table's span before searching it.
+    let span = table.first()?.stadd.0..=table.last()?.stadd.0;
+    if !span.contains(&stadd.0) {
+        return None;
+    }
     let i = table.binary_search_by_key(&stadd.0, |b| b.stadd.0).ok()?;
     Some(&table[i])
 }
@@ -254,7 +260,7 @@ fn checked_edge<'t>(
 
 /// The transport state under `post`, `complete` and the piggyback pair —
 /// fabric and book handles, sequencing, fault state, the reused arrival
-/// list — with the one put, reserve, wait, frame-cost and consume routine they
+/// list — with the one put, reserve, wait and frame-cost routine they
 /// share, each counting into the `(op, round)` counters of `st.stats`.
 struct UtofuLane {
     net: Arc<TofuNet>,
@@ -429,30 +435,6 @@ impl UtofuLane {
         out.1 = need.next_power_of_two();
         self.net.grow_mem(self.node, out.0, out.1)
     }
-
-    /// Deliver one arrived message straight from the registered region it
-    /// landed in, under the node lock: the pattern reads the little-endian
-    /// bytes in place (`raw` = a direct x-region write, which carries no
-    /// frame header).
-    fn consume(
-        &self,
-        pattern: &mut Pattern,
-        st: &mut RankState,
-        op: Op,
-        layout: usize,
-        a: &Arrival,
-        raw: bool,
-    ) {
-        self.net
-            .read_local_with(self.node, a.stadd, a.offset, a.len, |bytes| {
-                let body = if raw {
-                    bytes
-                } else {
-                    wire::combined_body(bytes)
-                };
-                pattern.deliver(op, layout, st, wire::LeF64s::new(body));
-            });
-    }
 }
 
 /// Up to three creation attempts on one `(node, tni)` — rides out a
@@ -536,8 +518,13 @@ pub struct UtofuEngine {
     inbox: [Vec<Option<Expected>>; 2],
     /// Round-robin slot cursor, advanced once per posted round.
     seq: usize,
+    /// `[Op::index()]`: bit `s` is set once the op's spanning round has
+    /// reserved slot `s` and framed every send region in this epoch.
+    presized: [u32; N_OPS],
     /// Reused scratch: each out-edge's LPT cost while an op is dealt.
     costs: Vec<f64>,
+    /// Reused scratch: `(kind, in-edge)` of each arrival being completed.
+    landed: Vec<(usize, usize)>,
 }
 
 impl UtofuEngine {
@@ -660,7 +647,9 @@ impl UtofuEngine {
             x_rx: Vec::new(),
             inbox: [vec![None; n], vec![None; n]],
             seq: 0,
+            presized: [0; N_OPS],
             costs: Vec::new(),
+            landed: Vec::new(),
         })
     }
 
@@ -736,6 +725,7 @@ impl UtofuEngine {
     /// landing table from the now-final layout, and send each ghost
     /// provider the offset where its atoms landed (8-byte piggyback, §3.4).
     fn begin_epoch(&mut self, st: &mut RankState) {
+        self.presized = [0; N_OPS];
         for op in Op::ALL
             .into_iter()
             .filter(|op| matches!(op.kind(), OpKind::Ghost(_)))
@@ -816,7 +806,12 @@ impl GhostEngine for UtofuEngine {
         let (lane, chan, send_out) = (&mut self.lane, &mut self.chan, &mut self.send_out);
         let (pattern, layout) = (&self.pattern, &self.pattern.ghosts);
         let frame_first = shape.spans && matches!(op.kind(), OpKind::Ghost(_));
-        if shape.spans {
+        // A ghost op's sizes are fixed within an epoch: once `(op, slot)`
+        // has reserved and framed, walking again could only charge 0.0.
+        let sized = &mut self.presized[op.index()];
+        let walk = shape.spans && (!frame_first || *sized & 1 << slot == 0);
+        *sized |= u32::from(frame_first) << slot;
+        if walk {
             pattern.for_each_hop(op, round, st, false, |h, st| {
                 let ch = &mut chan[BufKind::inflow(h.toward_ghosts) as usize][h.k];
                 let need = wire::combined_size(Payload::of(op, h.layout).len(layout));
@@ -824,7 +819,7 @@ impl GhostEngine for UtofuEngine {
                 st.charge(dt, op);
             })?;
         }
-        if frame_first {
+        if walk && frame_first {
             pattern.for_each_hop(op, round, st, false, |h, st| {
                 let (out, payload) = (&mut send_out[h.k], Payload::of(op, h.layout));
                 let cost = lane.frame_cost(layout, out, payload, st.stats.at(op, round));
@@ -906,11 +901,11 @@ impl GhostEngine for UtofuEngine {
         Ok(())
     }
 
-    /// Take the round's arrivals, map every one to the message it answers —
-    /// checked against the buffer it landed in — before any is delivered,
-    /// keep the last survivor per expected message, charge the receive and
-    /// deliver the survivors in the canonical order [`dedupe_arrivals`]
-    /// left them in, straight from the bytes they landed in.
+    /// Take the round's arrivals and look each one up once: the message it
+    /// answers, checked against the buffer it landed in. Keep the last
+    /// survivor per expected message, charge the receive, then deliver the
+    /// survivors from the bytes they landed in, in the canonical order
+    /// [`dedupe_arrivals`] left them in.
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         let (shape, p) = (self.shape(op), *self.lane.net.params());
         let (node, n, inbox) = (self.lane.node, self.remote_ghost_off.len(), &mut self.inbox);
@@ -949,9 +944,11 @@ impl GhostEngine for UtofuEngine {
             .lane
             .wait(st.clock, expected, pred, st.stats.at(op, round))?;
         let (mut filled, mut unpack) = (0, 0);
+        self.landed.clear();
         for (j, a) in self.lane.arrivals.iter().enumerate() {
             st.arrival_horizon = st.arrival_horizon.max(a.time);
             let (kind, k) = landed(a)?;
+            self.landed.push((kind, k));
             if xs.is_none() {
                 unpack += a.len;
             }
@@ -975,11 +972,15 @@ impl GhostEngine for UtofuEngine {
             t - st.clock + poll + p.pack_cost(unpack)
         };
         st.charge(dt, op);
-        for (j, a) in self.lane.arrivals.iter().enumerate() {
-            let (kind, k) = landed(a)?;
+        // Each survivor is read in place, under the node lock; a direct-x
+        // write is raw, every other message a combined frame.
+        let (net, pattern) = (&self.lane.net, &mut self.pattern);
+        for (j, (a, &(kind, k))) in self.lane.arrivals.iter().zip(&self.landed).enumerate() {
             if let Some(e) = inbox[kind][k].filter(|e| e.got == Some(j)) {
-                self.lane
-                    .consume(&mut self.pattern, st, op, e.layout, a, xs.is_some());
+                net.read_local_with(node, a.stadd, a.offset, a.len, |bytes| {
+                    let body = xs.map_or_else(|| wire::combined_body(bytes), |_| bytes);
+                    pattern.deliver(op, e.layout, st, wire::LeF64s::new(body));
+                });
             }
         }
         self.pattern.finish(op, st);
@@ -1002,6 +1003,7 @@ impl GhostEngine for UtofuEngine {
         // against the swapped graph. The epoch state is refreshed by the
         // next Border.
         self.chan = [Vec::new(), Vec::new()];
+        self.presized = [0; N_OPS];
         self.pattern.rebind(&st.graph);
     }
 }
@@ -1248,6 +1250,85 @@ mod tests {
                 })
                 .collect();
             st.atoms = Atoms::from_positions(pos, 1 + 1000 * r as u64);
+        }
+    }
+
+    /// Post `op` on every rank without completing it, and return per
+    /// node what its MRQ then holds: the [`TofuNet::pending_arrivals`]
+    /// count, and the lengths of the arrivals taken off it.
+    fn queued_by(f: &mut Fixture, op: Op) -> Vec<(usize, Vec<usize>)> {
+        for (e, st) in f.engines.iter_mut().zip(&mut f.states) {
+            e.post(op, 0, st).unwrap();
+        }
+        let net = &f.fabric.net;
+        let queued = |node| {
+            let pending = net.pending_arrivals(node);
+            let taken = net.take_arrivals(node, |_| true);
+            (pending, taken.iter().map(|a| a.len).collect())
+        };
+        (0..net.node_count()).map(queued).collect()
+    }
+
+    /// Per node, the sum of `per_rank` over the ranks it hosts.
+    fn per_node(f: &Fixture, per_rank: impl Fn(&UtofuEngine, &RankState) -> usize) -> Vec<usize> {
+        let mut sums = vec![0; f.fabric.net.node_count()];
+        for (e, st) in f.engines.iter().zip(&f.states) {
+            sums[e.lane.node] += per_rank(e, st);
+        }
+        sums
+    }
+
+    #[test]
+    fn each_message_is_one_put_with_its_signal() {
+        // Signal-with-data, by count: in the steady state no ghost op puts
+        // a descriptor beside its payload. A direct-x Forward queues one
+        // raw arrival per non-empty ghost segment; a framed Forward or
+        // Reverse queues one framed arrival per in-edge, header-only frames
+        // included. The only descriptor-only puts are Border's ghost-offset
+        // piggybacks (prereg), one per send edge, whose descriptor is
+        // their payload; the first Forward consumes them.
+        for cfg in [UtofuConfig::pool6(), UtofuConfig::coarse4()] {
+            let mut f = fixture(cfg);
+            restock(&mut f, 24);
+            drive(&mut f, Op::Border);
+            let net = f.fabric.net.clone();
+            let prereg = usize::from(cfg.prereg);
+            let piggybacks = per_node(&f, |_, st| st.graph.send.len() * prereg);
+            for (node, &want) in piggybacks.iter().enumerate() {
+                assert_eq!(net.pending_arrivals(node), want, "Border on node {node}");
+            }
+            for _ in 0..2 {
+                drive(&mut f, Op::Forward);
+                drive(&mut f, Op::Reverse);
+            }
+            assert!((0..net.node_count()).all(|node| net.pending_arrivals(node) == 0));
+            let in_edges = per_node(&f, |_, st| st.graph.recv.len());
+            let segments = per_node(&f, |e, _| e.x_rx.len());
+            let framed = |lens: &[usize]| lens.iter().all(|&l| l >= wire::COMBINED_HEADER_BYTES);
+            for (node, (pending, lens)) in queued_by(&mut f, Op::Forward).iter().enumerate() {
+                assert_eq!(lens.len(), *pending);
+                if cfg.prereg {
+                    assert_eq!(*pending, segments[node], "pool6 Forward on node {node}");
+                    assert!(lens.iter().all(|&l| l > 0 && l % 24 == 0));
+                } else {
+                    assert_eq!(*pending, in_edges[node], "coarse4 Forward on node {node}");
+                    assert!(framed(lens));
+                }
+            }
+            let total: usize = segments.iter().sum();
+            let some_empty = total > 0 && total < in_edges.iter().sum();
+            assert!(!cfg.prereg || some_empty, "some segments are empty");
+            let out_edges = per_node(&f, |_, st| st.graph.send.len());
+            let mut header_only = 0;
+            for (node, (pending, lens)) in queued_by(&mut f, Op::Reverse).iter().enumerate() {
+                assert_eq!(*pending, out_edges[node], "Reverse on node {node}");
+                assert!(framed(lens));
+                header_only += lens
+                    .iter()
+                    .filter(|&&l| l == wire::COMBINED_HEADER_BYTES)
+                    .count();
+            }
+            assert!(header_only > 0, "some reverse frames carry no atoms");
         }
     }
 

@@ -17,16 +17,7 @@ pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
 /// a multiple of 8 (a framing bug, not a recoverable condition).
 #[must_use]
 pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
-    let mut out = Vec::new();
-    decode_f64s_into(bytes, &mut out);
-    out
-}
-
-/// [`decode_f64s`] into a caller-owned vector (cleared first), so a
-/// receive loop reuses one allocation.
-pub fn decode_f64s_into(bytes: &[u8], out: &mut Vec<f64>) {
-    out.clear();
-    out.extend(LeF64s::new(bytes).0.chunks_exact(8).map(le_f64));
+    LeF64s::new(bytes).0.chunks_exact(8).map(le_f64).collect()
 }
 
 /// Message-combine framing: `[count: u64 LE][count * f64]` in one message.
@@ -185,6 +176,15 @@ impl F64Source for LeF64s<'_> {
         self.0 = rest;
         le_f64(head)
     }
+
+    /// One bounds check for the whole run.
+    fn get_f64s(&mut self, out: &mut [f64]) {
+        let (head, rest) = self.0.split_at(out.len() * 8);
+        for (o, chunk) in out.iter_mut().zip(head.chunks_exact(8)) {
+            *o = le_f64(chunk);
+        }
+        self.0 = rest;
+    }
 }
 
 /// Serializes a combined frame *in place* into a caller-provided byte
@@ -317,13 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_reuse_the_vector_and_sources_agree() {
+    fn decoders_and_sources_agree() {
         let vals = vec![0.5, -1.5, f64::MAX, -0.0, 7.0];
-        let mut out = vec![99.0; 9]; // stale content must be dropped
-        decode_f64s_into(&encode_f64s(&vals), &mut out);
-        assert_eq!(out, vals);
-        decode_f64s_into(combined_body(&frame_combined(&vals[..2])), &mut out);
-        assert_eq!(out, vals[..2]);
+        assert_eq!(decode_f64s(&encode_f64s(&vals)), vals);
+        assert_eq!(parse_combined(&frame_combined(&vals[..2])), vals[..2]);
         // Both sources stream the same values, singly and in runs.
         let bytes = encode_f64s(&vals);
         let (mut a, mut b) = (vals.as_slice(), LeF64s::new(&bytes));
@@ -334,6 +331,53 @@ mod tests {
         b.get_f64s(&mut rb);
         assert_eq!((ra, a.remaining()), (rb, b.remaining()));
         assert_eq!(ra, [-1.5, f64::MAX, -0.0]);
+    }
+
+    /// The bytes of `n` seeded random values, their bit patterns drawn
+    /// whole (NaN payloads, subnormals and signed zeros included).
+    fn random_le(seed: u64, n: usize) -> Vec<u8> {
+        let mut h = seed;
+        let mut next = || {
+            h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        (0..n).flat_map(|_| next().to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn le_run_reads_match_single_reads_bit_for_bit() {
+        for seed in 0..16 {
+            let n = 1 + (seed as usize * 7) % 40;
+            let bytes = random_le(seed, n);
+            let (mut runs, mut single) = (LeF64s::new(&bytes), LeF64s::new(&bytes));
+            // Runs of 0..=4 values, the way the ghost ops read them.
+            let mut width = seed as usize;
+            while runs.remaining() > 0 {
+                width = (width + 3) % 5;
+                let mut got = vec![0.0; width.min(runs.remaining())];
+                runs.get_f64s(&mut got);
+                for v in got {
+                    assert_eq!(v.to_bits(), single.get_f64().to_bits(), "seed {seed}");
+                }
+                assert_eq!(runs.remaining(), single.remaining());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mid > len")]
+    fn le_run_read_past_the_end_panics() {
+        let bytes = random_le(1, 3);
+        LeF64s::new(&bytes).get_f64s(&mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mid > len")]
+    fn le_single_read_past_the_end_panics() {
+        let mut src = LeF64s::new(&[]);
+        let _ = src.get_f64();
     }
 
     #[test]

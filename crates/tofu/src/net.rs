@@ -84,25 +84,35 @@ impl FaultState {
     }
 }
 
-/// Per-node fabric state.
+/// What a put lands in on its destination node: the registered memory
+/// and the MRQ, under one lock (see [`NodeState::landing`]).
+#[derive(Default)]
+struct Landing {
+    mem: MemRegistry,
+    /// Arrived-but-unconsumed notifications.
+    mrq: Vec<Arrival>,
+}
+
+/// Per-node fabric state: one lock for what puts land in, one per TNI
+/// table.
 struct NodeState {
-    mem: Mutex<MemRegistry>,
+    /// Registered memory and MRQ. A put writes its landing range and
+    /// queues its arrival in one critical section, so a notification is
+    /// never visible before its bytes, and a put pays one lock.
+    landing: Mutex<Landing>,
     /// Next-free injection time per TNI — this is where contention between
     /// ranks/threads sharing a TNI materializes.
     tni_free: Mutex<[f64; TNIS_PER_NODE]>,
     /// Allocated CQ count per TNI.
     cq_alloc: Mutex<[u8; TNIS_PER_NODE]>,
-    /// Arrived-but-unconsumed notifications.
-    mrq: Mutex<Vec<Arrival>>,
 }
 
 impl NodeState {
     fn new() -> Self {
         NodeState {
-            mem: Mutex::new(MemRegistry::default()),
+            landing: Mutex::new(Landing::default()),
             tni_free: Mutex::new([0.0; TNIS_PER_NODE]),
             cq_alloc: Mutex::new([0; TNIS_PER_NODE]),
-            mrq: Mutex::new(Vec::new()),
         }
     }
 }
@@ -146,12 +156,14 @@ pub enum PutSrc<'a> {
     /// A payload of `len` bytes that `write` serializes straight into the
     /// landing range — the zero-copy wire path: the payload is written
     /// once, where the receiver reads it, and the sender's registered send
-    /// region is never backed. The fabric calls `write` on the destination
-    /// slice under the destination node's lock, so `write` must not call
-    /// back into the fabric; it must fill every byte of the slice it is
-    /// handed and may be called again for a retransmission. A truncated delivery writes the whole payload into
-    /// a scratch buffer and lands only the cut prefix, as a
-    /// [`PutSrc::Bytes`] put of the same bytes would.
+    /// region is never backed.
+    ///
+    /// The fabric calls `write` on the destination slice under the
+    /// destination node's one lock, so `write` must not call back into
+    /// the fabric. It must fill every byte of the slice it is handed, and
+    /// it may be called again for a retransmission. A truncated delivery
+    /// writes the whole payload into a scratch buffer and lands only the
+    /// cut prefix, as a [`PutSrc::Bytes`] put of the same bytes would.
     Write {
         /// Payload length in bytes.
         len: usize,
@@ -360,7 +372,9 @@ impl TofuNet {
 
     /// Register memory on a node; returns the handle and the modeled cost.
     pub fn register_mem(&self, node: usize, len: usize) -> (Stadd, f64) {
-        lock(&self.nodes[node].mem).register(len, &self.params)
+        lock(&self.nodes[node].landing)
+            .mem
+            .register(len, &self.params)
     }
 
     /// Register memory, consulting the fault plan first. A faulted
@@ -392,33 +406,38 @@ impl TofuNet {
 
     /// Grow a registered region (dynamic expansion, baseline behaviour).
     pub fn grow_mem(&self, node: usize, stadd: Stadd, new_len: usize) -> f64 {
-        lock(&self.nodes[node].mem).grow(stadd, new_len, &self.params)
+        lock(&self.nodes[node].landing)
+            .mem
+            .grow(stadd, new_len, &self.params)
     }
 
     /// Make a region at least `len` bytes long without modeling a
     /// registration (see [`MemRegistry::reserve`]): the modeled length
     /// rises, host memory follows only what is then written.
     pub fn reserve_mem(&self, node: usize, stadd: Stadd, len: usize) {
-        lock(&self.nodes[node].mem).reserve(stadd, len);
+        lock(&self.nodes[node].landing).mem.reserve(stadd, len);
     }
 
     /// Current length of a registered region.
     #[must_use]
     pub fn mem_len(&self, node: usize, stadd: Stadd) -> usize {
-        lock(&self.nodes[node].mem).len(stadd)
+        lock(&self.nodes[node].landing).mem.len(stadd)
     }
 
     /// Host bytes backing a registered region (see [`MemRegistry::backed`]).
     #[must_use]
     pub fn mem_backed(&self, node: usize, stadd: Stadd) -> usize {
-        lock(&self.nodes[node].mem).backed(stadd)
+        lock(&self.nodes[node].landing).mem.backed(stadd)
     }
 
     /// [`MemRegistry::registered_bytes`] summed over all nodes; modeled
     /// over backed is §3.4's over-provision factor.
     #[must_use]
     pub fn registered_bytes(&self) -> (usize, usize) {
-        let per_node = self.nodes.iter().map(|n| lock(&n.mem).registered_bytes());
+        let per_node = self
+            .nodes
+            .iter()
+            .map(|n| lock(&n.landing).mem.registered_bytes());
         per_node.fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db))
     }
 
@@ -433,13 +452,13 @@ impl TofuNet {
         len: usize,
         f: impl FnOnce(&[u8]) -> R,
     ) -> R {
-        f(lock(&self.nodes[node].mem).read(stadd, offset, len))
+        f(lock(&self.nodes[node].landing).mem.read(stadd, offset, len))
     }
 
     /// Registration call count on a node.
     #[must_use]
     pub fn registration_calls_of(&self, node: usize) -> u64 {
-        lock(&self.nodes[node].mem).reg_calls
+        lock(&self.nodes[node].landing).mem.reg_calls
     }
 
     /// [`Self::put_from`] of the bytes in `req.data`.
@@ -535,24 +554,17 @@ impl TofuNet {
         if let Some((FaultAction::Delay(dt), _)) = fault {
             remote_arrival += dt;
         }
-        // Move the real bytes: once, into the landing range.
-        if bytes > 0 {
-            let (stadd, offset) = (req.dst_stadd, req.dst_offset);
-            let mem = &self.nodes[req.dst_node].mem;
-            match src {
-                PutSrc::Bytes(data) => lock(mem).write(stadd, offset, &data[..bytes]),
-                PutSrc::Write { write, .. } if bytes == posted => {
-                    lock(mem).write_with(stadd, offset, bytes, write);
-                }
-                PutSrc::Write { write, .. } => {
-                    let mut whole = lock(&self.truncated);
-                    whole.clear();
-                    whole.resize(posted, 0);
-                    write(&mut whole);
-                    lock(mem).write(stadd, offset, &whole[..bytes]);
-                }
+        // A truncated write is serialized whole before the node is locked.
+        let whole = match src {
+            PutSrc::Write { write, .. } if bytes > 0 && bytes < posted => {
+                let mut whole = lock(&self.truncated);
+                whole.clear();
+                whole.resize(posted, 0);
+                write(&mut whole);
+                Some(whole)
             }
-        }
+            _ => None,
+        };
         let arrival = Arrival {
             time: remote_arrival,
             src_node: req.src_node,
@@ -564,10 +576,21 @@ impl TofuNet {
             seq: req.seq,
         };
         {
-            let mut mrq = lock(&self.nodes[req.dst_node].mrq);
-            mrq.push(arrival);
+            // Move the real bytes once, into the landing range, and queue
+            // their arrival under the same lock.
+            let dst = &mut *lock(&self.nodes[req.dst_node].landing);
+            let (stadd, offset) = (req.dst_stadd, req.dst_offset);
+            match (src, &whole) {
+                _ if bytes == 0 => {}
+                (_, Some(whole)) => dst.mem.write(stadd, offset, &whole[..bytes]),
+                (PutSrc::Bytes(data), None) => dst.mem.write(stadd, offset, &data[..bytes]),
+                (PutSrc::Write { write, .. }, None) => {
+                    dst.mem.write_with(stadd, offset, bytes, write);
+                }
+            }
+            dst.mrq.push(arrival);
             if matches!(fault, Some((FaultAction::Duplicate, _))) {
-                mrq.push(arrival);
+                dst.mrq.push(arrival);
             }
         }
         if let Some((FaultAction::Truncate(_), key)) = fault {
@@ -602,7 +625,7 @@ impl TofuNet {
         mut pred: impl FnMut(&Arrival) -> bool,
         taken: &mut Vec<Arrival>,
     ) {
-        let mut mrq = lock(&self.nodes[node].mrq);
+        let mrq = &mut lock(&self.nodes[node].landing).mrq;
         let mut i = 0;
         while i < mrq.len() {
             if pred(&mrq[i]) {
@@ -621,7 +644,7 @@ impl TofuNet {
         node: usize,
         mut pred: impl FnMut(&Arrival) -> bool,
     ) -> (Option<Arrival>, bool) {
-        let mut mrq = lock(&self.nodes[node].mrq);
+        let mrq = &mut lock(&self.nodes[node].landing).mrq;
         let Some(i) = mrq.iter().position(&mut pred) else {
             return (None, false);
         };
@@ -635,7 +658,7 @@ impl TofuNet {
     /// Number of queued (undelivered) notifications on a node.
     #[must_use]
     pub fn pending_arrivals(&self, node: usize) -> usize {
-        lock(&self.nodes[node].mrq).len()
+        lock(&self.nodes[node].landing).mrq.len()
     }
 
     /// Reset all TNI injection clocks (between benchmark repetitions).
