@@ -289,7 +289,7 @@ impl GhostLayout {
                 for &i in &edge.send {
                     src.get_f64s(&mut v);
                     let f = &mut st.atoms.f[i as usize];
-                    (f[0], f[1], f[2]) = (f[0] + v[0], f[1] + v[1], f[2] + v[2]);
+                    f.iter_mut().zip(v).for_each(|(fd, vd)| *fd += vd);
                 }
             }
             GhostOp::ReverseScalar => {
